@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment table (DESIGN.md §4):
+// Benchmarks regenerating every experiment table (internal/experiments):
 //
 //	go test -bench=. -benchmem
 //
@@ -260,14 +260,14 @@ func BenchmarkE9SnapshotReadContention(b *testing.B) {
 	})
 }
 
-// --- open-loop throughput: server runtime comparison -------------------
+// --- open-loop throughput of the server runtime ------------------------
 
-// benchThroughput runs one open-loop TCP throughput measurement per
-// iteration (experiments.ThroughputRun: one DC on loopback, two TC
-// frontends, a fixed arrival schedule) and reports completed txn/s plus
-// the p99 latency against that schedule. CI runs it with -benchtime=1x
-// and cmd/benchcheck gates the sharded runtime against its floor.
-func benchThroughput(b *testing.B, name string, lc wire.ListenConfig) {
+// BenchmarkThroughputOpenLoop runs one open-loop TCP throughput
+// measurement per iteration (experiments.ThroughputRun: one DC on
+// loopback, two TC frontends, a fixed arrival schedule) and reports
+// completed txn/s plus the p99 latency against that schedule. CI runs it
+// with -benchtime=1x and cmd/benchcheck gates it against its floor.
+func BenchmarkThroughputOpenLoop(b *testing.B) {
 	o := experiments.ThroughputOptions{
 		Rate: 4000, Clients: 64,
 		Duration: 2 * time.Second, Warmup: 300 * time.Millisecond,
@@ -275,22 +275,13 @@ func benchThroughput(b *testing.B, name string, lc wire.ListenConfig) {
 	var tps, p99ms float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.ThroughputRun(name, lc, o, "")
+		res := experiments.ThroughputRun(o)
 		tps += res.Throughput()
 		p99ms += float64(res.Quantile(0.99)) / float64(time.Millisecond)
 	}
 	b.StopTimer()
 	b.ReportMetric(tps/float64(b.N), "txn/s")
 	b.ReportMetric(p99ms/float64(b.N), "p99-ms")
-}
-
-func BenchmarkThroughputOpenLoop(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) {
-		benchThroughput(b, "per-request+flat-acks", wire.ListenConfig{PerRequest: true, FlatAcks: true})
-	})
-	b.Run("sharded", func(b *testing.B) {
-		benchThroughput(b, "sharded+coalesced", wire.ListenConfig{})
-	})
 }
 
 // --- table experiments, one per figure/claim ---------------------------

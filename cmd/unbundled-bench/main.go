@@ -1,11 +1,11 @@
-// Command unbundled-bench regenerates every table in EXPERIMENTS.md: the
-// reproduction of the paper's figures and claims (see DESIGN.md §4 for the
-// experiment index). Run with -quick for a fast smoke pass.
+// Command unbundled-bench regenerates the experiment tables: the
+// reproduction of the paper's figures and claims (internal/experiments
+// holds one function per table, indexed in main below). Run with -quick
+// for a fast smoke pass.
 //
-// The -throughput mode runs the open-loop TCP throughput comparison
-// instead (per-request-goroutine baseline vs the sharded worker pool with
-// coalesced acks), at an offered -rate for -duration across -clients
-// executors; -json emits the machine-readable report.
+// The -throughput mode runs the open-loop TCP throughput measurement of
+// the DC server runtime instead, at an offered -rate for -duration across
+// -clients executors; -json emits the machine-readable report.
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced smoke configuration")
 	only := flag.String("only", "", "run a single experiment (E1..E9, F1, F2)")
-	throughput := flag.Bool("throughput", false, "run the open-loop TCP throughput comparison instead of the experiment tables")
+	throughput := flag.Bool("throughput", false, "run the open-loop TCP throughput measurement instead of the experiment tables")
 	rate := flag.Int("rate", 0, "throughput: offered transactions per second (0: default)")
 	clients := flag.Int("clients", 0, "throughput: open-loop executor goroutines (0: default)")
 	duration := flag.Duration("duration", 0, "throughput: offered window (0: default)")
@@ -39,7 +39,8 @@ func main() {
 			}
 			o.Warmup = 200 * time.Millisecond
 		}
-		rep := experiments.Throughput(o)
+		rep := harness.NewReport()
+		rep.Add(experiments.ThroughputRun(o))
 		if *jsonOut {
 			os.Stdout.Write(rep.JSON())
 			fmt.Println()

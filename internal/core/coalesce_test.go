@@ -17,14 +17,14 @@ import (
 
 // TestCoalescedAcksOnMisbehavingNetwork is the correctness oracle for ack
 // coalescing: pipelined increment transactions over a lossy, duplicating,
-// jittery network with Config.CoalesceAcks on, checked against the serial
-// oracle. Coalescing must be invisible to the protocol — losing or
-// duplicating a whole msgReplyBatch is exactly a lost or duplicated set of
-// member acks, which the resend loop and DC idempotence already absorb. A
-// lost update here would mean a commit's ack barrier was satisfied by a
-// reply the batcher mangled; a wedged run would mean a barrier waited on
-// an ack a batch dropped. The test also requires the batcher to have
-// actually flushed batches and the TC's ack barrier to end drained.
+// jittery network, checked against the serial oracle. Coalescing must be
+// invisible to the protocol — losing or duplicating a whole msgReplyBatch
+// is exactly a lost or duplicated set of member acks, which the resend
+// loop and DC idempotence already absorb. A lost update here would mean a
+// commit's ack barrier was satisfied by a reply the batcher mangled; a
+// wedged run would mean a barrier waited on an ack a batch dropped. The
+// test also requires the batcher to have actually flushed batches and the
+// TC's ack barrier to end drained.
 func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
 	txns := 25 * chaosIters(t, 1)
 	const (
@@ -40,13 +40,12 @@ func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
 			return tc.Config{Pipeline: true, LockTimeout: 5 * time.Second}
 		},
 		Network: &wire.Config{
-			Delay:        20 * time.Microsecond,
-			Jitter:       100 * time.Microsecond,
-			LossProb:     0.05,
-			DupProb:      0.05,
-			ResendAfter:  time.Millisecond,
-			Seed:         11,
-			CoalesceAcks: true,
+			Delay:       20 * time.Microsecond,
+			Jitter:      100 * time.Microsecond,
+			LossProb:    0.05,
+			DupProb:     0.05,
+			ResendAfter: time.Millisecond,
+			Seed:        11,
 		},
 	})
 	if err != nil {
@@ -156,7 +155,7 @@ func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
 		}
 	}
 	if batches == 0 {
-		t.Fatal("ack coalescer never flushed a batch despite CoalesceAcks")
+		t.Fatal("ack coalescer never flushed a batch")
 	}
 	stats := dep.Net().Stats()
 	if stats.Dropped == 0 && stats.Duplicated == 0 {

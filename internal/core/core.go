@@ -107,17 +107,23 @@ func New(opts Options) (*Deployment, error) {
 	if opts.TCs <= 0 {
 		opts.TCs = 1
 	}
-	if opts.DCs <= 0 {
+	remote := len(opts.DCAddrs) > 0
+	if remote {
+		opts.DCs = len(opts.DCAddrs)
+	} else if opts.DCs <= 0 {
 		opts.DCs = 1
-	}
-	if len(opts.DCAddrs) > 0 {
-		return newRemote(opts)
 	}
 	router, err := resolveRouter(&opts, opts.DCs)
 	if err != nil {
 		return nil, err
 	}
 	d := &Deployment{router: router, pl: opts.Placement, closeCh: make(chan struct{})}
+	if remote {
+		if err := d.dialDCs(opts); err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
 	for i := 0; i < opts.DCs; i++ {
 		cfg := dc.Config{}
 		if opts.DCConfig != nil {
@@ -138,6 +144,37 @@ func New(opts Options) (*Deployment, error) {
 	if opts.Network != nil {
 		d.net = wire.NewNetwork(*opts.Network)
 	}
+	err = d.assembleTCs(opts, func(_, di int) (base.Service, *wire.Client, *wire.Server) {
+		if d.net == nil {
+			return d.DCs[di], nil, nil
+		}
+		cl, srv := d.net.Connect(d.DCs[di])
+		return cl, cl, srv
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A TC rebuilt over a previous incarnation's log (TCConfig.Dir)
+	// restarts here, while the DCs are already serving: the ordinary
+	// §5.3.2 restart, run at assembly time so the deployment hands back
+	// only live TCs.
+	for _, tci := range d.TCs {
+		if tci.NeedsRecovery() {
+			if err := tci.Recover(); err != nil {
+				d.Close()
+				return nil, fmt.Errorf("core: tc %d restart from its log: %w", tci.ID(), err)
+			}
+		}
+	}
+	return d, nil
+}
+
+// assembleTCs builds the deployment's opts.TCs transactional components
+// over opts.DCs data components. connect(t, di) supplies TC t's route to
+// DC di: the service the TC calls, plus the wire pair behind it (nil for a
+// direct in-process call, a nil server for a dialed remote DC). A failed
+// assembly closes everything built so far, connections included.
+func (d *Deployment) assembleTCs(opts Options, connect func(t, di int) (base.Service, *wire.Client, *wire.Server)) error {
 	for t := 0; t < opts.TCs; t++ {
 		cfg := tc.Config{}
 		if opts.TCConfig != nil {
@@ -146,39 +183,24 @@ func New(opts Options) (*Deployment, error) {
 		if cfg.ID == 0 {
 			cfg.ID = base.TCID(t + 1)
 		}
-		var services []base.Service
-		var clients []*wire.Client
-		var servers []*wire.Server
-		for dcIdx := 0; dcIdx < opts.DCs; dcIdx++ {
-			if d.net == nil {
-				services = append(services, d.DCs[dcIdx])
-				clients = append(clients, nil)
-				servers = append(servers, nil)
-				continue
-			}
-			cl, srv := d.net.Connect(d.DCs[dcIdx])
-			services = append(services, cl)
-			clients = append(clients, cl)
-			servers = append(servers, srv)
+		services := make([]base.Service, opts.DCs)
+		clients := make([]*wire.Client, opts.DCs)
+		servers := make([]*wire.Server, opts.DCs)
+		for di := range services {
+			services[di], clients[di], servers[di] = connect(t, di)
 		}
-		tci, err := tc.New(cfg, services, router)
-		if err != nil {
-			return nil, err
-		}
-		// A TC rebuilt over a previous incarnation's log (TCConfig.Dir)
-		// restarts here, while the DCs are already serving: the ordinary
-		// §5.3.2 restart, run at assembly time so the deployment hands
-		// back only live TCs.
-		if tci.NeedsRecovery() {
-			if err := tci.Recover(); err != nil {
-				return nil, fmt.Errorf("core: tc %d restart from %q: %w", cfg.ID, cfg.Dir, err)
-			}
-		}
-		d.TCs = append(d.TCs, tci)
+		// Recorded before tc.New so that Close, on failure, reaches this
+		// TC's connections too.
 		d.clients = append(d.clients, clients)
 		d.servers = append(d.servers, servers)
+		tci, err := tc.New(cfg, services, d.router)
+		if err != nil {
+			d.Close()
+			return err
+		}
+		d.TCs = append(d.TCs, tci)
 	}
-	return d, nil
+	return nil
 }
 
 // Net exposes the network (stats), or nil for direct deployments.
@@ -234,12 +256,18 @@ func (d *Deployment) CrashDC(i int) {
 	if i >= len(d.DCs) {
 		panic(fmt.Sprintf("core: CrashDC(%d): DC is remote; kill its process instead", i))
 	}
-	for ti := range d.servers {
-		if d.servers[ti][i] != nil {
-			d.servers[ti][i].SetDown(true)
+	d.setDCDown(i, true)
+	d.DCs[i].Crash()
+}
+
+// setDCDown marks every simulated-fabric server in front of DC i up or
+// down (direct wiring has none).
+func (d *Deployment) setDCDown(i int, down bool) {
+	for _, row := range d.servers {
+		if row[i] != nil {
+			row[i].SetDown(down)
 		}
 	}
-	d.DCs[i].Crash()
 }
 
 // RecoverDC restarts data component i: DC-log recovery first (structures
@@ -252,11 +280,7 @@ func (d *Deployment) RecoverDC(i int) error {
 	if err := d.DCs[i].Recover(); err != nil {
 		return err
 	}
-	for ti := range d.servers {
-		if d.servers[ti][i] != nil {
-			d.servers[ti][i].SetDown(false)
-		}
-	}
+	d.setDCDown(i, false)
 	for _, t := range d.TCs {
 		if err := t.RecoverDC(i); err != nil {
 			return err
@@ -296,11 +320,7 @@ func (d *Deployment) RecoverAll() error {
 		if err := d.DCs[i].Recover(); err != nil {
 			return err
 		}
-		for ti := range d.servers {
-			if d.servers[ti][i] != nil {
-				d.servers[ti][i].SetDown(false)
-			}
-		}
+		d.setDCDown(i, false)
 	}
 	for i := range d.TCs {
 		if err := d.TCs[i].Recover(); err != nil {

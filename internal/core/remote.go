@@ -21,40 +21,15 @@ import (
 // replays its logged operations from the redo scan start point before new
 // work flows — the §4.2.1 out-of-band restart prompt, automated.
 
-func newRemote(opts Options) (*Deployment, error) {
-	router, err := resolveRouter(&opts, len(opts.DCAddrs))
+// dialDCs assembles the TCs of a remote deployment over one dialed
+// connection per (TC, DC) pair.
+func (d *Deployment) dialDCs(opts Options) error {
+	err := d.assembleTCs(opts, func(_, di int) (base.Service, *wire.Client, *wire.Server) {
+		cl := wire.Dial(opts.DCAddrs[di], opts.DialConfig)
+		return cl, cl, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{router: router, pl: opts.Placement, closeCh: make(chan struct{})}
-	for t := 0; t < opts.TCs; t++ {
-		cfg := tc.Config{}
-		if opts.TCConfig != nil {
-			cfg = opts.TCConfig(t)
-		}
-		if cfg.ID == 0 {
-			cfg.ID = base.TCID(t + 1)
-		}
-		var services []base.Service
-		var clients []*wire.Client
-		var servers []*wire.Server
-		for _, addr := range opts.DCAddrs {
-			cl := wire.Dial(addr, opts.DialConfig)
-			services = append(services, cl)
-			clients = append(clients, cl)
-			servers = append(servers, nil)
-		}
-		tci, err := tc.New(cfg, services, router)
-		if err != nil {
-			for _, cl := range clients {
-				cl.Close()
-			}
-			d.Close()
-			return nil, err
-		}
-		d.TCs = append(d.TCs, tci)
-		d.clients = append(d.clients, clients)
-		d.servers = append(d.servers, servers)
+		return err
 	}
 	// Connection supervision: every re-established session triggers a redo
 	// replay for that (TC, DC) pair. The hook must be registered after the
@@ -70,7 +45,7 @@ func newRemote(opts Options) (*Deployment, error) {
 	// nothing has dialed yet. The caller gates on WaitConnected and then
 	// runs RecoverTC for every TC whose NeedsRecovery reports true, as
 	// cmd/unbundled-tc does.
-	return d, nil
+	return nil
 }
 
 // superviseRemoteDC wires the dialed connection's reconnect signal to

@@ -377,24 +377,45 @@ func (d *DC) updateCatalog(pool *buffer.Pool, table string, root base.PageID, dl
 	pool.Unpin(catalogPageID)
 }
 
-// EndOfStableLog implements base.Service (§4.2.1): all operations with
-// LSN <= eosl are stable in the TC log; causality then allows the DC to
-// make them stable too. Broadcasts from a fenced incarnation are dropped;
-// the fence check and the advance are one critical section, so a claim
-// cannot pass the check and then land after a concurrent fence raise.
-func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
+// advance applies one watermark broadcast to tc's state unless the
+// sender's incarnation is fenced, and reports whether it did. The fence
+// check and the advance are one critical section — ctl, shared with
+// BeginRestart's fence raise and re-base — so a stale claim either lands
+// entirely before the raise (and is zeroed by the re-base) or is dropped,
+// never in between.
+func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) bool {
 	s := d.tcState(tc)
 	s.ctl.Lock()
-	if s.fenced(epoch) {
-		s.ctl.Unlock()
-		return
-	}
-	if uint64(eosl) > s.eosl.Load() {
-		s.eosl.Store(uint64(eosl))
+	fenced := s.fenced(epoch)
+	if !fenced {
+		step(s)
 	}
 	s.ctl.Unlock()
+	return !fenced
+}
+
+// raise lifts a monotonic watermark to v and reports whether it moved.
+func raise(mark *atomic.Uint64, v uint64) bool {
+	if v <= mark.Load() {
+		return false
+	}
+	mark.Store(v)
+	return true
+}
+
+// kickPool lets the pool's flusher re-test the gates a watermark opened.
+func (d *DC) kickPool() {
 	if p := d.poolNow(); p != nil {
 		p.Kick()
+	}
+}
+
+// EndOfStableLog implements base.Service (§4.2.1): all operations with
+// LSN <= eosl are stable in the TC log; causality then allows the DC to
+// make them stable too. Broadcasts from a fenced incarnation are dropped.
+func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
+	if d.advance(tc, epoch, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }) {
+		d.kickPool()
 	}
 }
 
@@ -406,24 +427,16 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 // prefix. horizon is the TC's GC watermark. Broadcasts from a fenced
 // incarnation are dropped, mirroring EndOfStableLog.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	s := d.tcState(tc)
-	s.ctl.Lock()
-	if s.fenced(epoch) {
-		s.ctl.Unlock()
-		return
-	}
-	if uint64(safe) > s.safe.Load() {
-		s.safe.Store(uint64(safe))
-		if s.safeCh != nil {
+	advanced := d.advance(tc, epoch, func(s *tcState) {
+		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {
 			close(s.safeCh)
 			s.safeCh = nil
 		}
+		raise(&s.horizon, uint64(horizon))
+	})
+	if advanced {
+		d.refreshHorizon()
 	}
-	if uint64(horizon) > s.horizon.Load() {
-		s.horizon.Store(uint64(horizon))
-	}
-	s.ctl.Unlock()
-	d.refreshHorizon()
 }
 
 // refreshHorizon recomputes the cached GC horizon: the minimum nonzero
@@ -498,22 +511,9 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, t base.TS) base.Code {
 // a fenced incarnation are dropped: BeginRestart re-based the mark to zero
 // precisely because the restarted TC reuses the dead incarnation's LSN
 // space, and a stale in-flight claim would prune abstract LSNs into it.
-// The check and the advance share ctl with BeginRestart's fence raise and
-// re-base, so the stale claim either lands entirely before the raise (and
-// is zeroed by the re-base) or is fenced — never in between.
 func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
-	s := d.tcState(tc)
-	s.ctl.Lock()
-	if s.fenced(epoch) {
-		s.ctl.Unlock()
-		return
-	}
-	if uint64(lwm) > s.lwm.Load() {
-		s.lwm.Store(uint64(lwm))
-	}
-	s.ctl.Unlock()
-	if p := d.poolNow(); p != nil {
-		p.Kick()
+	if d.advance(tc, epoch, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }) {
+		d.kickPool()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/buffer"
+	"github.com/cidr09/unbundled/internal/page"
 )
 
 func newDC(t *testing.T, cfg Config) *DC {
@@ -218,6 +219,45 @@ func TestScanProbeAndRangeRead(t *testing.T) {
 	rr := d.Perform(context.Background(), &base.Op{TC: 1, Kind: base.OpRangeRead, Table: "t", Key: "k010", EndKey: "k015"})
 	if len(rr.Keys) != 5 || len(rr.Values) != 5 {
 		t.Fatalf("range: %v", rr.Keys)
+	}
+}
+
+// TestRangeReadStopsAtEndKey bounds a range read by its end key alone (no
+// Limit) over a tree of many leaves: it must return exactly the in-range
+// keys and fetch no more pages than the same read bounded by a Limit, plus
+// at most the one leaf whose first key is the end key — not every
+// remaining leaf of the table.
+func TestRangeReadStopsAtEndKey(t *testing.T) {
+	d := newDC(t, Config{PageBytes: 256})
+	h := newOpHelper(d, 1)
+	const n = 300
+	for i := 0; i < n; i++ {
+		h.insert(fmt.Sprintf("k%03d", i), "v")
+	}
+	leaves := 0
+	if err := d.Tree("t").Scan("", func(*page.Page) bool { leaves++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	fetches := func(op *base.Op) (*base.Result, uint64) {
+		before := d.Pool().Stats()
+		res := d.Perform(context.Background(), op)
+		after := d.Pool().Stats()
+		return res, after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	const lo, hi, want = 20, 60, 40
+	byLimit, limitFetches := fetches(&base.Op{TC: 1, Kind: base.OpRangeRead, Table: "t",
+		Key: fmt.Sprintf("k%03d", lo), Limit: want})
+	byEnd, endFetches := fetches(&base.Op{TC: 1, Kind: base.OpRangeRead, Table: "t",
+		Key: fmt.Sprintf("k%03d", lo), EndKey: fmt.Sprintf("k%03d", hi)})
+	if len(byEnd.Keys) != want || fmt.Sprint(byEnd.Keys) != fmt.Sprint(byLimit.Keys) {
+		t.Fatalf("range [k%03d,k%03d) = %v, want the %d keys %v", lo, hi, byEnd.Keys, want, byLimit.Keys)
+	}
+	if uint64(leaves) < 4*limitFetches {
+		t.Fatalf("tree too small to tell: %d leaves, %d fetches for the range", leaves, limitFetches)
+	}
+	if endFetches > limitFetches+1 {
+		t.Fatalf("end-key range read fetched %d pages, limit-bounded read %d (table has %d leaves)",
+			endFetches, limitFetches, leaves)
 	}
 }
 

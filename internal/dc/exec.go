@@ -242,7 +242,8 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 			if _, visible := rec.ReadVersion(base.ReadDirty); visible {
 				// Restore tolerance: re-applying an insert whose record
 				// already holds this exact value (same owner) converges
-				// idempotently; see DESIGN.md on partial-failure restore.
+				// idempotently — a partial-failure restore (§5.3.2) re-sends
+				// operations whose effects a surviving page may still hold.
 				if rec.Owner == op.TC && bytes.Equal(rec.Value, op.Value) && !rec.HasBefore() {
 					return res
 				}

@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction of every figure and
-// claim in the paper (see DESIGN.md §4 for the index). Each experiment
-// returns a harness.Report whose rows appear in EXPERIMENTS.md; the cmd
-// tool prints them and bench_test.go wraps them as Go benchmarks.
+// claim in the paper (cmd/unbundled-bench holds the index). Each
+// experiment returns a harness.Report; the cmd tool prints its rows and
+// bench_test.go wraps them as Go benchmarks.
 package experiments
 
 import (
@@ -19,8 +19,8 @@ import (
 	"github.com/cidr09/unbundled/internal/workload"
 )
 
-// Scale shrinks or grows every experiment uniformly (1 = the numbers
-// reported in EXPERIMENTS.md; benchmarks use smaller).
+// Scale shrinks or grows every experiment uniformly (benchmarks use
+// smaller than DefaultScale).
 type Scale struct {
 	Workers   int
 	TxnsPerW  int
@@ -28,7 +28,7 @@ type Scale struct {
 	ValueSize int
 }
 
-// DefaultScale is the EXPERIMENTS.md configuration.
+// DefaultScale is the configuration cmd/unbundled-bench reports at.
 func DefaultScale() Scale {
 	return Scale{Workers: 4, TxnsPerW: 800, Keys: 8000, ValueSize: 64}
 }
@@ -117,8 +117,7 @@ func E1(s Scale) *harness.Report {
 			{"unbundled-direct", nil},
 			{"unbundled-wire", &wire.Config{}},
 			// Nominal 1ms one-way delay; the host timer floor (~1.2ms in
-			// the reference environment) sets the effective value — see
-			// EXPERIMENTS.md.
+			// the reference environment) sets the effective value.
 			{"unbundled-wire+1ms", &wire.Config{Delay: time.Millisecond}},
 		} {
 			dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"}, Network: net.cfg})

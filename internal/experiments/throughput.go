@@ -13,14 +13,11 @@ import (
 )
 
 // The throughput experiment measures the server runtime itself: one DC
-// served over real loopback TCP, several TC frontends dialing it, and an
-// open-loop arrival schedule offered across them. Two runtimes face the
-// identical offered load: the pre-pool baseline (a goroutine per request,
-// one frame per reply) and the production runtime (sharded worker pool
-// with bounded admission, coalesced ack frames). At rates the baseline
-// cannot sustain, its completed-txn count and tail latencies fall behind
-// while the pooled runtime keeps queueing bounded and sheds the excess as
-// typed overloads the TC's wire client rides out.
+// served over real loopback TCP (sharded worker pool with bounded
+// admission, coalesced ack frames), several TC frontends dialing it, and
+// an open-loop arrival schedule offered across them. Past the rate the
+// runtime sustains, queueing stays bounded and the excess is shed as typed
+// overloads the TC's wire client rides out.
 
 // ThroughputOptions configures one open-loop TCP throughput run.
 type ThroughputOptions struct {
@@ -33,14 +30,6 @@ type ThroughputOptions struct {
 	Duration time.Duration
 	// Warmup is the unreported leading slice (default 500ms).
 	Warmup time.Duration
-	// TCs is the number of TC frontends sharing the DC (default 2).
-	TCs int
-	// Keys is the key-space size per TC partition (default 4096).
-	Keys int
-	// OpsPerTxn is the number of upserts per transaction (default 4).
-	OpsPerTxn int
-	// ValueSize is the value payload in bytes (default 64).
-	ValueSize int
 }
 
 func (o ThroughputOptions) withDefaults() ThroughputOptions {
@@ -56,53 +45,30 @@ func (o ThroughputOptions) withDefaults() ThroughputOptions {
 	if o.Warmup <= 0 {
 		o.Warmup = 500 * time.Millisecond
 	}
-	if o.TCs <= 0 {
-		o.TCs = 2
-	}
-	if o.Keys <= 0 {
-		o.Keys = 4096
-	}
-	if o.OpsPerTxn <= 0 {
-		o.OpsPerTxn = 4
-	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = 64
-	}
 	return o
 }
 
-// Throughput compares the two server runtimes under the same offered
-// load: the per-request-goroutine flat-ack baseline against the sharded
-// worker pool with coalesced acks.
-func Throughput(o ThroughputOptions) *harness.Report {
-	o = o.withDefaults()
-	t := harness.NewReport()
-	for _, mode := range []struct {
-		name string
-		cfg  wire.ListenConfig
-		note string
-	}{
-		{"per-request+flat-acks", wire.ListenConfig{PerRequest: true, FlatAcks: true},
-			"goroutine per request, one frame per reply"},
-		{"sharded+coalesced", wire.ListenConfig{},
-			"worker pool, bounded queues, batched ack frames"},
-	} {
-		t.Add(ThroughputRun(mode.name, mode.cfg, o, mode.note))
-	}
-	return t
-}
+// The fixed shape of a throughput run: TC frontends sharing the DC, the
+// key-space size per TC partition, upserts per transaction, and the value
+// payload in bytes.
+const (
+	throughputTCs       = 2
+	throughputKeys      = 4096
+	throughputOpsPerTxn = 4
+	throughputValueSize = 64
+)
 
-// ThroughputRun measures one server runtime: an in-process DC served on
-// loopback TCP under lc, o.TCs TC frontends dialed to it, and an
-// open-loop schedule of o.Rate versioned multi-upsert transactions spread
-// round-robin across the TCs (each TC writes its own key prefix, so the
-// frontends never contend on locks — the server is the variable). Ops ship
-// synchronously: every upsert is a full server round trip, the maximum
-// wire pressure per transaction (the pipelined mode's TC-global ack
-// barrier convoys concurrent committers and would measure the TC, not the
-// server). Result.Retries carries the wire resends and Result.Overloads
-// the admission refusals the clients absorbed underneath the run.
-func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note string) harness.Result {
+// ThroughputRun measures the server runtime: an in-process DC served on
+// loopback TCP, the TC frontends dialed to it, and an open-loop schedule of
+// o.Rate versioned multi-upsert transactions spread round-robin across the
+// TCs (each TC writes its own key prefix, so the frontends never contend on
+// locks — the server is the variable). Ops ship synchronously: every
+// upsert is a full server round trip, the maximum wire pressure per
+// transaction (the pipelined mode's TC-global ack barrier convoys
+// concurrent committers and would measure the TC, not the server).
+// Result.Retries carries the wire resends and Result.Overloads the
+// admission refusals the clients absorbed underneath the run.
+func ThroughputRun(o ThroughputOptions) harness.Result {
 	o = o.withDefaults()
 	d, err := dc.New(dc.Config{Name: "bench-dc"})
 	if err != nil {
@@ -111,12 +77,12 @@ func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note 
 	if err := d.CreateTable("kv"); err != nil {
 		panic(err)
 	}
-	l, err := wire.ListenWith("127.0.0.1:0", d, lc)
+	l, err := wire.Listen("127.0.0.1:0", d)
 	if err != nil {
 		panic(err)
 	}
 	dep, err := core.New(core.Options{
-		TCs:      o.TCs,
+		TCs:      throughputTCs,
 		DCAddrs:  []string{l.Addr()},
 		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: false} },
 	})
@@ -128,22 +94,22 @@ func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note 
 		panic(err)
 	}
 	client := dep.Client()
-	value := make([]byte, o.ValueSize)
+	value := make([]byte, throughputValueSize)
 	res := harness.RunOpenLoop(ctx, harness.Load{
-		Name:     name,
+		Name:     "open-loop",
 		Rate:     o.Rate,
 		Clients:  o.Clients,
 		Duration: o.Duration,
 		Warmup:   o.Warmup,
 		Workload: func(ctx context.Context, seq int) error {
-			tcIdx := seq % o.TCs
+			tcIdx := seq % throughputTCs
 			// Multiplicative hash spreads adjacent arrivals across the
 			// keyspace: sequential indexes would convoy every in-flight
 			// transaction onto the same B-tree leaf.
-			k := int(uint64(seq/o.TCs) * 2654435761 % uint64(o.Keys))
+			k := int(uint64(seq/throughputTCs) * 2654435761 % uint64(throughputKeys))
 			opts := core.TxnOptions{TC: tcIdx + 1, Versioned: true}
 			return client.RunTxn(ctx, opts, func(x *tc.Txn) error {
-				for j := 0; j < o.OpsPerTxn; j++ {
+				for j := 0; j < throughputOpsPerTxn; j++ {
 					key := fmt.Sprintf("t%d/key%06d-%d", tcIdx, k, j)
 					if err := x.Upsert("kv", key, value); err != nil {
 						return err
@@ -156,7 +122,6 @@ func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note 
 	ws := dep.RemoteWireStats()
 	res.Retries = ws.Resends
 	res.Overloads += ws.Overloads
-	res.Extra = []harness.Col{{Name: "note", Value: note}}
 	dep.Close()
 	l.Close()
 	d.Close()

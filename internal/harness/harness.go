@@ -1,5 +1,5 @@
 // Package harness is the load-generation and reporting API behind the
-// experiments in EXPERIMENTS.md and the throughput benchmarks: fixed-seed
+// experiment tables and the throughput benchmarks: fixed-seed
 // closed-loop drivers (Run), an open-loop arrival-rate generator
 // (RunOpenLoop) that measures latency against the offered schedule, and
 // one canonical report shape (Report) that renders every result as an

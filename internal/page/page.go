@@ -346,14 +346,13 @@ func (p *Page) Remove(key string) bool {
 
 // Ascend calls fn for records with from <= Key < to (to == "" means
 // unbounded) in key order; fn returns false to stop. It reports whether
-// iteration was stopped early.
+// iteration stopped before the end of the page — fn said so, or a record
+// at or past to was met — so a caller walking the leaf chain knows the
+// next leaf holds nothing in range.
 func (p *Page) Ascend(from, to string, fn func(*Record) bool) bool {
 	i := sort.Search(len(p.Recs), func(i int) bool { return p.Recs[i].Key >= from })
 	for ; i < len(p.Recs); i++ {
-		if to != "" && p.Recs[i].Key >= to {
-			return false
-		}
-		if !fn(&p.Recs[i]) {
+		if (to != "" && p.Recs[i].Key >= to) || !fn(&p.Recs[i]) {
 			return true
 		}
 	}

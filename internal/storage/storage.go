@@ -2,9 +2,9 @@
 // atomic page store and an append-only log store. "Stable" contents
 // survive component crashes; everything above storage (buffer pool, log
 // buffers) is volatile and lost on Crash. This is the substitution for
-// real disks described in DESIGN.md §3: it preserves the stable/volatile
-// divide that drives the paper's §5.3 partial-failure protocols, and it
-// counts I/O so experiments can report read/write/force traffic.
+// real disks: it preserves the stable/volatile divide that drives the
+// paper's §5.3 partial-failure protocols, and it counts I/O so experiments
+// can report read/write/force traffic.
 package storage
 
 import (

@@ -6,8 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// DC→TC ack coalescing. Every reply a server produces funnels through a
-// per-connection ackBatcher instead of going straight to the transport.
+// DC→TC ack coalescing. Every reply the server runtime produces funnels
+// through a per-connection ackBatcher instead of going straight to the
+// transport.
 // The batcher works like group commit works in wal.Log.ForceTo: the first
 // reply to arrive flushes immediately (idle connections never pay added
 // latency), and replies that arrive while that flush is on the wire pile
@@ -24,11 +25,13 @@ type ackBatcher struct {
 	queue    []*message
 	flushing bool
 
-	// out ships one coalesced batch (len >= 1) toward the client. Called
-	// without mu held; calls are serialized by the flushing flag.
-	out func([]*message)
+	// out ships one frame toward the client: a plain msgReply when a flush
+	// holds a single reply (byte-identical to an uncoalesced protocol), a
+	// msgReplyBatch otherwise. Called without mu held; calls are serialized
+	// by the flushing flag.
+	out func(*message)
 
-	batches, coalesced *atomic.Uint64 // owned by the server/listener
+	batches, coalesced *atomic.Uint64 // owned by the serveCore
 }
 
 // add enqueues one reply. The caller that finds the batcher idle becomes
@@ -47,10 +50,12 @@ func (a *ackBatcher) add(m *message) {
 		a.queue = nil
 		a.mu.Unlock()
 		a.batches.Add(1)
+		m := batch[0]
 		if n := len(batch); n > 1 {
 			a.coalesced.Add(uint64(n - 1))
+			m = &message{kind: msgReplyBatch, body: encodeAckBatch(getReplyBuf(), batch)}
 		}
-		a.out(batch)
+		a.out(m)
 		a.mu.Lock()
 	}
 	a.flushing = false

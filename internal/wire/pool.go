@@ -113,12 +113,7 @@ func (p *workerPool) close() {
 // maintains, made visible).
 func (p *workerPool) registerStats(g *stats.Group) {
 	g.Func("workers", func() uint64 { return uint64(len(p.workers)) })
-	g.Func("worker_queue_cap", func() uint64 {
-		if len(p.workers) == 0 {
-			return 0
-		}
-		return uint64(len(p.workers) * cap(p.workers[0].queue))
-	})
+	g.Func("worker_queue_cap", func() uint64 { return uint64(len(p.workers) * cap(p.workers[0].queue)) })
 	g.Func("worker_queue_depth", func() uint64 {
 		if n := p.queued(); n > 0 {
 			return uint64(n)

@@ -97,10 +97,17 @@ func TestAckBatcherCoalescesDuringFlush(t *testing.T) {
 	release := make(chan struct{})
 	first := true
 	a := &ackBatcher{batches: &batches, coalesced: &coalesced}
-	a.out = func(batch []*message) {
+	a.out = func(m *message) {
+		batch := []*message{m}
+		if m.kind == msgReplyBatch {
+			var err error
+			if batch, err = decodeAckBatch(m.body); err != nil {
+				t.Errorf("flushed frame does not decode: %v", err)
+			}
+		}
 		ids := make([]uint64, len(batch))
-		for i, m := range batch {
-			ids[i] = m.id
+		for i, r := range batch {
+			ids[i] = r.id
 		}
 		mu.Lock()
 		got = append(got, ids)
@@ -258,7 +265,7 @@ func TestTCPBackpressureOverloadIsAbsorbed(t *testing.T) {
 	if cl.Overloads() == 0 {
 		t.Fatal("no overload refusals despite 32 concurrent calls on a 1x1 pool")
 	}
-	if l.pool.overloads.Load() == 0 {
+	if l.core.pool.overloads.Load() == 0 {
 		t.Fatal("listener pool recorded no overloads")
 	}
 	svc.mu.Lock()
@@ -302,9 +309,9 @@ func TestTCPCloseFinishesQueuedWork(t *testing.T) {
 	// Wait until all five are admitted: one running (blocked on the gate),
 	// four queued.
 	deadline := time.Now().Add(10 * time.Second)
-	for l.pool.queued() != calls {
+	for l.core.pool.queued() != calls {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool load = %d, want %d", l.pool.queued(), calls)
+			t.Fatalf("pool load = %d, want %d", l.core.pool.queued(), calls)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -397,7 +404,7 @@ func TestTCPReplyBatchFrameDelivery(t *testing.T) {
 			body: base.AppendResult(getReplyBuf(), &base.Result{LSN: base.LSN(i + 1),
 				Code: base.CodeOK, Found: true, Value: []byte("batched")})}
 	}
-	sc.writeBatch(batch)
+	sc.write(&message{kind: msgReplyBatch, body: encodeAckBatch(getReplyBuf(), batch)})
 
 	for i := 0; i < calls; i++ {
 		select {
@@ -410,4 +417,126 @@ func TestTCPReplyBatchFrameDelivery(t *testing.T) {
 		}
 	}
 	release() // the gated requests finish; their late replies are dropped as duplicates
+}
+
+// --- server runtime over the simulated fabric --------------------------
+
+// heldService blocks Perform while held, pinning pool workers on demand.
+type heldService struct {
+	*echoService
+	hmu  sync.Mutex
+	gate chan struct{} // non-nil while held
+}
+
+func (s *heldService) hold() {
+	s.hmu.Lock()
+	s.gate = make(chan struct{})
+	s.hmu.Unlock()
+}
+
+func (s *heldService) release() {
+	s.hmu.Lock()
+	close(s.gate)
+	s.gate = nil
+	s.hmu.Unlock()
+}
+
+func (s *heldService) Perform(ctx context.Context, op *base.Op) *base.Result {
+	s.hmu.Lock()
+	gate := s.gate
+	s.hmu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return s.echoService.Perform(ctx, op)
+}
+
+// performed returns how many Perform invocations reached the service,
+// duplicates included, and how many distinct LSNs they carried.
+func (s *heldService) performed() (invocations, distinct int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range s.applied {
+		invocations += n
+	}
+	return invocations, len(s.applied)
+}
+
+// TestSimOverloadOnMisbehavingNetwork drives loss, duplication and
+// reordering through the worker pool and its admission control — the
+// runtime a deployed DC runs. On a 1x1 pool with the worker held, refusals
+// must reach the client typed and be absorbed by its retry loop (every
+// call completes, each LSN applied), and Close must not return before
+// every admitted job has run at the service.
+func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
+	n := NewNetwork(Config{Jitter: 200 * time.Microsecond, LossProb: 0.1, DupProb: 0.1,
+		ResendAfter: 2 * time.Millisecond, Seed: 7})
+	svc := &heldService{echoService: newEchoService()}
+	cl, srv := n.connect(svc, ListenConfig{Workers: 1, QueueDepth: 1})
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	perform := func(lsn int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("k%d", lsn)
+			res := cl.Perform(ctx, &base.Op{TC: 1, Epoch: 1, LSN: base.LSN(lsn),
+				Kind: base.OpUpsert, Table: "t", Key: key})
+			if ctx.Err() == nil && (res.Code != base.CodeOK || string(res.Value) != key) {
+				t.Errorf("call %d: %+v", lsn, res)
+			}
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Overload: one request runs (held), one queues, the rest are refused.
+	const calls = 16
+	svc.hold()
+	for i := 1; i <= calls; i++ {
+		perform(i)
+	}
+	waitFor("an overload refusal to reach the client", func() bool { return cl.Overloads() > 0 })
+	svc.release()
+	wg.Wait()
+	if _, distinct := svc.performed(); distinct != calls {
+		t.Fatalf("service applied %d distinct LSNs, want %d", distinct, calls)
+	}
+	if srv.core.pool.overloads.Load() == 0 {
+		t.Fatal("server pool recorded no overloads")
+	}
+	if st := n.Stats(); st.Dropped == 0 || st.Duplicated == 0 {
+		t.Fatalf("network never misbehaved: %+v", st)
+	}
+
+	// Drain: fill the held pool again, then close under it.
+	svc.hold()
+	perform(calls + 1)
+	perform(calls + 2)
+	waitFor("the pool to fill", func() bool { return srv.core.pool.queued() == 2 })
+	var released atomic.Bool
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		released.Store(true)
+		svc.release()
+	}()
+	srv.Close()
+	if !released.Load() {
+		t.Fatal("Close returned while admitted jobs were still held")
+	}
+	invocations, _ := svc.performed()
+	if admitted := srv.core.pool.dispatched.Load(); uint64(invocations) != admitted {
+		t.Fatalf("service ran %d requests, pool admitted %d (queued work dropped on Close)", invocations, admitted)
+	}
+	cancel() // the last two calls' replies died with the server
+	wg.Wait()
 }

@@ -3,11 +3,9 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,59 +24,20 @@ import (
 // connections). The client's resend loop plus DC idempotence absorb all of
 // it — the protocol does not trust the transport.
 
-// ListenConfig shapes the server runtime behind a Listener. The zero
-// value is the production default: a sharded worker pool sized to the
-// machine, bounded per-worker queues with typed overload refusals when
-// they fill, and coalesced ack frames. The two bool knobs each restore
-// one pre-pool behaviour, mostly so benchmarks (and mixed-version peers,
-// for FlatAcks) can measure the old runtime against the new one.
-type ListenConfig struct {
-	// Workers is the number of pool workers executing Perform and
-	// PerformBatch requests (default: 2×GOMAXPROCS).
-	Workers int
-	// QueueDepth is each worker's queue capacity (default 256). With
-	// every queue full, further requests are refused with a typed
-	// transient base.ErrOverloaded instead of queueing unboundedly.
-	QueueDepth int
-	// PerRequest restores the unbounded goroutine-per-request dispatch:
-	// no pool, no queues, no admission control. Baseline for throughput
-	// benchmarks.
-	PerRequest bool
-	// FlatAcks disables reply coalescing: every reply leaves in its own
-	// msgReply frame. The default batches replies that accumulate while
-	// a flush is on the wire into one msgReplyBatch frame (clients before
-	// that kind existed need FlatAcks).
-	FlatAcks bool
-}
-
-func (c ListenConfig) withDefaults() ListenConfig {
-	if c.Workers <= 0 {
-		c.Workers = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	return c
-}
-
-// Listener serves a base.Service on a TCP address. Each inbound connection
-// gets its own reader; Perform/PerformBatch requests execute on the shared
-// worker pool (the paper's multi-threaded DC, with bounded admission — see
-// ListenConfig), control requests in their own goroutines, and replies are
-// written back — coalesced — on the connection the request arrived on.
+// Listener is the TCP transport around the DC server runtime. Each
+// inbound connection gets its own reader, which hands every frame to the
+// shared serve core (worker pool with bounded admission — see ListenConfig
+// — control requests in their own goroutines); replies are written back,
+// coalesced, on the connection the request arrived on.
 type Listener struct {
 	ln   net.Listener
-	svc  base.Service
-	cfg  ListenConfig
-	pool *workerPool // nil in PerRequest mode
+	core *serveCore
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	wg sync.WaitGroup
-
-	ackBatches, acksCoalesced atomic.Uint64
+	wg sync.WaitGroup // accept loop and connection readers
 }
 
 // Listen starts serving svc on addr (e.g. "127.0.0.1:7070"; ":0" picks a
@@ -94,11 +53,7 @@ func ListenWith(addr string, svc base.Service, cfg ListenConfig) (*Listener, err
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	l := &Listener{ln: ln, svc: svc, cfg: cfg, conns: make(map[net.Conn]struct{})}
-	if !cfg.PerRequest {
-		l.pool = newWorkerPool(cfg.Workers, cfg.QueueDepth)
-	}
+	l := &Listener{ln: ln, core: newServeCore(svc, cfg), conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -131,24 +86,17 @@ func (l *Listener) Close() error {
 		c.Close()
 	}
 	l.wg.Wait()
-	if l.pool != nil {
-		// The readers are gone (no further dispatch); let the workers
-		// finish everything already admitted, then stop them. Queued work
-		// executes even across shutdown — admission is a promise.
-		l.pool.close()
-	}
+	l.core.drain()
 	return err
 }
 
-// RegisterStats exports the listener runtime's counters into g: pool
+// RegisterStats exports the server runtime's counters into g: pool
 // admissions/refusals, live and per-worker queue depth against the hard
-// cap, and ack-coalescing effectiveness.
+// cap, ack-coalescing effectiveness, and the open connection count.
 func (l *Listener) RegisterStats(g *stats.Group) {
-	if l.pool != nil {
-		l.pool.registerStats(g)
-	}
-	g.Func("ack_batches", l.ackBatches.Load)
-	g.Func("acks_coalesced", l.acksCoalesced.Load)
+	l.core.pool.registerStats(g)
+	g.Func("ack_batches", l.core.ackBatches.Load)
+	g.Func("acks_coalesced", l.core.acksCoalesced.Load)
 	g.Func("conns", func() uint64 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -179,16 +127,14 @@ func (l *Listener) acceptLoop() {
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	sc := &srvConn{conn: conn, bw: bufio.NewWriter(conn)}
-	if !l.cfg.FlatAcks {
-		sc.acks = &ackBatcher{out: sc.writeBatch, batches: &l.ackBatches, coalesced: &l.acksCoalesced}
-	}
+	acks := l.core.newAcks(sc.write)
 	br := bufio.NewReader(conn)
 	for {
 		m, err := readStreamFrame(br)
 		if err != nil {
 			break // connection gone or stream corrupt; client redials
 		}
-		l.handle(sc, m)
+		l.core.serve(m, acks)
 	}
 	conn.Close()
 	l.mu.Lock()
@@ -196,90 +142,9 @@ func (l *Listener) serveConn(conn net.Conn) {
 	l.mu.Unlock()
 }
 
-// handle dispatches one inbound frame, mirroring the simulated Server.run:
-// watermarks apply inline; Perform/PerformBatch run on the worker pool
-// (least-busy shard, bounded queue, typed overload refusal when every
-// queue is full — or their own goroutine in PerRequest mode); the rare
-// control requests run in their own goroutines so a slow checkpoint or
-// recovery sweep never head-of-line-blocks the connection and is never
-// refused by admission control. Spawned goroutines join the listener's
-// WaitGroup (the spawn happens on the reader goroutine, whose own wg slot
-// is still held, so the Add never races Close's Wait) — Close drains them
-// before returning.
-func (l *Listener) handle(sc *srvConn, m *message) {
-	switch m.kind {
-	case msgPerform:
-		l.run(sc, m.id, func() {
-			op, _, err := base.DecodeOp(m.body)
-			if err != nil {
-				sc.reply(&message{kind: msgReply, id: m.id, err: err.Error()})
-				return
-			}
-			res := l.svc.Perform(context.Background(), op)
-			sc.reply(&message{kind: msgReply, id: m.id, body: base.AppendResult(getReplyBuf(), res)})
-		})
-	case msgPerformBatch:
-		l.run(sc, m.id, func() {
-			ops, _, err := base.DecodeOpBatch(m.body)
-			if err != nil {
-				sc.reply(&message{kind: msgReply, id: m.id, err: err.Error()})
-				return
-			}
-			rs := l.svc.PerformBatch(context.Background(), ops)
-			sc.reply(&message{kind: msgReply, id: m.id, body: base.AppendResultBatch(getReplyBuf(), rs)})
-		})
-	case msgEOSL:
-		l.svc.EndOfStableLog(m.tc, m.epoch, m.lsn)
-	case msgSafeTS:
-		horizon, _ := binary.Uvarint(m.body)
-		l.svc.SafeTS(m.tc, m.epoch, base.TS(m.lsn), base.TS(horizon))
-	case msgLWM:
-		l.svc.LowWaterMark(m.tc, m.epoch, m.lsn)
-	case msgCheckpoint:
-		l.spawn(func() {
-			sc.control(m, func() error { return l.svc.Checkpoint(context.Background(), m.tc, m.epoch, m.lsn) })
-		})
-	case msgBeginRestart:
-		l.spawn(func() {
-			sc.control(m, func() error { return l.svc.BeginRestart(context.Background(), m.tc, m.epoch, m.lsn) })
-		})
-	case msgEndRestart:
-		l.spawn(func() { sc.control(m, func() error { return l.svc.EndRestart(context.Background(), m.tc, m.epoch) }) })
-	case msgCatalog:
-		l.spawn(func() { sc.reply(catalogReply(l.svc, m.id)) })
-	}
-}
-
-func (l *Listener) spawn(f func()) {
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		f()
-	}()
-}
-
-// overloadedErrText names the taxonomy sentinel so the client rehydrates
-// a shed request as base.ErrOverloaded.
-var overloadedErrText = "wire: worker queues full: " + base.ErrOverloaded.Error()
-
-// run executes one replying request: on the pool when one is configured —
-// refusing with a typed transient overload when every queue is full, the
-// request never having touched the service — or on its own goroutine in
-// PerRequest mode.
-func (l *Listener) run(sc *srvConn, id uint64, job func()) {
-	if l.pool == nil {
-		l.spawn(job)
-		return
-	}
-	if !l.pool.dispatch(job) {
-		sc.reply(&message{kind: msgReply, id: id, err: overloadedErrText})
-	}
-}
-
 // srvConn serializes reply writes onto one accepted connection.
 type srvConn struct {
 	conn net.Conn
-	acks *ackBatcher // nil with ListenConfig.FlatAcks
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 	buf  []byte
@@ -291,24 +156,8 @@ type srvConn struct {
 // connection failure the resend/redial machinery already handles.
 const writeTimeout = 5 * time.Second
 
-// reply routes one reply through the connection's ack coalescer (or
-// straight to the socket with FlatAcks).
-func (sc *srvConn) reply(m *message) {
-	if sc.acks != nil {
-		sc.acks.add(m)
-		return
-	}
-	sc.writeBatch([]*message{m})
-}
-
-// writeBatch flushes one coalesced batch as a single frame: a plain
-// msgReply when it holds one reply (byte-identical to the uncoalesced
-// protocol), a msgReplyBatch otherwise.
-func (sc *srvConn) writeBatch(batch []*message) {
-	m := batch[0]
-	if len(batch) > 1 {
-		m = &message{kind: msgReplyBatch, body: encodeAckBatch(getReplyBuf(), batch)}
-	}
+// write flushes one reply frame and recycles its body.
+func (sc *srvConn) write(m *message) {
 	sc.wmu.Lock()
 	sc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	buf, err := writeFrame(sc.bw, sc.buf, m)
@@ -323,14 +172,6 @@ func (sc *srvConn) writeBatch(batch []*message) {
 		// client's resend re-asks and idempotence answers from state.
 		sc.conn.Close()
 	}
-}
-
-func (sc *srvConn) control(m *message, f func() error) {
-	var errStr string
-	if err := f(); err != nil {
-		errStr = err.Error()
-	}
-	sc.reply(&message{kind: msgReply, id: m.id, err: errStr})
 }
 
 // DialConfig shapes a dialed connection.

@@ -1,20 +1,19 @@
 // Package wire carries the TC:DC message protocol over two transports.
 //
 // The simulated fabric (Network, Connect) is the substitute for a cloud
-// RPC stack used by tests and experiments (DESIGN.md §3). It deliberately
-// misbehaves: configurable one-way delay and jitter (which reorders
-// deliveries), message loss, and duplication — the chaos half of the
-// package.
+// RPC stack used by tests and experiments. It deliberately misbehaves:
+// configurable one-way delay and jitter (which reorders deliveries),
+// message loss, and duplication — the chaos half of the package.
 //
 // The TCP transport (Listen, Dial) is the deployment half: it serves a
 // base.Service — a DC — on a real socket and dials it from another OS
 // process, with automatic redial when the peer restarts. Both transports
-// share one frame codec (codec.go) and one client stub (Client, in
-// client.go) implementing base.Service by resending requests until
-// acknowledged (§4.2 "Resend Requests"); together with DC idempotence this
-// yields exactly-once execution of logical operations over an
-// at-most-once network — whether the misbehaviour is injected by the
-// simulator or by real processes crashing mid-stream.
+// share one frame codec (codec.go), one server runtime (serve.go) and one
+// client stub (Client, in client.go) implementing base.Service by
+// resending requests until acknowledged (§4.2 "Resend Requests"); together
+// with DC idempotence this yields exactly-once execution of logical
+// operations over an at-most-once network — whether the misbehaviour is
+// injected by the simulator or by real processes crashing mid-stream.
 //
 // Operations and results cross the wire in their binary encodings, so the
 // serialization cost the paper's unbundling implies is actually paid.
@@ -24,7 +23,6 @@
 package wire
 
 import (
-	"context"
 	"encoding/binary"
 	"math/rand"
 	"sync"
@@ -51,12 +49,6 @@ type Config struct {
 	ResendAfter time.Duration
 	// Seed makes the misbehaviour reproducible.
 	Seed int64
-	// CoalesceAcks batches server replies that accumulate while a
-	// delivery is in flight into one msgReplyBatch frame, mirroring the
-	// TCP transport's default. On the simulated fabric this mostly exists
-	// so chaos tests can drive loss/dup/jitter through the batched-ack
-	// decode path.
-	CoalesceAcks bool
 }
 
 func (c Config) resendAfter() time.Duration {
@@ -170,8 +162,7 @@ func decodeCatalog(body []byte) ([]string, error) {
 	return tables, nil
 }
 
-// catalogReply builds the msgCatalog reply for a service, shared by both
-// transports.
+// catalogReply builds the msgCatalog reply for a service.
 func catalogReply(svc base.Service, id uint64) *message {
 	if cat, ok := svc.(Cataloger); ok {
 		return &message{kind: msgReply, id: id, body: appendCatalog(nil, cat.Tables())}
@@ -267,16 +258,21 @@ func (e *endpoint) push(n *Network, m *message) {
 
 func (e *endpoint) shutdown() { e.once.Do(func() { close(e.close) }) }
 
-// Connect builds a client/server pair over n. The server dispatches to
-// svc; Perform requests run in their own goroutines, matching the paper's
-// multi-threaded DC. Close the returned pair to stop the pumps.
+// Connect builds a client/server pair over n. The server runs svc behind
+// the same runtime a TCP Listener does (serveCore, with the default
+// ListenConfig). Close the returned pair to stop the pumps.
 func (n *Network) Connect(svc base.Service) (*Client, *Server) {
+	return n.connect(svc, ListenConfig{})
+}
+
+func (n *Network) connect(svc base.Service, lc ListenConfig) (*Client, *Server) {
 	toServer := n.newEndpoint()
 	toClient := n.newEndpoint()
-	srv := &Server{net: n, svc: svc, in: toServer, out: toClient}
-	if n.cfg.CoalesceAcks {
-		srv.acks = &ackBatcher{out: srv.deliverBatch, batches: &srv.ackBatches, coalesced: &srv.acksCoalesced}
-	}
+	srv := &Server{core: newServeCore(svc, lc), in: toServer, done: make(chan struct{})}
+	// One coalesced batch is one fabric delivery — so loss drops,
+	// duplication re-delivers, and jitter reorders whole ack batches,
+	// exactly the failure modes the oracle tests aim at.
+	srv.acks = srv.core.newAcks(func(m *message) { n.deliver(toClient, m) })
 	cl := newClient(func(m *message) { n.deliver(toServer, m) }, n.cfg.resendAfter)
 	cl.onResend = func() { n.resends.Add(1) }
 	cl.simIn = toClient
@@ -299,107 +295,46 @@ func (c *Client) pumpSim(in *endpoint) {
 	}
 }
 
-// Server pumps inbound messages into the wrapped service.
+// Server is the simulated fabric's transport around the DC server runtime:
+// it pumps delivered frames into the serve core.
 type Server struct {
-	net  *Network
-	svc  base.Service
+	core *serveCore
+	acks *ackBatcher
 	in   *endpoint
-	out  *endpoint
-	acks *ackBatcher // non-nil with Config.CoalesceAcks
-
-	ackBatches, acksCoalesced atomic.Uint64
-}
-
-// reply routes one reply toward the client, through the ack coalescer
-// when one is configured.
-func (s *Server) reply(m *message) {
-	if s.acks != nil {
-		s.acks.add(m)
-		return
-	}
-	s.net.deliver(s.out, m)
-}
-
-// deliverBatch ships one coalesced batch as a single fabric delivery — so
-// loss drops, duplication re-delivers, and jitter reorders whole ack
-// batches, exactly the failure modes the oracle tests aim at.
-func (s *Server) deliverBatch(batch []*message) {
-	if len(batch) == 1 {
-		s.net.deliver(s.out, batch[0])
-		return
-	}
-	s.net.deliver(s.out, &message{kind: msgReplyBatch, body: encodeAckBatch(getReplyBuf(), batch)})
+	done chan struct{} // closed when run has exited
 }
 
 // AckStats returns the coalescing counters: flushed ack deliveries and
 // the number of replies that rode along in a batch instead of paying
-// their own delivery (zero without Config.CoalesceAcks).
+// their own delivery.
 func (s *Server) AckStats() (batches, coalesced uint64) {
-	return s.ackBatches.Load(), s.acksCoalesced.Load()
+	return s.core.ackBatches.Load(), s.core.acksCoalesced.Load()
 }
 
 // SetDown marks the server (DC process) up or down. While down, inbound
 // messages are dropped — crashed processes do not answer.
 func (s *Server) SetDown(down bool) { s.in.down.Store(down) }
 
-// Close stops the server pump.
-func (s *Server) Close() { s.in.shutdown() }
+// Close stops the server pump and, like Listener.Close, returns only after
+// every request it admitted has executed at the service.
+func (s *Server) Close() {
+	s.in.shutdown()
+	<-s.done
+	s.core.drain()
+}
 
 func (s *Server) run() {
+	defer close(s.done)
 	for {
 		select {
 		case <-s.in.close:
 			return
 		case m := <-s.in.inbox:
-			if s.in.down.Load() {
-				continue
-			}
-			switch m.kind {
-			case msgPerform:
-				go s.perform(m)
-			case msgPerformBatch:
-				go s.performBatch(m)
-			case msgEOSL:
-				s.svc.EndOfStableLog(m.tc, m.epoch, m.lsn)
-			case msgSafeTS:
-				horizon, _ := binary.Uvarint(m.body)
-				s.svc.SafeTS(m.tc, m.epoch, base.TS(m.lsn), base.TS(horizon))
-			case msgLWM:
-				s.svc.LowWaterMark(m.tc, m.epoch, m.lsn)
-			case msgCheckpoint:
-				go s.control(m, func() error { return s.svc.Checkpoint(context.Background(), m.tc, m.epoch, m.lsn) })
-			case msgBeginRestart:
-				go s.control(m, func() error { return s.svc.BeginRestart(context.Background(), m.tc, m.epoch, m.lsn) })
-			case msgEndRestart:
-				go s.control(m, func() error { return s.svc.EndRestart(context.Background(), m.tc, m.epoch) })
-			case msgCatalog:
-				s.reply(catalogReply(s.svc, m.id))
+			if !s.in.down.Load() {
+				s.core.serve(m, s.acks)
 			}
 		}
 	}
-}
-
-func (s *Server) perform(m *message) {
-	op, _, err := base.DecodeOp(m.body)
-	if err != nil {
-		s.reply(&message{kind: msgReply, id: m.id, err: err.Error()})
-		return
-	}
-	// The server side has no caller context: a request that reached the DC
-	// executes to completion (cancellation only ever abandons the client's
-	// wait).
-	res := s.svc.Perform(context.Background(), op)
-	s.reply(&message{kind: msgReply, id: m.id, body: base.AppendResult(getReplyBuf(), res)})
-}
-
-func (s *Server) performBatch(m *message) {
-	ops, _, err := base.DecodeOpBatch(m.body)
-	if err != nil {
-		s.reply(&message{kind: msgReply, id: m.id, err: err.Error()})
-		return
-	}
-	rs := s.svc.PerformBatch(context.Background(), ops)
-	s.reply(&message{kind: msgReply, id: m.id, body: base.AppendResultBatch(getReplyBuf(), rs)})
 }
 
 // Reply bodies are encoded into pooled buffers: a reply is consumed by
@@ -418,12 +353,4 @@ func putReplyBuf(b []byte) {
 	if cap(b) > 0 && cap(b) <= maxPooledBuf {
 		replyBufPool.Put(&b)
 	}
-}
-
-func (s *Server) control(m *message, f func() error) {
-	var errStr string
-	if err := f(); err != nil {
-		errStr = err.Error()
-	}
-	s.reply(&message{kind: msgReply, id: m.id, err: errStr})
 }

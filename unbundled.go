@@ -168,31 +168,33 @@
 //
 // # Throughput runtime and the overload contract
 //
-// A networked DC executes requests on a sharded worker pool rather than a
-// goroutine per request: ListenConfig sizes the pool (default
-// 2xGOMAXPROCS workers) and each worker's bounded queue (default 256).
-// Dispatch picks the least-loaded worker; when every queue is full the
-// server refuses the request before decoding it, and the refusal crosses
-// the wire as the typed transient ErrOverloaded. That is the overload
-// contract: a refused request was never executed, so retrying after a
-// pause is always safe — and the TC's wire client does exactly that,
-// invisibly, counting each refusal in its overloads counter (visible on
-// /stats). Callers only ever see ErrOverloaded if they drive the wire
-// layer directly; through Client.RunTxn, backpressure surfaces as
-// latency, never as an error. Replies that accumulate while a reply
-// flush is on the wire leave as one coalesced batch frame (group commit
-// for acks); ListenConfig.PerRequest and FlatAcks each restore one
-// pre-pool behaviour for comparison. cmd/unbundled-dc exposes the knobs
-// as -workers and -queue-depth.
+// A DC behind the wire executes requests on a sharded worker pool:
+// ListenConfig sizes the pool (default 2xGOMAXPROCS workers) and each
+// worker's bounded queue (default 256). Dispatch picks the least-loaded
+// worker; when every queue is full the server refuses the request before
+// decoding it, and the refusal crosses the wire as the typed transient
+// ErrOverloaded. That is the overload contract: a refused request was
+// never executed, so retrying after a pause is always safe — and the TC's
+// wire client does exactly that, invisibly, counting each refusal in its
+// overloads counter (visible on /stats). Callers only ever see
+// ErrOverloaded if they drive the wire layer directly; through
+// Client.RunTxn, backpressure surfaces as latency, never as an error.
+// Replies that accumulate while a reply flush is on the wire leave as one
+// coalesced batch frame (group commit for acks). This is the only server
+// runtime: the TCP listener and the simulated fabric (Options.Network) are
+// both transports around it, so tests that inject loss, duplication and
+// reordering exercise the pool, the refusals and the coalescing a deployed
+// DC runs. cmd/unbundled-dc exposes the two sizes as -workers and
+// -queue-depth.
 //
 // The open-loop throughput harness measures this runtime the way real
 // traffic would: transactions arrive on a fixed schedule whatever the
 // system is doing, and latency is measured from the scheduled arrival —
 // queueing delay counts against the system instead of slowing the load
 // down (the "coordinated omission" correction). cmd/unbundled-bench
-// -throughput compares the per-request baseline against the sharded
-// runtime at the same offered rate; BenchmarkThroughputOpenLoop gates
-// the completed-txn/s floor and p99 ceiling in CI.
+// -throughput reports completed txn/s and the latency quantiles at an
+// offered rate; BenchmarkThroughputOpenLoop gates the completed-txn/s
+// floor and p99 ceiling in CI.
 //
 // # Operations plane
 //
@@ -282,10 +284,10 @@ type (
 	// DialConfig shapes the TCP connections of a networked deployment
 	// (Options.DCAddrs pointing at cmd/unbundled-dc processes).
 	DialConfig = wire.DialConfig
-	// ListenConfig shapes the server runtime behind a networked DC: worker
-	// pool size, per-worker queue depth (past which requests are refused
-	// with ErrOverloaded), and the PerRequest/FlatAcks baseline switches.
-	// cmd/unbundled-dc surfaces it as -workers and -queue-depth.
+	// ListenConfig sizes the server runtime behind a networked DC: worker
+	// pool size and per-worker queue depth (past which requests are
+	// refused with ErrOverloaded). cmd/unbundled-dc surfaces it as
+	// -workers and -queue-depth.
 	ListenConfig = wire.ListenConfig
 	// TC is a transactional component.
 	TC = tc.TC
