@@ -1,187 +1,260 @@
-// Command benchcheck gates CI on benchmark regressions: it parses `go
-// test -bench` output, compares each benchmark's ns/op against the
-// checked-in baseline (BENCH_BASELINE.json), and exits nonzero when any
-// benchmark regresses past the allowed ratio — or silently disappears
-// from the output, which would otherwise let a deleted benchmark "pass"
-// forever. The baseline's "ratios" block additionally gates relative
-// claims: each entry names a fast and a slow benchmark and the minimum
-// slow/fast ns-per-op ratio that must hold (e.g. snapshot reads >= 3x
-// locked-read throughput under contention). The "throughput" block gates
-// custom b.ReportMetric metrics instead of ns/op: a completed-txn/s floor
-// and a p99-ms ceiling per benchmark (the open-loop throughput runs).
+// Command benchcheck is the comparer behind the CI bench-gate job. The
+// job runs the repository benchmark (bash benchmark/run.sh --workload W
+// --seed 1 --seconds 20 --trace 0) on the parent commit and on the change
+// in alternating pairs and writes one line per run,
 //
-//	go test -run='^$' -bench='E1|E9|ThroughputOpenLoop' . | tee bench.txt
-//	benchcheck -baseline BENCH_BASELINE.json -in bench.txt
+//	<parent|head> <workload> <the run's result line>
+//
+// and benchcheck decides. Workload names, metric names, directions and
+// bounds come from BENCHMARK.json and nowhere else. It fails (exit 1) when
+// a run was incorrect, when the change fails a larger share of operations
+// than the parent, or when the change's median of an end-to-end metric is
+// worse than the parent's by more than that metric's bound. A metric whose
+// parent runs spread (inter-quartile, relative to the median) wider than
+// its bound cannot show "unchanged"; it is reported UNRESOLVED instead of
+// ok. -out writes the comparison as JSON: BENCH_<pr>.json, one point of
+// the repository's performance trajectory.
+//
+//	benchcheck -spec BENCHMARK.json -in bench-lines.txt -out BENCH_16.json
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"strconv"
+	"slices"
+	"strings"
 )
 
-type baseline struct {
-	MaxRatio   float64                   `json:"max_ratio"`
-	Benchmarks map[string]float64        `json:"benchmarks"`
-	Ratios     map[string]ratioGate      `json:"ratios"`
-	Throughput map[string]throughputGate `json:"throughput"`
+// spec is the part of BENCHMARK.json the gate reads (encoding/json matches
+// the lower-case keys to these fields without tags).
+type spec struct {
+	Workloads []struct{ Name string }
+	EndToEnd  []struct {
+		Name, Unit, Better string
+		Bound              float64
+	} `json:"end_to_end"`
 }
 
-// ratioGate asserts Slow's ns/op stays at least MinRatio times Fast's —
-// i.e. the fast path keeps its relative advantage.
-type ratioGate struct {
-	Fast     string  `json:"fast"`
-	Slow     string  `json:"slow"`
-	MinRatio float64 `json:"min_ratio"`
+// run is one result line of the benchmark.
+type run struct {
+	Correct           bool
+	Attempted, Failed int
+	Metrics           map[string]struct{ Value float64 }
 }
 
-// throughputGate gates a benchmark's custom metrics (b.ReportMetric): the
-// "txn/s" value must stay at or above the floor, and — when a ceiling is
-// set — the "p99-ms" value at or below it. Floors are absolute (not
-// regression ratios) so they hold meaning across runner generations:
-// set them well under a healthy run's numbers.
-type throughputGate struct {
-	MinTxnPerSec float64 `json:"min_txn_per_sec"`
-	MaxP99Ms     float64 `json:"max_p99_ms"`
+// runs holds the result lines by side ("parent", "head") and workload.
+type runs map[string]map[string][]run
+
+type quartiles struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
 }
 
-// benchLine matches e.g. "BenchmarkE1TxnMonolith-8   100   6941 ns/op ...";
-// the -8 GOMAXPROCS suffix is optional and discarded. The trailing group
-// carries any custom "<value> <unit>" metric pairs b.ReportMetric added.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+type metricReport struct {
+	Name    string    `json:"name"`
+	Unit    string    `json:"unit"`
+	Bound   float64   `json:"bound"`
+	Parent  quartiles `json:"parent"`
+	Head    quartiles `json:"head"`
+	WorseBy float64   `json:"worse_by"` // fraction of the parent median; negative is better
+	Verdict string    `json:"verdict"`  // ok, regressed or unresolved
+}
 
-// metricPair matches one custom metric, e.g. "3656 txn/s" or "131.1 p99-ms".
-var metricPair = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?) (\S+)`)
+type workloadReport struct {
+	Name              string         `json:"name"`
+	ParentRuns        int            `json:"parent_runs"`
+	HeadRuns          int            `json:"head_runs"`
+	ParentFailedShare float64        `json:"parent_failed_share"`
+	HeadFailedShare   float64        `json:"head_failed_share"`
+	Metrics           []metricReport `json:"metrics"`
+}
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline file")
-	in := flag.String("in", "-", "bench output file (- for stdin)")
-	maxRatio := flag.Float64("max-ratio", 0, "override the baseline's max_ratio")
-	flag.Parse()
+type report struct {
+	Workloads  []workloadReport `json:"workloads"`
+	Failures   []string         `json:"failures,omitempty"`
+	Unresolved []string         `json:"unresolved,omitempty"`
+}
 
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *baselinePath, err))
-	}
-	ratio := base.MaxRatio
-	if *maxRatio > 0 {
-		ratio = *maxRatio
-	}
-	if ratio <= 0 {
-		ratio = 2.0
-	}
-
-	var src io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
+// parseRuns reads the "<side> <workload> <json>" lines.
+func parseRuns(r io.Reader) (runs, error) {
+	out := runs{"parent": {}, "head": {}}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		if strings.TrimSpace(sc.Text()) == "" {
+			continue
 		}
-		defer f.Close()
-		src = f
+		f := strings.SplitN(sc.Text(), " ", 3)
+		if len(f) != 3 || out[f[0]] == nil {
+			return nil, fmt.Errorf("line %d: want \"<parent|head> <workload> <result json>\"", n)
+		}
+		var one run
+		if err := json.Unmarshal([]byte(f[2]), &one); err != nil {
+			return nil, fmt.Errorf("line %d: %s %s produced no result line: %w", n, f[0], f[1], err)
+		}
+		out[f[0]][f[1]] = append(out[f[0]][f[1]], one)
 	}
-	data, err := io.ReadAll(src)
-	if err != nil {
-		fatal(err)
+	return out, sc.Err()
+}
+
+// summarize returns the median and quartiles (linear interpolation) of one
+// metric over a side's runs, and whether every run carried the metric.
+func summarize(rs []run, metric string) (quartiles, bool) {
+	vals := make([]float64, 0, len(rs))
+	for _, r := range rs {
+		if m, ok := r.Metrics[metric]; ok {
+			vals = append(vals, m.Value)
+		}
 	}
-	got := make(map[string]float64)
-	metrics := make(map[string]map[string]float64)
-	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(data), -1) {
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			if ns, err := strconv.ParseFloat(m[2], 64); err == nil {
-				got[m[1]] = ns
-			}
-			for _, p := range metricPair.FindAllStringSubmatch(m[3], -1) {
-				if v, err := strconv.ParseFloat(p[1], 64); err == nil {
-					if metrics[m[1]] == nil {
-						metrics[m[1]] = make(map[string]float64)
-					}
-					metrics[m[1]][p[2]] = v
+	if len(vals) == 0 || len(vals) != len(rs) {
+		return quartiles{}, false
+	}
+	slices.Sort(vals)
+	at := func(p float64) float64 {
+		x := p * float64(len(vals)-1)
+		i := int(x)
+		if i+1 == len(vals) {
+			return vals[i]
+		}
+		return vals[i] + (x-float64(i))*(vals[i+1]-vals[i])
+	}
+	return quartiles{Median: at(0.5), Q1: at(0.25), Q3: at(0.75)}, true
+}
+
+// failedShare is failed over attempted operations across a side's runs.
+func failedShare(rs []run) float64 {
+	var failed, attempted int
+	for _, r := range rs {
+		failed += r.Failed
+		attempted += r.Attempted
+	}
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
+}
+
+// compare applies the spec's bounds to the runs.
+func compare(sp spec, rs runs) report {
+	var rep report
+	fail := func(format string, a ...any) { rep.Failures = append(rep.Failures, fmt.Sprintf(format, a...)) }
+	for _, w := range sp.Workloads {
+		parent, head := rs["parent"][w.Name], rs["head"][w.Name]
+		wr := workloadReport{Name: w.Name, ParentRuns: len(parent), HeadRuns: len(head),
+			ParentFailedShare: failedShare(parent), HeadFailedShare: failedShare(head)}
+		if len(parent) == 0 || len(head) == 0 {
+			fail("%s: %d parent and %d head runs; need at least one of each", w.Name, len(parent), len(head))
+			rep.Workloads = append(rep.Workloads, wr)
+			continue
+		}
+		for _, side := range []string{"parent", "head"} {
+			for _, r := range rs[side][w.Name] {
+				if !r.Correct {
+					fail("%s: a %s run reported correct:false", w.Name, side)
 				}
 			}
 		}
-	}
-
-	failed := false
-	for name, want := range base.Benchmarks {
-		ns, ok := got[name]
-		if !ok {
-			fmt.Printf("FAIL %-40s missing from bench output\n", name)
-			failed = true
-			continue
+		if wr.HeadFailedShare > wr.ParentFailedShare {
+			fail("%s: failed share of operations rose from %.4g to %.4g", w.Name, wr.ParentFailedShare, wr.HeadFailedShare)
 		}
-		r := ns / want
-		verdict := "ok  "
-		if r > ratio {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s %-40s %12.0f ns/op  baseline %12.0f  ratio %.2fx (limit %.1fx)\n",
-			verdict, name, ns, want, r, ratio)
-	}
-	for name, g := range base.Ratios {
-		fast, fok := got[g.Fast]
-		slow, sok := got[g.Slow]
-		if !fok || !sok {
-			fmt.Printf("FAIL %-40s missing %s from bench output\n", name,
-				map[bool]string{true: g.Slow, false: g.Fast}[fok])
-			failed = true
-			continue
-		}
-		r := slow / fast
-		verdict := "ok  "
-		if r < g.MinRatio {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s %-40s %.2fx (%s %.0f ns/op vs %s %.0f ns/op, need >= %.1fx)\n",
-			verdict, name, r, g.Fast, fast, g.Slow, slow, g.MinRatio)
-	}
-	for name, g := range base.Throughput {
-		m, ok := metrics[name]
-		if !ok {
-			fmt.Printf("FAIL %-40s missing from bench output\n", name)
-			failed = true
-			continue
-		}
-		tps, tok := m["txn/s"]
-		if !tok {
-			fmt.Printf("FAIL %-40s has no txn/s metric\n", name)
-			failed = true
-			continue
-		}
-		verdict := "ok  "
-		if tps < g.MinTxnPerSec {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s %-40s %10.0f txn/s (floor %.0f)\n", verdict, name, tps, g.MinTxnPerSec)
-		if g.MaxP99Ms > 0 {
-			p99, pok := m["p99-ms"]
-			verdict = "ok  "
-			if !pok || p99 > g.MaxP99Ms {
-				verdict = "FAIL"
-				failed = true
+		for _, m := range sp.EndToEnd {
+			p, pok := summarize(parent, m.Name)
+			h, hok := summarize(head, m.Name)
+			if !pok || !hok {
+				fail("%s %s: metric missing from a result line", w.Name, m.Name)
+				continue
 			}
-			fmt.Printf("%s %-40s %10.1f p99-ms (ceiling %.0f)\n", verdict, name, p99, g.MaxP99Ms)
+			mr := metricReport{Name: m.Name, Unit: m.Unit, Bound: m.Bound, Parent: p, Head: h, Verdict: "ok"}
+			worse := h.Median - p.Median
+			if m.Better == "higher" {
+				worse = -worse
+			}
+			if p.Median != 0 {
+				mr.WorseBy = worse / p.Median
+			}
+			switch {
+			case worse > m.Bound*p.Median:
+				mr.Verdict = "regressed"
+				fail("%s %s: median %.6g -> %.6g %s is %.1f%% worse than parent, bound %.0f%%",
+					w.Name, m.Name, p.Median, h.Median, m.Unit, 100*mr.WorseBy, 100*m.Bound)
+			case p.Q3-p.Q1 > m.Bound*p.Median:
+				mr.Verdict = "unresolved"
+				rep.Unresolved = append(rep.Unresolved, w.Name+" "+m.Name)
+			}
+			wr.Metrics = append(wr.Metrics, mr)
+		}
+		rep.Workloads = append(rep.Workloads, wr)
+	}
+	return rep
+}
+
+func (rep report) print(w io.Writer) {
+	for _, wr := range rep.Workloads {
+		fmt.Fprintf(w, "%s: %d parent / %d head runs, failed share %.4g -> %.4g\n",
+			wr.Name, wr.ParentRuns, wr.HeadRuns, wr.ParentFailedShare, wr.HeadFailedShare)
+		for _, m := range wr.Metrics {
+			fmt.Fprintf(w, "  %-10s %-13s parent %10.5g [%.5g..%.5g]  head %10.5g [%.5g..%.5g] %-5s change %+.1f%% (positive is worse; bound %.0f%%)\n",
+				strings.ToUpper(m.Verdict), m.Name, m.Parent.Median, m.Parent.Q1, m.Parent.Q3,
+				m.Head.Median, m.Head.Q1, m.Head.Q3, m.Unit, 100*m.WorseBy, 100*m.Bound)
 		}
 	}
-	if failed {
-		fmt.Println("benchcheck: latency regression (or missing benchmark) vs BENCH_BASELINE.json")
+	for _, u := range rep.Unresolved {
+		fmt.Fprintf(w, "UNRESOLVED %s: the parent's own runs spread wider than the bound; this is not \"unchanged\"\n", u)
+	}
+	for _, f := range rep.Failures {
+		fmt.Fprintln(w, "FAIL", f)
+	}
+}
+
+func main() {
+	specPath := flag.String("spec", "BENCHMARK.json", "the benchmark declaration: workloads, end-to-end metrics, bounds")
+	in := flag.String("in", "-", "file of \"<parent|head> <workload> <result json>\" lines (- for stdin)")
+	out := flag.String("out", "", "write the comparison as JSON to this file (BENCH_<pr>.json)")
+	flag.Parse()
+
+	var sp spec
+	raw, err := os.ReadFile(*specPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &sp)
+	}
+	if err != nil {
+		fatal(fmt.Errorf("read %s: %w", *specPath, err))
+	}
+	src := os.Stdin
+	if *in != "-" {
+		if src, err = os.Open(*in); err != nil {
+			fatal(err)
+		}
+		defer src.Close()
+	}
+	rs, err := parseRuns(src)
+	if err != nil {
+		fatal(err)
+	}
+	rep := compare(sp, rs)
+	rep.print(os.Stdout)
+	if *out != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*out, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			fatal(err)
+		}
+	}
+	if len(rep.Failures) > 0 {
+		fmt.Printf("benchcheck: %d failure(s) against the BENCHMARK.json bounds\n", len(rep.Failures))
 		os.Exit(1)
 	}
-	fmt.Println("benchcheck: all benchmarks within budget")
+	fmt.Printf("benchcheck: no end-to-end metric worse than parent beyond its bound (%d unresolved)\n", len(rep.Unresolved))
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchcheck:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

@@ -1,0 +1,159 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// testSpec is BENCHMARK.json cut down to two workloads and two metrics,
+// one of each direction.
+const testSpec = `{
+  "workloads": [{"name": "w_a"}, {"name": "w_b"}],
+  "end_to_end": [
+    {"name": "txn_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "write_amp", "unit": "ratio", "better": "lower", "bound": 0.15}
+  ]
+}`
+
+// line renders one input line the way the CI job writes it.
+func line(side, workload string, correct bool, attempted, failed int, tps, amp float64) string {
+	return fmt.Sprintf(`%s %s {"correct":%v,"attempted":%d,"failed":%d,"metrics":{"txn_per_s":{"value":%g,"unit":"1/s"},"write_amp":{"value":%g,"unit":"ratio"}}}`,
+		side, workload, correct, attempted, failed, tps, amp)
+}
+
+// flat is three healthy pairs on both workloads, head within 2% of parent.
+func flat() []string {
+	var in []string
+	for _, w := range []string{"w_a", "w_b"} {
+		for i := 0; i < 3; i++ {
+			in = append(in, line("parent", w, true, 1000, 0, 1000+float64(10*i), 3.0))
+			in = append(in, line("head", w, true, 1000, 0, 990+float64(10*i), 3.05))
+		}
+	}
+	return in
+}
+
+func check(t *testing.T, in []string) report {
+	t.Helper()
+	var sp spec
+	if err := json.Unmarshal([]byte(testSpec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := parseRuns(strings.NewReader(strings.Join(in, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compare(sp, rs)
+}
+
+func verdict(rep report, workload, metric string) string {
+	for _, w := range rep.Workloads {
+		for _, m := range w.Metrics {
+			if w.Name == workload && m.Name == metric {
+				return m.Verdict
+			}
+		}
+	}
+	return "absent"
+}
+
+func TestWithinBoundPasses(t *testing.T) {
+	rep := check(t, flat())
+	if len(rep.Failures) != 0 || len(rep.Unresolved) != 0 {
+		t.Fatalf("flat runs: failures %q unresolved %q", rep.Failures, rep.Unresolved)
+	}
+	if v := verdict(rep, "w_b", "write_amp"); v != "ok" {
+		t.Fatalf("w_b write_amp verdict %q, want ok", v)
+	}
+	if got := rep.Workloads[0].Metrics[0].Parent.Median; got != 1010 {
+		t.Fatalf("parent txn_per_s median %g, want 1010", got)
+	}
+}
+
+func TestBeyondBoundFailsNamingMetricAndWorkload(t *testing.T) {
+	in := flat()
+	for i := 0; i < 4; i++ { // head's median w_b throughput halves; w_a untouched
+		in = append(in, line("head", "w_b", true, 1000, 0, 500, 3.0))
+	}
+	rep := check(t, in)
+	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "w_b") || !strings.Contains(rep.Failures[0], "txn_per_s") {
+		t.Fatalf("want exactly one failure naming w_b and txn_per_s, got %q", rep.Failures)
+	}
+	if v := verdict(rep, "w_b", "txn_per_s"); v != "regressed" {
+		t.Fatalf("w_b txn_per_s verdict %q, want regressed", v)
+	}
+	if v := verdict(rep, "w_a", "txn_per_s"); v != "ok" {
+		t.Fatalf("w_a txn_per_s verdict %q, want ok", v)
+	}
+}
+
+func TestLowerIsBetterRegression(t *testing.T) {
+	in := flat()
+	for i := 0; i < 4; i++ { // write_amp 3.0 -> 3.6 is 20% worse against a 15% bound
+		in = append(in, line("head", "w_a", true, 1000, 0, 1000, 3.6))
+	}
+	rep := check(t, in)
+	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "w_a write_amp") {
+		t.Fatalf("want one failure on w_a write_amp, got %q", rep.Failures)
+	}
+}
+
+func TestIncorrectRunFails(t *testing.T) {
+	rep := check(t, append(flat(), line("head", "w_a", false, 1000, 0, 1000, 3.0)))
+	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "correct:false") {
+		t.Fatalf("want one correct:false failure, got %q", rep.Failures)
+	}
+}
+
+func TestHigherFailedShareFails(t *testing.T) {
+	rep := check(t, append(flat(), line("head", "w_b", true, 1000, 7, 1000, 3.0)))
+	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "failed share") {
+		t.Fatalf("want one failed-share failure, got %q", rep.Failures)
+	}
+	// The same failures on the parent side are not a regression.
+	rep = check(t, append(flat(), line("parent", "w_b", true, 1000, 7, 1000, 3.0)))
+	if len(rep.Failures) != 0 {
+		t.Fatalf("parent-side failures must not fail the gate: %q", rep.Failures)
+	}
+}
+
+func TestNoisyParentIsUnresolvedNotOK(t *testing.T) {
+	var in []string
+	for _, w := range []string{"w_a", "w_b"} {
+		for _, tps := range []float64{600, 1000, 1400} { // IQR 400 of median 1000: wider than the 25% bound
+			in = append(in, line("parent", w, true, 1000, 0, tps, 3.0))
+			in = append(in, line("head", w, true, 1000, 0, 1000, 3.0))
+		}
+	}
+	rep := check(t, in)
+	if len(rep.Failures) != 0 {
+		t.Fatalf("unexpected failures %q", rep.Failures)
+	}
+	if v := verdict(rep, "w_a", "txn_per_s"); v != "unresolved" {
+		t.Fatalf("w_a txn_per_s verdict %q, want unresolved", v)
+	}
+	if len(rep.Unresolved) != 2 {
+		t.Fatalf("want both workloads' txn_per_s listed unresolved, got %q", rep.Unresolved)
+	}
+	var out strings.Builder
+	rep.print(&out)
+	if !strings.Contains(out.String(), "UNRESOLVED w_a txn_per_s") {
+		t.Fatalf("printed report does not call the metric out:\n%s", out.String())
+	}
+}
+
+func TestMissingSideOrMalformedLine(t *testing.T) {
+	rep := check(t, []string{line("parent", "w_a", true, 10, 0, 1, 1), line("head", "w_a", true, 10, 0, 1, 1)})
+	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "w_b") {
+		t.Fatalf("a workload nobody ran must fail the gate, got %q", rep.Failures)
+	}
+	// A build that died prints no result line; the job still writes the prefix.
+	if _, err := parseRuns(strings.NewReader("head w_a ")); err == nil {
+		t.Fatal("an empty result line parsed")
+	}
+	if _, err := parseRuns(strings.NewReader("change w_a {}")); err == nil {
+		t.Fatal("an unknown side parsed")
+	}
+}

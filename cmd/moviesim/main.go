@@ -1,8 +1,9 @@
 // Command moviesim runs the Figure-2 movie-site deployment interactively:
 // two updating TCs partitioned by user, one reader TC, Movies/Reviews
 // partitioned by movie over two DCs and Users/MyReviews over a third.
-// It drives the W1–W4 mix for the requested duration, optionally crashing
-// components along the way, and prints per-workload statistics.
+// It drives the W1–W4 mix (internal/workload defines the transactions) for
+// the requested duration, optionally crashing components along the way,
+// and prints per-workload statistics.
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"github.com/cidr09/unbundled/internal/core"
-	"github.com/cidr09/unbundled/internal/tc"
 	"github.com/cidr09/unbundled/internal/workload"
 )
 
@@ -27,11 +27,10 @@ func main() {
 	crash := flag.Bool("crash", false, "crash TC1 and DC0 mid-run and recover")
 	flag.Parse()
 
-	p := workload.MoviePlacement{MovieDCs: 2, UserDCs: 1, Movies: *movies, Users: *users}
-	const updateTCs = 2
+	p := workload.MoviePlacement{MovieDCs: 2, UserDCs: 1, Movies: *movies, Users: *users, UpdateTCs: 2}
 	dep, err := core.New(core.Options{
-		TCs: updateTCs + 1, DCs: 3,
-		Placement: p.Placement(updateTCs),
+		TCs: p.UpdateTCs + 1, DCs: p.MovieDCs + p.UserDCs,
+		Placement: p.Placement(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -39,10 +38,14 @@ func main() {
 	}
 	defer dep.Close()
 
-	fmt.Printf("deployment: %d updating TCs + 1 reader TC over %d DCs\n", updateTCs, 3)
+	fmt.Printf("deployment: %d updating TCs + 1 reader TC over %d DCs\n", p.UpdateTCs, len(dep.DCs))
 	ctx := context.Background()
 	client := dep.Client()
-	seed(ctx, client, p, updateTCs)
+	if err := workload.Seed(ctx, client, p); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Printf("seeded %d movies, %d users\n", p.Movies, p.Users)
 
 	var w1, w2, w3, w4, errs atomic.Uint64
 	stop := make(chan struct{})
@@ -52,11 +55,6 @@ func main() {
 		go func(g int) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(g) + 7))
-			// 1-based TC IDs: the reader TC follows the updating TCs.
-			// ReadOnly makes W1 a timestamp snapshot: the scan is served
-			// by the DCs at the read timestamp, lock-free, with no
-			// operation through the reader TC.
-			reader := core.TxnOptions{TC: updateTCs + 1, ReadOnly: true}
 			for {
 				select {
 				case <-stop:
@@ -65,38 +63,20 @@ func main() {
 				}
 				u := rnd.Intn(p.Users)
 				m := rnd.Intn(p.Movies)
-				owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1}
-				ownerV := core.TxnOptions{TC: owner.TC, Versioned: true}
 				var err error
 				switch rnd.Intn(10) {
 				case 0, 1, 2, 3, 4, 5: // W1 dominates (reads are most common, §6.3)
-					prefix := workload.MovieKey(m) + "/"
-					err = client.RunTxn(ctx, reader, func(x *tc.Txn) error {
-						_, _, e := x.Scan(workload.TableReviews, prefix, prefix+"~", 0)
-						return e
-					})
+					_, err = workload.W1(ctx, client, p, m)
 					w1.Add(1)
-				case 6, 7: // W2 add review
-					review := []byte(fmt.Sprintf("review m%d u%d", m, u))
-					err = client.RunTxn(ctx, ownerV, func(x *tc.Txn) error {
-						if e := x.Upsert(workload.TableReviews, workload.ReviewKey(m, u), review); e != nil {
-							return e
-						}
-						return x.Upsert(workload.TableMyReviews, workload.MyReviewKey(u, m), review)
-					})
+				case 6, 7:
+					err = workload.W2(ctx, client, p, u, m, []byte(fmt.Sprintf("review m%d u%d", m, u)))
 					w2.Add(1)
-				case 8: // W3 update profile
-					err = client.RunTxn(ctx, ownerV, func(x *tc.Txn) error {
-						return x.Upsert(workload.TableUsers, workload.UserKey(u),
-							[]byte(fmt.Sprintf("profile-%d@%d", u, time.Now().UnixNano())))
-					})
+				case 8:
+					err = workload.W3(ctx, client, p, u,
+						[]byte(fmt.Sprintf("profile-%d@%d", u, time.Now().UnixNano())))
 					w3.Add(1)
-				case 9: // W4 my reviews
-					prefix := workload.UserKey(u) + "/"
-					err = client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-						_, _, e := x.Scan(workload.TableMyReviews, prefix, prefix+"~", 0)
-						return e
-					})
+				case 9:
+					_, err = workload.W4(ctx, client, p, u)
 					w4.Add(1)
 				}
 				if err != nil {
@@ -145,33 +125,7 @@ func main() {
 		fmt.Printf("  DC%d: %d operations, %d snapshot reads, %d idempotent skips, %d reset pages\n",
 			i, st.Performs, st.SnapshotReads, st.DupSkips, st.ResetPages)
 	}
-	rtc := dep.TCs[updateTCs]
+	rtc := dep.TCs[p.ReaderTC()-1]
 	fmt.Printf("  reader TC: %d snapshots, %d locks acquired, %d ops sent\n",
 		rtc.Stats().Snapshots, rtc.Locks().Stats().Acquired, rtc.Stats().OpsSent)
-}
-
-func seed(ctx context.Context, client *core.Client, p workload.MoviePlacement, updateTCs int) {
-	if err := client.RunTxn(ctx, core.TxnOptions{TC: 1}, func(x *tc.Txn) error {
-		for m := 0; m < p.Movies; m++ {
-			if err := x.Upsert(workload.TableMovies, workload.MovieKey(m),
-				[]byte(fmt.Sprintf("movie-%d", m))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "seed movies:", err)
-		os.Exit(1)
-	}
-	for u := 0; u < p.Users; u++ {
-		owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1, Versioned: true}
-		if err := client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-			return x.Upsert(workload.TableUsers, workload.UserKey(u),
-				[]byte(fmt.Sprintf("profile-%d", u)))
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "seed users:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Printf("seeded %d movies, %d users\n", p.Movies, p.Users)
 }

@@ -40,6 +40,7 @@ import (
 	"github.com/cidr09/unbundled/internal/stats"
 	"github.com/cidr09/unbundled/internal/tc"
 	"github.com/cidr09/unbundled/internal/wire"
+	"github.com/cidr09/unbundled/internal/workload"
 )
 
 func main() {
@@ -56,6 +57,15 @@ func main() {
 	dir := flag.String("dir", "", "working directory for DC stable media (empty: a temp dir, removed on success)")
 	seed := flag.Int64("seed", 1, "chaos schedule seed")
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-load", *load}, {"-ops", *opsPer}, {"-dcs", *dcCount}, {"-tcs", *tcCount}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "usage: soak: %s must be at least 1, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	if err := run(soakConfig{
 		dcBin: *dcBin, dcs: *dcCount, tcs: *tcCount, duration: *duration,
@@ -175,12 +185,9 @@ func run(cfg soakConfig) error {
 	}
 
 	// --- open-loop load -------------------------------------------------
-	o := &oracle{}
+	o := &workload.Unique{Table: "kv", Prefix: "s-", Ops: cfg.ops}
 	var committedTxns, ambiguousTxns, failedTxns, shedTxns atomic.Uint64
 	client := dep.Client()
-	value := func(seq uint64, j int) []byte {
-		return []byte(fmt.Sprintf("v:%d:%d", seq, j))
-	}
 	stopLoad := make(chan struct{})
 	var inflight sync.WaitGroup
 	sem := make(chan struct{}, 256)
@@ -189,20 +196,15 @@ func run(cfg soakConfig) error {
 		defer inflight.Done()
 		defer func() { <-sem }()
 		err := client.RunTxn(context.Background(), core.TxnOptions{MaxAttempts: 64}, func(x *tc.Txn) error {
-			for j := 0; j < cfg.ops; j++ {
-				if err := x.Upsert("kv", soakKey(s, j), value(s, j)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return o.Write(x, s)
 		})
 		switch {
 		case err == nil:
 			committedTxns.Add(1)
-			o.commit(s)
+			o.Commit(s)
 		case errors.Is(err, tc.ErrCommitAmbiguous):
 			ambiguousTxns.Add(1)
-			o.maybe(s)
+			o.Maybe(s)
 		default:
 			failedTxns.Add(1)
 		}
@@ -363,48 +365,21 @@ func run(cfg soakConfig) error {
 
 	// --- invariants -----------------------------------------------------
 	// 1. No lost committed writes: every key of every committed transaction
-	// reads back with its final value; ambiguous commits may have landed or
-	// not, but a landed one must be intact.
-	lost := 0
-	verify := func(seqs []uint64, mustExist bool) error {
-		for start := 0; start < len(seqs); start += 64 {
-			batch := seqs[start:min(start+64, len(seqs))]
-			err := client.RunTxn(context.Background(), core.TxnOptions{MaxAttempts: 64}, func(x *tc.Txn) error {
-				for _, s := range batch {
-					for j := 0; j < cfg.ops; j++ {
-						got, ok, err := x.Read("kv", soakKey(s, j))
-						if err != nil {
-							return err
-						}
-						if !ok {
-							if mustExist {
-								lost++
-								fmt.Printf("soak: LOST committed write %s\n", soakKey(s, j))
-							}
-							continue
-						}
-						if want := value(s, j); string(got) != string(want) {
-							lost++
-							fmt.Printf("soak: CORRUPT %s: got %q want %q\n", soakKey(s, j), got, want)
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("verify read: %w", err)
-			}
-		}
-		return nil
+	// reads back with its exact value; ambiguous commits may have landed or
+	// not, but a landed one must be intact (workload.Unique is the oracle).
+	var bad []string
+	err = client.RunTxn(context.Background(), core.TxnOptions{MaxAttempts: 64}, func(x *tc.Txn) (err error) {
+		bad, err = o.Verify(x)
+		return err
+	})
+	for _, line := range bad {
+		fmt.Println("soak:", line)
 	}
-	if err := verify(o.committed, true); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := verify(o.ambiguous, false); err != nil {
-		return err
-	}
-	if lost > 0 {
-		return fmt.Errorf("%d lost or corrupt committed writes", lost)
+	if len(bad) > 0 {
+		return fmt.Errorf("%d lost or corrupt committed writes", len(bad))
 	}
 
 	// 2. Metrics invariants, read from the same endpoints an operator has:
@@ -467,30 +442,8 @@ func run(cfg soakConfig) error {
 	return nil
 }
 
-func soakKey(seq uint64, j int) string { return fmt.Sprintf("s-%010d-%d", seq, j) }
-
 // neverTick returns a channel no ticker feeds: a disabled chaos arm.
 func neverTick() <-chan time.Time { return make(chan time.Time) }
-
-// oracle remembers which transactions definitely committed (keys must read
-// back) and which ended ambiguous (keys may have landed).
-type oracle struct {
-	mu        sync.Mutex
-	committed []uint64
-	ambiguous []uint64
-}
-
-func (o *oracle) commit(s uint64) {
-	o.mu.Lock()
-	o.committed = append(o.committed, s)
-	o.mu.Unlock()
-}
-
-func (o *oracle) maybe(s uint64) {
-	o.mu.Lock()
-	o.ambiguous = append(o.ambiguous, s)
-	o.mu.Unlock()
-}
 
 // startDC spawns one unbundled-dc and waits for both readiness lines
 // (service and admin), parsing the bound addresses so ":0" listens work.

@@ -41,6 +41,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,15 +55,15 @@ import (
 	"github.com/cidr09/unbundled/internal/placement"
 	"github.com/cidr09/unbundled/internal/stats"
 	"github.com/cidr09/unbundled/internal/tc"
+	"github.com/cidr09/unbundled/internal/workload"
 )
 
 func main() {
 	dcs := flag.String("dcs", "127.0.0.1:7070", "comma-separated DC listen addresses")
-	placementSpec := flag.String("placement", "", `placement spec ("<table>: dc=<axis> owner=<axis>; ..."); empty derives one from -route/-tcs`)
+	placementSpec := flag.String("placement", "", `placement spec ("<table>: dc=<axis> owner=<axis>; ..."); empty derives one: the table hash-placed over -dcs, ownership split over -tcs`)
 	tcID := flag.Int("tc-id", 1, "this TC's ID, unique across every process sharing the DCs")
 	tcs := flag.Int("tcs", 1, "total TCs in the fleet (IDs 1..tcs); ownership axes may name any of them")
 	dir := flag.String("dir", "", "data directory for the TC-log (empty: in-memory, lost on exit); restart with the same flags to recover")
-	routeSpec := flag.String("route", "hash", `deprecated data-axis shorthand used when -placement is empty: "hash" (key hash mod #DCs) or "first" (everything to DC 0)`)
 	table := flag.String("table", "kv", "table the workload writes")
 	txns := flag.Int("txns", 200, "workload transactions to run")
 	ops := flag.Int("ops", 4, "writes per transaction")
@@ -85,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unbundled-tc: -tc-id %d outside the fleet 1..%d (-tcs)\n", *tcID, *tcs)
 		os.Exit(1)
 	}
-	pl, err := buildPlacement(*placementSpec, *routeSpec, *table, len(addrs), *tcs)
+	pl, err := buildPlacement(*placementSpec, *table, len(addrs), *tcs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unbundled-tc:", err)
 		os.Exit(1)
@@ -181,22 +182,14 @@ func splitList(s string) []string {
 }
 
 // buildPlacement parses -placement, or derives a spec: the workload table
-// hash- (or, with the deprecated -route shorthand, first-)placed across
-// the DCs, update ownership split along the workload's own "w<tc-id>-"
-// key prefixes so every fleet member owns exactly the keys it generates,
-// plus a catch-all so REPL sessions can touch ad-hoc tables.
-func buildPlacement(spec, route, table string, dcs, tcs int) (*placement.Placement, error) {
+// hash-placed across the DCs, update ownership split along the workload's
+// own "w<tc-id>-" key prefixes so every fleet member owns exactly the keys
+// it generates, plus a catch-all so REPL sessions can touch ad-hoc tables.
+func buildPlacement(spec, table string, dcs, tcs int) (*placement.Placement, error) {
 	if spec != "" {
 		return placement.Parse(spec)
 	}
 	dcAxis := fmt.Sprintf("hash(%d)", dcs)
-	switch route {
-	case "hash":
-	case "first":
-		dcAxis = "0"
-	default:
-		return nil, fmt.Errorf("unknown -route %q (want hash or first)", route)
-	}
 	owner := "1"
 	if tcs > 1 {
 		// The range grammar wants lexicographically ascending split keys,
@@ -237,42 +230,38 @@ type workloadConfig struct {
 }
 
 // runWorkload commits cfg.txns transactions of unique-key writes and then
-// verifies every committed key. Unique keys make the oracle exact: a
-// committed transaction's writes must all be present with their final
-// values, whatever the DC suffered in between. Keys carry the TC ID, so
-// fleet members running this workload concurrently write disjoint
-// populations — pair that with a range-ownership placement
-// (owner=range(<w2:1,*:2)) and the §6.1 partition lines up with the
-// key prefixes.
+// verifies them against the workload.Unique oracle: a committed
+// transaction's writes must all be present with exactly their values,
+// whatever the DC suffered in between. Keys carry the TC ID, so fleet
+// members running this workload concurrently write disjoint populations
+// — pair that with a range-ownership placement (owner=range(<w2:1,*:2))
+// and the §6.1 partition lines up with the key prefixes.
 func runWorkload(dep *core.Deployment, cfg workloadConfig) bool {
 	ctx := context.Background()
 	client := dep.Client()
-	value := func(i, j int) []byte {
-		v := fmt.Sprintf("v-%d-%d-%d/", cfg.tcID, i, j)
-		for len(v) < cfg.valueBytes {
-			v += "x"
-		}
-		return []byte(v)
-	}
+	o := &workload.Unique{Table: cfg.table, Prefix: fmt.Sprintf("w%d-", cfg.tcID),
+		Ops: cfg.ops, ValueBytes: cfg.valueBytes}
 	start := time.Now()
 	committed := 0
-	committedTxn := make([]bool, cfg.txns)
 	for i := 0; i < cfg.txns; i++ {
-		i := i
-		err := client.RunTxnAt(ctx, cfg.table, workloadKey(cfg.tcID, i, 0), core.TxnOptions{}, func(x *tc.Txn) error {
-			for j := 0; j < cfg.ops; j++ {
-				if err := x.Upsert(cfg.table, workloadKey(cfg.tcID, i, j), value(i, j)); err != nil {
-					return err
-				}
-			}
-			return nil
+		seq := uint64(i)
+		err := client.RunTxnAt(ctx, cfg.table, o.Key(seq, 0), core.TxnOptions{}, func(x *tc.Txn) error {
+			return o.Write(x, seq)
 		})
 		if err != nil {
+			// Only transactions that reported commit must be found: one
+			// rejected typed (e.g. ErrDraining with no peer TC to re-route
+			// to) never promised durability, and an ambiguous one may have
+			// landed. Either way the committed != txns check below fails
+			// the run as a whole.
+			if errors.Is(err, tc.ErrCommitAmbiguous) {
+				o.Maybe(seq)
+			}
 			fmt.Printf("unbundled-tc: txn %d failed: %v\n", i, err)
 			continue
 		}
 		committed++
-		committedTxn[i] = true
+		o.Commit(seq)
 		if cfg.progressEvery > 0 && (i+1)%cfg.progressEvery == 0 {
 			fmt.Printf("unbundled-tc: committed %d/%d\n", i+1, cfg.txns)
 		}
@@ -286,43 +275,25 @@ func runWorkload(dep *core.Deployment, cfg workloadConfig) bool {
 	if !cfg.verify {
 		return committed == cfg.txns
 	}
-	// Only transactions that reported commit are in the oracle: a txn
-	// rejected typed (e.g. ErrDraining with no peer TC to re-route to)
-	// never promised durability, so its absent keys are not lost writes.
-	// The committed != txns check below still fails the run as a whole.
-	lost := 0
-	for i := 0; i < cfg.txns; i++ {
-		i := i
-		if !committedTxn[i] {
-			continue
-		}
-		err := client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
-			for j := 0; j < cfg.ops; j++ {
-				got, okRead, err := x.Read(cfg.table, workloadKey(cfg.tcID, i, j))
-				if err != nil {
-					return err
-				}
-				if !okRead || string(got) != string(value(i, j)) {
-					lost++
-					fmt.Printf("unbundled-tc: LOST committed write %s (found=%v)\n", workloadKey(cfg.tcID, i, j), okRead)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Printf("unbundled-tc: verify txn %d failed: %v\n", i, err)
-			return false
-		}
+	var bad []string
+	err := client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) (err error) {
+		bad, err = o.Verify(x)
+		return err
+	})
+	for _, line := range bad {
+		fmt.Println("unbundled-tc:", line)
 	}
-	if lost > 0 || committed != cfg.txns {
-		fmt.Printf("unbundled-tc: VERIFY FAILED: %d lost writes, %d/%d committed\n", lost, committed, cfg.txns)
+	if err != nil {
+		fmt.Printf("unbundled-tc: %v\n", err)
+		return false
+	}
+	if len(bad) > 0 || committed != cfg.txns {
+		fmt.Printf("unbundled-tc: VERIFY FAILED: %d lost or corrupt writes, %d/%d committed\n", len(bad), committed, cfg.txns)
 		return false
 	}
 	fmt.Printf("unbundled-tc: VERIFY OK: %d committed transactions, %d keys intact\n", committed, committed*cfg.ops)
 	return true
 }
-
-func workloadKey(tcID, i, j int) string { return fmt.Sprintf("w%d-%06d-%d", tcID, i, j) }
 
 func runREPL(dep *core.Deployment, defaultTable string) {
 	ctx := context.Background()

@@ -23,10 +23,10 @@ func main() {
 	// clustering AND the §6.1 update-ownership partition the TCs enforce:
 	//   movies: dc=mod(2) owner=1; reviews: dc=mod(2) owner=mod2(2);
 	//   users: dc=mod(2-2) owner=mod(2); myreviews: dc=mod(2-2) owner=mod(2)
-	p := workload.MoviePlacement{MovieDCs: 2, UserDCs: 1, Movies: 10, Users: 10}
+	p := workload.MoviePlacement{MovieDCs: 2, UserDCs: 1, Movies: 10, Users: 10, UpdateTCs: 2}
 	dep, err := unbundled.Open(unbundled.Options{
 		TCs: 3, DCs: 3,
-		Placement: p.Placement(2),
+		Placement: p.Placement(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,145 +7,10 @@ import (
 
 	"github.com/cidr09/unbundled/internal/core"
 	"github.com/cidr09/unbundled/internal/dc"
-	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/harness"
-	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/tc"
-	"github.com/cidr09/unbundled/internal/wal"
 	"github.com/cidr09/unbundled/internal/workload"
 )
-
-// E2 quantifies §5.1.2's space argument: abstract page LSNs versus the
-// rejected per-record LSN alternative ("this is very expensive in the
-// space required"), measured on the stable pages produced by a real
-// workload, per page-sync strategy.
-func E2(s Scale) *harness.Report {
-	t := harness.NewReport()
-	for _, strat := range []struct {
-		name string
-		cfg  dc.Config
-	}{
-		{"block", dc.Config{Strategy: 1}},
-		{"full", dc.Config{Strategy: 2}},
-		{"hybrid(8)", dc.Config{Strategy: 3, HybridMax: 8}},
-	} {
-		strat := strat
-		dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-			DCConfig: func(int) dc.Config { return strat.cfg }})
-		if err != nil {
-			panic(err)
-		}
-		res := runKVUnbundled(strat.name, dep, s, 0.2)
-		// Make every page stable and measure.
-		if _, err := dep.TCs[0].Checkpoint(context.Background()); err != nil {
-			panic(err)
-		}
-		st := dep.DCs[0].Pool().Stats()
-		// Hypothetical per-record LSN cost: 8 bytes per record per flush.
-		var recs, pages int
-		for _, id := range dep.DCs[0].Store().IDs() {
-			if data, ok := dep.DCs[0].Store().Read(id); ok {
-				if pg, err := decodePage(data); err == nil && pg.leaf {
-					pages++
-					recs += pg.recs
-				}
-			}
-		}
-		abPerPage := "0"
-		if st.Flushes > 0 {
-			abPerPage = fmt.Sprintf("%.1f", float64(st.AbLSNBytes)/float64(st.Flushes))
-		}
-		hyp := "0"
-		if pages > 0 {
-			hyp = fmt.Sprintf("%.1f", float64(8*recs)/float64(pages))
-		}
-		res.Extra = []harness.Col{
-			{Name: "pages", Value: fmt.Sprintf("%d", pages)},
-			{Name: "page-bytes", Value: fmt.Sprintf("%d", st.PageBytes)},
-			{Name: "abLSN-bytes", Value: fmt.Sprintf("%d", st.AbLSNBytes)},
-			{Name: "abLSN/page", Value: abPerPage},
-			{Name: "recLSN/page(hyp)", Value: hyp},
-		}
-		t.Add(res)
-		dep.Close()
-	}
-	return t
-}
-
-// E5 reproduces §5.2.2: structure-modification recovery. It builds a tree
-// through many splits and consolidations, reports the DC-log cost of the
-// logical split records versus the physical consolidate records, then
-// crashes the DC and measures recovery (DC-log replay before TC redo).
-func E5(s Scale) *harness.Report {
-	t := harness.NewReport()
-	dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-		DCConfig: func(int) dc.Config { return dc.Config{PageBytes: 512} }})
-	if err != nil {
-		panic(err)
-	}
-	defer dep.Close()
-	ctx := context.Background()
-	client := dep.Client()
-	tcx := dep.TCs[0]
-	n := s.Keys
-	res := harness.Run("smo-workload", 1, 1, func(int, int) error {
-		for i := 0; i < n; i++ {
-			if err := client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
-				return x.Upsert("kv", workload.KVKey(i), make([]byte, s.ValueSize))
-			}); err != nil {
-				return err
-			}
-		}
-		// Delete three quarters: drives consolidations.
-		for i := 0; i < n; i++ {
-			if i%4 == 0 {
-				continue
-			}
-			if err := client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
-				return x.Delete("kv", workload.KVKey(i))
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	res.Txns = uint64(n + 3*n/4)
-
-	// DC-log byte accounting per record kind.
-	var splitB, consB int
-	for _, rec := range scanAll(dep.DCs[0].DCLog()) {
-		switch rec.Kind {
-		case dclog.KindSplit:
-			splitB += len(rec.Payload)
-		case dclog.KindConsolidate:
-			consB += len(rec.Payload)
-		}
-	}
-	splits, cons := dep.DCs[0].Tree("kv").Stats()
-
-	dep.DCs[0].Crash()
-	t0 := time.Now()
-	if err := dep.DCs[0].Recover(); err != nil {
-		panic(err)
-	}
-	dcTime := time.Since(t0)
-	if err := tcx.RecoverDC(0); err != nil {
-		panic(err)
-	}
-	if err := dep.DCs[0].Tree("kv").CheckInvariants(); err != nil {
-		panic(fmt.Sprintf("E5: tree not well-formed after recovery: %v", err))
-	}
-	res.Extra = []harness.Col{
-		{Name: "splits", Value: fmt.Sprintf("%d", splits)},
-		{Name: "consolidates", Value: fmt.Sprintf("%d", cons)},
-		{Name: "splitLogB", Value: fmt.Sprintf("%d", splitB)},
-		{Name: "consLogB", Value: fmt.Sprintf("%d", consB)},
-		{Name: "dcRecover", Value: dcTime.Round(10 * time.Microsecond).String()},
-		{Name: "redoOps", Value: fmt.Sprintf("%d", tcx.Stats().RedoOps)},
-	}
-	t.Add(res)
-	return t
-}
 
 // E6 reproduces §5.3 partial failures. Part (a): DC-crash recovery work
 // grows with operations since the last checkpoint. Part (b): a TC crash
@@ -157,22 +22,10 @@ func E6(s Scale) *harness.Report {
 
 	// (a) DC crash: vary ops since checkpoint.
 	for _, since := range []int{s.Keys / 8, s.Keys / 2} {
-		dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-			DCConfig: func(int) dc.Config { return dc.Config{PageBytes: 1024} }})
-		if err != nil {
-			panic(err)
-		}
+		dep := e6Checkpointed(s)
 		ctx := context.Background()
 		client := dep.Client()
 		tcx := dep.TCs[0]
-		for i := 0; i < s.Keys/2; i++ {
-			must(client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
-				return x.Upsert("kv", workload.KVKey(i), make([]byte, s.ValueSize))
-			}))
-		}
-		if _, err := tcx.Checkpoint(context.Background()); err != nil {
-			panic(err)
-		}
 		base := tcx.Stats().RedoOps
 		for i := 0; i < since; i++ {
 			must(client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
@@ -185,7 +38,7 @@ func E6(s Scale) *harness.Report {
 		must(dep.RecoverDC(0))
 		el := time.Since(t0)
 		res := harness.Result{Name: fmt.Sprintf("dc-crash/opsSinceCkpt=%d", since),
-			Txns: uint64(since), Elapsed: el, Latencies: harness.NewHistogram()}
+			Txns: uint64(since), Elapsed: el}
 		res.Extra = []harness.Col{
 			{Name: "cachedPages", Value: fmt.Sprintf("%d", cached)},
 			{Name: "resetPages", Value: "-"},
@@ -199,22 +52,9 @@ func E6(s Scale) *harness.Report {
 
 	// (b) TC crash: targeted reset vs full cache drop on identical states.
 	for _, mode := range []string{"targeted-reset", "full-drop"} {
-		dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-			DCConfig: func(int) dc.Config { return dc.Config{PageBytes: 1024} }})
-		if err != nil {
-			panic(err)
-		}
+		dep := e6Checkpointed(s)
 		ctx := context.Background()
-		client := dep.Client()
 		tcx := dep.TCs[0]
-		for i := 0; i < s.Keys/2; i++ {
-			must(client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
-				return x.Upsert("kv", workload.KVKey(i), make([]byte, s.ValueSize))
-			}))
-		}
-		if _, err := tcx.Checkpoint(context.Background()); err != nil {
-			panic(err)
-		}
 		// An uncommitted transaction whose operations reached the DC cache
 		// but whose log records were never forced: exactly the lost-tail
 		// state of §5.3.2. Only the pages it touched carry lost state.
@@ -237,8 +77,7 @@ func E6(s Scale) *harness.Report {
 		}
 		el := time.Since(t0)
 		st := dep.DCs[0].Stats()
-		res := harness.Result{Name: "tc-crash/" + mode, Txns: 32, Elapsed: el,
-			Latencies: harness.NewHistogram()}
+		res := harness.Result{Name: "tc-crash/" + mode, Txns: 32, Elapsed: el}
 		reset := fmt.Sprintf("%d", st.ResetPages)
 		if mode == "full-drop" {
 			reset = fmt.Sprintf("%d (all)", cached)
@@ -256,27 +95,25 @@ func E6(s Scale) *harness.Report {
 	return t
 }
 
+// e6Checkpointed is the state every E6 row starts from: 1 TC x 1 DC on
+// small pages, half the key space loaded, everything checkpointed.
+func e6Checkpointed(s Scale) *core.Deployment {
+	dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
+		DCConfig: func(int) dc.Config { return dc.Config{PageBytes: 1024} }})
+	must(err)
+	ctx := context.Background()
+	for i := 0; i < s.Keys/2; i++ {
+		must(dep.Client().RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
+			return x.Upsert("kv", workload.KVKey(i), make([]byte, s.ValueSize))
+		}))
+	}
+	_, err = dep.TCs[0].Checkpoint(ctx)
+	must(err)
+	return dep
+}
+
 func must(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-func scanAll(l *wal.Log) []*wal.Record {
-	l.Force()
-	return l.Scan(0)
-}
-
-// pageStats is a minimal structural peek used by E2 (leaf/record counts).
-type pageStats struct {
-	leaf bool
-	recs int
-}
-
-func decodePage(data []byte) (pageStats, error) {
-	pg, err := page.Decode(data)
-	if err != nil {
-		return pageStats{}, err
-	}
-	return pageStats{leaf: pg.Leaf, recs: len(pg.Recs)}, nil
 }

@@ -3,9 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/core"
@@ -37,89 +36,67 @@ func E7(s Scale) *harness.Report {
 		}
 		ctx := context.Background()
 		client := dep.Client()
-		var wg sync.WaitGroup
-		var committed atomic.Uint64
-		start := time.Now()
-		for w := 0; w < tcs; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				owner := core.TxnOptions{TC: w + 1, Versioned: true}
-				g := s.kv(0).NewGen(w)
-				for i := 0; i < s.TxnsPerW; i++ {
-					key := fmt.Sprintf("p%d/%s", w, g.Key())
-					if err := client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-						return x.Upsert("users", key, g.Value())
-					}); err == nil {
-						committed.Add(1)
-					}
-				}
-			}(w)
-		}
-		// The reader TC does read-committed point reads throughout.
-		readerHist := harness.NewHistogram()
-		var readerReads atomic.Uint64
-		stopReader := make(chan struct{})
-		wg.Add(1)
+		// The reader TC does read-committed point reads for as long as the
+		// writers run; its samples are its own until readerDone closes.
+		readerRes := harness.Result{Name: fmt.Sprintf("reader-with-%d-writers", tcs),
+			Extra: []harness.Col{{Name: "note", Value: "read-committed, lock-free, never blocked"}}}
+		stopReader, readerDone := make(chan struct{}), make(chan struct{})
 		go func() {
-			defer wg.Done()
+			defer close(readerDone)
 			reader := core.TxnOptions{TC: tcs + 1, ReadOnly: true}
 			g := s.kv(1).NewGen(99)
-			for {
+			for n := 0; ; n++ {
 				select {
 				case <-stopReader:
 					return
 				default:
 				}
-				key := fmt.Sprintf("p%d/%s", int(readerReads.Load())%tcs, g.Key())
+				key := fmt.Sprintf("p%d/%s", n%tcs, g.Key())
 				t0 := time.Now()
-				_ = client.RunTxn(ctx, reader, func(x *tc.Txn) error {
+				if err := client.RunTxn(ctx, reader, func(x *tc.Txn) error {
 					_, _, err := x.ReadCommitted("users", key)
 					return err
-				})
-				readerHist.Observe(time.Since(t0))
-				readerReads.Add(1)
+				}); err != nil {
+					readerRes.Errors++
+					continue
+				}
+				readerRes.Latencies = append(readerRes.Latencies, time.Since(t0))
 			}
 		}()
-		// Wait for the writers, then stop the reader.
-		done := make(chan struct{})
-		go func() {
-			for committed.Load() < uint64(tcs*s.TxnsPerW) {
-				time.Sleep(time.Millisecond)
-			}
-			close(done)
-		}()
-		<-done
+		gens := make([]*workload.Gen, tcs)
+		for w := range gens {
+			gens[w] = s.kv(0).NewGen(w)
+		}
+		res := harness.Run(fmt.Sprintf("writers=%d", tcs), tcs, s.TxnsPerW, func(w, i int) error {
+			key := fmt.Sprintf("p%d/%s", w, gens[w].Key())
+			return client.RunTxn(ctx, core.TxnOptions{TC: w + 1, Versioned: true}, func(x *tc.Txn) error {
+				return x.Upsert("users", key, gens[w].Value())
+			})
+		})
 		close(stopReader)
-		wg.Wait()
-		el := time.Since(start)
-		res := harness.Result{Name: fmt.Sprintf("writers=%d", tcs),
-			Txns: committed.Load(), Elapsed: el, Latencies: harness.NewHistogram()}
+		<-readerDone
 		res.Extra = []harness.Col{{Name: "note", Value: "disjoint update partitions, no 2PC"}}
 		t.Add(res)
-		readerRes := harness.Result{Name: fmt.Sprintf("reader-with-%d-writers", tcs),
-			Txns: readerReads.Load(), Elapsed: el, Latencies: readerHist}
-		readerRes.Extra = []harness.Col{{Name: "note", Value: "read-committed, lock-free, never blocked"}}
+		readerRes.Txns, readerRes.Elapsed = uint64(len(readerRes.Latencies)), res.Elapsed
 		t.Add(readerRes)
 		dep.Close()
 	}
 	return t
 }
 
-// F2 reproduces Figure 2 and §6.3: the movie site. Users and their
-// updates (W2, W3, W4) are partitioned across two updating TCs; movie
-// review reads (W1) run on a separate reader TC with read-committed
-// access; Movies/Reviews partition by MId over two DCs, Users/MyReviews
-// by UId over a third. Updating transactions are completely local to one
-// TC — no distributed transactions — and no query touches more than two
-// DCs.
+// F2 reproduces Figure 2 and §6.3: the movie site (workload.Seed and
+// W1–W4 define it). Users and their updates (W2, W3, W4) are partitioned
+// across two updating TCs; movie review reads (W1) run on a separate
+// reader TC as timestamp snapshots; Movies/Reviews partition by MId over
+// two DCs, Users/MyReviews by UId over a third. Updating transactions are
+// completely local to one TC — no distributed transactions — and no query
+// touches more than two DCs.
 func F2(s Scale) *harness.Report {
 	p := workload.MoviePlacement{MovieDCs: 2, UserDCs: 1,
-		Movies: s.Keys / 10, Users: s.Keys / 4}
-	const updateTCs = 2
+		Movies: s.Keys / 10, Users: s.Keys / 4, UpdateTCs: 2}
 	dep, err := core.New(core.Options{
-		TCs: updateTCs + 1, DCs: p.MovieDCs + p.UserDCs,
-		Placement: p.Placement(updateTCs),
+		TCs: p.UpdateTCs + 1, DCs: p.MovieDCs + p.UserDCs,
+		Placement: p.Placement(),
 	})
 	if err != nil {
 		panic(err)
@@ -127,96 +104,40 @@ func F2(s Scale) *harness.Report {
 	defer dep.Close()
 	ctx := context.Background()
 	client := dep.Client()
-	reader := core.TxnOptions{TC: updateTCs + 1, ReadOnly: true}
+	must(workload.Seed(ctx, client, p))
 
-	// Seed movies and users (admin TC 1 owns the bulk load).
-	must(client.RunTxn(ctx, core.TxnOptions{TC: 1}, func(x *tc.Txn) error {
-		for m := 0; m < p.Movies; m++ {
-			if err := x.Upsert(workload.TableMovies, workload.MovieKey(m),
-				[]byte(fmt.Sprintf("movie-%d", m))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	for u := 0; u < p.Users; u++ {
-		owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1, Versioned: true}
-		must(client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-			return x.Upsert(workload.TableUsers, workload.UserKey(u),
-				[]byte(fmt.Sprintf("profile-%d", u)))
-		}))
+	rnds := make([]*rand.Rand, s.Workers)
+	for i := range rnds {
+		rnds[i] = rand.New(rand.NewSource(int64(200 + i)))
 	}
-
 	t := harness.NewReport()
-
-	// W2: add a movie review — the user's TC inserts into Reviews (movie
-	// DC) and MyReviews (user DC) in ONE local transaction.
-	gens := make([]*workload.Gen, s.Workers)
-	for i := range gens {
-		gens[i] = s.kv(0).NewGen(200 + i)
+	for _, w := range []struct {
+		name, dcs, protocol string
+		run                 func(rnd *rand.Rand, i int) error
+	}{
+		{"W2 add review", "2", "local txn at owner TC (no 2PC)", func(rnd *rand.Rand, i int) error {
+			u, m := rnd.Intn(p.Users), rnd.Intn(p.Movies)
+			return workload.W2(ctx, client, p, u, m, []byte(fmt.Sprintf("review of %d by %d (#%d)", m, u, i)))
+		}},
+		{"W3 update profile", "1", "local txn at owner TC", func(rnd *rand.Rand, i int) error {
+			u := rnd.Intn(p.Users)
+			return workload.W3(ctx, client, p, u, []byte(fmt.Sprintf("profile-%d-v%d", u, i)))
+		}},
+		{"W1 reviews of movie", "1", "snapshot scan at reader TC, no locks, no TC round trip", func(rnd *rand.Rand, i int) error {
+			_, err := workload.W1(ctx, client, p, rnd.Intn(p.Movies))
+			return err
+		}},
+		{"W4 reviews by user", "1", "locked scan of own partition", func(rnd *rand.Rand, i int) error {
+			_, err := workload.W4(ctx, client, p, rnd.Intn(p.Users))
+			return err
+		}},
+	} {
+		res := harness.Run(w.name, s.Workers, s.TxnsPerW/2, func(worker, i int) error {
+			return w.run(rnds[worker], i)
+		})
+		res.Extra = []harness.Col{{Name: "dcsTouched", Value: w.dcs}, {Name: "protocol", Value: w.protocol}}
+		t.Add(res)
 	}
-	w2 := harness.Run("W2 add review", s.Workers, s.TxnsPerW/2, func(w, i int) error {
-		g := gens[w]
-		u := g.Rand().Intn(p.Users)
-		m := g.Rand().Intn(p.Movies)
-		owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1, Versioned: true}
-		review := []byte(fmt.Sprintf("review of %d by %d (#%d)", m, u, i))
-		return client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-			if err := x.Upsert(workload.TableReviews, workload.ReviewKey(m, u), review); err != nil {
-				return err
-			}
-			return x.Upsert(workload.TableMyReviews, workload.MyReviewKey(u, m), review)
-		})
-	})
-	w2.Extra = []harness.Col{{Name: "dcsTouched", Value: "2"},
-		{Name: "protocol", Value: "local txn at owner TC (no 2PC)"}}
-	t.Add(w2)
-
-	// W3: update profile information for a user — single DC, single TC.
-	w3 := harness.Run("W3 update profile", s.Workers, s.TxnsPerW/2, func(w, i int) error {
-		g := gens[w]
-		u := g.Rand().Intn(p.Users)
-		owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1, Versioned: true}
-		return client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-			return x.Upsert(workload.TableUsers, workload.UserKey(u),
-				[]byte(fmt.Sprintf("profile-%d-v%d", u, i)))
-		})
-	})
-	w3.Extra = []harness.Col{{Name: "dcsTouched", Value: "1"},
-		{Name: "protocol", Value: "local txn at owner TC"}}
-	t.Add(w3)
-
-	// W1: obtain all reviews for a particular movie — the reader TC scans
-	// the Reviews clustering with read-committed access: clustered, one
-	// DC, never blocked by the updating TCs.
-	w1 := harness.Run("W1 reviews of movie", s.Workers, s.TxnsPerW/2, func(w, i int) error {
-		g := gens[w]
-		m := g.Rand().Intn(p.Movies)
-		prefix := workload.MovieKey(m) + "/"
-		return client.RunTxn(ctx, reader, func(x *tc.Txn) error {
-			_, _, err := x.ScanCommitted(workload.TableReviews, prefix, prefix+"~", 0)
-			return err
-		})
-	})
-	w1.Extra = []harness.Col{{Name: "dcsTouched", Value: "1"},
-		{Name: "protocol", Value: "read-committed scan at reader TC"}}
-	t.Add(w1)
-
-	// W4: obtain all reviews written by a particular user — the owner TC
-	// scans its own MyReviews partition with full locking.
-	w4 := harness.Run("W4 reviews by user", s.Workers, s.TxnsPerW/2, func(w, i int) error {
-		g := gens[w]
-		u := g.Rand().Intn(p.Users)
-		owner := core.TxnOptions{TC: p.OwnerTC(u, updateTCs) + 1}
-		prefix := workload.UserKey(u) + "/"
-		return client.RunTxn(ctx, owner, func(x *tc.Txn) error {
-			_, _, err := x.Scan(workload.TableMyReviews, prefix, prefix+"~", 0)
-			return err
-		})
-	})
-	w4.Extra = []harness.Col{{Name: "dcsTouched", Value: "1"},
-		{Name: "protocol", Value: "locked scan of own partition"}}
-	t.Add(w4)
 	return t
 }
 
@@ -263,7 +184,7 @@ func F1(s Scale) *harness.Report {
 	// is its transaction column, labeled with the heterogeneous store kind.
 	for i, dci := range dep.DCs {
 		t.Add(harness.Result{Name: fmt.Sprintf("dc%d ops", i),
-			Txns: dci.Stats().Performs, Latencies: harness.NewHistogram(),
+			Txns:  dci.Stats().Performs,
 			Extra: []harness.Col{{Name: "dcKind", Value: tables[i]}}})
 	}
 	return t

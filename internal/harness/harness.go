@@ -1,8 +1,6 @@
-// Package harness is the load-generation and reporting API behind the
-// experiment tables and the throughput benchmarks: fixed-seed
-// closed-loop drivers (Run), an open-loop arrival-rate generator
-// (RunOpenLoop) that measures latency against the offered schedule, and
-// one canonical report shape (Report) that renders every result as an
+// Package harness is the one driver behind the experiment tables: a
+// fixed-count closed loop (Run) that records every transaction's latency,
+// and one canonical report shape (Report) that renders every result as an
 // aligned table or JSON.
 package harness
 
@@ -10,28 +8,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Result summarizes one measured configuration.
 type Result struct {
-	Name   string
-	Txns   uint64 // completed transactions
-	Errors uint64 // transactions that surfaced an error
-	// Retries counts retried attempts underneath the completed
-	// transactions. RunOpenLoop cannot observe retries the stack absorbs
-	// internally, so drivers populate it from component counters.
-	Retries uint64
-	// Overloads counts admission refusals (base.ErrOverloaded) ridden
-	// out underneath the run: RunOpenLoop records those that surface,
-	// drivers add those the wire client absorbed.
-	Overloads uint64
-	Elapsed   time.Duration
-	Latencies *Histogram
+	Name    string
+	Txns    uint64 // completed transactions
+	Errors  uint64 // transactions that surfaced an error
+	Elapsed time.Duration
+	// Latencies holds one sample per completed transaction; Quantile
+	// sorts it in place.
+	Latencies []time.Duration
 	// Extra holds named experiment-specific columns, rendered after the
 	// standard ones in first-seen order.
 	Extra []Col
@@ -48,19 +40,30 @@ func (r Result) Throughput() float64 {
 	return float64(r.Txns) / r.Elapsed.Seconds()
 }
 
-// Quantile returns the q-quantile latency (0 with no samples recorded).
+// Quantile returns the exact q-quantile of the recorded latencies by the
+// nearest-rank rule (the smallest sample with at least a fraction q of
+// the samples at or below it); 0 with no samples.
 func (r Result) Quantile(q float64) time.Duration {
-	if r.Latencies == nil {
+	n := len(r.Latencies)
+	if n == 0 {
 		return 0
 	}
-	return r.Latencies.Quantile(q)
+	if !slices.IsSorted(r.Latencies) {
+		slices.Sort(r.Latencies)
+	}
+	rank := int(math.Ceil(q * float64(n)))
+	return r.Latencies[min(max(rank, 1), n)-1]
 }
 
 func (r Result) mean() time.Duration {
-	if r.Latencies == nil {
+	if len(r.Latencies) == 0 {
 		return 0
 	}
-	return r.Latencies.Mean()
+	var sum time.Duration
+	for _, d := range r.Latencies {
+		sum += d
+	}
+	return sum / time.Duration(len(r.Latencies))
 }
 
 // Run drives fn concurrently from `workers` goroutines until each has
@@ -69,84 +72,28 @@ func (r Result) mean() time.Duration {
 // (worker, iteration) and reports success. Latency is recorded per
 // transaction.
 func Run(name string, workers, perWorker int, fn func(worker, i int) error) Result {
-	var txns, errs atomic.Uint64
-	h := NewHistogram()
+	lat := make([][]time.Duration, workers)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			lat[w] = make([]time.Duration, 0, perWorker)
 			for i := 0; i < perWorker; i++ {
 				t0 := time.Now()
 				if err := fn(w, i); err != nil {
-					errs.Add(1)
 					continue
 				}
-				h.Observe(time.Since(t0))
-				txns.Add(1)
+				lat[w] = append(lat[w], time.Since(t0))
 			}
 		}(w)
 	}
 	wg.Wait()
-	return Result{Name: name, Txns: txns.Load(), Errors: errs.Load(),
-		Elapsed: time.Since(start), Latencies: h}
-}
-
-// Histogram is a fixed-bucket latency histogram (1µs..~17s, 2x buckets).
-type Histogram struct {
-	mu      sync.Mutex
-	buckets [25]uint64
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
-	b := 0
-	for v := d / time.Microsecond; v > 1 && b < len(h.buckets)-1; v >>= 1 {
-		b++
-	}
-	h.mu.Lock()
-	h.buckets[b]++
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	h.mu.Unlock()
-}
-
-// Quantile returns an upper bound on the q-quantile latency.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for b, n := range h.buckets {
-		cum += n
-		if cum > target {
-			return time.Duration(1<<uint(b)) * time.Microsecond
-		}
-	}
-	return h.max
-}
-
-// Mean returns the average latency.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
+	res := Result{Name: name, Elapsed: time.Since(start), Latencies: slices.Concat(lat...)}
+	res.Txns = uint64(len(res.Latencies))
+	res.Errors = uint64(workers*perWorker) - res.Txns
+	return res
 }
 
 // Report is the canonical result collection: every experiment and
@@ -168,22 +115,10 @@ func (t *Report) Results() []Result { return t.results }
 // stdCols is the fixed column set every report row carries.
 var stdCols = []string{"config", "txns", "errors", "tps", "mean", "p50", "p99", "p999"}
 
-// header returns the full column list: the standard columns, retries and
-// overloads when any result recorded them, then the union of extra
-// column names in first-seen order.
+// header returns the full column list: the standard columns, then the
+// union of extra column names in first-seen order.
 func (t *Report) header() []string {
 	h := append([]string(nil), stdCols...)
-	var anyRetries, anyOverloads bool
-	for _, r := range t.results {
-		anyRetries = anyRetries || r.Retries > 0
-		anyOverloads = anyOverloads || r.Overloads > 0
-	}
-	if anyRetries {
-		h = append(h, "retries")
-	}
-	if anyOverloads {
-		h = append(h, "overloads")
-	}
 	seen := make(map[string]bool)
 	for _, r := range t.results {
 		for _, c := range r.Extra {
@@ -198,16 +133,14 @@ func (t *Report) header() []string {
 
 func (t *Report) row(r Result, header []string) []string {
 	vals := map[string]string{
-		"config":    r.Name,
-		"txns":      fmt.Sprintf("%d", r.Txns),
-		"errors":    fmt.Sprintf("%d", r.Errors),
-		"tps":       fmt.Sprintf("%.0f", r.Throughput()),
-		"mean":      fmtDur(r.mean()),
-		"p50":       fmtDur(r.Quantile(0.50)),
-		"p99":       fmtDur(r.Quantile(0.99)),
-		"p999":      fmtDur(r.Quantile(0.999)),
-		"retries":   fmt.Sprintf("%d", r.Retries),
-		"overloads": fmt.Sprintf("%d", r.Overloads),
+		"config": r.Name,
+		"txns":   fmt.Sprintf("%d", r.Txns),
+		"errors": fmt.Sprintf("%d", r.Errors),
+		"tps":    fmt.Sprintf("%.0f", r.Throughput()),
+		"mean":   fmtDur(r.mean()),
+		"p50":    fmtDur(r.Quantile(0.50)),
+		"p99":    fmtDur(r.Quantile(0.99)),
+		"p999":   fmtDur(r.Quantile(0.999)),
 	}
 	for _, c := range r.Extra {
 		vals[c.Name] = c.Value
@@ -259,23 +192,11 @@ func (t *Report) Fprint(w io.Writer) {
 	}
 }
 
-// Table renders the report as an aligned text table.
-func (t *Report) Table() string {
-	var sb strings.Builder
-	t.Fprint(&sb)
-	return sb.String()
-}
-
-// String renders the table (fmt.Stringer).
-func (t *Report) String() string { return t.Table() }
-
 // jsonResult is the stable machine shape of one result row.
 type jsonResult struct {
 	Name      string            `json:"name"`
 	Txns      uint64            `json:"txns"`
 	Errors    uint64            `json:"errors"`
-	Retries   uint64            `json:"retries"`
-	Overloads uint64            `json:"overloads"`
 	TPS       float64           `json:"tps"`
 	MeanUs    int64             `json:"mean_us"`
 	P50Us     int64             `json:"p50_us"`
@@ -294,8 +215,6 @@ func (t *Report) JSON() []byte {
 			Name:      r.Name,
 			Txns:      r.Txns,
 			Errors:    r.Errors,
-			Retries:   r.Retries,
-			Overloads: r.Overloads,
 			TPS:       r.Throughput(),
 			MeanUs:    r.mean().Microseconds(),
 			P50Us:     r.Quantile(0.50).Microseconds(),
@@ -327,9 +246,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.2fs", d.Seconds())
 	}
-}
-
-// SortResults orders results by name (stable output for docs).
-func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
 }

@@ -187,14 +187,12 @@
 // DC runs. cmd/unbundled-dc exposes the two sizes as -workers and
 // -queue-depth.
 //
-// The open-loop throughput harness measures this runtime the way real
-// traffic would: transactions arrive on a fixed schedule whatever the
-// system is doing, and latency is measured from the scheduled arrival —
-// queueing delay counts against the system instead of slowing the load
-// down (the "coordinated omission" correction). cmd/unbundled-bench
-// -throughput reports completed txn/s and the latency quantiles at an
-// offered rate; BenchmarkThroughputOpenLoop gates the completed-txn/s
-// floor and p99 ceiling in CI.
+// What this runtime costs is measured by the repository benchmark
+// (BENCHMARK.json, benchmark/): its tcp_write and tcp_mixed workloads drive
+// it closed-loop over loopback TCP, and the traced pass reports round
+// trips, bytes, RTT, resends and overloads per transaction. CI's
+// bench-gate job runs that benchmark on the parent commit and the change
+// and fails on any end-to-end metric worse beyond its bound.
 //
 // # Operations plane
 //
