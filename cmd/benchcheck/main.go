@@ -15,6 +15,11 @@
 // ok. -out writes the comparison as JSON: BENCH_<pr>.json, one point of
 // the repository's performance trajectory.
 //
+// Lines whose side is parent-traced or head-traced carry the result of a
+// traced pass (--trace 1). From those the report shows, side by side and
+// without any verdict, the count-like per-layer metrics listed in
+// layerCounts: what crossed the wire and reached the logs per transaction.
+//
 //	benchcheck -spec BENCHMARK.json -in bench-lines.txt -out BENCH_16.json
 package main
 
@@ -37,6 +42,18 @@ type spec struct {
 		Name, Unit, Better string
 		Bound              float64
 	} `json:"end_to_end"`
+	PerLayer []struct{ Name, Unit string } `json:"per_layer"`
+}
+
+// layerCounts names the per-layer metrics of a traced pass that are counts
+// of work done, not timings: they follow from the code, not from the
+// machine's speed, so a change that moves one changed what a transaction
+// does. Report only — BENCHMARK.json gives per-layer metrics no bound.
+// Names and units are taken from its per_layer list; one it does not
+// declare is not reported.
+var layerCounts = []string{
+	"wire.calls_per_txn", "wire.watermark_calls_per_txn", "tc.ops_sent", "tc.redo_ops",
+	"dc.performs", "dc.dup_skips", "wal.bytes_per_txn", "runtime.allocs_per_txn",
 }
 
 // run is one result line of the benchmark.
@@ -46,7 +63,8 @@ type run struct {
 	Metrics           map[string]struct{ Value float64 }
 }
 
-// runs holds the result lines by side ("parent", "head") and workload.
+// runs holds the result lines by side ("parent", "head", and
+// "parent-traced", "head-traced" for traced passes) and workload.
 type runs map[string]map[string][]run
 
 type quartiles struct {
@@ -65,6 +83,15 @@ type metricReport struct {
 	Verdict string    `json:"verdict"`  // ok, regressed or unresolved
 }
 
+// layerCount is one count-like per-layer metric, the median over each
+// side's traced passes. It has no verdict.
+type layerCount struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Parent float64 `json:"parent"`
+	Head   float64 `json:"head"`
+}
+
 type workloadReport struct {
 	Name              string         `json:"name"`
 	ParentRuns        int            `json:"parent_runs"`
@@ -72,6 +99,7 @@ type workloadReport struct {
 	ParentFailedShare float64        `json:"parent_failed_share"`
 	HeadFailedShare   float64        `json:"head_failed_share"`
 	Metrics           []metricReport `json:"metrics"`
+	LayerCounts       []layerCount   `json:"layer_counts,omitempty"`
 }
 
 type report struct {
@@ -82,7 +110,7 @@ type report struct {
 
 // parseRuns reads the "<side> <workload> <json>" lines.
 func parseRuns(r io.Reader) (runs, error) {
-	out := runs{"parent": {}, "head": {}}
+	out := runs{"parent": {}, "head": {}, "parent-traced": {}, "head-traced": {}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20)
 	for n := 1; sc.Scan(); n++ {
@@ -91,7 +119,7 @@ func parseRuns(r io.Reader) (runs, error) {
 		}
 		f := strings.SplitN(sc.Text(), " ", 3)
 		if len(f) != 3 || out[f[0]] == nil {
-			return nil, fmt.Errorf("line %d: want \"<parent|head> <workload> <result json>\"", n)
+			return nil, fmt.Errorf("line %d: want \"<parent|head>[-traced] <workload> <result json>\"", n)
 		}
 		var one run
 		if err := json.Unmarshal([]byte(f[2]), &one); err != nil {
@@ -188,6 +216,16 @@ func compare(sp spec, rs runs) report {
 			}
 			wr.Metrics = append(wr.Metrics, mr)
 		}
+		for _, m := range sp.PerLayer {
+			if !slices.Contains(layerCounts, m.Name) {
+				continue
+			}
+			p, pok := summarize(rs["parent-traced"][w.Name], m.Name)
+			h, hok := summarize(rs["head-traced"][w.Name], m.Name)
+			if pok && hok {
+				wr.LayerCounts = append(wr.LayerCounts, layerCount{m.Name, m.Unit, p.Median, h.Median})
+			}
+		}
 		rep.Workloads = append(rep.Workloads, wr)
 	}
 	return rep
@@ -201,6 +239,10 @@ func (rep report) print(w io.Writer) {
 			fmt.Fprintf(w, "  %-10s %-13s parent %10.5g [%.5g..%.5g]  head %10.5g [%.5g..%.5g] %-5s change %+.1f%% (positive is worse; bound %.0f%%)\n",
 				strings.ToUpper(m.Verdict), m.Name, m.Parent.Median, m.Parent.Q1, m.Parent.Q3,
 				m.Head.Median, m.Head.Q1, m.Head.Q3, m.Unit, 100*m.WorseBy, 100*m.Bound)
+		}
+		for _, c := range wr.LayerCounts {
+			fmt.Fprintf(w, "  %-10s %-28s parent %12.6g  head %12.6g %s (traced pass, no verdict)\n",
+				"REPORT", c.Name, c.Parent, c.Head, c.Unit)
 		}
 	}
 	for _, u := range rep.Unresolved {

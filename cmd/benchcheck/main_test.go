@@ -7,13 +7,18 @@ import (
 	"testing"
 )
 
-// testSpec is BENCHMARK.json cut down to two workloads and two metrics,
-// one of each direction.
+// testSpec is BENCHMARK.json cut down to two workloads, two end-to-end
+// metrics, one of each direction, and two per-layer metrics, a timing and
+// a count.
 const testSpec = `{
   "workloads": [{"name": "w_a"}, {"name": "w_b"}],
   "end_to_end": [
     {"name": "txn_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
     {"name": "write_amp", "unit": "ratio", "better": "lower", "bound": 0.15}
+  ],
+  "per_layer": [
+    {"name": "tc.txn_self_us", "unit": "us", "better": "lower"},
+    {"name": "wire.calls_per_txn", "unit": "ratio", "better": "lower"}
   ]
 }`
 
@@ -155,5 +160,34 @@ func TestMissingSideOrMalformedLine(t *testing.T) {
 	}
 	if _, err := parseRuns(strings.NewReader("change w_a {}")); err == nil {
 		t.Fatal("an unknown side parsed")
+	}
+}
+
+func TestTracedPassIsReportedWithoutVerdict(t *testing.T) {
+	if rep := check(t, flat()); rep.Workloads[0].LayerCounts != nil {
+		t.Fatalf("no traced pass ran, yet layer counts are reported: %+v", rep.Workloads[0].LayerCounts)
+	}
+	// A traced pass reports per-layer metrics only. Head makes three times
+	// the calls and takes ten times as long: both are the report's to show
+	// and nobody's to judge, and only the count is shown.
+	traced := func(side string, calls, selfUS float64) string {
+		return fmt.Sprintf(`%s-traced w_a {"correct":true,"attempted":10,"failed":0,"metrics":{"wire.calls_per_txn":{"value":%g,"unit":"ratio"},"tc.txn_self_us":{"value":%g,"unit":"us"}}}`,
+			side, calls, selfUS)
+	}
+	rep := check(t, append(flat(), traced("parent", 8, 15), traced("head", 24, 150)))
+	if len(rep.Failures) != 0 || len(rep.Unresolved) != 0 {
+		t.Fatalf("a traced pass reached a verdict: failures %q unresolved %q", rep.Failures, rep.Unresolved)
+	}
+	want := []layerCount{{Name: "wire.calls_per_txn", Unit: "ratio", Parent: 8, Head: 24}}
+	if got := rep.Workloads[0].LayerCounts; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("w_a layer counts %+v, want %+v", got, want)
+	}
+	if rep.Workloads[0].ParentRuns != 3 || rep.Workloads[1].LayerCounts != nil {
+		t.Fatalf("traced lines leaked into the gated runs or another workload: %+v", rep.Workloads)
+	}
+	var out strings.Builder
+	rep.print(&out)
+	if !strings.Contains(out.String(), "REPORT") || !strings.Contains(out.String(), "wire.calls_per_txn") {
+		t.Fatalf("printed report lacks the traced section:\n%s", out.String())
 	}
 }

@@ -1,8 +1,12 @@
 // Pipelined operation shipping: the same multi-op write transactions over
 // the same misbehaving wire (real propagation delay, loss, duplication),
-// once with synchronous per-op round trips and once with pipelined
-// shipping (async writes, batched messages, commit-time ack barrier) —
-// then a TC crash mid-transaction to show recovery still holds.
+// once with inline shipping (the default: the transaction's goroutine
+// delivers each write and waits out its round trip) and once with
+// TCConfig.Pipeline (async writes, batched messages, commit-time ack
+// barrier) — then a TC crash mid-transaction to show recovery still holds.
+// Both modes run the same delivery routine and resend contract; Pipeline
+// only moves it onto a per-DC worker. It is the one shipping knob: batch
+// size and watermark period are constants of the TC.
 package main
 
 import (

@@ -216,6 +216,7 @@ func Decode(buf []byte) (*A, []byte, error) {
 
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")
 
-// EncodedSize returns the serialized size in bytes; experiment E2 compares
-// this against the hypothetical cost of per-record LSNs.
+// EncodedSize returns the serialized size in bytes: what the abstract LSN
+// costs a stable page (the buffer pool sums it into Stats.AbLSNBytes, which
+// the benchmark reports as buffer.ablsn_bytes_frac).
 func (a *A) EncodedSize() int { return len(a.Append(nil)) }

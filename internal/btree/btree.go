@@ -55,7 +55,7 @@ type Tree struct {
 	lock sync.RWMutex
 	root base.PageID
 
-	// SMOs performed (experiment E5 reports split/consolidate counts).
+	// SMOs performed (the benchmark's btree.splits and btree.consolidates).
 	splits, consolidates uint64
 }
 

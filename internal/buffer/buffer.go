@@ -97,7 +97,7 @@ type Stats struct {
 	Evictions   uint64
 	FlushWaits  uint64
 	PageBytes   uint64 // bytes written to stable pages
-	AbLSNBytes  uint64 // of which abstract-LSN bytes (experiment E2/E3)
+	AbLSNBytes  uint64 // of which abstract-LSN bytes (benchmark: buffer.ablsn_bytes_frac)
 	BarrierHits uint64 // operations refused by the SyncBlock barrier
 }
 

@@ -266,6 +266,28 @@ func TestMultiTCSharedDC(t *testing.T) {
 	if err := x.Update("users", "p1/alice", []byte("alice-lost")); err != nil {
 		t.Fatal(err)
 	}
+	// Cross-TC range reads over TC1's partition while that update is
+	// uncommitted: the dirty scan sees it (§6.2.1), the committed scan sees
+	// the before version (§6.2.2); neither takes a lock, so neither waits
+	// for TC1's X lock.
+	if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) error {
+		for _, c := range []struct {
+			name string
+			scan func(table, lo, hi string, limit int) ([]string, [][]byte, error)
+			want string
+		}{
+			{"ScanDirty", y.ScanDirty, "alice-lost"},
+			{"ScanCommitted", y.ScanCommitted, "alice-v1"},
+		} {
+			keys, vals, err := c.scan("users", "p1/", "p1/~", 0)
+			if err != nil || len(keys) != 1 || keys[0] != "p1/alice" || string(vals[0]) != c.want {
+				return fmt.Errorf("cross-TC %s: %q %q %v, want p1/alice=%s", c.name, keys, vals, err, c.want)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// TC2 writes more data to the same DC (same pages potentially).
 	if err := tc2.RunTxn(context.Background(), tc.TxnOptions{Versioned: true}, func(y *tc.Txn) error {
 		return y.Update("users", "p2/bob", []byte("bob-v2"))

@@ -5,8 +5,7 @@
 // latch requests (tree level first, then page, left before right), which
 // the B-tree layer enforces.
 //
-// Latches are instrumented: contended acquisitions are counted so the
-// experiment harness can report latch contention per configuration.
+// Latches are instrumented: contended acquisitions are counted.
 package latch
 
 import (

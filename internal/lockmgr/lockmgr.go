@@ -129,8 +129,8 @@ var (
 	ErrTimeout  = fmt.Errorf("lockmgr: lock wait timeout: %w", base.ErrLockTimeout)
 )
 
-// Stats counts lock-manager activity; experiment E4 compares lock overhead
-// between the fetch-ahead and static-range protocols.
+// Stats counts lock-manager activity (the benchmark's lockmgr.acquires and
+// lockmgr.waits are Acquired and Waited).
 type Stats struct {
 	Acquired  uint64
 	Waited    uint64

@@ -27,9 +27,10 @@ func chaosIters(tb testing.TB, def int) int {
 	return n
 }
 
-// gatedService wraps a DC and, when armed, parks the next PerformBatch
-// until the gate is released — freezing a batch "on the wire" so the test
-// can crash and restart the TC underneath it with full determinism.
+// gatedService wraps a DC and, when armed, parks the next delivery (a
+// PerformBatch, or the Perform a lone operation ships as) until the gate is
+// released — freezing a batch "on the wire" so the test can crash and
+// restart the TC underneath it with full determinism.
 type gatedService struct {
 	base.Service
 	armed   atomic.Bool
@@ -45,6 +46,10 @@ func newGatedService(svc base.Service) *gatedService {
 		parked:  make(chan struct{}),
 		results: make(chan []*base.Result, 1),
 	}
+}
+
+func (g *gatedService) Perform(ctx context.Context, op *base.Op) *base.Result {
+	return g.PerformBatch(ctx, []*base.Op{op})[0]
 }
 
 func (g *gatedService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {

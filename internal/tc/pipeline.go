@@ -9,34 +9,48 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-// Pipelined operation shipping. Logged write operations do not need their
-// reply before the transaction continues: the X lock freezes the key, the
-// pre-check (or versioned-upsert semantics) guarantees the operation
-// succeeds at the DC, and the op record is already in the TC-log, so the
-// resend/redo contract delivers it even across failures. The TC therefore
-// appends the record, posts the op into the per-DC pipeline, and returns;
-// the transaction only waits at its commit (or abort/scan) barrier.
+// Shipping logged operations. Every operation that holds a TC-log record —
+// a forward write, a finalize, an inverse (CLR), a restart resend — reaches
+// its DC through deliver, the one implementation of the §4.2 contract:
+// unique request IDs, idempotence at the DC, resend until acknowledged.
+// What differs between callers is only who runs it.
 //
-// Each DC has one shipping goroutine with exactly one batch in flight.
-// That discipline is what keeps the logical operation stream ordered per
-// DC: everything queued while the previous batch was on the wire is
-// coalesced into the next base.Service.PerformBatch call, which the DC
-// executes in arrival order. Same-key operations of one transaction always
-// route to the same DC, so they can never reorder; cross-transaction
-// conflicts are excluded by strict 2PL plus the ack barrier (locks are
-// only released once every shipped operation is acknowledged).
+// Inline (the default): the transaction's own goroutine delivers each op
+// and continues when the DC has replied.
+//
+// Pipelined (Config.Pipeline): the reply is not needed before the
+// transaction continues — the X lock freezes the key, the pre-check (or
+// versioned-upsert semantics) guarantees the operation succeeds at the DC,
+// and the op record is already in the TC-log, so the resend/redo contract
+// delivers it even across failures. The TC appends the record, posts the
+// op into the per-DC pipeline, and returns; the transaction only waits at
+// its commit (or abort/scan) barrier. Each DC has one shipping goroutine
+// with exactly one batch in flight. That discipline is what keeps the
+// logical operation stream ordered per DC: everything queued while the
+// previous batch was on the wire is coalesced into the next delivery, which
+// the DC executes in arrival order. Same-key operations of one transaction
+// always route to the same DC, so they can never reorder;
+// cross-transaction conflicts are excluded by strict 2PL plus the ack
+// barrier (locks are only released once every shipped operation is
+// acknowledged).
 
-// ErrTCStopped is recorded against outstanding pipelined operations when
-// the TC is closed or crashes before their acknowledgements arrive. The
-// operations themselves are in the TC-log: recovery re-delivers or undoes
-// them, so the error reports an interrupted session, not lost data. It
-// folds into the taxonomy as a component-unavailable failure.
-var ErrTCStopped = fmt.Errorf("tc: stopped with pipelined operations outstanding: %w", base.ErrUnavailable)
+// maxBatch caps the operations a pipeline worker coalesces into one
+// PerformBatch message.
+const maxBatch = 64
+
+// ErrTCStopped is the fate of a logged operation whose delivery was
+// abandoned because the TC was closed or crashed, or its DC stub closed,
+// before the acknowledgement arrived. The operation itself is in the
+// TC-log: recovery re-delivers or undoes it, so the error reports an
+// interrupted session, not lost data. It folds into the taxonomy as a
+// component-unavailable failure.
+var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged: %w", base.ErrUnavailable)
 
 // pending tracks one transaction's outstanding pipelined operations: a
 // count plus the first failure. Commit and Abort (and scans, for
-// read-your-writes) barrier on it before relying on DC state. The barrier
-// signal is a channel so waiters can honor context cancellation.
+// read-your-writes) barrier on it before relying on DC state; with inline
+// shipping it is always empty and the wait is one uncontended mutex. The
+// barrier signal is a channel so waiters can honor context cancellation.
 type pending struct {
 	mu          sync.Mutex
 	outstanding int
@@ -66,6 +80,13 @@ func (p *pending) done(err error) {
 	p.mu.Unlock()
 }
 
+// empty reports whether nothing is outstanding right now.
+func (p *pending) empty() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.outstanding == 0
+}
+
 // wait blocks until every posted operation has been retired — returning
 // the first failure observed (sticky across calls) — or until ctx is done,
 // returning the ErrCancelled-wrapped ctx error. An abandoned wait leaves
@@ -91,13 +112,176 @@ func (p *pending) wait(ctx context.Context) error {
 	}
 }
 
-// pipeItem is one queued operation plus its transaction's barrier. The
-// incarnation that posted it is stamped on the op itself (op.Epoch, set
-// before the op's LSN was assigned), which is the same fence the DC
-// enforces — sync and pipelined paths share the one mechanism.
-type pipeItem struct {
+// item is one logged operation on its way to a DC. The incarnation that
+// logged it is stamped on the op itself (op.Epoch, set before the op's LSN
+// was assigned). pend is the barrier of the transaction that posted it
+// into a pipeline; it is nil when the caller runs deliver itself and takes
+// the returned error instead.
+type item struct {
 	op   *base.Op
 	pend *pending
+}
+
+// retire reports the item's outcome to its barrier, if it has one, and
+// folds it into first, the error deliver returns.
+func (it item) retire(err, first error) error {
+	if it.pend != nil {
+		it.pend.done(err)
+	}
+	if first == nil {
+		first = err
+	}
+	return first
+}
+
+// deliver sends logged operations to one DC and does not return until each
+// is acknowledged or can never be: the §4.2 resend contract. It returns
+// the first failure (nil when every operation was acknowledged OK) and
+// retires each item at its barrier.
+//
+// op.Epoch must have been stamped *before* the op's LSN was assigned: a
+// crash+restart racing the send mints the new epoch before the reused LSN
+// space is handed out, so an op whose LSN belongs to the dead incarnation's
+// log can never carry the live epoch. Every attempt delivers only items of
+// the live incarnation: a delivery parked in the resend loop across a TC
+// crash+restart must not reach the DC — its records vanished with the
+// unforced log tail, so executing it would apply writes no undo covers and
+// record reused LSNs in the abstract-LSN tables (poisoning the restarted
+// TC's idempotence checks). A call already on the wire when the crash hit
+// is beyond this check's reach; the DC-side epoch fence installed by
+// BeginRestart refuses it there (CodeStaleEpoch), closing the window end to
+// end. Both checks compare the same stamp.
+//
+// New operations wait at the DC's recovery gate; redo marks the resend
+// stream of a restart (§5.3.2), which holds that gate and must pass it.
+// CodeUnavailable (the DC is down, restarting or draining) triggers a paced
+// resend of everything — per-operation idempotence at the DC absorbs
+// re-execution of operations that did land. The only ways out of the loop
+// are the TC stopping and the DC stub being closed; ctx carries values to
+// the service and is never cancellable, because a logged operation
+// abandoned half-delivered could be overtaken by its own inverse.
+func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) (first error) {
+	var ops []*base.Op
+	var one [1]*base.Result
+	backoff := 200 * time.Microsecond
+	for {
+		epoch := t.Epoch()
+		live := 0
+		for _, it := range items {
+			if it.op.Epoch != epoch {
+				first = it.retire(ErrTCStopped, first)
+				continue
+			}
+			items[live] = it
+			live++
+		}
+		items = items[:live]
+		if len(items) == 0 {
+			return first
+		}
+		if !redo {
+			_ = h.waitReady(ctx) // ctx is never done
+		}
+		var results []*base.Result
+		if len(items) == 1 {
+			one[0] = h.svc.Perform(ctx, items[0].op)
+			results = one[:]
+		} else {
+			ops = ops[:0]
+			for _, it := range items {
+				ops = append(ops, it.op)
+			}
+			results = h.svc.PerformBatch(ctx, ops)
+		}
+		t.opsSent.Add(uint64(len(items)))
+		unavailable := false
+		for _, r := range results {
+			if r == nil || r.Code == base.CodeUnavailable {
+				unavailable = true
+				break
+			}
+		}
+		if !unavailable {
+			return t.complete(items, results, redo, first)
+		}
+		// A closed wire client answers every call with CodeUnavailable
+		// forever; retrying would wedge callers that its Close contract
+		// ("fail outstanding calls") promises to unblock. Probe for it so
+		// out-of-order shutdowns (stubs closed before the TC) still
+		// terminate; a plain recovering DC keeps the resend loop.
+		c, ok := h.svc.(interface{ Closed() bool })
+		stopped := ok && c.Closed()
+		if !stopped {
+			select {
+			case <-t.stopCh:
+				stopped = true
+			case <-time.After(backoff):
+			}
+		}
+		if stopped {
+			for _, it := range items {
+				first = it.retire(ErrTCStopped, first)
+			}
+			return first
+		}
+		if backoff < 50*time.Millisecond {
+			backoff *= 2
+		}
+	}
+}
+
+// complete feeds the ack tracker — the source of low-water marks — and
+// retires the items of an answered delivery. The ack is epoch-fenced:
+// a reply that lands after a Crash+Recover belongs to a dead incarnation
+// and must not complete an LSN the new one is reusing (the lsn <= lwm guard
+// in the tracker only covers the at-or-below-reset-base half of that race).
+// A stale-epoch nack from the DC means the op never executed — the fence
+// fired mid-flight — so its LSN must not complete either; it is a
+// permanent failure.
+func (t *TC) complete(items []item, results []*base.Result, redo bool, first error) error {
+	epoch := t.Epoch()
+	for i, it := range items {
+		code := results[i].Code
+		var err error
+		switch {
+		case it.op.Epoch != epoch:
+			err = ErrTCStopped
+		case code == base.CodeStaleEpoch:
+			err = fmt.Errorf("tc: logged op fenced at DC: %v: %w", it.op, base.ErrStaleEpoch)
+		default:
+			t.acks.Complete(it.op.LSN)
+			// Repeating history may find the effect already there (or
+			// already gone); for a first delivery the pre-check + X-lock
+			// invariant excludes every code but OK — surface loudly if it
+			// is ever broken.
+			if code != base.CodeOK && !(redo && (code == base.CodeDuplicate || code == base.CodeNotFound)) {
+				err = fmt.Errorf("tc: logged op failed at DC: %v -> %v", it.op, code)
+			}
+		}
+		first = it.retire(err, first)
+	}
+	return first
+}
+
+// deliverOne is deliver run by the caller for a single operation.
+func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool) error {
+	one := [1]item{{op: op}}
+	return t.deliver(ctx, h, one[:], redo)
+}
+
+// send ships one logged operation of transaction x to the DC the caller
+// resolved with dcIndex (before the op record was appended, so only
+// routable operations consume logged LSNs). Pipelined, it posts the op and
+// returns nil: the outcome arrives at x.pend. Inline, it delivers on the
+// caller's goroutine and returns the outcome. This is the only place that
+// knows which.
+func (t *TC) send(x *Txn, dcIdx int, op *base.Op) error {
+	if t.pipes == nil {
+		return t.deliverOne(x.sendCtx, t.dcs[dcIdx], op, false)
+	}
+	x.pend.add()
+	t.pipes[dcIdx].post(item{op: op, pend: &x.pend})
+	return nil
 }
 
 // pipeline is the per-DC shipping queue and its worker.
@@ -107,7 +291,7 @@ type pipeline struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []pipeItem
+	queue  []item
 	closed bool
 }
 
@@ -117,9 +301,9 @@ func newPipeline(t *TC, h *dcHandle) *pipeline {
 	return p
 }
 
-// post enqueues op for shipping. The caller has already added the op to
-// its transaction's pending barrier.
-func (p *pipeline) post(it pipeItem) {
+// post enqueues an operation for shipping. The caller has already added
+// it to its transaction's pending barrier.
+func (p *pipeline) post(it item) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -141,8 +325,8 @@ func (p *pipeline) close() {
 }
 
 // drop discards the queue (TC crash): the posting incarnation is gone and
-// its transactions will never commit. In-flight batches are handled by the
-// generation check in ship.
+// its transactions will never commit. Batches already handed to deliver
+// are retired by its live-epoch check.
 func (p *pipeline) drop() {
 	p.mu.Lock()
 	q := p.queue
@@ -160,145 +344,20 @@ func (p *pipeline) run() {
 			p.cond.Wait()
 		}
 		if p.closed {
-			q := p.queue
-			p.queue = nil
 			p.mu.Unlock()
-			for _, it := range q {
-				it.pend.done(ErrTCStopped)
-			}
+			p.drop()
 			return
 		}
 		batch := p.queue
-		if len(batch) > p.t.cfg.MaxBatch {
-			batch = batch[:p.t.cfg.MaxBatch]
-			p.queue = append([]pipeItem(nil), p.queue[p.t.cfg.MaxBatch:]...)
+		if len(batch) > maxBatch {
+			batch = batch[:maxBatch]
+			p.queue = append([]item(nil), p.queue[maxBatch:]...)
 		} else {
 			p.queue = nil
 		}
 		p.mu.Unlock()
-		p.ship(batch)
+		// The worker ships on behalf of many transactions; each learns its
+		// operations' fate at its own barrier.
+		_ = p.t.deliver(context.Background(), p.h, batch, false)
 	}
 }
-
-// ship sends one batch and retires its items. CodeUnavailable (the DC is
-// down or restarting) triggers a paced resend of the whole batch — the
-// §4.2 resend contract; per-operation idempotence at the DC absorbs
-// re-execution of operations that did land.
-func (p *pipeline) ship(items []pipeItem) {
-	ops := make([]*base.Op, 0, len(items))
-	backoff := 200 * time.Microsecond
-	for {
-		// Deliver only items posted by the live incarnation: a batch parked
-		// in this retry loop across a TC crash+restart must not reach the DC
-		// — its records vanished with the unforced log tail, so executing it
-		// would apply writes no undo covers and record reused LSNs in the
-		// abstract-LSN tables (poisoning the restarted TC's idempotence
-		// checks). A batch already on the wire when the crash hit is beyond
-		// this check's reach; the DC-side epoch fence installed by
-		// BeginRestart refuses it there (CodeStaleEpoch), closing the window
-		// end to end. Both checks compare the same stamp: op.Epoch.
-		epoch := p.t.Epoch()
-		live := 0
-		for _, it := range items {
-			if it.op.Epoch != epoch {
-				it.pend.done(ErrTCStopped)
-				continue
-			}
-			items[live] = it
-			live++
-		}
-		items = items[:live]
-		if len(items) == 0 {
-			return
-		}
-		ops = ops[:0]
-		for _, it := range items {
-			ops = append(ops, it.op)
-		}
-		// The pipeline ships on behalf of many transactions and the ops are
-		// logged, so delivery is never cancelled by any one caller's
-		// context; Close/crash are the only ways out of this loop.
-		p.h.waitReady(context.Background())
-		// Singleton batches are the service's concern: the wire stub
-		// already degrades them to a plain Perform message.
-		results := p.h.svc.PerformBatch(context.Background(), ops)
-		p.t.opsSent.Add(uint64(len(ops)))
-		unavailable := false
-		for _, r := range results {
-			if r == nil || r.Code == base.CodeUnavailable {
-				unavailable = true
-				break
-			}
-		}
-		if !unavailable {
-			p.complete(items, results)
-			return
-		}
-		// A closed wire client answers every call with CodeUnavailable
-		// forever; retrying would wedge commit barriers that its Close
-		// contract ("fail outstanding calls") promises to unblock. Probe
-		// for it so out-of-order shutdowns (stubs closed before the TC)
-		// still terminate; a plain recovering DC keeps the resend loop.
-		if c, ok := p.h.svc.(interface{ Closed() bool }); ok && c.Closed() {
-			for _, it := range items {
-				it.pend.done(ErrTCStopped)
-			}
-			return
-		}
-		select {
-		case <-p.t.stopCh:
-			for _, it := range items {
-				it.pend.done(ErrTCStopped)
-			}
-			return
-		case <-time.After(backoff):
-		}
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// complete feeds the ack tracker and retires the items. Items posted by a
-// prior TC incarnation (the TC crashed while the batch was on the wire)
-// must not touch the reset ack tracker: their LSN space is being reused.
-// A stale-epoch nack from the DC means the op never executed — the fence
-// fired mid-flight — so its LSN must not complete either; it surfaces as a
-// permanent barrier failure.
-func (p *pipeline) complete(items []pipeItem, results []*base.Result) {
-	epoch := p.t.Epoch()
-	for i, it := range items {
-		res := results[i]
-		var err error
-		switch {
-		case it.op.Epoch != epoch:
-			err = ErrTCStopped
-		case res.Code == base.CodeStaleEpoch:
-			err = fmt.Errorf("tc: pipelined op fenced at DC: %v: %w", it.op, base.ErrStaleEpoch)
-		default:
-			p.t.acks.Complete(it.op.LSN)
-			if res.Code != base.CodeOK {
-				// Cannot happen given the pre-check + X-lock invariant;
-				// surface loudly at the barrier if it is ever broken.
-				err = fmt.Errorf("tc: pipelined op failed at DC: %v -> %v", it.op, res.Code)
-			}
-		}
-		it.pend.done(err)
-	}
-}
-
-// postOp hands op to the pipeline of the DC the caller resolved with
-// dcIndex (before the op record was appended, so only routable operations
-// consume logged LSNs). op.Epoch must have been stamped *before* the op's
-// LSN was assigned: a crash+restart racing the post mints the new epoch
-// before the reused LSN space is handed out, so an op whose LSN belongs
-// to the dead incarnation's log can never carry the live epoch and feed
-// its ack into the reset tracker under a reused LSN (nor pass the DC's
-// fence).
-func (t *TC) postOp(x *Txn, op *base.Op, dcIdx int) {
-	x.pend.add()
-	t.pipes[dcIdx].post(pipeItem{op: op, pend: &x.pend})
-}
-
-// pipelined reports whether writes ship asynchronously.
-func (t *TC) pipelined() bool { return t.pipes != nil }

@@ -283,52 +283,81 @@ func TestPipelinedDCCrashRecoveryViaResend(t *testing.T) {
 	}
 }
 
-func TestPipelinedWriteRetriesWhileDCDown(t *testing.T) {
-	// A pipelined write posted while the DC is down must park in the
-	// resend loop and land once the DC recovers; the committing
-	// transaction blocks at its ack barrier until then.
-	tcx, d := newPipelinedPair(t, 0)
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		return x.Insert("t", "pre", []byte("v"))
-	}); err != nil {
-		t.Fatal(err)
+// TestLoggedWriteRidesOutDCOutage: the §4.2 resend contract is one rule,
+// whoever runs it. A logged write issued while its DC admits nothing — it
+// is draining, or crashed and not yet redone — parks in deliver's resend
+// loop, on the transaction's goroutine or the pipeline worker's alike, and
+// lands once the DC admits again; until then its LSN, whose only replies
+// were unavailable nacks, must not complete in the ack tracker (the
+// low-water mark would tell the DC that the operation was acknowledged).
+func TestLoggedWriteRidesOutDCOutage(t *testing.T) {
+	outages := []struct {
+		name string
+		down func(*dc.DC)
+		up   func(*TC, *dc.DC) error
+	}{
+		{"drain", (*dc.DC).Drain, func(_ *TC, d *dc.DC) error {
+			d.Undrain()
+			return nil
+		}},
+		{"crash", (*dc.DC).Crash, func(tcx *TC, d *dc.DC) error {
+			if err := d.Recover(); err != nil {
+				return err
+			}
+			return tcx.RecoverDC(0)
+		}},
 	}
-	d.Crash()
-	blocked := make(chan error, 1)
-	go func() {
-		// Versioned: the upsert needs no pre-check read, so the write posts
-		// straight into the pipeline and the txn parks at its commit
-		// barrier rather than failing on a synchronous unavailable reply.
-		blocked <- tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
-			return x.Upsert("t", "during", []byte("v"))
-		})
-	}()
-	select {
-	case err := <-blocked:
-		t.Fatalf("commit completed against a down DC: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	if err := d.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tcx.RecoverDC(0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-blocked:
-		if err != nil {
-			t.Fatal(err)
+	for _, pipeline := range []bool{false, true} {
+		for _, o := range outages {
+			t.Run(fmt.Sprintf("pipeline=%v/%s", pipeline, o.name), func(t *testing.T) {
+				tcx, d := newPair(t, Config{Pipeline: pipeline})
+				if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+					return x.Insert("t", "pre", []byte("v"))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				o.down(d)
+				// Versioned: the upsert needs no pre-check read, so its op
+				// record takes the very next LSN and the write is the first
+				// thing to meet the outage.
+				nacked := tcx.Log().LastLSN() + 1
+				done := make(chan error, 1)
+				go func() {
+					done <- tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
+						return x.Upsert("t", "during", []byte("v"))
+					})
+				}()
+				for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+					select {
+					case err := <-done:
+						t.Fatalf("transaction finished against a DC that admits nothing: %v", err)
+					default:
+					}
+					if lwm := tcx.acks.LWM(); lwm >= nacked {
+						t.Fatalf("low-water mark %d reached LSN %d, which was only ever nacked", lwm, nacked)
+					}
+				}
+				if err := o.up(tcx, d); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("write never landed after the DC admitted again")
+				}
+				if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+					if v, ok, err := x.Read("t", "during"); err != nil || !ok || string(v) != "v" {
+						return fmt.Errorf("write issued during the outage reads back %q %v %v", v, ok, err)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pipelined write never recovered after DC restart")
-	}
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		if _, ok, _ := x.Read("t", "during"); !ok {
-			return fmt.Errorf("write issued during outage lost")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -359,38 +388,42 @@ func (s *closedStubService) PerformBatch(ctx context.Context, ops []*base.Op) []
 
 func (s *closedStubService) Closed() bool { return s.closed.Load() }
 
-func TestPipelinedCommitUnblocksWhenStubClosed(t *testing.T) {
+func TestLoggedWriteUnblocksWhenStubClosed(t *testing.T) {
 	// A wire stub closed before the TC (out-of-order shutdown) answers
-	// everything with CodeUnavailable; the pipeline must recognize the
-	// closed stub and fail the commit barrier instead of resending
-	// forever.
-	d, err := dc.New(dc.Config{Name: "dc0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	stub := &closedStubService{Service: d}
-	tcx, err := New(Config{ID: 1, Pipeline: true}, []base.Service{stub}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcx.Close)
-	stub.closed.Store(true)
-	done := make(chan error, 1)
-	go func() {
-		done <- tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
-			return x.Upsert("t", "k", []byte("v"))
+	// everything with CodeUnavailable; deliver must recognize the closed
+	// stub and fail the write (inline) or the commit barrier (pipelined)
+	// instead of resending forever.
+	for _, pipeline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipeline=%v", pipeline), func(t *testing.T) {
+			d, err := dc.New(dc.Config{Name: "dc0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CreateTable("t"); err != nil {
+				t.Fatal(err)
+			}
+			stub := &closedStubService{Service: d}
+			tcx, err := New(Config{ID: 1, Pipeline: pipeline}, []base.Service{stub}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tcx.Close)
+			stub.closed.Store(true)
+			done := make(chan error, 1)
+			go func() {
+				done <- tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
+					return x.Upsert("t", "k", []byte("v"))
+				})
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrTCStopped) {
+					t.Fatalf("transaction error = %v, want ErrTCStopped", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("transaction hung against a closed stub")
+			}
 		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrTCStopped) {
-			t.Fatalf("commit error = %v, want ErrTCStopped", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("commit barrier hung against a closed stub")
 	}
 }
 

@@ -177,39 +177,16 @@ func (t *TC) Recover() error {
 	}
 
 	// --- redo: repeat history by resending logical operations in order ---
-	for _, rec := range records {
-		if rec.LSN < rssp {
-			continue
-		}
-		if rec.Kind != recOp && rec.Kind != recCLR {
-			continue
-		}
-		op, _, _, err := decodeOpPayload(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("tc %d: redo decode @%d: %w", t.cfg.ID, rec.LSN, err)
-		}
-		op.LSN = rec.LSN
-		op.Epoch = newEpoch // resent by (and under the fence of) this incarnation
-		idx, err := t.dcIndex(op.Table, op.Key)
-		if err != nil {
-			// The op routed when it was logged: a failing lookup means the
-			// placement changed underneath a durable log, and redo cannot
-			// repeat history against the wrong DC. Fail the restart loudly.
-			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
-		}
-		h := t.dcs[idx]
-		if res := h.svc.Perform(context.Background(), op); res.Code != base.CodeOK &&
-			res.Code != base.CodeDuplicate && res.Code != base.CodeNotFound {
-			return fmt.Errorf("tc %d: redo @%d failed: %v", t.cfg.ID, rec.LSN, res.Code)
-		}
-		t.redoOps.Add(1)
+	if err := t.redo(records, rssp, -1, newEpoch); err != nil {
+		return err
 	}
 
 	// Redo is complete: every allocated LSN at or below the stable end is
 	// accounted for (replayed or void), so the low-water mark restarts
-	// there; the DCs reset their own LWM state in BeginRestart. The epoch
-	// record appended above sits just past the stable end and needs no DC
-	// round trip, so it completes immediately after the re-base.
+	// there (wiping whatever the redo replies fed the tracker); the DCs
+	// reset their own LWM state in BeginRestart. The epoch record appended
+	// above sits just past the stable end and needs no DC round trip, so it
+	// completes immediately after the re-base.
 	t.acks.Reset(stableEnd)
 	t.acks.Complete(epochLSN)
 	// A drain does not survive the incarnation: the flag is in-memory
@@ -240,7 +217,9 @@ func (t *TC) Recover() error {
 			rec := &wal.Record{Kind: recOp, Payload: encodeOpPayload(op, nil, false)}
 			op.Epoch = newEpoch
 			op.LSN = t.log.AppendAssign(rec)
-			t.performOn(context.Background(), t.dcs[idx], op)
+			// Logged: should this delivery be cut short, the next restart
+			// resends it.
+			_ = t.deliverOne(context.Background(), t.dcs[idx], op, false)
 		}
 	}
 	t.log.Force()
@@ -276,32 +255,44 @@ func (t *TC) RecoverDC(idx int) error {
 	// Force first so the redo stream covers every operation the DC might
 	// have lost from its cache.
 	t.log.Force()
-	t.mu.Lock()
-	rssp := t.rssp
-	t.mu.Unlock()
-	for _, rec := range t.log.Scan(rssp) {
-		if rec.Kind != recOp && rec.Kind != recCLR {
+	rssp := t.RSSP()
+	if err := t.redo(t.log.Scan(rssp), rssp, idx, t.Epoch()); err != nil {
+		return err
+	}
+	t.broadcastWatermarks()
+	return nil
+}
+
+// redo is the resend stream of a restart (§5.3.2), the TC's or one DC's:
+// every logged operation of records at or above from — bound for DC onlyDC
+// alone, unless that is negative — is delivered again in LSN order, stamped
+// with the incarnation resending it (a logged, dead epoch would be refused
+// by the DC fence). DC idempotence filters what survived. One operation per
+// call: the stream is ordered, and a failure stops it at its LSN.
+func (t *TC) redo(records []*wal.Record, from base.LSN, onlyDC int, epoch base.Epoch) error {
+	for _, rec := range records {
+		if rec.LSN < from || (rec.Kind != recOp && rec.Kind != recCLR) {
 			continue
 		}
 		op, _, _, err := decodeOpPayload(rec.Payload)
 		if err != nil {
-			return fmt.Errorf("tc %d: dc-redo decode @%d: %w", t.cfg.ID, rec.LSN, err)
+			return fmt.Errorf("tc %d: redo decode @%d: %w", t.cfg.ID, rec.LSN, err)
 		}
-		opIdx, err := t.dcIndex(op.Table, op.Key)
+		idx, err := t.dcIndex(op.Table, op.Key)
 		if err != nil {
-			return fmt.Errorf("tc %d: dc-redo @%d: %w", t.cfg.ID, rec.LSN, err)
+			// The op routed when it was logged: a failing lookup means the
+			// placement changed underneath a durable log, and redo cannot
+			// repeat history against the wrong DC. Fail the restart loudly.
+			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
 		}
-		if opIdx != idx {
+		if onlyDC >= 0 && idx != onlyDC {
 			continue
 		}
-		op.LSN = rec.LSN
-		op.Epoch = t.Epoch()
-		if res := h.svc.Perform(context.Background(), op); res.Code != base.CodeOK &&
-			res.Code != base.CodeDuplicate && res.Code != base.CodeNotFound {
-			return fmt.Errorf("tc %d: dc-redo @%d failed: %v", t.cfg.ID, rec.LSN, res.Code)
+		op.LSN, op.Epoch = rec.LSN, epoch
+		if err := t.deliverOne(context.Background(), t.dcs[idx], op, true); err != nil {
+			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
 		}
 		t.redoOps.Add(1)
 	}
-	t.broadcastWatermarks()
 	return nil
 }

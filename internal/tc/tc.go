@@ -11,10 +11,8 @@
 // operations concurrently, which in turn makes the TC-log's LSN order an
 // order-preserving serialization of the logical operation history.
 //
-// With Config.Pipeline, logged writes ship asynchronously through per-DC
-// pipelines (see pipeline.go): the transaction continues as soon as the op
-// record is appended, and its commit barriers on the outstanding acks
-// before releasing locks.
+// How logged operations reach a DC — one delivery routine behind the
+// inline and the pipelined shipping modes — is described in pipeline.go.
 package tc
 
 import (
@@ -78,13 +76,6 @@ type Config struct {
 	LockTimeout time.Duration
 	// Protocol selects the range-locking strategy.
 	Protocol RangeProtocol
-	// RangeBuckets sizes the static partitions (default 16).
-	RangeBuckets int
-	// ProbeWidth is the fetch-ahead batch size (default 32).
-	ProbeWidth int
-	// WatermarkInterval is the period of the EOSL/LWM re-broadcast
-	// (default 1ms; also sent opportunistically after commits).
-	WatermarkInterval time.Duration
 	// ForceDelay simulates stable-log force latency (group commit).
 	ForceDelay time.Duration
 	// Pipeline ships logged writes asynchronously: Insert/Update/Upsert/
@@ -93,11 +84,11 @@ type Config struct {
 	// commit-record force with draining the transaction's outstanding acks
 	// and releases locks only after both complete, so strict 2PL semantics
 	// are preserved while transaction latency drops from ops x RTT to
-	// roughly one RTT per batch.
+	// roughly one RTT per batch. Off, each write is delivered on the
+	// transaction's own goroutine, which is faster when the DC is a direct
+	// call away: there a goroutine hand-off per operation costs more than
+	// the reply it hides.
 	Pipeline bool
-	// MaxBatch caps the operations coalesced into one shipped batch
-	// message (default 64).
-	MaxBatch int
 	// Clock is the timestamp source for commit timestamps and snapshot
 	// reads (default: a process-wide monotonic clock.System with zero
 	// uncertainty). Deployments spanning machines install a clock whose
@@ -119,19 +110,18 @@ type Config struct {
 	Dir string
 }
 
+const (
+	// rangeBuckets sizes the static partition every table gets under
+	// StaticRange.
+	rangeBuckets = 16
+	// probeWidth is the fetch-ahead batch size.
+	probeWidth = 32
+	// watermarkInterval is the period of the EOSL/LWM/safe-timestamp
+	// re-broadcast (they are also sent opportunistically after commits).
+	watermarkInterval = time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.RangeBuckets <= 0 {
-		c.RangeBuckets = 16
-	}
-	if c.ProbeWidth <= 0 {
-		c.ProbeWidth = 32
-	}
-	if c.WatermarkInterval <= 0 {
-		c.WatermarkInterval = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.Clock == nil {
 		c.Clock = defaultClock
 	}
@@ -210,12 +200,15 @@ type TC struct {
 	router placement.Router
 	clock  clock.Clock
 
-	mu         sync.Mutex
-	down       bool
-	txns       map[base.TxnID]*Txn
-	nextTxn    uint64
-	rssp       base.LSN
-	partitions map[string]lockmgr.Partition
+	// partition is the static range partition of every table's key space
+	// (StaticRange protocol).
+	partition lockmgr.Partition
+
+	mu      sync.Mutex
+	down    bool
+	txns    map[base.TxnID]*Txn
+	nextTxn uint64
+	rssp    base.LSN
 
 	// tsMu guards the commit-timestamp / safe-timestamp state of the
 	// closed-timestamp protocol: a commit timestamp is assigned strictly
@@ -239,8 +232,8 @@ type TC struct {
 	// operation, so no two incarnations — however they crash — ever share
 	// one. Every operation carries its incarnation's stamp (op.Epoch, set
 	// before the LSN is assigned), which serves as the TC-side generation
-	// fence for both the sync and pipelined paths — calls in flight across
-	// a crash cannot feed the reset ack tracker — and as the DC-side fence
+	// fence — calls in flight across a crash cannot feed the reset ack
+	// tracker (deliver, performOn) — and as the DC-side fence
 	// installed by BeginRestart that refuses requests of dead incarnations
 	// still on the wire (CodeStaleEpoch).
 	epoch atomic.Uint64
@@ -305,8 +298,8 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 		locks:       lockmgr.New(),
 		router:      router,
 		clock:       cfg.Clock,
+		partition:   lockmgr.UniformBytePartition(rangeBuckets),
 		txns:        make(map[base.TxnID]*Txn),
-		partitions:  make(map[string]lockmgr.Partition),
 		acks:        newAckTracker(),
 		stopCh:      make(chan struct{}),
 		rssp:        1,
@@ -357,10 +350,12 @@ func (t *TC) ID() base.TCID { return t.cfg.ID }
 // incarnation; strictly increasing across restarts).
 func (t *TC) Epoch() base.Epoch { return base.Epoch(t.epoch.Load()) }
 
-// Log exposes the TC-log (experiments measure log volume and forces).
+// Log exposes the TC-log (the benchmark's wal.bytes_per_txn and
+// wal.forces_per_txn read its media counters).
 func (t *TC) Log() *wal.Log { return t.log }
 
-// Locks exposes the lock manager (experiment E4 reads its stats).
+// Locks exposes the lock manager (the benchmark's lockmgr.acquires and
+// lockmgr.waits read its stats).
 func (t *TC) Locks() *lockmgr.Manager { return t.locks }
 
 // RSSP returns the current redo scan start point.
@@ -405,30 +400,9 @@ func (t *TC) ActiveTxns() int {
 	return len(t.txns)
 }
 
-// Partition returns the static range partition for table, creating a
-// uniform one on first use.
-func (t *TC) Partition(table string) lockmgr.Partition {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.partitions[table]
-	if !ok {
-		p = lockmgr.UniformBytePartition(t.cfg.RangeBuckets)
-		t.partitions[table] = p
-	}
-	return p
-}
-
-// SetPartition overrides the static range partition for a table (workloads
-// with known key shapes install split points matching their key space).
-func (t *TC) SetPartition(table string, p lockmgr.Partition) {
-	t.mu.Lock()
-	t.partitions[table] = p
-	t.mu.Unlock()
-}
-
 // Close stops background work (the TC stays usable for reads of state).
-// Queued pipelined operations fail with ErrTCStopped so their commit
-// barriers unblock; an operation already inside a wire call against a
+// Logged operations still queued or being resent fail with ErrTCStopped so
+// their transactions unblock; one already inside a wire call against a
 // down DC unblocks only once that client stub is closed too — close the
 // TC first and then the stubs, as core.Deployment.Close does.
 func (t *TC) Close() {
@@ -444,7 +418,7 @@ func (t *TC) Close() {
 // they are refreshed periodically.
 func (t *TC) watermarkLoop() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.WatermarkInterval)
+	tick := time.NewTicker(watermarkInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -542,29 +516,19 @@ func (t *TC) isDown() bool {
 	return t.down
 }
 
-// performOn sends one operation to the resolved DC handle, waiting for
-// the reply, and feeds the ack tracker (the source of low-water marks).
-// Callers resolve the handle with dcIndex *before* the op's LSN is
-// assigned, so an unroutable operation is never logged. Like the pipeline's
-// complete, the ack is epoch-fenced: a zombie call whose reply lands after
-// a Crash+Recover carries a dead incarnation's stamp and must not complete
-// an LSN the new incarnation is reusing (the lsn <= lwm guard in the
-// tracker only covers the at-or-below-reset-base half of that race). Ops
-// not yet stamped (reads and probes, whose LSNs carry no log record) are
-// stamped here; logged writes stamp before their LSN is assigned. A
-// CodeStaleEpoch reply means the op never executed, so its LSN must not
-// complete either.
+// performOn sends one unlogged operation — a read, probe or range read,
+// whose LSN is a request ID with no log record behind it — to the resolved
+// DC handle, once, and feeds the ack tracker. (Operations that do hold a
+// log record go through deliver.) The ack is epoch-fenced like deliver's:
+// a zombie call whose reply lands after a Crash+Recover must not complete
+// an LSN the new incarnation is reusing.
 //
-// Cancellation: only read-flavored operations ever arrive with a
-// cancellable ctx — logged writes ship under context.WithoutCancel because
-// their delivery contract must run to completion. An abandoned read still
-// completes its LSN: reads mutate nothing and are never reflected in
+// Cancellation: ctx is the transaction's. An abandoned or refused read
+// still completes its LSN: reads mutate nothing and are never reflected in
 // cached pages, so the low-water mark may pass them, and not completing
 // would leave a permanent gap that stalls checkpoints.
 func (t *TC) performOn(ctx context.Context, h *dcHandle, op *base.Op) *base.Result {
-	if op.Epoch == 0 {
-		op.Epoch = t.Epoch()
-	}
+	op.Epoch = t.Epoch()
 	res := &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
 	if err := h.waitReady(ctx); err == nil {
 		t.opsSent.Add(1)

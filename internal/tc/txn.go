@@ -128,7 +128,7 @@ type Txn struct {
 	// pend is the barrier over this transaction's pipelined operations:
 	// writes posted into the per-DC pipelines complete here, and Commit/
 	// Abort (and scans, for read-your-writes) wait on it before relying on
-	// DC state. Unused (always empty) when pipelining is off.
+	// DC state. Always empty when shipping is inline.
 	pend pending
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
@@ -257,7 +257,7 @@ func (x *Txn) Context() context.Context { return x.ctx }
 func (x *Txn) lockFor(table, key string, mode lockmgr.Mode) error {
 	var res lockmgr.Resource
 	if x.tc.cfg.Protocol == StaticRange {
-		res = lockmgr.RangeRes(table, x.tc.Partition(table).Locate(key))
+		res = lockmgr.RangeRes(table, x.tc.partition.Locate(key))
 	} else {
 		res = lockmgr.KeyRes(table, key)
 	}
@@ -332,13 +332,12 @@ func (x *Txn) snapshotRead(table, key string) ([]byte, bool, error) {
 
 // snapshotOp ships one snapshot-flavored operation directly to its DC,
 // bypassing the logging/ack machinery entirely: the op carries no LSN
-// (nothing tracks it) and Perform is called without going through
-// performOn, so OpsSent stays untouched — a snapshot read really is
-// zero-TC-round-trip. CodeUnavailable means the DC gave up waiting for
-// some TC's safe timestamp to cover snapTS (a TC partitioned or down);
-// the read retries after a pause, bounded only by the caller's context,
-// because the condition clears as soon as the lagging TC's broadcasts
-// resume.
+// (nothing tracks it) and Perform is called directly, so OpsSent stays
+// untouched — a snapshot read really is zero-TC-round-trip.
+// CodeUnavailable means the DC gave up waiting for some TC's safe
+// timestamp to cover snapTS (a TC partitioned or down); the read retries
+// after a pause, bounded only by the caller's context, because the
+// condition clears as soon as the lagging TC's broadcasts resume.
 func (x *Txn) snapshotOp(op *base.Op) (*base.Result, error) {
 	t := x.tc
 	idx, err := t.dcIndex(op.Table, op.Key)
@@ -423,17 +422,12 @@ func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readOp(table, key, base.ReadDirty, false)
 }
 
-// drain waits out this transaction's pipelined writes before an operation
+// drain waits out this transaction's shipped writes before an operation
 // that must observe them at the DC (scans and unlocked reads bypass the
 // transaction cache, so read-your-writes needs the queue empty). Point
-// reads never need it: every pipelined write is recorded in the cache.
-// The wait honors the transaction's context.
-func (x *Txn) drain() error {
-	if !x.tc.pipelined() {
-		return nil
-	}
-	return x.pend.wait(x.ctx)
-}
+// reads never need it: every write is recorded in the cache. The wait
+// honors the transaction's context.
+func (x *Txn) drain() error { return x.pend.wait(x.ctx) }
 
 // valueOf returns the current value under an already-held X lock, going to
 // the DC only when the transaction cache cannot answer.
@@ -466,8 +460,7 @@ func (x *Txn) Delete(table, key string) error {
 
 // write implements all mutations: X lock, undo capture, logical redo+undo
 // logging *before* the send (so the TC-log order is an OPSR order), then
-// the operation itself — shipped synchronously, or posted into the per-DC
-// pipeline when cfg.Pipeline is on (the pre-check + X-lock invariant
+// the operation itself (TC.send; the pre-check + X-lock invariant
 // guarantees the outcome, so nothing needs the reply before commit).
 //
 // Cancellation points are the lock wait and the pre-check read. Once the
@@ -543,23 +536,19 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		Value: val, Versioned: x.opts.Versioned}
 	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
 		Payload: encodeOpPayload(op, prior, priorFound)}
-	op.Epoch = x.tc.Epoch() // before the LSN assignment; see postOp
+	op.Epoch = x.tc.Epoch() // before the LSN assignment; see deliver
 	lsn := x.tc.log.AppendAssign(rec)
 	op.LSN = lsn
-	if x.tc.pipelined() {
-		x.tc.postOp(x, op, dcIdx)
-	} else {
-		res := x.tc.performOn(x.sendCtx, x.tc.dcs[dcIdx], op)
-		if res.Code != base.CodeOK {
-			// Cannot happen given the pre-checks (the lock freezes the key);
-			// surface loudly if the invariant is ever broken.
-			return fmt.Errorf("tc: logged op failed at DC: %v -> %v", op, res.Code)
-		}
-	}
+	// The record is in the log, so it is in the undo chain, whatever the
+	// send goes on to report: redo will resend it, and an inverse of a
+	// forward operation that never landed finds nothing to do.
 	if x.firstLSN == 0 {
 		x.firstLSN = lsn
 	}
 	x.lastLSN = lsn
+	if err := x.tc.send(x, dcIdx, op); err != nil {
+		return err
+	}
 	tk := tableKey{table, key}
 	if kind == base.OpDelete {
 		x.cache[tk] = cachedVal{found: false}
@@ -585,14 +574,14 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // before versions; non-blocking for readers, no two-phase commit), then
 // release locks (strict two-phase locking).
 //
-// With pipelining on, the commit-record force overlaps draining the
-// transaction's outstanding DC acks — the two waits proceed concurrently —
-// and locks are released only after both (plus the finalize barrier for
-// versioned writes) complete, so no other transaction can observe a
-// not-yet-applied write. A barrier failure (the TC was closed or crashed
-// underneath a committing transaction) is reported, but the commit record
-// is already durable: restart treats the transaction as a winner and
-// re-delivers its logged operations.
+// The commit-record force overlaps draining the transaction's outstanding
+// DC acks — the two waits proceed concurrently — and locks are released
+// only after both (plus the finalize barrier for versioned writes)
+// complete, so no other transaction can observe a not-yet-applied write. A
+// barrier failure (the TC was closed or crashed underneath a committing
+// transaction) is reported, but the commit record is already durable:
+// restart treats the transaction as a winner and re-delivers its logged
+// operations.
 //
 // Cancellation abandons the waits, never the protocol: Commit returns
 // promptly with an error wrapping ErrCommitAmbiguous and base.ErrCancelled
@@ -631,11 +620,11 @@ func (x *Txn) Commit() error {
 		Payload: encodeCommit(vkeys, x.commitTS)}
 	cLSN := t.log.AppendAssign(rec)
 	t.acks.Complete(cLSN) // local record: no DC round trip
-	// The force runs in a goroutine when it must overlap the ack barrier
-	// (pipelined) or be abandonable (cancellable ctx); forced is nil when
-	// it already completed inline.
+	// The force runs in a goroutine when there are acks to overlap it with
+	// or it must be abandonable (cancellable ctx); forced is nil when it
+	// already completed inline.
 	var forced chan struct{}
-	if t.pipelined() || x.ctx.Done() != nil {
+	if !x.pend.empty() || x.ctx.Done() != nil {
 		forced = make(chan struct{})
 		go func() {
 			t.log.ForceTo(cLSN)
@@ -644,10 +633,7 @@ func (x *Txn) Commit() error {
 	} else {
 		t.log.ForceTo(cLSN)
 	}
-	var barrierErr error
-	if t.pipelined() {
-		barrierErr = x.pend.wait(x.ctx)
-	}
+	barrierErr := x.pend.wait(x.ctx)
 	if forced != nil && barrierErr == nil {
 		select {
 		case <-forced:
@@ -658,56 +644,52 @@ func (x *Txn) Commit() error {
 	// Push the new stable boundary to the DCs promptly: cached pages with
 	// this transaction's operations become flushable (causality).
 	t.broadcastWatermarks()
-	// detach hands the rest of the commit protocol to a background
-	// finisher so a cancelled caller returns promptly: drain outstanding
-	// acks, send any finalize operations not yet issued (their delivery
-	// can block arbitrarily on a down DC — the commit record already
-	// carries the versioned write set, so restart re-finalizes winners
-	// regardless), wait out the force, then release the locks.
-	detach := func(finalize bool) error {
-		go func() {
-			_ = x.pend.wait(context.Background())
-			if finalize {
-				for _, tk := range vkeys {
-					x.finalizeOp(base.OpCommitVersions, tk)
-				}
-				_ = x.pend.wait(context.Background())
-			}
-			<-forced
-			x.finish()
-		}()
-		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, barrierErr)
-	}
 	x.state = txnCommitted
 	t.commits.Add(1)
-	if errors.Is(barrierErr, base.ErrCancelled) {
-		return detach(true)
-	}
 	// §6.2.2: "When an updating TC commits the transaction, it sends
 	// updates to the DC to eliminate the before versions." These are
 	// logged so restart re-delivers them for winners. Pipelined, they ride
 	// the same per-DC queues (ordered after the writes they finalize) and
-	// are drained before lock release.
-	for _, tk := range vkeys {
-		x.finalizeOp(base.OpCommitVersions, tk)
-	}
-	if t.pipelined() && barrierErr == nil {
-		barrierErr = x.pend.wait(x.ctx)
-		if errors.Is(barrierErr, base.ErrCancelled) {
-			return detach(false)
+	// are drained before lock release. A cancelled caller leaves them to
+	// the finisher: their delivery can block arbitrarily on a down DC.
+	finalized := !errors.Is(barrierErr, base.ErrCancelled)
+	if finalized {
+		for _, tk := range vkeys {
+			x.finalizeOp(base.OpCommitVersions, tk)
+		}
+		if barrierErr == nil {
+			barrierErr = x.pend.wait(x.ctx)
 		}
 	}
-	if barrierErr != nil {
+	if errors.Is(barrierErr, base.ErrCancelled) {
+		// The caller returns promptly; a detached finisher sees the rest of
+		// the protocol through — finalize operations not yet issued (the
+		// commit record already carries the versioned write set, so restart
+		// re-finalizes winners regardless), every outstanding ack, the
+		// force — and only then releases the locks. forced is non-nil: only
+		// a cancellable context gets here.
+		go func() {
+			if !finalized {
+				for _, tk := range vkeys {
+					x.finalizeOp(base.OpCommitVersions, tk)
+				}
+			}
+			_ = x.pend.wait(context.Background())
+			<-forced
+			x.finish()
+		}()
+	} else {
 		// Non-cancel failures only surface with the barrier fully drained
 		// (pend.wait returns sticky errors at zero outstanding), so locks
-		// can release now; still see the force through, as before.
+		// can release now; still see the force through.
 		if forced != nil {
 			<-forced
 		}
 		x.finish()
+	}
+	if barrierErr != nil {
 		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, barrierErr)
 	}
-	x.finish()
 	return nil
 }
 
@@ -756,14 +738,11 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 	op := &base.Op{TC: t.cfg.ID, Kind: kind, Table: tk.table, Key: tk.key, TS: x.commitTS}
 	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: 0,
 		Payload: encodeOpPayload(op, nil, false)}
-	op.Epoch = t.Epoch() // before the LSN assignment; see postOp
+	op.Epoch = t.Epoch() // before the LSN assignment; see deliver
 	op.LSN = t.log.AppendAssign(rec)
-	if t.pipelined() {
-		t.postOp(x, op, idx)
-	} else {
-		// Logged: delivery must complete regardless of cancellation.
-		t.performOn(x.sendCtx, t.dcs[idx], op)
-	}
+	// A failure is the barrier's to report (pipelined) or none at all: the
+	// record is logged, so restart re-delivers it for winners.
+	_ = t.send(x, idx, op)
 }
 
 // Abort rolls the transaction back: walk the undo chain in reverse
@@ -817,9 +796,11 @@ func (t *TC) undoChain(txn base.TxnID, lastLSN base.LSN) {
 				}
 				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur,
 					NextUndo: rec.Prev, Payload: encodeOpPayload(inv, nil, false)}
-				inv.Epoch = t.Epoch() // before the LSN assignment; see postOp
+				inv.Epoch = t.Epoch() // before the LSN assignment; see deliver
 				inv.LSN = t.log.AppendAssign(clr)
-				t.performOn(context.Background(), t.dcs[idx], inv)
+				// The CLR is logged: if delivery is cut short (TC stopping),
+				// restart resends it.
+				_ = t.deliverOne(context.Background(), t.dcs[idx], inv, false)
 				t.undoOps.Add(1)
 			}
 			cur = rec.Prev
@@ -884,7 +865,7 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 		return nil, nil, err
 	}
 	if x.tc.cfg.Protocol == StaticRange {
-		for _, b := range x.tc.Partition(table).Overlapping(lo, hi) {
+		for _, b := range x.tc.partition.Overlapping(lo, hi) {
 			if err := x.lock(lockmgr.RangeRes(table, b), lockmgr.S); err != nil {
 				return nil, nil, err
 			}
@@ -907,8 +888,8 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byte, error) {
 	locked := make(map[string]bool)
 	probeLimit := int32(limit)
-	if limit <= 0 || limit > x.tc.cfg.ProbeWidth {
-		probeLimit = int32(x.tc.cfg.ProbeWidth)
+	if limit <= 0 || limit > probeWidth {
+		probeLimit = probeWidth
 	}
 	// Initial speculative probe. Range reads route by their low key: the
 	// range protocols scan within one table partition.

@@ -37,7 +37,7 @@ import (
 
 // maxFrameBytes bounds a single decoded frame (stream framing refuses
 // anything larger before allocating). Batches are capped well below this
-// by tc.Config.MaxBatch; the limit exists so a corrupt or hostile length
+// by the TC (its maxBatch constant, 64 operations); the limit exists so a corrupt or hostile length
 // prefix cannot drive allocation.
 const maxFrameBytes = 1 << 26 // 64 MiB
 

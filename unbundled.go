@@ -114,11 +114,16 @@
 // CrashAll inject the paper's §5.3 partial failures, and RecoverTC /
 // RecoverDC / RecoverAll run the corresponding restart protocols.
 //
-// # Pipelined operation shipping
+// # Operation shipping
 //
 // The cost of unbundling is that every logical operation crosses a TC:DC
-// message boundary (§4.2). With TCConfig.Pipeline, logged writes no longer
-// wait for that round trip: their outcome is already decided when they are
+// message boundary (§4.2). Every logged operation — forward write,
+// finalize, inverse, restart redo — crosses it under one delivery routine
+// with one contract: resend until acknowledged, riding out a DC that is
+// down, recovering or draining. By default the transaction's own goroutine
+// runs it and continues when the DC has replied, which is the fastest
+// arrangement when the DC is a direct call away. With TCConfig.Pipeline,
+// logged writes no longer wait for that round trip: their outcome is already decided when they are
 // sent — the X lock freezes the key and the pre-check (or, for versioned
 // upserts, the operation's own semantics) guarantees success at the DC —
 // and the operation is in the TC-log, so the resend/redo contract delivers
@@ -273,7 +278,10 @@ type (
 	// (table/key to DC) and §6.1 update ownership (table/key to owning
 	// TC), round-trippable through ParsePlacement and String.
 	Placement = placement.Placement
-	// TCConfig customizes one transactional component.
+	// TCConfig customizes one transactional component: ID, LockTimeout,
+	// Protocol (range locking), ForceDelay, Pipeline, Clock,
+	// SnapshotRetention and Dir. Batch size, watermark period, fetch-ahead
+	// width and static-range bucket count are constants of the TC.
 	TCConfig = tc.Config
 	// DCConfig customizes one data component.
 	DCConfig = dc.Config
