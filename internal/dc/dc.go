@@ -134,9 +134,8 @@ func (s *tcState) fenced(e base.Epoch) bool { return uint64(e) < s.epoch.Load() 
 
 // DC is one data component. It implements base.Service.
 type DC struct {
-	cfg    Config
-	store  *storage.PageStore
-	dmedia *storage.LogStore
+	cfg   Config
+	store *storage.PageStore
 
 	mu        sync.Mutex // guards state, trees, tcs, pageTable, epochRec
 	state     dcState
@@ -183,17 +182,17 @@ func New(cfg Config) (*DC, error) {
 	d := &DC{
 		cfg:       cfg,
 		store:     storage.NewPageStore(),
-		dmedia:    storage.NewLogStore(),
 		trees:     make(map[string]*btree.Tree),
 		pageTable: make(map[base.PageID]string),
 		tcs:       make(map[base.TCID]*tcState),
 	}
+	dmedia := storage.NewLogStore()
 	if cfg.Dir != "" {
 		var err error
 		if d.store, err = storage.OpenPageStoreDir(filepath.Join(cfg.Dir, "pages")); err != nil {
 			return nil, fmt.Errorf("dc %s: open page dir: %w", cfg.Name, err)
 		}
-		if d.dmedia, err = storage.OpenLogStoreFile(filepath.Join(cfg.Dir, "dclog")); err != nil {
+		if dmedia, err = storage.OpenLogStoreFile(filepath.Join(cfg.Dir, "dclog")); err != nil {
 			return nil, fmt.Errorf("dc %s: open dc-log: %w", cfg.Name, err)
 		}
 	}
@@ -201,7 +200,7 @@ func New(cfg Config) (*DC, error) {
 		d.inflight = newConflictTable()
 	}
 	var err error
-	d.dlog, err = wal.New(d.dmedia)
+	d.dlog, err = wal.New(dmedia)
 	if err != nil {
 		return nil, err
 	}

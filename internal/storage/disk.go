@@ -2,7 +2,9 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -79,17 +81,19 @@ func (s *PageStore) pagePath(id base.PageID) string {
 	return filepath.Join(s.dir, fmt.Sprintf("p%d", uint32(id)))
 }
 
-// atomicWriteFile writes data to path via a tmp file and rename, so a kill
-// mid-write never leaves a torn page.
-func atomicWriteFile(path string, data []byte, sync bool) error {
+// atomicWriteFile writes parts, in order, to path via a tmp file and rename,
+// so a kill mid-write never leaves a torn page or log image.
+func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, part := range parts {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if sync {
 		if err := f.Sync(); err != nil {
@@ -130,7 +134,7 @@ func (s *PageStore) persistWrite(id base.PageID, data []byte) {
 	if s.dir == "" {
 		return
 	}
-	if err := atomicWriteFile(s.pagePath(id), data, false); err != nil {
+	if err := atomicWriteFile(s.pagePath(id), false, data); err != nil {
 		panic(fmt.Sprintf("storage: page %d write to %s: %v", id, s.dir, err))
 	}
 }
@@ -148,20 +152,21 @@ func (s *PageStore) persistAlloc(next uint32) {
 	if s.dir == "" {
 		return
 	}
-	if err := atomicWriteFile(filepath.Join(s.dir, "alloc"), []byte(strconv.FormatUint(uint64(next), 10)), false); err != nil {
+	if err := atomicWriteFile(filepath.Join(s.dir, "alloc"), false, []byte(strconv.FormatUint(uint64(next), 10))); err != nil {
 		panic(fmt.Sprintf("storage: allocator persist in %s: %v", s.dir, err))
 	}
 }
 
-// Log file format: a 16-byte big-endian header — the start index (logical
-// index of the first retained record, advanced by Truncate) and the owner
-// bound (see SetBound) — then length-prefixed records. Force appends the
-// volatile tail and fsyncs; Truncate rewrites the file atomically
-// (checkpoints are rare; simplicity wins).
+// Log file format: an 8-byte big-endian floor — the stable LSN when the
+// image was written, which is all a log truncated empty has left to say —
+// then the framed records exactly as LogStore's chunks hold them. Force
+// appends the newly stable frames and fsyncs; Truncate rewrites the file
+// atomically (checkpoints are rare; simplicity wins).
+const logHeaderBytes = 8
 
 // OpenLogStoreFile returns a LogStore backed by path, loading the records
 // a previous incarnation forced there. Everything in the file is stable
-// by construction — unforced tails never reach it.
+// by construction — unforced records never reach it.
 func OpenLogStoreFile(path string) (*LogStore, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
@@ -170,31 +175,65 @@ func OpenLogStoreFile(path string) (*LogStore, error) {
 	l := NewLogStore()
 	l.path = path
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := atomicWriteFile(path, encodeLogImage(0, 0, nil), true); err != nil {
-			return nil, err
-		}
-		return l, l.reopenFile()
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	start, bound, recs, err := decodeLogImage(data)
+	created := err != nil
+	if created {
+		data = make([]byte, logHeaderBytes)
+	}
+	clean, err := l.load(data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: log %s: %w", path, err)
 	}
-	l.start = start
-	l.bound = bound
-	l.stable = recs
 	// A kill mid-append can leave torn bytes after the last whole record.
 	// Rewrite the clean image before appending again, or the garbage would
 	// sit between old and new records and corrupt the next reopen.
-	if clean := encodeLogImage(start, bound, recs); len(clean) != len(data) {
-		if err := atomicWriteFile(path, clean, true); err != nil {
+	if created || clean < len(data) {
+		if err := atomicWriteFile(path, true, data[:clean]); err != nil {
 			return nil, err
 		}
 	}
 	return l, l.reopenFile()
+}
+
+// load makes the file image data the store's one chunk, indexes its whole
+// records and returns the length of the image up to the last of them: a
+// torn final record (everything before it was covered by an earlier fsync)
+// is cut.
+func (l *LogStore) load(data []byte) (clean int, err error) {
+	if len(data) < logHeaderBytes {
+		return 0, errors.New("truncated header")
+	}
+	if uint64(len(data)) > math.MaxUint32 {
+		return 0, errors.New("image exceeds 4 GiB")
+	}
+	floor := binary.BigEndian.Uint64(data)
+	body := data[logHeaderBytes:]
+	off, prev := 0, uint64(0)
+	for off < len(body) {
+		lsn, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			break
+		}
+		size, m := binary.Uvarint(body[off+n:])
+		if m <= 0 || size > uint64(len(body)-off-n-m) {
+			break
+		}
+		if lsn <= prev {
+			return 0, fmt.Errorf("record LSN %d follows %d", lsn, prev)
+		}
+		l.recs = append(l.recs, recRef{lsn: lsn, off: uint32(off)})
+		off, prev = off+n+m+int(size), lsn
+	}
+	if len(l.recs) > 0 && prev < floor {
+		// Truncation releases a prefix, so an image with records was
+		// written with the last of them (or an earlier one) as its floor.
+		return 0, fmt.Errorf("floor %d above last record %d", floor, prev)
+	}
+	l.chunks = [][]byte{body[:off]}
+	l.stable, l.stableLSN = len(l.recs), max(floor, prev)
+	return logHeaderBytes + off, nil
 }
 
 func (l *LogStore) reopenFile() error {
@@ -206,76 +245,30 @@ func (l *LogStore) reopenFile() error {
 	return nil
 }
 
-func encodeLogImage(start, bound uint64, recs [][]byte) []byte {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[:8], start)
-	binary.BigEndian.PutUint64(hdr[8:], bound)
-	out := append([]byte(nil), hdr[:]...)
-	for _, r := range recs {
-		out = binary.AppendUvarint(out, uint64(len(r)))
-		out = append(out, r...)
-	}
-	return out
-}
-
-func decodeLogImage(data []byte) (start, bound uint64, recs [][]byte, err error) {
-	if len(data) < 16 {
-		return 0, 0, nil, fmt.Errorf("truncated header")
-	}
-	start = binary.BigEndian.Uint64(data[:8])
-	bound = binary.BigEndian.Uint64(data[8:16])
-	data = data[16:]
-	for len(data) > 0 {
-		n, w := binary.Uvarint(data)
-		if w <= 0 || n > uint64(len(data)-w) {
-			// A kill mid-append can leave a torn final record; everything
-			// before it was covered by an earlier fsync and is kept.
-			break
-		}
-		data = data[w:]
-		rec := make([]byte, n)
-		copy(rec, data[:n])
-		recs = append(recs, rec)
-		data = data[n:]
-	}
-	return start, bound, recs, nil
-}
-
-// imageLocked snapshots the clean file image; callers hold mu.
-func (l *LogStore) imageLocked() []byte {
-	if l.file == nil {
-		return nil
-	}
-	return encodeLogImage(l.start, l.bound, l.stable)
-}
-
-// persistForce appends the tail records that are becoming stable and
-// fsyncs. Called by Force holding fmu (not mu): fmu owns the file handle
-// and serializes all file I/O.
-func (l *LogStore) persistForce(tail [][]byte) {
-	if l.file == nil {
+// persistForce appends the frames that are becoming stable and fsyncs.
+// Called by Force holding fmu (not mu).
+func (l *LogStore) persistForce(pending [][]byte) {
+	if len(pending) == 0 {
 		return
 	}
-	var buf []byte
-	for _, r := range tail {
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		buf = append(buf, r...)
-	}
-	if _, err := l.file.Write(buf); err != nil {
-		panic(fmt.Sprintf("storage: log append %s: %v", l.path, err))
+	for _, span := range pending {
+		if _, err := l.file.Write(span); err != nil {
+			panic(fmt.Sprintf("storage: log append %s: %v", l.path, err))
+		}
 	}
 	if err := l.file.Sync(); err != nil {
 		panic(fmt.Sprintf("storage: log fsync %s: %v", l.path, err))
 	}
 }
 
-// persistTruncate rewrites the backing file to the given clean image.
-// Called by Truncate holding fmu (not mu), after l.stable/l.start moved.
-func (l *LogStore) persistTruncate(img []byte) {
+// persistTruncate rewrites the backing file as floor plus the retained
+// frames. Called by Truncate holding fmu (not mu), after the image moved.
+func (l *LogStore) persistTruncate(floor uint64, retained [][]byte) {
 	if l.file == nil {
 		return
 	}
-	if err := atomicWriteFile(l.path, img, true); err != nil {
+	hdr := binary.BigEndian.AppendUint64(nil, floor)
+	if err := atomicWriteFile(l.path, true, append([][]byte{hdr}, retained...)...); err != nil {
 		panic(fmt.Sprintf("storage: log truncate rewrite %s: %v", l.path, err))
 	}
 	l.file.Close()

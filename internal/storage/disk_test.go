@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -66,115 +69,81 @@ func TestPageStoreDirCleansTornTmp(t *testing.T) {
 	}
 }
 
-func TestLogStoreFileReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
+// logImage builds a log file the way the store does and returns its bytes.
+func logImage(t testing.TB, build func(l *LogStore)) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "log")
 	l, err := OpenLogStoreFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("r0"))
-	l.Append([]byte("r1"))
-	l.Force()
-	l.Append([]byte("r2-unforced")) // volatile tail: must not survive
-
-	r, err := OpenLogStoreFile(path)
+	build(l)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := r.Scan(0)
-	if len(recs) != 2 || string(recs[0]) != "r0" || string(recs[1]) != "r1" {
-		t.Fatalf("reopened records: %q", recs)
-	}
-	if r.End() != 2 {
-		t.Fatalf("reopened end = %d", r.End())
-	}
-
-	// Appends continue at the right logical index and survive another cycle.
-	if idx := r.Append([]byte("r2")); idx != 2 {
-		t.Fatalf("append after reopen at index %d", idx)
-	}
-	r.Force()
-	r.Truncate(2)
-
-	r2, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Start() != 2 {
-		t.Fatalf("start after truncate+reopen = %d", r2.Start())
-	}
-	recs = r2.Scan(0)
-	if len(recs) != 1 || string(recs[0]) != "r2" {
-		t.Fatalf("records after truncate+reopen: %q", recs)
-	}
+	return data
 }
 
-func TestLogStoreFileBoundSurvivesFullTruncation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
+// FuzzLogImage feeds arbitrary bytes to OpenLogStoreFile as the log file:
+// it never panics, and whatever it accepts it accepts again, identically,
+// from the clean image it left — also after the next append and force, so no
+// torn byte survives between old records and new.
+func FuzzLogImage(f *testing.F) {
+	whole := logImage(f, func(l *LogStore) {
+		l.Append(3, []byte("three"))
+		l.Append(4, nil)
+		l.Append(9, bytes.Repeat([]byte("n"), 300))
+		l.Force()
+	})
+	for i := 0; i <= len(whole); i++ {
+		f.Add(whole[:i]) // every torn tail
 	}
-	for i := 0; i < 5; i++ {
-		l.Append([]byte{byte(i)})
-	}
-	l.Force()
-	l.SetBound(5) // the owner's highest-truncated watermark
-	l.Truncate(5) // discard everything
-
-	r, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Scan(0)) != 0 {
-		t.Fatalf("records survived full truncation: %d", len(r.Scan(0)))
-	}
-	if r.Bound() != 5 {
-		t.Fatalf("bound after full truncation + reopen = %d, want 5", r.Bound())
-	}
-	if r.Start() != 5 {
-		t.Fatalf("start after full truncation + reopen = %d, want 5", r.Start())
-	}
-}
-
-func TestLogStoreFileTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append([]byte("whole"))
-	l.Force()
-	// A kill mid-append can leave a torn final record in the file; the
-	// reopen must keep everything before it.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{200}); err != nil { // claims a 200-byte record, provides none
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := r.Scan(0)
-	if len(recs) != 1 || string(recs[0]) != "whole" {
-		t.Fatalf("records after torn tail: %q", recs)
-	}
-
-	// The torn bytes must not linger between old and new records: append,
-	// force, and reopen once more.
-	r.Append([]byte("after-torn"))
-	r.Force()
-	r2, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = r2.Scan(0)
-	if len(recs) != 2 || string(recs[1]) != "after-torn" {
-		t.Fatalf("records after append-past-torn reopen: %q", recs)
-	}
+	f.Add(logImage(f, func(l *LogStore) { // truncated empty: only the floor is left
+		l.Append(7, []byte("seven"))
+		l.Force()
+		l.Truncate(8)
+	}))
+	f.Add(append(whole[:logHeaderBytes:logHeaderBytes], 5, 0, 4, 0)) // LSNs out of order
+	f.Fuzz(func(t *testing.T, image []byte) {
+		path := filepath.Join(t.TempDir(), "log")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (*LogStore, error) {
+			l, err := OpenLogStoreFile(path)
+			if err == nil {
+				t.Cleanup(func() { l.file.Close() }) // a fuzz worker outruns the finalizers
+			}
+			return l, err
+		}
+		first, err := open()
+		if err != nil {
+			return
+		}
+		want := first.Scan(0)
+		reopen := func() *LogStore {
+			l, err := open()
+			if err != nil {
+				t.Fatalf("reopen of an accepted image: %v", err)
+			}
+			s0, e0, l0 := first.Bounds()
+			if s1, e1, l1 := l.Bounds(); s1 != s0 || e1 != e0 || l1 != l0 {
+				t.Fatalf("bounds %d %d %d reopened as %d %d %d", s0, e0, l0, s1, e1, l1)
+			}
+			if got := l.Scan(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("records %q reopened as %q", want, got)
+			}
+			return l
+		}
+		second := reopen()
+		_, _, last := second.Bounds()
+		if last == math.MaxUint64 {
+			return // no LSN left to append under
+		}
+		second.Append(last+1, []byte("next"))
+		second.Force()
+		first, want = second, second.Scan(0)
+		reopen()
+	})
 }

@@ -1,15 +1,19 @@
-// Package storage simulates the stable media under a data component: an
-// atomic page store and an append-only log store. "Stable" contents
-// survive component crashes; everything above storage (buffer pool, log
-// buffers) is volatile and lost on Crash. This is the substitution for
-// real disks: it preserves the stable/volatile divide that drives the
-// paper's §5.3 partial-failure protocols, and it counts I/O so experiments
-// can report read/write/force traffic.
+// Package storage simulates the stable media under every component: an
+// atomic page store (the DC's and the monolith's pages) and a log store
+// (the TC-log, the DC-log and the monolith's log each sit on one). "Stable"
+// contents survive component crashes; the buffer pool above the page store
+// and the unforced end of a log are volatile and lost on Crash. This is the
+// substitution for real disks: it preserves the stable/volatile divide that
+// drives the paper's §5.3 partial-failure protocols, and it counts I/O so
+// experiments can report read/write/force traffic.
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,191 +163,242 @@ func (s *PageStore) Stats() Stats {
 	}
 }
 
-// LogStore is the stable half of a write-ahead log: an append-only sequence
-// of opaque records with a force boundary. Appends land in a volatile tail;
-// Force makes the tail stable; Crash discards whatever was not forced.
+// LogStore is the medium of one write-ahead log and the only in-memory
+// image of it. Records are opaque bytes keyed by the LSN their owner (package
+// wal) assigned, strictly increasing in append order. Appends are volatile;
+// Force makes every appended record stable; Crash discards whatever was not
+// forced; Truncate releases a stable prefix. The stable LSN never regresses,
+// not even when truncation empties the log, so the owner can always resume
+// LSN allocation above everything stable state elsewhere may reference.
+//
+// The image is a list of chunks holding framed records back to back
+// (uvarint LSN, uvarint length, record) — byte for byte what the backing
+// file holds after its header — plus one pointer-free reference per record.
+// Chunk bytes are write-once: nothing below a chunk's length is ever
+// overwritten, so the slices Scan and Get return, and the spans Force and
+// Truncate hand to the file, stay valid without a copy or a lock.
+//
+// Lock order is fmu, then mu. mu guards the image and is held only for
+// memory operations; it is the only lock Append takes. fmu serializes Force,
+// Truncate and Crash against each other and owns the file: the append+fsync
+// of a force and the rewrite of a truncation run under fmu with mu released.
 type LogStore struct {
-	mu         sync.Mutex
-	stable     [][]byte // records [0, forced)
-	tail       [][]byte // records [forced, end)
-	start      uint64   // logical index of stable[0] after truncation
-	bound      uint64   // owner-supplied watermark surviving full truncation
-	forces     atomic.Uint64
-	noopForces atomic.Uint64
-	appends    atomic.Uint64
-	bytes      atomic.Uint64
-	// path/file, when set, back the stable half with an append-mostly
-	// fsynced file so forced records survive process death (see disk.go).
-	// fmu serializes the file I/O itself, which runs *outside* mu so the
-	// documented group-commit concurrency (appends proceed while a force
-	// is in flight) holds for disk-backed logs too.
+	mu        sync.Mutex
+	chunks    [][]byte
+	first     uint32   // chunk number of chunks[0]; recRef.chunk counts from it
+	recs      []recRef // retained records in LSN order
+	stable    int      // recs[:stable] are forced; recs[stable:] die in Crash
+	stableLSN uint64   // LSN of the last record ever forced
+
+	forces, noopForces, bytes atomic.Uint64
+
+	// path and file, when set, back the stable records with an fsynced
+	// file so they survive process death (see disk.go).
 	path string
 	file *os.File
 	fmu  sync.Mutex
 
-	// ForceDelay simulates the latency of a stable force (fsync). While a
-	// force sleeps the store mutex is NOT held, so concurrent appends
-	// proceed — this is what makes group forcing observable in benches.
+	// ForceDelay simulates the latency of a stable force (fsync). No lock
+	// is held while a force sleeps, so concurrent appends proceed — this
+	// is what makes group forcing observable in benches.
 	ForceDelay time.Duration
 }
+
+// recRef locates one framed record in the image.
+type recRef struct {
+	lsn        uint64
+	chunk, off uint32
+}
+
+// chunkBytes is the capacity of a chunk; a larger record gets a chunk of
+// its own.
+const chunkBytes = 64 << 10
 
 // NewLogStore returns an empty log store.
 func NewLogStore() *LogStore { return &LogStore{} }
 
-// Append adds a record to the volatile tail and returns its logical index.
-func (l *LogStore) Append(rec []byte) uint64 {
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
+// Append adds a record to the volatile end of the log. The bytes are copied
+// into the image; lsn must exceed every LSN the store holds or has forced.
+func (l *LogStore) Append(lsn uint64, rec []byte) {
 	l.mu.Lock()
-	idx := l.start + uint64(len(l.stable)+len(l.tail))
-	l.tail = append(l.tail, cp)
+	if last := l.lastLocked(); lsn <= last {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("storage: log append of LSN %d at or below %d", lsn, last))
+	}
+	need := 2*binary.MaxVarintLen64 + len(rec)
+	n := len(l.chunks)
+	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
+		l.chunks = append(l.chunks, make([]byte, 0, max(chunkBytes, need)))
+		n++
+	}
+	c := l.chunks[n-1]
+	l.recs = append(l.recs, recRef{lsn: lsn, chunk: l.first + uint32(n-1), off: uint32(len(c))})
+	c = binary.AppendUvarint(c, lsn)
+	c = binary.AppendUvarint(c, uint64(len(rec)))
+	l.chunks[n-1] = append(c, rec...)
 	l.mu.Unlock()
-	l.appends.Add(1)
 	l.bytes.Add(uint64(len(rec)))
-	return idx
 }
 
-// Force makes every appended record stable and returns the first
-// un-appended index (i.e. records < that index are stable). On a
-// disk-backed store the file append+fsync runs under fmu but outside mu,
-// so concurrent Appends proceed during the (slow) media write; records
-// appended mid-force stay volatile until the next force.
+// lastLocked returns the highest LSN appended or forced.
+func (l *LogStore) lastLocked() uint64 {
+	if n := len(l.recs); n > 0 {
+		return l.recs[n-1].lsn
+	}
+	return l.stableLSN
+}
+
+// recLocked returns the bytes of one record, aliasing the image.
+func (l *LogStore) recLocked(r recRef) []byte {
+	b := l.chunks[r.chunk-l.first][r.off:]
+	_, n := binary.Uvarint(b)
+	size, m := binary.Uvarint(b[n:])
+	b = b[n+m:]
+	return b[:size:size]
+}
+
+// spansLocked returns the framed bytes of recs[i:j] as slices of the chunks
+// they sit in.
+func (l *LogStore) spansLocked(i, j int) [][]byte {
+	if i >= j {
+		return nil
+	}
+	lo, hi := int(l.recs[i].chunk-l.first), int(l.recs[j-1].chunk-l.first)
+	spans := slices.Clone(l.chunks[lo : hi+1])
+	if j < len(l.recs) && l.recs[j].chunk == l.recs[j-1].chunk {
+		spans[hi-lo] = spans[hi-lo][:l.recs[j].off]
+	}
+	spans[0] = spans[0][l.recs[i].off:]
+	return spans
+}
+
+// Force makes every appended record stable and returns the stable LSN.
+// Records appended while the media write is in flight stay volatile until
+// the next force.
 //
-// A force that finds the tail empty is a no-op: the stable end already
-// covers every appended record, so neither ForceDelay nor the media fsync
-// is paid. Group commit makes these common — one committer's force covers
-// its neighbours', whose own Force calls then land on an empty tail — and
-// NoopForces counts them to prove the coalescing.
+// A force that finds nothing volatile is a no-op: neither ForceDelay nor the
+// media fsync is paid. Group commit makes these common — one committer's
+// force covers its neighbours' — and NoopForces counts them to prove the
+// coalescing.
 func (l *LogStore) Force() uint64 {
 	l.mu.Lock()
-	if len(l.tail) == 0 {
-		end := l.start + uint64(len(l.stable))
+	if l.stable == len(l.recs) {
+		stable := l.stableLSN
 		l.mu.Unlock()
 		l.noopForces.Add(1)
-		return end
+		return stable
 	}
 	l.mu.Unlock()
 	if l.ForceDelay > 0 {
 		time.Sleep(l.ForceDelay)
 	}
 	l.fmu.Lock()
+	defer l.fmu.Unlock()
 	l.mu.Lock()
-	n := len(l.tail)
-	pending := l.tail[:n:n] // records are immutable once appended
-	l.mu.Unlock()
-	if n > 0 {
-		l.persistForce(pending) // file I/O outside mu, serialized by fmu
+	n := len(l.recs)
+	var pending [][]byte
+	if l.file != nil {
+		pending = l.spansLocked(l.stable, n)
 	}
+	l.mu.Unlock()
+	l.persistForce(pending)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	defer l.fmu.Unlock()
-	if n > 0 {
-		l.stable = append(l.stable, l.tail[:n]...)
-		l.tail = append([][]byte(nil), l.tail[n:]...)
+	// fmu kept Truncate and Crash out, so recs[:n] is what was snapshotted.
+	if n > l.stable {
+		l.stable, l.stableLSN = n, l.recs[n-1].lsn
 	}
 	l.forces.Add(1)
-	return l.start + uint64(len(l.stable))
+	return l.stableLSN
 }
 
-// StableEnd returns the first non-stable index.
-func (l *LogStore) StableEnd() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.start + uint64(len(l.stable))
-}
-
-// End returns the first unused index (stable + volatile).
-func (l *LogStore) End() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.start + uint64(len(l.stable)+len(l.tail))
-}
-
-// Crash discards the volatile tail, leaving only forced records. A force
-// in flight completes first (its records were handed to the media; they
-// are stable).
+// Crash discards the volatile records. A force in flight completes first
+// (its records were handed to the media; they are stable).
 func (l *LogStore) Crash() {
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	l.mu.Lock()
-	l.tail = nil
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.stable == len(l.recs) {
+		return
+	}
+	// Seal the chunk holding the first lost record at its stable length so
+	// later appends start a new chunk instead of overwriting bytes a
+	// reader may still alias.
+	cut := l.recs[l.stable]
+	k := int(cut.chunk - l.first)
+	l.chunks[k] = l.chunks[k][:cut.off:cut.off]
+	clear(l.chunks[k+1:])
+	l.chunks = l.chunks[:k+1]
+	l.recs = l.recs[:l.stable]
 }
 
-// Scan returns copies of stable records with logical index in [from, end).
-// Volatile tail records are not visible to Scan: recovery reads only the
-// stable log.
+// Bounds returns the LSN of the first retained record (0 if none), the
+// stable LSN (every record at or below it survives a crash) and the highest
+// LSN appended; the last two never fall below a truncated LSN.
+func (l *LogStore) Bounds() (start, stable, last uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.recs) > 0 {
+		start = l.recs[0].lsn
+	}
+	return start, l.stableLSN, l.lastLocked()
+}
+
+// Scan returns the stable records with LSN >= from, in LSN order. Volatile
+// records are not visible: recovery reads only the stable log. The slices
+// alias the image and must not be written.
 func (l *LogStore) Scan(from uint64) [][]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < l.start {
-		from = l.start
-	}
-	lo := from - l.start
-	if lo >= uint64(len(l.stable)) {
-		return nil
-	}
-	out := make([][]byte, 0, uint64(len(l.stable))-lo)
-	for _, r := range l.stable[lo:] {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		out = append(out, cp)
+	i := sort.Search(l.stable, func(i int) bool { return l.recs[i].lsn >= from })
+	out := make([][]byte, 0, l.stable-i)
+	for _, r := range l.recs[i:l.stable] {
+		out = append(out, l.recLocked(r))
 	}
 	return out
 }
 
-// Truncate durably discards stable records with index < before. Volatile
-// records are unaffected. Truncating beyond the stable end panics: the
-// caller must only release what the checkpoint contract allows. The
-// backing-file rewrite runs outside mu (under fmu), so readers and
-// appenders are not blocked behind the media I/O.
+// Get returns the retained record with exactly the given LSN, stable or
+// volatile. The slice aliases the image and must not be written.
+func (l *LogStore) Get(lsn uint64) ([]byte, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := sort.Search(len(l.recs), func(i int) bool { return l.recs[i].lsn >= lsn })
+	if i == len(l.recs) || l.recs[i].lsn != lsn {
+		return nil, false
+	}
+	return l.recLocked(l.recs[i]), true
+}
+
+// Truncate durably discards the stable records with LSN < before; volatile
+// records are never discarded. Whole chunks are released and no retained
+// record is copied. The backing file is rewritten from the retained chunks
+// under fmu with mu released, so appends proceed during the rewrite.
 func (l *LogStore) Truncate(before uint64) {
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	l.mu.Lock()
-	if before <= l.start {
+	i := sort.Search(l.stable, func(i int) bool { return l.recs[i].lsn >= before })
+	if i == 0 {
 		l.mu.Unlock()
 		return
 	}
-	n := before - l.start
-	if n > uint64(len(l.stable)) {
-		end := l.start + uint64(len(l.stable))
-		l.mu.Unlock()
-		panic(fmt.Sprintf("storage: truncate(%d) beyond stable end %d", before, end))
+	drop := len(l.chunks)
+	if i < len(l.recs) {
+		drop = int(l.recs[i].chunk - l.first)
 	}
-	l.stable = append([][]byte(nil), l.stable[n:]...)
-	l.start = before
-	img := l.imageLocked()
-	l.mu.Unlock()
-	l.persistTruncate(img)
-}
-
-// SetBound durably records an owner-supplied watermark (the wal layer's
-// highest-truncated LSN) that must survive even when truncation empties
-// the log: a reopened store with zero records must still know how far the
-// LSN space was consumed, or a new incarnation would re-allocate LSNs the
-// stable pages already reference. Call before Truncate; the bound rides
-// the truncation rewrite into the file header.
-func (l *LogStore) SetBound(bound uint64) {
-	l.mu.Lock()
-	if bound > l.bound {
-		l.bound = bound
+	l.chunks = slices.Delete(l.chunks, 0, drop)
+	l.first += uint32(drop)
+	l.recs = slices.Delete(l.recs, 0, i)
+	l.stable -= i
+	var retained [][]byte
+	if l.file != nil {
+		retained = l.spansLocked(0, l.stable)
 	}
+	floor := l.stableLSN
 	l.mu.Unlock()
-}
-
-// Bound returns the highest bound ever set (0 if none).
-func (l *LogStore) Bound() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bound
-}
-
-// Start returns the logical index of the first retained record.
-func (l *LogStore) Start() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.start
+	l.persistTruncate(floor, retained)
 }
 
 // Forces returns the number of Force calls that hit the media (the fsync
@@ -355,5 +410,6 @@ func (l *LogStore) Forces() uint64 { return l.forces.Load() }
 // ForceDelay) that group commit made redundant.
 func (l *LogStore) NoopForces() uint64 { return l.noopForces.Load() }
 
-// AppendedBytes returns total bytes appended (log volume for benches).
+// AppendedBytes returns total record bytes appended (log volume for
+// benches); framing is not counted.
 func (l *LogStore) AppendedBytes() uint64 { return l.bytes.Load() }

@@ -85,59 +85,3 @@ func TestPageStoreConcurrent(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
-
-func TestLogStoreForceCrash(t *testing.T) {
-	l := NewLogStore()
-	l.Append([]byte("a"))
-	l.Append([]byte("b"))
-	if l.StableEnd() != 0 {
-		t.Fatal("nothing forced yet")
-	}
-	if end := l.Force(); end != 2 {
-		t.Fatalf("force end = %d", end)
-	}
-	l.Append([]byte("c"))
-	l.Crash()
-	if l.End() != 2 || l.StableEnd() != 2 {
-		t.Fatalf("after crash end=%d stable=%d", l.End(), l.StableEnd())
-	}
-	recs := l.Scan(0)
-	if len(recs) != 2 || string(recs[0]) != "a" || string(recs[1]) != "b" {
-		t.Fatalf("scan = %q", recs)
-	}
-}
-
-func TestLogStoreTruncateAndScan(t *testing.T) {
-	l := NewLogStore()
-	for _, s := range []string{"a", "b", "c", "d"} {
-		l.Append([]byte(s))
-	}
-	l.Force()
-	l.Truncate(2)
-	if l.Start() != 2 {
-		t.Fatalf("start = %d", l.Start())
-	}
-	recs := l.Scan(0) // clamped to start
-	if len(recs) != 2 || string(recs[0]) != "c" {
-		t.Fatalf("scan = %q", recs)
-	}
-	if got := l.Scan(99); got != nil {
-		t.Fatalf("scan past end = %q", got)
-	}
-	// appends continue with correct logical indexes
-	if idx := l.Append([]byte("e")); idx != 4 {
-		t.Fatalf("append idx = %d", idx)
-	}
-}
-
-func TestLogStoreScanCopies(t *testing.T) {
-	l := NewLogStore()
-	l.Append([]byte("abc"))
-	l.Force()
-	recs := l.Scan(0)
-	recs[0][0] = 'z'
-	recs2 := l.Scan(0)
-	if string(recs2[0]) != "abc" {
-		t.Fatal("scan aliased stable storage")
-	}
-}

@@ -193,7 +193,6 @@ func (h *dcHandle) setRecovering(v bool) {
 // TC is one transactional component instance.
 type TC struct {
 	cfg    Config
-	lmedia *storage.LogStore
 	log    *wal.Log
 	locks  *lockmgr.Manager
 	dcs    []*dcHandle
@@ -293,7 +292,6 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	}
 	t := &TC{
 		cfg:         cfg,
-		lmedia:      lmedia,
 		log:         log,
 		locks:       lockmgr.New(),
 		router:      router,

@@ -1,20 +1,24 @@
-// Package wal implements the log manager used by both the transactional
+// Package wal implements the log manager used by the transactional
 // component (the TC-log of §4.1.1, whose LSNs double as operation request
-// IDs) and the data component (the DC-log of §5.2.2, whose dLSNs make
-// system-transaction recovery idempotent).
+// IDs), the data component (the DC-log of §5.2.2, whose dLSNs make
+// system-transaction recovery idempotent) and the monolith baseline.
 //
-// The log owns LSN allocation: every allocation is monotonically
-// increasing, and an allocation may or may not carry a record. The TC uses
-// record-less allocations for reads, which need unique request IDs but no
-// redo information. After a crash the tail above the force boundary is
-// lost and the LSN space above the stable end is reused — the abstract-LSN
-// contract in package ablsn is designed for exactly this.
+// The manager owns LSN allocation, the record format and the group force;
+// the records themselves, the stable/volatile boundary (EOSL) and the
+// truncation floor live once, in the storage.LogStore underneath, keyed by
+// LSN. Every allocation is monotonically increasing, and an allocation may
+// or may not carry a record: the TC uses record-less allocations for reads,
+// which need unique request IDs but no redo information. After a crash the
+// records above the force boundary are lost and the LSN space above the
+// stable end is reused — the abstract-LSN contract in package ablsn is
+// designed for exactly this.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -43,96 +47,88 @@ func (r *Record) Append(buf []byte) []byte {
 	return append(buf, r.Payload...)
 }
 
-// DecodeRecord parses a record previously produced by (*Record).Append.
+// DecodeRecord parses exactly one record previously produced by
+// (*Record).Append: trailing bytes and non-minimal varints are corruption,
+// so whatever decodes re-encodes to the same bytes.
 func DecodeRecord(buf []byte) (*Record, error) {
-	var r Record
-	u, n := binary.Uvarint(buf)
-	if n <= 0 {
+	d := decoder{buf: buf}
+	r := &Record{LSN: base.LSN(d.uvarint())}
+	if len(d.buf) > 0 {
+		r.Kind, d.buf = d.buf[0], d.buf[1:]
+	} else {
+		d.bad = true
+	}
+	r.Txn = base.TxnID(d.uvarint())
+	r.Prev = base.LSN(d.uvarint())
+	r.NextUndo = base.LSN(d.uvarint())
+	if n := d.uvarint(); d.bad || n != uint64(len(d.buf)) {
 		return nil, errCorrupt
 	}
-	r.LSN, buf = base.LSN(u), buf[n:]
-	if len(buf) < 1 {
-		return nil, errCorrupt
+	if len(d.buf) > 0 {
+		r.Payload = bytes.Clone(d.buf)
 	}
-	r.Kind, buf = buf[0], buf[1:]
-	if u, n = binary.Uvarint(buf); n <= 0 {
-		return nil, errCorrupt
-	}
-	r.Txn, buf = base.TxnID(u), buf[n:]
-	if u, n = binary.Uvarint(buf); n <= 0 {
-		return nil, errCorrupt
-	}
-	r.Prev, buf = base.LSN(u), buf[n:]
-	if u, n = binary.Uvarint(buf); n <= 0 {
-		return nil, errCorrupt
-	}
-	r.NextUndo, buf = base.LSN(u), buf[n:]
-	if u, n = binary.Uvarint(buf); n <= 0 {
-		return nil, errCorrupt
-	}
-	buf = buf[n:]
-	if u > uint64(len(buf)) {
-		return nil, errCorrupt
-	}
-	if u > 0 {
-		r.Payload = make([]byte, u)
-		copy(r.Payload, buf[:u])
-	}
-	return &r, nil
+	return r, nil
 }
 
-var errCorrupt = fmt.Errorf("wal: corrupt record")
+// decoder consumes buf from the front; bad latches the first failure.
+type decoder struct {
+	buf []byte
+	bad bool
+}
 
-// Log is a write-ahead log over a stable LogStore. All methods are safe for
-// concurrent use.
+func (d *decoder) uvarint() uint64 {
+	u, n := binary.Uvarint(d.buf)
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) { // short, overlong or non-minimal
+		d.bad, d.buf = true, nil
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return u
+}
+
+var errCorrupt = errors.New("wal: corrupt record")
+
+// mustDecode decodes a record the store handed back. New validated what a
+// previous incarnation left and AppendAssign encoded the rest, so a failure
+// is a bug, not bad input.
+func mustDecode(raw []byte) *Record {
+	r, err := DecodeRecord(raw)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// Log is a write-ahead log over a LogStore. All methods are safe for
+// concurrent use. mu orders LSN allocation with the store append and elects
+// the group-force leader; it is never held across media I/O (the simulated
+// Crash aside), so neither a force's fsync nor a truncation's file rewrite
+// delays AppendAssign or AllocLSN.
 type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	media   *storage.LogStore
-	recs    []*Record // in-memory image of media records (stable + tail)
-	next    base.LSN  // next LSN to allocate
-	forced  base.LSN  // EOSL: all records with LSN <= forced are stable
-	last    base.LSN  // last appended record LSN
-	bound   base.LSN  // highest truncated-away LSN: stable forever
+	next    base.LSN // next LSN to allocate
+	enc     []byte   // AppendAssign's encode buffer
 	forcing bool
 }
 
-// New returns a log over media. If media already holds stable records (a
-// restart), the in-memory image is rebuilt from them, the force boundary is
-// the stable end, and LSN allocation resumes just above it — LSNs of lost
-// tail records are reused, as §5.3.2 requires the rest of the system to
-// tolerate.
+// New returns a log over media. If media already holds records (a restart)
+// they are checked to decode, and LSN allocation resumes just above the
+// highest LSN the media holds or ever truncated — LSNs of lost volatile
+// records are reused, as §5.3.2 requires the rest of the system to tolerate,
+// but a log truncated empty never re-issues LSNs that stable state elsewhere
+// (page dLSN stamps, abstract LSNs) still references.
 func New(media *storage.LogStore) (*Log, error) {
 	l := &Log{media: media}
 	l.cond = sync.NewCond(&l.mu)
-	for _, raw := range media.Scan(media.Start()) {
-		r, err := DecodeRecord(raw)
-		if err != nil {
+	for _, raw := range media.Scan(0) {
+		if _, err := DecodeRecord(raw); err != nil {
 			return nil, err
 		}
-		l.recs = append(l.recs, r)
 	}
-	if n := len(l.recs); n > 0 {
-		l.forced = l.recs[n-1].LSN
-		l.last = l.forced
-		l.next = l.forced + 1
-	} else {
-		l.next = 1
-	}
-	// Truncation may have discarded every record (after a quiescent
-	// checkpoint the log is legitimately empty), but the LSN space it
-	// consumed is still referenced by stable state elsewhere (page dLSN
-	// stamps, abstract LSNs). The media remembers the highest truncated
-	// LSN; allocation must resume above it or idempotence tests would
-	// mistake new records for already-applied old ones.
-	if b := base.LSN(media.Bound()); b > l.forced {
-		l.bound = b
-		l.forced = b
-		l.last = b
-		l.next = b + 1
-	} else {
-		l.bound = base.LSN(media.Bound())
-	}
+	_, _, last := media.Bounds()
+	l.next = base.LSN(last) + 1
 	return l, nil
 }
 
@@ -147,17 +143,17 @@ func (l *Log) AllocLSN() base.LSN {
 }
 
 // AppendAssign atomically assigns the next LSN to r and appends it. It
-// returns the assigned LSN. The record is volatile until forced.
+// returns the assigned LSN. The record is volatile until forced; the log
+// keeps its encoding, not r.
 func (l *Log) AppendAssign(r *Record) base.LSN {
 	l.mu.Lock()
 	r.LSN = l.next
 	l.next++
-	l.last = r.LSN
-	l.recs = append(l.recs, r)
 	// The media append happens under the same mutex so that the media
-	// order always equals the in-memory (LSN) order; OPSR for the TC-log
-	// depends on this.
-	l.media.Append(r.Append(nil))
+	// order always equals the LSN order; OPSR for the TC-log depends on
+	// this.
+	l.enc = r.Append(l.enc[:0])
+	l.media.Append(uint64(r.LSN), l.enc)
 	l.mu.Unlock()
 	return r.LSN
 }
@@ -167,54 +163,48 @@ func (l *Log) AppendAssign(r *Record) base.LSN {
 // others wait, so a single (simulated) fsync can commit many transactions.
 func (l *Log) ForceTo(lsn base.LSN) {
 	l.mu.Lock()
-	for l.forced < lsn {
+	defer l.mu.Unlock()
+	for l.EOSL() < lsn {
 		if l.forcing {
 			l.cond.Wait()
 			continue
 		}
 		l.forcing = true
 		l.mu.Unlock()
-		l.media.Force()
+		stable := base.LSN(l.media.Force())
 		l.mu.Lock()
-		// Everything appended before the force completed is stable.
-		end := l.media.StableEnd()
-		if n := end - l.media.Start(); n > 0 && int(n) <= len(l.recs) {
-			l.forced = l.recs[n-1].LSN
-		}
 		l.forcing = false
 		l.cond.Broadcast()
-		if l.forced < lsn && l.media.End() == l.media.StableEnd() {
-			// The log is fully stable yet the target is still ahead: the
-			// caller names an LSN that was never appended in this
-			// incarnation. With the truncation bound tracked this cannot
-			// happen; spinning would hang forever, so fail loudly.
-			panic(fmt.Sprintf("wal: ForceTo(%d) beyond fully-stable log end %d", lsn, l.forced))
+		if stable < lsn && l.LastLSN() < lsn {
+			// Everything appended is stable yet the target is still ahead:
+			// the caller names an LSN that was never appended in this
+			// incarnation. Spinning would hang forever, so fail loudly.
+			panic(fmt.Sprintf("wal: ForceTo(%d) beyond fully-stable log end %d", lsn, stable))
 		}
 	}
-	l.mu.Unlock()
 }
 
 // Force makes every appended record stable.
-func (l *Log) Force() {
-	l.mu.Lock()
-	target := l.last
-	l.mu.Unlock()
-	l.ForceTo(target)
-}
+func (l *Log) Force() { l.ForceTo(l.LastLSN()) }
 
 // EOSL returns the end of the stable log: every record with LSN <= EOSL
 // survives a crash (§4.2.1 end_of_stable_log).
 func (l *Log) EOSL() base.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.forced
+	_, stable, _ := l.media.Bounds()
+	return base.LSN(stable)
 }
 
-// LastLSN returns the LSN of the most recently appended record.
+// LastLSN returns the LSN of the most recently appended record (after a
+// crash or a truncation that emptied the log, the stable LSN).
 func (l *Log) LastLSN() base.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.last
+	_, _, last := l.media.Bounds()
+	return base.LSN(last)
+}
+
+// StartLSN returns the LSN of the first retained record, or 0 if empty.
+func (l *Log) StartLSN() base.LSN {
+	start, _, _ := l.media.Bounds()
+	return base.LSN(start)
 }
 
 // NextLSN returns the next LSN that would be allocated (diagnostics).
@@ -224,84 +214,42 @@ func (l *Log) NextLSN() base.LSN {
 	return l.next
 }
 
-// Crash simulates losing the volatile tail. The in-memory image reverts to
-// the stable prefix and LSN allocation restarts just above it.
+// Crash simulates losing the volatile records; LSN allocation restarts just
+// above the stable end.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.media.Crash()
-	n := l.media.StableEnd() - l.media.Start()
-	l.recs = l.recs[:n]
-	if n > 0 {
-		l.forced = l.recs[n-1].LSN
-	} else {
-		l.forced = 0
-	}
-	// Truncated records were stable by contract; the force watermark (and
-	// hence LSN allocation) never regresses below them.
-	if l.bound > l.forced {
-		l.forced = l.bound
-	}
-	l.last = l.forced
-	l.next = l.forced + 1
+	l.next = l.LastLSN() + 1
 }
 
-// Scan returns the stable records with LSN >= from, in LSN order. Volatile
-// tail records are not returned: recovery must only see the stable log.
+// Scan returns the stable records with LSN >= from, in LSN order, decoded
+// afresh. Volatile records are not returned: recovery must only see the
+// stable log.
 func (l *Log) Scan(from base.LSN) []*Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := int(l.media.StableEnd() - l.media.Start())
-	stable := l.recs[:n]
-	i := sort.Search(len(stable), func(i int) bool { return stable[i].LSN >= from })
-	out := make([]*Record, len(stable)-i)
-	copy(out, stable[i:])
+	raws := l.media.Scan(uint64(from))
+	out := make([]*Record, len(raws))
+	for i, raw := range raws {
+		out[i] = mustDecode(raw)
+	}
 	return out
 }
 
-// Get returns the record with exactly the given LSN (stable or volatile),
-// or nil. Used for undo chain walks during normal rollback.
+// Get returns a decoded copy of the record with exactly the given LSN
+// (stable or volatile), or nil. Used for undo chain walks during normal
+// rollback.
 func (l *Log) Get(lsn base.LSN) *Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := sort.Search(len(l.recs), func(i int) bool { return l.recs[i].LSN >= lsn })
-	if i < len(l.recs) && l.recs[i].LSN == lsn {
-		return l.recs[i]
+	raw, ok := l.media.Get(uint64(lsn))
+	if !ok {
+		return nil
 	}
-	return nil
+	return mustDecode(raw)
 }
 
 // Truncate discards stable records with LSN < before (contract
 // termination: the checkpoint protocol has released the resend obligation
 // for them, §4.2.1).
-func (l *Log) Truncate(before base.LSN) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	stableN := int(l.media.StableEnd() - l.media.Start())
-	i := sort.Search(stableN, func(i int) bool { return l.recs[i].LSN >= before })
-	if i == 0 {
-		return
-	}
-	if last := l.recs[i-1].LSN; last > l.bound {
-		l.bound = last
-	}
-	// Persist the bound with the truncation: a disk-backed media whose
-	// records are all discarded must still hand the next incarnation the
-	// consumed LSN space (see storage.LogStore.SetBound).
-	l.media.SetBound(uint64(l.bound))
-	l.media.Truncate(l.media.Start() + uint64(i))
-	l.recs = append([]*Record(nil), l.recs[i:]...)
-}
-
-// StartLSN returns the LSN of the first retained record, or 0 if empty.
-func (l *Log) StartLSN() base.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.recs) == 0 {
-		return 0
-	}
-	return l.recs[0].LSN
-}
+func (l *Log) Truncate(before base.LSN) { l.media.Truncate(uint64(before)) }
 
 // Media exposes the underlying store (stats for benches).
 func (l *Log) Media() *storage.LogStore { return l.media }

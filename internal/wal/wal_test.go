@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -21,13 +22,14 @@ func newLog(t *testing.T) *Log {
 	return l
 }
 
+var roundTripRecords = []*Record{
+	{LSN: 1, Kind: 2, Txn: 3, Prev: 0, NextUndo: 0, Payload: []byte("hello")},
+	{LSN: 1 << 40, Kind: 255, Txn: 1 << 50, Prev: 99, NextUndo: 98},
+	{LSN: 7},
+}
+
 func TestRecordRoundTrip(t *testing.T) {
-	recs := []*Record{
-		{LSN: 1, Kind: 2, Txn: 3, Prev: 0, NextUndo: 0, Payload: []byte("hello")},
-		{LSN: 1 << 40, Kind: 255, Txn: 1 << 50, Prev: 99, NextUndo: 98},
-		{LSN: 7},
-	}
-	for _, r := range recs {
+	for _, r := range roundTripRecords {
 		buf := r.Append(nil)
 		got, err := DecodeRecord(buf)
 		if err != nil {
@@ -58,125 +60,36 @@ func TestRecordDecodeTruncated(t *testing.T) {
 	r := &Record{LSN: 123456, Kind: 9, Txn: 7, Payload: bytes.Repeat([]byte("p"), 30)}
 	buf := r.Append(nil)
 	for i := 0; i < len(buf); i++ {
-		if _, err := DecodeRecord(buf[:i]); err == nil {
-			t.Fatalf("truncation at %d undetected", i)
+		if _, err := DecodeRecord(buf[:i]); !errors.Is(err, errCorrupt) {
+			t.Fatalf("truncation at %d: err = %v", i, err)
 		}
 	}
+	if _, err := DecodeRecord(append(buf, 0)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("trailing byte: err = %v", err)
+	}
 }
 
-func TestAppendAssignMonotonic(t *testing.T) {
-	l := newLog(t)
-	var lsns []base.LSN
-	for i := 0; i < 10; i++ {
-		lsns = append(lsns, l.AppendAssign(&Record{Kind: 1}))
-		if i%3 == 0 {
-			l.AllocLSN() // read IDs create gaps
+// FuzzDecodeRecord: DecodeRecord never panics, and whatever it accepts is
+// exactly one record — it re-encodes to the bytes it was decoded from.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, r := range roundTripRecords {
+		buf := r.Append(nil)
+		for i := 0; i <= len(buf); i++ {
+			f.Add(buf[:i])
 		}
 	}
-	for i := 1; i < len(lsns); i++ {
-		if lsns[i] <= lsns[i-1] {
-			t.Fatalf("LSNs not increasing: %v", lsns)
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		r, err := DecodeRecord(buf)
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("err = %v", err)
+			}
+			return
 		}
-	}
-}
-
-func TestCrashLosesTail(t *testing.T) {
-	l := newLog(t)
-	a := l.AppendAssign(&Record{Kind: 1})
-	l.ForceTo(a)
-	b := l.AppendAssign(&Record{Kind: 2})
-	if l.EOSL() != a {
-		t.Fatalf("EOSL = %d want %d", l.EOSL(), a)
-	}
-	l.Crash()
-	if l.LastLSN() != a {
-		t.Fatalf("after crash last = %d want %d", l.LastLSN(), a)
-	}
-	// LSN of the lost record is reused.
-	c := l.AppendAssign(&Record{Kind: 3})
-	if c != b {
-		t.Fatalf("LSN reuse expected: got %d want %d", c, b)
-	}
-	recs := l.Scan(0)
-	if len(recs) != 1 || recs[0].Kind != 1 {
-		t.Fatalf("stable scan after crash: %+v", recs)
-	}
-}
-
-func TestScanOnlyStable(t *testing.T) {
-	l := newLog(t)
-	l.AppendAssign(&Record{Kind: 1})
-	l.Force()
-	l.AppendAssign(&Record{Kind: 2})
-	recs := l.Scan(0)
-	if len(recs) != 1 {
-		t.Fatalf("scan saw volatile records: %d", len(recs))
-	}
-	l.Force()
-	if got := len(l.Scan(0)); got != 2 {
-		t.Fatalf("after force scan = %d", got)
-	}
-	if got := len(l.Scan(2)); got != 1 {
-		t.Fatalf("scan(2) = %d", got)
-	}
-}
-
-func TestRecoverFromMedia(t *testing.T) {
-	media := storage.NewLogStore()
-	l, _ := New(media)
-	l.AppendAssign(&Record{Kind: 1, Payload: []byte("x")})
-	l.AppendAssign(&Record{Kind: 2})
-	l.Force()
-	l.AppendAssign(&Record{Kind: 3}) // lost
-	media.Crash()
-
-	l2, err := New(media)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.EOSL() != 2 || l2.LastLSN() != 2 {
-		t.Fatalf("recovered eosl=%d last=%d", l2.EOSL(), l2.LastLSN())
-	}
-	if next := l2.AppendAssign(&Record{Kind: 4}); next != 3 {
-		t.Fatalf("allocation after recovery = %d want 3", next)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	l := newLog(t)
-	for i := 0; i < 5; i++ {
-		l.AppendAssign(&Record{Kind: uint8(i)})
-	}
-	l.Force()
-	l.Truncate(3)
-	recs := l.Scan(0)
-	if len(recs) != 3 || recs[0].LSN != 3 {
-		t.Fatalf("after truncate: %d recs first=%v", len(recs), recs[0])
-	}
-	if l.StartLSN() != 3 {
-		t.Fatalf("StartLSN = %d", l.StartLSN())
-	}
-	// Truncate is idempotent and ignores lower bounds.
-	l.Truncate(2)
-	if len(l.Scan(0)) != 3 {
-		t.Fatal("backwards truncate changed the log")
-	}
-}
-
-func TestGet(t *testing.T) {
-	l := newLog(t)
-	l.AppendAssign(&Record{Kind: 1})
-	l.AllocLSN()
-	l.AppendAssign(&Record{Kind: 3})
-	if r := l.Get(1); r == nil || r.Kind != 1 {
-		t.Fatalf("Get(1) = %+v", r)
-	}
-	if r := l.Get(2); r != nil {
-		t.Fatalf("Get(2) should be nil (read id), got %+v", r)
-	}
-	if r := l.Get(3); r == nil || r.Kind != 3 {
-		t.Fatalf("Get(3) = %+v", r)
-	}
+		if got := r.Append(nil); !bytes.Equal(got, buf) {
+			t.Fatalf("decoded %x, re-encoded %x", buf, got)
+		}
+	})
 }
 
 func TestConcurrentAppendForce(t *testing.T) {
@@ -226,17 +139,6 @@ func TestGroupForce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestLogStoreTruncateBeyondStablePanics(t *testing.T) {
-	media := storage.NewLogStore()
-	media.Append([]byte("a"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic truncating past stable end")
-		}
-	}()
-	media.Truncate(1) // record 0 not forced yet
 }
 
 func BenchmarkAppend(b *testing.B) {
