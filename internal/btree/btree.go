@@ -2,7 +2,11 @@
 // B-tree over the buffer pool whose structure modifications — page splits
 // and page deletes/consolidations — run as system transactions logged to
 // the DC-log (§5.2.2). The tree is "maintained behind the scenes": the TC
-// never sees pages, only records.
+// never sees pages, only records. The package also holds what every engine
+// over these pages does to the physical structure as a whole — the catalog
+// page, formatting, table creation (forest.go) and the redo of the system
+// transactions logged here (redo.go) — so the DC and the monolith baseline
+// share it instead of each telling it again.
 //
 // Concurrency: a tree-level reader/writer lock protects the structure
 // (descent holds it shared; system transactions hold it exclusive), and
@@ -75,13 +79,6 @@ func (t *Tree) Root() base.PageID {
 	return t.root
 }
 
-// SetRoot replaces the root pointer (recovery only).
-func (t *Tree) SetRoot(id base.PageID) {
-	t.lock.Lock()
-	t.root = id
-	t.lock.Unlock()
-}
-
 // Stats returns (splits, consolidates).
 func (t *Tree) Stats() (splits, consolidates uint64) {
 	t.lock.RLock()
@@ -127,11 +124,10 @@ func (t *Tree) View(key string, fn func(*page.Page)) error {
 	return nil
 }
 
-// Apply runs mutate on the exclusively latched leaf covering key. When
-// mutate returns blocked=true (page-sync barrier, §5.1.2 strategy 1)
-// nothing was applied and the caller should wait and retry; leafID
-// identifies the page to wait on. Structure maintenance (split or
-// consolidate) is triggered afterwards as needed.
+// Apply runs mutate on the exclusively latched leaf covering key. A mutate
+// that returns blocked=true declares it applied nothing: Apply hands the
+// flag back with the leaf's ID and skips structure maintenance. Otherwise a
+// split or consolidation is triggered afterwards as needed.
 func (t *Tree) Apply(key string, mutate func(*page.Page) (blocked bool)) (leafID base.PageID, blocked bool, err error) {
 	t.lock.RLock()
 	leaf, err := t.descendLocked(key)
@@ -302,10 +298,7 @@ func (t *Tree) splitOneLocked(path []pathEntry, idx int) error {
 	left.DLSN = dlsn
 	t.pool.MarkDirty(left, 0, 0, dlsn)
 	left.L.Unlock()
-	right.DLSN = dlsn
-	t.pool.MarkDirty(right, 0, 0, dlsn)
-	t.pool.Install(right)
-	t.pool.Unpin(right.ID)
+	installNew(t.pool, right, dlsn)
 
 	if parent != nil {
 		parent.L.Lock()
@@ -320,10 +313,7 @@ func (t *Tree) splitOneLocked(path []pathEntry, idx int) error {
 		parent.L.Unlock()
 	} else {
 		newRoot := page.NewBranch(rec.NewRootID, []string{splitKey}, []base.PageID{left.ID, right.ID})
-		newRoot.DLSN = dlsn
-		t.pool.MarkDirty(newRoot, 0, 0, dlsn)
-		t.pool.Install(newRoot)
-		t.pool.Unpin(newRoot.ID)
+		installNew(t.pool, newRoot, dlsn)
 		t.root = newRoot.ID
 		if t.onRootChange != nil {
 			t.onRootChange(newRoot.ID, dlsn)

@@ -41,7 +41,7 @@ func newEnv(t *testing.T, maxBytes int) *testEnv {
 		t.Fatal(err)
 	}
 	open := func(base.TCID) base.LSN { return 1 << 60 } // gates open for tree tests
-	e.pool = buffer.New(buffer.Config{Capacity: 64, Strategy: buffer.SyncFull},
+	e.pool = buffer.New(buffer.Config{Capacity: 64},
 		e.store, buffer.Gates{EOSL: open, LWM: open,
 			ForceDCLog: func(d base.DLSN) { e.ForceSMO(d) }})
 	root := page.NewLeaf(e.store.AllocPageID())

@@ -1,0 +1,198 @@
+package btree
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/buffer"
+	"github.com/cidr09/unbundled/internal/dclog"
+	"github.com/cidr09/unbundled/internal/page"
+	"github.com/cidr09/unbundled/internal/storage"
+)
+
+// This file and redo.go are the physical half every engine over these pages
+// shares — the DC and the monolith baseline alike: the catalog page, the
+// format step, table creation, opening the trees, and (redo.go) the redo of
+// the system transactions that btree.go logs. An engine differs from another
+// in its log and its call path, not here.
+
+// CatalogPageID is the well-known page holding the table -> root mappings;
+// it is the first page allocated when a store is formatted.
+const CatalogPageID = base.PageID(1)
+
+// Format writes the empty catalog page as the first allocation of store. A
+// kill on a previous boot can leave a persisted allocator with no catalog
+// page (AllocPageID is durable before the catalog write lands); formatting
+// starts the world over, so the stale allocator is discarded rather than
+// bricking the directory.
+func Format(store *storage.PageStore) error {
+	store.ResetForFormat()
+	if id := store.AllocPageID(); id != CatalogPageID {
+		return fmt.Errorf("btree: format: catalog got page %d", id)
+	}
+	store.Write(CatalogPageID, page.NewLeaf(CatalogPageID).Encode())
+	return nil
+}
+
+// catalogRecord encodes one table -> root mapping.
+func catalogRecord(table string, root base.PageID) page.Record {
+	return page.Record{Key: table, Value: binary.AppendUvarint(nil, uint64(root))}
+}
+
+// catalogRoot decodes the root a catalog record names.
+func catalogRoot(rec *page.Record) (base.PageID, error) {
+	root, n := binary.Uvarint(rec.Value)
+	if n <= 0 {
+		return 0, fmt.Errorf("btree: corrupt catalog entry %q", rec.Key)
+	}
+	return base.PageID(root), nil
+}
+
+// fetchCatalog pins the catalog page; callers Unpin(CatalogPageID).
+func fetchCatalog(pool *buffer.Pool) (*page.Page, error) {
+	cat, err := pool.Fetch(CatalogPageID)
+	if err != nil {
+		return nil, fmt.Errorf("btree: catalog page: %w", err)
+	}
+	if cat == nil {
+		return nil, errors.New("btree: catalog page lost")
+	}
+	return cat, nil
+}
+
+// putCatalog records table -> root in the catalog page as part of the system
+// transaction with the given dLSN. Catalog updates are applied
+// unconditionally, redo included (they commute per table and the last write
+// wins), because two trees' system transactions may stamp the shared
+// catalog page out of dLSN order during normal execution.
+func putCatalog(pool *buffer.Pool, table string, root base.PageID, dlsn base.DLSN) error {
+	cat, err := fetchCatalog(pool)
+	if err != nil {
+		return err
+	}
+	cat.L.Lock()
+	cat.Put(catalogRecord(table, root))
+	if dlsn > cat.DLSN {
+		cat.DLSN = dlsn
+	}
+	pool.MarkDirty(cat, 0, 0, dlsn)
+	cat.L.Unlock()
+	pool.Unpin(CatalogPageID)
+	return nil
+}
+
+// installNew publishes a page a system transaction (or its redo) created:
+// stamped with the transaction's dLSN, cached dirty, left unpinned.
+func installNew(pool *buffer.Pool, pg *page.Page, dlsn base.DLSN) {
+	pg.DLSN = dlsn
+	pool.MarkDirty(pg, 0, 0, dlsn)
+	pool.Install(pg)
+	pool.Unpin(pg.ID)
+}
+
+// Forest is the set of trees over one pool: what the catalog page names,
+// opened. It belongs to that pool — an engine that loses its cache opens a
+// new Forest over the new one.
+type Forest struct {
+	cfg   Config
+	pool  *buffer.Pool
+	alloc func() base.PageID
+	smo   dclog.Logger
+	// onAlloc, when non-nil, hears of every page allocated for a table (the
+	// DC routes partial-failure resets by it).
+	onAlloc func(id base.PageID, table string)
+
+	// mu makes CreateTable's check and create one critical section. Tree
+	// never takes it: the table set is copy-on-write (it changes a handful
+	// of times in an engine's life).
+	mu    sync.Mutex
+	trees atomic.Pointer[map[string]*Tree]
+}
+
+// Open opens every tree the catalog page names. The search structures must
+// already be well-formed: after a crash, Redo the log through pool first.
+func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Logger,
+	onAlloc func(base.PageID, string)) (*Forest, error) {
+	f := &Forest{cfg: cfg, pool: pool, alloc: alloc, smo: smo, onAlloc: onAlloc}
+	cat, err := fetchCatalog(pool)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Unpin(CatalogPageID)
+	cat.L.RLock()
+	defer cat.L.RUnlock()
+	trees := make(map[string]*Tree, len(cat.Recs))
+	for i := range cat.Recs {
+		root, err := catalogRoot(&cat.Recs[i])
+		if err != nil {
+			return nil, err
+		}
+		trees[cat.Recs[i].Key] = f.newTree(cat.Recs[i].Key, root)
+	}
+	f.trees.Store(&trees)
+	return f, nil
+}
+
+func (f *Forest) allocFor(table string) base.PageID {
+	id := f.alloc()
+	if f.onAlloc != nil {
+		f.onAlloc(id, table)
+	}
+	return id
+}
+
+func (f *Forest) newTree(table string, root base.PageID) *Tree {
+	return New(table, root, f.cfg, f.pool,
+		func() base.PageID { return f.allocFor(table) }, f.smo,
+		func(newRoot base.PageID, dlsn base.DLSN) {
+			// A root change has no way to fail halfway: the system
+			// transaction is logged and the tree already points at newRoot.
+			if err := putCatalog(f.pool, table, newRoot, dlsn); err != nil {
+				panic(err)
+			}
+		})
+}
+
+// Tree returns the tree for table, or nil.
+func (f *Forest) Tree(table string) *Tree { return (*f.trees.Load())[table] }
+
+// Tables returns the table names (order not guaranteed).
+func (f *Forest) Tables() []string {
+	trees := *f.trees.Load()
+	out := make([]string, 0, len(trees))
+	for t := range trees {
+		out = append(out, t)
+	}
+	return out
+}
+
+// CreateTable durably creates an empty table as one system transaction: a
+// root leaf, its catalog entry and a forced CreateTree record. Idempotent,
+// and atomic against concurrent creators of the same table.
+func (f *Forest) CreateTable(table string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	old := *f.trees.Load()
+	if _, ok := old[table]; ok {
+		return nil
+	}
+	root := page.NewLeaf(f.allocFor(table))
+	rec := &dclog.CreateTree{Table: table, RootID: root.ID, RootImage: root.Encode()}
+	dlsn := f.smo.AppendSMO(dclog.KindCreateTree, rec.Encode())
+	installNew(f.pool, root, dlsn)
+	if err := putCatalog(f.pool, table, root.ID, dlsn); err != nil {
+		return err
+	}
+	f.smo.ForceSMO(dlsn)
+	trees := make(map[string]*Tree, len(old)+1)
+	for t, tr := range old {
+		trees[t] = tr
+	}
+	trees[table] = f.newTree(table, root.ID)
+	f.trees.Store(&trees)
+	return nil
+}

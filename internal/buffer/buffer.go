@@ -10,12 +10,15 @@
 //     RecDLSN before the page is written, so structure modifications are
 //     never reflected on disk without their log records.
 //  3. Page sync (§5.1.2): the abstract LSN must be made stable atomically
-//     with the page. The paper's three strategies are implemented:
-//     SyncBlock waits (refusing new higher-LSN operations) until the
+//     with the page. The paper offers three strategies: (1) delay the
+//     flush, refusing new higher-LSN operations on the page, until the
 //     TC-supplied low-water mark swallows the whole {LSNin} set and a lone
-//     LSNlw suffices; SyncFull embeds the entire abstract LSN in the page;
-//     SyncHybrid waits only until the set is "reduced to a manageable
-//     size" and then embeds it.
+//     LSNlw suffices; (2) embed the entire abstract LSN in the page; (3)
+//     wait only until the set is "reduced to a manageable size" and then
+//     embed it. This pool implements strategy 2 and nothing else: a flush
+//     never waits on the low-water mark and no operation ever waits on a
+//     flush; the cost is the abstract-LSN bytes each page write carries
+//     (Stats.AbLSNBytes).
 package buffer
 
 import (
@@ -28,33 +31,6 @@ import (
 	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/storage"
 )
-
-// SyncStrategy selects the §5.1.2 page-sync algorithm.
-type SyncStrategy uint8
-
-const (
-	// SyncBlock is strategy 1: delay the flush (and refuse operations with
-	// LSNs above the highest tracked LSNin) until the low-water mark
-	// covers every LSNin; the page then carries only LSNlw.
-	SyncBlock SyncStrategy = iota + 1
-	// SyncFull is strategy 2: include the entire abstract LSN on the page.
-	SyncFull
-	// SyncHybrid is strategy 3: wait until |{LSNin}| <= HybridMax, then
-	// embed the remaining abstract LSN.
-	SyncHybrid
-)
-
-func (s SyncStrategy) String() string {
-	switch s {
-	case SyncBlock:
-		return "block"
-	case SyncFull:
-		return "full"
-	case SyncHybrid:
-		return "hybrid"
-	}
-	return "unknown"
-}
 
 // Gates supplies the watermarks that gate flushing.
 type Gates struct {
@@ -70,35 +46,24 @@ type Gates struct {
 type Config struct {
 	// Capacity is the number of cached pages before eviction kicks in.
 	Capacity int
-	// Strategy is the page-sync strategy.
-	Strategy SyncStrategy
-	// HybridMax is the SyncHybrid set-size threshold.
-	HybridMax int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
 	}
-	if c.Strategy == 0 {
-		c.Strategy = SyncFull
-	}
-	if c.HybridMax <= 0 {
-		c.HybridMax = 8
-	}
 	return c
 }
 
 // Stats counts pool activity.
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Flushes     uint64
-	Evictions   uint64
-	FlushWaits  uint64
-	PageBytes   uint64 // bytes written to stable pages
-	AbLSNBytes  uint64 // of which abstract-LSN bytes (benchmark: buffer.ablsn_bytes_frac)
-	BarrierHits uint64 // operations refused by the SyncBlock barrier
+	Hits       uint64
+	Misses     uint64
+	Flushes    uint64
+	Evictions  uint64
+	FlushWaits uint64
+	PageBytes  uint64 // bytes written to stable pages
+	AbLSNBytes uint64 // of which abstract-LSN bytes (benchmark: buffer.ablsn_bytes_frac)
 }
 
 // ErrNotFlushable is returned by non-waiting flushes whose gates are not
@@ -109,10 +74,6 @@ type frame struct {
 	pg  *page.Page
 	pin int
 	el  *list.Element
-	// flushWanted marks a SyncBlock flush in progress: appliers must not
-	// add LSNs above barrier (per TC) until the flush completes.
-	flushWanted bool
-	barrier     map[base.TCID]base.LSN
 }
 
 // Pool is the page cache. All methods are safe for concurrent use.
@@ -128,7 +89,7 @@ type Pool struct {
 	lru     *list.List // front = most recently used; values are PageIDs
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
-	pageBytes, abBytes, barrierHits              atomic.Uint64
+	pageBytes, abBytes                           atomic.Uint64
 }
 
 // New returns a pool over store with the given gates.
@@ -138,9 +99,6 @@ func New(cfg Config, store *storage.PageStore, gates Gates) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
-
-// Strategy returns the configured page-sync strategy.
-func (p *Pool) Strategy() SyncStrategy { return p.cfg.Strategy }
 
 // Kick wakes flushers waiting on watermark progress; the DC calls it after
 // every end_of_stable_log / low_water_mark message.
@@ -243,48 +201,6 @@ func (p *Pool) MarkDirty(pg *page.Page, tc base.TCID, lsn base.LSN, dlsn base.DL
 	}
 }
 
-// BarrierBlocked reports whether applying an operation with lsn for tc on
-// pg must wait for a pending SyncBlock flush (§5.1.2 strategy 1: "we
-// refuse to execute operations on the page with LSNs greater than the
-// highest valued LSNin"). Callers hold the page latch.
-func (p *Pool) BarrierBlocked(pg *page.Page, tc base.TCID, lsn base.LSN) bool {
-	if p.cfg.Strategy != SyncBlock {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.frames[pg.ID]
-	if !ok || !f.flushWanted {
-		return false
-	}
-	bar, ok := f.barrier[tc]
-	if !ok {
-		bar = 0 // unknown TC: all new ops wait until flush completes
-	}
-	if lsn > bar {
-		p.barrierHits.Add(1)
-		return true
-	}
-	return false
-}
-
-// BarrierWait blocks until the pending flush on id completes (or until the
-// next watermark kick re-opens the question). Callers must not hold the
-// page latch.
-func (p *Pool) BarrierWait(id base.PageID) {
-	p.mu.Lock()
-	f, ok := p.frames[id]
-	if !ok || !f.flushWanted {
-		p.mu.Unlock()
-		return
-	}
-	gen := p.kickGen
-	for gen == p.kickGen {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
 // FlushPage makes id stable, honoring the gates. With wait=false it
 // returns ErrNotFlushable when a gate is closed; with wait=true it blocks
 // until the gates open (watermark kicks re-evaluate). Unknown/clean pages
@@ -304,13 +220,6 @@ func (p *Pool) FlushPage(id base.PageID, wait bool) error {
 }
 
 func (p *Pool) flushFrame(f *frame, wait bool) error {
-	// SyncBlock can deadlock across pages: flush A waits for a low-water
-	// mark that requires an operation blocked by flush B's barrier and
-	// vice versa. After bounded waiting a blocked flush falls back to
-	// embedding the remaining abstract LSN (§5.1.2: "some combination of
-	// the two is also possible"), guaranteeing progress.
-	blockAttempts := 0
-	const blockAttemptLimit = 50
 	for {
 		p.mu.Lock()
 		gen := p.kickGen
@@ -320,7 +229,6 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		pg := f.pg
 		if !pg.Dirty {
 			f.pg.L.Unlock()
-			p.clearFlushWanted(f)
 			return nil
 		}
 		// Lazy abstract-LSN advance: prune with min(LWM, EOSL) per TC —
@@ -342,25 +250,9 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 				break
 			}
 		}
-		// Gate 3: page-sync strategy.
-		if open {
-			switch p.cfg.Strategy {
-			case SyncBlock:
-				if pg.Ab.InCountTotal() > 0 && blockAttempts < blockAttemptLimit {
-					open = false
-					p.setBarrier(f, pg)
-					blockAttempts++
-				}
-			case SyncHybrid:
-				if pg.Ab.InCountTotal() > p.cfg.HybridMax {
-					open = false
-				}
-			}
-		}
 		if !open {
 			f.pg.L.Unlock()
 			if !wait {
-				p.clearFlushWanted(f)
 				return ErrNotFlushable
 			}
 			p.flushWaits.Add(1)
@@ -386,40 +278,9 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		pg.FirstDirty = nil
 		pg.RecDLSN = 0
 		f.pg.L.Unlock()
-		p.clearFlushWanted(f)
 		p.flushes.Add(1)
 		return nil
 	}
-}
-
-// setBarrier records the per-TC "highest LSNin" barrier for a SyncBlock
-// flush in progress. Caller holds the page latch.
-func (p *Pool) setBarrier(f *frame, pg *page.Page) {
-	p.mu.Lock()
-	f.flushWanted = true
-	if f.barrier == nil {
-		f.barrier = make(map[base.TCID]base.LSN, 1)
-	}
-	for _, tc := range pg.Ab.TCs() {
-		a := pg.Ab.Get(tc)
-		bar := a.Low
-		if n := a.InCount(); n > 0 {
-			bar = a.In[n-1]
-		}
-		f.barrier[tc] = bar
-	}
-	p.mu.Unlock()
-}
-
-func (p *Pool) clearFlushWanted(f *frame) {
-	p.mu.Lock()
-	if f.flushWanted {
-		f.flushWanted = false
-		f.barrier = nil
-		p.kickGen++
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
 }
 
 // FlushAll flushes every cached dirty page matching pred (nil = all).
@@ -536,13 +397,12 @@ func (p *Pool) Cached() int {
 // Stats returns a snapshot of counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
-		Flushes:     p.flushes.Load(),
-		Evictions:   p.evictions.Load(),
-		FlushWaits:  p.flushWaits.Load(),
-		PageBytes:   p.pageBytes.Load(),
-		AbLSNBytes:  p.abBytes.Load(),
-		BarrierHits: p.barrierHits.Load(),
+		Hits:       p.hits.Load(),
+		Misses:     p.misses.Load(),
+		Flushes:    p.flushes.Load(),
+		Evictions:  p.evictions.Load(),
+		FlushWaits: p.flushWaits.Load(),
+		PageBytes:  p.pageBytes.Load(),
+		AbLSNBytes: p.abBytes.Load(),
 	}
 }

@@ -94,7 +94,7 @@ func TestFetchMissAndHit(t *testing.T) {
 }
 
 func TestCausalityGateBlocksFlush(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 10)
 	// EOSL(1)=5 < maxApplied=10: flush must not happen.
 	g.set(1, 5, 10)
@@ -115,7 +115,7 @@ func TestCausalityGateBlocksFlush(t *testing.T) {
 }
 
 func TestFlushWaitsForEOSLKick(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 10)
 	g.set(1, 5, 10)
 	done := make(chan error, 1)
@@ -137,8 +137,8 @@ func TestFlushWaitsForEOSLKick(t *testing.T) {
 	}
 }
 
-func TestSyncFullEmbedsInSet(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+func TestFlushEmbedsInSet(t *testing.T) {
+	p, store, g := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 5, 7, 9)
 	g.set(1, 9, 0) // log stable, but LWM has not advanced
 	if err := p.FlushPage(pg.ID, false); err != nil {
@@ -151,75 +151,15 @@ func TestSyncFullEmbedsInSet(t *testing.T) {
 	}
 	a := stable.Ab.Get(1)
 	if a == nil || a.InCount() != 3 {
-		t.Fatalf("full strategy must embed the set: %v", a)
+		t.Fatalf("the flush must embed the set: %v", a)
 	}
 	if !stable.Ab.Contains(1, 7) || stable.Ab.Contains(1, 6) {
 		t.Fatal("stable claims wrong")
 	}
 }
 
-func TestSyncBlockWaitsForLWM(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncBlock})
-	pg := dirtyLeaf(p, store, 1, 5, 7)
-	g.set(1, 7, 0)
-	if err := p.FlushPage(pg.ID, false); err != ErrNotFlushable {
-		t.Fatalf("err = %v", err)
-	}
-	// New op above the barrier must be refused while a waiting flush runs.
-	done := make(chan error, 1)
-	go func() { done <- p.FlushPage(pg.ID, true) }()
-	time.Sleep(10 * time.Millisecond)
-	pg.L.Lock()
-	blockedHigh := p.BarrierBlocked(pg, 1, 8)
-	blockedLow := p.BarrierBlocked(pg, 1, 6)
-	pg.L.Unlock()
-	if !blockedHigh {
-		t.Fatal("op above barrier must be blocked")
-	}
-	if blockedLow {
-		t.Fatal("op below barrier must proceed (needed for LWM progress)")
-	}
-	// LWM covers the set: flush completes with an empty In set on disk.
-	g.set(1, 7, 7)
-	p.Kick()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	data, _ := store.Read(pg.ID)
-	stable, _ := page.Decode(data)
-	if a := stable.Ab.Get(1); a == nil || a.InCount() != 0 || a.Low != 7 {
-		t.Fatalf("block strategy must write a lone LSNlw: %v", a)
-	}
-	// Barrier cleared after flush.
-	pg.L.Lock()
-	still := p.BarrierBlocked(pg, 1, 100)
-	pg.L.Unlock()
-	if still {
-		t.Fatal("barrier survived the flush")
-	}
-}
-
-func TestSyncHybridThreshold(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncHybrid, HybridMax: 2})
-	pg := dirtyLeaf(p, store, 1, 2, 4, 6, 8)
-	g.set(1, 8, 0)
-	if err := p.FlushPage(pg.ID, false); err != ErrNotFlushable {
-		t.Fatalf("4 > HybridMax: err = %v", err)
-	}
-	// LWM advance prunes to {6,8}: within threshold, embeds the remainder.
-	g.set(1, 8, 4)
-	if err := p.FlushPage(pg.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := store.Read(pg.ID)
-	stable, _ := page.Decode(data)
-	if a := stable.Ab.Get(1); a == nil || a.InCount() != 2 || a.Low != 4 {
-		t.Fatalf("hybrid result: %v", a)
-	}
-}
-
 func TestAdvanceNeverExceedsEOSL(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 3)
 	// LWM raced ahead of the stable log (replies received for unforced
 	// ops): pruning must clamp at EOSL so the stable page never claims
@@ -240,7 +180,7 @@ func TestAdvanceNeverExceedsEOSL(t *testing.T) {
 }
 
 func TestDCLogWALGate(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	pg := page.NewLeaf(store.AllocPageID())
 	pg.DLSN = 42 // latest SMO reflected in the page
 	p.MarkDirty(pg, 0, 0, 42)
@@ -257,7 +197,7 @@ func TestDCLogWALGate(t *testing.T) {
 }
 
 func TestEvictionRespectsGates(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Capacity: 2, Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{Capacity: 2})
 	// Page A flushable, page B gated.
 	a := dirtyLeaf(p, store, 1, 1)
 	b := dirtyLeaf(p, store, 2, 50)
@@ -275,7 +215,7 @@ func TestEvictionRespectsGates(t *testing.T) {
 }
 
 func TestFlushAllWithPredicate(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	a := dirtyLeaf(p, store, 1, 1)
 	b := dirtyLeaf(p, store, 1, 2)
 	g.set(1, 10, 10)
@@ -289,7 +229,7 @@ func TestFlushAllWithPredicate(t *testing.T) {
 }
 
 func TestDropAndFree(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Strategy: SyncFull})
+	p, store, g := newTestPool(t, Config{})
 	g.set(1, 10, 10)
 	pg := dirtyLeaf(p, store, 1, 1)
 	p.FlushPage(pg.ID, false)

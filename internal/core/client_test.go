@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,4 +249,64 @@ func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
 	if fnRuns != 1 {
 		t.Fatalf("fn re-executed %d times after an ambiguous commit", fnRuns)
 	}
+}
+
+// TestCrashDCUnderLoadNeverFailsLoggedOp: a DC crashed and recovered under
+// client load may cost a transaction retries or an unavailable error, but a
+// logged operation must never come back refused — the DC answers a crash
+// with unavailable (or silence), which the resend contract rides out, not
+// with a permanent code that the TC acks and reports as a failed write. The
+// TC checkpoints every cycle so each recovery redoes a short tail, not the
+// whole run; the clients pause for it (quiet), because tc.Checkpoint reads
+// the active transactions' firstLSN unsynchronized — a TC defect this test
+// is not about.
+func TestCrashDCUnderLoadNeverFailsLoggedOp(t *testing.T) {
+	dep, client := newClientDeployment(t, 1)
+	ctx := context.Background()
+	const clients, cycles, between = 4, 300, 8
+	var (
+		stop      atomic.Bool
+		committed atomic.Int64
+		wg        sync.WaitGroup
+		quiet     sync.RWMutex
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				key := fmt.Sprintf("c%d-%02d", c, i%32)
+				quiet.RLock()
+				err := client.RunTxn(ctx, TxnOptions{MaxAttempts: 1000}, func(x *tc.Txn) error {
+					return x.Upsert("kv", key, []byte("v"))
+				})
+				quiet.RUnlock()
+				if err == nil {
+					committed.Add(1)
+				} else if strings.Contains(err.Error(), "logged op failed at DC") {
+					t.Errorf("client %d txn %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	for cycle := 0; cycle < cycles && !t.Failed(); cycle++ {
+		for mark := committed.Load(); committed.Load() < mark+between && !t.Failed(); {
+			runtime.Gosched()
+		}
+		dep.CrashDC(0)
+		if err := dep.RecoverDC(0); err != nil {
+			t.Errorf("cycle %d: %v", cycle, err)
+			break
+		}
+		quiet.Lock()
+		_, err := dep.TCs[0].Checkpoint(ctx)
+		quiet.Unlock()
+		if err != nil {
+			t.Errorf("cycle %d: checkpoint: %v", cycle, err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -46,7 +46,12 @@ func (d *DC) RegisterStats(g *stats.Group) {
 	g.Func("snapshot_reads", d.snapReads.Load)
 	g.Func("snapshot_waits", d.snapWaits.Load)
 	g.Func("version_finalizes", d.finalizes.Load)
-	g.Func("gc_horizon", d.gcHorizon.Load)
+	g.Func("gc_horizon", func() uint64 {
+		if inc := d.inc.Load(); inc != nil {
+			return inc.gcHorizon.Load()
+		}
+		return 0
+	})
 	g.Func("inflight_ops", func() uint64 {
 		if v := d.inflightOps.Load(); v > 0 {
 			return uint64(v)

@@ -9,12 +9,17 @@
 // (package ablsn) provides idempotence despite out-of-order operation
 // arrival (§5.1); the buffer pool (package buffer) enforces the causality
 // and WAL gates; and partial failures are handled by the targeted cache
-// reset of §5.3.2/§6.1.2.
+// reset of §5.3.2/§6.1.2. What is done to the physical structure as a whole
+// — catalog, table creation, redo of system transactions — is btree's and
+// shared with the monolith baseline; this package adds the operations, the
+// per-TC protocol state and the DC's own life cycle.
+//
+// Everything volatile a call needs is one incarnation (see the type),
+// published atomically: a call loads it once and serves from it alone.
 package dc
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -31,10 +36,6 @@ import (
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// catalogPageID is the well-known page holding table -> root mappings; it
-// is the first page allocated when a DC is formatted.
-const catalogPageID = base.PageID(1)
-
 // Config shapes a DC instance.
 type Config struct {
 	// Name identifies the DC in diagnostics.
@@ -43,10 +44,6 @@ type Config struct {
 	PageBytes int
 	// CacheCapacity is the buffer-pool capacity in pages.
 	CacheCapacity int
-	// Strategy is the §5.1.2 page-sync strategy (default SyncFull).
-	Strategy buffer.SyncStrategy
-	// HybridMax is the SyncHybrid threshold.
-	HybridMax int
 	// CheckConflicts enables the debug invariant that no two conflicting
 	// operations execute concurrently (the TC's obligation, §1.2).
 	CheckConflicts bool
@@ -71,15 +68,6 @@ type Stats struct {
 	SnapshotReads uint64 // snapshot-flavor reads served
 	SnapshotWaits uint64 // snapshot reads that had to wait out a safe TS
 }
-
-type dcState int
-
-const (
-	stateRunning dcState = iota
-	stateDown
-	stateRecovering
-	stateClosed
-)
 
 // tcState is the DC's per-TC bookkeeping: the watermarks that drive
 // flushing and pruning, plus the incarnation-epoch fence.
@@ -132,29 +120,80 @@ func (s *tcState) safeChanged() <-chan struct{} {
 // fence and must be refused.
 func (s *tcState) fenced(e base.Epoch) bool { return uint64(e) < s.epoch.Load() }
 
-// DC is one data component. It implements base.Service.
-type DC struct {
-	cfg   Config
-	store *storage.PageStore
-
-	mu        sync.Mutex // guards state, trees, tcs, pageTable, epochRec
-	state     dcState
-	dlog      *wal.Log
-	pool      *buffer.Pool
-	trees     map[string]*btree.Tree
-	pageTable map[base.PageID]string // page -> table (for reset routing)
-	tcs       map[base.TCID]*tcState
+// incarnation is everything volatile the DC serves from, as one value: the
+// buffer pool, the trees opened over it, the per-TC protocol state, the page
+// routing table and the conflict checker. Recover (and so New) builds one
+// whole from the stable media and publishes it; Crash and Close drop it.
+// Nothing in it outlives a crash — the epoch fences are rebuilt from the
+// DC-log, everything else the TCs re-establish — and a call that loaded it
+// before a crash finishes on it: such work lands in a discarded cache, which
+// is precisely the semantics of losing volatile state in the crash.
+type incarnation struct {
+	pool   *buffer.Pool
+	forest *btree.Forest
+	// pages maps page -> table, for routing the records a partial-failure
+	// reset restores. pagesMu is its own: taken when a page is allocated
+	// (a split, a new table) and by BeginRestart, never to serve a call
+	// that allocates nothing.
+	pagesMu sync.Mutex
+	pages   map[base.PageID]string
+	// tcs is copy-on-write under tcMu: a TC is added the first time it is
+	// heard of, a handful of times in an incarnation's life, and looked up
+	// on every call.
+	tcMu sync.Mutex
+	tcs  atomic.Pointer[map[base.TCID]*tcState]
 	// epochRec is the dLSN of the latest KindEpochs snapshot in the DC-log
 	// (zero when no epoch has ever been staged). Truncation re-appends a
 	// fresh snapshot whenever it would discard this record, so the fences
 	// always survive DC crashes.
-	epochRec base.DLSN
-
-	inflight *conflictTable
-
+	epochRec atomic.Uint64
 	// gcHorizon caches the minimum nonzero per-TC GC horizon so the write
-	// path can prune versions without scanning the TC map.
+	// path can prune versions without scanning the TCs.
 	gcHorizon atomic.Uint64
+	inflight  *conflictTable // nil unless Config.CheckConflicts
+}
+
+// routePage records that page id belongs to table.
+func (inc *incarnation) routePage(id base.PageID, table string) {
+	inc.pagesMu.Lock()
+	inc.pages[id] = table
+	inc.pagesMu.Unlock()
+}
+
+// tc returns the state kept for id, registering the TC on first sight.
+func (inc *incarnation) tc(id base.TCID) *tcState {
+	if s := (*inc.tcs.Load())[id]; s != nil {
+		return s
+	}
+	inc.tcMu.Lock()
+	defer inc.tcMu.Unlock()
+	old := *inc.tcs.Load()
+	if s := old[id]; s != nil {
+		return s
+	}
+	tcs := make(map[base.TCID]*tcState, len(old)+1)
+	for k, v := range old {
+		tcs[k] = v
+	}
+	s := &tcState{}
+	tcs[id] = s
+	inc.tcs.Store(&tcs)
+	return s
+}
+
+// DC is one data component. It implements base.Service.
+type DC struct {
+	cfg   Config
+	store *storage.PageStore
+	dlog  *wal.Log
+
+	// inc is the serving incarnation: nil while the DC is down, recovering
+	// or closed. Every call loads it exactly once.
+	inc atomic.Pointer[incarnation]
+	// mu serializes the three writers of inc — Crash, Recover, Close — and
+	// guards closed. No call that serves a TC takes it.
+	mu     sync.Mutex
+	closed bool
 
 	performs, dupSkips, unavailable   atomic.Uint64
 	staleEpochs                       atomic.Uint64
@@ -171,21 +210,16 @@ type DC struct {
 	inflightOps atomic.Int64
 }
 
-// New formats a DC over fresh stable media — or, with Config.Dir naming a
-// directory a previous incarnation wrote, re-opens it: the stable pages
-// and DC-log are loaded back and DC-log recovery rebuilds the search
-// structures before the DC serves anything.
+// New opens a DC over its stable media: fresh simulated ones, or with
+// Config.Dir the directory a previous incarnation wrote. Media with no
+// catalog page are formatted first. Either way the DC then starts the way
+// it restarts — a process death is a DC crash whose stable media happen to
+// be on disk — so Recover builds the first incarnation too.
 func New(cfg Config) (*DC, error) {
 	if cfg.PageBytes <= 0 {
 		cfg.PageBytes = 4096
 	}
-	d := &DC{
-		cfg:       cfg,
-		store:     storage.NewPageStore(),
-		trees:     make(map[string]*btree.Tree),
-		pageTable: make(map[base.PageID]string),
-		tcs:       make(map[base.TCID]*tcState),
-	}
+	d := &DC{cfg: cfg, store: storage.NewPageStore()}
 	dmedia := storage.NewLogStore()
 	if cfg.Dir != "" {
 		var err error
@@ -196,70 +230,19 @@ func New(cfg Config) (*DC, error) {
 			return nil, fmt.Errorf("dc %s: open dc-log: %w", cfg.Name, err)
 		}
 	}
-	if cfg.CheckConflicts {
-		d.inflight = newConflictTable()
-	}
 	var err error
-	d.dlog, err = wal.New(dmedia)
-	if err != nil {
+	if d.dlog, err = wal.New(dmedia); err != nil {
 		return nil, err
 	}
-	if d.store.Exists(catalogPageID) {
-		// Re-open: a process death is a DC crash whose stable media
-		// happen to be on disk, so restart runs the ordinary §5.3.2
-		// recovery — replay the DC-log, reopen the trees from the catalog.
-		d.state = stateDown
-		if err := d.Recover(); err != nil {
-			return nil, fmt.Errorf("dc %s: reopen %s: %w", cfg.Name, cfg.Dir, err)
+	if !d.store.Exists(btree.CatalogPageID) {
+		if err := btree.Format(d.store); err != nil {
+			return nil, fmt.Errorf("dc %s: %w", cfg.Name, err)
 		}
-		return d, nil
 	}
-	d.pool = d.newPool()
-	// Format: the catalog page is the first allocation. A kill on a
-	// previous boot can leave a persisted allocator with no catalog page
-	// (AllocPageID is durable before the catalog write lands); formatting
-	// starts the world over, so the stale allocator is discarded rather
-	// than bricking the directory.
-	d.store.ResetForFormat()
-	id := d.store.AllocPageID()
-	if id != catalogPageID {
-		return nil, fmt.Errorf("dc %s: catalog got page %d", cfg.Name, id)
+	if err := d.Recover(); err != nil {
+		return nil, err
 	}
-	cat := page.NewLeaf(catalogPageID)
-	d.store.Write(catalogPageID, cat.Encode())
 	return d, nil
-}
-
-func (d *DC) newPool() *buffer.Pool {
-	return buffer.New(
-		buffer.Config{Capacity: d.cfg.CacheCapacity, Strategy: d.cfg.Strategy, HybridMax: d.cfg.HybridMax},
-		d.store,
-		buffer.Gates{
-			EOSL:       func(tc base.TCID) base.LSN { return base.LSN(d.tcState(tc).eosl.Load()) },
-			LWM:        func(tc base.TCID) base.LSN { return base.LSN(d.tcState(tc).lwm.Load()) },
-			ForceDCLog: func(dl base.DLSN) { d.dlog.ForceTo(base.LSN(dl)) },
-		})
-}
-
-func (d *DC) tcState(tc base.TCID) *tcState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.tcs[tc]
-	if s == nil {
-		s = &tcState{}
-		d.tcs[tc] = s
-	}
-	return s
-}
-
-// poolNow returns the current buffer pool (nil while crashed). Callers
-// racing with a crash may operate on a superseded pool: such work lands in
-// a discarded cache, which is precisely the semantics of losing volatile
-// state in the crash.
-func (d *DC) poolNow() *buffer.Pool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pool
 }
 
 // AppendSMO implements dclog.Logger.
@@ -274,13 +257,23 @@ func (d *DC) ForceSMO(dl base.DLSN) { d.dlog.ForceTo(base.LSN(dl)) }
 func (d *DC) Name() string { return d.cfg.Name }
 
 // EpochOf returns the incarnation-epoch fence currently installed for tc
-// (zero until the first begin_restart is seen).
+// (zero until the first begin_restart is seen, and while the DC is down).
 func (d *DC) EpochOf(tc base.TCID) base.Epoch {
-	return base.Epoch(d.tcState(tc).epoch.Load())
+	if inc := d.inc.Load(); inc != nil {
+		if s := (*inc.tcs.Load())[tc]; s != nil {
+			return base.Epoch(s.epoch.Load())
+		}
+	}
+	return 0
 }
 
-// Pool exposes the buffer pool (experiments read its stats).
-func (d *DC) Pool() *buffer.Pool { return d.pool }
+// Pool exposes the serving incarnation's buffer pool (nil while down).
+func (d *DC) Pool() *buffer.Pool {
+	if inc := d.inc.Load(); inc != nil {
+		return inc.pool
+	}
+	return nil
+}
 
 // Store exposes the stable page store (experiments and invariant checks).
 func (d *DC) Store() *storage.PageStore { return d.store }
@@ -288,124 +281,71 @@ func (d *DC) Store() *storage.PageStore { return d.store }
 // DCLog exposes the DC-log (experiments measure SMO log volume).
 func (d *DC) DCLog() *wal.Log { return d.dlog }
 
-// Tree returns the B-tree for table, or nil.
+// Tree returns the serving incarnation's B-tree for table, or nil.
 func (d *DC) Tree(table string) *btree.Tree {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.trees[table]
+	if inc := d.inc.Load(); inc != nil {
+		return inc.forest.Tree(table)
+	}
+	return nil
 }
 
-// Tables returns the table names (sorted order not guaranteed).
+// Tables returns the table names (order not guaranteed; none while down).
 func (d *DC) Tables() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.trees))
-	for t := range d.trees {
-		out = append(out, t)
+	if inc := d.inc.Load(); inc != nil {
+		return inc.forest.Tables()
 	}
-	return out
+	return nil
 }
 
 // CreateTable durably creates an empty table (administrative operation,
 // run at deployment time). Idempotent.
 func (d *DC) CreateTable(table string) error {
-	d.mu.Lock()
-	if _, ok := d.trees[table]; ok {
-		d.mu.Unlock()
-		return nil
-	}
-	d.mu.Unlock()
-
-	pool := d.poolNow()
-	if pool == nil {
+	inc := d.inc.Load()
+	if inc == nil {
 		return d.errUnavailable()
 	}
-	rootID := d.store.AllocPageID()
-	root := page.NewLeaf(rootID)
-	rec := &dclog.CreateTree{Table: table, RootID: rootID, RootImage: root.Encode()}
-	dlsn := d.AppendSMO(dclog.KindCreateTree, rec.Encode())
-	root.DLSN = dlsn
-	pool.MarkDirty(root, 0, 0, dlsn)
-	pool.Install(root)
-	pool.Unpin(rootID)
-	d.updateCatalog(pool, table, rootID, dlsn)
-	d.ForceSMO(dlsn)
-
-	d.mu.Lock()
-	d.trees[table] = d.newTree(table, rootID, pool)
-	d.pageTable[rootID] = table
-	d.mu.Unlock()
+	if err := inc.forest.CreateTable(table); err != nil {
+		return fmt.Errorf("dc %s: create table %s: %w", d.cfg.Name, table, err)
+	}
+	if d.inc.Load() != inc {
+		// Created in a cache a crash has since discarded: whether the
+		// record reached the stable DC-log is for the caller to find out.
+		return d.errUnavailable()
+	}
 	return nil
 }
 
-// newTree binds a tree to one pool incarnation; trees are rebuilt (against
-// the fresh pool) by Recover after a crash.
-func (d *DC) newTree(table string, root base.PageID, pool *buffer.Pool) *btree.Tree {
-	return btree.New(table, root, btree.Config{MaxPageBytes: d.cfg.PageBytes},
-		pool,
-		func() base.PageID {
-			id := d.store.AllocPageID()
-			d.mu.Lock()
-			d.pageTable[id] = table
-			d.mu.Unlock()
-			return id
-		},
-		d,
-		func(newRoot base.PageID, dlsn base.DLSN) {
-			d.mu.Lock()
-			d.pageTable[newRoot] = table
-			d.mu.Unlock()
-			d.updateCatalog(pool, table, newRoot, dlsn)
-		})
-}
-
-// updateCatalog records table -> root in the catalog page as part of the
-// system transaction with the given dLSN.
-func (d *DC) updateCatalog(pool *buffer.Pool, table string, root base.PageID, dlsn base.DLSN) {
-	cat, err := pool.Fetch(catalogPageID)
-	if err != nil || cat == nil {
-		panic(fmt.Sprintf("dc %s: catalog page unavailable: %v", d.cfg.Name, err))
+// advance applies one watermark broadcast to tc's state unless the DC is
+// down or the sender's incarnation is fenced, and returns the incarnation
+// it advanced (nil if none). The fence check and the advance are one
+// critical section — ctl, shared with BeginRestart's fence raise and
+// re-base — so a stale claim either lands entirely before the raise (and is
+// zeroed by the re-base) or is dropped, never in between.
+func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) *incarnation {
+	inc := d.inc.Load()
+	if inc == nil {
+		return nil
 	}
-	cat.L.Lock()
-	cat.Put(page.Record{Key: table, Value: binary.AppendUvarint(nil, uint64(root))})
-	if dlsn > cat.DLSN {
-		cat.DLSN = dlsn
-	}
-	pool.MarkDirty(cat, 0, 0, dlsn)
-	cat.L.Unlock()
-	pool.Unpin(catalogPageID)
-}
-
-// advance applies one watermark broadcast to tc's state unless the
-// sender's incarnation is fenced, and reports whether it did. The fence
-// check and the advance are one critical section — ctl, shared with
-// BeginRestart's fence raise and re-base — so a stale claim either lands
-// entirely before the raise (and is zeroed by the re-base) or is dropped,
-// never in between.
-func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) bool {
-	s := d.tcState(tc)
+	s := inc.tc(tc)
 	s.ctl.Lock()
-	fenced := s.fenced(epoch)
-	if !fenced {
-		step(s)
+	defer s.ctl.Unlock()
+	if s.fenced(epoch) {
+		return nil
 	}
-	s.ctl.Unlock()
-	return !fenced
+	step(s)
+	return inc
 }
 
-// raise lifts a monotonic watermark to v and reports whether it moved.
+// raise lifts a monotonic mark to at least v and reports whether it moved.
 func raise(mark *atomic.Uint64, v uint64) bool {
-	if v <= mark.Load() {
-		return false
-	}
-	mark.Store(v)
-	return true
-}
-
-// kickPool lets the pool's flusher re-test the gates a watermark opened.
-func (d *DC) kickPool() {
-	if p := d.poolNow(); p != nil {
-		p.Kick()
+	for {
+		cur := mark.Load()
+		if v <= cur {
+			return false
+		}
+		if mark.CompareAndSwap(cur, v) {
+			return true
+		}
 	}
 }
 
@@ -413,8 +353,8 @@ func (d *DC) kickPool() {
 // LSN <= eosl are stable in the TC log; causality then allows the DC to
 // make them stable too. Broadcasts from a fenced incarnation are dropped.
 func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
-	if d.advance(tc, epoch, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }) {
-		d.kickPool()
+	if inc := d.advance(tc, epoch, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }); inc != nil {
+		inc.pool.Kick() // the flusher re-tests the gates the watermark opened
 	}
 }
 
@@ -426,15 +366,15 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 // prefix. horizon is the TC's GC watermark. Broadcasts from a fenced
 // incarnation are dropped, mirroring EndOfStableLog.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	advanced := d.advance(tc, epoch, func(s *tcState) {
+	inc := d.advance(tc, epoch, func(s *tcState) {
 		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {
 			close(s.safeCh)
 			s.safeCh = nil
 		}
 		raise(&s.horizon, uint64(horizon))
 	})
-	if advanced {
-		d.refreshHorizon()
+	if inc != nil {
+		inc.refreshHorizon()
 	}
 }
 
@@ -442,21 +382,14 @@ func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.T
 // per-TC horizon. A TC that has never broadcast one contributes no
 // constraint (it also hands out no snapshots), and zero means "never
 // reclaim" overall.
-func (d *DC) refreshHorizon() {
-	d.mu.Lock()
+func (inc *incarnation) refreshHorizon() {
 	var min uint64
-	for _, s := range d.tcs {
+	for _, s := range *inc.tcs.Load() {
 		if h := s.horizon.Load(); h != 0 && (min == 0 || h < min) {
 			min = h
 		}
 	}
-	d.mu.Unlock()
-	for {
-		cur := d.gcHorizon.Load()
-		if min <= cur || d.gcHorizon.CompareAndSwap(cur, min) {
-			return
-		}
-	}
+	raise(&inc.gcHorizon, min)
 }
 
 // snapshotSafeWait bounds one snapshot read's wait for the safe timestamp
@@ -467,18 +400,16 @@ const snapshotSafeWait = time.Second
 // waitSnapshotSafe blocks until every registered TC's safe timestamp is at
 // or above t. This is the lock-free read path's only synchronization: it
 // never touches a lock manager, it just waits out commit finalization.
-func (d *DC) waitSnapshotSafe(ctx context.Context, t base.TS) base.Code {
+func (d *DC) waitSnapshotSafe(ctx context.Context, inc *incarnation, t base.TS) base.Code {
 	var deadline *time.Timer
 	for {
 		var lag *tcState
-		d.mu.Lock()
-		for _, s := range d.tcs {
+		for _, s := range *inc.tcs.Load() {
 			if s.safe.Load() < uint64(t) {
 				lag = s
 				break
 			}
 		}
-		d.mu.Unlock()
 		if lag == nil {
 			if deadline != nil {
 				deadline.Stop()
@@ -511,8 +442,8 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, t base.TS) base.Code {
 // precisely because the restarted TC reuses the dead incarnation's LSN
 // space, and a stale in-flight claim would prune abstract LSNs into it.
 func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
-	if d.advance(tc, epoch, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }) {
-		d.kickPool()
+	if inc := d.advance(tc, epoch, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }); inc != nil {
+		inc.pool.Kick()
 	}
 }
 
@@ -527,7 +458,11 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
 	}
-	s := d.tcState(tc)
+	inc := d.inc.Load()
+	if inc == nil {
+		return d.errUnavailable()
+	}
+	s := inc.tc(tc)
 	s.ctl.Lock()
 	if s.fenced(epoch) {
 		cur := s.epoch.Load()
@@ -540,10 +475,7 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 		return fmt.Errorf("dc %s: checkpoint for tc %d during its restart", d.cfg.Name, tc)
 	}
 	s.ctl.Unlock()
-	pool := d.runningPool()
-	if pool == nil {
-		return d.errUnavailable()
-	}
+	pool := inc.pool
 	err := pool.FlushAll(true, func(pg *page.Page) bool {
 		first, ok := pg.FirstDirty[tc]
 		return ok && first < newRSSP
@@ -558,18 +490,8 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	_ = pool.FlushAll(false, func(pg *page.Page) bool {
 		return pg.Dirty && len(pg.FirstDirty) == 0
 	})
-	d.truncateDCLog(pool)
+	d.truncateDCLog(inc)
 	return nil
-}
-
-// runningPool returns the pool iff the DC is serving requests.
-func (d *DC) runningPool() *buffer.Pool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != stateRunning {
-		return nil
-	}
-	return d.pool
 }
 
 // truncateDCLog discards DC-log records whose effects are fully stable:
@@ -577,9 +499,9 @@ func (d *DC) runningPool() *buffer.Pool {
 // epoch-fence snapshot is not page-backed, so if truncation would discard
 // the latest KindEpochs record a fresh snapshot is forced first — the
 // fences must survive any crash.
-func (d *DC) truncateDCLog(pool *buffer.Pool) {
+func (d *DC) truncateDCLog(inc *incarnation) {
 	minD := d.dlog.LastLSN() + 1
-	pool.Pages(func(pg *page.Page) {
+	inc.pool.Pages(func(pg *page.Page) {
 		pg.L.RLock()
 		if pg.Dirty && pg.RecDLSN != 0 && base.LSN(pg.RecDLSN) < minD {
 			minD = base.LSN(pg.RecDLSN)
@@ -590,44 +512,29 @@ func (d *DC) truncateDCLog(pool *buffer.Pool) {
 	if minD > stable+1 {
 		minD = stable + 1
 	}
-	d.mu.Lock()
-	relog := d.epochRec != 0 && base.LSN(d.epochRec) < minD
-	d.mu.Unlock()
-	if relog {
-		d.logEpochs()
+	if rec := inc.epochRec.Load(); rec != 0 && base.LSN(rec) < minD {
+		d.logEpochs(inc)
 	}
 	d.dlog.Truncate(minD)
 }
 
-// logEpochs forces a full per-TC epoch snapshot into the DC-log. Called
-// under no locks; the snapshot is taken atomically under d.mu.
-func (d *DC) logEpochs() {
-	d.mu.Lock()
-	snap := make([]dclog.TCEpoch, 0, len(d.tcs))
-	for id, s := range d.tcs {
+// logEpochs forces a full per-TC epoch snapshot into the DC-log.
+func (d *DC) logEpochs(inc *incarnation) {
+	tcs := *inc.tcs.Load()
+	snap := make([]dclog.TCEpoch, 0, len(tcs))
+	for id, s := range tcs {
 		if e := s.epoch.Load(); e != 0 {
 			snap = append(snap, dclog.TCEpoch{TC: id, Epoch: base.Epoch(e)})
 		}
 	}
-	d.mu.Unlock()
 	if len(snap) == 0 {
 		return
 	}
 	sort.Slice(snap, func(i, j int) bool { return snap[i].TC < snap[j].TC })
 	rec := &dclog.Epochs{Epochs: snap}
 	dlsn := d.AppendSMO(dclog.KindEpochs, rec.Encode())
-	d.mu.Lock()
-	if dlsn > d.epochRec {
-		d.epochRec = dlsn
-	}
-	d.mu.Unlock()
+	raise(&inc.epochRec, uint64(dlsn))
 	d.ForceSMO(dlsn)
-}
-
-func (d *DC) running() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state == stateRunning
 }
 
 // errUnavailable is the typed down/closed/recovering failure; the message
@@ -645,11 +552,8 @@ func (d *DC) errUnavailable() error {
 func (d *DC) Close() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state == stateClosed {
-		return
-	}
-	d.state = stateClosed
-	d.pool = nil
+	d.closed = true
+	d.inc.Store(nil)
 }
 
 // Stats returns a snapshot of counters.
@@ -703,8 +607,8 @@ func (c *conflictTable) exit(op *base.Op) {
 }
 
 // discardStale drops tc's entries stamped with an epoch below the fence:
-// fenced operations still draining through the DC (e.g. parked on a page
-// barrier) must not count as conflicts against the new incarnation. Their
+// fenced operations still draining through the DC (e.g. queued on a leaf
+// latch) must not count as conflicts against the new incarnation. Their
 // own deferred exit calls become harmless double-deletes.
 func (c *conflictTable) discardStale(tc base.TCID, fence base.Epoch) {
 	c.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/page"
 )
 
@@ -471,42 +470,18 @@ func TestConflictCheckerCatchesViolation(t *testing.T) {
 	// directly (Perform is too fast to overlap reliably).
 	op1 := &base.Op{TC: 1, LSN: 1, Kind: base.OpUpdate, Table: "t", Key: "k"}
 	op2 := &base.Op{TC: 1, LSN: 2, Kind: base.OpUpdate, Table: "t", Key: "k"}
-	d.inflight.enter(op1)
-	if n := d.inflight.enter(op2); n != 1 {
+	inflight := d.inc.Load().inflight
+	inflight.enter(op1)
+	if n := inflight.enter(op2); n != 1 {
 		t.Fatalf("conflict not detected: %d", n)
 	}
-	d.inflight.exit(op1)
-	d.inflight.exit(op2)
+	inflight.exit(op1)
+	inflight.exit(op2)
 	// Duplicate resends of the same request never count as conflicts.
-	d.inflight.enter(op1)
+	inflight.enter(op1)
 	dup := *op1
-	if n := d.inflight.enter(&dup); n != 0 {
+	if n := inflight.enter(&dup); n != 0 {
 		t.Fatalf("resend miscounted as conflict: %d", n)
-	}
-}
-
-func TestPageSyncStrategiesEndToEnd(t *testing.T) {
-	for _, strat := range []buffer.SyncStrategy{buffer.SyncBlock, buffer.SyncFull, buffer.SyncHybrid} {
-		t.Run(strat.String(), func(t *testing.T) {
-			d := newDC(t, Config{Strategy: strat, HybridMax: 4})
-			h := newOpHelper(d, 1)
-			for i := 0; i < 50; i++ {
-				h.insert(fmt.Sprintf("k%03d", i), "v")
-			}
-			h.ack()
-			if err := d.Checkpoint(context.Background(), 1, h.epoch, h.next); err != nil {
-				t.Fatal(err)
-			}
-			d.Crash()
-			if err := d.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 50; i++ {
-				if r := h.read(fmt.Sprintf("k%03d", i)); !r.Found {
-					t.Fatalf("strategy %v lost key %d", strat, i)
-				}
-			}
-		})
 	}
 }
 

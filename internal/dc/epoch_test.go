@@ -204,17 +204,17 @@ func TestStaleWatermarksIgnoredAfterRestart(t *testing.T) {
 	if err := d.BeginRestart(context.Background(), 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.tcState(1).lwm.Load(); got != 0 {
+	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
 		t.Fatalf("restart did not re-base the LWM: %d", got)
 	}
 	// Stale claim from the dead incarnation: dropped.
 	d.LowWaterMark(1, 1, 9)
-	if got := d.tcState(1).lwm.Load(); got != 0 {
+	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
 		t.Fatalf("stale LWM claim accepted: %d", got)
 	}
 	// The new incarnation's claim lands.
 	d.LowWaterMark(1, 2, 1)
-	if got := d.tcState(1).lwm.Load(); got != 1 {
+	if got := d.inc.Load().tc(1).lwm.Load(); got != 1 {
 		t.Fatalf("new incarnation LWM dropped: %d", got)
 	}
 }

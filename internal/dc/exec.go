@@ -6,7 +6,6 @@ import (
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
-	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/page"
 )
 
@@ -16,10 +15,16 @@ import (
 // rollback (§4.2.1). A context that is already done is refused up front
 // (CodeCancelled); an operation that starts executing completes.
 func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
+	return d.perform(ctx, d.inc.Load(), op)
+}
+
+// perform executes op on inc, the incarnation its caller loaded (nil: the
+// DC is down), and on nothing else of the DC's volatile state.
+func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op) *base.Result {
 	if ctx.Err() != nil {
 		return &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
 	}
-	if !d.running() {
+	if inc == nil {
 		d.unavailable.Add(1)
 		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
 	}
@@ -27,7 +32,7 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 	// TC's last begin_restart was issued by a dead incarnation. It must
 	// never execute — its log record died with the unforced tail, and its
 	// LSN is being reused — so the nack is permanent (no resend).
-	ts := d.tcState(op.TC)
+	ts := inc.tc(op.TC)
 	if ts.fenced(op.Epoch) {
 		d.staleEpochs.Add(1)
 		return &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
@@ -41,22 +46,22 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 	d.performs.Add(1)
 	d.inflightOps.Add(1)
 	defer d.inflightOps.Add(-1)
-	if d.inflight != nil {
-		if n := d.inflight.enter(op); n > 0 {
+	if inc.inflight != nil {
+		if n := inc.inflight.enter(op); n > 0 {
 			d.conVios.Add(uint64(n))
 		}
-		defer d.inflight.exit(op)
+		defer inc.inflight.exit(op)
 	}
-	tree := d.Tree(op.Table)
+	tree := inc.forest.Tree(op.Table)
 	if tree == nil {
-		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
+		return d.refuse(inc, op)
 	}
 	if op.Flavor == base.ReadSnapshot && op.TS != 0 &&
 		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead) {
 		// Snapshot read at T: wait until every TC's safe timestamp covers T
 		// — all commits <= T are finalized here and no new commit can land
 		// under T — then read timestamp-consistent versions lock-free.
-		if code := d.waitSnapshotSafe(ctx, op.TS); code != base.CodeOK {
+		if code := d.waitSnapshotSafe(ctx, inc, op.TS); code != base.CodeOK {
 			if code == base.CodeUnavailable {
 				d.unavailable.Add(1)
 			}
@@ -64,28 +69,42 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 		}
 		d.snapReads.Add(1)
 	}
+	var res *base.Result
+	var err error
 	switch op.Kind {
 	case base.OpRead:
-		return d.read(tree, op)
+		res, err = read(tree, op)
 	case base.OpScanProbe:
-		return d.scanProbe(tree, op)
+		res, err = scanProbe(tree, op)
 	case base.OpRangeRead:
-		return d.rangeRead(tree, op)
+		res, err = rangeRead(tree, op)
 	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert,
 		base.OpCommitVersions, base.OpAbortVersions:
-		pool := d.poolNow()
-		if pool == nil {
-			return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
-		}
-		res := d.write(pool, tree, ts, op)
-		if res.Code == base.CodeOK &&
+		res, err = d.write(inc, tree, ts, op)
+		if err == nil && res.Code == base.CodeOK &&
 			(op.Kind == base.OpCommitVersions || op.Kind == base.OpAbortVersions) {
 			d.finalizes.Add(1)
 		}
-		return res
 	default:
 		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
 	}
+	if err != nil {
+		return d.refuse(inc, op)
+	}
+	return res
+}
+
+// refuse answers an operation the incarnation it ran on could not execute
+// (no such table, a page that would not load). That is a permanent refusal
+// — unless the incarnation was dropped meanwhile: then the operation raced a
+// crash, and a crash must look like unavailable, never like a refused
+// request the TC would take as final.
+func (d *DC) refuse(inc *incarnation, op *base.Op) *base.Result {
+	if d.inc.Load() != inc {
+		d.unavailable.Add(1)
+		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
+	}
+	return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
 }
 
 // PerformBatch implements base.Service: execute a batch of operations
@@ -98,16 +117,17 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	d.batches.Add(1)
 	d.batchOps.Add(uint64(len(ops)))
+	inc := d.inc.Load()
 	out := make([]*base.Result, len(ops))
 	for i, op := range ops {
-		out[i] = d.Perform(ctx, op)
+		out[i] = d.perform(ctx, inc, op)
 	}
 	return out
 }
 
 // read executes a point read. Reads do not mutate state and are not
 // tracked in abstract LSNs; resends simply re-execute.
-func (d *DC) read(tree *btree.Tree, op *base.Op) *base.Result {
+func read(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
 	err := tree.View(op.Key, func(leaf *page.Page) {
 		if rec := leaf.Get(op.Key); rec != nil {
@@ -117,19 +137,16 @@ func (d *DC) read(tree *btree.Tree, op *base.Op) *base.Result {
 			}
 		}
 	})
-	if err != nil {
-		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
-	}
 	if !res.Found {
 		res.Code = base.CodeNotFound
 	}
-	return res
+	return res, err
 }
 
 // scanProbe is the speculative probe of the fetch-ahead protocol (§3.1):
 // return the keys of the next records at or after op.Key so the TC can
 // lock them before issuing the real read.
-func (d *DC) scanProbe(tree *btree.Tree, op *base.Op) *base.Result {
+func scanProbe(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
 	limit := int(op.Limit)
 	if limit <= 0 {
@@ -142,14 +159,11 @@ func (d *DC) scanProbe(tree *btree.Tree, op *base.Op) *base.Result {
 		})
 		return !stopped
 	})
-	if err != nil {
-		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
-	}
-	return res
+	return res, err
 }
 
 // rangeRead returns visible records with op.Key <= k < op.EndKey.
-func (d *DC) rangeRead(tree *btree.Tree, op *base.Op) *base.Result {
+func rangeRead(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
 	limit := int(op.Limit)
 	if limit <= 0 {
@@ -165,10 +179,7 @@ func (d *DC) rangeRead(tree *btree.Tree, op *base.Op) *base.Result {
 		})
 		return !stopped
 	})
-	if err != nil {
-		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
-	}
-	return res
+	return res, err
 }
 
 // recVersion resolves the version of rec visible to op: timestamped
@@ -183,45 +194,33 @@ func recVersion(rec *page.Record, op *base.Op) ([]byte, bool) {
 // write executes a mutating operation with the abstract-LSN idempotence
 // test of §5.1.2: if the page already contains the operation's effects the
 // DC skips re-execution and acknowledges.
-func (d *DC) write(pool *buffer.Pool, tree *btree.Tree, ts *tcState, op *base.Op) *base.Result {
-	for {
-		var res *base.Result
-		leafID, blocked, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
-			// Re-test the incarnation fence under the leaf latch: the
-			// restart sweep latches every page, so a write serializes with
-			// it — applied before the sweep it is stripped by the reset,
-			// latched after it is fenced here. The entry check alone would
-			// leave a window where an old-epoch write lands on an
-			// already-swept page.
-			if ts.fenced(op.Epoch) {
-				d.staleEpochs.Add(1)
-				res = &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
-				return false
-			}
-			if leaf.Ab.Contains(op.TC, op.LSN) {
-				d.dupSkips.Add(1)
-				res = &base.Result{LSN: op.LSN, Code: base.CodeOK, Applied: true}
-				return false
-			}
-			if pool.BarrierBlocked(leaf, op.TC, op.LSN) {
-				return true // §5.1.2 strategy 1: wait out the page sync
-			}
-			res = applyWrite(leaf, op, base.TS(d.gcHorizon.Load()))
-			if res.Code == base.CodeOK {
-				leaf.Ab.Ensure(op.TC).Add(op.LSN)
-				pool.MarkDirty(leaf, op.TC, op.LSN, 0)
-			}
+func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op) (*base.Result, error) {
+	var res *base.Result
+	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
+		// Re-test the incarnation fence under the leaf latch: the
+		// restart sweep latches every page, so a write serializes with
+		// it — applied before the sweep it is stripped by the reset,
+		// latched after it is fenced here. The entry check alone would
+		// leave a window where an old-epoch write lands on an
+		// already-swept page.
+		if ts.fenced(op.Epoch) {
+			d.staleEpochs.Add(1)
+			res = &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
 			return false
-		})
-		if err != nil {
-			return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
 		}
-		if blocked {
-			pool.BarrierWait(leafID)
-			continue
+		if leaf.Ab.Contains(op.TC, op.LSN) {
+			d.dupSkips.Add(1)
+			res = &base.Result{LSN: op.LSN, Code: base.CodeOK, Applied: true}
+			return false
 		}
-		return res
-	}
+		res = applyWrite(leaf, op, base.TS(inc.gcHorizon.Load()))
+		if res.Code == base.CodeOK {
+			leaf.Ab.Ensure(op.TC).Add(op.LSN)
+			inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
+		}
+		return false
+	})
+	return res, err
 }
 
 // applyWrite mutates the latched leaf according to op. Failed operations

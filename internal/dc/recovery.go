@@ -2,351 +2,126 @@ package dc
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/page"
-	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// Crash simulates a DC process failure: the cache and all volatile state
-// (watermarks, unforced DC-log tail) vanish; stable pages and the stable
-// DC-log survive. The DC answers CodeUnavailable until Recover runs.
-// Crashing a closed DC leaves it closed.
+// Crash simulates a DC process failure: the serving incarnation — cache,
+// trees, watermarks, fences — and the unforced DC-log tail vanish; stable
+// pages and the stable DC-log survive. The DC answers CodeUnavailable until
+// Recover runs. Crashing a closed DC leaves it closed.
 func (d *DC) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state == stateClosed {
+	if d.closed {
 		return
 	}
-	d.state = stateDown
-	d.pool = nil
-	d.trees = make(map[string]*btree.Tree)
-	d.pageTable = make(map[base.PageID]string)
-	d.tcs = make(map[base.TCID]*tcState)
-	// Epoch fences are rebuilt from the stable DC-log (every bump is forced
-	// before it takes effect, and truncation re-snapshots).
-	d.epochRec = 0
+	d.inc.Store(nil)
 	d.dlog.Crash()
-	if d.inflight != nil {
-		d.inflight = newConflictTable()
-	}
 }
 
-// Recover rebuilds the DC after a crash: replay the stable DC-log in dLSN
-// order so the search structures are well-formed *before* any TC redo
-// arrives (§4.2 "Recovery", §5.2.2), then reopen the trees from the
-// catalog. The TC(s) are then prompted (by the deployment layer) to resend
-// operations from their redo scan start points.
+// Recover builds a new incarnation from the stable media and publishes it:
+// replay the stable DC-log in dLSN order so the search structures are
+// well-formed *before* any TC redo arrives (§4.2 "Recovery", §5.2.2) and the
+// epoch fences are back before any operation is served, then open the trees
+// from the catalog. The TC(s) are then prompted (by the deployment layer) to
+// resend operations from their redo scan start points. It holds mu
+// throughout, so a Crash or Close waits for it and then takes effect.
 func (d *DC) Recover() error {
 	d.mu.Lock()
-	if d.state != stateDown {
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	if d.closed || d.inc.Load() != nil {
 		return fmt.Errorf("dc %s: recover called while not down", d.cfg.Name)
 	}
-	d.state = stateRecovering
-	d.mu.Unlock()
-
-	pool := d.newPool()
-	d.mu.Lock()
-	d.pool = pool
-	d.mu.Unlock()
-
-	// Replay system transactions in their (stable) log order. This can
-	// execute structure modifications out of their original execution
-	// order relative to TC operations — exactly the §5.2.2 situation the
-	// logging formats are designed for.
-	for _, raw := range d.dlog.Scan(0) {
-		if err := d.redoSMO(pool, raw); err != nil {
-			return err
-		}
-	}
-
-	// Reopen trees from the recovered catalog.
-	cat, err := pool.Fetch(catalogPageID)
+	inc, err := d.build()
 	if err != nil {
-		return err
+		return fmt.Errorf("dc %s: recover: %w", d.cfg.Name, err)
 	}
-	if cat == nil {
-		return fmt.Errorf("dc %s: catalog page lost", d.cfg.Name)
-	}
-	trees := make(map[string]*btree.Tree)
-	cat.L.RLock()
-	for i := range cat.Recs {
-		table := cat.Recs[i].Key
-		root, n := binary.Uvarint(cat.Recs[i].Value)
-		if n <= 0 {
-			cat.L.RUnlock()
-			pool.Unpin(catalogPageID)
-			return fmt.Errorf("dc %s: corrupt catalog entry %q", d.cfg.Name, table)
-		}
-		trees[table] = d.newTree(table, base.PageID(root), pool)
-	}
-	cat.L.RUnlock()
-	pool.Unpin(catalogPageID)
-
-	// Rebuild the page -> table map by walking each tree.
-	pageTable := make(map[base.PageID]string)
-	for table, t := range trees {
-		if err := d.walkPages(pool, t.Root(), table, pageTable); err != nil {
-			return err
-		}
-	}
-
-	d.mu.Lock()
-	d.trees = trees
-	d.pageTable = pageTable
-	d.state = stateRunning
-	d.mu.Unlock()
+	d.inc.Store(inc)
 	return nil
 }
 
-func (d *DC) walkPages(pool *buffer.Pool, id base.PageID, table string, out map[base.PageID]string) error {
-	pg, err := pool.Fetch(id)
+// build makes an incarnation out of the stable media.
+func (d *DC) build() (*incarnation, error) {
+	inc := &incarnation{pages: make(map[base.PageID]string)}
+	inc.tcs.Store(&map[base.TCID]*tcState{})
+	if d.cfg.CheckConflicts {
+		inc.inflight = newConflictTable()
+	}
+	// The gates read the incarnation the pool belongs to, never the DC: a
+	// superseded pool keeps gating on the watermarks it was told.
+	inc.pool = buffer.New(buffer.Config{Capacity: d.cfg.CacheCapacity}, d.store, buffer.Gates{
+		EOSL:       func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).eosl.Load()) },
+		LWM:        func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).lwm.Load()) },
+		ForceDCLog: d.ForceSMO,
+	})
+	for _, rec := range d.dlog.Scan(0) {
+		var err error
+		if rec.Kind == dclog.KindEpochs {
+			err = inc.redoEpochs(rec.Payload, base.DLSN(rec.LSN))
+		} else {
+			err = btree.Redo(inc.pool, rec.Kind, rec.Payload, base.DLSN(rec.LSN))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dLSN %d: %w", rec.LSN, err)
+		}
+	}
+	var err error
+	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool,
+		d.store.AllocPageID, d, inc.routePage)
+	if err != nil {
+		return nil, err
+	}
+	// Rebuild the page -> table map by walking each tree.
+	for _, table := range inc.forest.Tables() {
+		if err := inc.walkPages(inc.forest.Tree(table).Root(), table); err != nil {
+			return nil, err
+		}
+	}
+	return inc, nil
+}
+
+func (inc *incarnation) walkPages(id base.PageID, table string) error {
+	pg, err := inc.pool.Fetch(id)
 	if err != nil {
 		return err
 	}
 	if pg == nil {
-		return fmt.Errorf("dc %s: table %s references missing page %d", d.cfg.Name, table, id)
+		return fmt.Errorf("table %s references missing page %d", table, id)
 	}
-	out[id] = table
+	inc.routePage(id, table)
+	var children []base.PageID
 	if !pg.Leaf {
-		children := append([]base.PageID(nil), pg.Children...)
-		pool.Unpin(id)
-		for _, c := range children {
-			if err := d.walkPages(pool, c, table, out); err != nil {
-				return err
-			}
-		}
-		return nil
+		children = append(children, pg.Children...)
 	}
-	pool.Unpin(id)
-	return nil
-}
-
-// redoSMO replays one DC-log record using the page dLSN tests of §5.2.2.
-func (d *DC) redoSMO(pool *buffer.Pool, rec *wal.Record) error {
-	dlsn := base.DLSN(rec.LSN)
-	switch rec.Kind {
-	case dclog.KindCreateTree:
-		ct, err := dclog.DecodeCreateTree(rec.Payload)
-		if err != nil {
+	inc.pool.Unpin(id)
+	for _, c := range children {
+		if err := inc.walkPages(c, table); err != nil {
 			return err
 		}
-		if err := d.redoInstallImage(pool, ct.RootID, ct.RootImage, dlsn); err != nil {
-			return err
-		}
-		d.redoCatalogPut(pool, ct.Table, ct.RootID, dlsn)
-	case dclog.KindSplit:
-		sp, err := dclog.DecodeSplit(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return d.redoSplit(pool, sp, dlsn)
-	case dclog.KindConsolidate:
-		co, err := dclog.DecodeConsolidate(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return d.redoConsolidate(pool, co, dlsn)
-	case dclog.KindRootCollapse:
-		rc, err := dclog.DecodeRootCollapse(rec.Payload)
-		if err != nil {
-			return err
-		}
-		d.redoCatalogPut(pool, rc.Table, rc.NewRootID, dlsn)
-		pool.Drop(rc.OldRootID, true)
-	case dclog.KindEpochs:
-		eps, err := dclog.DecodeEpochs(rec.Payload)
-		if err != nil {
-			return err
-		}
-		// Reinstall the incarnation fences before any operation is served:
-		// requests of pre-restart TC incarnations stay fenced across DC
-		// crashes. Max semantics make replay of multiple snapshots
-		// idempotent. No restart is in progress after a DC recover — if one
-		// was, the TC's (resent) BeginRestart/EndRestart re-establishes it.
-		for _, e := range eps.Epochs {
-			s := d.tcState(e.TC)
-			for {
-				cur := s.epoch.Load()
-				if uint64(e.Epoch) <= cur || s.epoch.CompareAndSwap(cur, uint64(e.Epoch)) {
-					break
-				}
-			}
-		}
-		d.mu.Lock()
-		if dlsn > d.epochRec {
-			d.epochRec = dlsn
-		}
-		d.mu.Unlock()
-	default:
-		return fmt.Errorf("dc %s: unknown DC-log kind %d", d.cfg.Name, rec.Kind)
 	}
 	return nil
 }
 
-// redoInstallImage (re)creates a page from a logged physical image unless
-// the stable version already reflects this or a later system transaction.
-func (d *DC) redoInstallImage(pool *buffer.Pool, id base.PageID, image []byte, dlsn base.DLSN) error {
-	existing, err := pool.Fetch(id)
+// redoEpochs reinstalls the incarnation fences a KindEpochs snapshot
+// carries: requests of pre-restart TC incarnations stay fenced across DC
+// crashes. Max semantics make replay of multiple snapshots idempotent. No
+// restart is in progress after a DC recover — if one was, the TC's (resent)
+// BeginRestart/EndRestart re-establishes it.
+func (inc *incarnation) redoEpochs(payload []byte, dlsn base.DLSN) error {
+	eps, err := dclog.DecodeEpochs(payload)
 	if err != nil {
 		return err
 	}
-	if existing != nil {
-		skip := existing.DLSN >= dlsn
-		if skip {
-			pool.Unpin(id)
-			return nil
-		}
-		pool.Unpin(id)
+	for _, e := range eps.Epochs {
+		raise(&inc.tc(e.TC).epoch, uint64(e.Epoch))
 	}
-	pg, err := page.Decode(image)
-	if err != nil {
-		return err
-	}
-	pg.DLSN = dlsn
-	pool.MarkDirty(pg, 0, 0, dlsn)
-	pool.Install(pg)
-	pool.Unpin(id)
-	return nil
-}
-
-// redoCatalogPut applies a root-pointer update. Catalog updates are
-// replayed unconditionally in dLSN order (they commute per table and the
-// last write wins), because two trees' system transactions may stamp the
-// shared catalog page out of dLSN order during normal execution.
-func (d *DC) redoCatalogPut(pool *buffer.Pool, table string, root base.PageID, dlsn base.DLSN) {
-	d.updateCatalog(pool, table, root, dlsn)
-}
-
-func (d *DC) redoSplit(pool *buffer.Pool, sp *dclog.Split, dlsn base.DLSN) error {
-	// New (right) page: the log record captured its contents, including
-	// its abstract LSN at the time of the split (§5.2.2(1)).
-	if err := d.redoInstallImage(pool, sp.RightID, sp.RightImage, dlsn); err != nil {
-		return err
-	}
-	// Pre-split (left) page: only the split key was logged; whatever
-	// version is on stable storage, its abstract LSN remains valid
-	// (§5.2.2(2)).
-	left, err := pool.Fetch(sp.LeftID)
-	if err != nil {
-		return err
-	}
-	if left == nil {
-		return fmt.Errorf("dc %s: split redo lost left page %d", d.cfg.Name, sp.LeftID)
-	}
-	left.L.Lock()
-	if left.DLSN < dlsn {
-		pruneForSplit(left, sp.SplitKey)
-		if left.Leaf {
-			left.Next = sp.RightID
-		}
-		left.DLSN = dlsn
-		pool.MarkDirty(left, 0, 0, dlsn)
-	}
-	left.L.Unlock()
-	pool.Unpin(sp.LeftID)
-
-	if sp.ParentID != 0 {
-		parent, err := pool.Fetch(sp.ParentID)
-		if err != nil {
-			return err
-		}
-		if parent == nil {
-			return fmt.Errorf("dc %s: split redo lost parent page %d", d.cfg.Name, sp.ParentID)
-		}
-		parent.L.Lock()
-		if parent.DLSN < dlsn {
-			if ci := parent.ChildIndex(sp.LeftID); ci >= 0 && parent.ChildIndex(sp.RightID) < 0 {
-				parent.InsertSep(ci, sp.SplitKey, sp.RightID)
-			}
-			parent.DLSN = dlsn
-			pool.MarkDirty(parent, 0, 0, dlsn)
-		}
-		parent.L.Unlock()
-		pool.Unpin(sp.ParentID)
-		return nil
-	}
-	// Root split: fresh branch root [SplitKey; Left, Right].
-	if sp.NewRootID != 0 {
-		existing, err := pool.Fetch(sp.NewRootID)
-		if err != nil {
-			return err
-		}
-		if existing == nil || existing.DLSN < dlsn {
-			if existing != nil {
-				pool.Unpin(sp.NewRootID)
-			}
-			root := page.NewBranch(sp.NewRootID, []string{sp.SplitKey},
-				[]base.PageID{sp.LeftID, sp.RightID})
-			root.DLSN = dlsn
-			pool.MarkDirty(root, 0, 0, dlsn)
-			pool.Install(root)
-			pool.Unpin(sp.NewRootID)
-		} else {
-			pool.Unpin(sp.NewRootID)
-		}
-		d.redoCatalogPut(pool, sp.Table, sp.NewRootID, dlsn)
-	}
-	return nil
-}
-
-// pruneForSplit removes the upper half that moved to the right page.
-func pruneForSplit(pg *page.Page, splitKey string) {
-	if pg.Leaf {
-		i := sort.Search(len(pg.Recs), func(i int) bool { return pg.Recs[i].Key >= splitKey })
-		pg.Recs = pg.Recs[:i:i]
-		return
-	}
-	i := sort.Search(len(pg.Keys), func(i int) bool { return pg.Keys[i] >= splitKey })
-	pg.Keys = pg.Keys[:i:i]
-	pg.Children = pg.Children[: i+1 : i+1]
-}
-
-func (d *DC) redoConsolidate(pool *buffer.Pool, co *dclog.Consolidate, dlsn base.DLSN) error {
-	// The consolidated page was logged physically with abLSN = max of the
-	// two inputs (§5.2.2): installing the image repeats history for the
-	// page delete regardless of TC-operation interleavings.
-	left, err := pool.Fetch(co.LeftID)
-	if err != nil {
-		return err
-	}
-	if left == nil || left.DLSN < dlsn {
-		if left != nil {
-			pool.Unpin(co.LeftID)
-		}
-		if err := d.redoInstallImage(pool, co.LeftID, co.LeftImage, dlsn); err != nil {
-			return err
-		}
-	} else {
-		pool.Unpin(co.LeftID)
-	}
-	pool.Drop(co.RightID, true)
-	if co.ParentID != 0 {
-		parent, err := pool.Fetch(co.ParentID)
-		if err != nil {
-			return err
-		}
-		if parent == nil {
-			return fmt.Errorf("dc %s: consolidate redo lost parent %d", d.cfg.Name, co.ParentID)
-		}
-		parent.L.Lock()
-		if parent.DLSN < dlsn {
-			if ci := parent.ChildIndex(co.RightID); ci > 0 {
-				parent.RemoveSep(ci - 1)
-			}
-			parent.DLSN = dlsn
-			pool.MarkDirty(parent, 0, 0, dlsn)
-		}
-		parent.L.Unlock()
-		pool.Unpin(co.ParentID)
-	}
+	raise(&inc.epochRec, uint64(dlsn))
 	return nil
 }
 
@@ -368,11 +143,12 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
 	}
-	pool := d.runningPool()
-	if pool == nil {
+	inc := d.inc.Load()
+	if inc == nil {
 		return d.errUnavailable()
 	}
-	s := d.tcState(tc)
+	pool := inc.pool
+	s := inc.tc(tc)
 	// The whole restart — fence install, durable record, re-base, sweep,
 	// restores — is one ctl critical section: a duplicated delivery must
 	// not reply (unblocking the TC's redo) while the winning delivery is
@@ -395,7 +171,7 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	s.restarting.Store(true)
 	// Persist the fence before touching any state: once effects are swept,
 	// no crash may resurrect the DC without it.
-	d.logEpochs()
+	d.logEpochs(inc)
 	// The restarted TC reuses the LSN space above stableLSN: stale
 	// low-water-mark claims must not prune abstract LSNs into it. (Claims
 	// still in flight from the dead incarnation are epoch-fenced, and the
@@ -418,7 +194,9 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 			return
 		}
 		d.resetPages.Add(1)
-		table := d.tableOf(pg.ID)
+		inc.pagesMu.Lock()
+		table := inc.pages[pg.ID]
+		inc.pagesMu.Unlock()
 		// Strip the failed TC's records from the cached page.
 		kept := pg.Recs[:0]
 		for i := range pg.Recs {
@@ -453,7 +231,7 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	// Reinsert the stable records through current routing: intervening
 	// structure modifications may have moved a key's home page.
 	for _, r := range restores {
-		tree := d.Tree(r.table)
+		tree := inc.forest.Tree(r.table)
 		if tree == nil {
 			continue
 		}
@@ -479,17 +257,18 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 // complete. The staged epoch is atomically activated — normal processing
 // (checkpoints included) resumes for the new incarnation — and whatever
 // the prior incarnation still has queued inside the DC is discarded: its
-// conflict-table entries are purged (fenced operations parked on page
-// barriers otherwise count as conflicts against the new incarnation's
+// conflict-table entries are purged (fenced operations still queued on
+// leaf latches otherwise count as conflicts against the new incarnation's
 // operations). A late EndRestart from a dead incarnation is refused.
 func (d *DC) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
 	}
-	if !d.running() {
+	inc := d.inc.Load()
+	if inc == nil {
 		return d.errUnavailable()
 	}
-	s := d.tcState(tc)
+	s := inc.tc(tc)
 	// Validation and activation are one ctl critical section: a dead
 	// incarnation's late end_restart racing a newer begin_restart must not
 	// load the old fence, pass the check, and then clear the newer
@@ -502,14 +281,8 @@ func (d *DC) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch) err
 			d.cfg.Name, tc, epoch, cur, base.ErrStaleEpoch)
 	}
 	s.restarting.Store(false)
-	if d.inflight != nil {
-		d.inflight.discardStale(tc, cur)
+	if inc.inflight != nil {
+		inc.inflight.discardStale(tc, cur)
 	}
 	return nil
-}
-
-func (d *DC) tableOf(id base.PageID) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pageTable[id]
 }

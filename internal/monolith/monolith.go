@@ -1,8 +1,12 @@
 // Package monolith is the baseline the paper unbundles: a traditional
 // integrated transactional storage manager in which the lock manager, log
 // manager, buffer pool, and access methods are one tightly bound engine
-// (§1 quoting Hellerstein et al.). It reuses the same B-tree, pages, and
-// buffer pool as the DC, but:
+// (§1 quoting Hellerstein et al.). Its physical half is the DC's, by
+// reference and not by copy: the same pages and buffer pool, and from
+// package btree the same trees, catalog page, format step, table creation
+// and system-transaction redo — so the baseline cannot drift from the
+// kernel it is measured against. What differs is what the paper says
+// differs:
 //
 //   - one integrated log holds user operations and structure
 //     modifications, in strict history order;
@@ -21,6 +25,7 @@ package monolith
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,15 +35,12 @@ import (
 	"github.com/cidr09/unbundled/internal/btree"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/lockmgr"
-	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/storage"
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-const catalogPageID = base.PageID(1)
-
-// Integrated-log record kinds (values disjoint from dclog's 1..4, which
-// this engine reuses verbatim for structure modifications).
+// Integrated-log record kinds (values disjoint from dclog's, which this
+// engine reuses verbatim for structure modifications).
 const (
 	recOp         uint8 = 10 + iota // physiological user operation
 	recCLR                          // compensation (logical inverse)
@@ -73,11 +75,10 @@ type Engine struct {
 	locks *lockmgr.Manager
 
 	mu      sync.Mutex
-	trees   map[string]*btree.Tree
+	forest  *btree.Forest // nil while crashed
 	txns    map[base.TxnID]*Txn
 	nextTxn uint64
 	rssp    base.LSN
-	down    bool
 
 	commits, aborts, redoOps, undoOps atomic.Uint64
 }
@@ -90,7 +91,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:   cfg,
 		store: storage.NewPageStore(),
-		trees: make(map[string]*btree.Tree),
 		txns:  make(map[base.TxnID]*Txn),
 		locks: lockmgr.New(),
 		rssp:  1,
@@ -103,27 +103,31 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pool = e.newPool()
-	id := e.store.AllocPageID()
-	if id != catalogPageID {
-		return nil, fmt.Errorf("monolith: catalog got page %d", id)
+	if err := btree.Format(e.store); err != nil {
+		return nil, err
 	}
-	cat := page.NewLeaf(catalogPageID)
-	e.store.Write(catalogPageID, cat.Encode())
+	e.pool = e.newPool()
+	if e.forest, err = e.openForest(e.pool); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
 func (e *Engine) newPool() *buffer.Pool {
 	open := func(base.TCID) base.LSN { return 1 << 62 }
 	return buffer.New(
-		buffer.Config{Capacity: e.cfg.CacheCapacity, Strategy: buffer.SyncFull},
+		buffer.Config{Capacity: e.cfg.CacheCapacity},
 		e.store,
 		buffer.Gates{
 			EOSL: open, LWM: open, // no abstract LSNs in the monolith
 			// Classic write-ahead logging: force the integrated log
 			// through the page LSN before the page is written.
-			ForceDCLog: func(d base.DLSN) { e.log.ForceTo(base.LSN(d)) },
+			ForceDCLog: e.ForceSMO,
 		})
+}
+
+func (e *Engine) openForest(pool *buffer.Pool) (*btree.Forest, error) {
+	return btree.Open(btree.Config{MaxPageBytes: e.cfg.PageBytes}, pool, e.store.AllocPageID, e, nil)
 }
 
 // AppendSMO implements dclog.Logger on the integrated log.
@@ -142,55 +146,24 @@ func (e *Engine) Pool() *buffer.Pool { return e.pool }
 
 // CreateTable durably creates an empty table. Idempotent.
 func (e *Engine) CreateTable(table string) error {
-	e.mu.Lock()
-	if _, ok := e.trees[table]; ok {
-		e.mu.Unlock()
-		return nil
+	f := e.live()
+	if f == nil {
+		return errors.New("monolith: engine is down")
 	}
-	e.mu.Unlock()
-	rootID := e.store.AllocPageID()
-	root := page.NewLeaf(rootID)
-	rec := createTreePayload(table, rootID, root.Encode())
-	dlsn := e.AppendSMO(kindCreateTree, rec)
-	root.DLSN = dlsn
-	e.pool.MarkDirty(root, 0, 0, dlsn)
-	e.pool.Install(root)
-	e.pool.Unpin(rootID)
-	e.updateCatalog(table, rootID, dlsn)
-	e.ForceSMO(dlsn)
-	e.mu.Lock()
-	e.trees[table] = e.newTree(table, rootID)
-	e.mu.Unlock()
-	return nil
+	return f.CreateTable(table)
 }
 
-func (e *Engine) newTree(table string, root base.PageID) *btree.Tree {
-	return btree.New(table, root, btree.Config{MaxPageBytes: e.cfg.PageBytes},
-		e.pool, e.store.AllocPageID, e,
-		func(newRoot base.PageID, dlsn base.DLSN) {
-			e.updateCatalog(table, newRoot, dlsn)
-		})
-}
-
-func (e *Engine) updateCatalog(table string, root base.PageID, dlsn base.DLSN) {
-	cat, err := e.pool.Fetch(catalogPageID)
-	if err != nil || cat == nil {
-		panic(fmt.Sprintf("monolith: catalog unavailable: %v", err))
-	}
-	cat.L.Lock()
-	cat.Put(page.Record{Key: table, Value: binary.AppendUvarint(nil, uint64(root))})
-	if dlsn > cat.DLSN {
-		cat.DLSN = dlsn
-	}
-	e.pool.MarkDirty(cat, 0, 0, dlsn)
-	cat.L.Unlock()
-	e.pool.Unpin(catalogPageID)
+func (e *Engine) live() *btree.Forest {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.forest
 }
 
 func (e *Engine) tree(table string) *btree.Tree {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.trees[table]
+	if f := e.live(); f != nil {
+		return f.Tree(table)
+	}
+	return nil
 }
 
 // Checkpoint flushes all dirty pages and truncates the log below both the
@@ -231,23 +204,6 @@ func (e *Engine) Stats() Stats {
 }
 
 // --- record payloads ----------------------------------------------------
-
-// SMO payloads reuse the dclog formats; these helpers exist so the package
-// compiles without importing dclog symbols at every call site.
-const (
-	kindCreateTree   = 1 // dclog.KindCreateTree
-	kindSplit        = 2
-	kindConsolidate  = 3
-	kindRootCollapse = 4
-)
-
-func createTreePayload(table string, root base.PageID, image []byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(table)))
-	buf = append(buf, table...)
-	buf = binary.AppendUvarint(buf, uint64(root))
-	buf = binary.AppendUvarint(buf, uint64(len(image)))
-	return append(buf, image...)
-}
 
 // opPayload is the physiological user-op record: the page it modified plus
 // the logical operation and undo value.

@@ -2,14 +2,10 @@ package monolith
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
-	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/lockmgr"
-	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
@@ -18,9 +14,8 @@ import (
 // partial").
 func (e *Engine) Crash() {
 	e.mu.Lock()
-	e.down = true
 	e.pool = nil
-	e.trees = make(map[string]*btree.Tree)
+	e.forest = nil
 	e.txns = make(map[base.TxnID]*Txn)
 	e.mu.Unlock()
 	e.log.Crash()
@@ -72,30 +67,15 @@ func (e *Engine) Recover() error {
 		}
 	}
 
-	// Reopen trees from the recovered catalog.
-	cat, err := e.pool.Fetch(catalogPageID)
-	if err != nil || cat == nil {
-		return fmt.Errorf("monolith: catalog lost: %v", err)
+	forest, err := e.openForest(pool)
+	if err != nil {
+		return err
 	}
-	trees := make(map[string]*btree.Tree)
-	cat.L.RLock()
-	for i := range cat.Recs {
-		root, n := binary.Uvarint(cat.Recs[i].Value)
-		if n <= 0 {
-			cat.L.RUnlock()
-			e.pool.Unpin(catalogPageID)
-			return fmt.Errorf("monolith: corrupt catalog entry %q", cat.Recs[i].Key)
-		}
-		trees[cat.Recs[i].Key] = e.newTree(cat.Recs[i].Key, base.PageID(root))
-	}
-	cat.L.RUnlock()
-	e.pool.Unpin(catalogPageID)
 
 	e.mu.Lock()
-	e.trees = trees
+	e.forest = forest
 	e.nextTxn = maxTxn
 	e.rssp = rssp
-	e.down = false
 	e.mu.Unlock()
 
 	// Undo losers (logical inverses, CLR-protected).
@@ -106,41 +86,16 @@ func (e *Engine) Recover() error {
 	return nil
 }
 
+// redoRecord repeats one record of history: user operations here, every
+// structure modification through the redo the DC uses.
 func (e *Engine) redoRecord(rec *wal.Record) error {
-	dlsn := base.DLSN(rec.LSN)
 	switch rec.Kind {
-	case kindCreateTree:
-		ct, err := dclog.DecodeCreateTree(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := e.redoInstallImage(ct.RootID, ct.RootImage, dlsn); err != nil {
-			return err
-		}
-		e.updateCatalog(ct.Table, ct.RootID, dlsn)
-	case kindSplit:
-		sp, err := dclog.DecodeSplit(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return e.redoSplit(sp, dlsn)
-	case kindConsolidate:
-		co, err := dclog.DecodeConsolidate(rec.Payload)
-		if err != nil {
-			return err
-		}
-		return e.redoConsolidate(co, dlsn)
-	case kindRootCollapse:
-		rc, err := dclog.DecodeRootCollapse(rec.Payload)
-		if err != nil {
-			return err
-		}
-		e.updateCatalog(rc.Table, rc.NewRootID, dlsn)
-		e.pool.Drop(rc.OldRootID, true)
 	case recOp, recCLR:
 		return e.redoOp(rec)
+	case recCommit, recAbort, recCheckpoint:
+		return nil
 	}
-	return nil
+	return btree.Redo(e.pool, rec.Kind, rec.Payload, base.DLSN(rec.LSN))
 }
 
 // redoOp is physiological redo: apply to the logged page iff the page LSN
@@ -169,135 +124,4 @@ func (e *Engine) redoOp(rec *wal.Record) error {
 	pg.L.Unlock()
 	e.pool.Unpin(pageID)
 	return nil
-}
-
-func (e *Engine) redoInstallImage(id base.PageID, image []byte, dlsn base.DLSN) error {
-	existing, err := e.pool.Fetch(id)
-	if err != nil {
-		return err
-	}
-	if existing != nil {
-		skip := existing.DLSN >= dlsn
-		e.pool.Unpin(id)
-		if skip {
-			return nil
-		}
-	}
-	pg, err := page.Decode(image)
-	if err != nil {
-		return err
-	}
-	pg.DLSN = dlsn
-	e.pool.MarkDirty(pg, 0, 0, dlsn)
-	e.pool.Install(pg)
-	e.pool.Unpin(id)
-	return nil
-}
-
-func (e *Engine) redoSplit(sp *dclog.Split, dlsn base.DLSN) error {
-	if err := e.redoInstallImage(sp.RightID, sp.RightImage, dlsn); err != nil {
-		return err
-	}
-	left, err := e.pool.Fetch(sp.LeftID)
-	if err != nil {
-		return err
-	}
-	if left == nil {
-		return fmt.Errorf("monolith: split redo lost left page %d", sp.LeftID)
-	}
-	left.L.Lock()
-	if left.DLSN < dlsn {
-		pruneForSplit(left, sp.SplitKey)
-		if left.Leaf {
-			left.Next = sp.RightID
-		}
-		left.DLSN = dlsn
-		e.pool.MarkDirty(left, 0, 0, dlsn)
-	}
-	left.L.Unlock()
-	e.pool.Unpin(sp.LeftID)
-	if sp.ParentID != 0 {
-		parent, err := e.pool.Fetch(sp.ParentID)
-		if err != nil || parent == nil {
-			return fmt.Errorf("monolith: split redo lost parent %d: %v", sp.ParentID, err)
-		}
-		parent.L.Lock()
-		if parent.DLSN < dlsn {
-			if ci := parent.ChildIndex(sp.LeftID); ci >= 0 && parent.ChildIndex(sp.RightID) < 0 {
-				parent.InsertSep(ci, sp.SplitKey, sp.RightID)
-			}
-			parent.DLSN = dlsn
-			e.pool.MarkDirty(parent, 0, 0, dlsn)
-		}
-		parent.L.Unlock()
-		e.pool.Unpin(sp.ParentID)
-		return nil
-	}
-	if sp.NewRootID != 0 {
-		existing, err := e.pool.Fetch(sp.NewRootID)
-		if err != nil {
-			return err
-		}
-		if existing == nil || existing.DLSN < dlsn {
-			if existing != nil {
-				e.pool.Unpin(sp.NewRootID)
-			}
-			root := page.NewBranch(sp.NewRootID, []string{sp.SplitKey},
-				[]base.PageID{sp.LeftID, sp.RightID})
-			root.DLSN = dlsn
-			e.pool.MarkDirty(root, 0, 0, dlsn)
-			e.pool.Install(root)
-			e.pool.Unpin(sp.NewRootID)
-		} else {
-			e.pool.Unpin(sp.NewRootID)
-		}
-		e.updateCatalog(sp.Table, sp.NewRootID, dlsn)
-	}
-	return nil
-}
-
-func (e *Engine) redoConsolidate(co *dclog.Consolidate, dlsn base.DLSN) error {
-	left, err := e.pool.Fetch(co.LeftID)
-	if err != nil {
-		return err
-	}
-	if left == nil || left.DLSN < dlsn {
-		if left != nil {
-			e.pool.Unpin(co.LeftID)
-		}
-		if err := e.redoInstallImage(co.LeftID, co.LeftImage, dlsn); err != nil {
-			return err
-		}
-	} else {
-		e.pool.Unpin(co.LeftID)
-	}
-	e.pool.Drop(co.RightID, true)
-	if co.ParentID != 0 {
-		parent, err := e.pool.Fetch(co.ParentID)
-		if err != nil || parent == nil {
-			return fmt.Errorf("monolith: consolidate redo lost parent %d: %v", co.ParentID, err)
-		}
-		parent.L.Lock()
-		if parent.DLSN < dlsn {
-			if ci := parent.ChildIndex(co.RightID); ci > 0 {
-				parent.RemoveSep(ci - 1)
-			}
-			parent.DLSN = dlsn
-			e.pool.MarkDirty(parent, 0, 0, dlsn)
-		}
-		parent.L.Unlock()
-		e.pool.Unpin(co.ParentID)
-	}
-	return nil
-}
-
-func pruneForSplit(pg *page.Page, splitKey string) {
-	if pg.Leaf {
-		i := sort.Search(len(pg.Recs), func(i int) bool { return pg.Recs[i].Key >= splitKey })
-		pg.Recs = pg.Recs[:i:i]
-		return
-	}
-	i := sort.Search(len(pg.Keys), func(i int) bool { return pg.Keys[i] >= splitKey })
-	pg.Keys = pg.Keys[:i:i]
-	pg.Children = pg.Children[: i+1 : i+1]
 }

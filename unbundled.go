@@ -246,7 +246,6 @@ package unbundled
 
 import (
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/core"
 	"github.com/cidr09/unbundled/internal/dc"
 	"github.com/cidr09/unbundled/internal/placement"
@@ -301,17 +300,8 @@ type (
 	DC = dc.DC
 	// Txn is a user transaction executing at a TC.
 	Txn = tc.Txn
-	// SyncStrategy selects the §5.1.2 page-sync algorithm.
-	SyncStrategy = buffer.SyncStrategy
 	// RangeProtocol selects the §3.1 range-locking strategy.
 	RangeProtocol = tc.RangeProtocol
-)
-
-// Page-sync strategies (§5.1.2).
-const (
-	SyncBlock  = buffer.SyncBlock
-	SyncFull   = buffer.SyncFull
-	SyncHybrid = buffer.SyncHybrid
 )
 
 // Range-locking protocols (§3.1).
