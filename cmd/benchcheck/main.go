@@ -20,7 +20,16 @@
 // without any verdict, the count-like per-layer metrics listed in
 // layerCounts: what crossed the wire and reached the logs per transaction.
 //
+// -claim <workload>/<metric> adds the test a change that claims a gain has
+// to pass (choosing-metrics §8): the k-th parent and k-th head run of that
+// workload are a pair, the change must win at least nine tenths of at least
+// ten pairs (a tie is a win for neither), and the two medians must differ,
+// in the metric's better direction, by more than the distance between the
+// quartiles of the parent's own runs. It prints CLAIM MET or CLAIM NOT MET,
+// writes the tally into the JSON, and exits 1 when the claim is not met.
+//
 //	benchcheck -spec BENCHMARK.json -in bench-lines.txt -out BENCH_16.json
+//	benchcheck -in bench-lines.txt -claim tcp_write/txn_per_s -out BENCH_20.json
 package main
 
 import (
@@ -104,8 +113,26 @@ type workloadReport struct {
 
 type report struct {
 	Workloads  []workloadReport `json:"workloads"`
+	Claim      *claimReport     `json:"claim,omitempty"`
 	Failures   []string         `json:"failures,omitempty"`
 	Unresolved []string         `json:"unresolved,omitempty"`
+}
+
+// claimPairs is the fewest pairs a claim may rest on.
+const claimPairs = 10
+
+// claimReport is the verdict on one claimed gain, with the tally behind it.
+type claimReport struct {
+	Workload  string    `json:"workload"`
+	Metric    string    `json:"metric"`
+	Pairs     int       `json:"pairs"`
+	HeadWins  int       `json:"head_wins"`
+	Ties      int       `json:"ties"`
+	Parent    quartiles `json:"parent"`
+	Head      quartiles `json:"head"`
+	ParentIQR float64   `json:"parent_iqr"`
+	Met       bool      `json:"met"`
+	Why       string    `json:"why"`
 }
 
 // parseRuns reads the "<side> <workload> <json>" lines.
@@ -231,6 +258,64 @@ func compare(sp spec, rs runs) report {
 	return rep
 }
 
+// checkClaim applies the pairs-won and beyond-the-spread rule to one
+// "<workload>/<metric>" claim. The error is for a claim that names nothing
+// the spec declares.
+func checkClaim(sp spec, rs runs, claim string) (*claimReport, error) {
+	workload, metric, _ := strings.Cut(claim, "/")
+	declared, better := false, ""
+	for _, w := range sp.Workloads {
+		declared = declared || w.Name == workload
+	}
+	for _, m := range sp.EndToEnd {
+		if m.Name == metric {
+			better = m.Better
+		}
+	}
+	if !declared || better == "" {
+		return nil, fmt.Errorf("-claim %q: want <workload>/<metric>, a workload and an end-to-end metric that BENCHMARK.json declares", claim)
+	}
+	higher := better == "higher"
+	parent, head := rs["parent"][workload], rs["head"][workload]
+	c := &claimReport{Workload: workload, Metric: metric, Pairs: min(len(parent), len(head))}
+	for k := 0; k < c.Pairs; k++ {
+		p, pok := parent[k].Metrics[metric]
+		h, hok := head[k].Metrics[metric]
+		switch {
+		case !pok || !hok:
+			c.Why = fmt.Sprintf("pair %d lacks the metric", k+1)
+			return c, nil
+		case h.Value == p.Value:
+			c.Ties++
+		case (h.Value > p.Value) == higher:
+			c.HeadWins++
+		}
+	}
+	c.Parent, _ = summarize(parent, metric)
+	c.Head, _ = summarize(head, metric)
+	c.ParentIQR = c.Parent.Q3 - c.Parent.Q1
+	gain := c.Head.Median - c.Parent.Median
+	if !higher {
+		gain = -gain
+	}
+	switch {
+	case len(parent) != len(head):
+		c.Why = fmt.Sprintf("%d parent and %d head runs do not pair up", len(parent), len(head))
+	case c.Pairs < claimPairs:
+		c.Why = fmt.Sprintf("%d pairs; a claim needs at least %d", c.Pairs, claimPairs)
+	case 10*c.HeadWins < 9*c.Pairs:
+		c.Why = fmt.Sprintf("head won %d of %d pairs (%d ties); a claim needs nine tenths", c.HeadWins, c.Pairs, c.Ties)
+	case gain <= c.ParentIQR:
+		c.Why = fmt.Sprintf("medians %.6g -> %.6g differ by %.4g, inside the parent's own quartile spread %.4g",
+			c.Parent.Median, c.Head.Median, gain, c.ParentIQR)
+	default:
+		c.Met = true
+		c.Why = fmt.Sprintf("head won %d of %d pairs; medians %.6g -> %.6g differ by %.4g, the parent's quartile spread is %.4g",
+			c.HeadWins, c.Pairs, c.Parent.Median, c.Head.Median, gain, c.ParentIQR)
+	}
+	return c, nil
+}
+
 func (rep report) print(w io.Writer) {
 	for _, wr := range rep.Workloads {
 		fmt.Fprintf(w, "%s: %d parent / %d head runs, failed share %.4g -> %.4g\n",
@@ -251,12 +336,20 @@ func (rep report) print(w io.Writer) {
 	for _, f := range rep.Failures {
 		fmt.Fprintln(w, "FAIL", f)
 	}
+	if c := rep.Claim; c != nil {
+		verdict := "CLAIM NOT MET"
+		if c.Met {
+			verdict = "CLAIM MET"
+		}
+		fmt.Fprintf(w, "%s %s %s: %s\n", verdict, c.Workload, c.Metric, c.Why)
+	}
 }
 
 func main() {
 	specPath := flag.String("spec", "BENCHMARK.json", "the benchmark declaration: workloads, end-to-end metrics, bounds")
 	in := flag.String("in", "-", "file of \"<parent|head> <workload> <result json>\" lines (- for stdin)")
 	out := flag.String("out", "", "write the comparison as JSON to this file (BENCH_<pr>.json)")
+	claim := flag.String("claim", "", "<workload>/<metric> the change claims to improve: must win 9/10 of at least ten pairs and beat the parent's quartile spread")
 	flag.Parse()
 
 	var sp spec
@@ -279,6 +372,11 @@ func main() {
 		fatal(err)
 	}
 	rep := compare(sp, rs)
+	if *claim != "" {
+		if rep.Claim, err = checkClaim(sp, rs, *claim); err != nil {
+			fatal(err)
+		}
+	}
 	rep.print(os.Stdout)
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -291,6 +389,10 @@ func main() {
 	}
 	if len(rep.Failures) > 0 {
 		fmt.Printf("benchcheck: %d failure(s) against the BENCHMARK.json bounds\n", len(rep.Failures))
+		os.Exit(1)
+	}
+	if rep.Claim != nil && !rep.Claim.Met {
+		fmt.Println("benchcheck: the claimed gain is not met")
 		os.Exit(1)
 	}
 	fmt.Printf("benchcheck: no end-to-end metric worse than parent beyond its bound (%d unresolved)\n", len(rep.Unresolved))

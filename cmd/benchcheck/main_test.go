@@ -191,3 +191,74 @@ func TestTracedPassIsReportedWithoutVerdict(t *testing.T) {
 		t.Fatalf("printed report lacks the traced section:\n%s", out.String())
 	}
 }
+
+// claimLines is ten pairs on w_a (w_b rides along flat): parent throughput
+// 1000..1090, head the given values in run order.
+func claimLines(head [10]float64) []string {
+	in := flat()[6:] // w_b only
+	for k, h := range head {
+		in = append(in, line("parent", "w_a", true, 1000, 0, 1000+float64(10*k), 3.0))
+		in = append(in, line("head", "w_a", true, 1000, 0, h, 3.0))
+	}
+	return in
+}
+
+func claim(t *testing.T, in []string, what string) *claimReport {
+	t.Helper()
+	var sp spec
+	if err := json.Unmarshal([]byte(testSpec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := parseRuns(strings.NewReader(strings.Join(in, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := checkClaim(sp, rs, what)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestClaim(t *testing.T) {
+	// Head wins nine pairs, loses one, and its median is far beyond the
+	// parent's quartile spread (45): met.
+	met := [10]float64{1300, 1310, 1320, 900, 1340, 1350, 1360, 1370, 1380, 1390}
+	if c := claim(t, claimLines(met), "w_a/txn_per_s"); !c.Met || c.HeadWins != 9 || c.Pairs != 10 {
+		t.Fatalf("nine wins of ten, well beyond the spread: %+v", c)
+	}
+	// One more loss — or a tie, which is a win for neither — is too few.
+	tooFew := met
+	tooFew[0] = 1000
+	if c := claim(t, claimLines(tooFew), "w_a/txn_per_s"); c.Met || c.Ties != 1 || !strings.Contains(c.Why, "nine tenths") {
+		t.Fatalf("eight wins, a tie and a loss: %+v", c)
+	}
+	// Ten wins of ten, each by 20: the medians differ by less than the
+	// distance between the parent's quartiles.
+	var inside [10]float64
+	for k := range inside {
+		inside[k] = 1020 + float64(10*k)
+	}
+	if c := claim(t, claimLines(inside), "w_a/txn_per_s"); c.Met || c.HeadWins != 10 || !strings.Contains(c.Why, "inside") {
+		t.Fatalf("ten wins inside the parent's spread: %+v", c)
+	}
+	// A lower-is-better metric is won by the smaller value; three pairs are
+	// not enough to claim anything.
+	if c := claim(t, flat(), "w_b/write_amp"); c.Met || c.HeadWins != 0 || !strings.Contains(c.Why, "at least 10") {
+		t.Fatalf("three pairs, head worse: %+v", c)
+	}
+	var out strings.Builder
+	report{Claim: claim(t, claimLines(met), "w_a/txn_per_s")}.print(&out)
+	if !strings.Contains(out.String(), "CLAIM MET w_a txn_per_s") {
+		t.Fatalf("printed report lacks the verdict:\n%s", out.String())
+	}
+	var sp spec
+	if err := json.Unmarshal([]byte(testSpec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"w_a", "w_z/txn_per_s", "w_a/tc.txn_self_us"} {
+		if _, err := checkClaim(sp, runs{}, bad); err == nil {
+			t.Fatalf("claim %q names nothing the spec gates, yet was accepted", bad)
+		}
+	}
+}

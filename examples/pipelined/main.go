@@ -1,12 +1,16 @@
-// Pipelined operation shipping: the same multi-op write transactions over
-// the same misbehaving wire (real propagation delay, loss, duplication),
-// once with inline shipping (the default: the transaction's goroutine
-// delivers each write and waits out its round trip) and once with
-// TCConfig.Pipeline (async writes, batched messages, commit-time ack
-// barrier) — then a TC crash mid-transaction to show recovery still holds.
-// Both modes run the same delivery routine and resend contract; Pipeline
-// only moves it onto a per-DC worker. It is the one shipping knob: batch
-// size and watermark period are constants of the TC.
+// Shipping logged writes: the same multi-op write transactions over the
+// same misbehaving wire (real propagation delay, loss, duplication), once
+// with inline shipping (the default: writes collect on the transaction and
+// its own goroutine sends them as one batch per DC at the commit barrier)
+// and once with TCConfig.Pipeline (a per-DC worker sends them as they are
+// issued, the transaction waits at a commit-time ack barrier) — then a TC
+// crash mid-transaction to show recovery still holds. Neither mode waits a
+// round trip per write, so the two times read alike: a transaction here is
+// two round trips (writes, finalizes) plus the log force either way. Both
+// modes run the same delivery routine and resend contract; Pipeline only
+// moves it onto a worker, which lets the force overlap the acks and a
+// cancelled Commit return early. It is the one shipping knob: batch size
+// and watermark period are constants of the TC.
 package main
 
 import (
@@ -61,15 +65,15 @@ func run(pipeline bool) time.Duration {
 }
 
 func main() {
-	sync := run(false)
+	inline := run(false)
 	pipe := run(true)
 	fmt.Printf("50 txns x 4 writes over a 200µs lossy wire:\n")
-	fmt.Printf("  synchronous shipping: %v\n", sync.Round(time.Millisecond))
-	fmt.Printf("  pipelined shipping:   %v  (%.1fx faster)\n",
-		pipe.Round(time.Millisecond), float64(sync)/float64(pipe))
+	fmt.Printf("  inline shipping (one caller-run batch per barrier): %v\n", inline.Round(time.Millisecond))
+	fmt.Printf("  pipelined shipping (per-DC worker, ack barrier):    %v\n", pipe.Round(time.Millisecond))
 
-	// Crash the TC with a pipelined transaction still uncommitted: the ack
-	// barrier plus restart must keep committed data and drop the loser.
+	// Crash the TC with a transaction still uncommitted, its write logged and
+	// perhaps not yet delivered: restart must keep committed data and drop
+	// the loser.
 	dep := open(true)
 	defer dep.Close()
 	ctx := context.Background()
@@ -101,5 +105,5 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("crash mid-pipeline: committed data survived, loser rolled back")
+	fmt.Println("crash mid-transaction: committed data survived, loser rolled back")
 }

@@ -159,7 +159,7 @@ func TestResultRoundTrip(t *testing.T) {
 	rs := []*Result{
 		{LSN: 1, Code: CodeOK, Found: true, Value: []byte("x")},
 		{LSN: 2, Code: CodeNotFound},
-		{LSN: 3, Code: CodeOK, Applied: true, PriorKnown: true, PriorFound: true, Prior: []byte("old")},
+		{LSN: 3, Code: CodeOK, Applied: true},
 		{LSN: 4, Code: CodeOK, Keys: []string{"a", "b"}, Values: [][]byte{[]byte("1"), nil}},
 		{LSN: 5, Code: CodeDuplicate, Keys: []string{}, Values: [][]byte{}},
 	}

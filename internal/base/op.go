@@ -105,12 +105,6 @@ type Result struct {
 	Code  Code
 	Found bool
 	Value []byte
-	// Prior carries the pre-image for update/delete on first execution.
-	// Resends of already-applied writes cannot reproduce it (PriorKnown
-	// false); the TC only consumes Prior from first replies.
-	Prior      []byte
-	PriorKnown bool
-	PriorFound bool
 	// Keys/Values carry probe and range-read results.
 	Keys   []string
 	Values [][]byte
@@ -289,10 +283,8 @@ func DecodeOp(buf []byte) (*Op, []byte, error) {
 // AppendResult serializes r to buf.
 func AppendResult(buf []byte, r *Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.LSN))
-	buf = append(buf, byte(r.Code), boolByte(r.Found), boolByte(r.PriorKnown),
-		boolByte(r.PriorFound), boolByte(r.Applied))
+	buf = append(buf, byte(r.Code), boolByte(r.Found), boolByte(r.Applied))
 	buf = appendBytes(buf, r.Value)
-	buf = appendBytes(buf, r.Prior)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Keys)))
 	for _, k := range r.Keys {
 		buf = appendString(buf, k)
@@ -313,16 +305,13 @@ func DecodeResult(buf []byte) (*Result, []byte, error) {
 		return nil, nil, err
 	}
 	r.LSN = LSN(u)
-	if len(buf) < 5 {
+	if len(buf) < 3 {
 		return nil, nil, errShort
 	}
 	r.Code = Code(buf[0])
-	r.Found, r.PriorKnown, r.PriorFound, r.Applied = buf[1] != 0, buf[2] != 0, buf[3] != 0, buf[4] != 0
-	buf = buf[5:]
+	r.Found, r.Applied = buf[1] != 0, buf[2] != 0
+	buf = buf[3:]
 	if r.Value, buf, err = readBytes(buf); err != nil {
-		return nil, nil, err
-	}
-	if r.Prior, buf, err = readBytes(buf); err != nil {
 		return nil, nil, err
 	}
 	if u, buf, err = readUvarint(buf); err != nil {

@@ -266,6 +266,11 @@ func TestMultiTCSharedDC(t *testing.T) {
 	if err := x.Update("users", "p1/alice", []byte("alice-lost")); err != nil {
 		t.Fatal(err)
 	}
+	// A writer's uncommitted versions reach the DC at its next barrier, not
+	// at the call that wrote them; an unlocked read of its own is one.
+	if _, _, err := x.ReadDirty("users", "p1/alice"); err != nil {
+		t.Fatal(err)
+	}
 	// Cross-TC range reads over TC1's partition while that update is
 	// uncommitted: the dirty scan sees it (§6.2.1), the committed scan sees
 	// the before version (§6.2.2); neither takes a lock, so neither waits

@@ -275,8 +275,6 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 			res.Code = base.CodeNotFound
 			return res
 		}
-		res.Prior = cloneBytes(rec.Value)
-		res.PriorKnown, res.PriorFound = true, true
 		if op.Versioned {
 			if !rec.HasBefore() {
 				rec.Before = rec.Value
@@ -297,12 +295,8 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 				nr.Flags = page.FlagHasBefore | page.FlagBeforeNull
 			}
 			leaf.Put(nr)
-			res.PriorKnown = true
 			return res
 		}
-		res.Prior = cloneBytes(rec.Value)
-		res.PriorKnown = true
-		_, res.PriorFound = rec.ReadVersion(base.ReadDirty)
 		if op.Versioned {
 			if !rec.HasBefore() {
 				rec.Before = rec.Value
@@ -331,8 +325,6 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 			res.Code = base.CodeNotFound
 			return res
 		}
-		res.Prior = cloneBytes(rec.Value)
-		res.PriorKnown, res.PriorFound = true, true
 		if op.Versioned {
 			// Versioned delete: tombstone the latest version, retain the
 			// before version for read-committed readers (§6.2.2).

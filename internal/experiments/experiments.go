@@ -1,6 +1,6 @@
 // Package experiments is the paper-reproduction table: one function per
 // figure or claim that states something the paper states (E1 the §7
-// unbundling tax and what pipelining buys back over a slow link, E6 §5.3
+// unbundling tax and the two write-shipping modes over a slow link, E6 §5.3
 // partial failures, E7/E8 §6 and §1.1 sharing and scaling, E9 snapshot
 // versus locked reads, F1/F2 the two deployment figures). Each returns a
 // harness.Report; cmd/unbundled-bench is the one entry point that prints
@@ -94,11 +94,12 @@ func runKVUnbundled(name string, dep *core.Deployment, s Scale, readFrac float64
 // E1 compares the unbundled kernel against the integrated baseline on the
 // identical workload (§7: "our unbundling approach inevitably has longer
 // code paths … justified by the flexibility of deploying
-// adequately-grained cloud services"). The last two rows are what
-// pipelined operation shipping buys back once the wire has real
-// propagation delay: the same versioned write-only transaction over a
-// 200µs link, one blocking round trip per operation against posted writes
-// with a commit-time ack barrier.
+// adequately-grained cloud services"). The last two rows put the two ways
+// of shipping logged writes side by side once the wire has real propagation
+// delay: the same versioned write-only transaction over a 200µs link, its
+// writes leaving as one caller-run batch at the commit barrier (inline, the
+// default) against a per-DC worker that posts them as they are issued.
+// Neither waits a round trip per operation, so the rows read alike.
 func E1(s Scale) *harness.Report {
 	t := harness.NewReport()
 	for _, readFrac := range []float64{0.5, 0.95} {
@@ -135,15 +136,15 @@ func E1(s Scale) *harness.Report {
 	for _, ship := range []struct {
 		name     string
 		pipeline bool
-	}{{"sync", false}, {"pipelined", true}} {
+	}{{"inline", false}, {"pipelined", true}} {
 		dep, err := core.New(core.Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
 			TCConfig: func(int) tc.Config { return tc.Config{Pipeline: ship.pipeline} },
 			Network:  &wire.Config{Delay: 200 * time.Microsecond}})
 		if err != nil {
 			panic(err)
 		}
-		// Versioned upserts skip the existence pre-check, so pipelining
-		// removes every per-operation wait from the transaction.
+		// Versioned upserts skip the existence pre-check, so no operation of
+		// the transaction waits for the DC before the commit barrier.
 		t.Add(runKVUnbundled("unbundled-wire+200µs/"+ship.name+"/writes", dep, s, 0, core.TxnOptions{Versioned: true}))
 		dep.Close()
 	}

@@ -13,19 +13,43 @@ import (
 // a forward write, a finalize, an inverse (CLR), a restart resend — reaches
 // its DC through deliver, the one implementation of the §4.2 contract:
 // unique request IDs, idempotence at the DC, resend until acknowledged.
-// What differs between callers is only who runs it.
+// What differs between callers is only who runs it, and when.
 //
-// Inline (the default): the transaction's own goroutine delivers each op
-// and continues when the DC has replied.
+// In neither mode does a transaction need a write's reply before its commit:
+// the X lock freezes the key, the pre-check (or versioned-upsert semantics)
+// guarantees the operation succeeds at the DC, and the op record is already
+// in the TC-log — appended at call time under the lock, so the log order is
+// still an OPSR order — and the resend/redo contract delivers it even
+// across failures. The transaction only waits at a barrier: its commit, its
+// abort, or a read that bypasses its cache (scans, ReadCommitted/ReadDirty).
 //
-// Pipelined (Config.Pipeline): the reply is not needed before the
-// transaction continues — the X lock freezes the key, the pre-check (or
-// versioned-upsert semantics) guarantees the operation succeeds at the DC,
-// and the op record is already in the TC-log, so the resend/redo contract
-// delivers it even across failures. The TC appends the record, posts the
-// op into the per-DC pipeline, and returns; the transaction only waits at
-// its commit (or abort/scan) barrier. Each DC has one shipping goroutine
-// with exactly one batch in flight. That discipline is what keeps the
+// Inline (the default): a write appends its record and joins the
+// transaction's per-DC unsent list; Txn.flush hands each list to deliver on
+// the transaction's own goroutine at the next barrier (or when a list
+// reaches maxBatch), so a transaction's writes cross the wire as one
+// PerformBatch per DC instead of one round trip per call. The rules that
+// keep this correct:
+//
+//   - Same-key order inside a transaction is list order (one key routes to
+//     one DC, and a DC executes a batch in order). Cross-transaction
+//     conflicts stay excluded by strict 2PL: finish() releases locks only
+//     after the last flush is acknowledged. Point reads and pre-checks of a
+//     key with an unsent write never reach the DC — x.cache answers them.
+//   - A logged-but-unsent operation is exactly the state "crash between
+//     AppendAssign and send" that restart has always handled: redo delivers
+//     it, undo inverts losers. An orphan of a crashed incarnation that
+//     reaches a barrier has its list retired with ErrTCStopped by deliver's
+//     live-epoch filter.
+//   - The ack tracker cannot pass an unsent LSN, so the low-water mark (and
+//     the RSSP a checkpoint may propose) trails the oldest *unflushed* write
+//     of any active transaction; see ackTracker.LWM.
+//   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
+//     versions from its next barrier on, not from the call that wrote them.
+//
+// Pipelined (Config.Pipeline): the TC appends the record, posts the op into
+// the per-DC pipeline, and returns; replies are collected at the
+// transaction's pending barrier. Each DC has one shipping goroutine with
+// exactly one batch in flight. That discipline is what keeps the
 // logical operation stream ordered per DC: everything queued while the
 // previous batch was on the wire is coalesced into the next delivery, which
 // the DC executes in arrival order. Same-key operations of one transaction
@@ -34,8 +58,10 @@ import (
 // barrier (locks are only released once every shipped operation is
 // acknowledged).
 
-// maxBatch caps the operations a pipeline worker coalesces into one
-// PerformBatch message.
+// maxBatch caps the operations of one PerformBatch message: what a pipeline
+// worker coalesces, and how long a transaction's unsent list may grow before
+// it is flushed ahead of the next barrier (which bounds, in operations, how
+// far one transaction can hold the low-water mark back).
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -187,6 +213,9 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) 
 			one[0] = h.svc.Perform(ctx, items[0].op)
 			results = one[:]
 		} else {
+			if ops == nil {
+				ops = make([]*base.Op, 0, len(items))
+			}
 			ops = ops[:0]
 			for _, it := range items {
 				ops = append(ops, it.op)
@@ -272,16 +301,50 @@ func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool
 // send ships one logged operation of transaction x to the DC the caller
 // resolved with dcIndex (before the op record was appended, so only
 // routable operations consume logged LSNs). Pipelined, it posts the op and
-// returns nil: the outcome arrives at x.pend. Inline, it delivers on the
-// caller's goroutine and returns the outcome. This is the only place that
-// knows which.
+// returns nil: the outcome arrives at x.pend. Inline, it appends the op to
+// the transaction's unsent list for that DC, which leaves at the next
+// flush; a list that reaches maxBatch is flushed here, and that flush's
+// outcome is what send returns. This is the only place that knows which.
 func (t *TC) send(x *Txn, dcIdx int, op *base.Op) error {
-	if t.pipes == nil {
-		return t.deliverOne(x.sendCtx, t.dcs[dcIdx], op, false)
+	if t.pipes != nil {
+		x.pend.add()
+		t.pipes[dcIdx].post(item{op: op, pend: &x.pend})
+		return nil
 	}
-	x.pend.add()
-	t.pipes[dcIdx].post(item{op: op, pend: &x.pend})
+	if x.unsent == nil {
+		x.unsent = make([][]item, len(t.dcs))
+	}
+	if x.unsent[dcIdx] == nil {
+		// One allocation for a transaction of a handful of writes, instead
+		// of append's 1, 2, 4, 8.
+		x.unsent[dcIdx] = make([]item, 0, 8)
+	}
+	x.unsent[dcIdx] = append(x.unsent[dcIdx], item{op: op})
+	if len(x.unsent[dcIdx]) >= maxBatch {
+		return x.flush()
+	}
 	return nil
+}
+
+// flush delivers the transaction's unsent operations, one deliver call
+// (one PerformBatch when there is more than one) per DC, on the caller's
+// goroutine, and returns the first failure. It runs at every barrier:
+// drain, Commit (before the commit record and after the finalize
+// operations), Abort (before the undo chain is walked). Delivery does not
+// honor the transaction's cancellation, for the reason write gives.
+func (x *Txn) flush() error {
+	var first error
+	for i, items := range x.unsent {
+		if len(items) == 0 {
+			continue
+		}
+		err := x.tc.deliver(x.sendCtx, x.tc.dcs[i], items, false)
+		x.unsent[i] = items[:0]
+		if first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // pipeline is the per-DC shipping queue and its worker.

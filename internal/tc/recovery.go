@@ -20,8 +20,9 @@ import (
 var errLockTableLost = fmt.Errorf("tc: lock table lost in TC crash: %w", base.ErrUnavailable)
 
 // Crash simulates a TC process failure: the log buffer (unforced tail),
-// lock table, transaction table, ack bookkeeping, and queued pipeline
-// operations vanish. The stable log survives. LSNs above the stable end
+// lock table, transaction table (and with it every transaction's unsent
+// writes), ack bookkeeping, and queued pipeline operations vanish. The
+// stable log survives. LSNs above the stable end
 // will be reused by the restarted incarnation — the DC-side reset protocol
 // (§5.3.2) makes that safe. The epoch fence activates when Recover mints
 // the next incarnation; anything a zombie call completes into the tracker

@@ -78,16 +78,18 @@ type Config struct {
 	Protocol RangeProtocol
 	// ForceDelay simulates stable-log force latency (group commit).
 	ForceDelay time.Duration
-	// Pipeline ships logged writes asynchronously: Insert/Update/Upsert/
-	// Delete append their op record, post the op into the per-DC pipeline,
-	// and return without waiting for the DC reply. Commit overlaps the
-	// commit-record force with draining the transaction's outstanding acks
-	// and releases locks only after both complete, so strict 2PL semantics
-	// are preserved while transaction latency drops from ops x RTT to
-	// roughly one RTT per batch. Off, each write is delivered on the
-	// transaction's own goroutine, which is faster when the DC is a direct
-	// call away: there a goroutine hand-off per operation costs more than
-	// the reply it hides.
+	// Pipeline ships logged writes from a per-DC worker goroutine: Insert/
+	// Update/Upsert/Delete append their op record, post the op into the
+	// per-DC pipeline, and return; the worker sends as soon as the previous
+	// batch is acknowledged. Commit overlaps the commit-record force with
+	// draining the transaction's outstanding acks and releases locks only
+	// after both complete, and a cancelled Commit can return before its
+	// writes are acknowledged. Off (the default), a write does not wait for
+	// the DC either: it joins the transaction's unsent list, which the
+	// transaction's own goroutine ships as one batch per DC at its next
+	// barrier (commit, abort, scan, unlocked read). That sends the fewest
+	// frames and pays no goroutine hand-off per operation, which is faster
+	// both when the DC is a direct call away and on a CPU-bound link.
 	Pipeline bool
 	// Clock is the timestamp source for commit timestamps and snapshot
 	// reads (default: a process-wide monotonic clock.System with zero
@@ -588,13 +590,17 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 	return newRSSP, nil
 }
 
+// oldestActiveFirstLSNLocked is the truncation bound undo imposes: the
+// first logged record of any transaction still in the table. A transaction
+// leaves the table in finish(), so one that has committed but not yet
+// released its locks holds the bound a moment longer than undo needs —
+// harmless, and it keeps this read to the one field a writer publishes
+// atomically (Txn.firstLSN) instead of racing Txn.state.
 func (t *TC) oldestActiveFirstLSNLocked() base.LSN {
 	var oldest base.LSN
 	for _, txn := range t.txns {
-		if txn.state == txnActive && txn.firstLSN != 0 {
-			if oldest == 0 || txn.firstLSN < oldest {
-				oldest = txn.firstLSN
-			}
+		if first := base.LSN(txn.firstLSN.Load()); first != 0 && (oldest == 0 || first < oldest) {
+			oldest = first
 		}
 	}
 	return oldest
@@ -647,7 +653,15 @@ func (a *ackTracker) Complete(lsn base.LSN) {
 	a.mu.Unlock()
 }
 
-// LWM returns the current low-water mark.
+// LWM returns the current low-water mark. A logged write that its
+// transaction has not flushed yet (inline shipping holds writes until the
+// next barrier, see pipeline.go) is an allocated LSN without a reply, so the
+// mark — and with it the RSSP a checkpoint may propose and the prefix a DC
+// may fold out of its abstract LSNs — trails the oldest *unflushed* write of
+// any active transaction, not merely the oldest unacknowledged one. The
+// maxBatch flush bounds that lag in operations per transaction, not in
+// time: a transaction that writes once and then idles, or waits for a lock,
+// holds the mark until it reaches a barrier.
 func (a *ackTracker) LWM() base.LSN {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -311,7 +311,11 @@ func TestTCCrashRecovery(t *testing.T) {
 	if err := loser.Update("t", "committed", []byte("scribble")); err != nil {
 		t.Fatal(err)
 	}
-	// DC currently reflects the loser's writes.
+	// An unlocked read is a barrier: it ships the loser's writes, and the DC
+	// now reflects them.
+	if _, _, err := loser.ReadDirty("t", "loser"); err != nil {
+		t.Fatal(err)
+	}
 	if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "loser", Flavor: base.ReadDirty}); !r.Found {
 		t.Fatalf("precondition: %+v", r)
 	}

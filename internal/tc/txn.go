@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -115,8 +116,11 @@ type Txn struct {
 	opts    TxnOptions
 	id      base.TxnID
 	state   txnState
-	// firstLSN/lastLSN delimit the undo chain in the TC-log.
-	firstLSN, lastLSN base.LSN
+	// firstLSN/lastLSN delimit the undo chain in the TC-log. firstLSN is
+	// atomic because a concurrent Checkpoint reads it to bound truncation;
+	// everything else here belongs to the transaction's own goroutine.
+	firstLSN atomic.Uint64
+	lastLSN  base.LSN
 	// cache holds values read or written under locks this transaction
 	// already holds; locked values cannot change underfoot (strict 2PL),
 	// so cached copies are authoritative and spare read-before-write
@@ -125,6 +129,10 @@ type Txn struct {
 	// versioned tracks keys written with versioning; commit/abort send
 	// the §6.2.2 finalize operations for them.
 	versioned map[tableKey]struct{}
+	// unsent holds, per DC, the logged operations that inline shipping has
+	// not delivered yet, in log order; flush empties it at every barrier.
+	// Always empty when shipping is pipelined.
+	unsent [][]item
 	// pend is the barrier over this transaction's pipelined operations:
 	// writes posted into the per-DC pipelines complete here, and Commit/
 	// Abort (and scans, for read-your-writes) wait on it before relying on
@@ -411,7 +419,11 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 }
 
 // ReadDirty reads the latest (possibly uncommitted) version without
-// locking (§6.2.1).
+// locking (§6.2.1). "Latest" is what has reached the DC: this transaction's
+// own writes are shipped first (drain), but another TC's transaction shows
+// its uncommitted versions only from its next barrier on — a scan, an
+// unlocked read, a full batch, its commit — not from the call that wrote
+// them.
 func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	if x.state != txnActive {
 		return nil, false, ErrTxnDone
@@ -422,12 +434,18 @@ func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readOp(table, key, base.ReadDirty, false)
 }
 
-// drain waits out this transaction's shipped writes before an operation
-// that must observe them at the DC (scans and unlocked reads bypass the
-// transaction cache, so read-your-writes needs the queue empty). Point
-// reads never need it: every write is recorded in the cache. The wait
-// honors the transaction's context.
-func (x *Txn) drain() error { return x.pend.wait(x.ctx) }
+// drain ships this transaction's unsent writes and waits out the shipped
+// ones before an operation that must observe them at the DC (scans and
+// unlocked reads bypass the transaction cache, so read-your-writes needs
+// them applied). Point reads never need it: every write is recorded in the
+// cache. The wait on pipelined operations honors the transaction's context;
+// the inline flush, like every delivery of a logged operation, does not.
+func (x *Txn) drain() error {
+	if err := x.flush(); err != nil {
+		return err
+	}
+	return x.pend.wait(x.ctx)
+}
 
 // valueOf returns the current value under an already-held X lock, going to
 // the DC only when the transaction cache cannot answer.
@@ -461,7 +479,11 @@ func (x *Txn) Delete(table, key string) error {
 // write implements all mutations: X lock, undo capture, logical redo+undo
 // logging *before* the send (so the TC-log order is an OPSR order), then
 // the operation itself (TC.send; the pre-check + X-lock invariant
-// guarantees the outcome, so nothing needs the reply before commit).
+// guarantees the outcome, so nothing needs the reply before commit — the
+// op leaves with the transaction's next batch, see pipeline.go). From the
+// append on, the transaction cache is the authority for this key: every
+// later point read and pre-check of it is answered there, never by a DC
+// that may not have seen the write yet.
 //
 // Cancellation points are the lock wait and the pre-check read. Once the
 // op record is appended, delivery is no longer cancellable: the resend/
@@ -542,8 +564,8 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	// The record is in the log, so it is in the undo chain, whatever the
 	// send goes on to report: redo will resend it, and an inverse of a
 	// forward operation that never landed finds nothing to do.
-	if x.firstLSN == 0 {
-		x.firstLSN = lsn
+	if x.firstLSN.Load() == 0 {
+		x.firstLSN.Store(uint64(lsn))
 	}
 	x.lastLSN = lsn
 	if err := x.tc.send(x, dcIdx, op); err != nil {
@@ -574,14 +596,18 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // before versions; non-blocking for readers, no two-phase commit), then
 // release locks (strict two-phase locking).
 //
-// The commit-record force overlaps draining the transaction's outstanding
-// DC acks — the two waits proceed concurrently — and locks are released
-// only after both (plus the finalize barrier for versioned writes)
-// complete, so no other transaction can observe a not-yet-applied write. A
-// barrier failure (the TC was closed or crashed underneath a committing
-// transaction) is reported, but the commit record is already durable:
-// restart treats the transaction as a winner and re-delivers its logged
-// operations.
+// Commit is the transaction's write barrier. Inline, the unsent writes
+// leave first — one batch per DC, acknowledged before the commit record is
+// appended, so a delivery that fails for good (the TC stopped underneath)
+// is still a clean abort — and the finalize operations of a versioned
+// commit leave as a second batch after it. Pipelined, the commit-record
+// force overlaps draining the transaction's outstanding DC acks. Either
+// way locks are released only after every write and finalize is
+// acknowledged and the commit record is stable, so no other transaction can
+// observe a not-yet-applied write. A barrier failure after the commit
+// record (the TC was closed or crashed underneath a committing
+// transaction) is reported, but the outcome is the log's: restart treats
+// the transaction as a winner and re-delivers its logged operations.
 //
 // Cancellation abandons the waits, never the protocol: Commit returns
 // promptly with an error wrapping ErrCommitAmbiguous and base.ErrCancelled
@@ -609,6 +635,10 @@ func (x *Txn) Commit() error {
 		t.commits.Add(1)
 		x.finish()
 		return nil
+	}
+	if err := x.flush(); err != nil {
+		_ = x.Abort()
+		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
 	if len(vkeys) > 0 {
 		// The commit timestamp is the snapshot visibility point of this
@@ -648,14 +678,15 @@ func (x *Txn) Commit() error {
 	t.commits.Add(1)
 	// §6.2.2: "When an updating TC commits the transaction, it sends
 	// updates to the DC to eliminate the before versions." These are
-	// logged so restart re-delivers them for winners. Pipelined, they ride
-	// the same per-DC queues (ordered after the writes they finalize) and
-	// are drained before lock release. A cancelled caller leaves them to
+	// logged so restart re-delivers them for winners. They travel like the
+	// writes they finalize — one batch per DC inline, the per-DC queues
+	// pipelined, ordered after those writes either way — and are
+	// acknowledged before lock release. A cancelled caller leaves them to
 	// the finisher: their delivery can block arbitrarily on a down DC.
 	finalized := !errors.Is(barrierErr, base.ErrCancelled)
 	if finalized {
-		for _, tk := range vkeys {
-			x.finalizeOp(base.OpCommitVersions, tk)
+		if err := x.finalize(vkeys); barrierErr == nil {
+			barrierErr = err
 		}
 		if barrierErr == nil {
 			barrierErr = x.pend.wait(x.ctx)
@@ -670,9 +701,7 @@ func (x *Txn) Commit() error {
 		// a cancellable context gets here.
 		go func() {
 			if !finalized {
-				for _, tk := range vkeys {
-					x.finalizeOp(base.OpCommitVersions, tk)
-				}
+				_ = x.finalize(vkeys)
 			}
 			_ = x.pend.wait(context.Background())
 			<-forced
@@ -720,6 +749,17 @@ func (x *Txn) finish() {
 	t.mu.Unlock()
 }
 
+// finalize logs and ships the commit-versions operations of a committed
+// transaction's versioned write set. A failure is reported for the commit
+// barrier's sake only: the operations are logged, so restart re-delivers
+// them for winners.
+func (x *Txn) finalize(vkeys []tableKey) error {
+	for _, tk := range vkeys {
+		x.finalizeOp(base.OpCommitVersions, tk)
+	}
+	return x.flush()
+}
+
 func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 	t := x.tc
 	// The forward write resolved this key's placement when it was issued,
@@ -740,16 +780,18 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 		Payload: encodeOpPayload(op, nil, false)}
 	op.Epoch = t.Epoch() // before the LSN assignment; see deliver
 	op.LSN = t.log.AppendAssign(rec)
-	// A failure is the barrier's to report (pipelined) or none at all: the
-	// record is logged, so restart re-delivers it for winners.
+	// A failure is the barrier's to report — x.pend's pipelined, the flush
+	// that follows inline (send itself only fails on a full-batch flush) —
+	// and the record is logged, so restart re-delivers it for winners.
 	_ = t.send(x, idx, op)
 }
 
 // Abort rolls the transaction back: walk the undo chain in reverse
 // chronological order, sending inverse logical operations (logged as
 // compensation records so restart never undoes twice), then release locks
-// (§4.1.1(2b)). Outstanding pipelined writes are drained first so an
-// inverse can never overtake the forward operation it undoes. Abort does
+// (§4.1.1(2b)). Unsent writes are shipped and outstanding pipelined ones
+// drained first, so an inverse can never overtake the forward operation it
+// undoes and every CLR finds the effect it compensates. Abort does
 // not honor cancellation: the rollback protocol must complete before the
 // locks can be released (a cancelled transaction still aborts cleanly).
 func (x *Txn) Abort() error {
@@ -760,7 +802,9 @@ func (x *Txn) Abort() error {
 		return ErrTxnDone
 	}
 	t := x.tc
-	_ = x.pend.wait(context.Background()) // barrier failures still leave the log authoritative
+	// Barrier failures still leave the log authoritative.
+	_ = x.flush()
+	_ = x.pend.wait(context.Background())
 	t.undoChain(x.id, x.lastLSN)
 	aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 	t.acks.Complete(aLSN) // local record: no DC round trip

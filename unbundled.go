@@ -120,16 +120,29 @@
 // message boundary (§4.2). Every logged operation — forward write,
 // finalize, inverse, restart redo — crosses it under one delivery routine
 // with one contract: resend until acknowledged, riding out a DC that is
-// down, recovering or draining. By default the transaction's own goroutine
-// runs it and continues when the DC has replied, which is the fastest
-// arrangement when the DC is a direct call away. With TCConfig.Pipeline,
-// logged writes no longer wait for that round trip: their outcome is already decided when they are
-// sent — the X lock freezes the key and the pre-check (or, for versioned
-// upserts, the operation's own semantics) guarantees success at the DC —
-// and the operation is in the TC-log, so the resend/redo contract delivers
-// it even across failures. The TC appends the op record, posts the op into
-// a per-DC pipeline, and returns to the transaction immediately.
+// down, recovering or draining. A logged write never waits for its own
+// round trip: its outcome is already decided when it is logged — the X
+// lock freezes the key and the pre-check (or, for versioned upserts, the
+// operation's own semantics) guarantees success at the DC — and the
+// operation is in the TC-log, so the resend/redo contract delivers it even
+// across failures.
 //
+// By default the write joins its transaction's unsent list, and the
+// transaction's own goroutine ships the list as one PerformBatch message
+// per DC at the next barrier: Commit (before the commit record is appended;
+// the finalize operations of a versioned commit follow as a second batch),
+// Abort (before the inverse operations), a scan or an unlocked read (for
+// read-your-writes; point reads are answered by the transaction cache), or
+// when a list reaches 64 operations. A four-write transaction costs one
+// round trip for its writes instead of four, with no goroutine hand-off,
+// which is the fastest arrangement both when the DC is a direct call away
+// and over a network. Two things follow: a transaction's low-water mark
+// trails its oldest unshipped write, and another TC's ReadDirty/ScanDirty
+// sees a writer's uncommitted versions from the writer's next barrier, not
+// from the call that wrote them.
+//
+// With TCConfig.Pipeline the TC instead posts each op into a per-DC
+// pipeline as it is issued and returns to the transaction immediately.
 // Each pipeline keeps exactly one batch in flight per DC: operations
 // queued behind it are coalesced into a single PerformBatch wire message
 // (per-op results in the reply) that the DC executes in arrival order, so
@@ -138,10 +151,11 @@
 // Commit appends the commit record, then overlaps forcing it with draining
 // the transaction's outstanding DC acknowledgements, and releases locks
 // only after both — no other transaction can ever observe a
-// not-yet-applied write, preserving strict two-phase locking semantics
-// while transaction latency drops from ops x RTT toward one RTT per batch.
+// not-yet-applied write, preserving strict two-phase locking semantics.
 // Abort drains before sending inverse operations, and scans drain for
-// read-your-writes (point reads are answered by the transaction cache).
+// read-your-writes. What the worker adds over the default is overlap of
+// the log force with the acknowledgements, and a cancelled Commit that
+// returns before its writes are acknowledged.
 //
 // # Networked deployment
 //
