@@ -1,16 +1,18 @@
 // Shipping logged writes: the same multi-op write transactions over the
 // same misbehaving wire (real propagation delay, loss, duplication), once
-// with inline shipping (the default: writes collect on the transaction and
-// its own goroutine sends them as one batch per DC at the commit barrier)
-// and once with TCConfig.Pipeline (a per-DC worker sends them as they are
-// issued, the transaction waits at a commit-time ack barrier) — then a TC
-// crash mid-transaction to show recovery still holds. Neither mode waits a
-// round trip per write, so the two times read alike: a transaction here is
-// two round trips (writes, finalizes) plus the log force either way. Both
-// modes run the same delivery routine and resend contract; Pipeline only
-// moves it onto a worker, which lets the force overlap the acks and a
-// cancelled Commit return early. It is the one shipping knob: batch size
-// and watermark period are constants of the TC.
+// with inline shipping (the default) and once with TCConfig.Pipeline — then
+// a TC crash mid-transaction to show recovery still holds. In both modes a
+// write call only queues the write; the transaction's next barrier (here
+// its commit) appends the op records and ships them as one batch per DC.
+// Inline, the transaction's own goroutine sends the batch and waits for it;
+// pipelined, the barrier hands it to a per-DC worker and the transaction
+// waits at a commit-time ack barrier. Neither mode makes a round trip per
+// write, so the two times read alike: a transaction here is two round trips
+// (writes, finalizes) plus the log force either way. Both modes run the same
+// delivery routine and resend contract; Pipeline only moves it onto a
+// worker, which lets the force overlap the acks and a cancelled Commit
+// return early. It is the one shipping knob: batch size and watermark period
+// are constants of the TC.
 package main
 
 import (
@@ -71,9 +73,9 @@ func main() {
 	fmt.Printf("  inline shipping (one caller-run batch per barrier): %v\n", inline.Round(time.Millisecond))
 	fmt.Printf("  pipelined shipping (per-DC worker, ack barrier):    %v\n", pipe.Round(time.Millisecond))
 
-	// Crash the TC with a transaction still uncommitted, its write logged and
-	// perhaps not yet delivered: restart must keep committed data and drop
-	// the loser.
+	// Crash the TC with a transaction still uncommitted, one write past a
+	// barrier (logged and shipped — the unlocked read is the barrier) and one
+	// still queued: restart must keep committed data and drop the loser.
 	dep := open(true)
 	defer dep.Close()
 	ctx := context.Background()
@@ -90,6 +92,12 @@ func main() {
 	if err := loser.Insert("kv", "ghost", []byte("drop")); err != nil {
 		log.Fatal(err)
 	}
+	if v, ok, err := loser.ReadDirty("kv", "ghost"); err != nil || !ok || string(v) != "drop" {
+		log.Fatalf("own write past the barrier: %q %v %v", v, ok, err)
+	}
+	if err := loser.Insert("kv", "queued", []byte("drop")); err != nil {
+		log.Fatal(err)
+	}
 	dep.CrashTC(0)
 	if err := dep.RecoverTC(0); err != nil {
 		log.Fatal(err)
@@ -98,8 +106,10 @@ func main() {
 		if v, ok, _ := x.Read("kv", "committed"); !ok || string(v) != "keep" {
 			return fmt.Errorf("committed data lost: %q %v", v, ok)
 		}
-		if _, ok, _ := x.Read("kv", "ghost"); ok {
-			return fmt.Errorf("uncommitted pipelined write survived recovery")
+		for _, key := range []string{"ghost", "queued"} {
+			if _, ok, _ := x.Read("kv", key); ok {
+				return fmt.Errorf("uncommitted write %q survived recovery", key)
+			}
 		}
 		return nil
 	}); err != nil {

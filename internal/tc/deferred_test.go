@@ -14,47 +14,112 @@ import (
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// countingService counts the calls that carry logged operations (writes,
-// finalizes, CLRs) to one DC: how many frames a transaction's writes cost.
-// Reads and probes pass through uncounted.
+// frame is one PerformBatch call: its size, and whether it carried point
+// reads (a barrier's pre-read) or logged operations (writes, finalizes,
+// CLRs) — every batch this TC builds is all one or all the other. It prints
+// as "4r" or "4w".
+type frame struct {
+	n    int
+	read bool
+}
+
+func (f frame) String() string {
+	if f.read {
+		return fmt.Sprint(f.n, "r")
+	}
+	return fmt.Sprint(f.n, "w")
+}
+
+// countingService counts the calls one DC receives from a TC's transactions:
+// how many frames a transaction costs, and of what. Probes and range reads
+// pass through uncounted.
 type countingService struct {
 	base.Service
 	mu      sync.Mutex
-	single  int   // Perform calls carrying a logged operation
-	batches []int // sizes of the PerformBatch calls
+	single  int     // Perform calls carrying a logged operation
+	reads   int     // Perform calls carrying a point read
+	batches []frame // PerformBatch calls in arrival order
+	// onReadBatch, when set, runs before a batch of reads is passed on.
+	onReadBatch func()
 }
 
 func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result {
-	if op.Kind.IsWrite() {
-		s.mu.Lock()
+	s.mu.Lock()
+	switch {
+	case op.Kind.IsWrite():
 		s.single++
-		s.mu.Unlock()
+	case op.Kind == base.OpRead:
+		s.reads++
 	}
+	s.mu.Unlock()
 	return s.Service.Perform(ctx, op)
 }
 
 func (s *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
+	f := frame{n: len(ops), read: ops[0].Kind == base.OpRead}
 	s.mu.Lock()
-	s.batches = append(s.batches, len(ops))
+	s.batches = append(s.batches, f)
+	hook := s.onReadBatch
 	s.mu.Unlock()
+	if f.read && hook != nil {
+		hook()
+	}
 	return s.Service.PerformBatch(ctx, ops)
 }
 
 // take returns and resets the counts.
-func (s *countingService) take() (single int, batches []int) {
+func (s *countingService) take() (single, reads int, batches []frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	single, batches = s.single, s.batches
-	s.single, s.batches = 0, nil
-	return single, batches
+	single, reads, batches = s.single, s.reads, s.batches
+	s.single, s.reads, s.batches = 0, 0, nil
+	return single, reads, batches
 }
 
-func (s *countingService) ops() int {
-	single, batches := s.take()
-	for _, n := range batches {
-		single += n
+// only returns the read frames, or the others, in order.
+func only(batches []frame, read bool) []frame {
+	var out []frame
+	for _, f := range batches {
+		if f.read == read {
+			out = append(out, f)
+		}
 	}
-	return single
+	return out
+}
+
+// ops returns the number of logged operations delivered, and resets.
+func (s *countingService) ops() int {
+	n, _, batches := s.take()
+	for _, f := range only(batches, false) {
+		n += f.n
+	}
+	return n
+}
+
+// quiet fails the test if the DC behind s has heard anything at all.
+func (s *countingService) quiet(t *testing.T, when string) {
+	t.Helper()
+	if single, reads, batches := s.take(); single != 0 || reads != 0 || len(batches) != 0 {
+		t.Fatalf("%s: %d single sends, %d single reads and batches %v reached a DC", when, single, reads, batches)
+	}
+}
+
+// txnRecords returns the op and compensation records transaction id has in
+// the log, forcing it first.
+func txnRecords(tcx *TC, id base.TxnID) (ops, clrs []*wal.Record) {
+	tcx.log.Force()
+	for _, rec := range tcx.log.Scan(0) {
+		if rec.Txn != id {
+			continue
+		}
+		switch rec.Kind {
+		case recOp:
+			ops = append(ops, rec)
+		case recCLR:
+			clrs = append(clrs, rec)
+		}
+	}
+	return ops, clrs
 }
 
 // newCountedPair wires one TC to two DCs through counting stubs: table "t"
@@ -104,29 +169,26 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		tcx, dcs, stubs := newCountedPair(t, pipeline)
 		const n = 4
 		for _, versioned := range []bool{false, true} {
+			logEnd := tcx.log.NextLSN()
 			x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
-			var firstWrite base.LSN
 			for i := 0; i < n; i++ {
 				for _, table := range []string{"t", "u"} {
 					if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%v", versioned))); err != nil {
 						t.Fatal(err)
 					}
-					if firstWrite == 0 {
-						firstWrite = x.lastLSN
-					}
 				}
 			}
-			if !pipeline {
-				// Nothing has left, and the low-water mark waits below the
-				// oldest unflushed write however many reads completed above it.
-				for i, s := range stubs {
-					if got := s.ops(); got != 0 {
-						t.Fatalf("versioned=%v: %d logged ops reached DC %d before any barrier", versioned, got, i)
-					}
-				}
-				if lwm := tcx.acks.LWM(); lwm >= firstWrite {
-					t.Fatalf("versioned=%v: low-water mark %d passed unsent LSN %d", versioned, lwm, firstWrite)
-				}
+			// Before the barrier the transaction is a queue and a cache: no DC
+			// has heard of it, it holds no LSN — logged or reserved — and so
+			// the low-water mark is not waiting for it.
+			for _, s := range stubs {
+				s.quiet(t, fmt.Sprintf("versioned=%v, before any barrier", versioned))
+			}
+			if next := tcx.log.NextLSN(); next != logEnd || x.lastLSN != 0 {
+				t.Fatalf("versioned=%v: LSNs %d..%d taken before any barrier (last logged %d)", versioned, logEnd, next-1, x.lastLSN)
+			}
+			if lwm := tcx.acks.LWM(); lwm != logEnd-1 {
+				t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
 			}
 			if err := x.Commit(); err != nil {
 				t.Fatal(err)
@@ -134,21 +196,14 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 			if lwm := tcx.acks.LWM(); lwm < x.lastLSN {
 				t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
 			}
+			want := "[4r 4w]" // the priors, then the writes
+			if versioned {
+				want = "[4w 4w]" // the writes, then their finalizes
+			}
 			for i, s := range stubs {
-				want := []int{n}
-				if versioned {
-					want = []int{n, n} // the writes, then their finalizes
-				}
-				if pipeline {
-					// The worker ships whatever has queued when it is free, so
-					// only the total is fixed.
-					if got := s.ops(); got != len(want)*n {
-						t.Fatalf("versioned=%v DC %d: %d logged ops delivered, want %d", versioned, i, got, len(want)*n)
-					}
-					continue
-				}
-				if single, batches := s.take(); single != 0 || fmt.Sprint(batches) != fmt.Sprint(want) {
-					t.Fatalf("versioned=%v DC %d: %d single sends and batches %v, want 0 and %v", versioned, i, single, batches, want)
+				if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
+					t.Fatalf("versioned=%v DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
+						versioned, i, single, reads, batches, want)
 				}
 			}
 			for i, table := range []string{"t", "u"} {
@@ -158,6 +213,141 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// TestSameKeyPriors: a key written more than once between barriers is
+// pre-read once, for its first write; each op record carries the value its
+// own write replaced, so rollback walks back to the original.
+func TestSameKeyPriors(t *testing.T) {
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		for _, original := range []string{"", "orig"} {
+			tcx, dcs, stubs := newCountedPair(t, pipeline)
+			if original != "" {
+				if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+					return x.Insert("t", "k", []byte(original))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				stubs[0].take()
+			}
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			for _, v := range []string{"v1", "v2"} {
+				if err := x.Upsert("t", "k", []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := x.drain(); err != nil {
+				t.Fatal(err)
+			}
+			if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r 2w]" {
+				t.Fatalf("original=%q: %d single sends, %d single reads and batches %v, want one pre-read and one batch of 2", original, single, reads, batches)
+			}
+			ops, _ := txnRecords(tcx, x.id)
+			if len(ops) != 2 {
+				t.Fatalf("original=%q: %d op records, want 2", original, len(ops))
+			}
+			for i, want := range []string{original, "v1"} {
+				_, prior, found, err := decodeOpPayload(ops[i].Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(prior) != want || found != (want != "") {
+					t.Fatalf("original=%q: op record %d logs prior %q %v, want %q", original, i, prior, found, want)
+				}
+			}
+			if err := x.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := dirty(dcs[0], "t", "k"); v != original || ok != (original != "") {
+				t.Fatalf("original=%q: abort left %q %v at the DC", original, v, ok)
+			}
+		}
+	})
+}
+
+// TestCacheAnswersThePrior: a key the transaction has read needs no pre-read.
+func TestCacheAnswersThePrior(t *testing.T) {
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		tcx, dcs, stubs := newCountedPair(t, pipeline)
+		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+			return x.Insert("t", "k", []byte("orig"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stubs[0].take()
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		if v, ok, err := x.Read("t", "k"); err != nil || !ok || string(v) != "orig" {
+			t.Fatalf("read: %q %v %v", v, ok, err)
+		}
+		if err := x.Upsert("t", "k", []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.drain(); err != nil {
+			t.Fatal(err)
+		}
+		if single, reads, batches := stubs[0].take(); single != 1 || reads != 1 || len(batches) != 0 {
+			t.Fatalf("%d single sends, %d single reads and batches %v, want the read, the write and no pre-read", single, reads, batches)
+		}
+		if err := x.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "orig" {
+			t.Fatalf("abort left %q %v at the DC", v, ok)
+		}
+	})
+}
+
+// TestExistenceAnswersComeFromTheCall: Insert, Update and Delete report
+// ErrDuplicate/ErrNotFound when they are called — against the DC, and
+// against this transaction's own queued writes — and a refused write is not
+// queued.
+func TestExistenceAnswersComeFromTheCall(t *testing.T) {
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		tcx, dcs, stubs := newCountedPair(t, pipeline)
+		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+			return x.Insert("t", "there", []byte("v"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stubs[0].take()
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		if err := x.Insert("t", "there", []byte("again")); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("insert of a committed key: %v", err)
+		}
+		if err := x.Update("t", "missing", []byte("v")); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("update of an absent key: %v", err)
+		}
+		if err := x.Delete("t", "missing"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("delete of an absent key: %v", err)
+		}
+		if len(x.queue) != 0 {
+			t.Fatalf("%d refused writes were queued", len(x.queue))
+		}
+		if err := x.Upsert("t", "queued", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Insert("t", "queued", []byte("again")); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("insert over a queued upsert: %v", err)
+		}
+		if err := x.Delete("t", "there"); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Update("t", "there", []byte("v")); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("update over a queued delete: %v", err)
+		}
+		if got := stubs[0].ops(); got != 0 || x.lastLSN != 0 {
+			t.Fatalf("%d logged ops delivered and LSN %d logged before any barrier", got, x.lastLSN)
+		}
+		if err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := dirty(dcs[0], "t", "there"); ok {
+			t.Fatal("deleted key survived the commit")
+		}
+		if v, ok := dirty(dcs[0], "t", "queued"); !ok || v != "v" {
+			t.Fatalf("upserted key after the commit: %q %v", v, ok)
 		}
 	})
 }
@@ -223,7 +413,7 @@ func TestScanReadsUnsentWrites(t *testing.T) {
 			if len(keys) != 7 {
 				return fmt.Errorf("scan sees %d keys, want 7 own writes: %v", len(keys), keys)
 			}
-			if _, batches := stubs[0].take(); !pipeline && fmt.Sprint(batches) != "[9]" {
+			if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[9w]" {
 				return fmt.Errorf("the scan's barrier shipped batches %v, want one of 9", batches)
 			}
 			// ...and so does an unlocked read, which bypasses the cache.
@@ -240,66 +430,95 @@ func TestScanReadsUnsentWrites(t *testing.T) {
 	})
 }
 
+// TestAbortWithUnsentWrites: writes that never crossed a barrier are dropped
+// by Abort — nothing shipped, nothing inverted, nothing logged, not even an
+// abort record — while writes that did cross one are rolled back through
+// the compensation chain.
 func TestAbortWithUnsentWrites(t *testing.T) {
 	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, _ := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			return x.Insert("t", "base", []byte("committed"))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		x := tcx.Begin(context.Background(), TxnOptions{})
-		if err := x.Update("t", "base", []byte("scribble")); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Insert("u", "tmp", []byte("temp")); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := dirty(dcs[0], "t", "base"); !ok || v != "committed" {
-			t.Fatalf("aborted update left %q %v at the DC", v, ok)
-		}
-		for i, table := range []string{"t", "u"} {
-			if v, ok := dirty(dcs[i], table, "tmp"); ok {
-				t.Fatalf("aborted insert left %s/tmp=%q at the DC", table, v)
+		for _, barrier := range []bool{false, true} {
+			tcx, dcs, stubs := newCountedPair(t, pipeline)
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Insert("t", "base", []byte("committed"))
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// One CLR per forward record, each pointing past the record it
-		// compensates, newest first.
-		tcx.log.Force()
-		var ops, clrs []*wal.Record
-		for _, rec := range tcx.log.Scan(0) {
-			if rec.Txn != x.id {
-				continue
+			for _, s := range stubs {
+				s.take()
 			}
-			switch rec.Kind {
-			case recOp:
-				ops = append(ops, rec)
-			case recCLR:
-				clrs = append(clrs, rec)
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			if err := x.Update("t", "base", []byte("scribble")); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(ops) != 3 || len(clrs) != 3 || tcx.Stats().UndoOps != 3 {
-			t.Fatalf("%d op records, %d CLRs, %d undo ops; want 3 of each", len(ops), len(clrs), tcx.Stats().UndoOps)
-		}
-		for i, clr := range clrs {
-			undone := ops[len(ops)-1-i]
-			if clr.NextUndo != undone.Prev {
-				t.Fatalf("CLR %d: NextUndo %d, want %d (the record before op @%d)", i, clr.NextUndo, undone.Prev, undone.LSN)
+			if err := x.Insert("u", "tmp", []byte("temp")); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
+				t.Fatal(err)
+			}
+			wantOps, wantCLRs := 0, 0
+			if barrier {
+				if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
+					t.Fatalf("scan past the barrier: %v %v", keys, err)
+				}
+				// Queued behind the barrier: dropped with the abort.
+				if err := x.Insert("t", "late", []byte("temp")); err != nil {
+					t.Fatal(err)
+				}
+				wantOps, wantCLRs = 3, 3
+			}
+			logEnd := tcx.log.NextLSN()
+			for _, s := range stubs {
+				s.take()
+			}
+			if err := x.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if !barrier {
+				for i, s := range stubs {
+					s.quiet(t, fmt.Sprintf("DC %d, abort before any barrier", i))
+				}
+				if next := tcx.log.NextLSN(); next != logEnd {
+					t.Fatalf("abort before any barrier took LSNs %d..%d", logEnd, next-1)
+				}
+				if got := len(tcx.locks.Held(x.id)); got != 0 {
+					t.Fatalf("abort left %d locks held", got)
+				}
+			}
+			if v, ok := dirty(dcs[0], "t", "base"); !ok || v != "committed" {
+				t.Fatalf("barrier=%v: aborted update left %q %v at the DC", barrier, v, ok)
+			}
+			for _, at := range []struct {
+				dc         int
+				table, key string
+			}{{0, "t", "tmp"}, {1, "u", "tmp"}, {0, "t", "late"}} {
+				if v, ok := dirty(dcs[at.dc], at.table, at.key); ok {
+					t.Fatalf("barrier=%v: aborted insert left %s/%s=%q at the DC", barrier, at.table, at.key, v)
+				}
+			}
+			// One CLR per forward record, each pointing past the record it
+			// compensates, newest first.
+			ops, clrs := txnRecords(tcx, x.id)
+			if len(ops) != wantOps || len(clrs) != wantCLRs || tcx.Stats().UndoOps != uint64(wantCLRs) {
+				t.Fatalf("barrier=%v: %d op records, %d CLRs, %d undo ops; want %d, %d, %d",
+					barrier, len(ops), len(clrs), tcx.Stats().UndoOps, wantOps, wantCLRs, wantCLRs)
+			}
+			for i, clr := range clrs {
+				undone := ops[len(ops)-1-i]
+				if clr.NextUndo != undone.Prev {
+					t.Fatalf("CLR %d: NextUndo %d, want %d (the record before op @%d)", i, clr.NextUndo, undone.Prev, undone.LSN)
+				}
 			}
 		}
 	})
 }
 
 // TestTCCrashWithUnsentOps: a logged operation that never left the TC is
-// the state "crash between AppendAssign and send". Restart delivers it when
-// its record is stable — and then inverts it unless a commit record is
-// stable too — and never hears of it when it is not.
+// the state "crash between append and ship" inside a barrier. Restart
+// delivers it when its record is stable — and then inverts it unless a
+// commit record is stable too — and never hears of it when it is not. A
+// crash earlier in the barrier, between the pre-read and the append, leaves
+// restart nothing of the transaction at all.
 func TestTCCrashWithUnsentOps(t *testing.T) {
 	forEachShipping(t, func(t *testing.T, pipeline bool) {
 		tcx, dcs, stubs := newCountedPair(t, pipeline)
@@ -311,13 +530,21 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		for _, s := range stubs {
 			s.take()
 		}
+		// write runs a transaction's barrier up to and including the append:
+		// the records are in the log and listed for their DCs, not shipped.
 		write := func(tag string) *Txn {
 			x := tcx.Begin(context.Background(), TxnOptions{})
-			if err := x.Insert("t", tag, []byte(tag)); err != nil {
+			if err := x.Upsert("t", tag, []byte(tag)); err != nil {
 				t.Fatal(err)
 			}
-			if err := x.Insert("u", tag, []byte(tag)); err != nil {
+			if err := x.Upsert("u", tag, []byte(tag)); err != nil {
 				t.Fatal(err)
+			}
+			if _, err := x.fetchPriors(); err != nil {
+				t.Fatal(err)
+			}
+			if tag != "never-logged" {
+				x.appendQueued(tcx.Epoch())
 			}
 			return x
 		}
@@ -327,13 +554,12 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
 			Payload: encodeCommit(nil, 0)})
 		stableLoser := write("stable-loser")
+		neverLogged := write("never-logged")
 		tcx.log.Force()
 		write("lost-loser") // records in the unforced tail
-		if !pipeline {
-			for i, s := range stubs {
-				if got := s.ops(); got != 0 {
-					t.Fatalf("%d logged ops reached DC %d before the crash", got, i)
-				}
+		for i, s := range stubs {
+			if got := s.ops(); got != 0 {
+				t.Fatalf("%d logged ops reached DC %d before the crash", got, i)
 			}
 		}
 		tcx.Crash()
@@ -344,21 +570,27 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 			if v, ok := dirty(dcs[i], table, "winner"); !ok || v != "winner" {
 				t.Fatalf("%s/winner after restart: %q %v", table, v, ok)
 			}
-			for _, tag := range []string{"stable-loser", "lost-loser"} {
+			for _, tag := range []string{"stable-loser", "never-logged", "lost-loser"} {
 				if v, ok := dirty(dcs[i], table, tag); ok {
 					t.Fatalf("%s/%s survived restart as %q", table, tag, v)
 				}
 			}
 		}
-		if !pipeline {
-			// An orphan that reaches a barrier after the restart has its list
-			// retired, not delivered: its LSNs belong to the new incarnation.
-			if err := stableLoser.Commit(); !errors.Is(err, ErrTCStopped) {
+		if ops, clrs := txnRecords(tcx, neverLogged.id); len(ops) != 0 || len(clrs) != 0 {
+			t.Fatalf("a transaction that crashed between pre-read and append has %d op records and %d CLRs", len(ops), len(clrs))
+		}
+		// An orphan that reaches a barrier after the restart dies there: its
+		// listed operations and its queue stay where they are.
+		for _, s := range stubs {
+			s.take()
+		}
+		for _, orphan := range []*Txn{stableLoser, neverLogged} {
+			if err := orphan.Commit(); !errors.Is(err, ErrTCStopped) {
 				t.Fatalf("orphan's commit = %v, want ErrTCStopped", err)
 			}
-			if _, ok := dirty(dcs[0], "t", "stable-loser"); ok {
-				t.Fatal("orphan's unsent write was delivered after the restart")
-			}
+		}
+		for i, s := range stubs {
+			s.quiet(t, fmt.Sprintf("DC %d, orphans' commits", i))
 		}
 		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 			if v, ok, err := x.Read("t", "base"); err != nil || !ok || string(v) != "committed" {
@@ -371,38 +603,163 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 	})
 }
 
+// TestOrphanDiesAtEveryBarrier: a transaction begun before a TC crash that
+// reaches Commit, Abort or a scan after the restart holds locks that died
+// with the old lock table and an id the new incarnation may hand out again.
+// It must not read, log or ship anything more — whatever it logged is
+// restart's to undo — and reports ErrTCStopped.
+func TestOrphanDiesAtEveryBarrier(t *testing.T) {
+	ends := []struct {
+		name string
+		call func(*Txn) error
+	}{
+		{"commit", (*Txn).Commit},
+		{"abort", (*Txn).Abort},
+		{"scan", func(x *Txn) error {
+			_, _, err := x.Scan("t", "a", "z", 0)
+			return err
+		}},
+	}
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		for _, end := range ends {
+			for _, acked := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/acked=%v", end.name, acked), func(t *testing.T) {
+					tcx, dcs, stubs := newCountedPair(t, pipeline)
+					x := tcx.Begin(context.Background(), TxnOptions{})
+					if err := x.Upsert("t", "k", []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+					if err := x.Upsert("u", "k", []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+					if acked {
+						// Logged, shipped, acknowledged and stable: restart
+						// finds a loser and rolls it back itself.
+						if err := x.drain(); err != nil {
+							t.Fatal(err)
+						}
+						tcx.log.Force()
+					}
+					tcx.Crash()
+					if err := tcx.Recover(); err != nil {
+						t.Fatal(err)
+					}
+					logEnd := tcx.log.NextLSN()
+					for _, s := range stubs {
+						s.take()
+					}
+					if err := end.call(x); !errors.Is(err, ErrTCStopped) {
+						t.Fatalf("orphan's %s = %v, want ErrTCStopped", end.name, err)
+					}
+					if next := tcx.log.NextLSN(); next != logEnd {
+						t.Fatalf("orphan's %s took LSNs %d..%d of the new incarnation's log", end.name, logEnd, next-1)
+					}
+					for i, s := range stubs {
+						s.quiet(t, fmt.Sprintf("DC %d, orphan's %s", i, end.name))
+					}
+					if err := x.Abort(); err != nil {
+						t.Fatalf("abort of a dead orphan = %v, want nil", err)
+					}
+					for i, table := range []string{"t", "u"} {
+						if v, ok := dirty(dcs[i], table, "k"); ok {
+							t.Fatalf("%s/k = %q after the restart rolled the orphan back", table, v)
+						}
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestCancelledPreReadIsACleanAbort: the barrier's pre-read is the last
+// cancellation point of a write transaction. Cancelled there, nothing has
+// been logged: the commit fails plainly (not ambiguously), the locks are
+// released, and the reads' LSNs are completed so checkpoints move on.
+func TestCancelledPreReadIsACleanAbort(t *testing.T) {
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		tcx, dcs, stubs := newCountedPair(t, pipeline)
+		ctx, cancel := context.WithCancel(context.Background())
+		stubs[1].mu.Lock()
+		stubs[1].onReadBatch = cancel // DC 0 answers its pre-read, DC 1's is abandoned
+		stubs[1].mu.Unlock()
+		x := tcx.Begin(ctx, TxnOptions{})
+		for _, table := range []string{"t", "u"} {
+			for i := 0; i < 3; i++ {
+				if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		err := x.Commit()
+		if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("commit error %v does not carry ErrCancelled + context.Canceled", err)
+		}
+		if errors.Is(err, ErrCommitAmbiguous) {
+			t.Fatalf("commit error %v is ambiguous though nothing was logged", err)
+		}
+		if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 || x.lastLSN != 0 {
+			t.Fatalf("cancelled before the append, yet %d op records, %d CLRs, last LSN %d", len(ops), len(clrs), x.lastLSN)
+		}
+		for i, s := range stubs {
+			if got := s.ops(); got != 0 {
+				t.Fatalf("%d logged ops reached DC %d", got, i)
+			}
+		}
+		if got := len(tcx.locks.Held(x.id)); got != 0 {
+			t.Fatalf("clean abort left %d locks held", got)
+		}
+		// Every LSN the pre-read reserved is complete, answered or not.
+		if lwm, last := tcx.acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
+			t.Fatalf("low-water mark %d stuck below the abandoned pre-read (LSNs end at %d)", lwm, last)
+		}
+		before := tcx.RSSP()
+		if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
+			t.Fatalf("checkpoint after the cancelled barrier: rssp %d -> %d, %v", before, rssp, err)
+		}
+		if _, ok := dirty(dcs[0], "t", "k0"); ok {
+			t.Fatal("a write of the cancelled transaction reached the DC")
+		}
+	})
+}
+
 func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
 	forEachShipping(t, func(t *testing.T, pipeline bool) {
 		tcx, dcs, stubs := newCountedPair(t, pipeline)
 		const n = 2*maxBatch + 22
-		// Versioned blind upserts: no pre-check reads, so the DC hears
-		// nothing of the transaction except its batches.
-		if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
-			for i := 0; i < n; i++ {
-				if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
-					return err
+		for _, versioned := range []bool{true, false} {
+			if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: versioned}, func(x *Txn) error {
+				for i := 0; i < n; i++ {
+					if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+						return err
+					}
 				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		single, batches := stubs[0].take()
-		if !pipeline {
-			want := []int{maxBatch, maxBatch, 22, maxBatch, maxBatch, 22}
-			if single != 0 || fmt.Sprint(batches) != fmt.Sprint(want) {
-				t.Fatalf("%d single sends and batches %v, want 0 and %v", single, batches, want)
+			single, reads, batches := stubs[0].take()
+			// Versioned: the queue leaves in three barriers, then the
+			// finalizes in three lists. Unversioned: each barrier pre-reads
+			// what it is about to log.
+			wantReads, wantWrites := "[]", "[64w 64w 22w 64w 64w 22w]"
+			wantAll := wantWrites
+			if !versioned {
+				wantReads, wantWrites = "[64r 64r 22r]", "[64w 64w 22w]"
+				wantAll = "[64r 64w 64r 64w 22r 22w]"
 			}
-		}
-		for _, b := range batches {
-			if b > maxBatch {
-				t.Fatalf("a batch of %d exceeds maxBatch %d", b, maxBatch)
+			// Pipelined, a barrier's pre-read can overtake the worker still
+			// shipping the previous barrier's writes: each kind keeps its
+			// order, the interleaving is the worker's.
+			if single != 0 || reads != 0 || fmt.Sprint(only(batches, true)) != wantReads ||
+				fmt.Sprint(only(batches, false)) != wantWrites || (!pipeline && fmt.Sprint(batches) != wantAll) {
+				t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
+					versioned, single, reads, batches, wantAll)
 			}
-		}
-		r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",
-			Key: "k", EndKey: "l", Flavor: base.ReadCommitted})
-		if len(r.Keys) != n {
-			t.Fatalf("%d of %d keys committed at the DC", len(r.Keys), n)
+			r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",
+				Key: "k", EndKey: "l", Flavor: base.ReadCommitted})
+			if len(r.Keys) != n {
+				t.Fatalf("versioned=%v: %d of %d keys committed at the DC", versioned, len(r.Keys), n)
+			}
 		}
 	})
 }

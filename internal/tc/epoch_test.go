@@ -91,11 +91,15 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A versioned blind upsert posts straight into the pipeline; the
-		// wrapper freezes the shipped batch mid-flight.
+		// A versioned blind upsert needs no pre-read: its barrier logs it and
+		// posts it straight into the pipeline; the wrapper freezes the
+		// shipped batch mid-flight.
 		gated.armed.Store(true)
 		ghost := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 		if err := ghost.Upsert("t", "ghost", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := ghost.flush(); err != nil {
 			t.Fatal(err)
 		}
 		<-gated.parked

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/wal"
 )
 
 // Shipping logged operations. Every operation that holds a TC-log record —
@@ -15,53 +16,63 @@ import (
 // unique request IDs, idempotence at the DC, resend until acknowledged.
 // What differs between callers is only who runs it, and when.
 //
-// In neither mode does a transaction need a write's reply before its commit:
-// the X lock freezes the key, the pre-check (or versioned-upsert semantics)
-// guarantees the operation succeeds at the DC, and the op record is already
-// in the TC-log — appended at call time under the lock, so the log order is
-// still an OPSR order — and the resend/redo contract delivers it even
-// across failures. The transaction only waits at a barrier: its commit, its
-// abort, or a read that bypasses its cache (scans, ReadCommitted/ReadDirty).
+// A write neither logs nor ships when it is called. The call takes the X
+// lock — which freezes the key — answers what its kind must answer (Insert,
+// Update and Delete check existence, so that every logged operation succeeds
+// at the DC), records the new value in the transaction cache and joins the
+// transaction's queue. Everything else happens at the transaction's next
+// barrier: its commit, a read that bypasses its cache (scans,
+// ReadCommitted/ReadDirty), or the queue reaching maxBatch. Txn.flush then
 //
-// Inline (the default): a write appends its record and joins the
-// transaction's per-DC unsent list; Txn.flush hands each list to deliver on
-// the transaction's own goroutine at the next barrier (or when a list
-// reaches maxBatch), so a transaction's writes cross the wire as one
-// PerformBatch per DC instead of one round trip per call. The rules that
-// keep this correct:
+//  1. fetches, in one PerformBatch of reads per DC, every prior value the
+//     cache could not supply when the write was accepted (the undo
+//     information of §4.1.1; only unversioned Upserts of keys the
+//     transaction never read need it);
+//  2. appends the op records in call order — appended at the barrier, under
+//     the lock, so the TC-log order is still an OPSR order; and
+//  3. ships them, one list per DC.
 //
-//   - Same-key order inside a transaction is list order (one key routes to
-//     one DC, and a DC executes a batch in order). Cross-transaction
-//     conflicts stay excluded by strict 2PL: finish() releases locks only
-//     after the last flush is acknowledged. Point reads and pre-checks of a
-//     key with an unsent write never reach the DC — x.cache answers them.
-//   - A logged-but-unsent operation is exactly the state "crash between
-//     AppendAssign and send" that restart has always handled: redo delivers
-//     it, undo inverts losers. An orphan of a crashed incarnation that
-//     reaches a barrier has its list retired with ErrTCStopped by deliver's
-//     live-epoch filter.
-//   - The ack tracker cannot pass an unsent LSN, so the low-water mark (and
-//     the RSSP a checkpoint may propose) trails the oldest *unflushed* write
-//     of any active transaction; see ackTracker.LWM.
+// So a transaction of n unversioned upserts costs two request/reply calls per
+// DC however large n is (up to maxBatch), an abort before the first barrier
+// costs none and logs nothing, and a write holds no LSN while its
+// transaction idles or waits for a lock. The rules that keep this correct:
+//
+//   - Same-key order inside a transaction is queue order, which is log order,
+//     which is list order (one key routes to one DC, and a DC executes a
+//     batch in order). Cross-transaction conflicts stay excluded by strict
+//     2PL: finish() releases locks only after the last list is acknowledged.
+//     Point reads and existence checks of a key with a queued write never
+//     reach the DC — x.cache answers them.
+//   - The undo information is in the TC-log before the operation can reach
+//     the DC, let alone become stable there (§4.1.1, §5.1): step 2 precedes
+//     step 3. A crash after step 1 leaves restart nothing of the barrier; a
+//     crash after step 2 is the state "logged, never sent" that restart has
+//     always handled — redo delivers it, undo inverts losers.
+//   - An orphan of a crashed incarnation dies at its next barrier (Txn.die)
+//     before step 1; one that slips past the check while the crash happens
+//     has its operations retired with ErrTCStopped by deliver's live-epoch
+//     filter, because they carry the dead incarnation's epoch.
 //   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
 //     versions from its next barrier on, not from the call that wrote them.
 //
-// Pipelined (Config.Pipeline): the TC appends the record, posts the op into
-// the per-DC pipeline, and returns; replies are collected at the
-// transaction's pending barrier. Each DC has one shipping goroutine with
-// exactly one batch in flight. That discipline is what keeps the
-// logical operation stream ordered per DC: everything queued while the
-// previous batch was on the wire is coalesced into the next delivery, which
-// the DC executes in arrival order. Same-key operations of one transaction
-// always route to the same DC, so they can never reorder;
-// cross-transaction conflicts are excluded by strict 2PL plus the ack
-// barrier (locks are only released once every shipped operation is
+// What Config.Pipeline selects is only who runs deliver in step 3 (Txn.ship).
+// Inline (the default) the transaction's own goroutine does, one call — one
+// PerformBatch — per DC, and the barrier returns with the operations
+// acknowledged. Pipelined, each list is posted into its DC's pipeline and
+// the barrier returns at once; replies are collected at the transaction's
+// pending barrier, which Commit overlaps with the commit-record force. Each
+// DC has one shipping goroutine with exactly one batch in flight. That
+// discipline is what keeps the logical operation stream ordered per DC:
+// everything queued while the previous batch was on the wire is coalesced
+// into the next delivery, which the DC executes in arrival order. Same-key
+// operations of one transaction always route to the same DC, so they can
+// never reorder; cross-transaction conflicts are excluded by strict 2PL plus
+// the ack barrier (locks are only released once every shipped operation is
 // acknowledged).
 
 // maxBatch caps the operations of one PerformBatch message: what a pipeline
-// worker coalesces, and how long a transaction's unsent list may grow before
-// it is flushed ahead of the next barrier (which bounds, in operations, how
-// far one transaction can hold the low-water mark back).
+// worker coalesces, and how many writes a transaction may queue (or finalize
+// operations it may list) before they leave ahead of the next barrier.
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -86,9 +97,9 @@ type pending struct {
 	zero chan struct{}
 }
 
-func (p *pending) add() {
+func (p *pending) add(n int) {
 	p.mu.Lock()
-	p.outstanding++
+	p.outstanding += n
 	p.mu.Unlock()
 }
 
@@ -298,21 +309,119 @@ func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool
 	return t.deliver(ctx, h, one[:], redo)
 }
 
-// send ships one logged operation of transaction x to the DC the caller
-// resolved with dcIndex (before the op record was appended, so only
-// routable operations consume logged LSNs). Pipelined, it posts the op and
-// returns nil: the outcome arrives at x.pend. Inline, it appends the op to
-// the transaction's unsent list for that DC, which leaves at the next
-// flush; a list that reaches maxBatch is flushed here, and that flush's
-// outcome is what send returns. This is the only place that knows which.
-func (t *TC) send(x *Txn, dcIdx int, op *base.Op) error {
-	if t.pipes != nil {
-		x.pend.add()
-		t.pipes[dcIdx].post(item{op: op, pend: &x.pend})
-		return nil
+// flush is the transaction's write barrier: the writes queued since the last
+// one are logged — appended at the barrier, under their X locks — and
+// shipped. It runs at Commit, at drain (before scans and unlocked reads) and
+// when the queue reaches maxBatch; Abort drops the queue instead. A failed
+// or cancelled pre-read has logged nothing and leaves the queue as it was.
+func (x *Txn) flush() error {
+	// Read before the orphan check: Recover mints the next epoch only after
+	// Crash has emptied the transaction table, so a transaction that passes
+	// the check holds its own incarnation's epoch, and an operation stamped
+	// with it can never pass for one of a later incarnation (see deliver).
+	epoch := x.tc.Epoch()
+	if x.orphaned() {
+		return x.die()
 	}
+	if len(x.queue) > 0 {
+		read, err := x.fetchPriors()
+		if err != nil {
+			return err
+		}
+		if read && x.orphaned() {
+			// The incarnation died during the round trip.
+			return x.die()
+		}
+		x.appendQueued(epoch)
+	}
+	return x.ship()
+}
+
+// fetchPriors is the barrier's pre-read: every prior value the cache could
+// not supply when its write was accepted is read now, one PerformBatch of
+// reads per DC, and filed with the queued write that needs it. The keys are
+// X-locked, so what the DC returns is what the cache would have held; a key
+// the transaction wrote more than once is read once, for its first write
+// (the later ones found the earlier in the cache). Results go to the queue
+// only — the cache already holds the values written. read reports whether a
+// DC was asked. Nothing is logged yet, so the reads honor the transaction's
+// context, and a failure leaves a transaction that can still abort without
+// a trace.
+func (x *Txn) fetchPriors() (read bool, err error) {
+	t := x.tc
+	for dcIdx, h := range t.dcs {
+		var ops []*base.Op
+		for i := range x.queue {
+			if q := &x.queue[i]; q.needPrior && q.dc == dcIdx {
+				if ops == nil {
+					ops = make([]*base.Op, 0, len(x.queue)-i)
+				}
+				ops = append(ops, &base.Op{TC: t.cfg.ID, LSN: t.log.AllocLSN(), Kind: base.OpRead,
+					Table: q.op.Table, Key: q.op.Key, Flavor: base.ReadPlain})
+			}
+		}
+		if len(ops) == 0 {
+			continue
+		}
+		read = true
+		results := t.performBatchOn(x.ctx, h, ops)
+		n := 0
+		for i := range x.queue {
+			q := &x.queue[i]
+			if !q.needPrior || q.dc != dcIdx {
+				continue
+			}
+			res := results[n]
+			n++
+			switch res.Code {
+			case base.CodeOK:
+				q.prior, q.priorFound, q.needPrior = res.Value, true, false
+			case base.CodeNotFound:
+				q.needPrior = false
+			case base.CodeCancelled:
+				return read, fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, base.CancelErr(x.ctx))
+			default:
+				return read, fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, res.Code.Err())
+			}
+		}
+	}
+	return read, nil
+}
+
+// appendQueued logs the queued writes in call order — the same op record,
+// undo information included, that a write used to append before it returned
+// — and lists each for its DC. The X locks are still held, so the TC-log
+// order is an OPSR order exactly as when each call appended its own record.
+// From here on delivery is no longer cancellable: the resend/redo contract
+// must run to completion, or an abandoned forward operation could be
+// overtaken by its own inverse on a reordering network.
+func (x *Txn) appendQueued(epoch base.Epoch) {
+	for i := range x.queue {
+		q := &x.queue[i]
+		rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
+			Payload: encodeOpPayload(q.op, q.prior, q.priorFound)}
+		q.op.Epoch = epoch // before the LSN assignment; see deliver
+		lsn := x.tc.log.AppendAssign(rec)
+		q.op.LSN = lsn
+		// The record is in the log, so it is in the undo chain, whatever the
+		// delivery goes on to report: redo will resend it, and an inverse of
+		// a forward operation that never landed finds nothing to do.
+		if x.firstLSN.Load() == 0 {
+			x.firstLSN.Store(uint64(lsn))
+		}
+		x.lastLSN = lsn
+		x.list(q.dc, q.op)
+	}
+	x.queue = x.queue[:0]
+}
+
+// list adds one logged operation to the transaction's unsent list for the DC
+// the caller resolved with dcIndex (before the operation was accepted, so
+// only routable operations consume logged LSNs); it leaves with the next
+// ship.
+func (x *Txn) list(dcIdx int, op *base.Op) {
 	if x.unsent == nil {
-		x.unsent = make([][]item, len(t.dcs))
+		x.unsent = make([][]item, len(x.tc.dcs))
 	}
 	if x.unsent[dcIdx] == nil {
 		// One allocation for a transaction of a handful of writes, instead
@@ -320,29 +429,30 @@ func (t *TC) send(x *Txn, dcIdx int, op *base.Op) error {
 		x.unsent[dcIdx] = make([]item, 0, 8)
 	}
 	x.unsent[dcIdx] = append(x.unsent[dcIdx], item{op: op})
-	if len(x.unsent[dcIdx]) >= maxBatch {
-		return x.flush()
-	}
-	return nil
 }
 
-// flush delivers the transaction's unsent operations, one deliver call
-// (one PerformBatch when there is more than one) per DC, on the caller's
-// goroutine, and returns the first failure. It runs at every barrier:
-// drain, Commit (before the commit record and after the finalize
-// operations), Abort (before the undo chain is walked). Delivery does not
-// honor the transaction's cancellation, for the reason write gives.
-func (x *Txn) flush() error {
+// ship hands the transaction's listed operations to their DCs, each list as
+// one unit, and returns the first failure. This is the only place that knows
+// the shipping mode. Inline, that is one deliver call (one PerformBatch when
+// there is more than one operation) per DC on the caller's goroutine.
+// Pipelined, each list is posted into its DC's pipeline and ship returns nil:
+// the outcomes arrive at x.pend. Delivery does not honor the transaction's
+// cancellation, for the reason appendQueued gives.
+func (x *Txn) ship() error {
 	var first error
 	for i, items := range x.unsent {
 		if len(items) == 0 {
 			continue
 		}
-		err := x.tc.deliver(x.sendCtx, x.tc.dcs[i], items, false)
-		x.unsent[i] = items[:0]
-		if first == nil {
-			first = err
+		if pipes := x.tc.pipes; pipes != nil {
+			pipes[i].post(items, &x.pend)
+		} else {
+			err := x.tc.deliver(x.sendCtx, x.tc.dcs[i], items, false)
+			if first == nil {
+				first = err
+			}
 		}
+		x.unsent[i] = items[:0]
 	}
 	return first
 }
@@ -364,16 +474,22 @@ func newPipeline(t *TC, h *dcHandle) *pipeline {
 	return p
 }
 
-// post enqueues an operation for shipping. The caller has already added
-// it to its transaction's pending barrier.
-func (p *pipeline) post(it item) {
+// post enqueues a transaction's operations for shipping, as one unit, behind
+// its barrier pend. The items are copied: the caller reuses its list.
+func (p *pipeline) post(items []item, pend *pending) {
+	pend.add(len(items))
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		it.pend.done(ErrTCStopped)
+		for range items {
+			pend.done(ErrTCStopped)
+		}
 		return
 	}
-	p.queue = append(p.queue, it)
+	for _, it := range items {
+		it.pend = pend
+		p.queue = append(p.queue, it)
+	}
 	p.cond.Signal()
 	p.mu.Unlock()
 }

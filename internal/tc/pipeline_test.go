@@ -137,6 +137,10 @@ func TestPipelinedAbortDrainsBeforeUndo(t *testing.T) {
 	if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
 		t.Fatal(err)
 	}
+	// The barrier logs and posts them; the abort meets them in flight.
+	if err := x.flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := x.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +235,9 @@ func TestPipelinedTCCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := loser.Update("t", "committed", []byte("scribble")); err != nil {
+		t.Fatal(err)
+	}
+	if err := loser.flush(); err != nil {
 		t.Fatal(err)
 	}
 	tcx.Crash()
@@ -442,6 +449,9 @@ func TestPipelinedStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	d.Crash()
 	x := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 	if err := x.Upsert("t", "ghost", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.flush(); err != nil { // the barrier logs and posts the write
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond) // let the worker pop the batch and park

@@ -20,7 +20,7 @@ import (
 var errLockTableLost = fmt.Errorf("tc: lock table lost in TC crash: %w", base.ErrUnavailable)
 
 // Crash simulates a TC process failure: the log buffer (unforced tail),
-// lock table, transaction table (and with it every transaction's unsent
+// lock table, transaction table (and with it every transaction's queued
 // writes), ack bookkeeping, and queued pipeline operations vanish. The
 // stable log survives. LSNs above the stable end
 // will be reused by the restarted incarnation — the DC-side reset protocol

@@ -78,18 +78,20 @@ type Config struct {
 	Protocol RangeProtocol
 	// ForceDelay simulates stable-log force latency (group commit).
 	ForceDelay time.Duration
-	// Pipeline ships logged writes from a per-DC worker goroutine: Insert/
-	// Update/Upsert/Delete append their op record, post the op into the
-	// per-DC pipeline, and return; the worker sends as soon as the previous
-	// batch is acknowledged. Commit overlaps the commit-record force with
-	// draining the transaction's outstanding acks and releases locks only
-	// after both complete, and a cancelled Commit can return before its
-	// writes are acknowledged. Off (the default), a write does not wait for
-	// the DC either: it joins the transaction's unsent list, which the
-	// transaction's own goroutine ships as one batch per DC at its next
-	// barrier (commit, abort, scan, unlocked read). That sends the fewest
-	// frames and pays no goroutine hand-off per operation, which is faster
-	// both when the DC is a direct call away and on a CPU-bound link.
+	// Pipeline ships logged writes from a per-DC worker goroutine. Either
+	// way Insert/Update/Upsert/Delete only queue the write: the transaction's
+	// next barrier (commit, scan, unlocked read, 64 queued writes) fetches
+	// the missing undo images in one batch per DC, appends the op records
+	// and ships them. On, the barrier posts them into the per-DC pipeline
+	// and returns; the worker sends as soon as the previous batch is
+	// acknowledged, Commit overlaps the commit-record force with draining
+	// the transaction's outstanding acks and releases locks only after both
+	// complete, and a cancelled Commit can return before its writes are
+	// acknowledged. Off (the default), the transaction's own goroutine ships
+	// them as one batch per DC and the barrier returns with them
+	// acknowledged. That sends the fewest frames and pays no goroutine
+	// hand-off, which is faster both when the DC is a direct call away and on
+	// a CPU-bound link.
 	Pipeline bool
 	// Clock is the timestamp source for commit timestamps and snapshot
 	// reads (default: a process-wide monotonic clock.System with zero
@@ -534,10 +536,40 @@ func (t *TC) performOn(ctx context.Context, h *dcHandle, op *base.Op) *base.Resu
 		t.opsSent.Add(1)
 		res = h.svc.Perform(ctx, op)
 	}
+	t.completeRead(op, res)
+	return res
+}
+
+// completeRead feeds an unlogged operation's LSN to the ack tracker unless
+// the reply belongs to a dead incarnation (see performOn).
+func (t *TC) completeRead(op *base.Op, res *base.Result) {
 	if op.Epoch == t.Epoch() && res.Code != base.CodeStaleEpoch {
 		t.acks.Complete(op.LSN)
 	}
-	return res
+}
+
+// performBatchOn is performOn for the point reads a write barrier sends to
+// one DC (Txn.fetchPriors): one PerformBatch, one result per read, and every
+// LSN completed under the same epoch fence, answered, refused or abandoned.
+func (t *TC) performBatchOn(ctx context.Context, h *dcHandle, ops []*base.Op) []*base.Result {
+	epoch := t.Epoch()
+	for _, op := range ops {
+		op.Epoch = epoch
+	}
+	var results []*base.Result
+	if err := h.waitReady(ctx); err == nil {
+		t.opsSent.Add(uint64(len(ops)))
+		results = h.svc.PerformBatch(ctx, ops)
+	} else {
+		results = make([]*base.Result, len(ops))
+		for i, op := range ops {
+			results[i] = &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
+		}
+	}
+	for i, op := range ops {
+		t.completeRead(op, results[i])
+	}
+	return results
 }
 
 // Checkpoint advances the redo scan start point (§4.2.1 checkpoint,
@@ -653,15 +685,12 @@ func (a *ackTracker) Complete(lsn base.LSN) {
 	a.mu.Unlock()
 }
 
-// LWM returns the current low-water mark. A logged write that its
-// transaction has not flushed yet (inline shipping holds writes until the
-// next barrier, see pipeline.go) is an allocated LSN without a reply, so the
-// mark — and with it the RSSP a checkpoint may propose and the prefix a DC
-// may fold out of its abstract LSNs — trails the oldest *unflushed* write of
-// any active transaction, not merely the oldest unacknowledged one. The
-// maxBatch flush bounds that lag in operations per transaction, not in
-// time: a transaction that writes once and then idles, or waits for a lock,
-// holds the mark until it reaches a barrier.
+// LWM returns the current low-water mark. An LSN is taken only when its
+// operation is about to leave — a read as it is sent, a write's record at
+// the barrier that ships it (see pipeline.go) — so the mark, and with it the
+// RSSP a checkpoint may propose and the prefix a DC may fold out of its
+// abstract LSNs, trails only operations actually in flight, never a
+// transaction that wrote and then idles or waits for a lock.
 func (a *ackTracker) LWM() base.LSN {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -124,6 +124,11 @@ func TestAbortRollsBack(t *testing.T) {
 	if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
 		t.Fatal(err)
 	}
+	// Past a barrier the writes are logged and at the DC: the abort has
+	// something to invert.
+	if err := x.flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := x.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +359,9 @@ func TestTCCrashMidUndoUsesCLRs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := x.Insert("t", "b", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.flush(); err != nil { // the barrier logs and ships them
 		t.Fatal(err)
 	}
 	tcx.Log().Force() // ops stable; no commit record

@@ -102,11 +102,23 @@ type cachedVal struct {
 	found bool
 }
 
+// queued is one accepted write waiting for its transaction's next barrier.
+// prior/priorFound are the undo information its op record will carry;
+// needPrior marks a prior the cache could not supply at call time, which the
+// barrier's batched pre-read fetches (see Txn.fetchPriors).
+type queued struct {
+	op         *base.Op
+	dc         int
+	prior      []byte
+	priorFound bool
+	needPrior  bool
+}
+
 // Txn is one user transaction executing at this TC. A transaction is used
 // from a single goroutine (many transactions run concurrently). It carries
 // the context it was begun with: every lock wait and read honors that
 // context's cancellation and deadline, while the delivery of logged writes
-// deliberately does not (see write).
+// deliberately does not (see appendQueued).
 type Txn struct {
 	tc  *TC
 	ctx context.Context
@@ -129,9 +141,13 @@ type Txn struct {
 	// versioned tracks keys written with versioning; commit/abort send
 	// the §6.2.2 finalize operations for them.
 	versioned map[tableKey]struct{}
-	// unsent holds, per DC, the logged operations that inline shipping has
-	// not delivered yet, in log order; flush empties it at every barrier.
-	// Always empty when shipping is pipelined.
+	// queue holds the writes accepted since the last barrier, in call order:
+	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
+	// logs and ships it; Abort drops it.
+	queue []queued
+	// unsent holds, per DC, the logged operations not yet handed to deliver
+	// or to the DC's pipeline, in log order. It is non-empty only inside a
+	// barrier and while a commit's finalize operations collect.
 	unsent [][]item
 	// pend is the barrier over this transaction's pipelined operations:
 	// writes posted into the per-DC pipelines complete here, and Commit/
@@ -276,15 +292,8 @@ func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
 	err := x.tc.locks.LockWait(x.ctx, x.id, res, mode, x.opts.lockWait(x.tc.cfg.LockTimeout))
 	if err != nil {
 		if errors.Is(err, errLockTableLost) {
-			// The incarnation that owned this wait crashed: restart
-			// analysis undoes whatever the transaction logged, so the
-			// orphan must not roll itself back — its inverse operations
-			// would race the new incarnation, against which it holds no
-			// locks. It just dies and reports a transient failure.
-			x.state = txnAborted
-			x.tc.mu.Lock()
-			delete(x.tc.txns, x.id)
-			x.tc.mu.Unlock()
+			// The incarnation that owned this wait crashed.
+			x.die()
 			return err
 		}
 		if errors.Is(err, base.ErrDeadlock) {
@@ -293,6 +302,31 @@ func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
 		_ = x.Abort()
 	}
 	return err
+}
+
+// orphaned reports whether the incarnation that began x has crashed: Crash
+// replaces the transaction table, so x is no longer the entry under its id.
+// The compare is by pointer because a restarted incarnation hands the same
+// ids out again.
+func (x *Txn) orphaned() bool {
+	x.tc.mu.Lock()
+	defer x.tc.mu.Unlock()
+	return x.tc.txns[x.id] != x
+}
+
+// die is an orphan's only exit, from a poisoned lock wait or from any
+// barrier (flush, Commit, Abort). Restart analysis owns the undo of whatever
+// the dead incarnation logged, and the locks the orphan wrote under vanished
+// with the old lock table — so it must not roll itself back (its inverses
+// would race the new incarnation), nor read, log or ship anything more (the
+// records would land in the new incarnation's log, under its epoch), nor run
+// finish (its id, and the locks and timestamps filed under it, may belong to
+// a new transaction by now). It drops what it queued and reports a
+// transient failure.
+func (x *Txn) die() error {
+	x.state = txnAborted
+	x.queue = nil
+	return ErrTCStopped
 }
 
 // Read returns the value of key as of the transaction's view. In a
@@ -434,12 +468,13 @@ func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readOp(table, key, base.ReadDirty, false)
 }
 
-// drain ships this transaction's unsent writes and waits out the shipped
-// ones before an operation that must observe them at the DC (scans and
-// unlocked reads bypass the transaction cache, so read-your-writes needs
-// them applied). Point reads never need it: every write is recorded in the
-// cache. The wait on pipelined operations honors the transaction's context;
-// the inline flush, like every delivery of a logged operation, does not.
+// drain runs the write barrier — the queued writes are logged and shipped —
+// and waits out the shipped ones before an operation that must observe them
+// at the DC (scans and unlocked reads bypass the transaction cache, so
+// read-your-writes needs them applied). Point reads never need it: every
+// write is recorded in the cache. The barrier's pre-read and the wait on
+// pipelined operations honor the transaction's context; the delivery of a
+// logged operation does not.
 func (x *Txn) drain() error {
 	if err := x.flush(); err != nil {
 		return err
@@ -476,19 +511,22 @@ func (x *Txn) Delete(table, key string) error {
 	return x.write(base.OpDelete, table, key, nil)
 }
 
-// write implements all mutations: X lock, undo capture, logical redo+undo
-// logging *before* the send (so the TC-log order is an OPSR order), then
-// the operation itself (TC.send; the pre-check + X-lock invariant
-// guarantees the outcome, so nothing needs the reply before commit — the
-// op leaves with the transaction's next batch, see pipeline.go). From the
-// append on, the transaction cache is the authority for this key: every
-// later point read and pre-check of it is answered there, never by a DC
-// that may not have seen the write yet.
+// write implements all mutations: ownership and routing checks, X lock, the
+// existence check of the kinds whose answer depends on it, and then the
+// write joins the transaction's queue — it is logged and shipped at the next
+// barrier (flush), not here. From this call on the transaction cache is the
+// authority for the key: every later point read and existence check of it is
+// answered there, never by a DC that has not seen the write yet.
 //
-// Cancellation points are the lock wait and the pre-check read. Once the
-// op record is appended, delivery is no longer cancellable: the resend/
-// redo contract must run to completion, or an abandoned forward operation
-// could be overtaken by its own inverse on a reordering network.
+// The undo information an op record carries is the key's value before the
+// write. Insert, Update and Delete learn it from the existence check their
+// return value needs anyway (a read through the cache, one DC call when the
+// cache is cold). Upsert's result does not depend on it, so an Upsert the
+// cache cannot answer reads nothing here: the barrier fetches every such
+// prior in one batch per DC. A versioned Upsert needs none at all — the DC
+// keeps the before version and the inverse is abort-versions.
+//
+// Cancellation points are the lock wait and the existence-check read.
 func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	if x.state != txnActive {
 		return ErrTxnDone
@@ -511,6 +549,8 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		return fmt.Errorf("tc %d: %s %s/%q is owned by tc %d: %w",
 			x.tc.cfg.ID, kind, table, key, owner, base.ErrWrongOwner)
 	}
+	// Resolved before the write is accepted, so only routable operations
+	// ever consume a logged LSN.
 	dcIdx, err := x.tc.dcIndex(table, key)
 	if err != nil {
 		_ = x.Abort()
@@ -519,59 +559,40 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	if err := x.lockFor(table, key, lockmgr.X); err != nil {
 		return err
 	}
-	// Pre-check existence so that every logged operation succeeds at the
-	// DC: restart undo can then blindly invert every chained record.
-	var prior []byte
-	var priorFound bool
+	tk := tableKey{table, key}
+	q := queued{dc: dcIdx}
 	switch kind {
-	case base.OpInsert:
-		_, found, err := x.valueOf(table, key)
-		if err != nil {
-			return err
-		}
-		if found {
-			return ErrDuplicate
-		}
-	case base.OpUpdate, base.OpDelete:
+	case base.OpInsert, base.OpUpdate, base.OpDelete:
+		// Checked here so that every logged operation succeeds at the DC:
+		// restart undo can then blindly invert every chained record.
 		p, found, err := x.valueOf(table, key)
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if !found {
+		case kind == base.OpInsert && found:
+			return ErrDuplicate
+		case kind != base.OpInsert && !found:
 			return ErrNotFound
 		}
-		prior, priorFound = p, true
+		q.prior, q.priorFound = p, found
 	case base.OpUpsert:
-		// Versioned upserts need no pre-check: the DC keeps the before
-		// version, the inverse is abort-versions (no prior needed), and
-		// upsert semantics do not depend on prior existence. This saves
-		// the read round trip that would otherwise gate the pipeline.
-		if !x.opts.Versioned {
-			p, found, err := x.valueOf(table, key)
-			if err != nil {
-				return err
-			}
-			prior, priorFound = p, found
+		if x.opts.Versioned {
+			break
+		}
+		if c, ok := x.cache[tk]; ok {
+			q.prior, q.priorFound = c.val, c.found
+		} else {
+			q.needPrior = true
 		}
 	}
-	op := &base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
+	q.op = &base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
 		Value: val, Versioned: x.opts.Versioned}
-	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
-		Payload: encodeOpPayload(op, prior, priorFound)}
-	op.Epoch = x.tc.Epoch() // before the LSN assignment; see deliver
-	lsn := x.tc.log.AppendAssign(rec)
-	op.LSN = lsn
-	// The record is in the log, so it is in the undo chain, whatever the
-	// send goes on to report: redo will resend it, and an inverse of a
-	// forward operation that never landed finds nothing to do.
-	if x.firstLSN.Load() == 0 {
-		x.firstLSN.Store(uint64(lsn))
+	if x.queue == nil {
+		// One allocation for a transaction of a handful of writes, instead
+		// of append's 1, 2, 4, 8.
+		x.queue = make([]queued, 0, 8)
 	}
-	x.lastLSN = lsn
-	if err := x.tc.send(x, dcIdx, op); err != nil {
-		return err
-	}
-	tk := tableKey{table, key}
+	x.queue = append(x.queue, q)
 	if kind == base.OpDelete {
 		x.cache[tk] = cachedVal{found: false}
 	} else {
@@ -579,6 +600,9 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	}
 	if x.opts.Versioned {
 		x.versioned[tk] = struct{}{}
+	}
+	if len(x.queue) >= maxBatch {
+		return x.flush()
 	}
 	return nil
 }
@@ -596,12 +620,13 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // before versions; non-blocking for readers, no two-phase commit), then
 // release locks (strict two-phase locking).
 //
-// Commit is the transaction's write barrier. Inline, the unsent writes
-// leave first — one batch per DC, acknowledged before the commit record is
-// appended, so a delivery that fails for good (the TC stopped underneath)
-// is still a clean abort — and the finalize operations of a versioned
-// commit leave as a second batch after it. Pipelined, the commit-record
-// force overlaps draining the transaction's outstanding DC acks. Either
+// Commit is the transaction's write barrier. The queued writes are logged
+// and shipped first (flush) — inline, one batch per DC, acknowledged before
+// the commit record is appended, so a barrier that fails (a cancelled
+// pre-read, the TC stopped underneath) is still a clean abort — and the
+// finalize operations of a versioned commit leave as a second batch after
+// the commit record. Pipelined, the commit-record force overlaps draining the
+// transaction's outstanding DC acks. Either
 // way locks are released only after every write and finalize is
 // acknowledged and the commit record is stable, so no other transaction can
 // observe a not-yet-applied write. A barrier failure after the commit
@@ -621,13 +646,12 @@ func (x *Txn) Commit() error {
 	if x.state != txnActive {
 		return ErrTxnDone
 	}
-	t := x.tc
-	var vkeys []tableKey
-	for tk := range x.versioned {
-		vkeys = append(vkeys, tk)
+	if x.orphaned() {
+		return x.die()
 	}
-	if x.lastLSN == 0 && len(vkeys) == 0 {
-		// Read-only (or no-op) commit: the transaction logged nothing, so
+	t := x.tc
+	if x.lastLSN == 0 && len(x.queue) == 0 {
+		// Read-only (or no-op) commit: the transaction wrote nothing, so
 		// there is no outcome to make durable — no commit record, no log
 		// force. Restart treats an unlogged transaction as having no
 		// effects, which is exactly right.
@@ -635,6 +659,10 @@ func (x *Txn) Commit() error {
 		t.commits.Add(1)
 		x.finish()
 		return nil
+	}
+	var vkeys []tableKey
+	for tk := range x.versioned {
+		vkeys = append(vkeys, tk)
 	}
 	if err := x.flush(); err != nil {
 		_ = x.Abort()
@@ -757,7 +785,7 @@ func (x *Txn) finalize(vkeys []tableKey) error {
 	for _, tk := range vkeys {
 		x.finalizeOp(base.OpCommitVersions, tk)
 	}
-	return x.flush()
+	return x.ship()
 }
 
 func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
@@ -780,20 +808,27 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 		Payload: encodeOpPayload(op, nil, false)}
 	op.Epoch = t.Epoch() // before the LSN assignment; see deliver
 	op.LSN = t.log.AppendAssign(rec)
-	// A failure is the barrier's to report — x.pend's pipelined, the flush
-	// that follows inline (send itself only fails on a full-batch flush) —
-	// and the record is logged, so restart re-delivers it for winners.
-	_ = t.send(x, idx, op)
+	x.list(idx, op)
+	if len(x.unsent[idx]) >= maxBatch {
+		// The outcome is not needed here: a stopped TC fails the commit
+		// barrier alike (x.pend pipelined, finalize's last ship inline),
+		// and the records are logged, so restart re-delivers them for
+		// winners.
+		_ = x.ship()
+	}
 }
 
 // Abort rolls the transaction back: walk the undo chain in reverse
 // chronological order, sending inverse logical operations (logged as
 // compensation records so restart never undoes twice), then release locks
-// (§4.1.1(2b)). Unsent writes are shipped and outstanding pipelined ones
-// drained first, so an inverse can never overtake the forward operation it
-// undoes and every CLR finds the effect it compensates. Abort does
-// not honor cancellation: the rollback protocol must complete before the
-// locks can be released (a cancelled transaction still aborts cleanly).
+// (§4.1.1(2b)). Writes still queued were never logged or shipped: they are
+// dropped, with nothing to invert. Every logged write was handed to deliver
+// by the barrier that logged it; outstanding pipelined ones are drained
+// first, so an inverse can never overtake the forward operation it undoes
+// and every CLR finds the effect it compensates. A transaction that never
+// logged anything appends nothing either, like the read-only commit. Abort
+// does not honor cancellation: the rollback protocol must complete before
+// the locks can be released (a cancelled transaction still aborts cleanly).
 func (x *Txn) Abort() error {
 	if x.state != txnActive {
 		if x.state == txnAborted {
@@ -801,13 +836,18 @@ func (x *Txn) Abort() error {
 		}
 		return ErrTxnDone
 	}
+	if x.orphaned() {
+		return x.die()
+	}
 	t := x.tc
-	// Barrier failures still leave the log authoritative.
-	_ = x.flush()
-	_ = x.pend.wait(context.Background())
-	t.undoChain(x.id, x.lastLSN)
-	aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
-	t.acks.Complete(aLSN) // local record: no DC round trip
+	x.queue = nil
+	if x.lastLSN != 0 {
+		// Barrier failures still leave the log authoritative.
+		_ = x.pend.wait(context.Background())
+		t.undoChain(x.id, x.lastLSN)
+		aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
+		t.acks.Complete(aLSN) // local record: no DC round trip
+	}
 	x.state = txnAborted
 	x.finish()
 	t.aborts.Add(1)

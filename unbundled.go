@@ -120,42 +120,47 @@
 // message boundary (§4.2). Every logged operation — forward write,
 // finalize, inverse, restart redo — crosses it under one delivery routine
 // with one contract: resend until acknowledged, riding out a DC that is
-// down, recovering or draining. A logged write never waits for its own
-// round trip: its outcome is already decided when it is logged — the X
-// lock freezes the key and the pre-check (or, for versioned upserts, the
-// operation's own semantics) guarantees success at the DC — and the
-// operation is in the TC-log, so the resend/redo contract delivers it even
-// across failures.
+// down, recovering or draining. A write never waits for its own round
+// trip, and never makes one: the call takes the X lock (which freezes the
+// key), answers what its kind must answer — Insert, Update and Delete check
+// existence, so that every logged operation succeeds at the DC — records
+// the value in the transaction cache, and joins its transaction's queue.
 //
-// By default the write joins its transaction's unsent list, and the
-// transaction's own goroutine ships the list as one PerformBatch message
-// per DC at the next barrier: Commit (before the commit record is appended;
-// the finalize operations of a versioned commit follow as a second batch),
-// Abort (before the inverse operations), a scan or an unlocked read (for
-// read-your-writes; point reads are answered by the transaction cache), or
-// when a list reaches 64 operations. A four-write transaction costs one
-// round trip for its writes instead of four, with no goroutine hand-off,
-// which is the fastest arrangement both when the DC is a direct call away
-// and over a network. Two things follow: a transaction's low-water mark
-// trails its oldest unshipped write, and another TC's ReadDirty/ScanDirty
-// sees a writer's uncommitted versions from the writer's next barrier, not
-// from the call that wrote them.
+// The queue is logged and shipped at the transaction's next barrier:
+// Commit (before the commit record is appended; the finalize operations of
+// a versioned commit follow as a second batch), a scan or an unlocked read
+// (for read-your-writes; point reads are answered by the transaction
+// cache), or 64 queued writes. The barrier first fetches, in one batch of
+// reads per DC, every undo image the cache could not supply (an unversioned
+// Upsert of a key the transaction never read); then appends the op
+// records — at the barrier, under the locks, so the TC-log is still an
+// OPSR order and the undo information is logged before the operation can
+// reach the DC — and ships them as one PerformBatch message per DC. A
+// transaction of four upserts is two round trips, not eight or five; Abort
+// drops writes that never crossed a barrier without logging or sending
+// anything, and inverts the ones that did. This is the fastest arrangement
+// both when the DC is a direct call away and over a network. Two things
+// follow: an error a DC read can raise (a cancelled context, a DC that is
+// down) surfaces from the barrier rather than from the Upsert call, and
+// another TC's ReadDirty/ScanDirty sees a writer's uncommitted versions
+// from the writer's next barrier, not from the call that wrote them.
 //
-// With TCConfig.Pipeline the TC instead posts each op into a per-DC
-// pipeline as it is issued and returns to the transaction immediately.
-// Each pipeline keeps exactly one batch in flight per DC: operations
-// queued behind it are coalesced into a single PerformBatch wire message
-// (per-op results in the reply) that the DC executes in arrival order, so
-// the logical operation stream per DC never reorders and each op keeps its
-// LSN request ID for resend idempotence. The ack barrier sits at commit:
-// Commit appends the commit record, then overlaps forcing it with draining
-// the transaction's outstanding DC acknowledgements, and releases locks
-// only after both — no other transaction can ever observe a
-// not-yet-applied write, preserving strict two-phase locking semantics.
-// Abort drains before sending inverse operations, and scans drain for
-// read-your-writes. What the worker adds over the default is overlap of
-// the log force with the acknowledgements, and a cancelled Commit that
-// returns before its writes are acknowledged.
+// TCConfig.Pipeline changes only who ships at the barrier. By default the
+// transaction's own goroutine does, and the barrier returns with the
+// operations acknowledged. With Pipeline the barrier posts each DC's list
+// into a per-DC pipeline and returns immediately. Each pipeline keeps
+// exactly one batch in flight per DC: operations queued behind it are
+// coalesced into a single PerformBatch wire message (per-op results in the
+// reply) that the DC executes in arrival order, so the logical operation
+// stream per DC never reorders and each op keeps its LSN request ID for
+// resend idempotence. The ack barrier sits at commit: Commit appends the
+// commit record, then overlaps forcing it with draining the transaction's
+// outstanding DC acknowledgements, and releases locks only after both — no
+// other transaction can ever observe a not-yet-applied write, preserving
+// strict two-phase locking semantics. Abort drains before sending inverse
+// operations, and scans drain for read-your-writes. What the worker adds
+// over the default is overlap of the log force with the acknowledgements,
+// and a cancelled Commit that returns before its writes are acknowledged.
 //
 // # Networked deployment
 //
