@@ -126,7 +126,12 @@ func (r *Result) Err() error { return r.Code.Err() }
 // a request already on the wire may still execute at the DC, which is why
 // the TC never cancels the delivery of logged (mutating) operations: their
 // resend/redo contract must run to completion. Watermark broadcasts are
-// fire-and-forget and take no context.
+// fire-and-forget and take no context: EndOfStableLog and LowWaterMark are
+// hints a transport may hold for its next frame toward that DC; SafeTS is
+// sent when called and carries whatever is held. A caller whose next step
+// depends on the marks being at the DC (a checkpoint) therefore calls all
+// three, SafeTS last; one that only reports progress (a commit) calls the
+// first two and lets them ride.
 type Service interface {
 	// Perform executes one logical operation exactly once (resend +
 	// idempotence). It blocks until a reply is available or ctx is done.

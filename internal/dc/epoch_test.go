@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/wire"
 )
 
 // TestEpochFenceRejectsPreRestartOps is the core DC-side guarantee: after
@@ -216,5 +217,79 @@ func TestStaleWatermarksIgnoredAfterRestart(t *testing.T) {
 	d.LowWaterMark(1, 2, 1)
 	if got := d.inc.Load().tc(1).lwm.Load(); got != 1 {
 		t.Fatalf("new incarnation LWM dropped: %d", got)
+	}
+}
+
+// TestDeadIncarnationWatermarksDroppedOverTheWire: whichever way a watermark
+// of a fenced incarnation arrives — alone in a watermark frame, or as the
+// block of a request frame — the DC leaves its marks where they were, and
+// the request is nacked for good. The zombie has a connection of its own, as
+// a process that has not noticed its successor would.
+func TestDeadIncarnationWatermarksDroppedOverTheWire(t *testing.T) {
+	connect := map[string]func(t *testing.T, d *DC) *wire.Client{
+		"sim": func(t *testing.T, d *DC) *wire.Client {
+			cl, srv := wire.NewNetwork(wire.Config{}).Connect(d)
+			t.Cleanup(func() { cl.Close(); srv.Close() })
+			return cl
+		},
+		"tcp": func(t *testing.T, d *DC) *wire.Client {
+			l, err := wire.Listen("127.0.0.1:0", d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := wire.Dial(l.Addr(), wire.DialConfig{})
+			t.Cleanup(func() { cl.Close(); l.Close() })
+			return cl
+		},
+	}
+	for name, dial := range connect {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			d := newDC(t, Config{})
+			zombie, live := dial(t, d), dial(t, d)
+			read := func(cl *wire.Client, epoch base.Epoch) base.Code {
+				return cl.Perform(ctx, &base.Op{TC: 1, Epoch: epoch, Kind: base.OpRead, Table: "t", Key: "a"}).Code
+			}
+			marks := func() [4]uint64 {
+				s := d.inc.Load().tc(1)
+				return [4]uint64{s.eosl.Load(), s.lwm.Load(), s.safe.Load(), s.horizon.Load()}
+			}
+
+			// Incarnation 1 dies with stable log end 1; incarnation 2 takes
+			// over and publishes its marks. Its read is answered after them.
+			h := newOpHelper(d, 1)
+			h.epoch = 1
+			h.insert("a", "v")
+			if err := live.BeginRestart(ctx, 1, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.EndRestart(ctx, 1, 2); err != nil {
+				t.Fatal(err)
+			}
+			live.EndOfStableLog(1, 2, 3)
+			live.LowWaterMark(1, 2, 2)
+			live.SafeTS(1, 2, 10, 5)
+			if code := read(live, 2); code != base.CodeOK {
+				t.Fatalf("live read: %v", code)
+			}
+			want := [4]uint64{3, 2, 10, 5}
+			if got := marks(); got != want {
+				t.Fatalf("incarnation 2's marks: %v, want %v", got, want)
+			}
+
+			// The zombie's frames are answered in order on its connection, so
+			// the nack of its read means both were looked at.
+			zombie.EndOfStableLog(1, 1, 99)
+			zombie.LowWaterMark(1, 1, 98)
+			zombie.SafeTS(1, 1, 97, 96) // one watermark frame, all three marks
+			zombie.EndOfStableLog(1, 1, 101)
+			zombie.LowWaterMark(1, 1, 100) // these two ride the read
+			if code := read(zombie, 1); code != base.CodeStaleEpoch {
+				t.Fatalf("zombie read: %v, want CodeStaleEpoch", code)
+			}
+			if got := marks(); got != want {
+				t.Fatalf("a dead incarnation's watermarks moved the marks: %v, want %v", got, want)
+			}
+		})
 	}
 }

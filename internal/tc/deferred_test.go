@@ -36,11 +36,42 @@ func (f frame) String() string {
 type countingService struct {
 	base.Service
 	mu      sync.Mutex
-	single  int     // Perform calls carrying a logged operation
-	reads   int     // Perform calls carrying a point read
-	batches []frame // PerformBatch calls in arrival order
+	single  int      // Perform calls carrying a logged operation
+	reads   int      // Perform calls carrying a point read
+	batches []frame  // PerformBatch calls in arrival order
+	marks   []string // watermark calls in arrival order: "eosl 7", "lwm 7", "safe"
 	// onReadBatch, when set, runs before a batch of reads is passed on.
 	onReadBatch func()
+}
+
+func (s *countingService) mark(m string) {
+	s.mu.Lock()
+	s.marks = append(s.marks, m)
+	s.mu.Unlock()
+}
+
+func (s *countingService) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
+	s.mark(fmt.Sprint("eosl ", eosl))
+	s.Service.EndOfStableLog(tc, epoch, eosl)
+}
+
+func (s *countingService) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
+	s.mark(fmt.Sprint("lwm ", lwm))
+	s.Service.LowWaterMark(tc, epoch, lwm)
+}
+
+func (s *countingService) SafeTS(tc base.TCID, epoch base.Epoch, safe, horizon base.TS) {
+	s.mark("safe")
+	s.Service.SafeTS(tc, epoch, safe, horizon)
+}
+
+// takeMarks returns and resets the watermark calls seen.
+func (s *countingService) takeMarks() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	marks := s.marks
+	s.marks = nil
+	return marks
 }
 
 func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result {
@@ -212,6 +243,49 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 						t.Fatalf("versioned=%v %s/k%d at the DC after commit: %q %v", versioned, table, k, v, ok)
 					}
 				}
+			}
+		}
+	})
+}
+
+// TestCommitPublishesTwoMarksPerDC: a commit tells every DC what its force
+// and its acks moved — the end of the stable log and the low-water mark, both
+// at its commit record — and nothing else; the safe timestamp is the tick's.
+// A checkpoint, whose control call needs the marks at the DC, still makes all
+// three calls, the safe timestamp (the one a transport sends on) last.
+func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
+	forEachShipping(t, func(t *testing.T, pipeline bool) {
+		tcx, _, stubs := newCountedPair(t, pipeline)
+		// Stop the tick (and only it), so that every call counted is the
+		// commit's own.
+		tcx.stopOnce.Do(func() { close(tcx.stopCh) })
+		tcx.wg.Wait()
+		for _, s := range stubs {
+			s.takeMarks()
+		}
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		for i := 0; i < 4; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		cLSN := tcx.log.NextLSN() - 1
+		want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN)
+		for i, s := range stubs {
+			if got := fmt.Sprint(s.takeMarks()); got != want {
+				t.Fatalf("DC %d heard %v from the commit, want %v", i, got, want)
+			}
+		}
+		if _, err := tcx.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want = fmt.Sprintf("[eosl %d lwm %d safe]", cLSN, cLSN)
+		for i, s := range stubs {
+			if got := fmt.Sprint(s.takeMarks()); got != want {
+				t.Fatalf("DC %d heard %v from the checkpoint, want %v", i, got, want)
 			}
 		}
 	})

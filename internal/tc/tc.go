@@ -121,7 +121,8 @@ const (
 	// probeWidth is the fetch-ahead batch size.
 	probeWidth = 32
 	// watermarkInterval is the period of the EOSL/LWM/safe-timestamp
-	// re-broadcast (they are also sent opportunistically after commits).
+	// broadcast. (A commit publishes its EOSL and LWM itself; the safe
+	// timestamp moves only here.)
 	watermarkInterval = time.Millisecond
 )
 
@@ -248,8 +249,6 @@ type TC struct {
 	commits, aborts, deadlocks, opsSent   atomic.Uint64
 	probes, checkpoints, redoOps, undoOps atomic.Uint64
 	snapshots                             atomic.Uint64
-	lastEOSL                              atomic.Uint64
-	broadcastGen                          atomic.Uint64
 	begun, retries, drainRejects          atomic.Uint64
 
 	// draining is the operations-plane admission gate (see Drain in
@@ -415,9 +414,11 @@ func (t *TC) Close() {
 	t.wg.Wait()
 }
 
-// watermarkLoop re-broadcasts end_of_stable_log and low_water_mark to all
-// DCs (§4.2.1). The messages are fire-and-forget on a lossy network, so
-// they are refreshed periodically.
+// watermarkLoop broadcasts end_of_stable_log, low_water_mark and the safe
+// timestamp to all DCs on a tick (§4.2.1). It is what bounds every delay a
+// watermark can suffer: the messages are one-way hints on a lossy network,
+// a transport may hold the first two for a frame to ride (base.Service), and
+// the safe timestamp moves with the clock whether or not anything commits.
 func (t *TC) watermarkLoop() {
 	defer t.wg.Done()
 	tick := time.NewTicker(watermarkInterval)
@@ -435,17 +436,33 @@ func (t *TC) watermarkLoop() {
 	}
 }
 
-func (t *TC) broadcastWatermarks() {
+// publishStable tells every DC how far the log is stable and how far the
+// acks are gapless — the two marks that move with work this TC did. Commit
+// calls it with nothing else: over a wire the two are held and ride the next
+// request toward that DC, in process they are two direct calls. It returns
+// the epoch it stamped.
+func (t *TC) publishStable() base.Epoch {
 	eosl := t.log.EOSL()
 	lwm := t.acks.LWM()
 	epoch := t.Epoch()
-	safe, horizon := t.safeTS()
 	for _, h := range t.dcs {
 		h.svc.EndOfStableLog(t.cfg.ID, epoch, eosl)
 		h.svc.LowWaterMark(t.cfg.ID, epoch, lwm)
+	}
+	return epoch
+}
+
+// broadcastWatermarks is the full broadcast: publishStable, then the safe
+// timestamp, the call a transport sends on — so everything published is at
+// the DC (or on the connection, ahead of whatever the caller sends next)
+// when it returns. The tick runs it, and Checkpoint, Recover and RecoverDC
+// where their control calls depend on the marks.
+func (t *TC) broadcastWatermarks() {
+	epoch := t.publishStable()
+	safe, horizon := t.safeTS()
+	for _, h := range t.dcs {
 		h.svc.SafeTS(t.cfg.ID, epoch, safe, horizon)
 	}
-	t.broadcastGen.Add(1)
 }
 
 // assignCommitTS draws a commit timestamp: the clock reading, pushed

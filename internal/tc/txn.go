@@ -699,9 +699,11 @@ func (x *Txn) Commit() error {
 			barrierErr = base.CancelErr(x.ctx)
 		}
 	}
-	// Push the new stable boundary to the DCs promptly: cached pages with
-	// this transaction's operations become flushable (causality).
-	t.broadcastWatermarks()
+	// Publish the new stable boundary: cached pages with this transaction's
+	// operations become flushable (causality). No frame is sent for it — it
+	// rides this TC's next request toward each DC (the finalize batch below,
+	// the next transaction's pre-read) or, from an idle TC, the next tick.
+	t.publishStable()
 	x.state = txnCommitted
 	t.commits.Add(1)
 	// §6.2.2: "When an updating TC commits the transaction, it sends

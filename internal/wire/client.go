@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -35,6 +34,19 @@ type Client struct {
 	nextID  atomic.Uint64
 
 	calls, resends, overloads atomic.Uint64
+
+	// held is what EndOfStableLog and LowWaterMark last said, for the one
+	// TC incarnation this stub speaks for: the values, and which of them no
+	// frame has taken yet. carry hands the waiting ones to a request frame
+	// of that incarnation, SafeTS sends all of them.
+	wmMu sync.Mutex
+	held struct {
+		tc        base.TCID
+		epoch     base.Epoch
+		eosl, lwm base.LSN
+		waiting   uint8 // wmEOSL | wmLWM
+	}
+	wmFrames, wmCarried atomic.Uint64
 
 	simIn *endpoint // simulated transport only: SetDown support
 	link  *tcpLink  // dialed transport only: reconnect supervision
@@ -128,54 +140,105 @@ func (c *Client) dispatch(m *message) {
 	}
 }
 
-// call sends m (with a fresh correlation id per attempt) and resends until
-// a reply arrives, the client is closed, or ctx is done (the returned
-// error is then the ErrCancelled-wrapped ctx error). Cancellation abandons
-// only the wait: attempts already delivered may still execute at the DC.
+// call sends one request and resends it — a fresh correlation id per
+// attempt, one timer for the call — until a reply arrives, the client is
+// closed, or ctx is done (the returned error is then the ErrCancelled-wrapped
+// ctx error). Cancellation abandons only the wait: attempts already delivered
+// may still execute at the DC. Every attempt takes along the watermarks
+// waiting for (tc, epoch), and a resend keeps what the attempts before it
+// took, so a lost frame cannot strand them.
 func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch base.Epoch, lsn base.LSN, body []byte) (*message, error) {
 	resend := c.resendAfter()
-	attempt := 0
-	for {
-		id := c.nextID.Add(1)
-		ch := make(chan *message, 1)
-		c.mu.Lock()
-		c.waiters[id] = ch
-		c.mu.Unlock()
-		c.sendFn(&message{kind: kind, id: id, tc: tc, epoch: epoch, lsn: lsn, body: body})
-		c.calls.Add(1)
+	timer := time.NewTimer(resend)
+	defer timer.Stop()
+	req := message{kind: kind, tc: tc, epoch: epoch, lsn: lsn, body: body}
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
+			// Exponential-ish backoff, capped: persistent resend per §4.2.
+			if attempt > 4 && resend < time.Second {
+				resend *= 2
+			}
+			timer.Reset(resend)
 			c.resends.Add(1)
 			if c.onResend != nil {
 				c.onResend()
 			}
 		}
-		timer := time.NewTimer(resend)
-		select {
-		case reply := <-ch:
-			timer.Stop()
-			c.mu.Lock()
-			delete(c.waiters, id)
-			c.mu.Unlock()
-			return reply, nil
-		case <-timer.C:
-			c.mu.Lock()
-			delete(c.waiters, id)
-			c.mu.Unlock()
-			attempt++
-			// Exponential-ish backoff, capped: persistent resend per §4.2.
-			if attempt > 4 && resend < time.Second {
-				resend *= 2
-			}
-		case <-ctx.Done():
-			timer.Stop()
-			c.mu.Lock()
-			delete(c.waiters, id)
-			c.mu.Unlock()
-			return nil, base.CancelErr(ctx)
-		case <-c.closeCh:
-			timer.Stop()
-			return &message{kind: msgReply, err: closedErrText}, nil
+		c.carry(&req)
+		if reply, err := c.attempt(ctx, req, timer); reply != nil || err != nil {
+			return reply, err
 		}
+	}
+}
+
+// attempt sends req once under a fresh correlation id and waits for its
+// reply, the timer (nil, nil: resend), cancellation or Close. The waiter is
+// registered only for the wait, however it ends.
+func (c *Client) attempt(ctx context.Context, req message, timer *time.Timer) (*message, error) {
+	req.id = c.nextID.Add(1)
+	ch := make(chan *message, 1)
+	c.mu.Lock()
+	c.waiters[req.id] = ch
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.waiters, req.id)
+		c.mu.Unlock()
+	}()
+	c.sendFn(&req)
+	c.calls.Add(1)
+	select {
+	case reply := <-ch:
+		return reply, nil
+	case <-timer.C:
+		return nil, nil
+	case <-ctx.Done():
+		return nil, base.CancelErr(ctx)
+	case <-c.closeCh:
+		return &message{kind: msgReply, err: closedErrText}, nil
+	}
+}
+
+// carry moves the watermarks waiting for the request's (tc, epoch) into its
+// block. Hints held for another incarnation stay where they are: a block is
+// stamped with its frame's tc and epoch, and the DC fences by them.
+func (c *Client) carry(req *message) {
+	c.wmMu.Lock()
+	if h := &c.held; h.waiting != 0 && h.tc == req.tc && h.epoch == req.epoch {
+		req.wm.has |= h.waiting
+		if h.waiting&wmEOSL != 0 {
+			req.wm.eosl = h.eosl
+		}
+		if h.waiting&wmLWM != 0 {
+			req.wm.lwm = h.lwm
+		}
+		h.waiting = 0
+		c.wmCarried.Add(1)
+	}
+	c.wmMu.Unlock()
+}
+
+// hold records one watermark of (tc, epoch) for the next frame toward the
+// DC. A newer incarnation replaces what was held (it reuses the LSN space,
+// so its marks may be lower); an older one is a zombie's and is dropped, as
+// the DC would drop it.
+func (c *Client) hold(tc base.TCID, epoch base.Epoch, mark uint8, v base.LSN) {
+	c.wmMu.Lock()
+	defer c.wmMu.Unlock()
+	h := &c.held
+	if tc != h.tc || epoch > h.epoch {
+		h.tc, h.epoch, h.eosl, h.lwm, h.waiting = tc, epoch, 0, 0, 0
+	}
+	if epoch < h.epoch {
+		return
+	}
+	p := &h.eosl
+	if mark == wmLWM {
+		p = &h.lwm
+	}
+	if v > *p {
+		*p = v
+		h.waiting |= mark
 	}
 }
 
@@ -312,29 +375,36 @@ func (c *Client) pause(ctx context.Context) base.Code {
 	}
 }
 
-// EndOfStableLog implements base.Service as fire-and-forget; the TC
-// re-broadcasts the watermark periodically, so loss only delays pruning.
+// EndOfStableLog implements base.Service without sending: the mark is held
+// and leaves on the next request frame of that incarnation, or with the next
+// SafeTS. The TC re-broadcasts its watermarks on a tick, so neither a held
+// hint nor a lost frame delays a page flush by more than that.
 func (c *Client) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
-	c.sendFn(&message{kind: msgEOSL, tc: tc, epoch: epoch, lsn: eosl})
+	c.hold(tc, epoch, wmEOSL, eosl)
 }
 
-// SafeTS implements base.Service as fire-and-forget; the TC re-broadcasts
-// its safe timestamp on a tick, so loss only delays snapshot reads. The
-// safe timestamp rides the frame's lsn field; the horizon travels in the
-// body.
-func (c *Client) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	c.sendFn(&message{
-		kind:  msgSafeTS,
-		tc:    tc,
-		epoch: epoch,
-		lsn:   base.LSN(safe),
-		body:  binary.AppendUvarint(nil, uint64(horizon)),
-	})
-}
-
-// LowWaterMark implements base.Service as fire-and-forget.
+// LowWaterMark implements base.Service without sending, like
+// EndOfStableLog.
 func (c *Client) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
-	c.sendFn(&message{kind: msgLWM, tc: tc, epoch: epoch, lsn: lwm})
+	c.hold(tc, epoch, wmLWM, lwm)
+}
+
+// SafeTS implements base.Service as fire-and-forget: the safe timestamp moves
+// with the clock, not with requests, so it is the one watermark that sends.
+// The msgWatermarks frame takes the held end of stable log and low-water
+// mark along whether or not a request already carried them, which is what
+// repairs a block lost with its frame.
+func (c *Client) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
+	m := &message{kind: msgWatermarks, tc: tc, epoch: epoch,
+		wm: watermarks{has: wmSafe, safe: safe, horizon: horizon}}
+	c.wmMu.Lock()
+	if h := &c.held; h.tc == tc && h.epoch == epoch {
+		m.wm.has, m.wm.eosl, m.wm.lwm = wmAll, h.eosl, h.lwm
+		h.waiting = 0
+	}
+	c.wmMu.Unlock()
+	c.wmFrames.Add(1)
+	c.sendFn(m)
 }
 
 // Checkpoint implements base.Service with resend until acknowledged.

@@ -13,8 +13,10 @@ func frameCases() []*message {
 	return []*message{
 		{kind: msgPerform, id: 1, tc: 1, lsn: 42, body: []byte("op-bytes")},
 		{kind: msgPerformBatch, id: 1<<63 + 5, tc: 200, epoch: 9, lsn: 1 << 40, body: bytes.Repeat([]byte{0xff, 0x00}, 300)},
-		{kind: msgEOSL, tc: 3, epoch: 2, lsn: 77},
-		{kind: msgLWM, tc: 3, epoch: 2},
+		{kind: msgWatermarks, tc: 3, epoch: 2, wm: watermarks{has: wmAll, eosl: 77, lwm: 70, safe: 1 << 50, horizon: 1 << 49}},
+		{kind: msgWatermarks, tc: 3, epoch: 2, wm: watermarks{has: wmSafe, safe: 5}},
+		{kind: msgPerform, id: 2, tc: 1, epoch: 4, lsn: 43, body: []byte("op-bytes"), wm: watermarks{has: wmEOSL | wmLWM, eosl: 42, lwm: 41}},
+		{kind: msgPerformBatch, id: 3, tc: 1, epoch: 4, lsn: 44, body: []byte{9, 9}, wm: watermarks{has: wmLWM, lwm: 43}},
 		{kind: msgCheckpoint, id: 7, tc: 1, epoch: 1, lsn: 1000},
 		{kind: msgBeginRestart, id: 8, tc: 1, epoch: 3, lsn: 12},
 		{kind: msgEndRestart, id: 9, tc: 1, epoch: 3},
@@ -88,13 +90,16 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{0},                      // kind 0 invalid
-		{byte(msgReply) + 1},     // kind beyond range
+		{0},                       // kind 0 invalid
+		{byte(msgWatermarks) + 1}, // kind beyond range
+		{byte(msgPerform) | frameWMFlag, 0, 0, 0, 0, 0, 0},       // block flagged, frame ends before it
+		{byte(msgPerform) | frameWMFlag, 0, 0, 0, 0, 0, 0, 0x08}, // a mark no decoder knows
 		{byte(msgPerform)},       // truncated after kind
 		{byte(msgPerform), 0x80}, // unterminated varint
 	}
 	// Every truncation of a valid frame must error, not panic or misparse.
-	full := appendFrame(nil, &message{kind: msgPerform, id: 3, tc: 1, epoch: 2, lsn: 9, body: []byte("xyz"), err: "e"})
+	full := appendFrame(nil, &message{kind: msgPerform, id: 3, tc: 1, epoch: 2, lsn: 9, body: []byte("xyz"), err: "e",
+		wm: watermarks{has: wmAll, eosl: 8, lwm: 7, safe: 300, horizon: 200}})
 	for i := 0; i < len(full); i++ {
 		cases = append(cases, full[:i])
 	}

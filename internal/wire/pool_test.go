@@ -195,6 +195,42 @@ func TestAckBatchDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
+// FuzzAckBatch pins the msgReplyBatch body codec, the bytes a TC's reply pump
+// takes from the network: any input either fails to decode or decodes to
+// replies whose encoding decodes to the same replies. Run with
+// go test -fuzz=FuzzAckBatch ./internal/wire.
+func FuzzAckBatch(f *testing.F) {
+	f.Add(encodeAckBatch(nil, []*message{
+		{kind: msgReply, id: 1, body: []byte{0xde, 0xad, 0xbe, 0xef}},
+		{kind: msgReply, id: 2, err: overloadedErrText},
+		{kind: msgReply, id: 1 << 40, body: []byte("result")},
+		{kind: msgReply, id: 4},
+	}))
+	f.Add(encodeAckBatch(nil, nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, err := decodeAckBatch(data)
+		if err != nil {
+			return
+		}
+		// encodeAckBatch recycles the member bodies it is handed, so encode
+		// copies and compare against the originals.
+		copies := make([]*message, len(batch))
+		for i, m := range batch {
+			copies[i] = &message{kind: m.kind, id: m.id, err: m.err, body: append([]byte(nil), m.body...)}
+		}
+		again, err := decodeAckBatch(encodeAckBatch(nil, copies))
+		if err != nil || len(again) != len(batch) {
+			t.Fatalf("re-decode of a re-encoded batch: %v, %d replies for %d", err, len(again), len(batch))
+		}
+		for i, m := range again {
+			if w := batch[i]; m.kind != msgReply || m.id != w.id || m.err != w.err || !bytes.Equal(m.body, w.body) {
+				t.Fatalf("reply %d: got %+v want %+v", i, m, w)
+			}
+		}
+	})
+}
+
 func appendUvarintForTest(buf []byte, v uint64) []byte {
 	for v >= 0x80 {
 		buf = append(buf, byte(v)|0x80)

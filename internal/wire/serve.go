@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,9 +12,10 @@ import (
 // The DC server runtime. There is exactly one, behind both transports: the
 // simulated Server and the TCP Listener only move frames — read one, hand
 // it to serveCore.serve, write whatever the connection's ackBatcher hands
-// back. Everything protocol-shaped on the serving side (the request
-// dispatch, the worker pool and its admission control, control-request
-// goroutines, ack coalescing, the shutdown drain) lives here, so a chaos
+// back. Everything protocol-shaped on the serving side (applying the
+// watermark block a frame carries, the request dispatch, the worker pool
+// and its admission control, control-request goroutines, ack coalescing,
+// the shutdown drain) lives here, so a chaos
 // test over the simulated fabric exercises the code a deployed DC runs.
 
 // ListenConfig sizes the server runtime: a sharded worker pool with
@@ -69,15 +69,29 @@ var overloadedErrText = "wire: worker queues full: " + base.ErrOverloaded.Error(
 
 // serve dispatches one inbound frame; replies leave through acks, the
 // coalescer of the connection the frame arrived on. It never blocks on the
-// service, so a transport calls it straight from its reader: watermarks
-// apply inline, Perform and PerformBatch run on the worker pool, and the
-// rare control requests get their own goroutines so a slow checkpoint or
-// recovery sweep neither head-of-line-blocks the connection nor is refused
-// by admission control. The server side has no caller context: a request
-// that reached the DC executes to completion (cancellation only ever
-// abandons the client's wait).
+// service, so a transport calls it straight from its reader: a watermark
+// block — riding a request or alone in a msgWatermarks frame — applies
+// inline and before the request it rode is dispatched, Perform and
+// PerformBatch run on the worker pool, and the rare control requests get
+// their own goroutines so a slow checkpoint or recovery sweep neither
+// head-of-line-blocks the connection nor is refused by admission control.
+// The server side has no caller context: a request that reached the DC
+// executes to completion (cancellation only ever abandons the client's
+// wait).
 func (c *serveCore) serve(m *message, acks *ackBatcher) {
 	ctx := context.Background()
+	if w := &m.wm; w.has != 0 {
+		// The service fences each by the frame's epoch, as it does the request.
+		if w.has&wmEOSL != 0 {
+			c.svc.EndOfStableLog(m.tc, m.epoch, w.eosl)
+		}
+		if w.has&wmLWM != 0 {
+			c.svc.LowWaterMark(m.tc, m.epoch, w.lwm)
+		}
+		if w.has&wmSafe != 0 {
+			c.svc.SafeTS(m.tc, m.epoch, w.safe, w.horizon)
+		}
+	}
 	switch m.kind {
 	case msgPerform, msgPerformBatch:
 		// Least-busy shard, bounded queue; with every queue full the request
@@ -85,13 +99,8 @@ func (c *serveCore) serve(m *message, acks *ackBatcher) {
 		if !c.pool.dispatch(func() { acks.add(c.perform(m)) }) {
 			acks.add(&message{kind: msgReply, id: m.id, err: overloadedErrText})
 		}
-	case msgEOSL:
-		c.svc.EndOfStableLog(m.tc, m.epoch, m.lsn)
-	case msgSafeTS:
-		horizon, _ := binary.Uvarint(m.body)
-		c.svc.SafeTS(m.tc, m.epoch, base.TS(m.lsn), base.TS(horizon))
-	case msgLWM:
-		c.svc.LowWaterMark(m.tc, m.epoch, m.lsn)
+	case msgWatermarks:
+		// Nothing but its block, applied above.
 	case msgCheckpoint:
 		c.control(m, acks, func() error { return c.svc.Checkpoint(ctx, m.tc, m.epoch, m.lsn) })
 	case msgBeginRestart:

@@ -26,6 +26,10 @@ func (c *Client) RegisterStats(g *stats.Group, prefix string) {
 	g.Func(prefix+"calls", c.calls.Load)
 	g.Func(prefix+"resends", c.resends.Load)
 	g.Func(prefix+"reconnects", c.Reconnects)
+	// Standalone msgWatermarks frames sent, and watermark blocks that rode
+	// a request frame instead of paying for one.
+	g.Func(prefix+"watermark_frames", c.wmFrames.Load)
+	g.Func(prefix+"watermarks_carried", c.wmCarried.Load)
 	if c.link != nil {
 		g.Func(prefix+"bytes_out", c.link.bytesOut.Load)
 		g.Func(prefix+"bytes_in", c.link.bytesIn.Load)

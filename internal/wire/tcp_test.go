@@ -65,9 +65,11 @@ func TestTCPPerformAndBatch(t *testing.T) {
 		t.Fatalf("end-restart over tcp: %v", err)
 	}
 
-	// Watermarks are fire-and-forget; poll for arrival.
+	// Watermarks are fire-and-forget, and these two wait for a frame to
+	// ride: SafeTS sends one. Poll for arrival.
 	cl.EndOfStableLog(1, 1, 42)
 	cl.LowWaterMark(1, 1, 40)
+	cl.SafeTS(1, 1, 0, 0)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		svc.mu.Lock()

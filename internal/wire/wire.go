@@ -20,6 +20,11 @@
 // Pipelined senders ship whole batches of operations in one message
 // (msgPerformBatch) with per-operation results in the reply, amortizing a
 // round trip over many operations while preserving arrival order at the DC.
+//
+// Watermarks do not pay for frames of their own while there is traffic:
+// EndOfStableLog and LowWaterMark are held in the client and leave as a
+// block on the next request frame toward that DC; only SafeTS, which moves
+// with the clock, sends — one msgWatermarks frame with all three marks.
 package wire
 
 import (
@@ -106,18 +111,16 @@ type msgKind uint8
 const (
 	msgPerform msgKind = iota + 1
 	msgPerformBatch
-	msgEOSL
-	msgLWM
+	_ // 3, 4: the standalone EOSL and LWM frames, retired for msgWatermarks
+	_
 	msgCheckpoint
 	msgBeginRestart
 	msgEndRestart
 	msgReply // server -> client; id correlates
-	// msgSafeTS sits after msgReply so pre-snapshot peers that validate
-	// kinds against msgReply keep accepting every frame they understand.
-	msgSafeTS
+	_        // 9: the standalone safe-timestamp frame, retired likewise
 	// msgCatalog asks the server for the tables its service actually
-	// serves (the fleet-assembly placement cross-check). Appended last,
-	// like msgSafeTS, to keep old frames decoding identically.
+	// serves (the fleet-assembly placement cross-check). Appended last, to
+	// keep old frames decoding identically.
 	msgCatalog
 	// msgReplyBatch coalesces several msgReply frames into one — the
 	// inverse of msgPerformBatch: where a pipelined sender amortizes a
@@ -125,6 +128,12 @@ const (
 	// at the TC, a commit-force window) over many acks. Appended last, so
 	// old frames decode identically.
 	msgReplyBatch
+	// msgWatermarks is the one standalone watermark frame: no body, only
+	// the watermark block (see codec.go) with the sender's end of stable
+	// log, low-water mark and safe timestamp. Client.SafeTS sends it —
+	// the TC's tick, in effect; EOSL and LWM otherwise ride request frames.
+	// Fire-and-forget: no id, no reply.
+	msgWatermarks
 )
 
 // Cataloger is the optional service facet behind msgCatalog: a server
@@ -175,10 +184,11 @@ type message struct {
 	kind  msgKind
 	id    uint64
 	tc    base.TCID
-	epoch base.Epoch // sender incarnation (control and watermark messages)
+	epoch base.Epoch // sender incarnation
 	lsn   base.LSN
-	body  []byte // encoded op (perform) or encoded result (reply)
-	err   string // control-reply failure
+	body  []byte     // encoded op (perform) or encoded result (reply)
+	err   string     // control-reply failure
+	wm    watermarks // optional block riding the frame (has == 0: none)
 }
 
 func (m *message) size() int { return 32 + len(m.body) + len(m.err) }

@@ -162,6 +162,17 @@
 // over the default is overlap of the log force with the acknowledgements,
 // and a cancelled Commit that returns before its writes are acknowledged.
 //
+// The §4.2.1 watermarks — end of stable log, low-water mark, and the safe
+// timestamp of the snapshot protocol — are one-way hints whose delay only
+// postpones a page flush, so over a wire they pay for no frame of their own
+// while there is traffic. A commit publishes the stable boundary its force
+// and its acknowledgements moved; the wire client holds the two marks and
+// they ride that TC's next request toward the DC (the finalize batch, the
+// next transaction's pre-read), applied at the DC before the request they
+// rode. The 1 ms tick sends the one standalone frame there is, carrying all
+// three marks — which is also what bounds the delay from an idle TC and
+// repairs a block lost with its frame.
+//
 // # Networked deployment
 //
 // The components are separately deployable OS processes: cmd/unbundled-dc
