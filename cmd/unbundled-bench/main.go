@@ -33,7 +33,7 @@ func main() {
 		id, title string
 		run       func(experiments.Scale) *harness.Report
 	}{
-		{"E1", "unbundled vs monolithic kernel (§7 'longer code paths'); inline vs pipelined shipping over 200µs", experiments.E1},
+		{"E1", "unbundled vs monolithic kernel (§7 'longer code paths'); a write transaction over 200µs", experiments.E1},
 		{"E6", "partial failures: DC crash redo; TC crash targeted reset (§5.3)", experiments.E6},
 		{"E7", "multiple TCs per DC; non-blocking readers, no 2PC (§6)", experiments.E7},
 		{"E8", "DC instance scaling behind one TC (§1.1(3))", experiments.E8},

@@ -68,7 +68,6 @@ func main() {
 	txns := flag.Int("txns", 200, "workload transactions to run")
 	ops := flag.Int("ops", 4, "writes per transaction")
 	valueBytes := flag.Int("value-bytes", 32, "payload size per write")
-	pipeline := flag.Bool("pipeline", false, "pipelined operation shipping")
 	verify := flag.Bool("verify", true, "read back every committed key and verify its value")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint the TC every N transactions (0: never)")
 	progressEvery := flag.Int("progress-every", 50, "print progress every N transactions")
@@ -97,7 +96,7 @@ func main() {
 		DCAddrs:   addrs,
 		Placement: pl,
 		TCConfig: func(int) tc.Config {
-			return tc.Config{ID: base.TCID(*tcID), Pipeline: *pipeline, Dir: *dir}
+			return tc.Config{ID: base.TCID(*tcID), Dir: *dir}
 		},
 	})
 	if err != nil {

@@ -138,9 +138,9 @@ type Service interface {
 	Perform(ctx context.Context, op *Op) *Result
 	// PerformBatch executes a batch of logical operations in the given
 	// order, returning one result per operation, positionally. Batches are
-	// the unit of pipelined operation shipping: a TC coalesces queued
-	// operations headed to the same DC into one batch so a single message
-	// round trip acknowledges many operations. Each operation keeps its own
+	// the unit of operation shipping: a TC sends what a transaction's
+	// barrier has for one DC as one batch so a single message round trip
+	// acknowledges many operations. Each operation keeps its own
 	// LSN request ID, so resending a whole batch stays idempotent per
 	// operation. Like Perform, it blocks until all replies are available.
 	PerformBatch(ctx context.Context, ops []*Op) []*Result

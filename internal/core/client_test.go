@@ -206,35 +206,35 @@ func TestClientRetriesUnavailable(t *testing.T) {
 	}
 }
 
-// TestClientDoesNotRetryAmbiguousCommit: a commit-barrier failure after
-// the commit record is logged (here: the TC closed with pipelined acks
-// outstanding, a transient unavailable by classification) must not
-// re-execute fn — the transaction may be a winner in the log.
+// TestClientDoesNotRetryAmbiguousCommit: a commit failure after the commit
+// record is logged (here: the TC closed with the finalize batch parked at a
+// crashed DC, a transient unavailable by classification) must not re-execute
+// fn — the transaction is a winner in the log.
 func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
-	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: true} }})
+	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
 	client := dep.Client()
 
-	dep.CrashDC(0) // park the pipeline in its resend loop
 	fnRuns := 0
-	commitEntered := make(chan struct{})
-	go func() {
-		<-commitEntered
-		time.Sleep(30 * time.Millisecond) // let Commit reach the stuck barrier
-		dep.TCs[0].Close()                // fails the barrier with ErrTCStopped
-	}()
 	err = client.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *tc.Txn) error {
 		fnRuns++
 		if err := x.Upsert("kv", "k", []byte("v")); err != nil {
 			return err
 		}
-		if fnRuns == 1 {
-			close(commitEntered)
+		// An unlocked read is a barrier: the write is logged, shipped and
+		// acknowledged here, so Commit goes straight to its commit record
+		// and meets the crashed DC with the finalize batch.
+		if _, _, err := x.ReadDirty("kv", "k"); err != nil {
+			return err
 		}
+		dep.CrashDC(0)
+		go func() {
+			time.Sleep(30 * time.Millisecond) // let Commit park in the resend loop
+			dep.TCs[0].Close()                // fails the finalize with ErrTCStopped
+		}()
 		return nil
 	})
 	if err == nil {

@@ -29,7 +29,7 @@ func chaosIters(tb testing.TB, def int) int {
 	return n
 }
 
-// TestEpochFenceCrashDuringBatchChaos crashes a pipelined TC while an
+// TestEpochFenceCrashDuringBatchChaos crashes a TC while an
 // uncommitted transaction's batches are loose somewhere in a delayed,
 // jittery, lossy, duplicating fabric — in flight, parked in a resend loop,
 // or duplicated for later delivery — then restarts it and runs a strict
@@ -47,7 +47,7 @@ func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 				TCs: 1, DCs: 2, Tables: []string{"kv"},
 				Placement: placement.MustParse("kv: dc=mod(2)"),
 				TCConfig: func(int) tc.Config {
-					return tc.Config{Pipeline: true, LockTimeout: 5 * time.Second}
+					return tc.Config{LockTimeout: 5 * time.Second}
 				},
 				Network: &wire.Config{
 					Delay:       100 * time.Microsecond,
@@ -78,19 +78,26 @@ func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 			}
 
 			// Leave an uncommitted transaction's blind upserts in the
-			// fabric (versioned: no pre-check read gates the pipeline),
-			// then crash at a random point of their delivery window.
+			// fabric (versioned: no pre-read precedes the ship; the
+			// unlocked read is the barrier that ships them), then crash at
+			// a random point of their delivery window.
 			ghost := tcx.Begin(context.Background(), tc.TxnOptions{Versioned: true})
 			for g := 0; g < keys; g++ {
 				if err := ghost.Upsert("kv", fmt.Sprintf("g%d", g), []byte("boo")); err != nil {
 					t.Fatal(err)
 				}
 			}
+			barrier := make(chan struct{})
+			go func() {
+				defer close(barrier)
+				_, _, _ = ghost.ReadDirty("kv", "g0") // dies with the incarnation
+			}()
 			time.Sleep(time.Duration(rnd.Intn(600)) * time.Microsecond)
 			dep.CrashTC(0)
 			if err := dep.RecoverTC(0); err != nil {
 				t.Fatal(err)
 			}
+			defer func() { <-barrier }()
 
 			// Strict oracle over the reused LSN space: every increment must
 			// apply exactly once, even while stale batches and duplicated

@@ -45,7 +45,6 @@ func TestRemoteDeploymentKillRestart(t *testing.T) {
 		DialConfig: wire.DialConfig{
 			ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond,
 		},
-		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: true} },
 	})
 	if err != nil {
 		t.Fatal(err)

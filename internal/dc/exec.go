@@ -108,9 +108,9 @@ func (d *DC) refuse(inc *incarnation, op *base.Op) *base.Result {
 }
 
 // PerformBatch implements base.Service: execute a batch of operations
-// sequentially in arrival order. Sequential execution is what makes the
-// pipelined shipping protocol sound: two operations of one transaction on
-// the same key arrive in one ordered stream per DC, so the DC never
+// sequentially in arrival order. Sequential execution is what makes
+// shipping a transaction's writes as one batch sound: two operations of one
+// transaction on the same key arrive in list order, so the DC never
 // reorders them (the cross-transaction case is excluded by the TC's
 // locks). Idempotence stays per-operation — a resent batch re-runs each
 // operation through the abstract-LSN test individually.

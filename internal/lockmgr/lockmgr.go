@@ -1,8 +1,7 @@
 // Package lockmgr implements the TC-side lock manager (§4.1.1(1)).
 //
 // Because all knowledge of pages is confined to the DC, the lock manager
-// deals only in logical resources: single keys, static key-range buckets
-// (the "Range locks" protocol of §3.1), and whole tables. Locks are
+// deals only in logical resources: single keys and whole tables. Locks are
 // acquired *before* the corresponding operation is sent to a DC — this is
 // what enforces the requirement that the DC never sees two conflicting
 // operations executing concurrently.
@@ -85,27 +84,19 @@ type ResKind uint8
 const (
 	// KindKey locks one record by key.
 	KindKey ResKind = iota
-	// KindRange locks one bucket of a static range partition (§3.1).
-	KindRange
 	// KindTable locks a whole table.
 	KindTable
 )
 
 // Resource names one lockable object.
 type Resource struct {
-	Table  string
-	Kind   ResKind
-	Key    string // for KindKey
-	Bucket int32  // for KindRange
+	Table string
+	Kind  ResKind
+	Key   string // for KindKey
 }
 
 // KeyRes builds a key resource.
 func KeyRes(table, key string) Resource { return Resource{Table: table, Kind: KindKey, Key: key} }
-
-// RangeRes builds a range-bucket resource.
-func RangeRes(table string, bucket int32) Resource {
-	return Resource{Table: table, Kind: KindRange, Bucket: bucket}
-}
 
 // TableRes builds a whole-table resource.
 func TableRes(table string) Resource { return Resource{Table: table, Kind: KindTable} }
@@ -114,8 +105,6 @@ func (r Resource) String() string {
 	switch r.Kind {
 	case KindKey:
 		return fmt.Sprintf("%s/key:%s", r.Table, r.Key)
-	case KindRange:
-		return fmt.Sprintf("%s/range:%d", r.Table, r.Bucket)
 	default:
 		return fmt.Sprintf("%s/table", r.Table)
 	}

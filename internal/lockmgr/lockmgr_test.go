@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -309,91 +308,6 @@ func TestRandomStressNoLostWakeups(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("stress test hung: lost wakeup or undetected deadlock")
-	}
-}
-
-func TestPartitionLocate(t *testing.T) {
-	p := NewPartition([]string{"g", "n", "t"})
-	if p.Buckets() != 4 {
-		t.Fatalf("buckets = %d", p.Buckets())
-	}
-	cases := map[string]int32{"a": 0, "f": 0, "g": 1, "m": 1, "n": 2, "s": 2, "t": 3, "z": 3}
-	for k, want := range cases {
-		if got := p.Locate(k); got != want {
-			t.Errorf("Locate(%q) = %d want %d", k, got, want)
-		}
-	}
-}
-
-func TestPartitionOverlapping(t *testing.T) {
-	p := NewPartition([]string{"g", "n", "t"})
-	cases := []struct {
-		lo, hi string
-		want   []int32
-	}{
-		{"a", "f", []int32{0}},
-		{"a", "g", []int32{0}}, // hi == bound: bucket 1 untouched
-		{"a", "h", []int32{0, 1}},
-		{"g", "t", []int32{1, 2}},
-		{"g", "z", []int32{1, 2, 3}},
-		{"a", "", []int32{0, 1, 2, 3}},
-		{"u", "", []int32{3}},
-	}
-	for _, c := range cases {
-		got := p.Overlapping(c.lo, c.hi)
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("Overlapping(%q,%q) = %v want %v", c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
-// Property: Overlapping(lo,hi) == exactly the set of buckets of keys in
-// [lo,hi), computed by brute force over a sample key space.
-func TestQuickPartitionOverlapMatchesBruteForce(t *testing.T) {
-	f := func(rawBounds []byte, a, b byte) bool {
-		var bounds []string
-		for _, x := range rawBounds {
-			bounds = append(bounds, string([]byte{x}))
-		}
-		p := NewPartition(bounds)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo == hi {
-			return true
-		}
-		want := map[int32]bool{}
-		for k := int(lo); k < int(hi); k++ {
-			want[p.Locate(string([]byte{byte(k)}))] = true
-		}
-		got := p.Overlapping(string([]byte{lo}), string([]byte{hi}))
-		if len(got) < len(want) {
-			return false // must cover every touched bucket
-		}
-		gotSet := map[int32]bool{}
-		for _, g := range got {
-			gotSet[g] = true
-		}
-		for w := range want {
-			if !gotSet[w] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUniformBytePartition(t *testing.T) {
-	p := UniformBytePartition(16)
-	if p.Buckets() != 16 {
-		t.Fatalf("buckets = %d", p.Buckets())
-	}
-	if UniformBytePartition(1).Buckets() != 1 {
-		t.Fatal("n=1 must mean a single bucket")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // every deployment-client attempt routed here) fails typed with
 // base.ErrDraining, which is transient — clients re-route to another TC
 // or retry after Undrain. In-flight transactions run to completion,
-// including the pipelined commit's ack barrier; Quiesced reports when
+// the finisher of a cancelled Commit included; Quiesced reports when
 // the last of them (and the last unacknowledged log record) has
 // settled. Drain returns immediately — quiescing is observed, not
 // awaited (WaitQuiesced does the waiting).
@@ -64,7 +64,7 @@ func (t *TC) WaitQuiesced(ctx context.Context) error {
 }
 
 // AckBarrierDepth returns the number of assigned LSNs not yet
-// acknowledged — the depth of the pipelined commit barrier across all
+// acknowledged — the operations in flight at barriers across all
 // transactions. Zero means every operation the TC ever shipped (or
 // logged locally) has settled.
 func (t *TC) AckBarrierDepth() uint64 {

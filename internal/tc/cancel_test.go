@@ -23,25 +23,25 @@ func waitNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// TestCommitBarrierCancellation: a pipelined commit whose ack barrier is
-// stuck (DC down, pipeline in its resend loop) returns promptly with the
-// ErrCancelled-wrapped context error when cancelled — and the barrier is
-// only abandoned, not broken: once the DC recovers, the resend contract
-// still delivers the committed transaction's operations.
+// TestCommitBarrierCancellation: a commit whose ship is stuck (DC down,
+// deliver in its resend loop) returns promptly with the ErrCancelled-wrapped
+// context error when cancelled — and only the wait is abandoned, not the
+// protocol: the transaction is done for its caller, its finisher keeps the
+// locks, and once the DC recovers the resend contract still delivers the
+// committed transaction's operations.
 func TestCommitBarrierCancellation(t *testing.T) {
-	tcx, d := newPipelinedPair(t, 0)
+	tcx, d := newPair(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 
-	// Versioned: upserts need no pre-check read, so the write after the
-	// crash pipelines cleanly instead of failing its pre-check at the
-	// down DC.
+	// Versioned: upserts need no pre-read, so the commit after the crash
+	// reaches its append and ship instead of failing cleanly at the down DC.
 	x := tcx.Begin(ctx, TxnOptions{Versioned: true})
 	if err := x.Upsert("t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// Wait out the first write so the crash cannot race the first batch,
-	// then park the *next* write's batch against a down DC.
-	if err := x.pend.wait(context.Background()); err != nil {
+	// The first write is acknowledged at a barrier of its own; the crash
+	// then parks the commit's batch against a down DC.
+	if err := x.flush(); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
@@ -52,14 +52,14 @@ func TestCommitBarrierCancellation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() { done <- x.Commit() }()
-	time.Sleep(30 * time.Millisecond) // commit reaches the ack barrier
+	time.Sleep(30 * time.Millisecond) // commit reaches its ship
 	start := time.Now()
 	cancel()
 	var err error
 	select {
 	case err = <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled commit barrier did not return")
+		t.Fatal("cancelled commit did not return")
 	}
 	if el := time.Since(start); el > 500*time.Millisecond {
 		t.Fatalf("cancelled commit took %v", el)
@@ -73,13 +73,25 @@ func TestCommitBarrierCancellation(t *testing.T) {
 
 	// Strict 2PL: the prompt return must NOT have released the locks —
 	// the write to k2 is still unacknowledged, so another transaction must
-	// not be able to touch the keys until the barrier actually drains.
+	// not be able to touch the keys until the finisher is through.
 	if got := len(tcx.Locks().Held(x.ID())); got == 0 {
-		t.Fatal("cancelled commit released locks with unacknowledged pipelined writes outstanding")
+		t.Fatal("cancelled commit released locks with unacknowledged writes outstanding")
+	}
+	// The transaction is the finisher's now (it is still parked: the DC is
+	// down). A deferred Abort or a second Commit must leave it alone; -race
+	// catches either touching what the finisher works on.
+	if err := x.Abort(); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("abort after a cancelled commit = %v, want ErrTxnDone", err)
+	}
+	if err := x.Commit(); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("commit after a cancelled commit = %v, want ErrTxnDone", err)
+	}
+	if got := len(tcx.Locks().Held(x.ID())); got == 0 {
+		t.Fatal("abort after a cancelled commit released the finisher's locks")
 	}
 
-	// The commit record is durable and the pipeline keeps resending: after
-	// DC recovery the transaction's writes must all be present.
+	// The finisher keeps resending: after DC recovery it appends and forces
+	// the commit record, and the transaction's writes must all be present.
 	if err := d.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func txnRecords(tcx *TC, id base.TxnID) (ops, clrs []*wal.Record) {
 
 // newCountedPair wires one TC to two DCs through counting stubs: table "t"
 // lives on DC 0, table "u" on DC 1.
-func newCountedPair(t *testing.T, pipeline bool) (*TC, []*dc.DC, []*countingService) {
+func newCountedPair(t *testing.T) (*TC, []*dc.DC, []*countingService) {
 	t.Helper()
 	var dcs []*dc.DC
 	var stubs []*countingService
@@ -171,7 +171,7 @@ func newCountedPair(t *testing.T, pipeline bool) (*TC, []*dc.DC, []*countingServ
 		stub := &countingService{Service: d}
 		dcs, stubs, svcs = append(dcs, d), append(stubs, stub), append(svcs, stub)
 	}
-	tcx, err := New(Config{ID: 1, Pipeline: pipeline}, svcs, placement.MustParse("t: dc=0; u: dc=1"))
+	tcx, err := New(Config{ID: 1}, svcs, placement.MustParse("t: dc=0; u: dc=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,66 +186,55 @@ func dirty(d *dc.DC, table, key string) (string, bool) {
 	return string(r.Value), r.Found
 }
 
-// forEachShipping runs f under inline and under pipelined shipping: what a
-// transaction observes, and what its barriers leave at the DC, must not
-// depend on who runs deliver.
-func forEachShipping(t *testing.T, f func(t *testing.T, pipeline bool)) {
-	for _, pipeline := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pipeline=%v", pipeline), func(t *testing.T) { f(t, pipeline) })
-	}
-}
-
 func TestCommitShipsOneBatchPerDC(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		const n = 4
-		for _, versioned := range []bool{false, true} {
-			logEnd := tcx.log.NextLSN()
-			x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
-			for i := 0; i < n; i++ {
-				for _, table := range []string{"t", "u"} {
-					if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%v", versioned))); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			// Before the barrier the transaction is a queue and a cache: no DC
-			// has heard of it, it holds no LSN — logged or reserved — and so
-			// the low-water mark is not waiting for it.
-			for _, s := range stubs {
-				s.quiet(t, fmt.Sprintf("versioned=%v, before any barrier", versioned))
-			}
-			if next := tcx.log.NextLSN(); next != logEnd || x.lastLSN != 0 {
-				t.Fatalf("versioned=%v: LSNs %d..%d taken before any barrier (last logged %d)", versioned, logEnd, next-1, x.lastLSN)
-			}
-			if lwm := tcx.acks.LWM(); lwm != logEnd-1 {
-				t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
-			}
-			if err := x.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if lwm := tcx.acks.LWM(); lwm < x.lastLSN {
-				t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
-			}
-			want := "[4r 4w]" // the priors, then the writes
-			if versioned {
-				want = "[4w 4w]" // the writes, then their finalizes
-			}
-			for i, s := range stubs {
-				if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
-					t.Fatalf("versioned=%v DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
-						versioned, i, single, reads, batches, want)
-				}
-			}
-			for i, table := range []string{"t", "u"} {
-				for k := 0; k < n; k++ {
-					if v, ok := dirty(dcs[i], table, fmt.Sprintf("k%d", k)); !ok || v != fmt.Sprintf("v%v", versioned) {
-						t.Fatalf("versioned=%v %s/k%d at the DC after commit: %q %v", versioned, table, k, v, ok)
-					}
+	tcx, dcs, stubs := newCountedPair(t)
+	const n = 4
+	for _, versioned := range []bool{false, true} {
+		logEnd := tcx.log.NextLSN()
+		x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
+		for i := 0; i < n; i++ {
+			for _, table := range []string{"t", "u"} {
+				if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%v", versioned))); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-	})
+		// Before the barrier the transaction is a queue and a cache: no DC
+		// has heard of it, it holds no LSN — logged or reserved — and so
+		// the low-water mark is not waiting for it.
+		for _, s := range stubs {
+			s.quiet(t, fmt.Sprintf("versioned=%v, before any barrier", versioned))
+		}
+		if next := tcx.log.NextLSN(); next != logEnd || x.lastLSN != 0 {
+			t.Fatalf("versioned=%v: LSNs %d..%d taken before any barrier (last logged %d)", versioned, logEnd, next-1, x.lastLSN)
+		}
+		if lwm := tcx.acks.LWM(); lwm != logEnd-1 {
+			t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
+		}
+		if err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if lwm := tcx.acks.LWM(); lwm < x.lastLSN {
+			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
+		}
+		want := "[4r 4w]" // the priors, then the writes
+		if versioned {
+			want = "[4w 4w]" // the writes, then their finalizes
+		}
+		for i, s := range stubs {
+			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
+				t.Fatalf("versioned=%v DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
+					versioned, i, single, reads, batches, want)
+			}
+		}
+		for i, table := range []string{"t", "u"} {
+			for k := 0; k < n; k++ {
+				if v, ok := dirty(dcs[i], table, fmt.Sprintf("k%d", k)); !ok || v != fmt.Sprintf("v%v", versioned) {
+					t.Fatalf("versioned=%v %s/k%d at the DC after commit: %q %v", versioned, table, k, v, ok)
+				}
+			}
+		}
+	}
 }
 
 // TestCommitPublishesTwoMarksPerDC: a commit tells every DC what its force
@@ -254,123 +243,117 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 // A checkpoint, whose control call needs the marks at the DC, still makes all
 // three calls, the safe timestamp (the one a transport sends on) last.
 func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, _, stubs := newCountedPair(t, pipeline)
-		// Stop the tick (and only it), so that every call counted is the
-		// commit's own.
-		tcx.stopOnce.Do(func() { close(tcx.stopCh) })
-		tcx.wg.Wait()
-		for _, s := range stubs {
-			s.takeMarks()
-		}
-		x := tcx.Begin(context.Background(), TxnOptions{})
-		for i := 0; i < 4; i++ {
-			if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := x.Commit(); err != nil {
+	tcx, _, stubs := newCountedPair(t)
+	// Stop the tick (and only it), so that every call counted is the
+	// commit's own.
+	tcx.stopOnce.Do(func() { close(tcx.stopCh) })
+	tcx.wg.Wait()
+	for _, s := range stubs {
+		s.takeMarks()
+	}
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	for i := 0; i < 4; i++ {
+		if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		cLSN := tcx.log.NextLSN() - 1
-		want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN)
-		for i, s := range stubs {
-			if got := fmt.Sprint(s.takeMarks()); got != want {
-				t.Fatalf("DC %d heard %v from the commit, want %v", i, got, want)
-			}
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cLSN := tcx.log.NextLSN() - 1
+	want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN)
+	for i, s := range stubs {
+		if got := fmt.Sprint(s.takeMarks()); got != want {
+			t.Fatalf("DC %d heard %v from the commit, want %v", i, got, want)
 		}
-		if _, err := tcx.Checkpoint(context.Background()); err != nil {
-			t.Fatal(err)
+	}
+	if _, err := tcx.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprintf("[eosl %d lwm %d safe]", cLSN, cLSN)
+	for i, s := range stubs {
+		if got := fmt.Sprint(s.takeMarks()); got != want {
+			t.Fatalf("DC %d heard %v from the checkpoint, want %v", i, got, want)
 		}
-		want = fmt.Sprintf("[eosl %d lwm %d safe]", cLSN, cLSN)
-		for i, s := range stubs {
-			if got := fmt.Sprint(s.takeMarks()); got != want {
-				t.Fatalf("DC %d heard %v from the checkpoint, want %v", i, got, want)
-			}
-		}
-	})
+	}
 }
 
 // TestSameKeyPriors: a key written more than once between barriers is
 // pre-read once, for its first write; each op record carries the value its
 // own write replaced, so rollback walks back to the original.
 func TestSameKeyPriors(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		for _, original := range []string{"", "orig"} {
-			tcx, dcs, stubs := newCountedPair(t, pipeline)
-			if original != "" {
-				if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-					return x.Insert("t", "k", []byte(original))
-				}); err != nil {
-					t.Fatal(err)
-				}
-				stubs[0].take()
-			}
-			x := tcx.Begin(context.Background(), TxnOptions{})
-			for _, v := range []string{"v1", "v2"} {
-				if err := x.Upsert("t", "k", []byte(v)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := x.drain(); err != nil {
+	for _, original := range []string{"", "orig"} {
+		tcx, dcs, stubs := newCountedPair(t)
+		if original != "" {
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Insert("t", "k", []byte(original))
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r 2w]" {
-				t.Fatalf("original=%q: %d single sends, %d single reads and batches %v, want one pre-read and one batch of 2", original, single, reads, batches)
-			}
-			ops, _ := txnRecords(tcx, x.id)
-			if len(ops) != 2 {
-				t.Fatalf("original=%q: %d op records, want 2", original, len(ops))
-			}
-			for i, want := range []string{original, "v1"} {
-				_, prior, found, err := decodeOpPayload(ops[i].Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(prior) != want || found != (want != "") {
-					t.Fatalf("original=%q: op record %d logs prior %q %v, want %q", original, i, prior, found, want)
-				}
-			}
-			if err := x.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := dirty(dcs[0], "t", "k"); v != original || ok != (original != "") {
-				t.Fatalf("original=%q: abort left %q %v at the DC", original, v, ok)
-			}
+			stubs[0].take()
 		}
-	})
-}
-
-// TestCacheAnswersThePrior: a key the transaction has read needs no pre-read.
-func TestCacheAnswersThePrior(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			return x.Insert("t", "k", []byte("orig"))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		stubs[0].take()
 		x := tcx.Begin(context.Background(), TxnOptions{})
-		if v, ok, err := x.Read("t", "k"); err != nil || !ok || string(v) != "orig" {
-			t.Fatalf("read: %q %v %v", v, ok, err)
+		for _, v := range []string{"v1", "v2"} {
+			if err := x.Upsert("t", "k", []byte(v)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := x.Upsert("t", "k", []byte("new")); err != nil {
+		if err := x.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := x.drain(); err != nil {
-			t.Fatal(err)
+		if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r 2w]" {
+			t.Fatalf("original=%q: %d single sends, %d single reads and batches %v, want one pre-read and one batch of 2", original, single, reads, batches)
 		}
-		if single, reads, batches := stubs[0].take(); single != 1 || reads != 1 || len(batches) != 0 {
-			t.Fatalf("%d single sends, %d single reads and batches %v, want the read, the write and no pre-read", single, reads, batches)
+		ops, _ := txnRecords(tcx, x.id)
+		if len(ops) != 2 {
+			t.Fatalf("original=%q: %d op records, want 2", original, len(ops))
+		}
+		for i, want := range []string{original, "v1"} {
+			_, prior, found, err := decodeOpPayload(ops[i].Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(prior) != want || found != (want != "") {
+				t.Fatalf("original=%q: op record %d logs prior %q %v, want %q", original, i, prior, found, want)
+			}
 		}
 		if err := x.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "orig" {
-			t.Fatalf("abort left %q %v at the DC", v, ok)
+		if v, ok := dirty(dcs[0], "t", "k"); v != original || ok != (original != "") {
+			t.Fatalf("original=%q: abort left %q %v at the DC", original, v, ok)
 		}
-	})
+	}
+}
+
+// TestCacheAnswersThePrior: a key the transaction has read needs no pre-read.
+func TestCacheAnswersThePrior(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		return x.Insert("t", "k", []byte("orig"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stubs[0].take()
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	if v, ok, err := x.Read("t", "k"); err != nil || !ok || string(v) != "orig" {
+		t.Fatalf("read: %q %v %v", v, ok, err)
+	}
+	if err := x.Upsert("t", "k", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if single, reads, batches := stubs[0].take(); single != 1 || reads != 1 || len(batches) != 0 {
+		t.Fatalf("%d single sends, %d single reads and batches %v, want the read, the write and no pre-read", single, reads, batches)
+	}
+	if err := x.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "orig" {
+		t.Fatalf("abort left %q %v at the DC", v, ok)
+	}
 }
 
 // TestExistenceAnswersComeFromTheCall: Insert, Update and Delete report
@@ -378,130 +361,124 @@ func TestCacheAnswersThePrior(t *testing.T) {
 // against this transaction's own queued writes — and a refused write is not
 // queued.
 func TestExistenceAnswersComeFromTheCall(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			return x.Insert("t", "there", []byte("v"))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		stubs[0].take()
-		x := tcx.Begin(context.Background(), TxnOptions{})
-		if err := x.Insert("t", "there", []byte("again")); !errors.Is(err, ErrDuplicate) {
-			t.Fatalf("insert of a committed key: %v", err)
-		}
-		if err := x.Update("t", "missing", []byte("v")); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("update of an absent key: %v", err)
-		}
-		if err := x.Delete("t", "missing"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("delete of an absent key: %v", err)
-		}
-		if len(x.queue) != 0 {
-			t.Fatalf("%d refused writes were queued", len(x.queue))
-		}
-		if err := x.Upsert("t", "queued", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Insert("t", "queued", []byte("again")); !errors.Is(err, ErrDuplicate) {
-			t.Fatalf("insert over a queued upsert: %v", err)
-		}
-		if err := x.Delete("t", "there"); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Update("t", "there", []byte("v")); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("update over a queued delete: %v", err)
-		}
-		if got := stubs[0].ops(); got != 0 || x.lastLSN != 0 {
-			t.Fatalf("%d logged ops delivered and LSN %d logged before any barrier", got, x.lastLSN)
-		}
-		if err := x.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := dirty(dcs[0], "t", "there"); ok {
-			t.Fatal("deleted key survived the commit")
-		}
-		if v, ok := dirty(dcs[0], "t", "queued"); !ok || v != "v" {
-			t.Fatalf("upserted key after the commit: %q %v", v, ok)
-		}
-	})
+	tcx, dcs, stubs := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		return x.Insert("t", "there", []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stubs[0].take()
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	if err := x.Insert("t", "there", []byte("again")); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("insert of a committed key: %v", err)
+	}
+	if err := x.Update("t", "missing", []byte("v")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("update of an absent key: %v", err)
+	}
+	if err := x.Delete("t", "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("delete of an absent key: %v", err)
+	}
+	if len(x.queue) != 0 {
+		t.Fatalf("%d refused writes were queued", len(x.queue))
+	}
+	if err := x.Upsert("t", "queued", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Insert("t", "queued", []byte("again")); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("insert over a queued upsert: %v", err)
+	}
+	if err := x.Delete("t", "there"); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Update("t", "there", []byte("v")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("update over a queued delete: %v", err)
+	}
+	if got := stubs[0].ops(); got != 0 || x.lastLSN != 0 {
+		t.Fatalf("%d logged ops delivered and LSN %d logged before any barrier", got, x.lastLSN)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dirty(dcs[0], "t", "there"); ok {
+		t.Fatal("deleted key survived the commit")
+	}
+	if v, ok := dirty(dcs[0], "t", "queued"); !ok || v != "v" {
+		t.Fatalf("upserted key after the commit: %q %v", v, ok)
+	}
 }
 
 func TestSameKeyWritesLandInOrder(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, _ := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			return x.Insert("t", "gone", []byte("old"))
-		}); err != nil {
-			t.Fatal(err)
+	tcx, dcs, _ := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		return x.Insert("t", "gone", []byte("old"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		// Every pre-check after the first write is answered by the cache:
+		// the DC has seen none of these yet.
+		if err := x.Upsert("t", "k", []byte("v1")); err != nil {
+			return err
 		}
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			// Every pre-check after the first write is answered by the cache:
-			// the DC has seen none of these yet.
-			if err := x.Upsert("t", "k", []byte("v1")); err != nil {
-				return err
-			}
-			if err := x.Delete("t", "k"); err != nil {
-				return err
-			}
-			if err := x.Insert("t", "k", []byte("v3")); err != nil {
-				return fmt.Errorf("insert after own unsent delete: %w", err)
-			}
-			if err := x.Update("t", "gone", []byte("new")); err != nil {
-				return err
-			}
-			if err := x.Delete("t", "gone"); err != nil {
-				return err
-			}
-			if err := x.Delete("t", "gone"); !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("second delete of an unsent delete: %v", err)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		if err := x.Delete("t", "k"); err != nil {
+			return err
 		}
-		if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "v3" {
-			t.Fatalf("upsert, delete, insert of one key left %q %v at the DC", v, ok)
+		if err := x.Insert("t", "k", []byte("v3")); err != nil {
+			return fmt.Errorf("insert after own unsent delete: %w", err)
 		}
-		if v, ok := dirty(dcs[0], "t", "gone"); ok {
-			t.Fatalf("update, delete of one key left %q at the DC", v)
+		if err := x.Update("t", "gone", []byte("new")); err != nil {
+			return err
 		}
-	})
+		if err := x.Delete("t", "gone"); err != nil {
+			return err
+		}
+		if err := x.Delete("t", "gone"); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("second delete of an unsent delete: %v", err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "v3" {
+		t.Fatalf("upsert, delete, insert of one key left %q %v at the DC", v, ok)
+	}
+	if v, ok := dirty(dcs[0], "t", "gone"); ok {
+		t.Fatalf("update, delete of one key left %q at the DC", v)
+	}
 }
 
 func TestScanReadsUnsentWrites(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, _, stubs := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			for i := 0; i < 8; i++ {
-				if err := x.Insert("t", fmt.Sprintf("s%03d", i), []byte("v")); err != nil {
-					return err
-				}
-			}
-			if err := x.Delete("t", "s003"); err != nil {
+	tcx, _, stubs := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		for i := 0; i < 8; i++ {
+			if err := x.Insert("t", fmt.Sprintf("s%03d", i), []byte("v")); err != nil {
 				return err
 			}
-			keys, _, err := x.Scan("t", "s000", "s999", 0)
-			if err != nil {
-				return err
-			}
-			if len(keys) != 7 {
-				return fmt.Errorf("scan sees %d keys, want 7 own writes: %v", len(keys), keys)
-			}
-			if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[9w]" {
-				return fmt.Errorf("the scan's barrier shipped batches %v, want one of 9", batches)
-			}
-			// ...and so does an unlocked read, which bypasses the cache.
-			if err := x.Upsert("t", "s003", []byte("back")); err != nil {
-				return err
-			}
-			if v, ok, err := x.ReadDirty("t", "s003"); err != nil || !ok || string(v) != "back" {
-				return fmt.Errorf("ReadDirty of an unsent write: %q %v %v", v, ok, err)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
-	})
+		if err := x.Delete("t", "s003"); err != nil {
+			return err
+		}
+		keys, _, err := x.Scan("t", "s000", "s999", 0)
+		if err != nil {
+			return err
+		}
+		if len(keys) != 7 {
+			return fmt.Errorf("scan sees %d keys, want 7 own writes: %v", len(keys), keys)
+		}
+		if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[9w]" {
+			return fmt.Errorf("the scan's barrier shipped batches %v, want one of 9", batches)
+		}
+		// ...and so does an unlocked read, which bypasses the cache.
+		if err := x.Upsert("t", "s003", []byte("back")); err != nil {
+			return err
+		}
+		if v, ok, err := x.ReadDirty("t", "s003"); err != nil || !ok || string(v) != "back" {
+			return fmt.Errorf("ReadDirty of an unsent write: %q %v %v", v, ok, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAbortWithUnsentWrites: writes that never crossed a barrier are dropped
@@ -509,82 +486,80 @@ func TestScanReadsUnsentWrites(t *testing.T) {
 // abort record — while writes that did cross one are rolled back through
 // the compensation chain.
 func TestAbortWithUnsentWrites(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		for _, barrier := range []bool{false, true} {
-			tcx, dcs, stubs := newCountedPair(t, pipeline)
-			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-				return x.Insert("t", "base", []byte("committed"))
-			}); err != nil {
+	for _, barrier := range []bool{false, true} {
+		tcx, dcs, stubs := newCountedPair(t)
+		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+			return x.Insert("t", "base", []byte("committed"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stubs {
+			s.take()
+		}
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		if err := x.Update("t", "base", []byte("scribble")); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Insert("u", "tmp", []byte("temp")); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
+			t.Fatal(err)
+		}
+		wantOps, wantCLRs := 0, 0
+		if barrier {
+			if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
+				t.Fatalf("scan past the barrier: %v %v", keys, err)
+			}
+			// Queued behind the barrier: dropped with the abort.
+			if err := x.Insert("t", "late", []byte("temp")); err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range stubs {
-				s.take()
+			wantOps, wantCLRs = 3, 3
+		}
+		logEnd := tcx.log.NextLSN()
+		for _, s := range stubs {
+			s.take()
+		}
+		if err := x.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if !barrier {
+			for i, s := range stubs {
+				s.quiet(t, fmt.Sprintf("DC %d, abort before any barrier", i))
 			}
-			x := tcx.Begin(context.Background(), TxnOptions{})
-			if err := x.Update("t", "base", []byte("scribble")); err != nil {
-				t.Fatal(err)
+			if next := tcx.log.NextLSN(); next != logEnd {
+				t.Fatalf("abort before any barrier took LSNs %d..%d", logEnd, next-1)
 			}
-			if err := x.Insert("u", "tmp", []byte("temp")); err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
-				t.Fatal(err)
-			}
-			wantOps, wantCLRs := 0, 0
-			if barrier {
-				if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
-					t.Fatalf("scan past the barrier: %v %v", keys, err)
-				}
-				// Queued behind the barrier: dropped with the abort.
-				if err := x.Insert("t", "late", []byte("temp")); err != nil {
-					t.Fatal(err)
-				}
-				wantOps, wantCLRs = 3, 3
-			}
-			logEnd := tcx.log.NextLSN()
-			for _, s := range stubs {
-				s.take()
-			}
-			if err := x.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			if !barrier {
-				for i, s := range stubs {
-					s.quiet(t, fmt.Sprintf("DC %d, abort before any barrier", i))
-				}
-				if next := tcx.log.NextLSN(); next != logEnd {
-					t.Fatalf("abort before any barrier took LSNs %d..%d", logEnd, next-1)
-				}
-				if got := len(tcx.locks.Held(x.id)); got != 0 {
-					t.Fatalf("abort left %d locks held", got)
-				}
-			}
-			if v, ok := dirty(dcs[0], "t", "base"); !ok || v != "committed" {
-				t.Fatalf("barrier=%v: aborted update left %q %v at the DC", barrier, v, ok)
-			}
-			for _, at := range []struct {
-				dc         int
-				table, key string
-			}{{0, "t", "tmp"}, {1, "u", "tmp"}, {0, "t", "late"}} {
-				if v, ok := dirty(dcs[at.dc], at.table, at.key); ok {
-					t.Fatalf("barrier=%v: aborted insert left %s/%s=%q at the DC", barrier, at.table, at.key, v)
-				}
-			}
-			// One CLR per forward record, each pointing past the record it
-			// compensates, newest first.
-			ops, clrs := txnRecords(tcx, x.id)
-			if len(ops) != wantOps || len(clrs) != wantCLRs || tcx.Stats().UndoOps != uint64(wantCLRs) {
-				t.Fatalf("barrier=%v: %d op records, %d CLRs, %d undo ops; want %d, %d, %d",
-					barrier, len(ops), len(clrs), tcx.Stats().UndoOps, wantOps, wantCLRs, wantCLRs)
-			}
-			for i, clr := range clrs {
-				undone := ops[len(ops)-1-i]
-				if clr.NextUndo != undone.Prev {
-					t.Fatalf("CLR %d: NextUndo %d, want %d (the record before op @%d)", i, clr.NextUndo, undone.Prev, undone.LSN)
-				}
+			if got := len(tcx.locks.Held(x.id)); got != 0 {
+				t.Fatalf("abort left %d locks held", got)
 			}
 		}
-	})
+		if v, ok := dirty(dcs[0], "t", "base"); !ok || v != "committed" {
+			t.Fatalf("barrier=%v: aborted update left %q %v at the DC", barrier, v, ok)
+		}
+		for _, at := range []struct {
+			dc         int
+			table, key string
+		}{{0, "t", "tmp"}, {1, "u", "tmp"}, {0, "t", "late"}} {
+			if v, ok := dirty(dcs[at.dc], at.table, at.key); ok {
+				t.Fatalf("barrier=%v: aborted insert left %s/%s=%q at the DC", barrier, at.table, at.key, v)
+			}
+		}
+		// One CLR per forward record, each pointing past the record it
+		// compensates, newest first.
+		ops, clrs := txnRecords(tcx, x.id)
+		if len(ops) != wantOps || len(clrs) != wantCLRs || tcx.Stats().UndoOps != uint64(wantCLRs) {
+			t.Fatalf("barrier=%v: %d op records, %d CLRs, %d undo ops; want %d, %d, %d",
+				barrier, len(ops), len(clrs), tcx.Stats().UndoOps, wantOps, wantCLRs, wantCLRs)
+		}
+		for i, clr := range clrs {
+			undone := ops[len(ops)-1-i]
+			if clr.NextUndo != undone.Prev {
+				t.Fatalf("CLR %d: NextUndo %d, want %d (the record before op @%d)", i, clr.NextUndo, undone.Prev, undone.LSN)
+			}
+		}
+	}
 }
 
 // TestTCCrashWithUnsentOps: a logged operation that never left the TC is
@@ -594,87 +569,85 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 // crash earlier in the barrier, between the pre-read and the append, leaves
 // restart nothing of the transaction at all.
 func TestTCCrashWithUnsentOps(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			return x.Insert("t", "base", []byte("committed"))
-		}); err != nil {
+	tcx, dcs, stubs := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		return x.Insert("t", "base", []byte("committed"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stubs {
+		s.take()
+	}
+	// write runs a transaction's barrier up to and including the append:
+	// the records are in the log and listed for their DCs, not shipped.
+	write := func(tag string) *Txn {
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		if err := x.Upsert("t", tag, []byte(tag)); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range stubs {
-			s.take()
-		}
-		// write runs a transaction's barrier up to and including the append:
-		// the records are in the log and listed for their DCs, not shipped.
-		write := func(tag string) *Txn {
-			x := tcx.Begin(context.Background(), TxnOptions{})
-			if err := x.Upsert("t", tag, []byte(tag)); err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Upsert("u", tag, []byte(tag)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := x.fetchPriors(); err != nil {
-				t.Fatal(err)
-			}
-			if tag != "never-logged" {
-				x.appendQueued(tcx.Epoch())
-			}
-			return x
-		}
-		// The winner's commit record is appended by hand: Commit itself would
-		// ship the writes first.
-		winner := write("winner")
-		tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
-			Payload: encodeCommit(nil, 0)})
-		stableLoser := write("stable-loser")
-		neverLogged := write("never-logged")
-		tcx.log.Force()
-		write("lost-loser") // records in the unforced tail
-		for i, s := range stubs {
-			if got := s.ops(); got != 0 {
-				t.Fatalf("%d logged ops reached DC %d before the crash", got, i)
-			}
-		}
-		tcx.Crash()
-		if err := tcx.Recover(); err != nil {
+		if err := x.Upsert("u", tag, []byte(tag)); err != nil {
 			t.Fatal(err)
 		}
-		for i, table := range []string{"t", "u"} {
-			if v, ok := dirty(dcs[i], table, "winner"); !ok || v != "winner" {
-				t.Fatalf("%s/winner after restart: %q %v", table, v, ok)
-			}
-			for _, tag := range []string{"stable-loser", "never-logged", "lost-loser"} {
-				if v, ok := dirty(dcs[i], table, tag); ok {
-					t.Fatalf("%s/%s survived restart as %q", table, tag, v)
-				}
-			}
-		}
-		if ops, clrs := txnRecords(tcx, neverLogged.id); len(ops) != 0 || len(clrs) != 0 {
-			t.Fatalf("a transaction that crashed between pre-read and append has %d op records and %d CLRs", len(ops), len(clrs))
-		}
-		// An orphan that reaches a barrier after the restart dies there: its
-		// listed operations and its queue stay where they are.
-		for _, s := range stubs {
-			s.take()
-		}
-		for _, orphan := range []*Txn{stableLoser, neverLogged} {
-			if err := orphan.Commit(); !errors.Is(err, ErrTCStopped) {
-				t.Fatalf("orphan's commit = %v, want ErrTCStopped", err)
-			}
-		}
-		for i, s := range stubs {
-			s.quiet(t, fmt.Sprintf("DC %d, orphans' commits", i))
-		}
-		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-			if v, ok, err := x.Read("t", "base"); err != nil || !ok || string(v) != "committed" {
-				return fmt.Errorf("committed data after restart: %q %v %v", v, ok, err)
-			}
-			return x.Insert("t", "after", []byte("ok"))
-		}); err != nil {
+		if _, err := x.fetchPriors(); err != nil {
 			t.Fatal(err)
 		}
-	})
+		if tag != "never-logged" {
+			x.appendQueued(tcx.Epoch())
+		}
+		return x
+	}
+	// The winner's commit record is appended by hand: Commit itself would
+	// ship the writes first.
+	winner := write("winner")
+	tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
+		Payload: encodeCommit(nil, 0)})
+	stableLoser := write("stable-loser")
+	neverLogged := write("never-logged")
+	tcx.log.Force()
+	write("lost-loser") // records in the unforced tail
+	for i, s := range stubs {
+		if got := s.ops(); got != 0 {
+			t.Fatalf("%d logged ops reached DC %d before the crash", got, i)
+		}
+	}
+	tcx.Crash()
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for i, table := range []string{"t", "u"} {
+		if v, ok := dirty(dcs[i], table, "winner"); !ok || v != "winner" {
+			t.Fatalf("%s/winner after restart: %q %v", table, v, ok)
+		}
+		for _, tag := range []string{"stable-loser", "never-logged", "lost-loser"} {
+			if v, ok := dirty(dcs[i], table, tag); ok {
+				t.Fatalf("%s/%s survived restart as %q", table, tag, v)
+			}
+		}
+	}
+	if ops, clrs := txnRecords(tcx, neverLogged.id); len(ops) != 0 || len(clrs) != 0 {
+		t.Fatalf("a transaction that crashed between pre-read and append has %d op records and %d CLRs", len(ops), len(clrs))
+	}
+	// An orphan that reaches a barrier after the restart dies there: its
+	// listed operations and its queue stay where they are.
+	for _, s := range stubs {
+		s.take()
+	}
+	for _, orphan := range []*Txn{stableLoser, neverLogged} {
+		if err := orphan.Commit(); !errors.Is(err, ErrTCStopped) {
+			t.Fatalf("orphan's commit = %v, want ErrTCStopped", err)
+		}
+	}
+	for i, s := range stubs {
+		s.quiet(t, fmt.Sprintf("DC %d, orphans' commits", i))
+	}
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		if v, ok, err := x.Read("t", "base"); err != nil || !ok || string(v) != "committed" {
+			return fmt.Errorf("committed data after restart: %q %v %v", v, ok, err)
+		}
+		return x.Insert("t", "after", []byte("ok"))
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestOrphanDiesAtEveryBarrier: a transaction begun before a TC crash that
@@ -694,55 +667,53 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			return err
 		}},
 	}
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		for _, end := range ends {
-			for _, acked := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/acked=%v", end.name, acked), func(t *testing.T) {
-					tcx, dcs, stubs := newCountedPair(t, pipeline)
-					x := tcx.Begin(context.Background(), TxnOptions{})
-					if err := x.Upsert("t", "k", []byte("v")); err != nil {
+	for _, end := range ends {
+		for _, acked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/acked=%v", end.name, acked), func(t *testing.T) {
+				tcx, dcs, stubs := newCountedPair(t)
+				x := tcx.Begin(context.Background(), TxnOptions{})
+				if err := x.Upsert("t", "k", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.Upsert("u", "k", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				if acked {
+					// Logged, shipped, acknowledged and stable: restart
+					// finds a loser and rolls it back itself.
+					if err := x.flush(); err != nil {
 						t.Fatal(err)
 					}
-					if err := x.Upsert("u", "k", []byte("v")); err != nil {
-						t.Fatal(err)
+					tcx.log.Force()
+				}
+				tcx.Crash()
+				if err := tcx.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				logEnd := tcx.log.NextLSN()
+				for _, s := range stubs {
+					s.take()
+				}
+				if err := end.call(x); !errors.Is(err, ErrTCStopped) {
+					t.Fatalf("orphan's %s = %v, want ErrTCStopped", end.name, err)
+				}
+				if next := tcx.log.NextLSN(); next != logEnd {
+					t.Fatalf("orphan's %s took LSNs %d..%d of the new incarnation's log", end.name, logEnd, next-1)
+				}
+				for i, s := range stubs {
+					s.quiet(t, fmt.Sprintf("DC %d, orphan's %s", i, end.name))
+				}
+				if err := x.Abort(); err != nil {
+					t.Fatalf("abort of a dead orphan = %v, want nil", err)
+				}
+				for i, table := range []string{"t", "u"} {
+					if v, ok := dirty(dcs[i], table, "k"); ok {
+						t.Fatalf("%s/k = %q after the restart rolled the orphan back", table, v)
 					}
-					if acked {
-						// Logged, shipped, acknowledged and stable: restart
-						// finds a loser and rolls it back itself.
-						if err := x.drain(); err != nil {
-							t.Fatal(err)
-						}
-						tcx.log.Force()
-					}
-					tcx.Crash()
-					if err := tcx.Recover(); err != nil {
-						t.Fatal(err)
-					}
-					logEnd := tcx.log.NextLSN()
-					for _, s := range stubs {
-						s.take()
-					}
-					if err := end.call(x); !errors.Is(err, ErrTCStopped) {
-						t.Fatalf("orphan's %s = %v, want ErrTCStopped", end.name, err)
-					}
-					if next := tcx.log.NextLSN(); next != logEnd {
-						t.Fatalf("orphan's %s took LSNs %d..%d of the new incarnation's log", end.name, logEnd, next-1)
-					}
-					for i, s := range stubs {
-						s.quiet(t, fmt.Sprintf("DC %d, orphan's %s", i, end.name))
-					}
-					if err := x.Abort(); err != nil {
-						t.Fatalf("abort of a dead orphan = %v, want nil", err)
-					}
-					for i, table := range []string{"t", "u"} {
-						if v, ok := dirty(dcs[i], table, "k"); ok {
-							t.Fatalf("%s/k = %q after the restart rolled the orphan back", table, v)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
-	})
+	}
 }
 
 // TestCancelledPreReadIsACleanAbort: the barrier's pre-read is the last
@@ -750,127 +721,115 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 // been logged: the commit fails plainly (not ambiguously), the locks are
 // released, and the reads' LSNs are completed so checkpoints move on.
 func TestCancelledPreReadIsACleanAbort(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		ctx, cancel := context.WithCancel(context.Background())
-		stubs[1].mu.Lock()
-		stubs[1].onReadBatch = cancel // DC 0 answers its pre-read, DC 1's is abandoned
-		stubs[1].mu.Unlock()
-		x := tcx.Begin(ctx, TxnOptions{})
-		for _, table := range []string{"t", "u"} {
-			for i := 0; i < 3; i++ {
-				if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
+	tcx, dcs, stubs := newCountedPair(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	stubs[1].mu.Lock()
+	stubs[1].onReadBatch = cancel // DC 0 answers its pre-read, DC 1's is abandoned
+	stubs[1].mu.Unlock()
+	x := tcx.Begin(ctx, TxnOptions{})
+	for _, table := range []string{"t", "u"} {
+		for i := 0; i < 3; i++ {
+			if err := x.Upsert(table, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+				t.Fatal(err)
 			}
 		}
-		err := x.Commit()
-		if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("commit error %v does not carry ErrCancelled + context.Canceled", err)
+	}
+	err := x.Commit()
+	if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("commit error %v does not carry ErrCancelled + context.Canceled", err)
+	}
+	if errors.Is(err, ErrCommitAmbiguous) {
+		t.Fatalf("commit error %v is ambiguous though nothing was logged", err)
+	}
+	if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 || x.lastLSN != 0 {
+		t.Fatalf("cancelled before the append, yet %d op records, %d CLRs, last LSN %d", len(ops), len(clrs), x.lastLSN)
+	}
+	for i, s := range stubs {
+		if got := s.ops(); got != 0 {
+			t.Fatalf("%d logged ops reached DC %d", got, i)
 		}
-		if errors.Is(err, ErrCommitAmbiguous) {
-			t.Fatalf("commit error %v is ambiguous though nothing was logged", err)
-		}
-		if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 || x.lastLSN != 0 {
-			t.Fatalf("cancelled before the append, yet %d op records, %d CLRs, last LSN %d", len(ops), len(clrs), x.lastLSN)
-		}
-		for i, s := range stubs {
-			if got := s.ops(); got != 0 {
-				t.Fatalf("%d logged ops reached DC %d", got, i)
-			}
-		}
-		if got := len(tcx.locks.Held(x.id)); got != 0 {
-			t.Fatalf("clean abort left %d locks held", got)
-		}
-		// Every LSN the pre-read reserved is complete, answered or not.
-		if lwm, last := tcx.acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
-			t.Fatalf("low-water mark %d stuck below the abandoned pre-read (LSNs end at %d)", lwm, last)
-		}
-		before := tcx.RSSP()
-		if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
-			t.Fatalf("checkpoint after the cancelled barrier: rssp %d -> %d, %v", before, rssp, err)
-		}
-		if _, ok := dirty(dcs[0], "t", "k0"); ok {
-			t.Fatal("a write of the cancelled transaction reached the DC")
-		}
-	})
+	}
+	if got := len(tcx.locks.Held(x.id)); got != 0 {
+		t.Fatalf("clean abort left %d locks held", got)
+	}
+	// Every LSN the pre-read reserved is complete, answered or not.
+	if lwm, last := tcx.acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
+		t.Fatalf("low-water mark %d stuck below the abandoned pre-read (LSNs end at %d)", lwm, last)
+	}
+	before := tcx.RSSP()
+	if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
+		t.Fatalf("checkpoint after the cancelled barrier: rssp %d -> %d, %v", before, rssp, err)
+	}
+	if _, ok := dirty(dcs[0], "t", "k0"); ok {
+		t.Fatal("a write of the cancelled transaction reached the DC")
+	}
 }
 
 func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, dcs, stubs := newCountedPair(t, pipeline)
-		const n = 2*maxBatch + 22
-		for _, versioned := range []bool{true, false} {
-			if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: versioned}, func(x *Txn) error {
-				for i := 0; i < n; i++ {
-					if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
-						return err
-					}
+	tcx, dcs, stubs := newCountedPair(t)
+	const n = 2*maxBatch + 22
+	for _, versioned := range []bool{true, false} {
+		if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: versioned}, func(x *Txn) error {
+			for i := 0; i < n; i++ {
+				if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+					return err
 				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
 			}
-			single, reads, batches := stubs[0].take()
-			// Versioned: the queue leaves in three barriers, then the
-			// finalizes in three lists. Unversioned: each barrier pre-reads
-			// what it is about to log.
-			wantReads, wantWrites := "[]", "[64w 64w 22w 64w 64w 22w]"
-			wantAll := wantWrites
-			if !versioned {
-				wantReads, wantWrites = "[64r 64r 22r]", "[64w 64w 22w]"
-				wantAll = "[64r 64w 64r 64w 22r 22w]"
-			}
-			// Pipelined, a barrier's pre-read can overtake the worker still
-			// shipping the previous barrier's writes: each kind keeps its
-			// order, the interleaving is the worker's.
-			if single != 0 || reads != 0 || fmt.Sprint(only(batches, true)) != wantReads ||
-				fmt.Sprint(only(batches, false)) != wantWrites || (!pipeline && fmt.Sprint(batches) != wantAll) {
-				t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
-					versioned, single, reads, batches, wantAll)
-			}
-			r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",
-				Key: "k", EndKey: "l", Flavor: base.ReadCommitted})
-			if len(r.Keys) != n {
-				t.Fatalf("versioned=%v: %d of %d keys committed at the DC", versioned, len(r.Keys), n)
-			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-	})
+		single, reads, batches := stubs[0].take()
+		// Versioned: the queue leaves in three barriers, then the
+		// finalizes in three lists. Unversioned: each barrier pre-reads
+		// what it is about to log.
+		want := "[64w 64w 22w 64w 64w 22w]"
+		if !versioned {
+			want = "[64r 64w 64r 64w 22r 22w]"
+		}
+		if single != 0 || reads != 0 || fmt.Sprint(batches) != want {
+			t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
+				versioned, single, reads, batches, want)
+		}
+		r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",
+			Key: "k", EndKey: "l", Flavor: base.ReadCommitted})
+		if len(r.Keys) != n {
+			t.Fatalf("versioned=%v: %d of %d keys committed at the DC", versioned, len(r.Keys), n)
+		}
+	}
 }
 
 // TestCheckpointBesideWriters: Checkpoint reads every active transaction's
 // first LSN to bound truncation while the transactions' own goroutines set
 // it. Run with -race.
 func TestCheckpointBesideWriters(t *testing.T) {
-	forEachShipping(t, func(t *testing.T, pipeline bool) {
-		tcx, _ := newPair(t, Config{Pipeline: pipeline})
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for c := 0; c < 4; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; !stop.Load(); i++ {
-					if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-						for k := 0; k < 3; k++ {
-							if err := x.Upsert("t", fmt.Sprintf("c%d-%d", c, (i+k)%16), []byte("v")); err != nil {
-								return err
-							}
+	tcx, _ := newPair(t, Config{})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+					for k := 0; k < 3; k++ {
+						if err := x.Upsert("t", fmt.Sprintf("c%d-%d", c, (i+k)%16), []byte("v")); err != nil {
+							return err
 						}
-						return nil
-					}); err != nil {
-						t.Errorf("client %d: %v", c, err)
-						return
 					}
+					return nil
+				}); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
 				}
-			}(c)
-		}
-		for i := 0; i < 200 && !t.Failed(); i++ {
-			if _, err := tcx.Checkpoint(context.Background()); err != nil {
-				t.Errorf("checkpoint %d: %v", i, err)
 			}
+		}(c)
+	}
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		if _, err := tcx.Checkpoint(context.Background()); err != nil {
+			t.Errorf("checkpoint %d: %v", i, err)
 		}
-		stop.Store(true)
-		wg.Wait()
-	})
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -3,7 +3,6 @@ package tc
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -14,7 +13,8 @@ import (
 // a forward write, a finalize, an inverse (CLR), a restart resend — reaches
 // its DC through deliver, the one implementation of the §4.2 contract:
 // unique request IDs, idempotence at the DC, resend until acknowledged.
-// What differs between callers is only who runs it, and when.
+// It runs on the goroutine of whoever needs the acknowledgement: a
+// transaction at its barrier, Abort and restart for inverses and resends.
 //
 // A write neither logs nor ships when it is called. The call takes the X
 // lock — which freezes the key — answers what its kind must answer (Insert,
@@ -55,24 +55,41 @@ import (
 //   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
 //     versions from its next barrier on, not from the call that wrote them.
 //
-// What Config.Pipeline selects is only who runs deliver in step 3 (Txn.ship).
-// Inline (the default) the transaction's own goroutine does, one call — one
-// PerformBatch — per DC, and the barrier returns with the operations
-// acknowledged. Pipelined, each list is posted into its DC's pipeline and
-// the barrier returns at once; replies are collected at the transaction's
-// pending barrier, which Commit overlaps with the commit-record force. Each
-// DC has one shipping goroutine with exactly one batch in flight. That
-// discipline is what keeps the logical operation stream ordered per DC:
-// everything queued while the previous batch was on the wire is coalesced
-// into the next delivery, which the DC executes in arrival order. Same-key
-// operations of one transaction always route to the same DC, so they can
-// never reorder; cross-transaction conflicts are excluded by strict 2PL plus
-// the ack barrier (locks are only released once every shipped operation is
-// acknowledged).
+// Step 3 has one rule (Txn.ship): the transaction's own goroutine runs deliver,
+// one call — one PerformBatch — per DC, and the barrier returns with the
+// operations acknowledged. Nothing sits between a transaction and its DCs.
+// Operations of different transactions never conflict while both are in
+// flight (strict 2PL), which is all the order §4.2 asks of the wire, so
+// concurrent committers each send their own frame.
+//
+// Cancellation. Everything up to the first log append honors the
+// transaction's context; nothing after it does, because a logged operation
+// abandoned half-delivered could be overtaken by its own inverse. Commit
+// keeps both promises by choosing who runs the uncancellable part
+// (Txn.commitLogged) from what it can observe: under a context that can
+// never be cancelled it calls it; under one that can, it runs it on one
+// goroutine and returns on whichever comes first, the result or the
+// cancellation. A cancelled Commit so returns at once — ErrCommitAmbiguous,
+// the transaction already marked done for its caller — while that goroutine
+// sees the protocol through and only then releases the locks. It is not
+// waited for by Close: like any caller parked in deliver it leaves when the
+// DC answers, the TC stops or the stub closes.
+//
+// Two costs of having one path, accepted:
+//
+//   - The commit-record force does not overlap the write acknowledgements:
+//     the writes are acknowledged, then the record is appended and forced.
+//     No workload of the repo benchmark has a non-zero force, so the overlap
+//     was never measured; should a contended workload show it, it returns as
+//     a reordering inside commitLogged (commit record appended before the
+//     ship, a failure after it reported ErrCommitAmbiguous), not as a mode.
+//   - A scan's or unlocked read's barrier against a DC that is down cannot be
+//     abandoned mid-ship: it is past its append, so it waits for the DC like
+//     any logged operation.
 
-// maxBatch caps the operations of one PerformBatch message: what a pipeline
-// worker coalesces, and how many writes a transaction may queue (or finalize
-// operations it may list) before they leave ahead of the next barrier.
+// maxBatch caps the operations of one PerformBatch message: how many writes a
+// transaction may queue (or finalize operations it may list) before they
+// leave ahead of the next barrier.
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -83,104 +100,17 @@ const maxBatch = 64
 // component-unavailable failure.
 var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged: %w", base.ErrUnavailable)
 
-// pending tracks one transaction's outstanding pipelined operations: a
-// count plus the first failure. Commit and Abort (and scans, for
-// read-your-writes) barrier on it before relying on DC state; with inline
-// shipping it is always empty and the wait is one uncontended mutex. The
-// barrier signal is a channel so waiters can honor context cancellation.
-type pending struct {
-	mu          sync.Mutex
-	outstanding int
-	err         error
-	// zero is non-nil only while a waiter needs the outstanding-reached-
-	// zero signal; done closes and clears it.
-	zero chan struct{}
-}
-
-func (p *pending) add(n int) {
-	p.mu.Lock()
-	p.outstanding += n
-	p.mu.Unlock()
-}
-
-// done retires one operation, recording the first failure.
-func (p *pending) done(err error) {
-	p.mu.Lock()
-	p.outstanding--
-	if err != nil && p.err == nil {
-		p.err = err
-	}
-	if p.outstanding == 0 && p.zero != nil {
-		close(p.zero)
-		p.zero = nil
-	}
-	p.mu.Unlock()
-}
-
-// empty reports whether nothing is outstanding right now.
-func (p *pending) empty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.outstanding == 0
-}
-
-// wait blocks until every posted operation has been retired — returning
-// the first failure observed (sticky across calls) — or until ctx is done,
-// returning the ErrCancelled-wrapped ctx error. An abandoned wait leaves
-// the barrier intact: outstanding operations still retire normally.
-func (p *pending) wait(ctx context.Context) error {
-	for {
-		p.mu.Lock()
-		if p.outstanding == 0 {
-			err := p.err
-			p.mu.Unlock()
-			return err
-		}
-		if p.zero == nil {
-			p.zero = make(chan struct{})
-		}
-		ch := p.zero
-		p.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return base.CancelErr(ctx)
-		}
-	}
-}
-
-// item is one logged operation on its way to a DC. The incarnation that
-// logged it is stamped on the op itself (op.Epoch, set before the op's LSN
-// was assigned). pend is the barrier of the transaction that posted it
-// into a pipeline; it is nil when the caller runs deliver itself and takes
-// the returned error instead.
-type item struct {
-	op   *base.Op
-	pend *pending
-}
-
-// retire reports the item's outcome to its barrier, if it has one, and
-// folds it into first, the error deliver returns.
-func (it item) retire(err, first error) error {
-	if it.pend != nil {
-		it.pend.done(err)
-	}
-	if first == nil {
-		first = err
-	}
-	return first
-}
-
-// deliver sends logged operations to one DC and does not return until each
-// is acknowledged or can never be: the §4.2 resend contract. It returns
-// the first failure (nil when every operation was acknowledged OK) and
-// retires each item at its barrier.
+// deliver sends logged operations to one DC, as one message, and does not
+// return until each is acknowledged or can never be: the §4.2 resend
+// contract. It returns the first failure (nil when every operation was
+// acknowledged OK). ops is the caller's list, used in place: operations that
+// can no longer be sent are compacted out of it.
 //
 // op.Epoch must have been stamped *before* the op's LSN was assigned: a
 // crash+restart racing the send mints the new epoch before the reused LSN
 // space is handed out, so an op whose LSN belongs to the dead incarnation's
-// log can never carry the live epoch. Every attempt delivers only items of
-// the live incarnation: a delivery parked in the resend loop across a TC
+// log can never carry the live epoch. Every attempt delivers only operations
+// of the live incarnation: a delivery parked in the resend loop across a TC
 // crash+restart must not reach the DC — its records vanished with the
 // unforced log tail, so executing it would apply writes no undo covers and
 // record reused LSNs in the abstract-LSN tables (poisoning the restarted
@@ -197,43 +127,35 @@ func (it item) retire(err, first error) error {
 // are the TC stopping and the DC stub being closed; ctx carries values to
 // the service and is never cancellable, because a logged operation
 // abandoned half-delivered could be overtaken by its own inverse.
-func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) (first error) {
-	var ops []*base.Op
+func (t *TC) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool) (first error) {
 	var one [1]*base.Result
 	backoff := 200 * time.Microsecond
 	for {
 		epoch := t.Epoch()
 		live := 0
-		for _, it := range items {
-			if it.op.Epoch != epoch {
-				first = it.retire(ErrTCStopped, first)
+		for _, op := range ops {
+			if op.Epoch != epoch {
+				first = firstErr(first, ErrTCStopped)
 				continue
 			}
-			items[live] = it
+			ops[live] = op
 			live++
 		}
-		items = items[:live]
-		if len(items) == 0 {
+		ops = ops[:live]
+		if len(ops) == 0 {
 			return first
 		}
 		if !redo {
 			_ = h.waitReady(ctx) // ctx is never done
 		}
 		var results []*base.Result
-		if len(items) == 1 {
-			one[0] = h.svc.Perform(ctx, items[0].op)
+		if len(ops) == 1 {
+			one[0] = h.svc.Perform(ctx, ops[0])
 			results = one[:]
 		} else {
-			if ops == nil {
-				ops = make([]*base.Op, 0, len(items))
-			}
-			ops = ops[:0]
-			for _, it := range items {
-				ops = append(ops, it.op)
-			}
 			results = h.svc.PerformBatch(ctx, ops)
 		}
-		t.opsSent.Add(uint64(len(items)))
+		t.opsSent.Add(uint64(len(ops)))
 		unavailable := false
 		for _, r := range results {
 			if r == nil || r.Code == base.CodeUnavailable {
@@ -242,7 +164,7 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) 
 			}
 		}
 		if !unavailable {
-			return t.complete(items, results, redo, first)
+			return t.complete(ops, results, redo, first)
 		}
 		// A closed wire client answers every call with CodeUnavailable
 		// forever; retrying would wedge callers that its Close contract
@@ -259,10 +181,7 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) 
 			}
 		}
 		if stopped {
-			for _, it := range items {
-				first = it.retire(ErrTCStopped, first)
-			}
-			return first
+			return firstErr(first, ErrTCStopped)
 		}
 		if backoff < 50*time.Millisecond {
 			backoff *= 2
@@ -270,71 +189,94 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, items []item, redo bool) 
 	}
 }
 
-// complete feeds the ack tracker — the source of low-water marks — and
-// retires the items of an answered delivery. The ack is epoch-fenced:
-// a reply that lands after a Crash+Recover belongs to a dead incarnation
-// and must not complete an LSN the new one is reusing (the lsn <= lwm guard
-// in the tracker only covers the at-or-below-reset-base half of that race).
-// A stale-epoch nack from the DC means the op never executed — the fence
-// fired mid-flight — so its LSN must not complete either; it is a
-// permanent failure.
-func (t *TC) complete(items []item, results []*base.Result, redo bool, first error) error {
+// firstErr keeps the first failure of a delivery.
+func firstErr(first, err error) error {
+	if first == nil {
+		return err
+	}
+	return first
+}
+
+// complete feeds the ack tracker — the source of low-water marks — with the
+// operations of an answered delivery and folds their outcomes into first.
+// The ack is epoch-fenced: a reply that lands after a Crash+Recover belongs
+// to a dead incarnation and must not complete an LSN the new one is reusing
+// (the lsn <= lwm guard in the tracker only covers the
+// at-or-below-reset-base half of that race). A stale-epoch nack from the DC
+// means the op never executed — the fence fired mid-flight — so its LSN must
+// not complete either; it is a permanent failure.
+func (t *TC) complete(ops []*base.Op, results []*base.Result, redo bool, first error) error {
 	epoch := t.Epoch()
-	for i, it := range items {
+	for i, op := range ops {
 		code := results[i].Code
 		var err error
 		switch {
-		case it.op.Epoch != epoch:
+		case op.Epoch != epoch:
 			err = ErrTCStopped
 		case code == base.CodeStaleEpoch:
-			err = fmt.Errorf("tc: logged op fenced at DC: %v: %w", it.op, base.ErrStaleEpoch)
+			err = fmt.Errorf("tc: logged op fenced at DC: %v: %w", op, base.ErrStaleEpoch)
 		default:
-			t.acks.Complete(it.op.LSN)
+			t.acks.Complete(op.LSN)
 			// Repeating history may find the effect already there (or
 			// already gone); for a first delivery the pre-check + X-lock
 			// invariant excludes every code but OK — surface loudly if it
 			// is ever broken.
 			if code != base.CodeOK && !(redo && (code == base.CodeDuplicate || code == base.CodeNotFound)) {
-				err = fmt.Errorf("tc: logged op failed at DC: %v -> %v", it.op, code)
+				err = fmt.Errorf("tc: logged op failed at DC: %v -> %v", op, code)
 			}
 		}
-		first = it.retire(err, first)
+		first = firstErr(first, err)
 	}
 	return first
 }
 
-// deliverOne is deliver run by the caller for a single operation.
+// deliverOne is deliver for a single operation.
 func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool) error {
-	one := [1]item{{op: op}}
+	one := [1]*base.Op{op}
 	return t.deliver(ctx, h, one[:], redo)
 }
 
 // flush is the transaction's write barrier: the writes queued since the last
 // one are logged — appended at the barrier, under their X locks — and
-// shipped. It runs at Commit, at drain (before scans and unlocked reads) and
-// when the queue reaches maxBatch; Abort drops the queue instead. A failed
-// or cancelled pre-read has logged nothing and leaves the queue as it was.
+// shipped, and flush returns with them acknowledged. It runs before every
+// operation that must observe them at the DC (scans and unlocked reads bypass
+// the transaction cache, so read-your-writes needs them applied; point reads
+// never do, every write is recorded in the cache) and when the queue reaches
+// maxBatch. Commit runs the same two halves itself; Abort drops the queue
+// instead.
 func (x *Txn) flush() error {
+	epoch, err := x.preRead()
+	if err != nil {
+		return err
+	}
+	x.appendQueued(epoch)
+	return x.ship()
+}
+
+// preRead is the cancellable half of a write barrier: the orphan check and
+// the batched read of missing undo images, under the transaction's context.
+// A failed or cancelled pre-read has logged nothing and leaves the queue as
+// it was. It returns the epoch the barrier's records are to be stamped with.
+func (x *Txn) preRead() (base.Epoch, error) {
 	// Read before the orphan check: Recover mints the next epoch only after
 	// Crash has emptied the transaction table, so a transaction that passes
 	// the check holds its own incarnation's epoch, and an operation stamped
 	// with it can never pass for one of a later incarnation (see deliver).
 	epoch := x.tc.Epoch()
 	if x.orphaned() {
-		return x.die()
+		return 0, x.die()
 	}
 	if len(x.queue) > 0 {
 		read, err := x.fetchPriors()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if read && x.orphaned() {
 			// The incarnation died during the round trip.
-			return x.die()
+			return 0, x.die()
 		}
-		x.appendQueued(epoch)
 	}
-	return x.ship()
+	return epoch, nil
 }
 
 // fetchPriors is the barrier's pre-read: every prior value the cache could
@@ -421,122 +363,28 @@ func (x *Txn) appendQueued(epoch base.Epoch) {
 // ship.
 func (x *Txn) list(dcIdx int, op *base.Op) {
 	if x.unsent == nil {
-		x.unsent = make([][]item, len(x.tc.dcs))
+		x.unsent = make([][]*base.Op, len(x.tc.dcs))
 	}
 	if x.unsent[dcIdx] == nil {
 		// One allocation for a transaction of a handful of writes, instead
 		// of append's 1, 2, 4, 8.
-		x.unsent[dcIdx] = make([]item, 0, 8)
+		x.unsent[dcIdx] = make([]*base.Op, 0, 8)
 	}
-	x.unsent[dcIdx] = append(x.unsent[dcIdx], item{op: op})
+	x.unsent[dcIdx] = append(x.unsent[dcIdx], op)
 }
 
-// ship hands the transaction's listed operations to their DCs, each list as
-// one unit, and returns the first failure. This is the only place that knows
-// the shipping mode. Inline, that is one deliver call (one PerformBatch when
-// there is more than one operation) per DC on the caller's goroutine.
-// Pipelined, each list is posted into its DC's pipeline and ship returns nil:
-// the outcomes arrive at x.pend. Delivery does not honor the transaction's
-// cancellation, for the reason appendQueued gives.
+// ship delivers the transaction's listed operations to their DCs — one
+// deliver call (one PerformBatch when there is more than one operation) per
+// DC, on the calling goroutine — and returns the first failure. Delivery does
+// not honor the transaction's cancellation, for the reason appendQueued gives.
 func (x *Txn) ship() error {
 	var first error
-	for i, items := range x.unsent {
-		if len(items) == 0 {
+	for i, ops := range x.unsent {
+		if len(ops) == 0 {
 			continue
 		}
-		if pipes := x.tc.pipes; pipes != nil {
-			pipes[i].post(items, &x.pend)
-		} else {
-			err := x.tc.deliver(x.sendCtx, x.tc.dcs[i], items, false)
-			if first == nil {
-				first = err
-			}
-		}
-		x.unsent[i] = items[:0]
+		first = firstErr(first, x.tc.deliver(x.sendCtx, x.tc.dcs[i], ops, false))
+		x.unsent[i] = ops[:0]
 	}
 	return first
-}
-
-// pipeline is the per-DC shipping queue and its worker.
-type pipeline struct {
-	t *TC
-	h *dcHandle
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []item
-	closed bool
-}
-
-func newPipeline(t *TC, h *dcHandle) *pipeline {
-	p := &pipeline{t: t, h: h}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// post enqueues a transaction's operations for shipping, as one unit, behind
-// its barrier pend. The items are copied: the caller reuses its list.
-func (p *pipeline) post(items []item, pend *pending) {
-	pend.add(len(items))
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for range items {
-			pend.done(ErrTCStopped)
-		}
-		return
-	}
-	for _, it := range items {
-		it.pend = pend
-		p.queue = append(p.queue, it)
-	}
-	p.cond.Signal()
-	p.mu.Unlock()
-}
-
-// close wakes the worker for shutdown. Queued, unshipped operations fail
-// with ErrTCStopped so barrier waiters unblock.
-func (p *pipeline) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// drop discards the queue (TC crash): the posting incarnation is gone and
-// its transactions will never commit. Batches already handed to deliver
-// are retired by its live-epoch check.
-func (p *pipeline) drop() {
-	p.mu.Lock()
-	q := p.queue
-	p.queue = nil
-	p.mu.Unlock()
-	for _, it := range q {
-		it.pend.done(ErrTCStopped)
-	}
-}
-
-func (p *pipeline) run() {
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			p.drop()
-			return
-		}
-		batch := p.queue
-		if len(batch) > maxBatch {
-			batch = batch[:maxBatch]
-			p.queue = append([]item(nil), p.queue[maxBatch:]...)
-		} else {
-			p.queue = nil
-		}
-		p.mu.Unlock()
-		// The worker ships on behalf of many transactions; each learns its
-		// operations' fate at its own barrier.
-		_ = p.t.deliver(context.Background(), p.h, batch, false)
-	}
 }

@@ -2,6 +2,7 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -79,7 +80,7 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		gated := newGatedService(d)
-		tcx, err := New(Config{ID: 1, Pipeline: true}, []base.Service{gated}, nil)
+		tcx, err := New(Config{ID: 1}, []base.Service{gated}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,16 +93,15 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 		}
 
 		// A versioned blind upsert needs no pre-read: its barrier logs it and
-		// posts it straight into the pipeline; the wrapper freezes the
-		// shipped batch mid-flight.
+		// ships it straight away; the wrapper freezes the shipped batch
+		// mid-flight, and the barrier with it.
 		gated.armed.Store(true)
 		ghost := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 		if err := ghost.Upsert("t", "ghost", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if err := ghost.flush(); err != nil {
-			t.Fatal(err)
-		}
+		barrier := make(chan error, 1)
+		go func() { barrier <- ghost.flush() }()
 		<-gated.parked
 
 		// Crash with the batch frozen on the wire; restart mints the next
@@ -124,6 +124,9 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 		}
 		if d.Stats().StaleEpochs == 0 {
 			t.Fatalf("iter %d: fence never fired", it)
+		}
+		if err := <-barrier; !errors.Is(err, ErrTCStopped) {
+			t.Fatalf("iter %d: the dead incarnation's barrier = %v, want ErrTCStopped", it, err)
 		}
 		if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 			Flavor: base.ReadDirty}); r.Found {

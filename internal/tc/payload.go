@@ -75,6 +75,11 @@ func decodeCommit(payload []byte) ([]tableKey, base.TS, error) {
 		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
 	}
 	payload = payload[w:]
+	// Every key pair takes at least its two length bytes: a count the rest of
+	// the payload cannot back is corruption, not a slice to allocate.
+	if n > uint64(len(payload))/2 {
+		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
+	}
 	out := make([]tableKey, 0, n)
 	readStr := func() (string, bool) {
 		m, w := binary.Uvarint(payload)

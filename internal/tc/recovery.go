@@ -21,17 +21,13 @@ var errLockTableLost = fmt.Errorf("tc: lock table lost in TC crash: %w", base.Er
 
 // Crash simulates a TC process failure: the log buffer (unforced tail),
 // lock table, transaction table (and with it every transaction's queued
-// writes), ack bookkeeping, and queued pipeline operations vanish. The
-// stable log survives. LSNs above the stable end
-// will be reused by the restarted incarnation — the DC-side reset protocol
-// (§5.3.2) makes that safe. The epoch fence activates when Recover mints
-// the next incarnation; anything a zombie call completes into the tracker
-// before then is wiped by recovery's re-base, and anything it delivers to
-// a DC before then is swept by BeginRestart.
+// writes) and ack bookkeeping vanish. The stable log survives. LSNs above
+// the stable end will be reused by the restarted incarnation — the DC-side
+// reset protocol (§5.3.2) makes that safe. The epoch fence activates when
+// Recover mints the next incarnation; anything a zombie call completes into
+// the tracker before then is wiped by recovery's re-base, and anything it
+// delivers to a DC before then is swept by BeginRestart.
 func (t *TC) Crash() {
-	for _, p := range t.pipes {
-		p.drop()
-	}
 	t.mu.Lock()
 	t.down = true
 	t.txns = make(map[base.TxnID]*Txn)
@@ -251,8 +247,8 @@ func (t *TC) RecoverDC(idx int) error {
 	defer h.setRecovering(false)
 
 	// Scan only sees the stable log, but operations whose replies already
-	// arrived may still sit in the unforced tail (always possible with
-	// pipelining, where an op is acknowledged long before any force).
+	// arrived may still sit in the unforced tail (a write is acknowledged at
+	// its barrier, before its transaction's commit record is forced).
 	// Force first so the redo stream covers every operation the DC might
 	// have lost from its cache.
 	t.log.Force()

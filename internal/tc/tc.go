@@ -11,8 +11,8 @@
 // operations concurrently, which in turn makes the TC-log's LSN order an
 // order-preserving serialization of the logical operation history.
 //
-// How logged operations reach a DC — one delivery routine behind the
-// inline and the pipelined shipping modes — is described in pipeline.go.
+// How logged operations reach a DC — one delivery routine, run by the
+// transaction that needs the acknowledgement — is described in deliver.go.
 package tc
 
 import (
@@ -47,52 +47,17 @@ const (
 	recEpoch                       // incarnation epoch minted at (re)start
 )
 
-// RangeProtocol selects the §3.1 range-locking strategy.
-type RangeProtocol uint8
-
-const (
-	// FetchAhead probes the DC for upcoming keys, locks them, reads, and
-	// re-probes if the read surfaces different keys (§3.1).
-	FetchAhead RangeProtocol = iota
-	// StaticRange locks buckets of a static partition of the key space;
-	// single-key operations lock their bucket too. Fewer locks, less
-	// concurrency (§3.1).
-	StaticRange
-)
-
-func (r RangeProtocol) String() string {
-	if r == StaticRange {
-		return "static-range"
-	}
-	return "fetch-ahead"
-}
-
-// Config shapes a TC.
+// Config shapes a TC. How logged operations are shipped and how ranges are
+// locked is not configurable: deliver.go and Txn.Scan describe the one way
+// each is done.
 type Config struct {
 	// ID is this TC's identity; a DC tracks abstract LSNs per TC ID.
 	ID base.TCID
 	// LockTimeout bounds lock waits (0: wait forever, deadlock detection
 	// still applies).
 	LockTimeout time.Duration
-	// Protocol selects the range-locking strategy.
-	Protocol RangeProtocol
 	// ForceDelay simulates stable-log force latency (group commit).
 	ForceDelay time.Duration
-	// Pipeline ships logged writes from a per-DC worker goroutine. Either
-	// way Insert/Update/Upsert/Delete only queue the write: the transaction's
-	// next barrier (commit, scan, unlocked read, 64 queued writes) fetches
-	// the missing undo images in one batch per DC, appends the op records
-	// and ships them. On, the barrier posts them into the per-DC pipeline
-	// and returns; the worker sends as soon as the previous batch is
-	// acknowledged, Commit overlaps the commit-record force with draining
-	// the transaction's outstanding acks and releases locks only after both
-	// complete, and a cancelled Commit can return before its writes are
-	// acknowledged. Off (the default), the transaction's own goroutine ships
-	// them as one batch per DC and the barrier returns with them
-	// acknowledged. That sends the fewest frames and pays no goroutine
-	// hand-off, which is faster both when the DC is a direct call away and on
-	// a CPU-bound link.
-	Pipeline bool
 	// Clock is the timestamp source for commit timestamps and snapshot
 	// reads (default: a process-wide monotonic clock.System with zero
 	// uncertainty). Deployments spanning machines install a clock whose
@@ -115,9 +80,6 @@ type Config struct {
 }
 
 const (
-	// rangeBuckets sizes the static partition every table gets under
-	// StaticRange.
-	rangeBuckets = 16
 	// probeWidth is the fetch-ahead batch size.
 	probeWidth = 32
 	// watermarkInterval is the period of the EOSL/LWM/safe-timestamp
@@ -204,10 +166,6 @@ type TC struct {
 	router placement.Router
 	clock  clock.Clock
 
-	// partition is the static range partition of every table's key space
-	// (StaticRange protocol).
-	partition lockmgr.Partition
-
 	mu      sync.Mutex
 	down    bool
 	txns    map[base.TxnID]*Txn
@@ -227,9 +185,6 @@ type TC struct {
 	activeSnaps map[base.TS]int      // registered snapshot read timestamps
 
 	acks *ackTracker
-
-	// pipes are the per-DC shipping pipelines (nil unless cfg.Pipeline).
-	pipes []*pipeline
 
 	// epoch is the durable incarnation number: minted strictly larger on
 	// every (re)start and forced into the log *before* it is stamped on any
@@ -299,7 +254,6 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 		locks:       lockmgr.New(),
 		router:      router,
 		clock:       cfg.Clock,
-		partition:   lockmgr.UniformBytePartition(rangeBuckets),
 		txns:        make(map[base.TxnID]*Txn),
 		acks:        newAckTracker(),
 		stopCh:      make(chan struct{}),
@@ -328,16 +282,6 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	}
 	for _, svc := range dcs {
 		t.dcs = append(t.dcs, newDCHandle(svc))
-	}
-	if cfg.Pipeline {
-		// Workers exit on Close but are not waited for: one can be blocked
-		// inside a wire call that only unblocks when the deployment closes
-		// the client stubs afterwards.
-		for _, h := range t.dcs {
-			p := newPipeline(t, h)
-			t.pipes = append(t.pipes, p)
-			go p.run()
-		}
 	}
 	t.wg.Add(1)
 	go t.watermarkLoop()
@@ -402,15 +346,13 @@ func (t *TC) ActiveTxns() int {
 }
 
 // Close stops background work (the TC stays usable for reads of state).
-// Logged operations still queued or being resent fail with ErrTCStopped so
-// their transactions unblock; one already inside a wire call against a
-// down DC unblocks only once that client stub is closed too — close the
-// TC first and then the stubs, as core.Deployment.Close does.
+// Logged operations being resent fail with ErrTCStopped so their
+// transactions — and the finisher of a cancelled Commit, which Close does
+// not wait for — unblock; one already inside a wire call against a down DC
+// unblocks only once that client stub is closed too — close the TC first
+// and then the stubs, as core.Deployment.Close does.
 func (t *TC) Close() {
 	t.stopOnce.Do(func() { close(t.stopCh) })
-	for _, p := range t.pipes {
-		p.close()
-	}
 	t.wg.Wait()
 }
 
@@ -704,7 +646,7 @@ func (a *ackTracker) Complete(lsn base.LSN) {
 
 // LWM returns the current low-water mark. An LSN is taken only when its
 // operation is about to leave — a read as it is sent, a write's record at
-// the barrier that ships it (see pipeline.go) — so the mark, and with it the
+// the barrier that ships it (see deliver.go) — so the mark, and with it the
 // RSSP a checkpoint may propose and the prefix a DC may fold out of its
 // abstract LSNs, trails only operations actually in flight, never a
 // transaction that wrote and then idles or waits for a lock.

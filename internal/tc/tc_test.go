@@ -225,78 +225,70 @@ func TestVersionedCommitAndAbort(t *testing.T) {
 	}
 }
 
-func TestScanBothProtocols(t *testing.T) {
-	for _, proto := range []RangeProtocol{FetchAhead, StaticRange} {
-		t.Run(proto.String(), func(t *testing.T) {
-			tcx, _ := newPair(t, Config{Protocol: proto})
-			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-				for i := 0; i < 30; i++ {
-					if err := x.Insert("t", fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+func TestScan(t *testing.T) {
+	tcx, _ := newPair(t, Config{})
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		for i := 0; i < 30; i++ {
+			if err := x.Insert("t", fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				return err
 			}
-			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-				keys, vals, err := x.Scan("t", "k010", "k020", 0)
-				if err != nil {
-					return err
-				}
-				if len(keys) != 10 || len(vals) != 10 || keys[0] != "k010" || keys[9] != "k019" {
-					return fmt.Errorf("scan = %v", keys)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		keys, vals, err := x.Scan("t", "k010", "k020", 0)
+		if err != nil {
+			return err
+		}
+		if len(keys) != 10 || len(vals) != 10 || keys[0] != "k010" || keys[9] != "k019" {
+			return fmt.Errorf("scan = %v", keys)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestScanBlocksConflictingWriter(t *testing.T) {
-	// Both protocols must prevent a concurrent writer from changing the
+	// The range protocol must prevent a concurrent writer from changing the
 	// scanned range until the scanner finishes (serializability of the
 	// scanned keys).
-	for _, proto := range []RangeProtocol{FetchAhead, StaticRange} {
-		t.Run(proto.String(), func(t *testing.T) {
-			tcx, _ := newPair(t, Config{Protocol: proto})
-			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-				for i := 0; i < 10; i++ {
-					if err := x.Insert("t", fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+	tcx, _ := newPair(t, Config{})
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		for i := 0; i < 10; i++ {
+			if err := x.Insert("t", fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				return err
 			}
-			x := tcx.Begin(context.Background(), TxnOptions{})
-			keys, _, err := x.Scan("t", "k000", "k009", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(keys) != 9 {
-				t.Fatalf("scan = %v", keys)
-			}
-			// A writer to a scanned key must block until the scan txn ends.
-			done := make(chan error, 1)
-			go func() {
-				done <- tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
-					return y.Update("t", "k005", []byte("w"))
-				})
-			}()
-			select {
-			case err := <-done:
-				t.Fatalf("writer not blocked by scan locks: %v", err)
-			case <-time.After(30 * time.Millisecond):
-			}
-			x.Commit()
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	keys, _, err := x.Scan("t", "k000", "k009", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 9 {
+		t.Fatalf("scan = %v", keys)
+	}
+	// A writer to a scanned key must block until the scan txn ends.
+	done := make(chan error, 1)
+	go func() {
+		done <- tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
+			return y.Update("t", "k005", []byte("w"))
 		})
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("writer not blocked by scan locks: %v", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	x.Commit()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

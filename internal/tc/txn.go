@@ -118,7 +118,10 @@ type queued struct {
 // from a single goroutine (many transactions run concurrently). It carries
 // the context it was begun with: every lock wait and read honors that
 // context's cancellation and deadline, while the delivery of logged writes
-// deliberately does not (see appendQueued).
+// deliberately does not (see appendQueued). After Commit or Abort has
+// returned, every method answers ErrTxnDone from the state field alone: a
+// cancelled Commit leaves the rest of the transaction to its finisher
+// goroutine, which never touches state.
 type Txn struct {
 	tc  *TC
 	ctx context.Context
@@ -145,15 +148,10 @@ type Txn struct {
 	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
 	// logs and ships it; Abort drops it.
 	queue []queued
-	// unsent holds, per DC, the logged operations not yet handed to deliver
-	// or to the DC's pipeline, in log order. It is non-empty only inside a
-	// barrier and while a commit's finalize operations collect.
-	unsent [][]item
-	// pend is the barrier over this transaction's pipelined operations:
-	// writes posted into the per-DC pipelines complete here, and Commit/
-	// Abort (and scans, for read-your-writes) wait on it before relying on
-	// DC state. Always empty when shipping is inline.
-	pend pending
+	// unsent holds, per DC, the logged operations not yet handed to deliver,
+	// in log order. It is non-empty only inside a barrier and while a
+	// commit's finalize operations collect.
+	unsent [][]*base.Op
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
@@ -273,21 +271,9 @@ func (x *Txn) ID() base.TxnID { return x.id }
 // Context returns the context the transaction was begun with.
 func (x *Txn) Context() context.Context { return x.ctx }
 
-// lockFor acquires the transactional lock guarding a single-key access.
-// Under the static-range protocol the bucket is locked instead of the key
-// (§3.1: fewer locks, less concurrency). The wait honors the transaction's
+// lock acquires a transactional lock. The wait honors the transaction's
 // context and per-transaction lock timeout; any failure aborts the
 // transaction (locks may not be left half-acquired).
-func (x *Txn) lockFor(table, key string, mode lockmgr.Mode) error {
-	var res lockmgr.Resource
-	if x.tc.cfg.Protocol == StaticRange {
-		res = lockmgr.RangeRes(table, x.tc.partition.Locate(key))
-	} else {
-		res = lockmgr.KeyRes(table, key)
-	}
-	return x.lock(res, mode)
-}
-
 func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
 	err := x.tc.locks.LockWait(x.ctx, x.id, res, mode, x.opts.lockWait(x.tc.cfg.LockTimeout))
 	if err != nil {
@@ -344,7 +330,7 @@ func (x *Txn) Read(table, key string) ([]byte, bool, error) {
 	if x.snapTS != 0 {
 		return x.snapshotRead(table, key)
 	}
-	if err := x.lockFor(table, key, lockmgr.S); err != nil {
+	if err := x.lock(lockmgr.KeyRes(table, key), lockmgr.S); err != nil {
 		return nil, false, err
 	}
 	return x.readOp(table, key, base.ReadPlain, true)
@@ -446,7 +432,7 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 	if x.state != txnActive {
 		return nil, false, ErrTxnDone
 	}
-	if err := x.drain(); err != nil {
+	if err := x.flush(); err != nil {
 		return nil, false, err
 	}
 	return x.readOp(table, key, base.ReadCommitted, false)
@@ -454,7 +440,7 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 
 // ReadDirty reads the latest (possibly uncommitted) version without
 // locking (§6.2.1). "Latest" is what has reached the DC: this transaction's
-// own writes are shipped first (drain), but another TC's transaction shows
+// own writes are shipped first (flush), but another TC's transaction shows
 // its uncommitted versions only from its next barrier on — a scan, an
 // unlocked read, a full batch, its commit — not from the call that wrote
 // them.
@@ -462,24 +448,10 @@ func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	if x.state != txnActive {
 		return nil, false, ErrTxnDone
 	}
-	if err := x.drain(); err != nil {
+	if err := x.flush(); err != nil {
 		return nil, false, err
 	}
 	return x.readOp(table, key, base.ReadDirty, false)
-}
-
-// drain runs the write barrier — the queued writes are logged and shipped —
-// and waits out the shipped ones before an operation that must observe them
-// at the DC (scans and unlocked reads bypass the transaction cache, so
-// read-your-writes needs them applied). Point reads never need it: every
-// write is recorded in the cache. The barrier's pre-read and the wait on
-// pipelined operations honor the transaction's context; the delivery of a
-// logged operation does not.
-func (x *Txn) drain() error {
-	if err := x.flush(); err != nil {
-		return err
-	}
-	return x.pend.wait(x.ctx)
 }
 
 // valueOf returns the current value under an already-held X lock, going to
@@ -556,7 +528,7 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		_ = x.Abort()
 		return err
 	}
-	if err := x.lockFor(table, key, lockmgr.X); err != nil {
+	if err := x.lock(lockmgr.KeyRes(table, key), lockmgr.X); err != nil {
 		return err
 	}
 	tk := tableKey{table, key}
@@ -620,52 +592,90 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // before versions; non-blocking for readers, no two-phase commit), then
 // release locks (strict two-phase locking).
 //
-// Commit is the transaction's write barrier. The queued writes are logged
-// and shipped first (flush) — inline, one batch per DC, acknowledged before
-// the commit record is appended, so a barrier that fails (a cancelled
-// pre-read, the TC stopped underneath) is still a clean abort — and the
-// finalize operations of a versioned commit leave as a second batch after
-// the commit record. Pipelined, the commit-record force overlaps draining the
-// transaction's outstanding DC acks. Either
-// way locks are released only after every write and finalize is
-// acknowledged and the commit record is stable, so no other transaction can
-// observe a not-yet-applied write. A barrier failure after the commit
-// record (the TC was closed or crashed underneath a committing
-// transaction) is reported, but the outcome is the log's: restart treats
-// the transaction as a winner and re-delivers its logged operations.
+// Commit is the transaction's last write barrier, in two parts. The part
+// that can still be given up runs here, under the transaction's context: the
+// orphan check and the pre-read of missing undo images. A failure there has
+// logged nothing and is a clean abort. Everything from the first log append
+// on is commitLogged, which never consults the context.
 //
-// Cancellation abandons the waits, never the protocol: Commit returns
-// promptly with an error wrapping ErrCommitAmbiguous and base.ErrCancelled
-// (the commit record is already appended, so the outcome is whatever the
-// log decides), but the transaction's locks are NOT released early — a
-// detached finisher holds them until every shipped operation is
-// acknowledged and the commit record is stable, preserving strict 2PL: no
-// other transaction can observe a not-yet-applied write or a
-// not-yet-durable commit.
+// Who runs commitLogged follows from the context. One that can never be
+// cancelled (context.Background, the usual case) gets a plain call. Under one
+// that can, it runs on a goroutine of its own and Commit returns on whichever
+// comes first: its result — looked at first, so a commit that already
+// finished is never reported ambiguous — or the cancellation. A cancelled
+// Commit returns promptly with an error wrapping ErrCommitAmbiguous and
+// base.ErrCancelled, and abandons only the wait, never the protocol: the
+// goroutine is the transaction's detached finisher, it holds the locks until
+// every shipped operation is acknowledged and the commit record is stable, so
+// no other transaction can observe a not-yet-applied write or a
+// not-yet-durable commit. The transaction is marked done for its caller
+// before the hand-off: a later Abort or Commit (a deferred Abort, say) is an
+// ErrTxnDone no-op that cannot race the finisher.
 func (x *Txn) Commit() error {
 	if x.state != txnActive {
 		return ErrTxnDone
 	}
-	if x.orphaned() {
-		return x.die()
+	epoch, err := x.preRead()
+	if err != nil {
+		_ = x.Abort() // a no-op for an orphan, which preRead has retired
+		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
-	t := x.tc
+	x.state = txnCommitted
 	if x.lastLSN == 0 && len(x.queue) == 0 {
 		// Read-only (or no-op) commit: the transaction wrote nothing, so
 		// there is no outcome to make durable — no commit record, no log
 		// force. Restart treats an unlogged transaction as having no
 		// effects, which is exactly right.
-		x.state = txnCommitted
-		t.commits.Add(1)
+		x.tc.commits.Add(1)
 		x.finish()
 		return nil
 	}
+	if x.ctx.Done() == nil {
+		err = x.commitLogged(epoch)
+	} else {
+		done := make(chan error, 1) // one send, never blocked on an absent caller
+		go func() { done <- x.commitLogged(epoch) }()
+		select {
+		case err = <-done:
+		case <-x.ctx.Done():
+			select {
+			case err = <-done:
+			default:
+				return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, base.CancelErr(x.ctx))
+			}
+		}
+	}
+	if err != nil && !errors.Is(err, ErrCommitAmbiguous) {
+		x.state = txnAborted // commitLogged rolled it back
+	}
+	return err
+}
+
+// commitLogged is Commit from the first log append to the lock release, one
+// straight line that no cancellation interrupts: log the queued writes and
+// ship them, one batch per DC, acknowledged before the commit record is
+// appended — so a ship that fails (the TC stopped underneath) still rolls the
+// transaction back and is a plain failure; append and force the commit
+// record; publish the new stable boundary; log and ship the finalize
+// operations of a versioned commit as a second batch; release the locks. A
+// failure after the commit record is reported wrapping ErrCommitAmbiguous:
+// the outcome is the log's, restart treats the transaction as a winner and
+// re-delivers its logged operations. Locks are released only after every
+// write and finalize is acknowledged and the commit record is stable.
+//
+// It may run on the finisher goroutine of a cancelled Commit, so it leaves
+// x.state — all the caller's goroutine still reads — alone.
+func (x *Txn) commitLogged(epoch base.Epoch) error {
+	t := x.tc
 	var vkeys []tableKey
 	for tk := range x.versioned {
 		vkeys = append(vkeys, tk)
 	}
-	if err := x.flush(); err != nil {
-		_ = x.Abort()
+	x.appendQueued(epoch)
+	if err := x.ship(); err != nil {
+		if !x.orphaned() { // else restart owns the undo; see die
+			x.rollback()
+		}
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
 	if len(vkeys) > 0 {
@@ -678,87 +688,32 @@ func (x *Txn) Commit() error {
 		Payload: encodeCommit(vkeys, x.commitTS)}
 	cLSN := t.log.AppendAssign(rec)
 	t.acks.Complete(cLSN) // local record: no DC round trip
-	// The force runs in a goroutine when there are acks to overlap it with
-	// or it must be abandonable (cancellable ctx); forced is nil when it
-	// already completed inline.
-	var forced chan struct{}
-	if !x.pend.empty() || x.ctx.Done() != nil {
-		forced = make(chan struct{})
-		go func() {
-			t.log.ForceTo(cLSN)
-			close(forced)
-		}()
-	} else {
-		t.log.ForceTo(cLSN)
-	}
-	barrierErr := x.pend.wait(x.ctx)
-	if forced != nil && barrierErr == nil {
-		select {
-		case <-forced:
-		case <-x.ctx.Done():
-			barrierErr = base.CancelErr(x.ctx)
-		}
-	}
+	t.log.ForceTo(cLSN)
 	// Publish the new stable boundary: cached pages with this transaction's
 	// operations become flushable (causality). No frame is sent for it — it
 	// rides this TC's next request toward each DC (the finalize batch below,
 	// the next transaction's pre-read) or, from an idle TC, the next tick.
 	t.publishStable()
-	x.state = txnCommitted
 	t.commits.Add(1)
 	// §6.2.2: "When an updating TC commits the transaction, it sends
 	// updates to the DC to eliminate the before versions." These are
 	// logged so restart re-delivers them for winners. They travel like the
-	// writes they finalize — one batch per DC inline, the per-DC queues
-	// pipelined, ordered after those writes either way — and are
-	// acknowledged before lock release. A cancelled caller leaves them to
-	// the finisher: their delivery can block arbitrarily on a down DC.
-	finalized := !errors.Is(barrierErr, base.ErrCancelled)
-	if finalized {
-		if err := x.finalize(vkeys); barrierErr == nil {
-			barrierErr = err
-		}
-		if barrierErr == nil {
-			barrierErr = x.pend.wait(x.ctx)
-		}
-	}
-	if errors.Is(barrierErr, base.ErrCancelled) {
-		// The caller returns promptly; a detached finisher sees the rest of
-		// the protocol through — finalize operations not yet issued (the
-		// commit record already carries the versioned write set, so restart
-		// re-finalizes winners regardless), every outstanding ack, the
-		// force — and only then releases the locks. forced is non-nil: only
-		// a cancellable context gets here.
-		go func() {
-			if !finalized {
-				_ = x.finalize(vkeys)
-			}
-			_ = x.pend.wait(context.Background())
-			<-forced
-			x.finish()
-		}()
-	} else {
-		// Non-cancel failures only surface with the barrier fully drained
-		// (pend.wait returns sticky errors at zero outstanding), so locks
-		// can release now; still see the force through.
-		if forced != nil {
-			<-forced
-		}
-		x.finish()
-	}
-	if barrierErr != nil {
-		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, barrierErr)
+	// writes they finalize — one batch per DC, ordered after those writes —
+	// and are acknowledged before lock release.
+	err := x.finalize(vkeys)
+	x.finish()
+	if err != nil {
+		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
 	}
 	return nil
 }
 
 // finish releases the transaction's locks and drops it from the table:
-// the 2PL release point. Runs exactly once per transaction — inline on
-// the normal paths, from the detached finisher on a cancelled commit. It
-// also releases the transaction's timestamp registrations: the snapshot
-// pin on the GC horizon, and the outstanding commit timestamp (every
-// path reaching finish after a commit has the finalize operations
-// acknowledged, so the safe timestamp may now pass it).
+// the 2PL release point. Runs exactly once per transaction, as the last step
+// of commitLogged or rollback. It also releases the transaction's timestamp
+// registrations: the snapshot pin on the GC horizon, and the outstanding
+// commit timestamp (every path reaching finish after a commit has the
+// finalize operations acknowledged, so the safe timestamp may now pass it).
 func (x *Txn) finish() {
 	t := x.tc
 	if x.snapTS != 0 || x.commitTS != 0 {
@@ -784,13 +739,16 @@ func (x *Txn) finish() {
 // barrier's sake only: the operations are logged, so restart re-delivers
 // them for winners.
 func (x *Txn) finalize(vkeys []tableKey) error {
+	var first error
 	for _, tk := range vkeys {
-		x.finalizeOp(base.OpCommitVersions, tk)
+		first = firstErr(first, x.finalizeOp(base.OpCommitVersions, tk))
 	}
-	return x.ship()
+	return firstErr(first, x.ship())
 }
 
-func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
+// finalizeOp logs one finalize operation and lists it for its DC; a list that
+// reaches maxBatch is shipped, and that ship's failure returned.
+func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) error {
 	t := x.tc
 	// The forward write resolved this key's placement when it was issued,
 	// so under a stable placement this cannot fail; resolving before the
@@ -798,7 +756,7 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 	// operations ever consume a logged LSN.
 	idx, err := t.dcIndex(tk.table, tk.key)
 	if err != nil {
-		return
+		return nil
 	}
 	// Commit-versions operations carry the commit timestamp: the DC stamps
 	// it on the record as it removes the before version, making the write
@@ -812,25 +770,16 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 	op.LSN = t.log.AppendAssign(rec)
 	x.list(idx, op)
 	if len(x.unsent[idx]) >= maxBatch {
-		// The outcome is not needed here: a stopped TC fails the commit
-		// barrier alike (x.pend pipelined, finalize's last ship inline),
-		// and the records are logged, so restart re-delivers them for
-		// winners.
-		_ = x.ship()
+		return x.ship()
 	}
+	return nil
 }
 
-// Abort rolls the transaction back: walk the undo chain in reverse
-// chronological order, sending inverse logical operations (logged as
-// compensation records so restart never undoes twice), then release locks
-// (§4.1.1(2b)). Writes still queued were never logged or shipped: they are
-// dropped, with nothing to invert. Every logged write was handed to deliver
-// by the barrier that logged it; outstanding pipelined ones are drained
-// first, so an inverse can never overtake the forward operation it undoes
-// and every CLR finds the effect it compensates. A transaction that never
-// logged anything appends nothing either, like the read-only commit. Abort
-// does not honor cancellation: the rollback protocol must complete before
-// the locks can be released (a cancelled transaction still aborts cleanly).
+// Abort rolls the transaction back (§4.1.1(2b)) and releases its locks; see
+// rollback. A transaction that never logged anything appends nothing, like
+// the read-only commit. Abort does not honor cancellation: the rollback
+// protocol must complete before the locks can be released (a cancelled
+// transaction still aborts cleanly).
 func (x *Txn) Abort() error {
 	if x.state != txnActive {
 		if x.state == txnAborted {
@@ -841,19 +790,28 @@ func (x *Txn) Abort() error {
 	if x.orphaned() {
 		return x.die()
 	}
+	x.rollback()
+	x.state = txnAborted
+	return nil
+}
+
+// rollback walks the undo chain in reverse chronological order, sending
+// inverse logical operations (logged as compensation records so restart
+// never undoes twice), then releases the locks. Writes still queued were
+// never logged or shipped: they are dropped, with nothing to invert. Every
+// logged write was acknowledged at the barrier that logged it, so an inverse
+// can never overtake the forward operation it undoes and every CLR finds the
+// effect it compensates.
+func (x *Txn) rollback() {
 	t := x.tc
 	x.queue = nil
 	if x.lastLSN != 0 {
-		// Barrier failures still leave the log authoritative.
-		_ = x.pend.wait(context.Background())
 		t.undoChain(x.id, x.lastLSN)
 		aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 		t.acks.Complete(aLSN) // local record: no DC round trip
 	}
-	x.state = txnAborted
 	x.finish()
 	t.aborts.Add(1)
-	return nil
 }
 
 // undoChain applies inverse operations for the chain starting at lastLSN.
@@ -925,9 +883,10 @@ func inverseOp(op *base.Op, prior []byte, priorFound bool) *base.Op {
 	return nil
 }
 
-// Scan reads [lo, hi) in this TC's partition with full locking, using the
-// configured §3.1 range protocol. hi == "" scans to the end of the table's
-// partition; limit <= 0 means unlimited.
+// Scan reads [lo, hi) in this TC's partition with full locking. Of the §3.1
+// range protocols fetch-ahead is the one implemented; static range locks are
+// not. hi == "" scans to the end of the table's partition; limit <= 0 means
+// unlimited.
 func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byte, err error) {
 	if x.state != txnActive {
 		return nil, nil, ErrTxnDone
@@ -947,23 +906,8 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 		}
 		return res.Keys, res.Values, nil
 	}
-	if err := x.drain(); err != nil {
+	if err := x.flush(); err != nil {
 		return nil, nil, err
-	}
-	if x.tc.cfg.Protocol == StaticRange {
-		for _, b := range x.tc.partition.Overlapping(lo, hi) {
-			if err := x.lock(lockmgr.RangeRes(table, b), lockmgr.S); err != nil {
-				return nil, nil, err
-			}
-		}
-		res, err := x.rangeOp(table, lo, hi, limit, base.ReadPlain)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := x.resErr(res); err != nil {
-			return nil, nil, err
-		}
-		return res.Keys, res.Values, nil
 	}
 	return x.fetchAheadScan(table, lo, hi, limit)
 }
@@ -1034,7 +978,7 @@ func (x *Txn) ScanCommitted(table, lo, hi string, limit int) ([]string, [][]byte
 	if x.state != txnActive {
 		return nil, nil, ErrTxnDone
 	}
-	if err := x.drain(); err != nil {
+	if err := x.flush(); err != nil {
 		return nil, nil, err
 	}
 	res, err := x.rangeOp(table, lo, hi, limit, base.ReadCommitted)
@@ -1052,7 +996,7 @@ func (x *Txn) ScanDirty(table, lo, hi string, limit int) ([]string, [][]byte, er
 	if x.state != txnActive {
 		return nil, nil, ErrTxnDone
 	}
-	if err := x.drain(); err != nil {
+	if err := x.flush(); err != nil {
 		return nil, nil, err
 	}
 	res, err := x.rangeOp(table, lo, hi, limit, base.ReadDirty)

@@ -84,7 +84,7 @@ func (c *Client) SetDown(down bool) {
 }
 
 // Closed reports whether Close has been called. Callers with their own
-// retry loops (the TC's pipelines) use it to stop resending through a
+// retry loops (tc.deliver) use it to stop resending through a
 // stub whose every reply will be CodeUnavailable.
 func (c *Client) Closed() bool {
 	select {

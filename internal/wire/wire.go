@@ -17,7 +17,7 @@
 //
 // Operations and results cross the wire in their binary encodings, so the
 // serialization cost the paper's unbundling implies is actually paid.
-// Pipelined senders ship whole batches of operations in one message
+// A TC ships a barrier's whole batch of operations in one message
 // (msgPerformBatch) with per-operation results in the reply, amortizing a
 // round trip over many operations while preserving arrival order at the DC.
 //
@@ -123,8 +123,8 @@ const (
 	// keep old frames decoding identically.
 	msgCatalog
 	// msgReplyBatch coalesces several msgReply frames into one — the
-	// inverse of msgPerformBatch: where a pipelined sender amortizes a
-	// round trip over many operations, the server amortizes a flush (and,
+	// inverse of msgPerformBatch: where a sender amortizes a round trip
+	// over many operations, the server amortizes a flush (and,
 	// at the TC, a commit-force window) over many acks. Appended last, so
 	// old frames decode identically.
 	msgReplyBatch

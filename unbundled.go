@@ -91,13 +91,15 @@
 // # Contexts and cancellation
 //
 // Every wait in the stack honors the transaction's context: lock-manager
-// queues, wire send/resend loops and unavailable-retry pauses, the
-// pipelined commit's ack barrier, and simulated log-force latency. A
-// cancelled wait returns promptly with an error that errors.Is-matches
-// both ErrCancelled and the context's own error. One thing is deliberately
-// not cancellable: the delivery of an already-logged write. Its record is
-// in the TC-log, so the §4.2 resend/redo contract must (and will) run to
-// completion — cancellation abandons waits, never the protocol.
+// queues, wire send/resend loops and unavailable-retry pauses, a barrier's
+// pre-read, and Commit's wait for its own outcome. A cancelled wait returns
+// promptly with an error that errors.Is-matches both ErrCancelled and the
+// context's own error. One thing is deliberately not cancellable: the
+// delivery of an already-logged write. Its record is in the TC-log, so the
+// §4.2 resend/redo contract must (and will) run to completion —
+// cancellation abandons waits, never the protocol. A Commit cancelled past
+// its first log append returns ErrCommitAmbiguous at once and the
+// transaction is finished behind it, locks held until it is.
 //
 // # Errors
 //
@@ -145,22 +147,12 @@
 // another TC's ReadDirty/ScanDirty sees a writer's uncommitted versions
 // from the writer's next barrier, not from the call that wrote them.
 //
-// TCConfig.Pipeline changes only who ships at the barrier. By default the
-// transaction's own goroutine does, and the barrier returns with the
-// operations acknowledged. With Pipeline the barrier posts each DC's list
-// into a per-DC pipeline and returns immediately. Each pipeline keeps
-// exactly one batch in flight per DC: operations queued behind it are
-// coalesced into a single PerformBatch wire message (per-op results in the
-// reply) that the DC executes in arrival order, so the logical operation
-// stream per DC never reorders and each op keeps its LSN request ID for
-// resend idempotence. The ack barrier sits at commit: Commit appends the
-// commit record, then overlaps forcing it with draining the transaction's
-// outstanding DC acknowledgements, and releases locks only after both — no
-// other transaction can ever observe a not-yet-applied write, preserving
-// strict two-phase locking semantics. Abort drains before sending inverse
-// operations, and scans drain for read-your-writes. What the worker adds
-// over the default is overlap of the log force with the acknowledgements,
-// and a cancelled Commit that returns before its writes are acknowledged.
+// There is one shipping path: the transaction's own goroutine ships at the
+// barrier, and the barrier returns with the operations acknowledged. Strict
+// two-phase locking keeps operations of concurrent transactions from
+// conflicting, which is all the order §4.2 asks of the wire, so concurrent
+// committers each send their own frame; locks are released only after every
+// write and finalize is acknowledged and the commit record is stable.
 //
 // The §4.2.1 watermarks — end of stable log, low-water mark, and the safe
 // timestamp of the snapshot protocol — are one-way hints whose delay only
@@ -233,12 +225,12 @@
 //
 // Both binaries expose an HTTP admin endpoint with -admin <addr>: /stats
 // is a JSON snapshot of every component's counters (TC transaction and
-// pipeline counters, DC operation and recovery counters, per-connection
+// shipping counters, DC operation and recovery counters, per-connection
 // wire counters — one schema over both transports), /healthz reports
 // drain state (503 while draining, so health-checking load balancers
 // eject the instance), and /drain + /undrain quiesce and restore the
 // component. Draining is an admission gate, not a shutdown: in-flight
-// transactions finish (including the pipelined ack barrier), new work is
+// transactions finish (a cancelled Commit's finisher included), new work is
 // refused with the transient ErrDraining — which auto-routed clients ride
 // out by retrying onto an undrained peer — and /healthz reports
 // "quiesced" once nothing is left in flight. Drain state dies with the
@@ -251,8 +243,8 @@
 // # Restart safety: incarnation epochs
 //
 // A restarted TC reuses the LSN space above its stable log end (§5.3.2),
-// so a request the dead incarnation still had on the wire — a pipelined
-// batch, a synchronous resend, a watermark broadcast, even a checkpoint
+// so a request the dead incarnation still had on the wire — a barrier's
+// batch, a resend, a watermark broadcast, even a checkpoint
 // call — must never take effect afterwards: its log record died with the
 // unforced tail, and executing it would both apply a write no undo covers
 // and record a reused LSN in the DC's abstract-LSN idempotence tables.
@@ -308,9 +300,8 @@ type (
 	// TC), round-trippable through ParsePlacement and String.
 	Placement = placement.Placement
 	// TCConfig customizes one transactional component: ID, LockTimeout,
-	// Protocol (range locking), ForceDelay, Pipeline, Clock,
-	// SnapshotRetention and Dir. Batch size, watermark period, fetch-ahead
-	// width and static-range bucket count are constants of the TC.
+	// ForceDelay, Clock, SnapshotRetention and Dir. Batch size, watermark
+	// period and fetch-ahead width are constants of the TC.
 	TCConfig = tc.Config
 	// DCConfig customizes one data component.
 	DCConfig = dc.Config
@@ -330,14 +321,6 @@ type (
 	DC = dc.DC
 	// Txn is a user transaction executing at a TC.
 	Txn = tc.Txn
-	// RangeProtocol selects the §3.1 range-locking strategy.
-	RangeProtocol = tc.RangeProtocol
-)
-
-// Range-locking protocols (§3.1).
-const (
-	FetchAhead  = tc.FetchAhead
-	StaticRange = tc.StaticRange
 )
 
 // Snapshot policies for read-only transactions.
