@@ -31,8 +31,9 @@ type position struct{ file, at int }
 
 // minTokens is the shortest run reported. It sits above the longest
 // look-alike the tree accepts (88 tokens: the byte readers of dclog and
-// page) and below the copy this check was written to keep out (133:
-// pruneForSplit, once in both dc/recovery.go and monolith/recovery.go).
+// page) and below the copy this check was written to keep out (133: the
+// key cut of a split's left page, now page.CutAt, once in both
+// dc/recovery.go and monolith/recovery.go as pruneForSplit).
 const minTokens = 100
 
 func main() {

@@ -4,9 +4,11 @@
 // the DC-log (§5.2.2). The tree is "maintained behind the scenes": the TC
 // never sees pages, only records. The package also holds what every engine
 // over these pages does to the physical structure as a whole — the catalog
-// page, formatting, table creation (forest.go) and the redo of the system
-// transactions logged here (redo.go) — so the DC and the monolith baseline
-// share it instead of each telling it again.
+// page, formatting, table creation (forest.go) and what each system
+// transaction does to the pages (redo.go) — so the DC and the monolith
+// baseline share it, and a system transaction is told once: this file only
+// decides one and logs it; the page changes are what redo.go makes of the
+// record, appended a moment ago or replayed after a crash.
 //
 // Concurrency: a tree-level reader/writer lock protects the structure
 // (descent holds it shared; system transactions hold it exclusive), and
@@ -52,8 +54,11 @@ type Tree struct {
 	pool  *buffer.Pool
 	alloc func() base.PageID
 	smo   dclog.Logger
-	// onRootChange persists the new root in the DC catalog within the same
-	// system transaction (same dLSN).
+	// catalog marks a Forest's tree: its system transactions write their
+	// root changes to the catalog page (applier.setRoot).
+	catalog bool
+	// onRootChange, when non-nil, hears of a new root and the dLSN of the
+	// system transaction that made it.
 	onRootChange func(newRoot base.PageID, dlsn base.DLSN)
 
 	lock sync.RWMutex
@@ -86,21 +91,24 @@ func (t *Tree) Stats() (splits, consolidates uint64) {
 	return t.splits, t.consolidates
 }
 
+// fetch pins page id, which the structure names and so must exist.
+func (t *Tree) fetch(id base.PageID) (*page.Page, error) {
+	pg, err := t.pool.Fetch(id)
+	if err == nil && pg == nil {
+		err = fmt.Errorf("btree %s: dangling page %d", t.table, id)
+	}
+	return pg, err
+}
+
 // descendLocked walks from the root to the leaf covering key; the caller
 // holds the tree lock (shared suffices: branch pages only change under the
 // exclusive lock). The returned leaf is pinned.
 func (t *Tree) descendLocked(key string) (*page.Page, error) {
 	id := t.root
 	for {
-		pg, err := t.pool.Fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		if pg == nil {
-			return nil, fmt.Errorf("btree %s: dangling page %d", t.table, id)
-		}
-		if pg.Leaf {
-			return pg, nil
+		pg, err := t.fetch(id)
+		if err != nil || pg.Leaf {
+			return pg, err
 		}
 		next := pg.ChildFor(key)
 		t.pool.Unpin(id)
@@ -164,7 +172,7 @@ func (t *Tree) Scan(lo string, fn func(*page.Page) bool) error {
 	if err != nil {
 		return err
 	}
-	for leaf != nil {
+	for {
 		leaf.L.RLock()
 		cont := fn(leaf)
 		next := leaf.Next
@@ -173,38 +181,55 @@ func (t *Tree) Scan(lo string, fn func(*page.Page) bool) error {
 		if !cont || next == 0 {
 			return nil
 		}
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
+		if leaf, err = t.fetch(next); err != nil {
 			return err
+		}
+	}
+}
+
+// --- system transactions: the deciding half. No page changes here. ------
+
+// commit logs and applies one system transaction (applier.commit) and reads
+// the tree's own bookkeeping off the record. Caller holds the exclusive lock.
+func (t *Tree) commit(kind uint8, rec record, img *page.Page) error {
+	dlsn, err := applier{pool: t.pool, catalog: t.catalog}.commit(t.smo, kind, rec, img)
+	if err != nil {
+		return err
+	}
+	root := t.root
+	switch r := rec.(type) {
+	case *dclog.Split:
+		t.splits++
+		if r.NewRootID != 0 {
+			root = r.NewRootID
+		}
+	case *dclog.Consolidate:
+		t.consolidates++
+	case *dclog.RootCollapse:
+		root = r.NewRootID
+	}
+	if root != t.root {
+		t.root = root
+		if t.onRootChange != nil {
+			t.onRootChange(root, dlsn)
 		}
 	}
 	return nil
 }
 
-// --- system transactions ----------------------------------------------
-
-// pathEntry records the descent for SMOs (performed under the exclusive
-// structure lock, so it stays valid).
-type pathEntry struct {
-	pg *page.Page // pinned
-}
-
 // descendPath returns the pinned chain of pages from root to the leaf
-// covering key. Caller holds the exclusive lock and must unpinPath.
-func (t *Tree) descendPath(key string) ([]pathEntry, error) {
-	var path []pathEntry
+// covering key. Caller holds the exclusive lock (so the path stays valid)
+// and must unpinPath.
+func (t *Tree) descendPath(key string) ([]*page.Page, error) {
+	var path []*page.Page
 	id := t.root
 	for {
-		pg, err := t.pool.Fetch(id)
+		pg, err := t.fetch(id)
 		if err != nil {
 			t.unpinPath(path)
 			return nil, err
 		}
-		if pg == nil {
-			t.unpinPath(path)
-			return nil, fmt.Errorf("btree %s: dangling page %d", t.table, id)
-		}
-		path = append(path, pathEntry{pg: pg})
+		path = append(path, pg)
 		if pg.Leaf {
 			return path, nil
 		}
@@ -212,9 +237,9 @@ func (t *Tree) descendPath(key string) ([]pathEntry, error) {
 	}
 }
 
-func (t *Tree) unpinPath(path []pathEntry) {
-	for _, e := range path {
-		t.pool.Unpin(e.pg.ID)
+func (t *Tree) unpinPath(path []*page.Page) {
+	for _, pg := range path {
+		t.pool.Unpin(pg.ID)
 	}
 }
 
@@ -234,7 +259,7 @@ func (t *Tree) split(key string) error {
 		// took the exclusive structure lock may still be mutating it.
 		idx := -1
 		for i := len(path) - 1; i >= 0; i-- {
-			pg := path[i].pg
+			pg := path[i]
 			pg.L.RLock()
 			over := pg.Size() > t.cfg.MaxPageBytes && t.splittable(pg)
 			pg.L.RUnlock()
@@ -243,13 +268,11 @@ func (t *Tree) split(key string) error {
 				break
 			}
 		}
-		if idx == -1 {
-			t.unpinPath(path)
-			return nil
+		if idx >= 0 {
+			err = t.splitOneLocked(path, idx)
 		}
-		err = t.splitOneLocked(path, idx)
 		t.unpinPath(path)
-		if err != nil {
+		if idx == -1 || err != nil {
 			return err
 		}
 	}
@@ -262,71 +285,28 @@ func (t *Tree) splittable(pg *page.Page) bool {
 	return len(pg.Keys) >= 2
 }
 
-// splitOneLocked splits path[idx] into itself plus a new right page and
-// links the new page into the parent (or a new root). Caller holds the
-// exclusive lock.
-func (t *Tree) splitOneLocked(path []pathEntry, idx int) error {
-	left := path[idx].pg
-	right := &page.Page{ID: t.alloc(), Leaf: left.Leaf}
-
-	left.L.Lock()
-	var splitKey string
-	if left.Leaf {
-		splitKey = left.SplitLeaf(right)
-	} else {
-		splitKey = left.SplitBranch(right)
-	}
-	rightImage := right.Encode()
-	left.L.Unlock()
-
-	rec := &dclog.Split{
-		Table: t.table, Leaf: left.Leaf, LeftID: left.ID, RightID: right.ID,
-		SplitKey: splitKey, RightImage: rightImage,
-	}
-
-	var parent *page.Page
+// splitOneLocked splits path[idx] at its middle key into itself plus a new
+// right page, linked into the parent or under a new root. Caller holds the
+// exclusive lock: once the latch is granted here no applier is on the page.
+func (t *Tree) splitOneLocked(path []*page.Page, idx int) error {
+	left := path[idx]
+	rec := &dclog.Split{Table: t.table, Leaf: left.Leaf, LeftID: left.ID, RightID: t.alloc()}
+	left.L.RLock()
+	splitKey, right := left.UpperHalf(rec.RightID)
+	rec.SplitKey, rec.RightImage = splitKey, right.Encode()
+	left.L.RUnlock()
 	if idx > 0 {
-		parent = path[idx-1].pg
-		rec.ParentID = parent.ID
+		rec.ParentID = path[idx-1].ID
 	} else {
 		rec.NewRootID = t.alloc()
 	}
-	dlsn := t.smo.AppendSMO(dclog.KindSplit, rec.Encode())
-
-	// Stamp and publish the results of the system transaction.
-	left.L.Lock()
-	left.DLSN = dlsn
-	t.pool.MarkDirty(left, 0, 0, dlsn)
-	left.L.Unlock()
-	installNew(t.pool, right, dlsn)
-
-	if parent != nil {
-		parent.L.Lock()
-		ci := parent.ChildIndex(left.ID)
-		if ci < 0 {
-			parent.L.Unlock()
-			return fmt.Errorf("btree %s: split parent lost child %d", t.table, left.ID)
-		}
-		parent.InsertSep(ci, splitKey, right.ID)
-		parent.DLSN = dlsn
-		t.pool.MarkDirty(parent, 0, 0, dlsn)
-		parent.L.Unlock()
-	} else {
-		newRoot := page.NewBranch(rec.NewRootID, []string{splitKey}, []base.PageID{left.ID, right.ID})
-		installNew(t.pool, newRoot, dlsn)
-		t.root = newRoot.ID
-		if t.onRootChange != nil {
-			t.onRootChange(newRoot.ID, dlsn)
-		}
-	}
-	t.splits++
-	return nil
+	return t.commit(dclog.KindSplit, rec, right)
 }
 
 // maybeConsolidate merges the underfull leaf covering key with a sibling
-// when the result fits in a page; the paper's page delete (§5.2.2). The
-// consolidated page is logged physically and the DC-log forced before the
-// right page's stable image is freed.
+// when the result fits in a page — the paper's page delete (§5.2.2), the
+// consolidated page logged physically — and collapses a branch root left
+// with a single child onto that child.
 func (t *Tree) maybeConsolidate(key string) error {
 	t.lock.Lock()
 	defer t.lock.Unlock()
@@ -335,103 +315,58 @@ func (t *Tree) maybeConsolidate(key string) error {
 		return err
 	}
 	defer t.unpinPath(path)
-	leaf := path[len(path)-1].pg
 	if len(path) == 1 {
 		return nil // root leaf: nothing to merge with
 	}
-	leaf.L.RLock()
-	refilled := leaf.Size() >= t.cfg.MinPageBytes && len(leaf.Recs) > 0
-	leaf.L.RUnlock()
-	if refilled {
-		return nil // raced: refilled
-	}
-	parent := path[len(path)-2].pg
+	leaf, parent := path[len(path)-1], path[len(path)-2]
 	ci := parent.ChildIndex(leaf.ID)
 	if ci < 0 {
 		return fmt.Errorf("btree %s: consolidate parent lost child %d", t.table, leaf.ID)
 	}
 	// Prefer absorbing leaf into its left sibling; otherwise absorb the
-	// right sibling into leaf. Both reduce to (left, right) with right
-	// freed afterwards.
-	var left, right *page.Page
-	var sepIdx int
-	switch {
-	case ci > 0:
-		sib, err := t.pool.Fetch(parent.Children[ci-1])
-		if err != nil {
-			return err
-		}
-		left, right, sepIdx = sib, leaf, ci-1
-		defer t.pool.Unpin(sib.ID)
-	case ci < len(parent.Children)-1:
-		sib, err := t.pool.Fetch(parent.Children[ci+1])
-		if err != nil {
-			return err
-		}
-		left, right, sepIdx = leaf, sib, ci
-		defer t.pool.Unpin(sib.ID)
-	default:
+	// right sibling into leaf. Both reduce to (left, right), right freed.
+	sibAt := ci - 1
+	if ci == 0 {
+		sibAt = 1
+	}
+	if sibAt >= len(parent.Children) {
 		return nil // single child (transient); root collapse handles it
 	}
-	if left == nil || right == nil || !left.Leaf || !right.Leaf {
-		return nil
+	sib, err := t.fetch(parent.Children[sibAt])
+	if err != nil {
+		return err
+	}
+	defer t.pool.Unpin(sib.ID)
+	left, right := sib, leaf
+	if ci == 0 {
+		left, right = leaf, sib
 	}
 	// Latch order: left before right. Sizes are checked under the latches:
 	// a consolidation that would not fit must not happen (§5.2.2 notes
-	// recovery-time refits are the hazard; we avoid creating them).
-	left.L.Lock()
-	right.L.Lock()
-	if left.Size()+right.Size() > t.cfg.MaxPageBytes*9/10 {
-		right.L.Unlock()
-		left.L.Unlock()
+	// recovery-time refits are the hazard; we avoid creating them), nor one
+	// whose leaf a racing applier refilled.
+	var merged *page.Page
+	left.L.RLock()
+	right.L.RLock()
+	if (leaf.Size() < t.cfg.MinPageBytes || len(leaf.Recs) == 0) &&
+		left.Size()+right.Size() <= t.cfg.MaxPageBytes*9/10 {
+		merged = left.Merged(right)
+	}
+	right.L.RUnlock()
+	left.L.RUnlock()
+	if merged == nil {
 		return nil
 	}
-	left.AbsorbLeaf(right)
-	leftImage := left.Encode()
-	right.L.Unlock()
-
 	rec := &dclog.Consolidate{Table: t.table, LeftID: left.ID, RightID: right.ID,
-		ParentID: parent.ID, LeftImage: leftImage}
-	dlsn := t.smo.AppendSMO(dclog.KindConsolidate, rec.Encode())
-	left.DLSN = dlsn
-	t.pool.MarkDirty(left, 0, 0, dlsn)
-	left.L.Unlock()
-
-	parent.L.Lock()
-	parent.RemoveSep(sepIdx)
-	parent.DLSN = dlsn
-	t.pool.MarkDirty(parent, 0, 0, dlsn)
-	rootKeys := len(parent.Keys)
-	parent.L.Unlock()
-
-	// WAL for the free: the right page's stable image may only disappear
-	// after the consolidate record (holding its contents) is stable.
-	t.smo.ForceSMO(dlsn)
-	t.pool.Drop(right.ID, true)
-	t.consolidates++
-
-	// Root collapse: a branch root left with a single child is replaced by
-	// that child.
-	if parent.ID == t.root && rootKeys == 0 {
-		return t.collapseRootLocked(parent)
+		ParentID: parent.ID, LeftImage: merged.Encode()}
+	if err := t.commit(dclog.KindConsolidate, rec, merged); err != nil {
+		return err
 	}
-	return nil
-}
-
-func (t *Tree) collapseRootLocked(oldRoot *page.Page) error {
-	if len(oldRoot.Children) != 1 {
+	if parent.ID != t.root || len(parent.Children) != 1 {
 		return nil
 	}
-	newRootID := oldRoot.Children[0]
-	rec := &dclog.RootCollapse{Table: t.table, OldRootID: oldRoot.ID, NewRootID: newRootID}
-	dlsn := t.smo.AppendSMO(dclog.KindRootCollapse, rec.Encode())
-	t.root = newRootID
-	if t.onRootChange != nil {
-		t.onRootChange(newRootID, dlsn)
-	}
-	t.smo.ForceSMO(dlsn)
-	t.pool.Drop(oldRoot.ID, true)
-	return nil
+	return t.commit(dclog.KindRootCollapse,
+		&dclog.RootCollapse{Table: t.table, OldRootID: parent.ID, NewRootID: parent.Children[0]}, nil)
 }
 
 // Keys returns every key in order (tests and invariant checks).
@@ -447,23 +382,27 @@ func (t *Tree) Keys() ([]string, error) {
 }
 
 // CheckInvariants verifies structural soundness: sorted keys, correct
-// routing, connected leaf chain. Test helper.
+// routing, and a connected leaf chain — following Next from the leftmost
+// leaf visits exactly the leaves in key order and ends at 0. Test helper.
 func (t *Tree) CheckInvariants() error {
 	t.lock.RLock()
 	defer t.lock.RUnlock()
 	var prev string
 	first := true
+	var lastLeaf, lastNext base.PageID // the previous leaf in key order and its link
 	var walk func(id base.PageID, lo, hi string) error
 	walk = func(id base.PageID, lo, hi string) error {
-		pg, err := t.pool.Fetch(id)
+		pg, err := t.fetch(id)
 		if err != nil {
 			return err
 		}
-		if pg == nil {
-			return fmt.Errorf("dangling page %d", id)
-		}
 		defer t.pool.Unpin(id)
 		if pg.Leaf {
+			if lastLeaf != 0 && lastNext != id {
+				return fmt.Errorf("leaf chain broken: %d links to %d, the next leaf in key order is %d",
+					lastLeaf, lastNext, id)
+			}
+			lastLeaf, lastNext = id, pg.Next
 			for i := range pg.Recs {
 				k := pg.Recs[i].Key
 				if (lo != "" && k < lo) || (hi != "" && k >= hi) {
@@ -493,5 +432,11 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	return walk(t.root, "", "")
+	if err := walk(t.root, "", ""); err != nil {
+		return err
+	}
+	if lastNext != 0 {
+		return fmt.Errorf("leaf chain broken: last leaf %d links on to %d", lastLeaf, lastNext)
+	}
+	return nil
 }

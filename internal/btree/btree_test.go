@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -210,36 +212,195 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
+// leafIDs returns the leaves in chain order.
+func (e *testEnv) leafIDs(t *testing.T) []base.PageID {
+	t.Helper()
+	var ids []base.PageID
+	if err := e.tree.Scan("", func(leaf *page.Page) bool {
+		ids = append(ids, leaf.ID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestScanReportsDanglingLeaf: a sibling link to a page neither the pool nor
+// the store holds is the same corruption a dangling child is, and draws the
+// same error — not a scan that ends early with nothing to show for it.
+func TestScanReportsDanglingLeaf(t *testing.T) {
+	e := newEnv(t, 256)
+	for i := 0; i < 200; i++ {
+		e.put(t, fmt.Sprintf("k%04d", i), "v")
+	}
+	ids := e.leafIDs(t)
+	if len(ids) < 3 {
+		t.Fatalf("only %d leaves", len(ids))
+	}
+	e.pool.Drop(ids[len(ids)/2], true) // a mid-chain leaf, gone from cache and store
+	keys, err := e.tree.Keys()
+	if err == nil || !strings.Contains(err.Error(), "dangling page") {
+		t.Fatalf("scan across a freed leaf: %d keys, err = %v", len(keys), err)
+	}
+}
+
+// TestCheckInvariantsSeesBrokenLeafChain: the routing can be perfect and the
+// sibling links still wrong; scans follow the links.
+func TestCheckInvariantsSeesBrokenLeafChain(t *testing.T) {
+	for name, relink := range map[string]func(ids []base.PageID) (leaf, next base.PageID){
+		"skips a leaf":      func(ids []base.PageID) (base.PageID, base.PageID) { return ids[0], ids[2] },
+		"ends early":        func(ids []base.PageID) (base.PageID, base.PageID) { return ids[1], 0 },
+		"runs past the end": func(ids []base.PageID) (base.PageID, base.PageID) { return ids[len(ids)-1], ids[0] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, 256)
+			for i := 0; i < 200; i++ {
+				e.put(t, fmt.Sprintf("k%04d", i), "v")
+			}
+			if err := e.tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			id, next := relink(e.leafIDs(t))
+			leaf, err := e.pool.Fetch(id)
+			if err != nil || leaf == nil {
+				t.Fatalf("leaf %d: %v %v", id, leaf, err)
+			}
+			leaf.Next = next
+			e.pool.Unpin(id)
+			if err := e.tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "leaf chain") {
+				t.Fatalf("CheckInvariants = %v", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentApplies: 8 writers insert the keys 0..n-1 between them, 4
+// deleters follow (each waits for a key to be in before deleting it, and for
+// the tree to have grown before deleting anything) and 2 scanners walk the
+// leaf chain throughout, so splits, consolidations and root collapse all run
+// under contention. Every goroutine takes its keys in ascending order and
+// every leaf's range holds keys of all four deleters, so a leaf is drained
+// only after every leaf to its left: draining everything merges each leaf
+// into an empty left sibling and ends in a root collapse, whatever the
+// schedule.
 func TestConcurrentApplies(t *testing.T) {
-	e := newEnv(t, 512)
-	var wg sync.WaitGroup
-	const writers = 8
-	const perW = 150
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				key := fmt.Sprintf("w%02d-%04d", w, i)
-				_, _, err := e.tree.Apply(key, func(leaf *page.Page) bool {
-					leaf.Put(page.Record{Key: key, Owner: 1, Value: []byte("v")})
+	const writers, deleters, scanners = 8, 4, 2
+	for _, tc := range []struct {
+		name string
+		n    int
+		del  func(k int) bool
+	}{
+		{"grow", 1200, func(k int) bool { return k%5 != 0 }},
+		{"drain", 200, func(int) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 512)
+			key := func(k int) string { return fmt.Sprintf("k%04d", k) }
+			inserted := make([]chan struct{}, tc.n)
+			for k := range inserted {
+				inserted[k] = make(chan struct{})
+			}
+			var live atomic.Int32
+			grown := make(chan struct{}) // closed once 100 keys are in: several leaves' worth
+			apply := func(k int, del bool) bool {
+				_, _, err := e.tree.Apply(key(k), func(leaf *page.Page) bool {
+					if del {
+						leaf.Remove(key(k))
+					} else {
+						leaf.Put(page.Record{Key: key(k), Owner: 1, Value: []byte("v")})
+					}
 					e.pool.MarkDirty(leaf, 1, 0, 0)
 					return false
 				})
 				if err != nil {
-					t.Errorf("apply: %v", err)
-					return
+					t.Errorf("apply %s: %v", key(k), err)
+				}
+				return err == nil
+			}
+			var workers, readers sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				workers.Add(1)
+				go func(w int) {
+					defer workers.Done()
+					for k := w; k < tc.n; k += writers {
+						ok := apply(k, false)
+						close(inserted[k])
+						if live.Add(1) == 100 {
+							close(grown)
+						}
+						if !ok {
+							return
+						}
+					}
+				}(w)
+			}
+			for d := 0; d < deleters; d++ {
+				workers.Add(1)
+				go func(d int) {
+					defer workers.Done()
+					<-grown
+					for k := d; k < tc.n; k += deleters {
+						<-inserted[k]
+						if tc.del(k) && !apply(k, true) {
+							return
+						}
+					}
+				}(d)
+			}
+			done := make(chan struct{})
+			for s := 0; s < scanners; s++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						keys, err := e.tree.Keys()
+						if err != nil || !sort.StringsAreSorted(keys) {
+							t.Errorf("scan under contention: sorted=%v err=%v", sort.StringsAreSorted(keys), err)
+							return
+						}
+					}
+				}()
+			}
+			workers.Wait()
+			close(done)
+			readers.Wait()
+			if t.Failed() {
+				return
+			}
+			if err := e.tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for k := 0; k < tc.n; k++ {
+				if !tc.del(k) {
+					want = append(want, key(k))
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if err := e.tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ := e.tree.Keys()
-	if len(keys) != writers*perW {
-		t.Fatalf("keys = %d want %d", len(keys), writers*perW)
+			keys, err := e.tree.Keys()
+			if err != nil || fmt.Sprint(keys) != fmt.Sprint(want) {
+				t.Fatalf("tree holds %d keys %v (err %v), want %d", len(keys), keys, err, len(want))
+			}
+			splits, consolidates := e.tree.Stats()
+			if splits == 0 {
+				t.Fatal("no split ran")
+			}
+			if len(want) == 0 {
+				root, err := e.pool.Fetch(e.tree.Root())
+				if err != nil || root == nil {
+					t.Fatalf("root: %v %v", root, err)
+				}
+				defer e.pool.Unpin(root.ID)
+				if consolidates == 0 || !root.Leaf {
+					t.Fatalf("a drained tree is one leaf again: %d consolidations, root is a leaf: %v",
+						consolidates, root.Leaf)
+				}
+			}
+		})
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 )
 
 // This file and redo.go are the physical half every engine over these pages
-// shares — the DC and the monolith baseline alike: the catalog page, the
-// format step, table creation, opening the trees, and (redo.go) the redo of
-// the system transactions that btree.go logs. An engine differs from another
-// in its log and its call path, not here.
+// shares — the DC and the monolith baseline alike: here the catalog page, the
+// format step, opening the trees and the decision to create a table; there
+// what a system transaction does to the pages, forward or replayed. An engine
+// differs from another in its log and its call path, not here.
 
 // CatalogPageID is the well-known page holding the table -> root mappings;
 // it is the first page allocated when a store is formatted.
@@ -62,36 +62,6 @@ func fetchCatalog(pool *buffer.Pool) (*page.Page, error) {
 		return nil, errors.New("btree: catalog page lost")
 	}
 	return cat, nil
-}
-
-// putCatalog records table -> root in the catalog page as part of the system
-// transaction with the given dLSN. Catalog updates are applied
-// unconditionally, redo included (they commute per table and the last write
-// wins), because two trees' system transactions may stamp the shared
-// catalog page out of dLSN order during normal execution.
-func putCatalog(pool *buffer.Pool, table string, root base.PageID, dlsn base.DLSN) error {
-	cat, err := fetchCatalog(pool)
-	if err != nil {
-		return err
-	}
-	cat.L.Lock()
-	cat.Put(catalogRecord(table, root))
-	if dlsn > cat.DLSN {
-		cat.DLSN = dlsn
-	}
-	pool.MarkDirty(cat, 0, 0, dlsn)
-	cat.L.Unlock()
-	pool.Unpin(CatalogPageID)
-	return nil
-}
-
-// installNew publishes a page a system transaction (or its redo) created:
-// stamped with the transaction's dLSN, cached dirty, left unpinned.
-func installNew(pool *buffer.Pool, pg *page.Page, dlsn base.DLSN) {
-	pg.DLSN = dlsn
-	pool.MarkDirty(pg, 0, 0, dlsn)
-	pool.Install(pg)
-	pool.Unpin(pg.ID)
 }
 
 // Forest is the set of trees over one pool: what the catalog page names,
@@ -146,15 +116,9 @@ func (f *Forest) allocFor(table string) base.PageID {
 }
 
 func (f *Forest) newTree(table string, root base.PageID) *Tree {
-	return New(table, root, f.cfg, f.pool,
-		func() base.PageID { return f.allocFor(table) }, f.smo,
-		func(newRoot base.PageID, dlsn base.DLSN) {
-			// A root change has no way to fail halfway: the system
-			// transaction is logged and the tree already points at newRoot.
-			if err := putCatalog(f.pool, table, newRoot, dlsn); err != nil {
-				panic(err)
-			}
-		})
+	t := New(table, root, f.cfg, f.pool, func() base.PageID { return f.allocFor(table) }, f.smo, nil)
+	t.catalog = true
+	return t
 }
 
 // Tree returns the tree for table, or nil.
@@ -182,9 +146,8 @@ func (f *Forest) CreateTable(table string) error {
 	}
 	root := page.NewLeaf(f.allocFor(table))
 	rec := &dclog.CreateTree{Table: table, RootID: root.ID, RootImage: root.Encode()}
-	dlsn := f.smo.AppendSMO(dclog.KindCreateTree, rec.Encode())
-	installNew(f.pool, root, dlsn)
-	if err := putCatalog(f.pool, table, root.ID, dlsn); err != nil {
+	dlsn, err := applier{pool: f.pool, catalog: true}.commit(f.smo, dclog.KindCreateTree, rec, root)
+	if err != nil {
 		return err
 	}
 	f.smo.ForceSMO(dlsn)

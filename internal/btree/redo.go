@@ -2,13 +2,33 @@ package btree
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/page"
 )
+
+// This file is the one telling of every system transaction (§5.2.2): what a
+// CreateTree, Split, Consolidate or RootCollapse record does to the pages.
+// The record is the modification, so there are two ways in to one apply:
+// Redo decodes a stable record; a forward system transaction (btree.go,
+// Forest.CreateTable) decides and commits the record it built. Nothing
+// outside this file cuts a page, moves a separator, installs an image,
+// writes the catalog, stamps a dLSN or frees a page.
+
+// applier applies system-transaction records to the pages of one pool,
+// latching each page it touches, one at a time. A forward caller holds its
+// tree's structure lock and pins on the pages its decision read.
+type applier struct {
+	pool *buffer.Pool
+	// catalog: root changes go to the catalog page. Always in redo and for a
+	// Forest's trees; a standalone tree (New) has no catalog page.
+	catalog bool
+}
+
+// record is a decoded system-transaction payload of package dclog.
+type record interface{ Encode() []byte }
 
 // Redo replays one system-transaction record — CreateTree, Split,
 // Consolidate or RootCollapse — against pool using the page dLSN tests of
@@ -20,150 +40,210 @@ import (
 // structure modifications out of their original order relative to record
 // operations — exactly the situation the dclog formats are designed for.
 func Redo(pool *buffer.Pool, kind uint8, payload []byte, dlsn base.DLSN) error {
+	var rec record
+	var err error
 	switch kind {
 	case dclog.KindCreateTree:
-		ct, err := dclog.DecodeCreateTree(payload)
-		if err != nil {
-			return err
-		}
-		if err := redoInstallImage(pool, ct.RootID, ct.RootImage, dlsn); err != nil {
-			return err
-		}
-		return putCatalog(pool, ct.Table, ct.RootID, dlsn)
+		rec, err = dclog.DecodeCreateTree(payload)
 	case dclog.KindSplit:
-		sp, err := dclog.DecodeSplit(payload)
-		if err != nil {
-			return err
-		}
-		return redoSplit(pool, sp, dlsn)
+		rec, err = dclog.DecodeSplit(payload)
 	case dclog.KindConsolidate:
-		co, err := dclog.DecodeConsolidate(payload)
-		if err != nil {
-			return err
-		}
-		return redoConsolidate(pool, co, dlsn)
+		rec, err = dclog.DecodeConsolidate(payload)
 	case dclog.KindRootCollapse:
-		rc, err := dclog.DecodeRootCollapse(payload)
-		if err != nil {
-			return err
-		}
-		if err := putCatalog(pool, rc.Table, rc.NewRootID, dlsn); err != nil {
-			return err
-		}
-		pool.Drop(rc.OldRootID, true)
-		return nil
+		rec, err = dclog.DecodeRootCollapse(payload)
+	default:
+		err = fmt.Errorf("btree: redo: unknown system-transaction kind %d", kind)
 	}
-	return fmt.Errorf("btree: redo: unknown system-transaction kind %d", kind)
+	if err != nil {
+		return err
+	}
+	freed, err := applier{pool: pool, catalog: true}.apply(rec, nil, dlsn)
+	if err == nil && freed != 0 {
+		pool.Drop(freed, true) // at once: the record being replayed is stable
+	}
+	return err
 }
 
-// redoInstallImage (re)creates a page from a logged physical image unless
-// the version the pool finds already reflects this or a later system
-// transaction.
-func redoInstallImage(pool *buffer.Pool, id base.PageID, image []byte, dlsn base.DLSN) error {
-	existing, err := pool.Fetch(id)
-	if err != nil {
-		return err
+// commit is a forward system transaction once its decisions are made: rec
+// goes to the DC-log and is applied as Redo would apply it (img, the page
+// rec's image was encoded from, spares decoding it back). WAL for the free: a
+// stable page may only disappear after the record that says so is stable.
+func (a applier) commit(log dclog.Logger, kind uint8, rec record, img *page.Page) (base.DLSN, error) {
+	dlsn := log.AppendSMO(kind, rec.Encode())
+	freed, err := a.apply(rec, img, dlsn)
+	if err != nil || freed == 0 {
+		return dlsn, err
 	}
-	if existing != nil {
-		current := existing.DLSN >= dlsn
-		pool.Unpin(id)
-		if current {
-			return nil
+	log.ForceSMO(dlsn)
+	a.pool.Drop(freed, true)
+	return dlsn, nil
+}
+
+// apply makes the pages reflect rec, the system transaction with the given
+// dLSN; img is the page rec's image decodes to, or nil. The page rec deletes
+// is returned, not freed: when that is safe is the one thing redo and forward
+// execution differ on (and where a freed-page tombstone would go — ROADMAP
+// "Stop losing committed writes", family 1).
+func (a applier) apply(rec record, img *page.Page, dlsn base.DLSN) (freed base.PageID, err error) {
+	switch r := rec.(type) {
+	case *dclog.CreateTree:
+		if err := a.install(r.RootID, img, r.RootImage, dlsn); err != nil {
+			return 0, err
 		}
+		return 0, a.setRoot(r.Table, r.RootID, dlsn)
+	case *dclog.Split:
+		return 0, a.split(r, img, dlsn)
+	case *dclog.Consolidate:
+		return r.RightID, a.consolidate(r, img, dlsn)
+	case *dclog.RootCollapse:
+		return r.OldRootID, a.setRoot(r.Table, r.NewRootID, dlsn)
 	}
-	pg, err := page.Decode(image)
-	if err != nil {
+	panic(fmt.Sprintf("btree: apply of a %T", rec))
+}
+
+// stale runs fn on the pinned page under its latch iff the page's dLSN
+// predates the system transaction, then stamps and dirties it. A forward
+// page is always stale: its transaction's dLSN was assigned a moment ago.
+func (a applier) stale(pg *page.Page, dlsn base.DLSN, fn func(*page.Page) error) error {
+	pg.L.Lock()
+	defer pg.L.Unlock()
+	if pg.DLSN >= dlsn {
+		return nil
+	}
+	if err := fn(pg); err != nil {
 		return err
 	}
-	installNew(pool, pg, dlsn)
+	pg.DLSN = dlsn
+	a.pool.MarkDirty(pg, 0, 0, dlsn)
 	return nil
 }
 
-// redoStale runs apply on page id under its latch iff the page's dLSN
-// predates the system transaction, then stamps it. what names the page's
-// role for the error a missing page draws.
-func redoStale(pool *buffer.Pool, id base.PageID, dlsn base.DLSN, what string, apply func(*page.Page)) error {
-	pg, err := pool.Fetch(id)
+// existing is stale on a page the record only names (role says as what), so
+// one that must be there.
+func (a applier) existing(id base.PageID, dlsn base.DLSN, role string, fn func(*page.Page) error) error {
+	pg, err := a.pool.Fetch(id)
 	if err != nil {
 		return err
 	}
 	if pg == nil {
-		return fmt.Errorf("btree: %s %d", what, id)
+		return fmt.Errorf("btree: %s %d is missing: either the store is corrupt, or a later, "+
+			"already-stable page delete freed it (ROADMAP \"Stop losing committed writes\", family 1)", role, id)
 	}
-	pg.L.Lock()
-	if pg.DLSN < dlsn {
-		apply(pg)
-		pg.DLSN = dlsn
-		pool.MarkDirty(pg, 0, 0, dlsn)
+	defer a.pool.Unpin(id)
+	if err := a.stale(pg, dlsn, fn); err != nil {
+		return fmt.Errorf("btree: %s %d %w", role, id, err)
 	}
-	pg.L.Unlock()
-	pool.Unpin(id)
 	return nil
 }
 
-func redoSplit(pool *buffer.Pool, sp *dclog.Split, dlsn base.DLSN) error {
+// install puts in place page id, which the record implies (img) or carries
+// (image, decoded only when needed and img is nil). A version the pool finds
+// is overwritten where it sits (a frame's page is never swapped under a
+// flusher) iff stale; failing one, img becomes the page: stamped, cached
+// dirty, left unpinned.
+func (a applier) install(id base.PageID, img *page.Page, image []byte, dlsn base.DLSN) error {
+	pg, err := a.pool.Fetch(id)
+	if err != nil {
+		return err
+	}
+	if pg != nil {
+		defer a.pool.Unpin(id)
+		return a.stale(pg, dlsn, func(pg *page.Page) (err error) {
+			if img == nil {
+				img, err = page.Decode(image)
+			}
+			if err == nil {
+				pg.SetContents(img)
+			}
+			return err
+		})
+	}
+	if img == nil {
+		if img, err = page.Decode(image); err != nil {
+			return err
+		}
+	}
+	img.DLSN = dlsn
+	a.pool.MarkDirty(img, 0, 0, dlsn)
+	a.pool.Install(img)
+	a.pool.Unpin(id)
+	return nil
+}
+
+func (a applier) split(sp *dclog.Split, right *page.Page, dlsn base.DLSN) error {
 	// New (right) page: the log record captured its contents, including
 	// its abstract LSN at the time of the split (§5.2.2(1)).
-	if err := redoInstallImage(pool, sp.RightID, sp.RightImage, dlsn); err != nil {
+	if err := a.install(sp.RightID, right, sp.RightImage, dlsn); err != nil {
 		return err
 	}
 	// Pre-split (left) page: only the split key was logged; whatever
 	// version is on stable storage, its abstract LSN remains valid
 	// (§5.2.2(2)).
-	err := redoStale(pool, sp.LeftID, dlsn, "split redo lost left page", func(left *page.Page) {
-		pruneForSplit(left, sp.SplitKey)
-		if left.Leaf {
-			left.Next = sp.RightID
-		}
+	err := a.existing(sp.LeftID, dlsn, "split left page", func(left *page.Page) error {
+		left.CutAt(sp.SplitKey, sp.RightID)
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	if sp.ParentID != 0 {
-		return redoStale(pool, sp.ParentID, dlsn, "split redo lost parent page", func(parent *page.Page) {
-			if ci := parent.ChildIndex(sp.LeftID); ci >= 0 && parent.ChildIndex(sp.RightID) < 0 {
-				parent.InsertSep(ci, sp.SplitKey, sp.RightID)
+		// Page IDs are never reused, so a parent older than the split that
+		// does not hold the left page is corrupt, in redo as much as forward.
+		return a.existing(sp.ParentID, dlsn, "split parent page", func(parent *page.Page) error {
+			ci := parent.ChildIndex(sp.LeftID)
+			if ci < 0 {
+				return fmt.Errorf("does not hold left page %d", sp.LeftID)
 			}
+			parent.InsertSep(ci, sp.SplitKey, sp.RightID)
+			return nil
 		})
-	}
-	if sp.NewRootID == 0 {
-		return nil
 	}
 	// Root split: fresh branch root [SplitKey; Left, Right], which the
 	// record implies rather than carries.
 	root := page.NewBranch(sp.NewRootID, []string{sp.SplitKey}, []base.PageID{sp.LeftID, sp.RightID})
-	if err := redoInstallImage(pool, sp.NewRootID, root.Encode(), dlsn); err != nil {
+	if err := a.install(sp.NewRootID, root, nil, dlsn); err != nil {
 		return err
 	}
-	return putCatalog(pool, sp.Table, sp.NewRootID, dlsn)
+	return a.setRoot(sp.Table, sp.NewRootID, dlsn)
 }
 
-// pruneForSplit removes the upper half that moved to the right page.
-func pruneForSplit(pg *page.Page, splitKey string) {
-	if pg.Leaf {
-		i := sort.Search(len(pg.Recs), func(i int) bool { return pg.Recs[i].Key >= splitKey })
-		pg.Recs = pg.Recs[:i:i]
-		return
-	}
-	i := sort.Search(len(pg.Keys), func(i int) bool { return pg.Keys[i] >= splitKey })
-	pg.Keys = pg.Keys[:i:i]
-	pg.Children = pg.Children[: i+1 : i+1]
-}
-
-func redoConsolidate(pool *buffer.Pool, co *dclog.Consolidate, dlsn base.DLSN) error {
+func (a applier) consolidate(co *dclog.Consolidate, left *page.Page, dlsn base.DLSN) error {
 	// The consolidated page was logged physically with abLSN = max of the
 	// two inputs (§5.2.2): installing the image repeats history for the
 	// page delete regardless of record-operation interleavings.
-	if err := redoInstallImage(pool, co.LeftID, co.LeftImage, dlsn); err != nil {
+	if err := a.install(co.LeftID, left, co.LeftImage, dlsn); err != nil {
 		return err
 	}
-	pool.Drop(co.RightID, true)
-	if co.ParentID == 0 {
+	return a.existing(co.ParentID, dlsn, "consolidate parent page", func(parent *page.Page) error {
+		ci := parent.ChildIndex(co.RightID)
+		if ci <= 0 {
+			return fmt.Errorf("does not hold right page %d beside a left sibling", co.RightID)
+		}
+		parent.RemoveSep(ci - 1)
+		return nil
+	})
+}
+
+// setRoot records table -> root in the catalog page as part of the system
+// transaction with the given dLSN. Catalog updates are applied
+// unconditionally, redo included (they commute per table and the last write
+// wins), because two trees' system transactions may stamp the shared
+// catalog page out of dLSN order during normal execution.
+func (a applier) setRoot(table string, root base.PageID, dlsn base.DLSN) error {
+	if !a.catalog {
 		return nil
 	}
-	return redoStale(pool, co.ParentID, dlsn, "consolidate redo lost parent", func(parent *page.Page) {
-		if ci := parent.ChildIndex(co.RightID); ci > 0 {
-			parent.RemoveSep(ci - 1)
-		}
-	})
+	cat, err := fetchCatalog(a.pool)
+	if err != nil {
+		return err
+	}
+	cat.L.Lock()
+	cat.Put(catalogRecord(table, root))
+	if dlsn > cat.DLSN {
+		cat.DLSN = dlsn
+	}
+	a.pool.MarkDirty(cat, 0, 0, dlsn)
+	cat.L.Unlock()
+	a.pool.Unpin(CatalogPageID)
+	return nil
 }

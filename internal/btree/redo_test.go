@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -28,6 +29,21 @@ func (e *redoEnv) AppendSMO(kind uint8, payload []byte) base.DLSN {
 	return base.DLSN(e.dlog.AppendAssign(&wal.Record{Kind: kind, Payload: payload}))
 }
 func (e *redoEnv) ForceSMO(d base.DLSN) { e.dlog.ForceTo(base.LSN(d)) }
+
+// newRedoEnv formats a store and puts a pool and an empty DC-log over it.
+func newRedoEnv(t *testing.T) *redoEnv {
+	t.Helper()
+	e := &redoEnv{store: storage.NewPageStore()}
+	var err error
+	if e.dlog, err = wal.New(storage.NewLogStore()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Format(e.store); err != nil {
+		t.Fatal(err)
+	}
+	e.newPool()
+	return e
+}
 
 func (e *redoEnv) newPool() {
 	open := func(base.TCID) base.LSN { return 1 << 60 }
@@ -138,15 +154,7 @@ func TestRedoIsIdempotentOverAnyStableState(t *testing.T) {
 	}
 	for _, state := range states {
 		t.Run(state.name, func(t *testing.T) {
-			e := &redoEnv{store: storage.NewPageStore()}
-			var err error
-			if e.dlog, err = wal.New(storage.NewLogStore()); err != nil {
-				t.Fatal(err)
-			}
-			if err := Format(e.store); err != nil {
-				t.Fatal(err)
-			}
-			e.newPool()
+			e := newRedoEnv(t)
 			e.open(t)
 			e.apply(t, ops)
 			live := e.keys(t)
@@ -186,6 +194,58 @@ func TestRedoIsIdempotentOverAnyStableState(t *testing.T) {
 			e.apply(t, ops)
 			if got := e.keys(t); !reflect.DeepEqual(got, live) {
 				t.Fatalf("recovered trees hold %v, the live ones held %v", got, live)
+			}
+		})
+	}
+}
+
+// TestRedoAnswersAsForwardDoes pins the two places where redo and the forward
+// path used to answer differently. A parent older than the system transaction
+// that does not hold the page the record says it holds is corrupt (page IDs
+// are never reused), not a step to skip; and a page the record names that is
+// nowhere to be found has two explanations, which the error must both give.
+func TestRedoAnswersAsForwardDoes(t *testing.T) {
+	leaf := page.NewLeaf(30)
+	for _, k := range []string{"a", "b", "c", "d"} {
+		leaf.Put(page.Record{Key: k, Value: []byte("v")})
+	}
+	splitKey, right := leaf.UpperHalf(31)
+	split := func(left, parent base.PageID) []byte {
+		return (&dclog.Split{Table: "t", Leaf: true, LeftID: left, RightID: 31, SplitKey: splitKey,
+			RightImage: right.Encode(), ParentID: parent}).Encode()
+	}
+	consolidate := (&dclog.Consolidate{Table: "t", LeftID: 30, RightID: 31, ParentID: 10,
+		LeftImage: leaf.Encode()}).Encode()
+	for _, tc := range []struct {
+		name    string
+		kind    uint8
+		payload []byte
+		want    []string
+	}{
+		{"split parent without the left page", dclog.KindSplit, split(30, 10),
+			[]string{"split parent page 10", "does not hold left page 30"}},
+		{"consolidate parent without the right page", dclog.KindConsolidate, consolidate,
+			[]string{"consolidate parent page 10", "does not hold right page 31"}},
+		{"split left page missing", dclog.KindSplit, split(99, 10),
+			[]string{"split left page 99 is missing", "store is corrupt", "page delete freed it", "family 1"}},
+		{"split parent page missing", dclog.KindSplit, split(30, 98),
+			[]string{"split parent page 98 is missing", "family 1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newRedoEnv(t)
+			for _, pg := range []*page.Page{leaf.Clone(),
+				page.NewBranch(10, []string{"m"}, []base.PageID{20, 21})} {
+				e.pool.Install(pg)
+				e.pool.Unpin(pg.ID)
+			}
+			err := Redo(e.pool, tc.kind, tc.payload, 5)
+			if err == nil {
+				t.Fatal("redo went through")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not say %q", err, want)
+				}
 			}
 		})
 	}

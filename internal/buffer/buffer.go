@@ -24,6 +24,7 @@ package buffer
 import (
 	"container/list"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -153,18 +154,16 @@ func (p *Pool) insertLocked(pg *page.Page) *frame {
 	return f
 }
 
-// Install adds a freshly created page (from an SMO or recovery) to the
-// cache, pinned and dirty. The caller allocated the ID.
+// Install adds a freshly created page (from an SMO or its redo) to the
+// cache, pinned and dirty. The ID must have no frame yet — the caller
+// allocated it, or Fetch just found nothing: a frame's page is never swapped
+// (flushFrame holds the latch of the page it read from the frame).
 func (p *Pool) Install(pg *page.Page) {
 	pg.Dirty = true
 	p.mu.Lock()
-	if old, ok := p.frames[pg.ID]; ok {
-		// Recovery can re-install over a cached frame: replace contents.
-		old.pg = pg
-		old.pin++
-		p.lru.MoveToFront(old.el)
+	if _, ok := p.frames[pg.ID]; ok {
 		p.mu.Unlock()
-		return
+		panic(fmt.Sprintf("buffer: install over the cached frame of page %d", pg.ID))
 	}
 	f := p.insertLocked(pg)
 	f.pin++

@@ -410,44 +410,55 @@ func (p *Page) Size() int {
 	return n
 }
 
-// SplitLeaf moves the upper half of the records onto right and returns the
-// split key (the smallest key that moved). The right page inherits a copy
-// of the full abstract-LSN table: an abLSN claim is only ever tested for
-// keys that route to the page, so over-claiming for keys that stayed left
-// is harmless and preserves idempotence for the moved records (§5.2.2).
-func (p *Page) SplitLeaf(right *Page) (splitKey string) {
-	mid := len(p.Recs) / 2
-	splitKey = p.Recs[mid].Key
-	right.Recs = append(right.Recs[:0], p.Recs[mid:]...)
-	p.Recs = p.Recs[:mid:mid] // clip capacity so right's records stay unaliased
-	right.Ab = *p.Ab.Clone()
-	right.Next = p.Next
-	p.Next = right.ID
-	return splitKey
-}
-
-// SplitBranch moves the upper half of separators/children onto right and
-// returns the key to push up into the parent.
-func (p *Page) SplitBranch(right *Page) (pushKey string) {
-	mid := len(p.Keys) / 2
-	pushKey = p.Keys[mid]
-	right.Keys = append(right.Keys[:0], p.Keys[mid+1:]...)
-	right.Children = append(right.Children[:0], p.Children[mid+1:]...)
-	p.Keys = p.Keys[:mid:mid]
-	p.Children = p.Children[: mid+1 : mid+1]
-	return pushKey
-}
-
-// AbsorbLeaf merges right's records into p (consolidation, §5.2.2): p
-// inherits right's key range, sibling link, and the per-TC maximum of the
-// two abstract-LSN tables.
-func (p *Page) AbsorbLeaf(right *Page) {
-	p.Recs = append(p.Recs, right.Recs...)
-	p.Next = right.Next
-	p.Ab.MergeMax(&right.Ab)
-	if right.DLSN > p.DLSN {
-		p.DLSN = right.DLSN
+// UpperHalf returns the page, numbered id, that a split of p creates, and the
+// split key: the middle record's key with the records from it on, or the
+// middle separator — which the split pushes up into the parent — with what
+// lies above it. p is not changed: that is CutAt, by the key the split
+// logged. A leaf half inherits p's sibling link and a copy of its whole
+// abstract-LSN table: an abLSN claim is only ever tested for keys that route
+// to the page, so over-claiming for keys that stayed left is harmless and
+// preserves idempotence for the moved records (§5.2.2).
+func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
+	if p.Leaf {
+		mid := len(p.Recs) / 2
+		return p.Recs[mid].Key, &Page{ID: id, Leaf: true, Next: p.Next, Ab: *p.Ab.Clone(),
+			Recs: append([]Record(nil), p.Recs[mid:]...)}
 	}
+	mid := len(p.Keys) / 2
+	return p.Keys[mid], NewBranch(id, append([]string(nil), p.Keys[mid+1:]...),
+		append([]base.PageID(nil), p.Children[mid+1:]...))
+}
+
+// CutAt removes from p what a split at splitKey moved to page right; a leaf
+// now links to it. The cut is by key, not by count: redo cuts whatever version
+// of the page the store held. Clipped capacities release the dropped half.
+func (p *Page) CutAt(splitKey string, right base.PageID) {
+	if p.Leaf {
+		i, _ := p.find(splitKey)
+		p.Recs = p.Recs[:i:i]
+		p.Next = right
+		return
+	}
+	i := sort.SearchStrings(p.Keys, splitKey)
+	p.Keys = p.Keys[:i:i]
+	p.Children = p.Children[: i+1 : i+1]
+}
+
+// Merged returns what consolidating leaf right into p leaves in p's place
+// (§5.2.2): both pages' records, right's sibling link and the per-TC maximum
+// of the two abstract-LSN tables. Neither input is changed.
+func (p *Page) Merged(right *Page) *Page {
+	m := &Page{ID: p.ID, Leaf: true, Next: right.Next, Ab: *p.Ab.Clone()}
+	m.Recs = append(p.Recs[:len(p.Recs):len(p.Recs)], right.Recs...)
+	m.Ab.MergeMax(&right.Ab)
+	return m
+}
+
+// SetContents makes p hold what img, a logged physical image, holds. p
+// keeps its ID, latch, dLSN (the caller's to stamp) and pool bookkeeping.
+func (p *Page) SetContents(img *Page) {
+	p.Leaf, p.Next, p.Ab = img.Leaf, img.Next, img.Ab
+	p.Recs, p.Keys, p.Children = img.Recs, img.Keys, img.Children
 }
 
 // Clone returns a deep copy of the page (no volatile bookkeeping, no latch

@@ -140,12 +140,27 @@ func TestVersionedInsertAndDelete(t *testing.T) {
 	}
 }
 
+// splitAs divides p the way a split system transaction does: the upper half
+// is built (and travels in the log as its encoding, which must say the same),
+// the lower half is what the key cut leaves.
+func splitAs(t *testing.T, p *Page, rightID base.PageID) (splitKey string, right *Page) {
+	t.Helper()
+	splitKey, right = p.UpperHalf(rightID)
+	if logged, err := Decode(right.Encode()); err != nil || !logged.Equal(right) {
+		t.Fatalf("upper half does not survive its encoding: %v", err)
+	}
+	p.CutAt(splitKey, rightID)
+	return splitKey, right
+}
+
 func TestSplitLeaf(t *testing.T) {
 	p := leafWith("a", "b", "c", "d", "e", "f")
 	p.Next = 99
 	p.Ab.Ensure(1).Add(7)
-	right := NewLeaf(2)
-	splitKey := p.SplitLeaf(right)
+	stale := p.Clone()
+	stale.Remove("e")
+	stale.Put(Record{Key: "cc"})
+	splitKey, right := splitAs(t, p, 2)
 	if splitKey != "d" {
 		t.Fatalf("splitKey = %q", splitKey)
 	}
@@ -155,8 +170,8 @@ func TestSplitLeaf(t *testing.T) {
 	if fmt.Sprint(keysOf(right)) != fmt.Sprint([]string{"d", "e", "f"}) {
 		t.Fatalf("right = %v", keysOf(right))
 	}
-	if p.Next != 2 || right.Next != 99 {
-		t.Fatalf("sibling chain: %d %d", p.Next, right.Next)
+	if p.Next != 2 || right.Next != 99 || right.ID != 2 || !right.Leaf {
+		t.Fatalf("sibling chain: %d %d (right is %d)", p.Next, right.Next, right.ID)
 	}
 	// Right inherits the abstract LSN claims (§5.2.2).
 	if !right.Ab.Contains(1, 7) {
@@ -167,12 +182,17 @@ func TestSplitLeaf(t *testing.T) {
 	if right.Recs[0].Key != "d" {
 		t.Fatal("aliasing between split halves")
 	}
+	// Redo cuts whatever version the store held, by key: four records stay
+	// of a version that had one more below the split key and one fewer above.
+	stale.CutAt(splitKey, 2)
+	if fmt.Sprint(keysOf(stale)) != fmt.Sprint([]string{"a", "b", "c", "cc"}) || stale.Next != 2 {
+		t.Fatalf("stale left = %v -> %d", keysOf(stale), stale.Next)
+	}
 }
 
 func TestSplitBranch(t *testing.T) {
 	p := NewBranch(1, []string{"b", "d", "f", "h"}, []base.PageID{10, 20, 30, 40, 50})
-	right := NewBranch(2, nil, nil)
-	push := p.SplitBranch(right)
+	push, right := splitAs(t, p, 2)
 	if push != "f" {
 		t.Fatalf("push = %q", push)
 	}
@@ -190,28 +210,37 @@ func TestSplitBranch(t *testing.T) {
 	}
 }
 
-func TestAbsorbLeaf(t *testing.T) {
+func TestMergedLeafImage(t *testing.T) {
 	l := leafWith("a", "b")
 	r := leafWith("c", "d")
 	r.ID = 2
 	r.Next = 42
 	l.Next = 2
+	l.DLSN = 3
 	l.Ab.Ensure(1).Add(3)
 	r.Ab.Ensure(1).Add(9)
 	r.Ab.Ensure(2).Add(5)
-	r.DLSN = 7
-	l.AbsorbLeaf(r)
+	before := l.Clone()
+	img, err := Decode(l.Merged(r).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.Equal(before) {
+		t.Fatal("Merged changed its receiver")
+	}
+	// The image takes the left page's place where it sits.
+	l.SetContents(img)
+	if l.ID != 1 || l.DLSN != 3 {
+		t.Fatalf("SetContents changed the page's identity: id %d dLSN %d", l.ID, l.DLSN)
+	}
 	if fmt.Sprint(keysOf(l)) != fmt.Sprint([]string{"a", "b", "c", "d"}) {
-		t.Fatalf("absorb = %v", keysOf(l))
+		t.Fatalf("merged = %v", keysOf(l))
 	}
 	if l.Next != 42 {
 		t.Fatalf("next = %d", l.Next)
 	}
 	if !l.Ab.Contains(1, 3) || !l.Ab.Contains(1, 9) || !l.Ab.Contains(2, 5) {
 		t.Fatal("merged abLSN lost claims")
-	}
-	if l.DLSN != 7 {
-		t.Fatalf("DLSN = %d (must take max)", l.DLSN)
 	}
 }
 
