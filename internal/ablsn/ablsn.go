@@ -22,6 +22,7 @@ package ablsn
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -181,23 +182,32 @@ func (a *A) Append(buf []byte) []byte {
 // the remaining bytes.
 func Decode(buf []byte) (*A, []byte, error) {
 	var a A
+	rest, err := a.decode(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &a, rest, nil
+}
+
+// decode is Decode into a, which must be empty.
+func (a *A) decode(buf []byte) ([]byte, error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	a.Low, buf = base.LSN(u), buf[n:]
 	u, n = binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	a.Max, buf = base.LSN(u), buf[n:]
 	u, n = binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	buf = buf[n:]
 	if u > uint64(len(buf)) {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	if u > 0 {
 		a.In = make([]base.LSN, u)
@@ -205,18 +215,30 @@ func Decode(buf []byte) (*A, []byte, error) {
 		for i := range a.In {
 			d, n := binary.Uvarint(buf)
 			if n <= 0 {
-				return nil, nil, errCorrupt
+				return nil, errCorrupt
 			}
 			prev += base.LSN(d)
 			a.In[i], buf = prev, buf[n:]
 		}
 	}
-	return &a, buf, nil
+	return buf, nil
 }
 
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")
 
-// EncodedSize returns the serialized size in bytes: what the abstract LSN
-// costs a stable page (the buffer pool sums it into Stats.AbLSNBytes, which
-// the benchmark reports as buffer.ablsn_bytes_frac).
-func (a *A) EncodedSize() int { return len(a.Append(nil)) }
+// EncodedSize returns len(a.Append(nil)), the serialized size in bytes,
+// without encoding: what the abstract LSN costs a stable page (the buffer
+// pool sums it into Stats.AbLSNBytes, which the benchmark reports as
+// buffer.ablsn_bytes_frac).
+func (a *A) EncodedSize() int {
+	n := uvarintLen(uint64(a.Low)) + uvarintLen(uint64(a.Max)) + uvarintLen(uint64(len(a.In)))
+	prev := base.LSN(0)
+	for _, l := range a.In {
+		n += uvarintLen(uint64(l - prev))
+		prev = l
+	}
+	return n
+}
+
+// uvarintLen returns len(binary.AppendUvarint(nil, x)): seven bits a byte.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

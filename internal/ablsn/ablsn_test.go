@@ -3,6 +3,7 @@ package ablsn
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -251,6 +252,16 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// tcsOf lists the table's TCs in At order.
+func tcsOf(t *Table) []base.TCID {
+	var out []base.TCID
+	for i := 0; i < t.Len(); i++ {
+		tc, _ := t.At(i)
+		out = append(out, tc)
+	}
+	return out
+}
+
 func TestTableBasics(t *testing.T) {
 	var tab Table
 	if tab.Get(1) != nil || tab.Len() != 0 {
@@ -261,7 +272,7 @@ func TestTableBasics(t *testing.T) {
 	if !tab.Contains(1, 5) || tab.Contains(1, 8) || !tab.Contains(2, 8) {
 		t.Fatal("per-TC isolation broken")
 	}
-	if got := tab.TCs(); !reflect.DeepEqual(got, []base.TCID{1, 2}) {
+	if got := tcsOf(&tab); !reflect.DeepEqual(got, []base.TCID{1, 2}) {
 		t.Fatalf("TCs = %v", got)
 	}
 	tab.Advance(1, 5)
@@ -288,7 +299,7 @@ func TestTableEncodeRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Len() != 2 || !got.Contains(3, 7) || !got.Contains(1, 2) || got.Contains(1, 3) {
-		t.Fatalf("roundtrip table wrong: %v", got.TCs())
+		t.Fatalf("roundtrip table wrong: %v", tcsOf(got))
 	}
 	// empty table
 	var empty Table
@@ -337,6 +348,30 @@ func BenchmarkAddAdvance(b *testing.B) {
 		a.Add(base.LSN(i + 1))
 		if i%32 == 31 {
 			a.Advance(base.LSN(i - 16))
+		}
+	}
+}
+
+// TestEncodedSizeIsTheEncodingsLength: EncodedSize is arithmetic, and every
+// write's split test trusts it to be what Append would produce.
+func TestEncodedSizeIsTheEncodingsLength(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	var tab Table
+	for step := 0; step < 5000; step++ {
+		tc := base.TCID(rnd.Intn(5))
+		switch rnd.Intn(8) {
+		case 0:
+			tab.Drop(tc)
+		case 1:
+			tab.Advance(tc, base.LSN(rnd.Int63n(1<<uint(rnd.Intn(40)))))
+		default:
+			tab.Ensure(tc).Add(base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))))
+		}
+		if got, want := tab.EncodedSize(), len(tab.Append(nil)); got != want {
+			t.Fatalf("step %d: EncodedSize %d, Append wrote %d bytes", step, got, want)
+		}
+		if !slices.IsSorted(tcsOf(&tab)) {
+			t.Fatalf("step %d: entries out of TCID order: %v", step, tcsOf(&tab))
 		}
 	}
 }

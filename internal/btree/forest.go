@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -101,7 +102,8 @@ func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Log
 		if err != nil {
 			return nil, err
 		}
-		trees[cat.Recs[i].Key] = f.newTree(cat.Recs[i].Key, root)
+		table := strings.Clone(cat.Recs[i].Key) // outlives the catalog page's image
+		trees[table] = f.newTree(table, root)
 	}
 	f.trees.Store(&trees)
 	return f, nil

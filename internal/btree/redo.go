@@ -137,7 +137,9 @@ func (a applier) existing(id base.PageID, dlsn base.DLSN, role string, fn func(*
 }
 
 // install puts in place page id, which the record implies (img) or carries
-// (image, decoded only when needed and img is nil). A version the pool finds
+// (image, decoded only when needed and img is nil; the page is built over
+// image, which is the decoded record's own buffer, not the log's, and is
+// not touched again). A version the pool finds
 // is overwritten where it sits (a frame's page is never swapped under a
 // flusher) iff stale; failing one, img becomes the page: stamped, cached
 // dirty, left unpinned.

@@ -19,6 +19,16 @@
 //     never waits on the low-water mark and no operation ever waits on a
 //     flush; the cost is the abstract-LSN bytes each page write carries
 //     (Stats.AbLSNBytes).
+//
+// A page crosses the cache boundary in one copy each way. A flush encodes
+// the page into a fresh image (the only copy) and hands that buffer to the
+// store, which keeps it. A miss copies nothing: the store returns the image
+// it holds and page.Decode builds the cached page over it, so the cached
+// page and the stable page share their bytes until a record is replaced (the
+// page package comment has the rules this rests on: images are never
+// written, fields are replaced and not edited). The next flush leaves the
+// frame aliasing the image it was read from, now dead, and the store holding
+// the new one; the frame lets go of the old image when it is evicted.
 package buffer
 
 import (
@@ -124,11 +134,11 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 	}
 	p.mu.Unlock()
 	p.misses.Add(1)
-	data, ok := p.store.Read(id)
+	image, ok := p.store.Read(id)
 	if !ok {
 		return nil, nil
 	}
-	pg, err := page.Decode(data)
+	pg, err := page.Decode(image) // over the store's own bytes, see the package comment
 	if err != nil {
 		return nil, err
 	}
@@ -230,23 +240,20 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 			f.pg.L.Unlock()
 			return nil
 		}
-		// Lazy abstract-LSN advance: prune with min(LWM, EOSL) per TC —
-		// never beyond EOSL, so stable pages cannot claim idempotence for
-		// operations a TC crash could lose (see ablsn.A contract).
-		for _, tc := range pg.Ab.TCs() {
-			lwm, eosl := p.gates.LWM(tc), p.gates.EOSL(tc)
-			m := lwm
-			if eosl < m {
-				m = eosl
-			}
-			pg.Ab.Advance(tc, m)
-		}
-		// Gate 1: causality.
+		// One pass over the page's TCs, each gate asked once. Lazy
+		// abstract-LSN advance: prune with min(LWM, EOSL) per TC — never
+		// beyond EOSL, so stable pages cannot claim idempotence for
+		// operations a TC crash could lose (see ablsn.A contract). Gate 1,
+		// causality: every TC's log is stable through what the page holds of
+		// it. A closed gate does not end the pass: the other TCs' entries
+		// are pruned all the same.
 		open := true
-		for _, tc := range pg.Ab.TCs() {
-			if p.gates.EOSL(tc) < pg.Ab.MaxApplied(tc) {
+		for i := 0; i < pg.Ab.Len(); i++ {
+			tc, a := pg.Ab.At(i)
+			eosl := p.gates.EOSL(tc)
+			a.Advance(min(p.gates.LWM(tc), eosl))
+			if eosl < a.MaxApplied() {
 				open = false
-				break
 			}
 		}
 		if !open {
@@ -269,10 +276,10 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		if pg.DLSN != 0 && p.gates.ForceDCLog != nil {
 			p.gates.ForceDCLog(pg.DLSN)
 		}
-		data := pg.Encode()
-		p.store.Write(pg.ID, data)
-		p.pageBytes.Add(uint64(len(data)))
-		p.abBytes.Add(uint64(pg.Ab.EncodedSize()))
+		image, abBytes := pg.EncodeAb()
+		p.store.Write(pg.ID, image) // the store keeps image; it is not touched again
+		p.pageBytes.Add(uint64(len(image)))
+		p.abBytes.Add(uint64(abBytes))
 		pg.Dirty = false
 		pg.FirstDirty = nil
 		pg.RecDLSN = 0

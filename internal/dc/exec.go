@@ -3,6 +3,7 @@ package dc
 import (
 	"bytes"
 	"context"
+	"strings"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
@@ -126,7 +127,9 @@ func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 }
 
 // read executes a point read. Reads do not mutate state and are not
-// tracked in abstract LSNs; resends simply re-execute.
+// tracked in abstract LSNs; resends simply re-execute. A result carries
+// copies: a record's key and values alias its page's image (package page),
+// and a result outlives the latch, and in process the DC.
 func read(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
 	err := tree.View(op.Key, func(leaf *page.Page) {
@@ -154,7 +157,7 @@ func scanProbe(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	}
 	err := tree.Scan(op.Key, func(leaf *page.Page) bool {
 		stopped := leaf.Ascend(op.Key, op.EndKey, func(r *page.Record) bool {
-			res.Keys = append(res.Keys, r.Key)
+			res.Keys = append(res.Keys, strings.Clone(r.Key))
 			return len(res.Keys) < limit
 		})
 		return !stopped
@@ -172,7 +175,7 @@ func rangeRead(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	err := tree.Scan(op.Key, func(leaf *page.Page) bool {
 		stopped := leaf.Ascend(op.Key, op.EndKey, func(r *page.Record) bool {
 			if v, ok := recVersion(r, op); ok {
-				res.Keys = append(res.Keys, r.Key)
+				res.Keys = append(res.Keys, strings.Clone(r.Key))
 				res.Values = append(res.Values, append([]byte(nil), v...))
 			}
 			return len(res.Keys) < limit

@@ -206,7 +206,8 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 		}
 		pg.Recs = kept
 		// Revert the TC's abstract LSN (and record set) to the stable
-		// version of this page, if any.
+		// version of this page, if any. The restored records alias the
+		// stable image, as any fetched page's do (package page).
 		data, ok := d.store.Read(pg.ID)
 		if !ok {
 			pg.Ab.Drop(tc)

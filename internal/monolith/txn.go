@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/lockmgr"
@@ -201,7 +202,7 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 	}
 	err = t.Scan(lo, func(leaf *page.Page) bool {
 		stopped := leaf.Ascend(lo, hi, func(r *page.Record) bool {
-			keys = append(keys, r.Key)
+			keys = append(keys, strings.Clone(r.Key)) // a record aliases its page's image
 			vals = append(vals, append([]byte(nil), r.Value...))
 			return len(keys) < limit
 		})

@@ -382,11 +382,7 @@ func keysOf(p *Page) []string {
 }
 
 func BenchmarkEncodeLeaf(b *testing.B) {
-	p := NewLeaf(1)
-	for i := 0; i < 50; i++ {
-		p.Put(Record{Key: fmt.Sprintf("key%04d", i), Owner: 1, Value: bytes.Repeat([]byte("v"), 64)})
-	}
-	p.Ab.Ensure(1).Add(100)
+	p := benchLeaf(50, false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Encode()

@@ -32,7 +32,10 @@ type Stats struct {
 
 // PageStore is a crash-safe page store: Write is atomic per page (no torn
 // writes — mirroring sector-atomic page writes assumed by the paper's
-// recovery protocols). The zero value is not usable; call NewPageStore.
+// recovery protocols). A page image is write-once and shared: Write keeps
+// the buffer it is handed and Read returns it, so the simulated disk and the
+// cache above it hold one copy of a page's bytes, not two. The zero value is
+// not usable; call NewPageStore.
 type PageStore struct {
 	mu     sync.RWMutex
 	pages  map[base.PageID][]byte
@@ -77,42 +80,44 @@ func (s *PageStore) NoteAllocated(id base.PageID) {
 	}
 }
 
-// Write atomically replaces the stable contents of page id. The data is
-// copied; callers may reuse the buffer.
-func (s *PageStore) Write(id base.PageID, data []byte) {
+// Write atomically replaces the stable contents of page id with image, and
+// takes the buffer: the store keeps those very bytes, so the caller must not
+// write to them again (every caller hands over a fresh page.Encode). Images
+// are write-once, as LogStore's chunks are: a newer version of the page is
+// another buffer, never an edit of this one.
+func (s *PageStore) Write(id base.PageID, image []byte) {
 	if id == 0 {
 		panic("storage: write to invalid page 0")
 	}
 	if s.WriteDelay > 0 {
 		time.Sleep(s.WriteDelay)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
-	s.pages[id] = cp
-	s.persistWrite(id, cp)
+	s.pages[id] = image
+	s.persistWrite(id, image)
 	s.mu.Unlock()
 	s.writes.Add(1)
-	s.bytesWritten.Add(uint64(len(data)))
+	s.bytesWritten.Add(uint64(len(image)))
 }
 
-// Read returns a copy of the stable contents of page id, or ok=false if the
-// page has never been written (or was freed).
-func (s *PageStore) Read(id base.PageID) (data []byte, ok bool) {
+// Read returns the stable image of page id, or ok=false if the page has
+// never been written (or was freed). It is the image the store holds, not a
+// copy, and stays valid and unchanged after a later Write or Free of the
+// page: the reader may keep it (page.Decode builds the cached page over it)
+// and must not write to it.
+func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
 	if s.ReadDelay > 0 {
 		time.Sleep(s.ReadDelay)
 	}
 	s.mu.RLock()
-	d, ok := s.pages[id]
+	image, ok = s.pages[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	cp := make([]byte, len(d))
-	copy(cp, d)
 	s.reads.Add(1)
-	s.bytesRead.Add(uint64(len(d)))
-	return cp, true
+	s.bytesRead.Add(uint64(len(image)))
+	return image, true
 }
 
 // Exists reports whether the page has stable contents without counting a

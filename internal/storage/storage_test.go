@@ -8,37 +8,63 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
+// TestPageStoreBasics holds both media to the ownership contract: Write keeps
+// the buffer it is handed, Read returns that buffer, and an image a reader
+// holds is untouched by a later Write or Free of its page.
 func TestPageStoreBasics(t *testing.T) {
-	s := NewPageStore()
-	id := s.AllocPageID()
-	if id == 0 {
-		t.Fatal("page 0 must never be allocated")
+	open := map[string]func(*testing.T) *PageStore{
+		"memory": func(*testing.T) *PageStore { return NewPageStore() },
+		"dir": func(t *testing.T) *PageStore {
+			s, err := OpenPageStoreDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 	}
-	if _, ok := s.Read(id); ok {
-		t.Fatal("unwritten page must not exist")
-	}
-	s.Write(id, []byte("hello"))
-	got, ok := s.Read(id)
-	if !ok || !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("read = %q ok=%v", got, ok)
-	}
-	// Write copies: mutating the source must not affect stable contents.
-	src := []byte("abc")
-	s.Write(id, src)
-	src[0] = 'z'
-	got, _ = s.Read(id)
-	if !bytes.Equal(got, []byte("abc")) {
-		t.Fatal("store aliased caller buffer")
-	}
-	// Read copies too.
-	got[0] = 'q'
-	got2, _ := s.Read(id)
-	if !bytes.Equal(got2, []byte("abc")) {
-		t.Fatal("read aliased stable buffer")
-	}
-	s.Free(id)
-	if s.Exists(id) {
-		t.Fatal("freed page still exists")
+	for name, openStore := range open {
+		t.Run(name, func(t *testing.T) {
+			s := openStore(t)
+			id := s.AllocPageID()
+			if id == 0 {
+				t.Fatal("page 0 must never be allocated")
+			}
+			if _, ok := s.Read(id); ok {
+				t.Fatal("unwritten page must not exist")
+			}
+			v1 := []byte("hello")
+			s.Write(id, v1)
+			got, ok := s.Read(id)
+			if !ok || !bytes.Equal(got, []byte("hello")) {
+				t.Fatalf("read = %q ok=%v", got, ok)
+			}
+			if &got[0] != &v1[0] {
+				t.Fatal("Read returned a copy of the image Write was handed")
+			}
+			if again, _ := s.Read(id); &again[0] != &got[0] {
+				t.Fatal("two reads of one version returned two images")
+			}
+			// A newer version is another buffer: the image a reader (a cached
+			// page decoded over it) still holds does not change under it.
+			v2 := []byte("abc")
+			s.Write(id, v2)
+			if !bytes.Equal(got, []byte("hello")) {
+				t.Fatalf("a later write changed an image already read: %q", got)
+			}
+			if got2, _ := s.Read(id); &got2[0] != &v2[0] {
+				t.Fatal("Read does not return the latest image")
+			}
+			s.Free(id)
+			if s.Exists(id) {
+				t.Fatal("freed page still exists")
+			}
+			if !bytes.Equal(v2, []byte("abc")) || !bytes.Equal(got, []byte("hello")) {
+				t.Fatal("Free touched an image")
+			}
+			if st := s.Stats(); st.PageWrites != 2 || st.BytesWriten != 8 || st.PageReads != 3 || st.BytesRead != 13 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }
 
