@@ -150,8 +150,10 @@ func (c *Client) pick(opts TxnOptions) (*tc.TC, error) {
 		cand := tcs[(start+i)%len(tcs)]
 		// A draining TC sheds new work entirely: auto-routed transactions
 		// flow to its peers, which is what lets an operator quiesce one TC
-		// of a fleet without failing a single client call.
-		if cand.Draining() {
+		// of a fleet without failing a single client call. So does one that
+		// is down (crashed, not yet recovered): it admits nothing, and with
+		// no transaction in its table it would otherwise win every tiebreak.
+		if cand.Draining() || cand.NeedsRecovery() {
 			continue
 		}
 		if load := cand.ActiveTxns(); best == nil || load < bestLoad {
@@ -159,10 +161,11 @@ func (c *Client) pick(opts TxnOptions) (*tc.TC, error) {
 		}
 	}
 	if best == nil {
-		// Every TC is draining. Hand the attempt to one anyway: its
-		// admission gate rejects typed (ErrDraining, transient), so RunTxn's
-		// backoff rides out a drain that lifts mid-retry, and a caller that
-		// exhausts its attempts gets the honest error.
+		// Every TC is draining or down. Hand the attempt to one anyway: its
+		// admission gate rejects typed (ErrDraining or ErrUnavailable, both
+		// transient), so RunTxn's backoff rides out a drain that lifts, or a
+		// restart that completes, mid-retry, and a caller that exhausts its
+		// attempts gets the honest error.
 		best = tcs[start]
 	}
 	return best, nil

@@ -345,3 +345,46 @@ func keys(m map[string]map[string]uint64) []string {
 	}
 	return out
 }
+
+// TestClientRoutesAroundDownTC: a crashed TC admits nothing until it is
+// recovered, and with an empty transaction table it would win every
+// least-inflight tiebreak; the client skips it the way it skips a draining
+// one. Auto-routed transactions commit on the peer without spending a retry,
+// one pinned to the down TC is refused typed and transient, and the
+// recovered TC takes work again.
+func TestClientRoutesAroundDownTC(t *testing.T) {
+	d, err := New(Options{TCs: 2, DCs: 1,
+		Placement: placement.MustParse("kv: dc=0 owner=any")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	client := d.Client()
+	ctx := context.Background()
+	d.CrashTC(0)
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		if err := client.RunTxn(ctx, TxnOptions{MaxAttempts: 1}, func(x *tc.Txn) error {
+			return x.Upsert("kv", key, []byte("v"))
+		}); err != nil {
+			t.Fatalf("auto-routed transaction %d beside a down TC: %v", i, err)
+		}
+	}
+	if got := d.TCs[1].Stats().Commits; got != 20 {
+		t.Fatalf("the serving TC committed %d of 20 transactions", got)
+	}
+	err = client.RunTxn(ctx, TxnOptions{TC: int(d.TCs[0].ID()), MaxAttempts: 2}, func(x *tc.Txn) error {
+		return x.Upsert("kv", "pinned", []byte("v"))
+	})
+	if !errors.Is(err, base.ErrUnavailable) || !base.IsTransient(err) {
+		t.Fatalf("transaction pinned to a down TC: %v, want a transient ErrUnavailable", err)
+	}
+	if err := d.RecoverTC(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.RunTxn(ctx, TxnOptions{TC: int(d.TCs[0].ID())}, func(x *tc.Txn) error {
+		return x.Upsert("kv", "pinned", []byte("v"))
+	}); err != nil {
+		t.Fatalf("transaction on the recovered TC: %v", err)
+	}
+}

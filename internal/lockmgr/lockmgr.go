@@ -1,13 +1,14 @@
 // Package lockmgr implements the TC-side lock manager (§4.1.1(1)).
 //
 // Because all knowledge of pages is confined to the DC, the lock manager
-// deals only in logical resources: single keys and whole tables. Locks are
+// deals only in logical resources: records, named by table and key (ranges
+// are locked key by key, §3.1 fetch-ahead). Locks are
 // acquired *before* the corresponding operation is sent to a DC — this is
 // what enforces the requirement that the DC never sees two conflicting
 // operations executing concurrently.
 //
-// Modes are S (shared), U (update; compatible with S, not with U/X), and
-// X (exclusive). Waiting is FIFO-fair except lock upgrades, which jump the
+// Modes are S (shared) and X (exclusive). Waiting is FIFO-fair except lock
+// upgrades, which jump the
 // queue to reduce upgrade deadlocks. Deadlocks are detected with a
 // waits-for graph search at block time; the requester closing the cycle is
 // the victim and receives ErrDeadlock.
@@ -31,9 +32,6 @@ const (
 	None Mode = iota
 	// S is shared (read) mode.
 	S
-	// U is update mode: compatible with S, incompatible with U and X.
-	// Converting U->X cannot deadlock against other U holders.
-	U
 	// X is exclusive (write) mode.
 	X
 )
@@ -42,8 +40,6 @@ func (m Mode) String() string {
 	switch m {
 	case S:
 		return "S"
-	case U:
-		return "U"
 	case X:
 		return "X"
 	}
@@ -52,63 +48,21 @@ func (m Mode) String() string {
 
 // Compatible reports whether a requested mode can be granted alongside a
 // held mode.
-func Compatible(req, held Mode) bool {
-	switch req {
-	case S:
-		return held == S || held == U
-	case U:
-		return held == S
-	case X:
-		return false
-	}
-	return false
-}
+func Compatible(req, held Mode) bool { return req == S && held == S }
 
 // Covers reports whether holding mode m satisfies a request for mode r.
-func (m Mode) Covers(r Mode) bool {
-	if m == r {
-		return true
-	}
-	switch m {
-	case X:
-		return true
-	case U:
-		return r == S
-	}
-	return false
-}
+func (m Mode) Covers(r Mode) bool { return m == r || m == X }
 
-// ResKind classifies lockable resources.
-type ResKind uint8
-
-const (
-	// KindKey locks one record by key.
-	KindKey ResKind = iota
-	// KindTable locks a whole table.
-	KindTable
-)
-
-// Resource names one lockable object.
+// Resource names one lockable object: a record, by table and key.
 type Resource struct {
 	Table string
-	Kind  ResKind
-	Key   string // for KindKey
+	Key   string
 }
 
 // KeyRes builds a key resource.
-func KeyRes(table, key string) Resource { return Resource{Table: table, Kind: KindKey, Key: key} }
+func KeyRes(table, key string) Resource { return Resource{Table: table, Key: key} }
 
-// TableRes builds a whole-table resource.
-func TableRes(table string) Resource { return Resource{Table: table, Kind: KindTable} }
-
-func (r Resource) String() string {
-	switch r.Kind {
-	case KindKey:
-		return fmt.Sprintf("%s/key:%s", r.Table, r.Key)
-	default:
-		return fmt.Sprintf("%s/table", r.Table)
-	}
-}
+func (r Resource) String() string { return fmt.Sprintf("%s/key:%s", r.Table, r.Key) }
 
 // Errors returned by Lock. Both wrap the corresponding taxonomy sentinel,
 // so errors.Is(err, base.ErrDeadlock) / base.ErrLockTimeout (and therefore

@@ -18,9 +18,8 @@ func TestCompatibilityMatrix(t *testing.T) {
 		req, held Mode
 		want      bool
 	}{
-		{S, S, true}, {S, U, true}, {S, X, false},
-		{U, S, true}, {U, U, false}, {U, X, false},
-		{X, S, false}, {X, U, false}, {X, X, false},
+		{S, S, true}, {S, X, false},
+		{X, S, false}, {X, X, false},
 	}
 	for _, c := range cases {
 		if got := Compatible(c.req, c.held); got != c.want {
@@ -30,14 +29,11 @@ func TestCompatibilityMatrix(t *testing.T) {
 }
 
 func TestCovers(t *testing.T) {
-	if !X.Covers(S) || !X.Covers(U) || !X.Covers(X) {
+	if !X.Covers(S) || !X.Covers(X) {
 		t.Fatal("X must cover everything")
 	}
-	if !U.Covers(S) || U.Covers(X) {
-		t.Fatal("U covers S only (besides itself)")
-	}
-	if S.Covers(X) || S.Covers(U) {
-		t.Fatal("S covers nothing stronger")
+	if S.Covers(X) || !S.Covers(S) || None.Covers(S) {
+		t.Fatal("S covers itself and nothing stronger; no lock covers nothing")
 	}
 }
 
@@ -291,7 +287,7 @@ func TestRandomStressNoLostWakeups(t *testing.T) {
 				ok := true
 				for j := 0; j < n; j++ {
 					res := KeyRes("t", keys[rnd.Intn(len(keys))])
-					mode := []Mode{S, U, X}[rnd.Intn(3)]
+					mode := []Mode{S, X}[rnd.Intn(2)]
 					if err := m.Lock(context.Background(), txn, res, mode); err != nil {
 						ok = false
 						break

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
@@ -51,11 +50,10 @@ const (
 
 // Config shapes the engine.
 type Config struct {
-	PageBytes     int
-	CacheCapacity int
-	LockTimeout   time.Duration
-	// ForceDelay simulates stable-log force latency (group commit).
-	ForceDelay time.Duration
+	// PageBytes is the split threshold (default 4096). The pool takes
+	// buffer's default capacity, lock waits are unbounded and a log force is
+	// instant: nothing in the tree ever configured those.
+	PageBytes int
 }
 
 // Stats counts engine activity.
@@ -95,11 +93,8 @@ func New(cfg Config) (*Engine, error) {
 		locks: lockmgr.New(),
 		rssp:  1,
 	}
-	e.locks.Timeout = cfg.LockTimeout
-	lmedia := storage.NewLogStore()
-	lmedia.ForceDelay = cfg.ForceDelay
 	var err error
-	e.log, err = wal.New(lmedia)
+	e.log, err = wal.New(storage.NewLogStore())
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +111,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) newPool() *buffer.Pool {
 	open := func(base.TCID) base.LSN { return 1 << 62 }
 	return buffer.New(
-		buffer.Config{Capacity: e.cfg.CacheCapacity},
+		buffer.Config{},
 		e.store,
 		buffer.Gates{
 			EOSL: open, LWM: open, // no abstract LSNs in the monolith

@@ -20,7 +20,6 @@ func (e *Engine) Crash() {
 	e.mu.Unlock()
 	e.log.Crash()
 	e.locks = lockmgr.New()
-	e.locks.Timeout = e.cfg.LockTimeout
 }
 
 // Recover is ARIES-style restart: repeat history with page-oriented redo

@@ -44,11 +44,6 @@ type PageStore struct {
 	// page so stable contents survive process death (see disk.go).
 	dir string
 
-	// WriteDelay simulates media latency per page write (0 = none).
-	WriteDelay time.Duration
-	// ReadDelay simulates media latency per page read (0 = none).
-	ReadDelay time.Duration
-
 	reads, writes, frees, bytesRead, bytesWritten atomic.Uint64
 }
 
@@ -89,9 +84,6 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 	if id == 0 {
 		panic("storage: write to invalid page 0")
 	}
-	if s.WriteDelay > 0 {
-		time.Sleep(s.WriteDelay)
-	}
 	s.mu.Lock()
 	s.pages[id] = image
 	s.persistWrite(id, image)
@@ -106,9 +98,6 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 // page: the reader may keep it (page.Decode builds the cached page over it)
 // and must not write to it.
 func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
-	if s.ReadDelay > 0 {
-		time.Sleep(s.ReadDelay)
-	}
 	s.mu.RLock()
 	image, ok = s.pages[id]
 	s.mu.RUnlock()

@@ -65,15 +65,22 @@ func (t *TC) WaitQuiesced(ctx context.Context) error {
 
 // AckBarrierDepth returns the number of assigned LSNs not yet
 // acknowledged — the operations in flight at barriers across all
-// transactions. Zero means every operation the TC ever shipped (or
-// logged locally) has settled.
+// transactions. Zero means every operation the serving incarnation ever
+// shipped (or logged locally) has settled.
 func (t *TC) AckBarrierDepth() uint64 {
-	last := t.log.LastLSN()
-	lwm := t.acks.LWM()
-	if last > lwm {
+	if last, lwm := t.log.LastLSN(), t.lwm(); last > lwm {
 		return uint64(last - lwm)
 	}
 	return 0
+}
+
+// lwm is the serving incarnation's low-water mark; while the TC is down
+// nothing is in flight and it is the end of the log.
+func (t *TC) lwm() base.LSN {
+	if inc := t.inc.Load(); inc != nil {
+		return inc.acks.LWM()
+	}
+	return t.log.LastLSN()
 }
 
 // SafeTSLag returns how far the last-broadcast safe timestamp trails
@@ -110,8 +117,8 @@ func (t *TC) RegisterStats(g *stats.Group) {
 	g.Func("active_txns", func() uint64 { return uint64(t.ActiveTxns()) })
 	g.Func("ack_barrier_depth", t.AckBarrierDepth)
 	g.Func("safe_ts_lag", t.SafeTSLag)
-	g.Func("epoch", t.epoch.Load)
-	g.Func("lwm", func() uint64 { return uint64(t.acks.LWM()) })
+	g.Func("epoch", func() uint64 { return uint64(t.Epoch()) })
+	g.Func("lwm", func() uint64 { return uint64(t.lwm()) })
 	g.Func("eosl", func() uint64 { return uint64(t.log.EOSL()) })
 	g.Func("log_forces", func() uint64 { return t.log.Media().Forces() })
 	// Forces skipped because a concurrent committer's fsync already

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
+	"github.com/cidr09/unbundled/internal/lockmgr"
 	"github.com/cidr09/unbundled/internal/placement"
 	"github.com/cidr09/unbundled/internal/wal"
 )
@@ -40,8 +43,36 @@ type countingService struct {
 	reads   int      // Perform calls carrying a point read
 	batches []frame  // PerformBatch calls in arrival order
 	marks   []string // watermark calls in arrival order: "eosl 7", "lwm 7", "safe"
-	// onReadBatch, when set, runs before a batch of reads is passed on.
-	onReadBatch func()
+	// hook, when set, runs before a batch of reads ("read"), a delivery of
+	// logged operations ("write", whether it came as a Perform or a
+	// PerformBatch) or a restart control call ("begin-restart",
+	// "end-restart") is passed on.
+	hook func(call string)
+}
+
+func (s *countingService) setHook(h func(call string)) {
+	s.mu.Lock()
+	s.hook = h
+	s.mu.Unlock()
+}
+
+func (s *countingService) runHook(call string) {
+	s.mu.Lock()
+	h := s.hook
+	s.mu.Unlock()
+	if h != nil {
+		h(call)
+	}
+}
+
+func (s *countingService) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, stable base.LSN) error {
+	s.runHook("begin-restart")
+	return s.Service.BeginRestart(ctx, tc, epoch, stable)
+}
+
+func (s *countingService) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch) error {
+	s.runHook("end-restart")
+	return s.Service.EndRestart(ctx, tc, epoch)
 }
 
 func (s *countingService) mark(m string) {
@@ -83,6 +114,9 @@ func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result
 		s.reads++
 	}
 	s.mu.Unlock()
+	if op.Kind.IsWrite() {
+		s.runHook("write")
+	}
 	return s.Service.Perform(ctx, op)
 }
 
@@ -90,10 +124,11 @@ func (s *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*b
 	f := frame{n: len(ops), read: ops[0].Kind == base.OpRead}
 	s.mu.Lock()
 	s.batches = append(s.batches, f)
-	hook := s.onReadBatch
 	s.mu.Unlock()
-	if f.read && hook != nil {
-		hook()
+	if f.read {
+		s.runHook("read")
+	} else {
+		s.runHook("write")
 	}
 	return s.Service.PerformBatch(ctx, ops)
 }
@@ -157,6 +192,11 @@ func txnRecords(tcx *TC, id base.TxnID) (ops, clrs []*wal.Record) {
 // lives on DC 0, table "u" on DC 1.
 func newCountedPair(t *testing.T) (*TC, []*dc.DC, []*countingService) {
 	t.Helper()
+	return newCountedPairCfg(t, Config{ID: 1})
+}
+
+func newCountedPairCfg(t *testing.T, cfg Config) (*TC, []*dc.DC, []*countingService) {
+	t.Helper()
 	var dcs []*dc.DC
 	var stubs []*countingService
 	var svcs []base.Service
@@ -171,7 +211,7 @@ func newCountedPair(t *testing.T) (*TC, []*dc.DC, []*countingService) {
 		stub := &countingService{Service: d}
 		dcs, stubs, svcs = append(dcs, d), append(stubs, stub), append(svcs, stub)
 	}
-	tcx, err := New(Config{ID: 1}, svcs, placement.MustParse("t: dc=0; u: dc=1"))
+	tcx, err := New(cfg, svcs, placement.MustParse("t: dc=0; u: dc=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +248,13 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		if next := tcx.log.NextLSN(); next != logEnd || x.lastLSN != 0 {
 			t.Fatalf("versioned=%v: LSNs %d..%d taken before any barrier (last logged %d)", versioned, logEnd, next-1, x.lastLSN)
 		}
-		if lwm := tcx.acks.LWM(); lwm != logEnd-1 {
+		if lwm := tcx.inc.Load().acks.LWM(); lwm != logEnd-1 {
 			t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
 		}
 		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if lwm := tcx.acks.LWM(); lwm < x.lastLSN {
+		if lwm := tcx.inc.Load().acks.LWM(); lwm < x.lastLSN {
 			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
 		}
 		want := "[4r 4w]" // the priors, then the writes
@@ -531,7 +571,7 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 			if next := tcx.log.NextLSN(); next != logEnd {
 				t.Fatalf("abort before any barrier took LSNs %d..%d", logEnd, next-1)
 			}
-			if got := len(tcx.locks.Held(x.id)); got != 0 {
+			if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 				t.Fatalf("abort left %d locks held", got)
 			}
 		}
@@ -592,7 +632,7 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tag != "never-logged" {
-			x.appendQueued(tcx.Epoch())
+			_ = x.appendQueued()
 		}
 		return x
 	}
@@ -654,7 +694,11 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 // reaches Commit, Abort or a scan after the restart holds locks that died
 // with the old lock table and an id the new incarnation may hand out again.
 // It must not read, log or ship anything more — whatever it logged is
-// restart's to undo — and reports ErrTCStopped.
+// restart's to undo — and reports ErrTCStopped. The same holds when the crash
+// and the restart land inside the commit barrier itself: the straddler takes
+// no LSN of its successor's log, and a successor transaction — handed the
+// straddler's id again wherever the stable log allows it — keeps its lock and
+// its table entry when the straddler finishes.
 func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	ends := []struct {
 		name string
@@ -714,6 +758,107 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			})
 		}
 	}
+
+	straddles := []struct {
+		name      string
+		cfg       Config
+		versioned bool
+		// The TC crashes and restarts from inside the nth delivery of logged
+		// operations to DC dc; nth 0: from the test's goroutine, once that DC
+		// has the writes and the commit record is appended behind them.
+		dc, nth int
+		// appended: the commit record was, so the outcome is ambiguous;
+		// winner: it was stable too, so restart finishes the commit.
+		appended, winner bool
+	}{
+		// DC 0 has acknowledged the write batch, DC 1's is on its way.
+		{name: "write-batch", cfg: Config{ID: 1}, dc: 1, nth: 1},
+		// The commit record is stable, the first finalize is on its way.
+		{name: "finalize-batch", cfg: Config{ID: 1}, versioned: true, dc: 0, nth: 2, appended: true, winner: true},
+		// The commit record is appended and its force asleep: the parent's
+		// "ForceTo beyond fully-stable log end" panic.
+		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, dc: 1, appended: true},
+	}
+	for _, s := range straddles {
+		t.Run("straddle/"+s.name, func(t *testing.T) {
+			tcx, dcs, stubs := newCountedPairCfg(t, s.cfg)
+			x := tcx.Begin(context.Background(), TxnOptions{Versioned: s.versioned})
+			for _, table := range []string{"t", "u"} {
+				if err := x.Upsert(table, "k", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// restart crashes the TC under x, restarts it, and leaves a
+			// successor transaction y in flight on the new incarnation.
+			var y *Txn
+			var logEnd base.LSN
+			restart := func() {
+				tcx.Crash()
+				if err := tcx.Recover(); err != nil {
+					t.Error(err)
+					return
+				}
+				y = tcx.Begin(context.Background(), TxnOptions{})
+				if err := y.Upsert("t", "successor", []byte("y")); err != nil {
+					t.Error(err)
+				}
+				logEnd = tcx.log.NextLSN()
+			}
+			deliveries := 0
+			shipped := make(chan base.LSN, 1)
+			stubs[s.dc].setHook(func(call string) {
+				if call != "write" {
+					return
+				}
+				switch deliveries++; {
+				case deliveries == s.nth:
+					restart()
+				case deliveries == 1 && s.nth == 0:
+					shipped <- tcx.log.LastLSN()
+				}
+			})
+			done := make(chan error, 1)
+			go func() { done <- x.Commit() }()
+			if s.nth == 0 {
+				for opEnd := <-shipped; tcx.log.LastLSN() <= opEnd; {
+					runtime.Gosched()
+				}
+				restart()
+			}
+			err := <-done
+			if !errors.Is(err, ErrTCStopped) || errors.Is(err, ErrCommitAmbiguous) != s.appended {
+				t.Fatalf("straddling commit = %v, want ErrTCStopped, ambiguous %v", err, s.appended)
+			}
+			if y == nil {
+				t.Fatal("the TC was never restarted under the commit")
+			}
+			if next := tcx.log.NextLSN(); next != logEnd {
+				t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+			}
+			// With nothing of x in the stable log, restart hands its id out again.
+			if !s.winner && y.id != x.id {
+				t.Fatalf("successor has id %d, straddler %d; test vacuous", y.id, x.id)
+			}
+			inc := tcx.inc.Load()
+			if got := inc.locks.Held(y.id)[lockmgr.KeyRes("t", "successor")]; got != lockmgr.X {
+				t.Fatalf("the straddler's finish left successor %d holding %v on its key, want X", y.id, got)
+			}
+			inc.mu.Lock()
+			entry := inc.txns[y.id]
+			inc.mu.Unlock()
+			if entry != y {
+				t.Fatalf("the straddler's finish dropped successor %d from the transaction table", y.id)
+			}
+			if err := y.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			for i, table := range []string{"t", "u"} {
+				if v, ok := dirty(dcs[i], table, "k"); ok != s.winner || (ok && v != "v") {
+					t.Fatalf("%s/k = %q %v after the restart, want found=%v", table, v, ok, s.winner)
+				}
+			}
+		})
+	}
 }
 
 // TestCancelledPreReadIsACleanAbort: the barrier's pre-read is the last
@@ -723,9 +868,11 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	stubs[1].mu.Lock()
-	stubs[1].onReadBatch = cancel // DC 0 answers its pre-read, DC 1's is abandoned
-	stubs[1].mu.Unlock()
+	stubs[1].setHook(func(call string) { // DC 0 answers its pre-read, DC 1's is abandoned
+		if call == "read" {
+			cancel()
+		}
+	})
 	x := tcx.Begin(ctx, TxnOptions{})
 	for _, table := range []string{"t", "u"} {
 		for i := 0; i < 3; i++ {
@@ -749,11 +896,11 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 			t.Fatalf("%d logged ops reached DC %d", got, i)
 		}
 	}
-	if got := len(tcx.locks.Held(x.id)); got != 0 {
+	if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 		t.Fatalf("clean abort left %d locks held", got)
 	}
 	// Every LSN the pre-read reserved is complete, answered or not.
-	if lwm, last := tcx.acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
+	if lwm, last := tcx.inc.Load().acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
 		t.Fatalf("low-water mark %d stuck below the abandoned pre-read (LSNs end at %d)", lwm, last)
 	}
 	before := tcx.RSSP()

@@ -49,9 +49,9 @@ import (
 //     crash after step 2 is the state "logged, never sent" that restart has
 //     always handled — redo delivers it, undo inverts losers.
 //   - An orphan of a crashed incarnation dies at its next barrier (Txn.die)
-//     before step 1; one that slips past the check while the crash happens
-//     has its operations retired with ErrTCStopped by deliver's live-epoch
-//     filter, because they carry the dead incarnation's epoch.
+//     before step 1. The check is a courtesy: one that slips past it while
+//     the crash happens gets no LSN in step 1 or 2, and deliver sends nothing
+//     for a dead incarnation in step 3.
 //   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
 //     versions from its next barrier on, not from the call that wrote them.
 //
@@ -103,47 +103,34 @@ var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged
 // deliver sends logged operations to one DC, as one message, and does not
 // return until each is acknowledged or can never be: the §4.2 resend
 // contract. It returns the first failure (nil when every operation was
-// acknowledged OK). ops is the caller's list, used in place: operations that
-// can no longer be sent are compacted out of it.
+// acknowledged OK).
 //
-// op.Epoch must have been stamped *before* the op's LSN was assigned: a
-// crash+restart racing the send mints the new epoch before the reused LSN
-// space is handed out, so an op whose LSN belongs to the dead incarnation's
-// log can never carry the live epoch. Every attempt delivers only operations
-// of the live incarnation: a delivery parked in the resend loop across a TC
-// crash+restart must not reach the DC — its records vanished with the
-// unforced log tail, so executing it would apply writes no undo covers and
-// record reused LSNs in the abstract-LSN tables (poisoning the restarted
-// TC's idempotence checks). A call already on the wire when the crash hit
-// is beyond this check's reach; the DC-side epoch fence installed by
+// Every attempt is the live incarnation's: a delivery parked in the resend
+// loop across a TC crash must not reach the DC — its records vanished with
+// the unforced log tail, so executing it would apply writes no undo covers
+// and record reused LSNs in the abstract-LSN tables (poisoning the restarted
+// TC's idempotence checks). A call already on the wire when the crash hit is
+// beyond this check's reach; the DC-side epoch fence installed by
 // BeginRestart refuses it there (CodeStaleEpoch), closing the window end to
-// end. Both checks compare the same stamp.
+// end: the operations carry the dead incarnation's epoch, and whatever lands
+// before the fence is up, BeginRestart sweeps.
 //
 // New operations wait at the DC's recovery gate; redo marks the resend
 // stream of a restart (§5.3.2), which holds that gate and must pass it.
 // CodeUnavailable (the DC is down, restarting or draining) triggers a paced
 // resend of everything — per-operation idempotence at the DC absorbs
 // re-execution of operations that did land. The only ways out of the loop
-// are the TC stopping and the DC stub being closed; ctx carries values to
-// the service and is never cancellable, because a logged operation
-// abandoned half-delivered could be overtaken by its own inverse.
-func (t *TC) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool) (first error) {
+// are the incarnation dying, the TC stopping and the DC stub being closed;
+// ctx carries values to the service and is never cancellable, because a
+// logged operation abandoned half-delivered could be overtaken by its own
+// inverse.
+func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool) error {
+	t := inc.tc
 	var one [1]*base.Result
 	backoff := 200 * time.Microsecond
 	for {
-		epoch := t.Epoch()
-		live := 0
-		for _, op := range ops {
-			if op.Epoch != epoch {
-				first = firstErr(first, ErrTCStopped)
-				continue
-			}
-			ops[live] = op
-			live++
-		}
-		ops = ops[:live]
-		if len(ops) == 0 {
-			return first
+		if !inc.log.Live() {
+			return ErrTCStopped
 		}
 		if !redo {
 			_ = h.waitReady(ctx) // ctx is never done
@@ -164,7 +151,7 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool
 			}
 		}
 		if !unavailable {
-			return t.complete(ops, results, redo, first)
+			return inc.complete(ops, results, redo)
 		}
 		// A closed wire client answers every call with CodeUnavailable
 		// forever; retrying would wedge callers that its Close contract
@@ -181,7 +168,7 @@ func (t *TC) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool
 			}
 		}
 		if stopped {
-			return firstErr(first, ErrTCStopped)
+			return ErrTCStopped
 		}
 		if backoff < 50*time.Millisecond {
 			backoff *= 2
@@ -198,25 +185,23 @@ func firstErr(first, err error) error {
 }
 
 // complete feeds the ack tracker — the source of low-water marks — with the
-// operations of an answered delivery and folds their outcomes into first.
-// The ack is epoch-fenced: a reply that lands after a Crash+Recover belongs
-// to a dead incarnation and must not complete an LSN the new one is reusing
-// (the lsn <= lwm guard in the tracker only covers the
-// at-or-below-reset-base half of that race). A stale-epoch nack from the DC
-// means the op never executed — the fence fired mid-flight — so its LSN must
-// not complete either; it is a permanent failure.
-func (t *TC) complete(ops []*base.Op, results []*base.Result, redo bool, first error) error {
-	epoch := t.Epoch()
+// operations of an answered delivery and returns their first failure. The
+// tracker is the incarnation's own, so a reply that lands after a crash feeds
+// one nobody reads and cannot complete an LSN the successor is reusing; the
+// delivery is reported interrupted all the same. A stale-epoch nack from the
+// DC means the op never executed — the fence fired mid-flight — so its LSN
+// must not complete either; it is a permanent failure.
+func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, redo bool) (first error) {
+	if !inc.log.Live() {
+		return ErrTCStopped
+	}
 	for i, op := range ops {
 		code := results[i].Code
 		var err error
-		switch {
-		case op.Epoch != epoch:
-			err = ErrTCStopped
-		case code == base.CodeStaleEpoch:
+		if code == base.CodeStaleEpoch {
 			err = fmt.Errorf("tc: logged op fenced at DC: %v: %w", op, base.ErrStaleEpoch)
-		default:
-			t.acks.Complete(op.LSN)
+		} else {
+			inc.acks.Complete(op.LSN)
 			// Repeating history may find the effect already there (or
 			// already gone); for a first delivery the pre-check + X-lock
 			// invariant excludes every code but OK — surface loudly if it
@@ -231,9 +216,9 @@ func (t *TC) complete(ops []*base.Op, results []*base.Result, redo bool, first e
 }
 
 // deliverOne is deliver for a single operation.
-func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool) error {
+func (inc *incarnation) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool) error {
 	one := [1]*base.Op{op}
-	return t.deliver(ctx, h, one[:], redo)
+	return inc.deliver(ctx, h, one[:], redo)
 }
 
 // flush is the transaction's write barrier: the writes queued since the last
@@ -245,38 +230,32 @@ func (t *TC) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool
 // maxBatch. Commit runs the same two halves itself; Abort drops the queue
 // instead.
 func (x *Txn) flush() error {
-	epoch, err := x.preRead()
-	if err != nil {
+	if err := x.preRead(); err != nil {
 		return err
 	}
-	x.appendQueued(epoch)
+	if err := x.appendQueued(); err != nil {
+		return err
+	}
 	return x.ship()
 }
 
 // preRead is the cancellable half of a write barrier: the orphan check and
 // the batched read of missing undo images, under the transaction's context.
 // A failed or cancelled pre-read has logged nothing and leaves the queue as
-// it was. It returns the epoch the barrier's records are to be stamped with.
-func (x *Txn) preRead() (base.Epoch, error) {
-	// Read before the orphan check: Recover mints the next epoch only after
-	// Crash has emptied the transaction table, so a transaction that passes
-	// the check holds its own incarnation's epoch, and an operation stamped
-	// with it can never pass for one of a later incarnation (see deliver).
-	epoch := x.tc.Epoch()
+// it was.
+func (x *Txn) preRead() error {
 	if x.orphaned() {
-		return 0, x.die()
+		return x.die()
 	}
 	if len(x.queue) > 0 {
 		read, err := x.fetchPriors()
-		if err != nil {
-			return 0, err
-		}
 		if read && x.orphaned() {
 			// The incarnation died during the round trip.
-			return 0, x.die()
+			return x.die()
 		}
+		return err
 	}
-	return epoch, nil
+	return nil
 }
 
 // fetchPriors is the barrier's pre-read: every prior value the cache could
@@ -298,7 +277,7 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 				if ops == nil {
 					ops = make([]*base.Op, 0, len(x.queue)-i)
 				}
-				ops = append(ops, &base.Op{TC: t.cfg.ID, LSN: t.log.AllocLSN(), Kind: base.OpRead,
+				ops = append(ops, &base.Op{TC: t.cfg.ID, Kind: base.OpRead,
 					Table: q.op.Table, Key: q.op.Key, Flavor: base.ReadPlain})
 			}
 		}
@@ -306,7 +285,7 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 			continue
 		}
 		read = true
-		results := t.performBatchOn(x.ctx, h, ops)
+		results := x.inc.performBatchOn(x.ctx, h, ops)
 		n := 0
 		for i := range x.queue {
 			q := &x.queue[i]
@@ -336,25 +315,28 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 // order is an OPSR order exactly as when each call appended its own record.
 // From here on delivery is no longer cancellable: the resend/redo contract
 // must run to completion, or an abandoned forward operation could be
-// overtaken by its own inverse on a reordering network.
-func (x *Txn) appendQueued(epoch base.Epoch) {
+// overtaken by its own inverse on a reordering network. The only failure is
+// the incarnation's death under the barrier: what it logged before the crash
+// is restart's to redo and undo, the rest was never logged.
+func (x *Txn) appendQueued() error {
 	for i := range x.queue {
 		q := &x.queue[i]
 		rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
 			Payload: encodeOpPayload(q.op, q.prior, q.priorFound)}
-		q.op.Epoch = epoch // before the LSN assignment; see deliver
-		lsn := x.tc.log.AppendAssign(rec)
-		q.op.LSN = lsn
+		if !x.inc.logOp(q.op, rec) {
+			return ErrTCStopped
+		}
 		// The record is in the log, so it is in the undo chain, whatever the
 		// delivery goes on to report: redo will resend it, and an inverse of
 		// a forward operation that never landed finds nothing to do.
 		if x.firstLSN.Load() == 0 {
-			x.firstLSN.Store(uint64(lsn))
+			x.firstLSN.Store(uint64(q.op.LSN))
 		}
-		x.lastLSN = lsn
+		x.lastLSN = q.op.LSN
 		x.list(q.dc, q.op)
 	}
 	x.queue = x.queue[:0]
+	return nil
 }
 
 // list adds one logged operation to the transaction's unsent list for the DC
@@ -383,7 +365,7 @@ func (x *Txn) ship() error {
 		if len(ops) == 0 {
 			continue
 		}
-		first = firstErr(first, x.tc.deliver(x.sendCtx, x.tc.dcs[i], ops, false))
+		first = firstErr(first, x.inc.deliver(x.sendCtx, x.tc.dcs[i], ops, false))
 		x.unsent[i] = ops[:0]
 	}
 	return first

@@ -100,7 +100,7 @@ func TestLoggedWriteRidesOutDCOutage(t *testing.T) {
 					t.Fatalf("transaction finished against a DC that admits nothing: %v", err)
 				default:
 				}
-				if lwm := tcx.acks.LWM(); lwm >= nacked {
+				if lwm := tcx.inc.Load().acks.LWM(); lwm >= nacked {
 					t.Fatalf("low-water mark %d reached LSN %d, which was only ever nacked", lwm, nacked)
 				}
 			}

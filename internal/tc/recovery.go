@@ -6,49 +6,29 @@ import (
 	"fmt"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/lockmgr"
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// errLockTableLost is recorded against lock waits orphaned by a TC
-// crash: the lock table the waiter was queued in vanished with the
-// incarnation, so nothing will ever grant it. It folds into the taxonomy
-// as a component-unavailable failure (transient — a retry lands on the
-// recovered incarnation), and Txn.lock recognizes it specially: the
-// orphaned transaction must NOT run its own rollback, because restart
-// owns the undo of everything the dead incarnation logged.
-var errLockTableLost = fmt.Errorf("tc: lock table lost in TC crash: %w", base.ErrUnavailable)
-
-// Crash simulates a TC process failure: the log buffer (unforced tail),
-// lock table, transaction table (and with it every transaction's queued
-// writes) and ack bookkeeping vanish. The stable log survives. LSNs above
+// Crash simulates a TC process failure: everything volatile — the log buffer
+// (unforced tail), lock table, transaction table (and with it every
+// transaction's queued writes), ack bookkeeping and timestamp registrations —
+// vanishes, as one value: the incarnation. The stable log survives. LSNs above
 // the stable end will be reused by the restarted incarnation — the DC-side
-// reset protocol (§5.3.2) makes that safe. The epoch fence activates when
-// Recover mints the next incarnation; anything a zombie call completes into
-// the tracker before then is wiped by recovery's re-base, and anything it
-// delivers to a DC before then is swept by BeginRestart.
+// reset protocol (§5.3.2) makes that safe.
+//
+// Ending the log generation is what kills the incarnation, the serving one or
+// one Recover is still building: from that instant its transactions are
+// orphans (Txn.orphaned), it gets no LSN, appends and forces nothing, and
+// delivers nothing more. Its lock table is poisoned, not just dropped: waiters
+// still queued in it are blocked behind locks that no longer exist and would
+// otherwise sleep forever; they fail out as the orphans they are. Whatever a
+// call already on the wire delivers to a DC is swept by the next BeginRestart
+// or refused by its epoch fence.
 func (t *TC) Crash() {
-	t.mu.Lock()
-	t.down = true
-	t.txns = make(map[base.TxnID]*Txn)
-	t.mu.Unlock()
 	t.log.Crash()
-	// The superseded lock table is poisoned, not just dropped: waiters
-	// still queued in it are blocked behind locks that no longer exist
-	// and would otherwise sleep forever.
-	old := t.locks
-	t.locks = lockmgr.New()
-	t.locks.Timeout = t.cfg.LockTimeout
-	old.Poison(errLockTableLost)
-	t.acks.Reset(0)
-	// Outstanding commit timestamps and snapshot pins died with their
-	// transactions; lastCommit and maxSafeSent deliberately survive (the
-	// promises they encode were already broadcast). Recover re-seeds
-	// lastCommit from the log for cross-process restarts.
-	t.tsMu.Lock()
-	t.commitOut = make(map[base.TS]struct{})
-	t.activeSnaps = make(map[base.TS]int)
-	t.tsMu.Unlock()
+	if inc := t.inc.Swap(nil); inc != nil {
+		inc.locks.Poison(ErrTCStopped)
+	}
 }
 
 // Recover implements the TC side of the restart function (§4.2.1 restart,
@@ -65,14 +45,17 @@ func (t *TC) Crash() {
 //  4. Undo: send inverse operations for losers, in reverse chronological
 //     order, logged as compensation records.
 //  5. Re-issue commit-versions for winners, then allow normal processing.
+//
+// All of it runs on the next incarnation before anyone else can see it: the
+// incarnation is published last, whole, and only if no Crash ended its log
+// generation meanwhile — a Crash during Recover wins, Recover then fails
+// wrapping ErrTCStopped with the TC still down, and the next Recover mints a
+// larger epoch. Recover is not safe to run twice at once.
 func (t *TC) Recover() error {
-	t.mu.Lock()
-	if !t.down {
-		t.mu.Unlock()
+	if t.inc.Load() != nil {
 		return errors.New("tc: recover called while running")
 	}
-	t.mu.Unlock()
-
+	gen := t.log.Generation()
 	stableEnd := t.log.EOSL()
 	records := t.log.Scan(0)
 
@@ -130,10 +113,7 @@ func (t *TC) Recover() error {
 		}
 	}
 
-	t.mu.Lock()
-	t.rssp = rssp
-	t.nextTxn = maxTxn
-	t.mu.Unlock()
+	t.rssp.Store(uint64(rssp))
 
 	// Re-seed the commit-timestamp allocator above every durable commit
 	// and above the clock's current reading. The clock clamp covers safe
@@ -150,55 +130,40 @@ func (t *TC) Recover() error {
 	}
 	t.tsMu.Unlock()
 
-	// --- mint the new incarnation epoch and force it before anything is
-	// stamped with it. The stable log always names the newest prior epoch
-	// (every mint is forced, and checkpoint records carry it across
-	// truncation), so strict monotonicity holds across any crash pattern;
-	// max-ing with the in-memory value is belt and braces.
-	newEpoch := maxEpoch
-	if cur := base.Epoch(t.epoch.Load()); cur > newEpoch {
-		newEpoch = cur
+	// --- mint the new incarnation: its epoch, strictly above every prior one
+	// (the stable log always names the newest — every mint is forced, and
+	// checkpoint records carry it across truncation — so monotonicity holds
+	// across any crash pattern), forced before anything is stamped with it;
+	// its ack tracker based at the stable end, because once redo is complete
+	// every allocated LSN at or below it is accounted for (replayed or void)
+	// and the redo replies must not move the mark; its transaction ids above
+	// the log's.
+	inc, err := t.incarnate(gen, maxEpoch+1, stableEnd, maxTxn)
+	if err != nil {
+		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 	}
-	newEpoch++
-	t.epoch.Store(uint64(newEpoch))
-	epochLSN := t.log.AppendAssign(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(newEpoch)})
-	t.log.ForceTo(epochLSN)
 
 	// --- DC reset (§5.3.2): drop cached effects beyond the stable log and
-	// install the new epoch as the fence, so the dead incarnation's
-	// requests still on the wire can never execute after this point.
+	// install the new epoch as the fence, so the dead incarnation's requests
+	// still on the wire can never execute after this point. The DCs reset
+	// their own LWM state with it.
 	for _, h := range t.dcs {
-		if err := h.svc.BeginRestart(context.Background(), t.cfg.ID, newEpoch, stableEnd); err != nil {
+		if err := h.svc.BeginRestart(context.Background(), t.cfg.ID, inc.epoch, stableEnd); err != nil {
 			return fmt.Errorf("tc %d: begin restart: %w", t.cfg.ID, err)
 		}
 	}
 
 	// --- redo: repeat history by resending logical operations in order ---
-	if err := t.redo(records, rssp, -1, newEpoch); err != nil {
+	if err := inc.redo(records, rssp, -1); err != nil {
 		return err
 	}
 
-	// Redo is complete: every allocated LSN at or below the stable end is
-	// accounted for (replayed or void), so the low-water mark restarts
-	// there (wiping whatever the redo replies fed the tracker); the DCs
-	// reset their own LWM state in BeginRestart. The epoch record appended
-	// above sits just past the stable end and needs no DC round trip, so it
-	// completes immediately after the re-base.
-	t.acks.Reset(stableEnd)
-	t.acks.Complete(epochLSN)
-	// A drain does not survive the incarnation: the flag is in-memory
-	// state, so a kill -9'd draining process restarts serving — recovery
-	// behaves identically whether or not a drain was in progress.
-	t.draining.Store(false)
-	t.mu.Lock()
-	t.down = false
-	t.mu.Unlock()
-
-	// --- undo losers with inverse operations (multi-level undo) ---
+	// --- undo losers with inverse operations (multi-level undo). From here
+	// to the publish check a refused append or force is not looked at: only
+	// the end of the generation refuses, and that check reports it. ---
 	for txnID, l := range losers {
-		t.undoChain(txnID, l.lastLSN)
-		aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
-		t.acks.Complete(aLSN) // local record: no DC round trip
+		inc.undoChain(txnID, l.lastLSN)
+		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
 	}
 
 	// --- re-finalize winners' versioned writes (§6.2.2: before versions
@@ -211,25 +176,38 @@ func (t *TC) Recover() error {
 			}
 			op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions,
 				Table: tk.table, Key: tk.key, TS: w.ts}
-			rec := &wal.Record{Kind: recOp, Payload: encodeOpPayload(op, nil, false)}
-			op.Epoch = newEpoch
-			op.LSN = t.log.AppendAssign(rec)
-			// Logged: should this delivery be cut short, the next restart
-			// resends it.
-			_ = t.deliverOne(context.Background(), t.dcs[idx], op, false)
+			if inc.logOp(op, &wal.Record{Kind: recOp, Payload: encodeOpPayload(op, nil, false)}) {
+				// Logged: should this delivery be cut short, the next restart
+				// resends it.
+				_ = inc.deliverOne(context.Background(), t.dcs[idx], op, false)
+			}
 		}
 	}
-	t.log.Force()
-	t.broadcastWatermarks()
+	inc.log.Force()
+	inc.broadcastWatermarks()
 
 	// --- contract: restart complete, normal processing resumes — the DCs
 	// activate the staged epoch and discard the dead incarnation's leftovers.
 	for _, h := range t.dcs {
-		if err := h.svc.EndRestart(context.Background(), t.cfg.ID, newEpoch); err != nil {
+		if err := h.svc.EndRestart(context.Background(), t.cfg.ID, inc.epoch); err != nil {
 			return fmt.Errorf("tc %d: end restart: %w", t.cfg.ID, err)
 		}
 	}
-	return nil
+	// A drain does not survive the incarnation: the flag is in-memory
+	// state, so a kill -9'd draining process restarts serving — recovery
+	// behaves identically whether or not a drain was in progress.
+	t.draining.Store(false)
+	// Publish, unless a Crash landed since gen was read. The second look
+	// closes the race with one landing right now: Crash ends the generation
+	// before it swaps the pointer, so either that look sees the end or the
+	// swap sees the incarnation.
+	if gen.Live() && t.inc.CompareAndSwap(nil, inc) {
+		if gen.Live() {
+			return nil
+		}
+		t.inc.CompareAndSwap(inc, nil)
+	}
+	return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, ErrTCStopped)
 }
 
 // RecoverDC replays this TC's logged operations to one crashed-and-
@@ -242,6 +220,10 @@ func (t *TC) RecoverDC(idx int) error {
 	if idx < 0 || idx >= len(t.dcs) {
 		return fmt.Errorf("tc %d: no DC %d", t.cfg.ID, idx)
 	}
+	inc := t.inc.Load()
+	if inc == nil {
+		return nil // down: the TC's own restart replays its log to every DC
+	}
 	h := t.dcs[idx]
 	h.setRecovering(true)
 	defer h.setRecovering(false)
@@ -251,12 +233,12 @@ func (t *TC) RecoverDC(idx int) error {
 	// its barrier, before its transaction's commit record is forced).
 	// Force first so the redo stream covers every operation the DC might
 	// have lost from its cache.
-	t.log.Force()
+	inc.log.Force()
 	rssp := t.RSSP()
-	if err := t.redo(t.log.Scan(rssp), rssp, idx, t.Epoch()); err != nil {
+	if err := inc.redo(t.log.Scan(rssp), rssp, idx); err != nil {
 		return err
 	}
-	t.broadcastWatermarks()
+	inc.broadcastWatermarks()
 	return nil
 }
 
@@ -266,7 +248,8 @@ func (t *TC) RecoverDC(idx int) error {
 // with the incarnation resending it (a logged, dead epoch would be refused
 // by the DC fence). DC idempotence filters what survived. One operation per
 // call: the stream is ordered, and a failure stops it at its LSN.
-func (t *TC) redo(records []*wal.Record, from base.LSN, onlyDC int, epoch base.Epoch) error {
+func (inc *incarnation) redo(records []*wal.Record, from base.LSN, onlyDC int) error {
+	t := inc.tc
 	for _, rec := range records {
 		if rec.LSN < from || (rec.Kind != recOp && rec.Kind != recCLR) {
 			continue
@@ -285,8 +268,8 @@ func (t *TC) redo(records []*wal.Record, from base.LSN, onlyDC int, epoch base.E
 		if onlyDC >= 0 && idx != onlyDC {
 			continue
 		}
-		op.LSN, op.Epoch = rec.LSN, epoch
-		if err := t.deliverOne(context.Background(), t.dcs[idx], op, true); err != nil {
+		op.LSN, op.Epoch = rec.LSN, inc.epoch
+		if err := inc.deliverOne(context.Background(), t.dcs[idx], op, true); err != nil {
 			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
 		}
 		t.redoOps.Add(1)

@@ -13,6 +13,14 @@
 //
 // How logged operations reach a DC — one delivery routine, run by the
 // transaction that needs the acknowledgement — is described in deliver.go.
+//
+// Everything volatile is one incarnation (see the type), published
+// atomically: what a TC crash destroys (§5.3.2 "TC Failure" — log buffer, lock
+// table, transaction table, resend bookkeeping) vanishes together in Crash and
+// is rebuilt together by Recover. A transaction loads the incarnation once, at
+// Begin, and works in it alone; whether it has been orphaned is one atomic
+// load, and what it may still do to the log is the log generation's to refuse
+// (package wal), not a rule its callers remember.
 package tc
 
 import (
@@ -157,45 +165,37 @@ func (h *dcHandle) setRecovering(v bool) {
 	h.mu.Unlock()
 }
 
-// TC is one transactional component instance.
+// TC is one transactional component instance. What it holds itself survives
+// a crash of the component: the configuration, the stable log, the DC
+// connections, the counters, and the two timestamp promises already broadcast
+// to the DCs. Everything a crash destroys is the incarnation.
 type TC struct {
 	cfg    Config
 	log    *wal.Log
-	locks  *lockmgr.Manager
 	dcs    []*dcHandle
 	router placement.Router
 	clock  clock.Clock
 
-	mu      sync.Mutex
-	down    bool
-	txns    map[base.TxnID]*Txn
-	nextTxn uint64
-	rssp    base.LSN
+	// inc is the serving incarnation: nil while the TC is down. Crash swaps it
+	// out, Recover (New, over an empty log) publishes the next one whole.
+	inc atomic.Pointer[incarnation]
+	// rssp is the redo scan start point: a fact about the stable log, set by
+	// restart analysis and advanced by Checkpoint.
+	rssp atomic.Uint64
 
 	// tsMu guards the commit-timestamp / safe-timestamp state of the
 	// closed-timestamp protocol: a commit timestamp is assigned strictly
 	// above every safe timestamp ever broadcast, and a safe timestamp is
 	// broadcast strictly below every assigned-but-not-yet-finalized commit
 	// timestamp, so "safe >= T" at a DC really does mean no future commit
-	// of this TC can become visible at or below T.
+	// of this TC can become visible at or below T. lastCommit and maxSafeSent
+	// are promises already made to the DCs, so they outlive a crash (Recover
+	// re-seeds lastCommit from the log for cross-process restarts); the
+	// registrations they are computed from die with their transactions and
+	// are the incarnation's (commitOut, activeSnaps), under this same mutex.
 	tsMu        sync.Mutex
-	lastCommit  base.TS              // highest commit timestamp assigned
-	maxSafeSent base.TS              // highest safe timestamp broadcast
-	commitOut   map[base.TS]struct{} // assigned, finalize not yet acked
-	activeSnaps map[base.TS]int      // registered snapshot read timestamps
-
-	acks *ackTracker
-
-	// epoch is the durable incarnation number: minted strictly larger on
-	// every (re)start and forced into the log *before* it is stamped on any
-	// operation, so no two incarnations — however they crash — ever share
-	// one. Every operation carries its incarnation's stamp (op.Epoch, set
-	// before the LSN is assigned), which serves as the TC-side generation
-	// fence — calls in flight across a crash cannot feed the reset ack
-	// tracker (deliver, performOn) — and as the DC-side fence
-	// installed by BeginRestart that refuses requests of dead incarnations
-	// still on the wire (CodeStaleEpoch).
-	epoch atomic.Uint64
+	lastCommit  base.TS // highest commit timestamp assigned
+	maxSafeSent base.TS // highest safe timestamp broadcast
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -211,6 +211,77 @@ type TC struct {
 	// with base.ErrDraining; everything already admitted runs to
 	// completion. Not persisted — a restarted process comes back serving.
 	draining atomic.Bool
+}
+
+// incarnation is everything volatile a TC crash destroys (§5.3.2), as one
+// value: the lock table, the transaction table and its id counter, the resend
+// bookkeeping (ack tracker), the timestamp registrations, and the right to use
+// the log. New and Recover build one whole and publish it; Crash drops it. A
+// transaction captures the incarnation that began it and uses nothing else of
+// the TC that can die, so one that straddles a crash finishes in tables nobody
+// reads any more — which is what losing volatile state means — and cannot
+// touch its successor's: not its locks, not its transaction ids, and not its
+// log, because every LSN is taken and every record appended or forced through
+// the log generation the crash ended.
+type incarnation struct {
+	tc *TC
+	// epoch is the durable incarnation number: minted strictly larger on
+	// every (re)start and forced into the log before anything is stamped
+	// with it, so no two incarnations — however they crash — ever share one.
+	// Every operation carries it (op.Epoch), and can only get its LSN from
+	// this incarnation's generation of the log: an LSN of the dead
+	// incarnation's space never travels under a live epoch. The DC-side
+	// fence installed by BeginRestart compares the same stamp to refuse
+	// requests of dead incarnations still on the wire (CodeStaleEpoch).
+	epoch base.Epoch
+	log   wal.Generation
+	locks *lockmgr.Manager
+	acks  *ackTracker
+
+	mu      sync.Mutex // guards txns and nextTxn
+	txns    map[base.TxnID]*Txn
+	nextTxn uint64
+
+	// Guarded by tc.tsMu, beside the promises they bound.
+	commitOut   map[base.TS]struct{} // assigned, finalize not yet acked
+	activeSnaps map[base.TS]int      // registered snapshot read timestamps
+}
+
+// incarnate builds the incarnation of epoch over one generation of the log:
+// every LSN at or below stableEnd counts as complete (redone, or gone for
+// good), transaction ids continue above nextTxn. The epoch record is forced
+// before the incarnation is returned, so before anything can be stamped with
+// the epoch: a crash ahead of that force would let the next incarnation mint
+// the same number, and the DC fence cannot tell two such apart. The record
+// needs no DC round trip and sits just past the stable end, so the low-water
+// mark starts at it.
+func (t *TC) incarnate(gen wal.Generation, epoch base.Epoch, stableEnd base.LSN, nextTxn uint64) (*incarnation, error) {
+	inc := &incarnation{tc: t, epoch: epoch, log: gen, locks: lockmgr.New(),
+		acks: newAckTracker(stableEnd), txns: make(map[base.TxnID]*Txn), nextTxn: nextTxn,
+		commitOut: make(map[base.TS]struct{}), activeSnaps: make(map[base.TS]int)}
+	inc.locks.Timeout = t.cfg.LockTimeout
+	lsn := inc.logLocal(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(epoch)})
+	if lsn == 0 || !gen.ForceTo(lsn) {
+		return nil, ErrTCStopped
+	}
+	return inc, nil
+}
+
+// logLocal appends a record that needs no DC round trip (epoch, commit,
+// abort, checkpoint), so its LSN completes at once. Zero (which completes
+// nothing): the incarnation's log generation has ended.
+func (inc *incarnation) logLocal(rec *wal.Record) base.LSN {
+	lsn := inc.log.AppendAssign(rec)
+	inc.acks.Complete(lsn)
+	return lsn
+}
+
+// logOp appends the record of a logged operation and stamps the operation
+// with its LSN and this incarnation's epoch; false, and nothing logged, once
+// the log generation has ended.
+func (inc *incarnation) logOp(op *base.Op, rec *wal.Record) bool {
+	op.Epoch, op.LSN = inc.epoch, inc.log.AppendAssign(rec)
+	return op.LSN != 0
 }
 
 // New builds a TC over the given DC connections. router resolves data
@@ -248,41 +319,22 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TC{
-		cfg:         cfg,
-		log:         log,
-		locks:       lockmgr.New(),
-		router:      router,
-		clock:       cfg.Clock,
-		txns:        make(map[base.TxnID]*Txn),
-		acks:        newAckTracker(),
-		stopCh:      make(chan struct{}),
-		rssp:        1,
-		commitOut:   make(map[base.TS]struct{}),
-		activeSnaps: make(map[base.TS]int),
-	}
-	t.locks.Timeout = cfg.LockTimeout
-	if log.LastLSN() > 0 {
-		// The reopened media holds a previous incarnation's log: a process
-		// death is a TC crash whose stable log happens to be on disk.
-		// Restart must run the full §5.3.2 protocol — analysis, DC reset
-		// under a freshly minted epoch, redo, loser undo — which needs the
-		// DCs reachable, so the TC starts down and the caller (or core's
-		// deployment assembly) runs Recover.
-		t.down = true
-	} else {
-		// Mint incarnation epoch 1 and force it before any operation can be
-		// stamped with it: a crash before this force would otherwise let a
-		// second incarnation mint the same epoch (the log would look empty),
-		// and the DC fence cannot tell two same-numbered incarnations apart.
-		t.epoch.Store(1)
-		eLSN := t.log.AppendAssign(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(1)})
-		t.acks.Complete(eLSN) // local record: no DC round trip
-		t.log.ForceTo(eLSN)
-	}
+	t := &TC{cfg: cfg, log: log, router: router, clock: cfg.Clock, stopCh: make(chan struct{})}
+	t.rssp.Store(1)
 	for _, svc := range dcs {
 		t.dcs = append(t.dcs, newDCHandle(svc))
 	}
+	if log.LastLSN() == 0 {
+		// Never refused: nobody can crash a TC that New has not returned.
+		inc, _ := t.incarnate(log.Generation(), 1, 0, 0)
+		t.inc.Store(inc)
+	}
+	// Otherwise the reopened media holds a previous incarnation's log: a
+	// process death is a TC crash whose stable log happens to be on disk.
+	// Restart must run the full §5.3.2 protocol — analysis, DC reset under a
+	// freshly minted epoch, redo, loser undo — which needs the DCs reachable,
+	// so the TC starts down and the caller (or core's deployment assembly)
+	// runs Recover.
 	t.wg.Add(1)
 	go t.watermarkLoop()
 	return t, nil
@@ -291,29 +343,36 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 // ID returns the TC's identity.
 func (t *TC) ID() base.TCID { return t.cfg.ID }
 
-// Epoch returns the current incarnation epoch (1 for the first
-// incarnation; strictly increasing across restarts).
-func (t *TC) Epoch() base.Epoch { return base.Epoch(t.epoch.Load()) }
+// Epoch returns the serving incarnation's epoch (1 for the first
+// incarnation; strictly increasing across restarts), zero while down.
+func (t *TC) Epoch() base.Epoch {
+	if inc := t.inc.Load(); inc != nil {
+		return inc.epoch
+	}
+	return 0
+}
 
 // Log exposes the TC-log (the benchmark's wal.bytes_per_txn and
 // wal.forces_per_txn read its media counters).
 func (t *TC) Log() *wal.Log { return t.log }
 
-// Locks exposes the lock manager (the benchmark's lockmgr.acquires and
-// lockmgr.waits read its stats).
-func (t *TC) Locks() *lockmgr.Manager { return t.locks }
-
-// RSSP returns the current redo scan start point.
-func (t *TC) RSSP() base.LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rssp
+// Locks exposes the serving incarnation's lock manager (the benchmark's
+// lockmgr.acquires and lockmgr.waits read its stats); the empty table of a TC
+// that is down.
+func (t *TC) Locks() *lockmgr.Manager {
+	if inc := t.inc.Load(); inc != nil {
+		return inc.locks
+	}
+	return lockmgr.New()
 }
 
-// NeedsRecovery reports whether the TC was built over a previous
-// incarnation's log (Config.Dir) and has not yet run Recover: it is down
-// until the §5.3.2 restart protocol completes against its DCs.
-func (t *TC) NeedsRecovery() bool { return t.isDown() }
+// RSSP returns the current redo scan start point.
+func (t *TC) RSSP() base.LSN { return base.LSN(t.rssp.Load()) }
+
+// NeedsRecovery reports whether the TC has no serving incarnation — it
+// crashed, or was built over a previous incarnation's log (Config.Dir) — and
+// stays down until the §5.3.2 restart protocol completes against its DCs.
+func (t *TC) NeedsRecovery() bool { return t.inc.Load() == nil }
 
 // Owner exposes the router's §6.1 ownership axis (0: unowned).
 func (t *TC) Owner(table, key string) (base.TCID, error) {
@@ -340,9 +399,13 @@ func (t *TC) dcIndex(table, key string) (int, error) {
 // this TC; the deployment client uses it as the least-inflight routing
 // signal.
 func (t *TC) ActiveTxns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.txns)
+	inc := t.inc.Load()
+	if inc == nil {
+		return 0
+	}
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return len(inc.txns)
 }
 
 // Close stops background work (the TC stays usable for reads of state).
@@ -370,10 +433,9 @@ func (t *TC) watermarkLoop() {
 		case <-t.stopCh:
 			return
 		case <-tick.C:
-			if t.isDown() {
-				continue
+			if inc := t.inc.Load(); inc != nil {
+				inc.broadcastWatermarks()
 			}
-			t.broadcastWatermarks()
 		}
 	}
 }
@@ -382,16 +444,15 @@ func (t *TC) watermarkLoop() {
 // acks are gapless — the two marks that move with work this TC did. Commit
 // calls it with nothing else: over a wire the two are held and ride the next
 // request toward that DC, in process they are two direct calls. It returns
-// the epoch it stamped.
-func (t *TC) publishStable() base.Epoch {
+// nothing at all once the incarnation is dead.
+func (inc *incarnation) publishStable() {
+	t := inc.tc
 	eosl := t.log.EOSL()
-	lwm := t.acks.LWM()
-	epoch := t.Epoch()
+	lwm := inc.acks.LWM()
 	for _, h := range t.dcs {
-		h.svc.EndOfStableLog(t.cfg.ID, epoch, eosl)
-		h.svc.LowWaterMark(t.cfg.ID, epoch, lwm)
+		h.svc.EndOfStableLog(t.cfg.ID, inc.epoch, eosl)
+		h.svc.LowWaterMark(t.cfg.ID, inc.epoch, lwm)
 	}
-	return epoch
 }
 
 // broadcastWatermarks is the full broadcast: publishStable, then the safe
@@ -399,11 +460,11 @@ func (t *TC) publishStable() base.Epoch {
 // the DC (or on the connection, ahead of whatever the caller sends next)
 // when it returns. The tick runs it, and Checkpoint, Recover and RecoverDC
 // where their control calls depend on the marks.
-func (t *TC) broadcastWatermarks() {
-	epoch := t.publishStable()
-	safe, horizon := t.safeTS()
-	for _, h := range t.dcs {
-		h.svc.SafeTS(t.cfg.ID, epoch, safe, horizon)
+func (inc *incarnation) broadcastWatermarks() {
+	inc.publishStable()
+	safe, horizon := inc.safeTS()
+	for _, h := range inc.tc.dcs {
+		h.svc.SafeTS(inc.tc.cfg.ID, inc.epoch, safe, horizon)
 	}
 }
 
@@ -412,7 +473,8 @@ func (t *TC) broadcastWatermarks() {
 // the DCs. The timestamp stays registered in commitOut — holding the safe
 // timestamp below it — until the transaction's commit-versions finalize
 // operations are acknowledged (Txn.finish).
-func (t *TC) assignCommitTS() base.TS {
+func (inc *incarnation) assignCommitTS() base.TS {
+	t := inc.tc
 	now, _ := t.clock.Now()
 	t.tsMu.Lock()
 	ts := now
@@ -423,7 +485,7 @@ func (t *TC) assignCommitTS() base.TS {
 		ts = t.maxSafeSent + 1
 	}
 	t.lastCommit = ts
-	t.commitOut[ts] = struct{}{}
+	inc.commitOut[ts] = struct{}{}
 	t.tsMu.Unlock()
 	return ts
 }
@@ -441,14 +503,15 @@ func (t *TC) assignCommitTS() base.TS {
 // timestamp above it may be pruned. It trails the clock by
 // SnapshotRetention and never passes a registered snapshot; zero means
 // "no constraint known — do not prune".
-func (t *TC) safeTS() (safe, horizon base.TS) {
+func (inc *incarnation) safeTS() (safe, horizon base.TS) {
+	t := inc.tc
 	now, _ := t.clock.Now()
 	t.tsMu.Lock()
 	safe = now
 	if t.lastCommit > safe {
 		safe = t.lastCommit
 	}
-	for ts := range t.commitOut {
+	for ts := range inc.commitOut {
 		if ts-1 < safe {
 			safe = ts - 1
 		}
@@ -462,7 +525,7 @@ func (t *TC) safeTS() (safe, horizon base.TS) {
 	if ret := base.TS(t.cfg.SnapshotRetention); now > ret {
 		horizon = now - ret
 	}
-	for ts := range t.activeSnaps {
+	for ts := range inc.activeSnaps {
 		if ts < horizon {
 			horizon = ts
 		}
@@ -471,62 +534,53 @@ func (t *TC) safeTS() (safe, horizon base.TS) {
 	return safe, horizon
 }
 
-func (t *TC) isDown() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.down
-}
-
 // performOn sends one unlogged operation — a read, probe or range read,
 // whose LSN is a request ID with no log record behind it — to the resolved
 // DC handle, once, and feeds the ack tracker. (Operations that do hold a
-// log record go through deliver.) The ack is epoch-fenced like deliver's:
-// a zombie call whose reply lands after a Crash+Recover must not complete
-// an LSN the new incarnation is reusing.
+// log record go through deliver.) The LSN is taken here, from the
+// incarnation's log generation, as the operation leaves; a dead incarnation
+// gets none and sends nothing.
 //
 // Cancellation: ctx is the transaction's. An abandoned or refused read
 // still completes its LSN: reads mutate nothing and are never reflected in
 // cached pages, so the low-water mark may pass them, and not completing
 // would leave a permanent gap that stalls checkpoints.
-func (t *TC) performOn(ctx context.Context, h *dcHandle, op *base.Op) *base.Result {
-	op.Epoch = t.Epoch()
+func (inc *incarnation) performOn(ctx context.Context, h *dcHandle, op *base.Op) *base.Result {
+	op.Epoch, op.LSN = inc.epoch, inc.log.AllocLSN()
+	if op.LSN == 0 {
+		return &base.Result{Code: base.CodeUnavailable}
+	}
 	res := &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
 	if err := h.waitReady(ctx); err == nil {
-		t.opsSent.Add(1)
+		inc.tc.opsSent.Add(1)
 		res = h.svc.Perform(ctx, op)
 	}
-	t.completeRead(op, res)
+	inc.acks.Complete(op.LSN)
 	return res
-}
-
-// completeRead feeds an unlogged operation's LSN to the ack tracker unless
-// the reply belongs to a dead incarnation (see performOn).
-func (t *TC) completeRead(op *base.Op, res *base.Result) {
-	if op.Epoch == t.Epoch() && res.Code != base.CodeStaleEpoch {
-		t.acks.Complete(op.LSN)
-	}
 }
 
 // performBatchOn is performOn for the point reads a write barrier sends to
 // one DC (Txn.fetchPriors): one PerformBatch, one result per read, and every
-// LSN completed under the same epoch fence, answered, refused or abandoned.
-func (t *TC) performBatchOn(ctx context.Context, h *dcHandle, ops []*base.Op) []*base.Result {
-	epoch := t.Epoch()
+// LSN completed, answered, refused or abandoned.
+func (inc *incarnation) performBatchOn(ctx context.Context, h *dcHandle, ops []*base.Op) []*base.Result {
+	code := base.CodeCancelled
 	for _, op := range ops {
-		op.Epoch = epoch
+		if op.Epoch, op.LSN = inc.epoch, inc.log.AllocLSN(); op.LSN == 0 {
+			code = base.CodeUnavailable
+		}
 	}
 	var results []*base.Result
-	if err := h.waitReady(ctx); err == nil {
-		t.opsSent.Add(uint64(len(ops)))
+	if err := h.waitReady(ctx); err == nil && code == base.CodeCancelled {
+		inc.tc.opsSent.Add(uint64(len(ops)))
 		results = h.svc.PerformBatch(ctx, ops)
 	} else {
 		results = make([]*base.Result, len(ops))
 		for i, op := range ops {
-			results[i] = &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
+			results[i] = &base.Result{LSN: op.LSN, Code: code}
 		}
 	}
-	for i, op := range ops {
-		t.completeRead(op, results[i])
+	for _, op := range ops {
+		inc.acks.Complete(op.LSN)
 	}
 	return results
 }
@@ -536,40 +590,36 @@ func (t *TC) performBatchOn(ctx context.Context, h *dcHandle, ops []*base.Op) []
 // pages containing operations below the proposed point, then advance and
 // truncate. Returns the new RSSP. ctx bounds the per-DC control calls.
 func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
-	if t.isDown() {
+	inc := t.inc.Load()
+	if inc == nil {
 		return 0, fmt.Errorf("tc: down: %w", base.ErrUnavailable)
 	}
 	// Everything acknowledged so far is a candidate.
-	newRSSP := t.acks.LWM() + 1
-	t.mu.Lock()
-	if newRSSP <= t.rssp {
-		cur := t.rssp
-		t.mu.Unlock()
+	newRSSP := inc.acks.LWM() + 1
+	if cur := t.RSSP(); newRSSP <= cur {
 		return cur, nil
 	}
-	t.mu.Unlock()
 	// The DC flush gates require log stability through the checkpointed
 	// operations (causality).
-	t.log.Force()
-	t.broadcastWatermarks()
+	inc.log.Force()
+	inc.broadcastWatermarks()
 	for _, h := range t.dcs {
-		if err := h.svc.Checkpoint(ctx, t.cfg.ID, t.Epoch(), newRSSP); err != nil {
+		if err := h.svc.Checkpoint(ctx, t.cfg.ID, inc.epoch, newRSSP); err != nil {
 			return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, err)
 		}
 	}
-	t.mu.Lock()
-	t.rssp = newRSSP
-	oldest := t.oldestActiveFirstLSNLocked()
-	t.mu.Unlock()
-
+	oldest := inc.oldestActiveFirstLSN()
 	// The checkpoint record carries the current epoch so that truncation
 	// (which may discard the recEpoch record) never erases the incarnation
 	// history: the newest checkpoint record always survives its own
-	// truncation.
-	ckptLSN := t.log.AppendAssign(&wal.Record{Kind: recCheckpoint,
-		Payload: encodeCheckpoint(newRSSP, t.Epoch())})
-	t.acks.Complete(ckptLSN) // local record: no DC round trip
-	t.log.Force()
+	// truncation. Logged through the incarnation's generation: a checkpoint
+	// that straddles a crash stops here, before it can move the successor's
+	// scan start point or truncate its log on a dead incarnation's say-so.
+	ckpt := &wal.Record{Kind: recCheckpoint, Payload: encodeCheckpoint(newRSSP, inc.epoch)}
+	if inc.logLocal(ckpt) == 0 || !inc.log.Force() {
+		return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, ErrTCStopped)
+	}
+	t.rssp.Store(uint64(newRSSP))
 	// Truncate below both the RSSP (redo needs nothing older) and the
 	// oldest active transaction's first record (undo might).
 	trunc := newRSSP
@@ -581,15 +631,17 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 	return newRSSP, nil
 }
 
-// oldestActiveFirstLSNLocked is the truncation bound undo imposes: the
-// first logged record of any transaction still in the table. A transaction
-// leaves the table in finish(), so one that has committed but not yet
-// released its locks holds the bound a moment longer than undo needs —
-// harmless, and it keeps this read to the one field a writer publishes
-// atomically (Txn.firstLSN) instead of racing Txn.state.
-func (t *TC) oldestActiveFirstLSNLocked() base.LSN {
+// oldestActiveFirstLSN is the truncation bound undo imposes: the first
+// logged record of any transaction still in the table. A transaction leaves
+// the table in finish(), so one that has committed but not yet released its
+// locks holds the bound a moment longer than undo needs — harmless, and it
+// keeps this read to the one field a writer publishes atomically
+// (Txn.firstLSN) instead of racing Txn.state.
+func (inc *incarnation) oldestActiveFirstLSN() base.LSN {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
 	var oldest base.LSN
-	for _, txn := range t.txns {
+	for _, txn := range inc.txns {
 		if first := base.LSN(txn.firstLSN.Load()); first != 0 && (oldest == 0 || first < oldest) {
 			oldest = first
 		}
@@ -621,12 +673,16 @@ type ackTracker struct {
 	done map[base.LSN]struct{}
 }
 
-func newAckTracker() *ackTracker {
-	return &ackTracker{done: make(map[base.LSN]struct{})}
+// newAckTracker returns a tracker based at baseLSN: every LSN at or below it
+// counts as complete (after a restart they are either stably logged and
+// redone, or gone forever).
+func newAckTracker(baseLSN base.LSN) *ackTracker {
+	return &ackTracker{lwm: baseLSN, done: make(map[base.LSN]struct{})}
 }
 
 // Complete marks lsn done and advances the contiguous prefix. Completions
-// at or below the mark (stale acks racing a restart's Reset) are ignored.
+// at or below the mark (restart's redo replies, a refused LSN of zero) are
+// ignored.
 func (a *ackTracker) Complete(lsn base.LSN) {
 	a.mu.Lock()
 	if lsn <= a.lwm {
@@ -654,14 +710,4 @@ func (a *ackTracker) LWM() base.LSN {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.lwm
-}
-
-// Reset re-bases the tracker after a restart: every LSN at or below base
-// is considered complete (they are either stably logged and redone, or
-// gone forever).
-func (a *ackTracker) Reset(baseLSN base.LSN) {
-	a.mu.Lock()
-	a.lwm = baseLSN
-	a.done = make(map[base.LSN]struct{})
-	a.mu.Unlock()
 }

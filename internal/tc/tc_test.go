@@ -612,7 +612,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 }
 
 func TestAckTracker(t *testing.T) {
-	a := newAckTracker()
+	a := newAckTracker(0)
 	a.Complete(2)
 	if a.LWM() != 0 {
 		t.Fatal("gap not respected")
@@ -626,7 +626,7 @@ func TestAckTracker(t *testing.T) {
 	if a.LWM() != 4 {
 		t.Fatalf("lwm = %d", a.LWM())
 	}
-	a.Reset(10)
+	a = newAckTracker(10) // what a restart does: every LSN at or below the base is complete
 	if a.LWM() != 10 {
 		t.Fatal("reset failed")
 	}

@@ -93,7 +93,14 @@ const (
 	txnActive txnState = iota
 	txnCommitted
 	txnAborted
+	// txnStopped: the TC had no serving incarnation when the transaction was
+	// begun, or the one that began it crashed (Txn.die).
+	txnStopped
 )
+
+// doneErr is what a call on a transaction answers in each state: the entry
+// check of every method.
+var doneErr = [...]error{txnCommitted: ErrTxnDone, txnAborted: ErrTxnDone, txnStopped: ErrTCStopped}
 
 type tableKey struct{ table, key string }
 
@@ -123,7 +130,11 @@ type queued struct {
 // cancelled Commit leaves the rest of the transaction to its finisher
 // goroutine, which never touches state.
 type Txn struct {
-	tc  *TC
+	tc *TC
+	// inc is the incarnation that began the transaction. Everything of the TC
+	// a crash destroys — locks, transaction table, acks, timestamps, the right
+	// to log — is reached through it and nowhere else.
+	inc *incarnation
 	ctx context.Context
 	// sendCtx is ctx stripped of cancellation: the delivery context for
 	// logged operations, whose resend contract must outlive any cancel.
@@ -162,22 +173,28 @@ type Txn struct {
 }
 
 // Begin starts a transaction shaped by opts, bound to ctx. A nil ctx is
-// treated as context.Background().
+// treated as context.Background(). While the TC is down there is nothing to
+// begin it on: the transaction returned takes no id, lock or LSN, every call
+// on it answers ErrTCStopped, and its Abort is nil.
 func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	inc := t.inc.Load()
+	if inc == nil {
+		return &Txn{tc: t, ctx: ctx, state: txnStopped}
+	}
 	t.begun.Add(1)
-	t.mu.Lock()
-	t.nextTxn++
-	id := base.TxnID(t.nextTxn)
-	x := &Txn{tc: t, ctx: ctx, sendCtx: context.WithoutCancel(ctx), opts: opts,
-		id: id, cache: make(map[tableKey]cachedVal)}
+	x := &Txn{tc: t, inc: inc, ctx: ctx, sendCtx: context.WithoutCancel(ctx), opts: opts,
+		cache: make(map[tableKey]cachedVal)}
 	if opts.Versioned {
 		x.versioned = make(map[tableKey]struct{})
 	}
-	t.txns[id] = x
-	t.mu.Unlock()
+	inc.mu.Lock()
+	inc.nextTxn++
+	x.id = base.TxnID(inc.nextTxn)
+	inc.txns[x.id] = x
+	inc.mu.Unlock()
 	if opts.ReadOnly && opts.Snapshot != SnapshotLocked {
 		x.beginSnapshot()
 	}
@@ -215,7 +232,7 @@ func (x *Txn) beginSnapshot() {
 		snap = t.lastCommit
 	}
 	x.snapTS = snap
-	t.activeSnaps[snap]++
+	x.inc.activeSnaps[snap]++
 	t.tsMu.Unlock()
 	t.snapshots.Add(1)
 	if x.opts.Snapshot != SnapshotBounded && unc > 0 {
@@ -237,6 +254,11 @@ func (t *TC) RunTxnOnce(ctx context.Context, opts TxnOptions, fn func(*Txn) erro
 		// deployment client re-routes to another TC or retries later.
 		t.drainRejects.Add(1)
 		return fmt.Errorf("tc %d: %w", t.cfg.ID, base.ErrDraining)
+	}
+	if t.inc.Load() == nil {
+		// Down: as transient, and as early. A crash between this check and
+		// Begin, or under fn, surfaces as ErrTCStopped from the transaction.
+		return fmt.Errorf("tc %d: down: %w", t.cfg.ID, base.ErrUnavailable)
 	}
 	x := t.Begin(ctx, opts)
 	if err := fn(x); err != nil {
@@ -273,15 +295,12 @@ func (x *Txn) Context() context.Context { return x.ctx }
 
 // lock acquires a transactional lock. The wait honors the transaction's
 // context and per-transaction lock timeout; any failure aborts the
-// transaction (locks may not be left half-acquired).
+// transaction (locks may not be left half-acquired). A wait the crash of the
+// incarnation failed (its poisoned lock table answers ErrTCStopped) is an
+// orphan's, and Abort retires it as one.
 func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
-	err := x.tc.locks.LockWait(x.ctx, x.id, res, mode, x.opts.lockWait(x.tc.cfg.LockTimeout))
+	err := x.inc.locks.LockWait(x.ctx, x.id, res, mode, x.opts.lockWait(x.tc.cfg.LockTimeout))
 	if err != nil {
-		if errors.Is(err, errLockTableLost) {
-			// The incarnation that owned this wait crashed.
-			x.die()
-			return err
-		}
 		if errors.Is(err, base.ErrDeadlock) {
 			x.tc.deadlocks.Add(1)
 		}
@@ -290,27 +309,19 @@ func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
 	return err
 }
 
-// orphaned reports whether the incarnation that began x has crashed: Crash
-// replaces the transaction table, so x is no longer the entry under its id.
-// The compare is by pointer because a restarted incarnation hands the same
-// ids out again.
-func (x *Txn) orphaned() bool {
-	x.tc.mu.Lock()
-	defer x.tc.mu.Unlock()
-	return x.tc.txns[x.id] != x
-}
+// orphaned reports whether the incarnation that began x has crashed: one
+// atomic load, of the log generation Crash ends first.
+func (x *Txn) orphaned() bool { return !x.inc.log.Live() }
 
-// die is an orphan's only exit, from a poisoned lock wait or from any
-// barrier (flush, Commit, Abort). Restart analysis owns the undo of whatever
-// the dead incarnation logged, and the locks the orphan wrote under vanished
-// with the old lock table — so it must not roll itself back (its inverses
-// would race the new incarnation), nor read, log or ship anything more (the
-// records would land in the new incarnation's log, under its epoch), nor run
-// finish (its id, and the locks and timestamps filed under it, may belong to
-// a new transaction by now). It drops what it queued and reports a
-// transient failure.
+// die is an orphan's exit, from a failed lock wait or from any barrier
+// (flush, Commit, Abort). Restart analysis owns the undo of whatever the dead
+// incarnation logged, so the orphan rolls nothing back; it could not if it
+// tried — it gets no LSN, logs nothing and ships nothing (see incarnation) —
+// and the locks and registrations it still holds are in tables that died with
+// it. It drops what it queued and reports a transient failure, as does every
+// later call on it.
 func (x *Txn) die() error {
-	x.state = txnAborted
+	x.state = txnStopped
 	x.queue = nil
 	return ErrTCStopped
 }
@@ -321,8 +332,8 @@ func (x *Txn) die() error {
 // otherwise it is the committed-by-lock value in this TC's partition
 // (plain read under a shared lock; the owner also sees its own writes).
 func (x *Txn) Read(table, key string) ([]byte, bool, error) {
-	if x.state != txnActive {
-		return nil, false, ErrTxnDone
+	if err := doneErr[x.state]; err != nil {
+		return nil, false, err
 	}
 	if c, ok := x.cache[tableKey{table, key}]; ok {
 		return c.val, c.found, nil
@@ -372,9 +383,14 @@ func (x *Txn) snapshotOp(op *base.Op) (*base.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	op.Epoch = t.Epoch()
+	op.Epoch = x.inc.epoch
 	h := t.dcs[idx]
 	for {
+		if x.orphaned() {
+			// The pin on the GC horizon died with the incarnation, and the DC
+			// fence refuses its epoch.
+			return nil, x.die()
+		}
 		if err := h.waitReady(x.ctx); err != nil {
 			return nil, err
 		}
@@ -404,8 +420,7 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 		_ = x.Abort()
 		return nil, false, err
 	}
-	lsn := x.tc.log.AllocLSN()
-	res := x.tc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID, LSN: lsn, Kind: base.OpRead,
+	res := x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
 		Table: table, Key: key, Flavor: flavor})
 	switch res.Code {
 	case base.CodeOK:
@@ -429,13 +444,7 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 // to another TC's update partition. It takes no locks and never blocks:
 // versioned data makes this safe (§6.2.2).
 func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
-	if x.state != txnActive {
-		return nil, false, ErrTxnDone
-	}
-	if err := x.flush(); err != nil {
-		return nil, false, err
-	}
-	return x.readOp(table, key, base.ReadCommitted, false)
+	return x.readUnlocked(table, key, base.ReadCommitted)
 }
 
 // ReadDirty reads the latest (possibly uncommitted) version without
@@ -445,13 +454,19 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 // unlocked read, a full batch, its commit — not from the call that wrote
 // them.
 func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
-	if x.state != txnActive {
-		return nil, false, ErrTxnDone
+	return x.readUnlocked(table, key, base.ReadDirty)
+}
+
+// readUnlocked is a point read that bypasses locks and the transaction
+// cache, behind a barrier so that it observes the transaction's own writes.
+func (x *Txn) readUnlocked(table, key string, flavor base.ReadFlavor) ([]byte, bool, error) {
+	if err := doneErr[x.state]; err != nil {
+		return nil, false, err
 	}
 	if err := x.flush(); err != nil {
 		return nil, false, err
 	}
-	return x.readOp(table, key, base.ReadDirty, false)
+	return x.readOp(table, key, flavor, false)
 }
 
 // valueOf returns the current value under an already-held X lock, going to
@@ -500,8 +515,8 @@ func (x *Txn) Delete(table, key string) error {
 //
 // Cancellation points are the lock wait and the existence-check read.
 func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
-	if x.state != txnActive {
-		return ErrTxnDone
+	if err := doneErr[x.state]; err != nil {
+		return err
 	}
 	if x.opts.ReadOnly {
 		return fmt.Errorf("tc: %s %s/%s: %w", kind, table, key, base.ErrReadOnly)
@@ -612,10 +627,10 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // before the hand-off: a later Abort or Commit (a deferred Abort, say) is an
 // ErrTxnDone no-op that cannot race the finisher.
 func (x *Txn) Commit() error {
-	if x.state != txnActive {
-		return ErrTxnDone
+	if err := doneErr[x.state]; err != nil {
+		return err
 	}
-	epoch, err := x.preRead()
+	err := x.preRead()
 	if err != nil {
 		_ = x.Abort() // a no-op for an orphan, which preRead has retired
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
@@ -631,10 +646,10 @@ func (x *Txn) Commit() error {
 		return nil
 	}
 	if x.ctx.Done() == nil {
-		err = x.commitLogged(epoch)
+		err = x.commitLogged()
 	} else {
 		done := make(chan error, 1) // one send, never blocked on an absent caller
-		go func() { done <- x.commitLogged(epoch) }()
+		go func() { done <- x.commitLogged() }()
 		select {
 		case err = <-done:
 		case <-x.ctx.Done():
@@ -665,42 +680,50 @@ func (x *Txn) Commit() error {
 //
 // It may run on the finisher goroutine of a cancelled Commit, so it leaves
 // x.state — all the caller's goroutine still reads — alone.
-func (x *Txn) commitLogged(epoch base.Epoch) error {
-	t := x.tc
+func (x *Txn) commitLogged() error {
+	t, inc := x.tc, x.inc
 	var vkeys []tableKey
 	for tk := range x.versioned {
 		vkeys = append(vkeys, tk)
 	}
-	x.appendQueued(epoch)
-	if err := x.ship(); err != nil {
-		if !x.orphaned() { // else restart owns the undo; see die
-			x.rollback()
-		}
+	err := x.appendQueued()
+	if err == nil {
+		err = x.ship()
+	}
+	if err != nil {
+		x.rollback()
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
 	if len(vkeys) > 0 {
 		// The commit timestamp is the snapshot visibility point of this
 		// transaction's versioned writes. Logged in the commit record so
 		// restart re-finalizes winners at the same timestamp.
-		x.commitTS = t.assignCommitTS()
+		x.commitTS = inc.assignCommitTS()
 	}
-	rec := &wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN,
-		Payload: encodeCommit(vkeys, x.commitTS)}
-	cLSN := t.log.AppendAssign(rec)
-	t.acks.Complete(cLSN) // local record: no DC round trip
-	t.log.ForceTo(cLSN)
+	cLSN := inc.logLocal(&wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN,
+		Payload: encodeCommit(vkeys, x.commitTS)})
+	if cLSN == 0 {
+		// The incarnation died before the commit record: a loser, restart's
+		// to undo, with nothing to release but dead tables.
+		return fmt.Errorf("tc: commit txn %d: %w", x.id, ErrTCStopped)
+	}
+	if !inc.log.ForceTo(cLSN) {
+		// It died under the force: whether the record reached the stable log
+		// first is the log's to say, and restart reads it there.
+		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, ErrTCStopped)
+	}
 	// Publish the new stable boundary: cached pages with this transaction's
 	// operations become flushable (causality). No frame is sent for it — it
 	// rides this TC's next request toward each DC (the finalize batch below,
 	// the next transaction's pre-read) or, from an idle TC, the next tick.
-	t.publishStable()
+	inc.publishStable()
 	t.commits.Add(1)
 	// §6.2.2: "When an updating TC commits the transaction, it sends
 	// updates to the DC to eliminate the before versions." These are
 	// logged so restart re-delivers them for winners. They travel like the
 	// writes they finalize — one batch per DC, ordered after those writes —
 	// and are acknowledged before lock release.
-	err := x.finalize(vkeys)
+	err = x.finalize(vkeys)
 	x.finish()
 	if err != nil {
 		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
@@ -714,24 +737,26 @@ func (x *Txn) commitLogged(epoch base.Epoch) error {
 // registrations: the snapshot pin on the GC horizon, and the outstanding
 // commit timestamp (every path reaching finish after a commit has the
 // finalize operations acknowledged, so the safe timestamp may now pass it).
+// All of it in the transaction's own incarnation: an orphan's finish lands in
+// dead tables, never on a successor's transaction of the same id.
 func (x *Txn) finish() {
-	t := x.tc
+	inc := x.inc
 	if x.snapTS != 0 || x.commitTS != 0 {
-		t.tsMu.Lock()
+		x.tc.tsMu.Lock()
 		if x.snapTS != 0 {
-			if t.activeSnaps[x.snapTS]--; t.activeSnaps[x.snapTS] <= 0 {
-				delete(t.activeSnaps, x.snapTS)
+			if inc.activeSnaps[x.snapTS]--; inc.activeSnaps[x.snapTS] <= 0 {
+				delete(inc.activeSnaps, x.snapTS)
 			}
 		}
 		if x.commitTS != 0 {
-			delete(t.commitOut, x.commitTS)
+			delete(inc.commitOut, x.commitTS)
 		}
-		t.tsMu.Unlock()
+		x.tc.tsMu.Unlock()
 	}
-	t.locks.ReleaseAll(x.id)
-	t.mu.Lock()
-	delete(t.txns, x.id)
-	t.mu.Unlock()
+	inc.locks.ReleaseAll(x.id)
+	inc.mu.Lock()
+	delete(inc.txns, x.id)
+	inc.mu.Unlock()
 }
 
 // finalize logs and ships the commit-versions operations of a committed
@@ -766,8 +791,9 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) error {
 	op := &base.Op{TC: t.cfg.ID, Kind: kind, Table: tk.table, Key: tk.key, TS: x.commitTS}
 	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: 0,
 		Payload: encodeOpPayload(op, nil, false)}
-	op.Epoch = t.Epoch() // before the LSN assignment; see deliver
-	op.LSN = t.log.AppendAssign(rec)
+	if !x.inc.logOp(op, rec) {
+		return ErrTCStopped
+	}
 	x.list(idx, op)
 	if len(x.unsent[idx]) >= maxBatch {
 		return x.ship()
@@ -782,10 +808,10 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) error {
 // transaction still aborts cleanly).
 func (x *Txn) Abort() error {
 	if x.state != txnActive {
-		if x.state == txnAborted {
-			return nil
+		if x.state == txnCommitted {
+			return ErrTxnDone
 		}
-		return ErrTxnDone
+		return nil
 	}
 	if x.orphaned() {
 		return x.die()
@@ -803,21 +829,20 @@ func (x *Txn) Abort() error {
 // can never overtake the forward operation it undoes and every CLR finds the
 // effect it compensates.
 func (x *Txn) rollback() {
-	t := x.tc
 	x.queue = nil
-	if x.lastLSN != 0 {
-		t.undoChain(x.id, x.lastLSN)
-		aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
-		t.acks.Complete(aLSN) // local record: no DC round trip
+	if x.lastLSN != 0 && !x.orphaned() { // an orphan's undo is restart's; see die
+		x.inc.undoChain(x.id, x.lastLSN)
+		x.inc.logLocal(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 	}
 	x.finish()
-	t.aborts.Add(1)
+	x.tc.aborts.Add(1)
 }
 
 // undoChain applies inverse operations for the chain starting at lastLSN.
 // Compensation records jump via NextUndo so an undo interrupted by a crash
 // never repeats completed work. Shared by Abort and restart undo.
-func (t *TC) undoChain(txn base.TxnID, lastLSN base.LSN) {
+func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) {
+	t := inc.tc
 	cur := lastLSN
 	for cur != 0 {
 		rec := t.log.Get(cur)
@@ -840,11 +865,12 @@ func (t *TC) undoChain(txn base.TxnID, lastLSN base.LSN) {
 				}
 				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur,
 					NextUndo: rec.Prev, Payload: encodeOpPayload(inv, nil, false)}
-				inv.Epoch = t.Epoch() // before the LSN assignment; see deliver
-				inv.LSN = t.log.AppendAssign(clr)
+				if !inc.logOp(inv, clr) {
+					return // the incarnation died: the rest is its successor's
+				}
 				// The CLR is logged: if delivery is cut short (TC stopping),
 				// restart resends it.
-				_ = t.deliverOne(context.Background(), t.dcs[idx], inv, false)
+				_ = inc.deliverOne(context.Background(), t.dcs[idx], inv, false)
 				t.undoOps.Add(1)
 			}
 			cur = rec.Prev
@@ -888,8 +914,8 @@ func inverseOp(op *base.Op, prior []byte, priorFound bool) *base.Op {
 // not. hi == "" scans to the end of the table's partition; limit <= 0 means
 // unlimited.
 func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byte, err error) {
-	if x.state != txnActive {
-		return nil, nil, ErrTxnDone
+	if err := doneErr[x.state]; err != nil {
+		return nil, nil, err
 	}
 	if x.snapTS != 0 {
 		// Snapshot scans need none of the §3.1 range protocols: the view
@@ -929,7 +955,7 @@ func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byt
 		return nil, nil, err
 	}
 	x.tc.probes.Add(1)
-	probe := x.tc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID, LSN: x.tc.log.AllocLSN(),
+	probe := x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID,
 		Kind: base.OpScanProbe, Table: table, Key: lo, EndKey: hi, Limit: probeLimit})
 	if err := x.resErr(probe); err != nil {
 		return nil, nil, err
@@ -975,31 +1001,23 @@ func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byt
 // boundaries without locks (§6.2.2; used by reader TCs like Figure 2's
 // TC3).
 func (x *Txn) ScanCommitted(table, lo, hi string, limit int) ([]string, [][]byte, error) {
-	if x.state != txnActive {
-		return nil, nil, ErrTxnDone
-	}
-	if err := x.flush(); err != nil {
-		return nil, nil, err
-	}
-	res, err := x.rangeOp(table, lo, hi, limit, base.ReadCommitted)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := x.resErr(res); err != nil {
-		return nil, nil, err
-	}
-	return res.Keys, res.Values, nil
+	return x.scanUnlocked(table, lo, hi, limit, base.ReadCommitted)
 }
 
 // ScanDirty range-reads latest versions without locks (§6.2.1).
 func (x *Txn) ScanDirty(table, lo, hi string, limit int) ([]string, [][]byte, error) {
-	if x.state != txnActive {
-		return nil, nil, ErrTxnDone
+	return x.scanUnlocked(table, lo, hi, limit, base.ReadDirty)
+}
+
+// scanUnlocked is readUnlocked for a range.
+func (x *Txn) scanUnlocked(table, lo, hi string, limit int, flavor base.ReadFlavor) ([]string, [][]byte, error) {
+	if err := doneErr[x.state]; err != nil {
+		return nil, nil, err
 	}
 	if err := x.flush(); err != nil {
 		return nil, nil, err
 	}
-	res, err := x.rangeOp(table, lo, hi, limit, base.ReadDirty)
+	res, err := x.rangeOp(table, lo, hi, limit, flavor)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1028,7 +1046,7 @@ func (x *Txn) rangeOp(table, lo, hi string, limit int, flavor base.ReadFlavor) (
 		_ = x.Abort()
 		return nil, err
 	}
-	return x.tc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID, LSN: x.tc.log.AllocLSN(),
+	return x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID,
 		Kind: base.OpRangeRead, Table: table, Key: lo, EndKey: hi,
 		Limit: int32(limit), Flavor: flavor}), nil
 }

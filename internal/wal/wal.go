@@ -12,6 +12,16 @@
 // records above the force boundary are lost and the LSN space above the
 // stable end is reused — the abstract-LSN contract in package ablsn is
 // designed for exactly this.
+//
+// Because the LSN space is reused, a log has generations: Crash ends one and
+// the next begins at the stable end. A writer that can outlive the crash of
+// its own component — a TC transaction whose commit straddles Crash and
+// Recover — takes LSNs, appends and forces through the Generation it was
+// handed, and is refused once that has ended, under the same mutex that
+// orders appends: its record cannot land in the tail its successor is
+// writing, and it cannot wait for, or be told stable, an LSN that now names
+// somebody else's record. Callers that stop before they crash the log (the
+// DC-log, the monolith) use the Log's own methods, which no crash refuses.
 package wal
 
 import (
@@ -20,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/storage"
@@ -111,7 +122,29 @@ type Log struct {
 	next    base.LSN // next LSN to allocate
 	enc     []byte   // AppendAssign's encode buffer
 	forcing bool
+	// gen counts the crashes the log has been through. It moves under mu —
+	// the mutex that orders appends — so a Generation's append and the Crash
+	// that ends it are ordered like any two appends; Live reads it alone.
+	gen atomic.Uint64
 }
+
+// Generation is the right to use a Log between two crashes: the handle a
+// component incarnation appends, allocates and forces through when it may be
+// outlived by its own log (a TC incarnation whose Commit straddles
+// Crash+Recover). Once Crash has ended the generation every call is refused —
+// zero for an LSN, false for a force — so nothing of a dead incarnation lands
+// in the tail its successor is writing, and a force never waits for, or
+// vouches for, an LSN whose record the crash dropped and the successor handed
+// out again. The zero value is not usable; call Log.Generation.
+type Generation struct {
+	l *Log
+	n uint64
+}
+
+// anyGen is the generation of the Log's own methods, which no crash ends:
+// their callers (the DC-log, the monolith) stop using the log before they
+// crash it.
+const anyGen = ^uint64(0)
 
 // New returns a log over media. If media already holds records (a restart)
 // they are checked to decode, and LSN allocation resumes just above the
@@ -132,39 +165,77 @@ func New(media *storage.LogStore) (*Log, error) {
 	return l, nil
 }
 
+// ended reports whether a crash has ended generation gen.
+func (l *Log) ended(gen uint64) bool { return gen != anyGen && gen != l.gen.Load() }
+
+// Generation returns the log's current generation.
+func (l *Log) Generation() Generation { return Generation{l, l.gen.Load()} }
+
+// Live reports whether the generation has not ended: one atomic load.
+func (g Generation) Live() bool { return !g.l.ended(g.n) }
+
+// AllocLSN is Log.AllocLSN; zero once the generation has ended.
+func (g Generation) AllocLSN() base.LSN { return g.l.alloc(g.n, nil) }
+
+// AppendAssign is Log.AppendAssign; zero, and nothing appended, once the
+// generation has ended.
+func (g Generation) AppendAssign(r *Record) base.LSN { return g.l.alloc(g.n, r) }
+
+// ForceTo is Log.ForceTo. It reports false once the generation has ended,
+// whether or not the record the caller appended at lsn reached stability
+// first: the stable log decides that, restart reads it.
+func (g Generation) ForceTo(lsn base.LSN) bool { return g.l.forceTo(g.n, lsn) }
+
+// Force is Log.Force, refused like ForceTo.
+func (g Generation) Force() bool { return g.l.forceTo(g.n, g.l.LastLSN()) }
+
 // AllocLSN reserves the next LSN without writing a record (unique request
 // IDs for reads, §4.2).
-func (l *Log) AllocLSN() base.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsn := l.next
-	l.next++
-	return lsn
-}
+func (l *Log) AllocLSN() base.LSN { return l.alloc(anyGen, nil) }
 
 // AppendAssign atomically assigns the next LSN to r and appends it. It
 // returns the assigned LSN. The record is volatile until forced; the log
 // keeps its encoding, not r.
-func (l *Log) AppendAssign(r *Record) base.LSN {
+func (l *Log) AppendAssign(r *Record) base.LSN { return l.alloc(anyGen, r) }
+
+// alloc hands out the next LSN, to r and the media when r is not nil, unless
+// gen has ended.
+func (l *Log) alloc(gen uint64, r *Record) base.LSN {
 	l.mu.Lock()
-	r.LSN = l.next
+	defer l.mu.Unlock()
+	if l.ended(gen) {
+		return 0
+	}
+	lsn := l.next
 	l.next++
-	// The media append happens under the same mutex so that the media
-	// order always equals the LSN order; OPSR for the TC-log depends on
-	// this.
-	l.enc = r.Append(l.enc[:0])
-	l.media.Append(uint64(r.LSN), l.enc)
-	l.mu.Unlock()
-	return r.LSN
+	if r != nil {
+		// The media append happens under the same mutex so that the media
+		// order always equals the LSN order; OPSR for the TC-log depends on
+		// this.
+		r.LSN = lsn
+		l.enc = r.Append(l.enc[:0])
+		l.media.Append(uint64(lsn), l.enc)
+	}
+	return lsn
 }
 
 // ForceTo blocks until all records with LSN <= lsn are stable. Concurrent
 // callers are group-forced: one caller performs the media force while the
 // others wait, so a single (simulated) fsync can commit many transactions.
-func (l *Log) ForceTo(lsn base.LSN) {
+func (l *Log) ForceTo(lsn base.LSN) { l.forceTo(anyGen, lsn) }
+
+// forceTo is ForceTo on behalf of gen; false, at once or as soon as the wait
+// observes it, when gen has ended.
+func (l *Log) forceTo(gen uint64, lsn base.LSN) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.EOSL() < lsn {
+	for {
+		if l.ended(gen) {
+			return false
+		}
+		if l.EOSL() >= lsn {
+			return true
+		}
 		if l.forcing {
 			l.cond.Wait()
 			continue
@@ -175,10 +246,10 @@ func (l *Log) ForceTo(lsn base.LSN) {
 		l.mu.Lock()
 		l.forcing = false
 		l.cond.Broadcast()
-		if stable < lsn && l.LastLSN() < lsn {
+		if stable < lsn && l.LastLSN() < lsn && !l.ended(gen) {
 			// Everything appended is stable yet the target is still ahead:
 			// the caller names an LSN that was never appended in this
-			// incarnation. Spinning would hang forever, so fail loudly.
+			// generation. Spinning would hang forever, so fail loudly.
 			panic(fmt.Sprintf("wal: ForceTo(%d) beyond fully-stable log end %d", lsn, stable))
 		}
 	}
@@ -214,11 +285,13 @@ func (l *Log) NextLSN() base.LSN {
 	return l.next
 }
 
-// Crash simulates losing the volatile records; LSN allocation restarts just
-// above the stable end.
+// Crash simulates losing the volatile records and ends the generation that
+// wrote them; LSN allocation restarts just above the stable end.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.gen.Add(1)
+	l.cond.Broadcast() // a Generation waiting on another's force learns it has ended
 	l.media.Crash()
 	l.next = l.LastLSN() + 1
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/storage"
@@ -139,6 +140,70 @@ func TestGroupForce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestGenerationEndsAtCrash: a Generation is refused from the Crash that ends
+// it on — no LSN, no record in the successor's tail, and no force that would
+// vouch for an LSN the successor has handed out again — while the Log's own
+// methods and the next Generation go on.
+func TestGenerationEndsAtCrash(t *testing.T) {
+	l := newLog(t)
+	g := l.Generation()
+	stable := g.AppendAssign(&Record{Kind: 1})
+	if !g.Live() || stable != 1 || !g.ForceTo(stable) || !g.Force() {
+		t.Fatalf("a live generation was refused (lsn %d)", stable)
+	}
+	lost := g.AppendAssign(&Record{Kind: 1}) // volatile: dies in the crash
+	l.Crash()
+	next := l.NextLSN()
+	if next != lost {
+		t.Fatalf("LSN allocation resumes at %d, want the lost record's %d", next, lost)
+	}
+	if g.Live() || g.AllocLSN() != 0 || g.AppendAssign(&Record{Kind: 1}) != 0 || l.NextLSN() != next {
+		t.Fatalf("an ended generation took an LSN (next %d -> %d)", next, l.NextLSN())
+	}
+	// The successor reuses the lost LSN and forces it: the dead generation's
+	// ForceTo of "its" LSN must not report that as its own record's stability.
+	h := l.Generation()
+	if reused := h.AppendAssign(&Record{Kind: 2}); reused != lost || !h.ForceTo(reused) {
+		t.Fatalf("the next generation got LSN %d, want %d, forced", reused, lost)
+	}
+	if g.ForceTo(lost) || g.Force() {
+		t.Fatal("an ended generation's force reported success")
+	}
+	if rec := l.Get(lost); rec == nil || rec.Kind != 2 {
+		t.Fatalf("LSN %d holds %+v, want the successor's record", lost, rec)
+	}
+	if lsn := l.AppendAssign(&Record{Kind: 3}); lsn != lost+1 {
+		t.Fatalf("the Log's own append after a crash got LSN %d", lsn)
+	}
+}
+
+// TestCrashUnderAGenerationsForce is the straddling commit at the log's
+// level: the record is appended, its force is asleep on the media, the crash
+// drops the record. The force returns false; it used to panic ("ForceTo
+// beyond fully-stable log end") because the LSN it named no longer existed.
+func TestCrashUnderAGenerationsForce(t *testing.T) {
+	media := storage.NewLogStore()
+	media.ForceDelay = 20 * time.Millisecond
+	l, err := New(media)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := l.Generation()
+	lsn := g.AppendAssign(&Record{Kind: 1})
+	forced := make(chan bool, 1)
+	go func() { forced <- g.ForceTo(lsn) }()
+	// The force sleeps before it looks at the log, so a crash any time in its
+	// 20 ms — or before it has begun — drops the record first.
+	time.Sleep(time.Millisecond)
+	l.Crash()
+	if <-forced {
+		t.Fatal("a force that straddled the crash reported its record stable")
+	}
+	if l.EOSL() >= lsn || l.NextLSN() != lsn {
+		t.Fatalf("the dropped record was forced after all (eosl %d, next %d, lsn %d)", l.EOSL(), l.NextLSN(), lsn)
+	}
 }
 
 func BenchmarkAppend(b *testing.B) {

@@ -264,6 +264,17 @@
 // (epoch snapshots are replayed from the DC-log before any operation is
 // served, and truncation re-logs them), making restart correctness
 // independent of timing on a lossy, reordering, duplicating network.
+//
+// That is the DC's side. On the TC's own side the same boundary is one
+// value: everything a TC crash destroys — lock table, transaction table, ack
+// bookkeeping, timestamp registrations, the epoch, and the right to use the
+// log — is one incarnation, which a transaction captures when it begins.
+// CrashTC drops it and ends the TC-log's generation; RecoverTC builds the
+// next one whole and publishes it last, unless a crash landed meanwhile. A
+// transaction that straddles the two fails with a transient error (wrapping
+// ErrCommitAmbiguous if its commit record had been appended: the stable log
+// decides) and cannot touch its successor's locks, transaction ids or log;
+// while the TC is down nothing is admitted.
 package unbundled
 
 import (
