@@ -132,6 +132,14 @@ func (r *Result) Err() error { return r.Code.Err() }
 // depends on the marks being at the DC (a checkpoint) therefore calls all
 // three, SafeTS last; one that only reports progress (a commit) calls the
 // first two and lets them ride.
+//
+// Ownership. An Op passed to Perform or PerformBatch is the caller's, lent
+// for the call: the caller may have drawn it from storage it reuses (a
+// transaction keeps its operations in itself), so a Service must be done with
+// the Op — encoded, executed, copied from — when the call returns, and may
+// keep nothing that points into it. A Result returned is the caller's from
+// then on: a Service that makes the results of a batch in one allocation makes
+// a new one per call and never touches it again.
 type Service interface {
 	// Perform executes one logical operation exactly once (resend +
 	// idempotence). It blocks until a reply is available or ctx is done.

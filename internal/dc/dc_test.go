@@ -539,3 +539,85 @@ func TestRandomizedCrashReplayConvergence(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchResultsBelongToTheirCall: PerformBatch draws its results from one
+// slab, and that slab is the call's alone — handed to the caller with the
+// slice, never pooled. The results of an earlier call stay exactly what they
+// were through a later one, no result or value of one call shares memory with
+// another's, and scribbling over everything a call returned changes neither
+// the next call's answers nor the pages.
+func TestBatchResultsBelongToTheirCall(t *testing.T) {
+	d := newDC(t, Config{})
+	h := newOpHelper(d, 1)
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		if res := h.insert(k, "value-of-"+k); res.Code != base.CodeOK {
+			t.Fatalf("insert %s: %+v", k, res)
+		}
+	}
+	batch := func() []*base.Result {
+		ops := make([]*base.Op, 0, len(keys)+1)
+		for _, k := range keys {
+			ops = append(ops, &base.Op{TC: 1, Kind: base.OpRead, Table: "t", Key: k})
+		}
+		ops = append(ops, &base.Op{TC: 1, Kind: base.OpRangeRead, Table: "t", Key: "a", EndKey: "z"})
+		return d.PerformBatch(context.Background(), ops)
+	}
+	check := func(when string, rs []*base.Result) {
+		t.Helper()
+		for i, k := range keys {
+			if r := rs[i]; r.Code != base.CodeOK || !r.Found || string(r.Value) != "value-of-"+k {
+				t.Fatalf("%s: read %s = %+v", when, k, r)
+			}
+		}
+		if r := rs[len(keys)]; len(r.Keys) != len(keys) || string(r.Values[1]) != "value-of-b" {
+			t.Fatalf("%s: range read = %+v", when, r)
+		}
+	}
+	first := batch()
+	check("first call", first)
+	second := batch()
+	check("second call", second)
+	check("first call, after the second", first)
+
+	owned := map[*byte]string{}
+	claim := func(call string, b []byte) {
+		t.Helper()
+		if len(b) == 0 {
+			return
+		}
+		if other, ok := owned[&b[0]]; ok {
+			t.Fatalf("a value of the %s call shares memory with one of the %s call", call, other)
+		}
+		owned[&b[0]] = call
+	}
+	for call, rs := range map[string][]*base.Result{"first": first, "second": second} {
+		for _, r := range rs {
+			claim(call, r.Value)
+			for _, v := range r.Values {
+				claim(call, v)
+			}
+		}
+	}
+	for i := range first {
+		for j := range second {
+			if first[i] == second[j] {
+				t.Fatalf("result %d of the first call is result %d of the second", i, j)
+			}
+		}
+	}
+
+	for _, r := range first {
+		for i := range r.Value {
+			r.Value[i] = 'X'
+		}
+		for _, v := range r.Values {
+			for i := range v {
+				v[i] = 'X'
+			}
+		}
+		*r = base.Result{Code: base.CodeBadRequest}
+	}
+	check("second call, after the first was scribbled over", second)
+	check("a third call", batch())
+}

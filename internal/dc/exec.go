@@ -16,18 +16,25 @@ import (
 // rollback (§4.2.1). A context that is already done is refused up front
 // (CodeCancelled); an operation that starts executing completes.
 func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
-	return d.perform(ctx, d.inc.Load(), op)
+	res := new(base.Result)
+	d.perform(ctx, d.inc.Load(), op, res)
+	return res
 }
 
 // perform executes op on inc, the incarnation its caller loaded (nil: the
-// DC is down), and on nothing else of the DC's volatile state.
-func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op) *base.Result {
+// DC is down), and on nothing else of the DC's volatile state, and answers in
+// res: a zero Result of its caller's. Nothing of op outlives the call except
+// by copy.
+func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *base.Result) {
+	res.LSN = op.LSN
 	if ctx.Err() != nil {
-		return &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
+		res.Code = base.CodeCancelled
+		return
 	}
 	if inc == nil {
 		d.unavailable.Add(1)
-		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
+		res.Code = base.CodeUnavailable
+		return
 	}
 	// Incarnation fence: an operation stamped by an epoch older than the
 	// TC's last begin_restart was issued by a dead incarnation. It must
@@ -36,13 +43,15 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op) *base.R
 	ts := inc.tc(op.TC)
 	if ts.fenced(op.Epoch) {
 		d.staleEpochs.Add(1)
-		return &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
+		res.Code = base.CodeStaleEpoch
+		return
 	}
 	if d.draining.Load() {
 		// Operations-plane admission gate (see Drain in admin.go): nack
 		// transient, the TC's resend discipline waits the drain out.
 		d.drainRejects.Add(1)
-		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
+		res.Code = base.CodeUnavailable
+		return
 	}
 	d.performs.Add(1)
 	d.inflightOps.Add(1)
@@ -55,7 +64,8 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op) *base.R
 	}
 	tree := inc.forest.Tree(op.Table)
 	if tree == nil {
-		return d.refuse(inc, op)
+		res.Code = d.refusal(inc)
+		return
 	}
 	if op.Flavor == base.ReadSnapshot && op.TS != 0 &&
 		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead) {
@@ -66,46 +76,46 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op) *base.R
 			if code == base.CodeUnavailable {
 				d.unavailable.Add(1)
 			}
-			return &base.Result{LSN: op.LSN, Code: code}
+			res.Code = code
+			return
 		}
 		d.snapReads.Add(1)
 	}
-	var res *base.Result
 	var err error
 	switch op.Kind {
 	case base.OpRead:
-		res, err = read(tree, op)
+		err = read(tree, op, res)
 	case base.OpScanProbe:
-		res, err = scanProbe(tree, op)
+		err = scanProbe(tree, op, res)
 	case base.OpRangeRead:
-		res, err = rangeRead(tree, op)
+		err = rangeRead(tree, op, res)
 	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert,
 		base.OpCommitVersions, base.OpAbortVersions:
-		res, err = d.write(inc, tree, ts, op)
+		err = d.write(inc, tree, ts, op, res)
 		if err == nil && res.Code == base.CodeOK &&
 			(op.Kind == base.OpCommitVersions || op.Kind == base.OpAbortVersions) {
 			d.finalizes.Add(1)
 		}
 	default:
-		return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
+		res.Code = base.CodeBadRequest
 	}
 	if err != nil {
-		return d.refuse(inc, op)
+		// Whatever the operation had gathered before its page would not load.
+		*res = base.Result{LSN: op.LSN, Code: d.refusal(inc)}
 	}
-	return res
 }
 
-// refuse answers an operation the incarnation it ran on could not execute
-// (no such table, a page that would not load). That is a permanent refusal
-// — unless the incarnation was dropped meanwhile: then the operation raced a
-// crash, and a crash must look like unavailable, never like a refused
+// refusal is the answer to an operation the incarnation it ran on could not
+// execute (no such table, a page that would not load). That is a permanent
+// refusal — unless the incarnation was dropped meanwhile: then the operation
+// raced a crash, and a crash must look like unavailable, never like a refused
 // request the TC would take as final.
-func (d *DC) refuse(inc *incarnation, op *base.Op) *base.Result {
+func (d *DC) refusal(inc *incarnation) base.Code {
 	if d.inc.Load() != inc {
 		d.unavailable.Add(1)
-		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
+		return base.CodeUnavailable
 	}
-	return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
+	return base.CodeBadRequest
 }
 
 // PerformBatch implements base.Service: execute a batch of operations
@@ -115,13 +125,18 @@ func (d *DC) refuse(inc *incarnation, op *base.Op) *base.Result {
 // reorders them (the cross-transaction case is excluded by the TC's
 // locks). Idempotence stays per-operation — a resent batch re-runs each
 // operation through the abstract-LSN test individually.
+//
+// The results of one call are one allocation, made by that call and handed
+// to its caller: never pooled, never shared with another call.
 func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	d.batches.Add(1)
 	d.batchOps.Add(uint64(len(ops)))
 	inc := d.inc.Load()
+	slab := make([]base.Result, len(ops))
 	out := make([]*base.Result, len(ops))
 	for i, op := range ops {
-		out[i] = d.perform(ctx, inc, op)
+		out[i] = &slab[i]
+		d.perform(ctx, inc, op, out[i])
 	}
 	return out
 }
@@ -130,8 +145,7 @@ func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 // tracked in abstract LSNs; resends simply re-execute. A result carries
 // copies: a record's key and values alias its page's image (package page),
 // and a result outlives the latch, and in process the DC.
-func read(tree *btree.Tree, op *base.Op) (*base.Result, error) {
-	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
+func read(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	err := tree.View(op.Key, func(leaf *page.Page) {
 		if rec := leaf.Get(op.Key); rec != nil {
 			if v, ok := recVersion(rec, op); ok {
@@ -143,14 +157,13 @@ func read(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 	if !res.Found {
 		res.Code = base.CodeNotFound
 	}
-	return res, err
+	return err
 }
 
 // scanProbe is the speculative probe of the fetch-ahead protocol (§3.1):
 // return the keys of the next records at or after op.Key so the TC can
 // lock them before issuing the real read.
-func scanProbe(tree *btree.Tree, op *base.Op) (*base.Result, error) {
-	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
+func scanProbe(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	limit := int(op.Limit)
 	if limit <= 0 {
 		limit = 16
@@ -162,12 +175,11 @@ func scanProbe(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 		})
 		return !stopped
 	})
-	return res, err
+	return err
 }
 
 // rangeRead returns visible records with op.Key <= k < op.EndKey.
-func rangeRead(tree *btree.Tree, op *base.Op) (*base.Result, error) {
-	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
+func rangeRead(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	limit := int(op.Limit)
 	if limit <= 0 {
 		limit = 1 << 30
@@ -182,7 +194,7 @@ func rangeRead(tree *btree.Tree, op *base.Op) (*base.Result, error) {
 		})
 		return !stopped
 	})
-	return res, err
+	return err
 }
 
 // recVersion resolves the version of rec visible to op: timestamped
@@ -197,8 +209,7 @@ func recVersion(rec *page.Record, op *base.Op) ([]byte, bool) {
 // write executes a mutating operation with the abstract-LSN idempotence
 // test of §5.1.2: if the page already contains the operation's effects the
 // DC skips re-execution and acknowledges.
-func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op) (*base.Result, error) {
-	var res *base.Result
+func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op, res *base.Result) error {
 	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
 		// Re-test the incarnation fence under the leaf latch: the
 		// restart sweep latches every page, so a write serializes with
@@ -208,22 +219,22 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op)
 		// already-swept page.
 		if ts.fenced(op.Epoch) {
 			d.staleEpochs.Add(1)
-			res = &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
+			res.Code = base.CodeStaleEpoch
 			return false
 		}
 		if leaf.Ab.Contains(op.TC, op.LSN) {
 			d.dupSkips.Add(1)
-			res = &base.Result{LSN: op.LSN, Code: base.CodeOK, Applied: true}
+			res.Applied = true
 			return false
 		}
-		res = applyWrite(leaf, op, base.TS(inc.gcHorizon.Load()))
+		res.Code = applyWrite(leaf, op, base.TS(inc.gcHorizon.Load()))
 		if res.Code == base.CodeOK {
 			leaf.Ab.Ensure(op.TC).Add(op.LSN)
 			inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
 		}
 		return false
 	})
-	return res, err
+	return err
 }
 
 // applyWrite mutates the latched leaf according to op. Failed operations
@@ -235,8 +246,7 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op)
 // uncommitted) and park the previous version's TS in BeforeTS; the commit
 // finalize re-stamps it. Unversioned writes clear the timestamp group —
 // they do not maintain snapshot history.
-func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
-	res := &base.Result{LSN: op.LSN, Code: base.CodeOK}
+func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) base.Code {
 	rec := leaf.Get(op.Key)
 	switch op.Kind {
 	case base.OpInsert:
@@ -247,10 +257,9 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 				// idempotently — a partial-failure restore (§5.3.2) re-sends
 				// operations whose effects a surviving page may still hold.
 				if rec.Owner == op.TC && bytes.Equal(rec.Value, op.Value) && !rec.HasBefore() {
-					return res
+					return base.CodeOK
 				}
-				res.Code = base.CodeDuplicate
-				return res
+				return base.CodeDuplicate
 			}
 			// Tombstoned slot: fall through and overwrite.
 		}
@@ -271,12 +280,10 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 		leaf.Put(nr)
 	case base.OpUpdate:
 		if rec == nil {
-			res.Code = base.CodeNotFound
-			return res
+			return base.CodeNotFound
 		}
 		if _, visible := rec.ReadVersion(base.ReadDirty); !visible {
-			res.Code = base.CodeNotFound
-			return res
+			return base.CodeNotFound
 		}
 		if op.Versioned {
 			if !rec.HasBefore() {
@@ -298,7 +305,7 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 				nr.Flags = page.FlagHasBefore | page.FlagBeforeNull
 			}
 			leaf.Put(nr)
-			return res
+			return base.CodeOK
 		}
 		if op.Versioned {
 			if !rec.HasBefore() {
@@ -321,12 +328,10 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 		rec.Owner = op.TC
 	case base.OpDelete:
 		if rec == nil {
-			res.Code = base.CodeNotFound
-			return res
+			return base.CodeNotFound
 		}
 		if _, visible := rec.ReadVersion(base.ReadDirty); !visible {
-			res.Code = base.CodeNotFound
-			return res
+			return base.CodeNotFound
 		}
 		if op.Versioned {
 			// Versioned delete: tombstone the latest version, retain the
@@ -361,9 +366,9 @@ func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) *base.Result {
 			}
 		}
 	default:
-		res.Code = base.CodeBadRequest
+		return base.CodeBadRequest
 	}
-	return res
+	return base.CodeOK
 }
 
 func cloneBytes(b []byte) []byte {

@@ -12,6 +12,19 @@
 // queue to reduce upgrade deadlocks. Deadlocks are detected with a
 // waits-for graph search at block time; the requester closing the cycle is
 // the victim and receives ErrDeadlock.
+//
+// An uncontended acquire-and-release allocates nothing at steady state. A
+// lock's holder set is a slice over an array of one inside the lock itself —
+// an X lock has exactly one holder, and only a second S holder spills to the
+// heap. What a transaction holds is an append-only list of its locks, which
+// only ever empties whole (ReleaseAll: strict two-phase locking has no early
+// release). Both are recycled on free lists under the manager's mutex,
+// scrubbed of their previous owner, and bounded by the locks that ever
+// existed at once. "Does this transaction already hold it" is answered by the
+// lock's own holder set, not by a per-transaction map of resources: such a
+// map costs an allocation per transaction and a second hash of every key,
+// and a range scan that locks 10 000 keys grows it by rehashing, where the
+// list appends.
 package lockmgr
 
 import (
@@ -90,16 +103,56 @@ type request struct {
 	ready   chan error
 }
 
+// holder is one granted lock: who, and how strongly.
+type holder struct {
+	txn  base.TxnID
+	mode Mode
+}
+
+// lockState is one lock of the table: the resource it is the entry of, who
+// holds it and who waits. holders starts over one; see the package comment.
 type lockState struct {
-	granted map[base.TxnID]Mode
+	res     Resource
+	one     [1]holder
+	holders []holder
 	queue   []*request
+}
+
+// modeOf is the mode txn holds the lock in, None when it is no holder.
+func (st *lockState) modeOf(txn base.TxnID) Mode {
+	for i := range st.holders {
+		if st.holders[i].txn == txn {
+			return st.holders[i].mode
+		}
+	}
+	return None
+}
+
+// blockedBy reports whether a holder other than txn excludes mode.
+func (st *lockState) blockedBy(txn base.TxnID, mode Mode) bool {
+	for _, h := range st.holders {
+		if h.txn != txn && !Compatible(mode, h.mode) {
+			return true
+		}
+	}
+	return false
+}
+
+// heldList is what one transaction holds: its locks in grant order, each once
+// (an upgrade changes the mode in the lock, not the list).
+type heldList struct {
+	locks []*lockState
 }
 
 // Manager is a lock manager. The zero value is not usable; call New.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
-	held  map[base.TxnID]map[Resource]Mode
+	held  map[base.TxnID]*heldList
+	// freeStates and freeHeld are the recycled entries of the two maps above,
+	// scrubbed when they are put here.
+	freeStates []*lockState
+	freeHeld   []*heldList
 	// waiting maps a txn to the resource it is blocked on (at most one).
 	waiting map[base.TxnID]Resource
 
@@ -119,7 +172,7 @@ type Manager struct {
 func New() *Manager {
 	return &Manager{
 		locks:   make(map[Resource]*lockState),
-		held:    make(map[base.TxnID]map[Resource]Mode),
+		held:    make(map[base.TxnID]*heldList),
 		waiting: make(map[base.TxnID]Resource),
 	}
 }
@@ -143,15 +196,13 @@ func (m *Manager) LockWait(ctx context.Context, txn base.TxnID, res Resource, mo
 		m.mu.Unlock()
 		return err
 	}
-	cur := m.held[txn][res]
-	if cur.Covers(mode) {
+	st := m.locks[res]
+	cur := None
+	if st == nil {
+		st = m.newStateLocked(res)
+	} else if cur = st.modeOf(txn); cur.Covers(mode) {
 		m.mu.Unlock()
 		return nil
-	}
-	st := m.locks[res]
-	if st == nil {
-		st = &lockState{granted: make(map[base.TxnID]Mode, 1)}
-		m.locks[res] = st
 	}
 	upgrade := cur != None
 	if upgrade {
@@ -159,7 +210,7 @@ func (m *Manager) LockWait(ctx context.Context, txn base.TxnID, res Resource, mo
 		// The held mode stays granted while the upgrade waits.
 	}
 	if m.grantableLocked(st, txn, mode, upgrade) {
-		m.grantLocked(st, txn, res, mode)
+		m.grantLocked(st, txn, mode)
 		m.mu.Unlock()
 		return nil
 	}
@@ -217,13 +268,8 @@ func (m *Manager) LockWait(ctx context.Context, txn base.TxnID, res Resource, mo
 // compatible with every other holder, and (unless upgrading) no earlier
 // waiter exists (FIFO fairness).
 func (m *Manager) grantableLocked(st *lockState, txn base.TxnID, mode Mode, upgrade bool) bool {
-	for holder, hm := range st.granted {
-		if holder == txn {
-			continue
-		}
-		if !Compatible(mode, hm) {
-			return false
-		}
+	if st.blockedBy(txn, mode) {
+		return false
 	}
 	if !upgrade {
 		for _, w := range st.queue {
@@ -235,15 +281,49 @@ func (m *Manager) grantableLocked(st *lockState, txn base.TxnID, mode Mode, upgr
 	return true
 }
 
-func (m *Manager) grantLocked(st *lockState, txn base.TxnID, res Resource, mode Mode) {
-	st.granted[txn] = mode
+// pop takes the last entry off a free list; nil when there is none.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	e := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return e
+}
+
+// newStateLocked enters a lock for res into the table, recycled if one is free.
+func (m *Manager) newStateLocked(res Resource) *lockState {
+	st := pop(&m.freeStates)
+	if st == nil {
+		st = &lockState{}
+		st.holders = st.one[:0]
+	}
+	st.res = res
+	m.locks[res] = st
+	return st
+}
+
+// grantLocked makes txn a holder of st in mode — an upgrade strengthens the
+// entry it already has — and files a new lock on txn's held list.
+func (m *Manager) grantLocked(st *lockState, txn base.TxnID, mode Mode) {
+	m.acquired.Add(1)
+	for i := range st.holders {
+		if st.holders[i].txn == txn {
+			st.holders[i].mode = mode
+			return
+		}
+	}
+	st.holders = append(st.holders, holder{txn, mode})
 	h := m.held[txn]
 	if h == nil {
-		h = make(map[Resource]Mode, 4)
+		if h = pop(&m.freeHeld); h == nil {
+			h = &heldList{}
+		}
 		m.held[txn] = h
 	}
-	h[res] = mode
-	m.acquired.Add(1)
+	h.locks = append(h.locks, st)
 }
 
 func (m *Manager) removeRequestLocked(st *lockState, req *request) {
@@ -258,51 +338,39 @@ func (m *Manager) removeRequestLocked(st *lockState, req *request) {
 	}
 }
 
-// Release drops txn's lock on res and wakes newly grantable waiters.
-func (m *Manager) Release(txn base.TxnID, res Resource) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.releaseLocked(txn, res)
-}
-
-func (m *Manager) releaseLocked(txn base.TxnID, res Resource) {
-	st := m.locks[res]
-	if st == nil {
-		return
-	}
-	delete(st.granted, txn)
-	if h := m.held[txn]; h != nil {
-		delete(h, res)
-		if len(h) == 0 {
-			delete(m.held, txn)
+// releaseLocked drops txn from st's holders, wakes newly grantable waiters
+// and retires a lock nobody holds or waits for: out of the table and, scrubbed
+// of everything its owners left in it, onto the free list.
+func (m *Manager) releaseLocked(st *lockState, txn base.TxnID) {
+	for i := range st.holders {
+		if st.holders[i].txn == txn {
+			last := len(st.holders) - 1
+			st.holders[i] = st.holders[last]
+			st.holders[last] = holder{}
+			st.holders = st.holders[:last]
+			break
 		}
 	}
-	m.wakeLocked(st, res)
-	if len(st.granted) == 0 && len(st.queue) == 0 {
-		delete(m.locks, res)
+	m.wakeLocked(st)
+	if len(st.holders) == 0 && len(st.queue) == 0 {
+		delete(m.locks, st.res)
+		// The queue's storage is not kept: dequeuing walks its start forward,
+		// and a granted request must not stay reachable from a free lock.
+		st.res, st.one[0], st.holders, st.queue = Resource{}, holder{}, st.one[:0], nil
+		m.freeStates = append(m.freeStates, st)
 	}
 }
 
 // wakeLocked grants queued requests in order until one cannot be granted.
-func (m *Manager) wakeLocked(st *lockState, res Resource) {
+func (m *Manager) wakeLocked(st *lockState) {
 	for len(st.queue) > 0 {
 		req := st.queue[0]
-		ok := true
-		for holder, hm := range st.granted {
-			if holder == req.txn {
-				continue
-			}
-			if !Compatible(req.mode, hm) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if st.blockedBy(req.txn, req.mode) {
 			return
 		}
 		st.queue = st.queue[1:]
 		delete(m.waiting, req.txn)
-		m.grantLocked(st, req.txn, res, req.mode)
+		m.grantLocked(st, req.txn, req.mode)
 		req.ready <- nil
 	}
 }
@@ -338,22 +406,24 @@ func (m *Manager) ReleaseAll(txn base.TxnID) {
 	if h == nil {
 		return
 	}
-	resources := make([]Resource, 0, len(h))
-	for res := range h {
-		resources = append(resources, res)
+	delete(m.held, txn)
+	for i, st := range h.locks {
+		m.releaseLocked(st, txn)
+		h.locks[i] = nil
 	}
-	for _, res := range resources {
-		m.releaseLocked(txn, res)
-	}
+	h.locks = h.locks[:0]
+	m.freeHeld = append(m.freeHeld, h)
 }
 
 // Held returns the modes txn currently holds (copy; diagnostics/tests).
 func (m *Manager) Held(txn base.TxnID) map[Resource]Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[Resource]Mode, len(m.held[txn]))
-	for r, md := range m.held[txn] {
-		out[r] = md
+	out := make(map[Resource]Mode)
+	if h := m.held[txn]; h != nil {
+		for _, st := range h.locks {
+			out[st.res] = st.modeOf(txn)
+		}
 	}
 	return out
 }
@@ -382,9 +452,9 @@ func (m *Manager) cycleLocked(start base.TxnID) bool {
 			return false
 		}
 		blockers := map[base.TxnID]bool{}
-		for holder, hm := range st.granted {
-			if holder != t && !Compatible(req.mode, hm) {
-				blockers[holder] = true
+		for _, h := range st.holders {
+			if h.txn != t && !Compatible(req.mode, h.mode) {
+				blockers[h.txn] = true
 			}
 		}
 		if !req.upgrade {

@@ -58,13 +58,13 @@ func TestSharedThenExclusiveBlocks(t *testing.T) {
 		t.Fatal("X granted alongside S holders")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	m.ReleaseAll(1)
 	select {
 	case <-granted:
 		t.Fatal("X granted with one S holder left")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(2, r)
+	m.ReleaseAll(2)
 	select {
 	case <-granted:
 	case <-time.After(time.Second):
@@ -105,7 +105,7 @@ func TestUpgrade(t *testing.T) {
 		t.Fatalf("upgrade granted while other S holder present: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(2, r)
+	m.ReleaseAll(2)
 	if err := <-upgraded; err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,9 @@ func TestFIFOFairnessNoStarvation(t *testing.T) {
 		t.Fatal("reader starved the queued writer")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	m.ReleaseAll(1)
 	<-wGot
-	m.Release(2, r)
+	m.ReleaseAll(2)
 	<-rGot
 }
 
@@ -332,6 +332,29 @@ func BenchmarkLockPerKey(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkScanLocks10k is one transaction S-locking 10 000 keys — a
+// fetch-ahead scan — and releasing them: the cost per lock must not grow with
+// the locks the transaction already holds.
+func BenchmarkScanLocks10k(b *testing.B) {
+	m, ctx := New(), context.Background()
+	res := make([]Resource, 10_000)
+	for i := range res {
+		res[i] = KeyRes("t", fmt.Sprintf("k%07d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn := base.TxnID(i + 1)
+		for _, r := range res {
+			if err := m.LockWait(ctx, txn, r, S, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.ReleaseAll(txn)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(res)), "ns/lock")
 }
 
 // TestErrorTaxonomy pins the sentinel folding: lockmgr failures must

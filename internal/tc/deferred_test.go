@@ -45,7 +45,8 @@ type countingService struct {
 	marks   []string // watermark calls in arrival order: "eosl 7", "lwm 7", "safe"
 	// hook, when set, runs before a batch of reads ("read"), a delivery of
 	// logged operations ("write", whether it came as a Perform or a
-	// PerformBatch) or a restart control call ("begin-restart",
+	// PerformBatch), a single unlogged operation ("point-read", "probe",
+	// "range-read") or a restart control call ("begin-restart",
 	// "end-restart") is passed on.
 	hook func(call string)
 }
@@ -114,8 +115,15 @@ func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result
 		s.reads++
 	}
 	s.mu.Unlock()
-	if op.Kind.IsWrite() {
+	switch {
+	case op.Kind.IsWrite():
 		s.runHook("write")
+	case op.Kind == base.OpRead:
+		s.runHook("point-read")
+	case op.Kind == base.OpScanProbe:
+		s.runHook("probe")
+	case op.Kind == base.OpRangeRead:
+		s.runHook("range-read")
 	}
 	return s.Service.Perform(ctx, op)
 }
@@ -619,7 +627,7 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		s.take()
 	}
 	// write runs a transaction's barrier up to and including the append:
-	// the records are in the log and listed for their DCs, not shipped.
+	// the records are in the log and queued for their DCs, not shipped.
 	write := func(tag string) *Txn {
 		x := tcx.Begin(context.Background(), TxnOptions{})
 		if err := x.Upsert("t", tag, []byte(tag)); err != nil {
@@ -640,7 +648,7 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 	// ship the writes first.
 	winner := write("winner")
 	tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
-		Payload: encodeCommit(nil, 0)})
+		Payload: appendCommit(nil, nil, 0)})
 	stableLoser := write("stable-loser")
 	neverLogged := write("never-logged")
 	tcx.log.Force()
@@ -667,8 +675,8 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 	if ops, clrs := txnRecords(tcx, neverLogged.id); len(ops) != 0 || len(clrs) != 0 {
 		t.Fatalf("a transaction that crashed between pre-read and append has %d op records and %d CLRs", len(ops), len(clrs))
 	}
-	// An orphan that reaches a barrier after the restart dies there: its
-	// listed operations and its queue stay where they are.
+	// An orphan that reaches a barrier after the restart dies there: nothing
+	// of its queue, logged or not, leaves.
 	for _, s := range stubs {
 		s.take()
 	}
@@ -757,6 +765,64 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// A locked read, a scan's probe or its range read that is at the DC when
+	// the TC crashes and restarts comes back refused by the epoch fence; one
+	// that starts after the crash gets no LSN. Either way the transaction
+	// dies a transient death, and not of the fence's permanent ErrStaleEpoch.
+	reads := []struct {
+		name, at string // the stub call the crash and restart land in
+		call     func(*Txn) error
+	}{
+		{"read", "point-read", func(x *Txn) error {
+			_, _, err := x.Read("t", "other")
+			return err
+		}},
+		{"scan-probe", "probe", ends[2].call},
+		{"scan-range", "range-read", ends[2].call},
+		{"read-dirty", "point-read", func(x *Txn) error {
+			_, _, err := x.ReadDirty("t", "other")
+			return err
+		}},
+	}
+	for _, r := range reads {
+		t.Run("straddle/"+r.name, func(t *testing.T) {
+			tcx, _, stubs := newCountedPair(t)
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Insert("t", "k", []byte("v")) // something for the scan to lock
+			}); err != nil {
+				t.Fatal(err)
+			}
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			restarts := 0
+			stubs[0].setHook(func(call string) {
+				if call == r.at && restarts == 0 {
+					restarts++
+					tcx.Crash()
+					if err := tcx.Recover(); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			err := r.call(x)
+			if restarts != 1 {
+				t.Fatalf("the TC was never restarted under the %s", r.name)
+			}
+			if !errors.Is(err, ErrTCStopped) || errors.Is(err, base.ErrStaleEpoch) || !base.IsTransient(err) {
+				t.Fatalf("straddling %s = %v, want a transient ErrTCStopped", r.name, err)
+			}
+			logEnd := tcx.log.NextLSN()
+			if err := r.call(x); !errors.Is(err, ErrTCStopped) {
+				t.Fatalf("dead orphan's %s = %v, want ErrTCStopped", r.name, err)
+			}
+			if next := tcx.log.NextLSN(); next != logEnd {
+				t.Fatalf("the dead orphan took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+			}
+			if err := x.Abort(); err != nil {
+				t.Fatalf("abort of a dead orphan = %v, want nil", err)
+			}
+		})
 	}
 
 	straddles := []struct {

@@ -30,17 +30,30 @@ import (
 //     transaction never read need it);
 //  2. appends the op records in call order — appended at the barrier, under
 //     the lock, so the TC-log order is still an OPSR order; and
-//  3. ships them, one list per DC.
+//  3. ships them, one batch per DC.
 //
 // So a transaction of n unversioned upserts costs two request/reply calls per
 // DC however large n is (up to maxBatch), an abort before the first barrier
 // costs none and logs nothing, and a write holds no LSN while its
-// transaction idles or waits for a lock. The rules that keep this correct:
+// transaction idles or waits for a lock.
+//
+// What it allocates is sized once per transaction or once per batch, never
+// once per key. The queue holds its operations by value, in a slab the first
+// write allocates (Txn.slab: room for slabOps writes, their pre-reads and one
+// DC's batch); every record payload is encoded into one scratch buffer, grown
+// once to the computed size, because the log copies what it appends; the lock
+// manager recycles its entries; and a DC answers a batch from one slab of
+// results. The price is a rule of ownership, stated at base.Service: an
+// operation is lent to the service for the call, a result is the caller's.
+// TestWriteTxnAllocs holds the count (17 for four upserts and a commit, TC and
+// in-process DC together), BenchmarkWriteTxn is where to profile.
+//
+// The rules that keep the barrier correct:
 //
 //   - Same-key order inside a transaction is queue order, which is log order,
-//     which is list order (one key routes to one DC, and a DC executes a
+//     which is batch order (one key routes to one DC, and a DC executes a
 //     batch in order). Cross-transaction conflicts stay excluded by strict
-//     2PL: finish() releases locks only after the last list is acknowledged.
+//     2PL: finish() releases locks only after the last batch is acknowledged.
 //     Point reads and existence checks of a key with a queued write never
 //     reach the DC — x.cache answers them.
 //   - The undo information is in the TC-log before the operation can reach
@@ -88,7 +101,7 @@ import (
 //     any logged operation.
 
 // maxBatch caps the operations of one PerformBatch message: how many writes a
-// transaction may queue (or finalize operations it may list) before they
+// transaction may queue (or finalize operations a commit may) before they
 // leave ahead of the next barrier.
 const maxBatch = 64
 
@@ -128,6 +141,8 @@ func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op
 	t := inc.tc
 	var one [1]*base.Result
 	backoff := 200 * time.Microsecond
+	var pace pacer
+	defer pace.stop()
 	for {
 		if !inc.log.Live() {
 			return ErrTCStopped
@@ -164,7 +179,7 @@ func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op
 			select {
 			case <-t.stopCh:
 				stopped = true
-			case <-time.After(backoff):
+			case <-pace.after(backoff):
 			}
 		}
 		if stopped {
@@ -173,6 +188,29 @@ func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op
 		if backoff < 50*time.Millisecond {
 			backoff *= 2
 		}
+	}
+}
+
+// pacer times every pause of one call that retries — a delivery parked
+// against a down DC, a snapshot read waiting for a safe timestamp — with one
+// timer: made by the first pause, stopped when the call leaves, so however
+// long the call stays, it holds one timer and none is left waiting to fire.
+type pacer struct{ t *time.Timer }
+
+// after is time.After(d) on the call's timer; the previous pause has fired
+// or been abandoned by a caller that is leaving.
+func (p *pacer) after(d time.Duration) <-chan time.Time {
+	if p.t == nil {
+		p.t = time.NewTimer(d)
+	} else {
+		p.t.Reset(d)
+	}
+	return p.t.C
+}
+
+func (p *pacer) stop() {
+	if p.t != nil {
+		p.t.Stop()
 	}
 }
 
@@ -271,18 +309,19 @@ func (x *Txn) preRead() error {
 func (x *Txn) fetchPriors() (read bool, err error) {
 	t := x.tc
 	for dcIdx, h := range t.dcs {
-		var ops []*base.Op
+		reads := x.slab.reads[:0]
 		for i := range x.queue {
 			if q := &x.queue[i]; q.needPrior && q.dc == dcIdx {
-				if ops == nil {
-					ops = make([]*base.Op, 0, len(x.queue)-i)
-				}
-				ops = append(ops, &base.Op{TC: t.cfg.ID, Kind: base.OpRead,
+				reads = append(reads, base.Op{TC: t.cfg.ID, Kind: base.OpRead,
 					Table: q.op.Table, Key: q.op.Key, Flavor: base.ReadPlain})
 			}
 		}
-		if len(ops) == 0 {
+		if len(reads) == 0 {
 			continue
+		}
+		ops := x.slab.send[:0]
+		for i := range reads {
+			ops = append(ops, &reads[i])
 		}
 		read = true
 		results := x.inc.performBatchOn(x.ctx, h, ops)
@@ -310,20 +349,19 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 }
 
 // appendQueued logs the queued writes in call order — the same op record,
-// undo information included, that a write used to append before it returned
-// — and lists each for its DC. The X locks are still held, so the TC-log
-// order is an OPSR order exactly as when each call appended its own record.
-// From here on delivery is no longer cancellable: the resend/redo contract
-// must run to completion, or an abandoned forward operation could be
-// overtaken by its own inverse on a reordering network. The only failure is
-// the incarnation's death under the barrier: what it logged before the crash
-// is restart's to redo and undo, the rest was never logged.
+// undo information included, that a write used to append before it returned.
+// The X locks are still held, so the TC-log order is an OPSR order exactly as
+// when each call appended its own record. From here on delivery is no longer
+// cancellable: the resend/redo contract must run to completion, or an
+// abandoned forward operation could be overtaken by its own inverse on a
+// reordering network. The only failure is the incarnation's death under the
+// barrier: what it logged before the crash is restart's to redo and undo, the
+// rest was never logged.
 func (x *Txn) appendQueued() error {
 	for i := range x.queue {
 		q := &x.queue[i]
-		rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
-			Payload: encodeOpPayload(q.op, q.prior, q.priorFound)}
-		if !x.inc.logOp(q.op, rec) {
+		x.enc = appendOpPayload(x.enc[:0], &q.op, q.prior, q.priorFound)
+		if !x.inc.logOp(&q.op, &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN, Payload: x.enc}) {
 			return ErrTCStopped
 		}
 		// The record is in the log, so it is in the undo chain, whatever the
@@ -333,40 +371,40 @@ func (x *Txn) appendQueued() error {
 			x.firstLSN.Store(uint64(q.op.LSN))
 		}
 		x.lastLSN = q.op.LSN
-		x.list(q.dc, q.op)
 	}
-	x.queue = x.queue[:0]
 	return nil
 }
 
-// list adds one logged operation to the transaction's unsent list for the DC
-// the caller resolved with dcIndex (before the operation was accepted, so
-// only routable operations consume logged LSNs); it leaves with the next
-// ship.
-func (x *Txn) list(dcIdx int, op *base.Op) {
-	if x.unsent == nil {
-		x.unsent = make([][]*base.Op, len(x.tc.dcs))
-	}
-	if x.unsent[dcIdx] == nil {
-		// One allocation for a transaction of a handful of writes, instead
-		// of append's 1, 2, 4, 8.
-		x.unsent[dcIdx] = make([]*base.Op, 0, 8)
-	}
-	x.unsent[dcIdx] = append(x.unsent[dcIdx], op)
-}
-
-// ship delivers the transaction's listed operations to their DCs — one
-// deliver call (one PerformBatch when there is more than one operation) per
-// DC, on the calling goroutine — and returns the first failure. Delivery does
-// not honor the transaction's cancellation, for the reason appendQueued gives.
+// ship delivers the queue — logged, every operation of it — to the DCs its
+// operations route to (resolved with dcIndex before each was accepted, so
+// only routable operations consume logged LSNs) and empties it: one deliver
+// call (one PerformBatch when there is more than one operation) per DC, in
+// queue order, on the calling goroutine, one DC after the other. It returns
+// the first failure. Delivery does not honor the transaction's cancellation,
+// for the reason appendQueued gives.
 func (x *Txn) ship() error {
-	var first error
-	for i, ops := range x.unsent {
-		if len(ops) == 0 {
-			continue
-		}
-		first = firstErr(first, x.inc.deliver(x.sendCtx, x.tc.dcs[i], ops, false))
-		x.unsent[i] = ops[:0]
+	if len(x.queue) == 0 {
+		return nil
 	}
+	// The transaction's context stripped of cancellation, made here because a
+	// transaction that ships nothing needs none, and only of a context that
+	// can be cancelled at all.
+	ctx := x.ctx
+	if ctx.Done() != nil {
+		ctx = context.WithoutCancel(ctx)
+	}
+	var first error
+	for dcIdx, h := range x.tc.dcs {
+		ops := x.slab.send[:0]
+		for i := range x.queue {
+			if q := &x.queue[i]; q.dc == dcIdx {
+				ops = append(ops, &q.op)
+			}
+		}
+		if len(ops) > 0 {
+			first = firstErr(first, x.inc.deliver(ctx, h, ops, false))
+		}
+	}
+	x.queue = x.queue[:0]
 	return first
 }

@@ -240,3 +240,29 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPacerHoldsOneTimer: every pause of one retrying call is timed by the
+// same timer, and a call that leaves mid-pause leaves nothing waiting to fire.
+func TestPacerHoldsOneTimer(t *testing.T) {
+	var p pacer
+	p.stop() // a call that never paused has nothing to stop
+	first := p.after(time.Millisecond)
+	<-first
+	timer := p.t
+	for i := 0; i < 3; i++ {
+		if c := p.after(time.Millisecond); c != first || p.t != timer {
+			t.Fatal("a later pause of the same call made a timer of its own")
+		}
+		<-first
+	}
+	parked := p.after(time.Hour)
+	p.stop()
+	if p.t.Stop() {
+		t.Fatal("stop left the call's timer running")
+	}
+	select {
+	case <-parked:
+		t.Fatal("a stopped pause fired")
+	default:
+	}
+}

@@ -18,12 +18,12 @@ func FuzzDecodePayloads(f *testing.F) {
 		payload  []byte
 		reencode reencoder
 	}{
-		{encodeOpPayload(&base.Op{TC: 1, Kind: base.OpUpdate, Table: "t", Key: "k", Value: []byte("new")}, []byte("old"), true), reencodeOp},
-		{encodeOpPayload(&base.Op{TC: 2, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true}, nil, false), reencodeOp},
-		{encodeOpPayload(&base.Op{TC: 1, Kind: base.OpCommitVersions, Table: "t", Key: "k", TS: 1 << 50}, nil, false), reencodeOp},
-		{encodeCommit([]tableKey{{"a", "k1"}, {"b", "k2"}}, 909), reencodeCommit},
-		{encodeCommit([]tableKey{{"a", "k1"}}, 0), reencodeCommit}, // the pre-timestamp form
-		{encodeCommit(nil, 0), reencodeCommit},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpdate, Table: "t", Key: "k", Value: []byte("new")}, []byte("old"), true), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 2, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true}, nil, false), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpCommitVersions, Table: "t", Key: "k", TS: 1 << 50}, nil, false), reencodeOp},
+		{appendCommit(nil, []tableKey{{"a", "k1"}, {"b", "k2"}}, 909), reencodeCommit},
+		{appendCommit(nil, []tableKey{{"a", "k1"}}, 0), reencodeCommit}, // the pre-timestamp form
+		{appendCommit(nil, nil, 0), reencodeCommit},
 		{encodeCheckpoint(12345, 7), reencodeCheckpoint},
 		{encodeEpoch(42), reencodeEpoch},
 	} {
@@ -60,7 +60,7 @@ func reencodeOp(data []byte) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return encodeOpPayload(op, prior, found), true
+	return appendOpPayload(nil, op, prior, found), true
 }
 
 func reencodeCommit(data []byte) ([]byte, bool) {
@@ -68,7 +68,7 @@ func reencodeCommit(data []byte) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return encodeCommit(keys, ts), true
+	return appendCommit(nil, keys, ts), true
 }
 
 func reencodeCheckpoint(data []byte) ([]byte, bool) {

@@ -3,6 +3,7 @@ package tc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
@@ -11,13 +12,20 @@ import (
 // LSN is authoritative) plus the undo information captured before the send
 // (§4.1.1(3): "Undo logging in the TC will enable rollback … by providing
 // information TC can use to submit inverse logical operations").
-func encodeOpPayload(op *base.Op, prior []byte, priorFound bool) []byte {
+//
+// The payload encoders append to buf. The log copies a payload into its own
+// encoding of the record (wal.AppendAssign), so a caller that logs many keeps
+// one buffer and passes buf[:0]; the op payload grows it once, to the size it
+// computes, instead of by doubling.
+func appendOpPayload(buf []byte, op *base.Op, prior []byte, priorFound bool) []byte {
+	// The strings and a bound on the varints and flags around them.
+	buf = slices.Grow(buf, len(op.Table)+len(op.Key)+len(op.EndKey)+len(op.Value)+len(prior)+48)
 	saved, savedEpoch := op.LSN, op.Epoch
 	// LSN and epoch are zeroed in the payload: the record's own LSN is
 	// authoritative, and redo stamps the *restarted* incarnation's epoch —
 	// a logged (dead) epoch would be refused by the DC fence.
 	op.LSN, op.Epoch = 0, 0
-	buf := base.AppendOp(nil, op)
+	buf = base.AppendOp(buf, op)
 	op.LSN, op.Epoch = saved, savedEpoch
 	buf = binary.AppendUvarint(buf, uint64(len(prior)))
 	buf = append(buf, prior...)
@@ -55,8 +63,8 @@ func decodeOpPayload(payload []byte) (op *base.Op, prior []byte, priorFound bool
 // guarantee that before versions are eventually removed) at the same
 // visibility point, and so analysis can re-seed the timestamp allocator
 // above every durable commit.
-func encodeCommit(keys []tableKey, ts base.TS) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
+func appendCommit(buf []byte, keys []tableKey, ts base.TS) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, tk := range keys {
 		buf = binary.AppendUvarint(buf, uint64(len(tk.table)))
 		buf = append(buf, tk.table...)

@@ -176,7 +176,7 @@ func (t *TC) Recover() error {
 			}
 			op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions,
 				Table: tk.table, Key: tk.key, TS: w.ts}
-			if inc.logOp(op, &wal.Record{Kind: recOp, Payload: encodeOpPayload(op, nil, false)}) {
+			if inc.logOp(op, &wal.Record{Kind: recOp, Payload: appendOpPayload(nil, op, nil, false)}) {
 				// Logged: should this delivery be cut short, the next restart
 				// resends it.
 				_ = inc.deliverOne(context.Background(), t.dcs[idx], op, false)

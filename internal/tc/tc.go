@@ -550,10 +550,12 @@ func (inc *incarnation) performOn(ctx context.Context, h *dcHandle, op *base.Op)
 	if op.LSN == 0 {
 		return &base.Result{Code: base.CodeUnavailable}
 	}
-	res := &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
+	var res *base.Result
 	if err := h.waitReady(ctx); err == nil {
 		inc.tc.opsSent.Add(1)
 		res = h.svc.Perform(ctx, op)
+	} else {
+		res = &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
 	}
 	inc.acks.Complete(op.LSN)
 	return res

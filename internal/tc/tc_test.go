@@ -567,7 +567,7 @@ func TestNoConflictInvariantHolds(t *testing.T) {
 func TestPayloadRoundTrips(t *testing.T) {
 	op := &base.Op{TC: 3, LSN: 77, Kind: base.OpUpdate, Table: "t", Key: "k",
 		Value: []byte("new"), Versioned: true}
-	buf := encodeOpPayload(op, []byte("old"), true)
+	buf := appendOpPayload(nil, op, []byte("old"), true)
 	if op.LSN != 77 {
 		t.Fatal("encode must restore the op LSN")
 	}
@@ -581,16 +581,16 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 
 	keys := []tableKey{{"a", "k1"}, {"b", "k2"}}
-	dk, cts, err := decodeCommit(encodeCommit(keys, 909))
+	dk, cts, err := decodeCommit(appendCommit(nil, keys, 909))
 	if err != nil || cts != 909 || !reflect.DeepEqual(keys, dk) {
 		t.Fatalf("commit payload: %v %v %v", err, cts, dk)
 	}
-	empty, cts, err := decodeCommit(encodeCommit(nil, 0))
+	empty, cts, err := decodeCommit(appendCommit(nil, nil, 0))
 	if err != nil || cts != 0 || len(empty) != 0 {
 		t.Fatalf("empty commit payload: %v %v %v", err, cts, empty)
 	}
 	// Pre-timestamp commit payloads (no trailing varint) still decode.
-	dk, cts, err = decodeCommit(encodeCommit(keys, 0))
+	dk, cts, err = decodeCommit(appendCommit(nil, keys, 0))
 	if err != nil || cts != 0 || !reflect.DeepEqual(keys, dk) {
 		t.Fatalf("legacy commit payload: %v %v %v", err, cts, dk)
 	}

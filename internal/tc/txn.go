@@ -109,16 +109,34 @@ type cachedVal struct {
 	found bool
 }
 
-// queued is one accepted write waiting for its transaction's next barrier.
-// prior/priorFound are the undo information its op record will carry;
-// needPrior marks a prior the cache could not supply at call time, which the
-// barrier's batched pre-read fetches (see Txn.fetchPriors).
+// queued is one operation of a transaction between being accepted and being
+// acknowledged: a write waiting for the next barrier, which logs and ships it,
+// or a finalize operation of a commit, logged as it is queued. dc is the DC
+// it routes to. prior/priorFound are the undo information a write's op record
+// will carry; needPrior marks a prior the cache could not supply at call time,
+// which the barrier's batched pre-read fetches (see Txn.fetchPriors).
 type queued struct {
-	op         *base.Op
+	op         base.Op
 	dc         int
 	prior      []byte
 	priorFound bool
 	needPrior  bool
+}
+
+// slabOps is how many operations a transaction has room for between two
+// barriers in its writeSlab; more spill to the heap, by append's doubling.
+const slabOps = 8
+
+// writeSlab is the storage a writing transaction needs at its barriers, as
+// one allocation made by its first write (a transaction that only reads never
+// pays for it): the queue, the read operations of a pre-read, and the list of
+// operations handed to one DC (Txn.ship sends to one DC at a time). An
+// operation in here is its barrier's: the base.Service it is sent to must be
+// done with it when the call returns.
+type writeSlab struct {
+	queue [slabOps]queued
+	reads [slabOps]base.Op
+	send  [slabOps]*base.Op
 }
 
 // Txn is one user transaction executing at this TC. A transaction is used
@@ -134,14 +152,11 @@ type Txn struct {
 	// inc is the incarnation that began the transaction. Everything of the TC
 	// a crash destroys — locks, transaction table, acks, timestamps, the right
 	// to log — is reached through it and nowhere else.
-	inc *incarnation
-	ctx context.Context
-	// sendCtx is ctx stripped of cancellation: the delivery context for
-	// logged operations, whose resend contract must outlive any cancel.
-	sendCtx context.Context
-	opts    TxnOptions
-	id      base.TxnID
-	state   txnState
+	inc   *incarnation
+	ctx   context.Context
+	opts  TxnOptions
+	id    base.TxnID
+	state txnState
 	// firstLSN/lastLSN delimit the undo chain in the TC-log. firstLSN is
 	// atomic because a concurrent Checkpoint reads it to bound truncation;
 	// everything else here belongs to the transaction's own goroutine.
@@ -157,12 +172,15 @@ type Txn struct {
 	versioned map[tableKey]struct{}
 	// queue holds the writes accepted since the last barrier, in call order:
 	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
-	// logs and ships it; Abort drops it.
+	// logs and ships it; Abort drops it. A commit's finalize operations
+	// collect in it too, after its writes have left.
 	queue []queued
-	// unsent holds, per DC, the logged operations not yet handed to deliver,
-	// in log order. It is non-empty only inside a barrier and while a
-	// commit's finalize operations collect.
-	unsent [][]*base.Op
+	// slab backs the queue and what a barrier builds from it; nil until the
+	// first write is accepted.
+	slab *writeSlab
+	// enc is where every record payload of the transaction is encoded: the
+	// log keeps its own copy (wal.AppendAssign).
+	enc []byte
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
@@ -185,8 +203,7 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 		return &Txn{tc: t, ctx: ctx, state: txnStopped}
 	}
 	t.begun.Add(1)
-	x := &Txn{tc: t, inc: inc, ctx: ctx, sendCtx: context.WithoutCancel(ctx), opts: opts,
-		cache: make(map[tableKey]cachedVal)}
+	x := &Txn{tc: t, inc: inc, ctx: ctx, opts: opts, cache: make(map[tableKey]cachedVal)}
 	if opts.Versioned {
 		x.versioned = make(map[tableKey]struct{})
 	}
@@ -385,6 +402,8 @@ func (x *Txn) snapshotOp(op *base.Op) (*base.Result, error) {
 	}
 	op.Epoch = x.inc.epoch
 	h := t.dcs[idx]
+	var pause pacer
+	defer pause.stop()
 	for {
 		if x.orphaned() {
 			// The pin on the GC horizon died with the incarnation, and the DC
@@ -398,11 +417,9 @@ func (x *Txn) snapshotOp(op *base.Op) (*base.Result, error) {
 		if res.Code != base.CodeUnavailable {
 			return res, nil
 		}
-		timer := time.NewTimer(10 * time.Millisecond)
 		select {
-		case <-timer.C:
+		case <-pause.after(10 * time.Millisecond):
 		case <-x.ctx.Done():
-			timer.Stop()
 			return nil, base.CancelErr(x.ctx)
 		}
 	}
@@ -420,8 +437,11 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 		_ = x.Abort()
 		return nil, false, err
 	}
-	res := x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
+	res, err := x.performOn(idx, &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
 		Table: table, Key: key, Flavor: flavor})
+	if err != nil {
+		return nil, false, err
+	}
 	switch res.Code {
 	case base.CodeOK:
 		if cache {
@@ -438,6 +458,20 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 	default:
 		return nil, false, fmt.Errorf("tc: read %s/%s: %w", table, key, res.Code.Err())
 	}
+}
+
+// performOn sends one of the transaction's unlogged operations (a read, a
+// probe, a range read) to DC idx. One that straddles a crash of the
+// incarnation is refused — an LSN by the ended log generation, or the
+// operation by the DC's epoch fence — and that refusal is the crash's, not a
+// verdict on the request: the transaction dies as at any barrier (transient
+// ErrTCStopped), instead of passing on the fence's permanent ErrStaleEpoch.
+func (x *Txn) performOn(idx int, op *base.Op) (*base.Result, error) {
+	res := x.inc.performOn(x.ctx, x.tc.dcs[idx], op)
+	if (op.LSN == 0 || res.Code == base.CodeStaleEpoch) && x.orphaned() {
+		return nil, x.die()
+	}
+	return res, nil
 }
 
 // ReadCommitted reads the last committed version of a key that may belong
@@ -572,12 +606,11 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 			q.needPrior = true
 		}
 	}
-	q.op = &base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
+	q.op = base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
 		Value: val, Versioned: x.opts.Versioned}
-	if x.queue == nil {
-		// One allocation for a transaction of a handful of writes, instead
-		// of append's 1, 2, 4, 8.
-		x.queue = make([]queued, 0, 8)
+	if x.slab == nil {
+		x.slab = new(writeSlab)
+		x.queue = x.slab.queue[:0]
 	}
 	x.queue = append(x.queue, q)
 	if kind == base.OpDelete {
@@ -700,8 +733,8 @@ func (x *Txn) commitLogged() error {
 		// restart re-finalizes winners at the same timestamp.
 		x.commitTS = inc.assignCommitTS()
 	}
-	cLSN := inc.logLocal(&wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN,
-		Payload: encodeCommit(vkeys, x.commitTS)})
+	x.enc = appendCommit(x.enc[:0], vkeys, x.commitTS)
+	cLSN := inc.logLocal(&wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN, Payload: x.enc})
 	if cLSN == 0 {
 		// The incarnation died before the commit record: a loser, restart's
 		// to undo, with nothing to release but dead tables.
@@ -766,14 +799,14 @@ func (x *Txn) finish() {
 func (x *Txn) finalize(vkeys []tableKey) error {
 	var first error
 	for _, tk := range vkeys {
-		first = firstErr(first, x.finalizeOp(base.OpCommitVersions, tk))
+		first = firstErr(first, x.finalizeOp(tk))
 	}
 	return firstErr(first, x.ship())
 }
 
-// finalizeOp logs one finalize operation and lists it for its DC; a list that
-// reaches maxBatch is shipped, and that ship's failure returned.
-func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) error {
+// finalizeOp logs one commit-versions operation and queues it for its DC; a
+// queue that reaches maxBatch is shipped, and that ship's failure returned.
+func (x *Txn) finalizeOp(tk tableKey) error {
 	t := x.tc
 	// The forward write resolved this key's placement when it was issued,
 	// so under a stable placement this cannot fail; resolving before the
@@ -788,14 +821,15 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) error {
 	// visible to snapshot reads at or above it. The payload keeps the TS
 	// (only LSN and epoch are zeroed), so restart redo re-finalizes at the
 	// same timestamp.
-	op := &base.Op{TC: t.cfg.ID, Kind: kind, Table: tk.table, Key: tk.key, TS: x.commitTS}
-	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: 0,
-		Payload: encodeOpPayload(op, nil, false)}
-	if !x.inc.logOp(op, rec) {
+	x.queue = append(x.queue, queued{dc: idx, op: base.Op{TC: t.cfg.ID,
+		Kind: base.OpCommitVersions, Table: tk.table, Key: tk.key, TS: x.commitTS}})
+	op := &x.queue[len(x.queue)-1].op
+	x.enc = appendOpPayload(x.enc[:0], op, nil, false)
+	if !x.inc.logOp(op, &wal.Record{Kind: recOp, Txn: x.id, Prev: 0, Payload: x.enc}) {
+		x.queue = x.queue[:len(x.queue)-1] // never logged, so never shipped
 		return ErrTCStopped
 	}
-	x.list(idx, op)
-	if len(x.unsent[idx]) >= maxBatch {
+	if len(x.queue) >= maxBatch {
 		return x.ship()
 	}
 	return nil
@@ -843,6 +877,7 @@ func (x *Txn) rollback() {
 // never repeats completed work. Shared by Abort and restart undo.
 func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) {
 	t := inc.tc
+	var enc []byte // every CLR's payload: the log keeps its own copy
 	cur := lastLSN
 	for cur != 0 {
 		rec := t.log.Get(cur)
@@ -863,8 +898,8 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) {
 				if err != nil {
 					return
 				}
-				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur,
-					NextUndo: rec.Prev, Payload: encodeOpPayload(inv, nil, false)}
+				enc = appendOpPayload(enc[:0], inv, nil, false)
+				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur, NextUndo: rec.Prev, Payload: enc}
 				if !inc.logOp(inv, clr) {
 					return // the incarnation died: the rest is its successor's
 				}
@@ -955,8 +990,11 @@ func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byt
 		return nil, nil, err
 	}
 	x.tc.probes.Add(1)
-	probe := x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID,
+	probe, err := x.performOn(idx, &base.Op{TC: x.tc.cfg.ID,
 		Kind: base.OpScanProbe, Table: table, Key: lo, EndKey: hi, Limit: probeLimit})
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := x.resErr(probe); err != nil {
 		return nil, nil, err
 	}
@@ -1046,7 +1084,7 @@ func (x *Txn) rangeOp(table, lo, hi string, limit int, flavor base.ReadFlavor) (
 		_ = x.Abort()
 		return nil, err
 	}
-	return x.inc.performOn(x.ctx, x.tc.dcs[idx], &base.Op{TC: x.tc.cfg.ID,
+	return x.performOn(idx, &base.Op{TC: x.tc.cfg.ID,
 		Kind: base.OpRangeRead, Table: table, Key: lo, EndKey: hi,
-		Limit: int32(limit), Flavor: flavor}), nil
+		Limit: int32(limit), Flavor: flavor})
 }
