@@ -2,10 +2,11 @@
 // the TC:DC service contract shared by the transactional component (TC),
 // data components (DCs), the wire protocol, and the monolithic baseline.
 //
-// Terminology follows the paper: a TC labels every request with a unique,
-// monotonically increasing LSN drawn from its log sequence space (§4.2
-// "Unique request IDs"); a DC uses its own dLSN space for system
-// transactions (§5.2.2). The two spaces are never compared with each other.
+// Terminology follows the paper: a TC labels every request it logs — every
+// mutation — with the unique, monotonically increasing LSN of its log record
+// (§4.2 "Unique request IDs"), and a read, which has no record, with none; a
+// DC uses its own dLSN space for system transactions (§5.2.2). The two spaces
+// are never compared with each other.
 package base
 
 import (
@@ -14,7 +15,8 @@ import (
 )
 
 // LSN is a log sequence number in a TC's log space. It doubles as the
-// unique request identifier for operations sent to a DC. Zero means "none".
+// unique request identifier of the logged operation whose record it names.
+// Zero means "none": an unlogged operation (a read) carries it.
 type LSN uint64
 
 // DLSN is a DC-local log sequence number used to make structure
@@ -58,8 +60,9 @@ type OpKind uint8
 const (
 	// OpNone is the zero OpKind and is never sent.
 	OpNone OpKind = iota
-	// OpRead returns the current value for a key. Reads carry request IDs
-	// but do not mutate DC state and are not recorded in abstract LSNs.
+	// OpRead returns the current value for a key. Reads carry no request ID
+	// (LSN zero): they do not mutate DC state, are not recorded in abstract
+	// LSNs, and a repeated one simply runs again.
 	OpRead
 	// OpInsert adds a record; it fails with CodeDuplicate if the key exists.
 	OpInsert

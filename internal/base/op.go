@@ -8,8 +8,9 @@ import (
 
 // Op is one logical, record-oriented operation sent from a TC to a DC
 // (§4.2.1 perform_operation). It carries the operation name and arguments
-// (table, key or key range) plus the unique request identifier LSN.
-// Resends reuse the identifier so the DC can provide idempotence.
+// (table, key or key range) and, when the TC logged it, the unique request
+// identifier LSN. Resends reuse the identifier so the DC can provide
+// idempotence.
 type Op struct {
 	TC TCID
 	// Epoch is the incarnation epoch of the sending TC. The DC rejects
@@ -18,7 +19,9 @@ type Op struct {
 	// still on the wire when that incarnation died. Zero means "unstamped"
 	// (pre-epoch encodings); it is never fenced unless a restart has been
 	// seen.
-	Epoch  Epoch
+	Epoch Epoch
+	// LSN is the request ID of a logged operation: its TC-log record's LSN.
+	// Zero for reads, which need none — zero means "unlogged".
 	LSN    LSN
 	Kind   OpKind
 	Table  string
@@ -99,7 +102,8 @@ func footprint(o *Op) (lo, hi string, point bool) {
 }
 
 // Result is the reply for one operation; LSN echoes the request identifier
-// so the reply can be correlated to the request (§4.2.1).
+// (zero for an unlogged operation) so the reply can be correlated to the
+// request (§4.2.1).
 type Result struct {
 	LSN   LSN
 	Code  Code
@@ -141,16 +145,18 @@ func (r *Result) Err() error { return r.Code.Err() }
 // then on: a Service that makes the results of a batch in one allocation makes
 // a new one per call and never touches it again.
 type Service interface {
-	// Perform executes one logical operation exactly once (resend +
-	// idempotence). It blocks until a reply is available or ctx is done.
+	// Perform executes one logical operation: a logged one (op.LSN nonzero)
+	// exactly once (resend + idempotence), a read at least once, which for a
+	// read is as good. It blocks until a reply is available or ctx is done.
 	Perform(ctx context.Context, op *Op) *Result
 	// PerformBatch executes a batch of logical operations in the given
 	// order, returning one result per operation, positionally. Batches are
 	// the unit of operation shipping: a TC sends what a transaction's
 	// barrier has for one DC as one batch so a single message round trip
-	// acknowledges many operations. Each operation keeps its own
+	// acknowledges many operations. Each logged operation keeps its own
 	// LSN request ID, so resending a whole batch stays idempotent per
-	// operation. Like Perform, it blocks until all replies are available.
+	// operation (a batch of reads carries none and needs none). Like
+	// Perform, it blocks until all replies are available.
 	PerformBatch(ctx context.Context, ops []*Op) []*Result
 	// EndOfStableLog tells the DC that all operations with LSN <= eosl are
 	// stable in the TC log and will not be lost in a TC crash; causality

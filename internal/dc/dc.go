@@ -583,7 +583,11 @@ func newConflictTable() *conflictTable {
 }
 
 // enter registers op, reporting how many conflicting operations are
-// currently in flight (excluding duplicates of op itself).
+// currently in flight (excluding duplicates of op itself). A duplicate is
+// told by the request ID, (TC, LSN). Every unlogged operation of a TC shares
+// LSN zero, so two of them look like one request here — which loses nothing:
+// only reads are unlogged, and two reads never conflict (Op.ConflictsWith). A
+// write always has an LSN of its own, so a read beside it is counted.
 func (c *conflictTable) enter(op *base.Op) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -485,6 +485,28 @@ func TestConflictCheckerCatchesViolation(t *testing.T) {
 	}
 }
 
+// TestConflictTableReadsShareLSNZero: a TC's reads carry no request ID, so
+// all of them are (TC, 0) to the duplicate test. That must cost the checker
+// nothing it is there to see: reads beside reads were never conflicts, and a
+// write — which always has an LSN of its own — still counts every read of
+// its key, once, however often the write itself is resent.
+func TestConflictTableReadsShareLSNZero(t *testing.T) {
+	c := newConflictTable()
+	read1 := &base.Op{TC: 1, Kind: base.OpRead, Table: "t", Key: "k"}
+	read2 := &base.Op{TC: 1, Kind: base.OpRead, Table: "t", Key: "k"}
+	if n := c.enter(read1) + c.enter(read2); n != 0 {
+		t.Fatalf("two reads of one key count %d conflicts", n)
+	}
+	write := &base.Op{TC: 1, LSN: 7, Kind: base.OpUpdate, Table: "t", Key: "k"}
+	if n := c.enter(write); n != 2 {
+		t.Fatalf("a write beside two LSN-0 reads of its key counts %d conflicts, want 2", n)
+	}
+	resend := *write
+	if n := c.enter(&resend); n != 2 {
+		t.Fatalf("the write's resend counts %d conflicts, want the same 2 reads and not itself", n)
+	}
+}
+
 func TestRandomizedCrashReplayConvergence(t *testing.T) {
 	// Repeatedly: random ops, random acks, random crash+recover+full
 	// replay; final state must match a model applied in LSN order.

@@ -95,6 +95,37 @@ func BenchmarkWriteTxn(b *testing.B) {
 	}
 }
 
+// readTxn is four locked point reads of loaded keys (each takes an S lock and
+// one Perform of an unlogged operation), then a Commit that logs nothing. No
+// workload of the repo benchmark issues a locked read — its reads are bounded
+// snapshots — so this is where that path is measured.
+func (p *benchPair) readTxn(tb testing.TB) {
+	x := p.tc.Begin(context.Background(), TxnOptions{})
+	at := p.rng.Intn(len(p.keys))
+	for i := 0; i < 4; i++ {
+		k := p.keys[(at+i*2503)%len(p.keys)]
+		if _, ok, err := x.Read("kv", k); err != nil || !ok {
+			tb.Fatalf("read %s: %v %v", k, ok, err)
+		}
+	}
+	if err := x.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkLockedReadTxn is BenchmarkWriteTxn's counterpart for the unlogged
+// send path (Txn.sendUnlogged):
+//
+//	go test -run '^$' -bench 'WriteTxn|LockedReadTxn' -benchmem ./internal/tc
+func BenchmarkLockedReadTxn(b *testing.B) {
+	p := newBenchPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.readTxn(b)
+	}
+}
+
 // TestWriteTxnAllocs pins what that transaction allocates, TC and in-process
 // DC together: at most 20 objects (it measured 17; the parent 71). What is
 // left is per transaction or per batch — the Txn with its slab of operations,

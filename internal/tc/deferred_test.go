@@ -636,7 +636,7 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		if err := x.Upsert("u", tag, []byte(tag)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := x.fetchPriors(); err != nil {
+		if err := x.fetchPriors(); err != nil {
 			t.Fatal(err)
 		}
 		if tag != "never-logged" {
@@ -769,7 +769,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 
 	// A locked read, a scan's probe or its range read that is at the DC when
 	// the TC crashes and restarts comes back refused by the epoch fence; one
-	// that starts after the crash gets no LSN. Either way the transaction
+	// that starts after the crash is never sent. Either way the transaction
 	// dies a transient death, and not of the fence's permanent ErrStaleEpoch.
 	reads := []struct {
 		name, at string // the stub call the crash and restart land in
@@ -824,6 +824,62 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			}
 		})
 	}
+
+	// A barrier's pre-read is an unlogged operation like those, one batch per
+	// DC: DC 0 has answered its batch and DC 1's is at the DC when the TC
+	// crashes and restarts. Nothing was logged, so the commit fails plainly,
+	// and nothing of the orphan — record, logged operation, lock — is left.
+	t.Run("straddle/pre-read", func(t *testing.T) {
+		tcx, dcs, stubs := newCountedPair(t)
+		x := tcx.Begin(context.Background(), TxnOptions{})
+		for _, table := range []string{"t", "u"} {
+			if err := x.Upsert(table, "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var logEnd base.LSN
+		restarts := 0
+		stubs[1].setHook(func(call string) {
+			if call == "read" && restarts == 0 {
+				restarts++
+				tcx.Crash()
+				if err := tcx.Recover(); err != nil {
+					t.Error(err)
+				}
+				logEnd = tcx.log.NextLSN()
+			}
+		})
+		err := x.Commit()
+		if restarts != 1 {
+			t.Fatal("the TC was never restarted under the pre-read")
+		}
+		if !errors.Is(err, ErrTCStopped) || errors.Is(err, ErrCommitAmbiguous) || errors.Is(err, base.ErrStaleEpoch) {
+			t.Fatalf("commit straddling its pre-read = %v, want a plain ErrTCStopped", err)
+		}
+		if next := tcx.log.NextLSN(); next != logEnd {
+			t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+		}
+		if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 {
+			t.Fatalf("the successor's log holds %d op records and %d CLRs of the orphan", len(ops), len(clrs))
+		}
+		for i, s := range stubs {
+			// Each DC heard its pre-read, DC 0 to the end, and nothing else.
+			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r]" {
+				t.Fatalf("DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and [1r]", i, single, reads, batches)
+			}
+		}
+		if held := tcx.inc.Load().locks.Held(x.id); len(held) != 0 {
+			t.Fatalf("the orphan holds %v in its successor's lock table", held)
+		}
+		if err := x.Abort(); err != nil {
+			t.Fatalf("abort of a dead orphan = %v, want nil", err)
+		}
+		for i, table := range []string{"t", "u"} {
+			if v, ok := dirty(dcs[i], table, "k"); ok {
+				t.Fatalf("%s/k = %q: a write of the orphan reached the DC", table, v)
+			}
+		}
+	})
 
 	straddles := []struct {
 		name      string
@@ -930,7 +986,8 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 // TestCancelledPreReadIsACleanAbort: the barrier's pre-read is the last
 // cancellation point of a write transaction. Cancelled there, nothing has
 // been logged: the commit fails plainly (not ambiguously), the locks are
-// released, and the reads' LSNs are completed so checkpoints move on.
+// released, and the barrier took no LSN, so checkpoints have nothing of it to
+// wait for.
 func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -947,6 +1004,7 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 			}
 		}
 	}
+	logEnd := tcx.log.NextLSN()
 	err := x.Commit()
 	if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("commit error %v does not carry ErrCancelled + context.Canceled", err)
@@ -965,9 +1023,9 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 		t.Fatalf("clean abort left %d locks held", got)
 	}
-	// Every LSN the pre-read reserved is complete, answered or not.
-	if lwm, last := tcx.inc.Load().acks.LWM(), tcx.log.NextLSN()-1; lwm != last {
-		t.Fatalf("low-water mark %d stuck below the abandoned pre-read (LSNs end at %d)", lwm, last)
+	// The cancelled barrier took no LSN, answered or abandoned.
+	if next := tcx.log.NextLSN(); next != logEnd {
+		t.Fatalf("the cancelled barrier took LSNs %d..%d", logEnd, next-1)
 	}
 	before := tcx.RSSP()
 	if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
@@ -975,6 +1033,80 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	}
 	if _, ok := dirty(dcs[0], "t", "k0"); ok {
 		t.Fatal("a write of the cancelled transaction reached the DC")
+	}
+}
+
+// TestOnlyRecordsTakeLSNs: an LSN is the request ID of a logged operation and
+// nothing else. Whatever a transaction reads on the way — under a lock, in a
+// scan's probe and range read, unlocked, for an existence check, for the undo
+// images of a barrier, answered, cancelled or refused — the TC-log's LSN space
+// stays dense in its records, and the low-water mark, which no read ever holds
+// back, ends at the last of them.
+func TestOnlyRecordsTakeLSNs(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	bg := context.Background()
+	if err := tcx.RunTxn(bg, TxnOptions{}, func(x *Txn) error {
+		if err := x.Upsert("t", "a", []byte("v")); err != nil {
+			return err
+		}
+		return x.Upsert("t", "b", []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	x := tcx.Begin(bg, TxnOptions{})
+	if _, ok, err := x.Read("t", "a"); err != nil || !ok { // locked read
+		t.Fatalf("read: %v %v", ok, err)
+	}
+	if err := x.Insert("t", "cold", []byte("v")); err != nil { // existence read
+		t.Fatal(err)
+	}
+	if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 3 { // barrier, probe, range read
+		t.Fatalf("scan: %v %v", keys, err)
+	}
+	if _, ok, err := x.ReadCommitted("t", "b"); err != nil || !ok {
+		t.Fatalf("read committed: %v %v", ok, err)
+	}
+	for _, table := range []string{"t", "u"} { // pre-read at the commit barrier, one per DC
+		if err := x.Upsert(table, "upserted", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Refused: DC 1 is down.
+	dcs[1].Crash()
+	if _, _, err := x.Read("u", "k"); !errors.Is(err, base.ErrUnavailable) {
+		t.Fatalf("read at a DC that is down = %v, want ErrUnavailable", err)
+	}
+	if err := dcs[1].Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tcx.RecoverDC(1); err != nil {
+		t.Fatal(err)
+	}
+	// Cancelled mid-call: a transaction of its own, whose context that ends.
+	ctx, cancel := context.WithCancel(bg)
+	stubs[0].setHook(func(call string) {
+		if call == "point-read" {
+			cancel()
+		}
+	})
+	y := tcx.Begin(ctx, TxnOptions{})
+	if _, _, err := y.Read("t", "b"); !errors.Is(err, base.ErrCancelled) {
+		t.Fatalf("read cancelled at the DC = %v, want ErrCancelled", err)
+	}
+	stubs[0].setHook(nil)
+	if err := y.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for lsn := base.LSN(1); lsn < tcx.log.NextLSN(); lsn++ {
+		if tcx.log.Get(lsn) == nil {
+			t.Fatalf("LSN %d of 1..%d has no record: something other than a record took it", lsn, tcx.log.NextLSN()-1)
+		}
+	}
+	if lwm, last := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != last {
+		t.Fatalf("low-water mark %d, last record %d, with nothing in flight", lwm, last)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 //  1. fetches, in one PerformBatch of reads per DC, every prior value the
 //     cache could not supply when the write was accepted (the undo
 //     information of §4.1.1; only unversioned Upserts of keys the
-//     transaction never read need it);
+//     transaction never read need it) — reads like any other: no LSN, no
+//     record, sent by Txn.sendUnlogged, nothing owed if they are abandoned;
 //  2. appends the op records in call order — appended at the barrier, under
 //     the lock, so the TC-log order is still an OPSR order; and
 //  3. ships them, one batch per DC.
@@ -63,8 +64,9 @@ import (
 //     always handled — redo delivers it, undo inverts losers.
 //   - An orphan of a crashed incarnation dies at its next barrier (Txn.die)
 //     before step 1. The check is a courtesy: one that slips past it while
-//     the crash happens gets no LSN in step 1 or 2, and deliver sends nothing
-//     for a dead incarnation in step 3.
+//     the crash happens sends no pre-read in step 1 (or dies of its answer),
+//     gets no LSN in step 2, and deliver sends nothing for a dead incarnation
+//     in step 3.
 //   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
 //     versions from its next barrier on, not from the call that wrote them.
 //
@@ -285,15 +287,10 @@ func (x *Txn) preRead() error {
 	if x.orphaned() {
 		return x.die()
 	}
-	if len(x.queue) > 0 {
-		read, err := x.fetchPriors()
-		if read && x.orphaned() {
-			// The incarnation died during the round trip.
-			return x.die()
-		}
-		return err
+	if len(x.queue) == 0 {
+		return nil
 	}
-	return nil
+	return x.fetchPriors()
 }
 
 // fetchPriors is the barrier's pre-read: every prior value the cache could
@@ -302,13 +299,14 @@ func (x *Txn) preRead() error {
 // X-locked, so what the DC returns is what the cache would have held; a key
 // the transaction wrote more than once is read once, for its first write
 // (the later ones found the earlier in the cache). Results go to the queue
-// only — the cache already holds the values written. read reports whether a
-// DC was asked. Nothing is logged yet, so the reads honor the transaction's
-// context, and a failure leaves a transaction that can still abort without
-// a trace.
-func (x *Txn) fetchPriors() (read bool, err error) {
+// only — the cache already holds the values written. Nothing is logged yet,
+// so the reads are unlogged operations like any other (Txn.sendUnlogged): they
+// honor the transaction's context, and a failure — a crash of the incarnation
+// under the round trip included — leaves a transaction that can still abort
+// without a trace.
+func (x *Txn) fetchPriors() error {
 	t := x.tc
-	for dcIdx, h := range t.dcs {
+	for dcIdx := range t.dcs {
 		reads := x.slab.reads[:0]
 		for i := range x.queue {
 			if q := &x.queue[i]; q.needPrior && q.dc == dcIdx {
@@ -323,8 +321,10 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 		for i := range reads {
 			ops = append(ops, &reads[i])
 		}
-		read = true
-		results := x.inc.performBatchOn(x.ctx, h, ops)
+		_, results, err := x.sendUnlogged(dcIdx, nil, ops)
+		if err != nil {
+			return err
+		}
 		n := 0
 		for i := range x.queue {
 			q := &x.queue[i]
@@ -338,14 +338,12 @@ func (x *Txn) fetchPriors() (read bool, err error) {
 				q.prior, q.priorFound, q.needPrior = res.Value, true, false
 			case base.CodeNotFound:
 				q.needPrior = false
-			case base.CodeCancelled:
-				return read, fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, base.CancelErr(x.ctx))
 			default:
-				return read, fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, res.Code.Err())
+				return fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, res.Err())
 			}
 		}
 	}
-	return read, nil
+	return nil
 }
 
 // appendQueued logs the queued writes in call order — the same op record,

@@ -18,7 +18,7 @@ import (
 //
 // Ending the log generation is what kills the incarnation, the serving one or
 // one Recover is still building: from that instant its transactions are
-// orphans (Txn.orphaned), it gets no LSN, appends and forces nothing, and
+// orphans (Txn.orphaned), it appends and forces nothing, and sends and
 // delivers nothing more. Its lock table is poisoned, not just dropped: waiters
 // still queued in it are blocked behind locks that no longer exist and would
 // otherwise sleep forever; they fail out as the orphans they are. Whatever a

@@ -4,15 +4,17 @@
 // in OPSR order, log forcing for durability, operation resend bookkeeping,
 // checkpoint negotiation (redo-scan-start-point advancement), and restart.
 //
-// The TC acts as a client to one or more DCs through base.Service. Its log
-// sequence numbers double as unique operation request IDs (§4.2); reads
-// consume LSNs without log records. Strict two-phase locking acquired
-// *before* an operation is sent guarantees the DC never sees conflicting
-// operations concurrently, which in turn makes the TC-log's LSN order an
-// order-preserving serialization of the logical operation history.
+// The TC acts as a client to one or more DCs through base.Service. The LSN of
+// an operation's log record doubles as its unique request ID (§4.2); a read
+// has no record, needs no request ID and carries none. Strict two-phase
+// locking acquired *before* an operation is sent guarantees the DC never sees
+// conflicting operations concurrently, which in turn makes the TC-log's LSN
+// order an order-preserving serialization of the logical operation history.
 //
 // How logged operations reach a DC — one delivery routine, run by the
-// transaction that needs the acknowledgement — is described in deliver.go.
+// transaction that needs the acknowledgement — is described in deliver.go;
+// everything else a transaction sends leaves through Txn.sendUnlogged. Those
+// two are the TC's send sites.
 //
 // Everything volatile is one incarnation (see the type), published
 // atomically: what a TC crash destroys (§5.3.2 "TC Failure" — log buffer, lock
@@ -221,16 +223,16 @@ type TC struct {
 // the TC that can die, so one that straddles a crash finishes in tables nobody
 // reads any more — which is what losing volatile state means — and cannot
 // touch its successor's: not its locks, not its transaction ids, and not its
-// log, because every LSN is taken and every record appended or forced through
-// the log generation the crash ended.
+// log, because every record is appended and forced through the log generation
+// the crash ended.
 type incarnation struct {
 	tc *TC
 	// epoch is the durable incarnation number: minted strictly larger on
 	// every (re)start and forced into the log before anything is stamped
 	// with it, so no two incarnations — however they crash — ever share one.
-	// Every operation carries it (op.Epoch), and can only get its LSN from
-	// this incarnation's generation of the log: an LSN of the dead
-	// incarnation's space never travels under a live epoch. The DC-side
+	// Every operation carries it (op.Epoch), and a logged one can only get
+	// its LSN from this incarnation's generation of the log: an LSN of the
+	// dead incarnation's space never travels under a live epoch. The DC-side
 	// fence installed by BeginRestart compares the same stamp to refuse
 	// requests of dead incarnations still on the wire (CodeStaleEpoch).
 	epoch base.Epoch
@@ -534,59 +536,6 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 	return safe, horizon
 }
 
-// performOn sends one unlogged operation — a read, probe or range read,
-// whose LSN is a request ID with no log record behind it — to the resolved
-// DC handle, once, and feeds the ack tracker. (Operations that do hold a
-// log record go through deliver.) The LSN is taken here, from the
-// incarnation's log generation, as the operation leaves; a dead incarnation
-// gets none and sends nothing.
-//
-// Cancellation: ctx is the transaction's. An abandoned or refused read
-// still completes its LSN: reads mutate nothing and are never reflected in
-// cached pages, so the low-water mark may pass them, and not completing
-// would leave a permanent gap that stalls checkpoints.
-func (inc *incarnation) performOn(ctx context.Context, h *dcHandle, op *base.Op) *base.Result {
-	op.Epoch, op.LSN = inc.epoch, inc.log.AllocLSN()
-	if op.LSN == 0 {
-		return &base.Result{Code: base.CodeUnavailable}
-	}
-	var res *base.Result
-	if err := h.waitReady(ctx); err == nil {
-		inc.tc.opsSent.Add(1)
-		res = h.svc.Perform(ctx, op)
-	} else {
-		res = &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
-	}
-	inc.acks.Complete(op.LSN)
-	return res
-}
-
-// performBatchOn is performOn for the point reads a write barrier sends to
-// one DC (Txn.fetchPriors): one PerformBatch, one result per read, and every
-// LSN completed, answered, refused or abandoned.
-func (inc *incarnation) performBatchOn(ctx context.Context, h *dcHandle, ops []*base.Op) []*base.Result {
-	code := base.CodeCancelled
-	for _, op := range ops {
-		if op.Epoch, op.LSN = inc.epoch, inc.log.AllocLSN(); op.LSN == 0 {
-			code = base.CodeUnavailable
-		}
-	}
-	var results []*base.Result
-	if err := h.waitReady(ctx); err == nil && code == base.CodeCancelled {
-		inc.tc.opsSent.Add(uint64(len(ops)))
-		results = h.svc.PerformBatch(ctx, ops)
-	} else {
-		results = make([]*base.Result, len(ops))
-		for i, op := range ops {
-			results[i] = &base.Result{LSN: op.LSN, Code: code}
-		}
-	}
-	for _, op := range ops {
-		inc.acks.Complete(op.LSN)
-	}
-	return results
-}
-
 // Checkpoint advances the redo scan start point (§4.2.1 checkpoint,
 // "contract termination"): force the log, ask every DC to make stable all
 // pages containing operations below the proposed point, then advance and
@@ -667,8 +616,9 @@ func (t *TC) Stats() Stats {
 }
 
 // ackTracker computes the low-water mark: the highest LSN such that every
-// allocated LSN at or below it has completed (reply received, or the LSN
-// belongs to a local record needing no DC round trip).
+// record at or below it has completed (its operation acknowledged by the DC,
+// or a local record needing no DC round trip). Every LSN is a record's, so
+// Complete has two callers: logLocal, and deliver's complete.
 type ackTracker struct {
 	mu   sync.Mutex
 	lwm  base.LSN
@@ -703,11 +653,11 @@ func (a *ackTracker) Complete(lsn base.LSN) {
 }
 
 // LWM returns the current low-water mark. An LSN is taken only when its
-// operation is about to leave — a read as it is sent, a write's record at
-// the barrier that ships it (see deliver.go) — so the mark, and with it the
-// RSSP a checkpoint may propose and the prefix a DC may fold out of its
-// abstract LSNs, trails only operations actually in flight, never a
-// transaction that wrote and then idles or waits for a lock.
+// operation is about to leave — a write's record is appended at the barrier
+// that ships it (see deliver.go), and a read takes none — so the mark, and
+// with it the RSSP a checkpoint may propose and the prefix a DC may fold out
+// of its abstract LSNs, trails only logged operations actually in flight,
+// never a transaction that wrote and then idles or waits for a lock.
 func (a *ackTracker) LWM() base.LSN {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -60,8 +60,8 @@ type TxnOptions struct {
 	// ReadOnly refuses every mutation with base.ErrReadOnly and — unless
 	// Snapshot is SnapshotLocked — turns the transaction into a snapshot
 	// read: Begin draws a read timestamp, and every Read/Scan is served
-	// by the DC at that timestamp without locks, without consuming LSNs,
-	// and without any TC round trip.
+	// by the DC at that timestamp without locks and without any TC round
+	// trip.
 	ReadOnly bool
 	// Snapshot selects the read-only view policy; ignored unless ReadOnly.
 	Snapshot SnapshotPolicy
@@ -333,7 +333,7 @@ func (x *Txn) orphaned() bool { return !x.inc.log.Live() }
 // die is an orphan's exit, from a failed lock wait or from any barrier
 // (flush, Commit, Abort). Restart analysis owns the undo of whatever the dead
 // incarnation logged, so the orphan rolls nothing back; it could not if it
-// tried — it gets no LSN, logs nothing and ships nothing (see incarnation) —
+// tried — it logs nothing, so gets no LSN, and ships nothing (see incarnation) —
 // and the locks and registrations it still holds are in tables that died with
 // it. It drops what it queued and reports a transient failure, as does every
 // later call on it.
@@ -356,7 +356,9 @@ func (x *Txn) Read(table, key string) ([]byte, bool, error) {
 		return c.val, c.found, nil
 	}
 	if x.snapTS != 0 {
-		return x.snapshotRead(table, key)
+		// The view at a fixed timestamp is immutable, so what it returns is
+		// cached like a locked read.
+		return x.readOp(table, key, base.ReadSnapshot, true)
 	}
 	if err := x.lock(lockmgr.KeyRes(table, key), lockmgr.S); err != nil {
 		return nil, false, err
@@ -364,114 +366,117 @@ func (x *Txn) Read(table, key string) ([]byte, bool, error) {
 	return x.readOp(table, key, base.ReadPlain, true)
 }
 
-// snapshotRead serves a point read at the snapshot timestamp: shipped
-// straight to the DC with no lock, no LSN, and no log interaction. The
-// view at a fixed timestamp is immutable, so results are cached like
-// locked reads.
-func (x *Txn) snapshotRead(table, key string) ([]byte, bool, error) {
-	res, err := x.snapshotOp(&base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead, Table: table, Key: key,
-		Flavor: base.ReadSnapshot, TS: x.snapTS})
+// readOp is the point read: one operation of the given flavor, whose answer
+// is cached when the caller holds what keeps it true (a lock, or a snapshot's
+// fixed timestamp).
+func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]byte, bool, error) {
+	idx, err := x.route(table, key)
 	if err != nil {
-		return nil, false, fmt.Errorf("tc: snapshot read %s/%s: %w", table, key, err)
+		return nil, false, err
 	}
-	switch res.Code {
-	case base.CodeOK:
-		x.cache[tableKey{table, key}] = cachedVal{val: res.Value, found: true}
-		return res.Value, true, nil
-	case base.CodeNotFound:
-		x.cache[tableKey{table, key}] = cachedVal{found: false}
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("tc: snapshot read %s/%s: %w", table, key, x.resErr(res))
+	res, _, err := x.sendUnlogged(idx, &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
+		Table: table, Key: key, Flavor: flavor}, nil)
+	if err == nil && res.Code != base.CodeOK && res.Code != base.CodeNotFound {
+		err = res.Err()
 	}
+	if err != nil {
+		return nil, false, fmt.Errorf("tc: read %s/%s: %w", table, key, err)
+	}
+	found := res.Code == base.CodeOK
+	if cache {
+		x.cache[tableKey{table, key}] = cachedVal{val: res.Value, found: found}
+	}
+	return res.Value, found, nil
 }
 
-// snapshotOp ships one snapshot-flavored operation directly to its DC,
-// bypassing the logging/ack machinery entirely: the op carries no LSN
-// (nothing tracks it) and Perform is called directly, so OpsSent stays
-// untouched — a snapshot read really is zero-TC-round-trip.
-// CodeUnavailable means the DC gave up waiting for some TC's safe
-// timestamp to cover snapTS (a TC partitioned or down); the read retries
-// after a pause, bounded only by the caller's context, because the
-// condition clears as soon as the lagging TC's broadcasts resume.
-func (x *Txn) snapshotOp(op *base.Op) (*base.Result, error) {
-	t := x.tc
-	idx, err := t.dcIndex(op.Table, op.Key)
+// route resolves the DC an operation on (table, key) is sent to. Reads are
+// placement-routed but never ownership-checked: §6.1 partitions update
+// responsibility only — every TC may read everywhere. An operation the
+// placement has no clause for aborts the transaction like a failed lock
+// would: it cannot proceed, and locks must not leak.
+func (x *Txn) route(table, key string) (int, error) {
+	idx, err := x.tc.dcIndex(table, key)
 	if err != nil {
-		return nil, err
+		_ = x.Abort()
 	}
-	op.Epoch = x.inc.epoch
-	h := t.dcs[idx]
+	return idx, err
+}
+
+// sendUnlogged is the one way an operation without a log record — a point
+// read, a scan probe, a range read, a barrier's pre-reads — leaves the TC:
+// op alone by Perform, or batch, what one barrier has for DC idx, by
+// PerformBatch. (Operations that do hold a record go through deliver.) Such
+// an operation carries no request ID: op.LSN stays zero, because the DC has
+// nothing to recognise — a read is idempotent, so a resent frame just runs
+// again, and it is never redone — so it takes nothing from the log, owes the
+// ack tracker nothing, and the low-water mark never waits for it.
+//
+// The sender stamps what is the transaction's to give: the incarnation's
+// epoch and, on a snapshot-flavored read, the snapshot timestamp. A dead
+// incarnation sends nothing, and an answer that straddled the crash —
+// the DC's epoch fence refuses the operation once the successor has announced
+// itself (CodeStaleEpoch) — is the crash's, not a verdict on the request: the
+// transaction dies as at any barrier (transient ErrTCStopped) instead of
+// passing on the fence's permanent ErrStaleEpoch. New operations wait at the
+// DC's recovery gate, and that wait, like the call, is the transaction's
+// context's to cut short.
+//
+// A snapshot read — recognised as the DC recognises it, by flavor and
+// timestamp — is answered CodeUnavailable when the DC gave up waiting for some
+// TC's safe timestamp to cover it (a TC partitioned or down); it is sent again
+// after a pause, bounded only by the caller's context, because the condition
+// clears as soon as the lagging TC's broadcasts resume. Every other operation
+// is sent once, and counted: Stats.OpsSent is every operation handed to a DC
+// except snapshot reads, whose transactions cost their TC a timestamp and
+// nothing else.
+func (x *Txn) sendUnlogged(idx int, op *base.Op, batch []*base.Op) (*base.Result, []*base.Result, error) {
+	h := x.tc.dcs[idx]
+	n, snapshot := len(batch), false
+	if op != nil {
+		op.Epoch = x.inc.epoch
+		if op.Flavor == base.ReadSnapshot {
+			op.TS = x.snapTS
+		}
+		n, snapshot = 1, op.Flavor == base.ReadSnapshot && op.TS != 0
+	}
+	for _, o := range batch {
+		o.Epoch = x.inc.epoch
+	}
 	var pause pacer
 	defer pause.stop()
 	for {
 		if x.orphaned() {
-			// The pin on the GC horizon died with the incarnation, and the DC
-			// fence refuses its epoch.
-			return nil, x.die()
+			return nil, nil, x.die()
 		}
 		if err := h.waitReady(x.ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res := h.svc.Perform(x.ctx, op)
-		if res.Code != base.CodeUnavailable {
-			return res, nil
+		if !snapshot {
+			x.tc.opsSent.Add(uint64(n))
+		}
+		var res *base.Result
+		var results []*base.Result
+		if op != nil {
+			res = h.svc.Perform(x.ctx, op)
+		} else {
+			results = h.svc.PerformBatch(x.ctx, batch)
+		}
+		switch {
+		case x.orphaned():
+			return nil, nil, x.die()
+		case x.ctx.Err() != nil:
+			// Whatever the answer says: a wait abandoned under way reports
+			// CodeCancelled, and this carries the context's own error.
+			return nil, nil, base.CancelErr(x.ctx)
+		case !snapshot || res.Code != base.CodeUnavailable:
+			return res, results, nil
 		}
 		select {
 		case <-pause.after(10 * time.Millisecond):
 		case <-x.ctx.Done():
-			return nil, base.CancelErr(x.ctx)
+			return nil, nil, base.CancelErr(x.ctx)
 		}
 	}
-}
-
-// readOp issues the read operation (allocating a request ID) and caches.
-// Reads are placement-routed but never ownership-checked: §6.1 partitions
-// update responsibility only — every TC may read everywhere. An
-// unroutable read (no placement clause for the table) aborts the
-// transaction like a failed lock would: the transaction cannot proceed
-// and locks must not leak.
-func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]byte, bool, error) {
-	idx, err := x.tc.dcIndex(table, key)
-	if err != nil {
-		_ = x.Abort()
-		return nil, false, err
-	}
-	res, err := x.performOn(idx, &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
-		Table: table, Key: key, Flavor: flavor})
-	if err != nil {
-		return nil, false, err
-	}
-	switch res.Code {
-	case base.CodeOK:
-		if cache {
-			x.cache[tableKey{table, key}] = cachedVal{val: res.Value, found: true}
-		}
-		return res.Value, true, nil
-	case base.CodeNotFound:
-		if cache {
-			x.cache[tableKey{table, key}] = cachedVal{found: false}
-		}
-		return nil, false, nil
-	case base.CodeCancelled:
-		return nil, false, fmt.Errorf("tc: read %s/%s: %w", table, key, base.CancelErr(x.ctx))
-	default:
-		return nil, false, fmt.Errorf("tc: read %s/%s: %w", table, key, res.Code.Err())
-	}
-}
-
-// performOn sends one of the transaction's unlogged operations (a read, a
-// probe, a range read) to DC idx. One that straddles a crash of the
-// incarnation is refused — an LSN by the ended log generation, or the
-// operation by the DC's epoch fence — and that refusal is the crash's, not a
-// verdict on the request: the transaction dies as at any barrier (transient
-// ErrTCStopped), instead of passing on the fence's permanent ErrStaleEpoch.
-func (x *Txn) performOn(idx int, op *base.Op) (*base.Result, error) {
-	res := x.inc.performOn(x.ctx, x.tc.dcs[idx], op)
-	if (op.LSN == 0 || res.Code == base.CodeStaleEpoch) && x.orphaned() {
-		return nil, x.die()
-	}
-	return res, nil
 }
 
 // ReadCommitted reads the last committed version of a key that may belong
@@ -572,9 +577,8 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	}
 	// Resolved before the write is accepted, so only routable operations
 	// ever consume a logged LSN.
-	dcIdx, err := x.tc.dcIndex(table, key)
+	dcIdx, err := x.route(table, key)
 	if err != nil {
-		_ = x.Abort()
 		return err
 	}
 	if err := x.lock(lockmgr.KeyRes(table, key), lockmgr.X); err != nil {
@@ -956,16 +960,7 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 		// Snapshot scans need none of the §3.1 range protocols: the view
 		// at the snapshot timestamp is immutable, so one unlocked range
 		// read is already stable.
-		res, err := x.snapshotOp(&base.Op{TC: x.tc.cfg.ID, Kind: base.OpRangeRead,
-			Table: table, Key: lo, EndKey: hi, Limit: int32(limit),
-			Flavor: base.ReadSnapshot, TS: x.snapTS})
-		if err != nil {
-			return nil, nil, fmt.Errorf("tc: snapshot scan %s: %w", table, err)
-		}
-		if err := x.resErr(res); err != nil {
-			return nil, nil, err
-		}
-		return res.Keys, res.Values, nil
+		return x.scanUnlocked(table, lo, hi, limit, base.ReadSnapshot)
 	}
 	if err := x.flush(); err != nil {
 		return nil, nil, err
@@ -978,24 +973,14 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 // returns keys that were not locked, the read doubles as the next probe.
 func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byte, error) {
 	locked := make(map[string]bool)
-	probeLimit := int32(limit)
+	probeLimit := limit
 	if limit <= 0 || limit > probeWidth {
 		probeLimit = probeWidth
 	}
-	// Initial speculative probe. Range reads route by their low key: the
-	// range protocols scan within one table partition.
-	idx, err := x.tc.dcIndex(table, lo)
-	if err != nil {
-		_ = x.Abort()
-		return nil, nil, err
-	}
+	// Initial speculative probe.
 	x.tc.probes.Add(1)
-	probe, err := x.performOn(idx, &base.Op{TC: x.tc.cfg.ID,
-		Kind: base.OpScanProbe, Table: table, Key: lo, EndKey: hi, Limit: probeLimit})
+	probe, err := x.rangeOp(base.OpScanProbe, table, lo, hi, probeLimit, base.ReadPlain)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := x.resErr(probe); err != nil {
 		return nil, nil, err
 	}
 	toLock := probe.Keys
@@ -1009,11 +994,8 @@ func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byt
 			}
 			locked[k] = true
 		}
-		res, err := x.rangeOp(table, lo, hi, limit, base.ReadPlain)
+		res, err := x.rangeOp(base.OpRangeRead, table, lo, hi, limit, base.ReadPlain)
 		if err != nil {
-			return nil, nil, err
-		}
-		if err := x.resErr(res); err != nil {
 			return nil, nil, err
 		}
 		// Should the records read differ from the ones locked, this read
@@ -1055,36 +1037,25 @@ func (x *Txn) scanUnlocked(table, lo, hi string, limit int, flavor base.ReadFlav
 	if err := x.flush(); err != nil {
 		return nil, nil, err
 	}
-	res, err := x.rangeOp(table, lo, hi, limit, flavor)
+	res, err := x.rangeOp(base.OpRangeRead, table, lo, hi, limit, flavor)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := x.resErr(res); err != nil {
 		return nil, nil, err
 	}
 	return res.Keys, res.Values, nil
 }
 
-// resErr converts an operation result's failure into the transaction's
-// error, folding a cancelled wait into the context-carrying form so
-// errors.Is matches both ErrCancelled and the context's own error (the
-// documented contract; readOp does the same for point reads).
-func (x *Txn) resErr(res *base.Result) error {
-	if res.Code == base.CodeCancelled {
-		return base.CancelErr(x.ctx)
-	}
-	return res.Err()
-}
-
-// rangeOp issues one range read, routed by the low key (scans stay within
-// one table partition); an unroutable table aborts like readOp.
-func (x *Txn) rangeOp(table, lo, hi string, limit int, flavor base.ReadFlavor) (*base.Result, error) {
-	idx, err := x.tc.dcIndex(table, lo)
+// rangeOp issues one operation over [lo, hi) — a range read of the given
+// flavor, or a scan probe — routed by the low key: the range protocols scan
+// within one table partition. Any answer but CodeOK is its error.
+func (x *Txn) rangeOp(kind base.OpKind, table, lo, hi string, limit int, flavor base.ReadFlavor) (*base.Result, error) {
+	idx, err := x.route(table, lo)
 	if err != nil {
-		_ = x.Abort()
 		return nil, err
 	}
-	return x.performOn(idx, &base.Op{TC: x.tc.cfg.ID,
-		Kind: base.OpRangeRead, Table: table, Key: lo, EndKey: hi,
-		Limit: int32(limit), Flavor: flavor})
+	res, _, err := x.sendUnlogged(idx, &base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table,
+		Key: lo, EndKey: hi, Limit: int32(limit), Flavor: flavor}, nil)
+	if err == nil {
+		err = res.Err()
+	}
+	return res, err
 }

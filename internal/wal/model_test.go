@@ -126,8 +126,9 @@ func check(t *testing.T, l *Log, m *model, rng *rand.Rand) {
 	if got := l.StartLSN(); got != start {
 		t.Fatalf("StartLSN = %d, want %d", got, start)
 	}
-	if got := l.NextLSN(); got != m.next || got <= m.truncated {
-		t.Fatalf("NextLSN = %d, want %d (above truncated %d)", got, m.next, m.truncated)
+	// Only a record takes an LSN: the next one is the last one plus one.
+	if got := l.NextLSN(); got != m.next || got <= m.truncated || got != l.LastLSN()+1 {
+		t.Fatalf("NextLSN = %d, want %d (above truncated %d, LastLSN %d plus one)", got, m.next, m.truncated, l.LastLSN())
 	}
 	for _, from := range []base.LSN{0, base.LSN(rng.Int63n(int64(m.next) + 2))} {
 		var want []Record
@@ -147,7 +148,7 @@ func check(t *testing.T, l *Log, m *model, rng *rand.Rand) {
 		}
 	}
 	// Every LSN up to and past the allocation point: stable, volatile,
-	// truncated, record-less and never allocated.
+	// truncated and never allocated.
 	byLSN := make(map[base.LSN]*Record, len(m.recs))
 	for i := range m.recs {
 		byLSN[m.recs[i].LSN] = &m.recs[i]
@@ -183,12 +184,6 @@ func walk(t *testing.T, md medium, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: AppendAssign = %d, want %d (above truncated %d)", seed, step, got, m.next, m.truncated)
 			}
 			m.recs, m.next = append(m.recs, r), m.next+1
-		case k < 10:
-			op = "AllocLSN"
-			if got := l.AllocLSN(); got != m.next || got <= m.truncated {
-				t.Fatalf("seed %d step %d: AllocLSN = %d, want %d (above truncated %d)", seed, step, got, m.next, m.truncated)
-			}
-			m.next++
 		case k < 13:
 			// Any LSN a record was ever appended under and not lost since;
 			// one at or below EOSL forces nothing.
@@ -276,9 +271,6 @@ func TestConcurrentFileLog(t *testing.T) {
 				lsn := l.AppendAssign(&Record{Kind: 1, Txn: txn, Payload: opPayload})
 				appended[lsn] = txn
 				mu.Unlock()
-				if i%7 == 0 {
-					l.AllocLSN()
-				}
 				if i%10 == 0 {
 					crashGate.RLock()
 					if lsn <= l.LastLSN() {
@@ -348,8 +340,8 @@ func TestConcurrentFileLog(t *testing.T) {
 		if l.Get(recs[0].LSN-1) != nil || l.Get(l.LastLSN()+1) != nil {
 			t.Fatal("Get returned a record outside the retained range")
 		}
-		if next := l.AllocLSN(); next <= l.LastLSN() {
-			t.Fatalf("allocation %d at or below last %d", next, l.LastLSN())
+		if next := l.NextLSN(); next != l.LastLSN()+1 {
+			t.Fatalf("next LSN %d, last %d", next, l.LastLSN())
 		}
 	}
 	verify(l)

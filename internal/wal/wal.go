@@ -6,22 +6,22 @@
 // The manager owns LSN allocation, the record format and the group force;
 // the records themselves, the stable/volatile boundary (EOSL) and the
 // truncation floor live once, in the storage.LogStore underneath, keyed by
-// LSN. Every allocation is monotonically increasing, and an allocation may
-// or may not carry a record: the TC uses record-less allocations for reads,
-// which need unique request IDs but no redo information. After a crash the
-// records above the force boundary are lost and the LSN space above the
-// stable end is reused — the abstract-LSN contract in package ablsn is
-// designed for exactly this.
+// LSN. Only a record takes an LSN: the LSN space is dense in the records
+// appended, and the next LSN is always the last one plus one. (A TC's reads
+// need no request ID — they are idempotent and never redone — so nothing
+// allocates without appending.) After a crash the records above the force
+// boundary are lost and the LSN space above the stable end is reused — the
+// abstract-LSN contract in package ablsn is designed for exactly this.
 //
 // Because the LSN space is reused, a log has generations: Crash ends one and
 // the next begins at the stable end. A writer that can outlive the crash of
 // its own component — a TC transaction whose commit straddles Crash and
-// Recover — takes LSNs, appends and forces through the Generation it was
-// handed, and is refused once that has ended, under the same mutex that
-// orders appends: its record cannot land in the tail its successor is
-// writing, and it cannot wait for, or be told stable, an LSN that now names
-// somebody else's record. Callers that stop before they crash the log (the
-// DC-log, the monolith) use the Log's own methods, which no crash refuses.
+// Recover — appends and forces through the Generation it was handed, and is
+// refused once that has ended, under the same mutex that orders appends: its
+// record cannot land in the tail its successor is writing, and it cannot wait
+// for, or be told stable, an LSN that now names somebody else's record.
+// Callers that stop before they crash the log (the DC-log, the monolith) use
+// the Log's own methods, which no crash refuses.
 package wal
 
 import (
@@ -114,12 +114,12 @@ func mustDecode(raw []byte) *Record {
 // concurrent use. mu orders LSN allocation with the store append and elects
 // the group-force leader; it is never held across media I/O (the simulated
 // Crash aside), so neither a force's fsync nor a truncation's file rewrite
-// delays AppendAssign or AllocLSN.
+// delays AppendAssign.
 type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	media   *storage.LogStore
-	next    base.LSN // next LSN to allocate
+	next    base.LSN // next LSN to assign: LastLSN()+1, always
 	enc     []byte   // AppendAssign's encode buffer
 	forcing bool
 	// gen counts the crashes the log has been through. It moves under mu —
@@ -129,10 +129,10 @@ type Log struct {
 }
 
 // Generation is the right to use a Log between two crashes: the handle a
-// component incarnation appends, allocates and forces through when it may be
-// outlived by its own log (a TC incarnation whose Commit straddles
-// Crash+Recover). Once Crash has ended the generation every call is refused —
-// zero for an LSN, false for a force — so nothing of a dead incarnation lands
+// component incarnation appends and forces through when it may be outlived by
+// its own log (a TC incarnation whose Commit straddles Crash+Recover). Once
+// Crash has ended the generation every call is refused — zero for an append's
+// LSN, false for a force — so nothing of a dead incarnation lands
 // in the tail its successor is writing, and a force never waits for, or
 // vouches for, an LSN whose record the crash dropped and the successor handed
 // out again. The zero value is not usable; call Log.Generation.
@@ -174,9 +174,6 @@ func (l *Log) Generation() Generation { return Generation{l, l.gen.Load()} }
 // Live reports whether the generation has not ended: one atomic load.
 func (g Generation) Live() bool { return !g.l.ended(g.n) }
 
-// AllocLSN is Log.AllocLSN; zero once the generation has ended.
-func (g Generation) AllocLSN() base.LSN { return g.l.alloc(g.n, nil) }
-
 // AppendAssign is Log.AppendAssign; zero, and nothing appended, once the
 // generation has ended.
 func (g Generation) AppendAssign(r *Record) base.LSN { return g.l.alloc(g.n, r) }
@@ -189,34 +186,25 @@ func (g Generation) ForceTo(lsn base.LSN) bool { return g.l.forceTo(g.n, lsn) }
 // Force is Log.Force, refused like ForceTo.
 func (g Generation) Force() bool { return g.l.forceTo(g.n, g.l.LastLSN()) }
 
-// AllocLSN reserves the next LSN without writing a record (unique request
-// IDs for reads, §4.2).
-func (l *Log) AllocLSN() base.LSN { return l.alloc(anyGen, nil) }
-
 // AppendAssign atomically assigns the next LSN to r and appends it. It
 // returns the assigned LSN. The record is volatile until forced; the log
 // keeps its encoding, not r.
 func (l *Log) AppendAssign(r *Record) base.LSN { return l.alloc(anyGen, r) }
 
-// alloc hands out the next LSN, to r and the media when r is not nil, unless
-// gen has ended.
+// alloc assigns the next LSN to r and appends it, unless gen has ended. The
+// media append happens under the mutex that hands out the LSN, so the media
+// order always equals the LSN order; OPSR for the TC-log depends on this.
 func (l *Log) alloc(gen uint64, r *Record) base.LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.ended(gen) {
 		return 0
 	}
-	lsn := l.next
+	r.LSN = l.next
 	l.next++
-	if r != nil {
-		// The media append happens under the same mutex so that the media
-		// order always equals the LSN order; OPSR for the TC-log depends on
-		// this.
-		r.LSN = lsn
-		l.enc = r.Append(l.enc[:0])
-		l.media.Append(uint64(lsn), l.enc)
-	}
-	return lsn
+	l.enc = r.Append(l.enc[:0])
+	l.media.Append(uint64(r.LSN), l.enc)
+	return r.LSN
 }
 
 // ForceTo blocks until all records with LSN <= lsn are stable. Concurrent
@@ -278,7 +266,7 @@ func (l *Log) StartLSN() base.LSN {
 	return base.LSN(start)
 }
 
-// NextLSN returns the next LSN that would be allocated (diagnostics).
+// NextLSN returns the LSN the next record appended will take (diagnostics).
 func (l *Log) NextLSN() base.LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -254,8 +254,9 @@ func isOverloadReply(errText string) bool {
 }
 
 // Perform implements base.Service. It blocks, resending, until the DC
-// acknowledges — exactly-once courtesy of unique request IDs (op.LSN) and
-// DC idempotence — or until ctx is done (CodeCancelled).
+// acknowledges — exactly-once for a logged operation, courtesy of its unique
+// request ID (op.LSN) and DC idempotence; a read (LSN zero) a resend reaches
+// twice just runs twice — or until ctx is done (CodeCancelled).
 func (c *Client) Perform(ctx context.Context, op *base.Op) *base.Result {
 	body := base.AppendOp(nil, op)
 	for {
