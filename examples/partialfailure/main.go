@@ -64,19 +64,22 @@ func main() {
 	}))
 
 	// --- TC failure -----------------------------------------------------
-	// Unforced committed... no: these updates commit (forced). Add an
-	// uncommitted transaction whose operations reached the DC cache.
+	// An uncommitted transaction whose operations reached the DC cache (its
+	// own dirty read ships its queued writes) but whose log records were
+	// never forced.
 	ghost, err := client.Begin(ctx, unbundled.TxnOptions{})
 	must(err)
 	must(ghost.Update("kv", "key0001", []byte("lost-tail")))
 	must(ghost.Insert("kv", "ghost-key", []byte("boo")))
+	_, _, err = ghost.ReadDirty("kv", "ghost-key")
+	must(err)
 	cachedBefore := dep.DCs[0].Pool().Cached()
 	dep.CrashTC(0)
 	fmt.Printf("TC crashed holding an uncommitted txn; DC cache has %d pages\n", cachedBefore)
 	must(dep.RecoverTC(0))
 	ds := dep.DCs[0].Stats()
-	fmt.Printf("TC recovered: DC reset %d page(s) (targeted — not the whole cache), restored %d record(s) from disk\n",
-		ds.ResetPages, ds.RestoredRecs)
+	fmt.Printf("TC recovered: DC reset %d page(s) (targeted — not the whole cache), undoing %d lost operation(s)\n",
+		ds.ResetPages, ds.RolledBack)
 	must(client.RunTxn(ctx, unbundled.TxnOptions{}, func(x *unbundled.Txn) error {
 		v, _, _ := x.Read("kv", "key0001")
 		if string(v) != "post-ckpt" {

@@ -141,15 +141,13 @@ func (a *A) MergeMax(b *A) {
 	a.Advance(a.Low) // re-prune In against the merged Low
 }
 
-// Reset replaces a's contents with b (used by partial-failure page reset);
-// b may be nil meaning empty.
-func (a *A) Reset(b *A) {
-	if b == nil {
-		*a = A{}
-		return
-	}
-	a.Low, a.Max = b.Low, b.Max
-	a.In = append(a.In[:0:0], b.In...)
+// Forget takes back every claim above lsn: a TC that lost its log tail
+// beyond lsn reuses those LSNs for new operations (§5.3.2), so the page must
+// not answer them as applied. Max drops to lsn at most, which keeps it an
+// upper bound of what the page still holds.
+func (a *A) Forget(lsn base.LSN) {
+	a.Low, a.Max = min(a.Low, lsn), min(a.Max, lsn)
+	a.In = a.In[:sort.Search(len(a.In), func(i int) bool { return a.In[i] > lsn })]
 }
 
 func (a *A) String() string {

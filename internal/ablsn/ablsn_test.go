@@ -282,9 +282,24 @@ func TestTableBasics(t *testing.T) {
 	if tab.MaxApplied(1) != 5 || tab.MaxApplied(3) != 0 {
 		t.Fatal("MaxApplied wrong")
 	}
-	tab.Drop(2)
-	if tab.Get(2) != nil {
-		t.Fatal("drop failed")
+	tab.Get(2).Forget(0)
+	if tab.Contains(2, 8) || tab.MaxApplied(2) != 0 || !tab.Contains(1, 5) {
+		t.Fatal("forget failed, or reached another TC")
+	}
+}
+
+// TestForget: a TC that lost its log beyond L reuses the LSNs above L, so
+// every claim above L goes — in the In set, under Low, and in Max — and every
+// claim at or below it stays.
+func TestForget(t *testing.T) {
+	a := &A{Low: 4, In: []base.LSN{6, 9, 12}, Max: 12}
+	a.Forget(9)
+	if !a.Contains(4) || !a.Contains(6) || !a.Contains(9) || a.Contains(12) || a.Max != 9 {
+		t.Fatalf("after Forget(9): %v", a)
+	}
+	a.Forget(2)
+	if !a.Contains(2) || a.Contains(3) || a.Contains(6) || a.InCount() != 0 || a.Max != 2 {
+		t.Fatalf("after Forget(2): %v", a)
 	}
 }
 
@@ -361,7 +376,9 @@ func TestEncodedSizeIsTheEncodingsLength(t *testing.T) {
 		tc := base.TCID(rnd.Intn(5))
 		switch rnd.Intn(8) {
 		case 0:
-			tab.Drop(tc)
+			if a := tab.Get(tc); a != nil {
+				a.Forget(base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))))
+			}
 		case 1:
 			tab.Advance(tc, base.LSN(rnd.Int63n(1<<uint(rnd.Intn(40)))))
 		default:

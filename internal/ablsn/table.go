@@ -16,8 +16,8 @@ import (
 // two, every cached page is asked for its size on each write and for its
 // encoding on each flush, and both want the entries in TCID order without
 // collecting and sorting keys. The *A that Get, Ensure and At return points
-// into that slice, so it is good until the next Ensure or Drop on the table
-// (callers hold the page latch and use it at once).
+// into that slice, so it is good until the next Ensure on the table (callers
+// hold the page latch and use it at once).
 type Table struct {
 	e []entry
 }
@@ -65,23 +65,6 @@ func (t *Table) Advance(tc base.TCID, lwm base.LSN) {
 	if a := t.Get(tc); a != nil {
 		a.Advance(lwm)
 	}
-}
-
-// Drop removes tc's entry entirely (partial-failure reset when the disk
-// version has no data for the failed TC).
-func (t *Table) Drop(tc base.TCID) {
-	if i, ok := t.find(tc); ok {
-		t.e = slices.Delete(t.e, i, i+1)
-	}
-}
-
-// Set replaces tc's entry with a copy of a (nil drops the entry).
-func (t *Table) Set(tc base.TCID, a *A) {
-	if a == nil {
-		t.Drop(tc)
-		return
-	}
-	t.Ensure(tc).Reset(a)
 }
 
 // Len returns the number of TCs with entries.

@@ -178,12 +178,12 @@ type Service interface {
 	Checkpoint(ctx context.Context, tc TCID, epoch Epoch, newRSSP LSN) error
 	// BeginRestart starts restart processing for one TC incarnation: the DC
 	// installs epoch as the TC's fence — durably, and before any state is
-	// touched — then discards from its cache all effects of that TC's
-	// operations with LSN beyond stableLSN (they are lost forever;
-	// causality guarantees none are stable). Other TCs' data is untouched
-	// (§6.1.2). From this point every operation, watermark, or control call
-	// stamped with an older epoch is refused, so requests of the dead
-	// incarnation still on the wire can never take effect. A BeginRestart
+	// touched — then undoes in its cache every operation of that TC with
+	// LSN beyond stableLSN (they are lost forever; causality guarantees none
+	// are stable). Other TCs' data is untouched (§6.1.2). From this point
+	// every operation, watermark, or control call stamped with an older
+	// epoch is refused, so requests of the dead incarnation still on the
+	// wire can never take effect. A BeginRestart
 	// whose own epoch is older than the fence fails with ErrStaleEpoch;
 	// a duplicate delivery for the already-installed epoch is a no-op (the
 	// reset must not repeat once redo has begun).

@@ -73,22 +73,18 @@ type Forest struct {
 	pool  *buffer.Pool
 	alloc func() base.PageID
 	smo   dclog.Logger
-	// onAlloc, when non-nil, hears of every page allocated for a table (the
-	// DC routes partial-failure resets by it).
-	onAlloc func(id base.PageID, table string)
 
-	// mu makes CreateTable's check and create one critical section. Tree
-	// never takes it: the table set is copy-on-write (it changes a handful
-	// of times in an engine's life).
+	// mu makes CreateTable's check and create one critical section, and
+	// Exclusive's hold on the trees. Tree never takes it: the table set is
+	// copy-on-write (it changes a handful of times in an engine's life).
 	mu    sync.Mutex
 	trees atomic.Pointer[map[string]*Tree]
 }
 
 // Open opens every tree the catalog page names. The search structures must
 // already be well-formed: after a crash, Redo the log through pool first.
-func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Logger,
-	onAlloc func(base.PageID, string)) (*Forest, error) {
-	f := &Forest{cfg: cfg, pool: pool, alloc: alloc, smo: smo, onAlloc: onAlloc}
+func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Logger) (*Forest, error) {
+	f := &Forest{cfg: cfg, pool: pool, alloc: alloc, smo: smo}
 	cat, err := fetchCatalog(pool)
 	if err != nil {
 		return nil, err
@@ -109,18 +105,24 @@ func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Log
 	return f, nil
 }
 
-func (f *Forest) allocFor(table string) base.PageID {
-	id := f.alloc()
-	if f.onAlloc != nil {
-		f.onAlloc(id, table)
-	}
-	return id
-}
-
 func (f *Forest) newTree(table string, root base.PageID) *Tree {
-	t := New(table, root, f.cfg, f.pool, func() base.PageID { return f.allocFor(table) }, f.smo, nil)
+	t := New(table, root, f.cfg, f.pool, f.alloc, f.smo, nil)
 	t.catalog = true
 	return t
+}
+
+// Exclusive runs fn with every tree's structure lock held exclusively: no
+// descent and no system transaction is under way in any tree while fn runs,
+// and no table is created. Only appliers that latched their leaf before may
+// still be on it.
+func (f *Forest) Exclusive(fn func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range *f.trees.Load() {
+		t.lock.Lock()
+		defer t.lock.Unlock()
+	}
+	fn()
 }
 
 // Tree returns the tree for table, or nil.
@@ -146,7 +148,7 @@ func (f *Forest) CreateTable(table string) error {
 	if _, ok := old[table]; ok {
 		return nil
 	}
-	root := page.NewLeaf(f.allocFor(table))
+	root := page.NewLeaf(f.alloc())
 	rec := &dclog.CreateTree{Table: table, RootID: root.ID, RootImage: root.Encode()}
 	dlsn, err := applier{pool: f.pool, catalog: true}.commit(f.smo, dclog.KindCreateTree, rec, root)
 	if err != nil {

@@ -53,7 +53,7 @@ func (e *redoEnv) newPool() {
 
 func (e *redoEnv) open(t *testing.T) {
 	t.Helper()
-	f, err := Open(Config{MaxPageBytes: 160}, e.pool, e.store.AllocPageID, e, nil)
+	f, err := Open(Config{MaxPageBytes: 160}, e.pool, e.store.AllocPageID, e)
 	if err != nil {
 		t.Fatal(err)
 	}

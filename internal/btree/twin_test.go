@@ -198,7 +198,7 @@ func runTwin(t *testing.T, schedule []byte, checkpoints int) twinStats {
 			live.pool.Unpin(id)
 			twin.pool.Unpin(id)
 		}
-		twinForest, err := Open(Config{MaxPageBytes: 160}, twin.pool, twin.store.AllocPageID, twin, nil)
+		twinForest, err := Open(Config{MaxPageBytes: 160}, twin.pool, twin.store.AllocPageID, twin)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -283,6 +283,7 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		pg.Dirty = false
 		pg.FirstDirty = nil
 		pg.RecDLSN = 0
+		pg.Undo = nil // gate 1 passed: no TC can lose an operation the page holds
 		f.pg.L.Unlock()
 		p.flushes.Add(1)
 		return nil

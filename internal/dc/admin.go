@@ -41,7 +41,7 @@ func (d *DC) RegisterStats(g *stats.Group) {
 	g.Func("drain_rejects", d.drainRejects.Load)
 	g.Func("stale_epochs", d.staleEpochs.Load)
 	g.Func("reset_pages", d.resetPages.Load)
-	g.Func("restored_recs", d.restoredRecs.Load)
+	g.Func("rolled_back_ops", d.rolledBack.Load)
 	g.Func("conflict_violations", d.conVios.Load)
 	g.Func("snapshot_reads", d.snapReads.Load)
 	g.Func("snapshot_waits", d.snapWaits.Load)

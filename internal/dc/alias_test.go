@@ -115,13 +115,13 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 					p.Remove(key)
 				case 2, 3, 4, 5:
 					op.Kind = [...]base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete}[kind-2]
-					applyWrite(p, op, horizon)
+					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 6, 7:
 					op.Kind, op.TS = base.OpCommitVersions, ts
-					applyWrite(p, op, horizon)
+					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 8:
 					op.Kind = base.OpAbortVersions
-					applyWrite(p, op, horizon)
+					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 9:
 					for i := len(p.Recs) - 1; i >= 0; i-- {
 						if p.Recs[i].PruneVersions(horizon) {

@@ -8,11 +8,13 @@
 // transactions on the DC-log (package dclog); the abstract-LSN machinery
 // (package ablsn) provides idempotence despite out-of-order operation
 // arrival (§5.1); the buffer pool (package buffer) enforces the causality
-// and WAL gates; and partial failures are handled by the targeted cache
-// reset of §5.3.2/§6.1.2. What is done to the physical structure as a whole
-// — catalog, table creation, redo of system transactions — is btree's and
-// shared with the monolith baseline; this package adds the operations, the
-// per-TC protocol state and the DC's own life cycle.
+// and WAL gates; and a TC's failure is handled by the targeted cache reset
+// of §5.3.2/§6.1.2, which undoes the operations the TC lost from the undo
+// tails of the cached pages that hold them (package page). What is done to
+// the physical structure as a whole — catalog, table creation, redo of
+// system transactions — is btree's and shared with the monolith baseline;
+// this package adds the operations, the per-TC protocol state and the DC's
+// own life cycle.
 //
 // Everything volatile a call needs is one incarnation (see the type),
 // published atomically: a call loads it once and serves from it alone.
@@ -63,7 +65,7 @@ type Stats struct {
 	Unavailable   uint64
 	StaleEpochs   uint64 // operations refused as pre-restart (epoch fence)
 	ResetPages    uint64 // pages reset by partial-failure restarts
-	RestoredRecs  uint64 // records restored from disk versions during reset
+	RolledBack    uint64 // operations those resets undid
 	ConflictViols uint64 // debug conflict-checker violations (must be 0)
 	SnapshotReads uint64 // snapshot-flavor reads served
 	SnapshotWaits uint64 // snapshot reads that had to wait out a safe TS
@@ -121,9 +123,9 @@ func (s *tcState) safeChanged() <-chan struct{} {
 func (s *tcState) fenced(e base.Epoch) bool { return uint64(e) < s.epoch.Load() }
 
 // incarnation is everything volatile the DC serves from, as one value: the
-// buffer pool, the trees opened over it, the per-TC protocol state, the page
-// routing table and the conflict checker. Recover (and so New) builds one
-// whole from the stable media and publishes it; Crash and Close drop it.
+// buffer pool, the trees opened over it, the per-TC protocol state and the
+// conflict checker. Recover (and so New) builds one whole from the stable
+// media and publishes it; Crash and Close drop it.
 // Nothing in it outlives a crash — the epoch fences are rebuilt from the
 // DC-log, everything else the TCs re-establish — and a call that loaded it
 // before a crash finishes on it: such work lands in a discarded cache, which
@@ -131,12 +133,6 @@ func (s *tcState) fenced(e base.Epoch) bool { return uint64(e) < s.epoch.Load() 
 type incarnation struct {
 	pool   *buffer.Pool
 	forest *btree.Forest
-	// pages maps page -> table, for routing the records a partial-failure
-	// reset restores. pagesMu is its own: taken when a page is allocated
-	// (a split, a new table) and by BeginRestart, never to serve a call
-	// that allocates nothing.
-	pagesMu sync.Mutex
-	pages   map[base.PageID]string
 	// tcs is copy-on-write under tcMu: a TC is added the first time it is
 	// heard of, a handful of times in an incarnation's life, and looked up
 	// on every call.
@@ -153,12 +149,9 @@ type incarnation struct {
 	inflight  *conflictTable // nil unless Config.CheckConflicts
 }
 
-// routePage records that page id belongs to table.
-func (inc *incarnation) routePage(id base.PageID, table string) {
-	inc.pagesMu.Lock()
-	inc.pages[id] = table
-	inc.pagesMu.Unlock()
-}
+// eosl is the end of tc's stable log as tc last said it: every operation of
+// tc at or below it is forced, and so out of reach of a TC crash.
+func (inc *incarnation) eosl(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).eosl.Load()) }
 
 // tc returns the state kept for id, registering the TC on first sight.
 func (inc *incarnation) tc(id base.TCID) *tcState {
@@ -195,12 +188,12 @@ type DC struct {
 	mu     sync.Mutex
 	closed bool
 
-	performs, dupSkips, unavailable   atomic.Uint64
-	staleEpochs                       atomic.Uint64
-	resetPages, restoredRecs, conVios atomic.Uint64
-	snapReads, snapWaits              atomic.Uint64
-	batches, batchOps, finalizes      atomic.Uint64
-	drainRejects                      atomic.Uint64
+	performs, dupSkips, unavailable atomic.Uint64
+	staleEpochs                     atomic.Uint64
+	resetPages, rolledBack, conVios atomic.Uint64
+	snapReads, snapWaits            atomic.Uint64
+	batches, batchOps, finalizes    atomic.Uint64
+	drainRejects                    atomic.Uint64
 
 	// draining is the operations-plane admission gate (see Drain in
 	// admin.go): while set, Perform nacks new operations CodeUnavailable;
@@ -564,7 +557,7 @@ func (d *DC) Stats() Stats {
 		Unavailable:   d.unavailable.Load(),
 		StaleEpochs:   d.staleEpochs.Load(),
 		ResetPages:    d.resetPages.Load(),
-		RestoredRecs:  d.restoredRecs.Load(),
+		RolledBack:    d.rolledBack.Load(),
 		ConflictViols: d.conVios.Load(),
 		SnapshotReads: d.snapReads.Load(),
 		SnapshotWaits: d.snapWaits.Load(),

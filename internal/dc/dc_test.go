@@ -400,36 +400,175 @@ func TestTCFailureReset(t *testing.T) {
 
 func TestMultiTCResetIsolation(t *testing.T) {
 	// §6.1.2: resetting the failed TC's records must not disturb records
-	// of other TCs on the same pages.
-	d := newDC(t, Config{})
-	h1 := newOpHelper(d, 1)
-	h2 := newOpHelper(d, 2)
-	h1.insert("tc1-a", "stable1")
-	h2.insert("tc2-a", "stable2")
-	d.EndOfStableLog(1, 0, 1)
-	d.LowWaterMark(1, 0, 1)
-	d.EndOfStableLog(2, 0, 1)
-	d.LowWaterMark(2, 0, 1)
-	if err := d.Checkpoint(context.Background(), 1, 0, 2); err != nil {
+	// of other TCs on the same pages — also when a split has carried TC 2's
+	// unstable update, and its undo entry, to a page of its own.
+	for _, split := range []bool{false, true} {
+		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) {
+			d := newDC(t, Config{PageBytes: 256})
+			h1 := newOpHelper(d, 1)
+			h2 := newOpHelper(d, 2)
+			h1.insert("tc1-a", "stable1")
+			h2.insert("tc2-a", "stable2")
+			d.EndOfStableLog(1, 0, 1)
+			d.LowWaterMark(1, 0, 1)
+			d.EndOfStableLog(2, 0, 1)
+			d.LowWaterMark(2, 0, 1)
+			if err := d.Checkpoint(context.Background(), 1, 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Checkpoint(context.Background(), 2, 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			first := d.Tree("t").Root()
+			// Both TCs apply further unstable ops to the same page.
+			h1.update("tc1-a", "lost")
+			h2.update("tc2-a", "kept-unstable")
+			// TC 1's unforced inserts split the page; "tc2-a", the largest
+			// key, goes to the new right page.
+			var moved []string
+			for i := 0; split && splits(d) == 0; i++ {
+				moved = append(moved, fmt.Sprintf("tc1-k%02d", i))
+				h1.insert(moved[len(moved)-1], "lost")
+			}
+			// TC 1 crashes; TC 2 is fine.
+			if err := d.BeginRestart(context.Background(), 1, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+			h1.epoch = 2
+			if r := h1.read("tc1-a"); string(r.Value) != "stable1" {
+				t.Fatalf("tc1 record not reset: %+v", r)
+			}
+			for _, k := range moved {
+				if r := h1.read(k); r.Found {
+					t.Fatalf("tc1's lost insert of %s survived: %+v", k, r)
+				}
+			}
+			// TC 2's unstable update must survive: only the failing TC resends.
+			if r := h2.read("tc2-a"); string(r.Value) != "kept-unstable" {
+				t.Fatalf("tc2 record disturbed: %+v", r)
+			}
+			// And so must its undo entry: TC 2 can still fail.
+			err := d.Tree("t").View("tc2-a", func(leaf *page.Page) {
+				if split == (leaf.ID == first) {
+					t.Errorf("split=%v, and tc2-a is on page %d, the first leaf was %d", split, leaf.ID, first)
+				}
+				var kept []page.Undo
+				for _, u := range leaf.Undo {
+					if u.TC == 2 {
+						kept = append(kept, u)
+					}
+				}
+				if len(kept) != 1 || kept[0].LSN != 2 || string(kept[0].Prior.Value) != "stable2" {
+					t.Errorf("tc2's undo entries on page %d: %+v", leaf.ID, kept)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func splits(d *DC) uint64       { s, _ := d.Tree("t").Stats(); return s }
+func consolidates(d *DC) uint64 { _, c := d.Tree("t").Stats(); return c }
+
+// TestResetAfterSplit: a split has moved stable keys to a new page, which has
+// no stable image, and one unforced update lands there. The reset must undo
+// that update and nothing else — in particular not the keys the new page got
+// from its left sibling, whose own stable image predates the split.
+func TestResetAfterSplit(t *testing.T) {
+	ctx := context.Background()
+	d := newDC(t, Config{PageBytes: 256})
+	h := newOpHelper(d, 1)
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	n := 0
+	for ; n < 4; n++ {
+		h.insert(key(n), "v")
+	}
+	h.ack()
+	if err := d.Checkpoint(ctx, 1, 0, h.next); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Checkpoint(context.Background(), 2, 0, 2); err != nil {
+	for ; splits(d) == 0; n++ {
+		h.insert(key(n), "v")
+	}
+	h.ack()
+	stable := h.next - 1
+	h.update(key(n-1), "lost") // the largest key: on the new right page
+	if err := d.Checkpoint(ctx, 1, 0, stable+1); err != nil {
 		t.Fatal(err)
 	}
-	// Both TCs apply further unstable ops to the same page.
-	h1.update("tc1-a", "lost")
-	h2.update("tc2-a", "kept-unstable")
-	// TC 1 crashes; TC 2 is fine.
-	if err := d.BeginRestart(context.Background(), 1, 2, 1); err != nil {
+	if err := d.BeginRestart(ctx, 1, 1, stable); err != nil {
 		t.Fatal(err)
 	}
-	h1.epoch = 2
-	if r := h1.read("tc1-a"); string(r.Value) != "stable1" {
-		t.Fatalf("tc1 record not reset: %+v", r)
+	if err := d.EndRestart(ctx, 1, 1); err != nil {
+		t.Fatal(err)
 	}
-	// TC 2's unstable update must survive: only the failing TC resends.
-	if r := h2.read("tc2-a"); string(r.Value) != "kept-unstable" {
-		t.Fatalf("tc2 record disturbed: %+v", r)
+	h.epoch = 1
+	var lost []string
+	for i := 0; i < n; i++ {
+		if r := h.read(key(i)); !r.Found || string(r.Value) != "v" {
+			lost = append(lost, fmt.Sprintf("%s=%q", key(i), r.Value))
+		}
+	}
+	if len(lost) > 0 {
+		t.Fatalf("after the reset, %d of %d keys lost their stable value: %v", len(lost), n, lost)
+	}
+	if st := d.Stats(); st.ResetPages != 1 || st.RolledBack != 1 {
+		t.Fatalf("reset %d pages, undid %d operations; want the one update on one page", st.ResetPages, st.RolledBack)
+	}
+}
+
+// TestResetAfterConsolidation: a consolidation has absorbed a page, freeing
+// it, and one unforced insert lands on the merged page. The reset must undo
+// that insert and keep the absorbed page's survivors, which the merged
+// page's stable image, older than the merge, does not hold.
+func TestResetAfterConsolidation(t *testing.T) {
+	ctx := context.Background()
+	d := newDC(t, Config{PageBytes: 256})
+	h := newOpHelper(d, 1)
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	n := 0
+	for ; splits(d) == 0; n++ {
+		h.insert(key(n), "v")
+	}
+	for end := n + 4; n < end; n++ {
+		h.insert(key(n), "v")
+	}
+	h.ack()
+	if err := d.Checkpoint(ctx, 1, 0, h.next); err != nil {
+		t.Fatal(err)
+	}
+	kept := n
+	for consolidates(d) == 0 {
+		kept--
+		h.del(key(kept))
+	}
+	h.ack()
+	stable := h.next - 1
+	h.insert("k--lost", "lost")
+	if err := d.BeginRestart(ctx, 1, 1, stable); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndRestart(ctx, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	h.epoch = 1
+	var wrong []string
+	for i := 0; i < n; i++ {
+		r := h.read(key(i))
+		if want := i < kept; r.Found != want || (want && string(r.Value) != "v") {
+			wrong = append(wrong, fmt.Sprintf("%s=%q (found %v)", key(i), r.Value, r.Found))
+		}
+	}
+	if r := h.read("k--lost"); r.Found {
+		wrong = append(wrong, "k--lost")
+	}
+	if len(wrong) > 0 {
+		t.Fatalf("after the reset (keys below %s kept, the rest deleted): %v", key(kept), wrong)
+	}
+	if err := d.Tree("t").CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

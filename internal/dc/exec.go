@@ -1,8 +1,8 @@
 package dc
 
 import (
-	"bytes"
 	"context"
+	"slices"
 	"strings"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -208,12 +208,15 @@ func recVersion(rec *page.Record, op *base.Op) ([]byte, bool) {
 
 // write executes a mutating operation with the abstract-LSN idempotence
 // test of §5.1.2: if the page already contains the operation's effects the
-// DC skips re-execution and acknowledges.
+// DC skips re-execution and acknowledges. An operation its TC has not
+// forced yet leaves an entry in the leaf's undo tail, from which a reset
+// undoes it if the TC fails first (BeginRestart); the entries at the front
+// that their TCs have forced since are dropped on the way.
 func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op, res *base.Result) error {
 	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
 		// Re-test the incarnation fence under the leaf latch: the
 		// restart sweep latches every page, so a write serializes with
-		// it — applied before the sweep it is stripped by the reset,
+		// it — applied before the sweep it is undone by the reset,
 		// latched after it is fenced here. The entry check alone would
 		// leave a window where an old-epoch write lands on an
 		// already-swept page.
@@ -227,9 +230,34 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 			res.Applied = true
 			return false
 		}
-		res.Code = applyWrite(leaf, op, base.TS(inc.gcHorizon.Load()))
+		eosl := base.LSN(ts.eosl.Load())
+		forced := func(u *page.Undo) bool {
+			if u.TC == op.TC {
+				return u.LSN <= eosl // at hand: no lookup
+			}
+			return u.LSN <= inc.eosl(u.TC)
+		}
+		stable := 0
+		for stable < len(leaf.Undo) && forced(&leaf.Undo[stable]) {
+			stable++
+		}
+		leaf.Undo = slices.Delete(leaf.Undo, 0, stable) // in place: the tail keeps its capacity
+		unforced := op.LSN > eosl
+		rec := leaf.Get(op.Key)
+		u := page.Undo{TC: op.TC, LSN: op.LSN}
+		if unforced {
+			if rec != nil {
+				u.Prior = *rec
+			} else {
+				u.Absent, u.Prior.Key = true, op.Key
+			}
+		}
+		res.Code = applyWrite(leaf, rec, op, base.TS(inc.gcHorizon.Load()))
 		if res.Code == base.CodeOK {
 			leaf.Ab.Ensure(op.TC).Add(op.LSN)
+			if unforced {
+				leaf.Undo = append(leaf.Undo, u)
+			}
 			inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
 		}
 		return false
@@ -237,28 +265,21 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 	return err
 }
 
-// applyWrite mutates the latched leaf according to op. Failed operations
-// (duplicate insert, update/delete of a missing key) change nothing and
-// are deliberately not recorded in the abstract LSN: re-execution is
-// deterministic because redo repeats history in operation order.
+// applyWrite mutates the latched leaf according to op; rec is the leaf's
+// record of op.Key, or nil. Failed operations (duplicate insert,
+// update/delete of a missing key) change nothing and are deliberately not
+// recorded in the abstract LSN: re-execution is deterministic because redo
+// repeats history in operation order.
 //
 // Versioned writes zero the record's commit TS (the in-flight version is
 // uncommitted) and park the previous version's TS in BeforeTS; the commit
 // finalize re-stamps it. Unversioned writes clear the timestamp group —
 // they do not maintain snapshot history.
-func applyWrite(leaf *page.Page, op *base.Op, horizon base.TS) base.Code {
-	rec := leaf.Get(op.Key)
+func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS) base.Code {
 	switch op.Kind {
 	case base.OpInsert:
 		if rec != nil {
 			if _, visible := rec.ReadVersion(base.ReadDirty); visible {
-				// Restore tolerance: re-applying an insert whose record
-				// already holds this exact value (same owner) converges
-				// idempotently — a partial-failure restore (§5.3.2) re-sends
-				// operations whose effects a surviving page may still hold.
-				if rec.Owner == op.TC && bytes.Equal(rec.Value, op.Value) && !rec.HasBefore() {
-					return base.CodeOK
-				}
 				return base.CodeDuplicate
 			}
 			// Tombstoned slot: fall through and overwrite.

@@ -48,7 +48,7 @@ func (d *DC) Recover() error {
 
 // build makes an incarnation out of the stable media.
 func (d *DC) build() (*incarnation, error) {
-	inc := &incarnation{pages: make(map[base.PageID]string)}
+	inc := &incarnation{}
 	inc.tcs.Store(&map[base.TCID]*tcState{})
 	if d.cfg.CheckConflicts {
 		inc.inflight = newConflictTable()
@@ -56,7 +56,7 @@ func (d *DC) build() (*incarnation, error) {
 	// The gates read the incarnation the pool belongs to, never the DC: a
 	// superseded pool keeps gating on the watermarks it was told.
 	inc.pool = buffer.New(buffer.Config{Capacity: d.cfg.CacheCapacity}, d.store, buffer.Gates{
-		EOSL:       func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).eosl.Load()) },
+		EOSL:       inc.eosl,
 		LWM:        func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).lwm.Load()) },
 		ForceDCLog: d.ForceSMO,
 	})
@@ -72,40 +72,11 @@ func (d *DC) build() (*incarnation, error) {
 		}
 	}
 	var err error
-	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool,
-		d.store.AllocPageID, d, inc.routePage)
+	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool, d.store.AllocPageID, d)
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the page -> table map by walking each tree.
-	for _, table := range inc.forest.Tables() {
-		if err := inc.walkPages(inc.forest.Tree(table).Root(), table); err != nil {
-			return nil, err
-		}
-	}
 	return inc, nil
-}
-
-func (inc *incarnation) walkPages(id base.PageID, table string) error {
-	pg, err := inc.pool.Fetch(id)
-	if err != nil {
-		return err
-	}
-	if pg == nil {
-		return fmt.Errorf("table %s references missing page %d", table, id)
-	}
-	inc.routePage(id, table)
-	var children []base.PageID
-	if !pg.Leaf {
-		children = append(children, pg.Children...)
-	}
-	inc.pool.Unpin(id)
-	for _, c := range children {
-		if err := inc.walkPages(c, table); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // redoEpochs reinstalls the incarnation fences a KindEpochs snapshot
@@ -128,17 +99,22 @@ func (inc *incarnation) redoEpochs(payload []byte, dlsn base.DLSN) error {
 // BeginRestart implements base.Service for TC failure (§5.3.2, §6.1.2):
 // the failed TC lost its log tail beyond stableLSN, so the DC must discard
 // from its cache every effect of that TC's operations with higher LSNs
-// (causality guarantees none reached stable storage). Only the failed TC's
-// records are touched: they are replaced from the disk versions of the
-// affected pages; other TCs' records survive untouched.
+// (causality guarantees none reached stable storage). It undoes exactly
+// those operations, page by page, from each cached leaf's undo tail, and
+// takes back the page's claims to them: no stable page is read and nothing
+// is routed, so splits and consolidations since the last flush — which
+// carried the entries with their keys — do not matter. Other TCs' records
+// and entries survive untouched.
 //
 // Before anything else the restarting incarnation's epoch is installed as
 // the TC's fence and forced into the DC-log: from that moment every
 // request stamped by the dead incarnation is refused, and the in-latch
 // re-check in write serializes the fence with this sweep — an old-epoch
-// operation either lands before the sweep (and is stripped by it) or is
+// operation either lands before the sweep (and is undone by it) or is
 // fenced. Together they close the window the TC-side generation check
-// cannot: a batch already on the wire when the TC died.
+// cannot: a batch already on the wire when the TC died. The sweep holds
+// every tree's structure lock, so no split or consolidation that decided on
+// a page before the sweep applies after it.
 func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, stableLSN base.LSN) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -147,13 +123,12 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	if inc == nil {
 		return d.errUnavailable()
 	}
-	pool := inc.pool
 	s := inc.tc(tc)
-	// The whole restart — fence install, durable record, re-base, sweep,
-	// restores — is one ctl critical section: a duplicated delivery must
-	// not reply (unblocking the TC's redo) while the winning delivery is
-	// still sweeping, and a reordered older-epoch delivery must not regress
-	// a fence a newer incarnation already installed.
+	// The whole restart — fence install, durable record, re-base, sweep —
+	// is one ctl critical section: a duplicated delivery must not reply
+	// (unblocking the TC's redo) while the winning delivery is still
+	// sweeping, and a reordered older-epoch delivery must not regress a
+	// fence a newer incarnation already installed.
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
 	cur := base.Epoch(s.epoch.Load())
@@ -164,7 +139,7 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	if epoch == cur && epoch != 0 {
 		// Duplicate delivery of an already-processed begin_restart (the
 		// wire resends and duplicates): the reset ran once; running it
-		// again after redo/undo started would strip post-restart effects.
+		// again after redo/undo started would undo post-restart effects.
 		return nil
 	}
 	s.epoch.Store(uint64(epoch))
@@ -178,79 +153,19 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	// fence raise and this re-base are atomic under ctl.)
 	s.lwm.Store(0)
 
-	type restore struct {
-		table string
-		rec   page.Record
-	}
-	var restores []restore
-	pool.Pages(func(pg *page.Page) {
-		pg.L.Lock()
-		defer pg.L.Unlock()
-		if !pg.Leaf {
-			return
-		}
-		a := pg.Ab.Get(tc)
-		if a == nil || a.MaxApplied() <= stableLSN {
-			return
-		}
-		d.resetPages.Add(1)
-		inc.pagesMu.Lock()
-		table := inc.pages[pg.ID]
-		inc.pagesMu.Unlock()
-		// Strip the failed TC's records from the cached page.
-		kept := pg.Recs[:0]
-		for i := range pg.Recs {
-			if pg.Recs[i].Owner != tc {
-				kept = append(kept, pg.Recs[i])
+	// A page that claims nothing of tc above stableLSN holds no such
+	// operation and no entry for one. One that does was never flushed since
+	// (causality), so it stays dirty however much is undone.
+	inc.forest.Exclusive(func() {
+		inc.pool.Pages(func(pg *page.Page) {
+			pg.L.Lock()
+			defer pg.L.Unlock()
+			if pg.Leaf && pg.Ab.MaxApplied(tc) > stableLSN {
+				d.resetPages.Add(1)
+				d.rolledBack.Add(uint64(pg.RollBack(tc, stableLSN)))
 			}
-		}
-		pg.Recs = kept
-		// Revert the TC's abstract LSN (and record set) to the stable
-		// version of this page, if any. The restored records alias the
-		// stable image, as any fetched page's do (package page).
-		data, ok := d.store.Read(pg.ID)
-		if !ok {
-			pg.Ab.Drop(tc)
-			pg.Dirty = true
-			return
-		}
-		diskPg, err := page.Decode(data)
-		if err != nil {
-			pg.Ab.Drop(tc)
-			pg.Dirty = true
-			return
-		}
-		pg.Ab.Set(tc, diskPg.Ab.Get(tc))
-		for i := range diskPg.Recs {
-			if diskPg.Recs[i].Owner == tc {
-				restores = append(restores, restore{table: table, rec: diskPg.Recs[i]})
-			}
-		}
-		pg.Dirty = true
-	})
-
-	// Reinsert the stable records through current routing: intervening
-	// structure modifications may have moved a key's home page.
-	for _, r := range restores {
-		tree := inc.forest.Tree(r.table)
-		if tree == nil {
-			continue
-		}
-		rec := r.rec
-		_, _, err := tree.Apply(rec.Key, func(leaf *page.Page) bool {
-			if leaf.Get(rec.Key) == nil {
-				leaf.Put(rec)
-				d.restoredRecs.Add(1)
-				// FirstDirty = 1: conservatively ancient, so the next
-				// checkpoint flushes this page before advancing the RSSP.
-				pool.MarkDirty(leaf, tc, 1, 0)
-			}
-			return false
 		})
-		if err != nil {
-			return err
-		}
-	}
+	})
 	return nil
 }
 

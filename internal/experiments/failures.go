@@ -42,7 +42,7 @@ func E6(s Scale) *harness.Report {
 		res.Extra = []harness.Col{
 			{Name: "cachedPages", Value: fmt.Sprintf("%d", cached)},
 			{Name: "resetPages", Value: "-"},
-			{Name: "restoredRecs", Value: "-"},
+			{Name: "rolledBack", Value: "-"},
 			{Name: "redoOps", Value: fmt.Sprintf("%d", tcx.Stats().RedoOps-base)},
 			{Name: "recovery", Value: el.Round(10 * time.Microsecond).String()},
 		}
@@ -85,7 +85,7 @@ func E6(s Scale) *harness.Report {
 		res.Extra = []harness.Col{
 			{Name: "cachedPages", Value: fmt.Sprintf("%d", cached)},
 			{Name: "resetPages", Value: reset},
-			{Name: "restoredRecs", Value: fmt.Sprintf("%d", st.RestoredRecs)},
+			{Name: "rolledBack", Value: fmt.Sprintf("%d", st.RolledBack)},
 			{Name: "redoOps", Value: fmt.Sprintf("%d", tcx.Stats().RedoOps)},
 			{Name: "recovery", Value: el.Round(10 * time.Microsecond).String()},
 		}

@@ -122,7 +122,7 @@ func (e *Engine) newPool() *buffer.Pool {
 }
 
 func (e *Engine) openForest(pool *buffer.Pool) (*btree.Forest, error) {
-	return btree.Open(btree.Config{MaxPageBytes: e.cfg.PageBytes}, pool, e.store.AllocPageID, e, nil)
+	return btree.Open(btree.Config{MaxPageBytes: e.cfg.PageBytes}, pool, e.store.AllocPageID, e)
 }
 
 // AppendSMO implements dclog.Logger on the integrated log.

@@ -5,9 +5,12 @@
 //   - a dLSN recording which DC system transactions (structure
 //     modifications) are reflected (§5.2.2) — the monolithic baseline
 //     reuses this field as the classic page LSN;
-//   - records tagged with their owning TC (§6.1.2 uses this to reset a
-//     failed TC's records without disturbing other TCs), optionally
-//     holding a before version for read-committed sharing (§6.2.2).
+//   - records tagged with their owning TC, optionally holding a before
+//     version for read-committed sharing (§6.2.2);
+//   - a volatile undo tail of the operations applied since the last flush
+//     whose TCs had not forced them, from which a partial-failure reset
+//     undoes a failed TC's lost operations without disturbing other TCs
+//     (§5.3.2, §6.1.2).
 //
 // How records map to pages is known only to the DC and never revealed to
 // the TC (§4.1.2).
@@ -43,6 +46,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -289,12 +293,23 @@ func (r *Record) size() int {
 	return n
 }
 
+// Undo takes back one operation of the undo tail: Prior is the record the
+// operation replaced, kept by value, or, when Absent, the key had no record
+// and Prior holds only the Key. Record fields are replaced and never written
+// into (package comment), so Prior stays what it was.
+type Undo struct {
+	TC     base.TCID
+	LSN    base.LSN
+	Absent bool
+	Prior  Record
+}
+
 // Page is one DC page: either a leaf holding records or a branch holding
 // separator keys and children. The latch makes individual logical
 // operations atomic under DC multi-threading (§4.1.2(1)).
 //
-// Volatile bookkeeping fields (Dirty, FirstDirty, RecDLSN) are maintained
-// by the buffer pool and never serialized.
+// Volatile bookkeeping fields (Undo, Dirty, FirstDirty, RecDLSN) are never
+// serialized; the DC keeps Undo, the buffer pool the rest.
 type Page struct {
 	L latch.Latch
 
@@ -315,6 +330,13 @@ type Page struct {
 	// Child i holds keys < Keys[i]; the last child holds the rest.
 	Keys     []string
 	Children []base.PageID
+
+	// Undo is the leaf's undo tail, oldest first: an entry for every
+	// operation applied since the last flush whose LSN its TC had not yet
+	// forced. A flush empties it (the causality gate makes every operation
+	// on a flushed page stable); splits and consolidations hand each entry to
+	// the page its key goes to; RollBack consumes a failed TC's entries.
+	Undo []Undo
 
 	// Dirty is set while the cached page differs from its stable version.
 	Dirty bool
@@ -448,26 +470,34 @@ func (p *Page) Size() int {
 // logged. A leaf half inherits p's sibling link and a copy of its whole
 // abstract-LSN table: an abLSN claim is only ever tested for keys that route
 // to the page, so over-claiming for keys that stayed left is harmless and
-// preserves idempotence for the moved records (§5.2.2). The split key is a
-// copy: it goes to the parent, and must not keep p's image alive from there.
+// preserves idempotence for the moved records (§5.2.2). It takes the undo
+// entries of the keys it takes. The split key is a copy: it goes to the
+// parent, and must not keep p's image alive from there.
 func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 	if p.Leaf {
 		mid := len(p.Recs) / 2
-		return strings.Clone(p.Recs[mid].Key), &Page{ID: id, Leaf: true, Next: p.Next, Ab: *p.Ab.Clone(),
+		splitKey = strings.Clone(p.Recs[mid].Key)
+		half = &Page{ID: id, Leaf: true, Next: p.Next, Ab: *p.Ab.Clone(),
 			Recs: append([]Record(nil), p.Recs[mid:]...)}
+		// One allocation (none for no tail), whose spare room the half's next
+		// entries fill.
+		half.Undo = slices.DeleteFunc(slices.Clone(p.Undo), func(u Undo) bool { return u.Prior.Key < splitKey })
+		return splitKey, half
 	}
 	mid := len(p.Keys) / 2
 	return strings.Clone(p.Keys[mid]), NewBranch(id, append([]string(nil), p.Keys[mid+1:]...),
 		append([]base.PageID(nil), p.Children[mid+1:]...))
 }
 
-// CutAt removes from p what a split at splitKey moved to page right; a leaf
-// now links to it. The cut is by key, not by count: redo cuts whatever version
-// of the page the store held. Clipped capacities release the dropped half.
+// CutAt removes from p what a split at splitKey moved to page right, undo
+// entries included; a leaf now links to it. The cut is by key, not by count:
+// redo cuts whatever version of the page the store held. Clipped capacities
+// release the dropped half.
 func (p *Page) CutAt(splitKey string, right base.PageID) {
 	if p.Leaf {
 		i, _ := p.find(splitKey)
 		p.Recs = p.Recs[:i:i]
+		p.Undo = slices.DeleteFunc(p.Undo, func(u Undo) bool { return u.Prior.Key >= splitKey })
 		p.Next = right
 		return
 	}
@@ -477,20 +507,47 @@ func (p *Page) CutAt(splitKey string, right base.PageID) {
 }
 
 // Merged returns what consolidating leaf right into p leaves in p's place
-// (§5.2.2): both pages' records, right's sibling link and the per-TC maximum
-// of the two abstract-LSN tables. Neither input is changed.
+// (§5.2.2): both pages' records and undo entries, right's sibling link and
+// the per-TC maximum of the two abstract-LSN tables. Neither input is changed.
 func (p *Page) Merged(right *Page) *Page {
 	m := &Page{ID: p.ID, Leaf: true, Next: right.Next, Ab: *p.Ab.Clone()}
 	m.Recs = append(p.Recs[:len(p.Recs):len(p.Recs)], right.Recs...)
+	m.Undo = append(p.Undo[:len(p.Undo):len(p.Undo)], right.Undo...)
 	m.Ab.MergeMax(&right.Ab)
 	return m
 }
 
-// SetContents makes p hold what img, a logged physical image, holds. p
-// keeps its ID, latch, dLSN (the caller's to stamp) and pool bookkeeping.
+// SetContents makes p hold what img, a logged physical image, holds, and
+// img's undo tail. p keeps its ID, latch, dLSN (the caller's to stamp) and
+// pool bookkeeping.
 func (p *Page) SetContents(img *Page) {
 	p.Leaf, p.Next, p.Ab = img.Leaf, img.Next, img.Ab
-	p.Recs, p.Keys, p.Children = img.Recs, img.Keys, img.Children
+	p.Recs, p.Keys, p.Children, p.Undo = img.Recs, img.Keys, img.Children, img.Undo
+}
+
+// RollBack undoes, newest first, every operation of tc above stable that
+// the undo tail holds — the prior record goes back, or the key goes when it
+// had none — drops those entries, and takes back tc's abstract-LSN claims
+// above stable: what a partial-failure reset does to one page (§5.3.2).
+// Other TCs' records and entries are not touched. It returns how many
+// operations it undid.
+func (p *Page) RollBack(tc base.TCID, stable base.LSN) (undone int) {
+	lost := func(u Undo) bool { return u.TC == tc && u.LSN > stable }
+	for i := len(p.Undo) - 1; i >= 0; i-- {
+		if u := &p.Undo[i]; lost(*u) {
+			if u.Absent {
+				p.Remove(u.Prior.Key)
+			} else {
+				p.Put(u.Prior)
+			}
+			undone++
+		}
+	}
+	p.Undo = slices.DeleteFunc(p.Undo, lost)
+	if a := p.Ab.Get(tc); a != nil {
+		a.Forget(stable)
+	}
+	return undone
 }
 
 // Clone returns a deep copy of the page (no volatile bookkeeping, no latch
