@@ -7,8 +7,9 @@
 //
 // With -dir, the stable media (pages and DC-log) live in that directory
 // and survive kill -9: restarting with the same flags re-opens the state,
-// runs DC-log recovery, and resumes serving; connected TCs notice the
-// re-established connection and replay their redo streams automatically.
+// runs DC-log recovery, and resumes serving under a new incarnation
+// number; it refuses each TC's operations until that TC has resent its
+// redo stream, which the refusal prompts.
 // Without -dir the media are in-memory: a restarted DC comes back empty
 // and is rebuilt entirely from the TCs' redo streams, which is only
 // lossless while the TCs have never checkpointed.

@@ -17,8 +17,8 @@
 // disjoint key populations — then reads every committed key back and
 // verifies its value. The workload rides out DC outages without
 // intervention: the wire client resends, the redial supervisor
-// reconnects, and the deployment replays the redo stream to a restarted
-// DC before new work flows.
+// reconnects, and the TC resends its redo stream to a restarted DC, which
+// refuses new work until it has.
 //
 //	unbundled-tc -dcs 127.0.0.1:7070 -txns 500 -ops 4 -verify
 //

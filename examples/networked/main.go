@@ -5,9 +5,9 @@
 // drains in-flight requests, so afterwards the abandoned DC object is
 // quiescent forever and only its data directory matters, exactly what a
 // kill between requests leaves behind. A second DC incarnation reopens
-// the directory on the same address; the deployment reconnects and
-// replays the redo stream by itself, and every committed write is still
-// there.
+// the directory on the same address; the deployment reconnects, the TC
+// resends its redo stream to the new incarnation by itself, and every
+// committed write is still there.
 package main
 
 import (
@@ -81,7 +81,7 @@ func main() {
 	l2 := startDC(addr) // restart on the same address and data dir
 	defer l2.Close()
 	check(<-done)
-	fmt.Println("DC restarted; stalled writes landed after automatic redo replay")
+	fmt.Println("DC restarted; stalled writes landed after the automatic redo resend")
 
 	check(client.RunTxn(ctx, core.TxnOptions{}, func(x *tc.Txn) error {
 		for i := 0; i < n; i++ {

@@ -38,6 +38,15 @@ type TCID uint16
 // a DC that has never seen a restart for the TC).
 type Epoch uint64
 
+// DCInc numbers the incarnations of one DC: durable, bumped by every DC
+// recovery (the first start included), never reused. A TC's claims about a
+// DC's contents — its low-water mark, its safe timestamp, a checkpoint —
+// hold for the incarnation it resent its redo stream to and for no other
+// (§5.3.1), so a DC refuses a TC's unstamped operations until that TC's
+// resend to it has ended, answering CodeStaleDC with its own number; the
+// resend itself is stamped with that number. Zero means "unstamped".
+type DCInc uint64
+
 // TS is a commit or snapshot timestamp: nanoseconds on the Unix epoch,
 // drawn from a clock-with-error-bound (internal/clock). A TC stamps every
 // versioned commit with a TS strictly larger than any it assigned before;
@@ -188,6 +197,12 @@ const (
 	// one; it is permanent either way — ownership moves by changing the
 	// placement, not by retrying.
 	CodeWrongOwner
+	// CodeStaleDC means the DC did not execute the operation because it
+	// was not stamped with the DC's incarnation (Result.DCInc names it) and
+	// the sending TC's resend to that incarnation has not ended: the DC
+	// restarted since the TC last resent, or the stamp names a dead
+	// incarnation. The TC resends its redo stream, then sends again.
+	CodeStaleDC
 )
 
 func (c Code) String() string {
@@ -208,6 +223,8 @@ func (c Code) String() string {
 		return "cancelled"
 	case CodeWrongOwner:
 		return "wrong-owner"
+	case CodeStaleDC:
+		return "stale-dc"
 	}
 	return fmt.Sprintf("Code(%d)", uint8(c))
 }
@@ -252,3 +269,8 @@ var ErrStaleEpoch error = codeError(CodeStaleEpoch)
 
 // IsStaleEpoch reports whether err is (or wraps) the stale-epoch error.
 func IsStaleEpoch(err error) bool { return errors.Is(err, ErrStaleEpoch) }
+
+// ErrStaleDC is the typed error for CodeStaleDC, and what a DC incarnation
+// answers a control call that belongs to a resend it never saw begin: an
+// EndRestart, or a checkpoint before that TC's resend to it has ended.
+var ErrStaleDC error = codeError(CodeStaleDC)

@@ -60,6 +60,8 @@ func TestOpRoundTrip(t *testing.T) {
 		{Kind: OpScanProbe, Table: "t", Key: "", Limit: -1},
 		{TC: 2, Epoch: 1, LSN: 5, Kind: OpUpsert, Table: "t", Key: "k", Value: []byte("v")},
 		{TC: 2, Epoch: 1 << 33, LSN: 5, Kind: OpDelete, Table: "t", Key: "k", Versioned: true},
+		{TC: 2, Epoch: 3, LSN: 6, Kind: OpUpsert, Table: "t", Key: "k", Value: []byte("v"), DCInc: 1},
+		{TC: 2, Epoch: 3, LSN: 7, Kind: OpCommitVersions, Table: "t", Key: "k", TS: 1 << 50, DCInc: 1 << 40},
 	}
 	for _, o := range ops {
 		buf := AppendOp(nil, o)
@@ -123,6 +125,30 @@ func TestOpEpochBackwardCompatibleDecoding(t *testing.T) {
 	}
 }
 
+// TestOnlyAResendIsStamped: an operation without a DC-incarnation stamp, and
+// a result other than CodeStaleDC, encode to the bytes they had before the
+// stamp existed; the stamp decodes mid-batch.
+func TestOnlyAResendIsStamped(t *testing.T) {
+	o := &Op{TC: 4, Epoch: 2, LSN: 77, Kind: OpUpdate, Table: "t", Key: "k", Value: []byte("v"), TS: 9}
+	stamped := *o
+	stamped.DCInc = 300
+	plain, withInc := AppendOp(nil, o), AppendOp(nil, &stamped)
+	const at = 7 // TC, LSN, kind, flavor, versioned, epoch, TS: one byte each here
+	want := append(append(append([]byte{}, plain[:at]...), binary.AppendUvarint(nil, 300)...), plain[at:]...)
+	want[2] |= opDCIncFlag
+	if !bytes.Equal(withInc, want) {
+		t.Fatalf("stamp encoding:\nplain   %x\nstamped %x\nwant    %x", plain, withInc, want)
+	}
+	got, rest, err := DecodeOpBatch(AppendOpBatch(nil, []*Op{o, &stamped, o}))
+	if err != nil || len(rest) != 0 || got[0].DCInc != 0 || got[1].DCInc != 300 || !reflect.DeepEqual(got[0], got[2]) {
+		t.Fatalf("batch decode: %v, %d left, %+v", err, len(rest), got)
+	}
+	r := &Result{LSN: 3, Code: CodeNotFound, DCInc: 300} // not encoded: only CodeStaleDC carries it
+	if dec, _, err := DecodeResult(AppendResult(nil, r)); err != nil || dec.DCInc != 0 {
+		t.Fatalf("DCInc leaked onto a %v result: %+v, %v", r.Code, dec, err)
+	}
+}
+
 func TestOpBatchRoundTripMixedEpochs(t *testing.T) {
 	ops := []*Op{
 		{TC: 1, Epoch: 2, LSN: 10, Kind: OpInsert, Table: "t", Key: "a", Value: []byte("1")},
@@ -162,6 +188,8 @@ func TestResultRoundTrip(t *testing.T) {
 		{LSN: 3, Code: CodeOK, Applied: true},
 		{LSN: 4, Code: CodeOK, Keys: []string{"a", "b"}, Values: [][]byte{[]byte("1"), nil}},
 		{LSN: 5, Code: CodeDuplicate, Keys: []string{}, Values: [][]byte{}},
+		{LSN: 6, Code: CodeStaleDC, DCInc: 1},
+		{Code: CodeStaleDC, DCInc: 1 << 40},
 	}
 	for _, r := range rs {
 		buf := AppendResult(nil, r)

@@ -61,6 +61,11 @@ var (
 	// executed, so retrying after a pause is always safe and succeeds
 	// once the queues drain.
 	ErrOverloaded = errors.New("unbundled: server overloaded")
+	// ErrNothingOwed is a DC's answer to a BeginRestart of the epoch whose
+	// resend to this DC incarnation has already ended: there is nothing to
+	// resend. A TC that only asks — after a reconnect that may or may not
+	// have been a DC restart — replays nothing on it.
+	ErrNothingOwed = errors.New("unbundled: no resend owed")
 )
 
 // IsTransient reports whether err is an abort a caller should retry as a
@@ -97,8 +102,8 @@ func (e *cancelErr) Is(target error) bool { return target == ErrCancelled }
 // wire as a string, so errors.Is keeps working through the stub: the known
 // sentinel messages are matched by substring and re-wrapped.
 func RehydrateWireError(msg string) error {
-	for _, sentinel := range []error{ErrStaleEpoch, ErrUnavailable, ErrWrongOwner, ErrUnknownTable,
-		ErrDraining, ErrPlacementMismatch, ErrOverloaded} {
+	for _, sentinel := range []error{ErrStaleEpoch, ErrStaleDC, ErrNothingOwed, ErrUnavailable, ErrWrongOwner,
+		ErrUnknownTable, ErrDraining, ErrPlacementMismatch, ErrOverloaded} {
 		if strings.Contains(msg, sentinel.Error()) {
 			return &wireErr{msg: msg, sentinel: sentinel}
 		}

@@ -77,7 +77,7 @@ func TestRehydrateWireError(t *testing.T) {
 	// The §6.1 placement sentinels rehydrate like their siblings, so
 	// errors.Is(err, ErrWrongOwner) keeps working when a failure crosses
 	// the TC:DC wire as a control-reply string.
-	for _, sentinel := range []error{ErrWrongOwner, ErrUnknownTable} {
+	for _, sentinel := range []error{ErrWrongOwner, ErrUnknownTable, ErrStaleDC, ErrNothingOwed} {
 		msg := "tc 2: upsert kv/\"w1-0\": " + sentinel.Error()
 		if err := RehydrateWireError(msg); !errors.Is(err, sentinel) {
 			t.Fatalf("rehydrated %q does not match %v", msg, sentinel)

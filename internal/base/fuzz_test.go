@@ -18,6 +18,7 @@ func FuzzDecodeOpBatch(f *testing.F) {
 		{TC: 1, LSN: 11, Kind: OpDelete, Table: "t", Key: "b"},
 		{TC: 1, Epoch: 3, LSN: 12, Kind: OpCommitVersions, Table: "t", Key: "c", TS: 1 << 50},
 		{TC: 2, Epoch: 1, LSN: 13, Kind: OpRangeRead, Table: "t", Key: "a", EndKey: "z", Limit: 32, Flavor: ReadDirty},
+		{TC: 2, Epoch: 1, LSN: 14, Kind: OpUpsert, Table: "t", Key: "b", Value: []byte("2"), DCInc: 300},
 	}))
 	f.Add(AppendOpBatch(nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
@@ -47,6 +48,7 @@ func FuzzDecodeResultBatch(f *testing.F) {
 		{LSN: 3, Code: CodeOK, Applied: true},
 		{LSN: 4, Code: CodeOK, Keys: []string{"a", "b"}, Values: [][]byte{[]byte("1"), nil}},
 		{LSN: 5, Code: CodeStaleEpoch},
+		{LSN: 6, Code: CodeStaleDC, DCInc: 300},
 	}))
 	f.Add(AppendResultBatch(nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})

@@ -38,10 +38,16 @@ type Op struct {
 	// OpCommitVersions when the transaction's versions are finalized. Zero
 	// means "no timestamp" (every pre-snapshot operation).
 	TS TS
+	// DCInc is the DC incarnation a resend is bound to: the TC stamps the
+	// operations of a resend with the number the DC's first CodeStaleDC
+	// named, and the DC executes a stamped operation only in that
+	// incarnation. Zero (every operation outside a resend) is admitted once
+	// the TC's resend to the incarnation has ended.
+	DCInc DCInc
 }
 
 func (o *Op) String() string {
-	return fmt.Sprintf("op{tc=%d ep=%d lsn=%d %s %s/%q}", o.TC, o.Epoch, o.LSN, o.Kind, o.Table, o.Key)
+	return fmt.Sprintf("op{tc=%d ep=%d dc=%d lsn=%d %s %s/%q}", o.TC, o.Epoch, o.DCInc, o.LSN, o.Kind, o.Table, o.Key)
 }
 
 // ConflictsWith reports whether two operations logically conflict: same
@@ -115,6 +121,8 @@ type Result struct {
 	// Applied is true when the DC recognized the request as already
 	// reflected in its state and skipped re-execution (idempotence, §4.2).
 	Applied bool
+	// DCInc is the answering DC's incarnation, on CodeStaleDC only.
+	DCInc DCInc
 }
 
 // Err returns the failure of the result as an error, nil when CodeOK.
@@ -176,23 +184,31 @@ type Service interface {
 	// and the TC may advance its redo scan start point (§4.2.1). A
 	// checkpoint from a fenced epoch fails with ErrStaleEpoch.
 	Checkpoint(ctx context.Context, tc TCID, epoch Epoch, newRSSP LSN) error
-	// BeginRestart starts restart processing for one TC incarnation: the DC
-	// installs epoch as the TC's fence — durably, and before any state is
-	// touched — then undoes in its cache every operation of that TC with
-	// LSN beyond stableLSN (they are lost forever; causality guarantees none
-	// are stable). Other TCs' data is untouched (§6.1.2). From this point
-	// every operation, watermark, or control call stamped with an older
-	// epoch is refused, so requests of the dead incarnation still on the
-	// wire can never take effect. A BeginRestart
-	// whose own epoch is older than the fence fails with ErrStaleEpoch;
-	// a duplicate delivery for the already-installed epoch is a no-op (the
-	// reset must not repeat once redo has begun).
+	// BeginRestart opens the resend bracket of one TC incarnation at this
+	// DC incarnation; the TC then resends its redo stream (stamped with the
+	// DCInc the first CodeStaleDC names) and closes the bracket with
+	// EndRestart. One bracket serves both failures of §5.3. After a TC
+	// restart the epoch is new: the DC installs it as the TC's fence —
+	// durably, and before any state is touched — then undoes in its cache
+	// every operation of that TC with LSN beyond stableLSN (they are lost
+	// forever; causality guarantees none are stable); other TCs' data is
+	// untouched (§6.1.2), and from this point every operation, watermark or
+	// control call stamped with an older epoch is refused. After a DC
+	// restart the epoch is the fence the DC recovered, the cache lost
+	// everything, and nothing is undone. A BeginRestart whose epoch is older
+	// than the fence fails with ErrStaleEpoch; one for the installed epoch
+	// whose resend has already ended here fails with ErrNothingOwed (a TC
+	// that only asks replays nothing); a duplicate while the bracket is open
+	// is a no-op.
 	BeginRestart(ctx context.Context, tc TCID, epoch Epoch, stableLSN LSN) error
-	// EndRestart acknowledges completion of the restart function: the DC
-	// atomically activates the staged epoch, discards whatever the prior
-	// incarnation still had queued (fenced in-flight operations), and
-	// resumes normal processing. Fails with ErrStaleEpoch when epoch is
-	// older than the installed fence (a dead incarnation's late call).
+	// EndRestart closes the bracket: the TC's resend to this DC incarnation
+	// is complete, so the DC adopts its low-water marks and safe
+	// timestamps, admits its checkpoints and unstamped operations again,
+	// and discards whatever the prior TC incarnation still had queued
+	// (fenced in-flight operations). Fails with ErrStaleEpoch when epoch is
+	// older than the installed fence (a dead incarnation's late call), and
+	// with ErrStaleDC when this DC incarnation did not see the bracket begin
+	// (the DC restarted under the resend, which must start over).
 	EndRestart(ctx context.Context, tc TCID, epoch Epoch) error
 	// SafeTS broadcasts the TC's safe timestamp and version-GC horizon,
 	// fire-and-forget like the watermarks. safe promises that every
@@ -219,6 +235,11 @@ const opEpochFlag = 0x80
 // sets it, so pre-snapshot encodings stay byte-identical and decodable.
 const opTSFlag = 0x40
 
+// opDCIncFlag marks, on the kind byte, that a DC-incarnation varint follows
+// the timestamp (when present). Only a resend is stamped, so every other
+// frame stays byte-identical to its encoding before the stamp existed.
+const opDCIncFlag = 0x20
+
 // AppendOp serializes op to buf using a compact length-prefixed binary
 // format (stdlib encoding/binary varints).
 func AppendOp(buf []byte, o *Op) []byte {
@@ -231,12 +252,18 @@ func AppendOp(buf []byte, o *Op) []byte {
 	if o.TS != 0 {
 		kind |= opTSFlag
 	}
+	if o.DCInc != 0 {
+		kind |= opDCIncFlag
+	}
 	buf = append(buf, kind, byte(o.Flavor), boolByte(o.Versioned))
 	if o.Epoch != 0 {
 		buf = binary.AppendUvarint(buf, uint64(o.Epoch))
 	}
 	if o.TS != 0 {
 		buf = binary.AppendUvarint(buf, uint64(o.TS))
+	}
+	if o.DCInc != 0 {
+		buf = binary.AppendUvarint(buf, uint64(o.DCInc))
 	}
 	buf = appendString(buf, o.Table)
 	buf = appendString(buf, o.Key)
@@ -265,7 +292,7 @@ func DecodeOp(buf []byte) (*Op, []byte, error) {
 		return nil, nil, errShort
 	}
 	kind := buf[0]
-	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag)), ReadFlavor(buf[1]), buf[2] != 0
+	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(buf[1]), buf[2] != 0
 	buf = buf[3:]
 	if kind&opEpochFlag != 0 {
 		if u, buf, err = readUvarint(buf); err != nil {
@@ -278,6 +305,12 @@ func DecodeOp(buf []byte) (*Op, []byte, error) {
 			return nil, nil, err
 		}
 		o.TS = TS(u)
+	}
+	if kind&opDCIncFlag != 0 {
+		if u, buf, err = readUvarint(buf); err != nil {
+			return nil, nil, err
+		}
+		o.DCInc = DCInc(u)
 	}
 	if o.Table, buf, err = readString(buf); err != nil {
 		return nil, nil, err
@@ -299,10 +332,15 @@ func DecodeOp(buf []byte) (*Op, []byte, error) {
 	return &o, buf, nil
 }
 
-// AppendResult serializes r to buf.
+// AppendResult serializes r to buf. DCInc is encoded on CodeStaleDC, the one
+// result that carries it, so every other result's bytes are what they were
+// before it existed.
 func AppendResult(buf []byte, r *Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.LSN))
 	buf = append(buf, byte(r.Code), boolByte(r.Found), boolByte(r.Applied))
+	if r.Code == CodeStaleDC {
+		buf = binary.AppendUvarint(buf, uint64(r.DCInc))
+	}
 	buf = appendBytes(buf, r.Value)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Keys)))
 	for _, k := range r.Keys {
@@ -330,6 +368,12 @@ func DecodeResult(buf []byte) (*Result, []byte, error) {
 	r.Code = Code(buf[0])
 	r.Found, r.Applied = buf[1] != 0, buf[2] != 0
 	buf = buf[3:]
+	if r.Code == CodeStaleDC {
+		if u, buf, err = readUvarint(buf); err != nil {
+			return nil, nil, err
+		}
+		r.DCInc = DCInc(u)
+	}
 	if r.Value, buf, err = readBytes(buf); err != nil {
 		return nil, nil, err
 	}

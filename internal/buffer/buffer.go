@@ -134,26 +134,37 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 	}
 	p.mu.Unlock()
 	p.misses.Add(1)
-	image, ok := p.store.Read(id)
-	if !ok {
-		return nil, nil
-	}
-	pg, err := page.Decode(image) // over the store's own bytes, see the package comment
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if f, ok := p.frames[id]; ok { // lost a race; use the winner
+	for {
+		image, ok := p.store.Read(id)
+		if !ok {
+			return nil, nil
+		}
+		pg, err := page.Decode(image) // over the store's own bytes, see the package comment
+		if err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		if f, ok := p.frames[id]; ok { // lost a race; use the winner
+			f.pin++
+			p.lru.MoveToFront(f.el)
+			p.mu.Unlock()
+			return f.pg, nil
+		}
+		// No frame, but one may have come and gone while the image was being
+		// decoded — written to, written back and evicted: then the image is
+		// stale, and installing it would lose those writes. An eviction writes
+		// the page back before it drops the frame under mu, so the store,
+		// asked under mu, tells.
+		if !p.store.Holds(id, image) {
+			p.mu.Unlock()
+			continue
+		}
+		f := p.insertLocked(pg)
 		f.pin++
-		p.lru.MoveToFront(f.el)
 		p.mu.Unlock()
+		p.maybeEvict()
 		return f.pg, nil
 	}
-	f := p.insertLocked(pg)
-	f.pin++
-	p.mu.Unlock()
-	p.maybeEvict()
-	return f.pg, nil
 }
 
 // insertLocked adds a frame for pg (caller holds p.mu).

@@ -55,8 +55,8 @@ type Options struct {
 	// DCConfig, Tables, and Network are ignored — the DC process owns its
 	// own configuration and tables — and Deployment.DCs stays empty:
 	// remote DCs crash by being killed and recover by being restarted,
-	// and the deployment reacts to a re-established connection by
-	// replaying the TC's redo stream automatically (§5.3.2 "DC Failure").
+	// and each TC resends its redo stream to a restarted one on its own
+	// (§5.3.2 "DC Failure"; see remote.go).
 	DCAddrs []string
 	// DialConfig shapes the TCP connections of a DCAddrs deployment
 	// (resend pacing, redial backoff). The zero value uses defaults.
@@ -78,7 +78,6 @@ type Deployment struct {
 	clientOnce sync.Once
 	client     *Client
 	closeOnce  sync.Once
-	closeCh    chan struct{}
 }
 
 // resolveRouter validates Options.Placement against the deployment shape
@@ -117,7 +116,7 @@ func New(opts Options) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{router: router, pl: opts.Placement, closeCh: make(chan struct{})}
+	d := &Deployment{router: router, pl: opts.Placement}
 	if remote {
 		if err := d.dialDCs(opts); err != nil {
 			return nil, err
@@ -227,7 +226,6 @@ func (d *Deployment) Placement() *placement.Placement { return d.pl }
 // second Close is a no-op, and closing twice never panics or hangs.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() {
-		close(d.closeCh)
 		for _, t := range d.TCs {
 			t.Close()
 		}

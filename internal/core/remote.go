@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/tc"
 	"github.com/cidr09/unbundled/internal/wire"
 )
 
@@ -14,12 +11,15 @@ import (
 // reached over TCP (Options.DCAddrs). The assembly mirrors the simulated
 // path — one dialed connection per (TC, DC) pair, each a wire.Client
 // implementing base.Service — but crash/recovery orchestration changes
-// shape: nobody in this process can call dc.Recover on a killed DC, so
-// the deployment instead supervises the connections. A connection that
-// drops and comes back means the DC process restarted (or the network
-// blinked; the redo stream is idempotent either way), and the owning TC
-// replays its logged operations from the redo scan start point before new
-// work flows — the §4.2.1 out-of-band restart prompt, automated.
+// shape: nobody in this process can call dc.Recover on a killed DC. It
+// needs nobody to: a restarted DC refuses a TC's operations (CodeStaleDC)
+// until that TC has resent its redo stream to it, and the refusal starts the
+// resend (tc.TC.RecoverDC). A connection that drops and comes back does not
+// mean the DC restarted — the network may have blinked — so a reconnect only
+// asks: the TC opens its resend bracket, and a DC that did not restart
+// answers that nothing is owed. The ask is for the TC that sends nothing a
+// DC could refuse, and whose watermarks a restarted DC drops until it
+// resends.
 
 // dialDCs assembles the TCs of a remote deployment over one dialed
 // connection per (TC, DC) pair.
@@ -31,13 +31,10 @@ func (d *Deployment) dialDCs(opts Options) error {
 	if err != nil {
 		return err
 	}
-	// Connection supervision: every re-established session triggers a redo
-	// replay for that (TC, DC) pair. The hook must be registered after the
-	// TC exists — a reconnect in the window before this loop can only be
-	// the initial connect, which needs no replay (the DC has seen nothing).
 	for ti, t := range d.TCs {
 		for di, cl := range d.clients[ti] {
-			d.superviseRemoteDC(t, cl, di)
+			// A failed ask is asked again by the next refusal or reconnect.
+			cl.OnReconnect(func() { _ = t.RecoverDC(di) })
 		}
 	}
 	// A TC reopening a previous incarnation's log (TCConfig.Dir) is NOT
@@ -46,47 +43,6 @@ func (d *Deployment) dialDCs(opts Options) error {
 	// runs RecoverTC for every TC whose NeedsRecovery reports true, as
 	// cmd/unbundled-tc does.
 	return nil
-}
-
-// superviseRemoteDC wires the dialed connection's reconnect signal to
-// TC.RecoverDC. Reconnects are coalesced — a flap during a running replay
-// schedules exactly one follow-up replay — and a failing replay is retried
-// paced until it succeeds or the deployment closes: recovery must need no
-// manual intervention.
-func (d *Deployment) superviseRemoteDC(t *tc.TC, cl *wire.Client, di int) {
-	var mu sync.Mutex
-	running, again := false, false
-	cl.OnReconnect(func() {
-		mu.Lock()
-		if running {
-			again = true
-			mu.Unlock()
-			return
-		}
-		running = true
-		mu.Unlock()
-		for {
-			err := t.RecoverDC(di)
-			mu.Lock()
-			if err == nil && !again {
-				running = false
-				mu.Unlock()
-				return
-			}
-			again = false
-			mu.Unlock()
-			if err != nil {
-				select {
-				case <-d.closeCh:
-					mu.Lock()
-					running = false
-					mu.Unlock()
-					return
-				case <-time.After(250 * time.Millisecond):
-				}
-			}
-		}
-	})
 }
 
 // WaitConnected blocks until every dialed DC connection of a remote

@@ -3,6 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +128,136 @@ func TestRemoteDeploymentKillRestart(t *testing.T) {
 	}
 	if ws.Resends == 0 {
 		t.Fatalf("no resends recorded: %+v", ws)
+	}
+}
+
+// flapProxy forwards TCP connections to addr; cut drops every connection it
+// holds, the way a network blink does, and the clients redial through it.
+type flapProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newFlapProxy(t *testing.T, addr string) *flapProxy {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &flapProxy{ln: ln}
+	t.Cleanup(func() { ln.Close(); p.cut() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s, err := net.Dial("tcp", addr)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, c, s)
+			p.mu.Unlock()
+			go func() { io.Copy(s, c); s.Close() }()
+			go func() { io.Copy(c, s); c.Close() }()
+		}
+	}()
+	return p
+}
+
+func (p *flapProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.conns = nil
+}
+
+// TestConnectionFlapReplaysNothing: a TCP connection that drops and comes
+// back while the DC keeps running is no DC restart. The reconnect only asks
+// the DC whether it is owed a resend; it is not, and nothing is replayed —
+// and every acknowledged write is still there.
+func TestConnectionFlapReplaysNothing(t *testing.T) {
+	d, err := dc.New(dc.Config{Name: "steady"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wire.Listen("127.0.0.1:0", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	proxy := newFlapProxy(t, l.Addr())
+	dep, err := New(Options{TCs: 1, DCAddrs: []string{proxy.ln.Addr().String()},
+		DialConfig: wire.DialConfig{ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	ctx := context.Background()
+	if err := dep.WaitConnected(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tcx := dep.TCs[0]
+	const writers, cuts = 4, 3
+	var stop atomic.Bool
+	last := make([]map[string]string, writers) // per writer: key -> last acknowledged value
+	errs := make(chan error, writers)
+	for w := range last {
+		last[w] = map[string]string{}
+		go func(w int) {
+			for i := 0; !stop.Load(); i++ {
+				k, v := fmt.Sprintf("w%d-k%02d", w, i%10), fmt.Sprintf("w%d-%d", w, i)
+				if err := tcx.RunTxn(ctx, tc.TxnOptions{}, func(x *tc.Txn) error {
+					return x.Upsert("kv", k, []byte(v))
+				}); err != nil {
+					errs <- err
+					return
+				}
+				last[w][k] = v
+			}
+			errs <- nil
+		}(w)
+	}
+	for c := 0; c < cuts; c++ {
+		time.Sleep(50 * time.Millisecond)
+		proxy.cut()
+	}
+	time.Sleep(50 * time.Millisecond)
+	stop.Store(true)
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every cut made the client redial, and the reconnect hook ran.
+	for deadline := time.Now().Add(5 * time.Second); dep.RemoteWireStats().Reconnects < cuts; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reconnects: %+v, want %d", dep.RemoteWireStats(), cuts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // the last hook's ask
+	if got := tcx.Stats().RedoOps; got != 0 {
+		t.Fatalf("connection flaps without a DC restart replayed %d operations", got)
+	}
+	if err := tcx.RunTxn(ctx, tc.TxnOptions{}, func(x *tc.Txn) error {
+		for w := range last {
+			for k, want := range last[w] {
+				if v, _, err := x.Read("kv", k); err != nil || string(v) != want {
+					return fmt.Errorf("%s = %q, %v; last acknowledged %q", k, v, err, want)
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,9 +8,11 @@
 // transactions on the DC-log (package dclog); the abstract-LSN machinery
 // (package ablsn) provides idempotence despite out-of-order operation
 // arrival (§5.1); the buffer pool (package buffer) enforces the causality
-// and WAL gates; and a TC's failure is handled by the targeted cache reset
-// of §5.3.2/§6.1.2, which undoes the operations the TC lost from the undo
-// tails of the cached pages that hold them (package page). What is done to
+// and WAL gates; a TC's failure is handled by the targeted cache reset of
+// §5.3.2/§6.1.2, which undoes the operations the TC lost from the undo tails
+// of the cached pages that hold them (package page); and the DC's own by the
+// TCs' resends, each of which a recovered incarnation waits out before it
+// takes that TC's word about its contents again (see bracket). What is done to
 // the physical structure as a whole — catalog, table creation, redo of
 // system transactions — is btree's and shared with the monolith baseline;
 // this package adds the operations, the per-TC protocol state and the DC's
@@ -71,8 +73,29 @@ type Stats struct {
 	SnapshotWaits uint64 // snapshot reads that had to wait out a safe TS
 }
 
+// bracket is where a TC stands in its resend to one DC incarnation (§5.3.1:
+// a TC resumes normal work with a DC only once it has resent its redo stream
+// to it). Until the bracket is done the DC takes no claim of the TC's about
+// its own contents — no low-water mark, no safe timestamp, no checkpoint —
+// and executes none of its operations but the resend's, which are stamped
+// with the incarnation's number: every other one is answered CodeStaleDC,
+// which is what tells the TC to resend.
+type bracket uint32
+
+const (
+	// done (the zero value): nothing owed — the TC's resend to this
+	// incarnation has ended, or the recovered fences did not name it (no
+	// incarnation of this DC ever executed one of its operations).
+	done bracket = iota
+	// owed: the recovered fences name the TC, and everything this DC did
+	// for it died with the previous incarnation's cache.
+	owed
+	// open: BeginRestart seen, EndRestart not yet.
+	open
+)
+
 // tcState is the DC's per-TC bookkeeping: the watermarks that drive
-// flushing and pruning, plus the incarnation-epoch fence.
+// flushing and pruning, the incarnation-epoch fence and the resend bracket.
 type tcState struct {
 	// ctl serializes the control plane — epoch installs and the restart
 	// sweep (BeginRestart), activation (EndRestart), checkpoint admission,
@@ -85,14 +108,14 @@ type tcState struct {
 	ctl  sync.Mutex
 	eosl atomic.Uint64
 	lwm  atomic.Uint64
-	// epoch is the fence installed by the TC's last begin_restart (zero
-	// until the first restart is seen): operations, watermarks, and control
-	// calls stamped with an older epoch are refused. It only ever rises.
+	// epoch is the fence: the newest incarnation of the TC this DC has heard
+	// of, from a BeginRestart or the first operation of that incarnation it
+	// admitted, and durable either way (KindEpochs). Operations, watermarks
+	// and control calls stamped with an older epoch are refused. It only
+	// ever rises.
 	epoch atomic.Uint64
-	// restarting is true between begin_restart and end_restart: the staged
-	// epoch is fencing already, but normal processing (checkpoints) has not
-	// been re-admitted yet.
-	restarting atomic.Bool
+	// bracket is a bracket, moved under ctl.
+	bracket atomic.Uint32
 
 	// safe is the TC's closed timestamp: the TC promises that every commit
 	// with TS <= safe has been finalized at this DC and that it will never
@@ -122,15 +145,22 @@ func (s *tcState) safeChanged() <-chan struct{} {
 // fence and must be refused.
 func (s *tcState) fenced(e base.Epoch) bool { return uint64(e) < s.epoch.Load() }
 
+// resent reports whether the TC's resend to this incarnation is done.
+func (s *tcState) resent() bool { return bracket(s.bracket.Load()) == done }
+
 // incarnation is everything volatile the DC serves from, as one value: the
 // buffer pool, the trees opened over it, the per-TC protocol state and the
 // conflict checker. Recover (and so New) builds one whole from the stable
 // media and publishes it; Crash and Close drop it.
-// Nothing in it outlives a crash — the epoch fences are rebuilt from the
-// DC-log, everything else the TCs re-establish — and a call that loaded it
-// before a crash finishes on it: such work lands in a discarded cache, which
-// is precisely the semantics of losing volatile state in the crash.
+// Nothing in it outlives a crash — its number and the epoch fences are
+// rebuilt from the DC-log, everything else the TCs re-establish by resending
+// to it — and a call that loaded it before a crash finishes on it: such work
+// lands in a discarded cache, which is precisely the semantics of losing
+// volatile state in the crash.
 type incarnation struct {
+	// n is the incarnation's durable number, one above every number before
+	// it: the stamp a TC's resend to it carries.
+	n      base.DCInc
 	pool   *buffer.Pool
 	forest *btree.Forest
 	// tcs is copy-on-write under tcMu: a TC is added the first time it is
@@ -138,10 +168,13 @@ type incarnation struct {
 	// on every call.
 	tcMu sync.Mutex
 	tcs  atomic.Pointer[map[base.TCID]*tcState]
-	// epochRec is the dLSN of the latest KindEpochs snapshot in the DC-log
-	// (zero when no epoch has ever been staged). Truncation re-appends a
-	// fresh snapshot whenever it would discard this record, so the fences
-	// always survive DC crashes.
+	// epochRec is the dLSN of the latest KindEpochs snapshot in the DC-log;
+	// build writes one, so there always is one. Truncation re-appends a
+	// fresh snapshot whenever it would discard this record, so the number
+	// and the fences always survive DC crashes. epochMu makes taking a
+	// snapshot and appending it one step, so the latest record holds every
+	// fence raised before it was taken.
+	epochMu  sync.Mutex
 	epochRec atomic.Uint64
 	// gcHorizon caches the minimum nonzero per-TC GC horizon so the write
 	// path can prune versions without scanning the TCs.
@@ -309,12 +342,13 @@ func (d *DC) CreateTable(table string) error {
 }
 
 // advance applies one watermark broadcast to tc's state unless the DC is
-// down or the sender's incarnation is fenced, and returns the incarnation
-// it advanced (nil if none). The fence check and the advance are one
-// critical section — ctl, shared with BeginRestart's fence raise and
-// re-base — so a stale claim either lands entirely before the raise (and is
-// zeroed by the re-base) or is dropped, never in between.
-func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) *incarnation {
+// down, the sender's incarnation is fenced, or — for a claim about this
+// DC's contents (claim) — the TC's resend to this incarnation has not ended,
+// and returns the incarnation it advanced (nil if none). The checks and the
+// advance are one critical section — ctl, shared with BeginRestart's fence
+// raise and re-base — so a stale claim either lands entirely before the
+// raise (and is zeroed by the re-base) or is dropped, never in between.
+func (d *DC) advance(tc base.TCID, epoch base.Epoch, claim bool, step func(*tcState)) *incarnation {
 	inc := d.inc.Load()
 	if inc == nil {
 		return nil
@@ -322,7 +356,7 @@ func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) *incar
 	s := inc.tc(tc)
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	if s.fenced(epoch) {
+	if s.fenced(epoch) || claim && !s.resent() {
 		return nil
 	}
 	step(s)
@@ -345,8 +379,11 @@ func raise(mark *atomic.Uint64, v uint64) bool {
 // EndOfStableLog implements base.Service (§4.2.1): all operations with
 // LSN <= eosl are stable in the TC log; causality then allows the DC to
 // make them stable too. Broadcasts from a fenced incarnation are dropped.
+// Nothing else is asked of it: the mark is a fact about the TC-log, which
+// does not depend on what this DC incarnation holds, so it is taken while the
+// TC still owes the incarnation its resend.
 func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
-	if inc := d.advance(tc, epoch, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }); inc != nil {
+	if inc := d.advance(tc, epoch, false, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }); inc != nil {
 		inc.pool.Kick() // the flusher re-tests the gates the watermark opened
 	}
 }
@@ -357,9 +394,11 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 // resend/idempotence machinery as any write), and the TC will never assign
 // a commit TS at or below safe — so a snapshot at T <= safe reads a stable
 // prefix. horizon is the TC's GC watermark. Broadcasts from a fenced
-// incarnation are dropped, mirroring EndOfStableLog.
+// incarnation are dropped, and so are those of a TC that owes this
+// incarnation its resend: the finalized commits the promise vouches for may
+// be among what the DC's crash lost.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	inc := d.advance(tc, epoch, func(s *tcState) {
+	inc := d.advance(tc, epoch, true, func(s *tcState) {
 		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {
 			close(s.safeCh)
 			s.safeCh = nil
@@ -433,9 +472,12 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, inc *incarnation, t base.TS) 
 // may advance (bounded by EOSL; see buffer and ablsn for why). Claims from
 // a fenced incarnation are dropped: BeginRestart re-based the mark to zero
 // precisely because the restarted TC reuses the dead incarnation's LSN
-// space, and a stale in-flight claim would prune abstract LSNs into it.
+// space, and a stale in-flight claim would prune abstract LSNs into it. So
+// are those of a TC that owes this incarnation its resend: they count
+// replies of the incarnation before, and a page flushed under them would
+// claim operations it never held.
 func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
-	if inc := d.advance(tc, epoch, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }); inc != nil {
+	if inc := d.advance(tc, epoch, true, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }); inc != nil {
 		inc.pool.Kick()
 	}
 }
@@ -445,8 +487,9 @@ func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
 // TC's resend obligation below newRSSP. The TC has forced its log through
 // newRSSP before calling, so the causality gate is open. A checkpoint from
 // a fenced incarnation is refused — releasing resend obligations based on
-// a dead incarnation's view would be unrecoverable — and so is one racing
-// an unfinished restart.
+// a dead incarnation's view would be unrecoverable — and so is one before
+// the TC's resend to this incarnation has ended (ErrStaleDC): the pages it
+// would make stable may still miss operations below newRSSP.
 func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -463,9 +506,10 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 		return fmt.Errorf("dc %s: checkpoint for tc %d epoch %d behind fence %d: %w",
 			d.cfg.Name, tc, epoch, cur, base.ErrStaleEpoch)
 	}
-	if s.restarting.Load() {
+	if !s.resent() {
 		s.ctl.Unlock()
-		return fmt.Errorf("dc %s: checkpoint for tc %d during its restart", d.cfg.Name, tc)
+		return fmt.Errorf("dc %s: checkpoint for tc %d before its resend to incarnation %d ended: %w",
+			d.cfg.Name, tc, inc.n, base.ErrStaleDC)
 	}
 	s.ctl.Unlock()
 	pool := inc.pool
@@ -489,9 +533,9 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 
 // truncateDCLog discards DC-log records whose effects are fully stable:
 // everything below the minimum RecDLSN among dirty cached pages. The
-// epoch-fence snapshot is not page-backed, so if truncation would discard
-// the latest KindEpochs record a fresh snapshot is forced first — the
-// fences must survive any crash.
+// KindEpochs snapshot is not page-backed, so if truncation would discard
+// the latest one a fresh snapshot is forced first — the incarnation number
+// and the fences must survive any crash.
 func (d *DC) truncateDCLog(inc *incarnation) {
 	minD := d.dlog.LastLSN() + 1
 	inc.pool.Pages(func(pg *page.Page) {
@@ -505,14 +549,17 @@ func (d *DC) truncateDCLog(inc *incarnation) {
 	if minD > stable+1 {
 		minD = stable + 1
 	}
-	if rec := inc.epochRec.Load(); rec != 0 && base.LSN(rec) < minD {
+	if base.LSN(inc.epochRec.Load()) < minD {
 		d.logEpochs(inc)
 	}
 	d.dlog.Truncate(minD)
 }
 
-// logEpochs forces a full per-TC epoch snapshot into the DC-log.
+// logEpochs forces a snapshot of the incarnation's number and every TC's
+// fence into the DC-log.
 func (d *DC) logEpochs(inc *incarnation) {
+	inc.epochMu.Lock()
+	defer inc.epochMu.Unlock()
 	tcs := *inc.tcs.Load()
 	snap := make([]dclog.TCEpoch, 0, len(tcs))
 	for id, s := range tcs {
@@ -520,11 +567,8 @@ func (d *DC) logEpochs(inc *incarnation) {
 			snap = append(snap, dclog.TCEpoch{TC: id, Epoch: base.Epoch(e)})
 		}
 	}
-	if len(snap) == 0 {
-		return
-	}
 	sort.Slice(snap, func(i, j int) bool { return snap[i].TC < snap[j].TC })
-	rec := &dclog.Epochs{Epochs: snap}
+	rec := &dclog.Epochs{Inc: inc.n, Epochs: snap}
 	dlsn := d.AppendSMO(dclog.KindEpochs, rec.Encode())
 	raise(&inc.epochRec, uint64(dlsn))
 	d.ForceSMO(dlsn)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/page"
 )
 
@@ -434,6 +435,9 @@ func TestMultiTCResetIsolation(t *testing.T) {
 			if err := d.BeginRestart(context.Background(), 1, 2, 1); err != nil {
 				t.Fatal(err)
 			}
+			if err := d.EndRestart(context.Background(), 1, 2); err != nil {
+				t.Fatal(err)
+			}
 			h1.epoch = 2
 			if r := h1.read("tc1-a"); string(r.Value) != "stable1" {
 				t.Fatalf("tc1 record not reset: %+v", r)
@@ -586,9 +590,10 @@ func TestCheckpointFlushesAndTruncates(t *testing.T) {
 	if err := d.Checkpoint(context.Background(), 1, h.epoch, h.next); err != nil {
 		t.Fatal(err)
 	}
-	// All dirty pages stable; the DC-log contract is released entirely.
-	if n := len(d.DCLog().Scan(0)); n != 0 {
-		t.Fatalf("DC-log not truncated: %d stable records remain", n)
+	// All dirty pages stable; the DC-log contract is released entirely, and
+	// only the incarnation's fence snapshot is kept.
+	if recs := d.DCLog().Scan(0); len(recs) != 1 || recs[0].Kind != dclog.KindEpochs {
+		t.Fatalf("DC-log not truncated: %d stable records remain", len(recs))
 	}
 	// Everything survives a crash with no redo needed.
 	d.Crash()

@@ -213,7 +213,14 @@ func TestStaleWatermarksIgnoredAfterRestart(t *testing.T) {
 	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
 		t.Fatalf("stale LWM claim accepted: %d", got)
 	}
-	// The new incarnation's claim lands.
+	// The new incarnation's claim lands once its resend has ended.
+	d.LowWaterMark(1, 2, 1)
+	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
+		t.Fatalf("LWM claim taken inside the resend bracket: %d", got)
+	}
+	if err := d.EndRestart(context.Background(), 1, 2); err != nil {
+		t.Fatal(err)
+	}
 	d.LowWaterMark(1, 2, 1)
 	if got := d.inc.Load().tc(1).lwm.Load(); got != 1 {
 		t.Fatalf("new incarnation LWM dropped: %d", got)

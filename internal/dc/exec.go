@@ -46,6 +46,12 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		res.Code = base.CodeStaleEpoch
 		return
 	}
+	if !d.admit(inc, ts, op) {
+		// Not executed, so the TC loses nothing by it: it resends its redo
+		// stream to the incarnation named, then sends again.
+		res.Code, res.DCInc = base.CodeStaleDC, inc.n
+		return
+	}
 	if d.draining.Load() {
 		// Operations-plane admission gate (see Drain in admin.go): nack
 		// transient, the TC's resend discipline waits the drain out.
@@ -103,6 +109,28 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		// Whatever the operation had gathered before its page would not load.
 		*res = base.Result{LSN: op.LSN, Code: d.refusal(inc)}
 	}
+}
+
+// admit decides whether op may execute on inc, s being its TC's state there:
+// an operation stamped with an incarnation runs in that one alone, an
+// unstamped one once its TC's resend to inc is done (see bracket). The first
+// operation of a TC incarnation the DC has not heard of raises the fence to
+// it first, durably: from then on every later incarnation of the DC knows
+// the TC owes it a resend. A TC is so registered by its own traffic — no
+// call of its own, nothing sent at its start.
+func (d *DC) admit(inc *incarnation, s *tcState, op *base.Op) bool {
+	if op.DCInc != 0 {
+		return op.DCInc == inc.n
+	}
+	if uint64(op.Epoch) > s.epoch.Load() {
+		s.ctl.Lock()
+		if uint64(op.Epoch) > s.epoch.Load() {
+			s.epoch.Store(uint64(op.Epoch))
+			d.logEpochs(inc)
+		}
+		s.ctl.Unlock()
+	}
+	return s.resent()
 }
 
 // refusal is the answer to an operation the incarnation it ran on could not

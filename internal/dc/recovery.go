@@ -28,10 +28,13 @@ func (d *DC) Crash() {
 // Recover builds a new incarnation from the stable media and publishes it:
 // replay the stable DC-log in dLSN order so the search structures are
 // well-formed *before* any TC redo arrives (§4.2 "Recovery", §5.2.2) and the
-// epoch fences are back before any operation is served, then open the trees
-// from the catalog. The TC(s) are then prompted (by the deployment layer) to
-// resend operations from their redo scan start points. It holds mu
-// throughout, so a Crash or Close waits for it and then takes effect.
+// epoch fences are back before any operation is served, open the trees from
+// the catalog, and durably take the next incarnation number. Every TC the
+// fences name owes the new incarnation a resend of its redo stream from its
+// redo scan start point (§5.3.2 "DC Failure"), and is refused everything but
+// that resend until it has ended: its first other operation is answered
+// CodeStaleDC, which is the prompt. It holds mu throughout, so a Crash or
+// Close waits for it and then takes effect.
 func (d *DC) Recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -76,14 +79,18 @@ func (d *DC) build() (*incarnation, error) {
 	if err != nil {
 		return nil, err
 	}
+	inc.n++ // one above the last number any snapshot recorded
+	for _, s := range *inc.tcs.Load() {
+		s.bracket.Store(uint32(owed))
+	}
+	d.logEpochs(inc)
 	return inc, nil
 }
 
-// redoEpochs reinstalls the incarnation fences a KindEpochs snapshot
-// carries: requests of pre-restart TC incarnations stay fenced across DC
-// crashes. Max semantics make replay of multiple snapshots idempotent. No
-// restart is in progress after a DC recover — if one was, the TC's (resent)
-// BeginRestart/EndRestart re-establishes it.
+// redoEpochs reinstalls what a KindEpochs snapshot carries: the incarnation
+// fences, so requests of pre-restart TC incarnations stay fenced across DC
+// crashes, and the number of the DC incarnation that wrote it. Max semantics
+// make replay of multiple snapshots idempotent.
 func (inc *incarnation) redoEpochs(payload []byte, dlsn base.DLSN) error {
 	eps, err := dclog.DecodeEpochs(payload)
 	if err != nil {
@@ -92,19 +99,26 @@ func (inc *incarnation) redoEpochs(payload []byte, dlsn base.DLSN) error {
 	for _, e := range eps.Epochs {
 		raise(&inc.tc(e.TC).epoch, uint64(e.Epoch))
 	}
+	inc.n = max(inc.n, eps.Inc)
 	raise(&inc.epochRec, uint64(dlsn))
 	return nil
 }
 
-// BeginRestart implements base.Service for TC failure (§5.3.2, §6.1.2):
-// the failed TC lost its log tail beyond stableLSN, so the DC must discard
-// from its cache every effect of that TC's operations with higher LSNs
-// (causality guarantees none reached stable storage). It undoes exactly
-// those operations, page by page, from each cached leaf's undo tail, and
-// takes back the page's claims to them: no stable page is read and nothing
-// is routed, so splits and consolidations since the last flush — which
-// carried the entries with their keys — do not matter. Other TCs' records
-// and entries survive untouched.
+// BeginRestart implements base.Service: it opens tc's resend bracket in this
+// incarnation (see bracket). Of the epoch the fence already holds, it only
+// opens it: the TC resends to a DC that restarted (an owed bracket; the
+// crash took everything, so nothing is undone) or repeats itself (an open
+// one). If that resend has already ended, nothing is owed and the TC is told
+// so (ErrNothingOwed).
+//
+// A newer epoch is a TC failure (§5.3.2, §6.1.2): the failed TC lost its log
+// tail beyond stableLSN, so the DC must discard from its cache every effect
+// of that TC's operations with higher LSNs (causality guarantees none
+// reached stable storage). It undoes exactly those operations, page by page,
+// from each cached leaf's undo tail, and takes back the page's claims to
+// them: no stable page is read and nothing is routed, so splits and
+// consolidations since the last flush — which carried the entries with their
+// keys — do not matter. Other TCs' records and entries survive untouched.
 //
 // Before anything else the restarting incarnation's epoch is installed as
 // the TC's fence and forced into the DC-log: from that moment every
@@ -137,13 +151,17 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 			d.cfg.Name, tc, epoch, cur, base.ErrStaleEpoch)
 	}
 	if epoch == cur && epoch != 0 {
-		// Duplicate delivery of an already-processed begin_restart (the
-		// wire resends and duplicates): the reset ran once; running it
-		// again after redo/undo started would undo post-restart effects.
+		// Never a reset: it ran once for this epoch, if at all, and running
+		// it again after redo or undo started would undo their effects.
+		if bracket(s.bracket.Load()) == done {
+			return fmt.Errorf("dc %s: tc %d epoch %d resent to incarnation %d: %w",
+				d.cfg.Name, tc, epoch, inc.n, base.ErrNothingOwed)
+		}
+		s.bracket.Store(uint32(open))
 		return nil
 	}
 	s.epoch.Store(uint64(epoch))
-	s.restarting.Store(true)
+	s.bracket.Store(uint32(open))
 	// Persist the fence before touching any state: once effects are swept,
 	// no crash may resurrect the DC without it.
 	d.logEpochs(inc)
@@ -169,13 +187,16 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	return nil
 }
 
-// EndRestart implements base.Service: restart processing for tc is
-// complete. The staged epoch is atomically activated — normal processing
-// (checkpoints included) resumes for the new incarnation — and whatever
-// the prior incarnation still has queued inside the DC is discarded: its
+// EndRestart implements base.Service: tc's resend to this incarnation is
+// complete, and its bracket done — normal processing (its watermarks,
+// checkpoints and unstamped operations) resumes — and whatever the prior TC
+// incarnation still has queued inside the DC is discarded: its
 // conflict-table entries are purged (fenced operations still queued on
 // leaf latches otherwise count as conflicts against the new incarnation's
-// operations). A late EndRestart from a dead incarnation is refused.
+// operations). A late EndRestart from a dead TC incarnation is refused
+// (ErrStaleEpoch), and so is one this DC incarnation never saw begin
+// (ErrStaleDC): the DC restarted under the resend, which must start over.
+// A repeated one is a no-op.
 func (d *DC) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -196,7 +217,11 @@ func (d *DC) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch) err
 		return fmt.Errorf("dc %s: end-restart for tc %d epoch %d behind fence %d: %w",
 			d.cfg.Name, tc, epoch, cur, base.ErrStaleEpoch)
 	}
-	s.restarting.Store(false)
+	if epoch > cur || bracket(s.bracket.Load()) == owed {
+		return fmt.Errorf("dc %s: end-restart for tc %d epoch %d: incarnation %d saw no begin: %w",
+			d.cfg.Name, tc, epoch, inc.n, base.ErrStaleDC)
+	}
+	s.bracket.Store(uint32(done))
 	if inc.inflight != nil {
 		inc.inflight.discardStale(tc, cur)
 	}

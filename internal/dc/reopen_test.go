@@ -59,6 +59,17 @@ func TestReopenFromDir(t *testing.T) {
 	if tables := r.Tables(); len(tables) != 1 || tables[0] != "kv" {
 		t.Fatalf("tables after reopen: %v", tables)
 	}
+	// The fence names TC 1, so it owes the new incarnation a resend before
+	// anything else — here an empty one: everything was checkpointed.
+	if res := r.Perform(ctx, &base.Op{TC: 1, Epoch: 7, Kind: base.OpRead, Table: "kv", Key: "k0000"}); res.Code != base.CodeStaleDC {
+		t.Fatalf("read before the resend: %+v, want CodeStaleDC", res)
+	}
+	if err := r.BeginRestart(ctx, 1, 7, base.LSN(n+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EndRestart(ctx, 1, 7); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		op := &base.Op{TC: 1, Epoch: 7, LSN: base.LSN(1000 + i), Kind: base.OpRead,
 			Table: "kv", Key: fmt.Sprintf("k%04d", i)}

@@ -34,11 +34,14 @@ const (
 	KindConsolidate
 	// KindRootCollapse replaces a single-child branch root by its child.
 	KindRootCollapse
-	// KindEpochs snapshots the per-TC incarnation-epoch table. A record is
-	// forced whenever a begin_restart raises a TC's fence, and re-appended
-	// ahead of any truncation that would discard the latest snapshot, so a
-	// recovered DC always rebuilds the fences before serving operations —
-	// a dead TC incarnation's requests stay fenced across DC crashes.
+	// KindEpochs snapshots the DC's own incarnation number and the per-TC
+	// incarnation-epoch table. A record is forced by every DC recovery
+	// (which bumps the number) and whenever a TC's fence rises, and
+	// re-appended ahead of any truncation that would discard the latest
+	// snapshot, so a recovered DC always rebuilds the fences — a dead TC
+	// incarnation's requests stay fenced across DC crashes, and every TC
+	// they name owes this DC incarnation a resend — and never reuses a
+	// number.
 	KindEpochs
 )
 
@@ -48,10 +51,11 @@ type TCEpoch struct {
 	Epoch base.Epoch
 }
 
-// Epochs is the payload of KindEpochs: the full per-TC epoch table at the
-// time of the bump (full snapshots keep replay trivially idempotent —
-// entries are applied with max semantics).
+// Epochs is the payload of KindEpochs: the DC incarnation that wrote it and
+// the full per-TC epoch table at the time (full snapshots keep replay
+// trivially idempotent — everything is applied with max semantics).
 type Epochs struct {
+	Inc    base.DCInc
 	Epochs []TCEpoch
 }
 
@@ -150,7 +154,8 @@ func (r *RootCollapse) Encode() []byte {
 
 // Encode serializes the record payload.
 func (r *Epochs) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(r.Epochs)))
+	buf := binary.AppendUvarint(nil, uint64(r.Inc))
+	buf = binary.AppendUvarint(buf, uint64(len(r.Epochs)))
 	for _, e := range r.Epochs {
 		buf = binary.AppendUvarint(buf, uint64(e.TC))
 		buf = binary.AppendUvarint(buf, uint64(e.Epoch))
@@ -263,11 +268,12 @@ func DecodeRootCollapse(buf []byte) (*RootCollapse, error) {
 // DecodeEpochs parses a KindEpochs payload.
 func DecodeEpochs(buf []byte) (*Epochs, error) {
 	d := reader{buf: buf}
+	inc := base.DCInc(d.uvarint())
 	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.buf)) { // each entry is >= 2 bytes
 		return nil, errCorrupt
 	}
-	r := &Epochs{Epochs: make([]TCEpoch, 0, n)}
+	r := &Epochs{Inc: inc, Epochs: make([]TCEpoch, 0, n)}
 	for i := uint64(0); i < n; i++ {
 		tc := base.TCID(d.uvarint())
 		ep := base.Epoch(d.uvarint())

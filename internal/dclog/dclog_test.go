@@ -27,7 +27,7 @@ var kinds = []struct {
 		func(b []byte) (payload, error) { return DecodeConsolidate(b) }},
 	{KindRootCollapse, &RootCollapse{Table: "kv", OldRootID: 302, NewRootID: 7},
 		func(b []byte) (payload, error) { return DecodeRootCollapse(b) }},
-	{KindEpochs, &Epochs{Epochs: []TCEpoch{{TC: 1, Epoch: 3}, {TC: 200, Epoch: base.Epoch(1 << 20)}}},
+	{KindEpochs, &Epochs{Inc: 300, Epochs: []TCEpoch{{TC: 1, Epoch: 3}, {TC: 200, Epoch: base.Epoch(1 << 20)}}},
 		func(b []byte) (payload, error) { return DecodeEpochs(b) }},
 }
 
@@ -48,6 +48,17 @@ func TestRoundTripAndTruncation(t *testing.T) {
 	}
 }
 
+// TestEpochsCarryTheIncarnation pins the snapshot a fence-less DC writes at
+// every recovery: the incarnation number alone survives a round trip.
+func TestEpochsCarryTheIncarnation(t *testing.T) {
+	for _, rec := range []*Epochs{{Inc: 1, Epochs: []TCEpoch{}}, {Inc: 1 << 40, Epochs: []TCEpoch{{TC: 3, Epoch: 7}}}} {
+		got, err := DecodeEpochs(rec.Encode())
+		if err != nil || !reflect.DeepEqual(got, rec) {
+			t.Errorf("round trip of %+v gave %+v, %v", rec, got, err)
+		}
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes to the decoder of an arbitrary kind: it
 // may refuse them but never panic, and whatever it accepts must survive
 // its own re-encoding.
@@ -58,8 +69,9 @@ func FuzzDecode(f *testing.F) {
 			f.Add(k.kind, enc[:n])
 		}
 	}
+	f.Add(KindEpochs, (&Epochs{Inc: 2}).Encode()) // the snapshot of a DC no TC has registered with
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		k := kinds[int(kind)%len(kinds)]
+		k := kinds[int(kind-1)%len(kinds)] // a record kind picks its own decoder; Kind* start at 1
 		rec, err := k.decode(data)
 		if err != nil {
 			return

@@ -109,6 +109,16 @@ func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
 	return image, true
 }
 
+// Holds reports whether image — what a Read of page id returned — is still
+// the page's stable image: no Write or Free of the page came since. It
+// counts no read.
+func (s *PageStore) Holds(id base.PageID, image []byte) bool {
+	s.mu.RLock()
+	cur, ok := s.pages[id]
+	s.mu.RUnlock()
+	return ok && len(cur) > 0 && len(image) > 0 && &cur[0] == &image[0]
+}
+
 // Exists reports whether the page has stable contents without counting a
 // read.
 func (s *PageStore) Exists(id base.PageID) bool {

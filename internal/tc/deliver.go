@@ -130,17 +130,23 @@ var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged
 // end: the operations carry the dead incarnation's epoch, and whatever lands
 // before the fence is up, BeginRestart sweeps.
 //
-// New operations wait at the DC's recovery gate; redo marks the resend
-// stream of a restart (§5.3.2), which holds that gate and must pass it.
-// CodeUnavailable (the DC is down, restarting or draining) triggers a paced
-// resend of everything — per-operation idempotence at the DC absorbs
-// re-execution of operations that did land. The only ways out of the loop
-// are the incarnation dying, the TC stopping and the DC stub being closed;
-// ctx carries values to the service and is never cancellable, because a
-// logged operation abandoned half-delivered could be overtaken by its own
-// inverse.
-func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op, redo bool) error {
+// New operations wait at the DC's recovery gate, and a CodeStaleDC — the DC
+// restarted, and this TC owes it its resend — starts the resend (or asks the
+// running one to go again) and sends again once it has ended. The
+// operations of a resend bracket (bracket) pass the gate its resend holds
+// and are stamped with the DC incarnation the bracket is bound to, learnt
+// from the first CodeStaleDC; a CodeStaleDC that answers a stamped operation
+// means the DC restarted again, and the delivery gives up with
+// errDCRestarted for its resend to start over. CodeUnavailable (the DC is
+// down, restarting or draining) triggers a paced resend of everything —
+// per-operation idempotence at the DC absorbs re-execution of operations
+// that did land. The only other ways out of the loop are the incarnation
+// dying, the TC stopping and the DC stub being closed; ctx carries values to
+// the service and is never cancellable, because a logged operation abandoned
+// half-delivered could be overtaken by its own inverse.
+func (inc *incarnation) deliver(ctx context.Context, idx int, ops []*base.Op, bracket bool) error {
 	t := inc.tc
+	h := t.dcs[idx]
 	var one [1]*base.Result
 	backoff := 200 * time.Microsecond
 	var pace pacer
@@ -149,7 +155,11 @@ func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op
 		if !inc.log.Live() {
 			return ErrTCStopped
 		}
-		if !redo {
+		if bracket {
+			for _, op := range ops {
+				op.DCInc = base.DCInc(inc.bound[idx].Load())
+			}
+		} else {
 			_ = h.waitReady(ctx) // ctx is never done
 		}
 		var results []*base.Result
@@ -160,15 +170,23 @@ func (inc *incarnation) deliver(ctx context.Context, h *dcHandle, ops []*base.Op
 			results = h.svc.PerformBatch(ctx, ops)
 		}
 		t.opsSent.Add(uint64(len(ops)))
-		unavailable := false
+		stale, unavailable := staleDC(results), false
 		for _, r := range results {
 			if r == nil || r.Code == base.CodeUnavailable {
 				unavailable = true
 				break
 			}
 		}
-		if !unavailable {
-			return inc.complete(ops, results, redo)
+		switch {
+		case stale != 0 && bracket:
+			if !inc.bound[idx].CompareAndSwap(0, uint64(stale)) {
+				return errDCRestarted
+			}
+			continue // stamped now
+		case stale != 0:
+			inc.startResend(idx)
+		case !unavailable:
+			return inc.complete(ops, results, bracket)
 		}
 		// A closed wire client answers every call with CodeUnavailable
 		// forever; retrying would wedge callers that its Close contract
@@ -231,7 +249,7 @@ func firstErr(first, err error) error {
 // delivery is reported interrupted all the same. A stale-epoch nack from the
 // DC means the op never executed — the fence fired mid-flight — so its LSN
 // must not complete either; it is a permanent failure.
-func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, redo bool) (first error) {
+func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, bracket bool) (first error) {
 	if !inc.log.Live() {
 		return ErrTCStopped
 	}
@@ -242,11 +260,11 @@ func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, redo bo
 			err = fmt.Errorf("tc: logged op fenced at DC: %v: %w", op, base.ErrStaleEpoch)
 		} else {
 			inc.acks.Complete(op.LSN)
-			// Repeating history may find the effect already there (or
-			// already gone); for a first delivery the pre-check + X-lock
-			// invariant excludes every code but OK — surface loudly if it
-			// is ever broken.
-			if code != base.CodeOK && !(redo && (code == base.CodeDuplicate || code == base.CodeNotFound)) {
+			// Repeating history (a resend bracket) may find the effect
+			// already there (or already gone); for a first delivery the
+			// pre-check + X-lock invariant excludes every code but OK —
+			// surface loudly if it is ever broken.
+			if code != base.CodeOK && !(bracket && (code == base.CodeDuplicate || code == base.CodeNotFound)) {
 				err = fmt.Errorf("tc: logged op failed at DC: %v -> %v", op, code)
 			}
 		}
@@ -256,9 +274,20 @@ func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, redo bo
 }
 
 // deliverOne is deliver for a single operation.
-func (inc *incarnation) deliverOne(ctx context.Context, h *dcHandle, op *base.Op, redo bool) error {
+func (inc *incarnation) deliverOne(ctx context.Context, idx int, op *base.Op, bracket bool) error {
 	one := [1]*base.Op{op}
-	return inc.deliver(ctx, h, one[:], redo)
+	return inc.deliver(ctx, idx, one[:], bracket)
+}
+
+// staleDC returns the DC incarnation the first CodeStaleDC among results
+// names, zero if there is none.
+func staleDC(results []*base.Result) base.DCInc {
+	for _, r := range results {
+		if r != nil && r.Code == base.CodeStaleDC {
+			return r.DCInc
+		}
+	}
+	return 0
 }
 
 // flush is the transaction's write barrier: the writes queued since the last
@@ -392,7 +421,7 @@ func (x *Txn) ship() error {
 		ctx = context.WithoutCancel(ctx)
 	}
 	var first error
-	for dcIdx, h := range x.tc.dcs {
+	for dcIdx := range x.tc.dcs {
 		ops := x.slab.send[:0]
 		for i := range x.queue {
 			if q := &x.queue[i]; q.dc == dcIdx {
@@ -400,7 +429,7 @@ func (x *Txn) ship() error {
 			}
 		}
 		if len(ops) > 0 {
-			first = firstErr(first, x.inc.deliver(ctx, h, ops, false))
+			first = firstErr(first, x.inc.deliver(ctx, dcIdx, ops, false))
 		}
 	}
 	x.queue = x.queue[:0]

@@ -37,14 +37,16 @@ func (t *TC) Crash() {
 //  1. Analysis over the stable log: find the redo scan start point, the
 //     loser transactions, and committed transactions with versioned
 //     writes to re-finalize.
-//  2. Tell every DC to discard effects of operations beyond the stable
-//     log (targeted page reset — only this TC's records are touched).
-//  3. Redo: resend every logged operation from the RSSP onward, in LSN
-//     order (repeating history at the logical level; DC idempotence
-//     filters what survived).
-//  4. Undo: send inverse operations for losers, in reverse chronological
+//  2. Open a resend bracket at every DC, which discards effects of
+//     operations beyond the stable log (targeted page reset — only this
+//     TC's records are touched), and redo: resend every logged operation
+//     of that DC from the RSSP onward, in LSN order (repeating history at
+//     the logical level; DC idempotence filters what survived).
+//  3. Undo: send inverse operations for losers, in reverse chronological
 //     order, logged as compensation records.
-//  5. Re-issue commit-versions for winners, then allow normal processing.
+//  4. Re-issue commit-versions for winners.
+//  5. Close the brackets — a DC that restarted meanwhile is resent to
+//     again — broadcast the watermarks, and allow normal processing.
 //
 // All of it runs on the next incarnation before anyone else can see it: the
 // incarnation is published last, whole, and only if no Crash ended its log
@@ -143,26 +145,24 @@ func (t *TC) Recover() error {
 		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 	}
 
-	// --- DC reset (§5.3.2): drop cached effects beyond the stable log and
-	// install the new epoch as the fence, so the dead incarnation's requests
-	// still on the wire can never execute after this point. The DCs reset
-	// their own LWM state with it.
-	for _, h := range t.dcs {
-		if err := h.svc.BeginRestart(context.Background(), t.cfg.ID, inc.epoch, stableEnd); err != nil {
-			return fmt.Errorf("tc %d: begin restart: %w", t.cfg.ID, err)
+	// --- DC reset and redo (§5.3.2), one resend bracket per DC: the DC drops
+	// cached effects beyond the stable log and installs the new epoch as the
+	// fence, so the dead incarnation's requests still on the wire can never
+	// execute after this point, and resets its own LWM state with it; then
+	// this DC's records are resent in LSN order, repeating history at the
+	// logical level. ---
+	for idx := range t.dcs {
+		if _, err := inc.openBracket(idx, stableEnd); err != nil {
+			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 		}
 	}
 
-	// --- redo: repeat history by resending logical operations in order ---
-	if err := inc.redo(records, rssp, -1); err != nil {
-		return err
-	}
-
-	// --- undo losers with inverse operations (multi-level undo). From here
-	// to the publish check a refused append or force is not looked at: only
-	// the end of the generation refuses, and that check reports it. ---
+	// --- undo losers with inverse operations (multi-level undo), inside the
+	// brackets. From here to the publish check a refused append or force is
+	// not looked at: only the end of the generation refuses, and that check
+	// reports it. ---
 	for txnID, l := range losers {
-		inc.undoChain(txnID, l.lastLSN)
+		inc.undoChain(txnID, l.lastLSN, true)
 		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
 	}
 
@@ -177,22 +177,23 @@ func (t *TC) Recover() error {
 			op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions,
 				Table: tk.table, Key: tk.key, TS: w.ts}
 			if inc.logOp(op, &wal.Record{Kind: recOp, Payload: appendOpPayload(nil, op, nil, false)}) {
-				// Logged: should this delivery be cut short, the next restart
-				// resends it.
-				_ = inc.deliverOne(context.Background(), t.dcs[idx], op, false)
+				// Logged: should this delivery be cut short, a resend
+				// delivers it.
+				_ = inc.deliverOne(context.Background(), idx, op, true)
 			}
 		}
 	}
 	inc.log.Force()
-	inc.broadcastWatermarks()
 
 	// --- contract: restart complete, normal processing resumes — the DCs
-	// activate the staged epoch and discard the dead incarnation's leftovers.
-	for _, h := range t.dcs {
-		if err := h.svc.EndRestart(context.Background(), t.cfg.ID, inc.epoch); err != nil {
-			return fmt.Errorf("tc %d: end restart: %w", t.cfg.ID, err)
+	// close the brackets, take this incarnation's marks from now on and
+	// discard the dead incarnation's leftovers.
+	for idx := range t.dcs {
+		if err := inc.closeBracket(idx, stableEnd); err != nil {
+			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 		}
 	}
+	inc.broadcastWatermarks()
 	// A drain does not survive the incarnation: the flag is in-memory
 	// state, so a kill -9'd draining process restarts serving — recovery
 	// behaves identically whether or not a drain was in progress.
@@ -210,69 +211,154 @@ func (t *TC) Recover() error {
 	return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, ErrTCStopped)
 }
 
-// RecoverDC replays this TC's logged operations to one crashed-and-
-// recovered DC (§5.3.2 "DC Failure"): resend from the redo scan start
-// point; the DC re-applies whatever is missing from its stable state.
-// New operations to that DC wait until the redo stream completes so that
-// logical operations are never applied out of order; in-flight resends of
-// old operations are part of the redo stream and harmless.
+// RecoverDC runs this TC's resend to DC idx (§5.3.2 "DC Failure") and
+// returns when it has ended; see resend. If one is running already, it has
+// that one run once more and waits for it. Three things start a resend: a
+// CodeStaleDC at either send site (deliver, Txn.sendUnlogged), which runs it
+// on a goroutine of its own; a deployment that restarted a DC in process;
+// and a remote deployment's reconnect hook, which only asks — an idle TC
+// sends nothing the DC could refuse, and a reconnect may or may not have
+// been a DC restart. A DC that did not restart owes nothing, and nothing is
+// replayed.
 func (t *TC) RecoverDC(idx int) error {
 	if idx < 0 || idx >= len(t.dcs) {
 		return fmt.Errorf("tc %d: no DC %d", t.cfg.ID, idx)
 	}
 	inc := t.inc.Load()
 	if inc == nil {
-		return nil // down: the TC's own restart replays its log to every DC
+		return nil // down: the TC's own restart resends to every DC
 	}
-	h := t.dcs[idx]
-	h.setRecovering(true)
-	defer h.setRecovering(false)
+	if h := t.dcs[idx]; !h.claim() {
+		return h.waitReady(context.Background())
+	}
+	return inc.runResend(idx)
+}
 
-	// Scan only sees the stable log, but operations whose replies already
-	// arrived may still sit in the unforced tail (a write is acknowledged at
-	// its barrier, before its transaction's commit record is forced).
-	// Force first so the redo stream covers every operation the DC might
-	// have lost from its cache.
-	inc.log.Force()
-	rssp := t.RSSP()
-	if err := inc.redo(t.log.Scan(rssp), rssp, idx); err != nil {
-		return err
+// startResend has the resend to DC idx run on a goroutine of its own, unless
+// one is running already, which then runs once more. Senders wait for it at
+// the DC's gate; nothing else does: like a delivery parked in deliver, it
+// leaves when the DC answers, the incarnation dies or the stub closes.
+func (inc *incarnation) startResend(idx int) {
+	if inc.tc.dcs[idx].claim() {
+		go inc.runResend(idx)
 	}
-	inc.broadcastWatermarks()
+}
+
+// runResend runs the resend to DC idx that claim handed its caller, as often
+// as it is asked for meanwhile, and then opens the gate.
+func (inc *incarnation) runResend(idx int) error {
+	for {
+		err := inc.resend(idx)
+		if !inc.tc.dcs[idx].release(err == nil) {
+			return err
+		}
+	}
+}
+
+// resend is the one resend of this TC to one DC (§5.3.1: a TC resumes normal
+// work with a DC only once it has resent its redo stream to it): open the
+// bracket, resending the DC's records, close it, and broadcast the
+// watermarks the DC takes again from then on. A DC that owes nothing says so
+// when the bracket opens, and nothing is resent.
+func (inc *incarnation) resend(idx int) error {
+	t := inc.tc
+	stable := t.log.EOSL() // a DC that never heard of this incarnation undoes nothing below
+	owed, err := inc.openBracket(idx, stable)
+	if err == nil && owed {
+		err = inc.closeBracket(idx, stable)
+	}
+	if err != nil {
+		return fmt.Errorf("tc %d: resend to DC %d: %w", t.cfg.ID, idx, err)
+	}
+	if owed {
+		inc.broadcastWatermarks()
+	}
 	return nil
 }
 
-// redo is the resend stream of a restart (§5.3.2), the TC's or one DC's:
-// every logged operation of records at or above from — bound for DC onlyDC
-// alone, unless that is negative — is delivered again in LSN order, stamped
-// with the incarnation resending it (a logged, dead epoch would be refused
-// by the DC fence). DC idempotence filters what survived. One operation per
-// call: the stream is ordered, and a failure stops it at its LSN.
-func (inc *incarnation) redo(records []*wal.Record, from base.LSN, onlyDC int) error {
+// errDCRestarted ends a delivery inside a resend bracket whose DC answers
+// with an incarnation the bracket is not bound to: the DC restarted under
+// the resend, which starts over.
+var errDCRestarted = errors.New("tc: DC restarted under the resend")
+
+// openBracket begins the resend bracket of this incarnation at DC idx
+// (BeginRestart; stable is the end of the stable log a newer epoch's reset
+// keeps) and resends that DC's records from the redo scan start point in LSN
+// order, one operation per call — the stream is ordered, and a failure
+// stops it at its LSN — stamped with this incarnation's epoch (a logged,
+// dead epoch would be refused by the DC fence) and with the DC incarnation
+// the first CodeStaleDC names. DC idempotence filters what survived. It
+// starts over whenever the DC restarts under it, and reports false, having
+// resent nothing, when the DC owes nothing (ErrNothingOwed).
+func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err error) {
 	t := inc.tc
-	for _, rec := range records {
-		if rec.LSN < from || (rec.Kind != recOp && rec.Kind != recCLR) {
+	for {
+		if !inc.log.Live() {
+			return false, ErrTCStopped // a dead incarnation has nothing to resend
+		}
+		inc.bound[idx].Store(0)
+		err := t.dcs[idx].svc.BeginRestart(context.Background(), t.cfg.ID, inc.epoch, stable)
+		if errors.Is(err, base.ErrNothingOwed) {
+			return false, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		// Scan only sees the stable log, but operations whose replies already
+		// arrived may still sit in the unforced tail (a write is acknowledged
+		// at its barrier, before its transaction's commit record is forced).
+		// Force first so the resend covers every operation the DC might have
+		// lost from its cache.
+		inc.log.Force()
+		if err := inc.redo(idx); !errors.Is(err, errDCRestarted) {
+			return true, err
+		}
+	}
+}
+
+// redo resends DC idx's records from the redo scan start point (see
+// openBracket).
+func (inc *incarnation) redo(idx int) error {
+	t := inc.tc
+	for _, rec := range t.log.Scan(t.RSSP()) {
+		if rec.Kind != recOp && rec.Kind != recCLR {
 			continue
 		}
 		op, _, _, err := decodeOpPayload(rec.Payload)
 		if err != nil {
-			return fmt.Errorf("tc %d: redo decode @%d: %w", t.cfg.ID, rec.LSN, err)
+			return fmt.Errorf("redo decode @%d: %w", rec.LSN, err)
 		}
-		idx, err := t.dcIndex(op.Table, op.Key)
+		to, err := t.dcIndex(op.Table, op.Key)
 		if err != nil {
 			// The op routed when it was logged: a failing lookup means the
 			// placement changed underneath a durable log, and redo cannot
 			// repeat history against the wrong DC. Fail the restart loudly.
-			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
+			return fmt.Errorf("redo @%d: %w", rec.LSN, err)
 		}
-		if onlyDC >= 0 && idx != onlyDC {
+		if to != idx {
 			continue
 		}
 		op.LSN, op.Epoch = rec.LSN, inc.epoch
-		if err := inc.deliverOne(context.Background(), t.dcs[idx], op, true); err != nil {
-			return fmt.Errorf("tc %d: redo @%d: %w", t.cfg.ID, rec.LSN, err)
+		if err := inc.deliverOne(context.Background(), idx, op, true); err != nil {
+			return fmt.Errorf("redo @%d: %w", rec.LSN, err)
 		}
 		t.redoOps.Add(1)
 	}
 	return nil
+}
+
+// closeBracket ends the resend bracket at DC idx (EndRestart). A DC that did
+// not see it begin restarted under it: the bracket is opened, and the DC's
+// records resent, again.
+func (inc *incarnation) closeBracket(idx int, stable base.LSN) error {
+	t := inc.tc
+	for {
+		err := t.dcs[idx].svc.EndRestart(context.Background(), t.cfg.ID, inc.epoch)
+		if !errors.Is(err, base.ErrStaleDC) {
+			return err
+		}
+		if owed, err := inc.openBracket(idx, stable); err != nil || !owed {
+			return err
+		}
+	}
 }

@@ -124,15 +124,17 @@ type Stats struct {
 	Snapshots uint64
 }
 
-// dcHandle wraps one DC connection with the recovery gate: while the DC is
-// being redone after its crash, new operations hold off (in-flight resends
-// of old operations are harmless — they are part of the redo stream). The
-// gate is a channel so waiters can also honor context cancellation.
+// dcHandle wraps one DC connection with the recovery gate: while the TC's
+// resend to the DC runs (see incarnation.resend), new operations hold off —
+// the DC would refuse them anyway. The gate is a channel so waiters can also
+// honor context cancellation.
 type dcHandle struct {
-	svc        base.Service
-	mu         sync.Mutex
-	recovering bool
-	ready      chan struct{} // closed whenever not recovering
+	svc base.Service
+	mu  sync.Mutex
+	// running: a resend holds the gate; again: it was asked for meanwhile,
+	// so it runs once more before it opens the gate.
+	running, again bool
+	ready          chan struct{} // closed whenever no resend runs
 }
 
 func newDCHandle(svc base.Service) *dcHandle {
@@ -141,7 +143,7 @@ func newDCHandle(svc base.Service) *dcHandle {
 	return &dcHandle{svc: svc, ready: ready}
 }
 
-// waitReady blocks until the DC is out of recovery or ctx is done.
+// waitReady blocks until no resend runs or ctx is done.
 func (h *dcHandle) waitReady(ctx context.Context) error {
 	h.mu.Lock()
 	ch := h.ready
@@ -154,17 +156,33 @@ func (h *dcHandle) waitReady(ctx context.Context) error {
 	}
 }
 
-func (h *dcHandle) setRecovering(v bool) {
+// claim closes the gate for a resend and reports whether the caller is to
+// run it. False: one is running, and now runs once more before it ends — so
+// a DC restart it may have missed is asked about.
+func (h *dcHandle) claim() bool {
 	h.mu.Lock()
-	if v != h.recovering {
-		h.recovering = v
-		if v {
-			h.ready = make(chan struct{})
-		} else {
-			close(h.ready)
-		}
+	defer h.mu.Unlock()
+	if h.running {
+		h.again = true
+		return false
 	}
-	h.mu.Unlock()
+	h.running, h.ready = true, make(chan struct{})
+	return true
+}
+
+// release ends a successful (ok) run of the resend that claim handed out,
+// and reports whether to run it again; a failed one, or one nobody asked for
+// again, opens the gate.
+func (h *dcHandle) release(ok bool) (again bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if ok && h.again {
+		h.again = false
+		return true
+	}
+	h.running, h.again = false, false
+	close(h.ready)
+	return false
 }
 
 // TC is one transactional component instance. What it holds itself survives
@@ -239,6 +257,10 @@ type incarnation struct {
 	log   wal.Generation
 	locks *lockmgr.Manager
 	acks  *ackTracker
+	// bound holds, per DC, the DC incarnation this incarnation's resend to
+	// it is stamped with: zero from the bracket's BeginRestart until the
+	// first CodeStaleDC names it (see resend).
+	bound []atomic.Uint64
 
 	mu      sync.Mutex // guards txns and nextTxn
 	txns    map[base.TxnID]*Txn
@@ -259,7 +281,8 @@ type incarnation struct {
 // mark starts at it.
 func (t *TC) incarnate(gen wal.Generation, epoch base.Epoch, stableEnd base.LSN, nextTxn uint64) (*incarnation, error) {
 	inc := &incarnation{tc: t, epoch: epoch, log: gen, locks: lockmgr.New(),
-		acks: newAckTracker(stableEnd), txns: make(map[base.TxnID]*Txn), nextTxn: nextTxn,
+		acks: newAckTracker(stableEnd), bound: make([]atomic.Uint64, len(t.dcs)),
+		txns: make(map[base.TxnID]*Txn), nextTxn: nextTxn,
 		commitOut: make(map[base.TS]struct{}), activeSnaps: make(map[base.TS]int)}
 	inc.locks.Timeout = t.cfg.LockTimeout
 	lsn := inc.logLocal(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(epoch)})
@@ -460,8 +483,9 @@ func (inc *incarnation) publishStable() {
 // broadcastWatermarks is the full broadcast: publishStable, then the safe
 // timestamp, the call a transport sends on — so everything published is at
 // the DC (or on the connection, ahead of whatever the caller sends next)
-// when it returns. The tick runs it, and Checkpoint, Recover and RecoverDC
-// where their control calls depend on the marks.
+// when it returns. The tick runs it, Checkpoint before its control calls,
+// which depend on the marks, and a resend once it has ended, the moment a
+// DC takes the marks again.
 func (inc *incarnation) broadcastWatermarks() {
 	inc.publishStable()
 	safe, horizon := inc.safeTS()

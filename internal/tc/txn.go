@@ -419,16 +419,18 @@ func (x *Txn) route(table, key string) (int, error) {
 // transaction dies as at any barrier (transient ErrTCStopped) instead of
 // passing on the fence's permanent ErrStaleEpoch. New operations wait at the
 // DC's recovery gate, and that wait, like the call, is the transaction's
-// context's to cut short.
+// context's to cut short. A CodeStaleDC — the DC restarted, and this TC owes
+// it its resend — starts the resend as deliver does, and the operation is
+// sent again once it has ended.
 //
 // A snapshot read — recognised as the DC recognises it, by flavor and
 // timestamp — is answered CodeUnavailable when the DC gave up waiting for some
 // TC's safe timestamp to cover it (a TC partitioned or down); it is sent again
 // after a pause, bounded only by the caller's context, because the condition
 // clears as soon as the lagging TC's broadcasts resume. Every other operation
-// is sent once, and counted: Stats.OpsSent is every operation handed to a DC
-// except snapshot reads, whose transactions cost their TC a timestamp and
-// nothing else.
+// is sent until no CodeStaleDC answers it, and counted: Stats.OpsSent is every
+// operation handed to a DC except snapshot reads, whose transactions cost
+// their TC a timestamp and nothing else.
 func (x *Txn) sendUnlogged(idx int, op *base.Op, batch []*base.Op) (*base.Result, []*base.Result, error) {
 	h := x.tc.dcs[idx]
 	n, snapshot := len(batch), false
@@ -468,6 +470,8 @@ func (x *Txn) sendUnlogged(idx int, op *base.Op, batch []*base.Op) (*base.Result
 			// Whatever the answer says: a wait abandoned under way reports
 			// CodeCancelled, and this carries the context's own error.
 			return nil, nil, base.CancelErr(x.ctx)
+		case res != nil && res.Code == base.CodeStaleDC || staleDC(results) != 0:
+			x.inc.startResend(idx)
 		case !snapshot || res.Code != base.CodeUnavailable:
 			return res, results, nil
 		}
@@ -869,7 +873,7 @@ func (x *Txn) Abort() error {
 func (x *Txn) rollback() {
 	x.queue = nil
 	if x.lastLSN != 0 && !x.orphaned() { // an orphan's undo is restart's; see die
-		x.inc.undoChain(x.id, x.lastLSN)
+		x.inc.undoChain(x.id, x.lastLSN, false)
 		x.inc.logLocal(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 	}
 	x.finish()
@@ -878,8 +882,9 @@ func (x *Txn) rollback() {
 
 // undoChain applies inverse operations for the chain starting at lastLSN.
 // Compensation records jump via NextUndo so an undo interrupted by a crash
-// never repeats completed work. Shared by Abort and restart undo.
-func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) {
+// never repeats completed work. Shared by Abort and restart undo, whose
+// inverses are delivered inside its resend brackets (bracket).
+func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN, bracket bool) {
 	t := inc.tc
 	var enc []byte // every CLR's payload: the log keeps its own copy
 	cur := lastLSN
@@ -907,9 +912,9 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) {
 				if !inc.logOp(inv, clr) {
 					return // the incarnation died: the rest is its successor's
 				}
-				// The CLR is logged: if delivery is cut short (TC stopping),
-				// restart resends it.
-				_ = inc.deliverOne(context.Background(), t.dcs[idx], inv, false)
+				// The CLR is logged: if delivery is cut short (TC stopping, the
+				// DC restarting under a bracket), a resend delivers it.
+				_ = inc.deliverOne(context.Background(), idx, inv, bracket)
 				t.undoOps.Add(1)
 			}
 			cur = rec.Prev

@@ -234,7 +234,7 @@ func Dial(addr string, cfg DialConfig) *Client {
 
 // tcpLink supervises one client connection: dial with backoff, pump
 // replies, redial on failure, and tell the session observer (the
-// deployment layer) about re-established sessions so it can trigger the
+// deployment layer) about re-established sessions so it can ask for the
 // §5.3.2 DC-recovery resend.
 type tcpLink struct {
 	addr string
@@ -318,10 +318,9 @@ func (ln *tcpLink) run() {
 		ln.mu.Unlock()
 		if n := ln.sessions.Add(1); n > 1 {
 			// A re-established session: the DC process may have restarted
-			// with volatile state lost. The observer (core.Deployment) reacts
-			// by replaying the redo stream; it must run outside this
-			// goroutine, which is about to become the reply pump the redo's
-			// own calls depend on.
+			// with volatile state lost. The observer (core.Deployment) asks
+			// whether a resend is owed; it must run outside this goroutine,
+			// which is about to become the reply pump its calls depend on.
 			if f := ln.onReconnect.Load(); f != nil {
 				go (*f)()
 			}
@@ -396,9 +395,10 @@ func (c *Client) Reconnects() uint64 {
 
 // OnReconnect registers f to run (in its own goroutine) every time the
 // supervised connection is re-established after the first session. The
-// deployment layer uses it to replay the TC's redo stream to a restarted
-// DC (§5.3.2 "DC Failure") without any manual intervention. No-op on the
-// simulated transport, whose outages are driven explicitly by tests.
+// deployment layer uses it to ask whether a restarted DC is owed the TC's
+// redo stream (§5.3.2 "DC Failure"), for a TC with nothing to send that the
+// DC could refuse. No-op on the simulated transport, whose outages are
+// driven explicitly by tests.
 func (c *Client) OnReconnect(f func()) {
 	if c.link != nil {
 		c.link.onReconnect.Store(&f)

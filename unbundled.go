@@ -173,8 +173,8 @@
 // it over real sockets. Both transports — the misbehaving simulated
 // fabric and TCP — share one wire codec and one resending client stub, so
 // exactly-once semantics are identical; a killed-and-restarted DC process
-// is detected through its re-established connection and caught up by
-// replaying the TC's redo stream automatically. With a data directory
+// refuses each TC's operations until that TC has resent its redo stream to
+// the new incarnation, which the refusal prompts. With a data directory
 // (DCConfig.Dir, TCConfig.Dir) the stable media survive process death,
 // keeping checkpoint contracts honest across kill -9; a restarted
 // unbundled-tc reopens its own log and runs the ordinary §5.3.2 restart
