@@ -237,7 +237,9 @@ func TestScanReportsDanglingLeaf(t *testing.T) {
 	if len(ids) < 3 {
 		t.Fatalf("only %d leaves", len(ids))
 	}
-	e.pool.Drop(ids[len(ids)/2], true) // a mid-chain leaf, gone from cache and store
+	gone := ids[len(ids)/2] // a mid-chain leaf, gone from cache and store
+	e.pool.Drop(gone)
+	e.store.Free(gone)
 	keys, err := e.tree.Keys()
 	if err == nil || !strings.Contains(err.Error(), "dangling page") {
 		t.Fatalf("scan across a freed leaf: %d keys, err = %v", len(keys), err)

@@ -1,12 +1,15 @@
 package btree
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/dclog"
 	"github.com/cidr09/unbundled/internal/page"
+	"github.com/cidr09/unbundled/internal/storage"
+	"github.com/cidr09/unbundled/internal/wal"
 )
 
 // This file is the one telling of every system transaction (§5.2.2): what a
@@ -15,7 +18,13 @@ import (
 // Redo decodes a stable record; a forward system transaction (btree.go,
 // Forest.CreateTable) decides and commits the record it built. Nothing
 // outside this file cuts a page, moves a separator, installs an image,
-// writes the catalog, stamps a dLSN or frees a page.
+// writes the catalog, stamps a dLSN or frees a page, and neither way in frees
+// one: that waits for the truncation of the record that deleted it
+// (TruncateLog).
+
+// errLogEnded refuses a system transaction whose log will not take its
+// record: the incarnation that decided it has crashed.
+var errLogEnded = errors.New("btree: system transaction refused: its log has ended")
 
 // applier applies system-transaction records to the pages of one pool,
 // latching each page it touches, one at a time. A forward caller holds its
@@ -40,65 +49,99 @@ type record interface{ Encode() []byte }
 // structure modifications out of their original order relative to record
 // operations — exactly the situation the dclog formats are designed for.
 func Redo(pool *buffer.Pool, kind uint8, payload []byte, dlsn base.DLSN) error {
-	var rec record
-	var err error
-	switch kind {
-	case dclog.KindCreateTree:
-		rec, err = dclog.DecodeCreateTree(payload)
-	case dclog.KindSplit:
-		rec, err = dclog.DecodeSplit(payload)
-	case dclog.KindConsolidate:
-		rec, err = dclog.DecodeConsolidate(payload)
-	case dclog.KindRootCollapse:
-		rec, err = dclog.DecodeRootCollapse(payload)
-	default:
-		err = fmt.Errorf("btree: redo: unknown system-transaction kind %d", kind)
-	}
+	rec, err := decode(kind, payload)
 	if err != nil {
 		return err
 	}
 	freed, err := applier{pool: pool, catalog: true}.apply(rec, nil, dlsn)
 	if err == nil && freed != 0 {
-		pool.Drop(freed, true) // at once: the record being replayed is stable
+		pool.Drop(freed)
 	}
 	return err
 }
 
+// decode parses a system-transaction payload of the given kind.
+func decode(kind uint8, payload []byte) (record, error) {
+	switch kind {
+	case dclog.KindCreateTree:
+		return dclog.DecodeCreateTree(payload)
+	case dclog.KindSplit:
+		return dclog.DecodeSplit(payload)
+	case dclog.KindConsolidate:
+		return dclog.DecodeConsolidate(payload)
+	case dclog.KindRootCollapse:
+		return dclog.DecodeRootCollapse(payload)
+	}
+	return nil, fmt.Errorf("btree: redo: unknown system-transaction kind %d", kind)
+}
+
 // commit is a forward system transaction once its decisions are made: rec
 // goes to the DC-log and is applied as Redo would apply it (img, the page
-// rec's image was encoded from, spares decoding it back). WAL for the free: a
-// stable page may only disappear after the record that says so is stable.
+// rec's image was encoded from, spares decoding it back). A log that refuses
+// the record (zero dLSN) refuses the transaction: nothing is applied.
 func (a applier) commit(log dclog.Logger, kind uint8, rec record, img *page.Page) (base.DLSN, error) {
 	dlsn := log.AppendSMO(kind, rec.Encode())
-	freed, err := a.apply(rec, img, dlsn)
-	if err != nil || freed == 0 {
-		return dlsn, err
+	if dlsn == 0 {
+		return 0, errLogEnded
 	}
-	log.ForceSMO(dlsn)
-	a.pool.Drop(freed, true)
-	return dlsn, nil
+	freed, err := a.apply(rec, img, dlsn)
+	if err == nil && freed != 0 {
+		a.pool.Drop(freed)
+	}
+	return dlsn, err
 }
 
 // apply makes the pages reflect rec, the system transaction with the given
 // dLSN; img is the page rec's image decodes to, or nil. The page rec deletes
-// is returned, not freed: when that is safe is the one thing redo and forward
-// execution differ on (and where a freed-page tombstone would go — ROADMAP
-// "Stop losing committed writes", family 1).
+// is returned, and its callers, forward and redo alike, only drop its frame:
+// the stable page stays until TruncateLog.
 func (a applier) apply(rec record, img *page.Page, dlsn base.DLSN) (freed base.PageID, err error) {
 	switch r := rec.(type) {
 	case *dclog.CreateTree:
-		if err := a.install(r.RootID, img, r.RootImage, dlsn); err != nil {
-			return 0, err
+		if err = a.install(r.RootID, img, r.RootImage, dlsn); err == nil {
+			err = a.setRoot(r.Table, r.RootID, dlsn)
 		}
-		return 0, a.setRoot(r.Table, r.RootID, dlsn)
 	case *dclog.Split:
-		return 0, a.split(r, img, dlsn)
+		err = a.split(r, img, dlsn)
 	case *dclog.Consolidate:
-		return r.RightID, a.consolidate(r, img, dlsn)
+		err = a.consolidate(r, img, dlsn)
 	case *dclog.RootCollapse:
-		return r.OldRootID, a.setRoot(r.Table, r.NewRootID, dlsn)
+		err = a.setRoot(r.Table, r.NewRootID, dlsn)
+	default:
+		panic(fmt.Sprintf("btree: apply of a %T", rec))
 	}
-	panic(fmt.Sprintf("btree: apply of a %T", rec))
+	return deleted(rec), err
+}
+
+// deleted is the page rec deletes, or zero.
+func deleted(rec record) base.PageID {
+	switch r := rec.(type) {
+	case *dclog.Consolidate:
+		return r.RightID
+	case *dclog.RootCollapse:
+		return r.OldRootID
+	}
+	return 0
+}
+
+// TruncateLog discards log's stable records below before by way of truncate —
+// the engine's own truncation, which reports whether it ran — and then frees
+// the pages the discarded records deleted. It is the only way a page leaves
+// the store: every record that names a page precedes the one that deletes it
+// (page IDs are never reused), so until the delete is discarded redo may still
+// meet the page and must find it. A crash between the truncation and the
+// frees leaks the pages; it never loses one. (A payload that does not decode,
+// which no engine writes, frees nothing.)
+func TruncateLog(log *wal.Log, store *storage.PageStore, before base.LSN, truncate func(base.LSN) bool) {
+	deletes := log.ScanKinds(before, dclog.KindConsolidate, dclog.KindRootCollapse)
+	if !truncate(before) {
+		return
+	}
+	for _, r := range deletes {
+		if rec, err := decode(r.Kind, r.Payload); err == nil {
+			store.Free(deleted(rec))
+		}
+	}
 }
 
 // stale runs fn on the pinned page under its latch iff the page's dLSN
@@ -126,8 +169,7 @@ func (a applier) existing(id base.PageID, dlsn base.DLSN, role string, fn func(*
 		return err
 	}
 	if pg == nil {
-		return fmt.Errorf("btree: %s %d is missing: either the store is corrupt, or a later, "+
-			"already-stable page delete freed it (ROADMAP \"Stop losing committed writes\", family 1)", role, id)
+		return fmt.Errorf("btree: %s %d is missing: the store is corrupt", role, id)
 	}
 	defer a.pool.Unpin(id)
 	if err := a.stale(pg, dlsn, fn); err != nil {

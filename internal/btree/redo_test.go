@@ -202,8 +202,9 @@ func TestRedoIsIdempotentOverAnyStableState(t *testing.T) {
 // TestRedoAnswersAsForwardDoes pins the two places where redo and the forward
 // path used to answer differently. A parent older than the system transaction
 // that does not hold the page the record says it holds is corrupt (page IDs
-// are never reused), not a step to skip; and a page the record names that is
-// nowhere to be found has two explanations, which the error must both give.
+// are never reused), not a step to skip; and so is a page the record names
+// that is nowhere to be found, since no page leaves the store while a
+// retained record names it (TruncateLog).
 func TestRedoAnswersAsForwardDoes(t *testing.T) {
 	leaf := page.NewLeaf(30)
 	for _, k := range []string{"a", "b", "c", "d"} {
@@ -227,9 +228,9 @@ func TestRedoAnswersAsForwardDoes(t *testing.T) {
 		{"consolidate parent without the right page", dclog.KindConsolidate, consolidate,
 			[]string{"consolidate parent page 10", "does not hold right page 31"}},
 		{"split left page missing", dclog.KindSplit, split(99, 10),
-			[]string{"split left page 99 is missing", "store is corrupt", "page delete freed it", "family 1"}},
+			[]string{"split left page 99 is missing: the store is corrupt"}},
 		{"split parent page missing", dclog.KindSplit, split(30, 98),
-			[]string{"split parent page 98 is missing", "family 1"}},
+			[]string{"split parent page 98 is missing: the store is corrupt"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newRedoEnv(t)
@@ -249,4 +250,102 @@ func TestRedoAnswersAsForwardDoes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leaves returns table's leaves in chain order, each with its keys.
+func (e *redoEnv) leaves(t *testing.T, table string) (ids []base.PageID, keys [][]string) {
+	t.Helper()
+	err := e.f.Tree(table).Scan("", func(leaf *page.Page) bool {
+		ids = append(ids, leaf.ID)
+		var ks []string
+		for i := range leaf.Recs {
+			ks = append(ks, leaf.Recs[i].Key)
+		}
+		keys = append(keys, ks)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, keys
+}
+
+// TestRedoFindsAConsolidatedPage is family 1: after a flush and a DC-log
+// truncation a leaf P is split and then consolidated into its left sibling, so
+// the retained log holds Split{LeftID: P} before Consolidate{RightID: P}.
+// Replaying it over the stable pages needs P in the store: a consolidation
+// that freed P at once left the Split naming a page that was gone.
+func TestRedoFindsAConsolidatedPage(t *testing.T) {
+	e := newRedoEnv(t)
+	e.open(t)
+	key := func(i int) string { return fmt.Sprintf("key%04d", i) }
+	var ops []redoOp
+	for i := 0; i < 60; i += 2 {
+		ops = append(ops, redoOp{table: "big", key: key(i)})
+	}
+	e.apply(t, ops)
+	if err := e.pool.FlushAll(true, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.dlog.Force()
+	e.dlog.Truncate(e.dlog.LastLSN() + 1)
+
+	ids, keys := e.leaves(t, "big")
+	if len(ids) < 3 {
+		t.Fatalf("only %d leaves", len(ids))
+	}
+	p := ids[1] // a non-first leaf: its left sibling absorbs it
+	var lo, hi int
+	fmt.Sscanf(keys[1][0], "key%d", &lo)
+	fmt.Sscanf(keys[2][0], "key%d", &hi)
+	splits, _ := e.f.Tree("big").Stats()
+	for i := lo + 1; ; i += 2 {
+		if i >= hi {
+			t.Fatalf("leaf %d took keys %d..%d without a split", p, lo, hi)
+		}
+		e.apply(t, []redoOp{{table: "big", key: key(i)}})
+		if now, _ := e.f.Tree("big").Stats(); now > splits {
+			break
+		}
+	}
+	// Empty P, then its left sibling, until one absorbs the other.
+	for gone := false; !gone; {
+		ids, keys = e.leaves(t, "big")
+		gone = true
+		for i, id := range ids {
+			if id == p {
+				gone = false
+				del := keys[i]
+				if len(del) == 0 {
+					del = keys[i-1]
+				}
+				e.apply(t, []redoOp{{table: "big", key: del[0], del: true}})
+			}
+		}
+	}
+
+	e.dlog.Force()
+	smos := e.dlog.Scan(0)
+	var split, consolidate bool
+	for _, rec := range smos {
+		switch rec.Kind {
+		case dclog.KindSplit:
+			sp, _ := dclog.DecodeSplit(rec.Payload)
+			split = split || sp.LeftID == p
+		case dclog.KindConsolidate:
+			co, _ := dclog.DecodeConsolidate(rec.Payload)
+			consolidate = consolidate || (split && co.RightID == p)
+		}
+	}
+	if !consolidate {
+		t.Fatalf("the retained log does not split leaf %d and then consolidate it away", p)
+	}
+	e.newPool()
+	for _, rec := range smos {
+		if err := Redo(e.pool, rec.Kind, rec.Payload, base.DLSN(rec.LSN)); err != nil {
+			t.Fatalf("dLSN %d: %v", rec.LSN, err)
+		}
+	}
+	e.open(t)
+	e.keys(t) // CheckInvariants on every tree
 }

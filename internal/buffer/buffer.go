@@ -81,6 +81,10 @@ type Stats struct {
 // yet satisfied.
 var ErrNotFlushable = errors.New("buffer: flush gates not satisfied")
 
+// ErrEnded is returned by every flush of a pool that End has ended: the
+// component that owned it is down.
+var ErrEnded = fmt.Errorf("buffer: the pool has ended: %w", base.ErrUnavailable)
+
 type frame struct {
 	pg  *page.Page
 	pin int
@@ -98,6 +102,11 @@ type Pool struct {
 	kickGen uint64
 	frames  map[base.PageID]*frame
 	lru     *list.List // front = most recently used; values are PageIDs
+
+	// ended is set by End under wmu, which every write-back holds shared
+	// across its check and its store.Write.
+	wmu   sync.RWMutex
+	ended atomic.Bool
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
 	pageBytes, abBytes                           atomic.Uint64
@@ -239,8 +248,35 @@ func (p *Pool) FlushPage(id base.PageID, wait bool) error {
 	return err
 }
 
+// End ends the pool, for good: once it returns no page of the pool reaches
+// the store — a write-back in progress has finished, and every later one
+// leaves its page dirty and fails ErrEnded — and flushes waiting on the gates
+// give up. A component calls it when it crashes: the pages die with it, and
+// the store is its successor's.
+func (p *Pool) End() {
+	p.wmu.Lock()
+	p.ended.Store(true)
+	p.wmu.Unlock()
+	p.Kick()
+}
+
+// write hands image to the store as page id's stable image unless the pool
+// has ended; the check and the write are one critical section against End.
+func (p *Pool) write(id base.PageID, image []byte) bool {
+	p.wmu.RLock()
+	defer p.wmu.RUnlock()
+	if p.ended.Load() {
+		return false
+	}
+	p.store.Write(id, image) // the store keeps image; it is not touched again
+	return true
+}
+
 func (p *Pool) flushFrame(f *frame, wait bool) error {
 	for {
+		if p.ended.Load() {
+			return ErrEnded
+		}
 		p.mu.Lock()
 		gen := p.kickGen
 		p.mu.Unlock()
@@ -288,7 +324,10 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 			p.gates.ForceDCLog(pg.DLSN)
 		}
 		image, abBytes := pg.EncodeAb()
-		p.store.Write(pg.ID, image) // the store keeps image; it is not touched again
+		if !p.write(pg.ID, image) {
+			f.pg.L.Unlock()
+			return ErrEnded
+		}
 		p.pageBytes.Add(uint64(len(image)))
 		p.abBytes.Add(uint64(abBytes))
 		pg.Dirty = false
@@ -344,18 +383,15 @@ func (p *Pool) Pages(fn func(*page.Page)) {
 	}
 }
 
-// Drop removes the cached frame without flushing; with free=true the
-// stable page is also removed (page delete, §5.2.2).
-func (p *Pool) Drop(id base.PageID, free bool) {
+// Drop removes the cached frame without flushing (page delete, §5.2.2). The
+// stable page stays: the pool never frees one.
+func (p *Pool) Drop(id base.PageID) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
 		p.lru.Remove(f.el)
 		delete(p.frames, id)
 	}
 	p.mu.Unlock()
-	if free {
-		p.store.Free(id)
-	}
 }
 
 // maybeEvict evicts cold clean-or-flushable pages above capacity.

@@ -282,9 +282,13 @@ func TestDropAndFree(t *testing.T) {
 	pg := dirtyLeaf(p, store, 1, 1)
 	p.FlushPage(pg.ID, false)
 	p.Unpin(pg.ID)
-	p.Drop(pg.ID, true)
-	if p.Cached() != 0 || store.Exists(pg.ID) {
-		t.Fatal("drop+free incomplete")
+	p.Drop(pg.ID)
+	if p.Cached() != 0 || !store.Exists(pg.ID) {
+		t.Fatal("drop must forget the frame and keep the stable page")
+	}
+	store.Free(pg.ID)
+	if pg, err := p.Fetch(pg.ID); pg != nil || err != nil {
+		t.Fatalf("a freed page fetched: %v %v", pg, err)
 	}
 }
 

@@ -150,17 +150,21 @@ func (s *tcState) resent() bool { return bracket(s.bracket.Load()) == done }
 
 // incarnation is everything volatile the DC serves from, as one value: the
 // buffer pool, the trees opened over it, the per-TC protocol state and the
-// conflict checker. Recover (and so New) builds one whole from the stable
-// media and publishes it; Crash and Close drop it.
-// Nothing in it outlives a crash — its number and the epoch fences are
-// rebuilt from the DC-log, everything else the TCs re-establish by resending
-// to it — and a call that loaded it before a crash finishes on it: such work
-// lands in a discarded cache, which is precisely the semantics of losing
-// volatile state in the crash.
+// conflict checker, and its two handles on the stable media — the pool, the
+// only writer of pages, and its generation of the DC-log, the only appender
+// and truncator of records. Recover (and so New) builds one whole from the
+// stable media and publishes it; Crash ends both handles and drops it, Close
+// drops it. Nothing in it outlives a crash — its number and the epoch fences
+// are rebuilt from the DC-log, everything else the TCs re-establish by
+// resending to it — and a call that loaded it before a crash finishes on it:
+// such work lands in a discarded cache and writes nothing stable (a split it
+// decides is refused, a page it would write back stays dirty), which is
+// precisely the semantics of losing volatile state in the crash.
 type incarnation struct {
 	// n is the incarnation's durable number, one above every number before
 	// it: the stamp a TC's resend to it carries.
 	n      base.DCInc
+	log    wal.Generation
 	pool   *buffer.Pool
 	forest *btree.Forest
 	// tcs is copy-on-write under tcMu: a TC is added the first time it is
@@ -271,14 +275,6 @@ func New(cfg Config) (*DC, error) {
 	return d, nil
 }
 
-// AppendSMO implements dclog.Logger.
-func (d *DC) AppendSMO(kind uint8, payload []byte) base.DLSN {
-	return base.DLSN(d.dlog.AppendAssign(&wal.Record{Kind: kind, Payload: payload}))
-}
-
-// ForceSMO implements dclog.Logger.
-func (d *DC) ForceSMO(dl base.DLSN) { d.dlog.ForceTo(base.LSN(dl)) }
-
 // Name returns the DC's configured name.
 func (d *DC) Name() string { return d.cfg.Name }
 
@@ -330,13 +326,14 @@ func (d *DC) CreateTable(table string) error {
 	if inc == nil {
 		return d.errUnavailable()
 	}
-	if err := inc.forest.CreateTable(table); err != nil {
-		return fmt.Errorf("dc %s: create table %s: %w", d.cfg.Name, table, err)
-	}
+	err := inc.forest.CreateTable(table)
 	if d.inc.Load() != inc {
-		// Created in a cache a crash has since discarded: whether the
-		// record reached the stable DC-log is for the caller to find out.
+		// Created, or refused, in a cache a crash has since discarded: whether
+		// the record reached the stable DC-log is for the caller to find out.
 		return d.errUnavailable()
+	}
+	if err != nil {
+		return fmt.Errorf("dc %s: create table %s: %w", d.cfg.Name, table, err)
 	}
 	return nil
 }
@@ -532,10 +529,11 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 }
 
 // truncateDCLog discards DC-log records whose effects are fully stable:
-// everything below the minimum RecDLSN among dirty cached pages. The
-// KindEpochs snapshot is not page-backed, so if truncation would discard
-// the latest one a fresh snapshot is forced first — the incarnation number
-// and the fences must survive any crash.
+// everything below the minimum RecDLSN among dirty cached pages and above
+// nothing volatile, then frees the pages the discarded records deleted. The
+// KindEpochs snapshot is not page-backed, so if truncation would discard the
+// latest one a fresh snapshot is forced first — the incarnation number and
+// the fences must survive any crash.
 func (d *DC) truncateDCLog(inc *incarnation) {
 	minD := d.dlog.LastLSN() + 1
 	inc.pool.Pages(func(pg *page.Page) {
@@ -545,19 +543,29 @@ func (d *DC) truncateDCLog(inc *incarnation) {
 		}
 		pg.L.RUnlock()
 	})
-	stable := d.dlog.EOSL()
-	if minD > stable+1 {
-		minD = stable + 1
+	// Clamped before the snapshot's force makes the whole tail stable: a
+	// system transaction there may not have dirtied its pages yet.
+	minD = min(minD, d.dlog.EOSL()+1)
+	if base.LSN(inc.epochRec.Load()) < minD && !inc.logEpochs() {
+		return
 	}
-	if base.LSN(inc.epochRec.Load()) < minD {
-		d.logEpochs(inc)
-	}
-	d.dlog.Truncate(minD)
+	btree.TruncateLog(d.dlog, d.store, minD, inc.log.Truncate)
 }
 
+// AppendSMO implements dclog.Logger through the incarnation's generation of
+// the DC-log: zero, and nothing appended, once Crash has ended it.
+func (inc *incarnation) AppendSMO(kind uint8, payload []byte) base.DLSN {
+	return base.DLSN(inc.log.AppendAssign(&wal.Record{Kind: kind, Payload: payload}))
+}
+
+// ForceSMO implements dclog.Logger; once the generation has ended it forces
+// nothing.
+func (inc *incarnation) ForceSMO(dl base.DLSN) { inc.log.ForceTo(base.LSN(dl)) }
+
 // logEpochs forces a snapshot of the incarnation's number and every TC's
-// fence into the DC-log.
-func (d *DC) logEpochs(inc *incarnation) {
+// fence into the DC-log, and reports whether it did: not once Crash has
+// ended the incarnation.
+func (inc *incarnation) logEpochs() bool {
 	inc.epochMu.Lock()
 	defer inc.epochMu.Unlock()
 	tcs := *inc.tcs.Load()
@@ -569,9 +577,12 @@ func (d *DC) logEpochs(inc *incarnation) {
 	}
 	sort.Slice(snap, func(i, j int) bool { return snap[i].TC < snap[j].TC })
 	rec := &dclog.Epochs{Inc: inc.n, Epochs: snap}
-	dlsn := d.AppendSMO(dclog.KindEpochs, rec.Encode())
+	dlsn := inc.AppendSMO(dclog.KindEpochs, rec.Encode())
+	if dlsn == 0 {
+		return false
+	}
 	raise(&inc.epochRec, uint64(dlsn))
-	d.ForceSMO(dlsn)
+	return inc.log.ForceTo(base.LSN(dlsn))
 }
 
 // errUnavailable is the typed down/closed/recovering failure; the message

@@ -126,7 +126,7 @@ func (d *DC) admit(inc *incarnation, s *tcState, op *base.Op) bool {
 		s.ctl.Lock()
 		if uint64(op.Epoch) > s.epoch.Load() {
 			s.epoch.Store(uint64(op.Epoch))
-			d.logEpochs(inc)
+			inc.logEpochs() // refused only after Crash, which discards this fence with inc
 		}
 		s.ctl.Unlock()
 	}

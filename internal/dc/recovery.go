@@ -14,14 +14,19 @@ import (
 // Crash simulates a DC process failure: the serving incarnation — cache,
 // trees, watermarks, fences — and the unforced DC-log tail vanish; stable
 // pages and the stable DC-log survive. The DC answers CodeUnavailable until
-// Recover runs. Crashing a closed DC leaves it closed.
+// Recover runs. Both of the incarnation's handles on the stable media end
+// here, before any successor exists: the pool first, so no page reaches the
+// store after the log stops forcing the records it depends on, then the
+// DC-log generation. Crashing a closed DC leaves it closed.
 func (d *DC) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
-	d.inc.Store(nil)
+	if inc := d.inc.Swap(nil); inc != nil {
+		inc.pool.End()
+	}
 	d.dlog.Crash()
 }
 
@@ -51,7 +56,7 @@ func (d *DC) Recover() error {
 
 // build makes an incarnation out of the stable media.
 func (d *DC) build() (*incarnation, error) {
-	inc := &incarnation{}
+	inc := &incarnation{log: d.dlog.Generation()}
 	inc.tcs.Store(&map[base.TCID]*tcState{})
 	if d.cfg.CheckConflicts {
 		inc.inflight = newConflictTable()
@@ -61,7 +66,7 @@ func (d *DC) build() (*incarnation, error) {
 	inc.pool = buffer.New(buffer.Config{Capacity: d.cfg.CacheCapacity}, d.store, buffer.Gates{
 		EOSL:       inc.eosl,
 		LWM:        func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).lwm.Load()) },
-		ForceDCLog: d.ForceSMO,
+		ForceDCLog: inc.ForceSMO,
 	})
 	for _, rec := range d.dlog.Scan(0) {
 		var err error
@@ -75,7 +80,7 @@ func (d *DC) build() (*incarnation, error) {
 		}
 	}
 	var err error
-	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool, d.store.AllocPageID, d)
+	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool, d.store.AllocPageID, inc)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +88,7 @@ func (d *DC) build() (*incarnation, error) {
 	for _, s := range *inc.tcs.Load() {
 		s.bracket.Store(uint32(owed))
 	}
-	d.logEpochs(inc)
+	inc.logEpochs() // d.mu keeps Crash out: the generation is live
 	return inc, nil
 }
 
@@ -164,7 +169,9 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 	s.bracket.Store(uint32(open))
 	// Persist the fence before touching any state: once effects are swept,
 	// no crash may resurrect the DC without it.
-	d.logEpochs(inc)
+	if !inc.logEpochs() {
+		return d.errUnavailable() // crashed meanwhile: the TC begins again at the successor
+	}
 	// The restarted TC reuses the LSN space above stableLSN: stale
 	// low-water-mark claims must not prune abstract LSNs into it. (Claims
 	// still in flight from the dead incarnation are epoch-fenced, and the

@@ -29,8 +29,8 @@ const (
 	KindCreateTree uint8 = iota + 1
 	// KindSplit is a leaf or branch page split.
 	KindSplit
-	// KindConsolidate merges a right page into its left sibling and frees
-	// the right page.
+	// KindConsolidate merges a right page into its left sibling and deletes
+	// the right page (freed once the record is truncated).
 	KindConsolidate
 	// KindRootCollapse replaces a single-child branch root by its child.
 	KindRootCollapse
@@ -87,7 +87,7 @@ type Split struct {
 type Consolidate struct {
 	Table     string
 	LeftID    base.PageID
-	RightID   base.PageID // freed
+	RightID   base.PageID // deleted
 	ParentID  base.PageID
 	LeftImage []byte
 }
@@ -288,10 +288,11 @@ func DecodeEpochs(buf []byte) (*Epochs, error) {
 // Logger is what the B-tree needs from the DC's log manager to make
 // structure modifications recoverable.
 type Logger interface {
-	// AppendSMO appends a system-transaction record and returns its dLSN.
+	// AppendSMO appends a system-transaction record and returns its dLSN,
+	// or zero if the log refuses it (the DC incarnation that decided the
+	// modification has crashed), which refuses the modification.
 	AppendSMO(kind uint8, payload []byte) base.DLSN
-	// ForceSMO makes the DC-log stable through dlsn. Consolidations force
-	// before freeing the right page: a stable free without its log record
-	// would lose data.
+	// ForceSMO makes the DC-log stable through dlsn (a table creation is
+	// durable when it returns).
 	ForceSMO(dlsn base.DLSN)
 }

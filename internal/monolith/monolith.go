@@ -161,8 +161,9 @@ func (e *Engine) tree(table string) *btree.Tree {
 	return nil
 }
 
-// Checkpoint flushes all dirty pages and truncates the log below both the
-// redo scan start point and the oldest active transaction.
+// Checkpoint flushes all dirty pages, truncates the log below both the redo
+// scan start point and the oldest active transaction, and frees the pages the
+// discarded records deleted.
 func (e *Engine) Checkpoint() (base.LSN, error) {
 	e.log.Force()
 	if err := e.pool.FlushAll(true, nil); err != nil {
@@ -184,7 +185,7 @@ func (e *Engine) Checkpoint() (base.LSN, error) {
 	if oldest != 0 && oldest < trunc {
 		trunc = oldest
 	}
-	e.log.Truncate(trunc)
+	btree.TruncateLog(e.log, e.store, trunc, func(before base.LSN) bool { e.log.Truncate(before); return true })
 	return newRSSP, nil
 }
 

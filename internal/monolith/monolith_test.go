@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/page"
 )
 
 func newEngine(t *testing.T, cfg Config) *Engine {
@@ -240,5 +243,51 @@ func TestConcurrentTxns(t *testing.T) {
 	wg.Wait()
 	if e.Stats().Commits == 0 {
 		t.Fatal("nothing committed")
+	}
+}
+
+// leafIDs returns the leaves of table t in chain order.
+func leafIDs(t *testing.T, e *Engine) []base.PageID {
+	t.Helper()
+	var ids []base.PageID
+	if err := e.tree("t").Scan("", func(leaf *page.Page) bool {
+		ids = append(ids, leaf.ID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestConsolidatedPageFreedByTruncation: a leaf consolidated away stays in the
+// store while the log holds the Consolidate record that deleted it, and is
+// freed by the checkpoint whose truncation discards that record.
+func TestConsolidatedPageFreedByTruncation(t *testing.T) {
+	e := newEngine(t, Config{PageBytes: 256})
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	n := 0
+	for ; len(leafIDs(t, e)) < 2; n++ {
+		if err := e.RunTxn(func(x *Txn) error { return x.Insert("t", key(n), []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	right := leafIDs(t, e)[1]
+	for len(leafIDs(t, e)) > 1 {
+		n--
+		if err := e.RunTxn(func(x *Txn) error { return x.Delete("t", key(n)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !e.store.Exists(right) {
+		t.Fatalf("page %d, consolidated away, must stay in the store until its record is truncated", right)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if e.store.Exists(right) {
+		t.Fatalf("page %d outlived the truncation of the record that deleted it", right)
 	}
 }

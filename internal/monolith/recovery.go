@@ -2,6 +2,7 @@ package monolith
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/btree"
@@ -109,9 +110,7 @@ func (e *Engine) redoOp(rec *wal.Record) error {
 		return err
 	}
 	if pg == nil {
-		// The page was later consolidated away; the consolidation's
-		// physical image carries this operation's effect.
-		return nil
+		return fmt.Errorf("monolith: redo of LSN %d: page %d is missing: the store is corrupt", rec.LSN, pageID)
 	}
 	pg.L.Lock()
 	if pg.DLSN < base.DLSN(rec.LSN) {

@@ -596,12 +596,16 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 	}
 	t.rssp.Store(uint64(newRSSP))
 	// Truncate below both the RSSP (redo needs nothing older) and the
-	// oldest active transaction's first record (undo might).
+	// oldest active transaction's first record (undo might), through the
+	// generation too: a checkpoint that straddles Crash after forcing its
+	// record discards nothing of the successor's log.
 	trunc := newRSSP
 	if oldest != 0 && oldest < trunc {
 		trunc = oldest
 	}
-	t.log.Truncate(trunc)
+	if !inc.log.Truncate(trunc) {
+		return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, ErrTCStopped)
+	}
 	t.checkpoints.Add(1)
 	return newRSSP, nil
 }

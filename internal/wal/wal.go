@@ -16,12 +16,13 @@
 // Because the LSN space is reused, a log has generations: Crash ends one and
 // the next begins at the stable end. A writer that can outlive the crash of
 // its own component — a TC transaction whose commit straddles Crash and
-// Recover — appends and forces through the Generation it was handed, and is
-// refused once that has ended, under the same mutex that orders appends: its
-// record cannot land in the tail its successor is writing, and it cannot wait
-// for, or be told stable, an LSN that now names somebody else's record.
-// Callers that stop before they crash the log (the DC-log, the monolith) use
-// the Log's own methods, which no crash refuses.
+// Recover, a DC operation whose split does — appends, forces and truncates
+// through the Generation its incarnation was handed, and is refused once that
+// has ended, under the same mutex that orders appends: its record cannot land
+// in the tail its successor is writing, it cannot wait for, or be told stable,
+// an LSN that now names somebody else's record, and it cannot discard one.
+// The TC-log and the DC-log are used only so; the monolith, whose log crashes
+// with its only user, uses the Log's own methods, which no crash refuses.
 package wal
 
 import (
@@ -29,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -129,21 +131,22 @@ type Log struct {
 }
 
 // Generation is the right to use a Log between two crashes: the handle a
-// component incarnation appends and forces through when it may be outlived by
-// its own log (a TC incarnation whose Commit straddles Crash+Recover). Once
-// Crash has ended the generation every call is refused — zero for an append's
-// LSN, false for a force — so nothing of a dead incarnation lands
-// in the tail its successor is writing, and a force never waits for, or
-// vouches for, an LSN whose record the crash dropped and the successor handed
-// out again. The zero value is not usable; call Log.Generation.
+// component incarnation appends, forces and truncates through when it may be
+// outlived by its own log (a TC incarnation whose Commit straddles
+// Crash+Recover, a DC incarnation whose Perform does). Once Crash has ended
+// the generation every call is refused — zero for an append's LSN, false for
+// a force or a truncation — so nothing of a dead incarnation lands in the
+// tail its successor is writing, a force never waits for, or vouches for, an
+// LSN whose record the crash dropped and the successor handed out again, and
+// no record the successor wrote is discarded. The zero value is not usable;
+// call Log.Generation.
 type Generation struct {
 	l *Log
 	n uint64
 }
 
 // anyGen is the generation of the Log's own methods, which no crash ends:
-// their callers (the DC-log, the monolith) stop using the log before they
-// crash it.
+// their caller (the monolith) stops using the log before it crashes it.
 const anyGen = ^uint64(0)
 
 // New returns a log over media. If media already holds records (a restart)
@@ -185,6 +188,23 @@ func (g Generation) ForceTo(lsn base.LSN) bool { return g.l.forceTo(g.n, lsn) }
 
 // Force is Log.Force, refused like ForceTo.
 func (g Generation) Force() bool { return g.l.forceTo(g.n, g.l.LastLSN()) }
+
+// Truncate is Log.Truncate, refused — false, nothing discarded — once the
+// generation has ended. It discards nothing above the stable end it saw when
+// it checked: the media rewrite runs without the mutex, so a truncation that
+// straddles Crash may still land, but only on records that were stable before
+// the crash, never on one the successor appended and forced above them.
+func (g Generation) Truncate(before base.LSN) bool {
+	g.l.mu.Lock()
+	if g.l.ended(g.n) {
+		g.l.mu.Unlock()
+		return false
+	}
+	stable := g.l.EOSL()
+	g.l.mu.Unlock()
+	g.l.Truncate(min(before, stable+1))
+	return true
+}
 
 // AppendAssign atomically assigns the next LSN to r and appends it. It
 // returns the assigned LSN. The record is volatile until forced; the log
@@ -292,6 +312,23 @@ func (l *Log) Scan(from base.LSN) []*Record {
 	out := make([]*Record, len(raws))
 	for i, raw := range raws {
 		out[i] = mustDecode(raw)
+	}
+	return out
+}
+
+// ScanKinds returns the stable records below before whose kind is one of
+// kinds, decoded afresh and in LSN order; the others are passed over
+// undecoded.
+func (l *Log) ScanKinds(before base.LSN, kinds ...uint8) []*Record {
+	var out []*Record
+	for _, raw := range l.media.Scan(0) {
+		lsn, n := binary.Uvarint(raw) // the encoding starts with the LSN and the kind
+		if base.LSN(lsn) >= before {
+			break
+		}
+		if slices.Contains(kinds, raw[n]) {
+			out = append(out, mustDecode(raw))
+		}
 	}
 	return out
 }

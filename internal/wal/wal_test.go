@@ -179,6 +179,30 @@ func TestGenerationEndsAtCrash(t *testing.T) {
 	}
 }
 
+// TestGenerationTruncate: a live generation truncates like the Log; one that
+// Crash has ended discards nothing, and its successor's records least of all.
+func TestGenerationTruncate(t *testing.T) {
+	l := newLog(t)
+	g := l.Generation()
+	for i := 0; i < 3; i++ {
+		g.AppendAssign(&Record{Kind: 1})
+	}
+	g.Force()
+	if !g.Truncate(2) || l.StartLSN() != 2 {
+		t.Fatalf("a live generation's truncation: log starts at %d, want 2", l.StartLSN())
+	}
+	l.Crash()
+	h := l.Generation()
+	succ := h.AppendAssign(&Record{Kind: 2})
+	h.Force()
+	if g.Truncate(succ+1) || l.StartLSN() != 2 {
+		t.Fatalf("an ended generation truncated: log starts at %d, want 2", l.StartLSN())
+	}
+	if !h.Truncate(succ) || l.StartLSN() != succ {
+		t.Fatalf("the successor's truncation: log starts at %d, want %d", l.StartLSN(), succ)
+	}
+}
+
 // TestCrashUnderAGenerationsForce is the straddling commit at the log's
 // level: the record is appended, its force is asleep on the media, the crash
 // drops the record. The force returns false; it used to panic ("ForceTo
