@@ -12,6 +12,13 @@
 // were actually ridden out by the resend/redial path (resends and
 // reconnects nonzero), and every drained TC quiesced within the bound.
 //
+// Its load loop is its own, not a closed loop shared with the repository
+// benchmark or cmd/unbundled-tc, because shedding is what it checks. A
+// closed loop waits for each transaction before it offers the next, so an
+// outage only slows it down. This loop offers transactions on a clock, caps
+// how many are in flight and sheds the rest: a killed or draining DC must
+// cost shed offers, never a queue that grows without bound.
+//
 //	soak -dc-bin ./bin/unbundled-dc -duration 60s
 //
 // Exit status 0 and a final "SOAK OK" line mean every invariant held.

@@ -57,6 +57,11 @@ type Tree struct {
 	// catalog marks a Forest's tree: its system transactions write their
 	// root changes to the catalog page (applier.setRoot).
 	catalog bool
+	// current, when non-nil, reports whether every page is current — holds
+	// every operation its engine has been sent — which is what a
+	// consolidation needs (maybeConsolidate). A Forest's trees take it from
+	// Open.
+	current func() bool
 	// onRootChange, when non-nil, hears of a new root and the dLSN of the
 	// system transaction that made it.
 	onRootChange func(newRoot base.PageID, dlsn base.DLSN)
@@ -245,7 +250,9 @@ func (t *Tree) unpinPath(path []*page.Page) {
 
 // split divides the (possibly cascading) overfull pages on the path to
 // key. Each level's split is its own system transaction: one DC-log record
-// capturing the new page image and the split key (§5.2.2).
+// capturing the new page image and the split key (§5.2.2). A logged image,
+// here and in a consolidation, is of the page as far as its TCs have forced
+// it (buffer.Pool.Forced); the page put in place is the live one.
 func (t *Tree) split(key string) error {
 	t.lock.Lock()
 	defer t.lock.Unlock()
@@ -293,7 +300,7 @@ func (t *Tree) splitOneLocked(path []*page.Page, idx int) error {
 	rec := &dclog.Split{Table: t.table, Leaf: left.Leaf, LeftID: left.ID, RightID: t.alloc()}
 	left.L.RLock()
 	splitKey, right := left.UpperHalf(rec.RightID)
-	rec.SplitKey, rec.RightImage = splitKey, right.Encode()
+	rec.SplitKey, rec.RightImage = splitKey, t.pool.Forced(right).Encode()
 	left.L.RUnlock()
 	if idx > 0 {
 		rec.ParentID = path[idx-1].ID
@@ -306,8 +313,15 @@ func (t *Tree) splitOneLocked(path []*page.Page, idx int) error {
 // maybeConsolidate merges the underfull leaf covering key with a sibling
 // when the result fits in a page — the paper's page delete (§5.2.2), the
 // consolidated page logged physically — and collapses a branch root left
-// with a single child onto that child.
+// with a single child onto that child. The consolidated page claims the
+// larger of the two abstract LSNs (page.Merged), which §5.2.2 allows only of
+// two current pages: a stale stable image beside a fresher one would be
+// credited with operations still to be resent to it, and skip them. So
+// nothing is consolidated while the tree says its pages may not be current.
 func (t *Tree) maybeConsolidate(key string) error {
+	if t.current != nil && !t.current() {
+		return nil
+	}
 	t.lock.Lock()
 	defer t.lock.Unlock()
 	path, err := t.descendPath(key)
@@ -358,7 +372,7 @@ func (t *Tree) maybeConsolidate(key string) error {
 		return nil
 	}
 	rec := &dclog.Consolidate{Table: t.table, LeftID: left.ID, RightID: right.ID,
-		ParentID: parent.ID, LeftImage: merged.Encode()}
+		ParentID: parent.ID, LeftImage: t.pool.Forced(merged).Encode()}
 	if err := t.commit(dclog.KindConsolidate, rec, merged); err != nil {
 		return err
 	}

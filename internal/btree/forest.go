@@ -69,10 +69,11 @@ func fetchCatalog(pool *buffer.Pool) (*page.Page, error) {
 // opened. It belongs to that pool — an engine that loses its cache opens a
 // new Forest over the new one.
 type Forest struct {
-	cfg   Config
-	pool  *buffer.Pool
-	alloc func() base.PageID
-	smo   dclog.Logger
+	cfg     Config
+	pool    *buffer.Pool
+	alloc   func() base.PageID
+	smo     dclog.Logger
+	current func() bool
 
 	// mu makes CreateTable's check and create one critical section, and
 	// Exclusive's hold on the trees. Tree never takes it: the table set is
@@ -83,8 +84,11 @@ type Forest struct {
 
 // Open opens every tree the catalog page names. The search structures must
 // already be well-formed: after a crash, Redo the log through pool first.
-func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Logger) (*Forest, error) {
-	f := &Forest{cfg: cfg, pool: pool, alloc: alloc, smo: smo}
+// current, nil for an engine whose pages always are, reports whether every
+// cached page holds every operation the engine has been sent; while it does
+// not, the trees consolidate nothing (Tree.maybeConsolidate).
+func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Logger, current func() bool) (*Forest, error) {
+	f := &Forest{cfg: cfg, pool: pool, alloc: alloc, smo: smo, current: current}
 	cat, err := fetchCatalog(pool)
 	if err != nil {
 		return nil, err
@@ -107,7 +111,7 @@ func Open(cfg Config, pool *buffer.Pool, alloc func() base.PageID, smo dclog.Log
 
 func (f *Forest) newTree(table string, root base.PageID) *Tree {
 	t := New(table, root, f.cfg, f.pool, f.alloc, f.smo, nil)
-	t.catalog = true
+	t.catalog, t.current = true, f.current
 	return t
 }
 

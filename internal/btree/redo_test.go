@@ -53,7 +53,7 @@ func (e *redoEnv) newPool() {
 
 func (e *redoEnv) open(t *testing.T) {
 	t.Helper()
-	f, err := Open(Config{MaxPageBytes: 160}, e.pool, e.store.AllocPageID, e)
+	f, err := Open(Config{MaxPageBytes: 160}, e.pool, e.store.AllocPageID, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,6 +230,10 @@ func (p *Pool) MarkDirty(pg *page.Page, tc base.TCID, lsn base.LSN, dlsn base.DL
 	}
 }
 
+// Forced is pg as far as the causality gate's end of stable log reaches
+// (page.Page.Forced): what a system transaction may log of it.
+func (p *Pool) Forced(pg *page.Page) *page.Page { return pg.Forced(p.gates.EOSL) }
+
 // FlushPage makes id stable, honoring the gates. With wait=false it
 // returns ErrNotFlushable when a gate is closed; with wait=true it blocks
 // until the gates open (watermark kicks re-evaluate). Unknown/clean pages

@@ -190,6 +190,20 @@ type incarnation struct {
 // tc at or below it is forced, and so out of reach of a TC crash.
 func (inc *incarnation) eosl(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).eosl.Load()) }
 
+// resent reports whether every TC is done resending to the incarnation (see
+// bracket). Until then a cached page may be a stable image older than
+// operations its TC is still to resend, so the forest consolidates nothing
+// (btree.Open): a TC the fences name that never comes back leaves the trees
+// unconsolidated for the incarnation's life, which costs space, never data.
+func (inc *incarnation) resent() bool {
+	for _, s := range *inc.tcs.Load() {
+		if !s.resent() {
+			return false
+		}
+	}
+	return true
+}
+
 // tc returns the state kept for id, registering the TC on first sight.
 func (inc *incarnation) tc(id base.TCID) *tcState {
 	if s := (*inc.tcs.Load())[id]; s != nil {
@@ -297,10 +311,10 @@ func (d *DC) Pool() *buffer.Pool {
 	return nil
 }
 
-// Store exposes the stable page store (experiments and invariant checks).
+// Store exposes the stable page store (tests and invariant checks).
 func (d *DC) Store() *storage.PageStore { return d.store }
 
-// DCLog exposes the DC-log (experiments measure SMO log volume).
+// DCLog exposes the DC-log (tests read its stable records).
 func (d *DC) DCLog() *wal.Log { return d.dlog }
 
 // Tree returns the serving incarnation's B-tree for table, or nil.
@@ -535,17 +549,27 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 // latest one a fresh snapshot is forced first — the incarnation number and
 // the fences must survive any crash.
 func (d *DC) truncateDCLog(inc *incarnation) {
-	minD := d.dlog.LastLSN() + 1
-	inc.pool.Pages(func(pg *page.Page) {
-		pg.L.RLock()
-		if pg.Dirty && pg.RecDLSN != 0 && base.LSN(pg.RecDLSN) < minD {
-			minD = base.LSN(pg.RecDLSN)
-		}
-		pg.L.RUnlock()
+	// A system transaction appends its record and then dirties its pages, both
+	// under its tree's structure lock (the forest's, for a table creation), so
+	// under every one of them the dirty pages bound every record appended so
+	// far. Read outside, a record already forced whose pages were not dirty
+	// yet would be discarded, and a crash before they were flushed would lose
+	// the modification. The truncation needs no lock: whatever is appended
+	// after the walk lies above minD.
+	var minD base.LSN
+	inc.forest.Exclusive(func() {
+		minD = d.dlog.LastLSN() + 1
+		inc.pool.Pages(func(pg *page.Page) {
+			pg.L.RLock()
+			if pg.Dirty && pg.RecDLSN != 0 && base.LSN(pg.RecDLSN) < minD {
+				minD = base.LSN(pg.RecDLSN)
+			}
+			pg.L.RUnlock()
+		})
+		// Clamped before the snapshot's force below makes the whole tail
+		// stable.
+		minD = min(minD, d.dlog.EOSL()+1)
 	})
-	// Clamped before the snapshot's force makes the whole tail stable: a
-	// system transaction there may not have dirtied its pages yet.
-	minD = min(minD, d.dlog.EOSL()+1)
 	if base.LSN(inc.epochRec.Load()) < minD && !inc.logEpochs() {
 		return
 	}

@@ -265,8 +265,10 @@ func TestDCCrashRecoveryWithSplits(t *testing.T) {
 	// Build a tree big enough to split many times, checkpoint part of it,
 	// crash, recover, then replay the op stream as the TC would. All data
 	// must survive and the structure must be well-formed before redo.
+	ctx := context.Background()
 	d := newDC(t, Config{PageBytes: 256})
 	h := newOpHelper(d, 1)
+	h.epoch = 1 // a TC the fences name: the recovered DC waits for its resend
 	const n = 300
 	for i := 0; i < n; i++ {
 		if r := h.insert(fmt.Sprintf("key%05d", i), fmt.Sprintf("v%d", i)); r.Code != base.CodeOK {
@@ -276,7 +278,7 @@ func TestDCCrashRecoveryWithSplits(t *testing.T) {
 	h.ack()
 	// Checkpoint half the LSN space: pages with earlier ops are forced.
 	mid := base.LSN(n / 2)
-	if err := d.Checkpoint(context.Background(), 1, 0, mid); err != nil {
+	if err := d.Checkpoint(ctx, 1, h.epoch, mid); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,11 +297,19 @@ func TestDCCrashRecoveryWithSplits(t *testing.T) {
 	}
 
 	// TC redo: resend everything from the redo scan start point (we use 0
-	// = everything; abstract LSNs skip what survived).
+	// = everything; abstract LSNs skip what survived), inside the TC's
+	// bracket and stamped with the incarnation, as a TC resends.
+	if err := d.BeginRestart(ctx, 1, h.epoch, 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range h.issued {
-		if r := d.Perform(context.Background(), op); r.Code != base.CodeOK {
+		op.DCInc = d.inc.Load().n
+		if r := d.Perform(ctx, op); r.Code != base.CodeOK {
 			t.Fatalf("redo %v: %+v", op, r)
 		}
+	}
+	if err := d.EndRestart(ctx, 1, h.epoch); err != nil {
+		t.Fatal(err)
 	}
 	h.ack()
 	for i := 0; i < n; i++ {
@@ -499,9 +509,6 @@ func TestResetAfterSplit(t *testing.T) {
 	h.ack()
 	stable := h.next - 1
 	h.update(key(n-1), "lost") // the largest key: on the new right page
-	if err := d.Checkpoint(ctx, 1, 0, stable+1); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.BeginRestart(ctx, 1, 1, stable); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func (d *DC) build() (*incarnation, error) {
 		}
 	}
 	var err error
-	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool, d.store.AllocPageID, inc)
+	inc.forest, err = btree.Open(btree.Config{MaxPageBytes: d.cfg.PageBytes}, inc.pool, d.store.AllocPageID, inc, inc.resent)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,8 @@
 //   - there are no messages: the "TC half" calls the "DC half" by function
 //     call.
 //
-// Experiment E1 compares this engine with the unbundled kernel on the same
-// workloads: the paper predicts the unbundled kernel pays a constant
+// The repository benchmark runs the same write transactions on this engine
+// (monolith.tax): the paper predicts the unbundled kernel pays a constant
 // factor for its longer code paths and message round trips (§7).
 package monolith
 
@@ -122,7 +122,7 @@ func (e *Engine) newPool() *buffer.Pool {
 }
 
 func (e *Engine) openForest(pool *buffer.Pool) (*btree.Forest, error) {
-	return btree.Open(btree.Config{MaxPageBytes: e.cfg.PageBytes}, pool, e.store.AllocPageID, e)
+	return btree.Open(btree.Config{MaxPageBytes: e.cfg.PageBytes}, pool, e.store.AllocPageID, e, nil)
 }
 
 // AppendSMO implements dclog.Logger on the integrated log.

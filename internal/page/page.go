@@ -550,6 +550,31 @@ func (p *Page) RollBack(tc base.TCID, stable base.LSN) (undone int) {
 	return undone
 }
 
+// Forced returns p as far as its TCs have forced it, eosl giving each TC's end
+// of stable log: p itself when no entry of its undo tail is above it, else a
+// copy, undo tail included, with every such operation rolled back (RollBack).
+// p is not changed; the copy shares its records' bytes, which nothing writes
+// into (package comment). A system transaction logs the image of this page,
+// not of p: a logged image becomes stable with its record, and a page redo
+// installs from it has no undo tail a reset could roll back (§4.2, §5.2.2).
+func (p *Page) Forced(eosl func(base.TCID) base.LSN) *Page {
+	var lost []base.TCID
+	for i := range p.Undo {
+		if u := &p.Undo[i]; u.LSN > eosl(u.TC) && !slices.Contains(lost, u.TC) {
+			lost = append(lost, u.TC)
+		}
+	}
+	if lost == nil {
+		return p
+	}
+	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone(),
+		Recs: slices.Clone(p.Recs), Undo: slices.Clone(p.Undo)}
+	for _, tc := range lost {
+		c.RollBack(tc, eosl(tc))
+	}
+	return c
+}
+
 // Clone returns a deep copy of the page (no volatile bookkeeping, no latch
 // state): every byte slice is the clone's own. Keys are strings and stay
 // shared with p, and so with the image p was decoded from.

@@ -104,6 +104,34 @@ func TestRollBackUndoesNewestFirst(t *testing.T) {
 	}
 }
 
+// TestForcedRollsBackACopy: with every entry of the tail forced, Forced is
+// the page itself; otherwise it is a copy without each TC's operations above
+// its end of stable log, and the page keeps them, tail and claims included.
+func TestForcedRollsBackACopy(t *testing.T) {
+	p := leafWith("a", "b")
+	p.Undo = []Undo{{TC: 1, LSN: 4, Prior: *p.Get("a")}, {TC: 2, LSN: 7, Absent: true, Prior: Record{Key: "c"}}}
+	p.Get("a").Value = []byte("a4")
+	p.Put(Record{Key: "c", Owner: 2, Value: []byte("c7")})
+	p.Ab.Ensure(1).Add(4)
+	p.Ab.Ensure(2).Add(7)
+	live := p.Clone()
+	eosl := map[base.TCID]base.LSN{1: 4, 2: 7}
+	if f := p.Forced(func(tc base.TCID) base.LSN { return eosl[tc] }); f != p {
+		t.Fatal("a page whose tail is forced was copied")
+	}
+	eosl[1], eosl[2] = 3, 6
+	f := p.Forced(func(tc base.TCID) base.LSN { return eosl[tc] })
+	if !p.Equal(live) || len(p.Undo) != 2 {
+		t.Fatal("Forced changed the page")
+	}
+	if got := fmt.Sprint(keysOf(f)); got != "[a b]" || string(f.Get("a").Value) != "va" || len(f.Undo) != 0 {
+		t.Fatalf("forced copy: %s, a=%q, %d entries; want a and b as they were and no tail", got, f.Get("a").Value, len(f.Undo))
+	}
+	if f.Ab.Contains(1, 4) || f.Ab.Contains(2, 7) || f.ID != p.ID {
+		t.Fatalf("forced copy of page %d claims tc1 %v, tc2 %v", f.ID, f.Ab.Get(1), f.Ab.Get(2))
+	}
+}
+
 // TestUndoPriorKeepsItsHist: the tail keeps a Record by value, so the prior
 // and the live record share the history's backing array. Committing a
 // version appends to the live record's history, into that array; the

@@ -14,7 +14,7 @@ import (
 )
 
 // Disk-backed stable media. The in-memory PageStore/LogStore simulate
-// stable storage for tests and experiments; a standalone DC process
+// stable storage for tests and in-process deployments; a standalone DC process
 // (cmd/unbundled-dc) needs the real thing, or a SIGKILL would take the
 // "stable" half of the §5.3 failure model down with the volatile half.
 // Both stores gain an optional write-through backing: reads stay in

@@ -5,7 +5,7 @@
 // and the unforced end of a log are volatile and lost on Crash. This is the
 // substitution for real disks: it preserves the stable/volatile divide that
 // drives the paper's §5.3 partial-failure protocols, and it counts I/O so
-// experiments can report read/write/force traffic.
+// the benchmark can report read/write/force traffic.
 package storage
 
 import (

@@ -43,8 +43,8 @@ const (
 	SnapshotBounded
 	// SnapshotLocked is the pre-snapshot posture: a read-only transaction
 	// that still takes shared locks and reads current state through the
-	// TC. It exists for comparison (experiment E9) and for callers that
-	// need read-your-lock semantics against unversioned writers.
+	// TC. It exists for callers that need read-your-lock semantics against
+	// unversioned writers.
 	SnapshotLocked
 )
 

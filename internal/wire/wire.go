@@ -1,7 +1,7 @@
 // Package wire carries the TC:DC message protocol over two transports.
 //
 // The simulated fabric (Network, Connect) is the substitute for a cloud
-// RPC stack used by tests and experiments. It deliberately misbehaves:
+// RPC stack used by tests and in-process deployments. It deliberately misbehaves:
 // configurable one-way delay and jitter (which reorders deliveries),
 // message loss, and duplication — the chaos half of the package.
 //

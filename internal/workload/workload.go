@@ -1,81 +1,20 @@
 // Package workload holds the one definition of each load the tools outside
-// benchmark/ drive: the key-value transaction mix (experiments E1, E7,
-// E8), the Figure-2 movie site with its seed and four transaction classes
-// W1–W4 (§6.3; experiment F2, cmd/moviesim), and the unique-key writer
-// with its read-back oracle (cmd/soak, cmd/unbundled-tc).
+// benchmark/ drive: the Figure-2 movie site with its seed and four
+// transaction classes W1–W4 (§6.3; cmd/moviesim, examples/moviereviews), and
+// the unique-key writer with its read-back oracle (cmd/soak,
+// cmd/unbundled-tc).
 package workload
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"github.com/cidr09/unbundled/internal/core"
 	"github.com/cidr09/unbundled/internal/placement"
 	"github.com/cidr09/unbundled/internal/tc"
 )
 
-// KV describes a key-value transaction mix; Keys, ValueSize and OpsPerTxn
-// must be positive.
-type KV struct {
-	// Keys is the size of the key space.
-	Keys int
-	// ValueSize is the value payload size in bytes.
-	ValueSize int
-	// ReadFrac is the fraction of operations that are reads.
-	ReadFrac float64
-	// OpsPerTxn is the number of operations per transaction.
-	OpsPerTxn int
-	// Seed makes generation reproducible.
-	Seed int64
-}
-
-// Gen is a deterministic operation stream for one worker.
-type Gen struct {
-	kv  KV
-	rnd *rand.Rand
-	val []byte
-}
-
-// NewGen builds a generator for worker i.
-func (k KV) NewGen(worker int) *Gen {
-	rnd := rand.New(rand.NewSource(k.Seed + int64(worker)*7919 + 1))
-	g := &Gen{kv: k, rnd: rnd, val: make([]byte, k.ValueSize)}
-	for i := range g.val {
-		g.val[i] = byte('a' + (i % 26))
-	}
-	return g
-}
-
-// Key draws the next key, uniformly.
-func (g *Gen) Key() string { return KVKey(g.rnd.Intn(g.kv.Keys)) }
-
-// KVKey formats key i in the canonical shape.
-func KVKey(i int) string { return fmt.Sprintf("key%08d", i) }
-
-// KVKeyIndex parses a canonical key back to its index (routing helpers).
-func KVKeyIndex(key string) int {
-	n := 0
-	for _, c := range key {
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-		}
-	}
-	return n
-}
-
-// IsRead draws whether the next operation is a read.
-func (g *Gen) IsRead() bool { return g.rnd.Float64() < g.kv.ReadFrac }
-
-// Value returns the payload (shared buffer; callers must not retain).
-func (g *Gen) Value() []byte { return g.val }
-
-// OpsPerTxn returns the configured transaction size.
-func (g *Gen) OpsPerTxn() int { return g.kv.OpsPerTxn }
-
-// --- Figure 2: movie site schema (§6.3) --------------------------------
-
-// Movie schema table names.
+// Movie schema table names (Figure 2, §6.3).
 const (
 	TableMovies    = "movies"
 	TableReviews   = "reviews"

@@ -3,40 +3,11 @@ package workload
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/core"
 )
-
-func TestGenIsDeterministicPerSeedAndWorker(t *testing.T) {
-	draw := func(seed int64, worker int) string {
-		g := KV{Keys: 1000, ValueSize: 8, ReadFrac: 0.5, OpsPerTxn: 4, Seed: seed}.NewGen(worker)
-		var sb strings.Builder
-		for i := 0; i < 200; i++ {
-			fmt.Fprintf(&sb, "%s:%v ", g.Key(), g.IsRead())
-		}
-		return sb.String()
-	}
-	if draw(42, 3) != draw(42, 3) {
-		t.Fatal("the same (seed, worker) drew two different streams")
-	}
-	if draw(42, 3) == draw(42, 4) {
-		t.Fatal("two workers of one seed drew the same stream")
-	}
-	if draw(42, 3) == draw(43, 3) {
-		t.Fatal("two seeds drew the same stream for one worker")
-	}
-}
-
-func TestKVKeyIndexInvertsKVKey(t *testing.T) {
-	for _, i := range []int{0, 1, 9, 10, 4242, 99999999} {
-		if got := KVKeyIndex(KVKey(i)); got != i {
-			t.Errorf("KVKeyIndex(KVKey(%d)) = %d", i, got)
-		}
-	}
-}
 
 // fakeStore is a Reader over a map, standing in for a transaction.
 type fakeStore map[string][]byte
