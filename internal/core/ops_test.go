@@ -330,6 +330,11 @@ func TestStatsRegistryCoversDeployment(t *testing.T) {
 	if snap["tc1"]["commits"]+snap["tc2"]["commits"] == 0 {
 		t.Fatal("no commits visible through the registry")
 	}
+	for _, gauge := range []string{"safe_ts_lag", "horizon_lag"} {
+		if _, ok := snap["tc1"][gauge]; !ok {
+			t.Fatalf("tc1 group has no %q gauge", gauge)
+		}
+	}
 	if snap["dc0"]["performs"]+snap["dc1"]["performs"] == 0 {
 		t.Fatal("no performs visible through the registry")
 	}

@@ -87,13 +87,23 @@ func (t *TC) lwm() base.LSN {
 // the TC's clock (in timestamp units, i.e. nanoseconds under the system
 // clock). A growing lag means snapshot reads fleet-wide are waiting on
 // this TC.
-func (t *TC) SafeTSLag() uint64 {
+func (t *TC) SafeTSLag() uint64 { return t.lagBehind(&t.maxSafeSent) }
+
+// HorizonLag returns how far the last-broadcast version-GC horizon trails
+// the TC's clock: how much history the DCs keep for this TC's snapshots.
+// It follows the oldest open snapshot and, with none open, stays one
+// watermark tick behind the safe timestamp.
+func (t *TC) HorizonLag() uint64 { return t.lagBehind(&t.maxHorizonSent) }
+
+// lagBehind returns how far a broadcast timestamp guarded by tsMu trails
+// the clock.
+func (t *TC) lagBehind(sent *base.TS) uint64 {
 	now, _ := t.clock.Now()
 	t.tsMu.Lock()
-	sent := t.maxSafeSent
+	ts := *sent
 	t.tsMu.Unlock()
-	if now > sent {
-		return uint64(now - sent)
+	if now > ts {
+		return uint64(now - ts)
 	}
 	return 0
 }
@@ -117,6 +127,7 @@ func (t *TC) RegisterStats(g *stats.Group) {
 	g.Func("active_txns", func() uint64 { return uint64(t.ActiveTxns()) })
 	g.Func("ack_barrier_depth", t.AckBarrierDepth)
 	g.Func("safe_ts_lag", t.SafeTSLag)
+	g.Func("horizon_lag", t.HorizonLag)
 	g.Func("epoch", func() uint64 { return uint64(t.Epoch()) })
 	g.Func("lwm", func() uint64 { return uint64(t.lwm()) })
 	g.Func("eosl", func() uint64 { return uint64(t.log.EOSL()) })

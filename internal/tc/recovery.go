@@ -122,13 +122,20 @@ func (t *TC) Recover() error {
 	// timestamps a previous process broadcast without committing anything
 	// (those tracked its clock), relying on the wall clock not stepping
 	// backwards across a process restart — the same assumption the System
-	// clock's monotonic forcing makes within one process.
-	if now, _ := t.clock.Now(); now > maxCommitTS {
+	// clock's monotonic forcing makes within one process. The same reading
+	// floors the horizon: a DC only ever raises the one it holds for this
+	// TC, so no snapshot may be handed out below a horizon a previous
+	// process sent.
+	now, _ := t.clock.Now()
+	if now > maxCommitTS {
 		maxCommitTS = now
 	}
 	t.tsMu.Lock()
 	if maxCommitTS > t.lastCommit {
 		t.lastCommit = maxCommitTS
+	}
+	if now > t.maxHorizonSent {
+		t.maxHorizonSent = now
 	}
 	t.tsMu.Unlock()
 

@@ -2,10 +2,15 @@ package tc
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/clock"
+	"github.com/cidr09/unbundled/internal/dc"
+	"github.com/cidr09/unbundled/internal/page"
+	"github.com/cidr09/unbundled/internal/stats"
 )
 
 // commitVersioned commits table t key "k" = val in one versioned txn.
@@ -110,36 +115,149 @@ func TestSnapshotUncertaintyWait(t *testing.T) {
 	_ = y.Commit()
 }
 
-// TestSnapshotBoundedStaleness: bounded snapshots travel back in time
-// through the version history, clamped to the retention window.
-func TestSnapshotBoundedStaleness(t *testing.T) {
-	fake := clock.NewFake(1000, 0)
-	tcx, _ := newPair(t, Config{Clock: fake, SnapshotRetention: 2 * time.Microsecond})
-	commitVersioned(t, tcx, "k", "v1") // commit TS just above 1000
-	fake.Set(2000)
-	commitVersioned(t, tcx, "k", "v2") // commit TS at/just above 2000
-	fake.Set(3000)
+// ms is one millisecond of timestamp: the GC horizon trails the safe
+// timestamp by one watermark tick, so horizon tests keep their fake clocks
+// on that scale.
+const ms = base.TS(time.Millisecond)
 
-	// 900ns back => reads at 2100: after v2.
-	if v, ok := snapRead(t, tcx, TxnOptions{Snapshot: SnapshotBounded,
-		Staleness: 900 * time.Nanosecond}, "k"); !ok || v != "v2" {
-		t.Fatalf("900ns-stale read: %q %v, want v2", v, ok)
+// TestSnapshotBoundedStaleness: a bounded snapshot reads at most Staleness
+// back. It reads exactly that far back while an older snapshot holds the GC
+// horizon there, and fresher once nothing does.
+func TestSnapshotBoundedStaleness(t *testing.T) {
+	fake := clock.NewFake(10*ms, 0)
+	tcx, _ := newPair(t, Config{Clock: fake})
+	commitVersioned(t, tcx, "k", "v1") // commit TS at/just above 10ms
+	fake.Set(15 * ms)
+	pin := tcx.Begin(context.Background(), TxnOptions{ReadOnly: true})
+	if pin.SnapshotTS() != 15*ms {
+		t.Fatalf("pinning snapshot TS: %d, want %d", pin.SnapshotTS(), 15*ms)
 	}
-	// 1500ns back => reads at 1500: between the commits, sees v1.
-	if v, ok := snapRead(t, tcx, TxnOptions{Snapshot: SnapshotBounded,
-		Staleness: 1500 * time.Nanosecond}, "k"); !ok || v != "v1" {
-		t.Fatalf("1500ns-stale read: %q %v, want v1", v, ok)
+	fake.Set(20 * ms)
+	commitVersioned(t, tcx, "k", "v2") // commit TS at/just above 20ms
+	fake.Set(30 * ms)
+
+	stale := TxnOptions{Snapshot: SnapshotBounded, Staleness: 15 * time.Millisecond}
+	// 15ms back => reads at 15ms, which the pin keeps readable: v1.
+	if v, ok := snapRead(t, tcx, stale, "k"); !ok || v != "v1" {
+		t.Fatalf("15ms-stale read beside the pin: %q %v, want v1", v, ok)
 	}
-	// Staleness beyond the retention window clamps to it (2µs => 1000).
-	if x := tcx.Begin(context.Background(), TxnOptions{ReadOnly: true,
-		Snapshot: SnapshotBounded, Staleness: time.Hour}); x.SnapshotTS() != 1000 {
-		t.Fatalf("clamped snapshot TS: %d, want 1000", x.SnapshotTS())
-	} else {
-		_ = x.Commit()
+	if err := pin.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing pinned: the next broadcast moves the horizon to one tick
+	// below the safe timestamp, and the same reader reads there.
+	tcx.inc.Load().broadcastWatermarks()
+	opts := stale
+	opts.ReadOnly = true
+	x := tcx.Begin(context.Background(), opts)
+	if x.SnapshotTS() != 29*ms {
+		t.Fatalf("bounded snapshot TS %d with nothing pinned: want %d", x.SnapshotTS(), 29*ms)
+	}
+	_ = x.Commit()
+	if v, ok := snapRead(t, tcx, stale, "k"); !ok || v != "v2" {
+		t.Fatalf("15ms-stale read with nothing pinned: %q %v, want v2", v, ok)
 	}
 	// Fresh sees the newest state.
 	if v, ok := snapRead(t, tcx, TxnOptions{}, "k"); !ok || v != "v2" {
 		t.Fatalf("fresh read: %q %v, want v2", v, ok)
+	}
+}
+
+// TestHorizonFollowsReaders: a DC keeps a version while a snapshot can read
+// it, and no longer. A bounded reader begun before a burst of overwrites
+// still reads its version; once it has committed, the next watermark
+// broadcast moves the DC's GC horizon past the burst, and the next
+// overwrite leaves the key only the version a reader at the horizon sees.
+func TestHorizonFollowsReaders(t *testing.T) {
+	fake := clock.NewFake(10*ms, 0)
+	tcx, d := newPair(t, Config{Clock: fake})
+	reg := stats.NewRegistry()
+	d.RegisterStats(reg.Group("dc"))
+	record := func() (ts base.TS, hist []page.Version) {
+		if err := d.Tree("t").View("k", func(p *page.Page) {
+			r := p.Get("k")
+			ts, hist = r.TS, append(hist, r.Hist...)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ts, hist
+	}
+
+	commitVersioned(t, tcx, "k", "v0")
+	fake.Set(12 * ms)
+	reader := tcx.Begin(context.Background(), TxnOptions{ReadOnly: true,
+		Snapshot: SnapshotBounded, Staleness: time.Millisecond})
+	for i := 1; i <= 50; i++ {
+		fake.Set(12*ms + base.TS(i)*ms/10)
+		commitVersioned(t, tcx, "k", fmt.Sprintf("v%d", i))
+	}
+	if v, ok, err := reader.Read("t", "k"); err != nil || !ok || string(v) != "v0" {
+		t.Fatalf("bounded reader after the burst: %q %v %v, want v0", v, ok, err)
+	}
+	tcx.inc.Load().broadcastWatermarks()
+	if lag, want := tcx.HorizonLag(), uint64(17*ms-reader.SnapshotTS()); lag < want {
+		t.Fatalf("horizon lag %d with the reader open, want at least %d", lag, want)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	fake.Set(20 * ms) // one more watermark tick
+	tcx.inc.Load().broadcastWatermarks()
+	if lag := tcx.HorizonLag(); lag > uint64(ms) {
+		t.Fatalf("horizon lag %d with no reader open and the clock still, want at most one tick", lag)
+	}
+	last, _ := record()
+	if gc := base.TS(reg.Snapshot()["dc"]["gc_horizon"]); gc < last {
+		t.Fatalf("DC GC horizon %d with no reader open: want at or above the burst's last commit %d", gc, last)
+	}
+	commitVersioned(t, tcx, "k", "v51")
+	if _, hist := record(); len(hist) > 1 {
+		t.Fatalf("history after the reader left: %d versions, want at most 1", len(hist))
+	}
+}
+
+// TestRestartFloorsTheHorizon: a TC restarted in a new process hands out no
+// bounded snapshot below a horizon its predecessor broadcast — a DC only
+// ever raises the horizon it holds for the TC.
+func TestRestartFloorsTheHorizon(t *testing.T) {
+	dir := t.TempDir()
+	fake := clock.NewFake(10*ms, 0)
+	d, err := dc.New(dc.Config{Name: "dc0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	tc1, err := New(Config{ID: 1, Dir: dir, Clock: fake}, []base.Service{d}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitVersioned(t, tc1, "k", "v1")
+	fake.Set(50 * ms)
+	tc1.inc.Load().broadcastWatermarks()
+	tc1.tsMu.Lock()
+	h := tc1.maxHorizonSent
+	tc1.tsMu.Unlock()
+	if h < 49*ms {
+		t.Fatalf("first TC's horizon %d, want at least %d", h, 49*ms)
+	}
+	tc1.Close() // process death
+
+	tc2, err := New(Config{ID: 1, Dir: dir, Clock: fake}, []base.Service{d}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc2.Close()
+	if err := tc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	x := tc2.Begin(context.Background(), TxnOptions{ReadOnly: true,
+		Snapshot: SnapshotBounded, Staleness: time.Hour})
+	defer x.Commit()
+	if x.SnapshotTS() < h {
+		t.Fatalf("bounded snapshot after restart at %d, below the predecessor's horizon %d", x.SnapshotTS(), h)
 	}
 }
 

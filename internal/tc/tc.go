@@ -74,10 +74,6 @@ type Config struct {
 	// Uncertainty bounds real inter-machine skew; tests install a
 	// clock.Fake.
 	Clock clock.Clock
-	// SnapshotRetention bounds how far into the past a bounded-staleness
-	// snapshot may read, and therefore how long DCs keep superseded
-	// versions before the GC horizon releases them (default 10s).
-	SnapshotRetention time.Duration
 	// Dir, when nonempty, backs the TC-log with a file in that directory
 	// (storage.OpenLogStoreFile): forced records survive process death.
 	// When the directory already holds a previous incarnation's log, New
@@ -101,9 +97,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = defaultClock
-	}
-	if c.SnapshotRetention <= 0 {
-		c.SnapshotRetention = 10 * time.Second
 	}
 	return c
 }
@@ -187,8 +180,8 @@ func (h *dcHandle) release(ok bool) (again bool) {
 
 // TC is one transactional component instance. What it holds itself survives
 // a crash of the component: the configuration, the stable log, the DC
-// connections, the counters, and the two timestamp promises already broadcast
-// to the DCs. Everything a crash destroys is the incarnation.
+// connections, the counters, and the timestamp promises already broadcast to
+// the DCs. Everything a crash destroys is the incarnation.
 type TC struct {
 	cfg    Config
 	log    *wal.Log
@@ -208,14 +201,16 @@ type TC struct {
 	// above every safe timestamp ever broadcast, and a safe timestamp is
 	// broadcast strictly below every assigned-but-not-yet-finalized commit
 	// timestamp, so "safe >= T" at a DC really does mean no future commit
-	// of this TC can become visible at or below T. lastCommit and maxSafeSent
-	// are promises already made to the DCs, so they outlive a crash (Recover
-	// re-seeds lastCommit from the log for cross-process restarts); the
-	// registrations they are computed from die with their transactions and
-	// are the incarnation's (commitOut, activeSnaps), under this same mutex.
-	tsMu        sync.Mutex
-	lastCommit  base.TS // highest commit timestamp assigned
-	maxSafeSent base.TS // highest safe timestamp broadcast
+	// of this TC can become visible at or below T. lastCommit, maxSafeSent
+	// and maxHorizonSent are promises already made to the DCs, so they
+	// outlive a crash (Recover re-seeds lastCommit and maxHorizonSent from
+	// the log and the clock for cross-process restarts); the registrations
+	// they are computed from die with their transactions and are the
+	// incarnation's (commitOut, activeSnaps), under this same mutex.
+	tsMu           sync.Mutex
+	lastCommit     base.TS // highest commit timestamp assigned
+	maxSafeSent    base.TS // highest safe timestamp broadcast
+	maxHorizonSent base.TS // highest version-GC horizon broadcast
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -526,9 +521,14 @@ func (inc *incarnation) assignCommitTS() base.TS {
 // strictly above maxSafeSent.
 //
 // horizon is the version-GC watermark: versions invisible at every
-// timestamp above it may be pruned. It trails the clock by
-// SnapshotRetention and never passes a registered snapshot; zero means
-// "no constraint known — do not prune".
+// timestamp above it may be pruned. Versions exist only to serve readers
+// (§6.2.2), so it is held down by the oldest registered snapshot and
+// otherwise trails safe by one broadcast tick, and nothing more. The tick
+// is how far a peer TC's safe timestamp can trail this one: a bounded
+// snapshot handed the horizon reads where every peer has already
+// promised, and does not wait at the DC. beginSnapshot hands out no
+// timestamp below maxHorizonSent, so no snapshot this TC registers later
+// reads below a horizon it has sent.
 func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 	t := inc.tc
 	now, _ := t.clock.Now()
@@ -548,13 +548,16 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 		safe = t.maxSafeSent
 	}
 	t.maxSafeSent = safe
-	if ret := base.TS(t.cfg.SnapshotRetention); now > ret {
-		horizon = now - ret
+	if tick := base.TS(watermarkInterval); safe > tick {
+		horizon = safe - tick
 	}
 	for ts := range inc.activeSnaps {
 		if ts < horizon {
 			horizon = ts
 		}
+	}
+	if horizon > t.maxHorizonSent {
+		t.maxHorizonSent = horizon
 	}
 	t.tsMu.Unlock()
 	return safe, horizon

@@ -37,9 +37,11 @@ const (
 	// before the snapshot began is visible — external consistency. With
 	// the default zero-uncertainty System clock the wait is free.
 	SnapshotFresh SnapshotPolicy = iota
-	// SnapshotBounded reads at now minus TxnOptions.Staleness (clamped to
-	// the TC's SnapshotRetention): no uncertainty wait and usually no
-	// safe-timestamp wait either, trading freshness for latency.
+	// SnapshotBounded reads at most TxnOptions.Staleness behind now: at
+	// now minus Staleness, or fresher where that is below the last GC
+	// horizon this TC sent (the DCs may have pruned what it would see). No
+	// uncertainty wait and usually no safe-timestamp wait either, trading
+	// freshness for latency.
 	SnapshotBounded
 	// SnapshotLocked is the pre-snapshot posture: a read-only transaction
 	// that still takes shared locks and reads current state through the
@@ -65,8 +67,8 @@ type TxnOptions struct {
 	ReadOnly bool
 	// Snapshot selects the read-only view policy; ignored unless ReadOnly.
 	Snapshot SnapshotPolicy
-	// Staleness is how far behind now a SnapshotBounded view may read
-	// (clamped to the TC's SnapshotRetention); ignored otherwise.
+	// Staleness is how far behind now a SnapshotBounded view may read at
+	// most; ignored otherwise.
 	Staleness time.Duration
 	// LockTimeout overrides the TC's configured lock-wait bound for this
 	// transaction: positive bounds each wait, negative waits forever, zero
@@ -219,40 +221,44 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 }
 
 // beginSnapshot draws the transaction's read timestamp and registers it
-// so the TC's GC horizon cannot pass it while the snapshot is live. A
-// fresh snapshot then waits out the clock's uncertainty window: once
-// WaitUntilAfter returns, no clock in the deployment can still read
-// snapTS or earlier, so no later-starting commit can be assigned a
-// timestamp at or below it — reads at snapTS are externally consistent.
-// A cancelled wait is not an error here; the reads themselves honor the
-// context and will fail promptly.
+// so the TC's GC horizon cannot pass it while the snapshot is live. Both
+// happen under tsMu, and the timestamp is raised to the last horizon sent
+// (the DCs may have pruned below it), so no horizon broadcast before or
+// after passes it: a bounded snapshot reads at most Staleness back, and a
+// fresh one that read the clock just before a broadcast reads where that
+// broadcast let the DCs prune. A fresh snapshot then waits out the clock's
+// uncertainty window: once WaitUntilAfter returns, no clock in the
+// deployment can still read snapTS or earlier, so no later-starting commit
+// can be assigned a timestamp at or below it — reads at snapTS are
+// externally consistent. A cancelled wait is not an error here; the reads
+// themselves honor the context and will fail promptly.
 func (x *Txn) beginSnapshot() {
 	t := x.tc
 	now, unc := t.clock.Now()
 	snap := now + base.TS(unc)
-	if x.opts.Snapshot == SnapshotBounded {
-		back := x.opts.Staleness
-		if back > t.cfg.SnapshotRetention {
-			back = t.cfg.SnapshotRetention
-		}
+	bounded := x.opts.Snapshot == SnapshotBounded
+	if bounded {
 		snap = 1
-		if now > base.TS(back) {
-			snap = now - base.TS(back)
+		if back := base.TS(x.opts.Staleness); now > back {
+			snap = now - back
 		}
 	}
 	t.tsMu.Lock()
-	if x.opts.Snapshot != SnapshotBounded && t.lastCommit > snap {
+	if !bounded && t.lastCommit > snap {
 		// Never read below this TC's own newest commit: guarantees fresh
 		// snapshots observe local commits even when the clock has not yet
 		// caught the allocator up (frozen test clocks, bursts of commits
 		// within one clock tick).
 		snap = t.lastCommit
 	}
+	if snap < t.maxHorizonSent {
+		snap = t.maxHorizonSent
+	}
 	x.snapTS = snap
 	x.inc.activeSnaps[snap]++
 	t.tsMu.Unlock()
 	t.snapshots.Add(1)
-	if x.opts.Snapshot != SnapshotBounded && unc > 0 {
+	if !bounded && unc > 0 {
 		_ = clock.WaitUntilAfter(x.ctx, t.clock, snap)
 	}
 }

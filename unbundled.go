@@ -84,9 +84,10 @@
 // SnapshotLocked (the pre-snapshot behaviour: S locks through the TC,
 // for reads that must serialize against in-flight writers). Snapshot
 // reads see versioned writes (TxnOptions.Versioned) at full fidelity;
-// unversioned tables degrade to latest-committed-state reads. DCs prune
-// versions older than TCConfig.SnapshotRetention (default 10s), which
-// bounds SnapshotBounded staleness.
+// unversioned tables degrade to latest-committed-state reads. DCs keep a
+// superseded version only while an open snapshot can read it, so a
+// SnapshotBounded view may read fresher than Staleness asks: never below
+// the version-GC horizon its TC last sent.
 //
 // # Contexts and cancellation
 //
@@ -311,8 +312,8 @@ type (
 	// TC), round-trippable through ParsePlacement and String.
 	Placement = placement.Placement
 	// TCConfig customizes one transactional component: ID, LockTimeout,
-	// ForceDelay, Clock, SnapshotRetention and Dir. Batch size, watermark
-	// period and fetch-ahead width are constants of the TC.
+	// ForceDelay, Clock and Dir. Batch size, watermark period and
+	// fetch-ahead width are constants of the TC.
 	TCConfig = tc.Config
 	// DCConfig customizes one data component.
 	DCConfig = dc.Config
