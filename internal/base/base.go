@@ -203,6 +203,13 @@ const (
 	// restarted since the TC last resent, or the stamp names a dead
 	// incarnation. The TC resends its redo stream, then sends again.
 	CodeStaleDC
+	// CodeSnapshotTooOld means a snapshot read found the DC's GC horizon
+	// above its timestamp: versions it needs may have been reclaimed on
+	// another TC's word before the DC heard from the reader's (a TC just
+	// started, or a DC just restarted). The read is refused rather than
+	// answered from a history with a hole. It folds into ErrUnavailable: a
+	// fresh transaction, with a fresh snapshot, reads.
+	CodeSnapshotTooOld
 )
 
 func (c Code) String() string {
@@ -225,6 +232,8 @@ func (c Code) String() string {
 		return "wrong-owner"
 	case CodeStaleDC:
 		return "stale-dc"
+	case CodeSnapshotTooOld:
+		return "snapshot-too-old"
 	}
 	return fmt.Sprintf("Code(%d)", uint8(c))
 }
@@ -245,7 +254,7 @@ func (e codeError) Error() string { return "dc: " + Code(e).String() }
 // crossed the wire still matches its public sentinel via errors.Is.
 func (e codeError) Is(target error) bool {
 	switch Code(e) {
-	case CodeUnavailable:
+	case CodeUnavailable, CodeSnapshotTooOld:
 		return target == ErrUnavailable
 	case CodeCancelled:
 		return target == ErrCancelled

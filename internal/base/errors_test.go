@@ -38,6 +38,9 @@ func TestCodeErrorsFoldIntoTaxonomy(t *testing.T) {
 	if err := fmt.Errorf("tc: read: %w", CodeUnavailable.Err()); !IsTransient(err) {
 		t.Fatalf("wrapped unavailable %v lost transience", err)
 	}
+	if err := fmt.Errorf("tc: read: %w", CodeSnapshotTooOld.Err()); !IsTransient(err) {
+		t.Fatalf("wrapped snapshot-too-old %v is not transient", err)
+	}
 	if err := CodeWrongOwner.Err(); !errors.Is(err, ErrWrongOwner) {
 		t.Fatalf("CodeWrongOwner error %v does not match ErrWrongOwner", err)
 	}

@@ -124,7 +124,7 @@ type tcState struct {
 	safe atomic.Uint64
 	// horizon is the TC's GC watermark: no live or future snapshot of that
 	// TC reads below it, so versions under the minimum horizon may be
-	// reclaimed.
+	// reclaimed. Zero until the incarnation takes the TC's first broadcast.
 	horizon atomic.Uint64
 	// safeCh, when non-nil, is closed under ctl the next time safe
 	// advances; snapshot waiters subscribe through safeChanged.
@@ -180,8 +180,8 @@ type incarnation struct {
 	// fence raised before it was taken.
 	epochMu  sync.Mutex
 	epochRec atomic.Uint64
-	// gcHorizon caches the minimum nonzero per-TC GC horizon so the write
-	// path can prune versions without scanning the TCs.
+	// gcHorizon caches the minimum per-TC GC horizon (see refreshHorizon)
+	// so the write path can prune versions without scanning the TCs.
 	gcHorizon atomic.Uint64
 	inflight  *conflictTable // nil unless Config.CheckConflicts
 }
@@ -421,14 +421,21 @@ func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.T
 	}
 }
 
-// refreshHorizon recomputes the cached GC horizon: the minimum nonzero
-// per-TC horizon. A TC that has never broadcast one contributes no
-// constraint (it also hands out no snapshots), and zero means "never
-// reclaim" overall.
+// refreshHorizon recomputes the cached GC horizon: the minimum per-TC
+// horizon. It holds still while any TC the incarnation knows has sent none:
+// one just heard of, or one that owes the incarnation its resend, whose
+// safe-timestamp broadcasts it drops meanwhile. Either may have snapshots
+// open below every horizon the others sent. A TC the fences name that never
+// comes back so stops reclamation for the incarnation's life, which costs
+// space, never data.
 func (inc *incarnation) refreshHorizon() {
 	var min uint64
 	for _, s := range *inc.tcs.Load() {
-		if h := s.horizon.Load(); h != 0 && (min == 0 || h < min) {
+		h := s.horizon.Load()
+		if h == 0 {
+			return
+		}
+		if min == 0 || h < min {
 			min = h
 		}
 	}

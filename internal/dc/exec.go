@@ -73,8 +73,9 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		res.Code = d.refusal(inc)
 		return
 	}
-	if op.Flavor == base.ReadSnapshot && op.TS != 0 &&
-		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead) {
+	snapshot := op.Flavor == base.ReadSnapshot && op.TS != 0 &&
+		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead)
+	if snapshot {
 		// Snapshot read at T: wait until every TC's safe timestamp covers T
 		// — all commits <= T are finalized here and no new commit can land
 		// under T — then read timestamp-consistent versions lock-free.
@@ -108,6 +109,13 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 	if err != nil {
 		// Whatever the operation had gathered before its page would not load.
 		*res = base.Result{LSN: op.LSN, Code: d.refusal(inc)}
+	} else if snapshot && base.TS(inc.gcHorizon.Load()) > op.TS {
+		// Every prune this read saw ran under a horizon at or below this
+		// later reading, so only a horizon above T can have taken a version
+		// it needed. The reader's TC holds the horizon at or below its
+		// snapshots, so that is a horizon taken before the incarnation heard
+		// from the reader's TC (see refreshHorizon).
+		*res = base.Result{LSN: op.LSN, Code: base.CodeSnapshotTooOld}
 	}
 }
 

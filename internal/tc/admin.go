@@ -91,8 +91,8 @@ func (t *TC) SafeTSLag() uint64 { return t.lagBehind(&t.maxSafeSent) }
 
 // HorizonLag returns how far the last-broadcast version-GC horizon trails
 // the TC's clock: how much history the DCs keep for this TC's snapshots.
-// It follows the oldest open snapshot and, with none open, stays one
-// watermark tick behind the safe timestamp.
+// It follows the oldest open snapshot and, with none open, the largest
+// staleness bounded readers ask for, and is at least a watermark tick.
 func (t *TC) HorizonLag() uint64 { return t.lagBehind(&t.maxHorizonSent) }
 
 // lagBehind returns how far a broadcast timestamp guarded by tsMu trails

@@ -123,9 +123,11 @@ func (t *TC) Recover() error {
 	// (those tracked its clock), relying on the wall clock not stepping
 	// backwards across a process restart — the same assumption the System
 	// clock's monotonic forcing makes within one process. The same reading
-	// floors the horizon: a DC only ever raises the one it holds for this
-	// TC, so no snapshot may be handed out below a horizon a previous
-	// process sent.
+	// floors the horizon, as in New, and the closing broadcast below sends
+	// it. A DC only ever raises the horizon it holds for this TC, so no
+	// snapshot may be handed out below one a previous process sent; the
+	// closing broadcast's own horizon (the re-seeded safe timestamp less a
+	// tick) already covers that, so the floor is defence in depth.
 	now, _ := t.clock.Now()
 	if now > maxCommitTS {
 		maxCommitTS = now

@@ -2,7 +2,9 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,16 +118,20 @@ func TestSnapshotUncertaintyWait(t *testing.T) {
 }
 
 // ms is one millisecond of timestamp: the GC horizon trails the safe
-// timestamp by one watermark tick, so horizon tests keep their fake clocks
-// on that scale.
+// timestamp by at least one watermark tick, so horizon tests keep their fake
+// clocks on that scale.
 const ms = base.TS(time.Millisecond)
 
 // TestSnapshotBoundedStaleness: a bounded snapshot reads at most Staleness
 // back. It reads exactly that far back while an older snapshot holds the GC
-// horizon there, and fresher once nothing does.
+// horizon there, or while bounded readers keep asking for that much, and
+// fresher once a few ticks have passed with neither.
 func TestSnapshotBoundedStaleness(t *testing.T) {
 	fake := clock.NewFake(10*ms, 0)
 	tcx, _ := newPair(t, Config{Clock: fake})
+	tcx.stopOnce.Do(func() { close(tcx.stopCh) }) // broadcast by hand only
+	tcx.wg.Wait()
+	broadcast := tcx.inc.Load().broadcastWatermarks
 	commitVersioned(t, tcx, "k", "v1") // commit TS at/just above 10ms
 	fake.Set(15 * ms)
 	pin := tcx.Begin(context.Background(), TxnOptions{ReadOnly: true})
@@ -135,6 +141,7 @@ func TestSnapshotBoundedStaleness(t *testing.T) {
 	fake.Set(20 * ms)
 	commitVersioned(t, tcx, "k", "v2") // commit TS at/just above 20ms
 	fake.Set(30 * ms)
+	broadcast()
 
 	stale := TxnOptions{Snapshot: SnapshotBounded, Staleness: 15 * time.Millisecond}
 	// 15ms back => reads at 15ms, which the pin keeps readable: v1.
@@ -144,18 +151,30 @@ func TestSnapshotBoundedStaleness(t *testing.T) {
 	if err := pin.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing pinned: the next broadcast moves the horizon to one tick
-	// below the safe timestamp, and the same reader reads there.
-	tcx.inc.Load().broadcastWatermarks()
+	// Nothing pinned, but that reader asked for 15ms within the tick: the
+	// horizon stays 15ms back, and the next such reader reads there too.
+	broadcast()
+	if lag := tcx.HorizonLag(); lag != uint64(15*ms) {
+		t.Fatalf("horizon lag %d after a 15ms-stale reader, want %d", lag, 15*ms)
+	}
+	if v, ok := snapRead(t, tcx, stale, "k"); !ok || v != "v1" {
+		t.Fatalf("15ms-stale read while such readers keep coming: %q %v, want v1", v, ok)
+	}
+	// Each tick with no bounded reader halves the lag, down to one tick
+	// (15, 7.5, 3.75, 1.875, then 1ms): the horizon closes in on the safe
+	// timestamp, and the same reader then reads one tick below it.
+	for range 5 {
+		broadcast()
+	}
 	opts := stale
 	opts.ReadOnly = true
 	x := tcx.Begin(context.Background(), opts)
 	if x.SnapshotTS() != 29*ms {
-		t.Fatalf("bounded snapshot TS %d with nothing pinned: want %d", x.SnapshotTS(), 29*ms)
+		t.Fatalf("bounded snapshot TS %d after a tick without readers: want %d", x.SnapshotTS(), 29*ms)
 	}
 	_ = x.Commit()
 	if v, ok := snapRead(t, tcx, stale, "k"); !ok || v != "v2" {
-		t.Fatalf("15ms-stale read with nothing pinned: %q %v, want v2", v, ok)
+		t.Fatalf("15ms-stale read after a tick without readers: %q %v, want v2", v, ok)
 	}
 	// Fresh sees the newest state.
 	if v, ok := snapRead(t, tcx, TxnOptions{}, "k"); !ok || v != "v2" {
@@ -258,6 +277,139 @@ func TestRestartFloorsTheHorizon(t *testing.T) {
 	defer x.Commit()
 	if x.SnapshotTS() < h {
 		t.Fatalf("bounded snapshot after restart at %d, below the predecessor's horizon %d", x.SnapshotTS(), h)
+	}
+}
+
+// stallingService passes a TC's calls on to a DC, except for its watermark
+// broadcasts while stalled: a TC whose ticks are late.
+type stallingService struct {
+	base.Service
+	stalled atomic.Bool
+}
+
+func (s *stallingService) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
+	if !s.stalled.Load() {
+		s.Service.EndOfStableLog(tc, epoch, eosl)
+	}
+}
+
+func (s *stallingService) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
+	if !s.stalled.Load() {
+		s.Service.LowWaterMark(tc, epoch, lwm)
+	}
+}
+
+func (s *stallingService) SafeTS(tc base.TCID, epoch base.Epoch, safe, horizon base.TS) {
+	if !s.stalled.Load() {
+		s.Service.SafeTS(tc, epoch, safe, horizon)
+	}
+}
+
+// readV0 reads key "k" through x and fails unless it sees "v0".
+func readV0(t *testing.T, x *Txn, when string) {
+	t.Helper()
+	if v, ok, err := x.Read("t", "k"); err != nil || !ok || string(v) != "v0" {
+		t.Fatalf("read %s: %q %v %v, want v0", when, v, ok, err)
+	}
+}
+
+// TestNewTCsReaderKeepsItsVersion: a TC that has just started holds the
+// DC's GC horizon down even while its watermark ticks stall. Its bounded
+// reader, begun before any tick, reads its version after a peer has moved
+// its own horizon past the reader and overwritten the key.
+func TestNewTCsReaderKeepsItsVersion(t *testing.T) {
+	fake := clock.NewFake(10*ms, 0)
+	peer, d := newPair(t, Config{Clock: fake})
+	commitVersioned(t, peer, "k", "v0")
+	fake.Set(30 * ms)
+	svc := &stallingService{Service: d}
+	late, err := New(Config{ID: 2, Clock: fake}, []base.Service{svc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	svc.stalled.Store(true)
+	reader := late.Begin(context.Background(), TxnOptions{ReadOnly: true,
+		Snapshot: SnapshotBounded, Staleness: 10 * time.Millisecond})
+	defer reader.Commit()
+
+	fake.Set(35 * ms)
+	commitVersioned(t, peer, "k", "v1")
+	fake.Set(45 * ms)
+	peer.inc.Load().broadcastWatermarks()
+	commitVersioned(t, peer, "k", "v2")
+	svc.stalled.Store(false) // the read waits for the late TC's safe timestamp
+	readV0(t, reader, "after the peer's overwrites")
+}
+
+// restartUnderReader holds a reader across a DC restart. The writer
+// commits k = v0; a second TC, over what svc makes of the DC, begins a
+// fresh reader at 20ms, and reads the key before through it when one is
+// given, which names that TC in the DC's fences; the writer commits k = v1.
+// Then the DC restarts, and the writer resends, broadcasts a horizon past
+// the reader and commits k = v2.
+func restartUnderReader(t *testing.T, svc func(*dc.DC) base.Service, before string) (reader *Txn) {
+	fake := clock.NewFake(10*ms, 0)
+	writer, d := newPair(t, Config{Clock: fake})
+	commitVersioned(t, writer, "k", "v0")
+	other, err := New(Config{ID: 2, Clock: fake}, []base.Service{svc(d)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Close)
+	fake.Set(20 * ms)
+	reader = other.Begin(context.Background(), TxnOptions{ReadOnly: true})
+	t.Cleanup(func() { _ = reader.Commit() })
+	if before != "" {
+		if _, _, err := reader.Read("t", before); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fake.Set(35 * ms)
+	commitVersioned(t, writer, "k", "v1")
+
+	d.Crash()
+	if err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.RecoverDC(0); err != nil {
+		t.Fatal(err)
+	}
+	fake.Set(45 * ms)
+	writer.inc.Load().broadcastWatermarks()
+	commitVersioned(t, writer, "k", "v2")
+	return reader
+}
+
+// TestReaderKeepsItsVersionAcrossDCRestart: a TC that owes a restarted DC
+// its resend holds the DC's GC horizon down. A reader that read there
+// before the crash reads its version after a peer has resent, moved its
+// horizon past the reader and overwritten the key.
+func TestReaderKeepsItsVersionAcrossDCRestart(t *testing.T) {
+	reader := restartUnderReader(t, func(d *dc.DC) base.Service { return d }, "j")
+	readV0(t, reader, "after the restart") // resends first
+}
+
+// TestUnheardReaderIsRefused: a TC that never sent a DC an operation is
+// not named in its fences, so owes a restarted incarnation nothing, and
+// while its ticks stall the DC has not heard of it: a peer's horizon moves
+// past its reader and the overwrite reclaims the reader's version. The read
+// is refused as transient, never answered from the pruned history, and a
+// fresh transaction reads.
+func TestUnheardReaderIsRefused(t *testing.T) {
+	stall := &stallingService{}
+	reader := restartUnderReader(t, func(d *dc.DC) base.Service {
+		stall.Service = d
+		stall.stalled.Store(true)
+		return stall
+	}, "")
+	stall.stalled.Store(false)
+	if v, ok, err := reader.Read("t", "k"); !errors.Is(err, base.CodeSnapshotTooOld.Err()) || !base.IsTransient(err) {
+		t.Fatalf("read below a horizon the DC took unheard: %q %v %v, want a transient refusal", v, ok, err)
+	}
+	// The clock stands at 45ms, just below v2's commit timestamp.
+	if v, ok := snapRead(t, reader.tc, TxnOptions{}, "k"); !ok || v != "v1" {
+		t.Fatalf("fresh read after the refusal: %q %v, want v1", v, ok)
 	}
 }
 

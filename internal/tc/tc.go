@@ -264,6 +264,7 @@ type incarnation struct {
 	// Guarded by tc.tsMu, beside the promises they bound.
 	commitOut   map[base.TS]struct{} // assigned, finalize not yet acked
 	activeSnaps map[base.TS]int      // registered snapshot read timestamps
+	staleness   base.TS              // largest bounded Staleness asked lately; each broadcast halves it
 }
 
 // incarnate builds the incarnation of epoch over one generation of the log:
@@ -347,6 +348,15 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	if log.LastLSN() == 0 {
 		// Never refused: nobody can crash a TC that New has not returned.
 		inc, _ := t.incarnate(log.Generation(), 1, 0, 0)
+		// A DC takes the minimum horizon of the TCs it has heard from, so
+		// every DC hears this TC's before any snapshot of it can begin:
+		// the clock's reading, which no peer's horizon (at least a tick
+		// below its safe timestamp) has passed, and which leaves the
+		// broadcast a tick to arrive before a peer's could. A DC that takes
+		// a peer's horizon past a snapshot before it hears this one refuses
+		// the snapshot's reads (base.CodeSnapshotTooOld).
+		t.maxHorizonSent, _ = t.clock.Now()
+		inc.broadcastWatermarks()
 		t.inc.Store(inc)
 	}
 	// Otherwise the reopened media holds a previous incarnation's log: a
@@ -523,12 +533,18 @@ func (inc *incarnation) assignCommitTS() base.TS {
 // horizon is the version-GC watermark: versions invisible at every
 // timestamp above it may be pruned. Versions exist only to serve readers
 // (§6.2.2), so it is held down by the oldest registered snapshot and
-// otherwise trails safe by one broadcast tick, and nothing more. The tick
-// is how far a peer TC's safe timestamp can trail this one: a bounded
-// snapshot handed the horizon reads where every peer has already
-// promised, and does not wait at the DC. beginSnapshot hands out no
-// timestamp below maxHorizonSent, so no snapshot this TC registers later
-// reads below a horizon it has sent.
+// otherwise trails safe by the largest Staleness bounded snapshots asked
+// for lately, and by at least one broadcast tick (how far a peer TC's safe
+// timestamp can trail this one). Bounded readers that keep coming thus read
+// exactly as far back as they ask, where every peer has already promised,
+// and do not wait at the DC; the DCs keep that much history for them and no
+// more. Each broadcast halves what it remembers, so after a lull in bounded
+// readers the horizon closes in over a few ticks: a jump to one tick behind
+// would send the next readers up against the peers' safe timestamps. It never retreats below maxHorizonSent,
+// which beginSnapshot raises every snapshot to, so no registered snapshot
+// holds it lower and no snapshot reads below a horizon this TC has sent;
+// New and Recover raise maxHorizonSent to the clock before their first
+// broadcast, which sends it.
 func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 	t := inc.tc
 	now, _ := t.clock.Now()
@@ -548,8 +564,14 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 		safe = t.maxSafeSent
 	}
 	t.maxSafeSent = safe
-	if tick := base.TS(watermarkInterval); safe > tick {
-		horizon = safe - tick
+	horizon = t.maxHorizonSent
+	lag := base.TS(watermarkInterval)
+	if inc.staleness > lag {
+		lag = inc.staleness
+	}
+	inc.staleness /= 2
+	if safe > horizon+lag {
+		horizon = safe - lag
 	}
 	for ts := range inc.activeSnaps {
 		if ts < horizon {

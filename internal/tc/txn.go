@@ -39,9 +39,11 @@ const (
 	SnapshotFresh SnapshotPolicy = iota
 	// SnapshotBounded reads at most TxnOptions.Staleness behind now: at
 	// now minus Staleness, or fresher where that is below the last GC
-	// horizon this TC sent (the DCs may have pruned what it would see). No
-	// uncertainty wait and usually no safe-timestamp wait either, trading
-	// freshness for latency.
+	// horizon this TC sent (the DCs may have pruned what it would see). The
+	// horizon trails by the Staleness bounded readers ask for, so while
+	// they keep coming they read exactly that far back. No uncertainty wait
+	// and usually no safe-timestamp wait either, trading freshness for
+	// latency.
 	SnapshotBounded
 	// SnapshotLocked is the pre-snapshot posture: a read-only transaction
 	// that still takes shared locks and reads current state through the
@@ -237,13 +239,18 @@ func (x *Txn) beginSnapshot() {
 	now, unc := t.clock.Now()
 	snap := now + base.TS(unc)
 	bounded := x.opts.Snapshot == SnapshotBounded
+	var back base.TS // how far back a bounded snapshot asks to read
 	if bounded {
+		back = base.TS(max(x.opts.Staleness, 0))
 		snap = 1
-		if back := base.TS(x.opts.Staleness); now > back {
+		if now > back {
 			snap = now - back
 		}
 	}
 	t.tsMu.Lock()
+	if back > x.inc.staleness {
+		x.inc.staleness = back
+	}
 	if !bounded && t.lastCommit > snap {
 		// Never read below this TC's own newest commit: guarantees fresh
 		// snapshots observe local commits even when the clock has not yet

@@ -87,7 +87,9 @@
 // unversioned tables degrade to latest-committed-state reads. DCs keep a
 // superseded version only while an open snapshot can read it, so a
 // SnapshotBounded view may read fresher than Staleness asks: never below
-// the version-GC horizon its TC last sent.
+// the version-GC horizon its TC last sent. A snapshot read a DC can no
+// longer answer whole (a peer's horizon passed it before the DC heard from
+// the reader's TC) fails with ErrUnavailable, and a retry reads.
 //
 // # Contexts and cancellation
 //
