@@ -610,6 +610,40 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 	}
 }
 
+// TestAbortShipsItsInversesInOneBatch: Abort logs the compensation records
+// of every write that crossed a barrier and ships each DC's inverses as one
+// batch, newest first.
+func TestAbortShipsItsInversesInOneBatch(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	for i := 0; i < 5; i++ {
+		if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stubs {
+		s.take()
+	}
+	if err := x.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[5w]" {
+		t.Fatalf("%d single sends, %d single reads and batches %v, want 0, 0 and [5w]", single, reads, batches)
+	}
+	stubs[1].quiet(t, "DC 1, abort")
+	if _, clrs := txnRecords(tcx, x.id); len(clrs) != 5 {
+		t.Fatalf("%d CLRs, want 5", len(clrs))
+	}
+	for i := 0; i < 5; i++ {
+		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%d", i)); ok {
+			t.Fatalf("aborted upsert left k%d=%q at the DC", i, v)
+		}
+	}
+}
+
 // TestTCCrashWithUnsentOps: a logged operation that never left the TC is
 // the state "crash between append and ship" inside a barrier. Restart
 // delivers it when its record is stable — and then inverts it unless a

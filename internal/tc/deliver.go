@@ -14,7 +14,7 @@ import (
 // its DC through deliver, the one implementation of the §4.2 contract:
 // unique request IDs, idempotence at the DC, resend until acknowledged.
 // It runs on the goroutine of whoever needs the acknowledgement: a
-// transaction at its barrier, Abort and restart for inverses and resends.
+// transaction at its barrier, Abort for its inverses, a resend for its redo.
 //
 // A write neither logs nor ships when it is called. The call takes the X
 // lock — which freezes the key — answers what its kind must answer (Insert,
@@ -102,9 +102,9 @@ import (
 //     abandoned mid-ship: it is past its append, so it waits for the DC like
 //     any logged operation.
 
-// maxBatch caps the operations of one PerformBatch message: how many writes a
-// transaction may queue (or finalize operations a commit may) before they
-// leave ahead of the next barrier.
+// maxBatch caps the operations of one PerformBatch message: deliver ships
+// longer lists in windows of it, and a transaction's queue of writes (or of
+// finalize operations) that reaches it leaves ahead of the next barrier.
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -115,10 +115,23 @@ const maxBatch = 64
 // component-unavailable failure.
 var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged: %w", base.ErrUnavailable)
 
-// deliver sends logged operations to one DC, as one message, and does not
-// return until each is acknowledged or can never be: the §4.2 resend
-// contract. It returns the first failure (nil when every operation was
+// deliver sends logged operations to one DC, in order, one message per window
+// of maxBatch, and does not return until each is acknowledged or can never
+// be: the §4.2 resend contract. It stops at the first window that fails and
+// returns that window's first failure (nil when every operation was
 // acknowledged OK).
+func (inc *incarnation) deliver(ctx context.Context, idx int, ops []*base.Op, bracket bool) error {
+	for len(ops) > 0 {
+		n := min(len(ops), maxBatch)
+		if err := inc.deliverWindow(ctx, idx, ops[:n], bracket); err != nil {
+			return err
+		}
+		ops = ops[n:]
+	}
+	return nil
+}
+
+// deliverWindow is deliver for one window, sent as one message.
 //
 // Every attempt is the live incarnation's: a delivery parked in the resend
 // loop across a TC crash must not reach the DC — its records vanished with
@@ -144,7 +157,7 @@ var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged
 // dying, the TC stopping and the DC stub being closed; ctx carries values to
 // the service and is never cancellable, because a logged operation abandoned
 // half-delivered could be overtaken by its own inverse.
-func (inc *incarnation) deliver(ctx context.Context, idx int, ops []*base.Op, bracket bool) error {
+func (inc *incarnation) deliverWindow(ctx context.Context, idx int, ops []*base.Op, bracket bool) error {
 	t := inc.tc
 	h := t.dcs[idx]
 	var one [1]*base.Result
@@ -271,12 +284,6 @@ func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, bracket
 		first = firstErr(first, err)
 	}
 	return first
-}
-
-// deliverOne is deliver for a single operation.
-func (inc *incarnation) deliverOne(ctx context.Context, idx int, op *base.Op, bracket bool) error {
-	one := [1]*base.Op{op}
-	return inc.deliver(ctx, idx, one[:], bracket)
 }
 
 // staleDC returns the DC incarnation the first CodeStaleDC among results

@@ -68,8 +68,8 @@ func TestNoAdmissionWhileDown(t *testing.T) {
 	}
 	tcx.Crash()
 	refused("between Crash and Recover")
-	// DC 1's BeginRestart: the epoch is minted and forced, DC 0 is reset, no
-	// redo has been sent yet.
+	// DC 1's BeginRestart: the epoch is minted and forced, the undo logged,
+	// DC 0's resend is done and DC 1's has sent nothing yet.
 	during := 0
 	stubs[1].setHook(func(call string) {
 		if call == "begin-restart" {

@@ -37,16 +37,17 @@ func (t *TC) Crash() {
 //  1. Analysis over the stable log: find the redo scan start point, the
 //     loser transactions, and committed transactions with versioned
 //     writes to re-finalize.
-//  2. Open a resend bracket at every DC, which discards effects of
-//     operations beyond the stable log (targeted page reset — only this
-//     TC's records are touched), and redo: resend every logged operation
-//     of that DC from the RSSP onward, in LSN order (repeating history at
-//     the logical level; DC idempotence filters what survived).
-//  3. Undo: send inverse operations for losers, in reverse chronological
-//     order, logged as compensation records.
-//  4. Re-issue commit-versions for winners.
-//  5. Close the brackets — a DC that restarted meanwhile is resent to
-//     again — broadcast the watermarks, and allow normal processing.
+//  2. Undo, logged only: each loser's inverse operations, in reverse
+//     chronological order, as compensation records, then its abort
+//     record; then the winners' commit-versions operations.
+//  3. One resend per DC, the one RecoverDC runs: open its bracket, which
+//     discards effects of operations beyond the stable log (targeted page
+//     reset — only this TC's records are touched), resend every logged
+//     operation of that DC from the RSSP onward in LSN order — repeating
+//     history at the logical level (DC idempotence filters what survived),
+//     step 2's records last — and close the bracket; a DC that restarted
+//     meanwhile is resent to again.
+//  4. Broadcast the watermarks, and allow normal processing.
 //
 // All of it runs on the next incarnation before anyone else can see it: the
 // incarnation is published last, whole, and only if no Crash ended its log
@@ -154,52 +155,36 @@ func (t *TC) Recover() error {
 		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 	}
 
-	// --- DC reset and redo (§5.3.2), one resend bracket per DC: the DC drops
-	// cached effects beyond the stable log and installs the new epoch as the
-	// fence, so the dead incarnation's requests still on the wire can never
-	// execute after this point, and resets its own LWM state with it; then
-	// this DC's records are resent in LSN order, repeating history at the
-	// logical level. ---
-	for idx := range t.dcs {
-		if _, err := inc.openBracket(idx, stableEnd); err != nil {
-			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
-		}
-	}
-
-	// --- undo losers with inverse operations (multi-level undo), inside the
-	// brackets. From here to the publish check a refused append or force is
-	// not looked at: only the end of the generation refuses, and that check
-	// reports it. ---
+	// --- undo losers with inverse operations (multi-level undo), then
+	// re-finalize winners' versioned writes (§6.2.2: before versions are
+	// guaranteed to be eventually removed) — logged, not sent: each DC's
+	// resend below delivers them after the history they follow. From here to
+	// the publish check a refused append or force is not looked at: only the
+	// end of the generation refuses, and that check reports it. ---
 	for txnID, l := range losers {
-		inc.undoChain(txnID, l.lastLSN, true)
+		inc.undoChain(txnID, l.lastLSN)
 		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
 	}
-
-	// --- re-finalize winners' versioned writes (§6.2.2: before versions
-	// are guaranteed to be eventually removed) ---
 	for _, w := range winnersVersioned {
 		for _, tk := range w.keys {
-			idx, err := t.dcIndex(tk.table, tk.key)
-			if err != nil {
+			if _, err := t.dcIndex(tk.table, tk.key); err != nil {
 				return fmt.Errorf("tc %d: re-finalize %s/%q: %w", t.cfg.ID, tk.table, tk.key, err)
 			}
 			op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions,
 				Table: tk.table, Key: tk.key, TS: w.ts}
-			if inc.logOp(op, &wal.Record{Kind: recOp, Payload: appendOpPayload(nil, op, nil, false)}) {
-				// Logged: should this delivery be cut short, a resend
-				// delivers it.
-				_ = inc.deliverOne(context.Background(), idx, op, true)
-			}
+			inc.logOp(op, &wal.Record{Kind: recOp, Payload: appendOpPayload(nil, op, nil, false)})
 		}
 	}
-	inc.log.Force()
 
-	// --- contract: restart complete, normal processing resumes — the DCs
-	// close the brackets, take this incarnation's marks from now on and
-	// discard the dead incarnation's leftovers.
+	// --- DC reset and redo (§5.3.2), one resend per DC: the DC drops cached
+	// effects beyond the stable log, fences the dead incarnation's requests
+	// still on the wire with the new epoch and resets its LWM state; its
+	// records are resent in LSN order; the bracket closes, discarding the
+	// dead incarnation's leftovers. The watermarks wait for the last DC: one
+	// whose bracket is not yet open would take the new incarnation's claims. ---
 	for idx := range t.dcs {
-		if err := inc.closeBracket(idx, stableEnd); err != nil {
-			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
+		if _, err := inc.resend(idx, stableEnd); err != nil {
+			return err
 		}
 	}
 	inc.broadcastWatermarks()
@@ -254,10 +239,14 @@ func (inc *incarnation) startResend(idx int) {
 }
 
 // runResend runs the resend to DC idx that claim handed its caller, as often
-// as it is asked for meanwhile, and then opens the gate.
+// as it is asked for meanwhile, broadcasting the watermarks the DC takes
+// again after each that was owed, and then opens the gate.
 func (inc *incarnation) runResend(idx int) error {
 	for {
-		err := inc.resend(idx)
+		owed, err := inc.resend(idx, inc.tc.log.EOSL())
+		if owed {
+			inc.broadcastWatermarks()
+		}
 		if !inc.tc.dcs[idx].release(err == nil) {
 			return err
 		}
@@ -265,24 +254,21 @@ func (inc *incarnation) runResend(idx int) error {
 }
 
 // resend is the one resend of this TC to one DC (§5.3.1: a TC resumes normal
-// work with a DC only once it has resent its redo stream to it): open the
-// bracket, resending the DC's records, close it, and broadcast the
-// watermarks the DC takes again from then on. A DC that owes nothing says so
-// when the bracket opens, and nothing is resent.
-func (inc *incarnation) resend(idx int) error {
-	t := inc.tc
-	stable := t.log.EOSL() // a DC that never heard of this incarnation undoes nothing below
-	owed, err := inc.openBracket(idx, stable)
+// work with a DC only once it has resent its redo stream to it), run by
+// Recover and RecoverDC: open the bracket (stable is the end of the stable
+// log a newer epoch's reset keeps: RecoverDC's DC never heard of an older
+// one), resending the DC's records, and close it.
+// A DC that owes nothing says so when the bracket opens, and nothing is
+// resent.
+func (inc *incarnation) resend(idx int, stable base.LSN) (owed bool, err error) {
+	owed, err = inc.openBracket(idx, stable)
 	if err == nil && owed {
 		err = inc.closeBracket(idx, stable)
 	}
 	if err != nil {
-		return fmt.Errorf("tc %d: resend to DC %d: %w", t.cfg.ID, idx, err)
+		return false, fmt.Errorf("tc %d: resend to DC %d: %w", inc.tc.cfg.ID, idx, err)
 	}
-	if owed {
-		inc.broadcastWatermarks()
-	}
-	return nil
+	return owed, nil
 }
 
 // errDCRestarted ends a delivery inside a resend bracket whose DC answers
@@ -291,14 +277,14 @@ func (inc *incarnation) resend(idx int) error {
 var errDCRestarted = errors.New("tc: DC restarted under the resend")
 
 // openBracket begins the resend bracket of this incarnation at DC idx
-// (BeginRestart; stable is the end of the stable log a newer epoch's reset
-// keeps) and resends that DC's records from the redo scan start point in LSN
-// order, one operation per call — the stream is ordered, and a failure
-// stops it at its LSN — stamped with this incarnation's epoch (a logged,
-// dead epoch would be refused by the DC fence) and with the DC incarnation
-// the first CodeStaleDC names. DC idempotence filters what survived. It
-// starts over whenever the DC restarts under it, and reports false, having
-// resent nothing, when the DC owes nothing (ErrNothingOwed).
+// (BeginRestart; see resend for stable) and resends that DC's records from
+// the redo scan start point in LSN order, in windows of maxBatch — the
+// stream is ordered, and a failure stops it at its window — stamped with
+// this incarnation's epoch (a logged, dead epoch would be refused by the DC
+// fence) and with the DC incarnation the first CodeStaleDC names. DC
+// idempotence filters what survived. It starts over, with a fresh scan,
+// whenever the DC restarts under it, and reports false, having resent
+// nothing, when the DC owes nothing (ErrNothingOwed).
 func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err error) {
 	t := inc.tc
 	for {
@@ -317,7 +303,7 @@ func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err er
 		// arrived may still sit in the unforced tail (a write is acknowledged
 		// at its barrier, before its transaction's commit record is forced).
 		// Force first so the resend covers every operation the DC might have
-		// lost from its cache.
+		// lost from its cache, and Recover's undo and re-finalize records.
 		inc.log.Force()
 		if err := inc.redo(idx); !errors.Is(err, errDCRestarted) {
 			return true, err
@@ -325,10 +311,11 @@ func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err er
 	}
 }
 
-// redo resends DC idx's records from the redo scan start point (see
-// openBracket).
+// redo resends DC idx's records from the redo scan start point, in one
+// delivery (see openBracket).
 func (inc *incarnation) redo(idx int) error {
 	t := inc.tc
+	var ops []*base.Op
 	for _, rec := range t.log.Scan(t.RSSP()) {
 		if rec.Kind != recOp && rec.Kind != recCLR {
 			continue
@@ -348,11 +335,12 @@ func (inc *incarnation) redo(idx int) error {
 			continue
 		}
 		op.LSN, op.Epoch = rec.LSN, inc.epoch
-		if err := inc.deliverOne(context.Background(), idx, op, true); err != nil {
-			return fmt.Errorf("redo @%d: %w", rec.LSN, err)
-		}
-		t.redoOps.Add(1)
+		ops = append(ops, op)
 	}
+	if err := inc.deliver(context.Background(), idx, ops, true); err != nil {
+		return fmt.Errorf("redo: %w", err)
+	}
+	t.redoOps.Add(uint64(len(ops)))
 	return nil
 }
 

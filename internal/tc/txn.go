@@ -841,12 +841,13 @@ func (x *Txn) finalizeOp(tk tableKey) error {
 	// it on the record as it removes the before version, making the write
 	// visible to snapshot reads at or above it. The payload keeps the TS
 	// (only LSN and epoch are zeroed), so restart redo re-finalizes at the
-	// same timestamp.
+	// same timestamp. Like restart's re-finalize it names no transaction:
+	// analysis takes a record of one after its commit record for a loser's.
 	x.queue = append(x.queue, queued{dc: idx, op: base.Op{TC: t.cfg.ID,
 		Kind: base.OpCommitVersions, Table: tk.table, Key: tk.key, TS: x.commitTS}})
 	op := &x.queue[len(x.queue)-1].op
 	x.enc = appendOpPayload(x.enc[:0], op, nil, false)
-	if !x.inc.logOp(op, &wal.Record{Kind: recOp, Txn: x.id, Prev: 0, Payload: x.enc}) {
+	if !x.inc.logOp(op, &wal.Record{Kind: recOp, Payload: x.enc}) {
 		x.queue = x.queue[:len(x.queue)-1] // never logged, so never shipped
 		return ErrTCStopped
 	}
@@ -878,39 +879,43 @@ func (x *Txn) Abort() error {
 
 // rollback walks the undo chain in reverse chronological order, sending
 // inverse logical operations (logged as compensation records so restart
-// never undoes twice), then releases the locks. Writes still queued were
-// never logged or shipped: they are dropped, with nothing to invert. Every
-// logged write was acknowledged at the barrier that logged it, so an inverse
-// can never overtake the forward operation it undoes and every CLR finds the
-// effect it compensates.
+// never undoes twice), one delivery per DC, then releases the locks. Writes
+// still queued were never logged or shipped: they are dropped, with nothing
+// to invert. Every logged write was acknowledged at the barrier that logged
+// it, so an inverse can never overtake the forward operation it undoes and
+// every CLR finds the effect it compensates.
 func (x *Txn) rollback() {
 	x.queue = nil
 	if x.lastLSN != 0 && !x.orphaned() { // an orphan's undo is restart's; see die
-		x.inc.undoChain(x.id, x.lastLSN, false)
+		for idx, invs := range x.inc.undoChain(x.id, x.lastLSN) {
+			_ = x.inc.deliver(context.Background(), idx, invs, false) // logged: restart redoes what is cut short
+		}
 		x.inc.logLocal(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 	}
 	x.finish()
 	x.tc.aborts.Add(1)
 }
 
-// undoChain applies inverse operations for the chain starting at lastLSN.
+// undoChain logs the inverse operations for the chain starting at lastLSN as
+// compensation records and returns them by DC, each DC's in log order.
 // Compensation records jump via NextUndo so an undo interrupted by a crash
-// never repeats completed work. Shared by Abort and restart undo, whose
-// inverses are delivered inside its resend brackets (bracket).
-func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN, bracket bool) {
+// never repeats completed work. Shared by Abort, which delivers them, and
+// restart undo, whose resends deliver them with the rest of the log.
+func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) [][]*base.Op {
 	t := inc.tc
+	byDC := make([][]*base.Op, len(t.dcs))
 	var enc []byte // every CLR's payload: the log keeps its own copy
 	cur := lastLSN
 	for cur != 0 {
 		rec := t.log.Get(cur)
 		if rec == nil {
-			return // truncated below the chain: nothing older to undo
+			return byDC // truncated below the chain: nothing older to undo
 		}
 		switch rec.Kind {
 		case recOp:
 			op, prior, priorFound, err := decodeOpPayload(rec.Payload)
 			if err != nil {
-				return
+				return byDC
 			}
 			if inv := inverseOp(op, prior, priorFound); inv != nil {
 				// The forward op routed when it was logged; a failure here
@@ -918,16 +923,14 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN, bracket bool
 				// nothing can undo against — stop like a truncated chain.
 				idx, err := t.dcIndex(inv.Table, inv.Key)
 				if err != nil {
-					return
+					return byDC
 				}
 				enc = appendOpPayload(enc[:0], inv, nil, false)
 				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur, NextUndo: rec.Prev, Payload: enc}
 				if !inc.logOp(inv, clr) {
-					return // the incarnation died: the rest is its successor's
+					return byDC // the incarnation died: the rest is its successor's
 				}
-				// The CLR is logged: if delivery is cut short (TC stopping, the
-				// DC restarting under a bracket), a resend delivers it.
-				_ = inc.deliverOne(context.Background(), idx, inv, bracket)
+				byDC[idx] = append(byDC[idx], inv)
 				t.undoOps.Add(1)
 			}
 			cur = rec.Prev
@@ -937,6 +940,7 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN, bracket bool
 			cur = rec.Prev
 		}
 	}
+	return byDC
 }
 
 // inverseOp builds the logical inverse (§4.1.1(2b)). Versioned writes
