@@ -100,7 +100,7 @@ type soakConfig struct {
 
 // dcProc is one supervised unbundled-dc process. Restarting after a kill
 // reuses the same listen and data directory, so the new incarnation is the
-// same DC as far as the TCs' redial supervision is concerned.
+// same DC as far as the TCs' redials are concerned.
 type dcProc struct {
 	idx        int
 	dir        string
@@ -296,9 +296,10 @@ func run(cfg soakConfig) error {
 	}()
 
 	// --- worker-queue watchdog --------------------------------------------
-	// The DC server runtime promises bounded queueing: depth can never
-	// exceed workers x queue-depth, whatever the load does, because the
-	// excess is refused as typed overloads instead. Sample every DC's
+	// The DC server runtime promises bounded load: the requests in flight
+	// (worker_queue_depth) can never exceed the cap (worker_queue_cap),
+	// whatever the load does, because the excess is refused as typed
+	// overloads instead. Sample every DC's
 	// /stats wire group throughout the soak and fail the moment the
 	// promise breaks.
 	queueErrCh := make(chan error, 1)

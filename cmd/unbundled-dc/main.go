@@ -36,8 +36,7 @@ func main() {
 	name := flag.String("name", "dc0", "DC name for diagnostics")
 	pageBytes := flag.Int("page-bytes", 4096, "page split threshold")
 	cache := flag.Int("cache", 0, "buffer-pool capacity in pages (0: unbounded)")
-	workers := flag.Int("workers", 0, "request worker pool size (0: 2x GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 0, "per-worker queue capacity before requests are refused as overloaded (0: default 256)")
+	maxInFlight := flag.Int("max-inflight", 0, "requests in flight before further ones are refused as overloaded (0: 2x GOMAXPROCS x 256)")
 	flag.Parse()
 
 	d, err := dc.New(dc.Config{
@@ -60,10 +59,7 @@ func main() {
 		}
 	}
 
-	l, err := wire.ListenWith(*listen, d, wire.ListenConfig{
-		Workers:    *workers,
-		QueueDepth: *queueDepth,
-	})
+	l, err := wire.ListenWith(*listen, d, wire.ListenConfig{MaxInFlight: *maxInFlight})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unbundled-dc:", err)
 		os.Exit(1)

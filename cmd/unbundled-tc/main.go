@@ -16,9 +16,8 @@
 // keys each — keys prefixed "w<tc-id>-", so fleet members generate
 // disjoint key populations — then reads every committed key back and
 // verifies its value. The workload rides out DC outages without
-// intervention: the wire client resends, the redial supervisor
-// reconnects, and the TC resends its redo stream to a restarted DC, which
-// refuses new work until it has.
+// intervention: the wire client resends and redials, and the TC resends
+// its redo stream to a restarted DC, which refuses new work until it has.
 //
 //	unbundled-tc -dcs 127.0.0.1:7070 -txns 500 -ops 4 -verify
 //

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The batch codecs are what a DC's connection reader and a TC's reply pump
+// The batch codecs are what a DC's connection reader and a TC's waiting call
 // hand bytes from the network to. Both targets pin the same property: any
 // input either fails to decode, or decodes to a batch whose encoding decodes
 // to itself (compared as bytes, which is blind to nil-versus-empty slices).

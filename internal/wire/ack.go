@@ -12,11 +12,11 @@ import (
 // The batcher works like group commit works in wal.Log.ForceTo: the first
 // reply to arrive flushes immediately (idle connections never pay added
 // latency), and replies that arrive while that flush is on the wire pile
-// up and leave together in a single msgReplyBatch frame. Under load the
-// batch size self-tunes to the flush cost — one syscall (TCP) or one
-// fabric delivery (sim) acknowledges many transactions, and the TC-side
-// committers those acks release then group-force the commit log in one
-// fsync window. No timers are involved, so coalescing never trades
+// up and leave together in a single msgReplyBatch frame. Replies pile up
+// only where one connection carries many calls: the simulated fabric's
+// endpoint, where one fabric delivery then acknowledges many transactions.
+// A TCP connection carries one call at a time, so there every flush is one
+// plain msgReply. No timers are involved, so coalescing never trades
 // latency for throughput.
 
 // ackBatcher coalesces a connection's replies into batched ack frames.

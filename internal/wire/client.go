@@ -14,14 +14,15 @@ import (
 // Client is the TC-side stub implementing base.Service over a transport.
 // There is exactly one implementation of the resend/encode protocol — this
 // type — shared by both transports: the simulated fabric (Network.Connect)
-// and real TCP (Dial). A transport supplies only message delivery: a
-// best-effort send toward the server, a pump that feeds replies into
-// dispatch, and a teardown hook. Everything protocol-shaped — request
-// correlation, the §4.2 resend loop with backoff, unavailable-retry
-// pauses, operation/batch encoding, and typed-error rehydration — lives
-// here and cannot fork between deployments.
+// and real TCP (Dial). A transport supplies only one attempt: the simulated
+// fabric a best-effort send toward the server and a pump that feeds replies
+// into dispatch, TCP a round trip on a connection the attempt holds alone
+// (tcpLink.roundTrip). Everything protocol-shaped — the §4.2 resend loop
+// with backoff, unavailable-retry pauses, watermark carrying,
+// operation/batch encoding, and typed-error rehydration — lives here and
+// cannot fork between deployments.
 type Client struct {
-	sendFn      func(*message)       // best-effort delivery toward the server
+	sendFn      func(*message)       // simulated fabric: best-effort delivery toward the server
 	resendAfter func() time.Duration // reply wait before resending
 	onResend    func()               // transport resend accounting (may be nil)
 	teardown    func()               // transport teardown; runs once, from Close
@@ -29,6 +30,8 @@ type Client struct {
 	closeCh   chan struct{}
 	closeOnce sync.Once
 
+	// waiters matches the simulated fabric's replies to their attempts by
+	// correlation id.
 	mu      sync.Mutex
 	waiters map[uint64]chan *message
 	nextID  atomic.Uint64
@@ -49,7 +52,7 @@ type Client struct {
 	wmFrames, wmCarried atomic.Uint64
 
 	simIn *endpoint // simulated transport only: SetDown support
-	link  *tcpLink  // dialed transport only: reconnect supervision
+	link  *tcpLink  // dialed transport only
 }
 
 func newClient(send func(*message), resendAfter func() time.Duration) *Client {
@@ -104,14 +107,14 @@ func (c *Client) Calls() uint64 { return c.calls.Load() }
 func (c *Client) Resends() uint64 { return c.resends.Load() }
 
 // Overloads returns how many replies refused a request because the
-// server's worker queues were full (base.ErrOverloaded). Each one was
-// retried after a pause — the counter makes backpressure visible without
-// breaking the delivery contract.
+// server had as many requests in flight as its cap allows
+// (base.ErrOverloaded). Each one was retried after a pause — the counter
+// makes backpressure visible without breaking the delivery contract.
 func (c *Client) Overloads() uint64 { return c.overloads.Load() }
 
 // dispatch hands one server reply to the waiter registered under its
-// correlation id. Transport pumps call it; duplicate or late replies for
-// answered (or abandoned) attempts are dropped here. A coalesced
+// correlation id. The simulated fabric's pump calls it; duplicate or late
+// replies for answered (or abandoned) attempts are dropped here. A coalesced
 // msgReplyBatch fans out into its member replies — losing or duplicating
 // the whole batch on the way here is no different from losing or
 // duplicating each member.
@@ -141,16 +144,14 @@ func (c *Client) dispatch(m *message) {
 }
 
 // call sends one request and resends it — a fresh correlation id per
-// attempt, one timer for the call — until a reply arrives, the client is
-// closed, or ctx is done (the returned error is then the ErrCancelled-wrapped
-// ctx error). Cancellation abandons only the wait: attempts already delivered
-// may still execute at the DC. Every attempt takes along the watermarks
-// waiting for (tc, epoch), and a resend keeps what the attempts before it
-// took, so a lost frame cannot strand them.
+// attempt — until a reply arrives, the client is closed, or ctx is done (the
+// returned error is then the ErrCancelled-wrapped ctx error). Cancellation
+// abandons only the wait: attempts already delivered may still execute at
+// the DC. Every attempt takes along the watermarks waiting for (tc, epoch),
+// and a resend keeps what the attempts before it took, so a lost frame
+// cannot strand them.
 func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch base.Epoch, lsn base.LSN, body []byte) (*message, error) {
 	resend := c.resendAfter()
-	timer := time.NewTimer(resend)
-	defer timer.Stop()
 	req := message{kind: kind, tc: tc, epoch: epoch, lsn: lsn, body: body}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -158,24 +159,28 @@ func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch bas
 			if attempt > 4 && resend < time.Second {
 				resend *= 2
 			}
-			timer.Reset(resend)
 			c.resends.Add(1)
 			if c.onResend != nil {
 				c.onResend()
 			}
 		}
 		c.carry(&req)
-		if reply, err := c.attempt(ctx, req, timer); reply != nil || err != nil {
+		if reply, err := c.attempt(ctx, req, resend); reply != nil || err != nil {
 			return reply, err
 		}
 	}
 }
 
-// attempt sends req once under a fresh correlation id and waits for its
-// reply, the timer (nil, nil: resend), cancellation or Close. The waiter is
-// registered only for the wait, however it ends.
-func (c *Client) attempt(ctx context.Context, req message, timer *time.Timer) (*message, error) {
+// attempt sends its own copy of req once under a fresh correlation id and
+// waits up to wait for the reply (nil, nil: resend), cancellation or Close.
+// Over the simulated fabric the waiter is registered only for the wait,
+// however it ends.
+func (c *Client) attempt(ctx context.Context, req message, wait time.Duration) (*message, error) {
 	req.id = c.nextID.Add(1)
+	c.calls.Add(1)
+	if c.link != nil {
+		return c.link.roundTrip(ctx, &req, wait)
+	}
 	ch := make(chan *message, 1)
 	c.mu.Lock()
 	c.waiters[req.id] = ch
@@ -186,7 +191,8 @@ func (c *Client) attempt(ctx context.Context, req message, timer *time.Timer) (*
 		c.mu.Unlock()
 	}()
 	c.sendFn(&req)
-	c.calls.Add(1)
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case reply := <-ch:
 		return reply, nil
@@ -195,7 +201,7 @@ func (c *Client) attempt(ctx context.Context, req message, timer *time.Timer) (*
 	case <-ctx.Done():
 		return nil, base.CancelErr(ctx)
 	case <-c.closeCh:
-		return &message{kind: msgReply, err: closedErrText}, nil
+		return closedReply(), nil
 	}
 }
 
@@ -245,6 +251,9 @@ func (c *Client) hold(tc base.TCID, epoch base.Epoch, mark uint8, v base.LSN) {
 // closedErrText names the taxonomy sentinel so controlErr rehydrates a
 // closed-stub failure as base.ErrUnavailable.
 var closedErrText = "wire: client closed: " + base.ErrUnavailable.Error()
+
+// closedReply is what a call blocked at Close returns.
+func closedReply() *message { return &message{kind: msgReply, err: closedErrText} }
 
 // isOverloadReply reports whether a reply error is a server admission
 // refusal (the overloadedErrText the listener sends, matched the same way
@@ -405,6 +414,10 @@ func (c *Client) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon ba
 	}
 	c.wmMu.Unlock()
 	c.wmFrames.Add(1)
+	if c.link != nil {
+		c.link.post(m)
+		return
+	}
 	c.sendFn(m)
 }
 

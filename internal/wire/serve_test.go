@@ -1,86 +1,74 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/stats"
 )
 
-// --- worker pool unit tests --------------------------------------------
+// --- admission control ----------------------------------------------
 
-func TestWorkerPoolOverloadRefusal(t *testing.T) {
-	p := newWorkerPool(2, 1)
-	gate := make(chan struct{})
-	started := make(chan struct{}, 2)
-	// Occupy both workers; least-busy placement lands one job on each.
-	for i := 0; i < 2; i++ {
-		if !p.dispatch(func() { started <- struct{}{}; <-gate }) {
-			t.Fatal("dispatch refused with empty queues")
-		}
+// TestAdmissionCapCountsInFlight: with MaxInFlight N and a service that
+// blocks, exactly N requests are admitted, the next is refused typed before
+// it touches the service, and worker_queue_depth reads N against a
+// worker_queue_cap of N — both count admitted, unfinished requests, so the
+// soak's depth <= cap watchdog compares like with like.
+func TestAdmissionCapCountsInFlight(t *testing.T) {
+	const n = 3
+	svc := newStuckService()
+	core := newServeCore(svc, ListenConfig{MaxInFlight: n}, false)
+	replies := make(chan *message, n+1)
+	acks := core.newAcks(func(m *message) { replies <- m })
+	reg := stats.NewRegistry()
+	core.registerStats(reg.Group("wire"))
+	gauge := func(name string) uint64 { return reg.Snapshot()["wire"][name] }
+	serve := func(i int) {
+		op := &base.Op{TC: 1, Epoch: 1, LSN: base.LSN(i), Kind: base.OpUpsert, Table: "t", Key: fmt.Sprintf("k%d", i)}
+		core.serve(&message{kind: msgPerform, id: uint64(i), tc: 1, epoch: 1, body: base.AppendOp(nil, op)}, acks)
 	}
-	<-started
-	<-started
-	// Fill both queues behind the running jobs.
-	for i := 0; i < 2; i++ {
-		if !p.dispatch(func() {}) {
-			t.Fatalf("dispatch %d refused with queue room", i)
-		}
-	}
-	if got := p.queued(); got != 4 {
-		t.Fatalf("queued = %d, want 4 (2 running + 2 queued)", got)
-	}
-	// Every queue full: the next dispatch must refuse, not block.
-	if p.dispatch(func() { t.Error("refused job ran") }) {
-		t.Fatal("dispatch admitted a job with every queue full")
-	}
-	if got := p.overloads.Load(); got != 1 {
-		t.Fatalf("overloads = %d, want 1", got)
-	}
-	close(gate)
-	p.close()
-	if got := p.dispatched.Load(); got != 4 {
-		t.Fatalf("dispatched = %d, want 4", got)
-	}
-	if got := p.queued(); got != 0 {
-		t.Fatalf("queued after close = %d, want 0", got)
-	}
-}
 
-func TestWorkerPoolLeastBusyPlacement(t *testing.T) {
-	p := newWorkerPool(2, 4)
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	// First dispatch (loads 0,0) lands on worker 0 and pins it.
-	p.dispatch(func() { close(started); <-gate })
-	<-started
-	blocked, free := p.workers[0], p.workers[1]
-	// Every further job must route around the pinned shard.
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		// Wait for the previous job's load decrement so the free worker
-		// reads 0 and the placement is deterministic (1 vs 0).
-		for free.load.Load() != 0 {
-			runtime.Gosched()
+	// The first request is running at the service before the others come.
+	serve(1)
+	svc.awaitEntered(t, 1)
+	for i := 2; i <= n+1; i++ {
+		serve(i)
+	}
+	select {
+	case r := <-replies:
+		if r.id != n+1 || !errors.Is(base.RehydrateWireError(r.err), base.ErrOverloaded) {
+			t.Fatalf("first reply = id %d err %q, want request %d refused with ErrOverloaded", r.id, r.err, n+1)
 		}
-		p.dispatch(func() { done <- struct{}{} })
-		<-done
+	case <-time.After(5 * time.Second):
+		t.Fatalf("request %d was admitted past a cap of %d", n+1, n)
 	}
-	if got := blocked.done.Load(); got != 0 {
-		t.Fatalf("pinned worker executed %d jobs before release", got)
+	if got := gauge("dispatched"); got != n {
+		t.Fatalf("admitted %d, want %d", got, n)
 	}
-	close(gate)
-	p.close()
-	if got := free.done.Load(); got != 3 {
-		t.Fatalf("free worker executed %d jobs, want 3", got)
+	if depth, limit := gauge("worker_queue_depth"), gauge("worker_queue_cap"); depth != n || limit != n {
+		t.Fatalf("worker_queue_depth %d, worker_queue_cap %d, want %d and %d", depth, limit, n, n)
+	}
+	close(svc.gate)
+	for i := 0; i < n; i++ {
+		if r := <-replies; r.err != "" {
+			t.Fatalf("admitted request %d failed: %q", r.id, r.err)
+		}
+	}
+	core.drain()
+	if got := gauge("worker_queue_depth"); got != 0 {
+		t.Fatalf("worker_queue_depth %d after the drain, want 0", got)
+	}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if len(svc.applied) != n {
+		t.Fatalf("service ran %d requests, want %d", len(svc.applied), n)
 	}
 }
 
@@ -195,8 +183,8 @@ func TestAckBatchDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// FuzzAckBatch pins the msgReplyBatch body codec, the bytes a TC's reply pump
-// takes from the network: any input either fails to decode or decodes to
+// FuzzAckBatch pins the msgReplyBatch body codec, the bytes the simulated
+// fabric's reply pump takes from its endpoint: any input either fails to decode or decodes to
 // replies whose encoding decodes to the same replies. Run with
 // go test -fuzz=FuzzAckBatch ./internal/wire.
 func FuzzAckBatch(f *testing.F) {
@@ -241,7 +229,7 @@ func appendUvarintForTest(buf []byte, v uint64) []byte {
 
 // --- server runtime over TCP -------------------------------------------
 
-// slowService delays every Perform, so a tiny pool backs up on demand.
+// slowService delays every Perform, so a tiny in-flight cap fills on demand.
 type slowService struct {
 	*echoService
 	delay time.Duration
@@ -258,14 +246,14 @@ func (s *slowService) Perform(ctx context.Context, op *base.Op) *base.Result {
 	return s.echoService.Perform(ctx, op)
 }
 
-// TestTCPBackpressureOverloadIsAbsorbed saturates a deliberately tiny pool
-// (one worker, queue depth one) with concurrent calls. The server must
+// TestTCPBackpressureOverloadIsAbsorbed saturates a deliberately tiny
+// in-flight cap (one request) with concurrent calls. The server must
 // refuse the excess typed — never queue unboundedly — and the client's
 // pause-and-retry loop must absorb every refusal invisibly: all calls
 // still complete OK, with the refusals visible only in the counters.
 func TestTCPBackpressureOverloadIsAbsorbed(t *testing.T) {
 	svc := &slowService{echoService: newEchoService(), delay: 2 * time.Millisecond}
-	l, err := ListenWith("127.0.0.1:0", svc, ListenConfig{Workers: 1, QueueDepth: 1})
+	l, err := ListenWith("127.0.0.1:0", svc, ListenConfig{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +287,10 @@ func TestTCPBackpressureOverloadIsAbsorbed(t *testing.T) {
 	}
 
 	if cl.Overloads() == 0 {
-		t.Fatal("no overload refusals despite 32 concurrent calls on a 1x1 pool")
+		t.Fatal("no overload refusals despite 32 concurrent calls on a cap of 1")
 	}
-	if l.core.pool.overloads.Load() == 0 {
-		t.Fatal("listener pool recorded no overloads")
+	if l.core.refused.Load() == 0 {
+		t.Fatal("listener recorded no overloads")
 	}
 	svc.mu.Lock()
 	applied := len(svc.applied)
@@ -312,14 +300,15 @@ func TestTCPBackpressureOverloadIsAbsorbed(t *testing.T) {
 	}
 }
 
-// TestTCPCloseFinishesQueuedWork pins the lone worker on a gate, queues
-// work behind it, and closes the listener. Admission is a promise: Close
-// must wait for every admitted request to execute at the service, even
-// though the connections (and therefore the replies) are already gone.
+// TestTCPCloseFinishesQueuedWork holds five admitted requests on a gate,
+// each on its own connection's reader, and closes the listener. Admission
+// is a promise: Close must wait for every admitted request to execute at
+// the service, even though the connections (and therefore the replies) are
+// already gone.
 func TestTCPCloseFinishesQueuedWork(t *testing.T) {
 	gate := make(chan struct{})
 	svc := &slowService{echoService: newEchoService(), gate: gate}
-	l, err := ListenWith("127.0.0.1:0", svc, ListenConfig{Workers: 1, QueueDepth: 8})
+	l, err := ListenWith("127.0.0.1:0", svc, ListenConfig{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,12 +331,11 @@ func TestTCPCloseFinishesQueuedWork(t *testing.T) {
 				Kind: base.OpUpsert, Table: "t", Key: fmt.Sprintf("k%d", i)})
 		}(i)
 	}
-	// Wait until all five are admitted: one running (blocked on the gate),
-	// four queued.
+	// Wait until all five are admitted, each blocked on the gate.
 	deadline := time.Now().Add(10 * time.Second)
-	for l.core.pool.queued() != calls {
+	for l.core.inFlight.Load() != calls {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool load = %d, want %d", l.core.pool.queued(), calls)
+			t.Fatalf("in flight = %d, want %d", l.core.inFlight.Load(), calls)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -370,94 +358,9 @@ func TestTCPCloseFinishesQueuedWork(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTCPReplyBatchFrameDelivery proves the coalesced-reply wire format
-// end to end over real TCP: a msgReplyBatch frame written on the server
-// side of a live connection fans out through the client's reply pump into
-// the waiters of three in-flight calls. Whether replies actually collide
-// at the batcher is timing-dependent (with GOMAXPROCS=1 pool workers
-// never overlap, so fast flushes never collide at all) — the collision
-// mechanics are pinned deterministically by
-// TestAckBatcherCoalescesDuringFlush; this test pins the framing: the
-// batch a collision produces is what a real dialed client decodes.
-func TestTCPReplyBatchFrameDelivery(t *testing.T) {
-	gate := make(chan struct{})
-	svc := &slowService{echoService: newEchoService(), gate: gate}
-	l, err := Listen("127.0.0.1:0", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := Dial(l.Addr(), DialConfig{ResendAfter: time.Hour}) // no resends: correlation ids stay 1..3
-	t.Cleanup(func() {
-		cl.Close()
-		l.Close()
-	})
-	var gateOnce sync.Once
-	release := func() { gateOnce.Do(func() { close(gate) }) }
-	t.Cleanup(release) // runs before l.Close, which waits for the gated workers
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := cl.WaitConnected(wctx); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	const calls = 3
-	results := make(chan *base.Result, calls)
-	for i := 0; i < calls; i++ {
-		go func(i int) {
-			results <- cl.Perform(ctx, &base.Op{TC: 1, Epoch: 1, LSN: base.LSN(i + 1),
-				Kind: base.OpRead, Table: "t", Key: "k"})
-		}(i)
-	}
-	// Each call registers its waiter before sending, so once three sends
-	// are counted all three waiters exist — and the gated service holds
-	// every request, so none has been answered.
-	deadline := time.Now().Add(10 * time.Second)
-	for cl.Calls() < calls {
-		if time.Now().After(deadline) {
-			t.Fatalf("sent %d calls, want %d", cl.Calls(), calls)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Write one coalesced batch at the outstanding ids from the server side
-	// of the live connection, exactly as a flush collision would. The
-	// reader's own srvConn is idle — the service is gated — so the frame
-	// never interleaves with a real reply.
-	l.mu.Lock()
-	var conn net.Conn
-	for c := range l.conns {
-		conn = c
-	}
-	l.mu.Unlock()
-	if conn == nil {
-		t.Fatal("no accepted connection")
-	}
-	sc := &srvConn{conn: conn, bw: bufio.NewWriter(conn)}
-	batch := make([]*message, calls)
-	for i := range batch {
-		batch[i] = &message{kind: msgReply, id: uint64(i + 1),
-			body: base.AppendResult(getReplyBuf(), &base.Result{LSN: base.LSN(i + 1),
-				Code: base.CodeOK, Found: true, Value: []byte("batched")})}
-	}
-	sc.write(&message{kind: msgReplyBatch, body: encodeAckBatch(getReplyBuf(), batch)})
-
-	for i := 0; i < calls; i++ {
-		select {
-		case res := <-results:
-			if res.Code != base.CodeOK || string(res.Value) != "batched" {
-				t.Fatalf("batched reply: %+v", res)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("call not completed by the batch frame")
-		}
-	}
-	release() // the gated requests finish; their late replies are dropped as duplicates
-}
-
 // --- server runtime over the simulated fabric --------------------------
 
-// heldService blocks Perform while held, pinning pool workers on demand.
+// heldService blocks Perform while held, filling the in-flight cap on demand.
 type heldService struct {
 	*echoService
 	hmu  sync.Mutex
@@ -499,8 +402,8 @@ func (s *heldService) performed() (invocations, distinct int) {
 }
 
 // TestSimOverloadOnMisbehavingNetwork drives loss, duplication and
-// reordering through the worker pool and its admission control — the
-// runtime a deployed DC runs. On a 1x1 pool with the worker held, refusals
+// reordering through admission control — the runtime a deployed DC runs.
+// On a cap of two with the service held, refusals
 // must reach the client typed and be absorbed by its retry loop (every
 // call completes, each LSN applied), and Close must not return before
 // every admitted job has run at the service.
@@ -508,7 +411,7 @@ func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
 	n := NewNetwork(Config{Jitter: 200 * time.Microsecond, LossProb: 0.1, DupProb: 0.1,
 		ResendAfter: 2 * time.Millisecond, Seed: 7})
 	svc := &heldService{echoService: newEchoService()}
-	cl, srv := n.connect(svc, ListenConfig{Workers: 1, QueueDepth: 1})
+	cl, srv := n.connect(svc, ListenConfig{MaxInFlight: 2})
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -535,7 +438,7 @@ func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
 		}
 	}
 
-	// Overload: one request runs (held), one queues, the rest are refused.
+	// Overload: two requests are admitted (held), the rest are refused.
 	const calls = 16
 	svc.hold()
 	for i := 1; i <= calls; i++ {
@@ -547,18 +450,18 @@ func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
 	if _, distinct := svc.performed(); distinct != calls {
 		t.Fatalf("service applied %d distinct LSNs, want %d", distinct, calls)
 	}
-	if srv.core.pool.overloads.Load() == 0 {
-		t.Fatal("server pool recorded no overloads")
+	if srv.core.refused.Load() == 0 {
+		t.Fatal("server recorded no overloads")
 	}
 	if st := n.Stats(); st.Dropped == 0 || st.Duplicated == 0 {
 		t.Fatalf("network never misbehaved: %+v", st)
 	}
 
-	// Drain: fill the held pool again, then close under it.
+	// Drain: fill the cap again, then close under it.
 	svc.hold()
 	perform(calls + 1)
 	perform(calls + 2)
-	waitFor("the pool to fill", func() bool { return srv.core.pool.queued() == 2 })
+	waitFor("the cap to fill", func() bool { return srv.core.inFlight.Load() == 2 })
 	var released atomic.Bool
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -570,8 +473,8 @@ func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
 		t.Fatal("Close returned while admitted jobs were still held")
 	}
 	invocations, _ := svc.performed()
-	if admitted := srv.core.pool.dispatched.Load(); uint64(invocations) != admitted {
-		t.Fatalf("service ran %d requests, pool admitted %d (queued work dropped on Close)", invocations, admitted)
+	if admitted := srv.core.admitted.Load(); uint64(invocations) != admitted {
+		t.Fatalf("service ran %d requests, server admitted %d (admitted work dropped on Close)", invocations, admitted)
 	}
 	cancel() // the last two calls' replies died with the server
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,19 +17,25 @@ import (
 
 // The TCP transport: the same TC:DC protocol the simulated fabric carries,
 // over real sockets between real OS processes. A Listener serves a
-// base.Service (a DC); Dial returns the shared Client stub over a
-// supervised connection. TCP gives in-order delivery per connection, but
-// the process boundary restores every failure mode the simulator injects:
-// a killed DC drops requests (loss), a redial re-delivers what was already
-// executed (duplication), and replies race reconnects (reordering across
-// connections). The client's resend loop plus DC idempotence absorb all of
-// it — the protocol does not trust the transport.
+// base.Service (a DC); Dial returns the shared Client stub over a pool of
+// connections to it. A call owns its connection: the TC writes the request
+// and reads the reply on the calling goroutine, and the DC runs the request
+// on the goroutine that read it, so a round trip pays no goroutine hand-off
+// on either side. TCP gives in-order delivery per connection, but the
+// process boundary restores every failure mode the simulator injects: a
+// killed DC drops requests (loss), a redial re-delivers what was already
+// executed (duplication), and a request resent on a fresh connection races
+// the one it repeats (reordering). The client's resend loop plus DC
+// idempotence absorb all of it — the protocol does not trust the transport.
 
-// Listener is the TCP transport around the DC server runtime. Each
-// inbound connection gets its own reader, which hands every frame to the
-// shared serve core (worker pool with bounded admission — see ListenConfig
-// — control requests in their own goroutines); replies are written back,
-// coalesced, on the connection the request arrived on.
+// Listener is the TCP transport around the DC server runtime. Each inbound
+// connection gets its own reader, which hands every frame to the shared
+// serve core and runs the request it carries before reading the next: a
+// connection never holds a second request before the first is answered, so
+// nothing queues behind a request that waits (a snapshot read waiting for
+// SafeTS, a flush waiting for EOSL). Replies leave through the connection's
+// ackBatcher. Admission control (ListenConfig) bounds the requests in
+// flight across all connections.
 type Listener struct {
 	ln   net.Listener
 	core *serveCore
@@ -53,7 +60,7 @@ func ListenWith(addr string, svc base.Service, cfg ListenConfig) (*Listener, err
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{ln: ln, core: newServeCore(svc, cfg), conns: make(map[net.Conn]struct{})}
+	l := &Listener{ln: ln, core: newServeCore(svc, cfg, true), conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -63,12 +70,13 @@ func ListenWith(addr string, svc base.Service, cfg ListenConfig) (*Listener, err
 func (l *Listener) Addr() string { return l.ln.Addr().String() }
 
 // Close stops accepting, closes every open connection, and waits for the
-// connection readers *and* all in-flight request handlers to drain: after
-// Close returns, the wrapped service receives no further invocations from
-// this listener. In-flight operations complete at the service; only their
-// replies are lost — exactly what the client's resend contract is for.
-// The full quiesce is what lets a test or example re-open a disk-backed
-// DC's directory after Close without racing the old incarnation's writes.
+// connection readers — and so for the requests they are running — to
+// finish: after Close returns, the wrapped service receives no further
+// invocations from this listener. In-flight operations complete at the
+// service; only their replies are lost — exactly what the client's resend
+// contract is for. The full quiesce is what lets a test or example re-open
+// a disk-backed DC's directory after Close without racing the old
+// incarnation's writes.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -86,17 +94,14 @@ func (l *Listener) Close() error {
 		c.Close()
 	}
 	l.wg.Wait()
-	l.core.drain()
 	return err
 }
 
-// RegisterStats exports the server runtime's counters into g: pool
-// admissions/refusals, live and per-worker queue depth against the hard
-// cap, ack-coalescing effectiveness, and the open connection count.
+// RegisterStats exports the server runtime's counters into g: admissions
+// and refusals, the requests in flight against their cap,
+// ack-coalescing effectiveness, and the open connection count.
 func (l *Listener) RegisterStats(g *stats.Group) {
-	l.core.pool.registerStats(g)
-	g.Func("ack_batches", l.core.ackBatches.Load)
-	g.Func("acks_coalesced", l.core.acksCoalesced.Load)
+	l.core.registerStats(g)
 	g.Func("conns", func() uint64 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -126,7 +131,7 @@ func (l *Listener) acceptLoop() {
 
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
-	sc := &srvConn{conn: conn, bw: bufio.NewWriter(conn)}
+	sc := &srvConn{conn: conn}
 	acks := l.core.newAcks(sc.write)
 	br := bufio.NewReader(conn)
 	for {
@@ -142,30 +147,24 @@ func (l *Listener) serveConn(conn net.Conn) {
 	l.mu.Unlock()
 }
 
-// srvConn serializes reply writes onto one accepted connection.
+// srvConn writes the replies of one accepted connection; its ackBatcher
+// calls write one flush at a time.
 type srvConn struct {
 	conn net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
 	buf  []byte
 }
 
-// writeTimeout bounds one frame write. A peer that stops reading (wedged,
-// half-dead network) would otherwise block the writer while it holds the
-// connection's write lock; timing out turns that into an ordinary
-// connection failure the resend/redial machinery already handles.
+// writeTimeout bounds one frame write the client does not time itself: a
+// reply, a SafeTS frame. A peer that stops reading (wedged, half-dead
+// network) would otherwise block the writer; timing out turns that into an
+// ordinary connection failure the resend/redial machinery already handles.
 const writeTimeout = 5 * time.Second
 
-// write flushes one reply frame and recycles its body.
+// write sends one reply frame and recycles its body.
 func (sc *srvConn) write(m *message) {
-	sc.wmu.Lock()
 	sc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	buf, err := writeFrame(sc.bw, sc.buf, m)
+	buf, err := writeFrame(sc.conn, sc.buf, m)
 	sc.buf = buf
-	if err == nil {
-		err = sc.bw.Flush()
-	}
-	sc.wmu.Unlock()
 	putReplyBuf(m.body)
 	if err != nil {
 		// The connection died mid-reply: drop it. The request executed; the
@@ -209,180 +208,357 @@ func (c DialConfig) withDefaults() DialConfig {
 }
 
 // Dial returns a Client speaking the TC:DC protocol to the Listener at
-// addr. The connection is supervised in the background: it is established
-// (and re-established) with capped-backoff redial, so Dial itself never
-// blocks and a DC that is down, restarting, or not yet started simply
-// looks slow — the client's resend loop rides out the gap. Close the
-// client to stop the supervisor.
+// addr. Connections are dialed on demand — a call that finds none idle
+// dials its own — with capped-backoff redial while the DC does not answer,
+// so Dial itself never blocks and a DC that is down, restarting, or not yet
+// started simply looks slow: the client's resend loop rides out the gap.
+// Close the client to close its connections.
 func Dial(addr string, cfg DialConfig) *Client {
 	cfg = cfg.withDefaults()
-	link := &tcpLink{addr: addr, cfg: cfg, ready: make(chan struct{})}
+	cl := newClient(nil, func() time.Duration { return cfg.ResendAfter })
+	link := &tcpLink{addr: addr, cfg: cfg, done: cl.closeCh, open: make(map[*tcpConn]struct{})}
 	if cfg.DropProb > 0 {
 		seed := cfg.DropSeed
 		if seed == 0 {
 			seed = 1
 		}
-		link.dropRnd = rand.New(rand.NewSource(seed))
+		var mu sync.Mutex
+		rnd := rand.New(rand.NewSource(seed))
+		link.lose = func(*message) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return rnd.Float64() < cfg.DropProb
+		}
 	}
-	cl := newClient(link.send, func() time.Duration { return cfg.ResendAfter })
 	cl.link = link
 	cl.teardown = link.shutdown
-	link.cl = cl
-	go link.run()
 	return cl
 }
 
-// tcpLink supervises one client connection: dial with backoff, pump
-// replies, redial on failure, and tell the session observer (the
-// deployment layer) about re-established sessions so it can ask for the
-// §5.3.2 DC-recovery resend.
+// tcpLink is the dialed transport: a stack of idle connections to one DC.
+// A call pops one (or dials one when the stack is empty), writes its
+// request, reads its own reply and pushes the connection back, so a
+// connection never carries two calls at once. A call that stops waiting —
+// its resend time ran out, its context ended — closes its connection
+// instead, so a late reply can never meet the next call.
+//
+// The link is up from a successful dial until a connection fails or a dial
+// does. While it is down, it redials at most once per pause (RedialBackoff,
+// doubling up to 1s), and the dial that brings it back up is a reconnect.
 type tcpLink struct {
 	addr string
 	cfg  DialConfig
-	cl   *Client
+	done <-chan struct{} // the client's: closed by Close, before shutdown
 
 	mu       sync.Mutex
-	conn     net.Conn
-	bw       *bufio.Writer
-	buf      []byte
-	ready    chan struct{} // closed while a connection is established
-	shutOnce sync.Once
-	shut     chan struct{}
+	idle     []*tcpConn
+	open     map[*tcpConn]struct{} // idle and held alike: shutdown closes them
+	up       bool
+	backoff  time.Duration // the pause after the last failed dial
+	nextDial time.Time     // while down, no dial before this
 
-	// dropRnd, when non-nil, drives DropProb loss injection; guarded by mu
-	// (send already holds it).
-	dropRnd *rand.Rand
-
+	// sessions counts the times the link came up. A connection carries the
+	// session it was dialed in, so the failure of one dialed before the
+	// last reconnect does not take the link down again.
 	sessions    atomic.Uint64
 	onReconnect atomic.Pointer[func()]
+
+	// lose, when set, eats outbound frames (DialConfig.DropProb).
+	lose func(*message) bool
 
 	bytesOut, bytesIn, frameErrs, dropsInjected atomic.Uint64
 }
 
-func (ln *tcpLink) shutdown() {
-	ln.shutOnce.Do(func() {
-		ln.mu.Lock()
-		if ln.shut == nil {
-			ln.shut = make(chan struct{})
-		}
-		close(ln.shut)
-		if ln.conn != nil {
-			ln.conn.Close()
-		}
-		ln.mu.Unlock()
-	})
+// tcpConn is one dialed connection and its reading and framing buffers.
+type tcpConn struct {
+	net.Conn
+	br      *bufio.Reader
+	buf     []byte
+	session uint64
 }
 
-func (ln *tcpLink) closed() <-chan struct{} {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if ln.shut == nil {
-		ln.shut = make(chan struct{})
+// errLost and errClosed end an attempt without a reply: the first when
+// its wait ran out (the resend loop tries again), the second on Close.
+var (
+	errLost   = errors.New("wire: attempt lost")
+	errClosed = errors.New("wire: client closed")
+)
+
+// outcome turns what ended an attempt without a reply into Client.call's
+// terms.
+func outcome(err error) (*message, error) {
+	switch err {
+	case errLost:
+		return nil, nil
+	case errClosed:
+		return closedReply(), nil
 	}
-	return ln.shut
+	return nil, err
 }
 
-func (ln *tcpLink) run() {
-	backoff := ln.cfg.RedialBackoff
-	shut := ln.closed()
-	for {
-		select {
-		case <-shut:
-			return
-		default:
+// roundTrip is one attempt of Client.call: it sends req on a connection of
+// its own and reads the reply until wait runs out. A nil reply and error
+// mean the attempt was lost. A connection that fails takes the link down,
+// and the attempt then waits out its time as if its frame had been lost.
+func (ln *tcpLink) roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error) {
+	deadline := time.Now().Add(wait)
+	c, err := ln.take(ctx, deadline)
+	if err != nil {
+		return outcome(err)
+	}
+	c.SetDeadline(deadline)
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		// Cancellation interrupts the read. The deadline it sets outlives
+		// the call, so the connection is then not reused.
+		stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
+	}
+	reply, err := ln.exchange(c, req)
+	interrupted := !stop()
+	switch {
+	case err == nil:
+		if interrupted {
+			ln.drop(c, false)
+		} else {
+			ln.put(c)
 		}
-		conn, err := net.DialTimeout("tcp", ln.addr, ln.cfg.ConnectTimeout)
-		if err != nil {
-			select {
-			case <-shut:
-				return
-			case <-time.After(backoff):
+		return reply, nil
+	case ln.isDone():
+		return closedReply(), nil // shutdown closed the connection
+	case ctx.Err() != nil:
+		ln.drop(c, false)
+		return nil, base.CancelErr(ctx)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		ln.drop(c, false) // the reply may still come: not on a reused connection
+		return nil, nil
+	}
+	if errors.Is(err, errBadFrame) {
+		ln.frameErrs.Add(1)
+	}
+	ln.drop(c, true)
+	return outcome(ln.wait(ctx, deadline))
+}
+
+// exchange writes req on c and reads its reply.
+func (ln *tcpLink) exchange(c *tcpConn, req *message) (*message, error) {
+	if err := ln.send(c, req); err != nil {
+		return nil, err
+	}
+	reply, err := readStreamFrame(c.br)
+	if err != nil {
+		return nil, err
+	}
+	if reply.kind != msgReply || reply.id != req.id {
+		return nil, errBadFrame
+	}
+	ln.bytesIn.Add(uint64(reply.size()))
+	return reply, nil
+}
+
+// send writes one frame to c, unless injected loss eats it.
+func (ln *tcpLink) send(c *tcpConn, m *message) error {
+	if ln.lose != nil && ln.lose(m) {
+		// Indistinguishable from a frame the network ate; the resend loop
+		// recovers.
+		ln.dropsInjected.Add(1)
+		return nil
+	}
+	buf, err := writeFrame(c, c.buf, m)
+	c.buf = buf
+	if err == nil {
+		ln.bytesOut.Add(uint64(len(buf)))
+	}
+	return err
+}
+
+// post sends a frame that has no reply (SafeTS's msgWatermarks) on an idle
+// connection or a freshly dialed one, never on one a call holds: a
+// watermark cannot queue behind a request that waits for it. During a
+// redial pause the frame is dropped, as a lost frame would be.
+func (ln *tcpLink) post(m *message) {
+	c, err := ln.take(context.Background(), time.Now())
+	if err != nil {
+		return
+	}
+	c.SetDeadline(time.Now().Add(writeTimeout))
+	if err := ln.send(c, m); err != nil {
+		ln.drop(c, true)
+		return
+	}
+	ln.put(c)
+}
+
+// take pops an idle connection or dials one. While the link is down it
+// waits out the redial pause, but not past deadline (zero: no deadline):
+// then it fails with errLost. It fails with errClosed on Close and with the
+// cancellation when ctx ends.
+func (ln *tcpLink) take(ctx context.Context, deadline time.Time) (*tcpConn, error) {
+	for {
+		ln.mu.Lock()
+		if ln.isDone() {
+			ln.mu.Unlock()
+			return nil, errClosed
+		}
+		if n := len(ln.idle); n > 0 {
+			c := ln.idle[n-1]
+			ln.idle[n-1] = nil
+			ln.idle = ln.idle[:n-1]
+			ln.mu.Unlock()
+			return c, nil
+		}
+		next := ln.nextDial
+		ln.mu.Unlock()
+		if time.Now().Before(next) {
+			if !deadline.IsZero() && deadline.Before(next) {
+				return nil, ln.wait(ctx, deadline)
 			}
-			if backoff < time.Second {
-				backoff *= 2
+			if err := ln.wait(ctx, next); err != errLost {
+				return nil, err
 			}
 			continue
 		}
-		backoff = ln.cfg.RedialBackoff
-		ln.mu.Lock()
-		select {
-		case <-shut:
-			ln.mu.Unlock()
-			conn.Close()
-			return
-		default:
+		if c, err := ln.dial(ctx); c != nil || err != nil {
+			return c, err
 		}
-		ln.conn = conn
-		ln.bw = bufio.NewWriter(conn)
-		close(ln.ready)
-		ln.mu.Unlock()
-		if n := ln.sessions.Add(1); n > 1 {
-			// A re-established session: the DC process may have restarted
-			// with volatile state lost. The observer (core.Deployment) asks
-			// whether a resend is owed; it must run outside this goroutine,
-			// which is about to become the reply pump its calls depend on.
+	}
+}
+
+// dial opens a connection. A failed dial returns nothing and starts or
+// extends the redial pause; the first success after the link was down
+// brings it up, and every such success after the first is a reconnect.
+func (ln *tcpLink) dial(ctx context.Context) (*tcpConn, error) {
+	d := net.Dialer{Timeout: ln.cfg.ConnectTimeout}
+	nc, err := d.DialContext(ctx, "tcp", ln.addr)
+	if dl, ok := ctx.Deadline(); err != nil && ok && !time.Now().Before(dl) {
+		// The dial met the caller's deadline, not a silent DC. The context's
+		// own timer is due; wait for it so ctx.Err tells the two apart.
+		<-ctx.Done()
+	}
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if ln.isDone() || ctx.Err() != nil {
+		if nc != nil {
+			nc.Close()
+		}
+		if ln.isDone() {
+			return nil, errClosed
+		}
+		return nil, base.CancelErr(ctx)
+	}
+	if err != nil {
+		ln.downLocked()
+		if now := time.Now(); !now.Before(ln.nextDial) {
+			// The first failure since the last pause ended: pause longer.
+			// Dials that fail during the pause do not stretch it.
+			switch {
+			case ln.backoff == 0:
+				ln.backoff = ln.cfg.RedialBackoff
+			case ln.backoff < time.Second:
+				ln.backoff *= 2
+			}
+			ln.nextDial = now.Add(ln.backoff)
+		}
+		return nil, nil
+	}
+	if !ln.up {
+		ln.up, ln.backoff, ln.nextDial = true, 0, time.Time{}
+		if ln.sessions.Add(1) > 1 {
+			// The DC process may have restarted with volatile state lost. The
+			// observer (core.Deployment) asks whether a resend is owed; it
+			// makes calls of its own, so it runs outside this one.
 			if f := ln.onReconnect.Load(); f != nil {
 				go (*f)()
 			}
 		}
-		br := bufio.NewReader(conn)
-		for {
-			m, err := readStreamFrame(br)
-			if err != nil {
-				if errors.Is(err, errBadFrame) {
-					// Corrupt framing, as opposed to an ordinary connection
-					// teardown: worth its own counter on the admin endpoint.
-					ln.frameErrs.Add(1)
-				}
-				break
-			}
-			ln.bytesIn.Add(uint64(m.size()))
-			ln.cl.dispatch(m)
-		}
-		ln.mu.Lock()
-		if ln.conn == conn {
-			ln.conn = nil
-			ln.bw = nil
-			ln.ready = make(chan struct{})
-		}
-		ln.mu.Unlock()
-		conn.Close()
 	}
+	c := &tcpConn{Conn: nc, br: bufio.NewReader(nc), session: ln.sessions.Load()}
+	ln.open[c] = struct{}{}
+	return c, nil
 }
 
-// send writes one frame to the current connection. With no connection (or
-// on a write error) the message is dropped — the resend loop recovers, so
-// loss here is no different from loss on the simulated fabric.
-func (ln *tcpLink) send(m *message) {
+// downLocked takes the link down and closes its idle connections: they
+// belong to the session that just failed.
+func (ln *tcpLink) downLocked() {
+	if !ln.up {
+		return
+	}
+	ln.up = false
+	for _, c := range ln.idle {
+		delete(ln.open, c)
+		c.Close()
+	}
+	clear(ln.idle)
+	ln.idle = ln.idle[:0]
+}
+
+// drop closes a connection. One that failed (an I/O error, broken
+// framing) and was dialed in the current session takes the link down; one
+// the client gave up on itself is no failure of the link.
+func (ln *tcpLink) drop(c *tcpConn, failed bool) {
 	ln.mu.Lock()
-	conn, bw := ln.conn, ln.bw
-	if conn == nil {
+	if failed && c.session == ln.sessions.Load() {
+		ln.downLocked()
+	}
+	delete(ln.open, c)
+	ln.mu.Unlock()
+	c.Close()
+}
+
+// put returns a connection to the idle stack.
+func (ln *tcpLink) put(c *tcpConn) {
+	ln.mu.Lock()
+	if !ln.isDone() {
+		ln.idle = append(ln.idle, c)
 		ln.mu.Unlock()
 		return
-	}
-	if ln.dropRnd != nil && ln.dropRnd.Float64() < ln.cfg.DropProb {
-		// Injected loss (DialConfig.DropProb): indistinguishable from a
-		// frame the network ate; the resend loop recovers.
-		ln.dropsInjected.Add(1)
-		ln.mu.Unlock()
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	buf, err := writeFrame(bw, ln.buf, m)
-	ln.buf = buf
-	if err == nil {
-		err = bw.Flush()
-		ln.bytesOut.Add(uint64(len(buf)))
 	}
 	ln.mu.Unlock()
-	if err != nil {
-		conn.Close() // unblocks the reader; the supervisor redials
+	c.Close()
+}
+
+// wait sleeps until t. It fails with errLost when t comes, errClosed on
+// Close, or the cancellation when ctx ends.
+func (ln *tcpLink) wait(ctx context.Context, t time.Time) error {
+	d := time.Until(t)
+	if d <= 0 {
+		return errLost
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return errLost
+	case <-ctx.Done():
+		return base.CancelErr(ctx)
+	case <-ln.done:
+		return errClosed
 	}
 }
 
-// Reconnects reports how many times the supervised connection was
-// re-established after the first session — each one a DC outage the
-// resend path rode out.
+func (ln *tcpLink) isDone() bool {
+	select {
+	case <-ln.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// shutdown closes every connection, idle or held: a call blocked on its
+// reply wakes with an error and finds the client closed. A connection put
+// back or dialed from now on sees done and is closed by its caller.
+func (ln *tcpLink) shutdown() {
+	ln.mu.Lock()
+	for c := range ln.open {
+		c.Close()
+	}
+	ln.open, ln.idle = nil, nil
+	ln.mu.Unlock()
+}
+
+// Reconnects reports how many times the link came back up after its first
+// connection — each one a DC outage (or a network blink) the resend path
+// rode out.
 func (c *Client) Reconnects() uint64 {
 	if c.link == nil {
 		return 0
@@ -393,11 +569,12 @@ func (c *Client) Reconnects() uint64 {
 	return 0
 }
 
-// OnReconnect registers f to run (in its own goroutine) every time the
-// supervised connection is re-established after the first session. The
-// deployment layer uses it to ask whether a restarted DC is owed the TC's
-// redo stream (§5.3.2 "DC Failure"), for a TC with nothing to send that the
-// DC could refuse. No-op on the simulated transport, whose outages are
+// OnReconnect registers f to run (in its own goroutine) every time the link
+// comes back up after its first connection. The deployment layer uses it
+// to ask whether a restarted DC is owed the TC's redo stream (§5.3.2 "DC
+// Failure"), for a TC with nothing to send that the DC could refuse. A TC
+// notices a restart with its next frame, which the watermark tick sends
+// every millisecond. No-op on the simulated transport, whose outages are
 // driven explicitly by tests.
 func (c *Client) OnReconnect(f func()) {
 	if c.link != nil {
@@ -405,25 +582,19 @@ func (c *Client) OnReconnect(f func()) {
 	}
 }
 
-// WaitConnected blocks until the supervised connection is established or
-// ctx is done. The simulated transport is always "connected".
+// WaitConnected blocks until a connection to the DC is established or ctx
+// is done. The simulated transport is always "connected".
 func (c *Client) WaitConnected(ctx context.Context) error {
 	if c.link == nil {
 		return nil
 	}
-	for {
-		c.link.mu.Lock()
-		conn, ready := c.link.conn, c.link.ready
-		c.link.mu.Unlock()
-		if conn != nil {
-			return nil
-		}
-		select {
-		case <-ready:
-		case <-ctx.Done():
-			return base.CancelErr(ctx)
-		case <-c.closeCh:
-			return base.ErrUnavailable
-		}
+	conn, err := c.link.take(ctx, time.Time{})
+	switch err {
+	case nil:
+		c.link.put(conn)
+		return nil
+	case errClosed:
+		return base.ErrUnavailable
 	}
+	return err
 }

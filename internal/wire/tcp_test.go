@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,7 +106,7 @@ func TestTCPControlErrorRehydrates(t *testing.T) {
 // TestTCPServerRestartResendsAndReconnects is the transport half of the
 // e2e kill -9 story: the listener dies mid-conversation, a blocked call
 // resends into the void, a new listener binds the same address, and the
-// supervised client reconnects and completes the call — firing the
+// client redials and completes the call — firing the
 // reconnect hook the deployment layer hangs recovery on.
 func TestTCPServerRestartResendsAndReconnects(t *testing.T) {
 	svc := newEchoService()
@@ -190,6 +192,41 @@ func TestTCPDialBeforeListen(t *testing.T) {
 	}
 }
 
+// stuckService never answers: Perform and Checkpoint block until released.
+type stuckService struct {
+	*echoService
+	entered chan struct{} // a token per call that reached it; no test makes 16
+	gate    chan struct{}
+}
+
+func newStuckService() *stuckService {
+	return &stuckService{echoService: newEchoService(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
+}
+
+func (s *stuckService) Perform(ctx context.Context, op *base.Op) *base.Result {
+	s.entered <- struct{}{}
+	<-s.gate
+	return s.echoService.Perform(ctx, op)
+}
+
+func (s *stuckService) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
+	s.entered <- struct{}{}
+	<-s.gate
+	return s.echoService.Checkpoint(ctx, tc, epoch, newRSSP)
+}
+
+// awaitEntered waits until n calls are blocked inside svc.
+func (s *stuckService) awaitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-s.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d calls reached the service", i, n)
+		}
+	}
+}
+
 func TestTCPClientCloseUnblocksCalls(t *testing.T) {
 	// No listener at all: calls resend into the void until Close.
 	probe, err := Listen("127.0.0.1:0", newEchoService())
@@ -200,6 +237,34 @@ func TestTCPClientCloseUnblocksCalls(t *testing.T) {
 	probe.Close()
 
 	cl := Dial(addr, DialConfig{ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond})
+	closeUnblocks(t, cl, func() {
+		time.Sleep(20 * time.Millisecond)
+		cl.Close()
+	})
+
+	// A listener that never answers: each call is blocked reading its own
+	// reply on a connection it holds, with no resend due for an hour. Close
+	// closes the connections under the reads.
+	svc := newStuckService()
+	l, err := Listen("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	baseline := runtime.NumGoroutine()
+	cl = Dial(l.Addr(), DialConfig{ResendAfter: time.Hour})
+	closeUnblocks(t, cl, func() {
+		svc.awaitEntered(t, 2)
+		cl.Close()
+	})
+	close(svc.gate)
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// closeUnblocks starts a Perform and a control call on cl, runs closeFn,
+// and wants both to fail typed as unavailable promptly.
+func closeUnblocks(t *testing.T, cl *Client, closeFn func()) {
+	t.Helper()
 	done := make(chan *base.Result, 1)
 	errs := make(chan error, 1)
 	go func() {
@@ -208,8 +273,7 @@ func TestTCPClientCloseUnblocksCalls(t *testing.T) {
 	go func() {
 		errs <- cl.Checkpoint(context.Background(), 1, 1, 9)
 	}()
-	time.Sleep(20 * time.Millisecond)
-	cl.Close()
+	closeFn()
 	select {
 	case res := <-done:
 		if res.Code != base.CodeUnavailable {
@@ -238,12 +302,38 @@ func TestTCPCancellation(t *testing.T) {
 
 	cl := Dial(addr, DialConfig{ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond})
 	defer cl.Close()
+	cancelUnblocks(t, cl, func() { time.Sleep(15 * time.Millisecond) })
+
+	// A listener that never answers: the call is blocked reading its own
+	// reply, with no resend due for an hour. Cancellation interrupts the
+	// read, and the connection it closes is not handed to the next call.
+	svc := newStuckService()
+	l, err := Listen("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	baseline := runtime.NumGoroutine()
+	cl2 := Dial(l.Addr(), DialConfig{ResendAfter: time.Hour})
+	cancelUnblocks(t, cl2, func() { svc.awaitEntered(t, 1) })
+	close(svc.gate)
+	if res := cl2.Perform(context.Background(), &base.Op{TC: 1, Epoch: 1, LSN: 6, Kind: base.OpRead, Table: "t", Key: "next"}); res.Code != base.CodeOK || string(res.Value) != "next" {
+		t.Fatalf("the call after a cancelled one: %+v", res)
+	}
+	cl2.Close()
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// cancelUnblocks starts a Perform on cl, runs before, cancels the call and
+// wants it to return CodeCancelled promptly.
+func cancelUnblocks(t *testing.T, cl *Client, before func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan *base.Result, 1)
 	go func() {
 		done <- cl.Perform(ctx, &base.Op{TC: 1, Epoch: 1, LSN: 5, Kind: base.OpRead, Table: "t", Key: "k"})
 	}()
-	time.Sleep(15 * time.Millisecond)
+	before()
 	cancel()
 	select {
 	case res := <-done:
@@ -252,5 +342,97 @@ func TestTCPCancellation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("perform ignored cancellation")
+	}
+}
+
+// safeGatedService answers Perform only once a safe timestamp of at least
+// want has arrived — a snapshot read waiting for SafeTS, in miniature.
+type safeGatedService struct {
+	*echoService
+	want    base.TS
+	entered chan struct{}
+	once    sync.Once
+	arrived chan struct{}
+}
+
+func (s *safeGatedService) SafeTS(tc base.TCID, epoch base.Epoch, safe, horizon base.TS) {
+	s.echoService.SafeTS(tc, epoch, safe, horizon)
+	if safe >= s.want {
+		s.once.Do(func() { close(s.arrived) })
+	}
+}
+
+func (s *safeGatedService) Perform(ctx context.Context, op *base.Op) *base.Result {
+	close(s.entered)
+	<-s.arrived
+	return s.echoService.Perform(ctx, op)
+}
+
+// TestTCPWaitingRequestDoesNotBlockWatermarks: a call waiting at the DC for
+// a safe timestamp holds its connection; the SafeTS that releases it must
+// travel on another one, or the two deadlock.
+func TestTCPWaitingRequestDoesNotBlockWatermarks(t *testing.T) {
+	svc := &safeGatedService{echoService: newEchoService(), want: 7,
+		entered: make(chan struct{}), arrived: make(chan struct{})}
+	cl, _ := dialTest(t, svc, DialConfig{ResendAfter: time.Hour})
+	done := make(chan *base.Result, 1)
+	go func() {
+		done <- cl.Perform(context.Background(), &base.Op{TC: 1, Epoch: 1, Kind: base.OpRead, Table: "t", Key: "snap"})
+	}()
+	<-svc.entered
+	cl.SafeTS(1, 1, 7, 0)
+	select {
+	case res := <-done:
+		if res.Code != base.CodeOK || string(res.Value) != "snap" {
+			t.Fatalf("waiting read: %+v", res)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the call waiting for SafeTS never returned: its SafeTS did not reach the DC")
+	}
+}
+
+// TestTCPIdleClientNoticesRestart: a client with no call in flight, only
+// its watermark tick, notices a DC restart by the tick's frames alone and
+// reports it once.
+func TestTCPIdleClientNoticesRestart(t *testing.T) {
+	svc := newEchoService()
+	cl, l := dialTest(t, svc, DialConfig{RedialBackoff: 2 * time.Millisecond})
+	reconnected := make(chan struct{}, 4)
+	cl.OnReconnect(func() { reconnected <- struct{}{} })
+	stop := make(chan struct{})
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for ts := base.TS(1); ; ts++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				cl.SafeTS(1, 1, ts, 0)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-ticked
+	}()
+	time.Sleep(10 * time.Millisecond)
+
+	addr := l.Addr()
+	l.Close() // the DC process restarts on the same address
+	l2, err := Listen(addr, svc)
+	if err != nil {
+		t.Fatalf("re-listen on %s: %v", addr, err)
+	}
+	defer l2.Close()
+	select {
+	case <-reconnected:
+	case <-time.After(time.Second):
+		t.Fatal("OnReconnect did not fire within 1s of the restart")
+	}
+	if n := cl.Reconnects(); n != 1 {
+		t.Fatalf("Reconnects() = %d, want 1", n)
 	}
 }

@@ -95,16 +95,23 @@ type tap struct {
 
 func tapClient(cl *Client) *tap {
 	tp := &tap{}
+	eat := func(m *message) bool {
+		tp.mu.Lock()
+		defer tp.mu.Unlock()
+		tp.frames = append(tp.frames, *m)
+		if tp.drop == 0 {
+			return false
+		}
+		tp.drop--
+		return true
+	}
+	if cl.link != nil {
+		cl.link.lose = eat
+		return tp
+	}
 	send := cl.sendFn
 	cl.sendFn = func(m *message) {
-		tp.mu.Lock()
-		tp.frames = append(tp.frames, *m)
-		eat := tp.drop != 0
-		if eat {
-			tp.drop--
-		}
-		tp.mu.Unlock()
-		if !eat {
+		if !eat(m) {
 			send(m)
 		}
 	}

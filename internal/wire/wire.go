@@ -3,17 +3,22 @@
 // The simulated fabric (Network, Connect) is the substitute for a cloud
 // RPC stack used by tests and in-process deployments. It deliberately misbehaves:
 // configurable one-way delay and jitter (which reorders deliveries),
-// message loss, and duplication — the chaos half of the package.
+// message loss, and duplication — the chaos half of the package. It
+// multiplexes every call onto one pair of endpoints and matches replies to
+// calls by correlation id.
 //
 // The TCP transport (Listen, Dial) is the deployment half: it serves a
 // base.Service — a DC — on a real socket and dials it from another OS
-// process, with automatic redial when the peer restarts. Both transports
-// share one frame codec (codec.go), one server runtime (serve.go) and one
-// client stub (Client, in client.go) implementing base.Service by
-// resending requests until acknowledged (§4.2 "Resend Requests"); together
-// with DC idempotence this yields exactly-once execution of logical
-// operations over an at-most-once network — whether the misbehaviour is
-// injected by the simulator or by real processes crashing mid-stream.
+// process. There a call owns its connection: the TC writes the request and
+// reads its own reply on the calling goroutine, and the DC runs the
+// request on the goroutine that read it. Both transports share one frame
+// codec (codec.go), one server runtime (serve.go: watermark application,
+// one in-flight cap deciding admission, ack coalescing) and one client stub
+// (Client, in client.go) implementing base.Service by resending requests
+// until acknowledged (§4.2 "Resend Requests"); together with DC idempotence
+// this yields exactly-once execution of logical operations over an
+// at-most-once network — whether the misbehaviour is injected by the
+// simulator or by real processes crashing mid-stream.
 //
 // Operations and results cross the wire in their binary encodings, so the
 // serialization cost the paper's unbundling implies is actually paid.
@@ -270,7 +275,8 @@ func (e *endpoint) shutdown() { e.once.Do(func() { close(e.close) }) }
 
 // Connect builds a client/server pair over n. The server runs svc behind
 // the same runtime a TCP Listener does (serveCore, with the default
-// ListenConfig). Close the returned pair to stop the pumps.
+// ListenConfig), each request on a goroutine of its own. Close the returned
+// pair to stop the pumps.
 func (n *Network) Connect(svc base.Service) (*Client, *Server) {
 	return n.connect(svc, ListenConfig{})
 }
@@ -278,7 +284,7 @@ func (n *Network) Connect(svc base.Service) (*Client, *Server) {
 func (n *Network) connect(svc base.Service, lc ListenConfig) (*Client, *Server) {
 	toServer := n.newEndpoint()
 	toClient := n.newEndpoint()
-	srv := &Server{core: newServeCore(svc, lc), in: toServer, done: make(chan struct{})}
+	srv := &Server{core: newServeCore(svc, lc, false), in: toServer, done: make(chan struct{})}
 	// One coalesced batch is one fabric delivery — so loss drops,
 	// duplication re-delivers, and jitter reorders whole ack batches,
 	// exactly the failure modes the oracle tests aim at.
@@ -326,7 +332,7 @@ func (s *Server) AckStats() (batches, coalesced uint64) {
 func (s *Server) SetDown(down bool) { s.in.down.Store(down) }
 
 // Close stops the server pump and, like Listener.Close, returns only after
-// every request it admitted has executed at the service.
+// every request it took has executed at the service.
 func (s *Server) Close() {
 	s.in.shutdown()
 	<-s.done

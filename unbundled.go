@@ -198,24 +198,28 @@
 //
 // # Throughput runtime and the overload contract
 //
-// A DC behind the wire executes requests on a sharded worker pool:
-// ListenConfig sizes the pool (default 2xGOMAXPROCS workers) and each
-// worker's bounded queue (default 256). Dispatch picks the least-loaded
-// worker; when every queue is full the server refuses the request before
-// decoding it, and the refusal crosses the wire as the typed transient
-// ErrOverloaded. That is the overload contract: a refused request was
-// never executed, so retrying after a pause is always safe — and the TC's
-// wire client does exactly that, invisibly, counting each refusal in its
+// Over TCP a call holds its connection: the TC's wire client writes the
+// request and reads its own reply on the calling goroutine, dialing another
+// connection when none is idle, and the DC runs the request on the
+// goroutine that read it, so a connection never carries a second call
+// before the first is answered and nothing queues behind a request that
+// waits. One in-flight cap decides admission: ListenConfig.MaxInFlight
+// (default 2xGOMAXPROCS x 256) bounds the Perform and PerformBatch requests
+// a DC runs at once, and above it the server refuses the request before
+// decoding it; the refusal crosses the wire as the typed transient
+// ErrOverloaded. That is the overload contract: a refused request was never
+// executed, so retrying after a pause is always safe — and the TC's wire
+// client does exactly that, invisibly, counting each refusal in its
 // overloads counter (visible on /stats). Callers only ever see
 // ErrOverloaded if they drive the wire layer directly; through
-// Client.RunTxn, backpressure surfaces as latency, never as an error.
-// Replies that accumulate while a reply flush is on the wire leave as one
-// coalesced batch frame (group commit for acks). This is the only server
-// runtime: the TCP listener and the simulated fabric (Options.Network) are
-// both transports around it, so tests that inject loss, duplication and
-// reordering exercise the pool, the refusals and the coalescing a deployed
-// DC runs. cmd/unbundled-dc exposes the two sizes as -workers and
-// -queue-depth.
+// Client.RunTxn, backpressure surfaces as latency, never as an error. This
+// is the only server runtime: the TCP listener and the simulated fabric
+// (Options.Network) are both transports around it, so tests that inject
+// loss, duplication and reordering exercise the admission, the refusals
+// and the ack path a deployed DC runs; the simulated fabric, which
+// multiplexes one endpoint, runs each admitted request on a goroutine of
+// its own and coalesces the replies that pile up into one frame.
+// cmd/unbundled-dc exposes the cap as -max-inflight.
 //
 // What this runtime costs is measured by the repository benchmark
 // (BENCHMARK.json, benchmark/): its tcp_write and tcp_mixed workloads drive
@@ -324,10 +328,9 @@ type (
 	// DialConfig shapes the TCP connections of a networked deployment
 	// (Options.DCAddrs pointing at cmd/unbundled-dc processes).
 	DialConfig = wire.DialConfig
-	// ListenConfig sizes the server runtime behind a networked DC: worker
-	// pool size and per-worker queue depth (past which requests are
-	// refused with ErrOverloaded). cmd/unbundled-dc surfaces it as
-	// -workers and -queue-depth.
+	// ListenConfig sizes the server runtime behind a networked DC: the
+	// cap on requests in flight, past which requests are refused with
+	// ErrOverloaded. cmd/unbundled-dc surfaces it as -max-inflight.
 	ListenConfig = wire.ListenConfig
 	// TC is a transactional component.
 	TC = tc.TC
