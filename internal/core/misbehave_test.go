@@ -15,19 +15,17 @@ import (
 	"github.com/cidr09/unbundled/internal/wire"
 )
 
-// TestCoalescedAcksOnMisbehavingNetwork is the correctness oracle for
-// concurrent transactions over a lossy, duplicating, jittery network, and
-// for ack coalescing on it: increment transactions checked against the
-// serial oracle, where every key's final counter must equal the number of
-// successful increments. Coalescing must be invisible to the protocol —
-// losing or duplicating a whole msgReplyBatch is exactly a lost or
-// duplicated set of member acks, which the resend loop and DC idempotence
-// already absorb. A lost update here would mean a transaction released its
-// locks before its writes were applied, or a barrier was satisfied by a
-// reply the batcher mangled; a wedged run would mean a barrier waited on an
-// ack a batch dropped. The test also requires the batcher to have actually
-// flushed batches and every shipped operation to end acknowledged.
-func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
+// TestIncrementOracleOnMisbehavingNetwork is the correctness oracle for
+// concurrent transactions over a lossy, duplicating, jittery network:
+// increment transactions checked against the serial oracle, where every
+// key's final counter must equal the number of successful increments. A
+// lost, duplicated or late request or reply must be absorbed by the resend
+// loop and DC idempotence. A lost update here would mean a transaction
+// released its locks before its writes were applied, or a barrier was
+// satisfied by a reply that was not its own; a wedged run would mean a
+// barrier waited on an ack the fabric dropped and no resend repaired. The
+// test also requires every shipped operation to end acknowledged.
+func TestIncrementOracleOnMisbehavingNetwork(t *testing.T) {
 	txns := 25 * chaosIters(t, 1)
 	const (
 		keys    = 8
@@ -138,23 +136,8 @@ func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
 		t.Fatalf("%d ops still unacked after quiesce", d)
 	}
 
-	// The run must have exercised what it claims to: batches flushed
-	// through the coalescer, and a network that actually misbehaved.
-	// (Whether any batch held >1 reply is scheduling-dependent — the sim
-	// delivers asynchronously — so only flushes are required.)
-	var batches uint64
-	for _, row := range dep.servers {
-		for _, s := range row {
-			if s == nil {
-				continue
-			}
-			b, _ := s.AckStats()
-			batches += b
-		}
-	}
-	if batches == 0 {
-		t.Fatal("ack coalescer never flushed a batch")
-	}
+	// The run must have exercised what it claims to: a network that
+	// actually misbehaved, and resends that rode it out.
 	stats := dep.Net().Stats()
 	if stats.Dropped == 0 && stats.Duplicated == 0 {
 		t.Fatalf("network never misbehaved: %+v", stats)

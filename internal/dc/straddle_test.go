@@ -79,9 +79,10 @@ func TestSplitStraddlingCrashLogsNothing(t *testing.T) {
 	}
 
 	right.L.Lock()
+	seen := right.L.Contended()
 	done := make(chan *base.Result, 1)
 	go func() { done <- h.insert(key(n), "v") }()
-	parked(t, right, right.L.Contended())
+	parked(t, right, seen)
 	restart(t, d)
 	logged := d.DCLog().LastLSN()
 	right.L.Unlock()
@@ -110,9 +111,10 @@ func TestCheckpointStraddlingCrashWritesNothing(t *testing.T) {
 	pg := leafOf(t, d, "k0020")
 
 	pg.L.RLock() // the checkpoint's own read of the page is let through; its flush waits
+	seen := pg.L.Contended()
 	done := make(chan error, 1)
 	go func() { done <- d.Checkpoint(context.Background(), 1, 0, h.next) }()
-	parked(t, pg, pg.L.Contended())
+	parked(t, pg, seen)
 	d.Crash()
 	images := map[base.PageID][]byte{}
 	for _, id := range d.Store().IDs() {

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,27 +15,20 @@ import (
 // Client is the TC-side stub implementing base.Service over a transport.
 // There is exactly one implementation of the resend/encode protocol — this
 // type — shared by both transports: the simulated fabric (Network.Connect)
-// and real TCP (Dial). A transport supplies only one attempt: the simulated
-// fabric a best-effort send toward the server and a pump that feeds replies
-// into dispatch, TCP a round trip on a connection the attempt holds alone
-// (tcpLink.roundTrip). Everything protocol-shaped — the §4.2 resend loop
-// with backoff, unavailable-retry pauses, watermark carrying,
+// and real TCP (Dial). A transport supplies only a link: one attempt's
+// round trip, and a one-way post. Everything protocol-shaped — the §4.2
+// resend loop with backoff, unavailable-retry pauses, watermark carrying,
 // operation/batch encoding, and typed-error rehydration — lives here and
 // cannot fork between deployments.
 type Client struct {
-	sendFn      func(*message)       // simulated fabric: best-effort delivery toward the server
+	link        link
 	resendAfter func() time.Duration // reply wait before resending
 	onResend    func()               // transport resend accounting (may be nil)
-	teardown    func()               // transport teardown; runs once, from Close
 
 	closeCh   chan struct{}
 	closeOnce sync.Once
 
-	// waiters matches the simulated fabric's replies to their attempts by
-	// correlation id.
-	mu      sync.Mutex
-	waiters map[uint64]chan *message
-	nextID  atomic.Uint64
+	nextID atomic.Uint64
 
 	calls, resends, overloads atomic.Uint64
 
@@ -50,18 +44,23 @@ type Client struct {
 		waiting   uint8 // wmEOSL | wmLWM
 	}
 	wmFrames, wmCarried atomic.Uint64
-
-	simIn *endpoint // simulated transport only: SetDown support
-	link  *tcpLink  // dialed transport only
 }
 
-func newClient(send func(*message), resendAfter func() time.Duration) *Client {
-	return &Client{
-		sendFn:      send,
-		resendAfter: resendAfter,
-		closeCh:     make(chan struct{}),
-		waiters:     make(map[uint64]chan *message),
-	}
+// link is what a transport gives the Client.
+type link interface {
+	// roundTrip sends req once and waits up to wait for its reply. A nil
+	// reply and error mean the attempt was lost; a cancelled ctx returns
+	// the cancellation, a closed client closedReply.
+	roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error)
+	// post sends a frame that has no reply, best effort.
+	post(m *message)
+	// shutdown releases the transport; the client's done channel is
+	// already closed.
+	shutdown()
+}
+
+func newClient(resendAfter func() time.Duration) *Client {
+	return &Client{resendAfter: resendAfter, closeCh: make(chan struct{})}
 }
 
 // Close stops the client and fails outstanding calls: every blocked
@@ -71,19 +70,8 @@ func newClient(send func(*message), resendAfter func() time.Duration) *Client {
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closeCh)
-		if c.teardown != nil {
-			c.teardown()
-		}
+		c.link.shutdown()
 	})
-}
-
-// SetDown marks the client (TC process) up or down; a down client drops
-// inbound replies, as a crashed TC would. Only meaningful on the simulated
-// transport — a real crashed TC process stops existing instead.
-func (c *Client) SetDown(down bool) {
-	if c.simIn != nil {
-		c.simIn.down.Store(down)
-	}
 }
 
 // Closed reports whether Close has been called. Callers with their own
@@ -112,39 +100,7 @@ func (c *Client) Resends() uint64 { return c.resends.Load() }
 // makes backpressure visible without breaking the delivery contract.
 func (c *Client) Overloads() uint64 { return c.overloads.Load() }
 
-// dispatch hands one server reply to the waiter registered under its
-// correlation id. The simulated fabric's pump calls it; duplicate or late
-// replies for answered (or abandoned) attempts are dropped here. A coalesced
-// msgReplyBatch fans out into its member replies — losing or duplicating
-// the whole batch on the way here is no different from losing or
-// duplicating each member.
-func (c *Client) dispatch(m *message) {
-	if m.kind == msgReplyBatch {
-		batch, err := decodeAckBatch(m.body)
-		if err != nil {
-			return // corrupt batch: drop it whole; resends recover
-		}
-		for _, r := range batch {
-			c.dispatch(r)
-		}
-		return
-	}
-	if m.kind != msgReply {
-		return
-	}
-	c.mu.Lock()
-	ch := c.waiters[m.id]
-	c.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- m:
-		default: // duplicate reply for an already-answered attempt
-		}
-	}
-}
-
-// call sends one request and resends it — a fresh correlation id per
-// attempt — until a reply arrives, the client is closed, or ctx is done (the
+// call sends one request and resends it — a fresh id per attempt — until a reply arrives, the client is closed, or ctx is done (the
 // returned error is then the ErrCancelled-wrapped ctx error). Cancellation
 // abandons only the wait: attempts already delivered may still execute at
 // the DC. Every attempt takes along the watermarks waiting for (tc, epoch),
@@ -171,38 +127,12 @@ func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch bas
 	}
 }
 
-// attempt sends its own copy of req once under a fresh correlation id and
-// waits up to wait for the reply (nil, nil: resend), cancellation or Close.
-// Over the simulated fabric the waiter is registered only for the wait,
-// however it ends.
+// attempt sends its own copy of req once under a fresh id and waits up to
+// wait for the reply (nil, nil: resend), cancellation or Close.
 func (c *Client) attempt(ctx context.Context, req message, wait time.Duration) (*message, error) {
 	req.id = c.nextID.Add(1)
 	c.calls.Add(1)
-	if c.link != nil {
-		return c.link.roundTrip(ctx, &req, wait)
-	}
-	ch := make(chan *message, 1)
-	c.mu.Lock()
-	c.waiters[req.id] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, req.id)
-		c.mu.Unlock()
-	}()
-	c.sendFn(&req)
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-timer.C:
-		return nil, nil
-	case <-ctx.Done():
-		return nil, base.CancelErr(ctx)
-	case <-c.closeCh:
-		return closedReply(), nil
-	}
+	return c.link.roundTrip(ctx, &req, wait)
 }
 
 // carry moves the watermarks waiting for the request's (tc, epoch) into its
@@ -267,42 +197,11 @@ func isOverloadReply(errText string) bool {
 // request ID (op.LSN) and DC idempotence; a read (LSN zero) a resend reaches
 // twice just runs twice — or until ctx is done (CodeCancelled).
 func (c *Client) Perform(ctx context.Context, op *base.Op) *base.Result {
-	body := base.AppendOp(nil, op)
-	for {
-		reply, err := c.call(ctx, msgPerform, op.TC, op.Epoch, op.LSN, body)
-		if err != nil {
-			return &base.Result{LSN: op.LSN, Code: base.CodeCancelled}
-		}
-		if reply.err != "" {
-			if isOverloadReply(reply.err) {
-				// The server shed the request before it touched the service:
-				// count it, pause out the queue pressure, and re-offer,
-				// invisibly to the caller.
-				c.overloads.Add(1)
-				if code := c.pause(ctx); code != base.CodeOK {
-					return &base.Result{LSN: op.LSN, Code: code}
-				}
-				continue
-			}
-			return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
-		}
-		res, _, derr := base.DecodeResult(reply.body)
-		putReplyBuf(reply.body)
-		if derr != nil {
-			return &base.Result{LSN: op.LSN, Code: base.CodeBadRequest}
-		}
-		// CodeStaleEpoch is a permanent nack (the sender's incarnation was
-		// fenced by a restart): returned as-is, never retried.
-		if res.Code == base.CodeUnavailable {
-			// DC up but still recovering; retry after a pause (which a
-			// concurrent Close or cancellation cuts short).
-			if code := c.pause(ctx); code != base.CodeOK {
-				return &base.Result{LSN: op.LSN, Code: code}
-			}
-			continue
-		}
-		return res
+	rs, code := c.perform(ctx, msgPerform, op, 1, base.AppendOp(nil, op))
+	if code != base.CodeOK {
+		return &base.Result{LSN: op.LSN, Code: code}
 	}
+	return rs[0]
 }
 
 // PerformBatch implements base.Service: one message carries the whole
@@ -314,59 +213,64 @@ func (c *Client) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Resul
 	if len(ops) == 1 {
 		return []*base.Result{c.Perform(ctx, ops[0])}
 	}
-	body := base.AppendOpBatch(nil, ops)
-	fail := func(code base.Code) []*base.Result {
-		rs := make([]*base.Result, len(ops))
+	rs, code := c.perform(ctx, msgPerformBatch, ops[0], len(ops), base.AppendOpBatch(nil, ops))
+	if code != base.CodeOK {
+		rs = make([]*base.Result, len(ops))
 		for i, op := range ops {
 			rs[i] = &base.Result{LSN: op.LSN, Code: code}
 		}
-		return rs
 	}
+	return rs
+}
+
+// perform sends one Perform or PerformBatch frame of n operations, first
+// among them, until the DC answers it. An overload refusal (the server shed
+// the request before it touched the service) is counted, paused out and
+// re-offered, and so is an answer with a CodeUnavailable result (the DC is
+// up but still recovering), invisibly to the caller; a pause a concurrent
+// Close or cancellation cuts short ends it. It returns the results, or the
+// code every operation of the frame fails with. CodeStaleEpoch is a
+// permanent nack (the sender's incarnation was fenced by a restart):
+// returned as a result, never retried.
+func (c *Client) perform(ctx context.Context, kind msgKind, first *base.Op, n int, body []byte) ([]*base.Result, base.Code) {
 	for {
-		reply, err := c.call(ctx, msgPerformBatch, ops[0].TC, ops[0].Epoch, ops[0].LSN, body)
+		reply, err := c.call(ctx, kind, first.TC, first.Epoch, first.LSN, body)
 		if err != nil {
-			return fail(base.CodeCancelled)
+			return nil, base.CodeCancelled
 		}
-		if reply.err != "" {
-			if isOverloadReply(reply.err) {
-				c.overloads.Add(1)
-				if code := c.pause(ctx); code != base.CodeOK {
-					return fail(code)
-				}
-				continue
+		switch {
+		case isOverloadReply(reply.err):
+			c.overloads.Add(1)
+		case reply.err != "":
+			return nil, base.CodeUnavailable
+		default:
+			rs, err := decodeResults(kind, reply.body, n)
+			if err != nil {
+				return nil, base.CodeBadRequest
 			}
-			return fail(base.CodeUnavailable)
-		}
-		rs, derr := decodeBatchReply(reply.body, len(ops))
-		if derr != nil {
-			return fail(base.CodeBadRequest)
-		}
-		unavailable := false
-		for _, r := range rs {
-			if r.Code == base.CodeUnavailable {
-				unavailable = true
-				break
+			if !slices.ContainsFunc(rs, func(r *base.Result) bool { return r.Code == base.CodeUnavailable }) {
+				return rs, base.CodeOK
 			}
-		}
-		if !unavailable {
-			return rs
 		}
 		if code := c.pause(ctx); code != base.CodeOK {
-			return fail(code)
+			return nil, code
 		}
 	}
 }
 
-func decodeBatchReply(body []byte, want int) ([]*base.Result, error) {
+// decodeResults decodes a Perform or PerformBatch reply body of want
+// results and recycles it.
+func decodeResults(kind msgKind, body []byte, want int) ([]*base.Result, error) {
+	defer putReplyBuf(body)
+	if kind == msgPerform {
+		res, _, err := base.DecodeResult(body)
+		return []*base.Result{res}, err
+	}
 	rs, _, err := base.DecodeResultBatch(body)
-	putReplyBuf(body)
-	if err != nil {
-		return nil, err
+	if err == nil && len(rs) != want {
+		err = fmt.Errorf("wire: batch reply size %d, want %d", len(rs), want)
 	}
-	if len(rs) != want {
-		return nil, fmt.Errorf("wire: batch reply size %d, want %d", len(rs), want)
-	}
-	return rs, nil
+	return rs, err
 }
 
 // pause sleeps one resend interval before retrying a recovering DC. It
@@ -414,11 +318,7 @@ func (c *Client) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon ba
 	}
 	c.wmMu.Unlock()
 	c.wmFrames.Add(1)
-	if c.link != nil {
-		c.link.post(m)
-		return
-	}
-	c.sendFn(m)
+	c.link.post(m)
 }
 
 // Checkpoint implements base.Service with resend until acknowledged.

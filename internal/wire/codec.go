@@ -199,7 +199,7 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 // readLenBytes reads one length-prefixed field. The field aliases buf (its
 // capacity clipped, so appending to it cannot reach the bytes behind); a
 // caller that outlives buf copies — the catalog and error texts into
-// strings, decodeAckBatch into a pooled buffer per member.
+// strings.
 func readLenBytes(buf []byte) ([]byte, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil || n > uint64(len(buf)) {

@@ -39,7 +39,7 @@ func TestTCPDropProbLossIsRiddenOut(t *testing.T) {
 	if applied != 50 {
 		t.Fatalf("applied %d distinct LSNs, want 50", applied)
 	}
-	if got := cl.link.dropsInjected.Load(); got == 0 {
+	if got := cl.link.(*tcpLink).dropsInjected.Load(); got == 0 {
 		t.Fatal("DropProb 0.4 over 50 ops injected zero drops")
 	}
 	if cl.Resends() == 0 {

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -11,16 +10,15 @@ import (
 )
 
 // The DC server runtime. There is exactly one, behind both transports: the
-// simulated Server and the TCP Listener only move frames — read one, hand
-// it to serveCore.serve, write whatever the connection's ackBatcher hands
-// back. Everything protocol-shaped on the serving side (applying the
-// watermark block a frame carries, admission control, running the request,
-// ack coalescing, the shutdown drain) lives here, so a chaos test over the
-// simulated fabric exercises the code a deployed DC runs. Only *where* an
-// admitted request runs depends on the transport: a TCP connection carries
-// one call at a time, so its reader runs the request itself; the simulated
-// fabric multiplexes every call onto one endpoint, so each request runs on
-// a goroutine of its own.
+// simulated Server and the TCP Listener only move frames — take one, hand
+// it to serveCore.accept, run what it admits with serveCore.answer, ship
+// the reply. Everything protocol-shaped on the serving side (applying the
+// watermark block a frame carries, admission control, running the request)
+// lives here, so a chaos test over the simulated fabric exercises the code
+// a deployed DC runs. Only *where* an admitted request runs depends on the
+// transport: a TCP connection carries one call at a time, so its reader
+// runs the request itself; the simulated server, which every attempt of
+// every caller reaches, runs each on a goroutine of its own.
 
 // ListenConfig sizes the server runtime. The zero value is the production
 // default, sized to the machine. The simulated fabric's servers
@@ -35,48 +33,31 @@ type ListenConfig struct {
 
 // serveCore executes inbound requests against one base.Service.
 type serveCore struct {
-	svc    base.Service
-	inline bool // run each request on the goroutine that read it (TCP)
+	svc base.Service
 
-	maxInFlight               int64
-	inFlight                  atomic.Int64
-	admitted, refused         atomic.Uint64
-	ackBatches, acksCoalesced atomic.Uint64
-
-	// spawned counts the request goroutines of a transport that does not
-	// run them inline. They are started only from its reader, and a
-	// transport stops its reader before drain waits, so an Add never races
-	// the Wait.
-	spawned sync.WaitGroup
+	maxInFlight       int64
+	inFlight          atomic.Int64
+	admitted, refused atomic.Uint64
 }
 
-func newServeCore(svc base.Service, cfg ListenConfig, inline bool) *serveCore {
+func newServeCore(svc base.Service, cfg ListenConfig) *serveCore {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0) * 256
 	}
-	return &serveCore{svc: svc, inline: inline, maxInFlight: int64(cfg.MaxInFlight)}
-}
-
-// newAcks returns the reply coalescer for one connection; out ships a
-// frame toward that connection's client.
-func (c *serveCore) newAcks(out func(*message)) *ackBatcher {
-	return &ackBatcher{out: out, batches: &c.ackBatches, coalesced: &c.acksCoalesced}
+	return &serveCore{svc: svc, maxInFlight: int64(cfg.MaxInFlight)}
 }
 
 // overloadedErrText names the taxonomy sentinel so the client rehydrates
 // a shed request as base.ErrOverloaded.
 var overloadedErrText = "wire: too many requests in flight: " + base.ErrOverloaded.Error()
 
-// serve takes one inbound frame; replies leave through acks, the coalescer
-// of the connection the frame arrived on. A watermark block — riding a
-// request or alone in a msgWatermarks frame — applies before the request
-// it rode. Perform and PerformBatch pass admission control: with
-// MaxInFlight of them unfinished, the request is refused typed, never
-// having touched the service. Control requests are not refused. The
-// server side has no caller context: a request that reached the DC
-// executes to completion (cancellation only ever abandons the client's
-// wait).
-func (c *serveCore) serve(m *message, acks *ackBatcher) {
+// accept takes one inbound frame, in arrival order. A watermark block —
+// riding a request or alone in a msgWatermarks frame — applies first, so
+// before the request it rode. Perform and PerformBatch then pass admission
+// control: with MaxInFlight of them unfinished, the request is refused, and
+// the refusal is the reply, the service never touched. Control requests are
+// not refused. run reports a request the transport must now answer.
+func (c *serveCore) accept(m *message) (refusal *message, run bool) {
 	if w := &m.wm; w.has != 0 {
 		// The service fences each by the frame's epoch, as it does the request.
 		if w.has&wmEOSL != 0 {
@@ -93,23 +74,14 @@ func (c *serveCore) serve(m *message, acks *ackBatcher) {
 	case msgPerform, msgPerformBatch:
 		if !c.admit() {
 			c.refused.Add(1)
-			acks.add(&message{kind: msgReply, id: m.id, err: overloadedErrText})
-			return
+			return &message{kind: msgReply, id: m.id, err: overloadedErrText}, false
 		}
 		c.admitted.Add(1)
+		return nil, true
 	case msgCheckpoint, msgBeginRestart, msgEndRestart, msgCatalog:
-	default:
-		return // msgWatermarks: nothing but its block, applied above
+		return nil, true
 	}
-	if c.inline {
-		c.answer(m, acks)
-		return
-	}
-	c.spawned.Add(1)
-	go func() {
-		defer c.spawned.Done()
-		c.answer(m, acks)
-	}()
+	return nil, false // msgWatermarks: nothing but its block, applied above
 }
 
 // admit counts one more request in flight unless the cap is reached. The
@@ -126,9 +98,12 @@ func (c *serveCore) admit() bool {
 	}
 }
 
-// answer executes one request at the service and acknowledges it, carrying
-// a control failure as text for the client to rehydrate.
-func (c *serveCore) answer(m *message, acks *ackBatcher) {
+// answer executes one accepted request at the service and returns its
+// reply, carrying a control failure as text for the client to rehydrate.
+// The server side has no caller context: a request that reached the DC
+// executes to completion (cancellation only ever abandons the client's
+// wait).
+func (c *serveCore) answer(m *message) *message {
 	ctx := context.Background()
 	reply := &message{kind: msgReply, id: m.id}
 	var err error
@@ -148,7 +123,7 @@ func (c *serveCore) answer(m *message, acks *ackBatcher) {
 	if err != nil {
 		reply.err = err.Error()
 	}
-	acks.add(reply)
+	return reply
 }
 
 // perform executes one admitted Perform or PerformBatch request into its
@@ -172,12 +147,6 @@ func (c *serveCore) perform(m *message, reply *message) {
 	reply.body = base.AppendResultBatch(getReplyBuf(), c.svc.PerformBatch(ctx, ops))
 }
 
-// drain waits for every spawned request to finish. Admitted work executes
-// even across shutdown — admission is a promise; only the replies are
-// lost, which is what the client's resend contract is for. The transport
-// must have stopped its readers first (no serve call concurrent or after).
-func (c *serveCore) drain() { c.spawned.Wait() }
-
 // registerStats exports admission control: the cap, the requests in flight
 // against it (worker_queue_cap and worker_queue_depth, the names the soak
 // watches), and the admissions and refusals so far.
@@ -186,6 +155,4 @@ func (c *serveCore) registerStats(g *stats.Group) {
 	g.Func("worker_queue_depth", func() uint64 { return uint64(c.inFlight.Load()) })
 	g.Func("dispatched", c.admitted.Load)
 	g.Func("overloads", c.refused.Load)
-	g.Func("ack_batches", c.ackBatches.Load)
-	g.Func("acks_coalesced", c.acksCoalesced.Load)
 }

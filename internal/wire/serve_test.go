@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,15 +23,15 @@ import (
 func TestAdmissionCapCountsInFlight(t *testing.T) {
 	const n = 3
 	svc := newStuckService()
-	core := newServeCore(svc, ListenConfig{MaxInFlight: n}, false)
+	srv := &Server{core: newServeCore(svc, ListenConfig{MaxInFlight: n})}
 	replies := make(chan *message, n+1)
-	acks := core.newAcks(func(m *message) { replies <- m })
 	reg := stats.NewRegistry()
-	core.registerStats(reg.Group("wire"))
+	srv.core.registerStats(reg.Group("wire"))
 	gauge := func(name string) uint64 { return reg.Snapshot()["wire"][name] }
 	serve := func(i int) {
 		op := &base.Op{TC: 1, Epoch: 1, LSN: base.LSN(i), Kind: base.OpUpsert, Table: "t", Key: fmt.Sprintf("k%d", i)}
-		core.serve(&message{kind: msgPerform, id: uint64(i), tc: 1, epoch: 1, body: base.AppendOp(nil, op)}, acks)
+		srv.take(&message{kind: msgPerform, id: uint64(i), tc: 1, epoch: 1, body: base.AppendOp(nil, op)},
+			func(m *message) { replies <- m })
 	}
 
 	// The first request is running at the service before the others come.
@@ -61,170 +60,15 @@ func TestAdmissionCapCountsInFlight(t *testing.T) {
 			t.Fatalf("admitted request %d failed: %q", r.id, r.err)
 		}
 	}
-	core.drain()
+	srv.Close()
 	if got := gauge("worker_queue_depth"); got != 0 {
-		t.Fatalf("worker_queue_depth %d after the drain, want 0", got)
+		t.Fatalf("worker_queue_depth %d after Close, want 0", got)
 	}
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	if len(svc.applied) != n {
 		t.Fatalf("service ran %d requests, want %d", len(svc.applied), n)
 	}
-}
-
-// --- ack batcher unit tests --------------------------------------------
-
-// TestAckBatcherCoalescesDuringFlush drives the group-commit shape
-// deterministically: the first reply flushes alone; replies arriving while
-// that flush is on the wire leave together as one batch.
-func TestAckBatcherCoalescesDuringFlush(t *testing.T) {
-	var batches, coalesced atomic.Uint64
-	var mu sync.Mutex
-	var got [][]uint64
-	inFlush := make(chan struct{})
-	release := make(chan struct{})
-	first := true
-	a := &ackBatcher{batches: &batches, coalesced: &coalesced}
-	a.out = func(m *message) {
-		batch := []*message{m}
-		if m.kind == msgReplyBatch {
-			var err error
-			if batch, err = decodeAckBatch(m.body); err != nil {
-				t.Errorf("flushed frame does not decode: %v", err)
-			}
-		}
-		ids := make([]uint64, len(batch))
-		for i, r := range batch {
-			ids[i] = r.id
-		}
-		mu.Lock()
-		got = append(got, ids)
-		mu.Unlock()
-		if first {
-			first = false
-			inFlush <- struct{}{}
-			<-release
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		a.add(&message{kind: msgReply, id: 1})
-	}()
-	<-inFlush // the adder is now the flusher, blocked mid-write
-	a.add(&message{kind: msgReply, id: 2})
-	a.add(&message{kind: msgReply, id: 3})
-	a.add(&message{kind: msgReply, id: 4})
-	close(release)
-	wg.Wait()
-	if len(got) != 2 || len(got[0]) != 1 || got[0][0] != 1 {
-		t.Fatalf("flushes = %v, want first flush [1]", got)
-	}
-	if want := []uint64{2, 3, 4}; fmt.Sprint(got[1]) != fmt.Sprint(want) {
-		t.Fatalf("second flush = %v, want %v", got[1], want)
-	}
-	if batches.Load() != 2 || coalesced.Load() != 2 {
-		t.Fatalf("batches=%d coalesced=%d, want 2 and 2", batches.Load(), coalesced.Load())
-	}
-}
-
-func TestAckBatchCodecRoundTrip(t *testing.T) {
-	batch := []*message{
-		{kind: msgReply, id: 1, body: append([]byte(nil), 0xde, 0xad, 0xbe, 0xef)},
-		{kind: msgReply, id: 2, err: overloadedErrText},
-		{kind: msgReply, id: 1 << 40, body: append([]byte(nil), []byte("result")...)},
-		{kind: msgReply, id: 4},
-	}
-	// encodeAckBatch recycles member bodies; keep copies to compare.
-	wantBodies := make([][]byte, len(batch))
-	for i, m := range batch {
-		wantBodies[i] = append([]byte(nil), m.body...)
-	}
-	enc := encodeAckBatch(nil, batch)
-	dec, err := decodeAckBatch(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(dec) != len(batch) {
-		t.Fatalf("decoded %d replies, want %d", len(dec), len(batch))
-	}
-	for i, m := range dec {
-		if m.kind != msgReply || m.id != batch[i].id || m.err != batch[i].err {
-			t.Fatalf("reply[%d] = kind=%d id=%d err=%q, want id=%d err=%q",
-				i, m.kind, m.id, m.err, batch[i].id, batch[i].err)
-		}
-		if !bytes.Equal(m.body, wantBodies[i]) {
-			t.Fatalf("reply[%d] body = %x, want %x", i, m.body, wantBodies[i])
-		}
-	}
-}
-
-func TestAckBatchDecodeRejectsCorruptFrames(t *testing.T) {
-	batch := []*message{
-		{kind: msgReply, id: 7, body: append([]byte(nil), []byte("value")...)},
-		{kind: msgReply, id: 8, err: "boom"},
-	}
-	enc := encodeAckBatch(nil, batch)
-	// Every truncation must fail typed, never panic or misparse.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeAckBatch(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded successfully", cut)
-		}
-	}
-	if _, err := decodeAckBatch(append(append([]byte(nil), enc...), 0x00)); err == nil {
-		t.Fatal("trailing garbage decoded successfully")
-	}
-	// An absurd member count must be refused before allocation.
-	huge := make([]byte, 0, 16)
-	huge = appendUvarintForTest(huge, 1<<40)
-	if _, err := decodeAckBatch(huge); err == nil {
-		t.Fatal("oversized count decoded successfully")
-	}
-}
-
-// FuzzAckBatch pins the msgReplyBatch body codec, the bytes the simulated
-// fabric's reply pump takes from its endpoint: any input either fails to decode or decodes to
-// replies whose encoding decodes to the same replies. Run with
-// go test -fuzz=FuzzAckBatch ./internal/wire.
-func FuzzAckBatch(f *testing.F) {
-	f.Add(encodeAckBatch(nil, []*message{
-		{kind: msgReply, id: 1, body: []byte{0xde, 0xad, 0xbe, 0xef}},
-		{kind: msgReply, id: 2, err: overloadedErrText},
-		{kind: msgReply, id: 1 << 40, body: []byte("result")},
-		{kind: msgReply, id: 4},
-	}))
-	f.Add(encodeAckBatch(nil, nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
-	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := decodeAckBatch(data)
-		if err != nil {
-			return
-		}
-		// encodeAckBatch recycles the member bodies it is handed, so encode
-		// copies and compare against the originals.
-		copies := make([]*message, len(batch))
-		for i, m := range batch {
-			copies[i] = &message{kind: m.kind, id: m.id, err: m.err, body: append([]byte(nil), m.body...)}
-		}
-		again, err := decodeAckBatch(encodeAckBatch(nil, copies))
-		if err != nil || len(again) != len(batch) {
-			t.Fatalf("re-decode of a re-encoded batch: %v, %d replies for %d", err, len(again), len(batch))
-		}
-		for i, m := range again {
-			if w := batch[i]; m.kind != msgReply || m.id != w.id || m.err != w.err || !bytes.Equal(m.body, w.body) {
-				t.Fatalf("reply %d: got %+v want %+v", i, m, w)
-			}
-		}
-	})
-}
-
-func appendUvarintForTest(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
 }
 
 // --- server runtime over TCP -------------------------------------------
@@ -478,4 +322,37 @@ func TestSimOverloadOnMisbehavingNetwork(t *testing.T) {
 	}
 	cancel() // the last two calls' replies died with the server
 	wg.Wait()
+}
+
+// TestSimServerDropsWhatArrivesAfterClose: frames still on their way when
+// a simulated server closes — a request and its duplicate, a watermark
+// frame, each on a timer of the fabric's delay — never reach the service,
+// and the request's attempt is never answered.
+func TestSimServerDropsWhatArrivesAfterClose(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	n := NewNetwork(Config{Delay: delay, DupProb: 1, ResendAfter: time.Hour})
+	svc := newEchoService()
+	cl, srv := n.Connect(svc)
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 4*delay)
+	defer cancel()
+	done := make(chan *base.Result, 1)
+	go func() { done <- cl.Perform(ctx, readOp(1, 1)) }()
+	cl.SafeTS(1, 1, 7, 6)
+	for n.Stats().Sent < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	if res := <-done; res.Code != base.CodeCancelled {
+		t.Fatalf("a closed server answered: %+v", res)
+	}
+	svc.mu.Lock()
+	applied, safe := len(svc.applied), svc.safe
+	svc.mu.Unlock()
+	if applied != 0 || safe != 0 {
+		t.Fatalf("the service ran %d requests and took safe timestamp %d after Close", applied, safe)
+	}
+	if st := n.Stats(); st.Sent != 2 || st.Duplicated != 2 || st.Delivered != 0 || st.Dropped != 4 {
+		t.Fatalf("stats %+v, want two frames and their duplicates, all four dropped", st)
+	}
 }

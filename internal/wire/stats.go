@@ -30,10 +30,10 @@ func (c *Client) RegisterStats(g *stats.Group, prefix string) {
 	// a request frame instead of paying for one.
 	g.Func(prefix+"watermark_frames", c.wmFrames.Load)
 	g.Func(prefix+"watermarks_carried", c.wmCarried.Load)
-	if c.link != nil {
-		g.Func(prefix+"bytes_out", c.link.bytesOut.Load)
-		g.Func(prefix+"bytes_in", c.link.bytesIn.Load)
-		g.Func(prefix+"frame_errors", c.link.frameErrs.Load)
-		g.Func(prefix+"drops_injected", c.link.dropsInjected.Load)
+	if ln, ok := c.link.(*tcpLink); ok {
+		g.Func(prefix+"bytes_out", ln.bytesOut.Load)
+		g.Func(prefix+"bytes_in", ln.bytesIn.Load)
+		g.Func(prefix+"frame_errors", ln.frameErrs.Load)
+		g.Func(prefix+"drops_injected", ln.dropsInjected.Load)
 	}
 }

@@ -33,9 +33,9 @@ import (
 // serve core and runs the request it carries before reading the next: a
 // connection never holds a second request before the first is answered, so
 // nothing queues behind a request that waits (a snapshot read waiting for
-// SafeTS, a flush waiting for EOSL). Replies leave through the connection's
-// ackBatcher. Admission control (ListenConfig) bounds the requests in
-// flight across all connections.
+// SafeTS, a flush waiting for EOSL). The reader writes the reply itself.
+// Admission control (ListenConfig) bounds the requests in flight across all
+// connections.
 type Listener struct {
 	ln   net.Listener
 	core *serveCore
@@ -60,7 +60,7 @@ func ListenWith(addr string, svc base.Service, cfg ListenConfig) (*Listener, err
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{ln: ln, core: newServeCore(svc, cfg, true), conns: make(map[net.Conn]struct{})}
+	l := &Listener{ln: ln, core: newServeCore(svc, cfg), conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -98,8 +98,8 @@ func (l *Listener) Close() error {
 }
 
 // RegisterStats exports the server runtime's counters into g: admissions
-// and refusals, the requests in flight against their cap,
-// ack-coalescing effectiveness, and the open connection count.
+// and refusals, the requests in flight against their cap, and the open
+// connection count.
 func (l *Listener) RegisterStats(g *stats.Group) {
 	l.core.registerStats(g)
 	g.Func("conns", func() uint64 {
@@ -131,15 +131,28 @@ func (l *Listener) acceptLoop() {
 
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
-	sc := &srvConn{conn: conn}
-	acks := l.core.newAcks(sc.write)
 	br := bufio.NewReader(conn)
+	var buf []byte
 	for {
 		m, err := readStreamFrame(br)
 		if err != nil {
 			break // connection gone or stream corrupt; client redials
 		}
-		l.core.serve(m, acks)
+		reply, run := l.core.accept(m)
+		if run {
+			reply = l.core.answer(m)
+		}
+		if reply == nil {
+			continue
+		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		buf, err = writeFrame(conn, buf, reply)
+		putReplyBuf(reply.body)
+		if err != nil {
+			// The connection died mid-reply: drop it. The request executed;
+			// the client's resend re-asks and idempotence answers from state.
+			break
+		}
 	}
 	conn.Close()
 	l.mu.Lock()
@@ -147,31 +160,11 @@ func (l *Listener) serveConn(conn net.Conn) {
 	l.mu.Unlock()
 }
 
-// srvConn writes the replies of one accepted connection; its ackBatcher
-// calls write one flush at a time.
-type srvConn struct {
-	conn net.Conn
-	buf  []byte
-}
-
 // writeTimeout bounds one frame write the client does not time itself: a
 // reply, a SafeTS frame. A peer that stops reading (wedged, half-dead
 // network) would otherwise block the writer; timing out turns that into an
 // ordinary connection failure the resend/redial machinery already handles.
 const writeTimeout = 5 * time.Second
-
-// write sends one reply frame and recycles its body.
-func (sc *srvConn) write(m *message) {
-	sc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	buf, err := writeFrame(sc.conn, sc.buf, m)
-	sc.buf = buf
-	putReplyBuf(m.body)
-	if err != nil {
-		// The connection died mid-reply: drop it. The request executed; the
-		// client's resend re-asks and idempotence answers from state.
-		sc.conn.Close()
-	}
-}
 
 // DialConfig shapes a dialed connection.
 type DialConfig struct {
@@ -215,7 +208,7 @@ func (c DialConfig) withDefaults() DialConfig {
 // Close the client to close its connections.
 func Dial(addr string, cfg DialConfig) *Client {
 	cfg = cfg.withDefaults()
-	cl := newClient(nil, func() time.Duration { return cfg.ResendAfter })
+	cl := newClient(func() time.Duration { return cfg.ResendAfter })
 	link := &tcpLink{addr: addr, cfg: cfg, done: cl.closeCh, open: make(map[*tcpConn]struct{})}
 	if cfg.DropProb > 0 {
 		seed := cfg.DropSeed
@@ -231,7 +224,6 @@ func Dial(addr string, cfg DialConfig) *Client {
 		}
 	}
 	cl.link = link
-	cl.teardown = link.shutdown
 	return cl
 }
 
@@ -560,10 +552,11 @@ func (ln *tcpLink) shutdown() {
 // connection — each one a DC outage (or a network blink) the resend path
 // rode out.
 func (c *Client) Reconnects() uint64 {
-	if c.link == nil {
+	ln, ok := c.link.(*tcpLink)
+	if !ok {
 		return 0
 	}
-	if n := c.link.sessions.Load(); n > 1 {
+	if n := ln.sessions.Load(); n > 1 {
 		return n - 1
 	}
 	return 0
@@ -577,21 +570,22 @@ func (c *Client) Reconnects() uint64 {
 // every millisecond. No-op on the simulated transport, whose outages are
 // driven explicitly by tests.
 func (c *Client) OnReconnect(f func()) {
-	if c.link != nil {
-		c.link.onReconnect.Store(&f)
+	if ln, ok := c.link.(*tcpLink); ok {
+		ln.onReconnect.Store(&f)
 	}
 }
 
 // WaitConnected blocks until a connection to the DC is established or ctx
 // is done. The simulated transport is always "connected".
 func (c *Client) WaitConnected(ctx context.Context) error {
-	if c.link == nil {
+	ln, ok := c.link.(*tcpLink)
+	if !ok {
 		return nil
 	}
-	conn, err := c.link.take(ctx, time.Time{})
+	conn, err := ln.take(ctx, time.Time{})
 	switch err {
 	case nil:
-		c.link.put(conn)
+		ln.put(conn)
 		return nil
 	case errClosed:
 		return base.ErrUnavailable

@@ -3,9 +3,9 @@
 // The simulated fabric (Network, Connect) is the substitute for a cloud
 // RPC stack used by tests and in-process deployments. It deliberately misbehaves:
 // configurable one-way delay and jitter (which reorders deliveries),
-// message loss, and duplication — the chaos half of the package. It
-// multiplexes every call onto one pair of endpoints and matches replies to
-// calls by correlation id.
+// message loss, and duplication — the chaos half of the package. Each
+// attempt of a call is one delivery toward the server and one back, to a
+// channel only that attempt reads.
 //
 // The TCP transport (Listen, Dial) is the deployment half: it serves a
 // base.Service — a DC — on a real socket and dials it from another OS
@@ -13,12 +13,14 @@
 // reads its own reply on the calling goroutine, and the DC runs the
 // request on the goroutine that read it. Both transports share one frame
 // codec (codec.go), one server runtime (serve.go: watermark application,
-// one in-flight cap deciding admission, ack coalescing) and one client stub
-// (Client, in client.go) implementing base.Service by resending requests
-// until acknowledged (§4.2 "Resend Requests"); together with DC idempotence
+// one in-flight cap deciding admission) and one client stub (Client, in
+// client.go) implementing base.Service by resending requests until
+// acknowledged (§4.2 "Resend Requests"); together with DC idempotence
 // this yields exactly-once execution of logical operations over an
 // at-most-once network — whether the misbehaviour is injected by the
-// simulator or by real processes crashing mid-stream.
+// simulator or by real processes crashing mid-stream. A transport only
+// supplies the link (a round trip, a one-way post): it loses, duplicates,
+// delays and reorders frames, and the protocol does not care which.
 //
 // Operations and results cross the wire in their binary encodings, so the
 // serialization cost the paper's unbundling implies is actually paid.
@@ -33,6 +35,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"sync"
@@ -121,18 +124,13 @@ const (
 	msgCheckpoint
 	msgBeginRestart
 	msgEndRestart
-	msgReply // server -> client; id correlates
+	msgReply // server -> client; id echoes the request's
 	_        // 9: the standalone safe-timestamp frame, retired likewise
 	// msgCatalog asks the server for the tables its service actually
 	// serves (the fleet-assembly placement cross-check). Appended last, to
 	// keep old frames decoding identically.
 	msgCatalog
-	// msgReplyBatch coalesces several msgReply frames into one — the
-	// inverse of msgPerformBatch: where a sender amortizes a round trip
-	// over many operations, the server amortizes a flush (and,
-	// at the TC, a commit-force window) over many acks. Appended last, so
-	// old frames decode identically.
-	msgReplyBatch
+	_ // 11: the coalesced reply frame, retired with the reply coalescer
 	// msgWatermarks is the one standalone watermark frame: no body, only
 	// the watermark block (see codec.go) with the sender's end of stable
 	// log, low-water mark and safe timestamp. Client.SafeTS sends it —
@@ -198,34 +196,42 @@ type message struct {
 
 func (m *message) size() int { return 32 + len(m.body) + len(m.err) }
 
-// deliver schedules msg into dst applying delay/jitter/loss/duplication.
-// The misbehaviour RNG is per destination endpoint, so concurrent senders
-// on a busy deployment do not serialize on one network-global mutex.
-func (n *Network) deliver(dst *endpoint, m *message) {
+// deliver hands m to recv after the configured delay and jitter, unless
+// loss drops it; duplication hands it over twice. recv reports whether the
+// far side took the frame. The misbehaviour RNG is the destination
+// endpoint's, so concurrent senders on a busy deployment do not serialize on
+// one network-global mutex.
+func (n *Network) deliver(dst *endpoint, m *message, recv func(*message) bool) {
 	n.sent.Add(1)
 	n.bytes.Add(uint64(m.size()))
 	var drop, dup bool
 	var jitter time.Duration
 	if n.misbehaves {
-		dst.rmu.Lock()
+		dst.mu.Lock()
 		drop = dst.rnd.Float64() < n.cfg.LossProb
 		dup = dst.rnd.Float64() < n.cfg.DupProb
 		if n.cfg.Jitter > 0 {
 			jitter = time.Duration(dst.rnd.Int63n(int64(n.cfg.Jitter)))
 		}
-		dst.rmu.Unlock()
+		dst.mu.Unlock()
 	}
 	if drop {
 		n.dropped.Add(1)
 		return
 	}
-	send := func() {
-		delay := n.cfg.Delay + jitter
-		if delay <= 0 {
-			dst.push(n, m)
-			return
+	hand := func() {
+		if recv(m) {
+			n.delivered.Add(1)
+		} else {
+			n.dropped.Add(1)
 		}
-		time.AfterFunc(delay, func() { dst.push(n, m) })
+	}
+	send := func() {
+		if delay := n.cfg.Delay + jitter; delay > 0 {
+			time.AfterFunc(delay, hand)
+		} else {
+			hand()
+		}
 	}
 	send()
 	if dup {
@@ -234,129 +240,137 @@ func (n *Network) deliver(dst *endpoint, m *message) {
 	}
 }
 
-// endpoint is one side of a link: an inbox plus a down flag and the
-// link-local misbehaviour RNG.
+// endpoint is one direction of a connected pair: its misbehaviour RNG.
 type endpoint struct {
-	inbox chan *message
-	down  atomic.Bool
-	once  sync.Once
-	close chan struct{}
-
-	rmu sync.Mutex
+	mu  sync.Mutex
 	rnd *rand.Rand
 }
 
 func (n *Network) newEndpoint() *endpoint {
 	seq := int64(n.epSeq.Add(1))
-	return &endpoint{
-		inbox: make(chan *message, 8192),
-		close: make(chan struct{}),
-		rnd:   rand.New(rand.NewSource(n.cfg.Seed + seq*104729 + 1)),
-	}
+	return &endpoint{rnd: rand.New(rand.NewSource(n.cfg.Seed + seq*104729 + 1))}
 }
-
-func (e *endpoint) push(n *Network, m *message) {
-	if e.down.Load() {
-		n.dropped.Add(1)
-		return
-	}
-	select {
-	case e.inbox <- m:
-		n.delivered.Add(1)
-	case <-e.close:
-		n.dropped.Add(1)
-	default:
-		// Congestion: the inbox is full; drop. Resend recovers.
-		n.dropped.Add(1)
-	}
-}
-
-func (e *endpoint) shutdown() { e.once.Do(func() { close(e.close) }) }
 
 // Connect builds a client/server pair over n. The server runs svc behind
 // the same runtime a TCP Listener does (serveCore, with the default
-// ListenConfig), each request on a goroutine of its own. Close the returned
-// pair to stop the pumps.
+// ListenConfig), each request on a goroutine of its own. Close the server
+// to wait for the requests it took.
 func (n *Network) Connect(svc base.Service) (*Client, *Server) {
 	return n.connect(svc, ListenConfig{})
 }
 
 func (n *Network) connect(svc base.Service, lc ListenConfig) (*Client, *Server) {
-	toServer := n.newEndpoint()
-	toClient := n.newEndpoint()
-	srv := &Server{core: newServeCore(svc, lc, false), in: toServer, done: make(chan struct{})}
-	// One coalesced batch is one fabric delivery — so loss drops,
-	// duplication re-delivers, and jitter reorders whole ack batches,
-	// exactly the failure modes the oracle tests aim at.
-	srv.acks = srv.core.newAcks(func(m *message) { n.deliver(toClient, m) })
-	cl := newClient(func(m *message) { n.deliver(toServer, m) }, n.cfg.resendAfter)
+	srv := &Server{core: newServeCore(svc, lc)}
+	cl := newClient(n.cfg.resendAfter)
 	cl.onResend = func() { n.resends.Add(1) }
-	cl.simIn = toClient
-	cl.teardown = toClient.shutdown
-	go srv.run()
-	go cl.pumpSim(toClient)
+	cl.link = &simLink{net: n, srv: srv, toServer: n.newEndpoint(), toClient: n.newEndpoint(), done: cl.closeCh}
 	return cl, srv
 }
 
-// pumpSim feeds replies delivered by the simulated fabric into the shared
-// dispatch path until the client's inbound endpoint shuts down.
-func (c *Client) pumpSim(in *endpoint) {
-	for {
+// simLink is the simulated fabric's link: an attempt is one delivery of
+// its request toward the server and, for each time the server takes it,
+// one delivery of the reply back to a channel that attempt alone reads.
+type simLink struct {
+	net                *Network
+	srv                *Server
+	toServer, toClient *endpoint
+	done               <-chan struct{} // the client's: closed by Close
+}
+
+// roundTrip is one attempt of Client.call: a nil reply and error mean the
+// attempt was lost. A late or duplicate reply finds the channel full or
+// unread and goes nowhere.
+func (l *simLink) roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error) {
+	ch := make(chan *message, 1)
+	back := func(r *message) bool {
 		select {
-		case <-in.close:
-			return
-		case m := <-in.inbox:
-			c.dispatch(m)
+		case ch <- r:
+			return true
+		default:
+			return false
 		}
+	}
+	l.net.deliver(l.toServer, req, func(m *message) bool {
+		return l.srv.take(m, func(r *message) { l.net.deliver(l.toClient, r, back) })
+	})
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case reply := <-ch:
+		return reply, nil
+	case <-timer.C:
+		return nil, nil
+	case <-ctx.Done():
+		return nil, base.CancelErr(ctx)
+	case <-l.done:
+		return closedReply(), nil
 	}
 }
 
-// Server is the simulated fabric's transport around the DC server runtime:
-// it pumps delivered frames into the serve core.
-type Server struct {
-	core *serveCore
-	acks *ackBatcher
-	in   *endpoint
-	done chan struct{} // closed when run has exited
+// post delivers a frame that has no reply (SafeTS's msgWatermarks).
+func (l *simLink) post(m *message) {
+	l.net.deliver(l.toServer, m, func(m *message) bool { return l.srv.take(m, nil) })
 }
 
-// AckStats returns the coalescing counters: flushed ack deliveries and
-// the number of replies that rode along in a batch instead of paying
-// their own delivery.
-func (s *Server) AckStats() (batches, coalesced uint64) {
-	return s.core.ackBatches.Load(), s.core.acksCoalesced.Load()
+// shutdown has nothing to release: an attempt waits on the client's done
+// channel, which Close has closed.
+func (l *simLink) shutdown() {}
+
+// Server is the simulated fabric's transport around the DC server runtime.
+type Server struct {
+	core *serveCore
+	down atomic.Bool
+
+	mu      sync.Mutex // orders arrivals against Close
+	closed  bool
+	running sync.WaitGroup // arrivals being taken, requests not yet answered
+}
+
+// take is one arrival at the server, on the delivering goroutine: the
+// frame's watermark block and its admission happen here, in arrival order,
+// and an admitted request runs on a goroutine of its own. Replies leave
+// through reply. A frame that arrives while the server is down or after
+// Close is dropped, and take reports false.
+func (s *Server) take(m *message, reply func(*message)) bool {
+	s.mu.Lock()
+	if s.closed || s.down.Load() {
+		s.mu.Unlock()
+		return false
+	}
+	s.running.Add(1)
+	s.mu.Unlock()
+	refusal, run := s.core.accept(m)
+	if !run {
+		if refusal != nil {
+			reply(refusal)
+		}
+		s.running.Done()
+		return true
+	}
+	go func() {
+		defer s.running.Done()
+		reply(s.core.answer(m))
+	}()
+	return true
 }
 
 // SetDown marks the server (DC process) up or down. While down, inbound
 // messages are dropped — crashed processes do not answer.
-func (s *Server) SetDown(down bool) { s.in.down.Store(down) }
+func (s *Server) SetDown(down bool) { s.down.Store(down) }
 
-// Close stops the server pump and, like Listener.Close, returns only after
-// every request it took has executed at the service.
+// Close drops every later arrival and, like Listener.Close, returns only
+// after every request it took has executed at the service.
 func (s *Server) Close() {
-	s.in.shutdown()
-	<-s.done
-	s.core.drain()
-}
-
-func (s *Server) run() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.in.close:
-			return
-		case m := <-s.in.inbox:
-			if !s.in.down.Load() {
-				s.core.serve(m, s.acks)
-			}
-		}
-	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.running.Wait()
 }
 
 // Reply bodies are encoded into pooled buffers: a reply is consumed by
-// exactly one call() return (duplicate deliveries land in the inbox but
-// their bodies are never read once the waiter is gone or full), so the
-// consumer can recycle the buffer right after decoding. Request bodies are
+// exactly one call() return (a duplicate delivery lands in a channel
+// nobody reads any more), so the consumer can recycle the buffer right
+// after decoding. Request bodies are
 // deliberately NOT pooled — resends and delayed duplicate deliveries share
 // one request slice whose last reader cannot be identified cheaply.
 var replyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}

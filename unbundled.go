@@ -216,9 +216,9 @@
 // is the only server runtime: the TCP listener and the simulated fabric
 // (Options.Network) are both transports around it, so tests that inject
 // loss, duplication and reordering exercise the admission, the refusals
-// and the ack path a deployed DC runs; the simulated fabric, which
-// multiplexes one endpoint, runs each admitted request on a goroutine of
-// its own and coalesces the replies that pile up into one frame.
+// and the replies a deployed DC runs. On the simulated fabric an attempt is
+// one delivery each way, its reply going to that attempt alone, and the
+// server runs each admitted request on a goroutine of its own.
 // cmd/unbundled-dc exposes the cap as -max-inflight.
 //
 // What this runtime costs is measured by the repository benchmark
