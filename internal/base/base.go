@@ -88,29 +88,29 @@ const (
 	OpScanProbe
 	// OpRangeRead returns records with Key <= k < EndKey, at most Limit.
 	OpRangeRead
-	// OpCommitVersions finalizes a versioned write: the before version of
-	// Key is discarded, making the later version the committed one (§6.2.2).
-	OpCommitVersions
+	// opRetired is the number the §6.2.2 finalize (commit-versions) held: a
+	// versioned write now carries its commit timestamp (Op.TS), and DecodeOp
+	// refuses the kind.
+	opRetired
 	// OpAbortVersions rolls back a versioned write: the latest version of
 	// Key is discarded and the before version restored (§6.2.2).
 	OpAbortVersions
 )
 
 var opKindNames = [...]string{
-	OpNone:           "none",
-	OpRead:           "read",
-	OpInsert:         "insert",
-	OpUpdate:         "update",
-	OpDelete:         "delete",
-	OpUpsert:         "upsert",
-	OpScanProbe:      "scan-probe",
-	OpRangeRead:      "range-read",
-	OpCommitVersions: "commit-versions",
-	OpAbortVersions:  "abort-versions",
+	OpNone:          "none",
+	OpRead:          "read",
+	OpInsert:        "insert",
+	OpUpdate:        "update",
+	OpDelete:        "delete",
+	OpUpsert:        "upsert",
+	OpScanProbe:     "scan-probe",
+	OpRangeRead:     "range-read",
+	OpAbortVersions: "abort-versions",
 }
 
 func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
+	if int(k) < len(opKindNames) && opKindNames[k] != "" {
 		return opKindNames[k]
 	}
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
@@ -120,7 +120,7 @@ func (k OpKind) String() string {
 // participates in abstract-LSN idempotence tracking.
 func (k OpKind) IsWrite() bool {
 	switch k {
-	case OpInsert, OpUpdate, OpDelete, OpUpsert, OpCommitVersions, OpAbortVersions:
+	case OpInsert, OpUpdate, OpDelete, OpUpsert, OpAbortVersions:
 		return true
 	}
 	return false

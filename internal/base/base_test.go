@@ -22,8 +22,8 @@ func TestOpKindStrings(t *testing.T) {
 }
 
 func TestIsWrite(t *testing.T) {
-	writes := []OpKind{OpInsert, OpUpdate, OpDelete, OpUpsert, OpCommitVersions, OpAbortVersions}
-	reads := []OpKind{OpRead, OpScanProbe, OpRangeRead, OpNone}
+	writes := []OpKind{OpInsert, OpUpdate, OpDelete, OpUpsert, OpAbortVersions}
+	reads := []OpKind{OpRead, OpScanProbe, OpRangeRead, OpNone, opRetired}
 	for _, k := range writes {
 		if !k.IsWrite() {
 			t.Errorf("%v should be a write", k)
@@ -61,7 +61,8 @@ func TestOpRoundTrip(t *testing.T) {
 		{TC: 2, Epoch: 1, LSN: 5, Kind: OpUpsert, Table: "t", Key: "k", Value: []byte("v")},
 		{TC: 2, Epoch: 1 << 33, LSN: 5, Kind: OpDelete, Table: "t", Key: "k", Versioned: true},
 		{TC: 2, Epoch: 3, LSN: 6, Kind: OpUpsert, Table: "t", Key: "k", Value: []byte("v"), DCInc: 1},
-		{TC: 2, Epoch: 3, LSN: 7, Kind: OpCommitVersions, Table: "t", Key: "k", TS: 1 << 50, DCInc: 1 << 40},
+		{TC: 2, Epoch: 3, LSN: 7, Kind: OpUpsert, Table: "t", Key: "k", Versioned: true, TS: 1 << 50, DCInc: 1 << 40},
+		{TC: 2, Epoch: 3, LSN: 8, Kind: OpAbortVersions, Table: "t", Key: "k"},
 	}
 	for _, o := range ops {
 		buf := AppendOp(nil, o)
@@ -75,6 +76,27 @@ func TestOpRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(o, got) {
 			t.Fatalf("roundtrip mismatch:\n in=%#v\nout=%#v", o, got)
 		}
+	}
+}
+
+// TestDecodeOpRefusesRetiredKind: the number the commit-versions finalize
+// held decodes to nothing, whatever else the frame carries, alone or inside
+// a batch.
+func TestDecodeOpRefusesRetiredKind(t *testing.T) {
+	for _, o := range []*Op{
+		{TC: 1, LSN: 7, Kind: opRetired, Table: "t", Key: "k"},
+		{TC: 1, Epoch: 3, LSN: 7, Kind: opRetired, Table: "t", Key: "k", TS: 1 << 50, DCInc: 2},
+	} {
+		if got, _, err := DecodeOp(AppendOp(nil, o)); err == nil {
+			t.Fatalf("DecodeOp accepted the retired kind: %v", got)
+		}
+		batch := AppendOpBatch(nil, []*Op{{TC: 1, LSN: 6, Kind: OpUpsert, Table: "t", Key: "j"}, o})
+		if got, _, err := DecodeOpBatch(batch); err == nil {
+			t.Fatalf("DecodeOpBatch accepted the retired kind: %v", got)
+		}
+	}
+	if got := opRetired.String(); got != "OpKind(8)" {
+		t.Fatalf("the retired kind prints %q", got)
 	}
 }
 
@@ -230,6 +252,9 @@ func TestOpRoundTripQuick(t *testing.T) {
 		}
 		buf := AppendOp(nil, o)
 		got, rest, err := DecodeOp(buf)
+		if o.Kind == opRetired {
+			return err != nil
+		}
 		if err != nil || len(rest) != 0 {
 			return false
 		}

@@ -16,12 +16,13 @@ func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, []*Op{
 		{TC: 1, Epoch: 2, LSN: 10, Kind: OpInsert, Table: "t", Key: "a", Value: []byte("1")},
 		{TC: 1, LSN: 11, Kind: OpDelete, Table: "t", Key: "b"},
-		{TC: 1, Epoch: 3, LSN: 12, Kind: OpCommitVersions, Table: "t", Key: "c", TS: 1 << 50},
+		{TC: 1, Epoch: 3, LSN: 12, Kind: OpUpsert, Table: "t", Key: "c", Versioned: true, TS: 1 << 50},
 		{TC: 2, Epoch: 1, LSN: 13, Kind: OpRangeRead, Table: "t", Key: "a", EndKey: "z", Limit: 32, Flavor: ReadDirty},
 		{TC: 2, Epoch: 1, LSN: 14, Kind: OpUpsert, Table: "t", Key: "b", Value: []byte("2"), DCInc: 300},
 	}))
 	f.Add(AppendOpBatch(nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
+	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 15, Kind: opRetired, Table: "t", Key: "c", TS: 9}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, rest, err := DecodeOpBatch(data)
 		if err != nil {

@@ -34,9 +34,10 @@ type Op struct {
 	// version so other TCs can perform read-committed reads.
 	Versioned bool
 	// TS is the operation's timestamp: the snapshot timestamp of a
-	// ReadSnapshot read (or range read), or the commit timestamp stamped on
-	// OpCommitVersions when the transaction's versions are finalized. Zero
-	// means "no timestamp" (every pre-snapshot operation).
+	// ReadSnapshot read (or range read), or the commit timestamp of a
+	// versioned write its transaction's commit barrier ships. Zero means
+	// "no timestamp": a read that is not a snapshot's, an unversioned write,
+	// or a versioned one an earlier barrier shipped.
 	TS TS
 	// DCInc is the DC incarnation a resend is bound to: the TC stamps the
 	// operations of a resend with the number the DC's first CodeStaleDC
@@ -212,10 +213,12 @@ type Service interface {
 	EndRestart(ctx context.Context, tc TCID, epoch Epoch) error
 	// SafeTS broadcasts the TC's safe timestamp and version-GC horizon,
 	// fire-and-forget like the watermarks. safe promises that every
-	// versioned commit this TC assigned a timestamp <= safe has been
-	// finalized at the DCs and that no future commit of this TC will be
-	// assigned a timestamp <= safe; a snapshot read at T is served once
-	// every registered TC's safe covers T. horizon promises no live (or
+	// versioned commit this TC assigned a timestamp <= safe has its
+	// stamped writes at the DCs and its commit record forced, and that no
+	// future commit of this TC will be assigned a timestamp <= safe: a
+	// version the TC stamped at or below it is committed, which is how a
+	// DC answers read-committed reads, and a snapshot read at T is served
+	// once every registered TC's safe covers T. horizon promises no live (or
 	// future) snapshot of this TC will read below it, releasing versions
 	// and tombstones older than the horizon for garbage collection.
 	// Epoch-fenced like EndOfStableLog.
@@ -293,6 +296,9 @@ func DecodeOp(buf []byte) (*Op, []byte, error) {
 	}
 	kind := buf[0]
 	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(buf[1]), buf[2] != 0
+	if o.Kind == opRetired {
+		return nil, nil, errRetired
+	}
 	buf = buf[3:]
 	if kind&opEpochFlag != 0 {
 		if u, buf, err = readUvarint(buf); err != nil {
@@ -469,6 +475,9 @@ func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
 // small codec helpers -------------------------------------------------------
 
 var errShort = fmt.Errorf("base: truncated encoding")
+
+// errRetired refuses an operation of a kind this build no longer has.
+var errRetired = fmt.Errorf("base: retired operation kind %d", opRetired)
 
 func boolByte(b bool) byte {
 	if b {

@@ -207,11 +207,12 @@ func TestClientRetriesUnavailable(t *testing.T) {
 }
 
 // TestClientDoesNotRetryAmbiguousCommit: a commit failure after the commit
-// record is logged (here: the TC closed with the finalize batch parked at a
-// crashed DC, a transient unavailable by classification) must not re-execute
-// fn — the transaction is a winner in the log.
+// record is logged (here: the TC crashed under the commit force, a transient
+// unavailable by classification) must not re-execute fn — whether the
+// transaction is a winner is the log's to say.
 func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
-	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"}})
+	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
+		TCConfig: func(int) tc.Config { return tc.Config{ForceDelay: 200 * time.Millisecond} }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,21 +225,16 @@ func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
 		if err := x.Upsert("kv", "k", []byte("v")); err != nil {
 			return err
 		}
-		// An unlocked read is a barrier: the write is logged, shipped and
-		// acknowledged here, so Commit goes straight to its commit record
-		// and meets the crashed DC with the finalize batch.
-		if _, _, err := x.ReadDirty("kv", "k"); err != nil {
-			return err
-		}
-		dep.CrashDC(0)
 		go func() {
-			time.Sleep(30 * time.Millisecond) // let Commit park in the resend loop
-			dep.TCs[0].Close()                // fails the finalize with ErrTCStopped
+			// Commit ships the write, appends its commit record and sleeps
+			// in the force, where the crash meets it.
+			time.Sleep(50 * time.Millisecond)
+			dep.CrashTC(0)
 		}()
 		return nil
 	})
 	if err == nil {
-		t.Fatal("commit against a closed TC must fail")
+		t.Fatal("commit under a crash must fail")
 	}
 	if !errors.Is(err, tc.ErrCommitAmbiguous) {
 		t.Fatalf("error %v does not carry ErrCommitAmbiguous", err)

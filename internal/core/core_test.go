@@ -251,15 +251,24 @@ func TestMultiTCSharedDC(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Cross-TC read-committed: TC2 reads TC1's data without locks.
-	if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(x *tc.Txn) error {
-		v, ok, err := x.ReadCommitted("users", "p1/alice")
-		if err != nil || !ok || string(v) != "alice-v1" {
-			return fmt.Errorf("cross-TC read: %q %v %v", v, ok, err)
+	// Cross-TC read-committed: TC2 reads TC1's data without locks, from
+	// TC1's next safe timestamp broadcast on (one tick after the commit).
+	deadline := time.Now().Add(time.Second)
+	for {
+		err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(x *tc.Txn) error {
+			v, ok, err := x.ReadCommitted("users", "p1/alice")
+			if err != nil || !ok || string(v) != "alice-v1" {
+				return fmt.Errorf("cross-TC read: %q %v %v", v, ok, err)
+			}
+			return nil
+		})
+		if err == nil {
+			break
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// TC1 updates without committing the page flush anywhere; then crashes.
 	x := tc1.Begin(context.Background(), tc.TxnOptions{Versioned: true})

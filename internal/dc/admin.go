@@ -45,7 +45,6 @@ func (d *DC) RegisterStats(g *stats.Group) {
 	g.Func("conflict_violations", d.conVios.Load)
 	g.Func("snapshot_reads", d.snapReads.Load)
 	g.Func("snapshot_waits", d.snapWaits.Load)
-	g.Func("version_finalizes", d.finalizes.Load)
 	g.Func("gc_horizon", func() uint64 {
 		if inc := d.inc.Load(); inc != nil {
 			return inc.gcHorizon.Load()

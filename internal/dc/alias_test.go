@@ -69,9 +69,10 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 // TestDecodedPageNeverWritesItsImage runs one seeded schedule of everything
 // that changes a leaf on a page decoded over its image and on a deep clone of
 // it that aliases nothing: Put, Remove, every write kind through applyWrite
-// versioned and not, commits at a timestamp, aborts, pruning, a split
-// (UpperHalf, CutAt) undone by a consolidation (Merged, SetContents), and a
-// trip through the store's format and back. No image may change (a decoded
+// versioned and not, versioned writes stamped with a commit timestamp,
+// aborts, pruning, a split (UpperHalf, CutAt) undone by a consolidation
+// (Merged, SetContents), and a trip through the store's format and back.
+// No image may change (a decoded
 // page's fields are replaced, never edited: package page), the two pages must
 // encode alike at the end, and after every step Size must be the old sum.
 func TestDecodedPageNeverWritesItsImage(t *testing.T) {
@@ -117,7 +118,9 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 					op.Kind = [...]base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete}[kind-2]
 					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 6, 7:
-					op.Kind, op.TS = base.OpCommitVersions, ts
+					// A commit barrier's write, stamped: it folds a committed
+					// head's before version into the history.
+					op.Kind, op.TS, op.Versioned = [...]base.OpKind{base.OpUpsert, base.OpDelete}[kind-6], ts, true
 					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 8:
 					op.Kind = base.OpAbortVersions

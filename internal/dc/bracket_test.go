@@ -138,17 +138,14 @@ func TestLaterWriteCannotOvertakeTheResend(t *testing.T) {
 }
 
 // TestOwedSafeTSCannotExposeALostCommit: the TC's safe-timestamp tick
-// reaches the recovered DC before the resend of a commit finalized at TS 10.
+// reaches the recovered DC before the resend of a write committed at TS 10.
 // Taken, it would let a snapshot at TS 15 read past the lost version.
 func TestOwedSafeTSCannotExposeALostCommit(t *testing.T) {
 	d := newDC(t, Config{})
 	tc := newBracketTC(t, d)
-	write := base.Op{LSN: 1, Kind: base.OpUpsert, Key: "k", Value: []byte("v"), Versioned: true}
-	commit := base.Op{LSN: 2, Kind: base.OpCommitVersions, Key: "k", TS: 10}
-	for _, op := range []base.Op{write, commit} {
-		if r := tc.send(op, 0); r.Code != base.CodeOK {
-			t.Fatal(r)
-		}
+	write := base.Op{LSN: 1, Kind: base.OpUpsert, Key: "k", Value: []byte("v"), Versioned: true, TS: 10}
+	if r := tc.send(write, 0); r.Code != base.CodeOK {
+		t.Fatal(r)
 	}
 	d.SafeTS(1, 1, 20, 0)
 	restart(t, d)
@@ -163,7 +160,7 @@ func TestOwedSafeTSCannotExposeALostCommit(t *testing.T) {
 	if r := snapshot(ctx); r.Code != base.CodeCancelled {
 		t.Fatalf("snapshot at TS 15 before the resend: %+v, want it to wait for TC 1", r)
 	}
-	tc.resend(tc.send(base.Op{Kind: base.OpRead, Key: "k"}, 0), write, commit)
+	tc.resend(tc.send(base.Op{Kind: base.OpRead, Key: "k"}, 0), write)
 	d.SafeTS(1, 1, 20, 0)
 	if r := snapshot(context.Background()); !r.Found || string(r.Value) != "v" {
 		t.Fatalf("snapshot at TS 15 after the resend: %+v, want the TS-10 version", r)

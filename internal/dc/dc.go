@@ -118,9 +118,11 @@ type tcState struct {
 	bracket atomic.Uint32
 
 	// safe is the TC's closed timestamp: the TC promises that every commit
-	// with TS <= safe has been finalized at this DC and that it will never
-	// assign a commit TS at or below it again. A snapshot read at T waits
-	// until every registered TC's safe covers T.
+	// with TS <= safe has its stamped writes at this DC and its commit
+	// record forced, and that it will never assign a commit TS at or below
+	// it again. A head the TC stamped at or below it is committed, which is
+	// what a committed read asks (page.Record.Pending), and a snapshot read
+	// at T waits until every registered TC's safe covers T.
 	safe atomic.Uint64
 	// horizon is the TC's GC watermark: no live or future snapshot of that
 	// TC reads below it, so versions under the minimum horizon may be
@@ -243,7 +245,7 @@ type DC struct {
 	staleEpochs                     atomic.Uint64
 	resetPages, rolledBack, conVios atomic.Uint64
 	snapReads, snapWaits            atomic.Uint64
-	batches, batchOps, finalizes    atomic.Uint64
+	batches, batchOps               atomic.Uint64
 	drainRejects                    atomic.Uint64
 
 	// draining is the operations-plane admission gate (see Drain in
@@ -400,14 +402,17 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 }
 
 // SafeTS implements base.Service: the TC's closed-timestamp broadcast.
-// After this call, every commit of that TC with TS <= safe is finalized at
-// the DC (the finalize operations arrived through the same ordered
-// resend/idempotence machinery as any write), and the TC will never assign
-// a commit TS at or below safe — so a snapshot at T <= safe reads a stable
-// prefix. horizon is the TC's GC watermark. Broadcasts from a fenced
-// incarnation are dropped, and so are those of a TC that owes this
-// incarnation its resend: the finalized commits the promise vouches for may
-// be among what the DC's crash lost.
+// After this call, every commit of that TC with TS <= safe is committed at
+// the DC — its writes, stamped with the TS, arrived through the same ordered
+// resend/idempotence machinery as any write, and its commit record is forced
+// — and the TC will never assign a commit TS at or below safe: a committed
+// read now sees the heads the TC stamped at or below safe, and a snapshot at
+// T <= safe reads a stable prefix. horizon is the TC's GC watermark.
+// Broadcasts from a fenced incarnation are dropped, and so are those of a TC
+// that owes this incarnation its resend: the stamped writes the promise
+// vouches for may be among what the DC's crash lost, and a TC that crashed
+// still owes the undo of its losers' stamped writes, whose timestamps the
+// new incarnation's safe timestamp may already pass.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
 	inc := d.advance(tc, epoch, true, func(s *tcState) {
 		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {
@@ -449,7 +454,7 @@ const snapshotSafeWait = time.Second
 
 // waitSnapshotSafe blocks until every registered TC's safe timestamp is at
 // or above t. This is the lock-free read path's only synchronization: it
-// never touches a lock manager, it just waits out commit finalization.
+// never touches a lock manager, it just waits out the commits below t.
 func (d *DC) waitSnapshotSafe(ctx context.Context, inc *incarnation, t base.TS) base.Code {
 	var deadline *time.Timer
 	for {

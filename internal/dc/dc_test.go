@@ -34,6 +34,8 @@ type opHelper struct {
 	tc    base.TCID
 	epoch base.Epoch
 	next  base.LSN
+	// stamp is the commit timestamp do puts on a write (zero: none).
+	stamp base.TS
 	// ops issued so far, for replay in recovery tests.
 	issued []*base.Op
 }
@@ -44,7 +46,7 @@ func newOpHelper(d *DC, tc base.TCID) *opHelper {
 
 func (h *opHelper) do(kind base.OpKind, key string, val []byte, versioned bool) *base.Result {
 	op := &base.Op{TC: h.tc, Epoch: h.epoch, LSN: h.next, Kind: kind, Table: "t", Key: key,
-		Value: val, Versioned: versioned}
+		Value: val, Versioned: versioned, TS: h.stamp}
 	h.next++
 	h.issued = append(h.issued, op)
 	return h.d.Perform(context.Background(), op)
@@ -150,11 +152,15 @@ func TestOutOfOrderArrival(t *testing.T) {
 
 func TestVersionedSharing(t *testing.T) {
 	// §6.2.2: TC 1 updates its partition with versioning; TC 2 reads
-	// committed data without blocking and without 2PC.
+	// committed data without blocking and without 2PC. A commit is TC 1's
+	// write stamped with the commit timestamp, committed once TC 1's safe
+	// timestamp passes it.
 	d := newDC(t, Config{})
 	h := newOpHelper(d, 1)
+	commit := func(ts base.TS) { d.SafeTS(1, 0, ts, 0) }
+	h.stamp = 10
 	h.do(base.OpInsert, "user1", []byte("profile-v1"), true)
-	h.do(base.OpCommitVersions, "user1", nil, false)
+	commit(10)
 
 	rc := func() *base.Result {
 		return d.Perform(context.Background(), &base.Op{TC: 2, Kind: base.OpRead, Table: "t", Key: "user1",
@@ -164,6 +170,7 @@ func TestVersionedSharing(t *testing.T) {
 		t.Fatalf("committed read: %+v", r)
 	}
 	// Uncommitted update: committed readers still see v1; dirty sees v2.
+	h.stamp = 20
 	h.do(base.OpUpdate, "user1", []byte("profile-v2"), true)
 	if r := rc(); !r.Found || string(r.Value) != "profile-v1" {
 		t.Fatalf("committed read during update: %+v", r)
@@ -174,23 +181,29 @@ func TestVersionedSharing(t *testing.T) {
 		t.Fatalf("dirty read: %+v", dirty)
 	}
 	// Abort: v2 vanishes.
+	h.stamp = 0
 	h.do(base.OpAbortVersions, "user1", nil, false)
 	if r := rc(); string(r.Value) != "profile-v1" {
 		t.Fatalf("after abort: %+v", r)
 	}
-	// New update committed: readers switch to v3.
+	// New update committed: readers switch to v3 once the stamp is safe.
+	h.stamp = 30
 	h.do(base.OpUpdate, "user1", []byte("profile-v3"), true)
-	h.do(base.OpCommitVersions, "user1", nil, false)
+	if r := rc(); string(r.Value) != "profile-v1" {
+		t.Fatalf("stamped, not yet safe: %+v", r)
+	}
+	commit(30)
 	if r := rc(); string(r.Value) != "profile-v3" {
 		t.Fatalf("after commit: %+v", r)
 	}
 	// Versioned delete: committed readers see the before version until
 	// commit, nothing after.
+	h.stamp = 40
 	h.do(base.OpDelete, "user1", nil, true)
 	if r := rc(); !r.Found || string(r.Value) != "profile-v3" {
 		t.Fatalf("committed read during delete: %+v", r)
 	}
-	h.do(base.OpCommitVersions, "user1", nil, false)
+	commit(40)
 	if r := rc(); r.Found {
 		t.Fatalf("after committed delete: %+v", r)
 	}

@@ -77,8 +77,9 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead)
 	if snapshot {
 		// Snapshot read at T: wait until every TC's safe timestamp covers T
-		// — all commits <= T are finalized here and no new commit can land
-		// under T — then read timestamp-consistent versions lock-free.
+		// — every commit <= T has its stamped writes here and no new commit
+		// can land under T — then read timestamp-consistent versions
+		// lock-free.
 		if code := d.waitSnapshotSafe(ctx, inc, op.TS); code != base.CodeOK {
 			if code == base.CodeUnavailable {
 				d.unavailable.Add(1)
@@ -91,18 +92,13 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 	var err error
 	switch op.Kind {
 	case base.OpRead:
-		err = read(tree, op, res)
+		err = inc.read(tree, op, res)
 	case base.OpScanProbe:
 		err = scanProbe(tree, op, res)
 	case base.OpRangeRead:
-		err = rangeRead(tree, op, res)
-	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert,
-		base.OpCommitVersions, base.OpAbortVersions:
+		err = inc.rangeRead(tree, op, res)
+	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert, base.OpAbortVersions:
 		err = d.write(inc, tree, ts, op, res)
-		if err == nil && res.Code == base.CodeOK &&
-			(op.Kind == base.OpCommitVersions || op.Kind == base.OpAbortVersions) {
-			d.finalizes.Add(1)
-		}
 	default:
 		res.Code = base.CodeBadRequest
 	}
@@ -181,10 +177,10 @@ func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 // tracked in abstract LSNs; resends simply re-execute. A result carries
 // copies: a record's key and values alias its page's image (package page),
 // and a result outlives the latch, and in process the DC.
-func read(tree *btree.Tree, op *base.Op, res *base.Result) error {
+func (inc *incarnation) read(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	err := tree.View(op.Key, func(leaf *page.Page) {
 		if rec := leaf.Get(op.Key); rec != nil {
-			if v, ok := recVersion(rec, op); ok {
+			if v, ok := inc.version(rec, op); ok {
 				res.Found = true
 				res.Value = append([]byte(nil), v...)
 			}
@@ -215,14 +211,14 @@ func scanProbe(tree *btree.Tree, op *base.Op, res *base.Result) error {
 }
 
 // rangeRead returns visible records with op.Key <= k < op.EndKey.
-func rangeRead(tree *btree.Tree, op *base.Op, res *base.Result) error {
+func (inc *incarnation) rangeRead(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	limit := int(op.Limit)
 	if limit <= 0 {
 		limit = 1 << 30
 	}
 	err := tree.Scan(op.Key, func(leaf *page.Page) bool {
 		stopped := leaf.Ascend(op.Key, op.EndKey, func(r *page.Record) bool {
-			if v, ok := recVersion(r, op); ok {
+			if v, ok := inc.version(r, op); ok {
 				res.Keys = append(res.Keys, strings.Clone(r.Key))
 				res.Values = append(res.Values, append([]byte(nil), v...))
 			}
@@ -233,13 +229,23 @@ func rangeRead(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	return err
 }
 
-// recVersion resolves the version of rec visible to op: timestamped
-// resolution for snapshot reads, flavor resolution otherwise.
-func recVersion(rec *page.Record, op *base.Op) ([]byte, bool) {
+// version resolves the version of rec visible to op: timestamped
+// resolution for snapshot reads, flavor resolution otherwise, where a
+// committed read takes the head once its owner's safe timestamp here covers
+// it (page.Record.Pending). A DC that restarted holds no TC's safe timestamp
+// until that TC's resend to it has ended, so until then a committed read
+// sees the before version of every head a versioned write left.
+func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 	if op.Flavor == base.ReadSnapshot && op.TS != 0 {
 		return rec.VersionAt(op.TS)
 	}
-	return rec.ReadVersion(op.Flavor)
+	var safe base.TS
+	if op.Flavor == base.ReadCommitted {
+		if s := (*inc.tcs.Load())[rec.Owner]; s != nil {
+			safe = base.TS(s.safe.Load())
+		}
+	}
+	return rec.ReadVersion(op.Flavor, safe)
 }
 
 // write executes a mutating operation with the abstract-LSN idempotence
@@ -307,124 +313,69 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 // recorded in the abstract LSN: re-execution is deterministic because redo
 // repeats history in operation order.
 //
-// Versioned writes zero the record's commit TS (the in-flight version is
-// uncommitted) and park the previous version's TS in BeforeTS; the commit
-// finalize re-stamps it. Unversioned writes clear the timestamp group —
-// they do not maintain snapshot history.
+// A versioned write makes its value the record's pending head, stamped with
+// op.TS, and keeps the newest committed version as the before version
+// (page.Record.Stage); its abort takes the head back. A versioned delete
+// leaves a tombstone head. An unversioned write clears the version group —
+// it does not maintain snapshot history — and an unversioned delete removes
+// the record.
 func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS) base.Code {
+	var visible bool
+	if rec != nil {
+		_, visible = rec.ReadVersion(base.ReadDirty, 0)
+	}
 	switch op.Kind {
 	case base.OpInsert:
-		if rec != nil {
-			if _, visible := rec.ReadVersion(base.ReadDirty); visible {
-				return base.CodeDuplicate
-			}
-			// Tombstoned slot: fall through and overwrite.
+		if visible {
+			return base.CodeDuplicate
 		}
-		nr := page.Record{Key: op.Key, Owner: op.TC, Value: cloneBytes(op.Value)}
+	case base.OpUpdate:
+		if !visible {
+			return base.CodeNotFound
+		}
+	case base.OpDelete:
+		// A commit barrier writes a key again that an earlier barrier of
+		// its transaction deleted: the own pending tombstone is stamped.
+		if !visible && !(op.Versioned && rec != nil && rec.OwnHead(op.TS)) {
+			return base.CodeNotFound
+		}
+		if !op.Versioned {
+			leaf.Remove(op.Key)
+			return base.CodeOK
+		}
+	case base.OpUpsert:
+	case base.OpAbortVersions:
+		// Remove the latest version updated by the transaction (§6.2.2).
+		if rec != nil && rec.AbortVersion() {
+			leaf.Remove(op.Key)
+		}
+		return base.CodeOK
+	default:
+		return base.CodeBadRequest
+	}
+	if rec == nil {
+		nr := page.Record{Key: op.Key, Owner: op.TC, Value: cloneBytes(op.Value), TS: op.TS}
 		if op.Versioned {
 			// §6.2.2: "To provide an earlier version for inserts, one can
 			// insert two versions, a before null version followed by the
 			// intended insert."
 			nr.Flags = page.FlagHasBefore | page.FlagBeforeNull
-			if rec != nil && !rec.HasBefore() {
-				// Re-insert over a committed, timestamped tombstone: carry
-				// the deletion's TS and the retained history, so snapshots
-				// below the re-insert keep resolving.
-				nr.BeforeTS = rec.TS
-				nr.Hist = rec.Hist
-			}
 		}
 		leaf.Put(nr)
-	case base.OpUpdate:
-		if rec == nil {
-			return base.CodeNotFound
-		}
-		if _, visible := rec.ReadVersion(base.ReadDirty); !visible {
-			return base.CodeNotFound
-		}
-		if op.Versioned {
-			if !rec.HasBefore() {
-				rec.Before = rec.Value
-				rec.BeforeTS = rec.TS
-				rec.Flags |= page.FlagHasBefore
-			}
-			rec.TS = 0
-		} else {
-			rec.TS, rec.BeforeTS, rec.Hist = 0, 0, nil
-		}
-		rec.Value = cloneBytes(op.Value)
-		rec.Flags &^= page.FlagTombstone
-		rec.Owner = op.TC
-	case base.OpUpsert:
-		if rec == nil {
-			nr := page.Record{Key: op.Key, Owner: op.TC, Value: cloneBytes(op.Value)}
-			if op.Versioned {
-				nr.Flags = page.FlagHasBefore | page.FlagBeforeNull
-			}
-			leaf.Put(nr)
-			return base.CodeOK
-		}
-		if op.Versioned {
-			if !rec.HasBefore() {
-				rec.Before = rec.Value
-				rec.BeforeTS = rec.TS
-				rec.Flags |= page.FlagHasBefore
-				if rec.Tombstone() {
-					// Upsert over a committed tombstone is an insert: the
-					// before version is the null version at the deletion's TS.
-					rec.Before = nil
-					rec.Flags |= page.FlagBeforeNull
-				}
-			}
-			rec.TS = 0
-		} else {
-			rec.TS, rec.BeforeTS, rec.Hist = 0, 0, nil
-		}
-		rec.Value = cloneBytes(op.Value)
-		rec.Flags &^= page.FlagTombstone
-		rec.Owner = op.TC
-	case base.OpDelete:
-		if rec == nil {
-			return base.CodeNotFound
-		}
-		if _, visible := rec.ReadVersion(base.ReadDirty); !visible {
-			return base.CodeNotFound
-		}
-		if op.Versioned {
-			// Versioned delete: tombstone the latest version, retain the
-			// before version for read-committed readers (§6.2.2).
-			if !rec.HasBefore() {
-				rec.Before = rec.Value
-				rec.BeforeTS = rec.TS
-				rec.Flags |= page.FlagHasBefore
-			}
-			rec.Value = nil
-			rec.TS = 0
-			rec.Flags |= page.FlagTombstone
-			rec.Owner = op.TC
-		} else {
-			leaf.Remove(op.Key)
-		}
-	case base.OpCommitVersions:
-		// Finalize the versioned write (§6.2.2). With a commit TS the before
-		// version moves into history for snapshot readers; without one the
-		// legacy discard applies. Missing records and already finalized
-		// records are no-ops: commits are resent and replayed.
-		if rec != nil {
-			if rec.CommitVersionAt(op.TS, horizon) {
-				leaf.Remove(op.Key)
-			}
-		}
-	case base.OpAbortVersions:
-		// Remove the latest version updated by the transaction (§6.2.2).
-		if rec != nil {
-			if rec.AbortVersion() {
-				leaf.Remove(op.Key)
-			}
-		}
-	default:
-		return base.CodeBadRequest
+		return base.CodeOK
 	}
+	if op.Versioned {
+		rec.Stage(op.TS, horizon)
+	} else {
+		rec.Flags &^= page.FlagHasBefore | page.FlagBeforeNull
+		rec.Before, rec.TS, rec.BeforeTS, rec.Hist = nil, 0, 0, nil
+	}
+	rec.Value = cloneBytes(op.Value)
+	rec.Flags &^= page.FlagTombstone
+	if op.Kind == base.OpDelete {
+		rec.Flags |= page.FlagTombstone
+	}
+	rec.Owner = op.TC
 	return base.CodeOK
 }
 

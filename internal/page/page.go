@@ -58,8 +58,9 @@ import (
 
 // Record flags.
 const (
-	// FlagHasBefore marks an uncommitted later version with a retained
-	// before version (§6.2.2).
+	// FlagHasBefore marks a head written by a versioned write, with the
+	// committed version it replaced retained as the before version
+	// (§6.2.2).
 	FlagHasBefore uint8 = 1 << iota
 	// FlagBeforeNull marks the before version as "null" (versioned insert:
 	// a before null version followed by the intended insert).
@@ -85,12 +86,14 @@ type Version struct {
 	Del bool
 }
 
-// Record is one record slot. Value is the latest version; Before the
-// retained committed version when FlagHasBefore is set. TS is the commit
-// timestamp of Value (zero: unversioned/ancient, visible to every
-// snapshot); BeforeTS the commit timestamp of Before while a versioned
-// write is in flight; Hist holds older committed versions for snapshot
-// reads.
+// Record is one record slot. Value is the head, the latest version, and TS
+// its commit timestamp (zero: unversioned/ancient, visible to every
+// snapshot). A versioned write keeps the version it replaced as Before
+// (FlagHasBefore), committed at BeforeTS, and stamps the head with its
+// transaction's commit timestamp — zero if it left before the transaction's
+// commit barrier, which writes it again, stamped. Owner is the TC that wrote
+// the head, whose safe timestamp decides when the head is committed
+// (Pending). Hist holds older committed versions for snapshot reads.
 type Record struct {
 	Key      string
 	Owner    base.TCID
@@ -102,7 +105,8 @@ type Record struct {
 	Hist     []Version
 }
 
-// HasBefore reports whether an uncommitted later version exists.
+// HasBefore reports whether the head was written by a versioned write that
+// retains its before version.
 func (r *Record) HasBefore() bool { return r.Flags&FlagHasBefore != 0 }
 
 // BeforeNull reports whether the before version is the null version.
@@ -111,48 +115,59 @@ func (r *Record) BeforeNull() bool { return r.Flags&FlagBeforeNull != 0 }
 // Tombstone reports whether the latest version is a deletion marker.
 func (r *Record) Tombstone() bool { return r.Flags&FlagTombstone != 0 }
 
+// Pending reports whether the head is an uncommitted version, given safe,
+// the owner TC's safe timestamp: a versioned write's head whose commit
+// timestamp is not stamped yet or lies above safe. The owner holds its safe
+// timestamp below a commit timestamp until the commit record is forced, and a
+// transaction that aborts takes its head back (AbortVersion) before it lets
+// go, so a stamped head at or below safe is committed.
+func (r *Record) Pending(safe base.TS) bool {
+	return r.HasBefore() && (r.TS == 0 || r.TS > safe)
+}
+
+// OwnHead reports whether a versioned write stamped ts lands on its own
+// transaction's pending head: one stamped ts, or not stamped yet. Any other
+// head under a versioned write is committed, since the writer holds the
+// key's X lock.
+func (r *Record) OwnHead(ts base.TS) bool {
+	return r.HasBefore() && (r.TS == 0 || r.TS == ts)
+}
+
 // ReadVersion returns the value visible under flavor and whether a value
-// is visible at all.
-func (r *Record) ReadVersion(flavor base.ReadFlavor) (val []byte, visible bool) {
-	switch flavor {
-	case base.ReadCommitted:
-		if r.HasBefore() {
-			if r.BeforeNull() {
-				return nil, false
-			}
-			return r.Before, true
-		}
-		if r.Tombstone() {
+// is visible at all. Plain and dirty reads see the head; a committed read
+// sees the before version while the head is Pending(safe), safe being the
+// owner TC's safe timestamp.
+func (r *Record) ReadVersion(flavor base.ReadFlavor, safe base.TS) (val []byte, visible bool) {
+	if flavor == base.ReadCommitted && r.Pending(safe) {
+		if r.BeforeNull() {
 			return nil, false
 		}
-		return r.Value, true
-	default: // plain and dirty both see the latest version
-		if r.Tombstone() {
-			return nil, false
-		}
-		return r.Value, true
+		return r.Before, true
 	}
+	if r.Tombstone() {
+		return nil, false
+	}
+	return r.Value, true
 }
 
 // VersionAt returns the value committed at snapshot timestamp t: the
-// newest committed version with commit TS <= t. An in-flight versioned
-// write is never visible (the retained before version and history carry
-// the committed state); a tombstone or null version at t reads as "not
-// found". TS zero versions (unversioned/ancient data) are visible to
-// every snapshot.
+// newest committed version with commit TS <= t; a tombstone or null version
+// at t reads as "not found". A DC serves a snapshot at t only once every
+// TC's safe timestamp covers t, so t stands in for the owner's: a head is
+// visible when it is not Pending(t) and its TS is at most t. TS zero
+// versions (unversioned/ancient data) are visible to every snapshot.
 func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
-	if r.HasBefore() {
-		if r.BeforeTS <= t {
-			if r.BeforeNull() {
-				return nil, false
-			}
-			return r.Before, true
-		}
-	} else if r.TS <= t {
+	switch {
+	case !r.Pending(t) && r.TS <= t:
 		if r.Tombstone() {
 			return nil, false
 		}
 		return r.Value, true
+	case r.HasBefore() && r.BeforeTS <= t:
+		if r.BeforeNull() {
+			return nil, false
+		}
+		return r.Before, true
 	}
 	for i := len(r.Hist) - 1; i >= 0; i-- {
 		if r.Hist[i].TS <= t {
@@ -165,46 +180,40 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 	return nil, false
 }
 
-// CommitVersion finalizes the uncommitted version (§6.2.2) with no commit
-// timestamp: the before version is eliminated, making the later version
-// the committed one. It reports whether the record should be removed from
-// the page (a committed tombstone). Timestamped commits use
-// CommitVersionAt, which retains the before version for snapshots.
-func (r *Record) CommitVersion() (remove bool) {
-	if !r.HasBefore() {
-		// Already finalized (idempotent replays are filtered by abstract
-		// LSNs; this is for robustness).
-		return r.Tombstone()
+// Stage readies r for a versioned write stamped ts, which then replaces the
+// head's value: afterwards the head is pending, stamped ts, and Before holds
+// the newest committed version. The writer's own pending head (OwnHead) is
+// overwritten in place. Any other head is committed and becomes the before
+// version, the one it replaced moving into the history, which is pruned
+// under horizon (PruneVersions).
+func (r *Record) Stage(ts, horizon base.TS) {
+	if r.OwnHead(ts) {
+		r.TS = ts
+		return
 	}
+	r.settle()
+	r.Before, r.BeforeTS = r.Value, r.TS
+	r.Flags |= FlagHasBefore
 	if r.Tombstone() {
-		return true
+		// A committed tombstone: the before version is the null version at
+		// the deletion's TS.
+		r.Before = nil
+		r.Flags |= FlagBeforeNull
 	}
-	r.Flags &^= FlagHasBefore | FlagBeforeNull
-	r.Before = nil
-	r.BeforeTS = 0
-	return false
+	r.TS = ts
+	r.PruneVersions(horizon)
 }
 
-// CommitVersionAt finalizes the uncommitted version at commit timestamp c:
-// the before version — committed until this instant — moves into the
-// record's history so snapshots below c keep resolving, and the later
-// version becomes the committed one stamped c. A committed tombstone is
-// retained (not removed) until the GC horizon passes it, so snapshots
-// below the deletion still see the prior value. It reports whether the
-// record is immediately reclaimable. horizon prunes history in passing.
-func (r *Record) CommitVersionAt(c, horizon base.TS) (remove bool) {
-	if c == 0 {
-		return r.CommitVersion()
-	}
+// settle folds the before version of a committed head into the history,
+// where snapshots below the head's TS keep resolving it.
+func (r *Record) settle() {
 	if !r.HasBefore() {
-		// Already finalized; reclaim a tombstone only once no snapshot can
-		// see below it.
-		return r.PruneVersions(horizon)
+		return
 	}
 	switch {
 	case r.BeforeNull() && r.BeforeTS != 0:
 		// The before version was a committed tombstone (insert after a
-		// versioned delete): keep the deletion visible below c.
+		// versioned delete): keep the deletion visible below the head.
 		r.Hist = append(r.Hist, Version{TS: r.BeforeTS, Del: true})
 	case !r.BeforeNull():
 		r.Hist = append(r.Hist, Version{TS: r.BeforeTS, Val: r.Before})
@@ -212,8 +221,6 @@ func (r *Record) CommitVersionAt(c, horizon base.TS) (remove bool) {
 	r.Flags &^= FlagHasBefore | FlagBeforeNull
 	r.Before = nil
 	r.BeforeTS = 0
-	r.TS = c
-	return r.PruneVersions(horizon)
 }
 
 // AbortVersion rolls back the uncommitted version: the latest version is
@@ -246,12 +253,17 @@ func (r *Record) AbortVersion() (remove bool) {
 
 // PruneVersions discards history no snapshot can reach, given that no
 // live or future snapshot reads below horizon: everything older than the
-// newest committed version at or below horizon. It reports whether the
-// whole record is reclaimable (a committed, timestamped tombstone at or
-// below the horizon with no retained history).
+// newest committed version at or below horizon. A head stamped at or below
+// the horizon is committed — the horizon is at or below every TC's safe
+// timestamp — and settles first. It reports whether the whole record is
+// reclaimable (a committed, timestamped tombstone at or below the horizon
+// with no retained history).
 func (r *Record) PruneVersions(horizon base.TS) (remove bool) {
 	if horizon == 0 {
 		return false
+	}
+	if !r.Pending(horizon) {
+		r.settle()
 	}
 	cur := r.TS
 	if r.HasBefore() {

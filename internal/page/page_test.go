@@ -70,73 +70,147 @@ func TestAscend(t *testing.T) {
 }
 
 func TestVersionLifecycle(t *testing.T) {
-	// Versioned update: before retained, committed read sees before,
-	// plain/dirty sees latest; commit discards before; abort restores it.
-	r := Record{Key: "k", Owner: 1, Value: []byte("old")}
-	r.Before = r.Value
+	// Versioned update: before retained, committed read sees before until
+	// the owner's safe timestamp passes the head's, plain/dirty sees latest;
+	// abort restores the before version.
+	r := Record{Key: "k", Owner: 1, Value: []byte("old"), TS: 5}
+	r.Stage(10, 0)
 	r.Value = []byte("new")
-	r.Flags |= FlagHasBefore
 
-	if v, ok := r.ReadVersion(base.ReadCommitted); !ok || string(v) != "old" {
+	if v, ok := r.ReadVersion(base.ReadCommitted, 9); !ok || string(v) != "old" {
 		t.Fatalf("committed read = %q %v", v, ok)
 	}
-	if v, ok := r.ReadVersion(base.ReadDirty); !ok || string(v) != "new" {
+	if v, ok := r.ReadVersion(base.ReadDirty, 0); !ok || string(v) != "new" {
 		t.Fatalf("dirty read = %q %v", v, ok)
 	}
 	abort := r // copy
 	if remove := abort.AbortVersion(); remove {
 		t.Fatal("abort of update must keep the record")
 	}
-	if v, _ := abort.ReadVersion(base.ReadPlain); string(v) != "old" {
-		t.Fatalf("after abort value = %q", v)
+	if v, _ := abort.ReadVersion(base.ReadPlain, 0); string(v) != "old" || abort.TS != 5 {
+		t.Fatalf("after abort value = %q at %d", v, abort.TS)
 	}
-	if remove := r.CommitVersion(); remove {
-		t.Fatal("commit of update must keep the record")
-	}
-	if v, _ := r.ReadVersion(base.ReadCommitted); string(v) != "new" {
+	if v, _ := r.ReadVersion(base.ReadCommitted, 10); string(v) != "new" {
 		t.Fatalf("after commit committed read = %q", v)
+	}
+	if remove := r.PruneVersions(10); remove || r.HasBefore() {
+		t.Fatalf("a committed update at the horizon: remove %v, before kept %v", remove, r.HasBefore())
+	}
+	if v, _ := r.ReadVersion(base.ReadCommitted, 0); string(v) != "new" {
+		t.Fatalf("after the horizon committed read = %q", v)
 	}
 }
 
 func TestVersionedInsertAndDelete(t *testing.T) {
 	// Versioned insert: null before version, then the intended insert.
 	ins := Record{Key: "k", Owner: 2, Value: []byte("v"), Flags: FlagHasBefore | FlagBeforeNull}
-	if _, ok := ins.ReadVersion(base.ReadCommitted); ok {
+	if _, ok := ins.ReadVersion(base.ReadCommitted, 100); ok {
 		t.Fatal("committed read must not see uncommitted insert")
 	}
-	if v, ok := ins.ReadVersion(base.ReadDirty); !ok || string(v) != "v" {
+	if v, ok := ins.ReadVersion(base.ReadDirty, 0); !ok || string(v) != "v" {
 		t.Fatalf("dirty read = %q %v", v, ok)
 	}
 	abortIns := ins
 	if !abortIns.AbortVersion() {
 		t.Fatal("aborted insert must remove the record")
 	}
-	if ins.CommitVersion() {
+	ins.Stage(7, 0) // the commit barrier's stamp
+	if ins.PruneVersions(7) {
 		t.Fatal("committed insert must keep the record")
 	}
-	if v, ok := ins.ReadVersion(base.ReadCommitted); !ok || string(v) != "v" {
+	if v, ok := ins.ReadVersion(base.ReadCommitted, 0); !ok || string(v) != "v" {
 		t.Fatalf("after commit = %q %v", v, ok)
 	}
 
 	// Versioned delete: tombstone latest, before retained.
 	del := Record{Key: "d", Owner: 2, Value: nil, Before: []byte("was"),
 		Flags: FlagHasBefore | FlagTombstone}
-	if v, ok := del.ReadVersion(base.ReadCommitted); !ok || string(v) != "was" {
+	if v, ok := del.ReadVersion(base.ReadCommitted, 0); !ok || string(v) != "was" {
 		t.Fatalf("committed read of tombstoned = %q %v", v, ok)
 	}
-	if _, ok := del.ReadVersion(base.ReadPlain); ok {
+	if _, ok := del.ReadVersion(base.ReadPlain, 0); ok {
 		t.Fatal("plain read must see the tombstone")
 	}
 	commitDel := del
-	if !commitDel.CommitVersion() {
+	commitDel.Stage(9, 0)
+	if !commitDel.PruneVersions(9) {
 		t.Fatal("committed delete must remove the record")
 	}
 	abortDel := del
 	if abortDel.AbortVersion() {
 		t.Fatal("aborted delete must keep the record")
 	}
-	if v, _ := abortDel.ReadVersion(base.ReadPlain); string(v) != "was" {
+	if v, _ := abortDel.ReadVersion(base.ReadPlain, 0); string(v) != "was" {
 		t.Fatalf("after aborted delete = %q", v)
+	}
+}
+
+// TestStagePrunes: a versioned write over a committed head folds the head's
+// before version into the history and prunes the history under the horizon,
+// and so does a horizon that passes the head; a pending head keeps its before
+// version whatever the horizon, and an abort restores it.
+func TestStagePrunes(t *testing.T) {
+	// v1 committed at 10 over v0 at 5, over v- at 2: a stamped head that no
+	// write has folded yet.
+	stamped := func() Record {
+		return Record{Key: "k", Owner: 1, Value: []byte("v1"), TS: 10, Before: []byte("v0"), BeforeTS: 5,
+			Flags: FlagHasBefore, Hist: []Version{{TS: 2, Val: []byte("v-")}}}
+	}
+	for _, c := range []struct {
+		name string
+		run  func(r *Record)
+		// what the record holds after: its before version, its history's
+		// timestamps, and what a snapshot at 6 and at 12 reads
+		before       string
+		hist         string
+		at6, at12    string
+		keepsBefore  bool
+		committedTS  base.TS
+		committedVal string
+	}{
+		{name: "pending head above the horizon keeps its before version",
+			run: func(r *Record) { r.TS = 20; r.PruneVersions(15) }, keepsBefore: true,
+			before: "v0", hist: "[]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v1"},
+		{name: "pending head keeps its before version under the next write of its transaction",
+			run: func(r *Record) { r.TS = 0; r.Stage(20, 15); r.Value = []byte("v2") }, keepsBefore: true,
+			before: "v0", hist: "[2]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v2"},
+		{name: "committed head at the horizon drops the history",
+			run:  func(r *Record) { r.PruneVersions(10) },
+			hist: "[]", at6: "", at12: "v1", committedTS: 10, committedVal: "v1"},
+		{name: "write over a committed head at the horizon drops the history",
+			run: func(r *Record) { r.Stage(20, 10); r.Value = []byte("v2") }, keepsBefore: true,
+			before: "v1", hist: "[]", at6: "", at12: "v1", committedTS: 20, committedVal: "v2"},
+		{name: "write over a committed head above the horizon keeps what the horizon reads",
+			run: func(r *Record) { r.Stage(20, 7); r.Value = []byte("v2") }, keepsBefore: true,
+			before: "v1", hist: "[5]", at6: "v0", at12: "v1", committedTS: 20, committedVal: "v2"},
+		{name: "abort of a re-stamped head restores the before version",
+			run: func(r *Record) {
+				r.TS = 0
+				r.Stage(30, 0) // the commit barrier writes the key again
+				r.Value = []byte("v2")
+				r.AbortVersion()
+			},
+			hist: "[2]", at6: "v0", at12: "v0", committedTS: 5, committedVal: "v0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := stamped()
+			c.run(&r)
+			var hist []base.TS
+			for _, v := range r.Hist {
+				hist = append(hist, v.TS)
+			}
+			if r.HasBefore() != c.keepsBefore || string(r.Before) != c.before || fmt.Sprint(hist) != c.hist {
+				t.Fatalf("before %v %q, history %v; want %v %q, %s", r.HasBefore(), r.Before, hist, c.keepsBefore, c.before, c.hist)
+			}
+			for at, want := range map[base.TS]string{6: c.at6, 12: c.at12} {
+				if v, _ := r.VersionAt(at); string(v) != want {
+					t.Fatalf("snapshot at %d reads %q, want %q", at, v, want)
+				}
+			}
+			if v, _ := r.ReadVersion(base.ReadCommitted, c.committedTS); r.TS != c.committedTS || string(v) != c.committedVal {
+				t.Fatalf("head %q at %d; want %q at %d", v, r.TS, c.committedVal, c.committedTS)
+			}
+		})
 	}
 }
 

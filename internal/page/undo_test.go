@@ -133,25 +133,25 @@ func TestForcedRollsBackACopy(t *testing.T) {
 }
 
 // TestUndoPriorKeepsItsHist: the tail keeps a Record by value, so the prior
-// and the live record share the history's backing array. Committing a
-// version appends to the live record's history, into that array; the
-// prior's history must read the same after, and rolling back to it must
-// restore the record exactly.
+// and the live record share the history's backing array. A versioned write
+// over a committed head appends the head's before version to the live
+// record's history, into that array; the prior's history must read the same
+// after, and rolling back to it must restore the record exactly.
 func TestUndoPriorKeepsItsHist(t *testing.T) {
 	hist := make([]Version, 1, 4)
 	hist[0] = Version{TS: 10, Val: []byte("v0")}
 	p := NewLeaf(1)
-	p.Put(Record{Key: "k", Owner: 1, Value: []byte("v2"), Before: []byte("v1"), BeforeTS: 20,
+	p.Put(Record{Key: "k", Owner: 1, Value: []byte("v2"), TS: 25, Before: []byte("v1"), BeforeTS: 20,
 		Flags: FlagHasBefore, Hist: hist})
 	want := p.Clone()
 	p.Undo = append(p.Undo, Undo{TC: 1, LSN: 5, Prior: *p.Get("k")})
 	live := p.Get("k")
-	live.CommitVersionAt(30, 0)
+	live.Stage(30, 0)
 	if len(live.Hist) != 2 || &live.Hist[0] != &p.Undo[0].Prior.Hist[0] {
-		t.Fatal("the commit did not append into the shared array: the test shows nothing")
+		t.Fatal("the write did not append into the shared array: the test shows nothing")
 	}
 	if h := p.Undo[0].Prior.Hist; len(h) != 1 || h[0].TS != 10 || string(h[0].Val) != "v0" {
-		t.Fatalf("the prior's history changed under the commit: %+v", h)
+		t.Fatalf("the prior's history changed under the write: %+v", h)
 	}
 	p.RollBack(1, 0)
 	if !p.Equal(want) {

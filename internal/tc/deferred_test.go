@@ -18,8 +18,8 @@ import (
 )
 
 // frame is one PerformBatch call: its size, and whether it carried point
-// reads (a barrier's pre-read) or logged operations (writes, finalizes,
-// CLRs) — every batch this TC builds is all one or all the other. It prints
+// reads (a barrier's pre-read) or logged operations (writes, CLRs) — every
+// batch this TC builds is all one or all the other. It prints
 // as "4r" or "4w".
 type frame struct {
 	n    int
@@ -267,7 +267,7 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		}
 		want := "[4r 4w]" // the priors, then the writes
 		if versioned {
-			want = "[4w 4w]" // the writes, then their finalizes
+			want = "[4w]" // the writes, stamped with the commit timestamp
 		}
 		for i, s := range stubs {
 			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
@@ -682,7 +682,7 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 	// ship the writes first.
 	winner := write("winner")
 	tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
-		Payload: appendCommit(nil, nil, 0)})
+		Payload: appendCommit(nil, 0)})
 	stableLoser := write("stable-loser")
 	neverLogged := write("never-logged")
 	tcx.log.Force()
@@ -929,8 +929,10 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	}{
 		// DC 0 has acknowledged the write batch, DC 1's is on its way.
 		{name: "write-batch", cfg: Config{ID: 1}, dc: 1, nth: 1},
-		// The commit record is stable, the first finalize is on its way.
-		{name: "finalize-batch", cfg: Config{ID: 1}, versioned: true, dc: 0, nth: 2, appended: true, winner: true},
+		// The same with the writes stamped with the commit timestamp: DC 0
+		// holds a stamped version of a transaction that never logs its
+		// commit record.
+		{name: "stamped-write-batch", cfg: Config{ID: 1}, versioned: true, dc: 1, nth: 1},
 		// The commit record is appended and its force asleep: the parent's
 		// "ForceTo beyond fully-stable log end" panic.
 		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, dc: 1, appended: true},
@@ -1159,10 +1161,11 @@ func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		single, reads, batches := stubs[0].take()
-		// Versioned: the queue leaves in three barriers, then the
-		// finalizes in three lists. Unversioned: each barrier pre-reads
-		// what it is about to log.
-		want := "[64w 64w 22w 64w 64w 22w]"
+		// Versioned: two full queues leave unstamped, then the commit
+		// barrier ships the last 22 writes and the 128 keys written again
+		// with the commit timestamp, in three lists. Unversioned: each
+		// barrier pre-reads what it is about to log.
+		want := "[64w 64w 64w 64w 22w]"
 		if !versioned {
 			want = "[64r 64w 64r 64w 22r 22w]"
 		}
@@ -1170,6 +1173,7 @@ func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
 			t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
 				versioned, single, reads, batches, want)
 		}
+		safeTick(tcx)
 		r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",
 			Key: "k", EndKey: "l", Flavor: base.ReadCommitted})
 		if len(r.Keys) != n {

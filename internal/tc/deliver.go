@@ -10,7 +10,7 @@ import (
 )
 
 // Shipping logged operations. Every operation that holds a TC-log record —
-// a forward write, a finalize, an inverse (CLR), a restart resend — reaches
+// a forward write, an inverse (CLR), a restart resend — reaches
 // its DC through deliver, the one implementation of the §4.2 contract:
 // unique request IDs, idempotence at the DC, resend until acknowledged.
 // It runs on the goroutine of whoever needs the acknowledgement: a
@@ -34,9 +34,11 @@ import (
 //  3. ships them, one batch per DC.
 //
 // So a transaction of n unversioned upserts costs two request/reply calls per
-// DC however large n is (up to maxBatch), an abort before the first barrier
-// costs none and logs nothing, and a write holds no LSN while its
-// transaction idles or waits for a lock.
+// DC however large n is (up to maxBatch) and a versioned one costs one (it
+// needs no priors, and its commit barrier stamps the writes with the commit
+// timestamp: Txn.stamp); an abort before the first barrier costs none and
+// logs nothing, and a write holds no LSN while its transaction idles or waits
+// for a lock.
 //
 // What it allocates is sized once per transaction or once per batch, never
 // once per key. The queue holds its operations by value, in a slab the first
@@ -103,8 +105,8 @@ import (
 //     any logged operation.
 
 // maxBatch caps the operations of one PerformBatch message: deliver ships
-// longer lists in windows of it, and a transaction's queue of writes (or of
-// finalize operations) that reaches it leaves ahead of the next barrier.
+// longer lists in windows of it, and a transaction's queue of writes that
+// reaches it leaves ahead of the next barrier.
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -304,13 +306,20 @@ func staleDC(results []*base.Result) base.DCInc {
 // the transaction cache, so read-your-writes needs them applied; point reads
 // never do, every write is recorded in the cache) and when the queue reaches
 // maxBatch. Commit runs the same two halves itself; Abort drops the queue
-// instead.
+// instead. A versioned write that leaves here leaves before the lock point,
+// without the commit timestamp, and is marked for the commit barrier to
+// write again (Txn.stamp).
 func (x *Txn) flush() error {
 	if err := x.preRead(); err != nil {
 		return err
 	}
 	if err := x.appendQueued(); err != nil {
 		return err
+	}
+	if x.versioned != nil {
+		for i := range x.queue {
+			x.versioned[tableKey{x.queue[i].op.Table, x.queue[i].op.Key}] = true
+		}
 	}
 	return x.ship()
 }

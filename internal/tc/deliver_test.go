@@ -12,10 +12,23 @@ import (
 	"github.com/cidr09/unbundled/internal/dc"
 )
 
+// stopTick stops tcx's watermark tick, and only it: from then on the DCs
+// hear its safe timestamp when safeTick broadcasts it.
+func stopTick(tcx *TC) {
+	tcx.stopOnce.Do(func() { close(tcx.stopCh) })
+	tcx.wg.Wait()
+}
+
+// safeTick is one of tcx's ticks, by hand: the broadcast after which a DC
+// takes every version tcx stamped for a commit whose record is forced for
+// committed.
+func safeTick(tcx *TC) { tcx.inc.Load().broadcastWatermarks() }
+
 func TestVersionedBlindUpsert(t *testing.T) {
 	tcx, d := newPair(t, Config{})
+	stopTick(tcx)
 	// Versioned upserts skip the existence pre-check entirely; semantics
-	// must be unchanged, including finalize-before-unlock at commit.
+	// must be unchanged.
 	if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
 		return x.Upsert("t", "v", []byte("v1"))
 	}); err != nil {
@@ -25,7 +38,13 @@ func TestVersionedBlindUpsert(t *testing.T) {
 		return d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "v",
 			Flavor: base.ReadCommitted})
 	}
-	// Commit has shipped the finalize op: read-committed sees v1 at once.
+	// Commit has shipped v1 stamped with its commit timestamp and forced
+	// the commit record: read-committed sees v1 after the owner's next safe
+	// timestamp broadcast, not before.
+	if r := rc(); r.Found {
+		t.Fatalf("committed read before the owner's safe timestamp passed the commit: %+v", r)
+	}
+	safeTick(tcx)
 	if r := rc(); !r.Found || string(r.Value) != "v1" {
 		t.Fatalf("committed read: %+v", r)
 	}
@@ -36,6 +55,7 @@ func TestVersionedBlindUpsert(t *testing.T) {
 	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	safeTick(tcx)
 	if r := rc(); string(r.Value) != "v2" {
 		t.Fatalf("after second commit: %+v", r)
 	}

@@ -20,10 +20,11 @@ func FuzzDecodePayloads(f *testing.F) {
 	}{
 		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpdate, Table: "t", Key: "k", Value: []byte("new")}, []byte("old"), true), reencodeOp},
 		{appendOpPayload(nil, &base.Op{TC: 2, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true}, nil, false), reencodeOp},
-		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpCommitVersions, Table: "t", Key: "k", TS: 1 << 50}, nil, false), reencodeOp},
-		{appendCommit(nil, []tableKey{{"a", "k1"}, {"b", "k2"}}, 909), reencodeCommit},
-		{appendCommit(nil, []tableKey{{"a", "k1"}}, 0), reencodeCommit}, // the pre-timestamp form
-		{appendCommit(nil, nil, 0), reencodeCommit},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true, TS: 1 << 50}, nil, false), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpAbortVersions, Table: "t", Key: "k"}, nil, false), reencodeOp},
+		{appendCommit(nil, 909), reencodeCommit},
+		{appendCommit(nil, 1<<50), reencodeCommit},
+		{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
 		{encodeCheckpoint(12345, 7), reencodeCheckpoint},
 		{encodeEpoch(42), reencodeEpoch},
 	} {
@@ -64,11 +65,11 @@ func reencodeOp(data []byte) ([]byte, bool) {
 }
 
 func reencodeCommit(data []byte) ([]byte, bool) {
-	keys, ts, err := decodeCommit(data)
+	ts, err := decodeCommit(data)
 	if err != nil {
 		return nil, false
 	}
-	return appendCommit(nil, keys, ts), true
+	return appendCommit(nil, ts), true
 }
 
 func reencodeCheckpoint(data []byte) ([]byte, bool) {

@@ -57,67 +57,20 @@ func decodeOpPayload(payload []byte) (op *base.Op, prior []byte, priorFound bool
 	return op, prior, rest[0] != 0, nil
 }
 
-// Commit-record payload: the versioned write set plus the commit
-// timestamp, so restart can re-issue commit-versions operations for
-// winners whose finalize messages were lost with the crashed TC (§6.2.2's
-// guarantee that before versions are eventually removed) at the same
-// visibility point, and so analysis can re-seed the timestamp allocator
-// above every durable commit.
-func appendCommit(buf []byte, keys []tableKey, ts base.TS) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, tk := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(tk.table)))
-		buf = append(buf, tk.table...)
-		buf = binary.AppendUvarint(buf, uint64(len(tk.key)))
-		buf = append(buf, tk.key...)
-	}
-	if ts != 0 {
-		buf = binary.AppendUvarint(buf, uint64(ts))
-	}
-	return buf
+// Commit-record payload: the commit timestamp (zero for an unversioned
+// transaction), so analysis can re-seed the timestamp allocator above every
+// durable commit. Nothing else: a versioned write carries its timestamp in its
+// own record, so redo re-delivers it stamped.
+func appendCommit(buf []byte, ts base.TS) []byte {
+	return binary.AppendUvarint(buf, uint64(ts))
 }
 
-func decodeCommit(payload []byte) ([]tableKey, base.TS, error) {
-	n, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
-	}
-	payload = payload[w:]
-	// Every key pair takes at least its two length bytes: a count the rest of
-	// the payload cannot back is corruption, not a slice to allocate.
-	if n > uint64(len(payload))/2 {
-		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
-	}
-	out := make([]tableKey, 0, n)
-	readStr := func() (string, bool) {
-		m, w := binary.Uvarint(payload)
-		if w <= 0 || m > uint64(len(payload)-w) {
-			return "", false
-		}
-		s := string(payload[w : w+int(m)])
-		payload = payload[w+int(m):]
-		return s, true
-	}
-	for i := uint64(0); i < n; i++ {
-		table, ok := readStr()
-		if !ok {
-			return nil, 0, fmt.Errorf("tc: corrupt commit payload")
-		}
-		key, ok := readStr()
-		if !ok {
-			return nil, 0, fmt.Errorf("tc: corrupt commit payload")
-		}
-		out = append(out, tableKey{table, key})
-	}
-	// Pre-timestamp records end here; they decode with timestamp zero.
-	if len(payload) == 0 {
-		return out, 0, nil
-	}
+func decodeCommit(payload []byte) (base.TS, error) {
 	u, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
+	if w <= 0 || w != len(payload) {
+		return 0, fmt.Errorf("tc: corrupt commit payload")
 	}
-	return out, base.TS(u), nil
+	return base.TS(u), nil
 }
 
 // Checkpoint-record payload: the redo scan start point plus the current

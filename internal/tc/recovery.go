@@ -35,11 +35,10 @@ func (t *TC) Crash() {
 // §5.3.2 "TC Failure"):
 //
 //  1. Analysis over the stable log: find the redo scan start point, the
-//     loser transactions, and committed transactions with versioned
-//     writes to re-finalize.
+//     loser transactions, and the newest commit timestamp.
 //  2. Undo, logged only: each loser's inverse operations, in reverse
 //     chronological order, as compensation records, then its abort
-//     record; then the winners' commit-versions operations.
+//     record.
 //  3. One resend per DC, the one RecoverDC runs: open its bracket, which
 //     discards effects of operations beyond the stable log (targeted page
 //     reset — only this TC's records are touched), resend every logged
@@ -65,12 +64,7 @@ func (t *TC) Recover() error {
 	// --- analysis ---
 	rssp := base.LSN(1)
 	type loser struct{ lastLSN base.LSN }
-	type winner struct {
-		keys []tableKey
-		ts   base.TS
-	}
 	losers := make(map[base.TxnID]*loser)
-	var winnersVersioned []winner
 	maxTxn := uint64(0)
 	maxEpoch := base.Epoch(0)
 	maxCommitTS := base.TS(0)
@@ -103,13 +97,8 @@ func (t *TC) Recover() error {
 			}
 		case recCommit:
 			delete(losers, rec.Txn)
-			if keys, cts, err := decodeCommit(rec.Payload); err == nil {
-				if cts > maxCommitTS {
-					maxCommitTS = cts
-				}
-				if len(keys) > 0 {
-					winnersVersioned = append(winnersVersioned, winner{keys, cts})
-				}
+			if cts, err := decodeCommit(rec.Payload); err == nil && cts > maxCommitTS {
+				maxCommitTS = cts
 			}
 		case recAbort:
 			delete(losers, rec.Txn)
@@ -155,25 +144,16 @@ func (t *TC) Recover() error {
 		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 	}
 
-	// --- undo losers with inverse operations (multi-level undo), then
-	// re-finalize winners' versioned writes (§6.2.2: before versions are
-	// guaranteed to be eventually removed) — logged, not sent: each DC's
-	// resend below delivers them after the history they follow. From here to
-	// the publish check a refused append or force is not looked at: only the
-	// end of the generation refuses, and that check reports it. ---
+	// --- undo losers with inverse operations (multi-level undo) — logged,
+	// not sent: each DC's resend below delivers them after the history they
+	// follow, a loser's stamped writes included, before the DC takes this
+	// incarnation's safe timestamp (EndRestart), which may already pass their
+	// timestamps. From here to the publish check a refused append or force is
+	// not looked at: only the end of the generation refuses, and that check
+	// reports it. ---
 	for txnID, l := range losers {
 		inc.undoChain(txnID, l.lastLSN)
 		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
-	}
-	for _, w := range winnersVersioned {
-		for _, tk := range w.keys {
-			if _, err := t.dcIndex(tk.table, tk.key); err != nil {
-				return fmt.Errorf("tc %d: re-finalize %s/%q: %w", t.cfg.ID, tk.table, tk.key, err)
-			}
-			op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions,
-				Table: tk.table, Key: tk.key, TS: w.ts}
-			inc.logOp(op, &wal.Record{Kind: recOp, Payload: appendOpPayload(nil, op, nil, false)})
-		}
 	}
 
 	// --- DC reset and redo (§5.3.2), one resend per DC: the DC drops cached
@@ -303,7 +283,7 @@ func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err er
 		// arrived may still sit in the unforced tail (a write is acknowledged
 		// at its barrier, before its transaction's commit record is forced).
 		// Force first so the resend covers every operation the DC might have
-		// lost from its cache, and Recover's undo and re-finalize records.
+		// lost from its cache, and Recover's undo records.
 		inc.log.Force()
 		if err := inc.redo(idx); !errors.Is(err, errDCRestarted) {
 			return true, err

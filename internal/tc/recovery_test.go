@@ -123,10 +123,8 @@ func TestDCRestartUnderAWindowedResend(t *testing.T) {
 	}
 }
 
-// TestRestartAbortsNoWinner: a committed versioned transaction's finalize
-// record follows its commit record in the log, and the next commit's force
-// makes it stable. Restart must not take it for a loser's and log an abort
-// record for a transaction that committed.
+// TestRestartAbortsNoWinner: restart must not take a committed versioned
+// transaction for a loser and log an abort record after its commit record.
 func TestRestartAbortsNoWinner(t *testing.T) {
 	tcx, _ := newPair(t, Config{})
 	for _, k := range []string{"a", "b"} {

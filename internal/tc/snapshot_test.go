@@ -414,8 +414,9 @@ func TestUnheardReaderIsRefused(t *testing.T) {
 }
 
 // TestSnapshotCommitTSRecovery: commit timestamps survive a TC crash —
-// restart re-finalizes winners at their logged timestamps and never
-// assigns a new commit timestamp at or below a durable one.
+// redo re-delivers winners' writes stamped with their logged timestamps,
+// and restart never assigns a new commit timestamp at or below a durable
+// one.
 func TestSnapshotCommitTSRecovery(t *testing.T) {
 	fake := clock.NewFake(1000, 0)
 	tcx, _ := newPair(t, Config{Clock: fake})

@@ -51,7 +51,7 @@ var defaultClock clock.Clock = &clock.System{}
 const (
 	recOp         uint8 = iota + 1 // forward logical operation (+ undo info)
 	recCLR                         // compensation: inverse logical operation
-	recCommit                      // transaction commit (+ versioned write set)
+	recCommit                      // transaction commit (+ commit timestamp)
 	recAbort                       // transaction abort complete
 	recCheckpoint                  // redo scan start point advanced (+ epoch)
 	recEpoch                       // incarnation epoch minted at (re)start
@@ -199,14 +199,16 @@ type TC struct {
 	// tsMu guards the commit-timestamp / safe-timestamp state of the
 	// closed-timestamp protocol: a commit timestamp is assigned strictly
 	// above every safe timestamp ever broadcast, and a safe timestamp is
-	// broadcast strictly below every assigned-but-not-yet-finalized commit
-	// timestamp, so "safe >= T" at a DC really does mean no future commit
-	// of this TC can become visible at or below T. lastCommit, maxSafeSent
-	// and maxHorizonSent are promises already made to the DCs, so they
-	// outlive a crash (Recover re-seeds lastCommit and maxHorizonSent from
-	// the log and the clock for cross-process restarts); the registrations
-	// they are computed from die with their transactions and are the
-	// incarnation's (commitOut, activeSnaps), under this same mutex.
+	// broadcast strictly below every commit timestamp whose commit record
+	// is not yet forced, so "safe >= T" at a DC really does mean that every
+	// version this TC stamped at or below T is committed and that no future
+	// commit of this TC can become visible at or below T. lastCommit,
+	// maxSafeSent and maxHorizonSent are promises already made to the DCs,
+	// so they outlive a crash (Recover re-seeds lastCommit and
+	// maxHorizonSent from the log and the clock for cross-process
+	// restarts); the registrations they are computed from die with their
+	// transactions and are the incarnation's (commitOut, activeSnaps),
+	// under this same mutex.
 	tsMu           sync.Mutex
 	lastCommit     base.TS // highest commit timestamp assigned
 	maxSafeSent    base.TS // highest safe timestamp broadcast
@@ -262,7 +264,7 @@ type incarnation struct {
 	nextTxn uint64
 
 	// Guarded by tc.tsMu, beside the promises they bound.
-	commitOut   map[base.TS]struct{} // assigned, finalize not yet acked
+	commitOut   map[base.TS]struct{} // assigned, commit record not yet forced
 	activeSnaps map[base.TS]int      // registered snapshot read timestamps
 	staleness   base.TS              // largest bounded Staleness asked lately; each broadcast halves it
 }
@@ -490,20 +492,25 @@ func (inc *incarnation) publishStable() {
 // the DC (or on the connection, ahead of whatever the caller sends next)
 // when it returns. The tick runs it, Checkpoint before its control calls,
 // which depend on the marks, and a resend once it has ended, the moment a
-// DC takes the marks again.
+// DC takes the marks again. A dead incarnation sends no safe timestamp.
 func (inc *incarnation) broadcastWatermarks() {
 	inc.publishStable()
-	safe, horizon := inc.safeTS()
+	safe, horizon, live := inc.safeTS()
+	if !live {
+		return
+	}
 	for _, h := range inc.tc.dcs {
 		h.svc.SafeTS(inc.tc.cfg.ID, inc.epoch, safe, horizon)
 	}
 }
 
-// assignCommitTS draws a commit timestamp: the clock reading, pushed
-// above both the previous commit and everything already promised safe to
-// the DCs. The timestamp stays registered in commitOut — holding the safe
-// timestamp below it — until the transaction's commit-versions finalize
-// operations are acknowledged (Txn.finish).
+// assignCommitTS draws a commit timestamp, at the commit barrier (the lock
+// point): the clock reading, pushed above both the previous commit and
+// everything already promised safe to the DCs. The timestamp stays
+// registered in commitOut — holding the safe timestamp below it, so that no
+// DC takes the versions stamped with it for committed — until the
+// transaction's commit record is forced, or its stamped writes are taken
+// back by an abort (Txn.finish).
 func (inc *incarnation) assignCommitTS() base.TS {
 	t := inc.tc
 	now, _ := t.clock.Now()
@@ -523,12 +530,13 @@ func (inc *incarnation) assignCommitTS() base.TS {
 
 // safeTS computes the closed-timestamp pair broadcast to the DCs.
 //
-// safe is the promise "no commit of this TC will ever become visible at
-// or below safe from now on": the clock reading (an idle TC's safe tracks
-// real time, so fresh snapshots wait at most one broadcast tick), clamped
-// below every assigned-but-unfinalized commit timestamp, and never
-// retreating. assignCommitTS keeps the promise forward by assigning
-// strictly above maxSafeSent.
+// safe is the promise "every version this TC stamped at or below safe is
+// committed, and no commit of this TC will ever become visible at or below
+// safe from now on": the clock reading (an idle TC's safe tracks real time,
+// so fresh snapshots, and committed reads of a just-committed version, wait
+// at most one broadcast tick), clamped below every commit timestamp whose
+// commit record is not yet forced, and never retreating. assignCommitTS
+// keeps the promise forward by assigning strictly above maxSafeSent.
 //
 // horizon is the version-GC watermark: versions invisible at every
 // timestamp above it may be pruned. Versions exist only to serve readers
@@ -545,10 +553,20 @@ func (inc *incarnation) assignCommitTS() base.TS {
 // holds it lower and no snapshot reads below a horizon this TC has sent;
 // New and Recover raise maxHorizonSent to the clock before their first
 // broadcast, which sends it.
-func (inc *incarnation) safeTS() (safe, horizon base.TS) {
+//
+// A dead incarnation promises nothing (live false): its orphans release their
+// commit timestamps (Txn.finish) with their stamped writes neither committed
+// nor taken back, and a tick of it still under way must not pass them. An
+// orphan releases one under tsMu after it saw the crash, so the check, made
+// under tsMu too, sees the crash whenever the release has happened.
+func (inc *incarnation) safeTS() (safe, horizon base.TS, live bool) {
 	t := inc.tc
 	now, _ := t.clock.Now()
 	t.tsMu.Lock()
+	defer t.tsMu.Unlock()
+	if !inc.log.Live() {
+		return 0, 0, false
+	}
 	safe = now
 	if t.lastCommit > safe {
 		safe = t.lastCommit
@@ -581,8 +599,7 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS) {
 	if horizon > t.maxHorizonSent {
 		t.maxHorizonSent = horizon
 	}
-	t.tsMu.Unlock()
-	return safe, horizon
+	return safe, horizon, true
 }
 
 // Checkpoint advances the redo scan start point (§4.2.1 checkpoint,

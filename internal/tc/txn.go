@@ -113,12 +113,12 @@ type cachedVal struct {
 	found bool
 }
 
-// queued is one operation of a transaction between being accepted and being
-// acknowledged: a write waiting for the next barrier, which logs and ships it,
-// or a finalize operation of a commit, logged as it is queued. dc is the DC
-// it routes to. prior/priorFound are the undo information a write's op record
-// will carry; needPrior marks a prior the cache could not supply at call time,
-// which the barrier's batched pre-read fetches (see Txn.fetchPriors).
+// queued is one write of a transaction between being accepted and being
+// acknowledged: it waits for the next barrier, which logs and ships it. dc is
+// the DC it routes to. prior/priorFound are the undo information its op
+// record will carry; needPrior marks a prior the cache could not supply at
+// call time, which the barrier's batched pre-read fetches (see
+// Txn.fetchPriors).
 type queued struct {
 	op         base.Op
 	dc         int
@@ -171,13 +171,13 @@ type Txn struct {
 	// so cached copies are authoritative and spare read-before-write
 	// round trips to the DC.
 	cache map[tableKey]cachedVal
-	// versioned tracks keys written with versioning; commit/abort send
-	// the §6.2.2 finalize operations for them.
-	versioned map[tableKey]struct{}
+	// versioned holds the keys a versioned transaction wrote, true for one
+	// whose last write left at an earlier barrier, without the commit
+	// timestamp: the commit barrier writes it again (see stamp).
+	versioned map[tableKey]bool
 	// queue holds the writes accepted since the last barrier, in call order:
 	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
-	// logs and ships it; Abort drops it. A commit's finalize operations
-	// collect in it too, after its writes have left.
+	// logs and ships it; Abort drops it.
 	queue []queued
 	// slab backs the queue and what a barrier builds from it; nil until the
 	// first write is accepted.
@@ -188,9 +188,9 @@ type Txn struct {
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
-	// commitTS is the commit timestamp assigned when a versioned
-	// transaction commits; it holds the TC's safe timestamp down until
-	// the finalize operations are acknowledged.
+	// commitTS is the commit timestamp a versioned transaction's commit
+	// barrier assigns and stamps on its writes; it holds the TC's safe
+	// timestamp down until the commit record is forced.
 	commitTS base.TS
 }
 
@@ -209,7 +209,7 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 	t.begun.Add(1)
 	x := &Txn{tc: t, inc: inc, ctx: ctx, opts: opts, cache: make(map[tableKey]cachedVal)}
 	if opts.Versioned {
-		x.versioned = make(map[tableKey]struct{})
+		x.versioned = make(map[tableKey]bool)
 	}
 	inc.mu.Lock()
 	inc.nextTxn++
@@ -640,7 +640,7 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		x.cache[tk] = cachedVal{val: val, found: true}
 	}
 	if x.opts.Versioned {
-		x.versioned[tk] = struct{}{}
+		x.versioned[tk] = false
 	}
 	if len(x.queue) >= maxBatch {
 		return x.flush()
@@ -656,10 +656,12 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 // component, a cancelled wait) would otherwise classify as transient.
 var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not by this error")
 
-// Commit makes the transaction durable: append and force the commit
-// record (group commit), finalize versioned writes (§6.2.2 — removing the
-// before versions; non-blocking for readers, no two-phase commit), then
-// release locks (strict two-phase locking).
+// Commit makes the transaction durable: ship its last writes — a versioned
+// transaction's stamped with its commit timestamp (§6.2.2; see stamp) —
+// append and force the commit record (group commit), then release locks
+// (strict two-phase locking). No two-phase commit, and no second message to
+// eliminate the before versions: a DC takes a stamped version for committed
+// once the TC's safe timestamp passes its timestamp.
 //
 // Commit is the transaction's last write barrier, in two parts. The part
 // that can still be given up runs here, under the transaction's context: the
@@ -721,24 +723,29 @@ func (x *Txn) Commit() error {
 }
 
 // commitLogged is Commit from the first log append to the lock release, one
-// straight line that no cancellation interrupts: log the queued writes and
+// straight line that no cancellation interrupts: stamp a versioned
+// transaction's writes with its commit timestamp; log the queued writes and
 // ship them, one batch per DC, acknowledged before the commit record is
 // appended — so a ship that fails (the TC stopped underneath) still rolls the
 // transaction back and is a plain failure; append and force the commit
-// record; publish the new stable boundary; log and ship the finalize
-// operations of a versioned commit as a second batch; release the locks. A
-// failure after the commit record is reported wrapping ErrCommitAmbiguous:
-// the outcome is the log's, restart treats the transaction as a winner and
-// re-delivers its logged operations. Locks are released only after every
-// write and finalize is acknowledged and the commit record is stable.
+// record; publish the new stable boundary; release the locks and the commit
+// timestamp. A failure under the force is reported wrapping
+// ErrCommitAmbiguous: the outcome is the log's, and restart treats a
+// transaction whose commit record is stable as a winner and re-delivers its
+// logged operations.
 //
 // It may run on the finisher goroutine of a cancelled Commit, so it leaves
 // x.state — all the caller's goroutine still reads — alone.
 func (x *Txn) commitLogged() error {
 	t, inc := x.tc, x.inc
-	var vkeys []tableKey
-	for tk := range x.versioned {
-		vkeys = append(vkeys, tk)
+	if len(x.versioned) > 0 {
+		// The commit barrier is the lock point: the transaction holds every
+		// lock it will take, so its commit timestamp, the snapshot
+		// visibility point of its versioned writes, is drawn here and rides
+		// them. Logged in the commit record so restart re-seeds the
+		// allocator above it.
+		x.commitTS = inc.assignCommitTS()
+		x.stamp()
 	}
 	err := x.appendQueued()
 	if err == nil {
@@ -748,13 +755,7 @@ func (x *Txn) commitLogged() error {
 		x.rollback()
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
-	if len(vkeys) > 0 {
-		// The commit timestamp is the snapshot visibility point of this
-		// transaction's versioned writes. Logged in the commit record so
-		// restart re-finalizes winners at the same timestamp.
-		x.commitTS = inc.assignCommitTS()
-	}
-	x.enc = appendCommit(x.enc[:0], vkeys, x.commitTS)
+	x.enc = appendCommit(x.enc[:0], x.commitTS)
 	cLSN := inc.logLocal(&wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN, Payload: x.enc})
 	if cLSN == 0 {
 		// The incarnation died before the commit record: a loser, restart's
@@ -768,21 +769,41 @@ func (x *Txn) commitLogged() error {
 	}
 	// Publish the new stable boundary: cached pages with this transaction's
 	// operations become flushable (causality). No frame is sent for it — it
-	// rides this TC's next request toward each DC (the finalize batch below,
-	// the next transaction's pre-read) or, from an idle TC, the next tick.
+	// rides this TC's next request toward each DC (the next transaction's
+	// pre-read or write batch) or, from an idle TC, the next tick.
 	inc.publishStable()
 	t.commits.Add(1)
-	// §6.2.2: "When an updating TC commits the transaction, it sends
-	// updates to the DC to eliminate the before versions." These are
-	// logged so restart re-delivers them for winners. They travel like the
-	// writes they finalize — one batch per DC, ordered after those writes —
-	// and are acknowledged before lock release.
-	err = x.finalize(vkeys)
 	x.finish()
-	if err != nil {
-		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
-	}
 	return nil
+}
+
+// stamp readies a versioned commit's barrier: each key whose last write left
+// at an earlier barrier, unstamped, is queued again as the ordinary versioned
+// Upsert or Delete that leaves it as the transaction cache holds it — the DC
+// overwrites its own pending head — and every write in the queue carries the
+// commit timestamp.
+func (x *Txn) stamp() {
+	for tk, shipped := range x.versioned {
+		if !shipped {
+			continue
+		}
+		// Routed when the key was first written, so under a stable
+		// placement this cannot fail.
+		idx, err := x.tc.dcIndex(tk.table, tk.key)
+		if err != nil {
+			continue
+		}
+		c := x.cache[tk]
+		q := queued{dc: idx, op: base.Op{TC: x.tc.cfg.ID, Kind: base.OpUpsert,
+			Table: tk.table, Key: tk.key, Value: c.val, Versioned: true}}
+		if !c.found {
+			q.op.Kind = base.OpDelete
+		}
+		x.queue = append(x.queue, q)
+	}
+	for i := range x.queue {
+		x.queue[i].op.TS = x.commitTS
+	}
 }
 
 // finish releases the transaction's locks and drops it from the table:
@@ -790,7 +811,8 @@ func (x *Txn) commitLogged() error {
 // of commitLogged or rollback. It also releases the transaction's timestamp
 // registrations: the snapshot pin on the GC horizon, and the outstanding
 // commit timestamp (every path reaching finish after a commit has the
-// finalize operations acknowledged, so the safe timestamp may now pass it).
+// stamped writes acknowledged and the commit record forced, or the writes
+// taken back by their inverses, so the safe timestamp may now pass it).
 // All of it in the transaction's own incarnation: an orphan's finish lands in
 // dead tables, never on a successor's transaction of the same id.
 func (x *Txn) finish() {
@@ -811,50 +833,6 @@ func (x *Txn) finish() {
 	inc.mu.Lock()
 	delete(inc.txns, x.id)
 	inc.mu.Unlock()
-}
-
-// finalize logs and ships the commit-versions operations of a committed
-// transaction's versioned write set. A failure is reported for the commit
-// barrier's sake only: the operations are logged, so restart re-delivers
-// them for winners.
-func (x *Txn) finalize(vkeys []tableKey) error {
-	var first error
-	for _, tk := range vkeys {
-		first = firstErr(first, x.finalizeOp(tk))
-	}
-	return firstErr(first, x.ship())
-}
-
-// finalizeOp logs one commit-versions operation and queues it for its DC; a
-// queue that reaches maxBatch is shipped, and that ship's failure returned.
-func (x *Txn) finalizeOp(tk tableKey) error {
-	t := x.tc
-	// The forward write resolved this key's placement when it was issued,
-	// so under a stable placement this cannot fail; resolving before the
-	// record is appended keeps the invariant that only routable
-	// operations ever consume a logged LSN.
-	idx, err := t.dcIndex(tk.table, tk.key)
-	if err != nil {
-		return nil
-	}
-	// Commit-versions operations carry the commit timestamp: the DC stamps
-	// it on the record as it removes the before version, making the write
-	// visible to snapshot reads at or above it. The payload keeps the TS
-	// (only LSN and epoch are zeroed), so restart redo re-finalizes at the
-	// same timestamp. Like restart's re-finalize it names no transaction:
-	// analysis takes a record of one after its commit record for a loser's.
-	x.queue = append(x.queue, queued{dc: idx, op: base.Op{TC: t.cfg.ID,
-		Kind: base.OpCommitVersions, Table: tk.table, Key: tk.key, TS: x.commitTS}})
-	op := &x.queue[len(x.queue)-1].op
-	x.enc = appendOpPayload(x.enc[:0], op, nil, false)
-	if !x.inc.logOp(op, &wal.Record{Kind: recOp, Payload: x.enc}) {
-		x.queue = x.queue[:len(x.queue)-1] // never logged, so never shipped
-		return ErrTCStopped
-	}
-	if len(x.queue) >= maxBatch {
-		return x.ship()
-	}
-	return nil
 }
 
 // Abort rolls the transaction back (§4.1.1(2b)) and releases its locks; see
@@ -945,10 +923,9 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) [][]*base.Op
 
 // inverseOp builds the logical inverse (§4.1.1(2b)). Versioned writes
 // invert via abort-versions — the DC discards the uncommitted version and
-// restores the before version (§6.2.2). Finalize operations have no
-// inverse (they only run post-commit).
+// restores the before version (§6.2.2); abort-versions has no inverse.
 func inverseOp(op *base.Op, prior []byte, priorFound bool) *base.Op {
-	if op.Kind == base.OpCommitVersions || op.Kind == base.OpAbortVersions {
+	if op.Kind == base.OpAbortVersions {
 		return nil
 	}
 	if op.Versioned {

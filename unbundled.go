@@ -123,7 +123,7 @@
 //
 // The cost of unbundling is that every logical operation crosses a TC:DC
 // message boundary (§4.2). Every logged operation — forward write,
-// finalize, inverse, restart redo — crosses it under one delivery routine
+// inverse, restart redo — crosses it under one delivery routine
 // with one contract: resend until acknowledged, riding out a DC that is
 // down, recovering or draining. A write never waits for its own round
 // trip, and never makes one: the call takes the X lock (which freezes the
@@ -132,8 +132,7 @@
 // the value in the transaction cache, and joins its transaction's queue.
 //
 // The queue is logged and shipped at the transaction's next barrier:
-// Commit (before the commit record is appended; the finalize operations of
-// a versioned commit follow as a second batch), a scan or an unlocked read
+// Commit (before the commit record is appended), a scan or an unlocked read
 // (for read-your-writes; point reads are answered by the transaction
 // cache), or 64 queued writes. The barrier first fetches, in one batch of
 // reads per DC, every undo image the cache could not supply (an unversioned
@@ -155,15 +154,29 @@
 // two-phase locking keeps operations of concurrent transactions from
 // conflicting, which is all the order §4.2 asks of the wire, so concurrent
 // committers each send their own frame; locks are released only after every
-// write and finalize is acknowledged and the commit record is stable.
+// write is acknowledged and the commit record is stable.
+//
+// A versioned transaction (§6.2.2) makes no second round trip. The paper has
+// the TC send, at commit, updates "to eliminate the before versions"; this
+// implementation deliberately does not. The commit barrier is the lock point,
+// so the TC draws the commit timestamp there and every versioned write that
+// barrier ships carries it (one an earlier barrier shipped is written again).
+// A DC keeps the before version beside the stamped one and takes the stamped
+// one for committed once the owner TC's safe timestamp passes it; the TC
+// holds its safe timestamp below the commit timestamp until the commit record
+// is forced. So a ReadCommitted reader sees a just-committed version from the
+// owner's next safe timestamp broadcast on — within one TC tick — not the
+// instant Commit returns; snapshot reads are unchanged. The next versioned
+// write of the key, or a version-GC horizon past it, folds the before version
+// into the history.
 //
 // The §4.2.1 watermarks — end of stable log, low-water mark, and the safe
 // timestamp of the snapshot protocol — are one-way hints whose delay only
 // postpones a page flush, so over a wire they pay for no frame of their own
 // while there is traffic. A commit publishes the stable boundary its force
 // and its acknowledgements moved; the wire client holds the two marks and
-// they ride that TC's next request toward the DC (the finalize batch, the
-// next transaction's pre-read), applied at the DC before the request they
+// they ride that TC's next request toward the DC (the next transaction's
+// pre-read or write batch), applied at the DC before the request they
 // rode. The 1 ms tick sends the one standalone frame there is, carrying all
 // three marks — which is also what bounds the delay from an idle TC and
 // repairs a block lost with its frame.
