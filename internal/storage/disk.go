@@ -157,12 +157,27 @@ func (s *PageStore) persistAlloc(next uint32) {
 	}
 }
 
-// Log file format: an 8-byte big-endian floor — the stable LSN when the
-// image was written, which is all a log truncated empty has left to say —
-// then the framed records exactly as LogStore's chunks hold them. Force
-// appends the newly stable frames and fsyncs; Truncate rewrites the file
-// atomically (checkpoints are rare; simplicity wins).
-const logHeaderBytes = 8
+// Log file format: an 8-byte big-endian header, then the framed records
+// exactly as LogStore's chunks hold them, the last frame of every batch
+// marked. The header is the floor — the stable LSN when the image was
+// written, which is all a log truncated empty has left to say — with its top
+// bit (logFormat) set: the bit names the batch-marked frame format, so an
+// image of the earlier unmarked one is refused, and left as it is, instead of
+// being read as torn batches and cut. Force appends the newly stable frames
+// and fsyncs; Truncate rewrites the file atomically (checkpoints are rare;
+// simplicity wins).
+const (
+	logHeaderBytes = 8
+	logFormat      = 1 << 63
+)
+
+// logHeader returns the header of an image whose floor is floor.
+func logHeader(floor uint64) []byte {
+	if floor&logFormat != 0 {
+		panic(fmt.Sprintf("storage: log floor %d beyond the file format", floor))
+	}
+	return binary.BigEndian.AppendUint64(nil, floor|logFormat)
+}
 
 // OpenLogStoreFile returns a LogStore backed by path, loading the records
 // a previous incarnation forced there. Everything in the file is stable
@@ -180,13 +195,13 @@ func OpenLogStoreFile(path string) (*LogStore, error) {
 	}
 	created := err != nil
 	if created {
-		data = make([]byte, logHeaderBytes)
+		data = logHeader(0)
 	}
 	clean, err := l.load(data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: log %s: %w", path, err)
 	}
-	// A kill mid-append can leave torn bytes after the last whole record.
+	// A kill mid-append can leave torn bytes after the last whole batch.
 	// Rewrite the clean image before appending again, or the garbage would
 	// sit between old and new records and corrupt the next reopen.
 	if created || clean < len(data) {
@@ -197,10 +212,12 @@ func OpenLogStoreFile(path string) (*LogStore, error) {
 	return l, l.reopenFile()
 }
 
-// load makes the file image data the store's one chunk, indexes its whole
-// records and returns the length of the image up to the last of them: a
-// torn final record (everything before it was covered by an earlier fsync)
-// is cut.
+// load makes the file image data the store's one chunk, indexes the records
+// of its whole batches and returns the length of the image up to the last of
+// them. A force writes its frames span by span, so a kill can leave a batch
+// torn anywhere — inside a frame or between two — after the whole batches an
+// earlier fsync covered: everything from the frame after the last marked one
+// on is cut. An image whose header lacks logFormat is refused whole.
 func (l *LogStore) load(data []byte) (clean int, err error) {
 	if len(data) < logHeaderBytes {
 		return 0, errors.New("truncated header")
@@ -209,31 +226,40 @@ func (l *LogStore) load(data []byte) (clean int, err error) {
 		return 0, errors.New("image exceeds 4 GiB")
 	}
 	floor := binary.BigEndian.Uint64(data)
+	if floor&logFormat == 0 {
+		return 0, errors.New("header lacks the format bit: an image of the format without batch marks")
+	}
+	floor &^= logFormat
 	body := data[logHeaderBytes:]
 	off, prev := 0, uint64(0)
+	end, whole, last := 0, 0, uint64(0) // the image up to the last marked frame
 	for off < len(body) {
 		lsn, n := binary.Uvarint(body[off:])
 		if n <= 0 {
 			break
 		}
 		size, m := binary.Uvarint(body[off+n:])
-		if m <= 0 || size > uint64(len(body)-off-n-m) {
+		if m <= 0 || size>>1 > uint64(len(body)-off-n-m) {
 			break
 		}
 		if lsn <= prev {
 			return 0, fmt.Errorf("record LSN %d follows %d", lsn, prev)
 		}
 		l.recs = append(l.recs, recRef{lsn: lsn, off: uint32(off)})
-		off, prev = off+n+m+int(size), lsn
+		off, prev = off+n+m+int(size>>1), lsn
+		if size&1 != 0 {
+			end, whole, last = off, len(l.recs), lsn
+		}
 	}
-	if len(l.recs) > 0 && prev < floor {
+	l.recs = l.recs[:whole]
+	if whole > 0 && last < floor {
 		// Truncation releases a prefix, so an image with records was
 		// written with the last of them (or an earlier one) as its floor.
-		return 0, fmt.Errorf("floor %d above last record %d", floor, prev)
+		return 0, fmt.Errorf("floor %d above last record %d", floor, last)
 	}
-	l.chunks = [][]byte{body[:off]}
-	l.stable, l.stableLSN = len(l.recs), max(floor, prev)
-	return logHeaderBytes + off, nil
+	l.chunks = [][]byte{body[:end]}
+	l.stable, l.stableLSN = whole, max(floor, last)
+	return logHeaderBytes + end, nil
 }
 
 func (l *LogStore) reopenFile() error {
@@ -245,8 +271,9 @@ func (l *LogStore) reopenFile() error {
 	return nil
 }
 
-// persistForce appends the frames that are becoming stable and fsyncs.
-// Called by Force holding fmu (not mu).
+// persistForce appends the frames that are becoming stable, whole batches,
+// and fsyncs. It writes them one span at a time, so a kill can leave the last
+// batch torn; load cuts it. Called by Force holding fmu (not mu).
 func (l *LogStore) persistForce(pending [][]byte) {
 	if len(pending) == 0 {
 		return
@@ -267,8 +294,7 @@ func (l *LogStore) persistTruncate(floor uint64, retained [][]byte) {
 	if l.file == nil {
 		return
 	}
-	hdr := binary.BigEndian.AppendUint64(nil, floor)
-	if err := atomicWriteFile(l.path, true, append([][]byte{hdr}, retained...)...); err != nil {
+	if err := atomicWriteFile(l.path, true, append([][]byte{logHeader(floor)}, retained...)...); err != nil {
 		panic(fmt.Sprintf("storage: log truncate rewrite %s: %v", l.path, err))
 	}
 	l.file.Close()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -85,26 +86,107 @@ func logImage(t testing.TB, build func(l *LogStore)) []byte {
 	return data
 }
 
+// tornBatchImage is a log file a kill left between the two span writes of a
+// force: one batch forced whole, and of the next only the frames in the chunk
+// the first batch filled, its last frame having opened a chunk of its own.
+func tornBatchImage(t testing.TB) []byte {
+	t.Helper()
+	var cut int
+	whole := logImage(t, func(l *LogStore) {
+		l.AppendBatch(1, []byte("one"), []byte("two"))
+		l.Force()
+		chunks := len(l.chunks)
+		l.AppendBatch(3, []byte("three"), make([]byte, chunkBytes))
+		if len(l.chunks) != chunks+1 {
+			t.Fatalf("the second batch opened %d chunks, want 1", len(l.chunks)-chunks)
+		}
+		cut = logHeaderBytes
+		for _, c := range l.chunks[:chunks] {
+			cut += len(c)
+		}
+		l.Force()
+	})
+	return whole[:cut]
+}
+
+// TestTornBatchReopensAtThePreviousBatch: a reopened log cuts a batch a kill
+// left partly written — a whole frame of it included — so it holds the
+// batches before it, whole.
+func TestTornBatchReopensAtThePreviousBatch(t *testing.T) {
+	image := tornBatchImage(t)
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLogStoreFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.file.Close()
+	if got := l.Scan(0); !reflect.DeepEqual(got, [][]byte{[]byte("one"), []byte("two")}) {
+		t.Fatalf("reopened records %q, want the first batch", got)
+	}
+	if _, stable, last := l.Bounds(); stable != 2 || last != 2 {
+		t.Fatalf("reopened bounds: stable %d, last %d, want 2 and 2", stable, last)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) >= len(image) {
+		t.Fatalf("the torn frames are still in the file (%d of %d bytes, %v)", len(data), len(image), err)
+	}
+}
+
+// unmarkedImage is a log file of the format before batch marks: a header
+// that is the bare floor, and frames whose length has no batch-end bit —
+// here LSNs 1 and 2, "one" and "two", which the marked format would read as
+// a torn batch of one three-byte record.
+func unmarkedImage() []byte {
+	image := make([]byte, logHeaderBytes)
+	for i, rec := range []string{"one", "two"} {
+		image = binary.AppendUvarint(image, uint64(i+1))
+		image = binary.AppendUvarint(image, uint64(len(rec)))
+		image = append(image, rec...)
+	}
+	return image
+}
+
+// TestUnmarkedImageIsRefused: a log file written before batch marks existed
+// fails to open, and the file is left byte for byte as it was.
+func TestUnmarkedImageIsRefused(t *testing.T) {
+	image := unmarkedImage()
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenLogStoreFile(path); err == nil {
+		l.file.Close()
+		t.Fatalf("opened an unmarked image: records %q", l.Scan(0))
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, image) {
+		t.Fatalf("the refused image changed: %x, was %x (%v)", data, image, err)
+	}
+}
+
 // FuzzLogImage feeds arbitrary bytes to OpenLogStoreFile as the log file:
 // it never panics, and whatever it accepts it accepts again, identically,
 // from the clean image it left — also after the next append and force, so no
 // torn byte survives between old records and new.
 func FuzzLogImage(f *testing.F) {
 	whole := logImage(f, func(l *LogStore) {
-		l.Append(3, []byte("three"))
-		l.Append(4, nil)
-		l.Append(9, bytes.Repeat([]byte("n"), 300))
+		l.AppendBatch(3, []byte("three"))
+		l.AppendBatch(4, nil, []byte("five"))
+		l.AppendBatch(9, bytes.Repeat([]byte("n"), 300))
 		l.Force()
 	})
 	for i := 0; i <= len(whole); i++ {
 		f.Add(whole[:i]) // every torn tail
 	}
 	f.Add(logImage(f, func(l *LogStore) { // truncated empty: only the floor is left
-		l.Append(7, []byte("seven"))
+		l.AppendBatch(7, []byte("seven"))
 		l.Force()
 		l.Truncate(8)
 	}))
 	f.Add(append(whole[:logHeaderBytes:logHeaderBytes], 5, 0, 4, 0)) // LSNs out of order
+	f.Add(tornBatchImage(f))
+	f.Add(unmarkedImage())
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := filepath.Join(t.TempDir(), "log")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -141,7 +223,7 @@ func FuzzLogImage(f *testing.F) {
 		if last == math.MaxUint64 {
 			return // no LSN left to append under
 		}
-		second.Append(last+1, []byte("next"))
+		second.AppendBatch(last+1, []byte("next"))
 		second.Force()
 		first, want = second, second.Scan(0)
 		reopen()

@@ -176,14 +176,16 @@ func (s *PageStore) Stats() Stats {
 // LSN allocation above everything stable state elsewhere may reference.
 //
 // The image is a list of chunks holding framed records back to back
-// (uvarint LSN, uvarint length, record) — byte for byte what the backing
-// file holds after its header — plus one pointer-free reference per record.
-// Chunk bytes are write-once: nothing below a chunk's length is ever
+// (uvarint LSN, uvarint length with the batch-end bit, record; see
+// frameLocked) — byte for byte what the backing file holds after its header —
+// plus one pointer-free reference per record. Records are appended in
+// batches (AppendBatch), and the stable end only ever sits between two of
+// them. Chunk bytes are write-once: nothing below a chunk's length is ever
 // overwritten, so the slices Scan and Get return, and the spans Force and
 // Truncate hand to the file, stay valid without a copy or a lock.
 //
 // Lock order is fmu, then mu. mu guards the image and is held only for
-// memory operations; it is the only lock Append takes. fmu serializes Force,
+// memory operations; it is the only lock AppendBatch takes. fmu serializes Force,
 // Truncate and Crash against each other and owns the file: the append+fsync
 // of a force and the rewrite of a truncation run under fmu with mu released.
 type LogStore struct {
@@ -221,14 +223,34 @@ const chunkBytes = 64 << 10
 // NewLogStore returns an empty log store.
 func NewLogStore() *LogStore { return &LogStore{} }
 
-// Append adds a record to the volatile end of the log. The bytes are copied
-// into the image; lsn must exceed every LSN the store holds or has forced.
-func (l *LogStore) Append(lsn uint64, rec []byte) {
-	l.mu.Lock()
-	if last := l.lastLocked(); lsn <= last {
-		l.mu.Unlock()
-		panic(fmt.Sprintf("storage: log append of LSN %d at or below %d", lsn, last))
+// AppendBatch adds recs to the volatile end of the log as one batch, at LSNs
+// first, first+1, ...: they are copied into the image under one hold of the
+// mutex, so a Force (which snapshots the end under it) makes the batch stable
+// whole or not at all, and a Crash keeps all of it or none. first must exceed
+// every LSN the store holds or has forced.
+func (l *LogStore) AppendBatch(first uint64, recs ...[]byte) {
+	if len(recs) == 0 {
+		return
 	}
+	var total uint64
+	l.mu.Lock()
+	if last := l.lastLocked(); first <= last {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("storage: log append of LSN %d at or below %d", first, last))
+	}
+	for i, rec := range recs {
+		l.frameLocked(first+uint64(i), rec, i == len(recs)-1)
+		total += uint64(len(rec))
+	}
+	l.mu.Unlock()
+	l.bytes.Add(total)
+}
+
+// frameLocked appends one framed record to the image: uvarint LSN, uvarint
+// length shifted left by one with the low bit set on the last frame of a
+// batch, the record. The bit is what lets a reopened file cut a batch that a
+// kill left half written (see load).
+func (l *LogStore) frameLocked(lsn uint64, rec []byte, last bool) {
 	need := 2*binary.MaxVarintLen64 + len(rec)
 	n := len(l.chunks)
 	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
@@ -237,11 +259,13 @@ func (l *LogStore) Append(lsn uint64, rec []byte) {
 	}
 	c := l.chunks[n-1]
 	l.recs = append(l.recs, recRef{lsn: lsn, chunk: l.first + uint32(n-1), off: uint32(len(c))})
+	size := uint64(len(rec)) << 1
+	if last {
+		size |= 1
+	}
 	c = binary.AppendUvarint(c, lsn)
-	c = binary.AppendUvarint(c, uint64(len(rec)))
+	c = binary.AppendUvarint(c, size)
 	l.chunks[n-1] = append(c, rec...)
-	l.mu.Unlock()
-	l.bytes.Add(uint64(len(rec)))
 }
 
 // lastLocked returns the highest LSN appended or forced.
@@ -257,6 +281,7 @@ func (l *LogStore) recLocked(r recRef) []byte {
 	b := l.chunks[r.chunk-l.first][r.off:]
 	_, n := binary.Uvarint(b)
 	size, m := binary.Uvarint(b[n:])
+	size >>= 1 // the batch-end bit
 	b = b[n+m:]
 	return b[:size:size]
 }
@@ -276,9 +301,9 @@ func (l *LogStore) spansLocked(i, j int) [][]byte {
 	return spans
 }
 
-// Force makes every appended record stable and returns the stable LSN.
-// Records appended while the media write is in flight stay volatile until
-// the next force.
+// Force makes every appended record stable and returns the stable LSN, the
+// last of a batch. Records appended while the media write is in flight stay
+// volatile until the next force.
 //
 // A force that finds nothing volatile is a no-op: neither ForceDelay nor the
 // media fsync is paid. Group commit makes these common — one committer's

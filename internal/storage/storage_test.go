@@ -111,3 +111,52 @@ func TestPageStoreConcurrent(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestAppendBatchRacesForce: a force snapshots the end of the log under the
+// mutex a batch is appended under, so every stable LSN it reports — and
+// every record a crash keeps — ends a batch. Run with -race.
+func TestAppendBatchRacesForce(t *testing.T) {
+	l := NewLogStore()
+	const batches = 20000
+	ends := map[uint64]bool{0: true}
+	sizes := make([]int, batches)
+	next := uint64(1)
+	for i := range sizes {
+		sizes[i] = 1 + i%5
+		next += uint64(sizes[i])
+		ends[next-1] = true
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		lsn := uint64(1)
+		for _, n := range sizes {
+			recs := make([][]byte, n)
+			for j := range recs {
+				recs[j] = []byte{byte(lsn) + byte(j)}
+			}
+			l.AppendBatch(lsn, recs...)
+			lsn += uint64(n)
+		}
+	}()
+	for forcing := true; forcing; {
+		select {
+		case <-done:
+			forcing = false
+		default:
+		}
+		if stable := l.Force(); !ends[stable] {
+			t.Fatalf("force reported stable LSN %d, inside a batch", stable)
+		}
+		if _, stable, _ := l.Bounds(); !ends[stable] {
+			t.Fatalf("stable LSN %d is inside a batch", stable)
+		}
+	}
+	l.Crash()
+	if _, stable, last := l.Bounds(); stable != last || stable != next-1 {
+		t.Fatalf("after the last force and a crash: stable %d, last %d, want both %d", stable, last, next-1)
+	}
+	if got := len(l.Scan(0)); got != int(next-1) {
+		t.Fatalf("%d records stable, want %d", got, next-1)
+	}
+}

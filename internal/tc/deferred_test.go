@@ -265,10 +265,10 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		if lwm := tcx.inc.Load().acks.LWM(); lwm < x.lastLSN {
 			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
 		}
-		want := "[4r 4w]" // the priors, then the writes
-		if versioned {
-			want = "[4w]" // the writes, stamped with the commit timestamp
-		}
+		// The writes alone: logged redo-only with the commit record, they
+		// need no priors; a versioned transaction's are stamped with its
+		// commit timestamp.
+		const want = "[4w]"
 		for i, s := range stubs {
 			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
 				t.Fatalf("versioned=%v DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
@@ -281,6 +281,24 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 					t.Fatalf("versioned=%v %s/k%d at the DC after commit: %q %v", versioned, table, k, v, ok)
 				}
 			}
+		}
+		// One batch in the log: the op records, redo-only, then the commit
+		// record, each chained to the one before.
+		ops, _ := txnRecords(tcx, x.id)
+		if len(ops) != 2*n || ops[0].LSN != logEnd || x.lastLSN != logEnd+2*n {
+			t.Fatalf("versioned=%v: %d op records from LSN %d, last LSN %d; want %d from %d, commit at %d",
+				versioned, len(ops), ops[0].LSN, x.lastLSN, 2*n, logEnd, logEnd+2*n)
+		}
+		for i, rec := range ops {
+			if _, undo, err := decodeOpPayload(rec.Payload); err != nil || !undo.redoOnly || rec.LSN != logEnd+base.LSN(i) {
+				t.Fatalf("versioned=%v: op record @%d logs %+v (%v), want redo-only at %d", versioned, rec.LSN, undo, err, logEnd+base.LSN(i))
+			}
+			if i > 0 && rec.Prev != rec.LSN-1 {
+				t.Fatalf("versioned=%v: op record @%d chains to %d", versioned, rec.LSN, rec.Prev)
+			}
+		}
+		if c := tcx.log.Get(x.lastLSN); c == nil || c.Kind != recCommit || c.Prev != x.lastLSN-1 {
+			t.Fatalf("versioned=%v: the batch ends in %+v, want the commit record", versioned, c)
 		}
 	}
 }
@@ -357,12 +375,12 @@ func TestSameKeyPriors(t *testing.T) {
 			t.Fatalf("original=%q: %d op records, want 2", original, len(ops))
 		}
 		for i, want := range []string{original, "v1"} {
-			_, prior, found, err := decodeOpPayload(ops[i].Payload)
+			_, undo, err := decodeOpPayload(ops[i].Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(prior) != want || found != (want != "") {
-				t.Fatalf("original=%q: op record %d logs prior %q %v, want %q", original, i, prior, found, want)
+			if string(undo.prior) != want || undo.found != (want != "") || undo.redoOnly {
+				t.Fatalf("original=%q: op record %d logs %+v, want prior %q", original, i, undo, want)
 			}
 		}
 		if err := x.Abort(); err != nil {
@@ -674,12 +692,12 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tag != "never-logged" {
-			_ = x.appendQueued()
+			_, _ = x.appendQueued(false)
 		}
 		return x
 	}
 	// The winner's commit record is appended by hand: Commit itself would
-	// ship the writes first.
+	// ship the writes.
 	winner := write("winner")
 	tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
 		Payload: appendCommit(nil, 0)})
@@ -859,10 +877,11 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 		})
 	}
 
-	// A barrier's pre-read is an unlogged operation like those, one batch per
-	// DC: DC 0 has answered its batch and DC 1's is at the DC when the TC
-	// crashes and restarts. Nothing was logged, so the commit fails plainly,
-	// and nothing of the orphan — record, logged operation, lock — is left.
+	// The pre-read of a barrier short of commit — here a scan's — is an
+	// unlogged operation like those, one batch per DC: DC 0 has answered its
+	// batch and DC 1's is at the DC when the TC crashes and restarts. Nothing
+	// was logged, so the scan fails plainly, and nothing of the orphan —
+	// record, logged operation, lock — is left.
 	t.Run("straddle/pre-read", func(t *testing.T) {
 		tcx, dcs, stubs := newCountedPair(t)
 		x := tcx.Begin(context.Background(), TxnOptions{})
@@ -883,12 +902,12 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				logEnd = tcx.log.NextLSN()
 			}
 		})
-		err := x.Commit()
+		_, _, err := x.Scan("t", "a", "z", 0)
 		if restarts != 1 {
 			t.Fatal("the TC was never restarted under the pre-read")
 		}
-		if !errors.Is(err, ErrTCStopped) || errors.Is(err, ErrCommitAmbiguous) || errors.Is(err, base.ErrStaleEpoch) {
-			t.Fatalf("commit straddling its pre-read = %v, want a plain ErrTCStopped", err)
+		if !errors.Is(err, ErrTCStopped) || errors.Is(err, base.ErrStaleEpoch) {
+			t.Fatalf("scan straddling its barrier's pre-read = %v, want a plain ErrTCStopped", err)
 		}
 		if next := tcx.log.NextLSN(); next != logEnd {
 			t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
@@ -915,27 +934,35 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 		}
 	})
 
+	// The commit barrier appends its writes and its commit record as one
+	// batch before it ships, so a crash anywhere after the append leaves an
+	// ambiguous commit: restart decides it by whether the batch is stable.
 	straddles := []struct {
 		name      string
 		cfg       Config
 		versioned bool
 		// The TC crashes and restarts from inside the nth delivery of logged
-		// operations to DC dc; nth 0: from the test's goroutine, once that DC
-		// has the writes and the commit record is appended behind them.
+		// operations to DC dc; nth 0: from the test's goroutine, once the
+		// ship is acknowledged and the commit is inside its force.
 		dc, nth int
-		// appended: the commit record was, so the outcome is ambiguous;
-		// winner: it was stable too, so restart finishes the commit.
-		appended, winner bool
+		// peerForce: a peer's group force makes the batch stable first.
+		peerForce bool
+		// winner: the batch was stable, so restart finishes the commit.
+		winner bool
 	}{
-		// DC 0 has acknowledged the write batch, DC 1's is on its way.
+		// DC 0 has acknowledged the write batch, DC 1's is on its way, and
+		// the commit batch dies with the unforced tail: DC 0 rolls back.
 		{name: "write-batch", cfg: Config{ID: 1}, dc: 1, nth: 1},
 		// The same with the writes stamped with the commit timestamp: DC 0
-		// holds a stamped version of a transaction that never logs its
-		// commit record.
+		// holds a stamped version of a transaction whose commit record is
+		// lost.
 		{name: "stamped-write-batch", cfg: Config{ID: 1}, versioned: true, dc: 1, nth: 1},
-		// The commit record is appended and its force asleep: the parent's
+		// The writes are acknowledged and the force is asleep: once the
 		// "ForceTo beyond fully-stable log end" panic.
-		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, dc: 1, appended: true},
+		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, dc: 1},
+		// A concurrent commit's force takes the batch along before DC 1 has
+		// the writes: a winner, whose writes redo delivers.
+		{name: "peer-forced", cfg: Config{ID: 1}, dc: 1, nth: 1, peerForce: true, winner: true},
 	}
 	for _, s := range straddles {
 		t.Run("straddle/"+s.name, func(t *testing.T) {
@@ -970,22 +997,37 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				}
 				switch deliveries++; {
 				case deliveries == s.nth:
+					if s.peerForce {
+						tcx.log.Force()
+					}
 					restart()
 				case deliveries == 1 && s.nth == 0:
-					shipped <- tcx.log.LastLSN()
+					shipped <- x.lastLSN // the commit record's, appended
 				}
 			})
 			done := make(chan error, 1)
 			go func() { done <- x.Commit() }()
 			if s.nth == 0 {
-				for opEnd := <-shipped; tcx.log.LastLSN() <= opEnd; {
-					runtime.Gosched()
+				// The commit record's LSN completed at the append, the
+				// writes' complete as their DCs answer: the mark reaching it
+				// is the ship acknowledged, and the commit in its force.
+				commitLSN := <-shipped
+				for acks := tcx.inc.Load().acks; acks.LWM() < commitLSN; {
+					select {
+					case err := <-done:
+						t.Fatalf("commit returned %v before the crash", err)
+					default:
+						runtime.Gosched()
+					}
+				}
+				if eosl := tcx.log.EOSL(); eosl >= commitLSN {
+					t.Fatalf("the commit batch was stable (EOSL %d, commit @%d) before the crash; test vacuous", eosl, commitLSN)
 				}
 				restart()
 			}
 			err := <-done
-			if !errors.Is(err, ErrTCStopped) || errors.Is(err, ErrCommitAmbiguous) != s.appended {
-				t.Fatalf("straddling commit = %v, want ErrTCStopped, ambiguous %v", err, s.appended)
+			if !errors.Is(err, ErrTCStopped) || !errors.Is(err, ErrCommitAmbiguous) {
+				t.Fatalf("straddling commit = %v, want an ambiguous ErrTCStopped", err)
 			}
 			if y == nil {
 				t.Fatal("the TC was never restarted under the commit")
@@ -1019,11 +1061,12 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	}
 }
 
-// TestCancelledPreReadIsACleanAbort: the barrier's pre-read is the last
-// cancellation point of a write transaction. Cancelled there, nothing has
-// been logged: the commit fails plainly (not ambiguously), the locks are
-// released, and the barrier took no LSN, so checkpoints have nothing of it to
-// wait for.
+// TestCancelledPreReadIsACleanAbort: the pre-read of a barrier short of
+// commit — here a scan's — is the last cancellation point of the writes it
+// logs. Cancelled there, nothing has been logged: the scan fails plainly, and
+// the commit that follows under the cancelled context is refused before its
+// append — a clean abort that sends and logs nothing and releases the locks.
+// The barrier took no LSN, so checkpoints have nothing of it to wait for.
 func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -1041,12 +1084,13 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 		}
 	}
 	logEnd := tcx.log.NextLSN()
-	err := x.Commit()
+	_, _, err := x.Scan("t", "a", "z", 0)
 	if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("commit error %v does not carry ErrCancelled + context.Canceled", err)
+		t.Fatalf("scan error %v does not carry ErrCancelled + context.Canceled", err)
 	}
-	if errors.Is(err, ErrCommitAmbiguous) {
-		t.Fatalf("commit error %v is ambiguous though nothing was logged", err)
+	stubs[1].setHook(nil)
+	if err := x.Commit(); !errors.Is(err, base.ErrCancelled) || errors.Is(err, ErrCommitAmbiguous) {
+		t.Fatalf("commit under the cancelled context = %v, want a plain ErrCancelled", err)
 	}
 	if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 || x.lastLSN != 0 {
 		t.Fatalf("cancelled before the append, yet %d op records, %d CLRs, last LSN %d", len(ops), len(clrs), x.lastLSN)
@@ -1164,10 +1208,11 @@ func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
 		// Versioned: two full queues leave unstamped, then the commit
 		// barrier ships the last 22 writes and the 128 keys written again
 		// with the commit timestamp, in three lists. Unversioned: each
-		// barrier pre-reads what it is about to log.
+		// full queue pre-reads what it is about to log; the commit barrier
+		// logs its writes redo-only and pre-reads nothing.
 		want := "[64w 64w 64w 64w 22w]"
 		if !versioned {
-			want = "[64r 64w 64r 64w 22r 22w]"
+			want = "[64r 64w 64r 64w 22w]"
 		}
 		if single != 0 || reads != 0 || fmt.Sprint(batches) != want {
 			t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",

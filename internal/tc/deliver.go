@@ -2,7 +2,9 @@ package tc
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -22,34 +24,45 @@ import (
 // at the DC), records the new value in the transaction cache and joins the
 // transaction's queue. Everything else happens at the transaction's next
 // barrier: its commit, a read that bypasses its cache (scans,
-// ReadCommitted/ReadDirty), or the queue reaching maxBatch. Txn.flush then
+// ReadCommitted/ReadDirty), or the queue reaching maxBatch. A barrier short
+// of commit (Txn.flush)
 //
 //  1. fetches, in one PerformBatch of reads per DC, every prior value the
 //     cache could not supply when the write was accepted (the undo
 //     information of §4.1.1; only unversioned Upserts of keys the
 //     transaction never read need it) — reads like any other: no LSN, no
 //     record, sent by Txn.sendUnlogged, nothing owed if they are abandoned;
-//  2. appends the op records in call order — appended at the barrier, under
-//     the lock, so the TC-log order is still an OPSR order; and
+//  2. appends the op records in call order as one log batch — appended at
+//     the barrier, under the lock, so the TC-log order is still an OPSR
+//     order; and
 //  3. ships them, one batch per DC.
 //
-// So a transaction of n unversioned upserts costs two request/reply calls per
-// DC however large n is (up to maxBatch) and a versioned one costs one (it
-// needs no priors, and its commit barrier stamps the writes with the commit
-// timestamp: Txn.stamp); an abort before the first barrier costs none and
-// logs nothing, and a write holds no LSN while its transaction idles or waits
-// for a lock.
+// The commit barrier (Txn.commitLogged) skips step 1: it appends the queued
+// writes' records and the commit record as one batch, which the log makes
+// stable whole or not at all (wal.Generation.AppendBatch), so those records
+// carry no undo image — they are redo-only — and then ships and forces. Undo
+// information is needed only by a record that can be stable while its
+// transaction's commit record is not, and only writes that leave before
+// commit have such records.
+//
+// So a transaction of n upserts that crosses no earlier barrier costs one
+// request/reply call per DC however large n is (up to maxBatch), versioned or
+// not (a versioned one's commit barrier also stamps the writes with the
+// commit timestamp: Txn.stamp); an abort before the first barrier costs none
+// and logs nothing, and a write holds no LSN while its transaction idles or
+// waits for a lock.
 //
 // What it allocates is sized once per transaction or once per batch, never
 // once per key. The queue holds its operations by value, in a slab the first
-// write allocates (Txn.slab: room for slabOps writes, their pre-reads and one
-// DC's batch); every record payload is encoded into one scratch buffer, grown
-// once to the computed size, because the log copies what it appends; the lock
-// manager recycles its entries; and a DC answers a batch from one slab of
-// results. The price is a rule of ownership, stated at base.Service: an
-// operation is lent to the service for the call, a result is the caller's.
-// TestWriteTxnAllocs holds the count (17 for four upserts and a commit, TC and
-// in-process DC together), BenchmarkWriteTxn is where to profile.
+// write allocates (Txn.slab: room for slabOps writes, their pre-reads, their
+// log records and one DC's batch); every payload of a log batch is encoded
+// into one scratch buffer, grown once to the computed size, because the log
+// copies what it appends; the lock manager recycles its entries; and a DC
+// answers a batch from one slab of results. The price is a rule of ownership,
+// stated at base.Service: an operation is lent to the service for the call, a
+// result is the caller's. TestWriteTxnAllocs holds the count (13 for four
+// upserts and a commit, TC and in-process DC together), BenchmarkWriteTxn is
+// where to profile.
 //
 // The rules that keep the barrier correct:
 //
@@ -59,11 +72,14 @@ import (
 //     2PL: finish() releases locks only after the last batch is acknowledged.
 //     Point reads and existence checks of a key with a queued write never
 //     reach the DC — x.cache answers them.
-//   - The undo information is in the TC-log before the operation can reach
-//     the DC, let alone become stable there (§4.1.1, §5.1): step 2 precedes
-//     step 3. A crash after step 1 leaves restart nothing of the barrier; a
-//     crash after step 2 is the state "logged, never sent" that restart has
-//     always handled — redo delivers it, undo inverts losers.
+//   - The record is in the TC-log before the operation can reach the DC, let
+//     alone become stable there (§4.1.1, §5.1): step 2 precedes step 3. A
+//     crash after step 1 leaves restart nothing of the barrier; a crash after
+//     step 2 is the state "logged, never sent" that restart has always
+//     handled — redo delivers it, undo inverts losers. A commit batch is
+//     never a loser's: lost, it takes the commit record with it, and the
+//     DCs roll back whatever of it they applied (DC.BeginRestart resets every
+//     operation above the stable log, which causality keeps in their caches).
 //   - An orphan of a crashed incarnation dies at its next barrier (Txn.die)
 //     before step 1. The check is a courtesy: one that slips past it while
 //     the crash happens sends no pre-read in step 1 (or dies of its answer),
@@ -94,12 +110,14 @@ import (
 //
 // Two costs of having one path, accepted:
 //
-//   - The commit-record force does not overlap the write acknowledgements:
-//     the writes are acknowledged, then the record is appended and forced.
-//     No workload of the repo benchmark has a non-zero force, so the overlap
-//     was never measured; should a contended workload show it, it returns as
-//     a reordering inside commitLogged (commit record appended before the
-//     ship, a failure after it reported ErrCommitAmbiguous), not as a mode.
+//   - A commit whose ship fails is ambiguous, not rolled back: its commit
+//     record is already in the log, so the outcome is restart's, and the
+//     locks stay held, as after a failed force. A ship fails when the
+//     incarnation dies under it, the TC or the DC stub is closed, or the DC
+//     refuses a write (complete: a fence, or a code the pre-checks exclude);
+//     in all but the first the incarnation still lives, and the commit ends
+//     it (TC.end) — a TC crash, which the next Recover repairs — so that no
+//     live TC holds a winner whose writes it never delivered.
 //   - A scan's or unlocked read's barrier against a DC that is down cannot be
 //     abandoned mid-ship: it is past its append, so it waits for the DC like
 //     any logged operation.
@@ -299,21 +317,32 @@ func staleDC(results []*base.Result) base.DCInc {
 	return 0
 }
 
-// flush is the transaction's write barrier: the writes queued since the last
-// one are logged — appended at the barrier, under their X locks — and
-// shipped, and flush returns with them acknowledged. It runs before every
-// operation that must observe them at the DC (scans and unlocked reads bypass
-// the transaction cache, so read-your-writes needs them applied; point reads
-// never do, every write is recorded in the cache) and when the queue reaches
-// maxBatch. Commit runs the same two halves itself; Abort drops the queue
-// instead. A versioned write that leaves here leaves before the lock point,
-// without the commit timestamp, and is marked for the commit barrier to
-// write again (Txn.stamp).
+// flush is the transaction's write barrier short of commit: the writes queued
+// since the last one are logged — appended at the barrier, under their X
+// locks, with their undo images — and shipped, and flush returns with them
+// acknowledged. It runs before every operation that must observe them at the
+// DC (scans and unlocked reads bypass the transaction cache, so
+// read-your-writes needs them applied; point reads never do, every write is
+// recorded in the cache) and when the queue reaches maxBatch. Commit runs the
+// same steps itself, without the pre-read (commitLogged); Abort drops the
+// queue instead. A versioned write that leaves here leaves before the lock
+// point, without the commit timestamp, and is marked for the commit barrier
+// to write again (Txn.stamp).
+//
+// Its first two steps are cancellable: the orphan check and the batched read
+// of missing undo images, under the transaction's context. A failed or
+// cancelled pre-read has logged nothing and leaves the queue as it was.
 func (x *Txn) flush() error {
-	if err := x.preRead(); err != nil {
+	if x.orphaned() {
+		return x.die()
+	}
+	if len(x.queue) == 0 {
+		return nil
+	}
+	if err := x.fetchPriors(); err != nil {
 		return err
 	}
-	if err := x.appendQueued(); err != nil {
+	if _, err := x.appendQueued(false); err != nil {
 		return err
 	}
 	if x.versioned != nil {
@@ -324,31 +353,17 @@ func (x *Txn) flush() error {
 	return x.ship()
 }
 
-// preRead is the cancellable half of a write barrier: the orphan check and
-// the batched read of missing undo images, under the transaction's context.
-// A failed or cancelled pre-read has logged nothing and leaves the queue as
-// it was.
-func (x *Txn) preRead() error {
-	if x.orphaned() {
-		return x.die()
-	}
-	if len(x.queue) == 0 {
-		return nil
-	}
-	return x.fetchPriors()
-}
-
-// fetchPriors is the barrier's pre-read: every prior value the cache could
-// not supply when its write was accepted is read now, one PerformBatch of
-// reads per DC, and filed with the queued write that needs it. The keys are
-// X-locked, so what the DC returns is what the cache would have held; a key
-// the transaction wrote more than once is read once, for its first write
-// (the later ones found the earlier in the cache). Results go to the queue
-// only — the cache already holds the values written. Nothing is logged yet,
-// so the reads are unlogged operations like any other (Txn.sendUnlogged): they
-// honor the transaction's context, and a failure — a crash of the incarnation
-// under the round trip included — leaves a transaction that can still abort
-// without a trace.
+// fetchPriors is the pre-read of a barrier short of commit: every prior value
+// the cache could not supply when its write was accepted is read now, one
+// PerformBatch of reads per DC, and filed with the queued write that needs
+// it. The keys are X-locked, so what the DC returns is what the cache would
+// have held; a key the transaction wrote more than once is read once, for its
+// first write (the later ones found the earlier in the cache). Results go to
+// the queue only — the cache already holds the values written. Nothing is
+// logged yet, so the reads are unlogged operations like any other
+// (Txn.sendUnlogged): they honor the transaction's context, and a failure — a
+// crash of the incarnation under the round trip included — leaves a
+// transaction that can still abort without a trace.
 func (x *Txn) fetchPriors() error {
 	t := x.tc
 	for dcIdx := range t.dcs {
@@ -380,7 +395,7 @@ func (x *Txn) fetchPriors() error {
 			n++
 			switch res.Code {
 			case base.CodeOK:
-				q.prior, q.priorFound, q.needPrior = res.Value, true, false
+				q.undo, q.needPrior = undoImage{prior: res.Value, found: true}, false
 			case base.CodeNotFound:
 				q.needPrior = false
 			default:
@@ -391,31 +406,64 @@ func (x *Txn) fetchPriors() error {
 	return nil
 }
 
-// appendQueued logs the queued writes in call order — the same op record,
-// undo information included, that a write used to append before it returned.
-// The X locks are still held, so the TC-log order is an OPSR order exactly as
-// when each call appended its own record. From here on delivery is no longer
-// cancellable: the resend/redo contract must run to completion, or an
-// abandoned forward operation could be overtaken by its own inverse on a
-// reordering network. The only failure is the incarnation's death under the
-// barrier: what it logged before the crash is restart's to redo and undo, the
-// rest was never logged.
-func (x *Txn) appendQueued() error {
+// appendQueued logs the queued writes in call order, as one batch — and at
+// the commit barrier (commit) the commit record with them, each write's record
+// then redo-only, since it is stable exactly when the commit record is — and
+// returns the LSN of the batch's last record. The X locks are still held, so
+// the TC-log order is an OPSR order exactly as when each call appended its
+// own record. From here on delivery is no longer cancellable: the
+// resend/redo contract must run to completion, or an abandoned forward
+// operation could be overtaken by its own inverse on a reordering network.
+// The only failure is the incarnation's death before the batch, which then
+// logs nothing.
+func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
+	if len(x.queue) == 0 && !commit {
+		return 0, nil
+	}
+	size := binary.MaxVarintLen64 // the commit payload
+	for i := range x.queue {
+		size += opPayloadBound(&x.queue[i].op, x.queue[i].undo)
+	}
+	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
+	var recs []wal.Record
+	if x.slab != nil {
+		recs = x.slab.recs[:0]
+	}
 	for i := range x.queue {
 		q := &x.queue[i]
-		x.enc = appendOpPayload(x.enc[:0], &q.op, q.prior, q.priorFound)
-		if !x.inc.logOp(&q.op, &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN, Payload: x.enc}) {
-			return ErrTCStopped
+		undo := q.undo
+		if commit {
+			undo = undoImage{redoOnly: true}
 		}
-		// The record is in the log, so it is in the undo chain, whatever the
-		// delivery goes on to report: redo will resend it, and an inverse of
-		// a forward operation that never landed finds nothing to do.
-		if x.firstLSN.Load() == 0 {
-			x.firstLSN.Store(uint64(q.op.LSN))
-		}
-		x.lastLSN = q.op.LSN
+		start := len(x.enc)
+		x.enc = appendOpPayload(x.enc, &q.op, undo)
+		recs = append(recs, wal.Record{Kind: recOp, Txn: x.id, Payload: x.enc[start:]})
 	}
-	return nil
+	if commit {
+		start := len(x.enc)
+		x.enc = appendCommit(x.enc, x.commitTS)
+		recs = append(recs, wal.Record{Kind: recCommit, Txn: x.id, Payload: x.enc[start:]})
+	}
+	recs[0].Prev = x.lastLSN // the batch chains the rest
+	first := x.inc.log.AppendBatch(recs)
+	if first == 0 {
+		return 0, ErrTCStopped
+	}
+	for i := range x.queue {
+		x.queue[i].op.Epoch, x.queue[i].op.LSN = x.inc.epoch, first+base.LSN(i)
+	}
+	// The records are in the log, whatever the delivery goes on to report:
+	// redo will resend them, and an earlier barrier's are in the undo chain,
+	// where an inverse of a forward operation that never landed finds
+	// nothing to do.
+	if x.firstLSN.Load() == 0 {
+		x.firstLSN.Store(uint64(first))
+	}
+	x.lastLSN = first + base.LSN(len(recs)-1)
+	if commit {
+		x.inc.acks.Complete(x.lastLSN) // the commit record needs no DC round trip
+	}
+	return x.lastLSN, nil
 }
 
 // ship delivers the queue — logged, every operation of it — to the DCs its

@@ -18,10 +18,11 @@ func FuzzDecodePayloads(f *testing.F) {
 		payload  []byte
 		reencode reencoder
 	}{
-		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpdate, Table: "t", Key: "k", Value: []byte("new")}, []byte("old"), true), reencodeOp},
-		{appendOpPayload(nil, &base.Op{TC: 2, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true}, nil, false), reencodeOp},
-		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true, TS: 1 << 50}, nil, false), reencodeOp},
-		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpAbortVersions, Table: "t", Key: "k"}, nil, false), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpdate, Table: "t", Key: "k", Value: []byte("new")}, undoImage{prior: []byte("old"), found: true}), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 2, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true}, undoImage{}), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v"), Versioned: true, TS: 1 << 50}, undoImage{redoOnly: true}), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpAbortVersions, Table: "t", Key: "k"}, undoImage{}), reencodeOp},
+		{appendOpPayload(nil, &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}, undoImage{redoOnly: true}), reencodeOp},
 		{appendCommit(nil, 909), reencodeCommit},
 		{appendCommit(nil, 1<<50), reencodeCommit},
 		{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
@@ -57,11 +58,11 @@ func FuzzDecodePayloads(f *testing.F) {
 }
 
 func reencodeOp(data []byte) ([]byte, bool) {
-	op, prior, found, err := decodeOpPayload(data)
+	op, undo, err := decodeOpPayload(data)
 	if err != nil {
 		return nil, false
 	}
-	return appendOpPayload(nil, op, prior, found), true
+	return appendOpPayload(nil, op, undo), true
 }
 
 func reencodeCommit(data []byte) ([]byte, bool) {

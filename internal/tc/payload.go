@@ -2,6 +2,7 @@ package tc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -14,12 +15,11 @@ import (
 // information TC can use to submit inverse logical operations").
 //
 // The payload encoders append to buf. The log copies a payload into its own
-// encoding of the record (wal.AppendAssign), so a caller that logs many keeps
-// one buffer and passes buf[:0]; the op payload grows it once, to the size it
-// computes, instead of by doubling.
-func appendOpPayload(buf []byte, op *base.Op, prior []byte, priorFound bool) []byte {
-	// The strings and a bound on the varints and flags around them.
-	buf = slices.Grow(buf, len(op.Table)+len(op.Key)+len(op.EndKey)+len(op.Value)+len(prior)+48)
+// encoding of the record (wal.AppendBatch), so a caller that logs many keeps
+// one buffer and passes buf[:0], or sizes it once for a whole batch with
+// opPayloadBound and encodes the payloads back to back.
+func appendOpPayload(buf []byte, op *base.Op, u undoImage) []byte {
+	buf = slices.Grow(buf, opPayloadBound(op, u))
 	saved, savedEpoch := op.LSN, op.Epoch
 	// LSN and epoch are zeroed in the payload: the record's own LSN is
 	// authoritative, and redo stamps the *restarted* incarnation's epoch —
@@ -27,34 +27,68 @@ func appendOpPayload(buf []byte, op *base.Op, prior []byte, priorFound bool) []b
 	op.LSN, op.Epoch = 0, 0
 	buf = base.AppendOp(buf, op)
 	op.LSN, op.Epoch = saved, savedEpoch
-	buf = binary.AppendUvarint(buf, uint64(len(prior)))
-	buf = append(buf, prior...)
-	if priorFound {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(len(u.prior)))
+	buf = append(buf, u.prior...)
+	return append(buf, u.flag())
 }
 
-func decodeOpPayload(payload []byte) (op *base.Op, prior []byte, priorFound bool, err error) {
+// opPayloadBound bounds the bytes appendOpPayload adds: the strings and a
+// bound on the varints and flags around them.
+func opPayloadBound(op *base.Op, u undoImage) int {
+	return len(op.Table) + len(op.Key) + len(op.EndKey) + len(op.Value) + len(u.prior) + 48
+}
+
+// undoImage is an op record's undo information: the value the key held before
+// the operation, and whether it existed. A record appended in one batch with
+// its transaction's commit record carries none (redoOnly): the batch is
+// stable whole or not at all, so the record is never a loser's, and a crash
+// that loses it is rolled back at the DC, whose cache still holds every
+// operation above the stable log (DC.BeginRestart). Nothing inverts it.
+type undoImage struct {
+	prior    []byte
+	found    bool
+	redoOnly bool
+}
+
+// The last byte of an op payload.
+const (
+	priorAbsent  byte = iota // the key did not exist
+	priorPresent             // it held prior
+	priorNone                // redo-only: no undo image
+)
+
+func (u undoImage) flag() byte {
+	switch {
+	case u.redoOnly:
+		return priorNone
+	case u.found:
+		return priorPresent
+	}
+	return priorAbsent
+}
+
+var errCorruptOp = errors.New("tc: corrupt op payload")
+
+func decodeOpPayload(payload []byte) (*base.Op, undoImage, error) {
 	op, rest, err := base.DecodeOp(payload)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, undoImage{}, err
 	}
 	n, w := binary.Uvarint(rest)
 	if w <= 0 || n > uint64(len(rest)-w) {
-		return nil, nil, false, fmt.Errorf("tc: corrupt op payload")
+		return nil, undoImage{}, errCorruptOp
 	}
 	rest = rest[w:]
+	var u undoImage
 	if n > 0 {
-		prior = append([]byte(nil), rest[:n]...)
+		u.prior = append([]byte(nil), rest[:n]...)
 	}
 	rest = rest[n:]
-	if len(rest) < 1 {
-		return nil, nil, false, fmt.Errorf("tc: corrupt op payload")
+	if len(rest) != 1 || rest[0] > priorNone || (rest[0] == priorNone && n > 0) {
+		return nil, undoImage{}, errCorruptOp
 	}
-	return op, prior, rest[0] != 0, nil
+	u.found, u.redoOnly = rest[0] == priorPresent, rest[0] == priorNone
+	return op, u, nil
 }
 
 // Commit-record payload: the commit timestamp (zero for an unversioned

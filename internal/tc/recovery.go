@@ -31,6 +31,18 @@ func (t *TC) Crash() {
 	}
 }
 
+// end is Crash confined to inc: it crashes the TC only while inc's log
+// generation is the current one, so a caller that learns late that its
+// incarnation must end never ends a successor. Like Crash it ends the
+// generation before it drops the pointer, the order Recover's publication
+// relies on.
+func (t *TC) end(inc *incarnation) {
+	if inc.log.Crash() {
+		t.inc.CompareAndSwap(inc, nil)
+		inc.locks.Poison(ErrTCStopped)
+	}
+}
+
 // Recover implements the TC side of the restart function (§4.2.1 restart,
 // §5.3.2 "TC Failure"):
 //
@@ -152,7 +164,9 @@ func (t *TC) Recover() error {
 	// not looked at: only the end of the generation refuses, and that check
 	// reports it. ---
 	for txnID, l := range losers {
-		inc.undoChain(txnID, l.lastLSN)
+		if _, err := inc.undoChain(txnID, l.lastLSN); err != nil {
+			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
+		}
 		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
 	}
 
@@ -300,7 +314,7 @@ func (inc *incarnation) redo(idx int) error {
 		if rec.Kind != recOp && rec.Kind != recCLR {
 			continue
 		}
-		op, _, _, err := decodeOpPayload(rec.Payload)
+		op, _, err := decodeOpPayload(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("redo decode @%d: %w", rec.LSN, err)
 		}

@@ -1,0 +1,213 @@
+package tc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/dc"
+	"github.com/cidr09/unbundled/internal/placement"
+	"github.com/cidr09/unbundled/internal/wal"
+)
+
+// The commit barrier logs its writes redo-only, in one batch with the commit
+// record: no undo image, so no pre-read. These tests pin the two ways a crash
+// can decide such a commit, and what restart does with a redo-only record
+// that has no commit record beside it.
+
+// TestRedoOnlyCommitCrash: the TC crashes after its commit batch is appended
+// and the writes shipped — DC 0 has applied them, DC 1 is applying them —
+// but before its own force. Lost: nothing forced the batch, so restart finds
+// no record of the transaction, and the DCs' resets roll the writes back from
+// their caches — a key that existed reads its prior value, one that did not
+// is absent. Peer-forced: a concurrent commit's group force took the batch
+// along first, so the transaction is a winner and redo delivers its writes
+// to the DC whose delivery the crash fenced.
+func TestRedoOnlyCommitCrash(t *testing.T) {
+	for _, peerForced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "lost", true: "peer-forced"}[peerForced], func(t *testing.T) {
+			tcx, dcs, stubs := newCountedPair(t)
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				if err := x.Insert("t", "old", []byte("p0")); err != nil {
+					return err
+				}
+				return x.Insert("u", "old", []byte("p0"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range stubs {
+				s.take()
+			}
+			crashed := false
+			stubs[1].setHook(func(call string) {
+				if call != "write" || crashed {
+					return
+				}
+				crashed = true
+				if peerForced {
+					tcx.log.Force()
+				}
+				tcx.Crash() // DC 1 still applies the batch: no fence is up yet
+			})
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			for _, table := range []string{"t", "u"} {
+				for _, key := range []string{"old", "new"} {
+					if err := x.Upsert(table, key, []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
+				t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
+			}
+			stubs[1].setHook(nil)
+			for i, s := range stubs {
+				// The writes alone: no pre-read precedes a commit batch.
+				if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[2w]" {
+					t.Fatalf("DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and [2w]", i, single, reads, batches)
+				}
+				for _, key := range []string{"old", "new"} {
+					if v, ok := dirty(dcs[i], []string{"t", "u"}[i], key); !ok || v != "v" {
+						t.Fatalf("DC %d holds %s = %q %v before the restart, want the shipped write", i, key, v, ok)
+					}
+				}
+			}
+			if err := tcx.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			ops, clrs := txnRecords(tcx, x.id)
+			if peerForced != (len(ops) == 4) || len(clrs) != 0 {
+				t.Fatalf("the restarted log holds %d op records and %d CLRs of the transaction", len(ops), len(clrs))
+			}
+			want := map[string]string{"old": "p0", "new": ""}
+			if peerForced {
+				want = map[string]string{"old": "v", "new": "v"}
+			}
+			for i, table := range []string{"t", "u"} {
+				for key, w := range want {
+					if v, ok := dirty(dcs[i], table, key); v != w || ok != (w != "") {
+						t.Fatalf("%s/%s = %q %v after the restart, want %q", table, key, v, ok, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRedoOnlyRecordIsNeverUndone: a redo-only record whose commit record is
+// not in the log is one the batch rule did not write. undoChain inverts
+// nothing of it and logs nothing, and Recover, meeting it in a loser's chain,
+// fails with an error — the TC stays down — instead of inverting a write it
+// has no undo image for.
+func TestRedoOnlyRecordIsNeverUndone(t *testing.T) {
+	tcx, _, _ := newCountedPair(t)
+	const txn base.TxnID = 77
+	op := &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
+	lsn := tcx.log.AppendAssign(&wal.Record{Kind: recOp, Txn: txn,
+		Payload: appendOpPayload(nil, op, undoImage{redoOnly: true})})
+	next := tcx.log.NextLSN()
+	byDC, err := tcx.inc.Load().undoChain(txn, lsn)
+	if err == nil {
+		t.Fatal("undoChain accepted a redo-only record")
+	}
+	for idx, invs := range byDC {
+		if len(invs) != 0 {
+			t.Fatalf("undoChain built %d inverses for DC %d from a redo-only record", len(invs), idx)
+		}
+	}
+	if got := tcx.log.NextLSN(); got != next {
+		t.Fatalf("undoChain logged LSNs %d..%d", next, got-1)
+	}
+	tcx.log.Force()
+	tcx.Crash()
+	if err := tcx.Recover(); err == nil || !tcx.NeedsRecovery() {
+		t.Fatalf("recover over a redo-only loser = %v, down %v; want an error and the TC down", err, tcx.NeedsRecovery())
+	}
+}
+
+// refuseOnce answers the first batch of logged operations it is sent with
+// CodeStaleEpoch — the fence of an incarnation its TC never met — without
+// passing it on, after running before.
+type refuseOnce struct {
+	base.Service
+	armed  atomic.Bool
+	before func()
+}
+
+func (s *refuseOnce) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
+	if !ops[0].Kind.IsWrite() || !s.armed.CompareAndSwap(true, false) {
+		return s.Service.PerformBatch(ctx, ops)
+	}
+	s.before()
+	results := make([]*base.Result, len(ops))
+	for i := range results {
+		results[i] = &base.Result{Code: base.CodeStaleEpoch}
+	}
+	return results
+}
+
+// TestFailedShipEndsTheIncarnation: a commit whose ship fails while its
+// incarnation lives — DC 1 refuses the writes, DC 0 applied them — is
+// ambiguous, and it ends the incarnation: the TC is down until Recover, which
+// decides the outcome from the log. Lost: DC 0's writes are rolled back.
+// Peer-forced: a group force made the batch stable first, and redo delivers
+// the writes DC 1 refused, which the live TC never could.
+func TestFailedShipEndsTheIncarnation(t *testing.T) {
+	for _, peerForced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "lost", true: "peer-forced"}[peerForced], func(t *testing.T) {
+			var dcs []*dc.DC
+			for i, table := range []string{"t", "u"} {
+				d, err := dc.New(dc.Config{Name: fmt.Sprintf("dc%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.CreateTable(table); err != nil {
+					t.Fatal(err)
+				}
+				dcs = append(dcs, d)
+			}
+			refuser := &refuseOnce{Service: dcs[1]}
+			tcx, err := New(Config{ID: 1}, []base.Service{dcs[0], refuser}, placement.MustParse("t: dc=0; u: dc=1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tcx.Close)
+			refuser.before = func() {
+				if peerForced {
+					tcx.log.Force()
+				}
+			}
+			refuser.armed.Store(true)
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			for _, table := range []string{"t", "u"} {
+				for _, key := range []string{"a", "b"} {
+					if err := x.Upsert(table, key, []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, base.ErrStaleEpoch) {
+				t.Fatalf("commit refused at DC 1 = %v, want an ambiguous ErrStaleEpoch", err)
+			}
+			if !tcx.NeedsRecovery() || x.inc.log.Live() {
+				t.Fatal("the incarnation outlived its failed commit")
+			}
+			if err := tcx.RunTxnOnce(context.Background(), TxnOptions{}, func(*Txn) error { return nil }); !errors.Is(err, base.ErrUnavailable) {
+				t.Fatalf("a transaction on the ended TC = %v, want ErrUnavailable", err)
+			}
+			if err := tcx.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			for i, table := range []string{"t", "u"} {
+				for _, key := range []string{"a", "b"} {
+					if v, ok := dirty(dcs[i], table, key); ok != peerForced || (ok && v != "v") {
+						t.Fatalf("%s/%s = %q %v after the restart, want found=%v", table, key, v, ok, peerForced)
+					}
+				}
+			}
+		})
+	}
+}

@@ -58,16 +58,16 @@ func peerSnapshot(t *testing.T, peer *TC, table, key string) (val string, found,
 
 // TestStampLoserInvisibleThroughTCRestart: the TC crashes after DC 0 has
 // acknowledged a transaction's writes, stamped with its commit timestamp,
-// and before its commit record is logged; the records of the writes are
-// stable, so restart undoes them through the resend, not the DC's reset.
-// The loser's version must stay invisible to a peer TC's committed reads and
-// to snapshot reads above its timestamp from the crash to the end of the
-// restart — a tick of the dead incarnation landing after the crash passes no
-// safe timestamp — and the successor's safe timestamp passes the loser's (it
-// floors at the allocator), so the DC must take it only once the resend
-// bracket has delivered the undo: a broadcast of the successor's, sent with
-// its epoch at the two points of the resend where the stamped version is
-// still there and where it is undone but the bracket still open, is dropped.
+// and before its commit batch — the writes' redo-only records and the commit
+// record — is stable; the commit is ambiguous, and the crash decides it: a
+// loser, of which the stable log holds nothing, so the DC's reset at the
+// start of the resend takes the stamped version back. The loser's version
+// must stay invisible to a peer TC's committed reads and to snapshot reads
+// above its timestamp from the crash to the end of the restart — a tick of
+// the dead incarnation landing after the crash passes no safe timestamp —
+// and the successor's safe timestamp passes the loser's (it floors at the
+// allocator): a broadcast of the successor's, sent with its epoch at two
+// points of the resend bracket, the redo and its end, is dropped.
 func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	writer, dcs, stubs := newCountedPair(t)
 	router := placement.MustParse("t: dc=0; u: dc=1")
@@ -100,19 +100,17 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		if call != "write" || dead != nil {
 			return
 		}
-		// DC 0 has the stamped write, DC 1's is on its way. The records
-		// reach the stable log the way a concurrent commit's force takes
-		// them along, and the TC dies before its own commit record.
+		// DC 0 has the stamped write, DC 1's is on its way, and the TC
+		// dies before the commit batch is forced.
 		dead = writer.inc.Load()
-		writer.log.Force()
 		writer.Crash()
 	})
 	x := writer.Begin(context.Background(), TxnOptions{Versioned: true})
 	if err := upsert(x, "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Commit(); !errors.Is(err, ErrTCStopped) || errors.Is(err, ErrCommitAmbiguous) {
-		t.Fatalf("commit under the crash = %v, want a plain ErrTCStopped", err)
+	if err := x.Commit(); !errors.Is(err, ErrTCStopped) || !errors.Is(err, ErrCommitAmbiguous) {
+		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
 	}
 	stubs[1].setHook(nil)
 	c := x.commitTS
@@ -120,7 +118,7 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		t.Fatalf("commit timestamp %d, crashed %v: the test shows nothing", c, dead != nil)
 	}
 	// A tick of the dead incarnation that was under way at the crash lands
-	// now, after the orphan has released its commit timestamp.
+	// now: the orphan's commit timestamp is in tables nobody reads.
 	dead.broadcastWatermarks()
 
 	// invisible checks what the crash window promises at DC 0: the stamped
@@ -152,9 +150,9 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	var points []string
 	stubs[0].setHook(func(call string) {
 		switch call {
-		case "write": // the resend's redo, after BeginRestart
+		case "write": // the resend's redo of the first commit, after BeginRestart
 			tick()
-			invisible("bracket open, before the redo", true)
+			invisible("bracket open, the redo", false)
 		case "end-restart": // redo delivered, bracket not yet closed
 			tick()
 			invisible("bracket open, after the redo", false)

@@ -290,8 +290,9 @@ func (t *TC) incarnate(gen wal.Generation, epoch base.Epoch, stableEnd base.LSN,
 	return inc, nil
 }
 
-// logLocal appends a record that needs no DC round trip (epoch, commit,
-// abort, checkpoint), so its LSN completes at once. Zero (which completes
+// logLocal appends a record that needs no DC round trip (epoch, abort,
+// checkpoint), so its LSN completes at once. A commit record needs none
+// either, but rides its writes' batch (Txn.appendQueued). Zero (which completes
 // nothing): the incarnation's log generation has ended.
 func (inc *incarnation) logLocal(rec *wal.Record) base.LSN {
 	lsn := inc.log.AppendAssign(rec)
@@ -299,9 +300,10 @@ func (inc *incarnation) logLocal(rec *wal.Record) base.LSN {
 	return lsn
 }
 
-// logOp appends the record of a logged operation and stamps the operation
-// with its LSN and this incarnation's epoch; false, and nothing logged, once
-// the log generation has ended.
+// logOp appends the record of a logged operation — a CLR; a transaction's
+// own writes are appended a barrier's batch at a time (Txn.appendQueued) —
+// and stamps the operation with its LSN and this incarnation's epoch; false,
+// and nothing logged, once the log generation has ended.
 func (inc *incarnation) logOp(op *base.Op, rec *wal.Record) bool {
 	op.Epoch, op.LSN = inc.epoch, inc.log.AppendAssign(rec)
 	return op.LSN != 0

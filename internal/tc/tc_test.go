@@ -570,17 +570,26 @@ func TestNoConflictInvariantHolds(t *testing.T) {
 func TestPayloadRoundTrips(t *testing.T) {
 	op := &base.Op{TC: 3, LSN: 77, Kind: base.OpUpdate, Table: "t", Key: "k",
 		Value: []byte("new"), Versioned: true}
-	buf := appendOpPayload(nil, op, []byte("old"), true)
+	buf := appendOpPayload(nil, op, undoImage{prior: []byte("old"), found: true})
 	if op.LSN != 77 {
 		t.Fatal("encode must restore the op LSN")
 	}
-	got, prior, pf, err := decodeOpPayload(buf)
-	if err != nil || string(prior) != "old" || !pf {
-		t.Fatalf("decode: %v %q %v", err, prior, pf)
+	got, undo, err := decodeOpPayload(buf)
+	if err != nil || string(undo.prior) != "old" || !undo.found || undo.redoOnly {
+		t.Fatalf("decode: %v %+v", err, undo)
 	}
 	op.LSN = 0 // payload zeroes it
 	if !reflect.DeepEqual(op, got) {
 		t.Fatalf("op mismatch: %+v vs %+v", op, got)
+	}
+	// A commit batch's record carries no undo image, and says so.
+	if _, undo, err := decodeOpPayload(appendOpPayload(nil, op, undoImage{redoOnly: true})); err != nil || !undo.redoOnly || undo.found || undo.prior != nil {
+		t.Fatalf("redo-only payload decodes as %+v, %v", undo, err)
+	}
+	bad := appendOpPayload(nil, op, undoImage{prior: []byte("old")})
+	bad[len(bad)-1] = priorNone
+	if _, _, err := decodeOpPayload(bad); err == nil {
+		t.Fatal("a redo-only payload with a prior decoded")
 	}
 
 	for _, ts := range []base.TS{909, 1 << 50, 0} {
@@ -639,27 +648,27 @@ func TestInverseOp(t *testing.T) {
 	mk := func(kind base.OpKind, versioned bool) *base.Op {
 		return &base.Op{TC: 1, Kind: kind, Table: "t", Key: "k", Value: []byte("new"), Versioned: versioned}
 	}
-	if inv := inverseOp(mk(base.OpInsert, false), nil, false); inv.Kind != base.OpDelete {
+	if inv := inverseOp(mk(base.OpInsert, false), undoImage{}); inv.Kind != base.OpDelete {
 		t.Fatalf("insert inverse: %v", inv)
 	}
-	if inv := inverseOp(mk(base.OpUpdate, false), []byte("old"), true); inv.Kind != base.OpUpdate || string(inv.Value) != "old" {
+	if inv := inverseOp(mk(base.OpUpdate, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpUpdate || string(inv.Value) != "old" {
 		t.Fatalf("update inverse: %v", inv)
 	}
-	if inv := inverseOp(mk(base.OpDelete, false), []byte("old"), true); inv.Kind != base.OpInsert || string(inv.Value) != "old" {
+	if inv := inverseOp(mk(base.OpDelete, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpInsert || string(inv.Value) != "old" {
 		t.Fatalf("delete inverse: %v", inv)
 	}
-	if inv := inverseOp(mk(base.OpUpsert, false), nil, false); inv.Kind != base.OpDelete {
+	if inv := inverseOp(mk(base.OpUpsert, false), undoImage{}); inv.Kind != base.OpDelete {
 		t.Fatalf("upsert-new inverse: %v", inv)
 	}
-	if inv := inverseOp(mk(base.OpUpsert, false), []byte("old"), true); inv.Kind != base.OpUpdate {
+	if inv := inverseOp(mk(base.OpUpsert, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpUpdate {
 		t.Fatalf("upsert-old inverse: %v", inv)
 	}
 	for _, k := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpDelete} {
-		if inv := inverseOp(mk(k, true), nil, false); inv.Kind != base.OpAbortVersions {
+		if inv := inverseOp(mk(k, true), undoImage{}); inv.Kind != base.OpAbortVersions {
 			t.Fatalf("versioned %v inverse: %v", k, inv)
 		}
 	}
-	if inv := inverseOp(mk(base.OpAbortVersions, false), nil, false); inv != nil {
+	if inv := inverseOp(mk(base.OpAbortVersions, false), undoImage{}); inv != nil {
 		t.Fatalf("abort-versions inverse must be nil: %v", inv)
 	}
 }

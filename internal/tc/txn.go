@@ -115,16 +115,16 @@ type cachedVal struct {
 
 // queued is one write of a transaction between being accepted and being
 // acknowledged: it waits for the next barrier, which logs and ships it. dc is
-// the DC it routes to. prior/priorFound are the undo information its op
-// record will carry; needPrior marks a prior the cache could not supply at
-// call time, which the barrier's batched pre-read fetches (see
-// Txn.fetchPriors).
+// the DC it routes to. undo is the undo information its op record carries if
+// it leaves before the commit barrier; needPrior marks a prior the cache could
+// not supply at call time, which such a barrier's batched pre-read fetches
+// (see Txn.fetchPriors). At the commit barrier neither is looked at: the
+// record is redo-only.
 type queued struct {
-	op         base.Op
-	dc         int
-	prior      []byte
-	priorFound bool
-	needPrior  bool
+	op        base.Op
+	dc        int
+	undo      undoImage
+	needPrior bool
 }
 
 // slabOps is how many operations a transaction has room for between two
@@ -133,13 +133,15 @@ const slabOps = 8
 
 // writeSlab is the storage a writing transaction needs at its barriers, as
 // one allocation made by its first write (a transaction that only reads never
-// pays for it): the queue, the read operations of a pre-read, and the list of
+// pays for it): the queue, the read operations of a pre-read, the records of
+// one log batch (the queue's, and the commit record), and the list of
 // operations handed to one DC (Txn.ship sends to one DC at a time). An
 // operation in here is its barrier's: the base.Service it is sent to must be
 // done with it when the call returns.
 type writeSlab struct {
 	queue [slabOps]queued
 	reads [slabOps]base.Op
+	recs  [slabOps + 1]wal.Record
 	send  [slabOps]*base.Op
 }
 
@@ -182,8 +184,8 @@ type Txn struct {
 	// slab backs the queue and what a barrier builds from it; nil until the
 	// first write is accepted.
 	slab *writeSlab
-	// enc is where every record payload of the transaction is encoded: the
-	// log keeps its own copy (wal.AppendAssign).
+	// enc is where the record payloads of a log batch are encoded, back to
+	// back: the log keeps its own copy (wal.AppendBatch).
 	enc []byte
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
@@ -562,12 +564,15 @@ func (x *Txn) Delete(table, key string) error {
 // answered there, never by a DC that has not seen the write yet.
 //
 // The undo information an op record carries is the key's value before the
-// write. Insert, Update and Delete learn it from the existence check their
+// write, and only a write that leaves before the commit barrier needs it: one
+// still queued at commit is logged redo-only, in one batch with the commit
+// record. Insert, Update and Delete learn it from the existence check their
 // return value needs anyway (a read through the cache, one DC call when the
 // cache is cold). Upsert's result does not depend on it, so an Upsert the
-// cache cannot answer reads nothing here: the barrier fetches every such
-// prior in one batch per DC. A versioned Upsert needs none at all — the DC
-// keeps the before version and the inverse is abort-versions.
+// cache cannot answer reads nothing here: an earlier barrier fetches every
+// such prior in one batch per DC, and the commit barrier none. A versioned
+// Upsert needs none at all — the DC keeps the before version and the inverse
+// is abort-versions.
 //
 // Cancellation points are the lock wait and the existence-check read.
 func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
@@ -616,13 +621,13 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		case kind != base.OpInsert && !found:
 			return ErrNotFound
 		}
-		q.prior, q.priorFound = p, found
+		q.undo = undoImage{prior: p, found: found}
 	case base.OpUpsert:
 		if x.opts.Versioned {
 			break
 		}
 		if c, ok := x.cache[tk]; ok {
-			q.prior, q.priorFound = c.val, c.found
+			q.undo = undoImage{prior: c.val, found: c.found}
 		} else {
 			q.needPrior = true
 		}
@@ -656,18 +661,26 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 // component, a cancelled wait) would otherwise classify as transient.
 var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not by this error")
 
-// Commit makes the transaction durable: ship its last writes — a versioned
-// transaction's stamped with its commit timestamp (§6.2.2; see stamp) —
-// append and force the commit record (group commit), then release locks
-// (strict two-phase locking). No two-phase commit, and no second message to
-// eliminate the before versions: a DC takes a stamped version for committed
-// once the TC's safe timestamp passes its timestamp.
+// Commit makes the transaction durable: log its last writes — a versioned
+// transaction's stamped with its commit timestamp (§6.2.2; see stamp) — and
+// its commit record as one batch, ship the writes, force the batch (group
+// commit), then release locks (strict two-phase locking). No two-phase
+// commit, and no second message to eliminate the before versions: a DC takes
+// a stamped version for committed once the TC's safe timestamp passes its
+// timestamp.
+//
+// The writes still queued here are logged redo-only: they take no pre-read
+// of their undo images, because their records are stable exactly when the
+// commit record is (deferred update; Bernstein, Hadzilacos & Goodman 1987,
+// ch. 6). A crash that loses the batch loses the transaction, and the DCs
+// roll its shipped writes back themselves (DC.BeginRestart). So a
+// transaction that crossed no earlier barrier costs one round trip per DC.
 //
 // Commit is the transaction's last write barrier, in two parts. The part
 // that can still be given up runs here, under the transaction's context: the
-// orphan check and the pre-read of missing undo images. A failure there has
-// logged nothing and is a clean abort. Everything from the first log append
-// on is commitLogged, which never consults the context.
+// orphan check and the context's own. A failure there has logged nothing and
+// is a clean abort. Everything from the log append on is commitLogged, which
+// never consults the context.
 //
 // Who runs commitLogged follows from the context. One that can never be
 // cancelled (context.Background, the usual case) gets a plain call. Under one
@@ -686,10 +699,12 @@ func (x *Txn) Commit() error {
 	if err := doneErr[x.state]; err != nil {
 		return err
 	}
-	err := x.preRead()
-	if err != nil {
-		_ = x.Abort() // a no-op for an orphan, which preRead has retired
-		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
+	if x.orphaned() {
+		return fmt.Errorf("tc: commit txn %d: %w", x.id, x.die())
+	}
+	if x.ctx.Err() != nil {
+		_ = x.Abort()
+		return fmt.Errorf("tc: commit txn %d: %w", x.id, base.CancelErr(x.ctx))
 	}
 	x.state = txnCommitted
 	if x.lastLSN == 0 && len(x.queue) == 0 {
@@ -701,6 +716,7 @@ func (x *Txn) Commit() error {
 		x.finish()
 		return nil
 	}
+	var err error
 	if x.ctx.Done() == nil {
 		err = x.commitLogged()
 	} else {
@@ -722,17 +738,21 @@ func (x *Txn) Commit() error {
 	return err
 }
 
-// commitLogged is Commit from the first log append to the lock release, one
+// commitLogged is Commit from the log append to the lock release, one
 // straight line that no cancellation interrupts: stamp a versioned
-// transaction's writes with its commit timestamp; log the queued writes and
-// ship them, one batch per DC, acknowledged before the commit record is
-// appended — so a ship that fails (the TC stopped underneath) still rolls the
-// transaction back and is a plain failure; append and force the commit
-// record; publish the new stable boundary; release the locks and the commit
-// timestamp. A failure under the force is reported wrapping
-// ErrCommitAmbiguous: the outcome is the log's, and restart treats a
-// transaction whose commit record is stable as a winner and re-delivers its
-// logged operations.
+// transaction's writes with its commit timestamp; append the queued writes'
+// redo-only records and the commit record as one batch; ship the writes, one
+// batch per DC; force the batch; publish the new stable boundary; release the
+// locks and the commit timestamp. Only a refused append — the incarnation
+// died first — is a plain failure: nothing of the batch is logged. Any
+// failure after it is reported wrapping ErrCommitAmbiguous, with the locks
+// held, because the commit record is in the log and the outcome is the log's:
+// restart treats a transaction whose commit record is stable as a winner and
+// re-delivers its logged operations, and one whose batch is lost as never
+// having written it. A peer's group force may make the batch stable before
+// the ship is acknowledged. A failed ship ends the incarnation if the crash of
+// the TC has not already (TC.end), so a live TC never holds a winner whose
+// writes it did not deliver.
 //
 // It may run on the finisher goroutine of a cancelled Commit, so it leaves
 // x.state — all the caller's goroutine still reads — alone.
@@ -747,30 +767,32 @@ func (x *Txn) commitLogged() error {
 		x.commitTS = inc.assignCommitTS()
 		x.stamp()
 	}
-	err := x.appendQueued()
-	if err == nil {
-		err = x.ship()
-	}
+	cLSN, err := x.appendQueued(true)
 	if err != nil {
+		// The incarnation died before the batch: a loser whose earlier
+		// barriers, if any, are restart's to undo, with nothing to release
+		// but dead tables.
 		x.rollback()
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
-	x.enc = appendCommit(x.enc[:0], x.commitTS)
-	cLSN := inc.logLocal(&wal.Record{Kind: recCommit, Txn: x.id, Prev: x.lastLSN, Payload: x.enc})
-	if cLSN == 0 {
-		// The incarnation died before the commit record: a loser, restart's
-		// to undo, with nothing to release but dead tables.
-		return fmt.Errorf("tc: commit txn %d: %w", x.id, ErrTCStopped)
+	if err := x.ship(); err != nil {
+		// The commit record is in the log, so this incarnation can no longer
+		// take the writes back, nor can it deliver them. If it still lives
+		// — a closed TC or stub, a refusal at the DC — it ends here, before a
+		// peer's force can make the transaction a winner whose writes only a
+		// restart's redo delivers: restart decides the outcome.
+		t.end(inc)
+		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
 	}
 	if !inc.log.ForceTo(cLSN) {
-		// It died under the force: whether the record reached the stable log
+		// It died under the force: whether the batch reached the stable log
 		// first is the log's to say, and restart reads it there.
 		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, ErrTCStopped)
 	}
 	// Publish the new stable boundary: cached pages with this transaction's
 	// operations become flushable (causality). No frame is sent for it — it
 	// rides this TC's next request toward each DC (the next transaction's
-	// pre-read or write batch) or, from an idle TC, the next tick.
+	// write batch) or, from an idle TC, the next tick.
 	inc.publishStable()
 	t.commits.Add(1)
 	x.finish()
@@ -865,7 +887,10 @@ func (x *Txn) Abort() error {
 func (x *Txn) rollback() {
 	x.queue = nil
 	if x.lastLSN != 0 && !x.orphaned() { // an orphan's undo is restart's; see die
-		for idx, invs := range x.inc.undoChain(x.id, x.lastLSN) {
+		// A live transaction's chain holds no redo-only record: its commit
+		// batch is the last thing it appends, and nothing rolls it back.
+		byDC, _ := x.inc.undoChain(x.id, x.lastLSN)
+		for idx, invs := range byDC {
 			_ = x.inc.deliver(context.Background(), idx, invs, false) // logged: restart redoes what is cut short
 		}
 		x.inc.logLocal(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
@@ -879,7 +904,12 @@ func (x *Txn) rollback() {
 // Compensation records jump via NextUndo so an undo interrupted by a crash
 // never repeats completed work. Shared by Abort, which delivers them, and
 // restart undo, whose resends deliver them with the rest of the log.
-func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) [][]*base.Op {
+//
+// A redo-only record in the chain is an error, and nothing is inverted from
+// it: it was logged in one batch with the transaction's commit record, so a
+// chain that holds it without that record is a log the batch rule did not
+// write.
+func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) ([][]*base.Op, error) {
 	t := inc.tc
 	byDC := make([][]*base.Op, len(t.dcs))
 	var enc []byte // every CLR's payload: the log keeps its own copy
@@ -887,26 +917,29 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) [][]*base.Op
 	for cur != 0 {
 		rec := t.log.Get(cur)
 		if rec == nil {
-			return byDC // truncated below the chain: nothing older to undo
+			return byDC, nil // truncated below the chain: nothing older to undo
 		}
 		switch rec.Kind {
 		case recOp:
-			op, prior, priorFound, err := decodeOpPayload(rec.Payload)
+			op, undo, err := decodeOpPayload(rec.Payload)
 			if err != nil {
-				return byDC
+				return byDC, nil
 			}
-			if inv := inverseOp(op, prior, priorFound); inv != nil {
+			if undo.redoOnly {
+				return byDC, fmt.Errorf("tc: undo of txn %d: op record @%d is redo-only, its commit record is not in the log", txn, cur)
+			}
+			if inv := inverseOp(op, undo); inv != nil {
 				// The forward op routed when it was logged; a failure here
 				// means the placement changed underneath a live log, which
 				// nothing can undo against — stop like a truncated chain.
 				idx, err := t.dcIndex(inv.Table, inv.Key)
 				if err != nil {
-					return byDC
+					return byDC, nil
 				}
-				enc = appendOpPayload(enc[:0], inv, nil, false)
+				enc = appendOpPayload(enc[:0], inv, undoImage{})
 				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur, NextUndo: rec.Prev, Payload: enc}
 				if !inc.logOp(inv, clr) {
-					return byDC // the incarnation died: the rest is its successor's
+					return byDC, nil // the incarnation died: the rest is its successor's
 				}
 				byDC[idx] = append(byDC[idx], inv)
 				t.undoOps.Add(1)
@@ -918,13 +951,13 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) [][]*base.Op
 			cur = rec.Prev
 		}
 	}
-	return byDC
+	return byDC, nil
 }
 
 // inverseOp builds the logical inverse (§4.1.1(2b)). Versioned writes
 // invert via abort-versions — the DC discards the uncommitted version and
 // restores the before version (§6.2.2); abort-versions has no inverse.
-func inverseOp(op *base.Op, prior []byte, priorFound bool) *base.Op {
+func inverseOp(op *base.Op, undo undoImage) *base.Op {
 	if op.Kind == base.OpAbortVersions {
 		return nil
 	}
@@ -935,14 +968,14 @@ func inverseOp(op *base.Op, prior []byte, priorFound bool) *base.Op {
 	case base.OpInsert:
 		return &base.Op{TC: op.TC, Kind: base.OpDelete, Table: op.Table, Key: op.Key}
 	case base.OpUpdate:
-		return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: prior}
+		return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: undo.prior}
 	case base.OpUpsert:
-		if priorFound {
-			return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: prior}
+		if undo.found {
+			return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: undo.prior}
 		}
 		return &base.Op{TC: op.TC, Kind: base.OpDelete, Table: op.Table, Key: op.Key}
 	case base.OpDelete:
-		return &base.Op{TC: op.TC, Kind: base.OpInsert, Table: op.Table, Key: op.Key, Value: prior}
+		return &base.Op{TC: op.TC, Kind: base.OpInsert, Table: op.Table, Key: op.Key, Value: undo.prior}
 	}
 	return nil
 }

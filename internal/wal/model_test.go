@@ -174,16 +174,33 @@ func walk(t *testing.T, md medium, seed int64, steps int) {
 		var op string
 		switch k := rng.Intn(20); {
 		case k < 8:
-			r := Record{Kind: uint8(rng.Intn(4)), Txn: base.TxnID(rng.Intn(5)), Prev: anyLSN(), NextUndo: anyLSN()}
-			if n := rng.Intn(3) * rng.Intn(100); n > 0 {
-				r.Payload = make([]byte, n)
-				rng.Read(r.Payload)
+			batch := make([]Record, 1+rng.Intn(2)*rng.Intn(4))
+			for i := range batch {
+				r := Record{Kind: uint8(rng.Intn(4)), Txn: base.TxnID(rng.Intn(5)), Prev: anyLSN(), NextUndo: anyLSN()}
+				if n := rng.Intn(3) * rng.Intn(100); n > 0 {
+					r.Payload = make([]byte, n)
+					rng.Read(r.Payload)
+				}
+				batch[i] = r
 			}
-			op = "AppendAssign"
-			if got := l.AppendAssign(&r); got != m.next || got <= m.truncated {
-				t.Fatalf("seed %d step %d: AppendAssign = %d, want %d (above truncated %d)", seed, step, got, m.next, m.truncated)
+			var got base.LSN
+			if len(batch) == 1 {
+				op = "AppendAssign"
+				got = l.AppendAssign(&batch[0])
+			} else {
+				op = fmt.Sprintf("AppendBatch(%d)", len(batch))
+				got = l.Generation().AppendBatch(batch)
 			}
-			m.recs, m.next = append(m.recs, r), m.next+1
+			if got != m.next || got <= m.truncated {
+				t.Fatalf("seed %d step %d: %s = %d, want %d (above truncated %d)", seed, step, op, got, m.next, m.truncated)
+			}
+			for i, r := range batch {
+				if i > 0 {
+					r.Prev = m.next - 1 // chained to its predecessor
+				}
+				r.LSN = m.next
+				m.recs, m.next = append(m.recs, r), m.next+1
+			}
 		case k < 13:
 			// Any LSN a record was ever appended under and not lost since;
 			// one at or below EOSL forces nothing.

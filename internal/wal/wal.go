@@ -122,7 +122,9 @@ type Log struct {
 	cond    *sync.Cond
 	media   *storage.LogStore
 	next    base.LSN // next LSN to assign: LastLSN()+1, always
-	enc     []byte   // AppendAssign's encode buffer
+	enc     []byte   // alloc's encode buffer: a batch's records back to back
+	ends    []int    // where each record of the batch ends in enc
+	frames  [][]byte // the batch's records, slices of enc, for the media
 	forcing bool
 	// gen counts the crashes the log has been through. It moves under mu —
 	// the mutex that orders appends — so a Generation's append and the Crash
@@ -179,7 +181,16 @@ func (g Generation) Live() bool { return !g.l.ended(g.n) }
 
 // AppendAssign is Log.AppendAssign; zero, and nothing appended, once the
 // generation has ended.
-func (g Generation) AppendAssign(r *Record) base.LSN { return g.l.alloc(g.n, r) }
+func (g Generation) AppendAssign(r *Record) base.LSN { return g.l.appendOne(g.n, r) }
+
+// AppendBatch appends recs as one batch and returns the LSN of the first;
+// zero, and nothing appended, once the generation has ended. The records take
+// dense LSNs in order, each record's Prev is set to its predecessor's LSN (the
+// first keeps the Prev it has), and the media holds the batch whole or not at
+// all — a force makes all of it stable or none, on disk as in memory, so no
+// crash keeps a part of it (storage.LogStore.AppendBatch). The log keeps the
+// encodings, not recs.
+func (g Generation) AppendBatch(recs []Record) base.LSN { return g.l.alloc(g.n, recs) }
 
 // ForceTo is Log.ForceTo. It reports false once the generation has ended,
 // whether or not the record the caller appended at lsn reached stability
@@ -188,6 +199,19 @@ func (g Generation) ForceTo(lsn base.LSN) bool { return g.l.forceTo(g.n, lsn) }
 
 // Force is Log.Force, refused like ForceTo.
 func (g Generation) Force() bool { return g.l.forceTo(g.n, g.l.LastLSN()) }
+
+// Crash is Log.Crash, refused — false, nothing lost — once the generation
+// has ended: it crashes the log only while the generation is the current one,
+// so a late caller never ends a successor's.
+func (g Generation) Crash() bool {
+	g.l.mu.Lock()
+	defer g.l.mu.Unlock()
+	if g.l.ended(g.n) {
+		return false
+	}
+	g.l.crashLocked()
+	return true
+}
 
 // Truncate is Log.Truncate, refused — false, nothing discarded — once the
 // generation has ended. It discards nothing above the stable end it saw when
@@ -209,22 +233,48 @@ func (g Generation) Truncate(before base.LSN) bool {
 // AppendAssign atomically assigns the next LSN to r and appends it. It
 // returns the assigned LSN. The record is volatile until forced; the log
 // keeps its encoding, not r.
-func (l *Log) AppendAssign(r *Record) base.LSN { return l.alloc(anyGen, r) }
+func (l *Log) AppendAssign(r *Record) base.LSN { return l.appendOne(anyGen, r) }
 
-// alloc assigns the next LSN to r and appends it, unless gen has ended. The
-// media append happens under the mutex that hands out the LSN, so the media
-// order always equals the LSN order; OPSR for the TC-log depends on this.
-func (l *Log) alloc(gen uint64, r *Record) base.LSN {
+// appendOne is alloc for a batch of one.
+func (l *Log) appendOne(gen uint64, r *Record) base.LSN {
+	batch := [1]Record{*r}
+	r.LSN = l.alloc(gen, batch[:])
+	return r.LSN
+}
+
+// alloc assigns the next LSNs to recs and appends them as one batch, unless
+// gen has ended. The media append happens under the mutex that hands out the
+// LSNs, so the media order always equals the LSN order; OPSR for the TC-log
+// depends on this.
+func (l *Log) alloc(gen uint64, recs []Record) base.LSN {
+	if len(recs) == 0 {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.ended(gen) {
 		return 0
 	}
-	r.LSN = l.next
-	l.next++
-	l.enc = r.Append(l.enc[:0])
-	l.media.Append(uint64(r.LSN), l.enc)
-	return r.LSN
+	first := l.next
+	l.enc, l.ends = l.enc[:0], l.ends[:0]
+	for i := range recs {
+		r := &recs[i]
+		r.LSN = l.next
+		l.next++
+		if i > 0 {
+			r.Prev = recs[i-1].LSN
+		}
+		l.enc = r.Append(l.enc)
+		l.ends = append(l.ends, len(l.enc))
+	}
+	l.frames = l.frames[:0]
+	start := 0
+	for _, end := range l.ends {
+		l.frames = append(l.frames, l.enc[start:end])
+		start = end
+	}
+	l.media.AppendBatch(uint64(first), l.frames...)
+	return first
 }
 
 // ForceTo blocks until all records with LSN <= lsn are stable. Concurrent
@@ -298,6 +348,10 @@ func (l *Log) NextLSN() base.LSN {
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.crashLocked()
+}
+
+func (l *Log) crashLocked() {
 	l.gen.Add(1)
 	l.cond.Broadcast() // a Generation waiting on another's force learns it has ended
 	l.media.Crash()

@@ -142,6 +142,69 @@ func TestGroupForce(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAppendBatchRacesForce: a generation's batch takes dense LSNs chained by
+// Prev, and a force racing the appends reports — and the log keeps through a
+// crash — an end of the stable log that ends a batch, never one inside it.
+// Run with -race.
+func TestAppendBatchRacesForce(t *testing.T) {
+	l := newLog(t)
+	g := l.Generation()
+	const batches = 2000
+	ends := map[base.LSN]bool{0: true}
+	var mu sync.Mutex // guards ends: a batch's end is known before its append returns
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			recs := make([]Record, 1+i%4)
+			for j := range recs {
+				recs[j] = Record{Kind: 1, Txn: base.TxnID(i), Prev: 99}
+			}
+			mu.Lock()
+			ends[l.NextLSN()+base.LSN(len(recs))-1] = true
+			mu.Unlock()
+			first := g.AppendBatch(recs)
+			for j, r := range recs {
+				want := base.LSN(99)
+				if j > 0 {
+					want = first + base.LSN(j) - 1
+				}
+				if r.LSN != first+base.LSN(j) || r.Prev != want {
+					t.Errorf("batch %d record %d: LSN %d Prev %d, want %d and %d", i, j, r.LSN, r.Prev, first+base.LSN(j), want)
+					return
+				}
+			}
+		}
+	}()
+	onEnd := func(lsn base.LSN) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return ends[lsn]
+	}
+	for forcing := true; forcing; {
+		select {
+		case <-done:
+			forcing = false
+		default:
+		}
+		g.Force()
+		if eosl := l.EOSL(); !onEnd(eosl) {
+			t.Fatalf("EOSL %d is inside a batch", eosl)
+		}
+	}
+	g.AppendBatch([]Record{{Kind: 2}, {Kind: 2}, {Kind: 2}}) // lost whole
+	l.Crash()
+	if eosl, last := l.EOSL(), l.LastLSN(); eosl != last || !onEnd(eosl) {
+		t.Fatalf("after a crash: EOSL %d, last %d, want one batch end", eosl, last)
+	}
+	recs := l.Scan(0)
+	for i, r := range recs {
+		if r.LSN != base.LSN(i+1) {
+			t.Fatalf("record %d has LSN %d: the LSN space is not dense", i, r.LSN)
+		}
+	}
+}
+
 // TestGenerationEndsAtCrash: a Generation is refused from the Crash that ends
 // it on — no LSN, no record in the successor's tail, and no force that would
 // vouch for an LSN the successor has handed out again — while the Log's own
@@ -159,7 +222,7 @@ func TestGenerationEndsAtCrash(t *testing.T) {
 	if next != lost {
 		t.Fatalf("LSN allocation resumes at %d, want the lost record's %d", next, lost)
 	}
-	if g.Live() || g.AppendAssign(&Record{Kind: 1}) != 0 || l.NextLSN() != next {
+	if g.Live() || g.AppendAssign(&Record{Kind: 1}) != 0 || g.AppendBatch(make([]Record, 2)) != 0 || l.NextLSN() != next {
 		t.Fatalf("an ended generation took an LSN (next %d -> %d)", next, l.NextLSN())
 	}
 	// The successor reuses the lost LSN and forces it: the dead generation's

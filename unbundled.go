@@ -94,15 +94,15 @@
 // # Contexts and cancellation
 //
 // Every wait in the stack honors the transaction's context: lock-manager
-// queues, wire send/resend loops and unavailable-retry pauses, a barrier's
-// pre-read, and Commit's wait for its own outcome. A cancelled wait returns
-// promptly with an error that errors.Is-matches both ErrCancelled and the
-// context's own error. One thing is deliberately not cancellable: the
+// queues, wire send/resend loops and unavailable-retry pauses, the pre-read
+// of a barrier short of commit, and Commit's wait for its own outcome. A
+// cancelled wait returns promptly with an error that errors.Is-matches both
+// ErrCancelled and the context's own error. One thing is deliberately not cancellable: the
 // delivery of an already-logged write. Its record is in the TC-log, so the
 // §4.2 resend/redo contract must (and will) run to completion —
 // cancellation abandons waits, never the protocol. A Commit cancelled past
-// its first log append returns ErrCommitAmbiguous at once and the
-// transaction is finished behind it, locks held until it is.
+// its log append returns ErrCommitAmbiguous at once and the transaction is
+// finished behind it, locks held until it is.
 //
 // # Errors
 //
@@ -132,22 +132,27 @@
 // the value in the transaction cache, and joins its transaction's queue.
 //
 // The queue is logged and shipped at the transaction's next barrier:
-// Commit (before the commit record is appended), a scan or an unlocked read
-// (for read-your-writes; point reads are answered by the transaction
-// cache), or 64 queued writes. The barrier first fetches, in one batch of
-// reads per DC, every undo image the cache could not supply (an unversioned
-// Upsert of a key the transaction never read); then appends the op
-// records — at the barrier, under the locks, so the TC-log is still an
-// OPSR order and the undo information is logged before the operation can
-// reach the DC — and ships them as one PerformBatch message per DC. A
-// transaction of four upserts is two round trips, not eight or five; Abort
-// drops writes that never crossed a barrier without logging or sending
-// anything, and inverts the ones that did. This is the fastest arrangement
-// both when the DC is a direct call away and over a network. Two things
-// follow: an error a DC read can raise (a cancelled context, a DC that is
-// down) surfaces from the barrier rather than from the Upsert call, and
-// another TC's ReadDirty/ScanDirty sees a writer's uncommitted versions
-// from the writer's next barrier, not from the call that wrote them.
+// Commit, a scan or an unlocked read (for read-your-writes; point reads are
+// answered by the transaction cache), or 64 queued writes. At Commit the
+// queued writes are logged redo-only: their records and the commit record
+// are appended as one log batch, stable whole or not at all, so a write
+// record is never stable without its commit record and needs no undo image
+// (deferred update); a crash that loses the batch loses the transaction, and
+// the DCs roll back what they applied of it. Only a barrier short of commit
+// logs undo information: it first fetches, in one batch of reads per DC,
+// every undo image the cache could not supply (an unversioned Upsert of a
+// key the transaction never read). Either way the records are appended at
+// the barrier, under the locks, so the TC-log is still an OPSR order and a
+// record is logged before its operation can reach the DC, and they ship as
+// one PerformBatch message per DC. A transaction of four upserts is one
+// round trip, not eight or five; Abort drops writes that never crossed a
+// barrier without logging or sending anything, and inverts the ones that
+// did. This is the fastest arrangement both when the DC is a direct call
+// away and over a network. Two things follow: an error a DC read can raise
+// (a cancelled context, a DC that is down) surfaces from the barrier rather
+// than from the Upsert call, and another TC's ReadDirty/ScanDirty sees a
+// writer's uncommitted versions from the writer's next barrier, not from the
+// call that wrote them.
 //
 // There is one shipping path: the transaction's own goroutine ships at the
 // barrier, and the barrier returns with the operations acknowledged. Strict
@@ -294,7 +299,9 @@
 // transaction that straddles the two fails with a transient error (wrapping
 // ErrCommitAmbiguous if its commit record had been appended: the stable log
 // decides) and cannot touch its successor's locks, transaction ids or log;
-// while the TC is down nothing is admitted.
+// while the TC is down nothing is admitted. A commit whose writes fail to
+// ship while its TC runs — a DC refuses them — ends the incarnation itself,
+// as CrashTC would, so that restart decides its outcome.
 package unbundled
 
 import (
