@@ -354,3 +354,62 @@ func TestFootprintOverlapRandomized(t *testing.T) {
 		_ = k2
 	}
 }
+
+// TestDecodeAliasesItsBytes: a decoded operation's Value, and a decoded
+// result's Value and Values, are the bytes they were decoded from, their
+// capacities clipped; strings are copies that outlive the bytes.
+func TestDecodeAliasesItsBytes(t *testing.T) {
+	buf := AppendOp(nil, &Op{TC: 1, LSN: 2, Kind: OpUpsert, Table: "tbl", Key: "key", EndKey: "end", Value: []byte("value")})
+	o, _, err := DecodeOp(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := DecodeResult(AppendResult(nil, &Result{Value: []byte("v"), Keys: []string{"a", "b"}, Values: [][]byte{[]byte("x")}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{o.Value, r.Value, r.Values[0]} {
+		if cap(b) != len(b) {
+			t.Fatalf("decoded %q has capacity %d past its length", b, cap(b))
+		}
+	}
+	copy(buf, bytes.Repeat([]byte{'#'}, len(buf)))
+	if string(o.Value) != "#####" {
+		t.Fatalf("Value %q does not alias the encoding", o.Value)
+	}
+	if o.Table != "tbl" || o.Key != "key" || o.EndKey != "end" || r.Keys[0] != "a" || r.Keys[1] != "b" {
+		t.Fatalf("strings changed with the encoding: %v, %q", o, r.Keys)
+	}
+}
+
+// TestCodecAllocs: encoding an operation or a batch grows the buffer once,
+// to the encoding's exact length, and OpSlab.Decode allocates one string per
+// request once its slab has grown: nothing per field or per operation.
+func TestCodecAllocs(t *testing.T) {
+	ops := []*Op{
+		{TC: 1, Epoch: 1 << 20, LSN: 300, Kind: OpUpsert, Table: "t", Key: "k1", Value: []byte("v"), TS: 1 << 40, Limit: -70},
+		{TC: 1, LSN: 301, Kind: OpRangeRead, Table: "t", Key: "a", EndKey: "z", Limit: 64, DCInc: 9},
+		{Kind: OpRead, Table: "t", Key: "k2"},
+	}
+	for _, o := range ops {
+		if n, want := len(AppendOp(nil, o)), opLen(o); n != want {
+			t.Fatalf("%v encodes to %d bytes, opLen says %d", o, n, want)
+		}
+	}
+	body := AppendOpBatch(nil, ops)
+	if got := testing.AllocsPerRun(100, func() { AppendOpBatch(nil, ops) }); got != 1 {
+		t.Fatalf("AppendOpBatch(nil) = %.1f allocs, want 1", got)
+	}
+	var slab OpSlab
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := slab.Decode(body, true); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Fatalf("OpSlab.Decode = %.1f allocs, want 1", got)
+	}
+	got, err := slab.Decode(body, true)
+	if err != nil || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("slab decode = %v, %v; want %v", got, err, ops)
+	}
+}

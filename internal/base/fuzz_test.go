@@ -2,6 +2,7 @@ package base
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -9,8 +10,12 @@ import (
 // hand bytes from the network to. Both targets pin the same property: any
 // input either fails to decode, or decodes to a batch whose encoding decodes
 // to itself (compared as bytes, which is blind to nil-versus-empty slices).
-// Run with go test -fuzz=FuzzDecodeOpBatch ./internal/base; the seed corpus
-// doubles as a regression suite on every ordinary test run.
+// The decoders the wire runs, OpSlab.Decode and DecodeResultsInto, must take
+// exactly the inputs that decode with nothing left over, and decode them
+// alike; OpSlab.Decode runs through one slab for every input, as a DC
+// connection's reader does. Run with go test -fuzz=FuzzDecodeOpBatch
+// ./internal/base; the seed corpus doubles as a regression suite on every
+// ordinary test run.
 
 func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, []*Op{
@@ -23,10 +28,19 @@ func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
 	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 15, Kind: opRetired, Table: "t", Key: "c", TS: 9}}))
+	f.Add(append(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 16, Kind: OpUpsert, Table: "t", Key: "d", Value: []byte("4")}}), 0))
+	var slab OpSlab
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, rest, err := DecodeOpBatch(data)
+		inPlace, serr := slab.Decode(data, true)
+		if whole := err == nil && len(rest) == 0; whole != (serr == nil) {
+			t.Fatalf("OpSlab.Decode err %v, but DecodeOpBatch err %v with %d bytes left", serr, err, len(rest))
+		}
 		if err != nil {
 			return
+		}
+		if serr == nil && len(ops) > 0 && !reflect.DeepEqual(ops, inPlace) {
+			t.Fatalf("the slab decoded otherwise:\n%v\n%v", inPlace, ops)
 		}
 		if len(rest) > len(data) {
 			t.Fatalf("rest grew: %d > %d", len(rest), len(data))
@@ -53,10 +67,17 @@ func FuzzDecodeResultBatch(f *testing.F) {
 	}))
 	f.Add(AppendResultBatch(nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(append(AppendResultBatch(nil, []*Result{{LSN: 7, Code: CodeOK, Keys: []string{"k"}}}), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, rest, err := DecodeResultBatch(data)
 		if err != nil {
 			return
+		}
+		into := make([]*Result, len(rs))
+		if ierr := DecodeResultsInto(data, true, into); (ierr == nil) != (len(rest) == 0) {
+			t.Fatalf("DecodeResultsInto err %v with %d bytes left", ierr, len(rest))
+		} else if ierr == nil && len(rs) > 0 && !reflect.DeepEqual(rs, into) {
+			t.Fatalf("DecodeResultsInto decoded otherwise:\n%v\n%v", into, rs)
 		}
 		if len(rest) > len(data) {
 			t.Fatalf("rest grew: %d > %d", len(rest), len(data))

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Op is one logical, record-oriented operation sent from a TC to a DC
@@ -150,9 +152,11 @@ func (r *Result) Err() error { return r.Code.Err() }
 // for the call: the caller may have drawn it from storage it reuses (a
 // transaction keeps its operations in itself), so a Service must be done with
 // the Op — encoded, executed, copied from — when the call returns, and may
-// keep nothing that points into it. A Result returned is the caller's from
-// then on: a Service that makes the results of a batch in one allocation makes
-// a new one per call and never touches it again.
+// keep nothing that points into it or into its Value (the wire decodes a
+// request in place, so a Value may be a connection's read buffer). A Result
+// returned is the caller's from then on: a Service that makes the results of
+// a batch in one allocation makes a new one per call and never touches it
+// again.
 type Service interface {
 	// Perform executes one logical operation: a logged one (op.LSN nonzero)
 	// exactly once (resend + idempotence), a read at least once, which for a
@@ -226,6 +230,15 @@ type Service interface {
 }
 
 // op/result wire encodings -------------------------------------------------
+//
+// The decoders work in place: a decoded operation's Value, and a decoded
+// result's Value and Values, alias the bytes they were decoded from (their
+// capacities clipped, so an append cannot reach the bytes behind), while
+// strings are copied, all of one operation's or one frame's in one
+// allocation. So a decoded operation or result is valid for as long as its
+// bytes are not written again: a caller that decodes from a buffer it reuses
+// is done with every Value before it reuses the buffer, and everything else
+// may keep what it decoded.
 
 // opEpochFlag marks, on the kind byte, that an epoch varint follows the
 // fixed three-byte group. OpKind values are tiny, so the high bit is free; an
@@ -244,8 +257,12 @@ const opTSFlag = 0x40
 const opDCIncFlag = 0x20
 
 // AppendOp serializes op to buf using a compact length-prefixed binary
-// format (stdlib encoding/binary varints).
+// format (stdlib encoding/binary varints), growing buf at most once.
 func AppendOp(buf []byte, o *Op) []byte {
+	return appendOp(grow(buf, opLen(o)), o)
+}
+
+func appendOp(buf []byte, o *Op) []byte {
 	buf = binary.AppendUvarint(buf, uint64(o.TC))
 	buf = binary.AppendUvarint(buf, uint64(o.LSN))
 	kind := byte(o.Kind)
@@ -276,66 +293,65 @@ func AppendOp(buf []byte, o *Op) []byte {
 	return buf
 }
 
+// opLen is the length of op's encoding.
+func opLen(o *Op) int {
+	n := uvarintLen(uint64(o.TC)) + uvarintLen(uint64(o.LSN)) + 3
+	for _, u := range [...]uint64{uint64(o.Epoch), uint64(o.TS), uint64(o.DCInc)} {
+		if u != 0 {
+			n += uvarintLen(u)
+		}
+	}
+	for _, f := range [...]int{len(o.Table), len(o.Key), len(o.EndKey), len(o.Value)} {
+		n += uvarintLen(uint64(f)) + f
+	}
+	return n + varintLen(int64(o.Limit))
+}
+
 // DecodeOp parses an operation previously produced by AppendOp and returns
 // the remaining bytes. Frames without the epoch flag (all pre-epoch
-// encodings) decode with Epoch zero.
+// encodings) decode with Epoch zero. The operation's Value aliases buf;
+// Table, Key and EndKey are copied, in one allocation.
 func DecodeOp(buf []byte) (*Op, []byte, error) {
-	var o Op
-	var err error
-	var u uint64
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+	r := reader{buf: buf}
+	o := new(Op)
+	f := r.op(o)
+	if r.err != nil {
+		return nil, nil, r.err
 	}
-	o.TC = TCID(u)
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+	s := string(buf[f[0].lo:f[2].hi])
+	o.Table, o.Key, o.EndKey = f[0].cut(s, f[0].lo), f[1].cut(s, f[0].lo), f[2].cut(s, f[0].lo)
+	return o, buf[r.off:], nil
+}
+
+// span is where a length-prefixed field's bytes lie in the encoding.
+type span struct{ lo, hi int }
+
+// cut returns the field from s, which holds the encoding's bytes from at on.
+func (f span) cut(s string, at int) string { return s[f.lo-at : f.hi-at] }
+
+// op decodes the operation at r's position into o, all but its string
+// fields, and returns where Table, Key and EndKey lie in r.buf.
+func (r *reader) op(o *Op) [3]span {
+	o.TC = TCID(r.uvarint())
+	o.LSN = LSN(r.uvarint())
+	kind, flavor, versioned := r.group()
+	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(flavor), versioned != 0
+	if o.Kind == opRetired && r.err == nil {
+		r.fail(errRetired)
 	}
-	o.LSN = LSN(u)
-	if len(buf) < 3 {
-		return nil, nil, errShort
-	}
-	kind := buf[0]
-	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(buf[1]), buf[2] != 0
-	if o.Kind == opRetired {
-		return nil, nil, errRetired
-	}
-	buf = buf[3:]
 	if kind&opEpochFlag != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, nil, err
-		}
-		o.Epoch = Epoch(u)
+		o.Epoch = Epoch(r.uvarint())
 	}
 	if kind&opTSFlag != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, nil, err
-		}
-		o.TS = TS(u)
+		o.TS = TS(r.uvarint())
 	}
 	if kind&opDCIncFlag != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, nil, err
-		}
-		o.DCInc = DCInc(u)
+		o.DCInc = DCInc(r.uvarint())
 	}
-	if o.Table, buf, err = readString(buf); err != nil {
-		return nil, nil, err
-	}
-	if o.Key, buf, err = readString(buf); err != nil {
-		return nil, nil, err
-	}
-	if o.EndKey, buf, err = readString(buf); err != nil {
-		return nil, nil, err
-	}
-	if o.Value, buf, err = readBytes(buf); err != nil {
-		return nil, nil, err
-	}
-	var v int64
-	if v, buf, err = readVarint(buf); err != nil {
-		return nil, nil, err
-	}
-	o.Limit = int32(v)
-	return &o, buf, nil
+	f := [3]span{r.field(), r.field(), r.field()}
+	o.Value = r.bytes()
+	o.Limit = int32(r.varint())
+	return f
 }
 
 // AppendResult serializes r to buf. DCInc is encoded on CodeStaleDC, the one
@@ -359,89 +375,136 @@ func AppendResult(buf []byte, r *Result) []byte {
 	return buf
 }
 
-// DecodeResult parses a result previously produced by AppendResult.
+// DecodeResult parses a result previously produced by AppendResult and
+// returns the remaining bytes. The result's Value and Values alias buf; its
+// Keys are copied, in one allocation.
 func DecodeResult(buf []byte) (*Result, []byte, error) {
-	var r Result
-	var err error
-	var u uint64
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+	r := reader{buf: buf}
+	res := new(Result)
+	r.result(res)
+	if r.err != nil {
+		return nil, nil, r.err
 	}
-	r.LSN = LSN(u)
-	if len(buf) < 3 {
-		return nil, nil, errShort
+	return res, buf[r.off:], nil
+}
+
+// result decodes the result at r's position into res.
+func (r *reader) result(res *Result) {
+	res.LSN = LSN(r.uvarint())
+	code, found, applied := r.group()
+	res.Code, res.Found, res.Applied = Code(code), found != 0, applied != 0
+	if res.Code == CodeStaleDC {
+		res.DCInc = DCInc(r.uvarint())
 	}
-	r.Code = Code(buf[0])
-	r.Found, r.Applied = buf[1] != 0, buf[2] != 0
-	buf = buf[3:]
-	if r.Code == CodeStaleDC {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, nil, err
+	res.Value = r.bytes()
+	if n := r.count(); n > 0 {
+		at := r.off
+		for range n {
+			r.field()
 		}
-		r.DCInc = DCInc(u)
-	}
-	if r.Value, buf, err = readBytes(buf); err != nil {
-		return nil, nil, err
-	}
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	if u > uint64(len(buf)) {
-		return nil, nil, errShort
-	}
-	if u > 0 {
-		r.Keys = make([]string, u)
-		for i := range r.Keys {
-			if r.Keys[i], buf, err = readString(buf); err != nil {
-				return nil, nil, err
-			}
+		if r.err != nil {
+			return
+		}
+		s := string(r.buf[at:r.off])
+		keys := reader{buf: r.buf[:r.off], off: at}
+		res.Keys = make([]string, n)
+		for i := range res.Keys {
+			res.Keys[i] = keys.field().cut(s, at)
 		}
 	}
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	if u > uint64(len(buf)) {
-		return nil, nil, errShort
-	}
-	if u > 0 {
-		r.Values = make([][]byte, u)
-		for i := range r.Values {
-			if r.Values[i], buf, err = readBytes(buf); err != nil {
-				return nil, nil, err
-			}
+	if n := r.count(); n > 0 {
+		res.Values = make([][]byte, n)
+		for i := range res.Values {
+			res.Values[i] = r.bytes()
 		}
 	}
-	return &r, buf, nil
 }
 
 // batch framing -------------------------------------------------------------
 
 // AppendOpBatch serializes a batch of operations: a count followed by the
-// operations in shipping order.
+// operations in shipping order. It grows buf at most once.
 func AppendOpBatch(buf []byte, ops []*Op) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	n := uvarintLen(uint64(len(ops)))
 	for _, o := range ops {
-		buf = AppendOp(buf, o)
+		n += opLen(o)
+	}
+	buf = binary.AppendUvarint(grow(buf, n), uint64(len(ops)))
+	for _, o := range ops {
+		buf = appendOp(buf, o)
 	}
 	return buf
 }
 
-// DecodeOpBatch parses a batch previously produced by AppendOpBatch.
+// DecodeOpBatch parses a batch previously produced by AppendOpBatch and
+// returns the remaining bytes. The operations alias buf as OpSlab.Decode's
+// do.
 func DecodeOpBatch(buf []byte) ([]*Op, []byte, error) {
-	n, buf, err := readUvarint(buf)
+	var s OpSlab
+	ops, n, err := s.decode(buf, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n > uint64(len(buf)) { // each op takes at least one byte
-		return nil, nil, errShort
+	return ops, buf[n:], nil
+}
+
+// OpSlab is reusable storage for operations decoded in place: a reader that
+// decodes one request at a time (a DC's connection reader) keeps one and
+// decodes every request into it, so that decoding allocates nothing but the
+// one string a request's string fields are cut from.
+type OpSlab struct {
+	ops  []Op
+	ptrs []*Op
+	strs []byte // the request's string fields, gathered for the one conversion
+	ends []int  // where each Table, Key and EndKey ends in strs
+}
+
+// Decode decodes body, one operation (AppendOp) when batch is false, a batch
+// (AppendOpBatch) when true, into the slab, replacing what it decoded last;
+// a body with bytes left over is refused. Each Value aliases body. The
+// string fields of all the operations are copied into one string, so they
+// may be kept; the operations themselves, and the slice of them, are the
+// slab's and valid until its next Decode.
+func (s *OpSlab) Decode(body []byte, batch bool) ([]*Op, error) {
+	ops, n, err := s.decode(body, batch)
+	if err == nil && n != len(body) {
+		err = errTrailing
 	}
-	ops := make([]*Op, n)
-	for i := range ops {
-		if ops[i], buf, err = DecodeOp(buf); err != nil {
-			return nil, nil, err
+	return ops, err
+}
+
+// decode is Decode that returns how many bytes it decoded instead of
+// refusing the rest.
+func (s *OpSlab) decode(buf []byte, batch bool) ([]*Op, int, error) {
+	r := reader{buf: buf}
+	n := 1
+	if batch {
+		n = r.count()
+	}
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	s.ops, s.ptrs = slices.Grow(s.ops[:0], n)[:n], slices.Grow(s.ptrs[:0], n)[:n]
+	s.strs, s.ends = s.strs[:0], s.ends[:0]
+	for i := range s.ops {
+		o := &s.ops[i]
+		*o = Op{}
+		for _, f := range r.op(o) {
+			s.strs = append(s.strs, buf[f.lo:f.hi]...)
+			s.ends = append(s.ends, len(s.strs))
 		}
+		if r.err != nil {
+			return nil, 0, r.err
+		}
+		s.ptrs[i] = o
 	}
-	return ops, buf, nil
+	str, at := string(s.strs), 0
+	for i, o := range s.ptrs {
+		e := s.ends[3*i : 3*i+3]
+		o.Table, o.Key, o.EndKey = str[at:e[0]], str[e[0]:e[1]], str[e[1]:e[2]]
+		at = e[2]
+	}
+	return s.ptrs, r.off, nil
 }
 
 // AppendResultBatch serializes the per-operation results of a batch.
@@ -454,27 +517,54 @@ func AppendResultBatch(buf []byte, rs []*Result) []byte {
 }
 
 // DecodeResultBatch parses a batch reply previously produced by
-// AppendResultBatch.
+// AppendResultBatch and returns the remaining bytes. The results share one
+// allocation and alias buf, like DecodeResult's.
 func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
-	n, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, nil, err
+	r := reader{buf: buf}
+	rs := make([]*Result, r.count())
+	if r.results(rs); r.err != nil {
+		return nil, nil, r.err
 	}
-	if n > uint64(len(buf)) { // each result takes at least one byte
-		return nil, nil, errShort
+	return rs, buf[r.off:], nil
+}
+
+// DecodeResultsInto decodes a reply body into rs, whose length is the number
+// of results the body must hold: one result (AppendResult) when batch is
+// false, a batch (AppendResultBatch) when true. The results share one
+// allocation and alias body, like DecodeResult's. A body that holds another
+// number of results, or bytes past them, is refused.
+func DecodeResultsInto(body []byte, batch bool, rs []*Result) error {
+	r := reader{buf: body}
+	if batch && r.count() != len(rs) && r.err == nil {
+		r.fail(fmt.Errorf("base: batch reply holds another number of results than the %d asked", len(rs)))
 	}
-	rs := make([]*Result, n)
+	if !batch && len(rs) != 1 {
+		return fmt.Errorf("base: %d results asked of a single reply", len(rs))
+	}
+	if r.results(rs); r.err == nil && r.off != len(body) {
+		r.fail(errTrailing)
+	}
+	return r.err
+}
+
+// results decodes len(rs) results at r's position into one slab.
+func (r *reader) results(rs []*Result) {
+	if r.err != nil {
+		return
+	}
+	slab := make([]Result, len(rs))
 	for i := range rs {
-		if rs[i], buf, err = DecodeResult(buf); err != nil {
-			return nil, nil, err
-		}
+		rs[i] = &slab[i]
+		r.result(rs[i])
 	}
-	return rs, buf, nil
 }
 
 // small codec helpers -------------------------------------------------------
 
 var errShort = fmt.Errorf("base: truncated encoding")
+
+// errTrailing refuses a body with bytes past what it encodes.
+var errTrailing = fmt.Errorf("base: trailing bytes after the encoding")
 
 // errRetired refuses an operation of a kind this build no longer has.
 var errRetired = fmt.Errorf("base: retired operation kind %d", opRetired)
@@ -496,39 +586,106 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	u, n := binary.Uvarint(buf)
+// grow makes room for n more bytes in buf with at most one allocation of
+// exactly the room needed (slices.Grow's make-and-append is two under -race).
+func grow(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
+	return buf
+}
+
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// varintLen is the length binary.AppendVarint gives v: zig-zag, then uvarint.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// reader decodes an encoding in place from the front: off is the next byte,
+// and err latches the first failure, after which every read is a no-op that
+// returns zeros.
+type reader struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (r *reader) fail(err error) {
+	r.err, r.off = err, len(r.buf)
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	u, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, nil, errShort
+		r.fail(errShort)
+		return 0
 	}
-	return u, buf[n:], nil
+	r.off += n
+	return u
 }
 
-func readVarint(buf []byte) (int64, []byte, error) {
-	v, n := binary.Varint(buf)
+func (r *reader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, nil, errShort
+		r.fail(errShort)
+		return 0
 	}
-	return v, buf[n:], nil
+	r.off += n
+	return v
 }
 
-func readString(buf []byte) (string, []byte, error) {
-	n, buf, err := readUvarint(buf)
-	if err != nil || n > uint64(len(buf)) {
-		return "", nil, errShort
+// group reads the three fixed bytes behind an operation's or a result's
+// leading varints.
+func (r *reader) group() (a, b, c byte) {
+	if r.err == nil && len(r.buf)-r.off < 3 {
+		r.fail(errShort)
 	}
-	return string(buf[:n]), buf[n:], nil
+	if r.err != nil {
+		return 0, 0, 0
+	}
+	g := r.buf[r.off : r.off+3]
+	r.off += 3
+	return g[0], g[1], g[2]
 }
 
-func readBytes(buf []byte) ([]byte, []byte, error) {
-	n, buf, err := readUvarint(buf)
-	if err != nil || n > uint64(len(buf)) {
-		return nil, nil, errShort
+// count reads the number of elements that follow, refusing one the bytes
+// left cannot hold (each element takes at least one byte).
+func (r *reader) count() int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)-r.off) {
+		r.fail(errShort)
 	}
-	if n == 0 {
-		return nil, buf, nil
+	if r.err != nil {
+		return 0
 	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return out, buf[n:], nil
+	return int(n)
+}
+
+// field reads one length-prefixed field and returns where its bytes lie.
+func (r *reader) field() span {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)-r.off) {
+		r.fail(errShort)
+	}
+	if r.err != nil {
+		return span{r.off, r.off}
+	}
+	lo := r.off
+	r.off += int(n)
+	return span{lo, r.off}
+}
+
+// bytes reads one length-prefixed field as a slice of buf, its capacity
+// clipped; an empty field is nil.
+func (r *reader) bytes() []byte {
+	f := r.field()
+	if f.lo == f.hi {
+		return nil
+	}
+	return r.buf[f.lo:f.hi:f.hi]
 }

@@ -176,7 +176,9 @@ func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 // read executes a point read. Reads do not mutate state and are not
 // tracked in abstract LSNs; resends simply re-execute. A result carries
 // copies: a record's key and values alias its page's image (package page),
-// and a result outlives the latch, and in process the DC.
+// and a result outlives the latch — in process the caller keeps it as it
+// is, and over TCP the connection's reader encodes it after the latch is
+// released.
 func (inc *incarnation) read(tree *btree.Tree, op *base.Op, res *base.Result) error {
 	err := tree.View(op.Key, func(leaf *page.Page) {
 		if rec := leaf.Get(op.Key); rec != nil {
@@ -379,6 +381,10 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 	return base.CodeOK
 }
 
+// cloneBytes copies an operation's value for the DC to keep. The value is
+// lent for the call: over TCP it is the connection's read buffer, which the
+// next frame overwrites. Keys are strings, copied by the decoder, and kept
+// as they are.
 func cloneBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil

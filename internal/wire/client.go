@@ -48,12 +48,13 @@ type Client struct {
 
 // link is what a transport gives the Client.
 type link interface {
-	// roundTrip sends req once and waits up to wait for its reply. A nil
-	// reply and error mean the attempt was lost; a cancelled ctx returns
-	// the cancellation, a closed client closedReply.
-	roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error)
+	// roundTrip sends req once and waits up to wait for its reply. A zero
+	// reply (kind 0) and a nil error mean the attempt was lost; a cancelled
+	// ctx returns the cancellation, a closed client closedReply. Messages
+	// pass by value, so a call's request and reply live on its stack.
+	roundTrip(ctx context.Context, req message, wait time.Duration) (message, error)
 	// post sends a frame that has no reply, best effort.
-	post(m *message)
+	post(m message)
 	// shutdown releases the transport; the client's done channel is
 	// already closed.
 	shutdown()
@@ -106,7 +107,7 @@ func (c *Client) Overloads() uint64 { return c.overloads.Load() }
 // the DC. Every attempt takes along the watermarks waiting for (tc, epoch),
 // and a resend keeps what the attempts before it took, so a lost frame
 // cannot strand them.
-func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch base.Epoch, lsn base.LSN, body []byte) (*message, error) {
+func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch base.Epoch, lsn base.LSN, body []byte) (message, error) {
 	resend := c.resendAfter()
 	req := message{kind: kind, tc: tc, epoch: epoch, lsn: lsn, body: body}
 	for attempt := 0; ; attempt++ {
@@ -121,18 +122,18 @@ func (c *Client) call(ctx context.Context, kind msgKind, tc base.TCID, epoch bas
 			}
 		}
 		c.carry(&req)
-		if reply, err := c.attempt(ctx, req, resend); reply != nil || err != nil {
+		if reply, err := c.attempt(ctx, req, resend); reply.kind != 0 || err != nil {
 			return reply, err
 		}
 	}
 }
 
 // attempt sends its own copy of req once under a fresh id and waits up to
-// wait for the reply (nil, nil: resend), cancellation or Close.
-func (c *Client) attempt(ctx context.Context, req message, wait time.Duration) (*message, error) {
+// wait for the reply (a zero reply and nil: resend), cancellation or Close.
+func (c *Client) attempt(ctx context.Context, req message, wait time.Duration) (message, error) {
 	req.id = c.nextID.Add(1)
 	c.calls.Add(1)
-	return c.link.roundTrip(ctx, &req, wait)
+	return c.link.roundTrip(ctx, req, wait)
 }
 
 // carry moves the watermarks waiting for the request's (tc, epoch) into its
@@ -183,7 +184,7 @@ func (c *Client) hold(tc base.TCID, epoch base.Epoch, mark uint8, v base.LSN) {
 var closedErrText = "wire: client closed: " + base.ErrUnavailable.Error()
 
 // closedReply is what a call blocked at Close returns.
-func closedReply() *message { return &message{kind: msgReply, err: closedErrText} }
+func closedReply() message { return message{kind: msgReply, err: closedErrText} }
 
 // isOverloadReply reports whether a reply error is a server admission
 // refusal (the overloadedErrText the listener sends, matched the same way
@@ -195,10 +196,11 @@ func isOverloadReply(errText string) bool {
 // Perform implements base.Service. It blocks, resending, until the DC
 // acknowledges — exactly-once for a logged operation, courtesy of its unique
 // request ID (op.LSN) and DC idempotence; a read (LSN zero) a resend reaches
-// twice just runs twice — or until ctx is done (CodeCancelled).
+// twice just runs twice — or until ctx is done (CodeCancelled). The result's
+// values alias the reply's bytes, which belong to this call alone.
 func (c *Client) Perform(ctx context.Context, op *base.Op) *base.Result {
-	rs, code := c.perform(ctx, msgPerform, op, 1, base.AppendOp(nil, op))
-	if code != base.CodeOK {
+	var rs [1]*base.Result
+	if code := c.perform(ctx, msgPerform, op, base.AppendOp(nil, op), rs[:]); code != base.CodeOK {
 		return &base.Result{LSN: op.LSN, Code: code}
 	}
 	return rs[0]
@@ -208,14 +210,16 @@ func (c *Client) Perform(ctx context.Context, op *base.Op) *base.Result {
 // batch, one reply carries the per-operation results. A reply containing
 // any CodeUnavailable result (the DC was down or recovering) triggers a
 // resend of the whole batch — per-operation idempotence absorbs the
-// re-execution of operations that did land.
+// re-execution of operations that did land. An empty batch sends nothing.
 func (c *Client) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	if len(ops) == 1 {
+	switch len(ops) {
+	case 0:
+		return []*base.Result{}
+	case 1:
 		return []*base.Result{c.Perform(ctx, ops[0])}
 	}
-	rs, code := c.perform(ctx, msgPerformBatch, ops[0], len(ops), base.AppendOpBatch(nil, ops))
-	if code != base.CodeOK {
-		rs = make([]*base.Result, len(ops))
+	rs := make([]*base.Result, len(ops))
+	if code := c.perform(ctx, msgPerformBatch, ops[0], base.AppendOpBatch(nil, ops), rs); code != base.CodeOK {
 		for i, op := range ops {
 			rs[i] = &base.Result{LSN: op.LSN, Code: code}
 		}
@@ -223,54 +227,41 @@ func (c *Client) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Resul
 	return rs
 }
 
-// perform sends one Perform or PerformBatch frame of n operations, first
-// among them, until the DC answers it. An overload refusal (the server shed
-// the request before it touched the service) is counted, paused out and
-// re-offered, and so is an answer with a CodeUnavailable result (the DC is
-// up but still recovering), invisibly to the caller; a pause a concurrent
-// Close or cancellation cuts short ends it. It returns the results, or the
-// code every operation of the frame fails with. CodeStaleEpoch is a
+// perform sends one Perform or PerformBatch frame of len(rs) operations,
+// first among them, until the DC answers it, and decodes the answer into
+// rs. An overload refusal (the server shed the request before it touched the
+// service) is counted, paused out and re-offered, and so is an answer with a
+// CodeUnavailable result (the DC is up but still recovering), invisibly to
+// the caller; a pause a concurrent Close or cancellation cuts short ends it.
+// It returns CodeOK, or the code every operation of the frame fails with: a
+// body either side cannot decode is CodeBadRequest. CodeStaleEpoch is a
 // permanent nack (the sender's incarnation was fenced by a restart):
 // returned as a result, never retried.
-func (c *Client) perform(ctx context.Context, kind msgKind, first *base.Op, n int, body []byte) ([]*base.Result, base.Code) {
+func (c *Client) perform(ctx context.Context, kind msgKind, first *base.Op, body []byte, rs []*base.Result) base.Code {
 	for {
 		reply, err := c.call(ctx, kind, first.TC, first.Epoch, first.LSN, body)
 		if err != nil {
-			return nil, base.CodeCancelled
+			return base.CodeCancelled
 		}
 		switch {
 		case isOverloadReply(reply.err):
 			c.overloads.Add(1)
+		case strings.HasPrefix(reply.err, badRequestText):
+			return base.CodeBadRequest
 		case reply.err != "":
-			return nil, base.CodeUnavailable
+			return base.CodeUnavailable
 		default:
-			rs, err := decodeResults(kind, reply.body, n)
-			if err != nil {
-				return nil, base.CodeBadRequest
+			if err := base.DecodeResultsInto(reply.body, kind == msgPerformBatch, rs); err != nil {
+				return base.CodeBadRequest
 			}
 			if !slices.ContainsFunc(rs, func(r *base.Result) bool { return r.Code == base.CodeUnavailable }) {
-				return rs, base.CodeOK
+				return base.CodeOK
 			}
 		}
 		if code := c.pause(ctx); code != base.CodeOK {
-			return nil, code
+			return code
 		}
 	}
-}
-
-// decodeResults decodes a Perform or PerformBatch reply body of want
-// results and recycles it.
-func decodeResults(kind msgKind, body []byte, want int) ([]*base.Result, error) {
-	defer putReplyBuf(body)
-	if kind == msgPerform {
-		res, _, err := base.DecodeResult(body)
-		return []*base.Result{res}, err
-	}
-	rs, _, err := base.DecodeResultBatch(body)
-	if err == nil && len(rs) != want {
-		err = fmt.Errorf("wire: batch reply size %d, want %d", len(rs), want)
-	}
-	return rs, err
 }
 
 // pause sleeps one resend interval before retrying a recovering DC. It
@@ -309,7 +300,7 @@ func (c *Client) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
 // mark along whether or not a request already carried them, which is what
 // repairs a block lost with its frame.
 func (c *Client) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	m := &message{kind: msgWatermarks, tc: tc, epoch: epoch,
+	m := message{kind: msgWatermarks, tc: tc, epoch: epoch,
 		wm: watermarks{has: wmSafe, safe: safe, horizon: horizon}}
 	c.wmMu.Lock()
 	if h := &c.held; h.tc == tc && h.epoch == epoch {
@@ -351,7 +342,7 @@ func (c *Client) Catalog(ctx context.Context) ([]string, error) {
 	return decodeCatalog(reply.body)
 }
 
-func (c *Client) controlErr(reply *message, err error) error {
+func (c *Client) controlErr(reply message, err error) error {
 	if err != nil {
 		return err
 	}

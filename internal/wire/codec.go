@@ -107,52 +107,51 @@ func appendFrame(buf []byte, m *message) []byte {
 	return buf
 }
 
-// decodeFrame parses one frame from buf and returns the remaining bytes.
-// The message's body aliases buf: the one caller outside the tests,
-// readStreamFrame, reads every frame into a buffer of its own and never
-// recycles it, so a second copy would buy nothing.
-func decodeFrame(buf []byte) (*message, []byte, error) {
+// decodeFrame parses one frame from buf into m, replacing all it held, and
+// returns the remaining bytes. The message's body aliases buf; its error
+// text is copied.
+func decodeFrame(m *message, buf []byte) ([]byte, error) {
 	if len(buf) < 1 {
-		return nil, nil, errBadFrame
+		return nil, errBadFrame
 	}
-	m := &message{kind: msgKind(buf[0] &^ frameWMFlag)}
+	*m = message{kind: msgKind(buf[0] &^ frameWMFlag)}
 	hasBlock := buf[0]&frameWMFlag != 0
 	if m.kind < msgPerform || m.kind > msgWatermarks {
-		return nil, nil, fmt.Errorf("%w: kind %d", errBadFrame, buf[0])
+		return nil, fmt.Errorf("%w: kind %d", errBadFrame, buf[0])
 	}
 	buf = buf[1:]
 	var err error
 	var u uint64
 	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.id = u
 	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.tc = base.TCID(u)
 	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.epoch = base.Epoch(u)
 	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.lsn = base.LSN(u)
 	if m.body, buf, err = readLenBytes(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var errText []byte
 	if errText, buf, err = readLenBytes(buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.err = string(errText)
 	if hasBlock {
 		if buf, err = decodeWatermarks(&m.wm, buf); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return m, buf, nil
+	return buf, nil
 }
 
 func decodeWatermarks(w *watermarks, buf []byte) ([]byte, error) {
@@ -213,7 +212,7 @@ func readLenBytes(buf []byte) ([]byte, []byte, error) {
 
 // writeFrame writes m to w as one length-prefixed stream frame. scratch, if
 // non-nil, is reused for encoding; the (possibly grown) buffer is returned
-// so callers can pool it.
+// so the caller can encode its next frame into it.
 func writeFrame(w io.Writer, scratch []byte, m *message) ([]byte, error) {
 	buf := append(scratch[:0], 0, 0, 0, 0)
 	buf = appendFrame(buf, m)
@@ -226,26 +225,30 @@ func writeFrame(w io.Writer, scratch []byte, m *message) ([]byte, error) {
 	return buf, err
 }
 
-// readStreamFrame reads one length-prefixed frame from r.
-func readStreamFrame(r *bufio.Reader) (*message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameBytes {
-		return nil, fmt.Errorf("%w: stream frame length %d out of range", errBadFrame, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	m, rest, err := decodeFrame(buf)
+// readFrame reads one length-prefixed frame from r into buf, reusing its
+// capacity (a nil buf: a buffer of the frame's size, which the caller then
+// owns), and decodes it into m. It returns the buffer, whose bytes m's body
+// aliases.
+func readFrame(r *bufio.Reader, buf []byte, m *message) ([]byte, error) {
+	hdr, err := r.Peek(4)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBadFrame, len(rest))
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4)
+	if n == 0 || n > maxFrameBytes {
+		return buf, fmt.Errorf("%w: stream frame length %d out of range", errBadFrame, n)
 	}
-	return m, nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	rest, err := decodeFrame(m, buf)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes", errBadFrame, len(rest))
+	}
+	return buf, err
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,8 @@ func frameCases() []*message {
 func TestFrameRoundTrip(t *testing.T) {
 	for _, m := range frameCases() {
 		buf := appendFrame(nil, m)
-		got, rest, err := decodeFrame(buf)
+		got := new(message)
+		rest, err := decodeFrame(got, buf)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", m, err)
 		}
@@ -48,10 +50,10 @@ func TestFrameRoundTripConcatenated(t *testing.T) {
 	for _, m := range cases {
 		buf = appendFrame(buf, m)
 	}
+	got := new(message) // one message for every frame: nothing may carry over
 	for i, want := range cases {
-		var got *message
 		var err error
-		got, buf, err = decodeFrame(buf)
+		buf, err = decodeFrame(got, buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -75,9 +77,11 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		}
 	}
 	br := bufio.NewReader(&net)
+	var in []byte
+	got := new(message)
 	for i, want := range frameCases() {
-		got, err := readStreamFrame(br)
-		if err != nil {
+		var err error
+		if in, err = readFrame(br, in, got); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -104,40 +108,62 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 		cases = append(cases, full[:i])
 	}
 	for _, c := range cases {
-		if m, _, err := decodeFrame(c); err == nil {
+		var m message
+		if _, err := decodeFrame(&m, c); err == nil {
 			t.Fatalf("decodeFrame(%x) accepted: %+v", c, m)
 		}
 	}
 }
 
 // FuzzFrame pins the frame codec: any input either fails to decode or
-// decodes to a message that re-encodes and re-decodes to itself. Run with
-// go test -fuzz=FuzzFrame ./internal/wire; the seed corpus doubles as a
-// regression suite on every ordinary test run.
+// decodes to a message that re-encodes and re-decodes to itself, and the
+// stream reader takes it exactly when it decodes with nothing left over.
+// Every input goes through one reused stream buffer and message, as a DC
+// connection's frames do. Run with go test -fuzz=FuzzFrame ./internal/wire;
+// the seed corpus doubles as a regression suite on every ordinary test run.
 func FuzzFrame(f *testing.F) {
 	for _, m := range frameCases() {
 		f.Add(appendFrame(nil, m))
 	}
+	f.Add(append(appendFrame(nil, frameCases()[4]), 0)) // a trailing byte
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	var (
+		in     []byte
+		m      message
+		stream bytes.Buffer
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, rest, err := decodeFrame(data)
-		if err != nil {
+		stream.Reset()
+		stream.Write(binary.BigEndian.AppendUint32(nil, uint32(len(data))))
+		stream.Write(data)
+		var err error
+		in, err = readFrame(bufio.NewReader(&stream), in, &m)
+		var fresh message
+		rest, derr := decodeFrame(&fresh, data)
+		if whole := derr == nil && len(rest) == 0; whole != (err == nil) {
+			t.Fatalf("stream read err %v, but decode err %v with %d bytes left", err, derr, len(rest))
+		}
+		if derr != nil {
 			return
 		}
 		if len(rest) > len(data) {
 			t.Fatalf("rest grew: %d > %d", len(rest), len(data))
 		}
-		re := appendFrame(nil, m)
-		m2, rest2, err := decodeFrame(re)
+		if err == nil && !reflect.DeepEqual(&m, &fresh) {
+			t.Fatalf("the reused message differs from a fresh one:\n got %+v\nwant %+v", m, fresh)
+		}
+		re := appendFrame(nil, &fresh)
+		var m2 message
+		rest2, err := decodeFrame(&m2, re)
 		if err != nil {
-			t.Fatalf("re-decode of re-encoded frame failed: %v (frame %+v)", err, m)
+			t.Fatalf("re-decode of re-encoded frame failed: %v (frame %+v)", err, fresh)
 		}
 		if len(rest2) != 0 {
 			t.Fatalf("re-decode left %d bytes", len(rest2))
 		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("unstable round trip:\n got %+v\nwant %+v", m2, m)
+		if !reflect.DeepEqual(fresh, m2) {
+			t.Fatalf("unstable round trip:\n got %+v\nwant %+v", m2, fresh)
 		}
 	})
 }

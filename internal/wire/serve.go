@@ -98,18 +98,32 @@ func (c *serveCore) admit() bool {
 	}
 }
 
+// scratch is what the runtime reuses from one request to the next on a TCP
+// connection: the slab its operations decode into and the buffer its
+// reply's body is encoded into. The simulated fabric gives every request a
+// fresh one, so a reply there owns its body.
+type scratch struct {
+	ops  base.OpSlab
+	body []byte
+}
+
+// badRequestText answers a Perform or PerformBatch whose body does not
+// decode; the client fails every operation of the frame with
+// base.CodeBadRequest.
+const badRequestText = "wire: undecodable request"
+
 // answer executes one accepted request at the service and returns its
 // reply, carrying a control failure as text for the client to rehydrate.
 // The server side has no caller context: a request that reached the DC
 // executes to completion (cancellation only ever abandons the client's
 // wait).
-func (c *serveCore) answer(m *message) *message {
+func (c *serveCore) answer(m *message, s *scratch) message {
 	ctx := context.Background()
-	reply := &message{kind: msgReply, id: m.id}
+	reply := message{kind: msgReply, id: m.id}
 	var err error
 	switch m.kind {
 	case msgPerform, msgPerformBatch:
-		c.perform(m, reply)
+		c.perform(m, &reply, s)
 		c.inFlight.Add(-1)
 	case msgCheckpoint:
 		err = c.svc.Checkpoint(ctx, m.tc, m.epoch, m.lsn)
@@ -127,24 +141,22 @@ func (c *serveCore) answer(m *message) *message {
 }
 
 // perform executes one admitted Perform or PerformBatch request into its
-// reply.
-func (c *serveCore) perform(m *message, reply *message) {
+// reply. The operations are decoded in place into s.ops, their values
+// aliasing the request's bytes for the call, and the results are encoded
+// into s.body.
+func (c *serveCore) perform(m *message, reply *message, s *scratch) {
+	ops, err := s.ops.Decode(m.body, m.kind == msgPerformBatch)
+	if err != nil {
+		reply.err = badRequestText + ": " + err.Error()
+		return
+	}
 	ctx := context.Background()
 	if m.kind == msgPerform {
-		op, _, err := base.DecodeOp(m.body)
-		if err != nil {
-			reply.err = err.Error()
-			return
-		}
-		reply.body = base.AppendResult(getReplyBuf(), c.svc.Perform(ctx, op))
-		return
+		s.body = base.AppendResult(s.body[:0], c.svc.Perform(ctx, ops[0]))
+	} else {
+		s.body = base.AppendResultBatch(s.body[:0], c.svc.PerformBatch(ctx, ops))
 	}
-	ops, _, err := base.DecodeOpBatch(m.body)
-	if err != nil {
-		reply.err = err.Error()
-		return
-	}
-	reply.body = base.AppendResultBatch(getReplyBuf(), c.svc.PerformBatch(ctx, ops))
+	reply.body = s.body
 }
 
 // registerStats exports admission control: the cap, the requests in flight

@@ -129,36 +129,65 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
+// serveConn is one connection's reader. Everything a request needs is
+// reused from one request to the next: the buffer its frame is read into,
+// the message it decodes to, the operations' slab and the reply's buffers.
+// So nothing the service is given may alias them past the call but the
+// operations' values, which base.Service lends for the call only.
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	br := bufio.NewReader(conn)
-	var buf []byte
+	var (
+		m        message
+		in, out  []byte // the request's frame, the reply's
+		s        scratch
+		deadline time.Time // the write deadline last set
+	)
 	for {
-		m, err := readStreamFrame(br)
-		if err != nil {
+		var err error
+		if in, err = readFrame(br, in, &m); err != nil {
 			break // connection gone or stream corrupt; client redials
 		}
-		reply, run := l.core.accept(m)
-		if run {
-			reply = l.core.answer(m)
-		}
-		if reply == nil {
+		var reply message
+		refusal, run := l.core.accept(&m)
+		switch {
+		case run:
+			reply = l.core.answer(&m, &s)
+		case refusal != nil:
+			reply = *refusal
+		default:
 			continue
 		}
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		buf, err = writeFrame(conn, buf, reply)
-		putReplyBuf(reply.body)
-		if err != nil {
+		// Re-arm the deadline only once half of it is spent: every write
+		// still has at least writeTimeout/2, and most pay no timer update.
+		if now := time.Now(); deadline.Sub(now) < writeTimeout/2 {
+			deadline = now.Add(writeTimeout)
+			conn.SetWriteDeadline(deadline)
+		}
+		if out, err = writeFrame(conn, out, &reply); err != nil {
 			// The connection died mid-reply: drop it. The request executed;
 			// the client's resend re-asks and idempotence answers from state.
 			break
 		}
+		in, out, s.body = keepable(in), keepable(out), keepable(s.body)
 	}
 	conn.Close()
 	l.mu.Lock()
 	delete(l.conns, conn)
 	l.mu.Unlock()
 }
+
+// keepable returns b for reuse, or nil when one large frame grew it past
+// maxKeptBuf: an idle connection does not hold on to a batch's worth of
+// memory.
+func keepable(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b
+}
+
+const maxKeptBuf = 1 << 16
 
 // writeTimeout bounds one frame write the client does not time itself: a
 // reply, a SafeTS frame. A peer that stops reading (wedged, half-dead
@@ -217,7 +246,7 @@ func Dial(addr string, cfg DialConfig) *Client {
 		}
 		var mu sync.Mutex
 		rnd := rand.New(rand.NewSource(seed))
-		link.lose = func(*message) bool {
+		link.lose = func(message) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return rnd.Float64() < cfg.DropProb
@@ -256,7 +285,7 @@ type tcpLink struct {
 	onReconnect atomic.Pointer[func()]
 
 	// lose, when set, eats outbound frames (DialConfig.DropProb).
-	lose func(*message) bool
+	lose func(message) bool
 
 	bytesOut, bytesIn, frameErrs, dropsInjected atomic.Uint64
 }
@@ -278,21 +307,22 @@ var (
 
 // outcome turns what ended an attempt without a reply into Client.call's
 // terms.
-func outcome(err error) (*message, error) {
+func outcome(err error) (message, error) {
 	switch err {
 	case errLost:
-		return nil, nil
+		return message{}, nil
 	case errClosed:
 		return closedReply(), nil
 	}
-	return nil, err
+	return message{}, err
 }
 
 // roundTrip is one attempt of Client.call: it sends req on a connection of
-// its own and reads the reply until wait runs out. A nil reply and error
-// mean the attempt was lost. A connection that fails takes the link down,
-// and the attempt then waits out its time as if its frame had been lost.
-func (ln *tcpLink) roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error) {
+// its own and reads the reply until wait runs out. A zero reply and a nil
+// error mean the attempt was lost. A connection that fails takes the link
+// down, and the attempt then waits out its time as if its frame had been
+// lost.
+func (ln *tcpLink) roundTrip(ctx context.Context, req message, wait time.Duration) (message, error) {
 	deadline := time.Now().Add(wait)
 	c, err := ln.take(ctx, deadline)
 	if err != nil {
@@ -305,7 +335,7 @@ func (ln *tcpLink) roundTrip(ctx context.Context, req *message, wait time.Durati
 		// the call, so the connection is then not reused.
 		stop = context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
 	}
-	reply, err := ln.exchange(c, req)
+	reply, err := ln.exchange(c, &req)
 	interrupted := !stop()
 	switch {
 	case err == nil:
@@ -319,10 +349,10 @@ func (ln *tcpLink) roundTrip(ctx context.Context, req *message, wait time.Durati
 		return closedReply(), nil // shutdown closed the connection
 	case ctx.Err() != nil:
 		ln.drop(c, false)
-		return nil, base.CancelErr(ctx)
+		return message{}, base.CancelErr(ctx)
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		ln.drop(c, false) // the reply may still come: not on a reused connection
-		return nil, nil
+		return message{}, nil
 	}
 	if errors.Is(err, errBadFrame) {
 		ln.frameErrs.Add(1)
@@ -331,17 +361,18 @@ func (ln *tcpLink) roundTrip(ctx context.Context, req *message, wait time.Durati
 	return outcome(ln.wait(ctx, deadline))
 }
 
-// exchange writes req on c and reads its reply.
-func (ln *tcpLink) exchange(c *tcpConn, req *message) (*message, error) {
+// exchange writes req on c and reads its reply into a buffer of its own,
+// which the reply's body, and the results decoded from it, go on aliasing.
+func (ln *tcpLink) exchange(c *tcpConn, req *message) (message, error) {
 	if err := ln.send(c, req); err != nil {
-		return nil, err
+		return message{}, err
 	}
-	reply, err := readStreamFrame(c.br)
-	if err != nil {
-		return nil, err
+	var reply message
+	if _, err := readFrame(c.br, nil, &reply); err != nil {
+		return message{}, err
 	}
 	if reply.kind != msgReply || reply.id != req.id {
-		return nil, errBadFrame
+		return message{}, errBadFrame
 	}
 	ln.bytesIn.Add(uint64(reply.size()))
 	return reply, nil
@@ -349,7 +380,7 @@ func (ln *tcpLink) exchange(c *tcpConn, req *message) (*message, error) {
 
 // send writes one frame to c, unless injected loss eats it.
 func (ln *tcpLink) send(c *tcpConn, m *message) error {
-	if ln.lose != nil && ln.lose(m) {
+	if ln.lose != nil && ln.lose(*m) {
 		// Indistinguishable from a frame the network ate; the resend loop
 		// recovers.
 		ln.dropsInjected.Add(1)
@@ -367,13 +398,13 @@ func (ln *tcpLink) send(c *tcpConn, m *message) error {
 // connection or a freshly dialed one, never on one a call holds: a
 // watermark cannot queue behind a request that waits for it. During a
 // redial pause the frame is dropped, as a lost frame would be.
-func (ln *tcpLink) post(m *message) {
+func (ln *tcpLink) post(m message) {
 	c, err := ln.take(context.Background(), time.Now())
 	if err != nil {
 		return
 	}
 	c.SetDeadline(time.Now().Add(writeTimeout))
-	if err := ln.send(c, m); err != nil {
+	if err := ln.send(c, &m); err != nil {
 		ln.drop(c, true)
 		return
 	}

@@ -95,10 +95,10 @@ type tap struct {
 
 func tapClient(cl *Client) *tap {
 	tp := &tap{}
-	eat := func(m *message) bool {
+	eat := func(m message) bool {
 		tp.mu.Lock()
 		defer tp.mu.Unlock()
-		tp.frames = append(tp.frames, *m)
+		tp.frames = append(tp.frames, m)
 		if tp.drop == 0 {
 			return false
 		}
@@ -117,22 +117,22 @@ func tapClient(cl *Client) *tap {
 // eats never reaches the fabric, and its attempt waits out its time.
 type tappedLink struct {
 	link
-	eat func(*message) bool
+	eat func(message) bool
 }
 
-func (l tappedLink) roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error) {
+func (l tappedLink) roundTrip(ctx context.Context, req message, wait time.Duration) (message, error) {
 	if !l.eat(req) {
 		return l.link.roundTrip(ctx, req, wait)
 	}
 	select {
 	case <-time.After(wait):
-		return nil, nil
+		return message{}, nil
 	case <-ctx.Done():
-		return nil, base.CancelErr(ctx)
+		return message{}, base.CancelErr(ctx)
 	}
 }
 
-func (l tappedLink) post(m *message) {
+func (l tappedLink) post(m message) {
 	if !l.eat(m) {
 		l.link.post(m)
 	}

@@ -175,11 +175,11 @@ func decodeCatalog(body []byte) ([]string, error) {
 }
 
 // catalogReply builds the msgCatalog reply for a service.
-func catalogReply(svc base.Service, id uint64) *message {
+func catalogReply(svc base.Service, id uint64) message {
 	if cat, ok := svc.(Cataloger); ok {
-		return &message{kind: msgReply, id: id, body: appendCatalog(nil, cat.Tables())}
+		return message{kind: msgReply, id: id, body: appendCatalog(nil, cat.Tables())}
 	}
-	return &message{kind: msgReply, id: id,
+	return message{kind: msgReply, id: id,
 		err: "wire: service has no table catalog: " + base.ErrUnavailable.Error()}
 }
 
@@ -277,10 +277,11 @@ type simLink struct {
 	done               <-chan struct{} // the client's: closed by Close
 }
 
-// roundTrip is one attempt of Client.call: a nil reply and error mean the
-// attempt was lost. A late or duplicate reply finds the channel full or
-// unread and goes nowhere.
-func (l *simLink) roundTrip(ctx context.Context, req *message, wait time.Duration) (*message, error) {
+// roundTrip is one attempt of Client.call: a zero reply and a nil error
+// mean the attempt was lost. A late or duplicate reply finds the channel
+// full or unread and goes nowhere. The request is this attempt's own copy:
+// the fabric may still be delivering it after the next attempt has left.
+func (l *simLink) roundTrip(ctx context.Context, req message, wait time.Duration) (message, error) {
 	ch := make(chan *message, 1)
 	back := func(r *message) bool {
 		select {
@@ -290,26 +291,26 @@ func (l *simLink) roundTrip(ctx context.Context, req *message, wait time.Duratio
 			return false
 		}
 	}
-	l.net.deliver(l.toServer, req, func(m *message) bool {
+	l.net.deliver(l.toServer, &req, func(m *message) bool {
 		return l.srv.take(m, func(r *message) { l.net.deliver(l.toClient, r, back) })
 	})
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
 	case reply := <-ch:
-		return reply, nil
+		return *reply, nil
 	case <-timer.C:
-		return nil, nil
+		return message{}, nil
 	case <-ctx.Done():
-		return nil, base.CancelErr(ctx)
+		return message{}, base.CancelErr(ctx)
 	case <-l.done:
 		return closedReply(), nil
 	}
 }
 
 // post delivers a frame that has no reply (SafeTS's msgWatermarks).
-func (l *simLink) post(m *message) {
-	l.net.deliver(l.toServer, m, func(m *message) bool { return l.srv.take(m, nil) })
+func (l *simLink) post(m message) {
+	l.net.deliver(l.toServer, &m, func(m *message) bool { return l.srv.take(m, nil) })
 }
 
 // shutdown has nothing to release: an attempt waits on the client's done
@@ -349,7 +350,9 @@ func (s *Server) take(m *message, reply func(*message)) bool {
 	}
 	go func() {
 		defer s.running.Done()
-		reply(s.core.answer(m))
+		// A fresh scratch: the reply owns its body.
+		r := s.core.answer(m, new(scratch))
+		reply(&r)
 	}()
 	return true
 }
@@ -365,22 +368,4 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.running.Wait()
-}
-
-// Reply bodies are encoded into pooled buffers: a reply is consumed by
-// exactly one call() return (a duplicate delivery lands in a channel
-// nobody reads any more), so the consumer can recycle the buffer right
-// after decoding. Request bodies are
-// deliberately NOT pooled — resends and delayed duplicate deliveries share
-// one request slice whose last reader cannot be identified cheaply.
-var replyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
-const maxPooledBuf = 1 << 16
-
-func getReplyBuf() []byte { return (*replyBufPool.Get().(*[]byte))[:0] }
-
-func putReplyBuf(b []byte) {
-	if cap(b) > 0 && cap(b) <= maxPooledBuf {
-		replyBufPool.Put(&b)
-	}
 }
