@@ -187,7 +187,8 @@ func Decode(buf []byte) (*A, []byte, error) {
 	return &a, rest, nil
 }
 
-// decode is Decode into a, which must be empty.
+// decode is Decode into a, whatever a held; it reuses a.In's array when the
+// set fits in it.
 func (a *A) decode(buf []byte) ([]byte, error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -207,17 +208,19 @@ func (a *A) decode(buf []byte) ([]byte, error) {
 	if u > uint64(len(buf)) {
 		return nil, errCorrupt
 	}
-	if u > 0 {
+	if u <= uint64(cap(a.In)) {
+		a.In = a.In[:u]
+	} else {
 		a.In = make([]base.LSN, u)
-		prev := base.LSN(0)
-		for i := range a.In {
-			d, n := binary.Uvarint(buf)
-			if n <= 0 {
-				return nil, errCorrupt
-			}
-			prev += base.LSN(d)
-			a.In[i], buf = prev, buf[n:]
+	}
+	prev := base.LSN(0)
+	for i := range a.In {
+		d, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return nil, errCorrupt
 		}
+		prev += base.LSN(d)
+		a.In[i], buf = prev, buf[n:]
 	}
 	return buf, nil
 }

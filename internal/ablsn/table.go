@@ -115,35 +115,49 @@ func (t *Table) Append(buf []byte) []byte {
 // remaining bytes. Append writes the TCs in strictly ascending order and
 // four bytes or more per entry; anything else is corrupt.
 func DecodeTable(buf []byte) (*Table, []byte, error) {
+	t := &Table{}
+	rest, err := DecodeTableInto(t, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, rest, nil
+}
+
+// DecodeTableInto is DecodeTable into t, whatever t held: it reuses t's entry
+// array and each reused entry's In array where they are large enough, so a
+// table decoded into one that held as many entries and LSNs allocates
+// nothing. On an error t holds a partial table.
+func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
 	n, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	buf = buf[w:]
 	if n > uint64(len(buf))/4 {
-		return nil, nil, errCorrupt
+		return nil, errCorrupt
 	}
-	t := &Table{}
-	if n > 0 {
+	if n <= uint64(cap(t.e)) {
+		t.e = t.e[:n]
+	} else {
 		t.e = make([]entry, n)
 	}
 	for i := range t.e {
 		u, w := binary.Uvarint(buf)
 		if w <= 0 || u > uint64(^base.TCID(0)) {
-			return nil, nil, errCorrupt
+			return nil, errCorrupt
 		}
 		tc := base.TCID(u)
 		if i > 0 && tc <= t.e[i-1].tc {
-			return nil, nil, errCorrupt
+			return nil, errCorrupt
 		}
 		t.e[i].tc = tc
 		rest, err := t.e[i].a.decode(buf[w:])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		buf = rest
 	}
-	return t, buf, nil
+	return buf, nil
 }
 
 // EncodedSize returns len(t.Append(nil)) without encoding anything: every

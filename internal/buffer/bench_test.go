@@ -10,17 +10,18 @@ import (
 	"github.com/cidr09/unbundled/internal/storage"
 )
 
-// BenchmarkEvictFetchCycle is what one write to a page outside the pool
-// costs the cache, with nothing else of the DC around it: 1 024 leaves of 21
-// records (about what a 4 KiB page of the repo benchmark holds) behind a pool
-// of 64 frames, visited in order so that every fetch misses, reads and
-// decodes its page and evicts the coldest frame, which the visit before left
-// dirty and so encodes and writes it first. One op is one such cycle.
-func BenchmarkEvictFetchCycle(b *testing.B) {
-	const pages, recs = 1024, 21
+// evictFetchCycle is what one write to a page outside the pool costs the
+// cache, with nothing else of the DC around it: 1 024 leaves of 21 records
+// (about what a 4 KiB page of the repo benchmark holds) behind a pool of 64
+// frames, visited in order so that every fetch misses, reads and decodes its
+// page and evicts the coldest frame, which the visit before left dirty and so
+// encodes and writes it first. cycle(i) is one such cycle, the i-th.
+func evictFetchCycle(tb testing.TB) (pool *Pool, pages int, cycle func(i int)) {
+	const recs = 21
+	pages = 1024
 	store := storage.NewPageStore()
 	open := func(base.TCID) base.LSN { return 1 << 62 }
-	pool := New(Config{Capacity: 64}, store, Gates{EOSL: open, LWM: open})
+	pool = New(Config{Capacity: 64}, store, Gates{EOSL: open, LWM: open})
 	val := bytes.Repeat([]byte("v"), 150)
 	ids := make([]base.PageID, pages)
 	for i := range ids {
@@ -32,13 +33,11 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 		ids[i] = pg.ID
 		store.Write(pg.ID, pg.Encode())
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return pool, pages, func(i int) {
 		id := ids[i%pages]
 		pg, err := pool.Fetch(id)
 		if err != nil || pg == nil {
-			b.Fatalf("fetch %d: %v %v", id, pg, err)
+			tb.Fatalf("fetch %d: %v %v", id, pg, err)
 		}
 		lsn := base.LSN(i + 2)
 		pg.L.Lock()
@@ -48,8 +47,42 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 		pg.L.Unlock()
 		pool.Unpin(id)
 	}
+}
+
+// BenchmarkEvictFetchCycle: one op is one evictFetchCycle.
+func BenchmarkEvictFetchCycle(b *testing.B) {
+	pool, pages, cycle := evictFetchCycle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
 	b.StopTimer()
 	if st := pool.Stats(); b.N > 2*pages && (st.Hits != 0 || st.Evictions < uint64(b.N)-64 || st.Flushes < st.Evictions) {
 		b.Fatalf("not the cycle it claims to be: %+v over %d ops", st, b.N)
+	}
+}
+
+// TestEvictFetchCycleAllocs pins what a miss that evicts a dirty page
+// allocates once the pool is full: the victim's image, which the store keeps,
+// and nothing else. The miss takes over the frame the eviction before it
+// freed — page, record array, abstract-LSN table, FirstDirty map, LRU node —
+// and decodes into it; a pool that let the evicted frame go made 9.
+func TestEvictFetchCycleAllocs(t *testing.T) {
+	pool, pages, cycle := evictFetchCycle(t)
+	i := 0
+	for ; i < 2*pages; i++ { // every page read once, the pool full, a frame spare
+		cycle(i)
+	}
+	before := pool.Stats()
+	got := testing.AllocsPerRun(2*pages, func() {
+		cycle(i)
+		i++
+	})
+	if st := pool.Stats(); st.Hits != before.Hits || st.Evictions-before.Evictions < uint64(2*pages) {
+		t.Fatalf("not the cycle it claims to be: %+v, then %+v", before, st)
+	}
+	if got > 1 {
+		t.Fatalf("an evict-fetch cycle allocates %.0f objects, want at most 1 (the victim's image)", got)
 	}
 }

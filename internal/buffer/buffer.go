@@ -23,16 +23,24 @@
 // A page crosses the cache boundary in one copy each way. A flush encodes
 // the page into a fresh image (the only copy) and hands that buffer to the
 // store, which keeps it. A miss copies nothing: the store returns the image
-// it holds and page.Decode builds the cached page over it, so the cached
+// it holds and page.DecodeInto builds the cached page over it, so the cached
 // page and the stable page share their bytes until a record is replaced (the
 // page package comment has the rules this rests on: images are never
 // written, fields are replaced and not edited). The next flush leaves the
 // frame aliasing the image it was read from, now dead, and the store holding
-// the new one; the frame lets go of the old image when it is evicted.
+// the new one.
+//
+// A miss at capacity reuses the frame an eviction freed: its page with the
+// record array, abstract-LSN table and FirstDirty map, and the frame itself,
+// which is its LRU node. The miss decodes its image into that page, which
+// lets go of the old image, so what a miss that evicts a dirty page allocates
+// is the image it writes back. A frame is freed only once it has left the
+// frame map under mu while its evictor holds its only pin: every caller lets
+// go of a page when it unpins it, so nothing can still reach the page. The
+// pool keeps one freed frame (spare); more are left to the collector.
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -88,7 +96,8 @@ var ErrEnded = fmt.Errorf("buffer: the pool has ended: %w", base.ErrUnavailable)
 type frame struct {
 	pg  *page.Page
 	pin int
-	el  *list.Element
+	// prev and next link the frame into the pool's LRU ring (Pool.lru).
+	prev, next *frame
 }
 
 // Pool is the page cache. All methods are safe for concurrent use.
@@ -101,7 +110,12 @@ type Pool struct {
 	cond    *sync.Cond
 	kickGen uint64
 	frames  map[base.PageID]*frame
-	lru     *list.List // front = most recently used; values are PageIDs
+	// lru is the sentinel of the ring of cached frames: lru.next is the most
+	// recently used, lru.prev the coldest.
+	lru frame
+	// spare is the frame the last eviction freed, for the next miss to take
+	// over, or nil.
+	spare *frame
 
 	// ended is set by End under wmu, which every write-back holds shared
 	// across its check and its store.Write.
@@ -115,9 +129,28 @@ type Pool struct {
 // New returns a pool over store with the given gates.
 func New(cfg Config, store *storage.PageStore, gates Gates) *Pool {
 	p := &Pool{cfg: cfg.withDefaults(), store: store, gates: gates,
-		frames: make(map[base.PageID]*frame), lru: list.New()}
+		frames: make(map[base.PageID]*frame)}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.cond = sync.NewCond(&p.mu)
 	return p
+}
+
+// pushFront links f in as the most recently used frame (caller holds p.mu).
+func (p *Pool) pushFront(f *frame) {
+	f.prev, f.next = &p.lru, p.lru.next
+	f.next.prev, p.lru.next = f, f
+}
+
+// unlink takes f out of the LRU ring (caller holds p.mu).
+func (p *Pool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// touch makes f the most recently used frame (caller holds p.mu).
+func (p *Pool) touch(f *frame) {
+	p.unlink(f)
+	p.pushFront(f)
 }
 
 // Kick wakes flushers waiting on watermark progress; the DC calls it after
@@ -130,34 +163,43 @@ func (p *Pool) Kick() {
 }
 
 // Fetch returns the page, reading and decoding it from stable storage on a
-// miss. The frame is pinned; callers must Unpin. Fetching an ID with no
-// stable contents and no cached frame returns nil.
+// miss. The frame is pinned; callers must Unpin, and must not touch the page
+// after that. Fetching an ID with no stable contents and no cached frame
+// returns nil.
 func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
 		f.pin++
-		p.lru.MoveToFront(f.el)
+		p.touch(f)
 		p.mu.Unlock()
 		p.hits.Add(1)
 		return f.pg, nil
 	}
+	f := p.spare
+	p.spare = nil
 	p.mu.Unlock()
 	p.misses.Add(1)
+	if f == nil {
+		f = &frame{pg: &page.Page{}}
+	}
 	for {
 		image, ok := p.store.Read(id)
 		if !ok {
+			p.giveBack(f)
 			return nil, nil
 		}
-		pg, err := page.Decode(image) // over the store's own bytes, see the package comment
-		if err != nil {
+		// Over the store's own bytes, see the package comment.
+		if err := page.DecodeInto(f.pg, image); err != nil {
+			p.giveBack(f)
 			return nil, err
 		}
 		p.mu.Lock()
-		if f, ok := p.frames[id]; ok { // lost a race; use the winner
-			f.pin++
-			p.lru.MoveToFront(f.el)
+		if w, ok := p.frames[id]; ok { // lost a race; use the winner
+			w.pin++
+			p.touch(w)
+			p.spareLocked(f)
 			p.mu.Unlock()
-			return f.pg, nil
+			return w.pg, nil
 		}
 		// No frame, but one may have come and gone while the image was being
 		// decoded — written to, written back and evicted: then the image is
@@ -168,20 +210,33 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 			p.mu.Unlock()
 			continue
 		}
-		f := p.insertLocked(pg)
-		f.pin++
+		f.pin = 1
+		p.insertLocked(f)
 		p.mu.Unlock()
 		p.maybeEvict()
 		return f.pg, nil
 	}
 }
 
-// insertLocked adds a frame for pg (caller holds p.mu).
-func (p *Pool) insertLocked(pg *page.Page) *frame {
-	f := &frame{pg: pg}
-	f.el = p.lru.PushFront(pg.ID)
-	p.frames[pg.ID] = f
-	return f
+// giveBack returns f, which a miss took and did not install, to the pool.
+func (p *Pool) giveBack(f *frame) {
+	p.mu.Lock()
+	p.spareLocked(f)
+	p.mu.Unlock()
+}
+
+// spareLocked keeps f, a frame no caller can reach, for the next miss unless
+// the pool keeps one already (caller holds p.mu).
+func (p *Pool) spareLocked(f *frame) {
+	if p.spare == nil {
+		p.spare = f
+	}
+}
+
+// insertLocked caches f as the most recently used frame (caller holds p.mu).
+func (p *Pool) insertLocked(f *frame) {
+	p.pushFront(f)
+	p.frames[f.pg.ID] = f
 }
 
 // Install adds a freshly created page (from an SMO or its redo) to the
@@ -195,8 +250,7 @@ func (p *Pool) Install(pg *page.Page) {
 		p.mu.Unlock()
 		panic(fmt.Sprintf("buffer: install over the cached frame of page %d", pg.ID))
 	}
-	f := p.insertLocked(pg)
-	f.pin++
+	p.insertLocked(&frame{pg: pg, pin: 1})
 	p.mu.Unlock()
 	p.maybeEvict()
 }
@@ -335,7 +389,7 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		p.pageBytes.Add(uint64(len(image)))
 		p.abBytes.Add(uint64(abBytes))
 		pg.Dirty = false
-		pg.FirstDirty = nil
+		clear(pg.FirstDirty) // emptied, not dropped: the next MarkDirty refills it
 		pg.RecDLSN = 0
 		pg.Undo = nil // gate 1 passed: no TC can lose an operation the page holds
 		f.pg.L.Unlock()
@@ -392,7 +446,7 @@ func (p *Pool) Pages(fn func(*page.Page)) {
 func (p *Pool) Drop(id base.PageID) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
-		p.lru.Remove(f.el)
+		p.unlink(f)
 		delete(p.frames, id)
 	}
 	p.mu.Unlock()
@@ -408,10 +462,10 @@ func (p *Pool) maybeEvict() {
 		}
 		// Walk from coldest; pick the first unpinned candidate.
 		var victim *frame
-		for el := p.lru.Back(); el != nil; el = el.Prev() {
-			f := p.frames[el.Value.(base.PageID)]
-			if f != nil && f.pin == 0 {
-				victim = f
+		var id base.PageID
+		for f := p.lru.prev; f != &p.lru; f = f.prev {
+			if f.pin == 0 {
+				victim, id = f, f.pg.ID
 				f.pin++
 				break
 			}
@@ -420,25 +474,24 @@ func (p *Pool) maybeEvict() {
 		if victim == nil {
 			return // everything pinned; let it ride
 		}
-		if err := p.flushFrame(victim, false); err != nil {
-			// Gates closed: skip eviction of this page for now.
-			p.Unpin(victim.pg.ID)
-			p.mu.Lock()
-			p.lru.MoveToFront(victim.el) // don't retry it immediately
-			p.mu.Unlock()
-			return
-		}
+		err := p.flushFrame(victim, false)
 		p.mu.Lock()
-		if f, ok := p.frames[victim.pg.ID]; ok && f == victim && f.pin == 1 && !f.pg.Dirty {
-			p.lru.Remove(f.el)
-			delete(p.frames, f.pg.ID)
+		cached := p.frames[id] == victim
+		if cached && err == nil && victim.pin == 1 && !victim.pg.Dirty {
+			p.unlink(victim)
+			delete(p.frames, id)
 			p.evictions.Add(1)
+			victim.pin = 0
+			p.spareLocked(victim) // out of the map, only our pin: no caller holds its page
 			p.mu.Unlock()
 			continue
 		}
-		// Re-dirtied or re-pinned during the flush; keep it.
-		if f, ok := p.frames[victim.pg.ID]; ok && f == victim {
-			f.pin--
+		// Gates closed, or re-dirtied or re-pinned during the flush: keep it.
+		if cached {
+			victim.pin--
+			if err != nil {
+				p.touch(victim) // don't retry it immediately
+			}
 		}
 		p.mu.Unlock()
 		return

@@ -2,7 +2,11 @@ package buffer
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,5 +334,96 @@ func TestConcurrentFetchSingleFrame(t *testing.T) {
 		if frames[i] != frames[0] {
 			t.Fatal("concurrent fetch produced distinct frames for one page")
 		}
+	}
+}
+
+// TestRecycledFrameServesOnePage: a miss decodes into the page an eviction
+// freed, so a frame recycled while anyone could still reach it would show one
+// caller another page's records. Writers over 256 pages behind 8 frames, so
+// that nearly every fetch evicts a dirty page and takes over a frame, check
+// under the latch that every record of the page they hold names that page,
+// and bump the page's counter; at the end every page counts every write made
+// to it, none lost to a frame served twice or a stale image installed. One
+// writer writes as a TC whose log is stable only up to a few LSNs back, so
+// some evictions find the causality gate closed and keep their victim.
+func TestRecycledFrameServesOnePage(t *testing.T) {
+	const pages, recs, workers, ops = 256, 4, 4, 2000
+	var lsn, lag atomic.Uint64
+	lag.Store(8)
+	eosl := func(tc base.TCID) base.LSN {
+		if tc == 2 {
+			n := lsn.Load()
+			return base.LSN(n - min(n, lag.Load()))
+		}
+		return 1 << 62
+	}
+	store := storage.NewPageStore()
+	p := New(Config{Capacity: 8}, store, Gates{EOSL: eosl, LWM: eosl})
+	ids := make([]base.PageID, pages)
+	for i := range ids {
+		pg := page.NewLeaf(store.AllocPageID())
+		for r := 0; r < recs; r++ {
+			pg.Put(page.Record{Key: fmt.Sprintf("%04d/%d", pg.ID, r), Value: []byte("0")})
+		}
+		ids[i] = pg.ID
+		store.Write(pg.ID, pg.Encode())
+	}
+	var want [pages]atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewPCG(uint64(w), 1))
+			for range ops {
+				i := rnd.IntN(pages)
+				id := ids[i]
+				pg, err := p.Fetch(id)
+				if err != nil || pg == nil {
+					t.Errorf("fetch %d: %v %v", id, pg, err)
+					return
+				}
+				pg.L.Lock()
+				prefix := fmt.Sprintf("%04d/", id)
+				if pg.ID != id || len(pg.Recs) != recs {
+					t.Errorf("fetch %d served page %d with %d records", id, pg.ID, len(pg.Recs))
+				}
+				for r := range pg.Recs {
+					if !strings.HasPrefix(pg.Recs[r].Key, prefix) {
+						t.Errorf("page %d holds record %q", id, pg.Recs[r].Key)
+					}
+				}
+				c := &pg.Recs[0]
+				n, _ := strconv.Atoi(string(c.Value))
+				c.Value = strconv.AppendInt(nil, int64(n+1), 10)
+				tc, l := base.TCID(1), base.LSN(lsn.Add(1))
+				if w == 0 {
+					tc = 2
+				}
+				pg.Ab.Ensure(tc).Add(l)
+				p.MarkDirty(pg, tc, l, 0)
+				want[i].Add(1)
+				pg.L.Unlock()
+				p.Unpin(id)
+			}
+		}(w)
+	}
+	wg.Wait()
+	lag.Store(0)
+	if err := p.FlushAll(true, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		pg, err := p.Fetch(id)
+		if err != nil || pg == nil {
+			t.Fatalf("fetch %d: %v %v", id, pg, err)
+		}
+		if n, _ := strconv.Atoi(string(pg.Recs[0].Value)); int64(n) != want[i].Load() {
+			t.Errorf("page %d counts %d writes, %d were made", id, n, want[i].Load())
+		}
+		p.Unpin(id)
+	}
+	if st := p.Stats(); st.Evictions < workers*ops/2 {
+		t.Fatalf("too few evictions to recycle frames: %+v", st)
 	}
 }

@@ -8,7 +8,11 @@ import (
 )
 
 // FuzzDecode: no image makes Decode panic or write to it, and whatever it
-// accepts encodes to an image that decodes to the same page. The checked-in
+// accepts encodes to an image that decodes to the same page. DecodeInto, into
+// a page recycled from another image — a leaf with history and two TCs'
+// abstract LSNs, or a branch — and still carrying an undo tail, Dirty,
+// FirstDirty and RecDLSN, must agree with Decode: the same page, none of the
+// old one's state, and the same verdict on a corrupt image. The checked-in
 // corpus (testdata/fuzz/FuzzDecode) is the catalog, three branches and five
 // two-TC leaves of btree.TestForwardMatchesRedo's seed-1 forest, 500
 // operations in; the seeds added here carry what that forest's records do
@@ -19,12 +23,35 @@ func FuzzDecode(f *testing.F) {
 	versioned.Put(Record{Key: "x", Owner: 2, Flags: FlagHasBefore | FlagBeforeNull, Value: []byte("ins")})
 	versioned.Put(Record{Key: "y", Owner: 1, Flags: FlagTombstone, TS: 8, Hist: []Version{{TS: 2, Val: []byte("v")}, {TS: 6, Del: true}}})
 	versioned.Ab.Ensure(2).Add(3)
+	branch := NewBranch(9, []string{"g", "m"}, []base.PageID{1, 2, 3})
 	f.Add(versioned.Encode())
 	f.Add(NewLeaf(1).Encode())
-	f.Add(NewBranch(9, []string{"g", "m"}, []base.PageID{1, 2, 3}).Encode())
+	f.Add(branch.Encode())
+	olds := [][]byte{versioned.Encode(), branch.Encode()}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		pristine := bytes.Clone(image)
 		p, err := Decode(image)
+		for _, old := range olds {
+			recycled := usedPage(t, old)
+			if errInto := DecodeInto(recycled, image); (errInto == nil) != (err == nil) {
+				t.Fatalf("Decode says %v, DecodeInto a used page %v\nimage %x", err, errInto, image)
+			} else if err == nil {
+				if !recycled.Equal(p) {
+					t.Fatalf("DecodeInto a used page differs from Decode\nimage %x\ninto  %x", image, recycled.Encode())
+				}
+				if recycled.Undo != nil || recycled.Dirty || len(recycled.FirstDirty) != 0 || recycled.RecDLSN != 0 {
+					t.Fatalf("DecodeInto kept the used page's bookkeeping: undo %v dirty %v first dirty %v rec dLSN %d",
+						recycled.Undo, recycled.Dirty, recycled.FirstDirty, recycled.RecDLSN)
+				}
+				if recycled.Leaf && (recycled.Keys != nil || recycled.Children != nil) || !recycled.Leaf && recycled.Recs != nil {
+					t.Fatalf("DecodeInto kept the used page's other payload: leaf %v, %d records, %d keys, %d children",
+						recycled.Leaf, len(recycled.Recs), len(recycled.Keys), len(recycled.Children))
+				}
+			}
+		}
+		if !bytes.Equal(image, pristine) {
+			t.Fatalf("decoding wrote to the image\nwas %x\nnow %x", pristine, image)
+		}
 		if err != nil {
 			return
 		}
@@ -40,4 +67,22 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoding and encoding wrote to the image\nwas %x\nnow %x", pristine, image)
 		}
 	})
+}
+
+// usedPage is the page image decodes to after a cache has used it: an undo
+// tail, dirty, a FirstDirty entry per TC of its table and a RecDLSN.
+func usedPage(t *testing.T, image []byte) *Page {
+	p, err := Decode(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Undo = []Undo{{TC: 1, LSN: 7, Absent: true, Prior: Record{Key: "gone"}}}
+	p.Dirty, p.RecDLSN = true, 5
+	p.FirstDirty = map[base.TCID]base.LSN{}
+	for i := 0; i < p.Ab.Len(); i++ {
+		tc, _ := p.Ab.At(i)
+		p.FirstDirty[tc] = 7
+	}
+	p.FirstDirty[3] = 9
+	return p
 }

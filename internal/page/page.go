@@ -33,13 +33,15 @@
 // Keys are strings laid over the same bytes, see decoder.str.
 //
 // The image lives as long as anything decoded from it does. A cached page
-// keeps its image reachable until its last aliasing field is replaced or the
-// frame is evicted, also after a flush has put a newer image in the store:
-// at most one such dead image per record source, which is the page itself
-// plus, after a split or a consolidation, the sibling its records came from.
-// What leaves the page for something that outlives it is copied: the DC
-// copies the values and keys of a result, UpperHalf copies the split key
-// that goes to the parent.
+// keeps its image reachable until its last aliasing field is replaced, also
+// after a flush has put a newer image in the store: at most one such dead
+// image per record source, which is the page itself plus, after a split or a
+// consolidation, the sibling its records came from. Eviction is not the end
+// of it: the buffer pool keeps the page its last eviction freed, and the next
+// miss decodes another image into it (DecodeInto), which releases the old
+// one. What leaves the page for something that outlives it is copied: the DC
+// copies the values and keys of a result, UpperHalf copies the split key that
+// goes to the parent.
 package page
 
 import (
@@ -697,96 +699,117 @@ func (p *Page) EncodeAb() (image []byte, abBytes int) {
 // Decode builds the page an image produced by Encode holds, over the image:
 // it copies no key or value (see the package comment for what that asks of
 // every caller). The caller gives the image up: it must never be written
-// again. The allocations are the page, its abstract-LSN table, the record or
-// separator array and, if any record has history, one array of versions for
-// the page, whatever the number of records.
+// again. The allocations are the page, its abstract-LSN entries and their
+// {LSNin} sets, the record or separator array and, if any record has history,
+// one array of versions for the page, whatever the number of records.
 func Decode(image []byte) (*Page, error) {
-	d := decoder{buf: image}
 	p := &Page{}
+	if err := DecodeInto(p, image); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto is Decode into p, a page nothing else refers to any more (the
+// buffer pool's evicted frame): p becomes the page the image holds, clean and
+// with an empty undo tail, and keeps only its latch and the arrays it can
+// reuse — the record or separator and child arrays, the abstract-LSN entries
+// and their {LSNin} sets, and the FirstDirty map, emptied. So a page that held
+// as many records and LSNs and no history allocates nothing. A history array
+// is always new: records copied out of a page (Undo.Prior, a split's upper
+// half) share it. On an error p holds a partial page.
+func DecodeInto(p *Page, image []byte) error {
+	d := decoder{buf: image}
 	p.ID = base.PageID(d.uvarint())
 	p.Leaf = d.byte() != 0
 	p.DLSN = base.DLSN(d.uvarint())
 	p.Next = base.PageID(d.uvarint())
+	p.Undo, p.Dirty, p.RecDLSN = nil, false, 0
+	clear(p.FirstDirty)
 	if d.err == nil {
-		tab, rest, err := ablsn.DecodeTable(d.buf)
+		rest, err := ablsn.DecodeTableInto(&p.Ab, d.buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p.Ab = *tab
 		d.buf = rest
 	}
 	if p.Leaf {
+		p.Keys, p.Children = nil, nil
 		// A record is five bytes or more and a history entry three, so the
 		// bytes left bound what a corrupt count can make Decode allocate.
 		n := d.uvarint()
 		if d.err == nil && n > uint64(len(d.buf))/5 {
-			return nil, errCorrupt
+			return errCorrupt
 		}
-		if d.err == nil && n > 0 {
-			p.Recs = make([]Record, n)
-			// hist collects every record's history; a record's Hist holds its
-			// length until the array has stopped growing.
-			var hist []Version
-			for i := range p.Recs {
-				r := &p.Recs[i]
-				r.Key = d.str()
-				r.Owner = base.TCID(d.uvarint())
-				r.Flags = d.byte()
-				r.Value = d.bytes()
-				r.Before = d.bytes()
-				if r.Flags&FlagHasTS != 0 {
-					r.Flags &^= FlagHasTS
-					r.TS = base.TS(d.uvarint())
-					r.BeforeTS = base.TS(d.uvarint())
-					hn := d.uvarint()
-					if d.err == nil && hn > uint64(len(d.buf))/3 {
-						return nil, errCorrupt
+		p.Recs = resize(p.Recs, n)
+		// hist collects every record's history; a record's Hist holds its
+		// length until the array has stopped growing.
+		var hist []Version
+		for i := range p.Recs {
+			r := &p.Recs[i]
+			r.Key = d.str()
+			r.Owner = base.TCID(d.uvarint())
+			r.Flags = d.byte()
+			r.Value = d.bytes()
+			r.Before = d.bytes()
+			r.TS, r.BeforeTS, r.Hist = 0, 0, nil
+			if r.Flags&FlagHasTS != 0 {
+				r.Flags &^= FlagHasTS
+				r.TS = base.TS(d.uvarint())
+				r.BeforeTS = base.TS(d.uvarint())
+				hn := d.uvarint()
+				if d.err == nil && hn > uint64(len(d.buf))/3 {
+					return errCorrupt
+				}
+				if d.err == nil && hn > 0 {
+					if hist == nil {
+						hist = make([]Version, 0, max(int(hn), len(p.Recs)-i))
 					}
-					if d.err == nil && hn > 0 {
-						if hist == nil {
-							hist = make([]Version, 0, max(int(hn), len(p.Recs)-i))
-						}
-						first := len(hist)
-						for ; hn > 0; hn-- {
-							hist = append(hist, Version{TS: base.TS(d.uvarint()), Del: d.byte() != 0, Val: d.bytes()})
-						}
-						r.Hist = hist[first:]
+					first := len(hist)
+					for ; hn > 0; hn-- {
+						hist = append(hist, Version{TS: base.TS(d.uvarint()), Del: d.byte() != 0, Val: d.bytes()})
 					}
+					r.Hist = hist[first:]
 				}
 			}
-			for i, first := 0, 0; first < len(hist); i++ {
-				if hn := len(p.Recs[i].Hist); hn > 0 {
-					p.Recs[i].Hist = hist[first : first+hn : first+hn]
-					first += hn
-				}
+		}
+		for i, first := 0, 0; first < len(hist); i++ {
+			if hn := len(p.Recs[i].Hist); hn > 0 {
+				p.Recs[i].Hist = hist[first : first+hn : first+hn]
+				first += hn
 			}
 		}
 	} else {
+		p.Recs = nil
 		n := d.uvarint()
 		if d.err == nil && n > uint64(len(d.buf)) {
-			return nil, errCorrupt
+			return errCorrupt
 		}
-		if d.err == nil && n > 0 {
-			p.Keys = make([]string, n)
-			for i := range p.Keys {
-				p.Keys[i] = d.str()
-			}
+		p.Keys = resize(p.Keys, n)
+		for i := range p.Keys {
+			p.Keys[i] = d.str()
 		}
 		n = d.uvarint()
 		if d.err == nil && n > uint64(len(d.buf))+1 {
-			return nil, errCorrupt
+			return errCorrupt
 		}
-		if d.err == nil && n > 0 {
-			p.Children = make([]base.PageID, n)
-			for i := range p.Children {
-				p.Children[i] = base.PageID(d.uvarint())
-			}
+		p.Children = resize(p.Children, n)
+		for i := range p.Children {
+			p.Children[i] = base.PageID(d.uvarint())
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	return d.err
+}
+
+// resize returns s with length n, over s's array when n fits in it; the
+// elements are the caller's to overwrite, and those past n are zeroed, so that
+// a recycled array keeps no image of its last page alive.
+func resize[T any](s []T, n uint64) []T {
+	if n > uint64(cap(s)) {
+		return make([]T, n)
 	}
-	return p, nil
+	clear(s[n:cap(s)])
+	return s[:n]
 }
 
 var errCorrupt = fmt.Errorf("page: corrupt encoding")

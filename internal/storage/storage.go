@@ -95,8 +95,9 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 // Read returns the stable image of page id, or ok=false if the page has
 // never been written (or was freed). It is the image the store holds, not a
 // copy, and stays valid and unchanged after a later Write or Free of the
-// page: the reader may keep it (page.Decode builds the cached page over it)
-// and must not write to it.
+// page: the reader may keep it and must not write to it. The buffer pool
+// builds the cached page over it (page.DecodeInto, into the page an eviction
+// freed) and lets go of it when a later miss decodes into that page again.
 func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
 	s.mu.RLock()
 	image, ok = s.pages[id]
