@@ -52,17 +52,21 @@ import (
 // and logs nothing, and a write holds no LSN while its transaction idles or
 // waits for a lock.
 //
-// What it allocates is sized once per transaction or once per batch, never
-// once per key. The queue holds its operations by value, in a slab the first
-// write allocates (Txn.slab: room for slabOps writes, their pre-reads, their
-// log records and one DC's batch); every payload of a log batch is encoded
-// into one scratch buffer, grown once to the computed size, because the log
-// copies what it appends; the lock manager recycles its entries; and a DC
-// answers a batch from one slab of results. The price is a rule of ownership,
-// stated at base.Service: an operation is lent to the service for the call, a
-// result is the caller's. TestWriteTxnAllocs holds the count (13 for four
-// upserts and a commit, TC and in-process DC together), BenchmarkWriteTxn is
-// where to profile.
+// What it allocates per transaction is only what outlives the transaction.
+// Everything it uses on its own goroutine is its scratch (txnScratch), taken
+// from a pool at Begin and given back, cleared, by finish: the cache map, the
+// queue — operations held by value, in a slab with room for slabOps writes,
+// their pre-reads, their log records and one DC's batch — and the one buffer
+// every payload of a log batch is encoded into, grown once to the computed
+// size, because the log copies what it appends. The lock manager recycles its
+// entries, and a DC answers a batch from one slab of results. The price is a
+// rule of ownership, stated at base.Service: an operation is lent to the
+// service for the call — once the transaction has finished it is another
+// transaction's — and a result is the caller's. TestWriteTxnAllocs holds the
+// count (8 for four upserts and a commit, TC and in-process DC together) and
+// the bytes, TestRecycledScratchStartsEmpty and
+// TestCancelledCommitKeepsItsScratch the reuse, and BenchmarkWriteTxn is where
+// to profile.
 //
 // The rules that keep the barrier correct:
 //
@@ -345,7 +349,7 @@ func (x *Txn) flush() error {
 	if _, err := x.appendQueued(false); err != nil {
 		return err
 	}
-	if x.versioned != nil {
+	if x.opts.Versioned {
 		for i := range x.queue {
 			x.versioned[tableKey{x.queue[i].op.Table, x.queue[i].op.Key}] = true
 		}
@@ -425,10 +429,7 @@ func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
 		size += opPayloadBound(&x.queue[i].op, x.queue[i].undo)
 	}
 	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
-	var recs []wal.Record
-	if x.slab != nil {
-		recs = x.slab.recs[:0]
-	}
+	recs := x.slab.recs[:0]
 	for i := range x.queue {
 		q := &x.queue[i]
 		undo := q.undo

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,18 +132,86 @@ type queued struct {
 // barriers in its writeSlab; more spill to the heap, by append's doubling.
 const slabOps = 8
 
-// writeSlab is the storage a writing transaction needs at its barriers, as
-// one allocation made by its first write (a transaction that only reads never
-// pays for it): the queue, the read operations of a pre-read, the records of
-// one log batch (the queue's, and the commit record), and the list of
-// operations handed to one DC (Txn.ship sends to one DC at a time). An
-// operation in here is its barrier's: the base.Service it is sent to must be
-// done with it when the call returns.
+// writeSlab is the storage a writing transaction needs at its barriers, in its
+// txnScratch: the queue, the read operations of a pre-read, the records of one
+// log batch (the queue's, and the commit record), and the list of operations
+// handed to one DC (Txn.ship sends to one DC at a time). An operation in here
+// is its barrier's: the base.Service it is sent to must be done with it when
+// the call returns.
 type writeSlab struct {
 	queue [slabOps]queued
 	reads [slabOps]base.Op
 	recs  [slabOps + 1]wal.Record
 	send  [slabOps]*base.Op
+}
+
+// txnScratch is everything a transaction uses on its own goroutine and nothing
+// outlives it: the cache, the versioned keys, the queue and what its barriers
+// build from it, the payload buffer of a log batch and the operation of a
+// point read. Begin takes one from scratchPool and finish gives it back,
+// cleared; nothing else does. So a transaction that dies as an orphan, or
+// whose commit ends ambiguous, leaves its scratch to the collector, and the
+// finisher of a cancelled Commit keeps it until its own finish. An operation
+// lent from here to a base.Service is the next transaction's once the call
+// has returned and the transaction finished.
+type txnScratch struct {
+	// cache holds values read or written under locks this transaction
+	// already holds; locked values cannot change underfoot (strict 2PL),
+	// so cached copies are authoritative and spare read-before-write
+	// round trips to the DC.
+	cache map[tableKey]cachedVal
+	// versioned holds the keys a versioned transaction wrote, true for one
+	// whose last write left at an earlier barrier, without the commit
+	// timestamp: the commit barrier writes it again (see stamp). Empty for
+	// an unversioned transaction.
+	versioned map[tableKey]bool
+	// queue holds the writes accepted since the last barrier, in call order:
+	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
+	// logs and ships it; Abort drops it. It starts in slab.queue.
+	queue []queued
+	// enc is where the record payloads of a log batch are encoded, back to
+	// back. The log copies them as it appends (wal.AppendBatch), so enc is
+	// free again when the append returns, for the next barrier or the next
+	// transaction.
+	enc []byte
+	// slab backs the queue and what a barrier builds from it; wrote marks it
+	// used, so that only a transaction that queued a write pays for clearing it.
+	slab  writeSlab
+	wrote bool
+	// read is the operation of a point read (Txn.readOp).
+	read base.Op
+}
+
+// A scratch that grew past one slab's worth — its queue spilled past slabOps,
+// a map past maxKeptKeys keys, or enc past maxKeptEnc bytes — is left to the
+// collector instead of kept, as a wire connection drops an outsized buffer:
+// the pool holds only scratch of the size most transactions need.
+const (
+	maxKeptKeys = 4 * slabOps
+	maxKeptEnc  = 4 << 10
+)
+
+var scratchPool = sync.Pool{New: func() any {
+	s := &txnScratch{cache: make(map[tableKey]cachedVal, slabOps), versioned: make(map[tableKey]bool)}
+	s.queue = s.slab.queue[:0]
+	return s
+}}
+
+// release clears s — so no user value, DC result or key stays reachable from
+// the pool — and gives it back, or leaves it to the collector when it grew
+// past one slab's worth. Only Txn.finish calls it.
+func (s *txnScratch) release() {
+	if cap(s.queue) > slabOps || len(s.cache) > maxKeptKeys || len(s.versioned) > maxKeptKeys || cap(s.enc) > maxKeptEnc {
+		return
+	}
+	clear(s.cache)
+	clear(s.versioned)
+	if s.wrote {
+		s.slab, s.wrote = writeSlab{}, false
+	}
+	s.queue = s.slab.queue[:0]
+	s.read = base.Op{}
+	scratchPool.Put(s)
 }
 
 // Txn is one user transaction executing at this TC. A transaction is used
@@ -151,8 +220,8 @@ type writeSlab struct {
 // context's cancellation and deadline, while the delivery of logged writes
 // deliberately does not (see appendQueued). After Commit or Abort has
 // returned, every method answers ErrTxnDone from the state field alone: a
-// cancelled Commit leaves the rest of the transaction to its finisher
-// goroutine, which never touches state.
+// cancelled Commit leaves the rest of the transaction, its scratch included,
+// to its finisher goroutine, which never touches state.
 type Txn struct {
 	tc *TC
 	// inc is the incarnation that began the transaction. Everything of the TC
@@ -168,25 +237,9 @@ type Txn struct {
 	// everything else here belongs to the transaction's own goroutine.
 	firstLSN atomic.Uint64
 	lastLSN  base.LSN
-	// cache holds values read or written under locks this transaction
-	// already holds; locked values cannot change underfoot (strict 2PL),
-	// so cached copies are authoritative and spare read-before-write
-	// round trips to the DC.
-	cache map[tableKey]cachedVal
-	// versioned holds the keys a versioned transaction wrote, true for one
-	// whose last write left at an earlier barrier, without the commit
-	// timestamp: the commit barrier writes it again (see stamp).
-	versioned map[tableKey]bool
-	// queue holds the writes accepted since the last barrier, in call order:
-	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
-	// logs and ships it; Abort drops it.
-	queue []queued
-	// slab backs the queue and what a barrier builds from it; nil until the
-	// first write is accepted.
-	slab *writeSlab
-	// enc is where the record payloads of a log batch are encoded, back to
-	// back: the log keeps its own copy (wal.AppendBatch).
-	enc []byte
+	// txnScratch is the transaction's from Begin to finish; nil before (a
+	// transaction begun while the TC was down has none) and after.
+	*txnScratch
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
@@ -209,10 +262,7 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 		return &Txn{tc: t, ctx: ctx, state: txnStopped}
 	}
 	t.begun.Add(1)
-	x := &Txn{tc: t, inc: inc, ctx: ctx, opts: opts, cache: make(map[tableKey]cachedVal)}
-	if opts.Versioned {
-		x.versioned = make(map[tableKey]bool)
-	}
+	x := &Txn{tc: t, inc: inc, ctx: ctx, opts: opts, txnScratch: scratchPool.Get().(*txnScratch)}
 	inc.mu.Lock()
 	inc.nextTxn++
 	x.id = base.TxnID(inc.nextTxn)
@@ -389,8 +439,8 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 	if err != nil {
 		return nil, false, err
 	}
-	res, _, err := x.sendUnlogged(idx, &base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead,
-		Table: table, Key: key, Flavor: flavor}, nil)
+	x.read = base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead, Table: table, Key: key, Flavor: flavor}
+	res, _, err := x.sendUnlogged(idx, &x.read, nil)
 	if err == nil && res.Code != base.CodeOK && res.Code != base.CodeNotFound {
 		err = res.Err()
 	}
@@ -634,11 +684,7 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	}
 	q.op = base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
 		Value: val, Versioned: x.opts.Versioned}
-	if x.slab == nil {
-		x.slab = new(writeSlab)
-		x.queue = x.slab.queue[:0]
-	}
-	x.queue = append(x.queue, q)
+	x.queue, x.wrote = append(x.queue, q), true
 	if kind == base.OpDelete {
 		x.cache[tk] = cachedVal{found: false}
 	} else {
@@ -836,7 +882,9 @@ func (x *Txn) stamp() {
 // stamped writes acknowledged and the commit record forced, or the writes
 // taken back by their inverses, so the safe timestamp may now pass it).
 // All of it in the transaction's own incarnation: an orphan's finish lands in
-// dead tables, never on a successor's transaction of the same id.
+// dead tables, never on a successor's transaction of the same id. Last, it
+// gives the transaction's scratch back: every call that was lent an operation
+// from it has returned.
 func (x *Txn) finish() {
 	inc := x.inc
 	if x.snapTS != 0 || x.commitTS != 0 {
@@ -855,6 +903,9 @@ func (x *Txn) finish() {
 	inc.mu.Lock()
 	delete(inc.txns, x.id)
 	inc.mu.Unlock()
+	s := x.txnScratch
+	x.txnScratch = nil
+	s.release()
 }
 
 // Abort rolls the transaction back (§4.1.1(2b)) and releases its locks; see
