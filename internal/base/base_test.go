@@ -402,13 +402,13 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	var slab OpSlab
 	if got := testing.AllocsPerRun(100, func() {
-		if _, err := slab.Decode(body, true); err != nil {
+		if _, err := slab.Decode(body); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 1 {
 		t.Fatalf("OpSlab.Decode = %.1f allocs, want 1", got)
 	}
-	got, err := slab.Decode(body, true)
+	got, err := slab.Decode(body)
 	if err != nil || !reflect.DeepEqual(got, ops) {
 		t.Fatalf("slab decode = %v, %v; want %v", got, err, ops)
 	}

@@ -12,10 +12,10 @@ import (
 // to itself (compared as bytes, which is blind to nil-versus-empty slices).
 // The decoders the wire runs, OpSlab.Decode and DecodeResultsInto, must take
 // exactly the inputs that decode with nothing left over, and decode them
-// alike; OpSlab.Decode runs through one slab for every input, as a DC
-// connection's reader does. Run with go test -fuzz=FuzzDecodeOpBatch
-// ./internal/base; the seed corpus doubles as a regression suite on every
-// ordinary test run.
+// alike, DecodeResultsInto over whatever its results held before;
+// OpSlab.Decode runs through one slab for every input, as a DC connection's
+// reader does. Run with go test -fuzz=FuzzDecodeOpBatch ./internal/base; the
+// seed corpus doubles as a regression suite on every ordinary test run.
 
 func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, []*Op{
@@ -32,7 +32,7 @@ func FuzzDecodeOpBatch(f *testing.F) {
 	var slab OpSlab
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, rest, err := DecodeOpBatch(data)
-		inPlace, serr := slab.Decode(data, true)
+		inPlace, serr := slab.Decode(data)
 		if whole := err == nil && len(rest) == 0; whole != (serr == nil) {
 			t.Fatalf("OpSlab.Decode err %v, but DecodeOpBatch err %v with %d bytes left", serr, err, len(rest))
 		}
@@ -73,8 +73,12 @@ func FuzzDecodeResultBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		into := make([]*Result, len(rs))
-		if ierr := DecodeResultsInto(data, true, into); (ierr == nil) != (len(rest) == 0) {
+		// Into results a previous answer filled, as a resent call's are.
+		into := NewResults(len(rs))
+		for _, r := range into {
+			*r = Result{Code: CodeStaleDC, DCInc: 9, Value: []byte("old"), Keys: []string{"old"}}
+		}
+		if ierr := DecodeResultsInto(data, into); (ierr == nil) != (len(rest) == 0) {
 			t.Fatalf("DecodeResultsInto err %v with %d bytes left", ierr, len(rest))
 		} else if ierr == nil && len(rs) > 0 && !reflect.DeepEqual(rs, into) {
 			t.Fatalf("DecodeResultsInto decoded otherwise:\n%v\n%v", into, rs)

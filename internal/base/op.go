@@ -135,8 +135,8 @@ func (r *Result) Err() error { return r.Code.Err() }
 // the TC. Implementations: the DC itself (direct, in-process) and the wire
 // client stub (asynchronous messages with resend).
 //
-// Blocking calls take a context and honor its cancellation and deadline:
-// an abandoned Perform returns CodeCancelled, an abandoned control call an
+// Blocking calls take a context and honor its cancellation and deadline: an
+// abandoned PerformBatch answers CodeCancelled, an abandoned control call an
 // ErrCancelled-wrapped ctx error. Cancellation abandons only the *wait* —
 // a request already on the wire may still execute at the DC, which is why
 // the TC never cancels the delivery of logged (mutating) operations: their
@@ -148,28 +148,26 @@ func (r *Result) Err() error { return r.Code.Err() }
 // three, SafeTS last; one that only reports progress (a commit) calls the
 // first two and lets them ride.
 //
-// Ownership. An Op passed to Perform or PerformBatch is the caller's, lent
+// Ownership. An Op passed to PerformBatch (or Perform) is the caller's, lent
 // for the call: the caller may have drawn it from storage it reuses (a
 // transaction keeps its operations in itself), so a Service must be done with
 // the Op — encoded, executed, copied from — when the call returns, and may
 // keep nothing that points into it or into its Value (the wire decodes a
 // request in place, so a Value may be a connection's read buffer). A Result
-// returned is the caller's from then on: a Service that makes the results of
-// a batch in one allocation makes a new one per call and never touches it
-// again.
+// returned is the caller's from then on: a Service makes new results per call
+// (NewResults builds them) and never touches them again.
 type Service interface {
-	// Perform executes one logical operation: a logged one (op.LSN nonzero)
-	// exactly once (resend + idempotence), a read at least once, which for a
-	// read is as good. It blocks until a reply is available or ctx is done.
+	// Perform is PerformBatch of op alone. No TC calls it: it stays while the
+	// benchmark's tracing decorator forwards it.
 	Perform(ctx context.Context, op *Op) *Result
 	// PerformBatch executes a batch of logical operations in the given
-	// order, returning one result per operation, positionally. Batches are
-	// the unit of operation shipping: a TC sends what a transaction's
-	// barrier has for one DC as one batch so a single message round trip
-	// acknowledges many operations. Each logged operation keeps its own
-	// LSN request ID, so resending a whole batch stays idempotent per
-	// operation (a batch of reads carries none and needs none). Like
-	// Perform, it blocks until all replies are available.
+	// order, returning one result per operation, positionally: a logged one
+	// (LSN nonzero) exactly once (resend + idempotence), a read at least
+	// once, which for a read is as good. It is the one execute call: a TC
+	// sends what a barrier has for one DC as one batch, and a lone read as a
+	// batch of one. Each logged operation keeps its own LSN request ID, so
+	// resending a whole batch stays idempotent per operation. It blocks until
+	// all replies are available or ctx is done.
 	PerformBatch(ctx context.Context, ops []*Op) []*Result
 	// EndOfStableLog tells the DC that all operations with LSN <= eosl are
 	// stable in the TC log and will not be lost in a TC crash; causality
@@ -441,7 +439,7 @@ func AppendOpBatch(buf []byte, ops []*Op) []byte {
 // do.
 func DecodeOpBatch(buf []byte) ([]*Op, []byte, error) {
 	var s OpSlab
-	ops, n, err := s.decode(buf, true)
+	ops, n, err := s.decode(buf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -459,14 +457,13 @@ type OpSlab struct {
 	ends []int  // where each Table, Key and EndKey ends in strs
 }
 
-// Decode decodes body, one operation (AppendOp) when batch is false, a batch
-// (AppendOpBatch) when true, into the slab, replacing what it decoded last;
-// a body with bytes left over is refused. Each Value aliases body. The
-// string fields of all the operations are copied into one string, so they
-// may be kept; the operations themselves, and the slice of them, are the
-// slab's and valid until its next Decode.
-func (s *OpSlab) Decode(body []byte, batch bool) ([]*Op, error) {
-	ops, n, err := s.decode(body, batch)
+// Decode decodes body, a batch (AppendOpBatch), into the slab, replacing
+// what it decoded last; a body with bytes left over is refused. Each Value
+// aliases body. The string fields of all the operations are copied into one
+// string, so they may be kept; the operations themselves, and the slice of
+// them, are the slab's and valid until its next Decode.
+func (s *OpSlab) Decode(body []byte) ([]*Op, error) {
+	ops, n, err := s.decode(body)
 	if err == nil && n != len(body) {
 		err = errTrailing
 	}
@@ -475,12 +472,9 @@ func (s *OpSlab) Decode(body []byte, batch bool) ([]*Op, error) {
 
 // decode is Decode that returns how many bytes it decoded instead of
 // refusing the rest.
-func (s *OpSlab) decode(buf []byte, batch bool) ([]*Op, int, error) {
+func (s *OpSlab) decode(buf []byte) ([]*Op, int, error) {
 	r := reader{buf: buf}
-	n := 1
-	if batch {
-		n = r.count()
-	}
+	n := r.count()
 	if r.err != nil {
 		return nil, 0, r.err
 	}
@@ -517,29 +511,25 @@ func AppendResultBatch(buf []byte, rs []*Result) []byte {
 }
 
 // DecodeResultBatch parses a batch reply previously produced by
-// AppendResultBatch and returns the remaining bytes. The results share one
-// allocation and alias buf, like DecodeResult's.
+// AppendResultBatch and returns the remaining bytes. The results are made by
+// NewResults and alias buf, like DecodeResult's.
 func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
 	r := reader{buf: buf}
-	rs := make([]*Result, r.count())
+	rs := NewResults(r.count())
 	if r.results(rs); r.err != nil {
 		return nil, nil, r.err
 	}
 	return rs, buf[r.off:], nil
 }
 
-// DecodeResultsInto decodes a reply body into rs, whose length is the number
-// of results the body must hold: one result (AppendResult) when batch is
-// false, a batch (AppendResultBatch) when true. The results share one
-// allocation and alias body, like DecodeResult's. A body that holds another
-// number of results, or bytes past them, is refused.
-func DecodeResultsInto(body []byte, batch bool, rs []*Result) error {
+// DecodeResultsInto decodes a batch reply body (AppendResultBatch) into rs,
+// whose length is the number of results the body must hold, overwriting
+// each. The results alias body, like DecodeResult's. A body that holds
+// another number of results, or bytes past them, is refused.
+func DecodeResultsInto(body []byte, rs []*Result) error {
 	r := reader{buf: body}
-	if batch && r.count() != len(rs) && r.err == nil {
+	if r.count() != len(rs) && r.err == nil {
 		r.fail(fmt.Errorf("base: batch reply holds another number of results than the %d asked", len(rs)))
-	}
-	if !batch && len(rs) != 1 {
-		return fmt.Errorf("base: %d results asked of a single reply", len(rs))
 	}
 	if r.results(rs); r.err == nil && r.off != len(body) {
 		r.fail(errTrailing)
@@ -547,16 +537,35 @@ func DecodeResultsInto(body []byte, batch bool, rs []*Result) error {
 	return r.err
 }
 
-// results decodes len(rs) results at r's position into one slab.
+// results decodes len(rs) results at r's position into rs.
 func (r *reader) results(rs []*Result) {
-	if r.err != nil {
-		return
+	for _, res := range rs {
+		if r.err != nil {
+			return
+		}
+		*res = Result{}
+		r.result(res)
 	}
-	slab := make([]Result, len(rs))
+}
+
+// NewResults returns n zero results for one call's answers, in one allocation
+// for a batch of one, as a lone result would take, and in two, the results and
+// the slice of them, for a longer batch.
+func NewResults(n int) []*Result {
+	if n == 1 {
+		one := new(struct {
+			res Result
+			ptr [1]*Result
+		})
+		one.ptr[0] = &one.res
+		return one.ptr[:]
+	}
+	slab := make([]Result, n)
+	rs := make([]*Result, n)
 	for i := range rs {
 		rs[i] = &slab[i]
-		r.result(rs[i])
 	}
+	return rs
 }
 
 // small codec helpers -------------------------------------------------------

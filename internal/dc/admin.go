@@ -8,7 +8,7 @@ import (
 // protocol and the metrics registration consumed by the admin HTTP
 // endpoint (internal/stats).
 
-// Drain stops admitting new operations: Perform nacks CodeUnavailable
+// Drain stops admitting new operations: PerformBatch nacks CodeUnavailable
 // (transient — the TCs' resend discipline rides the window out exactly
 // as it rides out a crash), while operations already executing run to
 // completion. Control calls — watermarks, checkpoints, restart

@@ -103,7 +103,7 @@ type tcState struct {
 	// their own goroutines and the fabric duplicates deliveries, so every
 	// check-then-act on this state must hold ctl or a duplicated/reordered
 	// delivery can double-run the sweep, regress the fence, or slip a
-	// stale watermark past a concurrent fence raise. Reads on the Perform
+	// stale watermark past a concurrent fence raise. Reads on the PerformBatch
 	// hot path stay lock-free via the atomics.
 	ctl  sync.Mutex
 	eosl atomic.Uint64
@@ -249,7 +249,7 @@ type DC struct {
 	drainRejects                    atomic.Uint64
 
 	// draining is the operations-plane admission gate (see Drain in
-	// admin.go): while set, Perform nacks new operations CodeUnavailable;
+	// admin.go): while set, PerformBatch nacks new operations CodeUnavailable;
 	// inflightOps tracks operations currently executing so Quiesced can
 	// report when the drain has settled.
 	draining    atomic.Bool

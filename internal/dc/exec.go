@@ -10,21 +10,19 @@ import (
 	"github.com/cidr09/unbundled/internal/page"
 )
 
-// Perform implements base.Service: execute one logical operation exactly
-// once. The DC does not know which user transaction the operation belongs
-// to, nor whether it is forward activity or an inverse applied during
-// rollback (§4.2.1). A context that is already done is refused up front
-// (CodeCancelled); an operation that starts executing completes.
+// Perform implements base.Service as PerformBatch of op alone. Only tests and
+// the benchmark's tracing decorator call it.
 func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
-	res := new(base.Result)
-	d.perform(ctx, d.inc.Load(), op, res)
-	return res
+	return d.PerformBatch(ctx, []*base.Op{op})[0]
 }
 
-// perform executes op on inc, the incarnation its caller loaded (nil: the
-// DC is down), and on nothing else of the DC's volatile state, and answers in
-// res: a zero Result of its caller's. Nothing of op outlives the call except
-// by copy.
+// perform executes op exactly once, on inc, the incarnation its caller loaded
+// (nil: the DC is down), and on nothing else of the DC's volatile state, and
+// answers in res: a zero Result of its caller's. The DC does not know which
+// user transaction op belongs to, nor whether it is forward activity or an
+// inverse applied during rollback (§4.2.1). A context already done is refused
+// up front (CodeCancelled); an operation that starts executing completes.
+// Nothing of op outlives the call except by copy.
 func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *base.Result) {
 	res.LSN = op.LSN
 	if ctx.Err() != nil {
@@ -158,16 +156,15 @@ func (d *DC) refusal(inc *incarnation) base.Code {
 // locks). Idempotence stays per-operation — a resent batch re-runs each
 // operation through the abstract-LSN test individually.
 //
-// The results of one call are one allocation, made by that call and handed
-// to its caller: never pooled, never shared with another call.
+// The results of one call are made by that call (base.NewResults: one
+// allocation for a batch of one, two for a longer one) and handed to its
+// caller: never pooled, never shared with another call.
 func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	d.batches.Add(1)
 	d.batchOps.Add(uint64(len(ops)))
 	inc := d.inc.Load()
-	slab := make([]base.Result, len(ops))
-	out := make([]*base.Result, len(ops))
+	out := base.NewResults(len(ops))
 	for i, op := range ops {
-		out[i] = &slab[i]
 		d.perform(ctx, inc, op, out[i])
 	}
 	return out

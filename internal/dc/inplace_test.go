@@ -51,7 +51,7 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	}
 	buf := base.AppendOpBatch(nil, ops)
 	var slab base.OpSlab
-	decoded, err := slab.Decode(buf, true)
+	decoded, err := slab.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	}
 	// The next frame on the connection lands where this one was.
 	copy(buf, bytes.Repeat([]byte{0xa5}, len(buf)))
-	if _, err := slab.Decode(base.AppendOpBatch(nil, []*base.Op{{Kind: base.OpRead, Table: "x", Key: "zz"}}), true); err != nil {
+	if _, err := slab.Decode(base.AppendOpBatch(nil, []*base.Op{{Kind: base.OpRead, Table: "x", Key: "zz"}})); err != nil {
 		t.Fatal(err)
 	}
 

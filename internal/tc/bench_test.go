@@ -96,9 +96,9 @@ func BenchmarkWriteTxn(b *testing.B) {
 }
 
 // readTxn is four locked point reads of loaded keys (each takes an S lock and
-// one Perform of an unlogged operation), then a Commit that logs nothing. No
-// workload of the repo benchmark issues a locked read — its reads are bounded
-// snapshots — so this is where that path is measured.
+// one PerformBatch of one unlogged operation), then a Commit that logs
+// nothing. No workload of the repo benchmark issues a locked read — its reads
+// are bounded snapshots — so this is where that path is measured.
 func (p *benchPair) readTxn(tb testing.TB) {
 	x := p.tc.Begin(context.Background(), TxnOptions{})
 	at := p.rng.Intn(len(p.keys))
@@ -163,9 +163,10 @@ func TestWriteTxnAllocs(t *testing.T) {
 }
 
 // TestLockedReadTxnAllocs pins what readTxn allocates, TC and in-process DC
-// together: 9 objects (10 under -race). A point read's operation comes from
-// the transaction's scratch; what is left is the Txn and, per read, the DC's
-// Result and its copy of the value.
+// together: 9 objects (10 under -race). A point read's operation, and the
+// batch of one it is sent as, come from the transaction's scratch; what is
+// left is the Txn and, per read, the DC's results (one allocation for a batch
+// of one) and its copy of the value.
 func TestLockedReadTxnAllocs(t *testing.T) {
 	p := newBenchPair(t)
 	for i := 0; i < 200; i++ {

@@ -39,15 +39,14 @@ func (f frame) String() string {
 type countingService struct {
 	base.Service
 	mu      sync.Mutex
-	single  int      // Perform calls carrying a logged operation
-	reads   int      // Perform calls carrying a point read
-	batches []frame  // PerformBatch calls in arrival order
+	single  int      // calls carrying one logged operation
+	reads   int      // calls carrying one point read
+	batches []frame  // the other calls, in arrival order
 	marks   []string // watermark calls in arrival order: "eosl 7", "lwm 7", "safe"
 	// hook, when set, runs before a batch of reads ("read"), a delivery of
-	// logged operations ("write", whether it came as a Perform or a
-	// PerformBatch), a single unlogged operation ("point-read", "probe",
-	// "range-read") or a restart control call ("begin-restart",
-	// "end-restart") is passed on.
+	// logged operations ("write", of one operation or more), a single
+	// unlogged operation ("point-read", "probe", "range-read") or a restart
+	// control call ("begin-restart", "end-restart") is passed on.
 	hook func(call string)
 }
 
@@ -106,7 +105,29 @@ func (s *countingService) takeMarks() []string {
 	return marks
 }
 
-func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result {
+// PerformBatch counts a batch of one as the lone call it stands for: a logged
+// operation delivered by itself, or an operation a transaction sent by itself
+// (Txn.sendOne, whose batch has no room for a second). A barrier's pre-read of
+// one key, built in its slab, stays a frame.
+func (s *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
+	if len(ops) == 1 && (ops[0].Kind.IsWrite() || cap(ops) == 1) {
+		s.one(ops[0])
+		return s.Service.PerformBatch(ctx, ops)
+	}
+	f := frame{n: len(ops), read: ops[0].Kind == base.OpRead}
+	s.mu.Lock()
+	s.batches = append(s.batches, f)
+	s.mu.Unlock()
+	if f.read {
+		s.runHook("read")
+	} else {
+		s.runHook("write")
+	}
+	return s.Service.PerformBatch(ctx, ops)
+}
+
+// one counts and hooks an operation sent alone.
+func (s *countingService) one(op *base.Op) {
 	s.mu.Lock()
 	switch {
 	case op.Kind.IsWrite():
@@ -125,20 +146,6 @@ func (s *countingService) Perform(ctx context.Context, op *base.Op) *base.Result
 	case op.Kind == base.OpRangeRead:
 		s.runHook("range-read")
 	}
-	return s.Service.Perform(ctx, op)
-}
-
-func (s *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	f := frame{n: len(ops), read: ops[0].Kind == base.OpRead}
-	s.mu.Lock()
-	s.batches = append(s.batches, f)
-	s.mu.Unlock()
-	if f.read {
-		s.runHook("read")
-	} else {
-		s.runHook("write")
-	}
-	return s.Service.PerformBatch(ctx, ops)
 }
 
 // take returns and resets the counts.

@@ -184,7 +184,6 @@ func (inc *incarnation) deliver(ctx context.Context, idx int, ops []*base.Op, br
 func (inc *incarnation) deliverWindow(ctx context.Context, idx int, ops []*base.Op, bracket bool) error {
 	t := inc.tc
 	h := t.dcs[idx]
-	var one [1]*base.Result
 	backoff := 200 * time.Microsecond
 	var pace pacer
 	defer pace.stop()
@@ -199,21 +198,9 @@ func (inc *incarnation) deliverWindow(ctx context.Context, idx int, ops []*base.
 		} else {
 			_ = h.waitReady(ctx) // ctx is never done
 		}
-		var results []*base.Result
-		if len(ops) == 1 {
-			one[0] = h.svc.Perform(ctx, ops[0])
-			results = one[:]
-		} else {
-			results = h.svc.PerformBatch(ctx, ops)
-		}
+		results := h.svc.PerformBatch(ctx, ops)
 		t.opsSent.Add(uint64(len(ops)))
-		stale, unavailable := staleDC(results), false
-		for _, r := range results {
-			if r == nil || r.Code == base.CodeUnavailable {
-				unavailable = true
-				break
-			}
-		}
+		stale := staleDC(results)
 		switch {
 		case stale != 0 && bracket:
 			if !inc.bound[idx].CompareAndSwap(0, uint64(stale)) {
@@ -222,7 +209,7 @@ func (inc *incarnation) deliverWindow(ctx context.Context, idx int, ops []*base.
 			continue // stamped now
 		case stale != 0:
 			inc.startResend(idx)
-		case !unavailable:
+		case !unavailable(results):
 			return inc.complete(ops, results, bracket)
 		}
 		// A closed wire client answers every call with CodeUnavailable
@@ -310,6 +297,11 @@ func (inc *incarnation) complete(ops []*base.Op, results []*base.Result, bracket
 	return first
 }
 
+// unavailable reports whether any of results is missing or CodeUnavailable.
+func unavailable(results []*base.Result) bool {
+	return slices.ContainsFunc(results, func(r *base.Result) bool { return r == nil || r.Code == base.CodeUnavailable })
+}
+
 // staleDC returns the DC incarnation the first CodeStaleDC among results
 // names, zero if there is none.
 func staleDC(results []*base.Result) base.DCInc {
@@ -385,7 +377,7 @@ func (x *Txn) fetchPriors() error {
 		for i := range reads {
 			ops = append(ops, &reads[i])
 		}
-		_, results, err := x.sendUnlogged(dcIdx, nil, ops)
+		results, err := x.sendUnlogged(dcIdx, ops)
 		if err != nil {
 			return err
 		}
@@ -470,10 +462,9 @@ func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
 // ship delivers the queue — logged, every operation of it — to the DCs its
 // operations route to (resolved with dcIndex before each was accepted, so
 // only routable operations consume logged LSNs) and empties it: one deliver
-// call (one PerformBatch when there is more than one operation) per DC, in
-// queue order, on the calling goroutine, one DC after the other. It returns
-// the first failure. Delivery does not honor the transaction's cancellation,
-// for the reason appendQueued gives.
+// call (one PerformBatch) per DC, in queue order, on the calling goroutine,
+// one DC after the other. It returns the first failure. Delivery does not
+// honor the transaction's cancellation, for the reason appendQueued gives.
 func (x *Txn) ship() error {
 	if len(x.queue) == 0 {
 		return nil

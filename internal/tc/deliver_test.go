@@ -154,13 +154,6 @@ type closedStubService struct {
 	closed atomic.Bool
 }
 
-func (s *closedStubService) Perform(ctx context.Context, op *base.Op) *base.Result {
-	if s.closed.Load() {
-		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
-	}
-	return s.Service.Perform(ctx, op)
-}
-
 func (s *closedStubService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	if !s.closed.Load() {
 		return s.Service.PerformBatch(ctx, ops)

@@ -48,11 +48,6 @@ func (s *shipLog) record(ops []*base.Op) {
 	s.mu.Unlock()
 }
 
-func (s *shipLog) Perform(ctx context.Context, op *base.Op) *base.Result {
-	s.record([]*base.Op{op})
-	return s.Service.Perform(ctx, op)
-}
-
 func (s *shipLog) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	s.record(ops)
 	return s.Service.PerformBatch(ctx, ops)

@@ -147,8 +147,8 @@ type writeSlab struct {
 
 // txnScratch is everything a transaction uses on its own goroutine and nothing
 // outlives it: the cache, the versioned keys, the queue and what its barriers
-// build from it, the payload buffer of a log batch and the operation of a
-// point read. Begin takes one from scratchPool and finish gives it back,
+// build from it, the payload buffer of a log batch and the operation sent
+// alone. Begin takes one from scratchPool and finish gives it back,
 // cleared; nothing else does. So a transaction that dies as an orphan, or
 // whose commit ends ambiguous, leaves its scratch to the collector, and the
 // finisher of a cancelled Commit keeps it until its own finish. An operation
@@ -178,8 +178,9 @@ type txnScratch struct {
 	// used, so that only a transaction that queued a write pays for clearing it.
 	slab  writeSlab
 	wrote bool
-	// read is the operation of a point read (Txn.readOp).
-	read base.Op
+	// one is the operation Txn.sendOne sends, as the batch oneOps.
+	one    base.Op
+	oneOps [1]*base.Op
 }
 
 // A scratch that grew past one slab's worth — its queue spilled past slabOps,
@@ -193,7 +194,7 @@ const (
 
 var scratchPool = sync.Pool{New: func() any {
 	s := &txnScratch{cache: make(map[tableKey]cachedVal, slabOps), versioned: make(map[tableKey]bool)}
-	s.queue = s.slab.queue[:0]
+	s.queue, s.oneOps[0] = s.slab.queue[:0], &s.one
 	return s
 }}
 
@@ -210,7 +211,7 @@ func (s *txnScratch) release() {
 		s.slab, s.wrote = writeSlab{}, false
 	}
 	s.queue = s.slab.queue[:0]
-	s.read = base.Op{}
+	s.one = base.Op{}
 	scratchPool.Put(s)
 }
 
@@ -439,8 +440,7 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 	if err != nil {
 		return nil, false, err
 	}
-	x.read = base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead, Table: table, Key: key, Flavor: flavor}
-	res, _, err := x.sendUnlogged(idx, &x.read, nil)
+	res, err := x.sendOne(idx, base.Op{TC: x.tc.cfg.ID, Kind: base.OpRead, Table: table, Key: key, Flavor: flavor})
 	if err == nil && res.Code != base.CodeOK && res.Code != base.CodeNotFound {
 		err = res.Err()
 	}
@@ -467,14 +467,14 @@ func (x *Txn) route(table, key string) (int, error) {
 	return idx, err
 }
 
-// sendUnlogged is the one way an operation without a log record — a point
-// read, a scan probe, a range read, a barrier's pre-reads — leaves the TC:
-// op alone by Perform, or batch, what one barrier has for DC idx, by
-// PerformBatch. (Operations that do hold a record go through deliver.) Such
-// an operation carries no request ID: op.LSN stays zero, because the DC has
-// nothing to recognise — a read is idempotent, so a resent frame just runs
-// again, and it is never redone — so it takes nothing from the log, owes the
-// ack tracker nothing, and the low-water mark never waits for it.
+// sendUnlogged is the one way operations without a log record — a point
+// read, a scan probe, a range read, a barrier's pre-reads — leave the TC:
+// ops, all one DC's, as one PerformBatch to DC idx. (Operations that do hold a
+// record go through deliver.) Such an operation carries no request ID: its
+// LSN stays zero, because the DC has nothing to recognise — a read is
+// idempotent, so a resent frame just runs again, and it is never redone — so
+// it takes nothing from the log, owes the ack tracker nothing, and the
+// low-water mark never waits for it.
 //
 // The sender stamps what is the transaction's to give: the incarnation's
 // epoch and, on a snapshot-flavored read, the snapshot timestamp. A dead
@@ -485,67 +485,68 @@ func (x *Txn) route(table, key string) (int, error) {
 // passing on the fence's permanent ErrStaleEpoch. New operations wait at the
 // DC's recovery gate, and that wait, like the call, is the transaction's
 // context's to cut short. A CodeStaleDC — the DC restarted, and this TC owes
-// it its resend — starts the resend as deliver does, and the operation is
+// it its resend — starts the resend as deliver does, and the operations are
 // sent again once it has ended.
 //
 // A snapshot read — recognised as the DC recognises it, by flavor and
-// timestamp — is answered CodeUnavailable when the DC gave up waiting for some
-// TC's safe timestamp to cover it (a TC partitioned or down); it is sent again
-// after a pause, bounded only by the caller's context, because the condition
-// clears as soon as the lagging TC's broadcasts resume. Every other operation
-// is sent until no CodeStaleDC answers it, and counted: Stats.OpsSent is every
-// operation handed to a DC except snapshot reads, whose transactions cost
-// their TC a timestamp and nothing else.
-func (x *Txn) sendUnlogged(idx int, op *base.Op, batch []*base.Op) (*base.Result, []*base.Result, error) {
+// timestamp, and sent alone — is answered CodeUnavailable when the DC gave up
+// waiting for some TC's safe timestamp to cover it (a TC partitioned or
+// down); it is sent again after a pause, bounded only by the caller's
+// context, because the condition clears as soon as the lagging TC's
+// broadcasts resume. Every other batch is sent until no CodeStaleDC answers
+// it, and counted: Stats.OpsSent is every operation handed to a DC except
+// snapshot reads, whose transactions cost their TC a timestamp and nothing
+// else.
+func (x *Txn) sendUnlogged(idx int, ops []*base.Op) ([]*base.Result, error) {
 	h := x.tc.dcs[idx]
-	n, snapshot := len(batch), false
-	if op != nil {
-		op.Epoch = x.inc.epoch
-		if op.Flavor == base.ReadSnapshot {
-			op.TS = x.snapTS
-		}
-		n, snapshot = 1, op.Flavor == base.ReadSnapshot && op.TS != 0
-	}
-	for _, o := range batch {
+	for _, o := range ops {
 		o.Epoch = x.inc.epoch
+		if o.Flavor == base.ReadSnapshot {
+			o.TS = x.snapTS
+		}
 	}
+	snapshot := ops[0].Flavor == base.ReadSnapshot && ops[0].TS != 0
 	var pause pacer
 	defer pause.stop()
 	for {
 		if x.orphaned() {
-			return nil, nil, x.die()
+			return nil, x.die()
 		}
 		if err := h.waitReady(x.ctx); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !snapshot {
-			x.tc.opsSent.Add(uint64(n))
+			x.tc.opsSent.Add(uint64(len(ops)))
 		}
-		var res *base.Result
-		var results []*base.Result
-		if op != nil {
-			res = h.svc.Perform(x.ctx, op)
-		} else {
-			results = h.svc.PerformBatch(x.ctx, batch)
-		}
+		results := h.svc.PerformBatch(x.ctx, ops)
 		switch {
 		case x.orphaned():
-			return nil, nil, x.die()
+			return nil, x.die()
 		case x.ctx.Err() != nil:
 			// Whatever the answer says: a wait abandoned under way reports
 			// CodeCancelled, and this carries the context's own error.
-			return nil, nil, base.CancelErr(x.ctx)
-		case res != nil && res.Code == base.CodeStaleDC || staleDC(results) != 0:
+			return nil, base.CancelErr(x.ctx)
+		case staleDC(results) != 0:
 			x.inc.startResend(idx)
-		case !snapshot || res.Code != base.CodeUnavailable:
-			return res, results, nil
+		case !snapshot || !unavailable(results):
+			return results, nil
 		}
 		select {
 		case <-pause.after(10 * time.Millisecond):
 		case <-x.ctx.Done():
-			return nil, nil, base.CancelErr(x.ctx)
+			return nil, base.CancelErr(x.ctx)
 		}
 	}
+}
+
+// sendOne is sendUnlogged of op alone, a batch of one in the scratch.
+func (x *Txn) sendOne(idx int, op base.Op) (*base.Result, error) {
+	x.one = op
+	results, err := x.sendUnlogged(idx, x.oneOps[:])
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
 // ReadCommitted reads the last committed version of a key that may belong
@@ -1135,8 +1136,8 @@ func (x *Txn) rangeOp(kind base.OpKind, table, lo, hi string, limit int, flavor 
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := x.sendUnlogged(idx, &base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table,
-		Key: lo, EndKey: hi, Limit: int32(limit), Flavor: flavor}, nil)
+	res, err := x.sendOne(idx, base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table,
+		Key: lo, EndKey: hi, Limit: int32(limit), Flavor: flavor})
 	if err == nil {
 		err = res.Err()
 	}

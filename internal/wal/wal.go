@@ -135,9 +135,9 @@ type Log struct {
 // Generation is the right to use a Log between two crashes: the handle a
 // component incarnation appends, forces and truncates through when it may be
 // outlived by its own log (a TC incarnation whose Commit straddles
-// Crash+Recover, a DC incarnation whose Perform does). Once Crash has ended
-// the generation every call is refused — zero for an append's LSN, false for
-// a force or a truncation — so nothing of a dead incarnation lands in the
+// Crash+Recover, a DC incarnation whose PerformBatch does). Once Crash has
+// ended the generation every call is refused — zero for an append's LSN, false
+// for a force or a truncation — so nothing of a dead incarnation lands in the
 // tail its successor is writing, a force never waits for, or vouches for, an
 // LSN whose record the crash dropped and the successor handed out again, and
 // no record the successor wrote is discarded. The zero value is not usable;

@@ -65,9 +65,9 @@ func newClient(resendAfter func() time.Duration) *Client {
 }
 
 // Close stops the client and fails outstanding calls: every blocked
-// Perform/PerformBatch caller — whether waiting on a reply, mid-resend, or
-// pausing out a recovering DC — unblocks promptly with CodeUnavailable,
-// and blocked control calls return an error.
+// PerformBatch caller — whether waiting on a reply, mid-resend, or pausing
+// out a recovering DC — unblocks promptly with CodeUnavailable, and blocked
+// control calls return an error.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closeCh)
@@ -193,53 +193,49 @@ func isOverloadReply(errText string) bool {
 	return strings.Contains(errText, base.ErrOverloaded.Error())
 }
 
-// Perform implements base.Service. It blocks, resending, until the DC
-// acknowledges — exactly-once for a logged operation, courtesy of its unique
-// request ID (op.LSN) and DC idempotence; a read (LSN zero) a resend reaches
-// twice just runs twice — or until ctx is done (CodeCancelled). The result's
-// values alias the reply's bytes, which belong to this call alone.
+// Perform implements base.Service as PerformBatch of op alone. Only tests and
+// the benchmark's tracing decorator call it.
 func (c *Client) Perform(ctx context.Context, op *base.Op) *base.Result {
-	var rs [1]*base.Result
-	if code := c.perform(ctx, msgPerform, op, base.AppendOp(nil, op), rs[:]); code != base.CodeOK {
-		return &base.Result{LSN: op.LSN, Code: code}
-	}
-	return rs[0]
+	return c.PerformBatch(ctx, []*base.Op{op})[0]
 }
 
 // PerformBatch implements base.Service: one message carries the whole
-// batch, one reply carries the per-operation results. A reply containing
-// any CodeUnavailable result (the DC was down or recovering) triggers a
-// resend of the whole batch — per-operation idempotence absorbs the
-// re-execution of operations that did land. An empty batch sends nothing.
+// batch, one reply carries the per-operation results. It blocks, resending,
+// until the DC acknowledges — exactly-once for a logged operation, courtesy
+// of its unique request ID (op.LSN) and DC idempotence; a read (LSN zero) a
+// resend reaches twice just runs twice — or until ctx is done
+// (CodeCancelled). A reply containing any CodeUnavailable result (the DC was
+// down or recovering) triggers a resend of the whole batch — per-operation
+// idempotence absorbs the re-execution of operations that did land. The
+// results' values alias the reply's bytes, which belong to this call alone.
+// An empty batch sends nothing.
 func (c *Client) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	switch len(ops) {
-	case 0:
+	if len(ops) == 0 {
 		return []*base.Result{}
-	case 1:
-		return []*base.Result{c.Perform(ctx, ops[0])}
 	}
-	rs := make([]*base.Result, len(ops))
-	if code := c.perform(ctx, msgPerformBatch, ops[0], base.AppendOpBatch(nil, ops), rs); code != base.CodeOK {
+	rs := base.NewResults(len(ops))
+	if code := c.perform(ctx, ops, rs); code != base.CodeOK {
 		for i, op := range ops {
-			rs[i] = &base.Result{LSN: op.LSN, Code: code}
+			*rs[i] = base.Result{LSN: op.LSN, Code: code}
 		}
 	}
 	return rs
 }
 
-// perform sends one Perform or PerformBatch frame of len(rs) operations,
-// first among them, until the DC answers it, and decodes the answer into
-// rs. An overload refusal (the server shed the request before it touched the
-// service) is counted, paused out and re-offered, and so is an answer with a
-// CodeUnavailable result (the DC is up but still recovering), invisibly to
-// the caller; a pause a concurrent Close or cancellation cuts short ends it.
-// It returns CodeOK, or the code every operation of the frame fails with: a
-// body either side cannot decode is CodeBadRequest. CodeStaleEpoch is a
-// permanent nack (the sender's incarnation was fenced by a restart):
-// returned as a result, never retried.
-func (c *Client) perform(ctx context.Context, kind msgKind, first *base.Op, body []byte, rs []*base.Result) base.Code {
+// perform sends ops as one msgPerformBatch frame, stamped with the first
+// operation's TC, epoch and LSN, until the DC answers it, and decodes the
+// answer into rs. An overload refusal (the server shed the request before it
+// touched the service) is counted, paused out and re-offered, and so is an
+// answer with a CodeUnavailable result (the DC is up but still recovering),
+// invisibly to the caller; a pause a concurrent Close or cancellation cuts
+// short ends it. It returns CodeOK, or the code every operation of the frame
+// fails with: a body either side cannot decode is CodeBadRequest.
+// CodeStaleEpoch is a permanent nack (the sender's incarnation was fenced by
+// a restart): returned as a result, never retried.
+func (c *Client) perform(ctx context.Context, ops []*base.Op, rs []*base.Result) base.Code {
+	body, first := base.AppendOpBatch(nil, ops), ops[0]
 	for {
-		reply, err := c.call(ctx, kind, first.TC, first.Epoch, first.LSN, body)
+		reply, err := c.call(ctx, msgPerformBatch, first.TC, first.Epoch, first.LSN, body)
 		if err != nil {
 			return base.CodeCancelled
 		}
@@ -251,7 +247,7 @@ func (c *Client) perform(ctx context.Context, kind msgKind, first *base.Op, body
 		case reply.err != "":
 			return base.CodeUnavailable
 		default:
-			if err := base.DecodeResultsInto(reply.body, kind == msgPerformBatch, rs); err != nil {
+			if err := base.DecodeResultsInto(reply.body, rs); err != nil {
 				return base.CodeBadRequest
 			}
 			if !slices.ContainsFunc(rs, func(r *base.Result) bool { return r.Code == base.CodeUnavailable }) {

@@ -11,9 +11,9 @@ import (
 
 // The wire frame codec. One frame carries one message: the kind byte, the
 // correlation id, the sender's TC identity and incarnation epoch, the
-// LSN argument of control messages, the opaque body (an encoded
-// operation, batch, or result — see the base package codecs), the
-// control-reply error text (rehydrated into the typed taxonomy by
+// LSN argument of control messages, the opaque body (an encoded batch of
+// operations or of results — see the base package codecs — or a catalog),
+// the control-reply error text (rehydrated into the typed taxonomy by
 // base.RehydrateWireError on the client side), and — optionally — a
 // watermark block: the sender's end of stable log, low-water mark and safe
 // timestamp, stamped with the frame's own tc and epoch. Any request frame
@@ -28,7 +28,7 @@ import (
 //
 // Frame layout (all integers are stdlib varints):
 //
-//	kind     byte        message kind (msgPerform..msgWatermarks), with
+//	kind     byte        message kind (never a retired one), with
 //	                     frameWMFlag set when a watermark block follows
 //	id       uvarint     correlation id (replies echo the request's)
 //	tc       uvarint     sender TC identity
@@ -116,7 +116,9 @@ func decodeFrame(m *message, buf []byte) ([]byte, error) {
 	}
 	*m = message{kind: msgKind(buf[0] &^ frameWMFlag)}
 	hasBlock := buf[0]&frameWMFlag != 0
-	if m.kind < msgPerform || m.kind > msgWatermarks {
+	switch m.kind {
+	case msgPerformBatch, msgCheckpoint, msgBeginRestart, msgEndRestart, msgReply, msgCatalog, msgWatermarks:
+	default: // zero, a retired kind or one past the last
 		return nil, fmt.Errorf("%w: kind %d", errBadFrame, buf[0])
 	}
 	buf = buf[1:]

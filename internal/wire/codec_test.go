@@ -12,11 +12,11 @@ import (
 
 func frameCases() []*message {
 	return []*message{
-		{kind: msgPerform, id: 1, tc: 1, lsn: 42, body: []byte("op-bytes")},
+		{kind: msgPerformBatch, id: 1, tc: 1, lsn: 42, body: []byte("op-bytes")},
 		{kind: msgPerformBatch, id: 1<<63 + 5, tc: 200, epoch: 9, lsn: 1 << 40, body: bytes.Repeat([]byte{0xff, 0x00}, 300)},
 		{kind: msgWatermarks, tc: 3, epoch: 2, wm: watermarks{has: wmAll, eosl: 77, lwm: 70, safe: 1 << 50, horizon: 1 << 49}},
 		{kind: msgWatermarks, tc: 3, epoch: 2, wm: watermarks{has: wmSafe, safe: 5}},
-		{kind: msgPerform, id: 2, tc: 1, epoch: 4, lsn: 43, body: []byte("op-bytes"), wm: watermarks{has: wmEOSL | wmLWM, eosl: 42, lwm: 41}},
+		{kind: msgPerformBatch, id: 2, tc: 1, epoch: 4, lsn: 43, body: []byte("op-bytes"), wm: watermarks{has: wmEOSL | wmLWM, eosl: 42, lwm: 41}},
 		{kind: msgPerformBatch, id: 3, tc: 1, epoch: 4, lsn: 44, body: []byte{9, 9}, wm: watermarks{has: wmLWM, lwm: 43}},
 		{kind: msgCheckpoint, id: 7, tc: 1, epoch: 1, lsn: 1000},
 		{kind: msgBeginRestart, id: 8, tc: 1, epoch: 3, lsn: 12},
@@ -90,19 +90,39 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredKinds are the frame kinds this protocol no longer has: the
+// one-operation frame (1), the standalone EOSL and LWM frames (3, 4), the
+// standalone safe-timestamp frame (9) and the coalesced reply (11).
+var retiredKinds = []msgKind{1, 3, 4, 9, 11}
+
+// retiredFrames are well-formed frames of each retired kind, with and without
+// a watermark block.
+func retiredFrames() [][]byte {
+	var out [][]byte
+	for _, k := range retiredKinds {
+		out = append(out,
+			appendFrame(nil, &message{kind: k, id: 1, tc: 1, epoch: 1, lsn: 7, body: []byte("op-bytes")}),
+			appendFrame(nil, &message{kind: k, tc: 1, epoch: 1, wm: watermarks{has: wmAll, eosl: 7, lwm: 6, safe: 5, horizon: 4}}))
+	}
+	return out
+}
+
 func TestDecodeFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
 		{0},                       // kind 0 invalid
 		{byte(msgWatermarks) + 1}, // kind beyond range
-		{byte(msgPerform) | frameWMFlag, 0, 0, 0, 0, 0, 0},       // block flagged, frame ends before it
-		{byte(msgPerform) | frameWMFlag, 0, 0, 0, 0, 0, 0, 0x08}, // a mark no decoder knows
-		{byte(msgPerform)},       // truncated after kind
-		{byte(msgPerform), 0x80}, // unterminated varint
+		{byte(msgPerformBatch) | frameWMFlag, 0, 0, 0, 0, 0, 0},       // block flagged, frame ends before it
+		{byte(msgPerformBatch) | frameWMFlag, 0, 0, 0, 0, 0, 0, 0x08}, // a mark no decoder knows
+		{byte(msgPerformBatch)},       // truncated after kind
+		{byte(msgPerformBatch), 0x80}, // unterminated varint
 	}
+	// A retired kind is refused however well formed its frame: a server
+	// would otherwise take it for a watermark frame and never answer it.
+	cases = append(cases, retiredFrames()...)
 	// Every truncation of a valid frame must error, not panic or misparse.
-	full := appendFrame(nil, &message{kind: msgPerform, id: 3, tc: 1, epoch: 2, lsn: 9, body: []byte("xyz"), err: "e",
+	full := appendFrame(nil, &message{kind: msgPerformBatch, id: 3, tc: 1, epoch: 2, lsn: 9, body: []byte("xyz"), err: "e",
 		wm: watermarks{has: wmAll, eosl: 8, lwm: 7, safe: 300, horizon: 200}})
 	for i := 0; i < len(full); i++ {
 		cases = append(cases, full[:i])
@@ -126,6 +146,9 @@ func FuzzFrame(f *testing.F) {
 		f.Add(appendFrame(nil, m))
 	}
 	f.Add(append(appendFrame(nil, frameCases()[4]), 0)) // a trailing byte
+	for _, b := range retiredFrames() {
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	var (

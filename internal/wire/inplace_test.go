@@ -95,29 +95,31 @@ func TestTCPReusedReadBufferKeepsNothing(t *testing.T) {
 }
 
 // TestTCPRoundTripAllocs pins what a call over loopback TCP to the echo stub
-// allocates, both ends together. A one-op Perform measures 6: the request
-// body, the reply's buffer and its result on the TC side; the frame's
-// strings and the stub's result and value on the DC side. A 4-op
-// PerformBatch measures 14: the TC's result pointers, and the stub's slice
-// and three more results and values. Neither request nor reply is a heap
-// message, and the DC reuses its read buffer, message, operations and reply
-// buffer. The counts are the same under -race.
+// allocates, both ends together. A one-op PerformBatch measures 6: the
+// request body, the reply's buffer and its result on the TC side; the frame's
+// strings and the stub's result and value on the DC side (base.NewResults
+// builds a batch of one in one allocation, at both ends). A 4-op
+// PerformBatch measures 11: at each end the results take a second
+// allocation, the slice of them, and the stub makes three more values.
+// Neither request nor reply is a heap message, and the DC reuses its read
+// buffer, message, operations and reply buffer. The counts are the same
+// under -race.
 func TestTCPRoundTripAllocs(t *testing.T) {
 	cl, _ := dialTest(t, newEchoService(), DialConfig{ResendAfter: time.Minute})
 	ctx := context.Background()
 	op := &base.Op{TC: 1, Epoch: 1, Kind: base.OpRead, Table: "t", Key: "k"}
-	ops := []*base.Op{op, op, op, op}
+	one, ops := []*base.Op{op}, []*base.Op{op, op, op, op}
 	for _, c := range []struct {
 		name  string
 		bound float64
 		call  func()
 	}{
-		{"Perform", 6, func() {
-			if r := cl.Perform(ctx, op); r.Code != base.CodeOK {
-				t.Fatalf("perform: %+v", r)
+		{"one-op PerformBatch", 6, func() {
+			if rs := cl.PerformBatch(ctx, one); len(rs) != 1 || rs[0].Code != base.CodeOK {
+				t.Fatalf("one-op batch: %+v", rs)
 			}
 		}},
-		{"PerformBatch", 14, func() {
+		{"4-op PerformBatch", 14, func() {
 			if rs := cl.PerformBatch(ctx, ops); len(rs) != 4 || rs[3].Code != base.CodeOK {
 				t.Fatalf("batch: %+v", rs)
 			}
@@ -156,7 +158,7 @@ func TestTrailingBytesAreRefused(t *testing.T) {
 	core := newServeCore(newEchoService(), ListenConfig{})
 	op := &base.Op{TC: 1, Epoch: 1, LSN: 3, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
 	for _, m := range []message{
-		{kind: msgPerform, id: 1, body: append(base.AppendOp(nil, op), 0)},
+		{kind: msgPerformBatch, id: 1, body: append(base.AppendOpBatch(nil, []*base.Op{op}), 0)},
 		{kind: msgPerformBatch, id: 2, body: append(base.AppendOpBatch(nil, []*base.Op{op, op}), 0)},
 	} {
 		if _, run := core.accept(&m); !run {
@@ -169,7 +171,7 @@ func TestTrailingBytesAreRefused(t *testing.T) {
 
 	for _, reply := range []message{
 		{kind: msgReply, err: badRequestText + ": base: trailing bytes after the encoding"},
-		{kind: msgReply, body: append(base.AppendResult(nil, &base.Result{LSN: 3, Code: base.CodeOK}), 0)},
+		{kind: msgReply, body: append(base.AppendResultBatch(nil, []*base.Result{{LSN: 3, Code: base.CodeOK}}), 0)},
 	} {
 		cl := newClient(func() time.Duration { return time.Minute })
 		cl.link = fixedLink{reply}

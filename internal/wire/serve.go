@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -24,8 +25,8 @@ import (
 // default, sized to the machine. The simulated fabric's servers
 // (Network.Connect) run the same runtime with these defaults.
 type ListenConfig struct {
-	// MaxInFlight caps the Perform and PerformBatch requests admitted and
-	// not yet executed (default 2×GOMAXPROCS×256). Above it a request is
+	// MaxInFlight caps the PerformBatch requests admitted and not yet
+	// executed (default 2×GOMAXPROCS×256). Above it a request is
 	// refused with a typed transient base.ErrOverloaded instead of adding
 	// to the load.
 	MaxInFlight int
@@ -53,10 +54,12 @@ var overloadedErrText = "wire: too many requests in flight: " + base.ErrOverload
 
 // accept takes one inbound frame, in arrival order. A watermark block —
 // riding a request or alone in a msgWatermarks frame — applies first, so
-// before the request it rode. Perform and PerformBatch then pass admission
-// control: with MaxInFlight of them unfinished, the request is refused, and
-// the refusal is the reply, the service never touched. Control requests are
-// not refused. run reports a request the transport must now answer.
+// before the request it rode. A PerformBatch then passes admission control:
+// with MaxInFlight of them unfinished, the request is refused, and the
+// refusal is the reply, the service never touched. Control requests are not
+// refused. A frame of any other kind is msgWatermarks (decodeFrame refuses
+// the retired kinds), nothing but its block. run reports a request the
+// transport must now answer.
 func (c *serveCore) accept(m *message) (refusal *message, run bool) {
 	if w := &m.wm; w.has != 0 {
 		// The service fences each by the frame's epoch, as it does the request.
@@ -71,7 +74,7 @@ func (c *serveCore) accept(m *message) (refusal *message, run bool) {
 		}
 	}
 	switch m.kind {
-	case msgPerform, msgPerformBatch:
+	case msgPerformBatch:
 		if !c.admit() {
 			c.refused.Add(1)
 			return &message{kind: msgReply, id: m.id, err: overloadedErrText}, false
@@ -81,7 +84,7 @@ func (c *serveCore) accept(m *message) (refusal *message, run bool) {
 	case msgCheckpoint, msgBeginRestart, msgEndRestart, msgCatalog:
 		return nil, true
 	}
-	return nil, false // msgWatermarks: nothing but its block, applied above
+	return nil, false // msgWatermarks: its block is applied above
 }
 
 // admit counts one more request in flight unless the cap is reached. The
@@ -107,23 +110,30 @@ type scratch struct {
 	body []byte
 }
 
-// badRequestText answers a Perform or PerformBatch whose body does not
-// decode; the client fails every operation of the frame with
-// base.CodeBadRequest.
+// badRequestText answers a PerformBatch whose body does not decode; the
+// client fails every operation of the frame with base.CodeBadRequest.
 const badRequestText = "wire: undecodable request"
 
 // answer executes one accepted request at the service and returns its
 // reply, carrying a control failure as text for the client to rehydrate.
 // The server side has no caller context: a request that reached the DC
 // executes to completion (cancellation only ever abandons the client's
-// wait).
+// wait). A PerformBatch's operations are decoded in place into s.ops, their
+// values aliasing the request's bytes for the call, and its results are
+// encoded into s.body.
 func (c *serveCore) answer(m *message, s *scratch) message {
 	ctx := context.Background()
 	reply := message{kind: msgReply, id: m.id}
 	var err error
 	switch m.kind {
-	case msgPerform, msgPerformBatch:
-		c.perform(m, &reply, s)
+	case msgPerformBatch:
+		var ops []*base.Op
+		if ops, err = s.ops.Decode(m.body); err != nil {
+			err = fmt.Errorf("%s: %w", badRequestText, err)
+		} else {
+			s.body = base.AppendResultBatch(s.body[:0], c.svc.PerformBatch(ctx, ops))
+			reply.body = s.body
+		}
 		c.inFlight.Add(-1)
 	case msgCheckpoint:
 		err = c.svc.Checkpoint(ctx, m.tc, m.epoch, m.lsn)
@@ -138,25 +148,6 @@ func (c *serveCore) answer(m *message, s *scratch) message {
 		reply.err = err.Error()
 	}
 	return reply
-}
-
-// perform executes one admitted Perform or PerformBatch request into its
-// reply. The operations are decoded in place into s.ops, their values
-// aliasing the request's bytes for the call, and the results are encoded
-// into s.body.
-func (c *serveCore) perform(m *message, reply *message, s *scratch) {
-	ops, err := s.ops.Decode(m.body, m.kind == msgPerformBatch)
-	if err != nil {
-		reply.err = badRequestText + ": " + err.Error()
-		return
-	}
-	ctx := context.Background()
-	if m.kind == msgPerform {
-		s.body = base.AppendResult(s.body[:0], c.svc.Perform(ctx, ops[0]))
-	} else {
-		s.body = base.AppendResultBatch(s.body[:0], c.svc.PerformBatch(ctx, ops))
-	}
-	reply.body = s.body
 }
 
 // registerStats exports admission control: the cap, the requests in flight

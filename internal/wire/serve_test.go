@@ -30,7 +30,7 @@ func TestAdmissionCapCountsInFlight(t *testing.T) {
 	gauge := func(name string) uint64 { return reg.Snapshot()["wire"][name] }
 	serve := func(i int) {
 		op := &base.Op{TC: 1, Epoch: 1, LSN: base.LSN(i), Kind: base.OpUpsert, Table: "t", Key: fmt.Sprintf("k%d", i)}
-		srv.take(&message{kind: msgPerform, id: uint64(i), tc: 1, epoch: 1, body: base.AppendOp(nil, op)},
+		srv.take(&message{kind: msgPerformBatch, id: uint64(i), tc: 1, epoch: 1, body: base.AppendOpBatch(nil, []*base.Op{op})},
 			func(m *message) { replies <- m })
 	}
 
@@ -73,21 +73,22 @@ func TestAdmissionCapCountsInFlight(t *testing.T) {
 
 // --- server runtime over TCP -------------------------------------------
 
-// slowService delays every Perform, so a tiny in-flight cap fills on demand.
+// slowService delays every PerformBatch, so a tiny in-flight cap fills on
+// demand.
 type slowService struct {
 	*echoService
 	delay time.Duration
-	gate  chan struct{} // non-nil: Perform also waits for the gate
+	gate  chan struct{} // non-nil: PerformBatch also waits for the gate
 }
 
-func (s *slowService) Perform(ctx context.Context, op *base.Op) *base.Result {
+func (s *slowService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	if s.gate != nil {
 		<-s.gate
 	}
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	return s.echoService.Perform(ctx, op)
+	return s.echoService.PerformBatch(ctx, ops)
 }
 
 // TestTCPBackpressureOverloadIsAbsorbed saturates a deliberately tiny
@@ -204,7 +205,8 @@ func TestTCPCloseFinishesQueuedWork(t *testing.T) {
 
 // --- server runtime over the simulated fabric --------------------------
 
-// heldService blocks Perform while held, filling the in-flight cap on demand.
+// heldService blocks PerformBatch while held, filling the in-flight cap on
+// demand.
 type heldService struct {
 	*echoService
 	hmu  sync.Mutex
@@ -224,17 +226,17 @@ func (s *heldService) release() {
 	s.hmu.Unlock()
 }
 
-func (s *heldService) Perform(ctx context.Context, op *base.Op) *base.Result {
+func (s *heldService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	s.hmu.Lock()
 	gate := s.gate
 	s.hmu.Unlock()
 	if gate != nil {
 		<-gate
 	}
-	return s.echoService.Perform(ctx, op)
+	return s.echoService.PerformBatch(ctx, ops)
 }
 
-// performed returns how many Perform invocations reached the service,
+// performed returns how many operations reached the service,
 // duplicates included, and how many distinct LSNs they carried.
 func (s *heldService) performed() (invocations, distinct int) {
 	s.mu.Lock()

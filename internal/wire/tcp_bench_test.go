@@ -17,8 +17,8 @@ import (
 // machine at hand; the gap between the two is what the wire code costs per
 // call (framing, codec, the client and server runtimes).
 
-// BenchmarkTCPRoundTrip is one caller's Perform over loopback TCP to the
-// echo service.
+// BenchmarkTCPRoundTrip is one caller's one-op PerformBatch over loopback TCP
+// to the echo service.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	l, err := Listen("127.0.0.1:0", newEchoService())
 	if err != nil {
@@ -31,12 +31,12 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	if err := cl.WaitConnected(ctx); err != nil {
 		b.Fatal(err)
 	}
-	op := &base.Op{TC: 1, Epoch: 1, Kind: base.OpRead, Table: "t", Key: "k"}
+	ops := []*base.Op{{TC: 1, Epoch: 1, Kind: base.OpRead, Table: "t", Key: "k"}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := cl.Perform(ctx, op); res.Code != base.CodeOK {
-			b.Fatalf("perform: %+v", res)
+		if rs := cl.PerformBatch(ctx, ops); rs[0].Code != base.CodeOK {
+			b.Fatalf("perform: %+v", rs[0])
 		}
 	}
 }

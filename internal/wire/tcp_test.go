@@ -192,7 +192,8 @@ func TestTCPDialBeforeListen(t *testing.T) {
 	}
 }
 
-// stuckService never answers: Perform and Checkpoint block until released.
+// stuckService never answers: PerformBatch and Checkpoint block until
+// released.
 type stuckService struct {
 	*echoService
 	entered chan struct{} // a token per call that reached it; no test makes 16
@@ -203,10 +204,10 @@ func newStuckService() *stuckService {
 	return &stuckService{echoService: newEchoService(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
 }
 
-func (s *stuckService) Perform(ctx context.Context, op *base.Op) *base.Result {
+func (s *stuckService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	s.entered <- struct{}{}
 	<-s.gate
-	return s.echoService.Perform(ctx, op)
+	return s.echoService.PerformBatch(ctx, ops)
 }
 
 func (s *stuckService) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
@@ -362,10 +363,10 @@ func (s *safeGatedService) SafeTS(tc base.TCID, epoch base.Epoch, safe, horizon 
 	}
 }
 
-func (s *safeGatedService) Perform(ctx context.Context, op *base.Op) *base.Result {
+func (s *safeGatedService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	close(s.entered)
 	<-s.arrived
-	return s.echoService.Perform(ctx, op)
+	return s.echoService.PerformBatch(ctx, ops)
 }
 
 // TestTCPWaitingRequestDoesNotBlockWatermarks: a call waiting at the DC for

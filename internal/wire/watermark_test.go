@@ -58,13 +58,13 @@ func (s *recordingService) await(t *testing.T, n int) []string {
 	}
 }
 
-func (s *recordingService) Perform(ctx context.Context, op *base.Op) *base.Result {
-	s.note("op %d", op.LSN)
-	return s.echoService.Perform(ctx, op)
-}
-
+// PerformBatch notes a batch of one as the lone operation it carries.
 func (s *recordingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	s.note("batch %d+%d", ops[0].LSN, len(ops))
+	if len(ops) == 1 {
+		s.note("op %d", ops[0].LSN)
+	} else {
+		s.note("batch %d+%d", ops[0].LSN, len(ops))
+	}
 	return s.echoService.PerformBatch(ctx, ops)
 }
 

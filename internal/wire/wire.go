@@ -26,7 +26,8 @@
 // serialization cost the paper's unbundling implies is actually paid.
 // A TC ships a barrier's whole batch of operations in one message
 // (msgPerformBatch) with per-operation results in the reply, amortizing a
-// round trip over many operations while preserving arrival order at the DC.
+// round trip over many operations while preserving arrival order at the DC;
+// a lone operation is a batch of one.
 //
 // Watermarks do not pay for frames of their own while there is traffic:
 // EndOfStableLog and LowWaterMark are held in the client and leave as a
@@ -116,8 +117,9 @@ func (n *Network) Stats() Stats {
 
 type msgKind uint8
 
+// A retired kind's number is never reused, and decodeFrame refuses it.
 const (
-	msgPerform msgKind = iota + 1
+	_ msgKind = iota + 1 // 1: the one-operation frame, retired for a batch of one
 	msgPerformBatch
 	_ // 3, 4: the standalone EOSL and LWM frames, retired for msgWatermarks
 	_
@@ -189,7 +191,7 @@ type message struct {
 	tc    base.TCID
 	epoch base.Epoch // sender incarnation
 	lsn   base.LSN
-	body  []byte     // encoded op (perform) or encoded result (reply)
+	body  []byte     // encoded op batch (perform), result batch or catalog (reply)
 	err   string     // control-reply failure
 	wm    watermarks // optional block riding the frame (has == 0: none)
 }

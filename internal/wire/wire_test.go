@@ -32,20 +32,23 @@ func newEchoService() *echoService {
 }
 
 func (s *echoService) Perform(ctx context.Context, op *base.Op) *base.Result {
-	if s.unavail.Load() {
-		return &base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.applied[op.LSN]++
-	return &base.Result{LSN: op.LSN, Code: base.CodeOK, Found: true,
-		Value: []byte(op.Key), Applied: s.applied[op.LSN] > 1}
+	return s.PerformBatch(ctx, []*base.Op{op})[0]
 }
 
+// PerformBatch echoes each operation's key as its value, into results built
+// as the DC builds them.
 func (s *echoService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	out := make([]*base.Result, len(ops))
+	out := base.NewResults(len(ops))
 	for i, op := range ops {
-		out[i] = s.Perform(context.Background(), op)
+		if s.unavail.Load() {
+			*out[i] = base.Result{LSN: op.LSN, Code: base.CodeUnavailable}
+			continue
+		}
+		s.mu.Lock()
+		s.applied[op.LSN]++
+		*out[i] = base.Result{LSN: op.LSN, Code: base.CodeOK, Found: true,
+			Value: []byte(op.Key), Applied: s.applied[op.LSN] > 1}
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -397,19 +400,15 @@ func TestClientCloseDuringUnavailableRetryUnblocks(t *testing.T) {
 	}
 }
 
-// fencingService nacks every Perform with CodeStaleEpoch and fails
+// fencingService nacks every operation with CodeStaleEpoch and fails
 // control calls with a wrapped base.ErrStaleEpoch, mimicking a DC whose
 // fence has moved past the caller's incarnation.
 type fencingService struct{ echoService }
 
-func (s *fencingService) Perform(ctx context.Context, op *base.Op) *base.Result {
-	return &base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
-}
-
 func (s *fencingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
-	out := make([]*base.Result, len(ops))
+	out := base.NewResults(len(ops))
 	for i, op := range ops {
-		out[i] = s.Perform(context.Background(), op)
+		*out[i] = base.Result{LSN: op.LSN, Code: base.CodeStaleEpoch}
 	}
 	return out
 }

@@ -222,7 +222,7 @@
 // goroutine that read it, so a connection never carries a second call
 // before the first is answered and nothing queues behind a request that
 // waits. One in-flight cap decides admission: ListenConfig.MaxInFlight
-// (default 2xGOMAXPROCS x 256) bounds the Perform and PerformBatch requests
+// (default 2xGOMAXPROCS x 256) bounds the PerformBatch requests
 // a DC runs at once, and above it the server refuses the request before
 // decoding it; the refusal crosses the wire as the typed transient
 // ErrOverloaded. That is the overload contract: a refused request was never
