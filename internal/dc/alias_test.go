@@ -24,11 +24,18 @@ func summedSize(p *page.Page) int {
 	}
 	for i := range p.Recs {
 		r := &p.Recs[i]
-		n += 8 + len(r.Key) + len(r.Value) + len(r.Before)
-		if r.TS != 0 || r.BeforeTS != 0 || len(r.Hist) > 0 {
+		// The before version, the last entry of the history, counts as it
+		// did as a field of its own: its value, and its timestamp for the
+		// timestamp group.
+		hist, before := r.Hist, page.Version{}
+		if r.HasBefore() {
+			hist, before = hist[:len(hist)-1], hist[len(hist)-1]
+		}
+		n += 8 + len(r.Key) + len(r.Value) + len(before.Val)
+		if r.TS != 0 || before.TS != 0 || len(hist) > 0 {
 			n += 20
-			for j := range r.Hist {
-				n += 12 + len(r.Hist[j].Val)
+			for j := range hist {
+				n += 12 + len(hist[j].Val)
 			}
 		}
 	}
@@ -46,9 +53,9 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 			Value: bytes.Repeat([]byte{byte('a' + i)}, 1+rnd.Intn(12))}
 		switch i % 6 {
 		case 1:
-			r.Flags, r.Before = page.FlagHasBefore, []byte("before")
+			r.Flags, r.Hist = page.FlagHasBefore, []page.Version{{Val: []byte("before")}}
 		case 2:
-			r.Flags = page.FlagHasBefore | page.FlagBeforeNull
+			r.Flags, r.Hist = page.FlagHasBefore, []page.Version{{Del: true}}
 		case 3:
 			r.TS = 40
 			r.Hist = []page.Version{{TS: 10, Val: []byte("ten")}, {TS: 20, Del: true}, {TS: 30, Val: []byte("thirty")}}
@@ -56,8 +63,8 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 			r.Flags, r.Value, r.TS = page.FlagTombstone, nil, 35
 			r.Hist = []page.Version{{TS: 15, Val: []byte("fifteen")}}
 		case 5:
-			r.Flags, r.Before, r.BeforeTS = page.FlagHasBefore, []byte("committed"), 25
-			r.Hist = []page.Version{{TS: 5, Val: []byte("five")}}
+			r.Flags = page.FlagHasBefore
+			r.Hist = []page.Version{{TS: 5, Val: []byte("five")}, {TS: 25, Val: []byte("committed")}}
 		}
 		p.Put(r)
 		p.Ab.Ensure(r.Owner).Add(base.LSN(i + 1))
@@ -69,10 +76,10 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 // TestDecodedPageNeverWritesItsImage runs one seeded schedule of everything
 // that changes a leaf on a page decoded over its image and on a deep clone of
 // it that aliases nothing: Put, Remove, every write kind through applyWrite
-// versioned and not, versioned writes stamped with a commit timestamp,
-// aborts, pruning, a split (UpperHalf, CutAt) undone by a consolidation
-// (Merged, SetContents), and a trip through the store's format and back.
-// No image may change (a decoded
+// versioned and not, versioned writes stamped with a commit timestamp (which
+// prune the history), aborts, a split (UpperHalf, CutAt) undone by a
+// consolidation (Merged, SetContents), and a trip through the store's format
+// and back. No image may change (a decoded
 // page's fields are replaced, never edited: package page), the two pages must
 // encode alike at the end, and after every step Size must be the old sum.
 func TestDecodedPageNeverWritesItsImage(t *testing.T) {
@@ -117,20 +124,15 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 				case 2, 3, 4, 5:
 					op.Kind = [...]base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete}[kind-2]
 					applyWrite(p, p.Get(op.Key), op, horizon)
-				case 6, 7:
-					// A commit barrier's write, stamped: it folds a committed
-					// head's before version into the history.
-					op.Kind, op.TS, op.Versioned = [...]base.OpKind{base.OpUpsert, base.OpDelete}[kind-6], ts, true
+				case 6, 7, 9:
+					// A commit barrier's write, stamped: over a committed head
+					// it prunes the history under the horizon and appends the
+					// head to it as the before version.
+					op.Kind, op.TS, op.Versioned = map[int]base.OpKind{6: base.OpUpsert, 7: base.OpDelete, 9: base.OpUpdate}[kind], ts, true
 					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 8:
 					op.Kind = base.OpAbortVersions
 					applyWrite(p, p.Get(op.Key), op, horizon)
-				case 9:
-					for i := len(p.Recs) - 1; i >= 0; i-- {
-						if p.Recs[i].PruneVersions(horizon) {
-							p.Remove(p.Recs[i].Key)
-						}
-					}
 				case 10:
 					if len(p.Recs) < 2 {
 						continue

@@ -233,7 +233,8 @@ func (inc *incarnation) rangeRead(tree *btree.Tree, op *base.Op, res *base.Resul
 // committed read takes the head once its owner's safe timestamp here covers
 // it (page.Record.Pending). A DC that restarted holds no TC's safe timestamp
 // until that TC's resend to it has ended, so until then a committed read
-// sees the before version of every head a versioned write left.
+// sees the before version (the newest entry of the record's history) under
+// every head a versioned write left.
 func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 	if op.Flavor == base.ReadSnapshot && op.TS != 0 {
 		return rec.VersionAt(op.TS)
@@ -313,11 +314,11 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 // repeats history in operation order.
 //
 // A versioned write makes its value the record's pending head, stamped with
-// op.TS, and keeps the newest committed version as the before version
-// (page.Record.Stage); its abort takes the head back. A versioned delete
-// leaves a tombstone head. An unversioned write clears the version group —
-// it does not maintain snapshot history — and an unversioned delete removes
-// the record.
+// op.TS, and the committed head it replaces the newest entry of the record's
+// history, the before version (page.Record.Stage); its abort takes the head
+// back. A versioned delete leaves a tombstone head. An unversioned write
+// clears the timestamp and the history — it does not maintain snapshot
+// history — and an unversioned delete removes the record.
 func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS) base.Code {
 	var visible bool
 	if rec != nil {
@@ -357,8 +358,8 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 		if op.Versioned {
 			// §6.2.2: "To provide an earlier version for inserts, one can
 			// insert two versions, a before null version followed by the
-			// intended insert."
-			nr.Flags = page.FlagHasBefore | page.FlagBeforeNull
+			// intended insert." The null version is the history's one entry.
+			nr.Flags, nr.Hist = page.FlagHasBefore, []page.Version{{Del: true}}
 		}
 		leaf.Put(nr)
 		return base.CodeOK
@@ -366,8 +367,8 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 	if op.Versioned {
 		rec.Stage(op.TS, horizon)
 	} else {
-		rec.Flags &^= page.FlagHasBefore | page.FlagBeforeNull
-		rec.Before, rec.TS, rec.BeforeTS, rec.Hist = nil, 0, 0, nil
+		rec.Flags &^= page.FlagHasBefore
+		rec.TS, rec.Hist = 0, nil
 	}
 	rec.Value = cloneBytes(op.Value)
 	rec.Flags &^= page.FlagTombstone

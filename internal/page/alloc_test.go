@@ -91,7 +91,7 @@ func TestSizeAndTableAppendDoNotAllocate(t *testing.T) {
 // nothing stops, lands in the image.
 func TestDecodeAliasesImage(t *testing.T) {
 	p := leafWith("a", "b")
-	p.Recs[0].Before, p.Recs[0].Flags = []byte("old"), FlagHasBefore
+	p.Recs[0].Hist, p.Recs[0].Flags = []Version{{Val: []byte("old")}}, FlagHasBefore
 	p.Recs[1].TS, p.Recs[1].Hist = 9, []Version{{TS: 5, Val: []byte("hist")}}
 	image := p.Encode()
 	pristine := bytes.Clone(image)
@@ -100,7 +100,7 @@ func TestDecodeAliasesImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	r0, r1 := &got.Recs[0], &got.Recs[1]
-	fields := map[string][]byte{"value": r0.Value, "before": r0.Before, "history": r1.Hist[0].Val,
+	fields := map[string][]byte{"value": r0.Value, "before": r0.Hist[0].Val, "history": r1.Hist[0].Val,
 		"key": unsafe.Slice(unsafe.StringData(r1.Key), len(r1.Key))}
 	for name, b := range fields {
 		if i := bytes.Index(image, b); i < 0 || &image[i] != &b[0] {
@@ -114,7 +114,7 @@ func TestDecodeAliasesImage(t *testing.T) {
 		t.Fatal("a record's history is not clipped to its own versions")
 	}
 	r0.Value = append(r0.Value, "-grown"...)
-	r0.Before = append(r0.Before, '!')
+	r0.Hist[0].Val = append(r0.Hist[0].Val, '!')
 	r1.Hist = append(r1.Hist, Version{TS: 7})
 	r1.Hist[0].Val = append(r1.Hist[0].Val, '!')
 	if !bytes.Equal(image, pristine) {
@@ -128,17 +128,18 @@ func TestDecodeAliasesImage(t *testing.T) {
 }
 
 // TestDecodeBoundsCountsByBytes: a corrupt count cannot make Decode allocate
-// more than the bytes behind it could hold (a record is at least 5 bytes, a
-// history entry at least 3); a megabyte of zeroes behind a count of a fifth
-// of a million and one asked for 25 MB of records.
+// more than the bytes behind it could hold (a record is at least 4 bytes, a
+// history entry at least 2); a megabyte of zeroes behind a count of a fifth
+// of a million and one asked for 25 MB of records. The smallest record, an
+// empty key with no value, decodes.
 func TestDecodeBoundsCountsByBytes(t *testing.T) {
 	header := NewLeaf(1).Encode()
 	header = header[:len(header)-1] // drop the record count
 	pad := make([]byte, 1<<20)
-	oneRecord := append(binary.AppendUvarint(bytes.Clone(header), 1), 1, 'k', 1, FlagHasTS, 0, 0, 0, 0)
+	oneRecord := append(binary.AppendUvarint(bytes.Clone(header), 1), 1, 'k', 1, FlagHasTS, 0, 0)
 	for name, image := range map[string][]byte{
-		"records": append(binary.AppendUvarint(bytes.Clone(header), uint64(len(pad)/5+1)), pad...),
-		"history": append(binary.AppendUvarint(oneRecord, uint64(len(pad)/3+1)), pad...),
+		"records": append(binary.AppendUvarint(bytes.Clone(header), uint64(len(pad)/4+1)), pad...),
+		"history": append(binary.AppendUvarint(oneRecord, uint64(len(pad)/2+1)), pad...),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -149,8 +150,15 @@ func TestDecodeBoundsCountsByBytes(t *testing.T) {
 		}
 	}
 	// A count the bytes can hold decodes.
-	two := append(binary.AppendUvarint(bytes.Clone(header), 2), 1, 'a', 1, 0, 0, 0, 1, 'b', 1, 0, 0, 0)
+	two := append(binary.AppendUvarint(bytes.Clone(header), 2), 1, 'a', 1, 0, 0, 1, 'b', 1, 0, 0)
 	if p, err := Decode(two); err != nil || len(p.Recs) != 2 {
 		t.Fatalf("two minimal records: %v %v", p, err)
+	}
+	empty := NewLeaf(1)
+	empty.Put(Record{Owner: 1}) // an Upsert of the empty key with no value
+	if image := empty.Encode(); len(image) != len(header)+1+4 {
+		t.Fatalf("the smallest record takes %d bytes, want 4", len(image)-len(header)-1)
+	} else if p, err := Decode(image); err != nil || len(p.Recs) != 1 {
+		t.Fatalf("a leaf of the smallest record: %v %v", p, err)
 	}
 }

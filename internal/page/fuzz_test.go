@@ -19,9 +19,14 @@ import (
 // not: before versions, history and tombstones.
 func FuzzDecode(f *testing.F) {
 	versioned := benchLeaf(3, true)
-	versioned.Put(Record{Key: "w", Owner: 2, Flags: FlagHasBefore, Value: []byte("new"), Before: []byte("old"), BeforeTS: 4})
-	versioned.Put(Record{Key: "x", Owner: 2, Flags: FlagHasBefore | FlagBeforeNull, Value: []byte("ins")})
+	// A before version over older history, a null before version, a
+	// tombstone head over history and a tombstone before version.
+	versioned.Put(Record{Key: "w", Owner: 2, Flags: FlagHasBefore, Value: []byte("new"),
+		Hist: []Version{{TS: 1, Val: []byte("older")}, {TS: 4, Val: []byte("old")}}})
+	versioned.Put(Record{Key: "x", Owner: 2, Flags: FlagHasBefore, Value: []byte("ins"), Hist: []Version{{Del: true}}})
 	versioned.Put(Record{Key: "y", Owner: 1, Flags: FlagTombstone, TS: 8, Hist: []Version{{TS: 2, Val: []byte("v")}, {TS: 6, Del: true}}})
+	versioned.Put(Record{Key: "z", Owner: 1, Flags: FlagHasBefore, Value: []byte("again"), TS: 9,
+		Hist: []Version{{TS: 3, Val: []byte("v")}, {TS: 7, Del: true}}})
 	versioned.Ab.Ensure(2).Add(3)
 	branch := NewBranch(9, []string{"g", "m"}, []base.PageID{1, 2, 3})
 	f.Add(versioned.Encode())

@@ -5,8 +5,9 @@
 //   - a dLSN recording which DC system transactions (structure
 //     modifications) are reflected (§5.2.2) — the monolithic baseline
 //     reuses this field as the classic page LSN;
-//   - records tagged with their owning TC, optionally holding a before
-//     version for read-committed sharing (§6.2.2);
+//   - records tagged with their owning TC, each with one history of
+//     committed versions whose newest entry, after a versioned write, is the
+//     before version for read-committed sharing (§6.2.2);
 //   - a volatile undo tail of the operations applied since the last flush
 //     whose TCs had not forced them, from which a partial-failure reset
 //     undoes a failed TC's lost operations without disturbing other TCs
@@ -17,19 +18,20 @@
 //
 // # A decoded page is its image
 //
-// Decode copies nothing: every key, value, before version and history value
-// of the page it returns is a sub-slice of the image it was given, and so is
-// every branch separator. Two rules follow, and the whole DC keeps them.
+// Decode copies nothing: every key, value and history value (the before
+// version's among them) of the page it returns is a sub-slice of the image it
+// was given, and so is every branch separator. Two rules follow, and the whole
+// DC keeps them.
 //
 // The image is immutable. It is the stable page (storage.PageStore hands the
 // cache the very bytes it holds) or a DC-log record, and nothing may write
-// into a decoded field: not into Value, Before or a Version's Val byte by
-// byte, and not by appending to them in place. A field changes by being
-// replaced with a slice the writer owns, which is what every mutator here
-// and dc.applyWrite do. The byte slices are cap-limited, so an append
-// reallocates instead of running into the neighbouring field; a write
-// through an index is not caught by anything and corrupts the stable page
-// silently (package dc's TestDecodedPageNeverWritesItsImage watches for it).
+// into a decoded field: not into Value or a Version's Val byte by byte, and
+// not by appending to them in place. A field changes by being replaced with a
+// slice the writer owns, which is what every mutator here and dc.applyWrite
+// do. The byte slices are cap-limited, so an append reallocates instead of
+// running into the neighbouring field; a write through an index is not caught
+// by anything and corrupts the stable page silently (package dc's
+// TestDecodedPageNeverWritesItsImage watches for it).
 // Keys are strings laid over the same bytes, see decoder.str.
 //
 // The image lives as long as anything decoded from it does. A cached page
@@ -61,58 +63,59 @@ import (
 // Record flags.
 const (
 	// FlagHasBefore marks a head written by a versioned write, with the
-	// committed version it replaced retained as the before version
-	// (§6.2.2).
+	// committed version it replaced retained as the before version: the last
+	// entry of Hist (§6.2.2).
 	FlagHasBefore uint8 = 1 << iota
-	// FlagBeforeNull marks the before version as "null" (versioned insert:
-	// a before null version followed by the intended insert).
-	FlagBeforeNull
 	// FlagTombstone marks the latest version as a deletion.
 	FlagTombstone
 	// FlagHasTS is an encoding marker: the serialized record carries the
-	// timestamp group (TS, BeforeTS, history). It is set at encode time
-	// and stripped at decode time, never held in Record.Flags in memory,
-	// so records without timestamps stay byte-identical to the
-	// pre-snapshot format.
+	// timestamp group (TS, history). It is set at encode time and stripped
+	// at decode time, never held in Record.Flags in memory, so a record
+	// without timestamps pays nothing for it.
 	FlagHasTS
 )
 
-// Version is one reclaimable committed version in a record's history: the
-// value that was current from TS until the next version's commit
-// timestamp. Del marks a committed tombstone (the key did not exist in
-// that interval). Hist is ascending by TS; entries below the GC horizon
-// are pruned (PruneVersions).
+// Version is one committed version in a record's history: the value that was
+// current from TS until the next version's commit timestamp. Del marks a
+// committed tombstone (the key did not exist in that interval); the null
+// version, {TS: 0, Del: true}, is the before version of a versioned insert of
+// a new key. Hist is ascending by TS; a versioned write drops the entries no
+// snapshot at or above the GC horizon reads (Stage).
 type Version struct {
 	TS  base.TS
 	Val []byte
 	Del bool
 }
 
+// read returns the version's value and whether it is one.
+func (v *Version) read() ([]byte, bool) {
+	if v.Del {
+		return nil, false
+	}
+	return v.Val, true
+}
+
 // Record is one record slot. Value is the head, the latest version, and TS
 // its commit timestamp (zero: unversioned/ancient, visible to every
-// snapshot). A versioned write keeps the version it replaced as Before
-// (FlagHasBefore), committed at BeforeTS, and stamps the head with its
+// snapshot). Hist holds the older committed versions for snapshot reads. A
+// versioned write (FlagHasBefore) keeps the version it replaced as the last
+// entry of Hist, the before version, and stamps the head with its
 // transaction's commit timestamp — zero if it left before the transaction's
 // commit barrier, which writes it again, stamped. Owner is the TC that wrote
 // the head, whose safe timestamp decides when the head is committed
-// (Pending). Hist holds older committed versions for snapshot reads.
+// (Pending).
 type Record struct {
-	Key      string
-	Owner    base.TCID
-	Flags    uint8
-	Value    []byte
-	Before   []byte
-	TS       base.TS
-	BeforeTS base.TS
-	Hist     []Version
+	Key   string
+	Owner base.TCID
+	Flags uint8
+	Value []byte
+	TS    base.TS
+	Hist  []Version
 }
 
 // HasBefore reports whether the head was written by a versioned write that
 // retains its before version.
 func (r *Record) HasBefore() bool { return r.Flags&FlagHasBefore != 0 }
-
-// BeforeNull reports whether the before version is the null version.
-func (r *Record) BeforeNull() bool { return r.Flags&FlagBeforeNull != 0 }
 
 // Tombstone reports whether the latest version is a deletion marker.
 func (r *Record) Tombstone() bool { return r.Flags&FlagTombstone != 0 }
@@ -141,10 +144,7 @@ func (r *Record) OwnHead(ts base.TS) bool {
 // owner TC's safe timestamp.
 func (r *Record) ReadVersion(flavor base.ReadFlavor, safe base.TS) (val []byte, visible bool) {
 	if flavor == base.ReadCommitted && r.Pending(safe) {
-		if r.BeforeNull() {
-			return nil, false
-		}
-		return r.Before, true
+		return r.Hist[len(r.Hist)-1].read()
 	}
 	if r.Tombstone() {
 		return nil, false
@@ -159,149 +159,105 @@ func (r *Record) ReadVersion(flavor base.ReadFlavor, safe base.TS) (val []byte, 
 // visible when it is not Pending(t) and its TS is at most t. TS zero
 // versions (unversioned/ancient data) are visible to every snapshot.
 func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
-	switch {
-	case !r.Pending(t) && r.TS <= t:
-		if r.Tombstone() {
-			return nil, false
-		}
-		return r.Value, true
-	case r.HasBefore() && r.BeforeTS <= t:
-		if r.BeforeNull() {
-			return nil, false
-		}
-		return r.Before, true
+	if !r.Pending(t) && r.TS <= t {
+		return r.ReadVersion(base.ReadPlain, 0)
 	}
 	for i := len(r.Hist) - 1; i >= 0; i-- {
 		if r.Hist[i].TS <= t {
-			if r.Hist[i].Del {
-				return nil, false
-			}
-			return r.Hist[i].Val, true
+			return r.Hist[i].read()
 		}
 	}
 	return nil, false
 }
 
 // Stage readies r for a versioned write stamped ts, which then replaces the
-// head's value: afterwards the head is pending, stamped ts, and Before holds
-// the newest committed version. The writer's own pending head (OwnHead) is
-// overwritten in place. Any other head is committed and becomes the before
-// version, the one it replaced moving into the history, which is pruned
-// under horizon (PruneVersions).
+// head's value: afterwards the head is pending, stamped ts, and the last entry
+// of Hist is the newest committed version. The writer's own pending head
+// (OwnHead) is overwritten in place. Any other head is committed: Stage first
+// drops the history no snapshot at or above horizon reads, then appends the
+// head as the before version.
+//
+// The history is cut by reslicing and never written in place: a record copied
+// out (an undo tail's Prior, a split half) shares its array, and the append
+// writes only past every such copy's end (AbortVersion clips what it pops).
+// A write stamped at or below the horizon, whose head reads as committed at
+// once, keeps its before version all the same. It cannot happen: a commit
+// timestamp is drawn above every safe timestamp promised, and the horizon is
+// at or below every safe timestamp.
 func (r *Record) Stage(ts, horizon base.TS) {
 	if r.OwnHead(ts) {
 		r.TS = ts
 		return
 	}
-	r.settle()
-	r.Before, r.BeforeTS = r.Value, r.TS
-	r.Flags |= FlagHasBefore
+	h := r.Hist
+	if n := len(h); r.HasBefore() && h[n-1].TS == 0 && h[n-1].Del {
+		// The null version of an insert reads as no version at all.
+		h = h[: n-1 : n-1]
+	}
+	if horizon != 0 {
+		// Everything older than the newest version at or below the horizon
+		// is unreachable, and so is that version when it is a deletion.
+		i := len(h)
+		if r.TS > horizon {
+			for i > 0 && h[i-1].TS > horizon {
+				i--
+			}
+			if i > 0 && !h[i-1].Del {
+				i--
+			}
+		}
+		h = h[i:]
+	}
+	before := Version{TS: r.TS, Val: r.Value}
 	if r.Tombstone() {
-		// A committed tombstone: the before version is the null version at
-		// the deletion's TS.
-		r.Before = nil
-		r.Flags |= FlagBeforeNull
+		before = Version{TS: r.TS, Del: true}
 	}
+	r.Hist = append(h, before)
+	r.Flags |= FlagHasBefore
 	r.TS = ts
-	r.PruneVersions(horizon)
 }
 
-// settle folds the before version of a committed head into the history,
-// where snapshots below the head's TS keep resolving it.
-func (r *Record) settle() {
-	if !r.HasBefore() {
-		return
-	}
-	switch {
-	case r.BeforeNull() && r.BeforeTS != 0:
-		// The before version was a committed tombstone (insert after a
-		// versioned delete): keep the deletion visible below the head.
-		r.Hist = append(r.Hist, Version{TS: r.BeforeTS, Del: true})
-	case !r.BeforeNull():
-		r.Hist = append(r.Hist, Version{TS: r.BeforeTS, Val: r.Before})
-	}
-	r.Flags &^= FlagHasBefore | FlagBeforeNull
-	r.Before = nil
-	r.BeforeTS = 0
-}
-
-// AbortVersion rolls back the uncommitted version: the latest version is
-// removed and the before version (value or tombstone) restored with its
-// commit timestamp. It reports whether the record should be removed (a
-// versioned insert of a never-existing key rolled back).
+// AbortVersion rolls back the uncommitted version: the before version (value
+// or tombstone) becomes the head again with its commit timestamp, leaving the
+// history. It reports whether the record should be removed: a versioned
+// insert of a never-existing key, whose before version is a lone null
+// version, rolled back.
 func (r *Record) AbortVersion() (remove bool) {
 	if !r.HasBefore() {
 		return false
 	}
-	if r.BeforeNull() {
-		if r.BeforeTS == 0 && len(r.Hist) == 0 {
-			return true
-		}
-		// The before version was a committed tombstone: restore it.
-		r.Value = nil
-		r.Before = nil
-		r.TS = r.BeforeTS
-		r.BeforeTS = 0
-		r.Flags = (r.Flags &^ (FlagHasBefore | FlagBeforeNull)) | FlagTombstone
-		return false
+	n := len(r.Hist)
+	v := r.Hist[n-1]
+	if n == 1 && v.TS == 0 && v.Del {
+		return true
 	}
-	r.Value = r.Before
-	r.Before = nil
-	r.TS = r.BeforeTS
-	r.BeforeTS = 0
-	r.Flags &^= FlagHasBefore | FlagBeforeNull | FlagTombstone
+	r.Value, r.TS, r.Hist = v.Val, v.TS, r.Hist[:n-1:n-1]
+	r.Flags &^= FlagHasBefore | FlagTombstone
+	if v.Del {
+		r.Value = nil
+		r.Flags |= FlagTombstone
+	}
 	return false
 }
 
-// PruneVersions discards history no snapshot can reach, given that no
-// live or future snapshot reads below horizon: everything older than the
-// newest committed version at or below horizon. A head stamped at or below
-// the horizon is committed — the horizon is at or below every TC's safe
-// timestamp — and settles first. It reports whether the whole record is
-// reclaimable (a committed, timestamped tombstone at or below the horizon
-// with no retained history).
-func (r *Record) PruneVersions(horizon base.TS) (remove bool) {
-	if horizon == 0 {
-		return false
-	}
-	if !r.Pending(horizon) {
-		r.settle()
-	}
-	cur := r.TS
-	if r.HasBefore() {
-		cur = r.BeforeTS
-	}
-	if cur <= horizon {
-		// The current committed version already covers every reachable
-		// snapshot; the whole history is unreachable.
-		r.Hist = nil
-	} else if n := len(r.Hist); n > 0 {
-		idx := -1
-		for i := n - 1; i >= 0; i-- {
-			if r.Hist[i].TS <= horizon {
-				idx = i
-				break
-			}
-		}
-		if idx >= 0 && r.Hist[idx].Del {
-			// A tombstone at the horizon boundary resolves identically to
-			// "no version": drop it too.
-			idx++
-		}
-		if idx > 0 {
-			r.Hist = append(r.Hist[:0:0], r.Hist[idx:]...)
-		}
-	}
-	return !r.HasBefore() && r.Tombstone() && r.TS != 0 && r.TS <= horizon && len(r.Hist) == 0
-}
-
-// size returns the serialized footprint of the record.
+// size returns the record's share of Page.Size, which decides every split.
+// The before version counts as its value alone, and the 20-byte timestamp
+// group once the head, the before version or an older version carries a
+// timestamp; each older version adds 12 bytes and its value. Counted as a
+// history entry, the before version would split leaves earlier than it
+// always has.
 func (r *Record) size() int {
-	n := 8 + len(r.Key) + len(r.Value) + len(r.Before)
-	if r.TS != 0 || r.BeforeTS != 0 || len(r.Hist) > 0 {
+	n := 8 + len(r.Key) + len(r.Value)
+	hist, beforeTS := r.Hist, base.TS(0)
+	if r.HasBefore() {
+		before := &hist[len(hist)-1]
+		n += len(before.Val)
+		hist, beforeTS = hist[:len(hist)-1], before.TS
+	}
+	if r.TS != 0 || beforeTS != 0 || len(hist) > 0 {
 		n += 20
-		for i := range r.Hist {
-			n += 12 + len(r.Hist[i].Val)
+		for i := range hist {
+			n += 12 + len(hist[i].Val)
 		}
 	}
 	return n
@@ -595,27 +551,13 @@ func (p *Page) Forced(eosl func(base.TCID) base.LSN) *Page {
 func (p *Page) Clone() *Page {
 	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone()}
 	if p.Leaf {
-		c.Recs = make([]Record, len(p.Recs))
-		copy(c.Recs, p.Recs)
+		c.Recs = slices.Clone(p.Recs)
 		for i := range c.Recs {
-			c.Recs[i].Value = append([]byte(nil), p.Recs[i].Value...)
-			if p.Recs[i].Before != nil {
-				c.Recs[i].Before = append([]byte(nil), p.Recs[i].Before...)
-			} else {
-				c.Recs[i].Before = nil
-			}
-			if len(c.Recs[i].Value) == 0 {
-				c.Recs[i].Value = nil
-			}
-			if len(p.Recs[i].Hist) > 0 {
-				h := make([]Version, len(p.Recs[i].Hist))
-				copy(h, p.Recs[i].Hist)
-				for j := range h {
-					if h[j].Val != nil {
-						h[j].Val = append([]byte(nil), h[j].Val...)
-					}
-				}
-				c.Recs[i].Hist = h
+			r := &c.Recs[i]
+			r.Value = append([]byte(nil), r.Value...)
+			r.Hist = slices.Clone(r.Hist)
+			for j := range r.Hist {
+				r.Hist[j].Val = append([]byte(nil), r.Hist[j].Val...)
 			}
 		}
 		return c
@@ -655,7 +597,7 @@ func (p *Page) EncodeAb() (image []byte, abBytes int) {
 			buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
 			buf = append(buf, r.Key...)
 			buf = binary.AppendUvarint(buf, uint64(r.Owner))
-			hasTS := r.TS != 0 || r.BeforeTS != 0 || len(r.Hist) > 0
+			hasTS := r.TS != 0 || len(r.Hist) > 0
 			flags := r.Flags
 			if hasTS {
 				flags |= FlagHasTS
@@ -663,21 +605,19 @@ func (p *Page) EncodeAb() (image []byte, abBytes int) {
 			buf = append(buf, flags)
 			buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
 			buf = append(buf, r.Value...)
-			buf = binary.AppendUvarint(buf, uint64(len(r.Before)))
-			buf = append(buf, r.Before...)
 			if hasTS {
 				buf = binary.AppendUvarint(buf, uint64(r.TS))
-				buf = binary.AppendUvarint(buf, uint64(r.BeforeTS))
 				buf = binary.AppendUvarint(buf, uint64(len(r.Hist)))
 				for j := range r.Hist {
+					// A version's length is 0 for a deletion, else its
+					// value's length plus one.
 					v := &r.Hist[j]
 					buf = binary.AppendUvarint(buf, uint64(v.TS))
 					if v.Del {
-						buf = append(buf, 1)
-					} else {
 						buf = append(buf, 0)
+						continue
 					}
-					buf = binary.AppendUvarint(buf, uint64(len(v.Val)))
+					buf = binary.AppendUvarint(buf, uint64(len(v.Val))+1)
 					buf = append(buf, v.Val...)
 				}
 			}
@@ -735,10 +675,10 @@ func DecodeInto(p *Page, image []byte) error {
 	}
 	if p.Leaf {
 		p.Keys, p.Children = nil, nil
-		// A record is five bytes or more and a history entry three, so the
+		// A record is four bytes or more and a history entry two, so the
 		// bytes left bound what a corrupt count can make Decode allocate.
 		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf))/5 {
+		if d.err == nil && n > uint64(len(d.buf))/4 {
 			return errCorrupt
 		}
 		p.Recs = resize(p.Recs, n)
@@ -751,14 +691,12 @@ func DecodeInto(p *Page, image []byte) error {
 			r.Owner = base.TCID(d.uvarint())
 			r.Flags = d.byte()
 			r.Value = d.bytes()
-			r.Before = d.bytes()
-			r.TS, r.BeforeTS, r.Hist = 0, 0, nil
+			r.TS, r.Hist = 0, nil
 			if r.Flags&FlagHasTS != 0 {
 				r.Flags &^= FlagHasTS
 				r.TS = base.TS(d.uvarint())
-				r.BeforeTS = base.TS(d.uvarint())
 				hn := d.uvarint()
-				if d.err == nil && hn > uint64(len(d.buf))/3 {
+				if d.err == nil && hn > uint64(len(d.buf))/2 {
 					return errCorrupt
 				}
 				if d.err == nil && hn > 0 {
@@ -767,10 +705,19 @@ func DecodeInto(p *Page, image []byte) error {
 					}
 					first := len(hist)
 					for ; hn > 0; hn-- {
-						hist = append(hist, Version{TS: base.TS(d.uvarint()), Del: d.byte() != 0, Val: d.bytes()})
+						v := Version{TS: base.TS(d.uvarint())}
+						if n := d.uvarint(); n == 0 {
+							v.Del = true
+						} else {
+							v.Val = d.take(n - 1)
+						}
+						hist = append(hist, v)
 					}
 					r.Hist = hist[first:]
 				}
+			}
+			if r.HasBefore() && len(r.Hist) == 0 && d.err == nil {
+				return errCorrupt // a before version is the last entry of Hist
 			}
 		}
 		for i, first := 0, 0; first < len(hist); i++ {
@@ -863,8 +810,10 @@ func (d *decoder) byte() byte {
 // bytes returns the next length-prefixed field as a slice of the image,
 // clipped to its own length so that an append to it cannot reach the field
 // behind it.
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
+func (d *decoder) bytes() []byte { return d.take(d.uvarint()) }
+
+// take returns the next n bytes as bytes does.
+func (d *decoder) take(n uint64) []byte {
 	if d.err != nil || n > uint64(len(d.buf)) {
 		d.fail()
 		return nil

@@ -93,17 +93,22 @@ func TestVersionLifecycle(t *testing.T) {
 	if v, _ := r.ReadVersion(base.ReadCommitted, 10); string(v) != "new" {
 		t.Fatalf("after commit committed read = %q", v)
 	}
-	if remove := r.PruneVersions(10); remove || r.HasBefore() {
-		t.Fatalf("a committed update at the horizon: remove %v, before kept %v", remove, r.HasBefore())
+	// The next versioned write, at horizon 10: the committed head becomes
+	// the before version, and "old", which no snapshot at or above 10 reads,
+	// is dropped.
+	r.Stage(20, 10)
+	r.Value = []byte("newer")
+	if len(r.Hist) != 1 || r.Hist[0].TS != 10 || string(r.Hist[0].Val) != "new" {
+		t.Fatalf("history after the next write: %+v", r.Hist)
 	}
-	if v, _ := r.ReadVersion(base.ReadCommitted, 0); string(v) != "new" {
-		t.Fatalf("after the horizon committed read = %q", v)
+	if v, _ := r.ReadVersion(base.ReadCommitted, 19); string(v) != "new" {
+		t.Fatalf("committed read under the next write = %q", v)
 	}
 }
 
 func TestVersionedInsertAndDelete(t *testing.T) {
 	// Versioned insert: null before version, then the intended insert.
-	ins := Record{Key: "k", Owner: 2, Value: []byte("v"), Flags: FlagHasBefore | FlagBeforeNull}
+	ins := Record{Key: "k", Owner: 2, Value: []byte("v"), Flags: FlagHasBefore, Hist: []Version{{Del: true}}}
 	if _, ok := ins.ReadVersion(base.ReadCommitted, 100); ok {
 		t.Fatal("committed read must not see uncommitted insert")
 	}
@@ -115,15 +120,19 @@ func TestVersionedInsertAndDelete(t *testing.T) {
 		t.Fatal("aborted insert must remove the record")
 	}
 	ins.Stage(7, 0) // the commit barrier's stamp
-	if ins.PruneVersions(7) {
-		t.Fatal("committed insert must keep the record")
-	}
-	if v, ok := ins.ReadVersion(base.ReadCommitted, 0); !ok || string(v) != "v" {
+	if v, ok := ins.ReadVersion(base.ReadCommitted, 7); !ok || string(v) != "v" {
 		t.Fatalf("after commit = %q %v", v, ok)
+	}
+	if _, ok := ins.VersionAt(6); ok {
+		t.Fatal("a snapshot below the insert must not see it")
+	}
+	ins.Stage(9, 0) // the next write: the null version goes
+	if len(ins.Hist) != 1 || ins.Hist[0].TS != 7 || string(ins.Hist[0].Val) != "v" {
+		t.Fatalf("history after the next write: %+v", ins.Hist)
 	}
 
 	// Versioned delete: tombstone latest, before retained.
-	del := Record{Key: "d", Owner: 2, Value: nil, Before: []byte("was"),
+	del := Record{Key: "d", Owner: 2, Value: nil, Hist: []Version{{Val: []byte("was")}},
 		Flags: FlagHasBefore | FlagTombstone}
 	if v, ok := del.ReadVersion(base.ReadCommitted, 0); !ok || string(v) != "was" {
 		t.Fatalf("committed read of tombstoned = %q %v", v, ok)
@@ -133,8 +142,11 @@ func TestVersionedInsertAndDelete(t *testing.T) {
 	}
 	commitDel := del
 	commitDel.Stage(9, 0)
-	if !commitDel.PruneVersions(9) {
-		t.Fatal("committed delete must remove the record")
+	if _, ok := commitDel.VersionAt(9); ok {
+		t.Fatal("a snapshot at the delete must not see the key")
+	}
+	if v, ok := commitDel.VersionAt(8); !ok || string(v) != "was" {
+		t.Fatalf("a snapshot below the delete = %q %v", v, ok)
 	}
 	abortDel := del
 	if abortDel.AbortVersion() {
@@ -145,22 +157,21 @@ func TestVersionedInsertAndDelete(t *testing.T) {
 	}
 }
 
-// TestStagePrunes: a versioned write over a committed head folds the head's
-// before version into the history and prunes the history under the horizon,
-// and so does a horizon that passes the head; a pending head keeps its before
-// version whatever the horizon, and an abort restores it.
+// TestStagePrunes: a versioned write over a committed head prunes the history
+// under the horizon and appends the head to it as the before version; a
+// pending head keeps its before version whatever the horizon, and an abort
+// restores it.
 func TestStagePrunes(t *testing.T) {
-	// v1 committed at 10 over v0 at 5, over v- at 2: a stamped head that no
-	// write has folded yet.
+	// v1 committed at 10 over v0 at 5, its before version, over v- at 2.
 	stamped := func() Record {
-		return Record{Key: "k", Owner: 1, Value: []byte("v1"), TS: 10, Before: []byte("v0"), BeforeTS: 5,
-			Flags: FlagHasBefore, Hist: []Version{{TS: 2, Val: []byte("v-")}}}
+		return Record{Key: "k", Owner: 1, Value: []byte("v1"), TS: 10,
+			Flags: FlagHasBefore, Hist: []Version{{TS: 2, Val: []byte("v-")}, {TS: 5, Val: []byte("v0")}}}
 	}
 	for _, c := range []struct {
 		name string
 		run  func(r *Record)
-		// what the record holds after: its before version, its history's
-		// timestamps, and what a snapshot at 6 and at 12 reads
+		// what the record holds after: its before version, the timestamps
+		// of the history below it, and what a snapshot at 6 and at 12 reads
 		before       string
 		hist         string
 		at6, at12    string
@@ -169,13 +180,17 @@ func TestStagePrunes(t *testing.T) {
 		committedVal string
 	}{
 		{name: "pending head above the horizon keeps its before version",
-			run: func(r *Record) { r.TS = 20; r.PruneVersions(15) }, keepsBefore: true,
-			before: "v0", hist: "[]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v1"},
+			run: func(r *Record) { r.TS = 20; r.Stage(20, 15) }, keepsBefore: true,
+			before: "v0", hist: "[2]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v1"},
 		{name: "pending head keeps its before version under the next write of its transaction",
 			run: func(r *Record) { r.TS = 0; r.Stage(20, 15); r.Value = []byte("v2") }, keepsBefore: true,
 			before: "v0", hist: "[2]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v2"},
 		{name: "committed head at the horizon drops the history",
-			run:  func(r *Record) { r.PruneVersions(10) },
+			run: func(r *Record) {
+				r.Stage(20, 10) // a write that then aborts
+				r.Value = []byte("v2")
+				r.AbortVersion()
+			},
 			hist: "[]", at6: "", at12: "v1", committedTS: 10, committedVal: "v1"},
 		{name: "write over a committed head at the horizon drops the history",
 			run: func(r *Record) { r.Stage(20, 10); r.Value = []byte("v2") }, keepsBefore: true,
@@ -195,12 +210,16 @@ func TestStagePrunes(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := stamped()
 			c.run(&r)
+			older, before := r.Hist, ""
+			if r.HasBefore() {
+				older, before = older[:len(older)-1], string(older[len(older)-1].Val)
+			}
 			var hist []base.TS
-			for _, v := range r.Hist {
+			for _, v := range older {
 				hist = append(hist, v.TS)
 			}
-			if r.HasBefore() != c.keepsBefore || string(r.Before) != c.before || fmt.Sprint(hist) != c.hist {
-				t.Fatalf("before %v %q, history %v; want %v %q, %s", r.HasBefore(), r.Before, hist, c.keepsBefore, c.before, c.hist)
+			if r.HasBefore() != c.keepsBefore || before != c.before || fmt.Sprint(hist) != c.hist {
+				t.Fatalf("before %v %q, history %v; want %v %q, %s", r.HasBefore(), before, hist, c.keepsBefore, c.before, c.hist)
 			}
 			for at, want := range map[base.TS]string{6: c.at6, 12: c.at12} {
 				if v, _ := r.VersionAt(at); string(v) != want {
@@ -345,8 +364,8 @@ func TestEncodeDecodeRoundTripLeaf(t *testing.T) {
 	p.Ab.Ensure(1).Add(100)
 	p.Ab.Ensure(3).Add(5)
 	p.Put(Record{Key: "a", Owner: 1, Value: []byte("va")})
-	p.Put(Record{Key: "b", Owner: 3, Flags: FlagHasBefore, Value: []byte("new"), Before: []byte("old")})
-	p.Put(Record{Key: "c", Owner: 1, Flags: FlagHasBefore | FlagBeforeNull, Value: []byte("ins")})
+	p.Put(Record{Key: "b", Owner: 3, Flags: FlagHasBefore, Value: []byte("new"), Hist: []Version{{Val: []byte("old")}}})
+	p.Put(Record{Key: "c", Owner: 1, Flags: FlagHasBefore, Value: []byte("ins"), Hist: []Version{{Del: true}}})
 
 	got, err := Decode(p.Encode())
 	if err != nil {
@@ -358,7 +377,7 @@ func TestEncodeDecodeRoundTripLeaf(t *testing.T) {
 	if got.DLSN != 12 || got.Next != 8 || !got.Ab.Contains(1, 100) || !got.Ab.Contains(3, 5) {
 		t.Fatal("header fields lost")
 	}
-	if r := got.Get("b"); r == nil || !r.HasBefore() || string(r.Before) != "old" {
+	if r := got.Get("b"); r == nil || !r.HasBefore() || string(r.Hist[0].Val) != "old" {
 		t.Fatalf("version fields lost: %+v", r)
 	}
 }
@@ -401,12 +420,15 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 				continue
 			}
 			used[k] = true
-			rec := Record{Key: k, Owner: base.TCID(rnd.Intn(4)), Flags: uint8(rnd.Intn(8))}
+			rec := Record{Key: k, Owner: base.TCID(rnd.Intn(4)), Flags: uint8(rnd.Intn(4))}
 			if rnd.Intn(4) > 0 {
 				rec.Value = []byte(fmt.Sprintf("v%d", rnd.Intn(1000)))
 			}
-			if rec.Flags&FlagHasBefore != 0 && rec.Flags&FlagBeforeNull == 0 {
-				rec.Before = []byte("b")
+			if rec.Flags&FlagHasBefore != 0 {
+				rec.Hist = []Version{{Del: true}} // the null version
+				if rnd.Intn(2) == 0 {
+					rec.Hist[0] = Version{TS: base.TS(rnd.Intn(3)), Val: []byte("b")}
+				}
 			}
 			p.Put(rec)
 			p.Ab.Ensure(rec.Owner).Add(base.LSN(i + 1))
@@ -421,14 +443,14 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 
 func TestCloneDeep(t *testing.T) {
 	p := leafWith("a")
-	p.Recs[0].Before = []byte("b")
+	p.Recs[0].Hist = []Version{{Val: []byte("b")}}
 	p.Recs[0].Flags = FlagHasBefore
 	p.Ab.Ensure(1).Add(4)
 	c := p.Clone()
 	c.Recs[0].Value[0] = 'Z'
 	c.Ab.Ensure(1).Add(9)
-	c.Recs[0].Before[0] = 'X'
-	if string(p.Recs[0].Value) != "va" || string(p.Recs[0].Before) != "b" || p.Ab.Contains(1, 9) {
+	c.Recs[0].Hist[0].Val[0] = 'X'
+	if string(p.Recs[0].Value) != "va" || string(p.Recs[0].Hist[0].Val) != "b" || p.Ab.Contains(1, 9) {
 		t.Fatal("clone aliases original")
 	}
 }

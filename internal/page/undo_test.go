@@ -81,8 +81,8 @@ func TestRollBackUndoesNewestFirst(t *testing.T) {
 	apply(1, 15, "upd", func() { p.Get("upd").Value = []byte("u2") })
 	apply(1, 16, "ver", func() {
 		r := p.Get("ver")
-		r.Before, r.BeforeTS, r.Flags = r.Value, r.TS, r.Flags|FlagHasBefore
-		r.Value, r.TS = []byte("v1"), 0
+		r.Stage(0, 0) // an early versioned write
+		r.Value = []byte("v1")
 	})
 	apply(1, 17, "ins", func() { p.Get("ins").Value = []byte("i2") })
 
@@ -134,23 +134,22 @@ func TestForcedRollsBackACopy(t *testing.T) {
 
 // TestUndoPriorKeepsItsHist: the tail keeps a Record by value, so the prior
 // and the live record share the history's backing array. A versioned write
-// over a committed head appends the head's before version to the live
+// over a committed head appends the head, as the before version, to the live
 // record's history, into that array; the prior's history must read the same
 // after, and rolling back to it must restore the record exactly.
 func TestUndoPriorKeepsItsHist(t *testing.T) {
-	hist := make([]Version, 1, 4)
-	hist[0] = Version{TS: 10, Val: []byte("v0")}
+	hist := make([]Version, 2, 4)
+	hist[0], hist[1] = Version{TS: 10, Val: []byte("v0")}, Version{TS: 20, Val: []byte("v1")}
 	p := NewLeaf(1)
-	p.Put(Record{Key: "k", Owner: 1, Value: []byte("v2"), TS: 25, Before: []byte("v1"), BeforeTS: 20,
-		Flags: FlagHasBefore, Hist: hist})
+	p.Put(Record{Key: "k", Owner: 1, Value: []byte("v2"), TS: 25, Flags: FlagHasBefore, Hist: hist})
 	want := p.Clone()
 	p.Undo = append(p.Undo, Undo{TC: 1, LSN: 5, Prior: *p.Get("k")})
 	live := p.Get("k")
 	live.Stage(30, 0)
-	if len(live.Hist) != 2 || &live.Hist[0] != &p.Undo[0].Prior.Hist[0] {
+	if len(live.Hist) != 3 || &live.Hist[0] != &p.Undo[0].Prior.Hist[0] {
 		t.Fatal("the write did not append into the shared array: the test shows nothing")
 	}
-	if h := p.Undo[0].Prior.Hist; len(h) != 1 || h[0].TS != 10 || string(h[0].Val) != "v0" {
+	if h := p.Undo[0].Prior.Hist; len(h) != 2 || h[0].TS != 10 || string(h[0].Val) != "v0" || h[1].TS != 20 {
 		t.Fatalf("the prior's history changed under the write: %+v", h)
 	}
 	p.RollBack(1, 0)

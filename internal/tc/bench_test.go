@@ -61,8 +61,9 @@ func newBenchPair(tb testing.TB) *benchPair {
 // writeTxn is the repo benchmark's write transaction: four Upserts of keys
 // the transaction never read (each takes an X lock and an op record, logged
 // redo-only with the commit record, so nothing is pre-read), then Commit.
-func (p *benchPair) writeTxn(tb testing.TB) {
-	x := p.tc.Begin(context.Background(), TxnOptions{})
+// Versioned, each Upsert keeps the key's committed head as its before version.
+func (p *benchPair) writeTxn(tb testing.TB, versioned bool) {
+	x := p.tc.Begin(context.Background(), TxnOptions{Versioned: versioned})
 	// Four keys a stride apart from a uniform start: distinct, and on
 	// different leaves like the benchmark's four uniform draws.
 	at := p.rng.Intn(len(p.keys))
@@ -91,7 +92,20 @@ func BenchmarkWriteTxn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.writeTxn(b)
+		p.writeTxn(b, false)
+	}
+}
+
+// BenchmarkVersionedWriteTxn is BenchmarkWriteTxn with versioned writes
+// (§6.2.2): the same keys and checkpoints, and every Upsert makes the key's
+// committed head its before version, the version GC pruning below the
+// horizon as it goes.
+func BenchmarkVersionedWriteTxn(b *testing.B) {
+	p := newBenchPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.writeTxn(b, true)
 	}
 }
 
@@ -140,9 +154,9 @@ func BenchmarkLockedReadTxn(b *testing.B) {
 func TestWriteTxnAllocs(t *testing.T) {
 	p := newBenchPair(t)
 	for i := 0; i < 200; i++ {
-		p.writeTxn(t) // free lists filled, pages past their first splits
+		p.writeTxn(t, false) // free lists filled, pages past their first splits
 	}
-	if got := testing.AllocsPerRun(2000, func() { p.writeTxn(t) }); got > 10 {
+	if got := testing.AllocsPerRun(2000, func() { p.writeTxn(t, false) }); got > 10 {
 		t.Fatalf("4 x Upsert + Commit = %.1f allocs, want <= 10", got)
 	} else {
 		t.Logf("4 x Upsert + Commit = %.1f allocs", got)
@@ -152,7 +166,7 @@ func TestWriteTxnAllocs(t *testing.T) {
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.writeTxn(b)
+			p.writeTxn(b, false)
 		}
 	})
 	if got := r.AllocedBytesPerOp(); got > 2560 {

@@ -239,6 +239,7 @@ func Dial(addr string, cfg DialConfig) *Client {
 	cfg = cfg.withDefaults()
 	cl := newClient(func() time.Duration { return cfg.ResendAfter })
 	link := &tcpLink{addr: addr, cfg: cfg, done: cl.closeCh, open: make(map[*tcpConn]struct{})}
+	link.dials, link.stopDials = context.WithCancel(context.Background())
 	if cfg.DropProb > 0 {
 		seed := cfg.DropSeed
 		if seed == 0 {
@@ -270,6 +271,9 @@ type tcpLink struct {
 	addr string
 	cfg  DialConfig
 	done <-chan struct{} // the client's: closed by Close, before shutdown
+	// dials is the context of dialPost's dial, which shutdown cancels.
+	dials     context.Context
+	stopDials context.CancelFunc
 
 	mu       sync.Mutex
 	idle     []*tcpConn
@@ -277,6 +281,8 @@ type tcpLink struct {
 	up       bool
 	backoff  time.Duration // the pause after the last failed dial
 	nextDial time.Time     // while down, no dial before this
+	posting  bool          // a dialPost runs
+	posted   message       // the frame it sends: the newest post's
 
 	// sessions counts the times the link came up. A connection carries the
 	// session it was dialed in, so the failure of one dialed before the
@@ -395,16 +401,45 @@ func (ln *tcpLink) send(c *tcpConn, m *message) error {
 }
 
 // post sends a frame that has no reply (SafeTS's msgWatermarks) on an idle
-// connection or a freshly dialed one, never on one a call holds: a
-// watermark cannot queue behind a request that waits for it. During a
-// redial pause the frame is dropped, as a lost frame would be.
+// connection, never on one a call holds: a watermark cannot queue behind a
+// request that waits for it. With none idle it hands the frame to a dial on a
+// goroutine of the link's (dialPost), so a DC host that drops SYNs holds no
+// caller for ConnectTimeout: the TC's tick posts to every DC in turn. While
+// that dial runs, a newer frame replaces the one it holds. During a redial
+// pause the frame is dropped, as a lost frame would be.
 func (ln *tcpLink) post(m message) {
-	c, err := ln.take(context.Background(), time.Now())
-	if err != nil {
+	ln.mu.Lock()
+	if c := ln.popIdleLocked(); c != nil {
+		ln.mu.Unlock()
+		ln.sendPost(c, &m)
 		return
 	}
+	ln.posted = m
+	dialing := ln.posting
+	ln.posting = true
+	ln.mu.Unlock()
+	if !dialing {
+		go ln.dialPost()
+	}
+}
+
+// dialPost takes a connection for the frames post could not send, one dial at
+// a time, and sends the newest of them on it.
+func (ln *tcpLink) dialPost() {
+	c, err := ln.take(ln.dials, time.Now())
+	ln.mu.Lock()
+	m := ln.posted
+	ln.posted, ln.posting = message{}, false
+	ln.mu.Unlock()
+	if err == nil {
+		ln.sendPost(c, &m)
+	}
+}
+
+// sendPost writes a posted frame on c and leaves c idle.
+func (ln *tcpLink) sendPost(c *tcpConn, m *message) {
 	c.SetDeadline(time.Now().Add(writeTimeout))
-	if err := ln.send(c, &m); err != nil {
+	if err := ln.send(c, m); err != nil {
 		ln.drop(c, true)
 		return
 	}
@@ -422,10 +457,7 @@ func (ln *tcpLink) take(ctx context.Context, deadline time.Time) (*tcpConn, erro
 			ln.mu.Unlock()
 			return nil, errClosed
 		}
-		if n := len(ln.idle); n > 0 {
-			c := ln.idle[n-1]
-			ln.idle[n-1] = nil
-			ln.idle = ln.idle[:n-1]
+		if c := ln.popIdleLocked(); c != nil {
 			ln.mu.Unlock()
 			return c, nil
 		}
@@ -444,6 +476,18 @@ func (ln *tcpLink) take(ctx context.Context, deadline time.Time) (*tcpConn, erro
 			return c, err
 		}
 	}
+}
+
+// popIdleLocked pops the connection last made idle, or returns nil.
+func (ln *tcpLink) popIdleLocked() *tcpConn {
+	n := len(ln.idle)
+	if n == 0 {
+		return nil
+	}
+	c := ln.idle[n-1]
+	ln.idle[n-1] = nil
+	ln.idle = ln.idle[:n-1]
+	return c
 }
 
 // dial opens a connection. A failed dial returns nothing and starts or
@@ -568,9 +612,11 @@ func (ln *tcpLink) isDone() bool {
 }
 
 // shutdown closes every connection, idle or held: a call blocked on its
-// reply wakes with an error and finds the client closed. A connection put
-// back or dialed from now on sees done and is closed by its caller.
+// reply wakes with an error and finds the client closed. It cancels a
+// post's dial. A connection put back or dialed from now on sees done and is
+// closed by its caller.
 func (ln *tcpLink) shutdown() {
+	ln.stopDials()
 	ln.mu.Lock()
 	for c := range ln.open {
 		c.Close()

@@ -166,14 +166,15 @@
 // implementation deliberately does not. The commit barrier is the lock point,
 // so the TC draws the commit timestamp there and every versioned write that
 // barrier ships carries it (one an earlier barrier shipped is written again).
-// A DC keeps the before version beside the stamped one and takes the stamped
-// one for committed once the owner TC's safe timestamp passes it; the TC
-// holds its safe timestamp below the commit timestamp until the commit record
-// is forced. So a ReadCommitted reader sees a just-committed version from the
-// owner's next safe timestamp broadcast on — within one TC tick — not the
-// instant Commit returns; snapshot reads are unchanged. The next versioned
-// write of the key, or a version-GC horizon past it, folds the before version
-// into the history.
+// A DC keeps the before version, the newest entry of the record's history,
+// below the stamped one and takes the stamped one for committed once the
+// owner TC's safe timestamp passes it; the TC holds its safe timestamp below
+// the commit timestamp until the commit record is forced. So a ReadCommitted
+// reader sees a just-committed version from the owner's next safe timestamp
+// broadcast on — within one TC tick — not the instant Commit returns;
+// snapshot reads are unchanged. The next versioned write of the key drops
+// the history the version-GC horizon no longer reaches and appends the
+// committed head after the before version.
 //
 // The §4.2.1 watermarks — end of stable log, low-water mark, and the safe
 // timestamp of the snapshot protocol — are one-way hints whose delay only
