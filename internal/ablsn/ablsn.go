@@ -35,8 +35,13 @@ import (
 type A struct {
 	// Low is LSNlw: every operation with LSN <= Low is included.
 	Low base.LSN
-	// In is {LSNin}: the sorted set of LSNs > Low also included.
-	In []base.LSN
+	// in is {LSNin}: the sorted set of LSNs > Low also included. It changes
+	// only through the methods, which keep inBytes.
+	in []base.LSN
+	// inBytes is what in's delta encoding takes (Append), kept as in changes
+	// so that EncodedSize, which every write's split test reads through
+	// page.Page.Size, does not walk the set.
+	inBytes int
 	// Max is the highest LSN ever actually applied to the page through this
 	// abstract LSN. Unlike Low it is never advanced by low-water marks, so
 	// it stays exact. Two protocols need it: the causality flush gate (a
@@ -58,13 +63,15 @@ func (a *A) Contains(lsn base.LSN) bool {
 	if lsn <= a.Low {
 		return true
 	}
-	i := sort.Search(len(a.In), func(i int) bool { return a.In[i] >= lsn })
-	return i < len(a.In) && a.In[i] == lsn
+	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] >= lsn })
+	return i < len(a.in) && a.in[i] == lsn
 }
 
 // Add records that the operation with the given LSN has been applied to the
 // page. Adding an LSN already contained is a no-op (idempotent replays are
-// filtered by Contains before application, but Add tolerates it).
+// filtered by Contains before application, but Add tolerates it). The
+// encoded length changes by the new LSN's delta and, unless it lands at the
+// tail, by the change of its successor's.
 func (a *A) Add(lsn base.LSN) {
 	if lsn > a.Max {
 		a.Max = lsn
@@ -72,13 +79,22 @@ func (a *A) Add(lsn base.LSN) {
 	if lsn <= a.Low {
 		return
 	}
-	i := sort.Search(len(a.In), func(i int) bool { return a.In[i] >= lsn })
-	if i < len(a.In) && a.In[i] == lsn {
+	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] >= lsn })
+	if i < len(a.in) && a.in[i] == lsn {
 		return
 	}
-	a.In = append(a.In, 0)
-	copy(a.In[i+1:], a.In[i:])
-	a.In[i] = lsn
+	prev := base.LSN(0)
+	if i > 0 {
+		prev = a.in[i-1]
+	}
+	a.inBytes += uvarintLen(uint64(lsn - prev))
+	if i < len(a.in) {
+		next := a.in[i]
+		a.inBytes += uvarintLen(uint64(next-lsn)) - uvarintLen(uint64(next-prev))
+	}
+	a.in = append(a.in, 0)
+	copy(a.in[i+1:], a.in[i:])
+	a.in[i] = lsn
 }
 
 // Advance raises Low to lwm (if higher) and discards every element of
@@ -90,13 +106,25 @@ func (a *A) Advance(lwm base.LSN) {
 		return
 	}
 	a.Low = lwm
-	i := sort.Search(len(a.In), func(i int) bool { return a.In[i] > lwm })
+	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] > lwm })
 	if i > 0 {
-		a.In = append(a.In[:0], a.In[i:]...)
+		a.in = append(a.in[:0], a.in[i:]...)
+		a.sumIn()
 	}
-	if len(a.In) == 0 {
-		a.In = nil
+	if len(a.in) == 0 {
+		a.in = nil
 	}
+}
+
+// sumIn recomputes inBytes from in: after a change that re-bases the first
+// delta or drops many LSNs at once, which walks the set anyway.
+func (a *A) sumIn() {
+	n, prev := 0, base.LSN(0)
+	for _, l := range a.in {
+		n += uvarintLen(uint64(l - prev))
+		prev = l
+	}
+	a.inBytes = n
 }
 
 // MaxApplied returns the highest LSN actually applied to the page. It can
@@ -105,13 +133,13 @@ func (a *A) Advance(lwm base.LSN) {
 func (a *A) MaxApplied() base.LSN { return a.Max }
 
 // InCount returns |{LSNin}|, the number of explicitly tracked LSNs.
-func (a *A) InCount() int { return len(a.In) }
+func (a *A) InCount() int { return len(a.in) }
 
 // Clone returns a deep copy.
 func (a *A) Clone() *A {
-	c := &A{Low: a.Low, Max: a.Max}
-	if len(a.In) > 0 {
-		c.In = append([]base.LSN(nil), a.In...)
+	c := &A{Low: a.Low, Max: a.Max, inBytes: a.inBytes}
+	if len(a.in) > 0 {
+		c.in = append([]base.LSN(nil), a.in...)
 	}
 	return c
 }
@@ -132,7 +160,7 @@ func (a *A) MergeMax(b *A) {
 	if b.Low > a.Low {
 		a.Low = b.Low
 	}
-	for _, l := range b.In {
+	for _, l := range b.in {
 		a.Add(l)
 	}
 	if b.Max > a.Max {
@@ -147,13 +175,14 @@ func (a *A) MergeMax(b *A) {
 // upper bound of what the page still holds.
 func (a *A) Forget(lsn base.LSN) {
 	a.Low, a.Max = min(a.Low, lsn), min(a.Max, lsn)
-	a.In = a.In[:sort.Search(len(a.In), func(i int) bool { return a.In[i] > lsn })]
+	a.in = a.in[:sort.Search(len(a.in), func(i int) bool { return a.in[i] > lsn })]
+	a.sumIn()
 }
 
 func (a *A) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "<%d,{", a.Low)
-	for i, l := range a.In {
+	for i, l := range a.in {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
@@ -167,9 +196,9 @@ func (a *A) String() string {
 func (a *A) Append(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(a.Low))
 	buf = binary.AppendUvarint(buf, uint64(a.Max))
-	buf = binary.AppendUvarint(buf, uint64(len(a.In)))
+	buf = binary.AppendUvarint(buf, uint64(len(a.in)))
 	prev := base.LSN(0)
-	for _, l := range a.In {
+	for _, l := range a.in {
 		buf = binary.AppendUvarint(buf, uint64(l-prev)) // delta-encode
 		prev = l
 	}
@@ -187,8 +216,10 @@ func Decode(buf []byte) (*A, []byte, error) {
 	return &a, rest, nil
 }
 
-// decode is Decode into a, whatever a held; it reuses a.In's array when the
-// set fits in it.
+// decode is Decode into a, whatever a held; it reuses a.in's array when the
+// set fits in it, and sums inBytes as it goes. The sum is of each delta's
+// canonical length, not of the bytes read: an over-long uvarint decodes,
+// and Append writes it short.
 func (a *A) decode(buf []byte) ([]byte, error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -208,19 +239,21 @@ func (a *A) decode(buf []byte) ([]byte, error) {
 	if u > uint64(len(buf)) {
 		return nil, errCorrupt
 	}
-	if u <= uint64(cap(a.In)) {
-		a.In = a.In[:u]
+	if u <= uint64(cap(a.in)) {
+		a.in = a.in[:u]
 	} else {
-		a.In = make([]base.LSN, u)
+		a.in = make([]base.LSN, u)
 	}
 	prev := base.LSN(0)
-	for i := range a.In {
+	a.inBytes = 0
+	for i := range a.in {
 		d, n := binary.Uvarint(buf)
 		if n <= 0 {
 			return nil, errCorrupt
 		}
 		prev += base.LSN(d)
-		a.In[i], buf = prev, buf[n:]
+		a.in[i], buf = prev, buf[n:]
+		a.inBytes += uvarintLen(d)
 	}
 	return buf, nil
 }
@@ -228,17 +261,10 @@ func (a *A) decode(buf []byte) ([]byte, error) {
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")
 
 // EncodedSize returns len(a.Append(nil)), the serialized size in bytes,
-// without encoding: what the abstract LSN costs a stable page (the buffer
-// pool sums it into Stats.AbLSNBytes, which the benchmark reports as
-// buffer.ablsn_bytes_frac).
+// without encoding and without walking {LSNin}: three lengths and the kept
+// inBytes. It is what the abstract LSN adds to page.Page.Size.
 func (a *A) EncodedSize() int {
-	n := uvarintLen(uint64(a.Low)) + uvarintLen(uint64(a.Max)) + uvarintLen(uint64(len(a.In)))
-	prev := base.LSN(0)
-	for _, l := range a.In {
-		n += uvarintLen(uint64(l - prev))
-		prev = l
-	}
-	return n
+	return uvarintLen(uint64(a.Low)) + uvarintLen(uint64(a.Max)) + uvarintLen(uint64(len(a.in))) + a.inBytes
 }
 
 // uvarintLen returns len(binary.AppendUvarint(nil, x)): seven bits a byte.

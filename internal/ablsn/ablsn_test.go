@@ -105,10 +105,18 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// mk returns the abstract LSN <low, in> with the given Max, built the way
+// decode builds one.
+func mk(low, max base.LSN, in ...base.LSN) *A {
+	a := &A{Low: low, Max: max, in: in}
+	a.sumIn()
+	return a
+}
+
 func TestMergeMax(t *testing.T) {
 	// Consolidation: left has <4,{6}>, right has <2,{3,9}>.
-	l := &A{Low: 4, In: []base.LSN{6}, Max: 6}
-	r := &A{Low: 2, In: []base.LSN{3, 9}, Max: 9}
+	l := mk(4, 6, 6)
+	r := mk(2, 9, 3, 9)
 	l.MergeMax(r)
 	if l.Low != 4 {
 		t.Fatalf("Low = %d want 4", l.Low)
@@ -131,8 +139,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []*A{
 		{},
 		{Low: 7, Max: 7},
-		{Low: 3, In: []base.LSN{5, 6, 100}, Max: 100},
-		{Low: 1 << 50, In: []base.LSN{1<<50 + 3}, Max: 1<<50 + 3},
+		mk(3, 100, 5, 6, 100),
+		mk(1<<50, 1<<50+3, 1<<50+3),
 	}
 	for _, a := range cases {
 		buf := a.Append(nil)
@@ -140,7 +148,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode(%v): %v rest=%d", a, err, len(rest))
 		}
-		if got.Low != a.Low || got.Max != a.Max || !reflect.DeepEqual(normIn(got.In), normIn(a.In)) {
+		if got.Low != a.Low || got.Max != a.Max || !reflect.DeepEqual(normIn(got.in), normIn(a.in)) {
 			t.Fatalf("roundtrip: in=%v out=%v", a, got)
 		}
 	}
@@ -154,7 +162,7 @@ func normIn(in []base.LSN) []base.LSN {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	a := &A{Low: 3, In: []base.LSN{5, 9}, Max: 9}
+	a := mk(3, 9, 5, 9)
 	buf := a.Append(nil)
 	for i := 0; i < len(buf); i++ {
 		if _, _, err := Decode(buf[:i]); err == nil {
@@ -210,10 +218,10 @@ func TestQuickContainsMatchesModel(t *testing.T) {
 			}
 		}
 		// In must stay sorted and above Low
-		if !sort.SliceIsSorted(a.In, func(i, j int) bool { return a.In[i] < a.In[j] }) {
+		if !sort.SliceIsSorted(a.in, func(i, j int) bool { return a.in[i] < a.in[j] }) {
 			return false
 		}
-		for _, l := range a.In {
+		for _, l := range a.in {
 			if l <= a.Low {
 				return false
 			}
@@ -237,11 +245,11 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			return false
 		}
-		if got.Low != a.Low || got.Max != a.Max || len(got.In) != len(a.In) {
+		if got.Low != a.Low || got.Max != a.Max || len(got.in) != len(a.in) {
 			return false
 		}
-		for i := range a.In {
-			if a.In[i] != got.In[i] {
+		for i := range a.in {
+			if a.in[i] != got.in[i] {
 				return false
 			}
 		}
@@ -292,7 +300,7 @@ func TestTableBasics(t *testing.T) {
 // every claim above L goes — in the In set, under Low, and in Max — and every
 // claim at or below it stays.
 func TestForget(t *testing.T) {
-	a := &A{Low: 4, In: []base.LSN{6, 9, 12}, Max: 12}
+	a := mk(4, 12, 6, 9, 12)
 	a.Forget(9)
 	if !a.Contains(4) || !a.Contains(6) || !a.Contains(9) || a.Contains(12) || a.Max != 9 {
 		t.Fatalf("after Forget(9): %v", a)
@@ -367,22 +375,38 @@ func BenchmarkAddAdvance(b *testing.B) {
 	}
 }
 
-// TestEncodedSizeIsTheEncodingsLength: EncodedSize is arithmetic, and every
-// write's split test trusts it to be what Append would produce.
+// TestEncodedSizeIsTheEncodingsLength: EncodedSize is a kept count, and every
+// write's split test trusts it to be what Append would produce, after any
+// sequence of the methods that change a set: Add (at the tail, in the middle
+// and ahead of the first LSN, whose successor's delta changes), Advance,
+// Forget, MergeMax, Clone, and a decode into a table that held another.
 func TestEncodedSizeIsTheEncodingsLength(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
-	var tab Table
+	lsn := func() base.LSN { return base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))) }
+	var tab, other Table
 	for step := 0; step < 5000; step++ {
 		tc := base.TCID(rnd.Intn(5))
-		switch rnd.Intn(8) {
+		switch rnd.Intn(12) {
 		case 0:
 			if a := tab.Get(tc); a != nil {
-				a.Forget(base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))))
+				a.Forget(lsn())
 			}
 		case 1:
-			tab.Advance(tc, base.LSN(rnd.Int63n(1<<uint(rnd.Intn(40)))))
+			tab.Advance(tc, lsn())
+		case 2:
+			other.Ensure(tc).Add(lsn())
+			tab.MergeMax(other.Clone())
+		case 3:
+			if _, err := DecodeTableInto(&other, tab.Append(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := other.EncodedSize(), len(tab.Append(nil)); got != want {
+				t.Fatalf("step %d: decoded EncodedSize %d, encoding %d bytes", step, got, want)
+			}
+		case 4:
+			tab = *tab.Clone()
 		default:
-			tab.Ensure(tc).Add(base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))))
+			tab.Ensure(tc).Add(lsn())
 		}
 		if got, want := tab.EncodedSize(), len(tab.Append(nil)); got != want {
 			t.Fatalf("step %d: EncodedSize %d, Append wrote %d bytes", step, got, want)

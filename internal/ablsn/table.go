@@ -13,8 +13,7 @@ import (
 // pages. The zero value is an empty table.
 //
 // The entries are a slice kept sorted by TCID, not a map: a page has one or
-// two, every cached page is asked for its size on each write and for its
-// encoding on each flush, and both want the entries in TCID order without
+// two, and its encoding on each flush wants them in TCID order without
 // collecting and sorting keys. The *A that Get, Ensure and At return points
 // into that slice, so it is good until the next Ensure on the table (callers
 // hold the page latch and use it at once).
@@ -78,7 +77,7 @@ func (t *Table) At(i int) (base.TCID, *A) { return t.e[i].tc, &t.e[i].a }
 func (t *Table) Clone() *Table {
 	c := &Table{e: slices.Clone(t.e)}
 	for i := range c.e {
-		c.e[i].a.In = slices.Clone(c.e[i].a.In)
+		c.e[i].a.in = slices.Clone(c.e[i].a.in)
 	}
 	return c
 }
@@ -124,8 +123,8 @@ func DecodeTable(buf []byte) (*Table, []byte, error) {
 }
 
 // DecodeTableInto is DecodeTable into t, whatever t held: it reuses t's entry
-// array and each reused entry's In array where they are large enough, so a
-// table decoded into one that held as many entries and LSNs allocates
+// array and each reused entry's {LSNin} array where they are large enough, so
+// a table decoded into one that held as many entries and LSNs allocates
 // nothing. On an error t holds a partial table.
 func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
 	n, w := binary.Uvarint(buf)
@@ -160,8 +159,9 @@ func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodedSize returns len(t.Append(nil)) without encoding anything: every
-// write asks it of its page (page.Size, the split test).
+// EncodedSize returns len(t.Append(nil)) without encoding anything, in time
+// linear in the number of TCs (each A keeps its own length): the abstract-LSN
+// share of page.Page.Size.
 func (t *Table) EncodedSize() int {
 	n := uvarintLen(uint64(len(t.e)))
 	for i := range t.e {
@@ -175,7 +175,7 @@ func (t *Table) EncodedSize() int {
 func (t *Table) InCountTotal() int {
 	n := 0
 	for i := range t.e {
-		n += len(t.e[i].a.In)
+		n += len(t.e[i].a.in)
 	}
 	return n
 }

@@ -396,8 +396,10 @@ func (t *Tree) Keys() ([]string, error) {
 }
 
 // CheckInvariants verifies structural soundness: sorted keys, correct
-// routing, and a connected leaf chain — following Next from the leftmost
-// leaf visits exactly the leaves in key order and ends at 0. Test helper.
+// routing, a connected leaf chain — following Next from the leftmost leaf
+// visits exactly the leaves in key order and ends at 0 — and every page's
+// running size equal to the size walked from its fields
+// (page.Page.CheckSize). Test helper.
 func (t *Tree) CheckInvariants() error {
 	t.lock.RLock()
 	defer t.lock.RUnlock()
@@ -411,6 +413,9 @@ func (t *Tree) CheckInvariants() error {
 			return err
 		}
 		defer t.pool.Unpin(id)
+		if err := pg.CheckSize(); err != nil {
+			return err
+		}
 		if pg.Leaf {
 			if lastLeaf != 0 && lastNext != id {
 				return fmt.Errorf("leaf chain broken: %d links to %d, the next leaf in key order is %d",

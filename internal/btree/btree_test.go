@@ -276,6 +276,26 @@ func TestCheckInvariantsSeesBrokenLeafChain(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsSeesASizeDrift: a record written through its pointer,
+// not through the page, leaves the page's running size behind, and the check
+// says which page.
+func TestCheckInvariantsSeesASizeDrift(t *testing.T) {
+	e := newEnv(t, 256)
+	for i := 0; i < 200; i++ {
+		e.put(t, fmt.Sprintf("k%04d", i), "v")
+	}
+	id := e.leafIDs(t)[1]
+	leaf, err := e.pool.Fetch(id)
+	if err != nil || leaf == nil {
+		t.Fatalf("leaf %d: %v %v", id, leaf, err)
+	}
+	leaf.Recs[0].Value = []byte("a longer value")
+	e.pool.Unpin(id)
+	if err := e.tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d: running size", id)) {
+		t.Fatalf("CheckInvariants = %v", err)
+	}
+}
+
 // TestConcurrentApplies: 8 writers insert the keys 0..n-1 between them, 4
 // deleters follow (each waits for a key to be in before deleting it, and for
 // the tree to have grown before deleting anything) and 2 scanners walk the

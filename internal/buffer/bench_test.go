@@ -41,7 +41,9 @@ func evictFetchCycle(tb testing.TB) (pool *Pool, pages int, cycle func(i int)) {
 		}
 		lsn := base.LSN(i + 2)
 		pg.L.Lock()
-		pg.Recs[i%recs].Value = val
+		r := pg.Recs[i%recs]
+		r.Value = val
+		pg.Replace(&pg.Recs[i%recs], r)
 		pg.Ab.Ensure(1).Add(lsn)
 		pool.MarkDirty(pg, 1, lsn, 0)
 		pg.L.Unlock()

@@ -341,8 +341,9 @@ func TestConcurrentFetchSingleFrame(t *testing.T) {
 // freed, so a frame recycled while anyone could still reach it would show one
 // caller another page's records. Writers over 256 pages behind 8 frames, so
 // that nearly every fetch evicts a dirty page and takes over a frame, check
-// under the latch that every record of the page they hold names that page,
-// and bump the page's counter; at the end every page counts every write made
+// under the latch that every record of the page they hold names that page
+// and that its size is its own (page.Page.CheckSize), and bump the page's
+// counter; at the end every page counts every write made
 // to it, none lost to a frame served twice or a stale image installed. One
 // writer writes as a TC whose log is stable only up to a few LSNs back, so
 // some evictions find the causality gate closed and keep their victim.
@@ -393,9 +394,13 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 						t.Errorf("page %d holds record %q", id, pg.Recs[r].Key)
 					}
 				}
-				c := &pg.Recs[0]
+				if err := pg.CheckSize(); err != nil {
+					t.Error(err)
+				}
+				c := pg.Recs[0]
 				n, _ := strconv.Atoi(string(c.Value))
 				c.Value = strconv.AppendInt(nil, int64(n+1), 10)
+				pg.Replace(&pg.Recs[0], c)
 				tc, l := base.TCID(1), base.LSN(lsn.Add(1))
 				if w == 0 {
 					tc = 2

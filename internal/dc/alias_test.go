@@ -12,8 +12,9 @@ import (
 )
 
 // summedSize is what Page.Size computed before the abstract-LSN table's size
-// became arithmetic: the table encoded and measured, and the records summed.
-// Size must go on returning exactly this number (it decides every split).
+// became arithmetic and the page kept a running count: the table encoded and
+// measured, and the records summed. Size must go on returning exactly this
+// number (it decides every split).
 func summedSize(p *page.Page) int {
 	n := 32 + len(p.Ab.Append(nil))
 	if !p.Leaf {

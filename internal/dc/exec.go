@@ -308,10 +308,12 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 }
 
 // applyWrite mutates the latched leaf according to op; rec is the leaf's
-// record of op.Key, or nil. Failed operations (duplicate insert,
-// update/delete of a missing key) change nothing and are deliberately not
-// recorded in the abstract LSN: re-execution is deterministic because redo
-// repeats history in operation order.
+// record of op.Key, or nil, which it changes through the leaf (Put, Replace,
+// Remove) and never in place, since the leaf keeps its own size. Failed
+// operations (duplicate insert, update/delete of a missing key) change
+// nothing and are deliberately not recorded in the abstract LSN:
+// re-execution is deterministic because redo repeats history in operation
+// order.
 //
 // A versioned write makes its value the record's pending head, stamped with
 // op.TS, and the committed head it replaces the newest entry of the record's
@@ -346,8 +348,13 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 	case base.OpUpsert:
 	case base.OpAbortVersions:
 		// Remove the latest version updated by the transaction (§6.2.2).
-		if rec != nil && rec.AbortVersion() {
+		if rec == nil {
+			return base.CodeOK
+		}
+		if r := *rec; r.AbortVersion() {
 			leaf.Remove(op.Key)
+		} else {
+			leaf.Replace(rec, r)
 		}
 		return base.CodeOK
 	default:
@@ -364,18 +371,20 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 		leaf.Put(nr)
 		return base.CodeOK
 	}
+	r := *rec
 	if op.Versioned {
-		rec.Stage(op.TS, horizon)
+		r.Stage(op.TS, horizon)
 	} else {
-		rec.Flags &^= page.FlagHasBefore
-		rec.TS, rec.Hist = 0, nil
+		r.Flags &^= page.FlagHasBefore
+		r.TS, r.Hist = 0, nil
 	}
-	rec.Value = cloneBytes(op.Value)
-	rec.Flags &^= page.FlagTombstone
+	r.Value = cloneBytes(op.Value)
+	r.Flags &^= page.FlagTombstone
 	if op.Kind == base.OpDelete {
-		rec.Flags |= page.FlagTombstone
+		r.Flags |= page.FlagTombstone
 	}
-	rec.Owner = op.TC
+	r.Owner = op.TC
+	leaf.Replace(rec, r)
 	return base.CodeOK
 }
 

@@ -91,8 +91,8 @@ func TestSizeAndTableAppendDoNotAllocate(t *testing.T) {
 // nothing stops, lands in the image.
 func TestDecodeAliasesImage(t *testing.T) {
 	p := leafWith("a", "b")
-	p.Recs[0].Hist, p.Recs[0].Flags = []Version{{Val: []byte("old")}}, FlagHasBefore
-	p.Recs[1].TS, p.Recs[1].Hist = 9, []Version{{TS: 5, Val: []byte("hist")}}
+	edit(p, "a", func(r *Record) { r.Hist, r.Flags = []Version{{Val: []byte("old")}}, FlagHasBefore })
+	edit(p, "b", func(r *Record) { r.TS, r.Hist = 9, []Version{{TS: 5, Val: []byte("hist")}} })
 	image := p.Encode()
 	pristine := bytes.Clone(image)
 	got, err := Decode(image)

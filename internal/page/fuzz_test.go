@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzDecode: no image makes Decode panic or write to it, and whatever it
-// accepts encodes to an image that decodes to the same page. DecodeInto, into
+// accepts encodes to an image that decodes to the same page, with the size it
+// summed while decoding equal to the walk (walkedSize). DecodeInto, into
 // a page recycled from another image — a leaf with history and two TCs'
 // abstract LSNs, or a branch — and still carrying an undo tail, Dirty,
 // FirstDirty and RecDLSN, must agree with Decode: the same page, none of the
@@ -44,6 +45,9 @@ func FuzzDecode(f *testing.F) {
 				if !recycled.Equal(p) {
 					t.Fatalf("DecodeInto a used page differs from Decode\nimage %x\ninto  %x", image, recycled.Encode())
 				}
+				if got, want := recycled.Size(), walkedSize(recycled); got != want {
+					t.Fatalf("DecodeInto a used page: Size %d, the walk %d\nimage %x", got, want, image)
+				}
 				if recycled.Undo != nil || recycled.Dirty || len(recycled.FirstDirty) != 0 || recycled.RecDLSN != 0 {
 					t.Fatalf("DecodeInto kept the used page's bookkeeping: undo %v dirty %v first dirty %v rec dLSN %d",
 						recycled.Undo, recycled.Dirty, recycled.FirstDirty, recycled.RecDLSN)
@@ -59,6 +63,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if got, want := p.Size(), walkedSize(p); got != want {
+			t.Fatalf("Size %d, the walk %d\nimage %x", got, want, image)
 		}
 		again := p.Encode()
 		q, err := Decode(again)

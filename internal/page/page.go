@@ -44,6 +44,18 @@
 // one. What leaves the page for something that outlives it is copied: the DC
 // copies the values and keys of a result, UpperHalf copies the split key that
 // goes to the parent.
+//
+// # A page keeps its own size
+//
+// Size decides every split, and every write asks it. A page keeps it as a
+// running count, so the records, the separators and the children change only
+// through the page's methods: Put, Replace and Remove for a record, InsertSep
+// and RemoveSep for a separator, and the whole-page ones (CutAt, SetContents,
+// RollBack, DecodeInto). A record that Get returns is read, never written: a
+// writer changes a copy (Stage and AbortVersion work on one) and hands it to
+// Replace, which is what dc.applyWrite does. A write through the pointer
+// leaves the count behind; CheckSize, which btree.Tree.CheckInvariants runs
+// on every page, finds it.
 package page
 
 import (
@@ -301,6 +313,11 @@ type Page struct {
 	Keys     []string
 	Children []base.PageID
 
+	// body is Size() less the header and the abstract-LSN table: the records'
+	// sizes summed, or the separators' and children's. Every mutator below
+	// keeps it, which is why Recs, Keys and Children change only through them.
+	body int
+
 	// Undo is the leaf's undo tail, oldest first: an entry for every
 	// operation applied since the last flush whose LSN its TC had not yet
 	// forced. A flush empties it (the causality gate makes every operation
@@ -325,7 +342,9 @@ func NewLeaf(id base.PageID) *Page { return &Page{ID: id, Leaf: true} }
 
 // NewBranch returns a branch page over the given children.
 func NewBranch(id base.PageID, keys []string, children []base.PageID) *Page {
-	return &Page{ID: id, Keys: keys, Children: children}
+	p := &Page{ID: id, Keys: keys, Children: children}
+	p.body = p.walkBody()
+	return p
 }
 
 // find returns the index of key and whether it is present.
@@ -334,7 +353,8 @@ func (p *Page) find(key string) (int, bool) {
 	return i, i < len(p.Recs) && p.Recs[i].Key == key
 }
 
-// Get returns the record for key, or nil.
+// Get returns the record for key, or nil. It is for reading: a caller that
+// changes the record changes a copy and hands it back (Replace).
 func (p *Page) Get(key string) *Record {
 	if i, ok := p.find(key); ok {
 		return &p.Recs[i]
@@ -346,12 +366,21 @@ func (p *Page) Get(key string) *Record {
 func (p *Page) Put(rec Record) {
 	i, ok := p.find(rec.Key)
 	if ok {
-		p.Recs[i] = rec
+		p.Replace(&p.Recs[i], rec)
 		return
 	}
+	p.body += rec.size()
 	p.Recs = append(p.Recs, Record{})
 	copy(p.Recs[i+1:], p.Recs[i:])
 	p.Recs[i] = rec
+}
+
+// Replace makes rec, a record of the same key, the record old points to:
+// Put without the search, for a caller that holds p's record of the key
+// (Get).
+func (p *Page) Replace(old *Record, rec Record) {
+	p.body += rec.size() - old.size()
+	*old = rec
 }
 
 // Remove deletes the record for key; it reports whether it was present.
@@ -360,6 +389,7 @@ func (p *Page) Remove(key string) bool {
 	if !ok {
 		return false
 	}
+	p.body -= p.Recs[i].size()
 	p.Recs = append(p.Recs[:i], p.Recs[i+1:]...)
 	return true
 }
@@ -398,6 +428,7 @@ func (p *Page) ChildIndex(id base.PageID) int {
 // InsertSep inserts separator key with newChild to the right of child at
 // index idx (branch pages; used by splits).
 func (p *Page) InsertSep(idx int, key string, newChild base.PageID) {
+	p.body += sepSize(key) + childSize
 	p.Keys = append(p.Keys, "")
 	copy(p.Keys[idx+1:], p.Keys[idx:])
 	p.Keys[idx] = key
@@ -409,17 +440,28 @@ func (p *Page) InsertSep(idx int, key string, newChild base.PageID) {
 // RemoveSep removes the separator at index i and the child to its right
 // (used by consolidation).
 func (p *Page) RemoveSep(i int) {
+	p.body -= sepSize(p.Keys[i]) + childSize
 	p.Keys = append(p.Keys[:i], p.Keys[i+1:]...)
 	p.Children = append(p.Children[:i+1], p.Children[i+2:]...)
 }
 
-// Size estimates the serialized size in bytes (split/consolidate
-// decisions). It is computed from the fields on every call and allocates
-// nothing. A running count is not kept: records are changed through the
-// *Record that Get hands out (the version methods, dc.applyWrite), which
-// does not know its page.
-func (p *Page) Size() int {
-	n := 32 + p.Ab.EncodedSize()
+// Size estimates the serialized size in bytes, which decides every split
+// and consolidation: a 32-byte header, the abstract-LSN table and the body.
+// It walks nothing: the body is a running count every mutator keeps, and the
+// table's length is kept by each abstract LSN, so a write's split test costs
+// the same on a leaf of three records as on one of three hundred with deep
+// histories and a long {LSNin} set. CheckSize compares it with the walk.
+func (p *Page) Size() int { return 32 + p.Ab.EncodedSize() + p.body }
+
+// sepSize and childSize are a separator's and a child's shares of a branch's
+// Size.
+func sepSize(key string) int { return len(key) + 6 }
+
+const childSize = 5
+
+// walkBody sums the body from the fields: what body must equal.
+func (p *Page) walkBody() int {
+	n := 0
 	if p.Leaf {
 		for i := range p.Recs {
 			n += p.Recs[i].size()
@@ -427,10 +469,20 @@ func (p *Page) Size() int {
 		return n
 	}
 	for _, k := range p.Keys {
-		n += len(k) + 6
+		n += sepSize(k)
 	}
-	n += 5 * len(p.Children)
-	return n
+	return n + childSize*len(p.Children)
+}
+
+// CheckSize reports an error when Size differs from the size summed over the
+// page's fields and its table's encoding: a mutator that lost track of the
+// count (invariant checks and tests; it allocates).
+func (p *Page) CheckSize() error {
+	if walked, ab := p.walkBody(), len(p.Ab.Append(nil)); p.body != walked || p.Ab.EncodedSize() != ab {
+		return fmt.Errorf("page %d: running size %d (body %d, table %d), walked %d (body %d, table %d)",
+			p.ID, p.Size(), p.body, p.Ab.EncodedSize(), 32+ab+walked, walked, ab)
+	}
+	return nil
 }
 
 // UpperHalf returns the page, numbered id, that a split of p creates, and the
@@ -449,6 +501,7 @@ func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 		splitKey = strings.Clone(p.Recs[mid].Key)
 		half = &Page{ID: id, Leaf: true, Next: p.Next, Ab: *p.Ab.Clone(),
 			Recs: append([]Record(nil), p.Recs[mid:]...)}
+		half.body = half.walkBody()
 		// One allocation (none for no tail), whose spare room the half's next
 		// entries fill.
 		half.Undo = slices.DeleteFunc(slices.Clone(p.Undo), func(u Undo) bool { return u.Prior.Key < splitKey })
@@ -466,6 +519,9 @@ func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 func (p *Page) CutAt(splitKey string, right base.PageID) {
 	if p.Leaf {
 		i, _ := p.find(splitKey)
+		for j := i; j < len(p.Recs); j++ {
+			p.body -= p.Recs[j].size()
+		}
 		p.Recs = p.Recs[:i:i]
 		p.Undo = slices.DeleteFunc(p.Undo, func(u Undo) bool { return u.Prior.Key >= splitKey })
 		p.Next = right
@@ -474,6 +530,7 @@ func (p *Page) CutAt(splitKey string, right base.PageID) {
 	i := sort.SearchStrings(p.Keys, splitKey)
 	p.Keys = p.Keys[:i:i]
 	p.Children = p.Children[: i+1 : i+1]
+	p.body = p.walkBody()
 }
 
 // Merged returns what consolidating leaf right into p leaves in p's place
@@ -483,6 +540,7 @@ func (p *Page) Merged(right *Page) *Page {
 	m := &Page{ID: p.ID, Leaf: true, Next: right.Next, Ab: *p.Ab.Clone()}
 	m.Recs = append(p.Recs[:len(p.Recs):len(p.Recs)], right.Recs...)
 	m.Undo = append(p.Undo[:len(p.Undo):len(p.Undo)], right.Undo...)
+	m.body = p.body + right.body
 	m.Ab.MergeMax(&right.Ab)
 	return m
 }
@@ -493,6 +551,7 @@ func (p *Page) Merged(right *Page) *Page {
 func (p *Page) SetContents(img *Page) {
 	p.Leaf, p.Next, p.Ab = img.Leaf, img.Next, img.Ab
 	p.Recs, p.Keys, p.Children, p.Undo = img.Recs, img.Keys, img.Children, img.Undo
+	p.body = img.body
 }
 
 // RollBack undoes, newest first, every operation of tc above stable that
@@ -538,7 +597,7 @@ func (p *Page) Forced(eosl func(base.TCID) base.LSN) *Page {
 		return p
 	}
 	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone(),
-		Recs: slices.Clone(p.Recs), Undo: slices.Clone(p.Undo)}
+		Recs: slices.Clone(p.Recs), Undo: slices.Clone(p.Undo), body: p.body}
 	for _, tc := range lost {
 		c.RollBack(tc, eosl(tc))
 	}
@@ -549,7 +608,7 @@ func (p *Page) Forced(eosl func(base.TCID) base.LSN) *Page {
 // state): every byte slice is the clone's own. Keys are strings and stay
 // shared with p, and so with the image p was decoded from.
 func (p *Page) Clone() *Page {
-	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone()}
+	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone(), body: p.body}
 	if p.Leaf {
 		c.Recs = slices.Clone(p.Recs)
 		for i := range c.Recs {
@@ -664,7 +723,7 @@ func DecodeInto(p *Page, image []byte) error {
 	p.Leaf = d.byte() != 0
 	p.DLSN = base.DLSN(d.uvarint())
 	p.Next = base.PageID(d.uvarint())
-	p.Undo, p.Dirty, p.RecDLSN = nil, false, 0
+	p.Undo, p.Dirty, p.RecDLSN, p.body = nil, false, 0, 0
 	clear(p.FirstDirty)
 	if d.err == nil {
 		rest, err := ablsn.DecodeTableInto(&p.Ab, d.buf)
@@ -716,9 +775,13 @@ func DecodeInto(p *Page, image []byte) error {
 					r.Hist = hist[first:]
 				}
 			}
-			if r.HasBefore() && len(r.Hist) == 0 && d.err == nil {
+			if d.err != nil {
+				continue
+			}
+			if r.HasBefore() && len(r.Hist) == 0 {
 				return errCorrupt // a before version is the last entry of Hist
 			}
+			p.body += r.size()
 		}
 		for i, first := 0, 0; first < len(hist); i++ {
 			if hn := len(p.Recs[i].Hist); hn > 0 {
@@ -735,6 +798,7 @@ func DecodeInto(p *Page, image []byte) error {
 		p.Keys = resize(p.Keys, n)
 		for i := range p.Keys {
 			p.Keys[i] = d.str()
+			p.body += sepSize(p.Keys[i])
 		}
 		n = d.uvarint()
 		if d.err == nil && n > uint64(len(d.buf))+1 {
@@ -744,6 +808,7 @@ func DecodeInto(p *Page, image []byte) error {
 		for i := range p.Children {
 			p.Children[i] = base.PageID(d.uvarint())
 		}
+		p.body += childSize * len(p.Children)
 	}
 	return d.err
 }

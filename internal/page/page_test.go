@@ -443,8 +443,7 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 
 func TestCloneDeep(t *testing.T) {
 	p := leafWith("a")
-	p.Recs[0].Hist = []Version{{Val: []byte("b")}}
-	p.Recs[0].Flags = FlagHasBefore
+	edit(p, "a", func(r *Record) { r.Hist, r.Flags = []Version{{Val: []byte("b")}}, FlagHasBefore })
 	p.Ab.Ensure(1).Add(4)
 	c := p.Clone()
 	c.Recs[0].Value[0] = 'Z'
@@ -466,6 +465,157 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 	enc := len(p.Encode())
 	if p.Size() < enc/2 || p.Size() > enc*2+64 {
 		t.Fatalf("size estimate %d far from encoded %d", p.Size(), enc)
+	}
+}
+
+// walkedSize is Size as it was computed before the page kept a count: every
+// record, version and separator walked, and the table encoded and measured.
+func walkedSize(p *Page) int { return 32 + len(p.Ab.Append(nil)) + p.walkBody() }
+
+// TestSizeFollowsTheWalk drives every mutator of a page in seeded random
+// sequences — Put, Remove, versioned writes and their aborts through Replace
+// (Stage, AbortVersion), RollBack of a TC's tail, Forced, a split (UpperHalf,
+// CutAt) undone by a consolidation (Merged, SetContents), Clone, a decode
+// into a page that held another (leaf or branch), and a branch's InsertSep,
+// RemoveSep and split — with the abstract LSNs growing, advancing and
+// forgetting beside them, and after each step Size must be the walk.
+func TestSizeFollowsTheWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		p := NewLeaf(1)
+		recycled := NewBranch(3, []string{"q"}, []base.PageID{4, 5})
+		branch := NewBranch(2, []string{"m"}, []base.PageID{10, 20})
+		var lsn base.LSN
+		ts := base.TS(10)
+		step, what := 0, ""
+		check := func(q *Page) {
+			t.Helper()
+			if got, want := q.Size(), walkedSize(q); got != want {
+				t.Fatalf("seed %d step %d (%s): Size %d, the walk %d", seed, step, what, got, want)
+			}
+		}
+		for ; step < 600; step++ {
+			key := fmt.Sprintf("k%02d", rnd.Intn(40))
+			tc := base.TCID(1 + rnd.Intn(2))
+			val := bytes.Repeat([]byte{byte('a' + step%26)}, rnd.Intn(20))
+			lsn++
+			ts++
+			u := Undo{TC: tc, LSN: lsn}
+			if r := p.Get(key); r != nil {
+				u.Prior = *r
+			} else {
+				u.Absent, u.Prior.Key = true, key
+			}
+			wrote := true
+			switch rnd.Intn(13) {
+			case 0, 1:
+				what = "Put"
+				p.Put(Record{Key: key, Owner: tc, Value: val})
+			case 2:
+				what = "Remove"
+				p.Remove(key)
+			case 3, 4:
+				what = "versioned write"
+				stamp := [...]base.TS{0, ts}[rnd.Intn(2)]
+				if r := p.Get(key); r != nil {
+					edit(p, key, func(r *Record) {
+						r.Stage(stamp, base.TS(rnd.Intn(int(ts))))
+						r.Value, r.Owner = val, tc
+						r.Flags &^= FlagTombstone
+						if rnd.Intn(4) == 0 {
+							r.Value, r.Flags = nil, r.Flags|FlagTombstone
+						}
+					})
+				} else {
+					p.Put(Record{Key: key, Owner: tc, Value: val, TS: stamp, Flags: FlagHasBefore, Hist: []Version{{Del: true}}})
+				}
+			case 5:
+				what = "AbortVersion"
+				if r := p.Get(key); r != nil {
+					if c := *r; c.AbortVersion() {
+						p.Remove(key)
+					} else {
+						p.Replace(r, c)
+					}
+				}
+			default:
+				wrote = false
+			}
+			if wrote {
+				p.Undo = append(p.Undo, u)
+				p.Ab.Ensure(tc).Add(lsn)
+				check(p)
+				continue
+			}
+			switch rnd.Intn(8) {
+			case 0:
+				what = "RollBack"
+				p.RollBack(tc, lsn-base.LSN(rnd.Intn(20)))
+			case 1:
+				what = "Forced"
+				check(p.Forced(func(tc base.TCID) base.LSN { return lsn - base.LSN(rnd.Intn(20)) }))
+			case 2:
+				what = "UpperHalf, CutAt, Merged, SetContents"
+				if len(p.Recs) < 2 {
+					continue
+				}
+				splitKey, half := p.UpperHalf(9)
+				check(half)
+				p.CutAt(splitKey, 9)
+				check(p)
+				half.Ab.Ensure(tc).Add(lsn) // a write to the new page before they merge
+				p.SetContents(p.Merged(half))
+			case 3:
+				what = "Clone"
+				p = p.Clone()
+			case 4:
+				what = "DecodeInto"
+				if err := DecodeInto(recycled, p.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				check(recycled)
+				p, recycled = recycled, p // go on writing the decoded page
+			case 5:
+				what = "Advance, Forget, flush"
+				p.Ab.Advance(tc, lsn-base.LSN(rnd.Intn(30)))
+				if rnd.Intn(3) == 0 {
+					p.Ab.Ensure(tc).Forget(lsn - base.LSN(rnd.Intn(30)))
+				}
+				p.Undo = nil
+			case 6:
+				what = "InsertSep, RemoveSep"
+				if i := rnd.Intn(len(branch.Keys) + 1); rnd.Intn(3) > 0 || len(branch.Keys) < 2 {
+					lo, hi := "", "~"
+					if i > 0 {
+						lo = branch.Keys[i-1]
+					}
+					if i < len(branch.Keys) {
+						hi = branch.Keys[i]
+					}
+					if sep := lo + string(rune('a'+rnd.Intn(26))); sep > lo && sep < hi {
+						branch.InsertSep(i, sep, base.PageID(100+step))
+					}
+				} else {
+					branch.RemoveSep(rnd.Intn(len(branch.Keys)))
+				}
+				check(branch)
+			case 7:
+				what = "a branch's split and decode"
+				if len(branch.Keys) < 2 {
+					continue
+				}
+				splitKey, half := branch.UpperHalf(7)
+				check(half)
+				c := branch.Clone()
+				c.CutAt(splitKey, 7)
+				check(c)
+				if err := DecodeInto(recycled, branch.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				check(recycled)
+			}
+			check(p)
+		}
 	}
 }
 

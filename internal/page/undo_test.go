@@ -7,6 +7,20 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
+// edit changes p's record of key the way the DC does: fn changes a copy, which
+// replaces the record.
+func edit(p *Page, key string, fn func(*Record)) {
+	old := p.Get(key)
+	r := *old
+	fn(&r)
+	p.Replace(old, r)
+}
+
+// setValue gives p's record of key the value val.
+func setValue(p *Page, key, val string) {
+	edit(p, key, func(r *Record) { r.Value = []byte(val) })
+}
+
 func undoLSNs(p *Page) []base.LSN {
 	var out []base.LSN
 	for _, u := range p.Undo {
@@ -76,21 +90,22 @@ func TestRollBackUndoesNewestFirst(t *testing.T) {
 	apply(1, 10, "stable-del", func() { p.Remove("stable-del") })
 	apply(1, 11, "del", func() { p.Remove("del") })
 	apply(1, 12, "ins", func() { p.Put(Record{Key: "ins", Owner: 1, Value: []byte("i1")}) })
-	apply(1, 13, "upd", func() { p.Get("upd").Value = []byte("u1") })
-	apply(2, 14, "tc2", func() { p.Get("tc2").Value = []byte("t1") })
-	apply(1, 15, "upd", func() { p.Get("upd").Value = []byte("u2") })
+	apply(1, 13, "upd", func() { setValue(p, "upd", "u1") })
+	apply(2, 14, "tc2", func() { setValue(p, "tc2", "t1") })
+	apply(1, 15, "upd", func() { setValue(p, "upd", "u2") })
 	apply(1, 16, "ver", func() {
-		r := p.Get("ver")
-		r.Stage(0, 0) // an early versioned write
-		r.Value = []byte("v1")
+		edit(p, "ver", func(r *Record) {
+			r.Stage(0, 0) // an early versioned write
+			r.Value = []byte("v1")
+		})
 	})
-	apply(1, 17, "ins", func() { p.Get("ins").Value = []byte("i2") })
+	apply(1, 17, "ins", func() { setValue(p, "ins", "i2") })
 
 	if n := p.RollBack(1, 10); n != 6 {
 		t.Fatalf("RollBack undid %d operations, want 6 (LSNs 11-13 and 15-17)", n)
 	}
 	want.Remove("stable-del")
-	want.Get("tc2").Value = []byte("t1")
+	setValue(want, "tc2", "t1")
 	want.Ab.Ensure(1).Add(10)
 	want.Ab.Ensure(2).Add(14)
 	if !p.Equal(want) {
@@ -110,7 +125,7 @@ func TestRollBackUndoesNewestFirst(t *testing.T) {
 func TestForcedRollsBackACopy(t *testing.T) {
 	p := leafWith("a", "b")
 	p.Undo = []Undo{{TC: 1, LSN: 4, Prior: *p.Get("a")}, {TC: 2, LSN: 7, Absent: true, Prior: Record{Key: "c"}}}
-	p.Get("a").Value = []byte("a4")
+	setValue(p, "a", "a4")
 	p.Put(Record{Key: "c", Owner: 2, Value: []byte("c7")})
 	p.Ab.Ensure(1).Add(4)
 	p.Ab.Ensure(2).Add(7)
@@ -144,8 +159,8 @@ func TestUndoPriorKeepsItsHist(t *testing.T) {
 	p.Put(Record{Key: "k", Owner: 1, Value: []byte("v2"), TS: 25, Flags: FlagHasBefore, Hist: hist})
 	want := p.Clone()
 	p.Undo = append(p.Undo, Undo{TC: 1, LSN: 5, Prior: *p.Get("k")})
+	edit(p, "k", func(r *Record) { r.Stage(30, 0) })
 	live := p.Get("k")
-	live.Stage(30, 0)
 	if len(live.Hist) != 3 || &live.Hist[0] != &p.Undo[0].Prior.Hist[0] {
 		t.Fatal("the write did not append into the shared array: the test shows nothing")
 	}

@@ -21,7 +21,9 @@ type benchPair struct {
 	n    int
 }
 
-func newBenchPair(tb testing.TB) *benchPair {
+// newDirectTC is a TC over one in-process dc.DC with the table "kv", the
+// deployment of the repo benchmark's direct workloads.
+func newDirectTC(tb testing.TB) *TC {
 	tb.Helper()
 	d, err := dc.New(dc.Config{Name: "dc0"})
 	if err != nil {
@@ -34,6 +36,12 @@ func newBenchPair(tb testing.TB) *benchPair {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return tcx
+}
+
+func newBenchPair(tb testing.TB) *benchPair {
+	tb.Helper()
+	tcx := newDirectTC(tb)
 	tb.Cleanup(tcx.Close)
 	p := &benchPair{tc: tcx, val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
 	for i := 0; i < 10_000; i++ {
@@ -107,6 +115,51 @@ func BenchmarkVersionedWriteTxn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.writeTxn(b, true)
 	}
+}
+
+// BenchmarkLoad is the repo benchmark's preload of direct_big, its setup_s,
+// in one process: 200 000 keys in ascending order, 100 Upserts of 64-byte
+// values per transaction and a checkpoint every 10 transactions, into a fresh
+// TC and in-process DC each time. One op is the whole load; ns/key divides it
+// by the keys. It is where a hunt for the load's cost starts, as
+// BenchmarkWriteTxn is for a transaction's:
+//
+//	go test -run '^$' -bench Load -benchmem -cpuprofile cpu.out ./internal/tc
+func BenchmarkLoad(b *testing.B) {
+	const keys, perTxn, ckptEvery = 200_000, 100, 10
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("c0/k%07d", i)
+	}
+	val := make([]byte, 64)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tcx := newDirectTC(b)
+		b.StartTimer()
+		for lo, n := 0, 1; lo < keys; lo, n = lo+perTxn, n+1 {
+			x := tcx.Begin(ctx, TxnOptions{})
+			for _, k := range names[lo : lo+perTxn] {
+				if err := x.Upsert("kv", k, val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := x.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			if n%ckptEvery == 0 {
+				if _, err := tcx.Checkpoint(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		tcx.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
 }
 
 // readTxn is four locked point reads of loaded keys (each takes an S lock and
