@@ -16,13 +16,16 @@
 //
 // LSNlw may only be advanced to a low-water mark supplied by the TC (the
 // TC has received replies for all operations up to the mark, so there are
-// no gaps among the lower LSNs reflected in the page).
+// no gaps among the lower LSNs reflected in the page). The DC advances it,
+// and so prunes {LSNin}, where the set grows and where it is made stable:
+// on every write, before the write's LSN joins the set, and at every flush.
+// So {LSNin} holds the operations still in flight, not every operation
+// since the page was last flushed.
 package ablsn
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -35,13 +38,8 @@ import (
 type A struct {
 	// Low is LSNlw: every operation with LSN <= Low is included.
 	Low base.LSN
-	// in is {LSNin}: the sorted set of LSNs > Low also included. It changes
-	// only through the methods, which keep inBytes.
+	// in is {LSNin}: the sorted set of LSNs > Low also included.
 	in []base.LSN
-	// inBytes is what in's delta encoding takes (Append), kept as in changes
-	// so that EncodedSize, which every write's split test reads through
-	// page.Page.Size, does not walk the set.
-	inBytes int
 	// Max is the highest LSN ever actually applied to the page through this
 	// abstract LSN. Unlike Low it is never advanced by low-water marks, so
 	// it stays exact. Two protocols need it: the causality flush gate (a
@@ -49,11 +47,11 @@ type A struct {
 	// and the partial-failure reset test (a cached page must be reset iff
 	// Max exceeds the failed TC's stable log, §5.3.2).
 	//
-	// Contract: callers must only Advance to min(LWM, EOSL) for the owning
-	// TC. That keeps Low itself free of claims about operations that could
-	// still be lost in a TC crash, so stable pages never assert
-	// idempotence for LSNs beyond the TC's stable log — essential because
-	// a restarted TC reuses the LSN space above its stable log end.
+	// Advance never raises Low past the owning TC's end of stable log. That
+	// keeps Low itself free of claims about operations that could still be
+	// lost in a TC crash, so stable pages never assert idempotence for LSNs
+	// beyond the TC's stable log — essential because a restarted TC reuses
+	// the LSN space above its stable log end.
 	Max base.LSN
 }
 
@@ -69,9 +67,7 @@ func (a *A) Contains(lsn base.LSN) bool {
 
 // Add records that the operation with the given LSN has been applied to the
 // page. Adding an LSN already contained is a no-op (idempotent replays are
-// filtered by Contains before application, but Add tolerates it). The
-// encoded length changes by the new LSN's delta and, unless it lands at the
-// tail, by the change of its successor's.
+// filtered by Contains before application, but Add tolerates it).
 func (a *A) Add(lsn base.LSN) {
 	if lsn > a.Max {
 		a.Max = lsn
@@ -83,48 +79,29 @@ func (a *A) Add(lsn base.LSN) {
 	if i < len(a.in) && a.in[i] == lsn {
 		return
 	}
-	prev := base.LSN(0)
-	if i > 0 {
-		prev = a.in[i-1]
-	}
-	a.inBytes += uvarintLen(uint64(lsn - prev))
-	if i < len(a.in) {
-		next := a.in[i]
-		a.inBytes += uvarintLen(uint64(next-lsn)) - uvarintLen(uint64(next-prev))
-	}
 	a.in = append(a.in, 0)
 	copy(a.in[i+1:], a.in[i:])
 	a.in[i] = lsn
 }
 
-// Advance raises Low to lwm (if higher) and discards every element of
-// {LSNin} that is <= the new Low (§5.1.2 "Establishing LSNlw"). Only a
-// TC-supplied low-water mark may be used: the DC cannot determine by
-// itself which lower-LSN operations are still unapplied.
-func (a *A) Advance(lwm base.LSN) {
-	if lwm <= a.Low {
-		return
-	}
-	a.Low = lwm
-	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] > lwm })
-	if i > 0 {
-		a.in = append(a.in[:0], a.in[i:]...)
-		a.sumIn()
-	}
-	if len(a.in) == 0 {
-		a.in = nil
-	}
+// Advance raises Low to min(lwm, eosl), the owning TC's low-water mark and
+// end of stable log, and discards every element of {LSNin} at or below the
+// new Low (§5.1.2 "Establishing LSNlw"). The DC cannot determine by itself
+// which lower-LSN operations are still unapplied, so only the TC's mark may
+// raise Low, and never past its stable log (see Max). The set keeps its
+// array, so the Add that follows a prune does not allocate.
+func (a *A) Advance(lwm, eosl base.LSN) {
+	a.prune(min(lwm, eosl))
 }
 
-// sumIn recomputes inBytes from in: after a change that re-bases the first
-// delta or drops many LSNs at once, which walks the set anyway.
-func (a *A) sumIn() {
-	n, prev := 0, base.LSN(0)
-	for _, l := range a.in {
-		n += uvarintLen(uint64(l - prev))
-		prev = l
+// prune raises Low to low (if higher) and drops the LSNs it swallows.
+func (a *A) prune(low base.LSN) {
+	if low <= a.Low {
+		return
 	}
-	a.inBytes = n
+	a.Low = low
+	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] > low })
+	a.in = append(a.in[:0], a.in[i:]...)
 }
 
 // MaxApplied returns the highest LSN actually applied to the page. It can
@@ -137,7 +114,7 @@ func (a *A) InCount() int { return len(a.in) }
 
 // Clone returns a deep copy.
 func (a *A) Clone() *A {
-	c := &A{Low: a.Low, Max: a.Max, inBytes: a.inBytes}
+	c := &A{Low: a.Low, Max: a.Max}
 	if len(a.in) > 0 {
 		c.in = append([]base.LSN(nil), a.in...)
 	}
@@ -152,21 +129,17 @@ func (a *A) Clone() *A {
 // if every LSN it swallows is legitimate. Consolidation in the paper uses
 // "an abLSN for the consolidated page that is the maximum of abLSNs of the
 // two pages"; with a shared per-TC low-water mark both Lows came from the
-// same monotone LWM stream, so max(Low) is safe, and the In sets union.
+// same monotone LWM stream, so max(Low) is safe, and the In sets union less
+// what the merged Low swallows.
 func (a *A) MergeMax(b *A) {
 	if b == nil {
 		return
 	}
-	if b.Low > a.Low {
-		a.Low = b.Low
-	}
+	a.prune(b.Low)
 	for _, l := range b.in {
 		a.Add(l)
 	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Advance(a.Low) // re-prune In against the merged Low
+	a.Max = max(a.Max, b.Max)
 }
 
 // Forget takes back every claim above lsn: a TC that lost its log tail
@@ -176,7 +149,6 @@ func (a *A) MergeMax(b *A) {
 func (a *A) Forget(lsn base.LSN) {
 	a.Low, a.Max = min(a.Low, lsn), min(a.Max, lsn)
 	a.in = a.in[:sort.Search(len(a.in), func(i int) bool { return a.in[i] > lsn })]
-	a.sumIn()
 }
 
 func (a *A) String() string {
@@ -217,9 +189,7 @@ func Decode(buf []byte) (*A, []byte, error) {
 }
 
 // decode is Decode into a, whatever a held; it reuses a.in's array when the
-// set fits in it, and sums inBytes as it goes. The sum is of each delta's
-// canonical length, not of the bytes read: an over-long uvarint decodes,
-// and Append writes it short.
+// set fits in it.
 func (a *A) decode(buf []byte) ([]byte, error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -245,7 +215,6 @@ func (a *A) decode(buf []byte) ([]byte, error) {
 		a.in = make([]base.LSN, u)
 	}
 	prev := base.LSN(0)
-	a.inBytes = 0
 	for i := range a.in {
 		d, n := binary.Uvarint(buf)
 		if n <= 0 {
@@ -253,19 +222,8 @@ func (a *A) decode(buf []byte) ([]byte, error) {
 		}
 		prev += base.LSN(d)
 		a.in[i], buf = prev, buf[n:]
-		a.inBytes += uvarintLen(d)
 	}
 	return buf, nil
 }
 
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")
-
-// EncodedSize returns len(a.Append(nil)), the serialized size in bytes,
-// without encoding and without walking {LSNin}: three lengths and the kept
-// inBytes. It is what the abstract LSN adds to page.Page.Size.
-func (a *A) EncodedSize() int {
-	return uvarintLen(uint64(a.Low)) + uvarintLen(uint64(a.Max)) + uvarintLen(uint64(len(a.in))) + a.inBytes
-}
-
-// uvarintLen returns len(binary.AppendUvarint(nil, x)): seven bits a byte.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

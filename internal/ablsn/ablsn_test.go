@@ -1,6 +1,7 @@
 package ablsn
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -57,7 +58,7 @@ func TestAdvancePrunes(t *testing.T) {
 	for _, l := range []base.LSN{2, 4, 6, 8, 10} {
 		a.Add(l)
 	}
-	a.Advance(6)
+	a.Advance(6, 9) // Low goes to the lower of LWM and EOSL
 	if a.Low != 6 {
 		t.Fatalf("Low = %d want 6", a.Low)
 	}
@@ -73,15 +74,30 @@ func TestAdvancePrunes(t *testing.T) {
 		t.Fatal("In-set membership wrong after advance")
 	}
 	// Advance must be monotone: a lower lwm is ignored.
-	a.Advance(3)
+	a.Advance(3, 100)
 	if a.Low != 6 {
 		t.Fatal("Advance went backwards")
 	}
+	// Nor may Low pass the TC's stable log, whatever its LWM says.
+	a.Advance(100, 7)
+	if a.Low != 7 || a.InCount() != 2 {
+		t.Fatalf("after Advance(100, 7): %v", a)
+	}
 	// Max survives pruning and is not dragged up by Advance: it reflects
 	// only operations actually applied to this page.
-	a.Advance(100)
+	a.Advance(100, 100)
 	if a.InCount() != 0 || a.MaxApplied() != 10 {
 		t.Fatalf("after full prune: in=%d max=%d", a.InCount(), a.MaxApplied())
+	}
+	// The emptied set keeps its array: a write prunes and then adds, and the
+	// add after a full prune takes no allocation.
+	next := base.LSN(100)
+	if got := testing.AllocsPerRun(100, func() {
+		next++
+		a.Advance(next-1, next-1)
+		a.Add(next)
+	}); got != 0 {
+		t.Fatalf("prune then Add allocates %.0f times", got)
 	}
 }
 
@@ -105,12 +121,20 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// mk returns the abstract LSN <low, in> with the given Max, built the way
-// decode builds one.
+// mk returns the abstract LSN <low, in> with the given Max.
 func mk(low, max base.LSN, in ...base.LSN) *A {
-	a := &A{Low: low, Max: max, in: in}
-	a.sumIn()
-	return a
+	return &A{Low: low, Max: max, in: in}
+}
+
+// TestMergeMaxPrunesUnderTheMergedLow: when the other page's Low is the
+// larger, this page's {LSNin} entries at or below it go, as an Advance to it
+// would drop them; a consolidated page kept them.
+func TestMergeMaxPrunesUnderTheMergedLow(t *testing.T) {
+	l := mk(2, 3, 3)
+	l.MergeMax(mk(4, 4))
+	if l.Low != 4 || l.InCount() != 0 || l.Max != 4 || !l.Contains(3) {
+		t.Fatalf("<2,{3}> merged with <4,{}>: %v, InCount %d", l, l.InCount())
+	}
 }
 
 func TestMergeMax(t *testing.T) {
@@ -200,7 +224,7 @@ func TestQuickContainsMatchesModel(t *testing.T) {
 				for applied[lwm+1] {
 					lwm++
 				}
-				a.Advance(lwm)
+				a.Advance(lwm, lwm)
 			case 2: // check a random LSN
 				l := base.LSN(rnd.Intn(int(nextLSN) + 2))
 				if l == 0 {
@@ -283,7 +307,7 @@ func TestTableBasics(t *testing.T) {
 	if got := tcsOf(&tab); !reflect.DeepEqual(got, []base.TCID{1, 2}) {
 		t.Fatalf("TCs = %v", got)
 	}
-	tab.Advance(1, 5)
+	tab.Get(1).Advance(5, 5)
 	if tab.Get(1).InCount() != 0 {
 		t.Fatal("advance did not prune")
 	}
@@ -315,7 +339,7 @@ func TestTableEncodeRoundTrip(t *testing.T) {
 	var tab Table
 	tab.Ensure(3).Add(7)
 	tab.Ensure(1).Add(2)
-	tab.Ensure(1).Advance(2)
+	tab.Ensure(1).Advance(2, 2)
 	buf := tab.Append(nil)
 	got, rest, err := DecodeTable(buf)
 	if err != nil || len(rest) != 0 {
@@ -370,17 +394,18 @@ func BenchmarkAddAdvance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Add(base.LSN(i + 1))
 		if i%32 == 31 {
-			a.Advance(base.LSN(i - 16))
+			a.Advance(base.LSN(i-16), base.LSN(i-16))
 		}
 	}
 }
 
-// TestEncodedSizeIsTheEncodingsLength: EncodedSize is a kept count, and every
-// write's split test trusts it to be what Append would produce, after any
-// sequence of the methods that change a set: Add (at the tail, in the middle
-// and ahead of the first LSN, whose successor's delta changes), Advance,
-// Forget, MergeMax, Clone, and a decode into a table that held another.
-func TestEncodedSizeIsTheEncodingsLength(t *testing.T) {
+// TestTableWalkRoundTrips: after any sequence of the methods that change a
+// table — Add (at the tail, in the middle and ahead of the first LSN),
+// Advance, Forget, MergeMax, Clone, and a decode into a table that held
+// another — the entries stay in TCID order, every {LSNin} stays sorted and
+// above its Low, and the table decodes from its encoding into a used table as
+// the same table.
+func TestTableWalkRoundTrips(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	lsn := func() base.LSN { return base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))) }
 	var tab, other Table
@@ -392,27 +417,33 @@ func TestEncodedSizeIsTheEncodingsLength(t *testing.T) {
 				a.Forget(lsn())
 			}
 		case 1:
-			tab.Advance(tc, lsn())
+			if a := tab.Get(tc); a != nil {
+				a.Advance(lsn(), lsn())
+			}
 		case 2:
 			other.Ensure(tc).Add(lsn())
 			tab.MergeMax(other.Clone())
 		case 3:
-			if _, err := DecodeTableInto(&other, tab.Append(nil)); err != nil {
+			enc := tab.Append(nil)
+			if _, err := DecodeTableInto(&other, enc); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := other.EncodedSize(), len(tab.Append(nil)); got != want {
-				t.Fatalf("step %d: decoded EncodedSize %d, encoding %d bytes", step, got, want)
+			if again := other.Append(nil); !bytes.Equal(again, enc) {
+				t.Fatalf("step %d: decoded into a used table, it encodes as %x, was %x", step, again, enc)
 			}
 		case 4:
 			tab = *tab.Clone()
 		default:
 			tab.Ensure(tc).Add(lsn())
 		}
-		if got, want := tab.EncodedSize(), len(tab.Append(nil)); got != want {
-			t.Fatalf("step %d: EncodedSize %d, Append wrote %d bytes", step, got, want)
-		}
 		if !slices.IsSorted(tcsOf(&tab)) {
 			t.Fatalf("step %d: entries out of TCID order: %v", step, tcsOf(&tab))
+		}
+		for i := 0; i < tab.Len(); i++ {
+			_, a := tab.At(i)
+			if !slices.IsSorted(a.in) || len(a.in) > 0 && a.in[0] <= a.Low {
+				t.Fatalf("step %d: {LSNin} unsorted or at or below Low: %v", step, a)
+			}
 		}
 	}
 }

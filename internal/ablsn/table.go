@@ -59,13 +59,6 @@ func (t *Table) Contains(tc base.TCID, lsn base.LSN) bool {
 	return a != nil && a.Contains(lsn)
 }
 
-// Advance applies a TC-supplied low-water mark to that TC's entry.
-func (t *Table) Advance(tc base.TCID, lwm base.LSN) {
-	if a := t.Get(tc); a != nil {
-		a.Advance(lwm)
-	}
-}
-
 // Len returns the number of TCs with entries.
 func (t *Table) Len() int { return len(t.e) }
 
@@ -157,17 +150,6 @@ func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
 		buf = rest
 	}
 	return buf, nil
-}
-
-// EncodedSize returns len(t.Append(nil)) without encoding anything, in time
-// linear in the number of TCs (each A keeps its own length): the abstract-LSN
-// share of page.Page.Size.
-func (t *Table) EncodedSize() int {
-	n := uvarintLen(uint64(len(t.e)))
-	for i := range t.e {
-		n += uvarintLen(uint64(t.e[i].tc)) + t.e[i].a.EncodedSize()
-	}
-	return n
 }
 
 // InCountTotal sums |{LSNin}| across TCs (page-sync strategy 3 uses this

@@ -278,7 +278,9 @@ func (e *redoEnv) leaves(t *testing.T, table string) (ids []base.PageID, keys []
 func TestRedoFindsAConsolidatedPage(t *testing.T) {
 	e := newRedoEnv(t)
 	e.open(t)
-	key := func(i int) string { return fmt.Sprintf("key%04d", i) }
+	// Five digits make a record 17 bytes, so a leaf of eight (Size 168) is
+	// over MaxPageBytes: the odd keys split P before they run out.
+	key := func(i int) string { return fmt.Sprintf("key%05d", i) }
 	var ops []redoOp
 	for i := 0; i < 60; i += 2 {
 		ops = append(ops, redoOp{table: "big", key: key(i)})

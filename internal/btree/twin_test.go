@@ -76,10 +76,9 @@ func twinMutate(leaf *page.Page, b0, b1 byte, lsns *[2]base.LSN) (tc base.TCID, 
 	} else {
 		leaf.Put(page.Record{Key: key, Owner: tc, Value: []byte{b1}})
 	}
-	leaf.Ab.Ensure(tc).Add(lsn)
-	if lsn > 4 {
-		leaf.Ab.Advance(tc, lsn-4)
-	}
+	a := leaf.Ab.Ensure(tc)
+	a.Advance(lsn-min(lsn, 4), lsn)
+	a.Add(lsn)
 	return tc, lsn
 }
 

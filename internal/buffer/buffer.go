@@ -345,10 +345,10 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 			f.pg.L.Unlock()
 			return nil
 		}
-		// One pass over the page's TCs, each gate asked once. Lazy
-		// abstract-LSN advance: prune with min(LWM, EOSL) per TC — never
-		// beyond EOSL, so stable pages cannot claim idempotence for
-		// operations a TC crash could lose (see ablsn.A contract). Gate 1,
+		// One pass over the page's TCs, each gate asked once. Each TC's
+		// abstract LSN is pruned to its LWM, never beyond its EOSL, so
+		// stable pages cannot claim idempotence for operations a TC crash
+		// could lose (ablsn.A.Advance); a write prunes the same way. Gate 1,
 		// causality: every TC's log is stable through what the page holds of
 		// it. A closed gate does not end the pass: the other TCs' entries
 		// are pruned all the same.
@@ -356,7 +356,7 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		for i := 0; i < pg.Ab.Len(); i++ {
 			tc, a := pg.Ab.At(i)
 			eosl := p.gates.EOSL(tc)
-			a.Advance(min(p.gates.LWM(tc), eosl))
+			a.Advance(p.gates.LWM(tc), eosl)
 			if eosl < a.MaxApplied() {
 				open = false
 			}

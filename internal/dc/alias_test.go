@@ -11,12 +11,12 @@ import (
 	"github.com/cidr09/unbundled/internal/page"
 )
 
-// summedSize is what Page.Size computed before the abstract-LSN table's size
-// became arithmetic and the page kept a running count: the table encoded and
-// measured, and the records summed. Size must go on returning exactly this
-// number (it decides every split).
+// summedSize is what Page.Size computed before the page kept a running
+// count: the records summed, and the abstract-LSN table, which Size does not
+// count, left out. Size must go on returning exactly this number (it decides
+// every split).
 func summedSize(p *page.Page) int {
-	n := 32 + len(p.Ab.Append(nil))
+	n := 32
 	if !p.Leaf {
 		for _, k := range p.Keys {
 			n += len(k) + 6
@@ -70,7 +70,7 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 		p.Put(r)
 		p.Ab.Ensure(r.Owner).Add(base.LSN(i + 1))
 	}
-	p.Ab.Advance(1, 9)
+	p.Ab.Get(1).Advance(9, 9)
 	return p
 }
 
@@ -151,10 +151,11 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 				}
 				p = *pp
 				if kind <= 8 {
-					p.Ab.Ensure(op.TC).Add(lsn)
+					a := p.Ab.Ensure(op.TC)
 					if lsn%7 == 0 {
-						p.Ab.Advance(op.TC, lsn-5)
+						a.Advance(lsn-5, lsn)
 					}
+					a.Add(lsn)
 				}
 				if got := summedSize(p); p.Size() != got {
 					t.Fatalf("seed %d step %d (kind %d): Size %d, summed %d", seed, step, kind, p.Size(), got)

@@ -253,7 +253,9 @@ func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 // DC skips re-execution and acknowledges. An operation its TC has not
 // forced yet leaves an entry in the leaf's undo tail, from which a reset
 // undoes it if the TC fails first (BeginRestart); the entries at the front
-// that their TCs have forced since are dropped on the way.
+// that their TCs have forced since are dropped on the way. The TC's abstract
+// LSN is pruned to its LWM and EOSL before the operation's LSN joins it, as a
+// flush prunes it, so its {LSNin} holds only what is still in flight.
 func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op, res *base.Result) error {
 	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
 		// Re-test the incarnation fence under the leaf latch: the
@@ -296,7 +298,9 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 		}
 		res.Code = applyWrite(leaf, rec, op, base.TS(inc.gcHorizon.Load()))
 		if res.Code == base.CodeOK {
-			leaf.Ab.Ensure(op.TC).Add(op.LSN)
+			a := leaf.Ab.Ensure(op.TC)
+			a.Advance(base.LSN(ts.lwm.Load()), eosl)
+			a.Add(op.LSN)
 			if unforced {
 				leaf.Undo = append(leaf.Undo, u)
 			}

@@ -65,7 +65,9 @@ func TestDecodeAllocsIndependentOfRecords(t *testing.T) {
 
 // TestSizeAndTableAppendDoNotAllocate: every write asks its page's Size (the
 // split test) and every flush appends the table to the image; a Size that
-// encoded the table to measure it was a tenth of a transaction's CPU.
+// encoded the table to measure it was a tenth of a transaction's CPU. The
+// table is appended into a buffer of its page's Size, which it fits: the body
+// of a page that holds the table's TCs' records outweighs it.
 func TestSizeAndTableAppendDoNotAllocate(t *testing.T) {
 	p := benchLeaf(21, true)
 	p.Ab.Ensure(2).Add(7)
@@ -78,10 +80,7 @@ func TestSizeAndTableAppendDoNotAllocate(t *testing.T) {
 	}
 	buf := make([]byte, 0, size)
 	if got := testing.AllocsPerRun(200, func() { buf = p.Ab.Append(buf[:0]) }); got != 0 {
-		t.Fatalf("Table.Append into a sized buffer allocates %.0f times", got)
-	}
-	if p.Ab.EncodedSize() != len(buf) {
-		t.Fatalf("EncodedSize %d, encoding %d bytes", p.Ab.EncodedSize(), len(buf))
+		t.Fatalf("Table.Append into a buffer of the page's Size %d allocates %.0f times (%d bytes)", size, got, len(buf))
 	}
 }
 

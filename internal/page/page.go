@@ -47,15 +47,18 @@
 //
 // # A page keeps its own size
 //
-// Size decides every split, and every write asks it. A page keeps it as a
-// running count, so the records, the separators and the children change only
-// through the page's methods: Put, Replace and Remove for a record, InsertSep
-// and RemoveSep for a separator, and the whole-page ones (CutAt, SetContents,
-// RollBack, DecodeInto). A record that Get returns is read, never written: a
-// writer changes a copy (Stage and AbortVersion work on one) and hands it to
-// Replace, which is what dc.applyWrite does. A write through the pointer
-// leaves the count behind; CheckSize, which btree.Tree.CheckInvariants runs
-// on every page, finds it.
+// Size decides every split, and every write asks it. It counts the records,
+// or the separators and children, and not the abstract-LSN table: the DC
+// prunes a TC's {LSNin} on every write and at every flush (package ablsn), so
+// the table stays small, and a page that split on it would split on
+// bookkeeping. A page keeps the size as a running count, so the records, the
+// separators and the children change only through the page's methods: Put,
+// Replace and Remove for a record, InsertSep and RemoveSep for a separator,
+// and the whole-page ones (CutAt, SetContents, RollBack, DecodeInto). A
+// record that Get returns is read, never written: a writer changes a copy
+// (Stage and AbortVersion work on one) and hands it to Replace, which is what
+// dc.applyWrite does. A write through the pointer leaves the count behind;
+// CheckSize, which btree.Tree.CheckInvariants runs on every page, finds it.
 package page
 
 import (
@@ -313,9 +316,9 @@ type Page struct {
 	Keys     []string
 	Children []base.PageID
 
-	// body is Size() less the header and the abstract-LSN table: the records'
-	// sizes summed, or the separators' and children's. Every mutator below
-	// keeps it, which is why Recs, Keys and Children change only through them.
+	// body is Size() less the header: the records' sizes summed, or the
+	// separators' and children's. Every mutator below keeps it, which is why
+	// Recs, Keys and Children change only through them.
 	body int
 
 	// Undo is the leaf's undo tail, oldest first: an entry for every
@@ -446,12 +449,12 @@ func (p *Page) RemoveSep(i int) {
 }
 
 // Size estimates the serialized size in bytes, which decides every split
-// and consolidation: a 32-byte header, the abstract-LSN table and the body.
-// It walks nothing: the body is a running count every mutator keeps, and the
-// table's length is kept by each abstract LSN, so a write's split test costs
-// the same on a leaf of three records as on one of three hundred with deep
-// histories and a long {LSNin} set. CheckSize compares it with the walk.
-func (p *Page) Size() int { return 32 + p.Ab.EncodedSize() + p.body }
+// and consolidation: a 32-byte header and the body, the abstract-LSN table
+// left out (package comment). It walks nothing: the body is a running count
+// every mutator keeps, so a write's split test costs the same on a leaf of
+// three records as on one of three hundred with deep histories. CheckSize
+// compares it with the walk.
+func (p *Page) Size() int { return 32 + p.body }
 
 // sepSize and childSize are a separator's and a child's shares of a branch's
 // Size.
@@ -475,12 +478,11 @@ func (p *Page) walkBody() int {
 }
 
 // CheckSize reports an error when Size differs from the size summed over the
-// page's fields and its table's encoding: a mutator that lost track of the
-// count (invariant checks and tests; it allocates).
+// page's fields: a mutator that lost track of the count (invariant checks and
+// tests).
 func (p *Page) CheckSize() error {
-	if walked, ab := p.walkBody(), len(p.Ab.Append(nil)); p.body != walked || p.Ab.EncodedSize() != ab {
-		return fmt.Errorf("page %d: running size %d (body %d, table %d), walked %d (body %d, table %d)",
-			p.ID, p.Size(), p.body, p.Ab.EncodedSize(), 32+ab+walked, walked, ab)
+	if walked := p.walkBody(); p.body != walked {
+		return fmt.Errorf("page %d: running size %d, walked %d", p.ID, p.Size(), 32+walked)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
+	"github.com/cidr09/unbundled/internal/page"
 )
 
 // benchPair is the repo benchmark's direct_fit shape in one process: one TC
@@ -21,11 +22,11 @@ type benchPair struct {
 	n    int
 }
 
-// newDirectTC is a TC over one in-process dc.DC with the table "kv", the
-// deployment of the repo benchmark's direct workloads.
-func newDirectTC(tb testing.TB) *TC {
+// newDirectTC is a TC over one in-process dc.DC, configured by cfg, with the
+// table "kv": the deployment of the repo benchmark's direct workloads.
+func newDirectTC(tb testing.TB, cfg dc.Config) (*TC, *dc.DC) {
 	tb.Helper()
-	d, err := dc.New(dc.Config{Name: "dc0"})
+	d, err := dc.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,32 +37,20 @@ func newDirectTC(tb testing.TB) *TC {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return tcx
+	return tcx, d
 }
 
 func newBenchPair(tb testing.TB) *benchPair {
 	tb.Helper()
-	tcx := newDirectTC(tb)
+	tcx, _ := newDirectTC(tb, dc.Config{Name: "dc0"})
 	tb.Cleanup(tcx.Close)
-	p := &benchPair{tc: tcx, val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
-	for i := 0; i < 10_000; i++ {
-		p.keys = append(p.keys, fmt.Sprintf("c0/k%07d", i))
-	}
-	for lo := 0; lo < len(p.keys); lo += 50 {
-		x := tcx.Begin(context.Background(), TxnOptions{})
-		for _, k := range p.keys[lo : lo+50] {
-			if err := x.Upsert("kv", k, p.val); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		if err := x.Commit(); err != nil {
-			tb.Fatal(err)
-		}
-		// Checkpointed as it goes, or the load's abstract LSNs pile up in
-		// the pages and splitting them dominates every profile.
-		if _, err := tcx.Checkpoint(context.Background()); err != nil {
-			tb.Fatal(err)
-		}
+	p := &benchPair{tc: tcx, keys: loadKeys(10_000), val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
+	// One checkpoint after the load, as the repo benchmark's preload ends
+	// with one: the timed transactions start over stable pages and an empty
+	// redo tail.
+	load(tb, tcx, p.keys, 0)
+	if _, err := tcx.Checkpoint(context.Background()); err != nil {
+		tb.Fatal(err)
 	}
 	return p
 }
@@ -126,40 +115,90 @@ func BenchmarkVersionedWriteTxn(b *testing.B) {
 //
 //	go test -run '^$' -bench Load -benchmem -cpuprofile cpu.out ./internal/tc
 func BenchmarkLoad(b *testing.B) {
-	const keys, perTxn, ckptEvery = 200_000, 100, 10
-	names := make([]string, keys)
-	for i := range names {
-		names[i] = fmt.Sprintf("c0/k%07d", i)
-	}
-	val := make([]byte, 64)
-	ctx := context.Background()
+	const keys = 200_000
+	names := loadKeys(keys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tcx := newDirectTC(b)
+		tcx, _ := newDirectTC(b, dc.Config{Name: "dc0"})
 		b.StartTimer()
-		for lo, n := 0, 1; lo < keys; lo, n = lo+perTxn, n+1 {
-			x := tcx.Begin(ctx, TxnOptions{})
-			for _, k := range names[lo : lo+perTxn] {
-				if err := x.Upsert("kv", k, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := x.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			if n%ckptEvery == 0 {
-				if _, err := tcx.Checkpoint(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+		load(b, tcx, names, 10)
 		b.StopTimer()
 		tcx.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
+}
+
+// loadKeys returns n keys in ascending order.
+func loadKeys(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("c0/k%07d", i)
+	}
+	return names
+}
+
+// load writes names into the table "kv" in the preload's shape: 100 Upserts
+// of 64-byte values per transaction and, unless ckptEvery is 0, a checkpoint
+// every ckptEvery transactions.
+func load(tb testing.TB, tcx *TC, names []string, ckptEvery int) {
+	const perTxn = 100
+	val := make([]byte, 64)
+	ctx := context.Background()
+	for lo, n := 0, 1; lo < len(names); lo, n = lo+perTxn, n+1 {
+		x := tcx.Begin(ctx, TxnOptions{})
+		for _, k := range names[lo:min(lo+perTxn, len(names))] {
+			if err := x.Upsert("kv", k, val); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := x.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+		if ckptEvery != 0 && n%ckptEvery == 0 {
+			if _, err := tcx.Checkpoint(ctx); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestLoadWithoutCheckpointsFillsItsLeaves: 16 000 ascending keys, 100 per
+// transaction, with no checkpoint, into a DC whose pool holds every page, so
+// no page is flushed and only writes prune the abstract LSNs. Each write
+// prunes its TC's {LSNin} to the TC's low-water mark, so a leaf's set holds
+// what is in flight (at most a transaction's 100 LSNs, well under 200) and the
+// leaves fill up to the split threshold. A DC that pruned only at flush kept
+// every LSN of the load in the last leaf's set, 16 000 of them, and since
+// page size counted the set the leaves split at 1.3 records each.
+func TestLoadWithoutCheckpointsFillsItsLeaves(t *testing.T) {
+	tcx, d := newDirectTC(t, dc.Config{Name: "dc0", CacheCapacity: 1 << 15})
+	defer tcx.Close()
+	names := loadKeys(16_000)
+	load(t, tcx, names, 0)
+	var leaves, recs, maxIn int
+	err := d.Tree("kv").Scan("", func(leaf *page.Page) bool {
+		leaves++
+		recs += len(leaf.Recs)
+		maxIn = max(maxIn, leaf.Ab.InCountTotal())
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Pool().Stats(); st.Flushes != 0 || st.Evictions != 0 {
+		t.Fatalf("the pool flushed %d and evicted %d pages: a flush prunes too", st.Flushes, st.Evictions)
+	}
+	if recs != len(names) {
+		t.Fatalf("the leaves hold %d records, want %d", recs, len(names))
+	}
+	if maxIn > 200 || recs < 10*leaves {
+		t.Fatalf("a leaf holds %d LSNs in its {LSNin} sets (want at most 200), and %d leaves average %.1f records (want at least 10)",
+			maxIn, leaves, float64(recs)/float64(leaves))
+	}
+	t.Logf("%d leaves, %.1f records each; at most %d LSNs in a leaf's {LSNin} sets", leaves, float64(recs)/float64(leaves), maxIn)
 }
 
 // readTxn is four locked point reads of loaded keys (each takes an S lock and
@@ -194,12 +233,13 @@ func BenchmarkLockedReadTxn(b *testing.B) {
 }
 
 // TestWriteTxnAllocs pins what that transaction allocates, TC and in-process
-// DC together: at most 10 objects (it measures 8, and 10 under -race, whose
-// sync.Pool drops a quarter of what it is given) and 2 560 bytes (it measures
-// about 1 800). What is left is what outlives the transaction or is the DC's —
-// the Txn itself, the results slab and its pointer slice at the DC, the
-// copies the DC must make of each value written (page.Decode's aliasing
-// contract) and what the DC's pages and abstract LSNs grow by now and then.
+// DC together: at most 10 objects (it measures 7, and 8 or more under -race,
+// whose sync.Pool drops a quarter of what it is given) and 2 560 bytes (it
+// measures about 1 700). What is left is what outlives the transaction or is
+// the DC's — the Txn itself, the results slab and its pointer slice at the DC,
+// the copies the DC must make of each value written (page.Decode's aliasing
+// contract) and what the DC's pages grow by now and then. An abstract LSN
+// does not grow: a write prunes it before it adds to it.
 // Everything the transaction uses on its own goroutine — the cache map, the
 // queue and its slab, the payload buffer — comes from the scratch pool.
 // Nothing is per key at the TC: no lock state, holder map or held map, no
