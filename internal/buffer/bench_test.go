@@ -66,10 +66,12 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 }
 
 // TestEvictFetchCycleAllocs pins what a miss that evicts a dirty page
-// allocates once the pool is full: the victim's image, which the store keeps,
-// and nothing else. The miss takes over the frame the eviction before it
-// freed — page, record array, abstract-LSN table, FirstDirty map, LRU node —
-// and decodes into it; a pool that let the evicted frame go made 9.
+// allocates once the pool is full: at most the victim's write-back, which the
+// store keeps — a full image, or the chain moved to a larger buffer when a
+// delta frame does not fit behind it — and nothing else. The miss takes over
+// the frame the eviction before it freed — page, record array, abstract-LSN
+// table, FirstDirty map, touched list, LRU node — and decodes into it; a pool
+// that let the evicted frame go made 9.
 func TestEvictFetchCycleAllocs(t *testing.T) {
 	pool, pages, cycle := evictFetchCycle(t)
 	i := 0
@@ -85,6 +87,6 @@ func TestEvictFetchCycleAllocs(t *testing.T) {
 		t.Fatalf("not the cycle it claims to be: %+v, then %+v", before, st)
 	}
 	if got > 1 {
-		t.Fatalf("an evict-fetch cycle allocates %.0f objects, want at most 1 (the victim's image)", got)
+		t.Fatalf("an evict-fetch cycle allocates %.0f objects, want at most 1 (the victim's write-back)", got)
 	}
 }

@@ -17,32 +17,47 @@
 //     wait only until the set is "reduced to a manageable size" and then
 //     embed it. This pool implements strategy 2 and nothing else: a flush
 //     never waits on the low-water mark and no operation ever waits on a
-//     flush; the cost is the abstract-LSN bytes each page write carries
-//     (Stats.AbLSNBytes).
+//     flush; the cost is the abstract-LSN bytes each write-back carries
+//     (Stats.AbLSNBytes), whole, in a delta frame as in a full image, since
+//     the newest frame's table is the page's.
 //
-// A page crosses the cache boundary in one copy each way. A flush encodes
-// the page into a fresh image (the only copy) and hands that buffer to the
-// store, which keeps it. A miss copies nothing: the store returns the image
-// it holds and page.DecodeInto builds the cached page over it, so the cached
-// page and the stable page share their bytes until a record is replaced (the
-// page package comment has the rules this rests on: images are never
-// written, fields are replaced and not edited). The next flush leaves the
-// frame aliasing the image it was read from, now dead, and the store holding
-// the new one.
+// A leaf's stable page is a chain (storage.PageStore): a base image and the
+// delta frames written onto it since. A write-back writes what changed — a
+// frame of the records Put, Replace and Remove touched (page.AppendDelta) —
+// when the page was built from the chain the store holds, no whole-page
+// operation has touched it since, and the chain's frames and this one stay
+// within half the base; otherwise it writes a full image, which starts the
+// next chain (writeBack). A branch is always written whole.
+//
+// A page crosses the cache boundary without a copy of its records either
+// way. A write-back encodes a frame into one buffer of the pool's, which the
+// store copies onto the chain, or encodes a full image into a fresh buffer,
+// which the store keeps. A miss copies nothing: the store returns the chain
+// it holds and page.DecodeInto builds the cached page over it, decoding the
+// base and applying each frame in the one pass, so the cached page and the
+// stable page share their bytes until a record is replaced (the page package
+// comment has the rules this rests on: chains are never written below their
+// end, fields are replaced and not edited). A frame appended after the miss
+// leaves the page's bytes where they are; a full image leaves the frame
+// aliasing the chain it was read from, now dead, and the store holding the
+// new one.
 //
 // A miss at capacity reuses the frame an eviction freed: its page with the
-// record array, abstract-LSN table and FirstDirty map, and the frame itself,
-// which is its LRU node. The miss decodes its image into that page, which
-// lets go of the old image, so what a miss that evicts a dirty page allocates
-// is the image it writes back. A frame is freed only once it has left the
-// frame map under mu while its evictor holds its only pin: every caller lets
-// go of a page when it unpins it, so nothing can still reach the page. The
-// pool keeps one freed frame (spare); more are left to the collector.
+// record array, abstract-LSN table, FirstDirty map and touched list, and the
+// frame itself, which is its LRU node. The miss decodes its chain into that
+// page, which lets go of the old chain, so what a miss that evicts a dirty
+// page allocates is at most the image it writes back. A frame is freed only
+// once it has left the frame map under mu while its evictor holds its only
+// pin: every caller lets go of a page when it unpins it, so nothing can still
+// reach the page. The pool keeps one freed frame (spare); more are left to the
+// collector.
 package buffer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,6 +136,12 @@ type Pool struct {
 	// across its check and its store.Write.
 	wmu   sync.RWMutex
 	ended atomic.Bool
+
+	// delta is where a write-back encodes a delta frame, which the store
+	// copies onto the page's chain, under dmu: one buffer for the pool, so a
+	// delta allocates nothing.
+	dmu   sync.Mutex
+	delta []byte
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
 	pageBytes, abBytes                           atomic.Uint64
@@ -245,6 +266,7 @@ func (p *Pool) insertLocked(f *frame) {
 // (flushFrame holds the latch of the page it read from the frame).
 func (p *Pool) Install(pg *page.Page) {
 	pg.Dirty = true
+	pg.DropChain()
 	p.mu.Lock()
 	if _, ok := p.frames[pg.ID]; ok {
 		p.mu.Unlock()
@@ -318,16 +340,57 @@ func (p *Pool) End() {
 	p.Kick()
 }
 
-// write hands image to the store as page id's stable image unless the pool
-// has ended; the check and the write are one critical section against End.
-func (p *Pool) write(id base.PageID, image []byte) bool {
+// writeDelta appends pg's delta frame to its stable chain if the rule of
+// writeBack allows one, and returns its length (0 if it wrote none) and its
+// abstract-LSN bytes.
+func (p *Pool) writeDelta(pg *page.Page) (written, abBytes int) {
+	chain, base := pg.Chain()
+	if chain == nil {
+		return 0, 0
+	}
+	room := base/2 - (len(chain) - base) // what the chain's frames may still add
+	if room <= 0 {
+		return 0, 0
+	}
+	p.dmu.Lock()
+	defer p.dmu.Unlock()
+	// Room for the largest frame the rule takes, so that encoding one does
+	// not grow the buffer as it goes.
+	p.delta = slices.Grow(p.delta[:0], room+binary.MaxVarintLen32)
+	frame, abBytes := pg.AppendDelta(p.delta, room)
+	if frame == nil || len(frame) > room {
+		return 0, 0
+	}
+	next, held := p.store.Append(pg.ID, chain, frame)
+	if !held {
+		return 0, 0
+	}
+	pg.SetChain(next, base)
+	return len(frame), abBytes
+}
+
+// writeBack makes pg, latched, its stable version unless the pool has
+// ended, and returns the bytes it wrote and how many of them are
+// abstract-LSN table; the check and the write are one critical section
+// against End. One rule decides what is written. A leaf writes a delta frame
+// (page.Page.AppendDelta) onto its stable chain when it was built from the
+// chain the store holds now, no whole-page operation has touched it since
+// (page.Page.Chain), and the chain's frames and this one stay within half
+// the base. Anything else — a chain that has grown too long, a new page, a
+// reshaped one, a branch — writes a full image, which is the consolidation.
+func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	p.wmu.RLock()
 	defer p.wmu.RUnlock()
 	if p.ended.Load() {
-		return false
+		return 0, 0, false
 	}
-	p.store.Write(id, image) // the store keeps image; it is not touched again
-	return true
+	if written, abBytes = p.writeDelta(pg); written > 0 {
+		return written, abBytes, true
+	}
+	image, abBytes := pg.EncodeAb()
+	p.store.Write(pg.ID, image) // the store keeps image; it is not touched again
+	pg.SetChain(image, len(image))
+	return len(image), abBytes, true
 }
 
 func (p *Pool) flushFrame(f *frame, wait bool) error {
@@ -381,12 +444,12 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 		if pg.DLSN != 0 && p.gates.ForceDCLog != nil {
 			p.gates.ForceDCLog(pg.DLSN)
 		}
-		image, abBytes := pg.EncodeAb()
-		if !p.write(pg.ID, image) {
+		written, abBytes, ok := p.writeBack(pg)
+		if !ok {
 			f.pg.L.Unlock()
 			return ErrEnded
 		}
-		p.pageBytes.Add(uint64(len(image)))
+		p.pageBytes.Add(uint64(written))
 		p.abBytes.Add(uint64(abBytes))
 		pg.Dirty = false
 		clear(pg.FirstDirty) // emptied, not dropped: the next MarkDirty refills it

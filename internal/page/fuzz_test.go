@@ -17,7 +17,7 @@ import (
 // corpus (testdata/fuzz/FuzzDecode) is the catalog, three branches and five
 // two-TC leaves of btree.TestForwardMatchesRedo's seed-1 forest, 500
 // operations in; the seeds added here carry what that forest's records do
-// not: before versions, history and tombstones.
+// not: before versions, history and tombstones, and delta frames after a base.
 func FuzzDecode(f *testing.F) {
 	versioned := benchLeaf(3, true)
 	// A before version over older history, a null before version, a
@@ -33,6 +33,22 @@ func FuzzDecode(f *testing.F) {
 	f.Add(versioned.Encode())
 	f.Add(NewLeaf(1).Encode())
 	f.Add(branch.Encode())
+	// A chain of two frames, the same with its last frame torn, a frame that
+	// removes a key twice and a frame after a branch.
+	chain, _ := chainOf(f, versioned,
+		func(q *Page) {
+			q.Remove("w")
+			q.Put(Record{Key: "a", Owner: 2, Flags: FlagHasBefore, TS: 12, Value: []byte("v2"), Hist: []Version{{TS: 3, Val: []byte("v1")}}})
+		},
+		func(q *Page) {
+			setValue(q, "x", "again")
+			q.Ab.Ensure(1).Add(40)
+		})
+	f.Add(chain)
+	f.Add(chain[:len(chain)-1])
+	f.Add(append(versioned.Encode(), removesTwice(versioned, "y")...))
+	leafFrame, _ := NewLeaf(9).AppendDelta(nil, 1<<30)
+	f.Add(append(branch.Encode(), leafFrame...))
 	olds := [][]byte{versioned.Encode(), branch.Encode()}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		pristine := bytes.Clone(image)

@@ -18,32 +18,44 @@
 //
 // # A decoded page is its image
 //
-// Decode copies nothing: every key, value and history value (the before
-// version's among them) of the page it returns is a sub-slice of the image it
-// was given, and so is every branch separator. Two rules follow, and the whole
+// A leaf's stable image is a chain: a base image (Encode) and the delta
+// frames (AppendDelta) written onto it since, each holding the records its
+// write-back found touched, the keys it found removed and the whole
+// abstract-LSN table. Decode applies the frames to the base in order, in the
+// same pass. It copies nothing: every key, value and history value (the
+// before version's among them) of the page it returns is a sub-slice of the
+// image it was given — of the base, or of the frame that last wrote the
+// record — and so is every branch separator. Two rules follow, and the whole
 // DC keeps them.
 //
 // The image is immutable. It is the stable page (storage.PageStore hands the
-// cache the very bytes it holds) or a DC-log record, and nothing may write
-// into a decoded field: not into Value or a Version's Val byte by byte, and
-// not by appending to them in place. A field changes by being replaced with a
-// slice the writer owns, which is what every mutator here and dc.applyWrite
-// do. The byte slices are cap-limited, so an append reallocates instead of
-// running into the neighbouring field; a write through an index is not caught
-// by anything and corrupts the stable page silently (package dc's
-// TestDecodedPageNeverWritesItsImage watches for it).
-// Keys are strings laid over the same bytes, see decoder.str.
+// cache the very bytes it holds, and appends a frame only past their end) or
+// a DC-log record, and nothing may write into a decoded field: not into Value
+// or a Version's Val byte by byte, and not by appending to them in place. A
+// field changes by being replaced with a slice the writer owns, which is what
+// every mutator here and dc.applyWrite do. The byte slices are cap-limited, so
+// an append reallocates instead of running into the neighbouring field; a
+// write through an index is not caught by anything and corrupts the stable
+// page silently (package dc's TestDecodedPageNeverWritesItsImage watches for
+// it). Keys are strings laid over the same bytes, see decoder.str.
 //
 // The image lives as long as anything decoded from it does. A cached page
 // keeps its image reachable until its last aliasing field is replaced, also
-// after a flush has put a newer image in the store: at most one such dead
+// after a write-back has put a newer image in the store: at most one such dead
 // image per record source, which is the page itself plus, after a split or a
-// consolidation, the sibling its records came from. Eviction is not the end
-// of it: the buffer pool keeps the page its last eviction freed, and the next
-// miss decodes another image into it (DecodeInto), which releases the old
-// one. What leaves the page for something that outlives it is copied: the DC
-// copies the values and keys of a result, UpperHalf copies the split key that
-// goes to the parent.
+// consolidation, the sibling its records came from. A frame appended to the
+// chain a page was decoded from is no newer image: the page's bytes stay where
+// they are. Eviction is not the end of it: the buffer pool keeps the page its
+// last eviction freed, and the next miss decodes another image into it
+// (DecodeInto), which releases the old one. What leaves the page for something
+// that outlives it is copied: the DC copies the values and keys of a result,
+// UpperHalf copies the split key that goes to the parent.
+//
+// A delta frame holds only the keys Put, Replace and Remove touched since the
+// page's chain (Chain), so whatever else changes a leaf's records — CutAt,
+// SetContents and a RollBack that undoes something — drops the chain, and a
+// page made new (NewLeaf, UpperHalf, Merged, a logged image the buffer pool
+// installs) has none: the next write-back of either is a full image.
 //
 // # A page keeps its own size
 //
@@ -88,6 +100,9 @@ const (
 	// at decode time, never held in Record.Flags in memory, so a record
 	// without timestamps pays nothing for it.
 	FlagHasTS
+	// flagGone is an encoding marker of delta frames only: the record is a
+	// key a Remove dropped, and holds nothing else.
+	flagGone
 )
 
 // Version is one committed version in a record's history: the value that was
@@ -338,6 +353,23 @@ type Page struct {
 	// the last flush; the buffer pool forces the DC-log this far before
 	// writing the page (write-ahead logging for system transactions).
 	RecDLSN base.DLSN
+
+	// stable is the leaf's stable chain (package comment) as the store holds
+	// it, when the page is that chain changed only in the keys touched
+	// names, and base is how many of its bytes are the base image. stable is
+	// nil on a branch, on a new page and after a whole-page operation: then
+	// the next write-back is a full image.
+	stable  []byte
+	base    int
+	touched []touchedKey
+}
+
+// touchedKey is a key a Put, Replace or Remove changed and the slot its
+// record had then: a hint, which spares the write-back and the decode a
+// search of the page when no insert or removal has moved the record since.
+type touchedKey struct {
+	key  string
+	slot int
 }
 
 // NewLeaf returns an empty leaf page.
@@ -372,6 +404,7 @@ func (p *Page) Put(rec Record) {
 		p.Replace(&p.Recs[i], rec)
 		return
 	}
+	p.touch(rec.Key, i)
 	p.body += rec.size()
 	p.Recs = append(p.Recs, Record{})
 	copy(p.Recs[i+1:], p.Recs[i:])
@@ -382,6 +415,10 @@ func (p *Page) Put(rec Record) {
 // Put without the search, for a caller that holds p's record of the key
 // (Get).
 func (p *Page) Replace(old *Record, rec Record) {
+	if p.stable != nil {
+		// old is an element of Recs: its slot is its offset.
+		p.touch(rec.Key, int((uintptr(unsafe.Pointer(old))-uintptr(unsafe.Pointer(unsafe.SliceData(p.Recs))))/unsafe.Sizeof(*old)))
+	}
 	p.body += rec.size() - old.size()
 	*old = rec
 }
@@ -392,9 +429,67 @@ func (p *Page) Remove(key string) bool {
 	if !ok {
 		return false
 	}
+	p.touch(key, i)
 	p.body -= p.Recs[i].size()
 	p.Recs = append(p.Recs[:i], p.Recs[i+1:]...)
 	return true
+}
+
+// touch notes that a mutator changed key, whose record had the given slot,
+// for the next delta frame. The list starts with room for a leaf's worth of
+// keys, is settled whenever it fills, and grows only if that leaves it more
+// than half full, so a hot key costs no room.
+func (p *Page) touch(key string, slot int) {
+	if p.stable == nil {
+		return
+	}
+	if n := len(p.touched); n == cap(p.touched) {
+		p.settle()
+		if len(p.touched) > n/2 {
+			p.touched = slices.Grow(p.touched, max(n, 16))
+		}
+	}
+	p.touched = append(p.touched, touchedKey{key, slot})
+}
+
+// settle sorts the touched list by key and keeps the newest touch of each.
+func (p *Page) settle() {
+	if len(p.touched) < 2 {
+		return
+	}
+	slices.SortStableFunc(p.touched, func(a, b touchedKey) int { return strings.Compare(a.key, b.key) })
+	kept := p.touched[:0]
+	for i := range p.touched {
+		if i+1 == len(p.touched) || p.touched[i+1].key != p.touched[i].key {
+			kept = append(kept, p.touched[i])
+		}
+	}
+	clear(p.touched[len(kept):])
+	p.touched = kept
+}
+
+// Chain returns the stable chain p was built from and how many of its bytes
+// are the base image, when p differs from it in touched records alone; nil
+// otherwise. The buffer pool writes a delta frame (AppendDelta) onto it only
+// if the store still holds it.
+func (p *Page) Chain() (chain []byte, base int) { return p.stable, p.base }
+
+// SetChain records that chain, whose first base bytes are its base image, is
+// now p's stable version: what the buffer pool calls after a write-back. A
+// branch keeps none; it is written whole every time.
+func (p *Page) SetChain(chain []byte, base int) {
+	p.DropChain()
+	if p.Leaf {
+		p.stable, p.base = chain, base
+	}
+}
+
+// DropChain makes p's next write-back a full image: what every whole-page
+// operation does, since a delta frame carries only the touched records.
+func (p *Page) DropChain() {
+	p.stable, p.base = nil, 0
+	clear(p.touched)
+	p.touched = p.touched[:0]
 }
 
 // Ascend calls fn for records with from <= Key < to (to == "" means
@@ -519,6 +614,7 @@ func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 // redo cuts whatever version of the page the store held. Clipped capacities
 // release the dropped half.
 func (p *Page) CutAt(splitKey string, right base.PageID) {
+	p.DropChain()
 	if p.Leaf {
 		i, _ := p.find(splitKey)
 		for j := i; j < len(p.Recs); j++ {
@@ -551,6 +647,7 @@ func (p *Page) Merged(right *Page) *Page {
 // img's undo tail. p keeps its ID, latch, dLSN (the caller's to stamp) and
 // pool bookkeeping.
 func (p *Page) SetContents(img *Page) {
+	p.DropChain()
 	p.Leaf, p.Next, p.Ab = img.Leaf, img.Next, img.Ab
 	p.Recs, p.Keys, p.Children, p.Undo = img.Recs, img.Keys, img.Children, img.Undo
 	p.body = img.body
@@ -575,6 +672,9 @@ func (p *Page) RollBack(tc base.TCID, stable base.LSN) (undone int) {
 		}
 	}
 	p.Undo = slices.DeleteFunc(p.Undo, lost)
+	if undone > 0 {
+		p.DropChain()
+	}
 	if a := p.Ab.Get(tc); a != nil {
 		a.Forget(stable)
 	}
@@ -628,9 +728,9 @@ func (p *Page) Clone() *Page {
 	return c
 }
 
-// Encode serializes the page (stable format: used both for disk writes and
-// for physical DC-log images). The image is a fresh buffer that aliases
-// nothing of p.
+// Encode serializes the page as a base image, the stable format of a
+// consolidating write-back and of a physical DC-log image. The image is a
+// fresh buffer that aliases nothing of p.
 func (p *Page) Encode() []byte {
 	image, _ := p.EncodeAb()
 	return image
@@ -639,49 +739,14 @@ func (p *Page) Encode() []byte {
 // EncodeAb is Encode that also says how many of the image's bytes are the
 // abstract-LSN table: what page sync (§5.1.2, strategy 2) costs this write.
 func (p *Page) EncodeAb() (image []byte, abBytes int) {
-	buf := make([]byte, 0, p.Size())
-	buf = binary.AppendUvarint(buf, uint64(p.ID))
-	if p.Leaf {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(p.DLSN))
-	buf = binary.AppendUvarint(buf, uint64(p.Next))
-	header := len(buf)
+	buf := p.appendHeader(make([]byte, 0, p.Size()))
+	table := len(buf)
 	buf = p.Ab.Append(buf)
-	abBytes = len(buf) - header
+	abBytes = len(buf) - table
 	if p.Leaf {
 		buf = binary.AppendUvarint(buf, uint64(len(p.Recs)))
 		for i := range p.Recs {
-			r := &p.Recs[i]
-			buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
-			buf = append(buf, r.Key...)
-			buf = binary.AppendUvarint(buf, uint64(r.Owner))
-			hasTS := r.TS != 0 || len(r.Hist) > 0
-			flags := r.Flags
-			if hasTS {
-				flags |= FlagHasTS
-			}
-			buf = append(buf, flags)
-			buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
-			buf = append(buf, r.Value...)
-			if hasTS {
-				buf = binary.AppendUvarint(buf, uint64(r.TS))
-				buf = binary.AppendUvarint(buf, uint64(len(r.Hist)))
-				for j := range r.Hist {
-					// A version's length is 0 for a deletion, else its
-					// value's length plus one.
-					v := &r.Hist[j]
-					buf = binary.AppendUvarint(buf, uint64(v.TS))
-					if v.Del {
-						buf = append(buf, 0)
-						continue
-					}
-					buf = binary.AppendUvarint(buf, uint64(len(v.Val))+1)
-					buf = append(buf, v.Val...)
-				}
-			}
+			buf = appendRecord(buf, &p.Recs[i], false)
 		}
 		return buf, abBytes
 	}
@@ -697,12 +762,102 @@ func (p *Page) EncodeAb() (image []byte, abBytes int) {
 	return buf, abBytes
 }
 
-// Decode builds the page an image produced by Encode holds, over the image:
-// it copies no key or value (see the package comment for what that asks of
-// every caller). The caller gives the image up: it must never be written
-// again. The allocations are the page, its abstract-LSN entries and their
-// {LSNin} sets, the record or separator array and, if any record has history,
-// one array of versions for the page, whatever the number of records.
+// AppendDelta appends to dst the delta frame that takes p's stable chain
+// (Chain) to p, and says how many of its bytes are the abstract-LSN table. A
+// frame is its length as a uvarint, then the header, the touched keys in
+// ascending order as records — the record p holds of the key, found at its
+// slot unless something moved it, or, flagged gone, the key alone — and their
+// slots, which a decode checks before it uses one, and last the whole
+// abstract-LSN table: §5.1.2 holds per chain, since the newest frame's table
+// is the page's, and a decode reads no other frame's. A frame whose records
+// outgrow limit bytes is not worth writing: AppendDelta stops and returns nil.
+func (p *Page) AppendDelta(dst []byte, limit int) (frame []byte, abBytes int) {
+	p.settle()
+	start := len(dst)
+	dst = p.appendHeader(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(p.touched)))
+	for i := range p.touched {
+		t := &p.touched[i]
+		if uint(t.slot) >= uint(len(p.Recs)) || p.Recs[t.slot].Key != t.key {
+			var held bool
+			if t.slot, held = p.find(t.key); !held {
+				dst = appendRecord(dst, &Record{Key: t.key}, true)
+				continue
+			}
+		}
+		if dst = appendRecord(dst, &p.Recs[t.slot], false); len(dst)-start > limit {
+			return nil, 0
+		}
+	}
+	for i := range p.touched {
+		dst = binary.AppendUvarint(dst, uint64(p.touched[i].slot))
+	}
+	table := len(dst)
+	dst = p.Ab.Append(dst)
+	abBytes = len(dst) - table
+	var n [binary.MaxVarintLen64]byte
+	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), abBytes
+}
+
+// appendHeader appends what a base image and a delta frame both begin with:
+// the page ID, the leaf flag, the dLSN and the sibling link.
+func (p *Page) appendHeader(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(p.ID))
+	if p.Leaf {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(p.DLSN))
+	return binary.AppendUvarint(buf, uint64(p.Next))
+}
+
+// appendRecord appends r in the stable format; gone, only its key, flagged so.
+func appendRecord(buf []byte, r *Record, gone bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
+	buf = append(buf, r.Key...)
+	if gone {
+		return append(buf, 0, flagGone, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(r.Owner))
+	hasTS := r.TS != 0 || len(r.Hist) > 0
+	flags := r.Flags
+	if hasTS {
+		flags |= FlagHasTS
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
+	buf = append(buf, r.Value...)
+	if !hasTS {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(r.TS))
+	buf = binary.AppendUvarint(buf, uint64(len(r.Hist)))
+	for j := range r.Hist {
+		// A version's length is 0 for a deletion, else its value's length
+		// plus one.
+		v := &r.Hist[j]
+		buf = binary.AppendUvarint(buf, uint64(v.TS))
+		if v.Del {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(v.Val))+1)
+		buf = append(buf, v.Val...)
+	}
+	return buf
+}
+
+// Decode builds the page an image holds, over the image: it copies no key or
+// value (see the package comment for what that asks of every caller). The
+// image is a base image (Encode) or, for a leaf, a stable chain: a base image
+// and the delta frames (AppendDelta) written onto it since, which Decode
+// applies in order. Bytes after a base that are not whole frames, and frames
+// after a branch, are corrupt. The caller gives the image up: it must never be
+// written again. The allocations are the page, its abstract-LSN entries and
+// their {LSNin} sets, the record or separator array and, if any record has
+// history, one array of versions for the base and one for each frame with
+// such a record, whatever the number of records.
 func Decode(image []byte) (*Page, error) {
 	p := &Page{}
 	if err := DecodeInto(p, image); err != nil {
@@ -715,10 +870,11 @@ func Decode(image []byte) (*Page, error) {
 // buffer pool's evicted frame): p becomes the page the image holds, clean and
 // with an empty undo tail, and keeps only its latch and the arrays it can
 // reuse — the record or separator and child arrays, the abstract-LSN entries
-// and their {LSNin} sets, and the FirstDirty map, emptied. So a page that held
-// as many records and LSNs and no history allocates nothing. A history array
-// is always new: records copied out of a page (Undo.Prior, a split's upper
-// half) share it. On an error p holds a partial page.
+// and their {LSNin} sets, the FirstDirty map and the touched list, emptied. So
+// a page that held as many records and LSNs and no history allocates nothing.
+// A history array is always new: records copied out of a page (Undo.Prior, a
+// split's upper half) share it. A leaf's chain (Chain) is the image. On an
+// error p holds a partial page.
 func DecodeInto(p *Page, image []byte) error {
 	d := decoder{buf: image}
 	p.ID = base.PageID(d.uvarint())
@@ -726,6 +882,7 @@ func DecodeInto(p *Page, image []byte) error {
 	p.DLSN = base.DLSN(d.uvarint())
 	p.Next = base.PageID(d.uvarint())
 	p.Undo, p.Dirty, p.RecDLSN, p.body = nil, false, 0, 0
+	p.DropChain()
 	clear(p.FirstDirty)
 	if d.err == nil {
 		rest, err := ablsn.DecodeTableInto(&p.Ab, d.buf)
@@ -734,85 +891,111 @@ func DecodeInto(p *Page, image []byte) error {
 		}
 		d.buf = rest
 	}
-	if p.Leaf {
-		p.Keys, p.Children = nil, nil
-		// A record is four bytes or more and a history entry two, so the
-		// bytes left bound what a corrupt count can make Decode allocate.
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf))/4 {
-			return errCorrupt
+	if !p.Leaf {
+		p.decodeBranch(&d)
+		if d.err == nil && len(d.buf) > 0 {
+			return errCorrupt // a branch is written whole: nothing follows it
 		}
-		p.Recs = resize(p.Recs, n)
-		// hist collects every record's history; a record's Hist holds its
-		// length until the array has stopped growing.
-		var hist []Version
-		for i := range p.Recs {
-			r := &p.Recs[i]
-			r.Key = d.str()
-			r.Owner = base.TCID(d.uvarint())
-			r.Flags = d.byte()
-			r.Value = d.bytes()
-			r.TS, r.Hist = 0, nil
-			if r.Flags&FlagHasTS != 0 {
-				r.Flags &^= FlagHasTS
-				r.TS = base.TS(d.uvarint())
-				hn := d.uvarint()
-				if d.err == nil && hn > uint64(len(d.buf))/2 {
-					return errCorrupt
-				}
-				if d.err == nil && hn > 0 {
-					if hist == nil {
-						hist = make([]Version, 0, max(int(hn), len(p.Recs)-i))
-					}
-					first := len(hist)
-					for ; hn > 0; hn-- {
-						v := Version{TS: base.TS(d.uvarint())}
-						if n := d.uvarint(); n == 0 {
-							v.Del = true
-						} else {
-							v.Val = d.take(n - 1)
-						}
-						hist = append(hist, v)
-					}
-					r.Hist = hist[first:]
-				}
-			}
-			if d.err != nil {
-				continue
-			}
-			if r.HasBefore() && len(r.Hist) == 0 {
-				return errCorrupt // a before version is the last entry of Hist
-			}
-			p.body += r.size()
-		}
-		for i, first := 0, 0; first < len(hist); i++ {
-			if hn := len(p.Recs[i].Hist); hn > 0 {
-				p.Recs[i].Hist = hist[first : first+hn : first+hn]
-				first += hn
-			}
-		}
-	} else {
-		p.Recs = nil
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf)) {
-			return errCorrupt
-		}
-		p.Keys = resize(p.Keys, n)
-		for i := range p.Keys {
-			p.Keys[i] = d.str()
-			p.body += sepSize(p.Keys[i])
-		}
-		n = d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf))+1 {
-			return errCorrupt
-		}
-		p.Children = resize(p.Children, n)
-		for i := range p.Children {
-			p.Children[i] = base.PageID(d.uvarint())
-		}
-		p.body += childSize * len(p.Children)
+		return d.err
 	}
-	return d.err
+	p.Keys, p.Children = nil, nil
+	n := d.count()
+	p.Recs = resize(p.Recs, n)
+	size, err := d.records(p.Recs, false)
+	if err != nil {
+		return err
+	}
+	p.body = size
+	baseLen := len(image) - len(d.buf)
+	for len(d.buf) > 0 {
+		if err := p.applyFrame(&d); err != nil {
+			return err
+		}
+	}
+	p.stable, p.base = image, baseLen
+	return nil
+}
+
+// decodeBranch decodes a branch's separators and children.
+func (p *Page) decodeBranch(d *decoder) {
+	p.Recs = nil
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)) {
+		d.fail()
+		return
+	}
+	p.Keys = resize(p.Keys, n)
+	for i := range p.Keys {
+		p.Keys[i] = d.str()
+		p.body += sepSize(p.Keys[i])
+	}
+	n = d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf))+1 {
+		d.fail()
+		return
+	}
+	p.Children = resize(p.Children, n)
+	for i := range p.Children {
+		p.Children[i] = base.PageID(d.uvarint())
+	}
+	p.body += childSize * len(p.Children)
+}
+
+// applyFrame applies the next delta frame of d (AppendDelta) to p, a leaf:
+// the header's dLSN and sibling link, each record through Replace where its
+// slot holds its key and else through Put, each key flagged gone through
+// Remove, and, if it is the chain's last frame, its
+// abstract-LSN table. A frame must name p, hold its keys in ascending order
+// without repeats and, if last, end where its table does.
+func (p *Page) applyFrame(d *decoder) error {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.buf)) {
+		return errCorrupt
+	}
+	f := decoder{buf: d.buf[:n:n]}
+	d.buf = d.buf[n:]
+	if base.PageID(f.uvarint()) != p.ID || f.byte() != 1 {
+		return errCorrupt
+	}
+	p.DLSN = base.DLSN(f.uvarint())
+	p.Next = base.PageID(f.uvarint())
+	// A write-back touches a record or two: those frames decode into an
+	// array on the stack, so a miss allocates nothing per frame.
+	var small [2]Record
+	recs := small[:]
+	if n := f.count(); n > uint64(len(small)) {
+		recs = make([]Record, n)
+	} else {
+		recs = small[:n]
+	}
+	if _, err := f.records(recs, true); err != nil {
+		return err
+	}
+	for i := range recs {
+		r := &recs[i]
+		slot := f.uvarint()
+		switch {
+		case f.err != nil || i > 0 && r.Key <= recs[i-1].Key:
+			return errCorrupt
+		case r.Flags&flagGone != 0:
+			p.Remove(r.Key)
+		case slot < uint64(len(p.Recs)) && p.Recs[slot].Key == r.Key:
+			p.Replace(&p.Recs[slot], *r)
+		default:
+			p.Put(*r)
+		}
+	}
+	if len(d.buf) > 0 {
+		return nil // a later frame's table replaces this one's
+	}
+	rest, err := ablsn.DecodeTableInto(&p.Ab, f.buf)
+	if err != nil {
+		return err
+	}
+	if len(rest) > 0 {
+		return errCorrupt
+	}
+	return nil
 }
 
 // resize returns s with length n, over s's array when n fits in it; the
@@ -834,16 +1017,25 @@ type decoder struct {
 	err error
 }
 
-// uvarint is inlined into Decode's loops; nearly every length, owner and
-// count of a page is below 128 and so one byte. An error empties buf, which
-// sends every later call down the slow path to find err set.
+// uvarint returns the next uvarint. Nearly every length, owner and count of a
+// page is below 128 and so one byte. An error empties buf, which sends every
+// later call down the slow path to find err set.
 func (d *decoder) uvarint() uint64 {
-	if len(d.buf) > 0 && d.buf[0] < 0x80 {
-		u := uint64(d.buf[0])
-		d.buf = d.buf[1:]
+	if u, ok := d.small(); ok {
 		return u
 	}
 	return d.uvarintSlow()
+}
+
+// small returns the next uvarint if it is one byte; ok false leaves d as it
+// was. It is inlined, which uvarint, calling the slow path, cannot be.
+func (d *decoder) small() (u uint64, ok bool) {
+	if len(d.buf) > 0 && d.buf[0] < 0x80 {
+		u = uint64(d.buf[0])
+		d.buf = d.buf[1:]
+		return u, true
+	}
+	return 0, false
 }
 
 func (d *decoder) uvarintSlow() uint64 {
@@ -874,12 +1066,91 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-// bytes returns the next length-prefixed field as a slice of the image,
-// clipped to its own length so that an append to it cannot reach the field
-// behind it.
-func (d *decoder) bytes() []byte { return d.take(d.uvarint()) }
+// count returns the next record count. A record is four bytes or more, so
+// the bytes left bound what a corrupt count can make a decode allocate.
+func (d *decoder) count() uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf))/4 {
+		d.fail()
+		return 0
+	}
+	return n
+}
 
-// take returns the next n bytes as bytes does.
+// records decodes len(recs) records into recs and returns their summed size.
+// Their histories share one array, made here and so never one a record
+// copied out of a page holds. A record flagged gone (a frame's dropped key)
+// is refused unless frame is set.
+func (d *decoder) records(recs []Record, frame bool) (size int, err error) {
+	// hist collects every record's history; a record's Hist holds its length
+	// until the array has stopped growing.
+	var hist []Version
+	for i := range recs {
+		r := &recs[i]
+		// The lengths and the owner are nearly always one byte: read without
+		// a call (small), this loop decodes a page half again as fast.
+		n, ok := d.small()
+		if !ok {
+			n = d.uvarint()
+		}
+		r.Key = d.strOf(n)
+		if n, ok = d.small(); !ok {
+			n = d.uvarint()
+		}
+		r.Owner = base.TCID(n)
+		r.Flags = d.byte()
+		if n, ok = d.small(); !ok {
+			n = d.uvarint()
+		}
+		r.Value = d.take(n)
+		r.TS, r.Hist = 0, nil
+		if r.Flags&flagGone != 0 && (!frame || r.Flags != flagGone || r.Owner != 0 || r.Value != nil) {
+			return 0, errCorrupt
+		}
+		if r.Flags&FlagHasTS != 0 {
+			r.Flags &^= FlagHasTS
+			r.TS = base.TS(d.uvarint())
+			// A history entry is two bytes or more.
+			hn := d.uvarint()
+			if d.err == nil && hn > uint64(len(d.buf))/2 {
+				return 0, errCorrupt
+			}
+			if d.err == nil && hn > 0 {
+				if hist == nil {
+					hist = make([]Version, 0, max(int(hn), len(recs)-i))
+				}
+				first := len(hist)
+				for ; hn > 0; hn-- {
+					v := Version{TS: base.TS(d.uvarint())}
+					if n := d.uvarint(); n == 0 {
+						v.Del = true
+					} else {
+						v.Val = d.take(n - 1)
+					}
+					hist = append(hist, v)
+				}
+				r.Hist = hist[first:]
+			}
+		}
+		if d.err != nil {
+			return 0, d.err
+		}
+		if r.HasBefore() && len(r.Hist) == 0 {
+			return 0, errCorrupt // a before version is the last entry of Hist
+		}
+		size += r.size()
+	}
+	for i, first := 0, 0; first < len(hist); i++ {
+		if hn := len(recs[i].Hist); hn > 0 {
+			recs[i].Hist = hist[first : first+hn : first+hn]
+			first += hn
+		}
+	}
+	return size, d.err
+}
+
+// take returns the next n bytes as a slice of the image, clipped to its own
+// length so that an append to it cannot reach the field behind it.
 func (d *decoder) take(n uint64) []byte {
 	if d.err != nil || n > uint64(len(d.buf)) {
 		d.fail()
@@ -900,8 +1171,11 @@ func (d *decoder) take(n uint64) []byte {
 // too: it copies the page once more (BenchmarkDecodeLeaf, 50 records: 3.9 us
 // and 10.4 KB a page against 2.6 us and 6.3 KB) and keeps two copies of
 // every cached page alive, one under the keys and one under the values.
-func (d *decoder) str() string {
-	b := d.bytes()
+func (d *decoder) str() string { return d.strOf(d.uvarint()) }
+
+// strOf returns the next n bytes as str does.
+func (d *decoder) strOf(n uint64) string {
+	b := d.take(n)
 	if len(b) == 0 {
 		return ""
 	}

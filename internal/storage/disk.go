@@ -22,11 +22,12 @@ import (
 // mutation also lands in the filesystem, and the Open* constructors
 // rebuild the image from a previous incarnation's files.
 //
-// Durability posture: page writes and log forces go through atomic
-// tmp+rename, and log forces fsync. That survives process kills
-// unconditionally (the page cache belongs to the OS, not the process) and
-// power loss up to the last fsync — the same contract the simulated
-// Crash() models.
+// Durability posture: a full page image and a log truncation go through
+// atomic tmp+rename; a page's delta frame and a log force append to their
+// file, and a reopen cuts what a kill left torn behind the last whole frame
+// or batch; log forces fsync. That survives process kills unconditionally
+// (the page cache belongs to the OS, not the process) and power loss up to
+// the last fsync — the same contract the simulated Crash() models.
 //
 // The stores' mutation methods have no error returns (they model media
 // that either works or is gone); an I/O failure on the backing directory
@@ -37,6 +38,12 @@ import (
 // previous incarnation left there. Page files are named p<id>; the
 // allocator high-water mark persists in "alloc" so crashed allocations
 // are never reused.
+//
+// A page file is its chain behind a 4-byte big-endian header, the length of
+// the base image. Write rewrites the file whole (tmp+rename), so a base is
+// never torn; Append appends the frame's bytes to the file, so a kill can
+// leave the last frame torn, and a reopen cuts it, which leaves the chain as
+// it was before that Append.
 func OpenPageStoreDir(dir string) (*PageStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -60,11 +67,23 @@ func OpenPageStoreDir(dir string) (*PageStore, error) {
 		if err != nil {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		s.pages[base.PageID(id)] = data
+		chain, clean, err := loadChain(data)
+		if err != nil {
+			return nil, fmt.Errorf("storage: page file %s: %w", path, err)
+		}
+		if clean < len(data) {
+			// A kill mid-append left a torn frame after the last whole one:
+			// cut it before the next append lands behind it.
+			if err := os.Truncate(path, int64(clean)); err != nil {
+				return nil, err
+			}
+		}
+		s.pages[base.PageID(id)] = chain
 		if uint32(id) > s.nextID {
 			s.nextID = uint32(id)
 		}
@@ -134,9 +153,52 @@ func (s *PageStore) persistWrite(id base.PageID, data []byte) {
 	if s.dir == "" {
 		return
 	}
-	if err := atomicWriteFile(s.pagePath(id), false, data); err != nil {
+	header := binary.BigEndian.AppendUint32(nil, uint32(len(data)))
+	if err := atomicWriteFile(s.pagePath(id), false, header, data); err != nil {
 		panic(fmt.Sprintf("storage: page %d write to %s: %v", id, s.dir, err))
 	}
+}
+
+// persistAppend appends one frame to the page's file, under the store's write
+// lock as persistWrite does.
+func (s *PageStore) persistAppend(id base.PageID, frame []byte) {
+	if s.dir == "" {
+		return
+	}
+	f, err := os.OpenFile(s.pagePath(id), os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write(frame)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		panic(fmt.Sprintf("storage: page %d append to %s: %v", id, s.dir, err))
+	}
+}
+
+// pageHeaderBytes is the length of a page file's header: its base's length.
+const pageHeaderBytes = 4
+
+// loadChain returns the chain a page file holds and the length of the file up
+// to the end of its last whole frame.
+func loadChain(data []byte) (chain []byte, clean int, err error) {
+	if len(data) < pageHeaderBytes {
+		return nil, 0, errors.New("truncated header")
+	}
+	chain = data[pageHeaderBytes:]
+	end := int(binary.BigEndian.Uint32(data))
+	if end == 0 || end > len(chain) {
+		return nil, 0, fmt.Errorf("base of %d bytes in a chain of %d", end, len(chain))
+	}
+	for end < len(chain) {
+		n, k := binary.Uvarint(chain[end:])
+		if k <= 0 || n > uint64(len(chain)-end-k) {
+			break
+		}
+		end += k + int(n)
+	}
+	return chain[:end], pageHeaderBytes + end, nil
 }
 
 func (s *PageStore) persistFree(id base.PageID) {

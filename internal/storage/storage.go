@@ -30,12 +30,18 @@ type Stats struct {
 	BytesWriten uint64
 }
 
-// PageStore is a crash-safe page store: Write is atomic per page (no torn
-// writes — mirroring sector-atomic page writes assumed by the paper's
-// recovery protocols). A page image is write-once and shared: Write keeps
-// the buffer it is handed and Read returns it, so the simulated disk and the
-// cache above it hold one copy of a page's bytes, not two. The zero value is
-// not usable; call NewPageStore.
+// PageStore is a crash-safe page store. A page's stable bytes are its chain:
+// one write-once, append-only buffer, as LogStore's chunks are, that holds a
+// base image and then the delta frames written onto it since. Write replaces
+// the chain with a new base; Append adds one frame. Both are atomic per page
+// (no torn writes — mirroring sector-atomic page writes assumed by the
+// paper's recovery protocols). The store reads nothing of a chain but the
+// frame lengths (a frame is a uvarint length and that many bytes), and those
+// only to cut a frame a kill left torn (disk.go); the page format is package
+// page's. Chains are shared: Write keeps the buffer it is handed, Append
+// writes past the end of the chain and never below it, and Read returns the
+// chain itself, so the simulated disk and the cache above it hold one copy of
+// a page's bytes, not two. The zero value is not usable; call NewPageStore.
 type PageStore struct {
 	mu     sync.RWMutex
 	pages  map[base.PageID][]byte
@@ -75,11 +81,11 @@ func (s *PageStore) NoteAllocated(id base.PageID) {
 	}
 }
 
-// Write atomically replaces the stable contents of page id with image, and
-// takes the buffer: the store keeps those very bytes, so the caller must not
-// write to them again (every caller hands over a fresh page.Encode). Images
-// are write-once, as LogStore's chunks are: a newer version of the page is
-// another buffer, never an edit of this one.
+// Write atomically replaces the stable chain of page id with image, a base
+// image, and takes the buffer: the store keeps those very bytes and appends
+// the page's later frames into the room past their length while there is
+// some, so the caller must not touch the buffer again (every caller hands
+// over a fresh page.Encode).
 func (s *PageStore) Write(id base.PageID, image []byte) {
 	if id == 0 {
 		panic("storage: write to invalid page 0")
@@ -92,10 +98,40 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 	s.bytesWritten.Add(uint64(len(image)))
 }
 
-// Read returns the stable image of page id, or ok=false if the page has
-// never been written (or was freed). It is the image the store holds, not a
-// copy, and stays valid and unchanged after a later Write or Free of the
-// page: the reader may keep it and must not write to it. The buffer pool
+// Append adds frame, one delta frame, to page id's chain if the store still
+// holds chain — what a Read or an Append of the page returned, no Write, Free
+// or other Append of it since — and returns the chain it holds now; else it
+// writes nothing and reports false. The frame is copied: the caller keeps
+// its buffer.
+func (s *PageStore) Append(id base.PageID, chain, frame []byte) (next []byte, held bool) {
+	if n, k := binary.Uvarint(frame); k <= 0 || n != uint64(len(frame)-k) {
+		panic(fmt.Sprintf("storage: page %d append of %d bytes that are not one frame", id, len(frame)))
+	}
+	s.mu.Lock()
+	cur, ok := s.pages[id]
+	if !ok || !same(cur, chain) {
+		s.mu.Unlock()
+		return nil, false
+	}
+	next = cur
+	if cap(cur)-len(cur) < len(frame) {
+		// No room left: the chain moves to the smallest buffer the allocator
+		// has for it, whose spare bytes take the next frames.
+		next = append(slices.Grow([]byte(nil), len(cur)+len(frame)), cur...)
+	}
+	next = append(next, frame...)
+	s.pages[id] = next
+	s.persistAppend(id, frame)
+	s.mu.Unlock()
+	s.writes.Add(1)
+	s.bytesWritten.Add(uint64(len(frame)))
+	return clip(next), true
+}
+
+// Read returns the stable chain of page id, or ok=false if the page has
+// never been written (or was freed). It is the chain the store holds, not a
+// copy, and stays valid and unchanged after a later Write, Append or Free of
+// the page: the reader may keep it and must not write to it. The buffer pool
 // builds the cached page over it (page.DecodeInto, into the page an eviction
 // freed) and lets go of it when a later miss decodes into that page again.
 func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
@@ -107,18 +143,27 @@ func (s *PageStore) Read(id base.PageID) (image []byte, ok bool) {
 	}
 	s.reads.Add(1)
 	s.bytesRead.Add(uint64(len(image)))
-	return image, true
+	return clip(image), true
 }
 
-// Holds reports whether image — what a Read of page id returned — is still
-// the page's stable image: no Write or Free of the page came since. It
-// counts no read.
+// Holds reports whether image — what a Read or Append of page id returned —
+// is still the page's stable chain: no Write, Append or Free of the page came
+// since. It compares the buffer and the length, and counts no read.
 func (s *PageStore) Holds(id base.PageID, image []byte) bool {
 	s.mu.RLock()
 	cur, ok := s.pages[id]
 	s.mu.RUnlock()
-	return ok && len(cur) > 0 && len(image) > 0 && &cur[0] == &image[0]
+	return ok && same(cur, image)
 }
+
+// same reports whether a and b are one chain: the same buffer, as long.
+func same(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// clip is b without the room past its length, which is the store's to
+// append into.
+func clip(b []byte) []byte { return b[:len(b):len(b)] }
 
 // Exists reports whether the page has stable contents without counting a
 // read.

@@ -93,6 +93,35 @@ func BenchmarkWriteTxn(b *testing.B) {
 	}
 }
 
+// BenchmarkEvictingWriteTxn is BenchmarkWriteTxn in the repo benchmark's
+// direct_big shape: 200 000 keys, preloaded as direct_big preloads them, about
+// nine times what the pool holds, so nearly every Upsert misses and evicts a
+// page an earlier one left dirty, which is written back first. Every
+// transaction writes fresh values. Beside the time it reports what the
+// transactions cost the page store: page bytes written (page-B/txn),
+// write-backs (flushes/txn) and misses (misses/txn).
+func BenchmarkEvictingWriteTxn(b *testing.B) {
+	tcx, d := newDirectTC(b, dc.Config{Name: "dc0"})
+	b.Cleanup(tcx.Close)
+	p := &benchPair{tc: tcx, keys: loadKeys(200_000), val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
+	load(b, tcx, p.keys, 10)
+	if _, err := tcx.Checkpoint(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	before := d.Pool().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.rng.Read(p.val)
+		p.writeTxn(b, false)
+	}
+	b.StopTimer()
+	st, n := d.Pool().Stats(), float64(b.N)
+	b.ReportMetric(float64(st.PageBytes-before.PageBytes)/n, "page-B/txn")
+	b.ReportMetric(float64(st.Flushes-before.Flushes)/n, "flushes/txn")
+	b.ReportMetric(float64(st.Misses-before.Misses)/n, "misses/txn")
+}
+
 // BenchmarkVersionedWriteTxn is BenchmarkWriteTxn with versioned writes
 // (§6.2.2): the same keys and checkpoints, and every Upsert makes the key's
 // committed head its before version, the version GC pruning below the
