@@ -22,21 +22,16 @@ import (
 // differs from another in its log and its call path, not here.
 
 // CatalogPageID is the well-known page holding the table -> root mappings;
-// it is the first page allocated when a store is formatted.
+// Format writes it into an empty store.
 const CatalogPageID = base.PageID(1)
 
-// Format writes the empty catalog page as the first allocation of store. A
-// kill on a previous boot can leave a persisted allocator with no catalog
-// page (AllocPageID is durable before the catalog write lands); formatting
-// starts the world over, so the stale allocator is discarded rather than
-// bricking the directory.
-func Format(store *storage.PageStore) error {
-	store.ResetForFormat()
-	if id := store.AllocPageID(); id != CatalogPageID {
-		return fmt.Errorf("btree: format: catalog got page %d", id)
-	}
+// Format writes the empty catalog page into store, which holds no page. The
+// catalog's ID is well known, not allocated: an allocator a kill left behind
+// with no catalog page (a previous boot's interrupted format) only moves the
+// next allocation up.
+func Format(store *storage.PageStore) {
+	store.NoteAllocated(CatalogPageID)
 	store.Write(CatalogPageID, page.NewLeaf(CatalogPageID).Encode())
-	return nil
 }
 
 // catalogRecord encodes one table -> root mapping.

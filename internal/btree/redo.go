@@ -186,8 +186,10 @@ func (a applier) existing(id base.PageID, dlsn base.DLSN, role string, fn func(*
 // not touched again). A version the pool finds
 // is overwritten where it sits (a frame's page is never swapped under a
 // flusher) iff stale; failing one, img becomes the page: stamped, cached
-// dirty, left unpinned.
+// dirty, left unpinned. In redo the record may be all a power loss left of
+// id's allocation, so the allocator is raised to it first.
 func (a applier) install(id base.PageID, img *page.Page, image []byte, dlsn base.DLSN) error {
+	a.pool.Store().NoteAllocated(id)
 	pg, err := a.pool.Fetch(id)
 	if err != nil {
 		return err

@@ -38,9 +38,7 @@ func newRedoEnv(t *testing.T) *redoEnv {
 	if e.dlog, err = wal.New(storage.NewLogStore()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Format(e.store); err != nil {
-		t.Fatal(err)
-	}
+	Format(e.store)
 	e.newPool()
 	return e
 }

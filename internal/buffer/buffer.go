@@ -306,6 +306,9 @@ func (p *Pool) MarkDirty(pg *page.Page, tc base.TCID, lsn base.LSN, dlsn base.DL
 	}
 }
 
+// Store returns the page store the pool reads and writes.
+func (p *Pool) Store() *storage.PageStore { return p.store }
+
 // Forced is pg as far as the causality gate's end of stable log reaches
 // (page.Page.Forced): what a system transaction may log of it.
 func (p *Pool) Forced(pg *page.Page) *page.Page { return pg.Forced(p.gates.EOSL) }

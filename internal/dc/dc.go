@@ -51,10 +51,10 @@ type Config struct {
 	// CheckConflicts enables the debug invariant that no two conflicting
 	// operations execute concurrently (the TC's obligation, §1.2).
 	CheckConflicts bool
-	// Dir, when nonempty, backs the DC's stable media (page store and
-	// DC-log) with that filesystem directory so they survive process death
-	// — what a standalone cmd/unbundled-dc needs to honor checkpoint
-	// contracts across kill -9. Empty keeps the in-memory simulated media.
+	// Dir, when nonempty, backs the DC's stable media with two files in that
+	// directory, the page journal "pages" and the DC-log "dclog", so they
+	// survive process death — what a standalone cmd/unbundled-dc needs to
+	// honor checkpoint contracts across kill -9. Empty keeps the in-memory simulated media.
 	// Reopening a directory a previous incarnation wrote runs DC-log
 	// recovery before serving (the TC then resends its redo stream).
 	Dir string
@@ -258,7 +258,8 @@ type DC struct {
 
 // New opens a DC over its stable media: fresh simulated ones, or with
 // Config.Dir the directory a previous incarnation wrote. Media with no
-// catalog page are formatted first. Either way the DC then starts the way
+// page are formatted first (a store whose pages lack the catalog fails
+// Recover). Either way the DC then starts the way
 // it restarts — a process death is a DC crash whose stable media happen to
 // be on disk — so Recover builds the first incarnation too.
 func New(cfg Config) (*DC, error) {
@@ -269,8 +270,8 @@ func New(cfg Config) (*DC, error) {
 	dmedia := storage.NewLogStore()
 	if cfg.Dir != "" {
 		var err error
-		if d.store, err = storage.OpenPageStoreDir(filepath.Join(cfg.Dir, "pages")); err != nil {
-			return nil, fmt.Errorf("dc %s: open page dir: %w", cfg.Name, err)
+		if d.store, err = storage.OpenPageStoreFile(filepath.Join(cfg.Dir, "pages")); err != nil {
+			return nil, fmt.Errorf("dc %s: open page journal: %w", cfg.Name, err)
 		}
 		if dmedia, err = storage.OpenLogStoreFile(filepath.Join(cfg.Dir, "dclog")); err != nil {
 			return nil, fmt.Errorf("dc %s: open dc-log: %w", cfg.Name, err)
@@ -280,10 +281,8 @@ func New(cfg Config) (*DC, error) {
 	if d.dlog, err = wal.New(dmedia); err != nil {
 		return nil, err
 	}
-	if !d.store.Exists(btree.CatalogPageID) {
-		if err := btree.Format(d.store); err != nil {
-			return nil, fmt.Errorf("dc %s: %w", cfg.Name, err)
-		}
+	if d.store.Len() == 0 {
+		btree.Format(d.store)
 	}
 	if err := d.Recover(); err != nil {
 		return nil, err
@@ -582,6 +581,10 @@ func (d *DC) truncateDCLog(inc *incarnation) {
 		// stable.
 		minD = min(minD, d.dlog.EOSL()+1)
 	})
+	// Every page the walk found clean was written before it: make those
+	// writes survive a power loss before either log forgets what they hold —
+	// the DC-log below, the TC's log once Checkpoint returns.
+	d.store.Sync()
 	if base.LSN(inc.epochRec.Load()) < minD && !inc.logEpochs() {
 		return
 	}

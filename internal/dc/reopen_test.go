@@ -3,11 +3,11 @@ package dc
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/storage"
 )
 
 // TestReopenFromDir proves the standalone-DC durability story at the DC
@@ -139,16 +139,17 @@ func TestReopenAfterDCLogTruncationKeepsDLSNsMonotonic(t *testing.T) {
 
 // TestReopenAfterInterruptedFormat is the regression for a bricked data
 // dir: a kill between the format's durable first allocation and the
-// catalog page write leaves alloc=1 with no pages. The next boot must
-// format from scratch, not fail forever on the catalog-page-ID check.
+// catalog page write leaves a journal whose allocator reached 1 with no
+// pages. The next boot must format from scratch, not fail forever on the
+// catalog-page-ID check.
 func TestReopenAfterInterruptedFormat(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "pages"), 0o755); err != nil {
+	s, err := storage.OpenPageStoreFile(filepath.Join(dir, "pages"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "pages", "alloc"), []byte("1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	s.AllocPageID()
+	s.Sync()
 	d, err := New(Config{Name: "interrupted", Dir: dir})
 	if err != nil {
 		t.Fatalf("format over an interrupted format failed: %v", err)

@@ -98,9 +98,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := btree.Format(e.store); err != nil {
-		return nil, err
-	}
+	btree.Format(e.store)
 	e.pool = e.newPool()
 	if e.forest, err = e.openForest(e.pool); err != nil {
 		return nil, err

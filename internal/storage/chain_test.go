@@ -3,8 +3,6 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -17,7 +15,7 @@ func frame(body string) []byte {
 // onto the chain the store holds, leaves every chain a reader holds as it
 // was, and moves Holds to the new chain.
 func TestAppendExtendsTheChainItHolds(t *testing.T) {
-	for name, s := range map[string]*PageStore{"memory": NewPageStore(), "dir": openDir(t, t.TempDir())} {
+	for name, s := range map[string]*PageStore{"memory": NewPageStore(), "dir": openJournal(t, journalPath(t))} {
 		t.Run(name, func(t *testing.T) {
 			id := s.AllocPageID()
 			s.Write(id, []byte("base"))
@@ -44,56 +42,41 @@ func TestAppendExtendsTheChainItHolds(t *testing.T) {
 	}
 }
 
-func openDir(t *testing.T, dir string) *PageStore {
-	t.Helper()
-	s, err := OpenPageStoreDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // TestReopenCutsATornFrame: a kill can stop an append anywhere inside its
-// frame. Cut the file there, at every byte offset, and a reopen reads the
+// record. Cut the journal there, at every byte offset, and a reopen reads the
 // chain as the append before it left it, and a later append and reopen
 // read that chain with the new frame.
 func TestReopenCutsATornFrame(t *testing.T) {
-	dir := t.TempDir()
-	s := openDir(t, dir)
+	path := journalPath(t)
+	s := openJournal(t, path)
 	id := s.AllocPageID()
 	s.Write(id, []byte("base image"))
 	chain, _ := s.Read(id)
 	chain, _ = s.Append(id, chain, frame("first frame"))
-	before := bytes.Clone(chain)
+	before, cutFrom := bytes.Clone(chain), s.file.size
 	s.Append(id, chain, frame("the frame a kill tears"))
-	path := s.pagePath(id)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutFrom := pageHeaderBytes + len(before)
-	for cut := cutFrom; cut < len(whole); cut++ {
-		torn := t.TempDir()
-		if err := os.WriteFile(filepath.Join(torn, filepath.Base(path)), whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r := openDir(t, torn)
+	whole := readFile(t, path)
+	for cut := int(cutFrom); cut < len(whole); cut++ {
+		torn := journalPath(t)
+		writeFile(t, torn, whole[:cut])
+		r := openJournal(t, torn)
 		got, ok := r.Read(id)
 		if !ok || !bytes.Equal(got, before) {
 			t.Fatalf("cut at %d of %d: the reopened chain is %q, want %q", cut, len(whole), got, before)
 		}
 		next, held := r.Append(id, got, frame("after"))
-		if again, _ := openDir(t, torn).Read(id); !held || !bytes.Equal(again, next) {
+		if again, _ := openJournal(t, torn).Read(id); !held || !bytes.Equal(again, next) {
 			t.Fatalf("cut at %d: an append after the reopen reads back as %q, want %q", cut, again, next)
 		}
 	}
 }
 
-// TestConsolidationLeavesNoStaleFrame: a Write after appends rewrites the
-// file whole, so a reopen reads the new base and none of the old frames.
+// TestConsolidationLeavesNoStaleFrame: a reopen after a Write that follows
+// appends reads the new base and none of the old frames, and a compaction
+// leaves none of them in the journal.
 func TestConsolidationLeavesNoStaleFrame(t *testing.T) {
-	dir := t.TempDir()
-	s := openDir(t, dir)
+	path := journalPath(t)
+	s := openJournal(t, path)
 	id := s.AllocPageID()
 	s.Write(id, []byte("old base"))
 	chain, _ := s.Read(id)
@@ -101,10 +84,19 @@ func TestConsolidationLeavesNoStaleFrame(t *testing.T) {
 		chain, _ = s.Append(id, chain, frame(f))
 	}
 	s.Write(id, []byte("new"))
-	if got, _ := openDir(t, dir).Read(id); string(got) != "new" {
+	if got, _ := openJournal(t, path).Read(id); string(got) != "new" {
 		t.Fatalf("the reopened chain after a consolidation is %q", got)
 	}
-	if info, err := os.Stat(s.pagePath(id)); err != nil || info.Size() != int64(pageHeaderBytes+len("new")) {
-		t.Fatalf("the page file after a consolidation: %v, %v", info, err)
+	s.mu.Lock()
+	s.compactLocked()
+	s.mu.Unlock()
+	data := readFile(t, path)
+	for _, stale := range []string{"old base", "one", "two", "three"} {
+		if bytes.Contains(data, []byte(stale)) {
+			t.Fatalf("the compacted journal still holds %q: %q", stale, data)
+		}
+	}
+	if got, _ := openJournal(t, path).Read(id); string(got) != "new" || int64(len(data)) != s.file.size {
+		t.Fatalf("the compacted journal reopens as %q, %d bytes of %d counted", got, len(data), s.file.size)
 	}
 }

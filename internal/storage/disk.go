@@ -1,233 +1,283 @@
 package storage
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
+	"runtime"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-// Disk-backed stable media. The in-memory PageStore/LogStore simulate
-// stable storage for tests and in-process deployments; a standalone DC process
-// (cmd/unbundled-dc) needs the real thing, or a SIGKILL would take the
-// "stable" half of the §5.3 failure model down with the volatile half.
-// Both stores gain an optional write-through backing: reads stay in
-// memory (the map is an exact image of the directory), every stable
-// mutation also lands in the filesystem, and the Open* constructors
-// rebuild the image from a previous incarnation's files.
+// Disk-backed stable media. The in-memory stores simulate stable storage for
+// tests and in-process deployments; a standalone DC process (cmd/unbundled-dc)
+// needs the real thing, or a SIGKILL would take the "stable" half of the §5.3
+// failure model down with the volatile half. Either store can be backed by
+// one file: reads stay in memory, every stable mutation is also appended to
+// the file, and the Open* constructors rebuild the image from it. Both files
+// are a header (logHeader) and frames (appendFrameHead), read by one scan
+// (LogStore.load) that cuts what follows the last whole batch: what a kill
+// tore, or zeros a power loss left.
 //
-// Durability posture: a full page image and a log truncation go through
-// atomic tmp+rename; a page's delta frame and a log force append to their
-// file, and a reopen cuts what a kill left torn behind the last whole frame
-// or batch; log forces fsync. That survives process kills unconditionally
-// (the page cache belongs to the OS, not the process) and power loss up to
-// the last fsync — the same contract the simulated Crash() models.
+// A log force appends and fsyncs. A page store appends a record per mutation
+// and fsyncs in Sync, which a DC checkpoint calls before either log
+// truncates. Log truncation and journal compaction rewrite the file through
+// a synced tmp file, a rename and a directory fsync. So a kill loses nothing
+// written (the page cache is the OS's, not the process's), and a power loss
+// what followed a file's last fsync: of the page journal, the writes since
+// the last checkpoint, which the logs still hold.
 //
-// The stores' mutation methods have no error returns (they model media
-// that either works or is gone); an I/O failure on the backing directory
-// is therefore fatal — the process dies and the failure becomes an
-// ordinary DC crash for the rest of the deployment.
+// An I/O failure on a backing file panics: the mutation methods model media
+// that works or is gone, so the process dies, an ordinary DC crash to the
+// rest of the deployment.
 
-// OpenPageStoreDir returns a PageStore backed by dir, loading any pages a
-// previous incarnation left there. Page files are named p<id>; the
-// allocator high-water mark persists in "alloc" so crashed allocations
-// are never reused.
-//
-// A page file is its chain behind a 4-byte big-endian header, the length of
-// the base image. Write rewrites the file whole (tmp+rename), so a base is
-// never torn; Append appends the frame's bytes to the file, so a kill can
-// leave the last frame torn, and a reopen cuts it, which leaves the chain as
-// it was before that Append.
-func OpenPageStoreDir(dir string) (*PageStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// file is a store's backing file, open for appending.
+type file struct {
+	path         string
+	f            *os.File
+	size, synced int64 // its length, now and at its last fsync
+}
+
+func (f *file) check(op string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("storage: %s %s: %v", op, f.path, err))
+	}
+}
+
+// write appends spans, one write each.
+func (f *file) write(spans ...[]byte) {
+	for _, span := range spans {
+		_, err := f.f.Write(span)
+		f.check("append to", err)
+		f.size += int64(len(span))
+	}
+}
+
+func (f *file) sync() {
+	f.check("fsync", f.f.Sync())
+	f.synced = f.size
+}
+
+// rewrite replaces the file with parts, synced; op names the caller.
+func (f *file) rewrite(op string, parts ...[]byte) {
+	f.check(op, atomicWriteFile(f.path, true, parts...))
+	f.f.Close()
+	var err error
+	f.f, err = os.OpenFile(f.path, os.O_WRONLY|os.O_APPEND, 0)
+	f.check("reopen", err)
+	f.size = 0
+	for _, p := range parts {
+		f.size += int64(len(p))
+	}
+	f.synced = f.size
+}
+
+// openFile opens the file at path once load has indexed its image — a
+// header alone if there is no file yet — and returned the length of its whole
+// part. A torn tail is cut, by a synced rewrite, before anything is appended
+// behind it.
+func openFile(path string, load func([]byte) (int, error)) (*file, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
-	s := NewPageStore()
-	s.dir = dir
-	entries, err := os.ReadDir(dir)
+	os.Remove(path + ".tmp") // a rewrite a kill interrupted
+	data, err := os.ReadFile(path)
+	created := os.IsNotExist(err)
+	if created {
+		data, err = logHeader(0), nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name)) // torn write from a kill
-			continue
-		}
-		if !strings.HasPrefix(name, "p") {
-			continue
-		}
-		id, err := strconv.ParseUint(name[1:], 10, 32)
-		if err != nil {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
+	clean, err := load(data)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
+	}
+	if created || clean < len(data) {
+		if err := atomicWriteFile(path, true, data[:clean]); err != nil {
 			return nil, err
 		}
-		chain, clean, err := loadChain(data)
-		if err != nil {
-			return nil, fmt.Errorf("storage: page file %s: %w", path, err)
-		}
-		if clean < len(data) {
-			// A kill mid-append left a torn frame after the last whole one:
-			// cut it before the next append lands behind it.
-			if err := os.Truncate(path, int64(clean)); err != nil {
-				return nil, err
-			}
-		}
-		s.pages[base.PageID(id)] = chain
-		if uint32(id) > s.nextID {
-			s.nextID = uint32(id)
-		}
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, "alloc")); err == nil {
-		if n, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 32); err == nil && uint32(n) > s.nextID {
-			s.nextID = uint32(n)
-		}
-	}
-	return s, nil
-}
-
-func (s *PageStore) pagePath(id base.PageID) string {
-	return filepath.Join(s.dir, fmt.Sprintf("p%d", uint32(id)))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	return &file{path: path, f: f, size: int64(clean), synced: int64(clean)}, err
 }
 
 // atomicWriteFile writes parts, in order, to path via a tmp file and rename,
-// so a kill mid-write never leaves a torn page or log image.
+// so a kill mid-write never leaves a torn image. With sync, the tmp file is
+// fsynced before the rename and the directory after it (where the platform
+// can: not on Windows), so a power loss leaves the old image or the new one.
 func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
+	w := bufio.NewWriterSize(f, 64<<10)
 	for _, part := range parts {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return err
-		}
+		w.Write(part) // an error sticks: Flush reports it
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err = w.Flush(); err == nil && sync {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil || !sync || runtime.GOOS == "windows" {
 		return err
 	}
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
-// ResetForFormat clears the allocator of an empty store. A kill between
-// a format's first allocation and its first page write leaves a persisted
-// allocator with zero pages; the next incarnation re-formats from
-// scratch, so the stale allocator must go or the format's well-known
-// page-ID assumptions break forever. Refuses (loudly) on a non-empty
-// store — formatting over data is never intended.
-func (s *PageStore) ResetForFormat() {
+// A page journal record is one frame, a batch of its own, whose LSN field
+// numbers it from 1 within its file: the page ID shifted left by two and its
+// kind in the low bits, as a uvarint, then the kind's bytes.
+const (
+	jBase  = iota // the bytes are the page's chain from here on
+	jFrame        // the bytes are one delta frame onto the page's chain
+	jFree         // the page is gone
+	jAlloc        // the allocator reached the ID
+)
+
+// compactFloor is the slack a page journal keeps: Sync rewrites it as the
+// live chains once it holds more than twice their bytes plus this.
+const compactFloor = 1 << 20
+
+// OpenPageStoreFile returns a PageStore backed by the journal at path,
+// loading what a previous incarnation left there. The records are replayed
+// in order: a base starts a page's chain, a frame extends it, a free deletes
+// it, and the allocator takes the highest ID any record names, so an
+// allocation that reached the file is never reused.
+func OpenPageStoreFile(path string) (s *PageStore, err error) {
+	s = NewPageStore()
+	s.file, err = openFile(path, func(data []byte) (int, error) {
+		var l LogStore
+		clean, err := l.load(data)
+		for _, r := range l.recs {
+			if err == nil {
+				err = s.replay(l.recLocked(r))
+			}
+		}
+		s.seq = l.stableLSN
+		return clean, err
+	})
+	return s, err
+}
+
+// replay applies one journal record to the store being opened.
+func (s *PageStore) replay(rec []byte) error {
+	v, n := binary.Uvarint(rec)
+	if id := v >> 2; n <= 0 || id == 0 || id > math.MaxUint32 {
+		return fmt.Errorf("page record %x names no page", rec)
+	}
+	pid, data := base.PageID(v>>2), rec[n:]
+	s.nextID = max(s.nextID, uint32(pid))
+	switch v & 3 {
+	case jBase:
+		s.pages[pid] = bytes.Clone(data)
+	case jFrame:
+		chain, ok := s.pages[pid]
+		if !ok {
+			return fmt.Errorf("frame for page %d, which has no base", pid)
+		}
+		s.pages[pid] = append(chain, data...)
+	case jFree:
+		delete(s.pages, pid)
+	}
+	return nil
+}
+
+// record appends one record to the journal in one write. It runs under the
+// store's write lock, so the journal's order is the order of the map's
+// updates.
+func (s *PageStore) record(kind byte, id base.PageID, data []byte) {
+	if s.file == nil {
+		return
+	}
+	s.seq++
+	s.buf = append(appendRecordHead(s.buf[:0], s.seq, kind, uint32(id), len(data)), data...)
+	s.file.write(s.buf)
+}
+
+// appendRecordHead appends the frame head, page ID and kind of the journal
+// record numbered seq that carries n bytes.
+func appendRecordHead(dst []byte, seq uint64, kind byte, id uint32, n int) []byte {
+	var h [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(h[:], uint64(id)<<2|uint64(kind))
+	return append(appendFrameHead(dst, seq, k+n, true), h[:k]...)
+}
+
+// Sync makes every mutation so far survive a power loss: it fsyncs the
+// journal or, once the journal holds more than twice the live chains' bytes
+// plus compactFloor, rewrites it as those chains. In memory it does nothing.
+// It holds the store's write lock throughout.
+func (s *PageStore) Sync() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pages) > 0 {
-		panic(fmt.Sprintf("storage: allocator reset on a store holding %d pages", len(s.pages)))
-	}
-	s.nextID = 0
-	s.persistAlloc(0)
-}
-
-// persistWrite mirrors a page write into the backing directory. It runs
-// under the store's write lock deliberately: file rename order must match
-// map update order per page, or a reopen could resurrect an older version
-// of a page whose newer write was already acknowledged. Page writes are
-// off the commit hot path (flushes and SMO forces), so consistency wins
-// over concurrency here; the log store, which *is* on the commit path,
-// stages its I/O outside the mutex instead.
-func (s *PageStore) persistWrite(id base.PageID, data []byte) {
-	if s.dir == "" {
+	if s.file == nil {
 		return
 	}
-	header := binary.BigEndian.AppendUint32(nil, uint32(len(data)))
-	if err := atomicWriteFile(s.pagePath(id), false, header, data); err != nil {
-		panic(fmt.Sprintf("storage: page %d write to %s: %v", id, s.dir, err))
+	live := 0
+	for _, chain := range s.pages {
+		live += len(chain)
 	}
-}
-
-// persistAppend appends one frame to the page's file, under the store's write
-// lock as persistWrite does.
-func (s *PageStore) persistAppend(id base.PageID, frame []byte) {
-	if s.dir == "" {
+	if s.file.size <= 2*int64(live)+compactFloor {
+		s.file.sync()
+		s.syncs.Add(1)
 		return
 	}
-	f, err := os.OpenFile(s.pagePath(id), os.O_WRONLY|os.O_APPEND, 0)
-	if err == nil {
-		_, err = f.Write(frame)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		panic(fmt.Sprintf("storage: page %d append to %s: %v", id, s.dir, err))
-	}
+	s.compactLocked()
+	s.syncs.Add(2) // the new file's and its directory's
 }
 
-// pageHeaderBytes is the length of a page file's header: its base's length.
-const pageHeaderBytes = 4
-
-// loadChain returns the chain a page file holds and the length of the file up
-// to the end of its last whole frame.
-func loadChain(data []byte) (chain []byte, clean int, err error) {
-	if len(data) < pageHeaderBytes {
-		return nil, 0, errors.New("truncated header")
+// compactLocked rewrites the journal as a base per page holding its whole
+// chain, then the allocator. The chains in memory are the source: the old
+// journal is not read.
+func (s *PageStore) compactLocked() {
+	heads := make([]byte, 0, len(s.pages)*3*binary.MaxVarintLen64) // never regrown: parts alias it
+	parts := [][]byte{logHeader(0)}
+	s.seq = 0
+	for id, chain := range s.pages {
+		s.seq++
+		n := len(heads)
+		heads = appendRecordHead(heads, s.seq, jBase, uint32(id), len(chain))
+		parts = append(parts, heads[n:], chain)
 	}
-	chain = data[pageHeaderBytes:]
-	end := int(binary.BigEndian.Uint32(data))
-	if end == 0 || end > len(chain) {
-		return nil, 0, fmt.Errorf("base of %d bytes in a chain of %d", end, len(chain))
+	if s.nextID > 0 {
+		s.seq++
+		parts = append(parts, appendRecordHead(nil, s.seq, jAlloc, s.nextID, 0))
 	}
-	for end < len(chain) {
-		n, k := binary.Uvarint(chain[end:])
-		if k <= 0 || n > uint64(len(chain)-end-k) {
-			break
-		}
-		end += k + int(n)
-	}
-	return chain[:end], pageHeaderBytes + end, nil
+	s.file.rewrite("journal compaction", parts...)
 }
 
-func (s *PageStore) persistFree(id base.PageID) {
-	if s.dir == "" {
-		return
-	}
-	if err := os.Remove(s.pagePath(id)); err != nil && !os.IsNotExist(err) {
-		panic(fmt.Sprintf("storage: page %d free in %s: %v", id, s.dir, err))
-	}
+// PowerCut cuts the journal back to its length at the last Sync — what a
+// power loss leaves of it at worst — and closes it. A test hook: nothing may
+// write to the store after it; open the file again instead.
+func (s *PageStore) PowerCut() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.file.f.Close()
+	s.file.check("cut", os.Truncate(s.file.path, s.file.synced))
 }
 
-func (s *PageStore) persistAlloc(next uint32) {
-	if s.dir == "" {
-		return
-	}
-	if err := atomicWriteFile(filepath.Join(s.dir, "alloc"), false, []byte(strconv.FormatUint(uint64(next), 10))); err != nil {
-		panic(fmt.Sprintf("storage: allocator persist in %s: %v", s.dir, err))
-	}
-}
-
-// Log file format: an 8-byte big-endian header, then the framed records
-// exactly as LogStore's chunks hold them, the last frame of every batch
-// marked. The header is the floor — the stable LSN when the image was
-// written, which is all a log truncated empty has left to say — with its top
-// bit (logFormat) set: the bit names the batch-marked frame format, so an
-// image of the earlier unmarked one is refused, and left as it is, instead of
-// being read as torn batches and cut. Force appends the newly stable frames
-// and fsyncs; Truncate rewrites the file atomically (checkpoints are rare;
-// simplicity wins).
+// A file's 8-byte header is a log's floor — the stable LSN when the image
+// was written, all a log truncated empty has left to say — with the top bit
+// (logFormat) set: the bit names the batch-marked frame format, so an image
+// of the earlier unmarked one is refused, and left as it is, instead of
+// being read as torn batches and cut. A log file's frames are byte for byte
+// LogStore's chunks.
 const (
 	logHeaderBytes = 8
 	logFormat      = 1 << 63
@@ -241,45 +291,35 @@ func logHeader(floor uint64) []byte {
 	return binary.BigEndian.AppendUint64(nil, floor|logFormat)
 }
 
+// appendFrameHead appends the head of a frame of size record bytes: the LSN
+// and the size shifted left by one with the low bit set on the last frame of
+// a batch, both uvarints. The bit is what lets a reopened file cut a batch
+// that a kill left half written (see load).
+func appendFrameHead(dst []byte, lsn uint64, size int, last bool) []byte {
+	v := uint64(size) << 1
+	if last {
+		v |= 1
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(dst, lsn), v)
+}
+
 // OpenLogStoreFile returns a LogStore backed by path, loading the records
 // a previous incarnation forced there. Everything in the file is stable
 // by construction — unforced records never reach it.
-func OpenLogStoreFile(path string) (*LogStore, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	os.Remove(path + ".tmp") // torn truncate rewrite from a kill
-	l := NewLogStore()
-	l.path = path
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	created := err != nil
-	if created {
-		data = logHeader(0)
-	}
-	clean, err := l.load(data)
-	if err != nil {
-		return nil, fmt.Errorf("storage: log %s: %w", path, err)
-	}
-	// A kill mid-append can leave torn bytes after the last whole batch.
-	// Rewrite the clean image before appending again, or the garbage would
-	// sit between old and new records and corrupt the next reopen.
-	if created || clean < len(data) {
-		if err := atomicWriteFile(path, true, data[:clean]); err != nil {
-			return nil, err
-		}
-	}
-	return l, l.reopenFile()
+func OpenLogStoreFile(path string) (l *LogStore, err error) {
+	l = NewLogStore()
+	l.file, err = openFile(path, l.load)
+	return l, err
 }
 
 // load makes the file image data the store's one chunk, indexes the records
 // of its whole batches and returns the length of the image up to the last of
 // them. A force writes its frames span by span, so a kill can leave a batch
 // torn anywhere — inside a frame or between two — after the whole batches an
-// earlier fsync covered: everything from the frame after the last marked one
-// on is cut. An image whose header lacks logFormat is refused whole.
+// earlier fsync covered, and a power loss can leave zeros there: everything
+// from the frame after the last marked one on is cut. An LSN is never 0, so a
+// zero byte where one starts ends the image. An image whose header lacks
+// logFormat is refused whole.
 func (l *LogStore) load(data []byte) (clean int, err error) {
 	if len(data) < logHeaderBytes {
 		return 0, errors.New("truncated header")
@@ -297,7 +337,7 @@ func (l *LogStore) load(data []byte) (clean int, err error) {
 	end, whole, last := 0, 0, uint64(0) // the image up to the last marked frame
 	for off < len(body) {
 		lsn, n := binary.Uvarint(body[off:])
-		if n <= 0 {
+		if n <= 0 || lsn == 0 {
 			break
 		}
 		size, m := binary.Uvarint(body[off+n:])
@@ -322,45 +362,4 @@ func (l *LogStore) load(data []byte) (clean int, err error) {
 	l.chunks = [][]byte{body[:end]}
 	l.stable, l.stableLSN = whole, max(floor, last)
 	return logHeaderBytes + end, nil
-}
-
-func (l *LogStore) reopenFile() error {
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.file = f
-	return nil
-}
-
-// persistForce appends the frames that are becoming stable, whole batches,
-// and fsyncs. It writes them one span at a time, so a kill can leave the last
-// batch torn; load cuts it. Called by Force holding fmu (not mu).
-func (l *LogStore) persistForce(pending [][]byte) {
-	if len(pending) == 0 {
-		return
-	}
-	for _, span := range pending {
-		if _, err := l.file.Write(span); err != nil {
-			panic(fmt.Sprintf("storage: log append %s: %v", l.path, err))
-		}
-	}
-	if err := l.file.Sync(); err != nil {
-		panic(fmt.Sprintf("storage: log fsync %s: %v", l.path, err))
-	}
-}
-
-// persistTruncate rewrites the backing file as floor plus the retained
-// frames. Called by Truncate holding fmu (not mu), after the image moved.
-func (l *LogStore) persistTruncate(floor uint64, retained [][]byte) {
-	if l.file == nil {
-		return
-	}
-	if err := atomicWriteFile(l.path, true, append([][]byte{logHeader(floor)}, retained...)...); err != nil {
-		panic(fmt.Sprintf("storage: log truncate rewrite %s: %v", l.path, err))
-	}
-	l.file.Close()
-	if err := l.reopenFile(); err != nil {
-		panic(fmt.Sprintf("storage: log reopen %s: %v", l.path, err))
-	}
 }

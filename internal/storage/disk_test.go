@@ -12,12 +12,51 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-func TestPageStoreDirReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenPageStoreDir(dir)
+// journalPath is the path of a page journal in a directory of its own.
+func journalPath(t testing.TB) string { return filepath.Join(t.TempDir(), "pages") }
+
+// openJournal opens the page store backed by the journal at path and closes
+// the file when the test ends (a fuzz worker outruns the finalizers).
+func openJournal(t testing.TB, path string) *PageStore {
+	t.Helper()
+	s, err := OpenPageStoreFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.file.f.Close() })
+	return s
+}
+
+// contents is what a store holds: every page's chain, and its allocator.
+func contents(s *PageStore) (map[base.PageID]string, uint32) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pages := make(map[base.PageID]string, len(s.pages))
+	for id, chain := range s.pages {
+		pages[id] = string(chain)
+	}
+	return pages, s.nextID
+}
+
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func writeFile(t testing.TB, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPageStoreDirReopen(t *testing.T) {
+	path := journalPath(t)
+	s := openJournal(t, path)
 	id1 := s.AllocPageID()
 	id2 := s.AllocPageID()
 	s.Write(id1, []byte("page-one"))
@@ -27,11 +66,8 @@ func TestPageStoreDirReopen(t *testing.T) {
 	s.Free(id1)
 
 	// A new incarnation (the store object is simply dropped — a kill never
-	// runs destructors) sees exactly the renamed state.
-	r, err := OpenPageStoreDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// runs destructors) sees exactly the journal's state.
+	r := openJournal(t, path)
 	if _, ok := r.Read(id1); ok {
 		t.Fatal("freed page survived reopen")
 	}
@@ -41,33 +77,162 @@ func TestPageStoreDirReopen(t *testing.T) {
 	if next := r.AllocPageID(); next <= id3 {
 		t.Fatalf("allocator reused id: got %d, previously allocated %d", next, id3)
 	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("the store's directory holds %v (%v), want the journal alone", entries, err)
+	}
 }
 
+// TestPageStoreDirCleansTornTmp: a kill during a compaction leaves its tmp
+// file beside the journal; a reopen removes it and reads the journal.
 func TestPageStoreDirCleansTornTmp(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenPageStoreDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := journalPath(t)
+	s := openJournal(t, path)
 	id := s.AllocPageID()
 	s.Write(id, []byte("good"))
-	// Simulate a kill mid-rename: a stray tmp file next to the real page.
-	if err := os.WriteFile(filepath.Join(dir, "p999.tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenPageStoreDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path+".tmp", []byte("torn"))
+	r := openJournal(t, path)
 	if data, ok := r.Read(id); !ok || string(data) != "good" {
 		t.Fatalf("page after torn-tmp reopen: %q ok=%v", data, ok)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "p999.tmp")); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("torn tmp file not cleaned up")
 	}
-	if r.Exists(base.PageID(999)) {
-		t.Fatal("torn tmp surfaced as a page")
+}
+
+// TestPowerCutKeepsWhatSyncCovered: a power loss leaves the journal as the
+// last Sync left it, or that and zeros; a reopen reads the store as it was
+// at that Sync — chains, frees and the allocator — and cuts the zeros.
+func TestPowerCutKeepsWhatSyncCovered(t *testing.T) {
+	for name, zeros := range map[string]bool{"cut": false, "zeros": true} {
+		t.Run(name, func(t *testing.T) {
+			path := journalPath(t)
+			s := openJournal(t, path)
+			a, b := s.AllocPageID(), s.AllocPageID()
+			s.Write(a, []byte("a base"))
+			s.Write(b, []byte("b base"))
+			chain, _ := s.Read(a)
+			chain, _ = s.Append(a, chain, frame("synced"))
+			s.Sync()
+			wantPages, wantNext := contents(s)
+			synced := s.file.size
+			s.Append(a, chain, frame("lost"))
+			s.Free(b)
+			s.Write(s.AllocPageID(), []byte("lost page"))
+			lost := s.file.size - synced
+			s.PowerCut()
+			if zeros {
+				writeFile(t, path, append(readFile(t, path), make([]byte, lost)...))
+			}
+			r := openJournal(t, path)
+			if pages, next := contents(r); !reflect.DeepEqual(pages, wantPages) || next != wantNext {
+				t.Fatalf("reopened as %q, allocator %d; want %q, %d", pages, next, wantPages, wantNext)
+			}
+			if n := len(readFile(t, path)); int64(n) != synced {
+				t.Fatalf("the reopened journal is %d bytes, want the %d the Sync covered", n, synced)
+			}
+		})
 	}
+}
+
+// TestSyncBoundsTheJournal: a page consolidated over and over, synced every
+// ten times, leaves a journal of at most twice the live bytes plus
+// compactFloor after every Sync, compacted more than once, that reopens as
+// the store.
+func TestSyncBoundsTheJournal(t *testing.T) {
+	path := journalPath(t)
+	s := openJournal(t, path)
+	id := s.AllocPageID()
+	s.Write(s.AllocPageID(), []byte("a page never rewritten"))
+	compactions := 0
+	for i := range 600 {
+		s.Write(id, bytes.Repeat([]byte{byte(i)}, 8<<10))
+		chain, _ := s.Read(id)
+		s.Append(id, chain, frame("delta"))
+		if i%10 != 9 {
+			continue
+		}
+		syncs := s.Stats().Syncs
+		s.Sync()
+		if s.Stats().Syncs-syncs == 2 {
+			compactions++
+		}
+		live := 0
+		for _, chain := range s.pages {
+			live += len(chain)
+		}
+		if n := len(readFile(t, path)); int64(n) != s.file.size || n > 2*live+compactFloor {
+			t.Fatalf("after Sync %d the journal is %d bytes (%d counted) over %d live", i/10, n, s.file.size, live)
+		}
+	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions", compactions)
+	}
+	want, wantNext := contents(s)
+	if pages, next := contents(openJournal(t, path)); !reflect.DeepEqual(pages, want) || next != wantNext {
+		t.Fatalf("the compacted journal reopened with allocator %d, not %d, or other chains", next, wantNext)
+	}
+}
+
+// journalImage builds a page journal the way the store does and returns its
+// bytes.
+func journalImage(t testing.TB, build func(s *PageStore)) []byte {
+	t.Helper()
+	path := journalPath(t)
+	build(openJournal(t, path))
+	return readFile(t, path)
+}
+
+// FuzzPageJournal feeds arbitrary bytes to OpenPageStoreFile as the journal:
+// it never panics, and whatever it accepts it accepts again, identically,
+// from the clean image it left — also after an Append and a Sync, and after
+// a compaction.
+func FuzzPageJournal(f *testing.F) {
+	whole := journalImage(f, func(s *PageStore) {
+		a, b := s.AllocPageID(), s.AllocPageID()
+		s.Write(a, []byte("base a"))
+		chain, _ := s.Read(a)
+		s.Append(a, chain, frame("one"))
+		s.Write(b, []byte("base b"))
+		s.Free(b)
+		s.AllocPageID()
+	})
+	for i := 0; i <= len(whole); i++ {
+		f.Add(whole[:i]) // every torn tail
+	}
+	f.Add(append(bytes.Clone(whole), make([]byte, 16)...))                                   // a zero tail
+	f.Add(append(appendRecordHead(logHeader(0), 1, jFrame, 3, 2), frame("x")...))            // a frame before any base
+	f.Add(appendRecordHead(appendRecordHead(logHeader(0), 1, jFree, 9, 0), 2, jAlloc, 4, 0)) // a free of a page never written
+	f.Fuzz(func(t *testing.T, image []byte) {
+		path := journalPath(t)
+		writeFile(t, path, image)
+		first, err := OpenPageStoreFile(path)
+		if err != nil {
+			return
+		}
+		first.file.f.Close()
+		want, wantNext := contents(first)
+		reopen := func() *PageStore {
+			s := openJournal(t, path)
+			if pages, next := contents(s); !reflect.DeepEqual(pages, want) || next != wantNext {
+				t.Fatalf("%q, allocator %d, reopened as %q, %d", want, wantNext, pages, next)
+			}
+			return s
+		}
+		second := reopen()
+		for _, id := range second.IDs() {
+			if chain, _ := second.Read(id); len(chain) > 0 {
+				second.Append(id, chain, frame("next"))
+				break
+			}
+		}
+		second.Sync()
+		want, wantNext = contents(second)
+		third := reopen()
+		third.mu.Lock()
+		third.compactLocked()
+		third.mu.Unlock()
+		reopen()
+	})
 }
 
 // logImage builds a log file the way the store does and returns its bytes.
@@ -122,7 +287,7 @@ func TestTornBatchReopensAtThePreviousBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.file.Close()
+	defer l.file.f.Close()
 	if got := l.Scan(0); !reflect.DeepEqual(got, [][]byte{[]byte("one"), []byte("two")}) {
 		t.Fatalf("reopened records %q, want the first batch", got)
 	}
@@ -131,6 +296,29 @@ func TestTornBatchReopensAtThePreviousBatch(t *testing.T) {
 	}
 	if data, err := os.ReadFile(path); err != nil || len(data) >= len(image) {
 		t.Fatalf("the torn frames are still in the file (%d of %d bytes, %v)", len(data), len(image), err)
+	}
+}
+
+// TestZeroTailIsCut: a power loss during a force can leave zeros past the
+// last whole batch; a reopened log holds the batches before them, and the
+// zeros are cut from the file.
+func TestZeroTailIsCut(t *testing.T) {
+	whole := logImage(t, func(l *LogStore) {
+		l.AppendBatch(1, []byte("one"))
+		l.Force()
+	})
+	path := filepath.Join(t.TempDir(), "log")
+	writeFile(t, path, append(bytes.Clone(whole), make([]byte, 64)...))
+	l, err := OpenLogStoreFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.file.f.Close()
+	if got := l.Scan(0); !reflect.DeepEqual(got, [][]byte{[]byte("one")}) {
+		t.Fatalf("reopened records %q, want the forced batch", got)
+	}
+	if data := readFile(t, path); !bytes.Equal(data, whole) {
+		t.Fatalf("the reopened file is %x, want %x", data, whole)
 	}
 }
 
@@ -157,7 +345,7 @@ func TestUnmarkedImageIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l, err := OpenLogStoreFile(path); err == nil {
-		l.file.Close()
+		l.file.f.Close()
 		t.Fatalf("opened an unmarked image: records %q", l.Scan(0))
 	}
 	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, image) {
@@ -187,6 +375,7 @@ func FuzzLogImage(f *testing.F) {
 	f.Add(append(whole[:logHeaderBytes:logHeaderBytes], 5, 0, 4, 0)) // LSNs out of order
 	f.Add(tornBatchImage(f))
 	f.Add(unmarkedImage())
+	f.Add(append(bytes.Clone(whole), make([]byte, 32)...)) // a zero tail
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := filepath.Join(t.TempDir(), "log")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -195,7 +384,7 @@ func FuzzLogImage(f *testing.F) {
 		open := func() (*LogStore, error) {
 			l, err := OpenLogStoreFile(path)
 			if err == nil {
-				t.Cleanup(func() { l.file.Close() }) // a fuzz worker outruns the finalizers
+				t.Cleanup(func() { l.file.f.Close() }) // a fuzz worker outruns the finalizers
 			}
 			return l, err
 		}

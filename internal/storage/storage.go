@@ -11,7 +11,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -28,6 +27,7 @@ type Stats struct {
 	PageFrees   uint64
 	BytesRead   uint64
 	BytesWriten uint64
+	Syncs       uint64 // fsyncs of a disk-backed page store's journal
 }
 
 // PageStore is a crash-safe page store. A page's stable bytes are its chain:
@@ -35,22 +35,22 @@ type Stats struct {
 // base image and then the delta frames written onto it since. Write replaces
 // the chain with a new base; Append adds one frame. Both are atomic per page
 // (no torn writes — mirroring sector-atomic page writes assumed by the
-// paper's recovery protocols). The store reads nothing of a chain but the
-// frame lengths (a frame is a uvarint length and that many bytes), and those
-// only to cut a frame a kill left torn (disk.go); the page format is package
-// page's. Chains are shared: Write keeps the buffer it is handed, Append
-// writes past the end of the chain and never below it, and Read returns the
-// chain itself, so the simulated disk and the cache above it hold one copy of
-// a page's bytes, not two. The zero value is not usable; call NewPageStore.
+// paper's recovery protocols). The store reads nothing of a chain (the page
+// format is package page's); Append checks only that it is handed one frame,
+// a uvarint length and that many bytes. Chains are shared: Write keeps the
+// buffer it is handed, Append writes past the end of the chain and never
+// below it, and Read returns the chain itself, so the simulated disk and the
+// cache above it hold one copy of a page's bytes, not two. The zero value is
+// not usable; call NewPageStore.
 type PageStore struct {
 	mu     sync.RWMutex
 	pages  map[base.PageID][]byte
 	nextID uint32 // persisted allocator; see AllocPageID
-	// dir, when nonempty, write-through-backs the store with one file per
-	// page so stable contents survive process death (see disk.go).
-	dir string
+	file   *file  // when set, the journal every mutation is appended to (disk.go)
+	seq    uint64 // the number of the journal's last record
+	buf    []byte // the journal record being written
 
-	reads, writes, frees, bytesRead, bytesWritten atomic.Uint64
+	reads, writes, frees, bytesRead, bytesWritten, syncs atomic.Uint64
 }
 
 // NewPageStore returns an empty page store. Page IDs start at 1; 0 is the
@@ -59,20 +59,20 @@ func NewPageStore() *PageStore {
 	return &PageStore{pages: make(map[base.PageID][]byte), nextID: 0}
 }
 
-// AllocPageID durably allocates a fresh page identifier. Allocation is a
-// stable operation: a crash after AllocPageID never reuses the ID, so
-// system-transaction redo can recreate pages by ID without collisions.
+// AllocPageID allocates a fresh page identifier, never reused after a crash,
+// nor after a power loss once Sync has run. One before can undo it, and redo
+// then raises the allocator past the pages the DC-log names (NoteAllocated).
 func (s *PageStore) AllocPageID() base.PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	s.persistAlloc(s.nextID)
+	s.record(jAlloc, base.PageID(s.nextID), nil)
 	return base.PageID(s.nextID)
 }
 
-// NoteAllocated raises the allocator to at least id (used when DC-log
-// recovery observes a page image with an ID the allocator has not reached;
-// cannot happen with stable allocation but kept as a defensive invariant).
+// NoteAllocated raises the allocator to at least id. System-transaction redo
+// calls it for every page a record installs: the record may be all that is
+// left of the page's allocation, so the next AllocPageID must not reuse it.
 func (s *PageStore) NoteAllocated(id base.PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,7 +92,7 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 	}
 	s.mu.Lock()
 	s.pages[id] = image
-	s.persistWrite(id, image)
+	s.record(jBase, id, image)
 	s.mu.Unlock()
 	s.writes.Add(1)
 	s.bytesWritten.Add(uint64(len(image)))
@@ -121,7 +121,7 @@ func (s *PageStore) Append(id base.PageID, chain, frame []byte) (next []byte, he
 	}
 	next = append(next, frame...)
 	s.pages[id] = next
-	s.persistAppend(id, frame)
+	s.record(jFrame, id, frame)
 	s.mu.Unlock()
 	s.writes.Add(1)
 	s.bytesWritten.Add(uint64(len(frame)))
@@ -179,7 +179,7 @@ func (s *PageStore) Exists(id base.PageID) bool {
 func (s *PageStore) Free(id base.PageID) {
 	s.mu.Lock()
 	delete(s.pages, id)
-	s.persistFree(id)
+	s.record(jFree, id, nil)
 	s.mu.Unlock()
 	s.frees.Add(1)
 }
@@ -210,6 +210,7 @@ func (s *PageStore) Stats() Stats {
 		PageFrees:   s.frees.Load(),
 		BytesRead:   s.bytesRead.Load(),
 		BytesWriten: s.bytesWritten.Load(),
+		Syncs:       s.syncs.Load(),
 	}
 }
 
@@ -244,10 +245,7 @@ type LogStore struct {
 
 	forces, noopForces, bytes atomic.Uint64
 
-	// path and file, when set, back the stable records with an fsynced
-	// file so they survive process death (see disk.go).
-	path string
-	file *os.File
+	file *file // when set, the file that keeps the stable records (disk.go)
 	fmu  sync.Mutex
 
 	// ForceDelay simulates the latency of a stable force (fsync). No lock
@@ -292,10 +290,8 @@ func (l *LogStore) AppendBatch(first uint64, recs ...[]byte) {
 	l.bytes.Add(total)
 }
 
-// frameLocked appends one framed record to the image: uvarint LSN, uvarint
-// length shifted left by one with the low bit set on the last frame of a
-// batch, the record. The bit is what lets a reopened file cut a batch that a
-// kill left half written (see load).
+// frameLocked appends one framed record to the image: its head
+// (appendFrameHead), then the record.
 func (l *LogStore) frameLocked(lsn uint64, rec []byte, last bool) {
 	need := 2*binary.MaxVarintLen64 + len(rec)
 	n := len(l.chunks)
@@ -305,13 +301,7 @@ func (l *LogStore) frameLocked(lsn uint64, rec []byte, last bool) {
 	}
 	c := l.chunks[n-1]
 	l.recs = append(l.recs, recRef{lsn: lsn, chunk: l.first + uint32(n-1), off: uint32(len(c))})
-	size := uint64(len(rec)) << 1
-	if last {
-		size |= 1
-	}
-	c = binary.AppendUvarint(c, lsn)
-	c = binary.AppendUvarint(c, size)
-	l.chunks[n-1] = append(c, rec...)
+	l.chunks[n-1] = append(appendFrameHead(c, lsn, len(rec), last), rec...)
 }
 
 // lastLocked returns the highest LSN appended or forced.
@@ -376,7 +366,10 @@ func (l *LogStore) Force() uint64 {
 		pending = l.spansLocked(l.stable, n)
 	}
 	l.mu.Unlock()
-	l.persistForce(pending)
+	if l.file != nil {
+		l.file.write(pending...)
+		l.file.sync()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// fmu kept Truncate and Crash out, so recs[:n] is what was snapshotted.
@@ -473,7 +466,9 @@ func (l *LogStore) Truncate(before uint64) {
 	}
 	floor := l.stableLSN
 	l.mu.Unlock()
-	l.persistTruncate(floor, retained)
+	if l.file != nil {
+		l.file.rewrite("log truncate rewrite", append([][]byte{logHeader(floor)}, retained...)...)
+	}
 }
 
 // Forces returns the number of Force calls that hit the media (the fsync

@@ -14,13 +14,7 @@ import (
 func TestPageStoreBasics(t *testing.T) {
 	open := map[string]func(*testing.T) *PageStore{
 		"memory": func(*testing.T) *PageStore { return NewPageStore() },
-		"dir": func(t *testing.T) *PageStore {
-			s, err := OpenPageStoreDir(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
+		"dir":    func(t *testing.T) *PageStore { return openJournal(t, journalPath(t)) },
 	}
 	for name, openStore := range open {
 		t.Run(name, func(t *testing.T) {
