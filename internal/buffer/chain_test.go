@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -12,7 +13,9 @@ import (
 )
 
 // TestWriteBackFollowsThePage is a seeded walk over every page mutator —
-// Put, Replace, Remove, the abstract-LSN table, the dLSN and sibling link,
+// Put, Replace, Remove, versioned writes (Stage) that leave a before version
+// over history, keys and values long enough to take two-byte lengths, the
+// abstract-LSN table, the dLSN and sibling link,
 // InsertSep and RemoveSep on a branch — and every whole-page operation — a
 // split (UpperHalf, CutAt, Install), SetContents, Merged and a RollBack —
 // through a pool of four frames over a dozen pages, so that most write-backs
@@ -34,8 +37,8 @@ func TestWriteBackFollowsThePage(t *testing.T) {
 
 // walkOps are the walk's steps, the record mutators weighted as a DC's
 // writes outnumber its structure changes.
-var walkOps = []string{"put", "put", "put", "replace", "replace", "replace", "remove", "table", "header",
-	"split", "setcontents", "merged", "rollback", "branch", "flush", "flushall"}
+var walkOps = []string{"put", "put", "put", "replace", "replace", "replace", "versioned", "versioned", "remove",
+	"table", "header", "split", "setcontents", "merged", "rollback", "branch", "flush", "flushall"}
 
 // chainWalk runs one seeded walk of steps steps and returns how many delta
 // frames and full images its write-backs wrote.
@@ -118,6 +121,9 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 		}
 		pg.L.Lock()
 		key := fmt.Sprintf("k%02d-%d", rnd.IntN(12), rnd.IntN(8))
+		if rnd.IntN(8) == 0 {
+			key += strings.Repeat("-long", 30) // a key of 150 bytes: a two-byte length
+		}
 		val := []byte(fmt.Sprintf("%-40d", step))
 		switch op {
 		case "put":
@@ -133,6 +139,16 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 			if len(pg.Recs) > 0 {
 				r := pg.Recs[rnd.IntN(len(pg.Recs))]
 				r.Value, r.TS = val, base.TS(step)
+				pg.Replace(pg.Get(r.Key), r)
+			}
+		case "versioned":
+			// A versioned write: the head it replaces becomes the before
+			// version, over the history the horizon leaves, and the new
+			// head's value is 160 bytes, a two-byte length.
+			if len(pg.Recs) > 0 {
+				r := pg.Recs[rnd.IntN(len(pg.Recs))]
+				r.Stage(base.TS(step+1), base.TS(step/2))
+				r.Owner, r.Value = tc, bytes.Repeat(val, 4)
 				pg.Replace(pg.Get(r.Key), r)
 			}
 		case "remove":

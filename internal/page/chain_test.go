@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -106,9 +108,9 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 func removesTwice(p *Page, key string) []byte {
 	body := binary.AppendUvarint(p.appendHeader(nil), 2)
 	for i := 0; i < 2; i++ {
+		body = append(body, 0) // the slot
 		body = appendRecord(body, &Record{Key: key}, true)
 	}
-	body = append(body, 0, 0) // their slots
 	body = p.Ab.Append(body)
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
@@ -145,5 +147,53 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 		if c, _ := p.Chain(); c != nil || len(p.touched) != 0 {
 			t.Fatalf("%s kept the chain (%d touched)", name, len(p.touched))
 		}
+	}
+}
+
+// BenchmarkDecodeChain decodes a leaf shaped as the benchmark's direct_big
+// workload leaves it — 24 records of 10-byte keys and 64-byte values — as a
+// base image with 0, 1, 5 and 10 one-record delta frames, into a recycled
+// page as a buffer-pool miss does. It cycles through 4 096 distinct chains in
+// shuffled order, so that a decode reads bytes the core's own caches no
+// longer hold, as a miss does; their ~10 MB may still fit a large shared L3,
+// where a miss of the benchmark's direct_big workload often goes to memory.
+func BenchmarkDecodeChain(b *testing.B) {
+	for _, frames := range []int{0, 1, 5, 10} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			rnd := rand.New(rand.NewPCG(1, uint64(frames)))
+			chains := make([][]byte, 4096)
+			size := 0
+			for i := range chains {
+				p := NewLeaf(base.PageID(i + 1))
+				for r := 0; r < 24; r++ {
+					p.Put(Record{Key: fmt.Sprintf("key%07d", rnd.IntN(1e7)), Owner: 1, Value: bytes.Repeat([]byte{'v'}, 64)})
+				}
+				lsn := base.LSN(100)
+				p.Ab.Ensure(1).Add(lsn)
+				edits := make([]func(*Page), frames)
+				for f := range edits {
+					edits[f] = func(q *Page) {
+						r := q.Recs[rnd.IntN(len(q.Recs))]
+						r.Value = bytes.Repeat([]byte{byte('a' + f)}, 64)
+						q.Replace(q.Get(r.Key), r)
+						lsn++
+						q.Ab.Ensure(1).Add(lsn)
+						q.Ab.Ensure(1).Advance(lsn-2, lsn)
+					}
+				}
+				chains[i], _ = chainOf(b, p, edits...)
+				size += len(chains[i])
+			}
+			rnd.Shuffle(len(chains), func(i, j int) { chains[i], chains[j] = chains[j], chains[i] })
+			into := NewLeaf(0)
+			b.SetBytes(int64(size / len(chains)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeInto(into, chains[i%len(chains)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

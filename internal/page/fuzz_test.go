@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -17,7 +18,8 @@ import (
 // corpus (testdata/fuzz/FuzzDecode) is the catalog, three branches and five
 // two-TC leaves of btree.TestForwardMatchesRedo's seed-1 forest, 500
 // operations in; the seeds added here carry what that forest's records do
-// not: before versions, history and tombstones, and delta frames after a base.
+// not: before versions, history and tombstones, delta frames after a base, and
+// frames whose records take two-byte lengths and history.
 func FuzzDecode(f *testing.F) {
 	versioned := benchLeaf(3, true)
 	// A before version over older history, a null before version, a
@@ -49,6 +51,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(versioned.Encode(), removesTwice(versioned, "y")...))
 	leafFrame, _ := NewLeaf(9).AppendDelta(nil, 1<<30)
 	f.Add(append(branch.Encode(), leafFrame...))
+	// A frame whose records take two-byte lengths and history: a key and a
+	// value of over 128 bytes, a before version over history decoded into
+	// its slot, and a tombstone head inserted among them.
+	long := strings.Repeat("long", 38)
+	chain, _ = chainOf(f, versioned, func(q *Page) {
+		q.Put(Record{Key: "k" + long, Owner: 1, Value: []byte(long), TS: 5, Hist: []Version{{TS: 2, Val: []byte(long)}}})
+		r := *q.Get("z")
+		r.Stage(11, 0)
+		r.Value = []byte(long)
+		q.Replace(q.Get("z"), r)
+		q.Put(Record{Key: "x0", Owner: 2, Flags: FlagTombstone, TS: 6, Hist: []Version{{TS: 1, Val: []byte("v")}}})
+	})
+	f.Add(chain)
 	olds := [][]byte{versioned.Encode(), branch.Encode()}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		pristine := bytes.Clone(image)

@@ -59,9 +59,12 @@ func (f *file) write(spans ...[]byte) {
 }
 
 func (f *file) sync() {
-	f.check("fsync", f.f.Sync())
+	f.check("fsync", fsync(f.f))
 	f.synced = f.size
 }
+
+// fsync is (*os.File).Sync; a test blocks it to watch what waits for it.
+var fsync = (*os.File).Sync
 
 // rewrite replaces the file with parts, synced; op names the caller.
 func (f *file) rewrite(op string, parts ...[]byte) {
@@ -222,24 +225,31 @@ func appendRecordHead(dst []byte, seq uint64, kind byte, id uint32, n int) []byt
 // Sync makes every mutation so far survive a power loss: it fsyncs the
 // journal or, once the journal holds more than twice the live chains' bytes
 // plus compactFloor, rewrites it as those chains. In memory it does nothing.
-// It holds the store's write lock throughout.
+// The fsync runs with the store's lock released, so reads and writes go on
+// meanwhile; what they append after the journal's length was taken is left
+// to the next Sync. A compaction holds the lock throughout.
 func (s *PageStore) Sync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.file == nil {
 		return
 	}
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	s.mu.Lock()
 	live := 0
 	for _, chain := range s.pages {
 		live += len(chain)
 	}
-	if s.file.size <= 2*int64(live)+compactFloor {
-		s.file.sync()
+	if size := s.file.size; size <= 2*int64(live)+compactFloor {
+		s.mu.Unlock()
+		s.file.check("fsync", fsync(s.file.f))
+		s.mu.Lock()
+		s.file.synced = size
 		s.syncs.Add(1)
-		return
+	} else {
+		s.compactLocked()
+		s.syncs.Add(2) // the new file's and its directory's
 	}
-	s.compactLocked()
-	s.syncs.Add(2) // the new file's and its directory's
+	s.mu.Unlock()
 }
 
 // compactLocked rewrites the journal as a base per page holding its whole
@@ -266,6 +276,8 @@ func (s *PageStore) compactLocked() {
 // power loss leaves of it at worst — and closes it. A test hook: nothing may
 // write to the store after it; open the file again instead.
 func (s *PageStore) PowerCut() {
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.file.f.Close()

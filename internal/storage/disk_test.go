@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
@@ -131,6 +132,56 @@ func TestPowerCutKeepsWhatSyncCovered(t *testing.T) {
 				t.Fatalf("the reopened journal is %d bytes, want the %d the Sync covered", n, synced)
 			}
 		})
+	}
+}
+
+// TestReadsAndWritesPassAnFsync: while Sync's fsync is blocked, a Read and
+// an Append complete, and what the Append wrote is left to the next Sync:
+// the journal counts as synced to its length when the fsync began. A Sync
+// that held the store's lock across the fsync stalled every cache miss of a
+// disk-backed DC for it.
+func TestReadsAndWritesPassAnFsync(t *testing.T) {
+	path := journalPath(t)
+	s := openJournal(t, path)
+	id := s.AllocPageID()
+	s.Write(id, []byte("a base"))
+	began := s.file.size
+	entered, release := make(chan struct{}), make(chan struct{})
+	fsync = func(f *os.File) error {
+		close(entered)
+		<-release
+		return f.Sync()
+	}
+	defer func() { fsync = (*os.File).Sync }()
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		s.Sync()
+	}()
+	<-entered
+	passed := make(chan bool)
+	go func() {
+		chain, ok := s.Read(id)
+		_, held := s.Append(id, chain, frame("during the fsync"))
+		passed <- ok && held
+	}()
+	var ok, waited bool
+	select {
+	case ok = <-passed:
+	case <-time.After(10 * time.Second):
+		waited = true
+	}
+	close(release)
+	<-synced
+	if waited {
+		<-passed
+		t.Fatal("a Read and an Append waited for the fsync")
+	}
+	if !ok {
+		t.Fatal("the Read or the Append during the fsync failed")
+	}
+	if s.file.synced != began {
+		t.Fatalf("synced to %d bytes, want the %d the journal held when Sync began", s.file.synced, began)
 	}
 }
 

@@ -42,8 +42,13 @@ type Stats struct {
 // below it, and Read returns the chain itself, so the simulated disk and the
 // cache above it hold one copy of a page's bytes, not two. The zero value is
 // not usable; call NewPageStore.
+//
+// Lock order is fmu, then mu. mu guards the pages and the journal's writes;
+// fmu serializes Sync, whose fsync runs under it with mu released, against
+// itself and PowerCut, and so keeps the journal's file open under an fsync.
 type PageStore struct {
 	mu     sync.RWMutex
+	fmu    sync.Mutex
 	pages  map[base.PageID][]byte
 	nextID uint32 // persisted allocator; see AllocPageID
 	file   *file  // when set, the journal every mutation is appended to (disk.go)
