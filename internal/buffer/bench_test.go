@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -21,7 +22,10 @@ func evictFetchCycle(tb testing.TB) (pool *Pool, pages int, cycle func(i int)) {
 	pages = 1024
 	store := storage.NewPageStore()
 	open := func(base.TCID) base.LSN { return 1 << 62 }
-	pool = New(Config{Capacity: 64}, store, Gates{EOSL: open, LWM: open})
+	gates := Gates{EOSL: open, LWM: open}
+	// The pages are written through a pool of their own, as a DC writes what
+	// it loads, and the cycles run on a cold one.
+	loader := New(Config{Capacity: 64}, store, gates)
 	val := bytes.Repeat([]byte("v"), 150)
 	ids := make([]base.PageID, pages)
 	for i := range ids {
@@ -31,8 +35,13 @@ func evictFetchCycle(tb testing.TB) (pool *Pool, pages int, cycle func(i int)) {
 		}
 		pg.Ab.Ensure(1).Add(1)
 		ids[i] = pg.ID
-		store.Write(pg.ID, pg.Encode())
+		loader.Install(pg)
+		loader.Unpin(pg.ID)
 	}
+	if err := loader.FlushAll(false, nil); err != nil {
+		tb.Fatal(err)
+	}
+	pool = New(Config{Capacity: 64}, store, gates)
 	return pool, pages, func(i int) {
 		id := ids[i%pages]
 		pg, err := pool.Fetch(id)
@@ -66,27 +75,40 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 }
 
 // TestEvictFetchCycleAllocs pins what a miss that evicts a dirty page
-// allocates once the pool is full: at most the victim's write-back, which the
-// store keeps — a full image, or the chain moved to a larger buffer when a
-// delta frame does not fit behind it — and nothing else. The miss takes over
-// the frame the eviction before it freed — page, record array, abstract-LSN
-// table, FirstDirty map, touched list, LRU node — and decodes into it; a pool
-// that let the evicted frame go made 9.
+// allocates once the pool is full: no more objects than the victims'
+// write-backs write full images, which the store keeps. A delta frame
+// allocates nothing: it is encoded into the pool's buffer and appended where
+// the chain is, into the room its image was written with. The miss takes
+// over the frame the eviction before it freed — page, record array,
+// abstract-LSN table, FirstDirty map, touched slots, LRU node — and decodes
+// into it; a pool that let the evicted frame go made 9 a cycle, and a store
+// that moved a chain into a larger buffer whenever a frame outgrew it made
+// one more each time. The cycles run long enough for every page's chain to
+// fill and be consolidated.
 func TestEvictFetchCycleAllocs(t *testing.T) {
 	pool, pages, cycle := evictFetchCycle(t)
 	i := 0
 	for ; i < 2*pages; i++ { // every page read once, the pool full, a frame spare
 		cycle(i)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	before := pool.Stats()
-	got := testing.AllocsPerRun(2*pages, func() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	for end := i + 16*pages; i < end; i++ {
 		cycle(i)
-		i++
-	})
-	if st := pool.Stats(); st.Hits != before.Hits || st.Evictions-before.Evictions < uint64(2*pages) {
+	}
+	runtime.ReadMemStats(&ms)
+	mallocs = ms.Mallocs - mallocs
+	st := pool.Stats()
+	if st.Hits != before.Hits || st.Evictions-before.Evictions < uint64(16*pages) {
 		t.Fatalf("not the cycle it claims to be: %+v, then %+v", before, st)
 	}
-	if got > 1 {
-		t.Fatalf("an evict-fetch cycle allocates %.0f objects, want at most 1 (the victim's write-back)", got)
+	images := st.Images - before.Images
+	if images == 0 || mallocs > images {
+		t.Fatalf("%d evict-fetch cycles allocate %d objects and write %d full images: want at least one image, and no more objects than images",
+			16*pages, mallocs, images)
 	}
+	t.Logf("%d evict-fetch cycles: %d full images, %d allocations", 16*pages, images, mallocs)
 }

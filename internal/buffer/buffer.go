@@ -27,30 +27,34 @@
 // when the page was built from the chain the store holds, no whole-page
 // operation has touched it since, and the chain's frames and this one stay
 // within half the base; otherwise it writes a full image, which starts the
-// next chain (writeBack). A branch is always written whole.
+// next chain (writeBack). A branch is always written whole. The write-back
+// pays for what it writes and no more: it builds no frame whose records
+// alone already outgrow the room (page.Page.DeltaFloor), and a leaf's image
+// is written with room for half its length behind it, the most the rule lets
+// its frames take, so no frame moves the chain.
 //
 // A page crosses the cache boundary without a copy of its records either
 // way. A write-back encodes a frame into one buffer of the pool's, which the
-// store copies onto the chain, or encodes a full image into a fresh buffer,
-// which the store keeps. A miss copies nothing: the store returns the chain
-// it holds and page.DecodeInto builds the cached page over it, decoding the
-// base and applying each frame in the one pass, so the cached page and the
-// stable page share their bytes until a record is replaced (the page package
-// comment has the rules this rests on: chains are never written below their
-// end, fields are replaced and not edited). A frame appended after the miss
-// leaves the page's bytes where they are; a full image leaves the frame
-// aliasing the chain it was read from, now dead, and the store holding the
-// new one.
+// store copies into the room behind the chain, or encodes a full image into
+// a fresh buffer, which the store keeps. A miss copies nothing: the store
+// returns the chain it holds and page.DecodeInto builds the cached page over
+// it, decoding the base and applying each frame in the one pass, so the
+// cached page and the stable page share their bytes until a record is
+// replaced (the page package comment has the rules this rests on: chains are
+// never written below their end, fields are replaced and not edited). A
+// frame appended after the miss leaves the page's bytes where they are; a
+// full image leaves the frame aliasing the chain it was read from, now dead,
+// and the store holding the new one.
 //
 // A miss at capacity reuses the frame an eviction freed: its page with the
-// record array, abstract-LSN table, FirstDirty map and touched list, and the
+// record array, abstract-LSN table, FirstDirty map and touched slots, and the
 // frame itself, which is its LRU node. The miss decodes its chain into that
 // page, which lets go of the old chain, so what a miss that evicts a dirty
-// page allocates is at most the image it writes back. A frame is freed only
-// once it has left the frame map under mu while its evictor holds its only
-// pin: every caller lets go of a page when it unpins it, so nothing can still
-// reach the page. The pool keeps one freed frame (spare); more are left to the
-// collector.
+// page allocates is the image it writes back, if it writes one. A frame is
+// freed only once it has left the frame map under mu while its evictor holds
+// its only pin: every caller lets go of a page when it unpins it, so nothing
+// can still reach the page. The pool keeps one freed frame (spare); more are
+// left to the collector.
 package buffer
 
 import (
@@ -96,6 +100,7 @@ type Stats struct {
 	Flushes    uint64
 	Evictions  uint64
 	FlushWaits uint64
+	Images     uint64 // flushes that wrote a full image; the others wrote a delta frame
 	PageBytes  uint64 // bytes written to stable pages
 	AbLSNBytes uint64 // of which abstract-LSN bytes (benchmark: buffer.ablsn_bytes_frac)
 }
@@ -144,7 +149,7 @@ type Pool struct {
 	delta []byte
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
-	pageBytes, abBytes                           atomic.Uint64
+	images, pageBytes, abBytes                   atomic.Uint64
 }
 
 // New returns a pool over store with the given gates.
@@ -343,18 +348,15 @@ func (p *Pool) End() {
 	p.Kick()
 }
 
-// writeDelta appends pg's delta frame to its stable chain if the rule of
-// writeBack allows one, and returns its length (0 if it wrote none) and its
-// abstract-LSN bytes.
-func (p *Pool) writeDelta(pg *page.Page) (written, abBytes int) {
-	chain, base := pg.Chain()
-	if chain == nil {
-		return 0, 0
-	}
-	room := base/2 - (len(chain) - base) // what the chain's frames may still add
-	if room <= 0 {
-		return 0, 0
-	}
+// watchWriteBack, when set, is called with every page a write-back is about
+// to write, latched, and what it returns once the page is written (tests).
+var watchWriteBack func(pg *page.Page) (written func())
+
+// writeDelta appends pg's delta frame onto chain, its stable chain of which
+// base bytes are the base image, if the frame takes room bytes or fewer and
+// the store still holds chain, and returns the frame's length (0 if it wrote
+// none) and its abstract-LSN bytes.
+func (p *Pool) writeDelta(pg *page.Page, chain []byte, base, room int) (written, abBytes int) {
 	p.dmu.Lock()
 	defer p.dmu.Unlock()
 	// Room for the largest frame the rule takes, so that encoding one does
@@ -381,18 +383,40 @@ func (p *Pool) writeDelta(pg *page.Page) (written, abBytes int) {
 // (page.Page.Chain), and the chain's frames and this one stay within half
 // the base. Anything else — a chain that has grown too long, a new page, a
 // reshaped one, a branch — writes a full image, which is the consolidation.
+//
+// The rule is settled before anything is encoded as far as it can be: a
+// frame whose records alone (page.Page.DeltaFloor) outgrow the room the
+// chain has left is never built. A leaf's full image is encoded into a
+// buffer with room past its end for all the frames the rule lets onto it,
+// half its length, so the store appends every one of them in place.
 func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	p.wmu.RLock()
 	defer p.wmu.RUnlock()
 	if p.ended.Load() {
 		return 0, 0, false
 	}
-	if written, abBytes = p.writeDelta(pg); written > 0 {
-		return written, abBytes, true
+	if watchWriteBack != nil {
+		defer watchWriteBack(pg)()
 	}
-	image, abBytes := pg.EncodeAb()
+	if chain, base := pg.Chain(); chain != nil {
+		// What the chain's frames may still add.
+		if room := base/2 - (len(chain) - base); room > 0 && pg.DeltaFloor() <= room {
+			if written, abBytes = p.writeDelta(pg, chain, base, room); written > 0 {
+				return written, abBytes, true
+			}
+		}
+	}
+	spare := 0
+	if pg.Leaf {
+		spare = pg.Size() / 2
+	}
+	image, abBytes := pg.EncodeAb(spare)
+	if pg.Leaf && cap(image)-len(image) < len(image)/2 {
+		image = slices.Grow(image, len(image)/2) // Size fell short of the image
+	}
 	p.store.Write(pg.ID, image) // the store keeps image; it is not touched again
 	pg.SetChain(image, len(image))
+	p.images.Add(1)
 	return len(image), abBytes, true
 }
 
@@ -577,6 +601,7 @@ func (p *Pool) Stats() Stats {
 		Hits:       p.hits.Load(),
 		Misses:     p.misses.Load(),
 		Flushes:    p.flushes.Load(),
+		Images:     p.images.Load(),
 		Evictions:  p.evictions.Load(),
 		FlushWaits: p.flushWaits.Load(),
 		PageBytes:  p.pageBytes.Load(),

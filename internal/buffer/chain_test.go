@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -21,7 +22,8 @@ import (
 // through a pool of four frames over a dozen pages, so that most write-backs
 // are evictions and most of those write delta frames. After every step, each
 // page whose stable chain changed must decode to the page as it was written
-// back, abstract-LSN table included.
+// back, abstract-LSN table included. Every write-back follows the rule
+// unabridged (followsTheRule).
 func TestWriteBackFollowsThePage(t *testing.T) {
 	var deltas, images int
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -33,6 +35,42 @@ func TestWriteBackFollowsThePage(t *testing.T) {
 	if deltas < images || images == 0 {
 		t.Fatalf("%d delta frames and %d full images: the walk does not exercise chains", deltas, images)
 	}
+}
+
+// followsTheRule watches every write-back to store until the test ends and
+// fails it unless the write-back wrote a delta frame exactly when one is
+// due: the page was built from the chain the store holds, and its frame,
+// built with no limit, takes no more than the room half the base leaves.
+// Then the chain must have grown by that frame's bytes, where it was; else
+// it must have been replaced by a full image. The page's DeltaFloor must not
+// exceed the frame. So a write-back that skips a frame it should have
+// written fails, as does a floor that over-counts and one whose chain moved.
+func followsTheRule(t *testing.T, store *storage.PageStore) {
+	watchWriteBack = func(pg *page.Page) func() {
+		chain, base := pg.Chain()
+		var frame []byte
+		due := false
+		if chain != nil && store.Holds(pg.ID, chain) {
+			frame, _ = pg.AppendDelta(nil, math.MaxInt)
+			due = len(frame) <= base/2-(len(chain)-base)
+			if floor := pg.DeltaFloor(); floor > len(frame) {
+				t.Errorf("page %d: a floor of %d bytes under a frame of %d", pg.ID, floor, len(frame))
+			}
+		}
+		return func() {
+			got, _ := store.Read(pg.ID)
+			extends := chain != nil && len(got) > len(chain) && bytes.Equal(got[:len(chain)], chain)
+			switch {
+			case due && (!extends || !bytes.Equal(got[len(chain):], frame) || &got[0] != &chain[0]):
+				t.Errorf("page %d: a frame of %d bytes was due onto a chain of %d over a base of %d; the chain is now %d bytes, moved %v",
+					pg.ID, len(frame), len(chain), base, len(got), &got[0] != &chain[0])
+			case !due && extends:
+				t.Errorf("page %d: no frame was due (a frame of %d bytes onto a chain of %d over a base of %d), and one was written",
+					pg.ID, len(frame), len(chain), base)
+			}
+		}
+	}
+	t.Cleanup(func() { watchWriteBack = nil })
 }
 
 // walkOps are the walk's steps, the record mutators weighted as a DC's
@@ -51,6 +89,7 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 	// {LSNin} sets for the write-backs to carry.
 	lwm := func(base.TCID) base.LSN { return lsn / 2 }
 	pool := New(Config{Capacity: 4}, store, Gates{EOSL: open, LWM: lwm})
+	followsTheRule(t, store)
 
 	want := map[base.PageID][]byte{} // each page as last changed, encoded
 	var leaves []base.PageID

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -93,7 +95,7 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 		t.Fatalf("a frame after a branch: %v, want %v", err, errCorrupt)
 	}
 	other := NewLeaf(2)
-	other.touched = []touchedKey{{key: "a"}}
+	other.touched, other.moved = []touchedKey{{key: "a"}}, true
 	frame, _ = other.AppendDelta(nil, 1<<30)
 	if _, err := Decode(append(leaf, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame of page 2 after page 1: %v, want %v", err, errCorrupt)
@@ -195,5 +197,83 @@ func BenchmarkDecodeChain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// frameRecords is how many of the bytes of frame, p's delta frame, its
+// records take: all but its length, header, record count and abstract-LSN
+// table, which is abBytes long.
+func frameRecords(p *Page, frame []byte, abBytes int) int {
+	_, head := binary.Uvarint(frame)
+	header := len(p.appendHeader(nil))
+	_, count := binary.Uvarint(frame[head+header:])
+	return len(frame) - head - header - count - abBytes
+}
+
+// TestDeltaFloorBoundsTheRecords: over seeded walks of Put, Replace, Remove
+// and versioned writes (Stage) on a page with a chain, with keys and values
+// long enough to take two-byte lengths and a write-back now and then,
+// DeltaFloor never exceeds what the records of the frame AppendDelta builds
+// take, before a slot moves and after.
+func TestDeltaFloorBoundsTheRecords(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewPCG(seed, 0))
+		chain, p := chainOf(t, leafWith("k05", "k15", "k25", "k35"))
+		baseLen := len(chain)
+		for step := 0; step < 300; step++ {
+			key := fmt.Sprintf("k%02d", rnd.IntN(40))
+			val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
+			if rnd.IntN(6) == 0 {
+				key += strings.Repeat("-long", 30)
+				val = bytes.Repeat(val, 10)
+			}
+			switch rnd.IntN(5) {
+			case 0:
+				p.Put(Record{Key: key, Owner: 1, Value: val})
+			case 1:
+				if len(p.Recs) > 0 {
+					r := p.Recs[rnd.IntN(len(p.Recs))]
+					r.Value = val
+					p.Replace(p.Get(r.Key), r)
+				}
+			case 2:
+				if len(p.Recs) > 0 {
+					p.Remove(p.Recs[rnd.IntN(len(p.Recs))].Key)
+				}
+			case 3:
+				if len(p.Recs) > 0 {
+					r := p.Recs[rnd.IntN(len(p.Recs))]
+					r.Stage(base.TS(1000+step), base.TS(1000+step/2))
+					r.Value = val
+					p.Replace(p.Get(r.Key), r)
+				}
+			case 4:
+				frame, _ := p.AppendDelta(nil, math.MaxInt)
+				chain = append(chain[:len(chain):len(chain)], frame...)
+				p.SetChain(chain, baseLen)
+			}
+			frame, abBytes := p.AppendDelta(nil, math.MaxInt)
+			if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor > recs {
+				t.Fatalf("seed %d step %d (moved %v): a floor of %d over records of %d bytes", seed, step, p.moved, floor, recs)
+			}
+		}
+	}
+}
+
+// TestDeltaFloorIsExactOnShortRecords: while every field of every changed
+// record takes one byte — no versions, short keys and values, the first 128
+// slots — and no slot has moved, DeltaFloor is what the frame's records
+// take.
+func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
+	_, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
+	setValue(p, "b", "new b")
+	setValue(p, "d", "new d")
+	p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
+	frame, abBytes := p.AppendDelta(nil, math.MaxInt)
+	if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor != recs {
+		t.Fatalf("a floor of %d, records of %d bytes", floor, recs)
+	}
+	if p.moved {
+		t.Fatal("an insert after the last record moved a slot")
 	}
 }

@@ -79,6 +79,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -365,12 +366,18 @@ type Page struct {
 	RecDLSN base.DLSN
 
 	// stable is the leaf's stable chain (package comment) as the store holds
-	// it, when the page is that chain changed only in the keys touched
-	// names, and base is how many of its bytes are the base image. stable is
-	// nil on a branch, on a new page and after a whole-page operation: then
-	// the next write-back is a full image.
-	stable  []byte
-	base    int
+	// it, when the page is that chain changed only in the records the next
+	// delta frame holds, and base is how many of its bytes are the base image.
+	// stable is nil on a branch, on a new page and after a whole-page
+	// operation: then the next write-back is a full image.
+	stable []byte
+	base   int
+	// What changed since the chain. Until an insert or a removal moves a
+	// slot, a bit per record in slots: every slot is its record's, so the
+	// marked slots in order are the changed keys in order. Once one moves,
+	// moved is set and the changes are keys in touched (touch).
+	slots   []uint64
+	moved   bool
 	touched []touchedKey
 }
 
@@ -414,7 +421,7 @@ func (p *Page) Put(rec Record) {
 		p.Replace(&p.Recs[i], rec)
 		return
 	}
-	p.touch(rec.Key, i)
+	p.touch(rec.Key, i, i < len(p.Recs))
 	p.body += rec.size()
 	p.Recs = append(p.Recs, Record{})
 	copy(p.Recs[i+1:], p.Recs[i:])
@@ -427,7 +434,7 @@ func (p *Page) Put(rec Record) {
 func (p *Page) Replace(old *Record, rec Record) {
 	if p.stable != nil {
 		// old is an element of Recs: its slot is its offset.
-		p.touch(rec.Key, int((uintptr(unsafe.Pointer(old))-uintptr(unsafe.Pointer(unsafe.SliceData(p.Recs))))/unsafe.Sizeof(*old)))
+		p.touch(rec.Key, int((uintptr(unsafe.Pointer(old))-uintptr(unsafe.Pointer(unsafe.SliceData(p.Recs))))/unsafe.Sizeof(*old)), false)
 	}
 	p.body += rec.size() - old.size()
 	*old = rec
@@ -439,20 +446,46 @@ func (p *Page) Remove(key string) bool {
 	if !ok {
 		return false
 	}
-	p.touch(key, i)
+	p.touch(key, i, true)
 	p.body -= p.Recs[i].size()
 	p.Recs = append(p.Recs[:i], p.Recs[i+1:]...)
 	return true
 }
 
-// touch notes that a mutator changed key, whose record had the given slot,
-// for the next delta frame. The list starts with room for a leaf's worth of
-// keys, is settled whenever it fills, and grows only if that leaves it more
-// than half full, so a hot key costs no room.
-func (p *Page) touch(key string, slot int) {
+// touch notes, for the next delta frame, that a mutator changed key, whose
+// record has the given slot; shifts says the change moves the records after
+// the slot (an insert before the last record, any removal). While nothing has
+// moved, the slot's bit is the note, and a hot key costs nothing more. The
+// first change that moves a slot turns the marked slots into keys, and from
+// then on every change notes its key.
+func (p *Page) touch(key string, slot int, shifts bool) {
 	if p.stable == nil {
 		return
 	}
+	if !p.moved && !shifts {
+		if w := slot >> 6; w >= len(p.slots) {
+			p.slots = append(p.slots, make([]uint64, w+1-len(p.slots))...)
+		}
+		p.slots[slot>>6] |= 1 << (slot & 63)
+		return
+	}
+	if !p.moved {
+		p.moved = true
+		for w, word := range p.slots {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				p.note(p.Recs[i].Key, i)
+			}
+		}
+		clear(p.slots)
+	}
+	p.note(key, slot)
+}
+
+// note appends a touched key to the list, which starts with room for a
+// leaf's worth of keys, is settled whenever it fills, and grows only if that
+// leaves it more than half full, so a hot key costs no room.
+func (p *Page) note(key string, slot int) {
 	if n := len(p.touched); n == cap(p.touched) {
 		p.settle()
 		if len(p.touched) > n/2 {
@@ -497,7 +530,8 @@ func (p *Page) SetChain(chain []byte, base int) {
 // DropChain makes p's next write-back a full image: what every whole-page
 // operation does, since a delta frame carries only the touched records.
 func (p *Page) DropChain() {
-	p.stable, p.base = nil, 0
+	p.stable, p.base, p.moved = nil, 0, false
+	clear(p.slots)
 	clear(p.touched)
 	p.touched = p.touched[:0]
 }
@@ -742,14 +776,16 @@ func (p *Page) Clone() *Page {
 // consolidating write-back and of a physical DC-log image. The image is a
 // fresh buffer that aliases nothing of p.
 func (p *Page) Encode() []byte {
-	image, _ := p.EncodeAb()
+	image, _ := p.EncodeAb(0)
 	return image
 }
 
-// EncodeAb is Encode that also says how many of the image's bytes are the
-// abstract-LSN table: what page sync (§5.1.2, strategy 2) costs this write.
-func (p *Page) EncodeAb() (image []byte, abBytes int) {
-	buf := p.appendHeader(make([]byte, 0, p.Size()))
+// EncodeAb is Encode into a buffer with room for about spare more bytes past
+// the image, as far as Size estimates the image, and also says how many of
+// the image's bytes are the abstract-LSN table: what page sync (§5.1.2,
+// strategy 2) costs this write.
+func (p *Page) EncodeAb(spare int) (image []byte, abBytes int) {
+	buf := p.appendHeader(make([]byte, 0, p.Size()+spare))
 	table := len(buf)
 	buf = p.Ab.Append(buf)
 	abBytes = len(buf) - table
@@ -774,30 +810,49 @@ func (p *Page) EncodeAb() (image []byte, abBytes int) {
 
 // AppendDelta appends to dst the delta frame that takes p's stable chain
 // (Chain) to p, and says how many of its bytes are the abstract-LSN table. A
-// frame is its length as a uvarint, then the header, the touched keys in
+// frame is its length as a uvarint, then the header, the changed keys in
 // ascending order, each as its slot in p followed by its record — the record
-// p holds of the key, found at its slot unless something moved it, or,
-// flagged gone, the key alone — and last the whole abstract-LSN table: §5.1.2
-// holds per chain, since the newest frame's table is the page's, and a decode
-// reads no other frame's. The slot comes first so that a decode can write the
-// record straight into it (applyFrame). A frame whose records outgrow limit
-// bytes is not worth writing: AppendDelta stops and returns nil.
+// p holds of the key, or, flagged gone, the key alone — and last the whole
+// abstract-LSN table: §5.1.2 holds per chain, since the newest frame's table
+// is the page's, and a decode reads no other frame's. The slot comes first so
+// that a decode can write the record straight into it (applyFrame). While no
+// slot has moved (touch), the marked slots are walked in order, which is key
+// order; after, the touched list is sorted and each key found at its slot
+// unless something moved it. A frame whose records outgrow limit bytes is not
+// worth writing: AppendDelta stops and returns nil.
 func (p *Page) AppendDelta(dst []byte, limit int) (frame []byte, abBytes int) {
-	p.settle()
 	start := len(dst)
 	dst = p.appendHeader(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(p.touched)))
-	for i := range p.touched {
-		t := &p.touched[i]
-		held := uint(t.slot) < uint(len(p.Recs)) && p.Recs[t.slot].Key == t.key
-		if !held {
-			t.slot, held = p.find(t.key)
+	if !p.moved {
+		n := 0
+		for _, word := range p.slots {
+			n += bits.OnesCount64(word)
 		}
-		dst = binary.AppendUvarint(dst, uint64(t.slot))
-		if !held {
-			dst = appendRecord(dst, &Record{Key: t.key}, true)
-		} else if dst = appendRecord(dst, &p.Recs[t.slot], false); len(dst)-start > limit {
-			return nil, 0
+		dst = binary.AppendUvarint(dst, uint64(n))
+		for w, word := range p.slots {
+			for ; word != 0; word &= word - 1 {
+				slot := w<<6 | bits.TrailingZeros64(word)
+				dst = binary.AppendUvarint(dst, uint64(slot))
+				if dst = appendRecord(dst, &p.Recs[slot], false); len(dst)-start > limit {
+					return nil, 0
+				}
+			}
+		}
+	} else {
+		p.settle()
+		dst = binary.AppendUvarint(dst, uint64(len(p.touched)))
+		for i := range p.touched {
+			t := &p.touched[i]
+			held := uint(t.slot) < uint(len(p.Recs)) && p.Recs[t.slot].Key == t.key
+			if !held {
+				t.slot, held = p.find(t.key)
+			}
+			dst = binary.AppendUvarint(dst, uint64(t.slot))
+			if !held {
+				dst = appendRecord(dst, &Record{Key: t.key}, true)
+			} else if dst = appendRecord(dst, &p.Recs[t.slot], false); len(dst)-start > limit {
+				return nil, 0
+			}
 		}
 	}
 	table := len(dst)
@@ -805,6 +860,40 @@ func (p *Page) AppendDelta(dst []byte, limit int) (frame []byte, abBytes int) {
 	abBytes = len(dst) - table
 	var n [binary.MaxVarintLen64]byte
 	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), abBytes
+}
+
+// DeltaFloor is a lower bound on the bytes the records of p's delta frame
+// (AppendDelta) take: each changed record's key, value and history values,
+// and a byte for each of its slot, lengths, owner, flags, timestamps and
+// counts, the least a field takes. The buffer pool asks it before it encodes
+// anything, and writes a full image at once when the floor alone outgrows
+// the room its chain has left. It counts the marked slots and sorts nothing;
+// once a slot has moved (touch) it is 0, and AppendDelta's limit is what
+// stops a frame that outgrows the room.
+func (p *Page) DeltaFloor() int {
+	if p.moved {
+		return 0
+	}
+	n := 0
+	for w, word := range p.slots {
+		for ; word != 0; word &= word - 1 {
+			n += recordFloor(&p.Recs[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+	return n
+}
+
+// recordFloor is the least r's entry in a delta frame takes: its slot, then
+// appendRecord's fields, each uvarint a byte.
+func recordFloor(r *Record) int {
+	n := 5 + len(r.Key) + len(r.Value)
+	if r.TS != 0 || len(r.Hist) > 0 {
+		n += 2 // the timestamp and the history's count
+		for i := range r.Hist {
+			n += 2 + len(r.Hist[i].Val)
+		}
+	}
+	return n
 }
 
 // appendHeader appends what a base image and a delta frame both begin with:
@@ -879,13 +968,14 @@ func Decode(image []byte) (*Page, error) {
 // buffer pool's evicted frame): p becomes the page the image holds, clean and
 // with an empty undo tail, and keeps only its latch and the arrays it can
 // reuse — the record or separator and child arrays, the abstract-LSN entries
-// and their {LSNin} sets, the FirstDirty map and the touched list, emptied. So
-// a page that held as many records and LSNs and no history allocates nothing.
-// A history array is always new: records copied out of a page (Undo.Prior, a
-// split's upper half) share it. The base's records are decoded into the
-// record array in order, and a frame's each into the slot that still holds
-// its key (applyFrame), so a record a frame overrides is never copied. A
-// leaf's chain (Chain) is the image. On an error p holds a partial page.
+// and their {LSNin} sets, the FirstDirty map and the touched slots and list,
+// emptied. So a page that held as many records and LSNs and no history
+// allocates nothing. A history array is always new: records copied out of a
+// page (Undo.Prior, a split's upper half) share it. The base's records are
+// decoded into the record array in order, and a frame's each into the slot
+// that still holds its key (applyFrame), so a record a frame overrides is
+// never copied. A leaf's chain (Chain) is the image. On an error p holds a
+// partial page.
 func DecodeInto(p *Page, image []byte) error {
 	prefetch(image)
 	p.Undo, p.Dirty, p.RecDLSN, p.body = nil, false, 0, 0

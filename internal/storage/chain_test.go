@@ -42,6 +42,32 @@ func TestAppendExtendsTheChainItHolds(t *testing.T) {
 	}
 }
 
+// TestAppendWritesInPlace: on both media, a chain written with room past its
+// base, as the buffer pool writes a leaf's (half the base), takes the frames
+// that fill the room where it is: every Append returns the chain at the
+// address of the buffer Write was handed, and allocates nothing.
+func TestAppendWritesInPlace(t *testing.T) {
+	for name, s := range map[string]*PageStore{"memory": NewPageStore(), "dir": openJournal(t, journalPath(t))} {
+		t.Run(name, func(t *testing.T) {
+			id := s.AllocPageID()
+			image := make([]byte, 1000, 1500)
+			s.Write(id, image)
+			chain, _ := s.Read(id)
+			f := frame("nine byte") // ten bytes: 50 of them fill the room
+			allocs := testing.AllocsPerRun(49, func() {
+				next, held := s.Append(id, chain, f)
+				if !held || &next[0] != &image[0] {
+					t.Fatalf("an append at %d of 1500 bytes: held %v, moved %v", len(chain), held, held && &next[0] != &image[0])
+				}
+				chain = next
+			})
+			if len(chain) != 1500 || allocs != 0 {
+				t.Fatalf("the chain is %d bytes, and an append allocates %.1f objects", len(chain), allocs)
+			}
+		})
+	}
+}
+
 // TestReopenCutsATornFrame: a kill can stop an append anywhere inside its
 // record. Cut the journal there, at every byte offset, and a reopen reads the
 // chain as the append before it left it, and a later append and reopen

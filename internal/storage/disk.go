@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -80,11 +81,11 @@ func (f *file) rewrite(op string, parts ...[]byte) {
 	f.synced = f.size
 }
 
-// openFile opens the file at path once load has indexed its image — a
-// header alone if there is no file yet — and returned the length of its whole
-// part. A torn tail is cut, by a synced rewrite, before anything is appended
-// behind it.
-func openFile(path string, load func([]byte) (int, error)) (*file, error) {
+// openFile opens the file at path once load has indexed its image — header
+// alone if there is no file yet — and returned the length of its whole part.
+// A torn tail is cut, by a synced rewrite, before anything is appended behind
+// it.
+func openFile(path string, header []byte, load func([]byte) (int, error)) (*file, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
@@ -92,7 +93,7 @@ func openFile(path string, load func([]byte) (int, error)) (*file, error) {
 	data, err := os.ReadFile(path)
 	created := os.IsNotExist(err)
 	if created {
-		data, err = logHeader(0), nil
+		data, err = header, nil
 	}
 	if err != nil {
 		return nil, err
@@ -146,13 +147,30 @@ func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 
 // A page journal record is one frame, a batch of its own, whose LSN field
 // numbers it from 1 within its file: the page ID shifted left by two and its
-// kind in the low bits, as a uvarint, then the kind's bytes.
+// kind in the low bits, as a uvarint, the CRC-32C (Castagnoli) of that
+// uvarint and the kind's bytes, big-endian, then the kind's bytes. The
+// checksum is what tells a record whose head reached the media and whose
+// bytes did not: a power loss can persist a file's length before its data.
 const (
 	jBase  = iota // the bytes are the page's chain from here on
 	jFrame        // the bytes are one delta frame onto the page's chain
 	jFree         // the page is gone
 	jAlloc        // the allocator reached the ID
 )
+
+// crcBytes is the length of a page journal record's checksum, and
+// recordHeadBytes the most its head takes: frame head, page ID and kind,
+// checksum. journalFloor is a page journal's header floor, which its record
+// numbers never fall below: it marks the records as checksummed, so a
+// journal of the format without checksums, whose floor is 0, is refused and
+// left as it is, not cut as one long torn tail.
+const (
+	crcBytes        = 4
+	recordHeadBytes = 3*binary.MaxVarintLen64 + crcBytes
+	journalFloor    = 1
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // compactFloor is the slack a page journal keeps: Sync rewrites it as the
 // live chains once it holds more than twice their bytes plus this.
@@ -162,30 +180,61 @@ const compactFloor = 1 << 20
 // loading what a previous incarnation left there. The records are replayed
 // in order: a base starts a page's chain, a frame extends it, a free deletes
 // it, and the allocator takes the highest ID any record names, so an
-// allocation that reached the file is never reused.
+// allocation that reached the file is never reused. A record that fails its
+// checksum is cut with everything after it, as a torn frame is, when no
+// record after it passes: what a kill or a power loss left of the writes
+// since the last Sync. One that a whole record follows is no such tail, and
+// the journal is refused, as is one whose header floor is not journalFloor.
 func OpenPageStoreFile(path string) (s *PageStore, err error) {
 	s = NewPageStore()
-	s.file, err = openFile(path, func(data []byte) (int, error) {
+	s.file, err = openFile(path, logHeader(journalFloor), func(data []byte) (int, error) {
 		var l LogStore
 		clean, err := l.load(data)
-		for _, r := range l.recs {
-			if err == nil {
-				err = s.replay(l.recLocked(r))
-			}
+		if err != nil {
+			return 0, err
 		}
-		s.seq = l.stableLSN
-		return clean, err
+		if floor := binary.BigEndian.Uint64(data) &^ logFormat; floor != journalFloor {
+			return 0, fmt.Errorf("a page journal's header floor is %d, not %d: a journal without checksums", floor, journalFloor)
+		}
+		for i, r := range l.recs {
+			v, rec, ok := checked(l.recLocked(r))
+			if !ok {
+				for _, later := range l.recs[i+1:] {
+					if _, _, ok := checked(l.recLocked(later)); ok {
+						return 0, fmt.Errorf("page record %d fails its checksum, and record %d after it passes", r.lsn, later.lsn)
+					}
+				}
+				return logHeaderBytes + int(r.off), nil
+			}
+			if err := s.replay(v, rec); err != nil {
+				return 0, err
+			}
+			s.seq = r.lsn
+		}
+		return clean, nil
 	})
 	return s, err
 }
 
-// replay applies one journal record to the store being opened.
-func (s *PageStore) replay(rec []byte) error {
+// checked splits rec, a page journal record, into its page ID and kind and
+// its bytes, and reports whether its checksum holds.
+func checked(rec []byte) (v uint64, data []byte, ok bool) {
 	v, n := binary.Uvarint(rec)
-	if id := v >> 2; n <= 0 || id == 0 || id > math.MaxUint32 {
-		return fmt.Errorf("page record %x names no page", rec)
+	if n <= 0 || len(rec) < n+crcBytes {
+		return 0, nil, false
 	}
-	pid, data := base.PageID(v>>2), rec[n:]
+	data = rec[n+crcBytes:]
+	crc := crc32.Update(crc32.Checksum(rec[:n], castagnoli), castagnoli, data)
+	return v, data, crc == binary.BigEndian.Uint32(rec[n:])
+}
+
+// replay applies one journal record to the store being opened: v is its
+// page ID and kind, data the kind's bytes.
+func (s *PageStore) replay(v uint64, data []byte) error {
+	if id := v >> 2; id == 0 || id > math.MaxUint32 {
+		return fmt.Errorf("a page record names page %d", v>>2)
+	}
+	pid := base.PageID(v >> 2)
 	s.nextID = max(s.nextID, uint32(pid))
 	switch v & 3 {
 	case jBase:
@@ -210,16 +259,19 @@ func (s *PageStore) record(kind byte, id base.PageID, data []byte) {
 		return
 	}
 	s.seq++
-	s.buf = append(appendRecordHead(s.buf[:0], s.seq, kind, uint32(id), len(data)), data...)
+	s.buf = append(appendRecordHead(s.buf[:0], s.seq, kind, uint32(id), data), data...)
 	s.file.write(s.buf)
 }
 
-// appendRecordHead appends the frame head, page ID and kind of the journal
-// record numbered seq that carries n bytes.
-func appendRecordHead(dst []byte, seq uint64, kind byte, id uint32, n int) []byte {
+// appendRecordHead appends the head of the journal record numbered seq that
+// carries data: its frame head, page ID and kind, and checksum. The data
+// follows it.
+func appendRecordHead(dst []byte, seq uint64, kind byte, id uint32, data []byte) []byte {
 	var h [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(h[:], uint64(id)<<2|uint64(kind))
-	return append(appendFrameHead(dst, seq, k+n, true), h[:k]...)
+	dst = append(appendFrameHead(dst, seq, k+crcBytes+len(data), true), h[:k]...)
+	crc := crc32.Update(crc32.Checksum(dst[len(dst)-k:], castagnoli), castagnoli, data)
+	return binary.BigEndian.AppendUint32(dst, crc)
 }
 
 // Sync makes every mutation so far survive a power loss: it fsyncs the
@@ -256,18 +308,18 @@ func (s *PageStore) Sync() {
 // chain, then the allocator. The chains in memory are the source: the old
 // journal is not read.
 func (s *PageStore) compactLocked() {
-	heads := make([]byte, 0, len(s.pages)*3*binary.MaxVarintLen64) // never regrown: parts alias it
-	parts := [][]byte{logHeader(0)}
+	heads := make([]byte, 0, len(s.pages)*recordHeadBytes) // never regrown: parts alias it
+	parts := [][]byte{logHeader(journalFloor)}
 	s.seq = 0
 	for id, chain := range s.pages {
 		s.seq++
 		n := len(heads)
-		heads = appendRecordHead(heads, s.seq, jBase, uint32(id), len(chain))
+		heads = appendRecordHead(heads, s.seq, jBase, uint32(id), chain)
 		parts = append(parts, heads[n:], chain)
 	}
 	if s.nextID > 0 {
 		s.seq++
-		parts = append(parts, appendRecordHead(nil, s.seq, jAlloc, s.nextID, 0))
+		parts = append(parts, appendRecordHead(nil, s.seq, jAlloc, s.nextID, nil))
 	}
 	s.file.rewrite("journal compaction", parts...)
 }
@@ -320,7 +372,7 @@ func appendFrameHead(dst []byte, lsn uint64, size int, last bool) []byte {
 // by construction — unforced records never reach it.
 func OpenLogStoreFile(path string) (l *LogStore, err error) {
 	l = NewLogStore()
-	l.file, err = openFile(path, l.load)
+	l.file, err = openFile(path, logHeader(0), l.load)
 	return l, err
 }
 

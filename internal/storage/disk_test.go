@@ -224,6 +224,77 @@ func TestSyncBoundsTheJournal(t *testing.T) {
 	}
 }
 
+// zeroedJournal is a page journal of one page: a base and two frames, then,
+// with more, one more record. The second frame's bytes are zeros behind an
+// intact head, as a power loss can leave a record whose head reached the
+// media. It returns the image and the length of the journal before that
+// frame.
+func zeroedJournal(t testing.TB, more bool) (image []byte, cut int) {
+	path := journalPath(t)
+	s := openJournal(t, path)
+	id := s.AllocPageID()
+	s.Write(id, []byte("a base"))
+	chain, _ := s.Read(id)
+	chain, _ = s.Append(id, chain, frame("whole"))
+	cut = int(s.file.size)
+	zeroed := frame("the frame a power loss zeroes")
+	s.Append(id, chain, zeroed)
+	end := int(s.file.size)
+	if more {
+		s.AllocPageID()
+	}
+	image = readFile(t, path)
+	clear(image[end-len(zeroed) : end])
+	return image, cut
+}
+
+// TestReopenCutsAZeroedRecord: a journal whose last record's bytes are zeros
+// behind an intact head reopens as the store was before that record, and the
+// record is cut from the file. The same zeros in a record that a whole record
+// follows fail the reopen and leave the file as it was.
+func TestReopenCutsAZeroedRecord(t *testing.T) {
+	image, cut := zeroedJournal(t, false)
+	path := journalPath(t)
+	writeFile(t, path, image)
+	s := openJournal(t, path)
+	if chain, ok := s.Read(1); !ok || string(chain) != "a base\x05whole" {
+		t.Fatalf("the reopened chain is %q, want the base and the whole frame", chain)
+	}
+	if data := readFile(t, path); !bytes.Equal(data, image[:cut]) || s.file.size != int64(cut) {
+		t.Fatalf("the reopened journal is %d bytes (%d counted), want the %d before the zeroed record", len(data), s.file.size, cut)
+	}
+
+	image, _ = zeroedJournal(t, true)
+	path = journalPath(t)
+	writeFile(t, path, image)
+	if s, err := OpenPageStoreFile(path); err == nil {
+		s.file.f.Close()
+		t.Fatal("a journal with a zeroed record before a whole one opened")
+	}
+	if data := readFile(t, path); !bytes.Equal(data, image) {
+		t.Fatal("the refused journal changed")
+	}
+}
+
+// TestUncheckedJournalIsRefused: a page journal of the format without
+// checksums — header floor 0, each record its page ID and kind and its bytes
+// — fails to open, and the file is left byte for byte as it was.
+func TestUncheckedJournalIsRefused(t *testing.T) {
+	image := logHeader(0)
+	for i, rec := range [][]byte{{1<<2 | jAlloc}, append([]byte{1<<2 | jBase}, "a base"...)} {
+		image = append(appendFrameHead(image, uint64(i+1), len(rec), true), rec...)
+	}
+	path := journalPath(t)
+	writeFile(t, path, image)
+	if s, err := OpenPageStoreFile(path); err == nil {
+		s.file.f.Close()
+		t.Fatalf("opened a journal without checksums: %q", s.pages)
+	}
+	if data := readFile(t, path); !bytes.Equal(data, image) {
+		t.Fatalf("the refused journal changed: %x, was %x", data, image)
+	}
+}
+
 // journalImage builds a page journal the way the store does and returns its
 // bytes.
 func journalImage(t testing.TB, build func(s *PageStore)) []byte {
@@ -250,9 +321,12 @@ func FuzzPageJournal(f *testing.F) {
 	for i := 0; i <= len(whole); i++ {
 		f.Add(whole[:i]) // every torn tail
 	}
-	f.Add(append(bytes.Clone(whole), make([]byte, 16)...))                                   // a zero tail
-	f.Add(append(appendRecordHead(logHeader(0), 1, jFrame, 3, 2), frame("x")...))            // a frame before any base
-	f.Add(appendRecordHead(appendRecordHead(logHeader(0), 1, jFree, 9, 0), 2, jAlloc, 4, 0)) // a free of a page never written
+	f.Add(append(bytes.Clone(whole), make([]byte, 16)...)) // a zero tail
+	head := logHeader(journalFloor)
+	f.Add(append(appendRecordHead(head, 1, jFrame, 3, frame("x")), frame("x")...))       // a frame before any base
+	f.Add(appendRecordHead(appendRecordHead(head, 1, jFree, 9, nil), 2, jAlloc, 4, nil)) // a free of a page never written
+	zeroed, _ := zeroedJournal(f, false)
+	f.Add(zeroed) // a last record zeroed behind its head
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := journalPath(t)
 		writeFile(t, path, image)

@@ -38,10 +38,11 @@ type Stats struct {
 // paper's recovery protocols). The store reads nothing of a chain (the page
 // format is package page's); Append checks only that it is handed one frame,
 // a uvarint length and that many bytes. Chains are shared: Write keeps the
-// buffer it is handed, Append writes past the end of the chain and never
-// below it, and Read returns the chain itself, so the simulated disk and the
-// cache above it hold one copy of a page's bytes, not two. The zero value is
-// not usable; call NewPageStore.
+// buffer it is handed, room past the base included, Append writes into that
+// room past the end of the chain and never below it, and Read returns the
+// chain itself, so the simulated disk and the cache above it hold one copy of
+// a page's bytes, not two, and a frame costs the store a copy of the frame
+// alone. The zero value is not usable; call NewPageStore.
 //
 // Lock order is fmu, then mu. mu guards the pages and the journal's writes;
 // fmu serializes Sync, whose fsync runs under it with mu released, against
@@ -88,9 +89,10 @@ func (s *PageStore) NoteAllocated(id base.PageID) {
 
 // Write atomically replaces the stable chain of page id with image, a base
 // image, and takes the buffer: the store keeps those very bytes and appends
-// the page's later frames into the room past their length while there is
-// some, so the caller must not touch the buffer again (every caller hands
-// over a fresh page.Encode).
+// the page's later frames into the room past their length, so the caller
+// must not touch the buffer again. The buffer pool hands over a leaf's base
+// with room for every frame its rule lets onto the chain, so that chain never
+// moves.
 func (s *PageStore) Write(id base.PageID, image []byte) {
 	if id == 0 {
 		panic("storage: write to invalid page 0")
@@ -106,8 +108,10 @@ func (s *PageStore) Write(id base.PageID, image []byte) {
 // Append adds frame, one delta frame, to page id's chain if the store still
 // holds chain — what a Read or an Append of the page returned, no Write, Free
 // or other Append of it since — and returns the chain it holds now; else it
-// writes nothing and reports false. The frame is copied: the caller keeps
-// its buffer.
+// writes nothing and reports false. The frame is copied into the room past
+// the chain's end, where the chain is: a chain with no room left for it (one
+// a reopen replayed from the journal) moves to a larger buffer, as append
+// grows one. The caller keeps its buffer.
 func (s *PageStore) Append(id base.PageID, chain, frame []byte) (next []byte, held bool) {
 	if n, k := binary.Uvarint(frame); k <= 0 || n != uint64(len(frame)-k) {
 		panic(fmt.Sprintf("storage: page %d append of %d bytes that are not one frame", id, len(frame)))
@@ -118,13 +122,7 @@ func (s *PageStore) Append(id base.PageID, chain, frame []byte) (next []byte, he
 		s.mu.Unlock()
 		return nil, false
 	}
-	next = cur
-	if cap(cur)-len(cur) < len(frame) {
-		// No room left: the chain moves to the smallest buffer the allocator
-		// has for it, whose spare bytes take the next frames.
-		next = append(slices.Grow([]byte(nil), len(cur)+len(frame)), cur...)
-	}
-	next = append(next, frame...)
+	next = append(cur, frame...) // in place while the chain has room (Write)
 	s.pages[id] = next
 	s.record(jFrame, id, frame)
 	s.mu.Unlock()
