@@ -404,7 +404,7 @@ func BenchmarkAddAdvance(b *testing.B) {
 // Advance, Forget, MergeMax, Clone, and a decode into a table that held
 // another — the entries stay in TCID order, every {LSNin} stays sorted and
 // above its Low, and the table decodes from its encoding into a used table as
-// the same table.
+// the same table, and EncodedLen is its encoding's length.
 func TestTableWalkRoundTrips(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	lsn := func() base.LSN { return base.LSN(rnd.Int63n(1 << uint(rnd.Intn(40)))) }
@@ -438,6 +438,9 @@ func TestTableWalkRoundTrips(t *testing.T) {
 		}
 		if !slices.IsSorted(tcsOf(&tab)) {
 			t.Fatalf("step %d: entries out of TCID order: %v", step, tcsOf(&tab))
+		}
+		if n, enc := tab.EncodedLen(), tab.Append(nil); n != len(enc) {
+			t.Fatalf("step %d: EncodedLen %d, encoding %d bytes", step, n, len(enc))
 		}
 		for i := 0; i < tab.Len(); i++ {
 			_, a := tab.At(i)

@@ -103,6 +103,23 @@ func (t *Table) Append(buf []byte) []byte {
 	return buf
 }
 
+// EncodedLen is the length of the table's encoding (Append), counted without
+// encoding it.
+func (t *Table) EncodedLen() int {
+	n := base.UvarintLen(uint64(len(t.e)))
+	for i := range t.e {
+		a := &t.e[i].a
+		n += base.UvarintLen(uint64(t.e[i].tc)) + base.UvarintLen(uint64(a.Low)) +
+			base.UvarintLen(uint64(a.Max)) + base.UvarintLen(uint64(len(a.in)))
+		prev := base.LSN(0)
+		for _, l := range a.in {
+			n += base.UvarintLen(uint64(l - prev))
+			prev = l
+		}
+	}
+	return n
+}
+
 // DecodeTable parses a table previously produced by Append and returns the
 // remaining bytes. Append writes the TCs in strictly ascending order and
 // four bytes or more per entry; anything else is corrupt.

@@ -293,14 +293,14 @@ func appendOp(buf []byte, o *Op) []byte {
 
 // opLen is the length of op's encoding.
 func opLen(o *Op) int {
-	n := uvarintLen(uint64(o.TC)) + uvarintLen(uint64(o.LSN)) + 3
+	n := UvarintLen(uint64(o.TC)) + UvarintLen(uint64(o.LSN)) + 3
 	for _, u := range [...]uint64{uint64(o.Epoch), uint64(o.TS), uint64(o.DCInc)} {
 		if u != 0 {
-			n += uvarintLen(u)
+			n += UvarintLen(u)
 		}
 	}
 	for _, f := range [...]int{len(o.Table), len(o.Key), len(o.EndKey), len(o.Value)} {
-		n += uvarintLen(uint64(f)) + f
+		n += UvarintLen(uint64(f)) + f
 	}
 	return n + varintLen(int64(o.Limit))
 }
@@ -423,7 +423,7 @@ func (r *reader) result(res *Result) {
 // AppendOpBatch serializes a batch of operations: a count followed by the
 // operations in shipping order. It grows buf at most once.
 func AppendOpBatch(buf []byte, ops []*Op) []byte {
-	n := uvarintLen(uint64(len(ops)))
+	n := UvarintLen(uint64(len(ops)))
 	for _, o := range ops {
 		n += opLen(o)
 	}
@@ -604,10 +604,11 @@ func grow(buf []byte, n int) []byte {
 	return buf
 }
 
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+// UvarintLen is the length binary.AppendUvarint gives u.
+func UvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // varintLen is the length binary.AppendVarint gives v: zig-zag, then uvarint.
-func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+func varintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // reader decodes an encoding in place from the front: off is the next byte,
 // and err latches the first failure, after which every read is a no-op that

@@ -28,10 +28,12 @@
 // operation has touched it since, and the chain's frames and this one stay
 // within half the base; otherwise it writes a full image, which starts the
 // next chain (writeBack). A branch is always written whole. The write-back
-// pays for what it writes and no more: it builds no frame whose records
-// alone already outgrow the room (page.Page.DeltaFloor), and a leaf's image
-// is written with room for half its length behind it, the most the rule lets
-// its frames take, so no frame moves the chain.
+// pays for what it writes and no more: it builds no frame that outgrows the
+// room (page.Page.DeltaLen counts it first), and a leaf's image is written
+// with room for half its length behind it, the most the rule lets its frames
+// take, so no frame moves the chain. Nor does it write history no snapshot
+// reads: what it writes, it first collects down to the GC horizon (Gates.Horizon),
+// in the cached page too, so the two stay alike.
 //
 // A page crosses the cache boundary without a copy of its records either
 // way. A write-back encodes a frame into one buffer of the pool's, which the
@@ -58,7 +60,6 @@
 package buffer
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -78,6 +79,10 @@ type Gates struct {
 	LWM func(base.TCID) base.LSN
 	// ForceDCLog forces the DC-log through the given dLSN (WAL gate).
 	ForceDCLog func(base.DLSN)
+	// Horizon returns the GC horizon, at or below every TC's safe timestamp:
+	// a write-back collects the versions no snapshot at or above it reads
+	// (page.Page.CollectDelta, CollectImage). Nil, or zero, collects nothing.
+	Horizon func() base.TS
 }
 
 // Config shapes the pool.
@@ -349,8 +354,13 @@ func (p *Pool) End() {
 }
 
 // watchWriteBack, when set, is called with every page a write-back is about
-// to write, latched, and what it returns once the page is written (tests).
-var watchWriteBack func(pg *page.Page) (written func())
+// to write, latched and with its delta frame's records collected, and what it
+// returns once the page is written; discardedFrame, with every delta frame a
+// write-back built and did not write (tests).
+var (
+	watchWriteBack func(pg *page.Page) (written func())
+	discardedFrame func(pg *page.Page)
+)
 
 // writeDelta appends pg's delta frame onto chain, its stable chain of which
 // base bytes are the base image, if the frame takes room bytes or fewer and
@@ -361,13 +371,17 @@ func (p *Pool) writeDelta(pg *page.Page, chain []byte, base, room int) (written,
 	defer p.dmu.Unlock()
 	// Room for the largest frame the rule takes, so that encoding one does
 	// not grow the buffer as it goes.
-	p.delta = slices.Grow(p.delta[:0], room+binary.MaxVarintLen32)
-	frame, abBytes := pg.AppendDelta(p.delta, room)
-	if frame == nil || len(frame) > room {
-		return 0, 0
+	p.delta = slices.Grow(p.delta[:0], room)
+	frame, abBytes := pg.AppendDelta(p.delta)
+	var next []byte
+	held := len(frame) <= room
+	if held {
+		next, held = p.store.Append(pg.ID, chain, frame)
 	}
-	next, held := p.store.Append(pg.ID, chain, frame)
 	if !held {
+		if discardedFrame != nil {
+			discardedFrame(pg)
+		}
 		return 0, 0
 	}
 	pg.SetChain(next, base)
@@ -384,23 +398,33 @@ func (p *Pool) writeDelta(pg *page.Page, chain []byte, base, room int) (written,
 // the base. Anything else — a chain that has grown too long, a new page, a
 // reshaped one, a branch — writes a full image, which is the consolidation.
 //
-// The rule is settled before anything is encoded as far as it can be: a
-// frame whose records alone (page.Page.DeltaFloor) outgrow the room the
-// chain has left is never built. A leaf's full image is encoded into a
-// buffer with room past its end for all the frames the rule lets onto it,
-// half its length, so the store appends every one of them in place.
+// The rule is settled before anything is encoded: a frame that outgrows the
+// room the chain has left (page.Page.DeltaLen) is never built. A leaf's full
+// image is encoded into a buffer with room past its end for all the frames
+// the rule lets onto it, half its length, so the store appends every one of
+// them in place.
+//
+// What is written is collected first, down to the horizon (Gates.Horizon): a
+// frame's records (page.Page.CollectDelta) before its length is counted, every
+// record (page.Page.CollectImage) before a full image is encoded. The cached
+// page is collected with it, so it stays what the store holds.
 func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	p.wmu.RLock()
 	defer p.wmu.RUnlock()
 	if p.ended.Load() {
 		return 0, 0, false
 	}
+	var horizon base.TS
+	if p.gates.Horizon != nil {
+		horizon = p.gates.Horizon()
+	}
+	pg.CollectDelta(horizon)
 	if watchWriteBack != nil {
 		defer watchWriteBack(pg)()
 	}
 	if chain, base := pg.Chain(); chain != nil {
 		// What the chain's frames may still add.
-		if room := base/2 - (len(chain) - base); room > 0 && pg.DeltaFloor() <= room {
+		if room := base/2 - (len(chain) - base); room > 0 && pg.DeltaLen() <= room {
 			if written, abBytes = p.writeDelta(pg, chain, base, room); written > 0 {
 				return written, abBytes, true
 			}
@@ -408,6 +432,7 @@ func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	}
 	spare := 0
 	if pg.Leaf {
+		pg.CollectImage(horizon)
 		spare = pg.Size() / 2
 	}
 	image, abBytes := pg.EncodeAb(spare)

@@ -3,8 +3,8 @@ package buffer
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,25 +15,37 @@ import (
 
 // TestWriteBackFollowsThePage is a seeded walk over every page mutator —
 // Put, Replace, Remove, versioned writes (Stage) that leave a before version
-// over history, keys and values long enough to take two-byte lengths, the
-// abstract-LSN table, the dLSN and sibling link,
+// over history, versioned deletes, keys and values long enough to take
+// two-byte lengths, the abstract-LSN table, the dLSN and sibling link,
 // InsertSep and RemoveSep on a branch — and every whole-page operation — a
 // split (UpperHalf, CutAt, Install), SetContents, Merged and a RollBack —
 // through a pool of four frames over a dozen pages, so that most write-backs
-// are evictions and most of those write delta frames. After every step, each
-// page whose stable chain changed must decode to the page as it was written
-// back, abstract-LSN table included. Every write-back follows the rule
-// unabridged (followsTheRule).
+// are evictions and most of those write delta frames, under a GC horizon that
+// trails the walk's timestamps. After every step, each page whose stable chain
+// changed must decode to the page as it was written back, abstract-LSN table
+// included, but for what the write-back may collect: a record whose head is
+// stamped at or below the horizon may have lost its history and before
+// version, and, in a full image, a tombstone so stamped the whole record. The
+// cached page keeps its Size. Every write-back follows the rule unabridged
+// (followsTheRule) and builds no frame it does not write.
 func TestWriteBackFollowsThePage(t *testing.T) {
-	var deltas, images int
+	var deltas, images, collected, discarded int
+	discardedFrame = func(*page.Page) { discarded++ }
+	t.Cleanup(func() { discardedFrame = nil })
 	for seed := uint64(1); seed <= 8; seed++ {
-		d, i := chainWalk(t, seed, 600)
-		deltas, images = deltas+d, images+i
+		d, i, c := chainWalk(t, seed, 600)
+		deltas, images, collected = deltas+d, images+i, collected+c
 	}
-	t.Logf("%d delta frames, %d full images", deltas, images)
-	// The walk must exercise both halves of the rule.
+	t.Logf("%d delta frames, %d full images, %d records collected", deltas, images, collected)
+	// The walk must exercise both halves of the rule, and the collection.
 	if deltas < images || images == 0 {
 		t.Fatalf("%d delta frames and %d full images: the walk does not exercise chains", deltas, images)
+	}
+	if collected == 0 {
+		t.Fatal("no write-back collected a version: the walk does not exercise the collection")
+	}
+	if discarded != 0 {
+		t.Fatalf("%d delta frames built and thrown away", discarded)
 	}
 }
 
@@ -42,19 +54,19 @@ func TestWriteBackFollowsThePage(t *testing.T) {
 // due: the page was built from the chain the store holds, and its frame,
 // built with no limit, takes no more than the room half the base leaves.
 // Then the chain must have grown by that frame's bytes, where it was; else
-// it must have been replaced by a full image. The page's DeltaFloor must not
-// exceed the frame. So a write-back that skips a frame it should have
-// written fails, as does a floor that over-counts and one whose chain moved.
+// it must have been replaced by a full image. The page's DeltaLen must be the
+// frame's length. So a write-back that skips a frame it should have written
+// fails, as does a length that miscounts and a chain that moved.
 func followsTheRule(t *testing.T, store *storage.PageStore) {
 	watchWriteBack = func(pg *page.Page) func() {
 		chain, base := pg.Chain()
 		var frame []byte
 		due := false
 		if chain != nil && store.Holds(pg.ID, chain) {
-			frame, _ = pg.AppendDelta(nil, math.MaxInt)
+			frame, _ = pg.AppendDelta(nil)
 			due = len(frame) <= base/2-(len(chain)-base)
-			if floor := pg.DeltaFloor(); floor > len(frame) {
-				t.Errorf("page %d: a floor of %d bytes under a frame of %d", pg.ID, floor, len(frame))
+			if n := pg.DeltaLen(); n != len(frame) {
+				t.Errorf("page %d: DeltaLen %d, a frame of %d bytes", pg.ID, n, len(frame))
 			}
 		}
 		return func() {
@@ -79,16 +91,19 @@ var walkOps = []string{"put", "put", "put", "replace", "replace", "replace", "ve
 	"table", "header", "split", "setcontents", "merged", "rollback", "branch", "flush", "flushall"}
 
 // chainWalk runs one seeded walk of steps steps and returns how many delta
-// frames and full images its write-backs wrote.
-func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
+// frames and full images its write-backs wrote and how many records they
+// collected.
+func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected int) {
 	rnd := rand.New(rand.NewPCG(seed, 0))
 	store := storage.NewPageStore()
 	var lsn base.LSN
 	open := func(base.TCID) base.LSN { return 1 << 62 }
 	// The low-water mark trails the LSNs handed out, so the tables keep
-	// {LSNin} sets for the write-backs to carry.
+	// {LSNin} sets for the write-backs to carry; the GC horizon trails the
+	// timestamps of the versioned writes (step+1) as their own horizon does.
 	lwm := func(base.TCID) base.LSN { return lsn / 2 }
-	pool := New(Config{Capacity: 4}, store, Gates{EOSL: open, LWM: lwm})
+	horizon := func() base.TS { return base.TS(lsn / 2) }
+	pool := New(Config{Capacity: 4}, store, Gates{EOSL: open, LWM: lwm, Horizon: horizon})
 	followsTheRule(t, store)
 
 	want := map[base.PageID][]byte{} // each page as last changed, encoded
@@ -139,6 +154,20 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 				tc, a := flushed.Ab.At(i)
 				a.Advance(lwm(tc), open(tc))
 			}
+			// And it may have collected what lies at or below the horizon.
+			for _, r := range slices.Clone(flushed.Recs) {
+				dead := r.TS != 0 && r.TS <= horizon()
+				w := got.Get(r.Key)
+				switch {
+				case w == nil && dead && r.Tombstone():
+					flushed.Remove(r.Key)
+					collected++
+				case w != nil && dead && r.Hist != nil && w.Hist == nil && !w.HasBefore():
+					r.Hist, r.Flags = nil, r.Flags&^page.FlagHasBefore
+					flushed.Put(r)
+					collected++
+				}
+			}
 			if !got.Equal(flushed) {
 				t.Fatalf("seed %d step %d (%s): page %d's chain decodes to\n%x\nwant\n%x", seed, step, op, id, got.Encode(), flushed.Encode())
 			}
@@ -159,6 +188,9 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 			t.Fatalf("seed %d step %d: fetch %d: %v %v", seed, step, id, pg, err)
 		}
 		pg.L.Lock()
+		if err := pg.CheckSize(); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
 		key := fmt.Sprintf("k%02d-%d", rnd.IntN(12), rnd.IntN(8))
 		if rnd.IntN(8) == 0 {
 			key += strings.Repeat("-long", 30) // a key of 150 bytes: a two-byte length
@@ -183,11 +215,16 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 		case "versioned":
 			// A versioned write: the head it replaces becomes the before
 			// version, over the history the horizon leaves, and the new
-			// head's value is 160 bytes, a two-byte length.
+			// head's value is 160 bytes, a two-byte length; or a versioned
+			// delete, a tombstone.
 			if len(pg.Recs) > 0 {
 				r := pg.Recs[rnd.IntN(len(pg.Recs))]
-				r.Stage(base.TS(step+1), base.TS(step/2))
+				r.Stage(base.TS(step+1), horizon())
 				r.Owner, r.Value = tc, bytes.Repeat(val, 4)
+				r.Flags &^= page.FlagTombstone
+				if rnd.IntN(4) == 0 {
+					r.Value, r.Flags = nil, r.Flags|page.FlagTombstone
+				}
 				pg.Replace(pg.Get(r.Key), r)
 			}
 		case "remove":
@@ -250,5 +287,5 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images int) {
 		t.Fatal(err)
 	}
 	check(steps, "the last flush")
-	return deltas, images
+	return deltas, images, collected
 }

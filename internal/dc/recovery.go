@@ -62,11 +62,13 @@ func (d *DC) build() (*incarnation, error) {
 		inc.inflight = newConflictTable()
 	}
 	// The gates read the incarnation the pool belongs to, never the DC: a
-	// superseded pool keeps gating on the watermarks it was told.
+	// superseded pool keeps gating on the watermarks it was told. A write-back
+	// collects the versions below the GC horizon (refreshHorizon).
 	inc.pool = buffer.New(buffer.Config{Capacity: d.cfg.CacheCapacity}, d.store, buffer.Gates{
 		EOSL:       inc.eosl,
 		LWM:        func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).lwm.Load()) },
 		ForceDCLog: inc.ForceSMO,
+		Horizon:    func() base.TS { return base.TS(inc.gcHorizon.Load()) },
 	})
 	for _, rec := range d.dlog.Scan(0) {
 		var err error

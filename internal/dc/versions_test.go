@@ -107,6 +107,19 @@ func (m *modelKey) size(key string) int {
 	return n
 }
 
+// collect is the model of a write-back's collection at horizon: a head
+// stamped at or below it keeps no version below it, and a full image (image)
+// drops such a head that is a tombstone, record and all.
+func (m *modelKey) collect(horizon base.TS, image bool) {
+	if !m.exists || m.head.ts == 0 || m.head.ts > horizon {
+		return
+	}
+	m.kept, m.hasBefore = nil, false
+	if image && m.head.absent {
+		m.exists, m.head = false, modelVersion{}
+	}
+}
+
 // stage is the model of a versioned write stamped ts landing on the record.
 func (m *modelKey) stage(ts, horizon base.TS, val []byte, del bool) {
 	next := modelVersion{ts: ts, val: val, absent: del}
@@ -159,7 +172,11 @@ func (m *modelKey) stage(ts, horizon base.TS, val []byte, del bool) {
 // with the owner's safe timestamp below and at the head's, and a dirty read.
 // The page, a Clone of it and its Encode/Decode round trip must all answer
 // alike, and Page.Size must be the model's: the before version counts its
-// value and no history entry.
+// value and no history entry. At random steps the page is written back as a
+// buffer pool writes it — its delta frame's records collected at the horizon
+// (CollectDelta) and the frame appended to its chain, or every record
+// collected (CollectImage) and a full image encoded — and the walk goes on
+// over the page or its decoded chain, which must be alike.
 func TestVersionsFollowAModel(t *testing.T) {
 	keys := []string{"a", "b", "c", ""}
 	for seed := int64(1); seed <= 300; seed++ {
@@ -170,6 +187,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 			model[k] = &modelKey{}
 		}
 		var clock, horizon base.TS
+		touched := map[string]bool{} // the keys written since p's chain
 		for step := 0; step < 60; step++ {
 			key := keys[rnd.Intn(len(keys))]
 			m := model[key]
@@ -233,6 +251,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 				if code != base.CodeOK {
 					t.Fatalf("seed %d step %d: %s %q: %v", seed, step, what, key, code)
 				}
+				touched[key] = true
 				m.stage(op.TS, horizon, op.Value, op.Kind == base.OpDelete)
 				if op.TS != 0 && rnd.Intn(3) > 0 {
 					// Committed: its safe timestamp passes op.TS later.
@@ -248,6 +267,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 				if code := applyWrite(p, p.Get(key), op, horizon); code != base.CodeOK {
 					t.Fatalf("seed %d step %d: abort %q: %v", seed, step, key, code)
 				}
+				touched[key] = true
 				m.pending = nil
 				if len(m.kept) == 1 && m.kept[0].ts == 0 && m.kept[0].absent {
 					m.exists = false
@@ -271,6 +291,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 				if code != base.CodeOK {
 					t.Fatalf("seed %d step %d: %s %q: %v", seed, step, what, key, code)
 				}
+				touched[key] = true
 				*m = modelKey{}
 				if op.Kind != base.OpDelete {
 					m.exists, m.head = true, modelVersion{val: val}
@@ -289,6 +310,36 @@ func TestVersionsFollowAModel(t *testing.T) {
 					horizon += base.TS(rnd.Intn(int(limit-horizon) + 1))
 				}
 				what = fmt.Sprintf("horizon to %d", horizon)
+			}
+
+			if rnd.Intn(4) == 0 {
+				chain, baseLen := p.Chain()
+				if chain != nil && rnd.Intn(2) == 0 {
+					what += ", a delta frame"
+					p.CollectDelta(horizon)
+					for k := range touched {
+						model[k].collect(horizon, false)
+					}
+					frame, _ := p.AppendDelta(nil)
+					chain = append(chain[:len(chain):len(chain)], frame...)
+				} else {
+					what += ", a full image"
+					p.CollectImage(horizon)
+					for _, k := range keys {
+						model[k].collect(horizon, true)
+					}
+					chain = p.Encode()
+					baseLen = len(chain)
+				}
+				p.SetChain(chain, baseLen)
+				clear(touched)
+				stable, err := page.Decode(chain)
+				if err != nil || !stable.Equal(p) {
+					t.Fatalf("seed %d step %d (%s %q): the chain decodes to another page (%v)", seed, step, what, key, err)
+				}
+				if rnd.Intn(2) == 0 {
+					p = stable
+				}
 			}
 
 			decoded, err := page.Decode(p.Encode())
@@ -312,6 +363,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 			switch rnd.Intn(8) {
 			case 0:
 				p = decoded // go on over an image: every field aliases it
+				clear(touched)
 			case 1:
 				p = views["clone"]
 			}

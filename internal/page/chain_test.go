@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -25,7 +24,7 @@ func chainOf(t testing.TB, p *Page, edits ...func(*Page)) ([]byte, *Page) {
 	chain := base
 	for _, edit := range edits {
 		edit(q)
-		frame, _ := q.AppendDelta(nil, 1<<30)
+		frame, _ := q.AppendDelta(nil)
 		chain = append(chain[:len(chain):len(chain)], frame...)
 		q.SetChain(chain, len(base))
 	}
@@ -89,14 +88,14 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 	if _, err := Decode(append(leaf, 0xde, 0xad)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a leaf with two stray bytes behind it: %v, want %v", err, errCorrupt)
 	}
-	frame, _ := leafWith("a").AppendDelta(nil, 1<<30)
+	frame, _ := leafWith("a").AppendDelta(nil)
 	branch := NewBranch(1, []string{"m"}, []base.PageID{2, 3}).Encode()
 	if _, err := Decode(append(branch, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame after a branch: %v, want %v", err, errCorrupt)
 	}
 	other := NewLeaf(2)
 	other.touched, other.moved = []touchedKey{{key: "a"}}, true
-	frame, _ = other.AppendDelta(nil, 1<<30)
+	frame, _ = other.AppendDelta(nil)
 	if _, err := Decode(append(leaf, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame of page 2 after page 1: %v, want %v", err, errCorrupt)
 	}
@@ -213,8 +212,8 @@ func frameRecords(p *Page, frame []byte, abBytes int) int {
 // TestDeltaFloorBoundsTheRecords: over seeded walks of Put, Replace, Remove
 // and versioned writes (Stage) on a page with a chain, with keys and values
 // long enough to take two-byte lengths and a write-back now and then,
-// DeltaFloor never exceeds what the records of the frame AppendDelta builds
-// take, before a slot moves and after.
+// DeltaFloor is what the records of the frame AppendDelta builds take, and
+// DeltaLen the frame's length, before a slot moves and after.
 func TestDeltaFloorBoundsTheRecords(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewPCG(seed, 0))
@@ -248,13 +247,16 @@ func TestDeltaFloorBoundsTheRecords(t *testing.T) {
 					p.Replace(p.Get(r.Key), r)
 				}
 			case 4:
-				frame, _ := p.AppendDelta(nil, math.MaxInt)
+				frame, _ := p.AppendDelta(nil)
 				chain = append(chain[:len(chain):len(chain)], frame...)
 				p.SetChain(chain, baseLen)
 			}
-			frame, abBytes := p.AppendDelta(nil, math.MaxInt)
-			if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor > recs {
-				t.Fatalf("seed %d step %d (moved %v): a floor of %d over records of %d bytes", seed, step, p.moved, floor, recs)
+			frame, abBytes := p.AppendDelta(nil)
+			if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor != recs {
+				t.Fatalf("seed %d step %d (moved %v): a floor of %d, records of %d bytes", seed, step, p.moved, floor, recs)
+			}
+			if n := p.DeltaLen(); n != len(frame) {
+				t.Fatalf("seed %d step %d (moved %v): DeltaLen %d, a frame of %d bytes", seed, step, p.moved, n, len(frame))
 			}
 		}
 	}
@@ -269,7 +271,7 @@ func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
 	setValue(p, "b", "new b")
 	setValue(p, "d", "new d")
 	p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
-	frame, abBytes := p.AppendDelta(nil, math.MaxInt)
+	frame, abBytes := p.AppendDelta(nil)
 	if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor != recs {
 		t.Fatalf("a floor of %d, records of %d bytes", floor, recs)
 	}

@@ -59,6 +59,17 @@
 // page made new (NewLeaf, UpperHalf, Merged, a logged image the buffer pool
 // installs) has none: the next write-back of either is a full image.
 //
+// # A write-back sheds dead versions
+//
+// A record whose head is stamped at or below the DC's GC horizon is committed
+// — the horizon trails every TC's safe timestamp — and every snapshot the DC
+// still serves reads its head, so its history, the before version included,
+// is dead. The DC keeps no second message to drop a before version at commit
+// (§6.2.2); a write-back does it instead, in the cached page, before it encodes
+// (CollectDelta for the records a delta frame carries, CollectImage for a full
+// image, which also removes committed tombstones), so the stable chain stays
+// the cached page and Size shrinks with it.
+//
 // # A page keeps its own size
 //
 // Size decides every split, and every write asks it. It counts the records,
@@ -94,7 +105,9 @@ import (
 const (
 	// FlagHasBefore marks a head written by a versioned write, with the
 	// committed version it replaced retained as the before version: the last
-	// entry of Hist (§6.2.2).
+	// entry of Hist (§6.2.2). A write-back clears it, with the history, once
+	// the head is committed below the GC horizon (Page.CollectDelta,
+	// CollectImage).
 	FlagHasBefore uint8 = 1 << iota
 	// FlagTombstone marks the latest version as a deletion.
 	FlagTombstone
@@ -216,7 +229,9 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 // A write stamped at or below the horizon, whose head reads as committed at
 // once, keeps its before version all the same. It cannot happen: a commit
 // timestamp is drawn above every safe timestamp promised, and the horizon is
-// at or below every safe timestamp.
+// at or below every safe timestamp. A head a write-back collected
+// (CollectDelta, CollectImage) has no before version left: it is committed,
+// and Stage keeps it as the before version like any other.
 func (r *Record) Stage(ts, horizon base.TS) {
 	if r.OwnHead(ts) {
 		r.TS = ts
@@ -271,6 +286,27 @@ func (r *Record) AbortVersion() (remove bool) {
 		r.Flags |= FlagTombstone
 	}
 	return false
+}
+
+// shed is the collection rule: it drops what no snapshot at or above horizon
+// reads of r, and returns how much that shrank r's share of Page.Size: its
+// whole history and the before version, once the head is stamped at or below
+// the horizon. Such a head is committed — the horizon trails every TC's safe
+// timestamp, and a TC promises a safe timestamp only once the commits at or
+// below it are forced — and every read the DC still serves sees it. A pending head is never collected: an unstamped one,
+// one stamped above the horizon, and a TC-crash loser's, whose timestamp no
+// horizon passes before the restarted TC's resend has undone it (dc.SafeTS
+// drops the TC's broadcasts meanwhile). A record of a page's is collected
+// through the page (CollectDelta, CollectImage), which takes what shed
+// returns off its size.
+func (r *Record) shed(horizon base.TS) (shrunk int) {
+	if r.TS == 0 || r.TS > horizon || len(r.Hist) == 0 {
+		return 0
+	}
+	before := r.size()
+	r.Hist = nil
+	r.Flags &^= FlagHasBefore
+	return before - r.size()
 }
 
 // size returns the record's share of Page.Size, which decides every split.
@@ -495,9 +531,14 @@ func (p *Page) note(key string, slot int) {
 	p.touched = append(p.touched, touchedKey{key, slot})
 }
 
-// settle sorts the touched list by key and keeps the newest touch of each.
+// settle sorts the touched list by key and keeps the newest touch of each. A
+// settled list, which a write-back asks for more than once, costs one pass.
 func (p *Page) settle() {
-	if len(p.touched) < 2 {
+	settled := true
+	for i := 1; i < len(p.touched) && settled; i++ {
+		settled = p.touched[i-1].key < p.touched[i].key
+	}
+	if settled {
 		return
 	}
 	slices.SortStableFunc(p.touched, func(a, b touchedKey) int { return strings.Compare(a.key, b.key) })
@@ -808,53 +849,71 @@ func (p *Page) EncodeAb(spare int) (image []byte, abBytes int) {
 	return buf, abBytes
 }
 
-// AppendDelta appends to dst the delta frame that takes p's stable chain
-// (Chain) to p, and says how many of its bytes are the abstract-LSN table. A
-// frame is its length as a uvarint, then the header, the changed keys in
-// ascending order, each as its slot in p followed by its record — the record
-// p holds of the key, or, flagged gone, the key alone — and last the whole
-// abstract-LSN table: §5.1.2 holds per chain, since the newest frame's table
-// is the page's, and a decode reads no other frame's. The slot comes first so
-// that a decode can write the record straight into it (applyFrame). While no
-// slot has moved (touch), the marked slots are walked in order, which is key
-// order; after, the touched list is sorted and each key found at its slot
-// unless something moved it. A frame whose records outgrow limit bytes is not
-// worth writing: AppendDelta stops and returns nil.
-func (p *Page) AppendDelta(dst []byte, limit int) (frame []byte, abBytes int) {
-	start := len(dst)
-	dst = p.appendHeader(dst)
+// deltaKeys is how many keys the next delta frame holds (delta).
+func (p *Page) deltaKeys() int {
+	if p.moved {
+		p.settle()
+		return len(p.touched)
+	}
+	n := 0
+	for _, word := range p.slots {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// delta calls fn, in ascending key order, with each key the next delta frame
+// holds, its slot in p and p's record of it, or nil for a key a Remove
+// dropped, whose slot is where it would go. While no slot has moved (touch),
+// the keys are those of the marked slots, walked in order, which is key
+// order; after, those of the touched list, settled, each found at its slot
+// unless something moved it. It allocates nothing: fn does not escape.
+func (p *Page) delta(fn func(slot int, key string, r *Record)) {
 	if !p.moved {
-		n := 0
-		for _, word := range p.slots {
-			n += bits.OnesCount64(word)
-		}
-		dst = binary.AppendUvarint(dst, uint64(n))
 		for w, word := range p.slots {
 			for ; word != 0; word &= word - 1 {
 				slot := w<<6 | bits.TrailingZeros64(word)
-				dst = binary.AppendUvarint(dst, uint64(slot))
-				if dst = appendRecord(dst, &p.Recs[slot], false); len(dst)-start > limit {
-					return nil, 0
-				}
+				fn(slot, p.Recs[slot].Key, &p.Recs[slot])
 			}
 		}
-	} else {
-		p.settle()
-		dst = binary.AppendUvarint(dst, uint64(len(p.touched)))
-		for i := range p.touched {
-			t := &p.touched[i]
-			held := uint(t.slot) < uint(len(p.Recs)) && p.Recs[t.slot].Key == t.key
-			if !held {
-				t.slot, held = p.find(t.key)
-			}
-			dst = binary.AppendUvarint(dst, uint64(t.slot))
-			if !held {
-				dst = appendRecord(dst, &Record{Key: t.key}, true)
-			} else if dst = appendRecord(dst, &p.Recs[t.slot], false); len(dst)-start > limit {
-				return nil, 0
-			}
+		return
+	}
+	p.settle()
+	for i := range p.touched {
+		t := &p.touched[i]
+		held := uint(t.slot) < uint(len(p.Recs)) && p.Recs[t.slot].Key == t.key
+		if !held {
+			t.slot, held = p.find(t.key)
+		}
+		if held {
+			fn(t.slot, t.key, &p.Recs[t.slot])
+		} else {
+			fn(t.slot, t.key, nil)
 		}
 	}
+}
+
+// AppendDelta appends to dst the delta frame that takes p's stable chain
+// (Chain) to p, and says how many of its bytes are the abstract-LSN table. A
+// frame is its length as a uvarint, then the header, the changed keys in
+// ascending order (delta), each as its slot in p followed by its record — the
+// record p holds of the key, or, flagged gone, the key alone — and last the
+// whole abstract-LSN table: §5.1.2 holds per chain, since the newest frame's
+// table is the page's, and a decode reads no other frame's. The slot comes
+// first so that a decode can write the record straight into it (applyFrame).
+// DeltaLen is the frame's length, counted first.
+func (p *Page) AppendDelta(dst []byte) (frame []byte, abBytes int) {
+	start := len(dst)
+	dst = p.appendHeader(dst)
+	dst = binary.AppendUvarint(dst, uint64(p.deltaKeys()))
+	p.delta(func(slot int, key string, r *Record) {
+		dst = binary.AppendUvarint(dst, uint64(slot))
+		if r == nil {
+			dst = appendRecord(dst, &Record{Key: key}, true)
+		} else {
+			dst = appendRecord(dst, r, false)
+		}
+	})
 	table := len(dst)
 	dst = p.Ab.Append(dst)
 	abBytes = len(dst) - table
@@ -862,38 +921,96 @@ func (p *Page) AppendDelta(dst []byte, limit int) (frame []byte, abBytes int) {
 	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), abBytes
 }
 
-// DeltaFloor is a lower bound on the bytes the records of p's delta frame
-// (AppendDelta) take: each changed record's key, value and history values,
-// and a byte for each of its slot, lengths, owner, flags, timestamps and
-// counts, the least a field takes. The buffer pool asks it before it encodes
-// anything, and writes a full image at once when the floor alone outgrows
-// the room its chain has left. It counts the marked slots and sorts nothing;
-// once a slot has moved (touch) it is 0, and AppendDelta's limit is what
-// stops a frame that outgrows the room.
+// DeltaFloor is how many bytes the records of p's delta frame (AppendDelta)
+// take, each with its slot: exactly, and so a floor under the frame.
 func (p *Page) DeltaFloor() int {
-	if p.moved {
-		return 0
-	}
 	n := 0
-	for w, word := range p.slots {
-		for ; word != 0; word &= word - 1 {
-			n += recordFloor(&p.Recs[w<<6|bits.TrailingZeros64(word)])
+	p.delta(func(slot int, key string, r *Record) {
+		n += base.UvarintLen(uint64(slot))
+		if r == nil {
+			n += base.UvarintLen(uint64(len(key))) + len(key) + 3 // gone: owner, flags, value length
+		} else {
+			n += recordLen(r)
+		}
+	})
+	return n
+}
+
+// DeltaLen is the length of p's delta frame (AppendDelta), counted without
+// encoding it: the records (DeltaFloor), the header, the key count, the
+// abstract-LSN table and the frame's own length. The buffer pool asks it before
+// it encodes anything, and writes a full image at once when the frame would
+// outgrow the room its chain has left, so it never builds a frame it throws
+// away.
+func (p *Page) DeltaLen() int {
+	n := p.headerLen() + base.UvarintLen(uint64(p.deltaKeys())) + p.DeltaFloor() + p.Ab.EncodedLen()
+	return base.UvarintLen(uint64(n)) + n
+}
+
+// CollectDelta collects (shed) the records p's next delta frame holds, before
+// the write-back encodes it: the frame carries them collected, and the chain
+// it lands on stays p. A record no frame holds is left alone — collecting it
+// would change p and not the chain. It is Replace without the touch, which
+// the records have had: Size follows, and nothing is allocated.
+func (p *Page) CollectDelta(horizon base.TS) {
+	if horizon == 0 || p.stable == nil {
+		return
+	}
+	p.delta(func(_ int, _ string, r *Record) {
+		if r != nil {
+			p.body -= r.shed(horizon)
+		}
+	})
+}
+
+// CollectImage collects every record of a leaf before a full image is
+// encoded, and removes a committed tombstone, a deletion whose head is stamped
+// at or below horizon: every read the DC still serves finds no key there
+// already. It drops the chain, as every whole-page operation does: what
+// follows it is a full image.
+func (p *Page) CollectImage(horizon base.TS) {
+	if horizon == 0 || !p.Leaf {
+		return
+	}
+	p.DropChain()
+	kept := 0
+	for i := range p.Recs {
+		r := &p.Recs[i]
+		if r.Tombstone() && r.TS != 0 && r.TS <= horizon {
+			p.body -= r.size()
+			continue
+		}
+		p.body -= r.shed(horizon)
+		if kept != i {
+			p.Recs[kept] = *r
+		}
+		kept++
+	}
+	clear(p.Recs[kept:])
+	p.Recs = p.Recs[:kept]
+}
+
+// recordLen is the length of r in the stable format (appendRecord).
+func recordLen(r *Record) int {
+	n := base.UvarintLen(uint64(len(r.Key))) + len(r.Key) + base.UvarintLen(uint64(r.Owner)) + 1 +
+		base.UvarintLen(uint64(len(r.Value))) + len(r.Value)
+	if r.TS == 0 && len(r.Hist) == 0 {
+		return n
+	}
+	n += base.UvarintLen(uint64(r.TS)) + base.UvarintLen(uint64(len(r.Hist)))
+	for i := range r.Hist {
+		v := &r.Hist[i]
+		n += base.UvarintLen(uint64(v.TS)) + 1
+		if !v.Del {
+			n += base.UvarintLen(uint64(len(v.Val))+1) - 1 + len(v.Val)
 		}
 	}
 	return n
 }
 
-// recordFloor is the least r's entry in a delta frame takes: its slot, then
-// appendRecord's fields, each uvarint a byte.
-func recordFloor(r *Record) int {
-	n := 5 + len(r.Key) + len(r.Value)
-	if r.TS != 0 || len(r.Hist) > 0 {
-		n += 2 // the timestamp and the history's count
-		for i := range r.Hist {
-			n += 2 + len(r.Hist[i].Val)
-		}
-	}
-	return n
+// headerLen is the length of p's header (appendHeader).
+func (p *Page) headerLen() int {
+	return base.UvarintLen(uint64(p.ID)) + 1 + base.UvarintLen(uint64(p.DLSN)) + base.UvarintLen(uint64(p.Next))
 }
 
 // appendHeader appends what a base image and a delta frame both begin with:

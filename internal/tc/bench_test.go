@@ -16,6 +16,7 @@ import (
 // values, and a checkpoint every 2 000 transactions to keep the log short.
 type benchPair struct {
 	tc   *TC
+	dc   *dc.DC
 	keys []string
 	val  []byte
 	rng  *rand.Rand
@@ -42,9 +43,9 @@ func newDirectTC(tb testing.TB, cfg dc.Config) (*TC, *dc.DC) {
 
 func newBenchPair(tb testing.TB) *benchPair {
 	tb.Helper()
-	tcx, _ := newDirectTC(tb, dc.Config{Name: "dc0"})
+	tcx, d := newDirectTC(tb, dc.Config{Name: "dc0"})
 	tb.Cleanup(tcx.Close)
-	p := &benchPair{tc: tcx, keys: loadKeys(10_000), val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
+	p := &benchPair{tc: tcx, dc: d, keys: loadKeys(10_000), val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
 	// One checkpoint after the load, as the repo benchmark's preload ends
 	// with one: the timed transactions start over stable pages and an empty
 	// redo tail.
@@ -125,14 +126,23 @@ func BenchmarkEvictingWriteTxn(b *testing.B) {
 // BenchmarkVersionedWriteTxn is BenchmarkWriteTxn with versioned writes
 // (§6.2.2): the same keys and checkpoints, and every Upsert makes the key's
 // committed head its before version, the version GC pruning below the
-// horizon as it goes.
+// horizon as it goes. The checkpoints write the pages back, and what they
+// write is reported as BenchmarkEvictingWriteTxn reports it: page bytes
+// (page-B/txn) and write-backs (flushes/txn). A write-back collects the
+// versions below the DC's GC horizon, so a key's before version is written
+// once at most, and not at every checkpoint until the key is written again.
 func BenchmarkVersionedWriteTxn(b *testing.B) {
 	p := newBenchPair(b)
+	before := p.dc.Pool().Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.writeTxn(b, true)
 	}
+	b.StopTimer()
+	st, n := p.dc.Pool().Stats(), float64(b.N)
+	b.ReportMetric(float64(st.PageBytes-before.PageBytes)/n, "page-B/txn")
+	b.ReportMetric(float64(st.Flushes-before.Flushes)/n, "flushes/txn")
 }
 
 // BenchmarkLoad is the repo benchmark's preload of direct_big, its setup_s,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/placement"
 )
 
@@ -67,7 +68,13 @@ func peerSnapshot(t *testing.T, peer *TC, table, key string) (val string, found,
 // the dead incarnation landing after the crash passes no safe timestamp —
 // and the successor's safe timestamp passes the loser's (it floors at the
 // allocator): a broadcast of the successor's, sent with its epoch at two
-// points of the resend bracket, the redo and its end, is dropped.
+// points of the resend bracket, the redo and its end, is dropped, and so is
+// the GC horizon it carries, past everything. At every point DC 0 first tries
+// to write back every page it holds, as its evictions do: a write-back
+// collects the history of a head stamped at or below the DC's horizon, and the
+// loser's update must keep its before version and its versioned insert of a
+// new key the null version, so that both read as before the loser, its prior
+// value and absent, whatever the write-backs did.
 func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	writer, dcs, stubs := newCountedPair(t)
 	router := placement.MustParse("t: dc=0; u: dc=1")
@@ -109,6 +116,9 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	if err := upsert(x, "v1"); err != nil {
 		t.Fatal(err)
 	}
+	if err := x.Upsert("t", "new", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
 	if err := x.Commit(); !errors.Is(err, ErrTCStopped) || !errors.Is(err, ErrCommitAmbiguous) {
 		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
 	}
@@ -121,19 +131,25 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	// now: the orphan's commit timestamp is in tables nobody reads.
 	dead.broadcastWatermarks()
 
-	// invisible checks what the crash window promises at DC 0: the stamped
-	// version is there (or the check shows nothing), and neither a committed
-	// read nor a snapshot, whose timestamp is above the loser's, sees it.
+	// invisible checks what the crash window promises at DC 0, once DC 0 has
+	// tried to write back every page: the stamped versions are there (or the
+	// check shows nothing), and neither a committed read nor a snapshot,
+	// whose timestamp is above the loser's, sees them.
 	invisible := func(when string, stampedThere bool) {
 		t.Helper()
-		if v, ok := peerRead(t, peer, "t", "k", base.ReadDirty); stampedThere != (ok && v == "v1") {
-			t.Fatalf("%s: DC 0 holds %q %v, stamped loser there: want %v", when, v, ok, stampedThere)
+		if err := dcs[0].Pool().FlushAll(false, nil); err != nil && !errors.Is(err, buffer.ErrNotFlushable) {
+			t.Fatalf("%s: write-back: %v", when, err)
 		}
-		if v, ok := peerRead(t, peer, "t", "k", base.ReadCommitted); !ok || v != "v0" {
-			t.Fatalf("%s: peer's committed read %q %v, want v0", when, v, ok)
-		}
-		if v, ok, served := peerSnapshot(t, peer, "t", "k"); served && (!ok || v != "v0") {
-			t.Fatalf("%s: snapshot above the loser's timestamp read %q %v", when, v, ok)
+		for key, prior := range map[string]string{"k": "v0", "new": ""} {
+			if v, ok := peerRead(t, peer, "t", key, base.ReadDirty); stampedThere != (ok && v == "v1") {
+				t.Fatalf("%s: DC 0 holds %s = %q %v, stamped loser there: want %v", when, key, v, ok, stampedThere)
+			}
+			if v, ok := peerRead(t, peer, "t", key, base.ReadCommitted); ok != (prior != "") || v != prior {
+				t.Fatalf("%s: peer's committed read of %s %q %v, want %q", when, key, v, ok, prior)
+			}
+			if v, ok, served := peerSnapshot(t, peer, "t", key); served && (ok != (prior != "") || v != prior) {
+				t.Fatalf("%s: snapshot above the loser's timestamp read %s = %q %v", when, key, v, ok)
+			}
 		}
 	}
 	invisible("TC down", true)
@@ -144,7 +160,7 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		if e := dcs[0].EpochOf(1); e != successor {
 			t.Errorf("DC 0 fences TC 1 at epoch %d, want the successor's %d", e, successor)
 		}
-		dcs[0].SafeTS(1, successor, math.MaxUint64/2, 0)
+		dcs[0].SafeTS(1, successor, math.MaxUint64/2, math.MaxUint64/2)
 		time.Sleep(3 * time.Millisecond) // the peer's ticks pass meanwhile
 	}
 	var points []string
@@ -173,6 +189,10 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	if v, ok, served := peerSnapshot(t, peer, "t", "k"); !served || !ok || v != "v0" {
 		t.Fatalf("snapshot above the loser's timestamp after the restart: %q %v served %v, want v0", v, ok, served)
 	}
+	if _, err := writer.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	invisible("after a checkpoint", false)
 }
 
 // TestStampReadsBeforeUntilDCResend: a DC that restarts holds no TC's safe
