@@ -80,7 +80,7 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 // allocates nothing: it is encoded into the pool's buffer and appended where
 // the chain is, into the room its image was written with. The miss takes
 // over the frame the eviction before it freed — page, record array,
-// abstract-LSN table, FirstDirty map, touched slots, LRU node — and decodes
+// abstract-LSN table, FirstDirty map, change marks, LRU node — and decodes
 // into it; a pool that let the evicted frame go made 9 a cycle, and a store
 // that moved a chain into a larger buffer whenever a frame outgrew it made
 // one more each time. The cycles run long enough for every page's chain to

@@ -23,7 +23,7 @@
 //
 // A leaf's stable page is a chain (storage.PageStore): a base image and the
 // delta frames written onto it since. A write-back writes what changed — a
-// frame of the records Put, Replace and Remove touched (page.AppendDelta) —
+// frame of the records Put, Replace and Remove changed (page.AppendDelta) —
 // when the page was built from the chain the store holds, no whole-page
 // operation has touched it since, and the chain's frames and this one stay
 // within half the base; otherwise it writes a full image, which starts the
@@ -49,7 +49,7 @@
 // and the store holding the new one.
 //
 // A miss at capacity reuses the frame an eviction freed: its page with the
-// record array, abstract-LSN table, FirstDirty map and touched slots, and the
+// record array, abstract-LSN table, FirstDirty map and change marks, and the
 // frame itself, which is its LRU node. The miss decodes its chain into that
 // page, which lets go of the old chain, so what a miss that evicts a dirty
 // page allocates is the image it writes back, if it writes one. A frame is
@@ -224,6 +224,9 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 			p.giveBack(f)
 			return nil, err
 		}
+		if fetchDecoded != nil {
+			fetchDecoded(id)
+		}
 		p.mu.Lock()
 		if w, ok := p.frames[id]; ok { // lost a race; use the winner
 			w.pin++
@@ -356,10 +359,12 @@ func (p *Pool) End() {
 // watchWriteBack, when set, is called with every page a write-back is about
 // to write, latched and with its delta frame's records collected, and what it
 // returns once the page is written; discardedFrame, with every delta frame a
-// write-back built and did not write (tests).
+// write-back built and did not write; fetchDecoded, with the page a miss has
+// decoded, before it takes mu to install it (tests).
 var (
 	watchWriteBack func(pg *page.Page) (written func())
 	discardedFrame func(pg *page.Page)
+	fetchDecoded   func(id base.PageID)
 )
 
 // writeDelta appends pg's delta frame onto chain, its stable chain of which

@@ -102,47 +102,47 @@ func TestFetchMissAndHit(t *testing.T) {
 // decodes it, and only then takes the pool's lock to install it. If a frame
 // of the same page came, was written to, written back and evicted meanwhile,
 // the image decoded is stale, and installing it would lose every write that
-// frame carried. The page here is large, so its decode is slow; the whole
-// life of the other frame — another writer's, stood in for by an Install —
-// fits inside it.
+// frame carried. The other frame's whole life — another writer's, stood in
+// for by an Install — is placed between the decode and the install
+// (fetchDecoded).
 func TestFetchNeverInstallsAStaleImage(t *testing.T) {
 	p, store, _ := newTestPool(t, Config{Capacity: 1})
-	big := page.NewLeaf(store.AllocPageID())
-	for k := 0; k < 200000; k++ {
-		big.Put(page.Record{Key: fmt.Sprintf("k%06d", k), Value: []byte("old")})
-	}
-	store.Write(big.ID, big.Encode())
+	old := page.NewLeaf(store.AllocPageID())
+	old.Put(page.Record{Key: "k", Value: []byte("old")})
+	store.Write(old.ID, old.Encode())
 	other := page.NewLeaf(store.AllocPageID())
 	store.Write(other.ID, other.Encode())
 
-	reads := store.Stats().PageReads
-	fetched := make(chan *page.Page)
-	go func() {
-		pg, _ := p.Fetch(big.ID)
-		fetched <- pg
-	}()
-	for store.Stats().PageReads == reads {
-		time.Sleep(10 * time.Microsecond)
+	lived := false
+	fetchDecoded = func(id base.PageID) {
+		if id != old.ID || lived {
+			return
+		}
+		lived = true
+		// The fetch has decoded the old image. Another frame of the page
+		// lives and dies: written, then evicted — so made stable — by a fetch
+		// of another page into the one-page pool.
+		newer := page.NewLeaf(old.ID)
+		newer.Put(page.Record{Key: "k", Value: []byte("new")})
+		p.Install(newer)
+		p.Unpin(old.ID)
+		if pg, err := p.Fetch(other.ID); err != nil || pg == nil {
+			t.Fatal(pg, err)
+		}
+		p.Unpin(other.ID)
+		if p.Cached() != 1 || store.Stats().PageWrites != 3 {
+			t.Fatalf("the newer frame was not evicted: %d cached, %d page writes", p.Cached(), store.Stats().PageWrites)
+		}
 	}
-	// The fetch is decoding the old image. Another frame of the page lives
-	// and dies: written, then evicted — so made stable — by a fetch of
-	// another page into the one-page pool.
-	newer := page.NewLeaf(big.ID)
-	newer.Put(page.Record{Key: "k000000", Value: []byte("new")})
-	p.Install(newer)
-	p.Unpin(big.ID)
-	if pg, err := p.Fetch(other.ID); err != nil || pg == nil {
-		t.Fatal(pg, err)
+	t.Cleanup(func() { fetchDecoded = nil })
+	pg, err := p.Fetch(old.ID)
+	if err != nil || !lived {
+		t.Fatalf("fetch: %v, the newer frame lived %v", err, lived)
 	}
-	p.Unpin(other.ID)
-	if p.Cached() != 1 || store.Stats().PageWrites != 3 {
-		t.Fatalf("the newer frame was not evicted: %d cached, %d page writes", p.Cached(), store.Stats().PageWrites)
+	if rec := pg.Get("k"); rec == nil || string(rec.Value) != "new" {
+		t.Fatalf("the fetch installed the image it read before the newer frame was written back: k = %+v", rec)
 	}
-	pg := <-fetched
-	if rec := pg.Get("k000000"); rec == nil || string(rec.Value) != "new" {
-		t.Fatalf("the fetch installed the image it read before the newer frame was written back: k000000 = %+v", rec)
-	}
-	p.Unpin(big.ID)
+	p.Unpin(old.ID)
 }
 
 func TestCausalityGateBlocksFlush(t *testing.T) {

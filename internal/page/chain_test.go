@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 		t.Fatalf("a frame after a branch: %v, want %v", err, errCorrupt)
 	}
 	other := NewLeaf(2)
-	other.touched, other.moved = []touchedKey{{key: "a"}}, true
+	other.gone = []string{"a"}
 	frame, _ = other.AppendDelta(nil)
 	if _, err := Decode(append(leaf, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame of page 2 after page 1: %v, want %v", err, errCorrupt)
@@ -102,6 +103,23 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 	twice := removesTwice(NewLeaf(1), "a")
 	if _, err := Decode(append(leaf, twice...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame that removes a key twice: %v, want %v", err, errCorrupt)
+	}
+}
+
+// TestBaseKeysAscend: a base image's keys ascend without repeats, as a
+// frame's do, and the frames applied to it rely on that. A base of b, a, a
+// decoded, and a frame's removal of a then missed its key and left the gone
+// marker in the page as a record.
+func TestBaseKeysAscend(t *testing.T) {
+	unordered := leafWith("a", "b")
+	unordered.Recs = []Record{unordered.Recs[1], unordered.Recs[0], unordered.Recs[0]}
+	if _, err := Decode(unordered.Encode()); !errors.Is(err, errCorrupt) {
+		t.Fatalf("a base of keys b, a, a: %v, want %v", err, errCorrupt)
+	}
+	repeated := leafWith("a")
+	repeated.Recs = append(repeated.Recs, repeated.Recs[0])
+	if _, err := Decode(repeated.Encode()); !errors.Is(err, errCorrupt) {
+		t.Fatalf("a base of keys a, a: %v, want %v", err, errCorrupt)
 	}
 }
 
@@ -117,9 +135,9 @@ func removesTwice(p *Page, key string) []byte {
 }
 
 // TestWholePageOperationsDropTheChain: after CutAt, SetContents or a RollBack
-// that undid something the page no longer differs from its chain in touched
-// records alone, so it has no chain; Put, Replace and Remove keep it and name
-// their keys.
+// that undid something the page no longer differs from its chain in the
+// records a frame holds alone, so it has no chain and no change to frame; Put,
+// Replace and Remove keep it and name their keys.
 func TestWholePageOperationsDropTheChain(t *testing.T) {
 	fresh := func() *Page {
 		p, err := Decode(leafWith("a", "b", "c").Encode())
@@ -132,8 +150,8 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 	p.Put(Record{Key: "d", Owner: 1})
 	setValue(p, "a", "x")
 	p.Remove("b")
-	if c, _ := p.Chain(); c == nil || len(p.touched) != 3 {
-		t.Fatalf("record mutators: chain %v, %d touched", c != nil, len(p.touched))
+	if c, _ := p.Chain(); c == nil || p.deltaKeys() != 3 || len(p.gone) != 1 {
+		t.Fatalf("record mutators: chain %v, %d keys to frame, %d gone", c != nil, p.deltaKeys(), len(p.gone))
 	}
 	for name, op := range map[string]func(*Page){
 		"CutAt":       func(p *Page) { p.CutAt("b", 9) },
@@ -145,8 +163,8 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 	} {
 		p := fresh()
 		op(p)
-		if c, _ := p.Chain(); c != nil || len(p.touched) != 0 {
-			t.Fatalf("%s kept the chain (%d touched)", name, len(p.touched))
+		if c, _ := p.Chain(); c != nil || p.deltaKeys() != 0 || len(p.gone) != 0 {
+			t.Fatalf("%s kept the chain (%d keys to frame, %d gone)", name, p.deltaKeys(), len(p.gone))
 		}
 	}
 }
@@ -199,83 +217,122 @@ func BenchmarkDecodeChain(b *testing.B) {
 	}
 }
 
-// frameRecords is how many of the bytes of frame, p's delta frame, its
-// records take: all but its length, header, record count and abstract-LSN
-// table, which is abBytes long.
-func frameRecords(p *Page, frame []byte, abBytes int) int {
-	_, head := binary.Uvarint(frame)
-	header := len(p.appendHeader(nil))
-	_, count := binary.Uvarint(frame[head+header:])
-	return len(frame) - head - header - count - abBytes
-}
-
-// TestDeltaFloorBoundsTheRecords: over seeded walks of Put, Replace, Remove
-// and versioned writes (Stage) on a page with a chain, with keys and values
-// long enough to take two-byte lengths and a write-back now and then,
-// DeltaFloor is what the records of the frame AppendDelta builds take, and
-// DeltaLen the frame's length, before a slot moves and after.
-func TestDeltaFloorBoundsTheRecords(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		rnd := rand.New(rand.NewPCG(seed, 0))
-		chain, p := chainOf(t, leafWith("k05", "k15", "k25", "k35"))
-		baseLen := len(chain)
-		for step := 0; step < 300; step++ {
-			key := fmt.Sprintf("k%02d", rnd.IntN(40))
-			val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
-			if rnd.IntN(6) == 0 {
-				key += strings.Repeat("-long", 30)
-				val = bytes.Repeat(val, 10)
-			}
-			switch rnd.IntN(5) {
-			case 0:
-				p.Put(Record{Key: key, Owner: 1, Value: val})
-			case 1:
-				if len(p.Recs) > 0 {
-					r := p.Recs[rnd.IntN(len(p.Recs))]
-					r.Value = val
-					p.Replace(p.Get(r.Key), r)
-				}
-			case 2:
-				if len(p.Recs) > 0 {
-					p.Remove(p.Recs[rnd.IntN(len(p.Recs))].Key)
-				}
-			case 3:
-				if len(p.Recs) > 0 {
-					r := p.Recs[rnd.IntN(len(p.Recs))]
-					r.Stage(base.TS(1000+step), base.TS(1000+step/2))
-					r.Value = val
-					p.Replace(p.Get(r.Key), r)
-				}
-			case 4:
+// TestDeltaLenIsTheFrame: over seeded walks of Put, Replace, Remove and
+// versioned writes (Stage) on a page with a chain, with keys and values long
+// enough to take two-byte lengths and a write-back now and then, the frame
+// AppendDelta builds takes the chain to the page, and DeltaLen is its length,
+// at every step. One start state has changes pending whose every field takes
+// one byte, an insert after the last record among them.
+func TestDeltaLenIsTheFrame(t *testing.T) {
+	starts := map[string]func() ([]byte, *Page){
+		"four records": func() ([]byte, *Page) { return chainOf(t, leafWith("k05", "k15", "k25", "k35")) },
+		"short records pending": func() ([]byte, *Page) {
+			chain, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
+			setValue(p, "b", "new b")
+			setValue(p, "d", "new d")
+			p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
+			return chain, p
+		},
+	}
+	for name, start := range starts {
+		for seed := uint64(1); seed <= 20; seed++ {
+			rnd := rand.New(rand.NewPCG(seed, 0))
+			chain, p := start()
+			_, baseLen := p.Chain()
+			for step := 0; step < 300; step++ {
 				frame, _ := p.AppendDelta(nil)
-				chain = append(chain[:len(chain):len(chain)], frame...)
-				p.SetChain(chain, baseLen)
-			}
-			frame, abBytes := p.AppendDelta(nil)
-			if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor != recs {
-				t.Fatalf("seed %d step %d (moved %v): a floor of %d, records of %d bytes", seed, step, p.moved, floor, recs)
-			}
-			if n := p.DeltaLen(); n != len(frame) {
-				t.Fatalf("seed %d step %d (moved %v): DeltaLen %d, a frame of %d bytes", seed, step, p.moved, n, len(frame))
+				if n := p.DeltaLen(); n != len(frame) {
+					t.Fatalf("%s, seed %d step %d: DeltaLen %d, a frame of %d bytes", name, seed, step, n, len(frame))
+				}
+				if got, err := Decode(append(chain[:len(chain):len(chain)], frame...)); err != nil || !got.Equal(p) {
+					t.Fatalf("%s, seed %d step %d: the chain and the frame decode to another page (%v)", name, seed, step, err)
+				}
+				key := fmt.Sprintf("k%02d", rnd.IntN(40))
+				val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
+				if rnd.IntN(6) == 0 {
+					key += strings.Repeat("-long", 30)
+					val = bytes.Repeat(val, 10)
+				}
+				switch rnd.IntN(5) {
+				case 0:
+					p.Put(Record{Key: key, Owner: 1, Value: val})
+				case 1:
+					if len(p.Recs) > 0 {
+						r := p.Recs[rnd.IntN(len(p.Recs))]
+						r.Value = val
+						p.Replace(p.Get(r.Key), r)
+					}
+				case 2:
+					if len(p.Recs) > 0 {
+						p.Remove(p.Recs[rnd.IntN(len(p.Recs))].Key)
+					}
+				case 3:
+					if len(p.Recs) > 0 {
+						r := p.Recs[rnd.IntN(len(p.Recs))]
+						r.Stage(base.TS(1000+step), base.TS(1000+step/2))
+						r.Value = val
+						p.Replace(p.Get(r.Key), r)
+					}
+				case 4:
+					chain = append(chain[:len(chain):len(chain)], frame...)
+					p.SetChain(chain, baseLen)
+				}
 			}
 		}
 	}
 }
 
-// TestDeltaFloorIsExactOnShortRecords: while every field of every changed
-// record takes one byte — no versions, short keys and values, the first 128
-// slots — and no slot has moved, DeltaFloor is what the frame's records
-// take.
-func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
-	_, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
-	setValue(p, "b", "new b")
-	setValue(p, "d", "new d")
-	p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
-	frame, abBytes := p.AppendDelta(nil)
-	if floor, recs := p.DeltaFloor(), frameRecords(p, frame, abBytes); floor != recs {
-		t.Fatalf("a floor of %d, records of %d bytes", floor, recs)
-	}
-	if p.moved {
-		t.Fatal("an insert after the last record moved a slot")
+// framed is what p's next delta frame holds, in order: each key, "-" before a
+// key framed as gone, "@" and its slot after it.
+func framed(p *Page) []string {
+	var keys []string
+	p.delta(func(slot int, key string, r *Record) {
+		if r == nil {
+			key = "-" + key
+		}
+		keys = append(keys, fmt.Sprintf("%s@%d", key, slot))
+	})
+	return keys
+}
+
+// TestDeltaMergesRemovedKeys: the walk that builds a frame merges the keys
+// Remove dropped into the marked slots, once each, in key order: a key
+// removed and put back is framed as its record, a key put and removed as
+// gone, and a removed first or last record as gone at the slot it would have.
+// The chain and the frame decode to the page.
+func TestDeltaMergesRemovedKeys(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Page)
+		want []string
+	}{
+		{"removed then put back", func(p *Page) {
+			p.Remove("c")
+			p.Put(Record{Key: "c", Owner: 2, Value: []byte("back")})
+		}, []string{"c@1"}},
+		{"put then removed", func(p *Page) {
+			p.Put(Record{Key: "d", Owner: 1, Value: []byte("brief")})
+			setValue(p, "e", "new e")
+			p.Remove("d")
+			p.Put(Record{Key: "d", Owner: 1, Value: []byte("again")})
+			p.Remove("d")
+		}, []string{"-d@2", "e@2"}},
+		{"first and last removed", func(p *Page) {
+			p.Remove("g")
+			setValue(p, "c", "new c")
+			p.Remove("a")
+		}, []string{"-a@0", "c@0", "-g@2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			chain, p := chainOf(t, leafWith("a", "c", "e", "g"))
+			c.edit(p)
+			if got := framed(p); !slices.Equal(got, c.want) {
+				t.Fatalf("the frame holds %v, want %v", got, c.want)
+			}
+			frame, _ := p.AppendDelta(nil)
+			if got, err := Decode(append(chain, frame...)); err != nil || !got.Equal(p) {
+				t.Fatalf("the chain and the frame decode to another page (%v)", err)
+			}
+		})
 	}
 }

@@ -18,8 +18,9 @@ import (
 // corpus (testdata/fuzz/FuzzDecode) is the catalog, three branches and five
 // two-TC leaves of btree.TestForwardMatchesRedo's seed-1 forest, 500
 // operations in; the seeds added here carry what that forest's records do
-// not: before versions, history and tombstones, delta frames after a base, and
-// frames whose records take two-byte lengths and history.
+// not: before versions, history and tombstones, delta frames after a base,
+// frames whose records take two-byte lengths and history, and a base whose
+// keys do not ascend.
 func FuzzDecode(f *testing.F) {
 	versioned := benchLeaf(3, true)
 	// A before version over older history, a null before version, a
@@ -64,6 +65,10 @@ func FuzzDecode(f *testing.F) {
 		q.Put(Record{Key: "x0", Owner: 2, Flags: FlagTombstone, TS: 6, Hist: []Version{{TS: 1, Val: []byte("v")}}})
 	})
 	f.Add(chain)
+	// A base of keys b, a, a, which is corrupt (TestBaseKeysAscend).
+	unordered := leafWith("a", "b")
+	unordered.Recs = []Record{unordered.Recs[1], unordered.Recs[0], unordered.Recs[0]}
+	f.Add(unordered.Encode())
 	olds := [][]byte{versioned.Encode(), branch.Encode()}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		pristine := bytes.Clone(image)

@@ -20,7 +20,7 @@
 //
 // A leaf's stable image is a chain: a base image (Encode) and the delta
 // frames (AppendDelta) written onto it since, each holding the records its
-// write-back found touched, each after its slot, the keys it found removed
+// write-back found changed, each after its slot, the keys it found removed
 // and the whole abstract-LSN table. Decode applies the frames to the base in
 // order, in the same pass and with the same record loop: a frame's record
 // whose slot still holds its key is decoded straight over the record there,
@@ -53,11 +53,15 @@
 // that outlives it is copied: the DC copies the values and keys of a result,
 // UpperHalf copies the split key that goes to the parent.
 //
-// A delta frame holds only the keys Put, Replace and Remove touched since the
-// page's chain (Chain), so whatever else changes a leaf's records — CutAt,
-// SetContents and a RollBack that undoes something — drops the chain, and a
-// page made new (NewLeaf, UpperHalf, Merged, a logged image the buffer pool
-// installs) has none: the next write-back of either is a full image.
+// A page with a chain (Chain) keeps one record of what changed since it: a
+// mark per slot, kept in step with the records, for each record Put or
+// Replace wrote, and the keys Remove dropped. A delta frame holds those keys
+// in ascending order, from one walk over the slots that merges in the removed
+// keys the page does not hold again. So whatever else changes a leaf's records
+// — CutAt, SetContents and a RollBack that undoes something — drops the
+// chain, and a page made new (NewLeaf, UpperHalf, Merged, a logged image the
+// buffer pool installs) has none: the next write-back of either is a full
+// image.
 //
 // # A write-back sheds dead versions
 //
@@ -90,7 +94,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -408,21 +411,11 @@ type Page struct {
 	// operation: then the next write-back is a full image.
 	stable []byte
 	base   int
-	// What changed since the chain. Until an insert or a removal moves a
-	// slot, a bit per record in slots: every slot is its record's, so the
-	// marked slots in order are the changed keys in order. Once one moves,
-	// moved is set and the changes are keys in touched (touch).
-	slots   []uint64
-	moved   bool
-	touched []touchedKey
-}
-
-// touchedKey is a key a Put, Replace or Remove changed and the slot its
-// record had then: a hint, which spares the write-back and the decode a
-// search of the page when no insert or removal has moved the record since.
-type touchedKey struct {
-	key  string
-	slot int
+	// What changed since the chain, while there is one: changed marks, slot
+	// for slot with Recs from the first change on (marks), the records Put
+	// and Replace wrote, and gone holds, ascending, the keys Remove dropped.
+	changed []bool
+	gone    []string
 }
 
 // NewLeaf returns an empty leaf page.
@@ -457,11 +450,11 @@ func (p *Page) Put(rec Record) {
 		p.Replace(&p.Recs[i], rec)
 		return
 	}
-	p.touch(rec.Key, i, i < len(p.Recs))
+	if p.stable != nil {
+		p.changed = slices.Insert(p.marks(), i, true)
+	}
 	p.body += rec.size()
-	p.Recs = append(p.Recs, Record{})
-	copy(p.Recs[i+1:], p.Recs[i:])
-	p.Recs[i] = rec
+	p.Recs = slices.Insert(p.Recs, i, rec)
 }
 
 // Replace makes rec, a record of the same key, the record old points to:
@@ -470,7 +463,7 @@ func (p *Page) Put(rec Record) {
 func (p *Page) Replace(old *Record, rec Record) {
 	if p.stable != nil {
 		// old is an element of Recs: its slot is its offset.
-		p.touch(rec.Key, int((uintptr(unsafe.Pointer(old))-uintptr(unsafe.Pointer(unsafe.SliceData(p.Recs))))/unsafe.Sizeof(*old)), false)
+		p.marks()[(uintptr(unsafe.Pointer(old))-uintptr(unsafe.Pointer(unsafe.SliceData(p.Recs))))/unsafe.Sizeof(*old)] = true
 	}
 	p.body += rec.size() - old.size()
 	*old = rec
@@ -482,85 +475,37 @@ func (p *Page) Remove(key string) bool {
 	if !ok {
 		return false
 	}
-	p.touch(key, i, true)
+	if p.stable != nil {
+		p.changed = slices.Delete(p.marks(), i, i+1)
+		if g, ok := slices.BinarySearch(p.gone, key); !ok {
+			p.gone = slices.Insert(p.gone, g, p.Recs[i].Key)
+		}
+	}
 	p.body -= p.Recs[i].size()
-	p.Recs = append(p.Recs[:i], p.Recs[i+1:]...)
+	p.Recs = slices.Delete(p.Recs, i, i+1)
 	return true
 }
 
-// touch notes, for the next delta frame, that a mutator changed key, whose
-// record has the given slot; shifts says the change moves the records after
-// the slot (an insert before the last record, any removal). While nothing has
-// moved, the slot's bit is the note, and a hot key costs nothing more. The
-// first change that moves a slot turns the marked slots into keys, and from
-// then on every change notes its key.
-func (p *Page) touch(key string, slot int, shifts bool) {
-	if p.stable == nil {
-		return
+// marks returns the change marks, slot for slot with Recs: on the first change
+// since the chain, sized to Recs over the array they had, unmarked. Until then
+// they are empty, and a page no write changes costs no marks.
+func (p *Page) marks() []bool {
+	if len(p.changed) != len(p.Recs) {
+		p.changed = resize(p.changed, uint64(len(p.Recs)))
+		clear(p.changed)
 	}
-	if !p.moved && !shifts {
-		if w := slot >> 6; w >= len(p.slots) {
-			p.slots = append(p.slots, make([]uint64, w+1-len(p.slots))...)
-		}
-		p.slots[slot>>6] |= 1 << (slot & 63)
-		return
-	}
-	if !p.moved {
-		p.moved = true
-		for w, word := range p.slots {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				p.note(p.Recs[i].Key, i)
-			}
-		}
-		clear(p.slots)
-	}
-	p.note(key, slot)
-}
-
-// note appends a touched key to the list, which starts with room for a
-// leaf's worth of keys, is settled whenever it fills, and grows only if that
-// leaves it more than half full, so a hot key costs no room.
-func (p *Page) note(key string, slot int) {
-	if n := len(p.touched); n == cap(p.touched) {
-		p.settle()
-		if len(p.touched) > n/2 {
-			p.touched = slices.Grow(p.touched, max(n, 16))
-		}
-	}
-	p.touched = append(p.touched, touchedKey{key, slot})
-}
-
-// settle sorts the touched list by key and keeps the newest touch of each. A
-// settled list, which a write-back asks for more than once, costs one pass.
-func (p *Page) settle() {
-	settled := true
-	for i := 1; i < len(p.touched) && settled; i++ {
-		settled = p.touched[i-1].key < p.touched[i].key
-	}
-	if settled {
-		return
-	}
-	slices.SortStableFunc(p.touched, func(a, b touchedKey) int { return strings.Compare(a.key, b.key) })
-	kept := p.touched[:0]
-	for i := range p.touched {
-		if i+1 == len(p.touched) || p.touched[i+1].key != p.touched[i].key {
-			kept = append(kept, p.touched[i])
-		}
-	}
-	clear(p.touched[len(kept):])
-	p.touched = kept
+	return p.changed
 }
 
 // Chain returns the stable chain p was built from and how many of its bytes
-// are the base image, when p differs from it in touched records alone; nil
-// otherwise. The buffer pool writes a delta frame (AppendDelta) onto it only
-// if the store still holds it.
+// are the base image, when p differs from it in the records the next delta
+// frame holds alone; nil otherwise. The buffer pool writes a delta frame
+// (AppendDelta) onto it only if the store still holds it.
 func (p *Page) Chain() (chain []byte, base int) { return p.stable, p.base }
 
 // SetChain records that chain, whose first base bytes are its base image, is
-// now p's stable version: what the buffer pool calls after a write-back. A
-// branch keeps none; it is written whole every time.
+// now p's stable version: what the buffer pool calls after a write-back, and
+// DecodeInto. A branch keeps none; it is written whole every time.
 func (p *Page) SetChain(chain []byte, base int) {
 	p.DropChain()
 	if p.Leaf {
@@ -569,12 +514,11 @@ func (p *Page) SetChain(chain []byte, base int) {
 }
 
 // DropChain makes p's next write-back a full image: what every whole-page
-// operation does, since a delta frame carries only the touched records.
+// operation does, since a delta frame carries only the changed records.
 func (p *Page) DropChain() {
-	p.stable, p.base, p.moved = nil, 0, false
-	clear(p.slots)
-	clear(p.touched)
-	p.touched = p.touched[:0]
+	p.stable, p.base, p.changed = nil, 0, p.changed[:0]
+	clear(p.gone)
+	p.gone = p.gone[:0]
 }
 
 // Ascend calls fn for records with from <= Key < to (to == "" means
@@ -850,45 +794,32 @@ func (p *Page) EncodeAb(spare int) (image []byte, abBytes int) {
 }
 
 // deltaKeys is how many keys the next delta frame holds (delta).
-func (p *Page) deltaKeys() int {
-	if p.moved {
-		p.settle()
-		return len(p.touched)
-	}
-	n := 0
-	for _, word := range p.slots {
-		n += bits.OnesCount64(word)
-	}
+func (p *Page) deltaKeys() (n int) {
+	p.delta(func(int, string, *Record) { n++ })
 	return n
 }
 
 // delta calls fn, in ascending key order, with each key the next delta frame
 // holds, its slot in p and p's record of it, or nil for a key a Remove
-// dropped, whose slot is where it would go. While no slot has moved (touch),
-// the keys are those of the marked slots, walked in order, which is key
-// order; after, those of the touched list, settled, each found at its slot
-// unless something moved it. It allocates nothing: fn does not escape.
+// dropped that p does not hold again, whose slot is where it would go. It is
+// one walk over the marked slots, which ascend, merging in the removed keys,
+// each at the slot a search finds. It allocates nothing: fn does not escape.
 func (p *Page) delta(fn func(slot int, key string, r *Record)) {
-	if !p.moved {
-		for w, word := range p.slots {
-			for ; word != 0; word &= word - 1 {
-				slot := w<<6 | bits.TrailingZeros64(word)
-				fn(slot, p.Recs[slot].Key, &p.Recs[slot])
+	recs, changed, slot := p.Recs, p.changed, 0
+	for _, key := range p.gone {
+		at, held := p.find(key)
+		for ; slot < at; slot++ {
+			if changed[slot] {
+				fn(slot, recs[slot].Key, &recs[slot])
 			}
 		}
-		return
-	}
-	p.settle()
-	for i := range p.touched {
-		t := &p.touched[i]
-		held := uint(t.slot) < uint(len(p.Recs)) && p.Recs[t.slot].Key == t.key
-		if !held {
-			t.slot, held = p.find(t.key)
+		if !held { // a key put back is framed as its record
+			fn(at, key, nil)
 		}
-		if held {
-			fn(t.slot, t.key, &p.Recs[t.slot])
-		} else {
-			fn(t.slot, t.key, nil)
+	}
+	for ; slot < len(changed); slot++ {
+		if changed[slot] {
+			fn(slot, recs[slot].Key, &recs[slot])
 		}
 	}
 }
@@ -921,11 +852,16 @@ func (p *Page) AppendDelta(dst []byte) (frame []byte, abBytes int) {
 	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), abBytes
 }
 
-// DeltaFloor is how many bytes the records of p's delta frame (AppendDelta)
-// take, each with its slot: exactly, and so a floor under the frame.
-func (p *Page) DeltaFloor() int {
-	n := 0
+// DeltaLen is the length of p's delta frame (AppendDelta), counted without
+// encoding it: the header, the key count, each key's slot and record, the
+// abstract-LSN table and the frame's own length. The buffer pool asks it
+// before it encodes anything, and writes a full image at once when the frame
+// would outgrow the room its chain has left, so it never builds a frame it
+// throws away.
+func (p *Page) DeltaLen() int {
+	keys, n := 0, p.headerLen()+p.Ab.EncodedLen()
 	p.delta(func(slot int, key string, r *Record) {
+		keys++
 		n += base.UvarintLen(uint64(slot))
 		if r == nil {
 			n += base.UvarintLen(uint64(len(key))) + len(key) + 3 // gone: owner, flags, value length
@@ -933,24 +869,14 @@ func (p *Page) DeltaFloor() int {
 			n += recordLen(r)
 		}
 	})
-	return n
-}
-
-// DeltaLen is the length of p's delta frame (AppendDelta), counted without
-// encoding it: the records (DeltaFloor), the header, the key count, the
-// abstract-LSN table and the frame's own length. The buffer pool asks it before
-// it encodes anything, and writes a full image at once when the frame would
-// outgrow the room its chain has left, so it never builds a frame it throws
-// away.
-func (p *Page) DeltaLen() int {
-	n := p.headerLen() + base.UvarintLen(uint64(p.deltaKeys())) + p.DeltaFloor() + p.Ab.EncodedLen()
+	n += base.UvarintLen(uint64(keys))
 	return base.UvarintLen(uint64(n)) + n
 }
 
 // CollectDelta collects (shed) the records p's next delta frame holds, before
 // the write-back encodes it: the frame carries them collected, and the chain
 // it lands on stays p. A record no frame holds is left alone — collecting it
-// would change p and not the chain. It is Replace without the touch, which
+// would change p and not the chain. It is Replace without the mark, which
 // the records have had: Size follows, and nothing is allocated.
 func (p *Page) CollectDelta(horizon base.TS) {
 	if horizon == 0 || p.stable == nil {
@@ -1066,13 +992,13 @@ func appendRecord(buf []byte, r *Record, gone bool) []byte {
 // value (see the package comment for what that asks of every caller). The
 // image is a base image (Encode) or, for a leaf, a stable chain: a base image
 // and the delta frames (AppendDelta) written onto it since, which Decode
-// applies in order. Bytes after a base that are not whole frames, and frames
-// after a branch, are corrupt. The caller gives the image up: it must never be
-// written again. The allocations are the page, its abstract-LSN entries and
-// their {LSNin} sets, the record or separator array and, if any record has
-// history, one array of versions for the base and one for each frame with
-// such a record, whatever the number of records, and another, twice as large,
-// whenever one fills.
+// applies in order. Bytes after a base that are not whole frames, frames
+// after a branch, and a base or frame whose keys do not ascend are corrupt.
+// The caller gives the image up: it must never be written again. The
+// allocations are the page, its abstract-LSN entries and their {LSNin} sets,
+// the record or separator array and, if any record has history, one array of
+// versions for the base and one for each frame with such a record, whatever
+// the number of records, and another, twice as large, whenever one fills.
 func Decode(image []byte) (*Page, error) {
 	p := &Page{}
 	if err := DecodeInto(p, image); err != nil {
@@ -1085,8 +1011,8 @@ func Decode(image []byte) (*Page, error) {
 // buffer pool's evicted frame): p becomes the page the image holds, clean and
 // with an empty undo tail, and keeps only its latch and the arrays it can
 // reuse — the record or separator and child arrays, the abstract-LSN entries
-// and their {LSNin} sets, the FirstDirty map and the touched slots and list,
-// emptied. So a page that held as many records and LSNs and no history
+// and their {LSNin} sets, the FirstDirty map and the change marks and removed
+// keys, emptied. So a page that held as many records and LSNs and no history
 // allocates nothing. A history array is always new: records copied out of a
 // page (Undo.Prior, a split's upper half) share it. The base's records are
 // decoded into the record array in order, and a frame's each into the slot
@@ -1131,7 +1057,7 @@ func DecodeInto(p *Page, image []byte) error {
 			return err
 		}
 	}
-	p.stable, p.base = image, baseLen
+	p.SetChain(image, baseLen)
 	return nil
 }
 
@@ -1292,9 +1218,9 @@ func take(b []byte, pos int, n uint64) ([]byte, int) {
 // under the values.
 func str(field []byte) string { return unsafe.String(unsafe.SliceData(field), len(field)) }
 
-// records decodes n records at pos and returns the position after them: a
-// base image's (frame false) into p.Recs, which has length n, in order, and a
-// delta frame's each after its slot — over p's record where the slot holds
+// records decodes n records at pos, whose keys ascend without repeats, and
+// returns the position after them: a base image's (frame false) into p.Recs,
+// which has length n, in order, and a delta frame's each after its slot — over p's record where the slot holds
 // the record's key, else through Put, or, flagged gone, Remove — keeping
 // p.body. One loop serves both and every field, with the cursor in locals:
 // it is most of what a cache miss costs. Histories share arrays made here,
@@ -1317,10 +1243,10 @@ func (p *Page) records(b []byte, pos, n int, frame bool) int {
 		key = str(k)
 		r := &moved
 		switch {
+		case i > 0 && key <= prev:
+			return -1 // keys ascend without repeats, a base's as a frame's
 		case !frame:
 			r = &p.Recs[i]
-		case i > 0 && key <= prev:
-			return -1 // a frame's keys ascend without repeats
 		case slot < uint64(len(p.Recs)) && p.Recs[slot].Key == key:
 			r = &p.Recs[slot]
 			p.body -= r.size()
