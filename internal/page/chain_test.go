@@ -217,66 +217,74 @@ func BenchmarkDecodeChain(b *testing.B) {
 	}
 }
 
-// TestDeltaLenIsTheFrame: over seeded walks of Put, Replace, Remove and
-// versioned writes (Stage) on a page with a chain, with keys and values long
-// enough to take two-byte lengths and a write-back now and then, the frame
-// AppendDelta builds takes the chain to the page, and DeltaLen is its length,
-// at every step. One start state has changes pending whose every field takes
-// one byte, an insert after the last record among them.
-func TestDeltaLenIsTheFrame(t *testing.T) {
-	starts := map[string]func() ([]byte, *Page){
-		"four records": func() ([]byte, *Page) { return chainOf(t, leafWith("k05", "k15", "k25", "k35")) },
-		"short records pending": func() ([]byte, *Page) {
-			chain, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
-			setValue(p, "b", "new b")
-			setValue(p, "d", "new d")
-			p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
-			return chain, p
-		},
-	}
-	for name, start := range starts {
-		for seed := uint64(1); seed <= 20; seed++ {
-			rnd := rand.New(rand.NewPCG(seed, 0))
-			chain, p := start()
-			_, baseLen := p.Chain()
-			for step := 0; step < 300; step++ {
-				frame, _ := p.AppendDelta(nil)
-				if n := p.DeltaLen(); n != len(frame) {
-					t.Fatalf("%s, seed %d step %d: DeltaLen %d, a frame of %d bytes", name, seed, step, n, len(frame))
+// TestDeltaFloorBoundsTheRecords: over seeded walks of Put, Replace, Remove
+// and versioned writes (Stage) on a page with a chain, with keys and values
+// long enough to take two-byte lengths and a write-back now and then, the
+// frame AppendDelta builds takes the chain to the page, and DeltaLen, which
+// took over DeltaFloor's bound, is its length, at every step.
+func TestDeltaFloorBoundsTheRecords(t *testing.T) {
+	walkDeltaLen(t, func() ([]byte, *Page) { return chainOf(t, leafWith("k05", "k15", "k25", "k35")) })
+}
+
+// TestDeltaFloorIsExactOnShortRecords: the walk of
+// TestDeltaFloorBoundsTheRecords, started with changes pending whose every
+// field takes one byte, an insert after the last record among them.
+func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
+	walkDeltaLen(t, func() ([]byte, *Page) {
+		chain, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
+		setValue(p, "b", "new b")
+		setValue(p, "d", "new d")
+		p.Put(Record{Key: "f", Owner: 1, Value: []byte("at the end")})
+		return chain, p
+	})
+}
+
+// walkDeltaLen runs 20 seeded walks of 300 steps from start's chain and page,
+// checking at every step that the chain and AppendDelta's frame decode to the
+// page and that DeltaLen is the frame's length.
+func walkDeltaLen(t *testing.T, start func() ([]byte, *Page)) {
+	t.Helper()
+	for seed := uint64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewPCG(seed, 0))
+		chain, p := start()
+		_, baseLen := p.Chain()
+		for step := 0; step < 300; step++ {
+			frame, _ := p.AppendDelta(nil)
+			if n := p.DeltaLen(); n != len(frame) {
+				t.Fatalf("seed %d step %d: DeltaLen %d, a frame of %d bytes", seed, step, n, len(frame))
+			}
+			if got, err := Decode(append(chain[:len(chain):len(chain)], frame...)); err != nil || !got.Equal(p) {
+				t.Fatalf("seed %d step %d: the chain and the frame decode to another page (%v)", seed, step, err)
+			}
+			key := fmt.Sprintf("k%02d", rnd.IntN(40))
+			val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
+			if rnd.IntN(6) == 0 {
+				key += strings.Repeat("-long", 30)
+				val = bytes.Repeat(val, 10)
+			}
+			switch rnd.IntN(5) {
+			case 0:
+				p.Put(Record{Key: key, Owner: 1, Value: val})
+			case 1:
+				if len(p.Recs) > 0 {
+					r := p.Recs[rnd.IntN(len(p.Recs))]
+					r.Value = val
+					p.Replace(p.Get(r.Key), r)
 				}
-				if got, err := Decode(append(chain[:len(chain):len(chain)], frame...)); err != nil || !got.Equal(p) {
-					t.Fatalf("%s, seed %d step %d: the chain and the frame decode to another page (%v)", name, seed, step, err)
+			case 2:
+				if len(p.Recs) > 0 {
+					p.Remove(p.Recs[rnd.IntN(len(p.Recs))].Key)
 				}
-				key := fmt.Sprintf("k%02d", rnd.IntN(40))
-				val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
-				if rnd.IntN(6) == 0 {
-					key += strings.Repeat("-long", 30)
-					val = bytes.Repeat(val, 10)
+			case 3:
+				if len(p.Recs) > 0 {
+					r := p.Recs[rnd.IntN(len(p.Recs))]
+					r.Stage(base.TS(1000+step), base.TS(1000+step/2))
+					r.Value = val
+					p.Replace(p.Get(r.Key), r)
 				}
-				switch rnd.IntN(5) {
-				case 0:
-					p.Put(Record{Key: key, Owner: 1, Value: val})
-				case 1:
-					if len(p.Recs) > 0 {
-						r := p.Recs[rnd.IntN(len(p.Recs))]
-						r.Value = val
-						p.Replace(p.Get(r.Key), r)
-					}
-				case 2:
-					if len(p.Recs) > 0 {
-						p.Remove(p.Recs[rnd.IntN(len(p.Recs))].Key)
-					}
-				case 3:
-					if len(p.Recs) > 0 {
-						r := p.Recs[rnd.IntN(len(p.Recs))]
-						r.Stage(base.TS(1000+step), base.TS(1000+step/2))
-						r.Value = val
-						p.Replace(p.Get(r.Key), r)
-					}
-				case 4:
-					chain = append(chain[:len(chain):len(chain)], frame...)
-					p.SetChain(chain, baseLen)
-				}
+			case 4:
+				chain = append(chain[:len(chain):len(chain)], frame...)
+				p.SetChain(chain, baseLen)
 			}
 		}
 	}
