@@ -77,8 +77,9 @@ func BenchmarkEvictFetchCycle(b *testing.B) {
 // TestEvictFetchCycleAllocs pins what a miss that evicts a dirty page
 // allocates once the pool is full: no more objects than the victims'
 // write-backs write full images, which the store keeps. A delta frame
-// allocates nothing: it is encoded into the pool's buffer and appended where
-// the chain is, into the room its image was written with. The miss takes
+// allocates nothing: it is encoded into the pool's buffer, which every
+// write-back takes and gives back, and appended where the chain is, into the
+// room its image was written with. The miss takes
 // over the frame the eviction before it freed — page, record array,
 // abstract-LSN table, FirstDirty map, change marks, LRU node — and decodes
 // into it; a pool that let the evicted frame go made 9 a cycle, and a store

@@ -28,25 +28,27 @@
 // operation has touched it since, and the chain's frames and this one stay
 // within half the base; otherwise it writes a full image, which starts the
 // next chain (writeBack). A branch is always written whole. The write-back
-// pays for what it writes and no more: it builds no frame that outgrows the
-// room (page.Page.DeltaLen counts it first), and a leaf's image is written
-// with room for half its length behind it, the most the rule lets its frames
-// take, so no frame moves the chain. Nor does it write history no snapshot
-// reads: what it writes, it first collects down to the GC horizon (Gates.Horizon),
-// in the cached page too, so the two stay alike.
+// pays for what it writes and little more: the frame is encoded in one walk
+// over what changed, which gives up as soon as the frame outgrows the room,
+// and a leaf's image is written with room for half its length behind it, the
+// most the rule lets its frames take, so no frame moves the chain. Nor does it
+// write history no snapshot reads: what it writes, it collects down to the GC
+// horizon (Gates.Horizon) as it encodes, in the cached page too, so the two
+// stay alike.
 //
 // A page crosses the cache boundary without a copy of its records either
-// way. A write-back encodes a frame into one buffer of the pool's, which the
-// store copies into the room behind the chain, or encodes a full image into
-// a fresh buffer, which the store keeps. A miss copies nothing: the store
-// returns the chain it holds and page.DecodeInto builds the cached page over
-// it, decoding the base and applying each frame in the one pass, so the
-// cached page and the stable page share their bytes until a record is
-// replaced (the page package comment has the rules this rests on: chains are
-// never written below their end, fields are replaced and not edited). A
-// frame appended after the miss leaves the page's bytes where they are; a
-// full image leaves the frame aliasing the chain it was read from, now dead,
-// and the store holding the new one.
+// way. A write-back encodes a frame into a buffer of the pool's that it takes
+// for the while, which the store copies into the room behind the chain, or
+// encodes a full image into a fresh buffer, which the store keeps. Write-backs
+// of different pages encode at once: one that finds the buffer taken encodes
+// into one of its own. A miss copies nothing: the store returns the chain it
+// holds and page.DecodeInto builds the cached page over it, decoding the base
+// and applying each frame in the one pass, so the cached page and the stable
+// page share their bytes until a record is replaced (the page package comment
+// has the rules this rests on: chains are never written below their end,
+// fields are replaced and not edited). A frame appended after the miss leaves
+// the page's bytes where they are; a full image leaves the frame aliasing the
+// chain it was read from, now dead, and the store holding the new one.
 //
 // A miss at capacity reuses the frame an eviction freed: its page with the
 // record array, abstract-LSN table, FirstDirty map and change marks, and the
@@ -81,7 +83,7 @@ type Gates struct {
 	ForceDCLog func(base.DLSN)
 	// Horizon returns the GC horizon, at or below every TC's safe timestamp:
 	// a write-back collects the versions no snapshot at or above it reads
-	// (page.Page.CollectDelta, CollectImage). Nil, or zero, collects nothing.
+	// (page.Page.AppendDelta, CollectImage). Nil, or zero, collects nothing.
 	Horizon func() base.TS
 }
 
@@ -147,11 +149,11 @@ type Pool struct {
 	wmu   sync.RWMutex
 	ended atomic.Bool
 
-	// delta is where a write-back encodes a delta frame, which the store
-	// copies onto the page's chain, under dmu: one buffer for the pool, so a
-	// delta allocates nothing.
-	dmu   sync.Mutex
-	delta []byte
+	// delta is a buffer for delta frames: a write-back takes it, encodes a
+	// frame into it and puts it back once the store has copied the frame, so
+	// a frame allocates nothing. Write-backs do not wait for it: one that
+	// finds it taken encodes into a buffer of its own.
+	delta atomic.Pointer[[]byte]
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
 	images, pageBytes, abBytes                   atomic.Uint64
@@ -357,41 +359,15 @@ func (p *Pool) End() {
 }
 
 // watchWriteBack, when set, is called with every page a write-back is about
-// to write, latched and with its delta frame's records collected, and what it
-// returns once the page is written; discardedFrame, with every delta frame a
-// write-back built and did not write; fetchDecoded, with the page a miss has
-// decoded, before it takes mu to install it (tests).
+// to write, latched, and the GC horizon it collects to, and what it returns
+// once the page is written; discardedFrame, with every delta frame a
+// write-back built whole and did not write; fetchDecoded, with the page a
+// miss has decoded, before it takes mu to install it (tests).
 var (
-	watchWriteBack func(pg *page.Page) (written func())
+	watchWriteBack func(pg *page.Page, horizon base.TS) (written func())
 	discardedFrame func(pg *page.Page)
 	fetchDecoded   func(id base.PageID)
 )
-
-// writeDelta appends pg's delta frame onto chain, its stable chain of which
-// base bytes are the base image, if the frame takes room bytes or fewer and
-// the store still holds chain, and returns the frame's length (0 if it wrote
-// none) and its abstract-LSN bytes.
-func (p *Pool) writeDelta(pg *page.Page, chain []byte, base, room int) (written, abBytes int) {
-	p.dmu.Lock()
-	defer p.dmu.Unlock()
-	// Room for the largest frame the rule takes, so that encoding one does
-	// not grow the buffer as it goes.
-	p.delta = slices.Grow(p.delta[:0], room)
-	frame, abBytes := pg.AppendDelta(p.delta)
-	var next []byte
-	held := len(frame) <= room
-	if held {
-		next, held = p.store.Append(pg.ID, chain, frame)
-	}
-	if !held {
-		if discardedFrame != nil {
-			discardedFrame(pg)
-		}
-		return 0, 0
-	}
-	pg.SetChain(next, base)
-	return len(frame), abBytes
-}
 
 // writeBack makes pg, latched, its stable version unless the pool has
 // ended, and returns the bytes it wrote and how many of them are
@@ -403,16 +379,17 @@ func (p *Pool) writeDelta(pg *page.Page, chain []byte, base, room int) (written,
 // the base. Anything else — a chain that has grown too long, a new page, a
 // reshaped one, a branch — writes a full image, which is the consolidation.
 //
-// The rule is settled before anything is encoded: a frame that outgrows the
-// room the chain has left (page.Page.DeltaLen) is never built. A leaf's full
-// image is encoded into a buffer with room past its end for all the frames
-// the rule lets onto it, half its length, so the store appends every one of
-// them in place.
+// The frame is encoded once, into the pool's buffer (Pool.delta), and the
+// encoding gives up as soon as the frame outgrows the room the chain has left;
+// the store copies a frame that fits onto the chain. A leaf's full image is
+// encoded into a buffer with room past its end for all the frames the rule
+// lets onto it, half its length, so the store appends every one of them in
+// place.
 //
-// What is written is collected first, down to the horizon (Gates.Horizon): a
-// frame's records (page.Page.CollectDelta) before its length is counted, every
-// record (page.Page.CollectImage) before a full image is encoded. The cached
-// page is collected with it, so it stays what the store holds.
+// What is written is collected down to the horizon (Gates.Horizon): a frame's
+// records as they are encoded, every record (page.Page.CollectImage) before a
+// full image is. The cached page is collected with it, so it stays what the
+// store holds.
 func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	p.wmu.RLock()
 	defer p.wmu.RUnlock()
@@ -423,15 +400,30 @@ func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	if p.gates.Horizon != nil {
 		horizon = p.gates.Horizon()
 	}
-	pg.CollectDelta(horizon)
 	if watchWriteBack != nil {
-		defer watchWriteBack(pg)()
+		defer watchWriteBack(pg, horizon)()
 	}
 	if chain, base := pg.Chain(); chain != nil {
 		// What the chain's frames may still add.
-		if room := base/2 - (len(chain) - base); room > 0 && pg.DeltaLen() <= room {
-			if written, abBytes = p.writeDelta(pg, chain, base, room); written > 0 {
-				return written, abBytes, true
+		if room := base/2 - (len(chain) - base); room > 0 {
+			buf := p.delta.Swap(nil)
+			if buf == nil {
+				buf = new([]byte)
+			}
+			frame, abBytes, fits := pg.AppendDelta(slices.Grow((*buf)[:0], room), horizon, room)
+			var next []byte
+			held := false
+			if fits {
+				next, held = p.store.Append(pg.ID, chain, frame)
+			}
+			*buf = frame[:0]
+			p.delta.Store(buf)
+			if held {
+				pg.SetChain(next, base)
+				return len(frame), abBytes, true
+			}
+			if fits && discardedFrame != nil {
+				discardedFrame(pg)
 			}
 		}
 	}

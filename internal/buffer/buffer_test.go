@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -339,7 +340,9 @@ func TestConcurrentFetchSingleFrame(t *testing.T) {
 
 // TestRecycledFrameServesOnePage: a miss decodes into the page an eviction
 // freed, so a frame recycled while anyone could still reach it would show one
-// caller another page's records. Writers over 256 pages behind 8 frames, so
+// caller another page's records. Most evictions write a delta frame, from the
+// four writers at once, into the pool's buffer or, when another write-back
+// holds it, one of their own. Writers over 256 pages behind 8 frames, so
 // that nearly every fetch evicts a dirty page and takes over a frame, check
 // under the latch that every record of the page they hold names that page
 // and that its size is its own (page.Page.CheckSize), and bump the page's
@@ -366,6 +369,10 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 		for r := 0; r < recs; r++ {
 			pg.Put(page.Record{Key: fmt.Sprintf("%04d/%d", pg.ID, r), Value: []byte("0")})
 		}
+		// A record past the counter leaves room behind the base for frames.
+		c := pg.Recs[recs-1]
+		c.Value = bytes.Repeat([]byte("p"), 60)
+		pg.Replace(&pg.Recs[recs-1], c)
 		ids[i] = pg.ID
 		store.Write(pg.ID, pg.Encode())
 	}
@@ -414,6 +421,12 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// The writers' evictions wrote delta frames, several at once.
+	st := p.Stats()
+	t.Logf("%d write-backs by %d writers: %d delta frames, %d full images", st.Flushes, workers, st.Flushes-st.Images, st.Images)
+	if st.Flushes == st.Images {
+		t.Fatalf("the writers' %d write-backs wrote no delta frame", st.Flushes)
+	}
 	lag.Store(0)
 	if err := p.FlushAll(true, nil); err != nil {
 		t.Fatal(err)

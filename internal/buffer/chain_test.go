@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -27,7 +28,7 @@ import (
 // stamped at or below the horizon may have lost its history and before
 // version, and, in a full image, a tombstone so stamped the whole record. The
 // cached page keeps its Size. Every write-back follows the rule unabridged
-// (followsTheRule) and builds no frame it does not write.
+// (followsTheRule) and builds no whole frame it does not write.
 func TestWriteBackFollowsThePage(t *testing.T) {
 	var deltas, images, collected, discarded int
 	discardedFrame = func(*page.Page) { discarded++ }
@@ -45,28 +46,34 @@ func TestWriteBackFollowsThePage(t *testing.T) {
 		t.Fatal("no write-back collected a version: the walk does not exercise the collection")
 	}
 	if discarded != 0 {
-		t.Fatalf("%d delta frames built and thrown away", discarded)
+		t.Fatalf("%d delta frames built whole and thrown away", discarded)
 	}
 }
 
 // followsTheRule watches every write-back to store until the test ends and
 // fails it unless the write-back wrote a delta frame exactly when one is
 // due: the page was built from the chain the store holds, and its frame,
-// built with no limit, takes no more than the room half the base leaves.
-// Then the chain must have grown by that frame's bytes, where it was; else
-// it must have been replaced by a full image. The page's DeltaLen must be the
-// frame's length. So a write-back that skips a frame it should have written
-// fails, as does a length that miscounts and a chain that moved.
+// built with no limit and collected down to the write-back's horizon, takes
+// no more than the room half the base leaves. Then the chain must have grown
+// by that frame's bytes, where it was; else it must have been replaced by a
+// full image. AppendDelta must give a room one byte short of the frame up,
+// writing nothing, and yield the frame into a room of its length. So a
+// write-back that skips a frame it should have written fails, as does a
+// give-up at the wrong length and a chain that moved. The hook collects the
+// page as the write-back does: collecting it again changes nothing.
 func followsTheRule(t *testing.T, store *storage.PageStore) {
-	watchWriteBack = func(pg *page.Page) func() {
+	watchWriteBack = func(pg *page.Page, horizon base.TS) func() {
 		chain, base := pg.Chain()
 		var frame []byte
 		due := false
 		if chain != nil && store.Holds(pg.ID, chain) {
-			frame, _ = pg.AppendDelta(nil)
+			frame, _, _ = pg.AppendDelta(nil, horizon, math.MaxInt)
 			due = len(frame) <= base/2-(len(chain)-base)
-			if n := pg.DeltaLen(); n != len(frame) {
-				t.Errorf("page %d: DeltaLen %d, a frame of %d bytes", pg.ID, n, len(frame))
+			short, _, gaveUp := pg.AppendDelta(nil, horizon, len(frame)-1)
+			exact, _, fits := pg.AppendDelta(nil, horizon, len(frame))
+			if gaveUp || len(short) != 0 || !fits || !bytes.Equal(exact, frame) {
+				t.Errorf("page %d: a frame of %d bytes went into a room one byte short (%v, %d bytes) or not into its own length (%v)",
+					pg.ID, len(frame), gaveUp, len(short), fits)
 			}
 		}
 		return func() {

@@ -3,6 +3,7 @@ package dc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -173,8 +174,8 @@ func (m *modelKey) stage(ts, horizon base.TS, val []byte, del bool) {
 // The page, a Clone of it and its Encode/Decode round trip must all answer
 // alike, and Page.Size must be the model's: the before version counts its
 // value and no history entry. At random steps the page is written back as a
-// buffer pool writes it — its delta frame's records collected at the horizon
-// (CollectDelta) and the frame appended to its chain, or every record
+// buffer pool writes it — its delta frame appended to its chain, each record
+// collected at the horizon as it is encoded (AppendDelta), or every record
 // collected (CollectImage) and a full image encoded — and the walk goes on
 // over the page or its decoded chain, which must be alike.
 func TestVersionsFollowAModel(t *testing.T) {
@@ -316,12 +317,10 @@ func TestVersionsFollowAModel(t *testing.T) {
 				chain, baseLen := p.Chain()
 				if chain != nil && rnd.Intn(2) == 0 {
 					what += ", a delta frame"
-					p.CollectDelta(horizon)
 					for k := range touched {
 						model[k].collect(horizon, false)
 					}
-					frame, _ := p.AppendDelta(nil)
-					chain = append(chain[:len(chain):len(chain)], frame...)
+					chain, _, _ = p.AppendDelta(chain[:len(chain):len(chain)], horizon, math.MaxInt)
 				} else {
 					what += ", a full image"
 					p.CollectImage(horizon)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -25,11 +26,16 @@ func chainOf(t testing.TB, p *Page, edits ...func(*Page)) ([]byte, *Page) {
 	chain := base
 	for _, edit := range edits {
 		edit(q)
-		frame, _ := q.AppendDelta(nil)
-		chain = append(chain[:len(chain):len(chain)], frame...)
+		chain = append(chain[:len(chain):len(chain)], frameOf(q)...)
 		q.SetChain(chain, len(base))
 	}
 	return chain, q
+}
+
+// frameOf is p's delta frame, with nothing collected and no room to outgrow.
+func frameOf(p *Page) []byte {
+	frame, _, _ := p.AppendDelta(nil, 0, math.MaxInt)
+	return frame
 }
 
 // TestChainDecodesToThePage: a base and the frames written onto it decode to
@@ -89,14 +95,14 @@ func TestBytesAfterABaseAreFrames(t *testing.T) {
 	if _, err := Decode(append(leaf, 0xde, 0xad)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a leaf with two stray bytes behind it: %v, want %v", err, errCorrupt)
 	}
-	frame, _ := leafWith("a").AppendDelta(nil)
+	frame := frameOf(leafWith("a"))
 	branch := NewBranch(1, []string{"m"}, []base.PageID{2, 3}).Encode()
 	if _, err := Decode(append(branch, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame after a branch: %v, want %v", err, errCorrupt)
 	}
 	other := NewLeaf(2)
 	other.gone = []string{"a"}
-	frame, _ = other.AppendDelta(nil)
+	frame = frameOf(other)
 	if _, err := Decode(append(leaf, frame...)); !errors.Is(err, errCorrupt) {
 		t.Fatalf("a frame of page 2 after page 1: %v, want %v", err, errCorrupt)
 	}
@@ -150,8 +156,8 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 	p.Put(Record{Key: "d", Owner: 1})
 	setValue(p, "a", "x")
 	p.Remove("b")
-	if c, _ := p.Chain(); c == nil || p.deltaKeys() != 3 || len(p.gone) != 1 {
-		t.Fatalf("record mutators: chain %v, %d keys to frame, %d gone", c != nil, p.deltaKeys(), len(p.gone))
+	if c, _ := p.Chain(); c == nil || len(framed(p)) != 3 || len(p.gone) != 1 {
+		t.Fatalf("record mutators: chain %v, %d keys to frame, %d gone", c != nil, len(framed(p)), len(p.gone))
 	}
 	for name, op := range map[string]func(*Page){
 		"CutAt":       func(p *Page) { p.CutAt("b", 9) },
@@ -163,8 +169,8 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 	} {
 		p := fresh()
 		op(p)
-		if c, _ := p.Chain(); c != nil || p.deltaKeys() != 0 || len(p.gone) != 0 {
-			t.Fatalf("%s kept the chain (%d keys to frame, %d gone)", name, p.deltaKeys(), len(p.gone))
+		if c, _ := p.Chain(); c != nil || len(framed(p)) != 0 || len(p.gone) != 0 {
+			t.Fatalf("%s kept the chain (%d keys to frame, %d gone)", name, len(framed(p)), len(p.gone))
 		}
 	}
 }
@@ -220,17 +226,18 @@ func BenchmarkDecodeChain(b *testing.B) {
 // TestDeltaFloorBoundsTheRecords: over seeded walks of Put, Replace, Remove
 // and versioned writes (Stage) on a page with a chain, with keys and values
 // long enough to take two-byte lengths and a write-back now and then, the
-// frame AppendDelta builds takes the chain to the page, and DeltaLen, which
-// took over DeltaFloor's bound, is its length, at every step.
+// frame AppendDelta builds, collected down to a trailing horizon, takes the
+// chain to the page, and the room it gives up at is the frame's length, at
+// every step (walkDeltaFrames).
 func TestDeltaFloorBoundsTheRecords(t *testing.T) {
-	walkDeltaLen(t, func() ([]byte, *Page) { return chainOf(t, leafWith("k05", "k15", "k25", "k35")) })
+	walkDeltaFrames(t, func() ([]byte, *Page) { return chainOf(t, leafWith("k05", "k15", "k25", "k35")) })
 }
 
 // TestDeltaFloorIsExactOnShortRecords: the walk of
 // TestDeltaFloorBoundsTheRecords, started with changes pending whose every
 // field takes one byte, an insert after the last record among them.
 func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
-	walkDeltaLen(t, func() ([]byte, *Page) {
+	walkDeltaFrames(t, func() ([]byte, *Page) {
 		chain, p := chainOf(t, leafWith("a", "b", "c", "d", "e"))
 		setValue(p, "b", "new b")
 		setValue(p, "d", "new d")
@@ -239,22 +246,32 @@ func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
 	})
 }
 
-// walkDeltaLen runs 20 seeded walks of 300 steps from start's chain and page,
-// checking at every step that the chain and AppendDelta's frame decode to the
-// page and that DeltaLen is the frame's length.
-func walkDeltaLen(t *testing.T, start func() ([]byte, *Page)) {
+// walkDeltaFrames runs 20 seeded walks of 300 steps from start's chain and
+// page, checking at every step that the chain and AppendDelta's frame decode
+// to the page, whose Size follows what the frame collected, and that
+// AppendDelta gives a room of one byte less up, writing nothing, and yields
+// the same frame into a room of its length.
+func walkDeltaFrames(t *testing.T, start func() ([]byte, *Page)) {
 	t.Helper()
 	for seed := uint64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewPCG(seed, 0))
 		chain, p := start()
 		_, baseLen := p.Chain()
 		for step := 0; step < 300; step++ {
-			frame, _ := p.AppendDelta(nil)
-			if n := p.DeltaLen(); n != len(frame) {
-				t.Fatalf("seed %d step %d: DeltaLen %d, a frame of %d bytes", seed, step, n, len(frame))
-			}
+			horizon := base.TS(1000 + step/2)
+			frame, _, _ := p.AppendDelta(nil, horizon, math.MaxInt)
 			if got, err := Decode(append(chain[:len(chain):len(chain)], frame...)); err != nil || !got.Equal(p) {
 				t.Fatalf("seed %d step %d: the chain and the frame decode to another page (%v)", seed, step, err)
+			}
+			if err := p.CheckSize(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			dst := []byte("before")
+			if got, ab, ok := p.AppendDelta(dst, horizon, len(frame)-1); ok || ab != 0 || string(got) != "before" {
+				t.Fatalf("seed %d step %d: a room of %d bytes took a frame of %d: %v, %q", seed, step, len(frame)-1, len(frame), ok, got)
+			}
+			if got, _, ok := p.AppendDelta(dst, horizon, len(frame)); !ok || !bytes.Equal(got, append([]byte("before"), frame...)) {
+				t.Fatalf("seed %d step %d: a room of %d bytes, the frame's length, took %v, %x", seed, step, len(frame), ok, got)
 			}
 			key := fmt.Sprintf("k%02d", rnd.IntN(40))
 			val := bytes.Repeat([]byte{'v'}, 1+rnd.IntN(20))
@@ -278,7 +295,7 @@ func walkDeltaLen(t *testing.T, start func() ([]byte, *Page)) {
 			case 3:
 				if len(p.Recs) > 0 {
 					r := p.Recs[rnd.IntN(len(p.Recs))]
-					r.Stage(base.TS(1000+step), base.TS(1000+step/2))
+					r.Stage(base.TS(1000+step), horizon)
 					r.Value = val
 					p.Replace(p.Get(r.Key), r)
 				}
@@ -294,11 +311,12 @@ func walkDeltaLen(t *testing.T, start func() ([]byte, *Page)) {
 // key framed as gone, "@" and its slot after it.
 func framed(p *Page) []string {
 	var keys []string
-	p.delta(func(slot int, key string, r *Record) {
+	p.delta(func(slot int, key string, r *Record) bool {
 		if r == nil {
 			key = "-" + key
 		}
 		keys = append(keys, fmt.Sprintf("%s@%d", key, slot))
+		return true
 	})
 	return keys
 }
@@ -337,8 +355,7 @@ func TestDeltaMergesRemovedKeys(t *testing.T) {
 			if got := framed(p); !slices.Equal(got, c.want) {
 				t.Fatalf("the frame holds %v, want %v", got, c.want)
 			}
-			frame, _ := p.AppendDelta(nil)
-			if got, err := Decode(append(chain, frame...)); err != nil || !got.Equal(p) {
+			if got, err := Decode(append(chain, frameOf(p)...)); err != nil || !got.Equal(p) {
 				t.Fatalf("the chain and the frame decode to another page (%v)", err)
 			}
 		})

@@ -50,8 +50,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(chain)
 	f.Add(chain[:len(chain)-1])
 	f.Add(append(versioned.Encode(), removesTwice(versioned, "y")...))
-	leafFrame, _ := NewLeaf(9).AppendDelta(nil)
-	f.Add(append(branch.Encode(), leafFrame...))
+	f.Add(append(branch.Encode(), frameOf(NewLeaf(9))...))
 	// A frame whose records take two-byte lengths and history: a key and a
 	// value of over 128 bytes, a before version over history decoded into
 	// its slot, and a tombstone head inserted among them.

@@ -40,10 +40,10 @@ func TestDeltaFramesAreGolden(t *testing.T) {
 		writeBack := func(step int, horizon base.TS) {
 			p.Ab.Ensure(2).Add(base.LSN(step))
 			p.Ab.Ensure(2).Advance(base.LSN(step/2), base.LSN(step))
-			if frame, ok := deltaFrame(p, horizon, baseLen/2-(len(chain)-baseLen)); ok {
-				sum.Write(frame)
+			if next, _, ok := p.AppendDelta(chain, horizon, baseLen/2-(len(chain)-baseLen)); ok {
+				sum.Write(next[len(chain):])
 				frames++
-				chain = append(chain[:len(chain):len(chain)], frame...)
+				chain = next
 			} else {
 				p.CollectImage(horizon)
 				chain = p.Encode()
@@ -102,15 +102,4 @@ func TestDeltaFramesAreGolden(t *testing.T) {
 	if got != goldenFrames {
 		t.Fatalf("the frames hash to %s, want %s", got, goldenFrames)
 	}
-}
-
-// deltaFrame is p's delta frame, its records collected down to horizon, if
-// it takes room bytes or fewer.
-func deltaFrame(p *Page, horizon base.TS, room int) ([]byte, bool) {
-	p.CollectDelta(horizon)
-	if room <= 0 || p.DeltaLen() > room {
-		return nil, false
-	}
-	frame, _ := p.AppendDelta(nil)
-	return frame, true
 }

@@ -69,10 +69,11 @@
 // — the horizon trails every TC's safe timestamp — and every snapshot the DC
 // still serves reads its head, so its history, the before version included,
 // is dead. The DC keeps no second message to drop a before version at commit
-// (§6.2.2); a write-back does it instead, in the cached page, before it encodes
-// (CollectDelta for the records a delta frame carries, CollectImage for a full
-// image, which also removes committed tombstones), so the stable chain stays
-// the cached page and Size shrinks with it.
+// (§6.2.2); a write-back does it instead, in the cached page, as it encodes
+// (AppendDelta, record by record, for the records a delta frame carries;
+// CollectImage, before a full image, for all of them, which also removes
+// committed tombstones), so the stable chain stays the cached page and Size
+// shrinks with it.
 //
 // # A page keeps its own size
 //
@@ -109,7 +110,7 @@ const (
 	// FlagHasBefore marks a head written by a versioned write, with the
 	// committed version it replaced retained as the before version: the last
 	// entry of Hist (§6.2.2). A write-back clears it, with the history, once
-	// the head is committed below the GC horizon (Page.CollectDelta,
+	// the head is committed below the GC horizon (Page.AppendDelta,
 	// CollectImage).
 	FlagHasBefore uint8 = 1 << iota
 	// FlagTombstone marks the latest version as a deletion.
@@ -233,7 +234,7 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 // once, keeps its before version all the same. It cannot happen: a commit
 // timestamp is drawn above every safe timestamp promised, and the horizon is
 // at or below every safe timestamp. A head a write-back collected
-// (CollectDelta, CollectImage) has no before version left: it is committed,
+// (AppendDelta, CollectImage) has no before version left: it is committed,
 // and Stage keeps it as the before version like any other.
 func (r *Record) Stage(ts, horizon base.TS) {
 	if r.OwnHead(ts) {
@@ -300,7 +301,7 @@ func (r *Record) AbortVersion() (remove bool) {
 // one stamped above the horizon, and a TC-crash loser's, whose timestamp no
 // horizon passes before the restarted TC's resend has undone it (dc.SafeTS
 // drops the TC's broadcasts meanwhile). A record of a page's is collected
-// through the page (CollectDelta, CollectImage), which takes what shed
+// through the page (AppendDelta, CollectImage), which takes what shed
 // returns off its size.
 func (r *Record) shed(horizon base.TS) (shrunk int) {
 	if r.TS == 0 || r.TS > horizon || len(r.Hist) == 0 {
@@ -793,100 +794,86 @@ func (p *Page) EncodeAb(spare int) (image []byte, abBytes int) {
 	return buf, abBytes
 }
 
-// deltaKeys is how many keys the next delta frame holds (delta).
-func (p *Page) deltaKeys() (n int) {
-	p.delta(func(int, string, *Record) { n++ })
-	return n
-}
-
 // delta calls fn, in ascending key order, with each key the next delta frame
 // holds, its slot in p and p's record of it, or nil for a key a Remove
-// dropped that p does not hold again, whose slot is where it would go. It is
-// one walk over the marked slots, which ascend, merging in the removed keys,
-// each at the slot a search finds. It allocates nothing: fn does not escape.
-func (p *Page) delta(fn func(slot int, key string, r *Record)) {
+// dropped that p does not hold again, whose slot is where it would go, until
+// fn returns false. It is one walk over the marked slots, which ascend,
+// merging in the removed keys, each at the slot a search finds. It allocates
+// nothing: fn does not escape.
+func (p *Page) delta(fn func(slot int, key string, r *Record) bool) {
 	recs, changed, slot := p.Recs, p.changed, 0
 	for _, key := range p.gone {
 		at, held := p.find(key)
 		for ; slot < at; slot++ {
-			if changed[slot] {
-				fn(slot, recs[slot].Key, &recs[slot])
+			if changed[slot] && !fn(slot, recs[slot].Key, &recs[slot]) {
+				return
 			}
 		}
-		if !held { // a key put back is framed as its record
-			fn(at, key, nil)
+		if !held && !fn(at, key, nil) { // a key put back is framed as its record
+			return
 		}
 	}
 	for ; slot < len(changed); slot++ {
-		if changed[slot] {
-			fn(slot, recs[slot].Key, &recs[slot])
+		if changed[slot] && !fn(slot, recs[slot].Key, &recs[slot]) {
+			return
 		}
 	}
 }
 
 // AppendDelta appends to dst the delta frame that takes p's stable chain
-// (Chain) to p, and says how many of its bytes are the abstract-LSN table. A
-// frame is its length as a uvarint, then the header, the changed keys in
-// ascending order (delta), each as its slot in p followed by its record — the
-// record p holds of the key, or, flagged gone, the key alone — and last the
-// whole abstract-LSN table: §5.1.2 holds per chain, since the newest frame's
-// table is the page's, and a decode reads no other frame's. The slot comes
-// first so that a decode can write the record straight into it (applyFrame).
-// DeltaLen is the frame's length, counted first.
-func (p *Page) AppendDelta(dst []byte) (frame []byte, abBytes int) {
-	start := len(dst)
-	dst = p.appendHeader(dst)
-	dst = binary.AppendUvarint(dst, uint64(p.deltaKeys()))
-	p.delta(func(slot int, key string, r *Record) {
+// (Chain) to p, if the frame takes room bytes or fewer, and says how many of
+// its bytes are the abstract-LSN table. A frame is its length as a uvarint,
+// then the header, the changed keys in ascending order (delta), each as its
+// slot in p followed by its record — the record p holds of the key, or,
+// flagged gone, the key alone — and last the whole abstract-LSN table: §5.1.2
+// holds per chain, since the newest frame's table is the page's, and a decode
+// reads no other frame's. The slot comes first so that a decode can write the
+// record straight into it (applyFrame).
+//
+// It is one walk over what changed. Each record is collected (shed) down to
+// horizon before it is encoded, in p too, so the chain the frame lands on
+// stays p: Replace without the mark, which the records have had, so Size
+// follows. A record no frame holds is left alone — collecting it would change
+// p and not the chain. The records are encoded after a gap as wide as the
+// length, header and key count can be, and one copy closes it once they are
+// known. The walk stops as soon as the frame must outgrow room; then, or if
+// the whole frame does, ok is false and dst comes back at its length, over
+// the array the encoding grew it into, the bytes past it written over, and
+// what was collected stays collected (a full image collects the rest). It
+// allocates nothing but dst's growth.
+func (p *Page) AppendDelta(dst []byte, horizon base.TS, room int) (frame []byte, abBytes int, ok bool) {
+	start, head := len(dst), p.headerLen()
+	recs := start + head + 2*binary.MaxVarintLen64
+	dst = slices.Grow(dst, recs-start)[:recs]
+	// The most record bytes a frame within room holds: the length and the key
+	// count take a byte each at least.
+	keys, most, fits := 0, room-head-p.Ab.EncodedLen()-2, true
+	p.delta(func(slot int, key string, r *Record) bool {
 		dst = binary.AppendUvarint(dst, uint64(slot))
 		if r == nil {
 			dst = appendRecord(dst, &Record{Key: key}, true)
 		} else {
+			p.body -= r.shed(horizon)
 			dst = appendRecord(dst, r, false)
 		}
+		keys++
+		fits = len(dst)-recs <= most
+		return fits
 	})
+	if !fits {
+		return dst[:start], 0, false
+	}
 	table := len(dst)
 	dst = p.Ab.Append(dst)
-	abBytes = len(dst) - table
-	var n [binary.MaxVarintLen64]byte
-	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), abBytes
-}
-
-// DeltaLen is the length of p's delta frame (AppendDelta), counted without
-// encoding it: the header, the key count, each key's slot and record, the
-// abstract-LSN table and the frame's own length. The buffer pool asks it
-// before it encodes anything, and writes a full image at once when the frame
-// would outgrow the room its chain has left, so it never builds a frame it
-// throws away.
-func (p *Page) DeltaLen() int {
-	keys, n := 0, p.headerLen()+p.Ab.EncodedLen()
-	p.delta(func(slot int, key string, r *Record) {
-		keys++
-		n += base.UvarintLen(uint64(slot))
-		if r == nil {
-			n += base.UvarintLen(uint64(len(key))) + len(key) + 3 // gone: owner, flags, value length
-		} else {
-			n += recordLen(r)
-		}
-	})
-	n += base.UvarintLen(uint64(keys))
-	return base.UvarintLen(uint64(n)) + n
-}
-
-// CollectDelta collects (shed) the records p's next delta frame holds, before
-// the write-back encodes it: the frame carries them collected, and the chain
-// it lands on stays p. A record no frame holds is left alone — collecting it
-// would change p and not the chain. It is Replace without the mark, which
-// the records have had: Size follows, and nothing is allocated.
-func (p *Page) CollectDelta(horizon base.TS) {
-	if horizon == 0 || p.stable == nil {
-		return
+	body := len(dst) - recs
+	n := head + base.UvarintLen(uint64(keys)) + body
+	pre := base.UvarintLen(uint64(n)) + n - body
+	if pre+body > room {
+		return dst[:start], 0, false
 	}
-	p.delta(func(_ int, _ string, r *Record) {
-		if r != nil {
-			p.body -= r.shed(horizon)
-		}
-	})
+	copy(dst[start+pre:], dst[recs:])
+	binary.AppendUvarint(p.appendHeader(binary.AppendUvarint(dst[:start], uint64(n))), uint64(keys))
+	return dst[:start+pre+body], len(dst) - table, true
 }
 
 // CollectImage collects every record of a leaf before a full image is
@@ -914,24 +901,6 @@ func (p *Page) CollectImage(horizon base.TS) {
 	}
 	clear(p.Recs[kept:])
 	p.Recs = p.Recs[:kept]
-}
-
-// recordLen is the length of r in the stable format (appendRecord).
-func recordLen(r *Record) int {
-	n := base.UvarintLen(uint64(len(r.Key))) + len(r.Key) + base.UvarintLen(uint64(r.Owner)) + 1 +
-		base.UvarintLen(uint64(len(r.Value))) + len(r.Value)
-	if r.TS == 0 && len(r.Hist) == 0 {
-		return n
-	}
-	n += base.UvarintLen(uint64(r.TS)) + base.UvarintLen(uint64(len(r.Hist)))
-	for i := range r.Hist {
-		v := &r.Hist[i]
-		n += base.UvarintLen(uint64(v.TS)) + 1
-		if !v.Del {
-			n += base.UvarintLen(uint64(len(v.Val))+1) - 1 + len(v.Val)
-		}
-	}
-	return n
 }
 
 // headerLen is the length of p's header (appendHeader).
