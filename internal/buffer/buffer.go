@@ -38,16 +38,16 @@
 //
 // A page crosses the cache boundary without a copy of its records either
 // way. A write-back encodes a frame into a buffer of the pool's that it takes
-// for the while, which the store copies into the room behind the chain, or
-// encodes a full image into a fresh buffer, which the store keeps. Write-backs
-// of different pages encode at once: one that finds the buffer taken encodes
-// into one of its own. A miss copies nothing: the store returns the chain it
-// holds and page.DecodeInto builds the cached page over it, decoding the base
-// and applying each frame in the one pass, so the cached page and the stable
-// page share their bytes until a record is replaced (the page package comment
-// has the rules this rests on: chains are never written below their end,
-// fields are replaced and not edited). A frame appended after the miss leaves
-// the page's bytes where they are; a full image leaves the frame aliasing the
+// for the while (Pool.frameBufs), which the store copies into the room behind
+// the chain, or encodes a full image into a fresh buffer, which the store
+// keeps. Write-backs of different pages encode at once, each into a buffer of
+// its own. A miss copies nothing: the store returns the chain it holds and
+// page.DecodeInto builds the cached page over it, decoding the base and
+// applying each frame in the one pass, so the cached page and the stable page
+// share their bytes until a record is replaced (the page package comment has
+// the rules this rests on: chains are never written below their end, fields
+// are replaced and not edited). A frame appended after the miss leaves the
+// page's bytes where they are; a full image leaves the frame aliasing the
 // chain it was read from, now dead, and the store holding the new one.
 //
 // A miss at capacity reuses the frame an eviction freed: its page with the
@@ -149,11 +149,11 @@ type Pool struct {
 	wmu   sync.RWMutex
 	ended atomic.Bool
 
-	// delta is a buffer for delta frames: a write-back takes it, encodes a
-	// frame into it and puts it back once the store has copied the frame, so
-	// a frame allocates nothing. Write-backs do not wait for it: one that
-	// finds it taken encodes into a buffer of its own.
-	delta atomic.Pointer[[]byte]
+	// frameBufs holds up to eight buffers for delta frames: a write-back
+	// takes one, or makes one if none is free, encodes a frame into it and
+	// puts it back once the store has copied the frame, so a frame allocates
+	// nothing while no more than eight write-backs overlap.
+	frameBufs chan []byte
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
 	images, pageBytes, abBytes                   atomic.Uint64
@@ -162,7 +162,7 @@ type Pool struct {
 // New returns a pool over store with the given gates.
 func New(cfg Config, store *storage.PageStore, gates Gates) *Pool {
 	p := &Pool{cfg: cfg.withDefaults(), store: store, gates: gates,
-		frames: make(map[base.PageID]*frame)}
+		frames: make(map[base.PageID]*frame), frameBufs: make(chan []byte, 8)}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -361,8 +361,9 @@ func (p *Pool) End() {
 // watchWriteBack, when set, is called with every page a write-back is about
 // to write, latched, and the GC horizon it collects to, and what it returns
 // once the page is written; discardedFrame, with every delta frame a
-// write-back built whole and did not write; fetchDecoded, with the page a
-// miss has decoded, before it takes mu to install it (tests).
+// write-back built whole and did not write, which it does only when the store
+// no longer holds the chain the frame was built onto; fetchDecoded, with the
+// page a miss has decoded, before it takes mu to install it (tests).
 var (
 	watchWriteBack func(pg *page.Page, horizon base.TS) (written func())
 	discardedFrame func(pg *page.Page)
@@ -379,7 +380,7 @@ var (
 // the base. Anything else — a chain that has grown too long, a new page, a
 // reshaped one, a branch — writes a full image, which is the consolidation.
 //
-// The frame is encoded once, into the pool's buffer (Pool.delta), and the
+// The frame is encoded once, into a buffer of the pool's (frameBufs), and the
 // encoding gives up as soon as the frame outgrows the room the chain has left;
 // the store copies a frame that fits onto the chain. A leaf's full image is
 // encoded into a buffer with room past its end for all the frames the rule
@@ -406,18 +407,21 @@ func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	if chain, base := pg.Chain(); chain != nil {
 		// What the chain's frames may still add.
 		if room := base/2 - (len(chain) - base); room > 0 {
-			buf := p.delta.Swap(nil)
-			if buf == nil {
-				buf = new([]byte)
+			var buf []byte
+			select {
+			case buf = <-p.frameBufs:
+			default:
 			}
-			frame, abBytes, fits := pg.AppendDelta(slices.Grow((*buf)[:0], room), horizon, room)
+			frame, abBytes, fits := pg.AppendDelta(slices.Grow(buf, room), horizon, room)
 			var next []byte
 			held := false
 			if fits {
 				next, held = p.store.Append(pg.ID, chain, frame)
 			}
-			*buf = frame[:0]
-			p.delta.Store(buf)
+			select {
+			case p.frameBufs <- frame[:0]:
+			default:
+			}
 			if held {
 				pg.SetChain(next, base)
 				return len(frame), abBytes, true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -341,13 +342,13 @@ func TestConcurrentFetchSingleFrame(t *testing.T) {
 // TestRecycledFrameServesOnePage: a miss decodes into the page an eviction
 // freed, so a frame recycled while anyone could still reach it would show one
 // caller another page's records. Most evictions write a delta frame, from the
-// four writers at once, into the pool's buffer or, when another write-back
-// holds it, one of their own. Writers over 256 pages behind 8 frames, so
-// that nearly every fetch evicts a dirty page and takes over a frame, check
-// under the latch that every record of the page they hold names that page
-// and that its size is its own (page.Page.CheckSize), and bump the page's
-// counter; at the end every page counts every write made
-// to it, none lost to a frame served twice or a stale image installed. One
+// four writers at once, each into a buffer of its own; some frames must be
+// written while another write-back is under way. Writers over 256 pages
+// behind 8 frames, so that nearly every fetch evicts a dirty page and takes
+// over a frame, check under the latch that every record of the page they hold
+// names that page and that its size is its own (page.Page.CheckSize), and
+// bump the page's counter; at the end every page counts every write made to
+// it, none lost to a frame served twice or a stale image installed. One
 // writer writes as a TC whose log is stable only up to a few LSNs back, so
 // some evictions find the causality gate closed and keep their victim.
 func TestRecycledFrameServesOnePage(t *testing.T) {
@@ -376,6 +377,24 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 		ids[i] = pg.ID
 		store.Write(pg.ID, pg.Encode())
 	}
+	// A delta frame written while another write-back was under way counts as
+	// concurrent: the chain outgrows its base only by a frame. Until one is
+	// seen, a write-back that starts alone gives another a millisecond to
+	// start beside it.
+	var inflight, concurrent atomic.Int64
+	watchWriteBack = func(pg *page.Page, _ base.TS) func() {
+		alone := inflight.Add(1) == 1
+		for end := time.Now().Add(time.Millisecond); alone && concurrent.Load() == 0 && inflight.Load() == 1 && time.Now().Before(end); {
+			runtime.Gosched()
+		}
+		return func() {
+			if chain, base := pg.Chain(); (!alone || inflight.Load() > 1) && len(chain) > base {
+				concurrent.Add(1)
+			}
+			inflight.Add(-1)
+		}
+	}
+	t.Cleanup(func() { watchWriteBack = nil })
 	var want [pages]atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -423,9 +442,9 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 	wg.Wait()
 	// The writers' evictions wrote delta frames, several at once.
 	st := p.Stats()
-	t.Logf("%d write-backs by %d writers: %d delta frames, %d full images", st.Flushes, workers, st.Flushes-st.Images, st.Images)
-	if st.Flushes == st.Images {
-		t.Fatalf("the writers' %d write-backs wrote no delta frame", st.Flushes)
+	t.Logf("%d write-backs by %d writers: %d delta frames, %d of them concurrent, %d full images", st.Flushes, workers, st.Flushes-st.Images, concurrent.Load(), st.Images)
+	if concurrent.Load() == 0 {
+		t.Fatalf("the writers' %d write-backs wrote no delta frame beside another write-back", st.Flushes)
 	}
 	lag.Store(0)
 	if err := p.FlushAll(true, nil); err != nil {

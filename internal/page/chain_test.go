@@ -246,6 +246,23 @@ func TestDeltaFloorIsExactOnShortRecords(t *testing.T) {
 	})
 }
 
+// TestDeltaFloorCountsManyKeys: the walk of TestDeltaFloorBoundsTheRecords,
+// started with 200 changes pending, so that its frames' key count takes two
+// bytes until a write-back.
+func TestDeltaFloorCountsManyKeys(t *testing.T) {
+	walkDeltaFrames(t, func() ([]byte, *Page) {
+		keys := make([]string, 200)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("r%03d", i)
+		}
+		chain, p := chainOf(t, leafWith(keys...))
+		for _, key := range keys {
+			setValue(p, key, "v")
+		}
+		return chain, p
+	})
+}
+
 // walkDeltaFrames runs 20 seeded walks of 300 steps from start's chain and
 // page, checking at every step that the chain and AppendDelta's frame decode
 // to the page, whose Size follows what the frame collected, and that

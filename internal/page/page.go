@@ -836,44 +836,44 @@ func (p *Page) delta(fn func(slot int, key string, r *Record) bool) {
 // follows. A record no frame holds is left alone — collecting it would change
 // p and not the chain. The records are encoded after a gap as wide as the
 // length, header and key count can be, and one copy closes it once they are
-// known. The walk stops as soon as the frame must outgrow room; then, or if
-// the whole frame does, ok is false and dst comes back at its length, over
-// the array the encoding grew it into, the bytes past it written over, and
-// what was collected stays collected (a full image collects the rest). It
-// allocates nothing but dst's growth.
+// known. The walk's bound is the length of the frame so far, exactly — the
+// records walked, the header, the key count, the table and the length itself
+// — which only grows as records are added, so the walk stops as soon as the
+// frame must outgrow room, and a frame that is encoded whole fits. When it
+// stops, ok is false and dst comes back at its length, over the array the
+// encoding grew it into, the bytes past it written over, and what was
+// collected stays collected (a full image collects the rest). It allocates
+// nothing but dst's growth.
 func (p *Page) AppendDelta(dst []byte, horizon base.TS, room int) (frame []byte, abBytes int, ok bool) {
-	start, head := len(dst), p.headerLen()
+	start, head, ab := len(dst), p.headerLen(), p.Ab.EncodedLen()
 	recs := start + head + 2*binary.MaxVarintLen64
 	dst = slices.Grow(dst, recs-start)[:recs]
-	// The most record bytes a frame within room holds: the length and the key
-	// count take a byte each at least.
-	keys, most, fits := 0, room-head-p.Ab.EncodedLen()-2, true
-	p.delta(func(slot int, key string, r *Record) bool {
-		dst = binary.AppendUvarint(dst, uint64(slot))
-		if r == nil {
-			dst = appendRecord(dst, &Record{Key: key}, true)
-		} else {
-			p.body -= r.shed(horizon)
-			dst = appendRecord(dst, r, false)
-		}
-		keys++
-		fits = len(dst)-recs <= most
-		return fits
-	})
-	if !fits {
+	// n is the frame's length after its length prefix, for the records in
+	// dst[recs:].
+	keys, n := 0, head+1+ab
+	if ok = base.UvarintLen(uint64(n))+n <= room; ok {
+		p.delta(func(slot int, key string, r *Record) bool {
+			dst = binary.AppendUvarint(dst, uint64(slot))
+			if r == nil {
+				dst = appendRecord(dst, &Record{Key: key}, true)
+			} else {
+				p.body -= r.shed(horizon)
+				dst = appendRecord(dst, r, false)
+			}
+			keys++
+			n = head + base.UvarintLen(uint64(keys)) + len(dst) - recs + ab
+			ok = base.UvarintLen(uint64(n))+n <= room
+			return ok
+		})
+	}
+	if !ok {
 		return dst[:start], 0, false
 	}
-	table := len(dst)
+	pre := base.UvarintLen(uint64(n)) + head + base.UvarintLen(uint64(keys))
 	dst = p.Ab.Append(dst)
-	body := len(dst) - recs
-	n := head + base.UvarintLen(uint64(keys)) + body
-	pre := base.UvarintLen(uint64(n)) + n - body
-	if pre+body > room {
-		return dst[:start], 0, false
-	}
 	copy(dst[start+pre:], dst[recs:])
 	binary.AppendUvarint(p.appendHeader(binary.AppendUvarint(dst[:start], uint64(n))), uint64(keys))
-	return dst[:start+pre+body], len(dst) - table, true
+	return dst[:start+pre+len(dst)-recs], ab, true
 }
 
 // CollectImage collects every record of a leaf before a full image is
