@@ -193,7 +193,7 @@ func OpenPageStoreFile(path string) (s *PageStore, err error) {
 		if err != nil {
 			return 0, err
 		}
-		if floor := binary.BigEndian.Uint64(data) &^ logFormat; floor != journalFloor {
+		if floor := binary.BigEndian.Uint64(data) &^ formatBits; floor != journalFloor {
 			return 0, fmt.Errorf("a page journal's header floor is %d, not %d: a journal without checksums", floor, journalFloor)
 		}
 		for i, r := range l.recs {
@@ -337,22 +337,40 @@ func (s *PageStore) PowerCut() {
 }
 
 // A file's 8-byte header is a log's floor — the stable LSN when the image
-// was written, all a log truncated empty has left to say — with the top bit
-// (logFormat) set: the bit names the batch-marked frame format, so an image
-// of the earlier unmarked one is refused, and left as it is, instead of
-// being read as torn batches and cut. A log file's frames are byte for byte
-// LogStore's chunks.
+// was written, all a log truncated empty has left to say — with the format
+// in its top two bits (logFormat): batch-marked frames, each of a log's
+// records in the compact encoding of package wal (no length of its own, its
+// links as deltas). An image of an earlier format is refused, and left as
+// it is: one with neither bit holds unmarked frames, which would be read as
+// torn batches and cut, and one with the top bit alone (markedFormat) holds
+// records with full-width links and a length, which would be read as other
+// records. A log file's frames are byte for byte LogStore's chunks.
 const (
 	logHeaderBytes = 8
-	logFormat      = 1 << 63
+	formatBits     = 3 << 62
+	logFormat      = 3 << 62
+	markedFormat   = 1 << 63
 )
 
 // logHeader returns the header of an image whose floor is floor.
 func logHeader(floor uint64) []byte {
-	if floor&logFormat != 0 {
+	if floor&formatBits != 0 {
 		panic(fmt.Sprintf("storage: log floor %d beyond the file format", floor))
 	}
 	return binary.BigEndian.AppendUint64(nil, floor|logFormat)
+}
+
+// checkFormat refuses a header of any format but logFormat, naming it.
+func checkFormat(header uint64) error {
+	switch header & formatBits {
+	case logFormat:
+		return nil
+	case 0:
+		return errors.New("header lacks the format bits: an image of the format without batch marks")
+	case markedFormat:
+		return errors.New("header names the batch-marked format of full-width log records: an image written before the compact record encoding")
+	}
+	return fmt.Errorf("header names unknown format %d", header>>62)
 }
 
 // appendFrameHead appends the head of a frame of size record bytes: the LSN
@@ -382,8 +400,8 @@ func OpenLogStoreFile(path string) (l *LogStore, err error) {
 // torn anywhere — inside a frame or between two — after the whole batches an
 // earlier fsync covered, and a power loss can leave zeros there: everything
 // from the frame after the last marked one on is cut. An LSN is never 0, so a
-// zero byte where one starts ends the image. An image whose header lacks
-// logFormat is refused whole.
+// zero byte where one starts ends the image. An image whose header names
+// another format than logFormat is refused whole.
 func (l *LogStore) load(data []byte) (clean int, err error) {
 	if len(data) < logHeaderBytes {
 		return 0, errors.New("truncated header")
@@ -392,10 +410,10 @@ func (l *LogStore) load(data []byte) (clean int, err error) {
 		return 0, errors.New("image exceeds 4 GiB")
 	}
 	floor := binary.BigEndian.Uint64(data)
-	if floor&logFormat == 0 {
-		return 0, errors.New("header lacks the format bit: an image of the format without batch marks")
+	if err := checkFormat(floor); err != nil {
+		return 0, err
 	}
-	floor &^= logFormat
+	floor &^= formatBits
 	body := data[logHeaderBytes:]
 	off, prev := 0, uint64(0)
 	end, whole, last := 0, 0, uint64(0) // the image up to the last marked frame

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -478,6 +479,62 @@ func TestUnmarkedImageIsRefused(t *testing.T) {
 	}
 }
 
+// fullWidthImage is a TC-log file as the batch-marked format before the
+// compact record encoding wrote it: the header's top bit alone, and one
+// batch of an op record and its commit record, each record's Prev and
+// NextUndo full-width and its payload behind a length.
+func fullWidthImage() []byte {
+	record := func(lsn uint64, kind byte, prev uint64, payload string) []byte {
+		rec := binary.AppendUvarint(nil, lsn)
+		rec = append(rec, kind)
+		rec = binary.AppendUvarint(rec, 7) // the transaction
+		rec = binary.AppendUvarint(rec, prev)
+		rec = binary.AppendUvarint(rec, 0) // NextUndo
+		rec = binary.AppendUvarint(rec, uint64(len(payload)))
+		return append(rec, payload...)
+	}
+	image := binary.BigEndian.AppendUint64(nil, markedFormat)
+	for i, rec := range [][]byte{record(1, 1, 0, "upsert kv/k"), record(2, 3, 1, "\x00")} {
+		image = appendFrameHead(image, uint64(i+1), len(rec), i == 1)
+		image = append(image, rec...)
+	}
+	return image
+}
+
+// TestFullWidthRecordImageIsRefused: a log file of records with full-width
+// links and a length fails to open, with an error that names its format,
+// and is left byte for byte as it was; its frames are sound, and under
+// today's header they open.
+func TestFullWidthRecordImageIsRefused(t *testing.T) {
+	image := fullWidthImage()
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLogStoreFile(path)
+	if err == nil {
+		l.file.f.Close()
+		t.Fatalf("opened a full-width record image: records %q", l.Scan(0))
+	}
+	if !strings.Contains(err.Error(), "full-width log records") {
+		t.Fatalf("the refusal does not name the format: %v", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, image) {
+		t.Fatalf("the refused image changed: %x, was %x (%v)", data, image, err)
+	}
+	binary.BigEndian.PutUint64(image, logFormat)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = OpenLogStoreFile(path); err != nil {
+		t.Fatalf("the same frames under today's header: %v", err)
+	}
+	defer l.file.f.Close()
+	if recs := l.Scan(0); len(recs) != 2 {
+		t.Fatalf("the same frames under today's header hold %d records, want 2", len(recs))
+	}
+}
+
 // FuzzLogImage feeds arbitrary bytes to OpenLogStoreFile as the log file:
 // it never panics, and whatever it accepts it accepts again, identically,
 // from the clean image it left — also after the next append and force, so no
@@ -501,6 +558,7 @@ func FuzzLogImage(f *testing.F) {
 	f.Add(tornBatchImage(f))
 	f.Add(unmarkedImage())
 	f.Add(append(bytes.Clone(whole), make([]byte, 32)...)) // a zero tail
+	f.Add(fullWidthImage())
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := filepath.Join(t.TempDir(), "log")
 		if err := os.WriteFile(path, image, 0o644); err != nil {

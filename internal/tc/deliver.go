@@ -418,18 +418,14 @@ func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
 	}
 	size := binary.MaxVarintLen64 // the commit payload
 	for i := range x.queue {
-		size += opPayloadBound(&x.queue[i].op, x.queue[i].undo)
+		size += opPayloadLen(&x.queue[i].op, x.queue[i].logged(commit))
 	}
 	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
 	recs := x.slab.recs[:0]
 	for i := range x.queue {
 		q := &x.queue[i]
-		undo := q.undo
-		if commit {
-			undo = undoImage{redoOnly: true}
-		}
 		start := len(x.enc)
-		x.enc = appendOpPayload(x.enc, &q.op, undo)
+		x.enc = appendOpPayload(x.enc, &q.op, q.logged(commit))
 		recs = append(recs, wal.Record{Kind: recOp, Txn: x.id, Payload: x.enc[start:]})
 	}
 	if commit {

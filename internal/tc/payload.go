@@ -3,39 +3,91 @@ package tc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
+	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// Op-record payload: the logical operation (LSN zeroed; the record's own
-// LSN is authoritative) plus the undo information captured before the send
-// (§4.1.1(3): "Undo logging in the TC will enable rollback … by providing
-// information TC can use to submit inverse logical operations").
+// Op-record payload: the logical operation and the undo information captured
+// before the send (§4.1.1(3): "Undo logging in the TC will enable rollback …
+// by providing information TC can use to submit inverse logical
+// operations"), and nothing restart does not read:
+//
+//	head   1 byte: bits 0-3 the op kind, bit 4 Versioned, bit 5 TS present,
+//	       bits 6-7 the undo image (priorAbsent, priorPresent, priorNone)
+//	table  uvarint length, bytes
+//	key    uvarint length, bytes
+//	value  uvarint length, bytes; only for a kind that writes one
+//	TS     uvarint; only when present, and then never 0
+//	prior  uvarint length, bytes; only when the image is priorPresent
+//
+// The operation's LSN is the record's, its TC the log's owner, and its epoch
+// the restarted incarnation's (a logged, dead one would be refused by the
+// DC fence), so none is written; nor is anything only a read carries. A
+// decoded operation has Kind, Table, Key, Value, Versioned and TS; its
+// caller stamps the rest.
 //
 // The payload encoders append to buf. The log copies a payload into its own
 // encoding of the record (wal.AppendBatch), so a caller that logs many keeps
 // one buffer and passes buf[:0], or sizes it once for a whole batch with
-// opPayloadBound and encodes the payloads back to back.
+// opPayloadLen and encodes the payloads back to back.
 func appendOpPayload(buf []byte, op *base.Op, u undoImage) []byte {
-	buf = slices.Grow(buf, opPayloadBound(op, u))
-	saved, savedEpoch := op.LSN, op.Epoch
-	// LSN and epoch are zeroed in the payload: the record's own LSN is
-	// authoritative, and redo stamps the *restarted* incarnation's epoch —
-	// a logged (dead) epoch would be refused by the DC fence.
-	op.LSN, op.Epoch = 0, 0
-	buf = base.AppendOp(buf, op)
-	op.LSN, op.Epoch = saved, savedEpoch
-	buf = binary.AppendUvarint(buf, uint64(len(u.prior)))
-	buf = append(buf, u.prior...)
-	return append(buf, u.flag())
+	buf = slices.Grow(buf, opPayloadLen(op, u))
+	head := byte(op.Kind) | u.flag()<<opUndoShift
+	if op.Versioned {
+		head |= opVersioned
+	}
+	if op.TS != 0 {
+		head |= opHasTS
+	}
+	buf = append(buf, head)
+	buf = appendField(buf, op.Table)
+	buf = appendField(buf, op.Key)
+	if hasValue(op.Kind) {
+		buf = appendField(buf, op.Value)
+	}
+	if op.TS != 0 {
+		buf = binary.AppendUvarint(buf, uint64(op.TS))
+	}
+	if u.flag() == priorPresent {
+		buf = appendField(buf, u.prior)
+	}
+	return buf
 }
 
-// opPayloadBound bounds the bytes appendOpPayload adds: the strings and a
-// bound on the varints and flags around them.
-func opPayloadBound(op *base.Op, u undoImage) int {
-	return len(op.Table) + len(op.Key) + len(op.EndKey) + len(op.Value) + len(u.prior) + 48
+// opPayloadLen is the length of appendOpPayload's encoding of op and u.
+func opPayloadLen(op *base.Op, u undoImage) int {
+	n := 1 + fieldLen(len(op.Table)) + fieldLen(len(op.Key))
+	if hasValue(op.Kind) {
+		n += fieldLen(len(op.Value))
+	}
+	if op.TS != 0 {
+		n += base.UvarintLen(uint64(op.TS))
+	}
+	if u.flag() == priorPresent {
+		n += fieldLen(len(u.prior))
+	}
+	return n
+}
+
+// The op payload's head byte, beside the kind in its low four bits.
+const (
+	opKindMask  = 0x0f
+	opVersioned = 1 << 4
+	opHasTS     = 1 << 5
+	opUndoShift = 6
+)
+
+// hasValue reports whether kind writes a value, which its record carries.
+func hasValue(kind base.OpKind) bool {
+	return kind == base.OpInsert || kind == base.OpUpdate || kind == base.OpUpsert
+}
+
+func fieldLen(n int) int { return base.UvarintLen(uint64(n)) + n }
+
+func appendField[T string | []byte](buf []byte, f T) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(f))), f...)
 }
 
 // undoImage is an op record's undo information: the value the key held before
@@ -50,7 +102,7 @@ type undoImage struct {
 	redoOnly bool
 }
 
-// The last byte of an op payload.
+// The undo image's two bits in an op payload's head.
 const (
 	priorAbsent  byte = iota // the key did not exist
 	priorPresent             // it held prior
@@ -69,26 +121,43 @@ func (u undoImage) flag() byte {
 
 var errCorruptOp = errors.New("tc: corrupt op payload")
 
+// decodeOpPayload parses exactly one payload of appendOpPayload: an unknown
+// kind or undo image, a TS present as 0, a non-minimal varint and a byte
+// past the end are corruption, so whatever decodes re-encodes to itself. The
+// operation's Value and the prior alias payload; Table and Key are copied,
+// each in an allocation of its own.
 func decodeOpPayload(payload []byte) (*base.Op, undoImage, error) {
-	op, rest, err := base.DecodeOp(payload)
-	if err != nil {
-		return nil, undoImage{}, err
-	}
-	n, w := binary.Uvarint(rest)
-	if w <= 0 || n > uint64(len(rest)-w) {
+	d := wal.NewDecoder(payload)
+	head := d.Byte()
+	op := &base.Op{Kind: base.OpKind(head & opKindMask), Versioned: head&opVersioned != 0}
+	flag := head >> opUndoShift
+	if !loggable(op.Kind) || flag > priorNone {
 		return nil, undoImage{}, errCorruptOp
 	}
-	rest = rest[w:]
-	var u undoImage
-	if n > 0 {
-		u.prior = append([]byte(nil), rest[:n]...)
+	table, key := d.Field(), d.Field()
+	if hasValue(op.Kind) {
+		op.Value = d.Field()
 	}
-	rest = rest[n:]
-	if len(rest) != 1 || rest[0] > priorNone || (rest[0] == priorNone && n > 0) {
+	if head&opHasTS != 0 {
+		if op.TS = base.TS(d.Uvarint()); op.TS == 0 {
+			d.Fail()
+		}
+	}
+	u := undoImage{found: flag == priorPresent, redoOnly: flag == priorNone}
+	if u.found {
+		u.prior = d.Field()
+	}
+	if !d.End() {
 		return nil, undoImage{}, errCorruptOp
 	}
-	u.found, u.redoOnly = rest[0] == priorPresent, rest[0] == priorNone
+	op.Table, op.Key = string(table), string(key)
 	return op, u, nil
+}
+
+// loggable reports whether an op record may hold kind: the writes, and
+// the inverse of a versioned one.
+func loggable(kind base.OpKind) bool {
+	return hasValue(kind) || kind == base.OpDelete || kind == base.OpAbortVersions
 }
 
 // Commit-record payload: the commit timestamp (zero for an unversioned
@@ -100,11 +169,12 @@ func appendCommit(buf []byte, ts base.TS) []byte {
 }
 
 func decodeCommit(payload []byte) (base.TS, error) {
-	u, w := binary.Uvarint(payload)
-	if w <= 0 || w != len(payload) {
-		return 0, fmt.Errorf("tc: corrupt commit payload")
+	d := wal.NewDecoder(payload)
+	ts := base.TS(d.Uvarint())
+	if !d.End() {
+		return 0, errors.New("tc: corrupt commit payload")
 	}
-	return base.TS(u), nil
+	return ts, nil
 }
 
 // Checkpoint-record payload: the redo scan start point plus the current
@@ -117,20 +187,12 @@ func encodeCheckpoint(rssp base.LSN, epoch base.Epoch) []byte {
 }
 
 func decodeCheckpoint(payload []byte) (base.LSN, base.Epoch, error) {
-	u, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return 0, 0, fmt.Errorf("tc: corrupt checkpoint payload")
+	d := wal.NewDecoder(payload)
+	rssp, epoch := base.LSN(d.Uvarint()), base.Epoch(d.Uvarint())
+	if !d.End() {
+		return 0, 0, errors.New("tc: corrupt checkpoint payload")
 	}
-	payload = payload[w:]
-	// Pre-epoch records end here; they decode with epoch zero.
-	if len(payload) == 0 {
-		return base.LSN(u), 0, nil
-	}
-	e, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return 0, 0, fmt.Errorf("tc: corrupt checkpoint payload")
-	}
-	return base.LSN(u), base.Epoch(e), nil
+	return rssp, epoch, nil
 }
 
 // Epoch-record payload: the minted incarnation epoch.
@@ -139,9 +201,10 @@ func encodeEpoch(epoch base.Epoch) []byte {
 }
 
 func decodeEpoch(payload []byte) (base.Epoch, error) {
-	u, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return 0, fmt.Errorf("tc: corrupt epoch payload")
+	d := wal.NewDecoder(payload)
+	epoch := base.Epoch(d.Uvarint())
+	if !d.End() {
+		return 0, errors.New("tc: corrupt epoch payload")
 	}
-	return base.Epoch(u), nil
+	return epoch, nil
 }

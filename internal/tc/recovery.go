@@ -328,7 +328,7 @@ func (inc *incarnation) redo(idx int) error {
 		if to != idx {
 			continue
 		}
-		op.LSN, op.Epoch = rec.LSN, inc.epoch
+		op.TC, op.LSN, op.Epoch = t.cfg.ID, rec.LSN, inc.epoch
 		ops = append(ops, op)
 	}
 	if err := inc.deliver(context.Background(), idx, ops, true); err != nil {

@@ -571,14 +571,14 @@ func TestPayloadRoundTrips(t *testing.T) {
 	op := &base.Op{TC: 3, LSN: 77, Kind: base.OpUpdate, Table: "t", Key: "k",
 		Value: []byte("new"), Versioned: true}
 	buf := appendOpPayload(nil, op, undoImage{prior: []byte("old"), found: true})
-	if op.LSN != 77 {
-		t.Fatal("encode must restore the op LSN")
+	if op.LSN != 77 || op.TC != 3 {
+		t.Fatal("encode must not touch the op")
 	}
 	got, undo, err := decodeOpPayload(buf)
 	if err != nil || string(undo.prior) != "old" || !undo.found || undo.redoOnly {
 		t.Fatalf("decode: %v %+v", err, undo)
 	}
-	op.LSN = 0 // payload zeroes it
+	op.TC, op.LSN = 0, 0 // the log's owner and the record carry them
 	if !reflect.DeepEqual(op, got) {
 		t.Fatalf("op mismatch: %+v vs %+v", op, got)
 	}
@@ -586,8 +586,8 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if _, undo, err := decodeOpPayload(appendOpPayload(nil, op, undoImage{redoOnly: true})); err != nil || !undo.redoOnly || undo.found || undo.prior != nil {
 		t.Fatalf("redo-only payload decodes as %+v, %v", undo, err)
 	}
-	bad := appendOpPayload(nil, op, undoImage{prior: []byte("old")})
-	bad[len(bad)-1] = priorNone
+	bad := appendOpPayload(nil, op, undoImage{prior: []byte("old"), found: true})
+	bad[0] = bad[0]&^(3<<opUndoShift) | priorNone<<opUndoShift
 	if _, _, err := decodeOpPayload(bad); err == nil {
 		t.Fatal("a redo-only payload with a prior decoded")
 	}
@@ -607,10 +607,10 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil || r != 12345 || e != 7 {
 		t.Fatalf("checkpoint payload: %v %v %v", err, r, e)
 	}
-	// Pre-epoch checkpoint payloads (bare RSSP varint) still decode.
-	r, e, err = decodeCheckpoint(binary.AppendUvarint(nil, 999))
-	if err != nil || r != 999 || e != 0 {
-		t.Fatalf("legacy checkpoint payload: %v %v %v", err, r, e)
+	// A pre-epoch checkpoint payload (a bare RSSP varint) is refused: there
+	// is one record format.
+	if r, e, err = decodeCheckpoint(binary.AppendUvarint(nil, 999)); err == nil {
+		t.Fatalf("legacy checkpoint payload decoded: %v %v", r, e)
 	}
 
 	ep, err := decodeEpoch(encodeEpoch(42))

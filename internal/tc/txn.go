@@ -128,6 +128,14 @@ type queued struct {
 	needPrior bool
 }
 
+// logged is the undo image q's record carries: none at the commit barrier.
+func (q *queued) logged(commit bool) undoImage {
+	if commit {
+		return undoImage{redoOnly: true}
+	}
+	return q.undo
+}
+
 // slabOps is how many operations a transaction has room for between two
 // barriers in its writeSlab; more spill to the heap, by append's doubling.
 const slabOps = 8
@@ -977,6 +985,7 @@ func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) ([][]*base.O
 			if err != nil {
 				return byDC, nil
 			}
+			op.TC = t.cfg.ID
 			if undo.redoOnly {
 				return byDC, fmt.Errorf("tc: undo of txn %d: op record @%d is redo-only, its commit record is not in the log", txn, cur)
 			}

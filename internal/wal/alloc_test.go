@@ -8,8 +8,8 @@ import (
 	"github.com/cidr09/unbundled/internal/storage"
 )
 
-// opPayload is the size of one logged operation's payload in the repo
-// benchmark's write transaction (a 127-byte encoded record).
+// opPayload is longer than one logged operation's payload in the repo
+// benchmark's write transaction (81 bytes, an 89-byte record).
 var opPayload = bytes.Repeat([]byte("p"), 119)
 
 // TestAppendForceAllocs pins what the path every logged operation and every
@@ -19,7 +19,7 @@ var opPayload = bytes.Repeat([]byte("p"), 119)
 func TestAppendForceAllocs(t *testing.T) {
 	l := newLog(t)
 	got := testing.AllocsPerRun(2000, func() {
-		l.ForceTo(l.AppendAssign(&Record{Kind: 1, Txn: 7, Prev: 3, Payload: opPayload}))
+		l.ForceTo(l.AppendAssign(&Record{Kind: 1, Txn: 7, Prev: l.LastLSN(), Payload: opPayload}))
 	})
 	if got > 1 {
 		t.Fatalf("AppendAssign+ForceTo = %.1f allocs, want <= 1", got)
@@ -43,7 +43,7 @@ func TestRetainedBytesPerRecord(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		// A fresh payload each, as every caller builds one.
-		l.AppendAssign(&Record{Kind: 1, Txn: 7, Prev: 3, Payload: bytes.Clone(opPayload)})
+		l.AppendAssign(&Record{Kind: 1, Txn: 7, Prev: l.LastLSN(), Payload: bytes.Clone(opPayload)})
 	}
 	l.Force()
 	per := float64(int64(heap()-before)) / n

@@ -170,13 +170,14 @@ func walk(t *testing.T, md medium, seed int64, steps int) {
 	l := mustNew(t, store)
 	m := &model{next: 1}
 	anyLSN := func() base.LSN { return base.LSN(rng.Int63n(int64(m.next) + 2)) }
+	past := func() base.LSN { return base.LSN(rng.Int63n(int64(m.next))) } // a chain points back
 	for step := 0; step < steps; step++ {
 		var op string
 		switch k := rng.Intn(20); {
 		case k < 8:
 			batch := make([]Record, 1+rng.Intn(2)*rng.Intn(4))
 			for i := range batch {
-				r := Record{Kind: uint8(rng.Intn(4)), Txn: base.TxnID(rng.Intn(5)), Prev: anyLSN(), NextUndo: anyLSN()}
+				r := Record{Kind: uint8(rng.Intn(4)), Txn: base.TxnID(rng.Intn(5)), Prev: past(), NextUndo: past()}
 				if n := rng.Intn(3) * rng.Intn(100); n > 0 {
 					r.Payload = make([]byte, n)
 					rng.Read(r.Payload)

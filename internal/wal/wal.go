@@ -23,6 +23,21 @@
 // an LSN that now names somebody else's record, and it cannot discard one.
 // The TC-log and the DC-log are used only so; the monolith, whose log crashes
 // with its only user, uses the Log's own methods, which no crash refuses.
+//
+// A record is encoded as the storage frame that holds it, so it carries no
+// length of its own:
+//
+//	LSN       uvarint
+//	Kind      1 byte
+//	Txn       uvarint
+//	link      uvarint: (LSN-Prev)<<1 | hasNextUndo, LSN-Prev read as 0 when Prev is 0
+//	NextUndo  uvarint LSN-NextUndo, only when hasNextUndo (a CLR's)
+//	Payload   the rest of the frame
+//
+// Prev and NextUndo name earlier records, so both deltas are below the LSN
+// and a record of a transaction's chain spends a byte or two on each, not
+// the width of an LSN. The LSN and the kind come first: ScanKinds reads
+// them without decoding the rest.
 package wal
 
 import (
@@ -49,32 +64,49 @@ type Record struct {
 	Payload  []byte
 }
 
-// Append encodes r into buf.
+// Append encodes r into buf. Prev and NextUndo must each be zero or below
+// r.LSN: a chain only points back.
 func (r *Record) Append(buf []byte) []byte {
+	link := r.delta(r.Prev) << 1
+	if r.NextUndo != 0 {
+		link |= 1
+	}
 	buf = binary.AppendUvarint(buf, uint64(r.LSN))
 	buf = append(buf, r.Kind)
 	buf = binary.AppendUvarint(buf, uint64(r.Txn))
-	buf = binary.AppendUvarint(buf, uint64(r.Prev))
-	buf = binary.AppendUvarint(buf, uint64(r.NextUndo))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
+	buf = binary.AppendUvarint(buf, link)
+	if r.NextUndo != 0 {
+		buf = binary.AppendUvarint(buf, r.delta(r.NextUndo))
+	}
 	return append(buf, r.Payload...)
 }
 
-// DecodeRecord parses exactly one record previously produced by
-// (*Record).Append: trailing bytes and non-minimal varints are corruption,
-// so whatever decodes re-encodes to the same bytes.
-func DecodeRecord(buf []byte) (*Record, error) {
-	d := decoder{buf: buf}
-	r := &Record{LSN: base.LSN(d.uvarint())}
-	if len(d.buf) > 0 {
-		r.Kind, d.buf = d.buf[0], d.buf[1:]
-	} else {
-		d.bad = true
+// delta is how far back from r's own LSN the record at lsn lies, 0 for none.
+func (r *Record) delta(lsn base.LSN) uint64 {
+	if lsn == 0 {
+		return 0
 	}
-	r.Txn = base.TxnID(d.uvarint())
-	r.Prev = base.LSN(d.uvarint())
-	r.NextUndo = base.LSN(d.uvarint())
-	if n := d.uvarint(); d.bad || n != uint64(len(d.buf)) {
+	if lsn >= r.LSN || r.LSN-lsn >= 1<<63 {
+		panic(fmt.Sprintf("wal: record %d links to %d, not an earlier record", r.LSN, lsn))
+	}
+	return uint64(r.LSN - lsn)
+}
+
+// DecodeRecord parses exactly one record previously produced by
+// (*Record).Append, the whole of buf: a delta that reaches to or past LSN
+// 0, a NextUndo flag without a NextUndo and non-minimal varints are
+// corruption, so whatever decodes re-encodes to the same bytes.
+func DecodeRecord(buf []byte) (*Record, error) {
+	d := NewDecoder(buf)
+	r := &Record{LSN: base.LSN(d.Uvarint()), Kind: d.Byte(), Txn: base.TxnID(d.Uvarint())}
+	link := d.Uvarint()
+	r.Prev = d.back(r.LSN, link>>1)
+	if link&1 != 0 {
+		if r.NextUndo = d.back(r.LSN, d.Uvarint()); r.NextUndo == 0 {
+			d.Fail()
+		}
+	}
+	if d.bad {
 		return nil, errCorrupt
 	}
 	if len(d.buf) > 0 {
@@ -83,20 +115,75 @@ func DecodeRecord(buf []byte) (*Record, error) {
 	return r, nil
 }
 
-// decoder consumes buf from the front; bad latches the first failure.
-type decoder struct {
+// Decoder reads an encoding from the front, strictly: a short, overlong or
+// non-minimal varint, a missing byte or a field longer than what is left
+// fails it, and after the first failure every read returns zero. Records
+// decode with it, and so do the payloads the log's owners put in them, so
+// that whatever the log holds decodes only from its one encoding.
+type Decoder struct {
 	buf []byte
 	bad bool
 }
 
-func (d *decoder) uvarint() uint64 {
+// NewDecoder returns a Decoder at the start of buf.
+func NewDecoder(buf []byte) Decoder { return Decoder{buf: buf} }
+
+// Fail fails the decoding: for a value the encoding can hold but its
+// encoder never writes.
+func (d *Decoder) Fail() { d.bad, d.buf = true, nil }
+
+// End reports whether everything decoded and nothing is left.
+func (d *Decoder) End() bool { return !d.bad && len(d.buf) == 0 }
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if len(d.buf) == 0 {
+		d.Fail()
+		return 0
+	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
+	return b
+}
+
+// Uvarint reads one minimal uvarint.
+func (d *Decoder) Uvarint() uint64 {
 	u, n := binary.Uvarint(d.buf)
 	if n <= 0 || (n > 1 && d.buf[n-1] == 0) { // short, overlong or non-minimal
-		d.bad, d.buf = true, nil
+		d.Fail()
 		return 0
 	}
 	d.buf = d.buf[n:]
 	return u
+}
+
+// Field reads a uvarint length and that many bytes, which alias the buffer
+// (capacity clipped); an empty field is nil.
+func (d *Decoder) Field() []byte {
+	n := d.Uvarint()
+	if n > uint64(len(d.buf)) {
+		d.Fail()
+	}
+	if d.bad || n == 0 {
+		return nil
+	}
+	f := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return f
+}
+
+// back is the LSN delta records before lsn, 0 for a delta of 0; a delta
+// that does not land on an LSN above 0, or that Append would refuse, is
+// corruption.
+func (d *Decoder) back(lsn base.LSN, delta uint64) base.LSN {
+	if delta == 0 {
+		return 0
+	}
+	if delta >= uint64(lsn) || delta >= 1<<63 {
+		d.Fail()
+		return 0
+	}
+	return lsn - base.LSN(delta)
 }
 
 var errCorrupt = errors.New("wal: corrupt record")

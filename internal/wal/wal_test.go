@@ -23,10 +23,18 @@ func newLog(t *testing.T) *Log {
 	return l
 }
 
+// roundTripRecords covers the header's every shape: no chain, a Prev alone,
+// a CLR's NextUndo with and without a Prev, one- and many-byte deltas,
+// wide LSNs and transaction ids, and an empty and a non-empty payload.
 var roundTripRecords = []*Record{
-	{LSN: 1, Kind: 2, Txn: 3, Prev: 0, NextUndo: 0, Payload: []byte("hello")},
-	{LSN: 1 << 40, Kind: 255, Txn: 1 << 50, Prev: 99, NextUndo: 98},
+	{LSN: 1, Kind: 2, Txn: 3, Payload: []byte("hello")},
 	{LSN: 7},
+	{LSN: 2, Kind: 1, Txn: 1, Prev: 1, Payload: []byte{0}},
+	{LSN: 1 << 40, Kind: 255, Txn: 1 << 50, Prev: 99, NextUndo: 98},
+	{LSN: 300, Kind: 4, Txn: 17, Prev: 299, NextUndo: 12, Payload: []byte("inverse")},
+	{LSN: 300, Kind: 4, Txn: 17, NextUndo: 1},
+	{LSN: 1<<63 - 1, Kind: 3, Txn: 1<<64 - 1, Prev: 1<<63 - 2},
+	{LSN: 1 << 20, Kind: 5, Txn: 1 << 20, Prev: 1, NextUndo: 1<<20 - 1, Payload: bytes.Repeat([]byte("p"), 130)},
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -44,8 +52,10 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(lsn uint64, kind uint8, txn, prev, nu uint64, payload []byte) bool {
+		// A chain points back: Prev and NextUndo lie below the LSN.
+		lsn = lsn>>1 + 1
 		r := &Record{LSN: base.LSN(lsn), Kind: kind, Txn: base.TxnID(txn),
-			Prev: base.LSN(prev), NextUndo: base.LSN(nu), Payload: payload}
+			Prev: base.LSN(prev % lsn), NextUndo: base.LSN(nu % lsn), Payload: payload}
 		if len(r.Payload) == 0 {
 			r.Payload = nil
 		}
@@ -57,16 +67,75 @@ func TestRecordRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestRecordDecodeTruncated: a record cut inside its header is corrupt; one
+// cut inside its payload is a record with a shorter payload, since the
+// storage frame, not the record, holds the length (and a frame is stable
+// whole or not at all).
 func TestRecordDecodeTruncated(t *testing.T) {
-	r := &Record{LSN: 123456, Kind: 9, Txn: 7, Payload: bytes.Repeat([]byte("p"), 30)}
+	r := &Record{LSN: 123456, Kind: 9, Txn: 7, Prev: 123000, NextUndo: 5, Payload: bytes.Repeat([]byte("p"), 30)}
 	buf := r.Append(nil)
-	for i := 0; i < len(buf); i++ {
+	head := len(buf) - len(r.Payload)
+	for i := 0; i < head; i++ {
 		if _, err := DecodeRecord(buf[:i]); !errors.Is(err, errCorrupt) {
 			t.Fatalf("truncation at %d: err = %v", i, err)
 		}
 	}
-	if _, err := DecodeRecord(append(buf, 0)); !errors.Is(err, errCorrupt) {
-		t.Fatalf("trailing byte: err = %v", err)
+	for i := head; i <= len(buf); i++ {
+		got, err := DecodeRecord(buf[:i])
+		if err != nil || !bytes.Equal(got.Payload, r.Payload[:i-head]) || got.NextUndo != r.NextUndo {
+			t.Fatalf("cut at %d: %+v, %v", i, got, err)
+		}
+	}
+}
+
+// TestRecordHeaderBytes pins what the header spends: an LSN, a kind, a
+// transaction id and one byte of chain when Prev is near, a second delta
+// only on a CLR, and no length.
+func TestRecordHeaderBytes(t *testing.T) {
+	for _, c := range []struct {
+		r    Record
+		want int
+	}{
+		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20}, 3 + 1 + 3 + 1},
+		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 1}, 3 + 1 + 3 + 1},
+		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 63}, 3 + 1 + 3 + 1},
+		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 64}, 3 + 1 + 3 + 2},
+		{Record{LSN: 1 << 20, Kind: 4, Txn: 1 << 20, Prev: 1<<20 - 1, NextUndo: 1<<20 - 9}, 3 + 1 + 3 + 1 + 1},
+		{Record{LSN: 1 << 20, Kind: 7}, 3 + 1 + 1 + 1}, // a DC-log record
+	} {
+		c.r.Payload = []byte("payload")
+		if got := len(c.r.Append(nil)) - len(c.r.Payload); got != c.want {
+			t.Errorf("%+v: %d header bytes, want %d", c.r, got, c.want)
+		}
+	}
+}
+
+// TestDecodeRefusesWhatAppendCannotWrite: deltas that reach LSN 0 or past
+// it, a NextUndo flag over a zero delta and a non-minimal varint are
+// corrupt; Append refuses a link that does not point back.
+func TestDecodeRefusesWhatAppendCannotWrite(t *testing.T) {
+	for name, buf := range map[string][]byte{
+		"prev at 0":        {5, 1, 1, 5 << 1},
+		"prev below 0":     {5, 1, 1, 9 << 1},
+		"next undo at 0":   {5, 1, 1, 1, 5},
+		"next undo absent": {5, 1, 1, 1, 0},
+		"flag, no delta":   {5, 1, 1, 1},
+		"non-minimal":      {5, 1, 0x81, 0x00, 0},
+		"no kind":          {5},
+	} {
+		if _, err := DecodeRecord(buf); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: %x decoded (err %v)", name, buf, err)
+		}
+	}
+	for _, r := range []Record{{LSN: 5, Prev: 5}, {LSN: 5, Prev: 6}, {LSN: 5, NextUndo: 5}, {LSN: 1<<63 + 5, Prev: 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: encoded", r)
+				}
+			}()
+			r.Append(nil)
+		}()
 	}
 }
 
@@ -158,14 +227,14 @@ func TestAppendBatchRacesForce(t *testing.T) {
 		for i := 0; i < batches; i++ {
 			recs := make([]Record, 1+i%4)
 			for j := range recs {
-				recs[j] = Record{Kind: 1, Txn: base.TxnID(i), Prev: 99}
+				recs[j] = Record{Kind: 1, Txn: base.TxnID(i), Prev: base.LSN(i)} // batch i starts above LSN i
 			}
 			mu.Lock()
 			ends[l.NextLSN()+base.LSN(len(recs))-1] = true
 			mu.Unlock()
 			first := g.AppendBatch(recs)
 			for j, r := range recs {
-				want := base.LSN(99)
+				want := base.LSN(i)
 				if j > 0 {
 					want = first + base.LSN(j) - 1
 				}
