@@ -26,7 +26,6 @@ package monolith
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -217,27 +216,24 @@ func encodeOpPayload(pageID base.PageID, op *base.Op, prior []byte, priorFound b
 	return buf
 }
 
+var errCorruptOp = errors.New("monolith: corrupt op payload")
+
+// decodeOpPayload parses exactly one payload of encodeOpPayload: a short
+// prior, a found flag other than 0 or 1 and a byte past the flag are
+// corruption. The prior aliases payload.
 func decodeOpPayload(payload []byte) (pageID base.PageID, op *base.Op, prior []byte, priorFound bool, err error) {
 	u, w := binary.Uvarint(payload)
 	if w <= 0 {
-		return 0, nil, nil, false, fmt.Errorf("monolith: corrupt op payload")
+		return 0, nil, nil, false, errCorruptOp
 	}
-	pageID = base.PageID(u)
 	op, rest, err := base.DecodeOp(payload[w:])
 	if err != nil {
 		return 0, nil, nil, false, err
 	}
-	n, w2 := binary.Uvarint(rest)
-	if w2 <= 0 || n > uint64(len(rest)-w2) {
-		return 0, nil, nil, false, fmt.Errorf("monolith: corrupt op payload")
+	d := wal.NewDecoder(rest)
+	prior, found := d.Field(), d.Byte()
+	if !d.End() || found > 1 {
+		return 0, nil, nil, false, errCorruptOp
 	}
-	rest = rest[w2:]
-	if n > 0 {
-		prior = append([]byte(nil), rest[:n]...)
-	}
-	rest = rest[n:]
-	if len(rest) < 1 {
-		return 0, nil, nil, false, fmt.Errorf("monolith: corrupt op payload")
-	}
-	return pageID, op, prior, rest[0] != 0, nil
+	return base.PageID(u), op, prior, found == 1, nil
 }

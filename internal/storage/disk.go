@@ -20,10 +20,10 @@ import (
 // needs the real thing, or a SIGKILL would take the "stable" half of the §5.3
 // failure model down with the volatile half. Either store can be backed by
 // one file: reads stay in memory, every stable mutation is also appended to
-// the file, and the Open* constructors rebuild the image from it. Both files
-// are a header (logHeader) and frames (appendFrameHead), read by one scan
-// (LogStore.load) that cuts what follows the last whole batch: what a kill
-// tore, or zeros a power loss left.
+// the file, and the Open* constructors rebuild the image from it. The
+// TC-log, the DC-log and the page journal are each a header (logHeader) and
+// checksummed frames (appendFrame), read by one rule (LogStore.load) that
+// cuts what a kill tore or a power loss left behind the last whole batch.
 //
 // A log force appends and fsyncs. A page store appends a record per mutation
 // and fsyncs in Sync, which a DC checkpoint calls before either log
@@ -145,12 +145,9 @@ func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 	return dir.Sync()
 }
 
-// A page journal record is one frame, a batch of its own, whose LSN field
-// numbers it from 1 within its file: the page ID shifted left by two and its
-// kind in the low bits, as a uvarint, the CRC-32C (Castagnoli) of that
-// uvarint and the kind's bytes, big-endian, then the kind's bytes. The
-// checksum is what tells a record whose head reached the media and whose
-// bytes did not: a power loss can persist a file's length before its data.
+// A page journal record is one frame, a batch of its own, whose LSN numbers
+// it within its file: its record is the page ID shifted left by two and its
+// kind in the low bits, as a uvarint, then the kind's bytes.
 const (
 	jBase  = iota // the bytes are the page's chain from here on
 	jFrame        // the bytes are one delta frame onto the page's chain
@@ -158,83 +155,46 @@ const (
 	jAlloc        // the allocator reached the ID
 )
 
-// crcBytes is the length of a page journal record's checksum, and
-// recordHeadBytes the most its head takes: frame head, page ID and kind,
-// checksum. journalFloor is a page journal's header floor, which its record
-// numbers never fall below: it marks the records as checksummed, so a
-// journal of the format without checksums, whose floor is 0, is refused and
-// left as it is, not cut as one long torn tail.
-const (
-	crcBytes        = 4
-	recordHeadBytes = 3*binary.MaxVarintLen64 + crcBytes
-	journalFloor    = 1
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// recordHeadBytes is the most a journal record's head takes: frame head,
+// page ID and kind.
+const recordHeadBytes = 3*binary.MaxVarintLen64 + sumBytes
 
 // compactFloor is the slack a page journal keeps: Sync rewrites it as the
 // live chains once it holds more than twice their bytes plus this.
 const compactFloor = 1 << 20
 
 // OpenPageStoreFile returns a PageStore backed by the journal at path,
-// loading what a previous incarnation left there. The records are replayed
-// in order: a base starts a page's chain, a frame extends it, a free deletes
-// it, and the allocator takes the highest ID any record names, so an
-// allocation that reached the file is never reused. A record that fails its
-// checksum is cut with everything after it, as a torn frame is, when no
-// record after it passes: what a kill or a power loss left of the writes
-// since the last Sync. One that a whole record follows is no such tail, and
-// the journal is refused, as is one whose header floor is not journalFloor.
+// loading what a previous incarnation left there. LogStore.load decides
+// which records are whole; they are replayed in order: a base starts a
+// page's chain, a frame extends it, a free deletes it, and the allocator
+// takes the highest ID any record names, so an allocation that reached the
+// file is never reused.
 func OpenPageStoreFile(path string) (s *PageStore, err error) {
 	s = NewPageStore()
-	s.file, err = openFile(path, logHeader(journalFloor), func(data []byte) (int, error) {
+	s.file, err = openFile(path, logHeader(0), func(data []byte) (int, error) {
 		var l LogStore
 		clean, err := l.load(data)
 		if err != nil {
 			return 0, err
 		}
-		if floor := binary.BigEndian.Uint64(data) &^ formatBits; floor != journalFloor {
-			return 0, fmt.Errorf("a page journal's header floor is %d, not %d: a journal without checksums", floor, journalFloor)
-		}
-		for i, r := range l.recs {
-			v, rec, ok := checked(l.recLocked(r))
-			if !ok {
-				for _, later := range l.recs[i+1:] {
-					if _, _, ok := checked(l.recLocked(later)); ok {
-						return 0, fmt.Errorf("page record %d fails its checksum, and record %d after it passes", r.lsn, later.lsn)
-					}
-				}
-				return logHeaderBytes + int(r.off), nil
-			}
-			if err := s.replay(v, rec); err != nil {
+		for _, r := range l.recs {
+			if err := s.replay(l.recLocked(r)); err != nil {
 				return 0, err
 			}
-			s.seq = r.lsn
 		}
+		s.seq = l.stableLSN
 		return clean, nil
 	})
 	return s, err
 }
 
-// checked splits rec, a page journal record, into its page ID and kind and
-// its bytes, and reports whether its checksum holds.
-func checked(rec []byte) (v uint64, data []byte, ok bool) {
+// replay applies one journal record to the store being opened.
+func (s *PageStore) replay(rec []byte) error {
 	v, n := binary.Uvarint(rec)
-	if n <= 0 || len(rec) < n+crcBytes {
-		return 0, nil, false
-	}
-	data = rec[n+crcBytes:]
-	crc := crc32.Update(crc32.Checksum(rec[:n], castagnoli), castagnoli, data)
-	return v, data, crc == binary.BigEndian.Uint32(rec[n:])
-}
-
-// replay applies one journal record to the store being opened: v is its
-// page ID and kind, data the kind's bytes.
-func (s *PageStore) replay(v uint64, data []byte) error {
-	if id := v >> 2; id == 0 || id > math.MaxUint32 {
+	if id := v >> 2; n <= 0 || id == 0 || id > math.MaxUint32 {
 		return fmt.Errorf("a page record names page %d", v>>2)
 	}
-	pid := base.PageID(v >> 2)
+	pid, data := base.PageID(v>>2), rec[n:]
 	s.nextID = max(s.nextID, uint32(pid))
 	switch v & 3 {
 	case jBase:
@@ -264,14 +224,12 @@ func (s *PageStore) record(kind byte, id base.PageID, data []byte) {
 }
 
 // appendRecordHead appends the head of the journal record numbered seq that
-// carries data: its frame head, page ID and kind, and checksum. The data
-// follows it.
+// carries data: its frame head, then its page ID and kind. The data follows
+// it.
 func appendRecordHead(dst []byte, seq uint64, kind byte, id uint32, data []byte) []byte {
 	var h [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(h[:], uint64(id)<<2|uint64(kind))
-	dst = append(appendFrameHead(dst, seq, k+crcBytes+len(data), true), h[:k]...)
-	crc := crc32.Update(crc32.Checksum(dst[len(dst)-k:], castagnoli), castagnoli, data)
-	return binary.BigEndian.AppendUint32(dst, crc)
+	return appendFrame(dst, seq, true, h[:k], data)
 }
 
 // Sync makes every mutation so far survive a power loss: it fsyncs the
@@ -309,7 +267,7 @@ func (s *PageStore) Sync() {
 // journal is not read.
 func (s *PageStore) compactLocked() {
 	heads := make([]byte, 0, len(s.pages)*recordHeadBytes) // never regrown: parts alias it
-	parts := [][]byte{logHeader(journalFloor)}
+	parts := [][]byte{logHeader(0)}
 	s.seq = 0
 	for id, chain := range s.pages {
 		s.seq++
@@ -338,18 +296,19 @@ func (s *PageStore) PowerCut() {
 
 // A file's 8-byte header is a log's floor — the stable LSN when the image
 // was written, all a log truncated empty has left to say — with the format
-// in its top two bits (logFormat): batch-marked frames, each of a log's
-// records in the compact encoding of package wal (no length of its own, its
-// links as deltas). An image of an earlier format is refused, and left as
-// it is: one with neither bit holds unmarked frames, which would be read as
-// torn batches and cut, and one with the top bit alone (markedFormat) holds
-// records with full-width links and a length, which would be read as other
-// records. A log file's frames are byte for byte LogStore's chunks.
+// in its top two bits. logFormat (checksummed frames, appendFrame, and a
+// log's records in the compact encoding of package wal) is the last value
+// the two bits have. An image of an earlier format is refused by name and
+// left as it is, not cut as one corrupt tail: unmarked frames (neither bit),
+// full-width records (markedFormat) and frames without checksums
+// (uncheckedFormat). A log file's frames are byte for byte LogStore's chunks.
 const (
-	logHeaderBytes = 8
-	formatBits     = 3 << 62
-	logFormat      = 3 << 62
-	markedFormat   = 1 << 63
+	logHeaderBytes  = 8
+	sumBytes        = 4 // a frame's checksum
+	formatBits      = 3 << 62
+	logFormat       = 1 << 62
+	markedFormat    = 2 << 62
+	uncheckedFormat = 3 << 62
 )
 
 // logHeader returns the header of an image whose floor is floor.
@@ -363,26 +322,54 @@ func logHeader(floor uint64) []byte {
 // checkFormat refuses a header of any format but logFormat, naming it.
 func checkFormat(header uint64) error {
 	switch header & formatBits {
-	case logFormat:
-		return nil
 	case 0:
 		return errors.New("header lacks the format bits: an image of the format without batch marks")
 	case markedFormat:
 		return errors.New("header names the batch-marked format of full-width log records: an image written before the compact record encoding")
+	case uncheckedFormat:
+		return errors.New("header names the format of frames without checksums: an image written before every frame carried a CRC-32C")
 	}
-	return fmt.Errorf("header names unknown format %d", header>>62)
+	return nil
 }
 
-// appendFrameHead appends the head of a frame of size record bytes: the LSN
-// and the size shifted left by one with the low bit set on the last frame of
-// a batch, both uvarints. The bit is what lets a reopened file cut a batch
-// that a kill left half written (see load).
-func appendFrameHead(dst []byte, lsn uint64, size int, last bool) []byte {
-	v := uint64(size) << 1
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame appends the frame of the record rec+tail to dst: the LSN and
+// the record's size shifted left by one, the low bit set on the last frame
+// of a batch, as uvarints; the CRC-32C (Castagnoli) of those varints' bytes
+// and the record, big-endian; then rec. tail is hashed, not appended: the
+// caller writes it from where it lies. rec is hashed in dst, so a caller's
+// record does not escape to the heap.
+func appendFrame(dst []byte, lsn uint64, last bool, rec, tail []byte) []byte {
+	v := uint64(len(rec)+len(tail)) << 1
 	if last {
 		v |= 1
 	}
-	return binary.AppendUvarint(binary.AppendUvarint(dst, lsn), v)
+	at := len(dst)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, lsn), v)
+	sum := len(dst)
+	dst = append(append(dst, 0, 0, 0, 0), rec...)
+	crc := crc32.Update(crc32.Checksum(dst[at:sum], castagnoli), castagnoli, dst[sum+sumBytes:])
+	binary.BigEndian.PutUint32(dst[sum:], crc32.Update(crc, castagnoli, tail))
+	return dst
+}
+
+// frameAt reads the frame at off in body: its LSN (0 if none can be read),
+// the offset past it (len(body) if it runs past), whether it ends a batch,
+// and whether it is whole and its checksum holds.
+func frameAt(body []byte, off int) (lsn uint64, next int, last, ok bool) {
+	lsn, n := binary.Uvarint(body[off:])
+	if n <= 0 {
+		return 0, len(body), false, false
+	}
+	v, m := binary.Uvarint(body[off+n:])
+	rec := off + n + m + sumBytes
+	if m <= 0 || rec > len(body) || v>>1 > uint64(len(body)-rec) {
+		return lsn, len(body), false, false
+	}
+	next = rec + int(v>>1)
+	crc := crc32.Update(crc32.Checksum(body[off:off+n+m], castagnoli), castagnoli, body[rec:next])
+	return lsn, next, v&1 != 0, crc == binary.BigEndian.Uint32(body[rec-sumBytes:])
 }
 
 // OpenLogStoreFile returns a LogStore backed by path, loading the records
@@ -396,12 +383,15 @@ func OpenLogStoreFile(path string) (l *LogStore, err error) {
 
 // load makes the file image data the store's one chunk, indexes the records
 // of its whole batches and returns the length of the image up to the last of
-// them. A force writes its frames span by span, so a kill can leave a batch
-// torn anywhere — inside a frame or between two — after the whole batches an
-// earlier fsync covered, and a power loss can leave zeros there: everything
-// from the frame after the last marked one on is cut. An LSN is never 0, so a
-// zero byte where one starts ends the image. An image whose header names
-// another format than logFormat is refused whole.
+// them. It is the one rule of all three files. An LSN is never 0, so a frame
+// whose LSN is 0 or unreadable ends the image: a power loss leaves zeros. A
+// frame that fails its checksum or runs past the image is a tail a kill or a
+// power loss left, cut back to the end of the last whole batch before it —
+// unless a later frame, found stepping by frame sizes from it, passes: then
+// it is corruption, and the image is refused. Frames that pass must ascend
+// by LSN and reach the header's floor. The rule cannot tell a flipped bit in
+// a size field: the search steps astray, and the whole frames behind it are
+// cut as a tail.
 func (l *LogStore) load(data []byte) (clean int, err error) {
 	if len(data) < logHeaderBytes {
 		return 0, errors.New("truncated header")
@@ -418,20 +408,29 @@ func (l *LogStore) load(data []byte) (clean int, err error) {
 	off, prev := 0, uint64(0)
 	end, whole, last := 0, 0, uint64(0) // the image up to the last marked frame
 	for off < len(body) {
-		lsn, n := binary.Uvarint(body[off:])
-		if n <= 0 || lsn == 0 {
+		lsn, next, mark, ok := frameAt(body, off)
+		if lsn == 0 {
 			break
 		}
-		size, m := binary.Uvarint(body[off+n:])
-		if m <= 0 || size>>1 > uint64(len(body)-off-n-m) {
+		if !ok {
+			for at := next; at < len(body); {
+				later, after, _, good := frameAt(body, at)
+				if later == 0 {
+					break
+				}
+				if good {
+					return 0, fmt.Errorf("record %d fails its checksum, and record %d after it passes", lsn, later)
+				}
+				at = after
+			}
 			break
 		}
 		if lsn <= prev {
 			return 0, fmt.Errorf("record LSN %d follows %d", lsn, prev)
 		}
 		l.recs = append(l.recs, recRef{lsn: lsn, off: uint32(off)})
-		off, prev = off+n+m+int(size>>1), lsn
-		if size&1 != 0 {
+		off, prev = next, lsn
+		if mark {
 			end, whole, last = off, len(l.recs), lsn
 		}
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -250,9 +251,10 @@ func zeroedJournal(t testing.TB, more bool) (image []byte, cut int) {
 }
 
 // TestReopenCutsAZeroedRecord: a journal whose last record's bytes are zeros
-// behind an intact head reopens as the store was before that record, and the
-// record is cut from the file. The same zeros in a record that a whole record
-// follows fail the reopen and leave the file as it was.
+// behind an intact frame head fails that frame's checksum and reopens as the
+// store was before it, and the record is cut from the file. The same zeros in
+// a record that a whole record follows fail the reopen, naming both, and
+// leave the file as it was.
 func TestReopenCutsAZeroedRecord(t *testing.T) {
 	image, cut := zeroedJournal(t, false)
 	path := journalPath(t)
@@ -268,28 +270,55 @@ func TestReopenCutsAZeroedRecord(t *testing.T) {
 	image, _ = zeroedJournal(t, true)
 	path = journalPath(t)
 	writeFile(t, path, image)
-	if s, err := OpenPageStoreFile(path); err == nil {
+	s, err := OpenPageStoreFile(path)
+	if err == nil {
 		s.file.f.Close()
 		t.Fatal("a journal with a zeroed record before a whole one opened")
+	}
+	if !strings.Contains(err.Error(), "record 4 fails its checksum, and record 5 after it passes") {
+		t.Fatalf("the refusal does not name the zeroed record and the whole one: %v", err)
 	}
 	if data := readFile(t, path); !bytes.Equal(data, image) {
 		t.Fatal("the refused journal changed")
 	}
 }
 
-// TestUncheckedJournalIsRefused: a page journal of the format without
-// checksums — header floor 0, each record its page ID and kind and its bytes
-// — fails to open, and the file is left byte for byte as it was.
+// appendUncheckedFrameHead appends a frame head of the formats before frames
+// carried checksums: the LSN and the size shifted left by one, the batch-end
+// bit low, both uvarints.
+func appendUncheckedFrameHead(dst []byte, lsn uint64, size int, last bool) []byte {
+	v := uint64(size) << 1
+	if last {
+		v |= 1
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(dst, lsn), v)
+}
+
+// TestUncheckedJournalIsRefused: a page journal of the format whose frames
+// carry no checksum — both format bits, header floor 1, each record's page ID
+// and kind, then a CRC-32C of those and the kind's bytes inside its payload —
+// fails to open by its format bits, and the file is left byte for byte as it
+// was.
 func TestUncheckedJournalIsRefused(t *testing.T) {
-	image := logHeader(0)
-	for i, rec := range [][]byte{{1<<2 | jAlloc}, append([]byte{1<<2 | jBase}, "a base"...)} {
-		image = append(appendFrameHead(image, uint64(i+1), len(rec), true), rec...)
+	image := binary.BigEndian.AppendUint64(nil, 1|uncheckedFormat)
+	for i, data := range []string{"", "a base"} {
+		v := []byte{1<<2 | jAlloc}
+		if data != "" {
+			v[0] = 1<<2 | jBase
+		}
+		crc := crc32.Update(crc32.Checksum(v, castagnoli), castagnoli, []byte(data))
+		rec := append(binary.BigEndian.AppendUint32(v, crc), data...)
+		image = append(appendUncheckedFrameHead(image, uint64(i+1), len(rec), true), rec...)
 	}
 	path := journalPath(t)
 	writeFile(t, path, image)
-	if s, err := OpenPageStoreFile(path); err == nil {
+	s, err := OpenPageStoreFile(path)
+	if err == nil {
 		s.file.f.Close()
-		t.Fatalf("opened a journal without checksums: %q", s.pages)
+		t.Fatalf("opened a journal without checksums in its frames: %q", s.pages)
+	}
+	if !strings.Contains(err.Error(), "frames without checksums") {
+		t.Fatalf("the refusal does not name the format: %v", err)
 	}
 	if data := readFile(t, path); !bytes.Equal(data, image) {
 		t.Fatalf("the refused journal changed: %x, was %x", data, image)
@@ -323,11 +352,24 @@ func FuzzPageJournal(f *testing.F) {
 		f.Add(whole[:i]) // every torn tail
 	}
 	f.Add(append(bytes.Clone(whole), make([]byte, 16)...)) // a zero tail
-	head := logHeader(journalFloor)
+	head := logHeader(0)
 	f.Add(append(appendRecordHead(head, 1, jFrame, 3, frame("x")), frame("x")...))       // a frame before any base
 	f.Add(appendRecordHead(appendRecordHead(head, 1, jFree, 9, nil), 2, jAlloc, 4, nil)) // a free of a page never written
 	zeroed, _ := zeroedJournal(f, false)
 	f.Add(zeroed) // a last record zeroed behind its head
+	var ends []int64
+	two := journalImage(f, func(s *PageStore) {
+		id := s.AllocPageID()
+		ends = append(ends, s.file.size)
+		s.Write(id, []byte("base a"))
+		ends = append(ends, s.file.size)
+	})
+	for _, end := range ends {
+		flipped := bytes.Clone(two)
+		flipped[end-1] ^= 1
+		f.Add(flipped) // one byte flipped in each record
+	}
+	f.Add(append(bytes.Clone(two), garbageTail...))
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := journalPath(t)
 		writeFile(t, path, image)
@@ -448,6 +490,92 @@ func TestZeroTailIsCut(t *testing.T) {
 	}
 }
 
+// twoBatchImage is a log file of two forced batches, "one" and "two" at
+// LSNs 1 and 2, then "three" at 3, and the length of its first batch's part.
+func twoBatchImage(t testing.TB) (image []byte, first int) {
+	t.Helper()
+	image = logImage(t, func(l *LogStore) {
+		l.AppendBatch(1, []byte("one"), []byte("two"))
+		l.Force()
+		first = int(l.file.size)
+		l.AppendBatch(3, []byte("three"))
+		l.Force()
+	})
+	return image, first
+}
+
+// garbageTail parses as a frame of LSN 1, below every LSN it follows: a
+// size of three, last of its batch, "garb" for a checksum and "age".
+var garbageTail = []byte("\x01\x07garbage")
+
+// openLog writes image as a log file and opens it; the store is nil where
+// the open failed.
+func openLog(t *testing.T, image []byte) (path string, l *LogStore, err error) {
+	path = filepath.Join(t.TempDir(), "log")
+	writeFile(t, path, image)
+	if l, err = OpenLogStoreFile(path); err == nil {
+		t.Cleanup(func() { l.file.f.Close() })
+	}
+	return path, l, err
+}
+
+// TestFlippedRecordIsRefused: a record with a flipped payload byte that whole
+// records and a whole batch follow is corruption, not a tail: the reopen
+// fails, naming it and the record after it, and leaves the file byte for
+// byte as it was.
+func TestFlippedRecordIsRefused(t *testing.T) {
+	image, _ := twoBatchImage(t)
+	image[bytes.Index(image, []byte("one"))] ^= 0x20
+	path, l, err := openLog(t, image)
+	if err == nil {
+		t.Fatalf("opened a log with a flipped record: %q", l.Scan(0))
+	}
+	if !strings.Contains(err.Error(), "record 1 fails its checksum, and record 2 after it passes") {
+		t.Fatalf("the refusal does not name the two records: %v", err)
+	}
+	if data := readFile(t, path); !bytes.Equal(data, image) {
+		t.Fatalf("the refused log changed: %x, was %x", data, image)
+	}
+}
+
+// TestFlippedTailIsCut: a byte flipped anywhere in the last batch — its
+// frame head, checksum or record — leaves a tail no whole frame follows: the
+// reopen keeps exactly the batch before it, and cuts the file there.
+func TestFlippedTailIsCut(t *testing.T) {
+	image, first := twoBatchImage(t)
+	for i := first; i < len(image); i++ {
+		flipped := bytes.Clone(image)
+		flipped[i] ^= 0xff
+		path, l, err := openLog(t, flipped)
+		if err != nil {
+			t.Fatalf("byte %d flipped: %v", i, err)
+		}
+		if got := l.Scan(0); !reflect.DeepEqual(got, [][]byte{[]byte("one"), []byte("two")}) {
+			t.Fatalf("byte %d flipped: reopened records %q, want the first batch", i, got)
+		}
+		if data := readFile(t, path); !bytes.Equal(data, image[:first]) {
+			t.Fatalf("byte %d flipped: the reopened file is %x, want %x", i, data, image[:first])
+		}
+	}
+}
+
+// TestGarbageTailIsCut: bytes past the last forced batch that parse as a
+// frame with a lower LSN fail its checksum, and are cut as a tail rather than
+// refused as records out of order.
+func TestGarbageTailIsCut(t *testing.T) {
+	image, _ := twoBatchImage(t)
+	path, l, err := openLog(t, append(bytes.Clone(image), garbageTail...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Scan(0); len(got) != 3 || string(got[2]) != "three" {
+		t.Fatalf("reopened records %q, want both batches", got)
+	}
+	if data := readFile(t, path); !bytes.Equal(data, image) {
+		t.Fatalf("the reopened file is %x, want %x", data, image)
+	}
+}
+
 // unmarkedImage is a log file of the format before batch marks: a header
 // that is the bare floor, and frames whose length has no batch-end bit —
 // here LSNs 1 and 2, "one" and "two", which the marked format would read as
@@ -495,7 +623,7 @@ func fullWidthImage() []byte {
 	}
 	image := binary.BigEndian.AppendUint64(nil, markedFormat)
 	for i, rec := range [][]byte{record(1, 1, 0, "upsert kv/k"), record(2, 3, 1, "\x00")} {
-		image = appendFrameHead(image, uint64(i+1), len(rec), i == 1)
+		image = appendUncheckedFrameHead(image, uint64(i+1), len(rec), i == 1)
 		image = append(image, rec...)
 	}
 	return image
@@ -503,8 +631,8 @@ func fullWidthImage() []byte {
 
 // TestFullWidthRecordImageIsRefused: a log file of records with full-width
 // links and a length fails to open, with an error that names its format,
-// and is left byte for byte as it was; its frames are sound, and under
-// today's header they open.
+// and is left byte for byte as it was. Under today's header its frames fail
+// their checksums and would be cut as a tail: the format bits keep them.
 func TestFullWidthRecordImageIsRefused(t *testing.T) {
 	image := fullWidthImage()
 	path := filepath.Join(t.TempDir(), "log")
@@ -530,8 +658,8 @@ func TestFullWidthRecordImageIsRefused(t *testing.T) {
 		t.Fatalf("the same frames under today's header: %v", err)
 	}
 	defer l.file.f.Close()
-	if recs := l.Scan(0); len(recs) != 2 {
-		t.Fatalf("the same frames under today's header hold %d records, want 2", len(recs))
+	if recs := l.Scan(0); len(recs) != 0 || l.file.size != logHeaderBytes {
+		t.Fatalf("the same frames under today's header hold %d records in %d bytes, want none", len(recs), l.file.size)
 	}
 }
 
@@ -554,11 +682,18 @@ func FuzzLogImage(f *testing.F) {
 		l.Force()
 		l.Truncate(8)
 	}))
-	f.Add(append(whole[:logHeaderBytes:logHeaderBytes], 5, 0, 4, 0)) // LSNs out of order
+	f.Add(appendFrame(appendFrame(logHeader(0), 5, true, nil, nil), 4, true, nil, nil)) // LSNs out of order
 	f.Add(tornBatchImage(f))
 	f.Add(unmarkedImage())
 	f.Add(append(bytes.Clone(whole), make([]byte, 32)...)) // a zero tail
 	f.Add(fullWidthImage())
+	two, _ := twoBatchImage(f)
+	for _, rec := range []string{"one", "two", "three"} {
+		flipped := bytes.Clone(two)
+		flipped[bytes.Index(flipped, []byte(rec))] ^= 1
+		f.Add(flipped) // one byte flipped in each frame
+	}
+	f.Add(append(bytes.Clone(two), garbageTail...))
 	f.Fuzz(func(t *testing.T, image []byte) {
 		path := filepath.Join(t.TempDir(), "log")
 		if err := os.WriteFile(path, image, 0o644); err != nil {

@@ -226,8 +226,8 @@ func (s *PageStore) Stats() Stats {
 // LSN allocation above everything stable state elsewhere may reference.
 //
 // The image is a list of chunks holding framed records back to back
-// (uvarint LSN, uvarint length with the batch-end bit, record; see
-// frameLocked) — byte for byte what the backing file holds after its header —
+// (uvarint LSN, uvarint length with the batch-end bit, checksum, record; see
+// appendFrame) — byte for byte what the backing file holds after its header —
 // plus one pointer-free reference per record. Records are appended in
 // batches (AppendBatch), and the stable end only ever sits between two of
 // them. Chunk bytes are write-once: nothing below a chunk's length is ever
@@ -293,10 +293,10 @@ func (l *LogStore) AppendBatch(first uint64, recs ...[]byte) {
 	l.bytes.Add(total)
 }
 
-// frameLocked appends one framed record to the image: its head
-// (appendFrameHead), then the record.
+// frameLocked appends one framed record to the image (appendFrame). The
+// checksum is taken here, under mu, over the bytes copied into the chunk.
 func (l *LogStore) frameLocked(lsn uint64, rec []byte, last bool) {
-	need := 2*binary.MaxVarintLen64 + len(rec)
+	need := 2*binary.MaxVarintLen64 + sumBytes + len(rec)
 	n := len(l.chunks)
 	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
 		l.chunks = append(l.chunks, make([]byte, 0, max(chunkBytes, need)))
@@ -304,7 +304,7 @@ func (l *LogStore) frameLocked(lsn uint64, rec []byte, last bool) {
 	}
 	c := l.chunks[n-1]
 	l.recs = append(l.recs, recRef{lsn: lsn, chunk: l.first + uint32(n-1), off: uint32(len(c))})
-	l.chunks[n-1] = append(appendFrameHead(c, lsn, len(rec), last), rec...)
+	l.chunks[n-1] = appendFrame(c, lsn, last, rec, nil)
 }
 
 // lastLocked returns the highest LSN appended or forced.
@@ -321,7 +321,7 @@ func (l *LogStore) recLocked(r recRef) []byte {
 	_, n := binary.Uvarint(b)
 	size, m := binary.Uvarint(b[n:])
 	size >>= 1 // the batch-end bit
-	b = b[n+m:]
+	b = b[n+m+sumBytes:]
 	return b[:size:size]
 }
 
