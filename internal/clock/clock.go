@@ -68,7 +68,7 @@ func (s *System) Now() (base.TS, time.Duration) {
 
 // Fake is a hand-advanced clock for tests. The zero value starts at TS 1
 // (0 is the "no timestamp" sentinel throughout the system) with zero
-// uncertainty; Set and SetUncertainty shape it, Advance moves it forward.
+// uncertainty unless NewFake names one; Set and Advance move it forward.
 // Waiters blocked in WaitUntilAfter observe every change promptly.
 type Fake struct {
 	mu   sync.Mutex
@@ -110,14 +110,6 @@ func (f *Fake) Advance(d time.Duration) {
 		f.ts = 1
 	}
 	f.ts += base.TS(d)
-	f.wake()
-}
-
-// SetUncertainty changes the reported error bound and wakes waiters.
-func (f *Fake) SetUncertainty(unc time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.unc = unc
 	f.wake()
 }
 

@@ -33,7 +33,6 @@ package stats
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -165,16 +164,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// GroupNames returns the sorted names of all registered groups.
-func (r *Registry) GroupNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.groups))
-	for name := range r.groups {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -33,9 +33,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	if got := snap["dc1"]["performs"]; got != 7 {
 		t.Fatalf("performs = %d, want 7", got)
 	}
-	if names := reg.GroupNames(); len(names) != 2 || names[0] != "dc1" || names[1] != "tc0" {
-		t.Fatalf("GroupNames = %v", names)
-	}
 }
 
 func TestGaugeClampsNegative(t *testing.T) {

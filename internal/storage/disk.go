@@ -64,7 +64,8 @@ func (f *file) sync() {
 	f.synced = f.size
 }
 
-// fsync is (*os.File).Sync; a test blocks it to watch what waits for it.
+// fsync is (*os.File).Sync, every fsync of the package's; a test blocks it to
+// watch what waits for it, and a fuzz target skips it.
 var fsync = (*os.File).Sync
 
 // rewrite replaces the file with parts, synced; op names the caller.
@@ -126,7 +127,7 @@ func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 		w.Write(part) // an error sticks: Flush reports it
 	}
 	if err = w.Flush(); err == nil && sync {
-		err = f.Sync()
+		err = fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -142,7 +143,7 @@ func atomicWriteFile(path string, sync bool, parts ...[]byte) error {
 		return err
 	}
 	defer dir.Close()
-	return dir.Sync()
+	return fsync(dir)
 }
 
 // A page journal record is one frame, a batch of its own, whose LSN numbers

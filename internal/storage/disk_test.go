@@ -334,11 +334,19 @@ func journalImage(t testing.TB, build func(s *PageStore)) []byte {
 	return readFile(t, path)
 }
 
+// skipFsync makes fsync a no-op until f ends: a fuzz input's file is thrown
+// away, and the fsyncs of each open would take most of the run.
+func skipFsync(f *testing.F) {
+	fsync = func(*os.File) error { return nil }
+	f.Cleanup(func() { fsync = (*os.File).Sync })
+}
+
 // FuzzPageJournal feeds arbitrary bytes to OpenPageStoreFile as the journal:
 // it never panics, and whatever it accepts it accepts again, identically,
 // from the clean image it left — also after an Append and a Sync, and after
 // a compaction.
 func FuzzPageJournal(f *testing.F) {
+	skipFsync(f)
 	whole := journalImage(f, func(s *PageStore) {
 		a, b := s.AllocPageID(), s.AllocPageID()
 		s.Write(a, []byte("base a"))
@@ -668,6 +676,7 @@ func TestFullWidthRecordImageIsRefused(t *testing.T) {
 // from the clean image it left — also after the next append and force, so no
 // torn byte survives between old records and new.
 func FuzzLogImage(f *testing.F) {
+	skipFsync(f)
 	whole := logImage(f, func(l *LogStore) {
 		l.AppendBatch(3, []byte("three"))
 		l.AppendBatch(4, nil, []byte("five"))

@@ -3,52 +3,10 @@ package wire
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
-
-// catalogedService wraps echoService with the Cataloger facet the DC
-// exposes through Tables.
-type catalogedService struct {
-	*echoService
-	tables []string
-}
-
-func (s *catalogedService) Tables() []string { return s.tables }
-
-func TestCatalogSimulatedNetwork(t *testing.T) {
-	n := NewNetwork(Config{})
-	svc := &catalogedService{echoService: newEchoService(), tables: []string{"kv", "users"}}
-	cl, srv := n.Connect(svc)
-	defer cl.Close()
-	defer srv.Close()
-
-	got, err := cl.Catalog(context.Background())
-	if err != nil {
-		t.Fatalf("Catalog: %v", err)
-	}
-	if !reflect.DeepEqual(got, []string{"kv", "users"}) {
-		t.Fatalf("Catalog = %v, want [kv users]", got)
-	}
-}
-
-func TestCatalogLossyNetwork(t *testing.T) {
-	n := NewNetwork(Config{LossProb: 0.3, Seed: 7})
-	svc := &catalogedService{echoService: newEchoService(), tables: []string{"kv"}}
-	cl, srv := n.Connect(svc)
-	defer cl.Close()
-	defer srv.Close()
-
-	got, err := cl.Catalog(context.Background())
-	if err != nil {
-		t.Fatalf("Catalog over lossy network: %v", err)
-	}
-	if len(got) != 1 || got[0] != "kv" {
-		t.Fatalf("Catalog = %v, want [kv]", got)
-	}
-}
 
 func TestCatalogUncatalogedServiceFailsTyped(t *testing.T) {
 	n := NewNetwork(Config{})
@@ -59,40 +17,5 @@ func TestCatalogUncatalogedServiceFailsTyped(t *testing.T) {
 	_, err := cl.Catalog(context.Background())
 	if !errors.Is(err, base.ErrUnavailable) {
 		t.Fatalf("Catalog on uncataloged service: err = %v, want ErrUnavailable", err)
-	}
-}
-
-func TestCatalogTCP(t *testing.T) {
-	svc := &catalogedService{echoService: newEchoService(), tables: []string{"a", "b", "c"}}
-	l, err := Listen("127.0.0.1:0", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	cl := Dial(l.Addr(), DialConfig{})
-	defer cl.Close()
-
-	got, err := cl.Catalog(context.Background())
-	if err != nil {
-		t.Fatalf("Catalog over TCP: %v", err)
-	}
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Catalog = %v, want [a b c]", got)
-	}
-}
-
-func TestCatalogEmpty(t *testing.T) {
-	svc := &catalogedService{echoService: newEchoService()} // zero tables
-	n := NewNetwork(Config{})
-	cl, srv := n.Connect(svc)
-	defer cl.Close()
-	defer srv.Close()
-
-	got, err := cl.Catalog(context.Background())
-	if err != nil {
-		t.Fatalf("Catalog: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("Catalog = %v, want empty", got)
 	}
 }

@@ -13,18 +13,18 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-// echoService is a minimal base.Service that records idempotence-relevant
-// state: each LSN is applied once; duplicates are reported via Applied.
+// echoService is a minimal base.Service for the transport's own tests: it
+// counts the deliveries of each LSN, reports a repeated one via Applied, and
+// keeps the watermarks it was sent. The TC:DC contract itself is checked
+// against the DC (internal/servicetest).
 type echoService struct {
-	mu       sync.Mutex
-	applied  map[base.LSN]int
-	eosl     base.LSN
-	lwm      base.LSN
-	safe     base.TS
-	horizon  base.TS
-	ckpts    []base.LSN
-	restarts []base.Epoch
-	unavail  atomic.Bool
+	mu      sync.Mutex
+	applied map[base.LSN]int
+	eosl    base.LSN
+	lwm     base.LSN
+	safe    base.TS
+	horizon base.TS
+	unavail atomic.Bool
 }
 
 func newEchoService() *echoService {
@@ -81,16 +81,10 @@ func (s *echoService) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN)
 }
 
 func (s *echoService) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ckpts = append(s.ckpts, newRSSP)
 	return nil
 }
 
 func (s *echoService) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, stableLSN base.LSN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.restarts = append(s.restarts, epoch)
 	return nil
 }
 
@@ -144,37 +138,6 @@ func TestPerformLossyNetworkExactlyOnceEffect(t *testing.T) {
 	}
 	if n.Stats().Resends == 0 {
 		t.Fatal("expected resends on a lossy network")
-	}
-}
-
-func TestControlMessages(t *testing.T) {
-	n := NewNetwork(Config{LossProb: 0.2, ResendAfter: 2 * time.Millisecond, Seed: 9})
-	svc := newEchoService()
-	cl, srv := n.Connect(svc)
-	defer cl.Close()
-	defer srv.Close()
-
-	if err := cl.Checkpoint(context.Background(), 1, 3, 55); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	ok := len(svc.ckpts) >= 1 && svc.ckpts[0] == 55
-	svc.mu.Unlock()
-	if !ok {
-		t.Fatalf("checkpoint not delivered: %v", svc.ckpts)
-	}
-	if err := cl.BeginRestart(context.Background(), 1, 4, 10); err != nil {
-		t.Fatal(err)
-	}
-	// The incarnation epoch must survive the trip (it is the DC-side fence).
-	svc.mu.Lock()
-	gotEpoch := len(svc.restarts) >= 1 && svc.restarts[0] == 4
-	svc.mu.Unlock()
-	if !gotEpoch {
-		t.Fatalf("begin-restart epoch not delivered: %v", svc.restarts)
-	}
-	if err := cl.EndRestart(context.Background(), 1, 4); err != nil {
-		t.Fatal(err)
 	}
 }
 
