@@ -4,20 +4,17 @@
 // of the DC behind it. Like net/http/httptest it is a test helper that lives
 // outside a _test file, so that each transport's tests can run it.
 //
-// The suite stamps TC ids, epochs and LSNs itself and calls only the
-// Service's methods, PerformBatch for every operation. It observes the DC
-// through the interface alone: result codes and values, what a control call
-// returns, and what a read sees after a Restart.
+// The suite stamps TC ids, epochs and LSNs itself and sends every operation
+// through PerformBatch. It observes the DC through the interface alone:
+// result codes and values, what a control call returns, and what a read
+// sees after a Restart.
 package servicetest
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
@@ -35,713 +32,111 @@ type Harness struct {
 }
 
 // Run runs every case as a subtest named after the clause it enforces, each
-// against a harness of its own from open.
+// against a harness of its own from open. A case is a function of the
+// subtest and its harness; to add one, add it to the table.
 func Run(t *testing.T, open func(t *testing.T) Harness) {
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := open(t)
-			if c.table {
-				if err := h.DC.CreateTable("t"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.run(&suite{t: t, h: h})
-		})
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T, h Harness)
+	}{
+		{"§4.2.1 control calls", controlCalls},
+		{"catalog", catalog},
+	} {
+		t.Run(c.name, func(t *testing.T) { c.run(t, open(t)) })
 	}
-}
-
-var cases = []struct {
-	name  string
-	table bool // the case runs on table "t", created before it starts
-	run   func(s *suite)
-}{
-	{"§4.2.1 perform codes and result ownership", true, performCodes},
-	{"§4.2 idempotent resend", true, idempotentResend},
-	{"§4.2 a read carries no request ID", true, readsRunAgain},
-	{"§4.2.1 checkpoint ends the contract below rssp", true, checkpointEndsContract},
-	{"§4.2 causality under a crashed checkpoint", true, causality},
-	{"§5.1.2 LWM of a TC that owes a resend", true, owedLWM},
-	{"§5.3.2 epoch fence", true, epochFence},
-	{"§5.3.1 resend bracket and CodeStaleDC", true, resendBracket},
-	{"§5.3.2 BeginRestart rolls back a redo-only batch", true, redoOnlyRollback},
-	{"§6.2.2 snapshot safe-TS wait and CodeSnapshotTooOld", true, snapshotWait},
-	{"§6.2.2 stamped head visibility", true, stampedHead},
-	{"catalog", false, catalog},
-}
-
-// suite is one case's run: its harness, and the readers it made up.
-type suite struct {
-	t     *testing.T
-	h     Harness
-	peers base.TCID
 }
 
 var ctx = context.Background()
 
-// tc is a TC the suite plays: it stamps its id and epoch on every operation,
-// the next LSN of its log on every write it logs, and dcInc while it resends.
-type tc struct {
-	s     *suite
-	id    base.TCID
-	epoch base.Epoch
-	next  base.LSN
-	dcInc base.DCInc
-}
-
-func (s *suite) tc(id base.TCID) *tc { return &tc{s: s, id: id, epoch: 1, next: 1} }
-
-// op builds an operation on table "t", logged (its LSN taken) if it writes.
-func (c *tc) op(kind base.OpKind, key, val string) base.Op {
-	o := base.Op{Kind: kind, Table: "t", Key: key}
-	if val != "" {
-		o.Value = []byte(val)
-	}
-	if kind.IsWrite() {
-		o.LSN = c.next
-		c.next++
-	}
-	return o
-}
-
-// send performs ops as one batch, stamped as c sends them. It may run on a
-// goroutine of the case's.
-func (c *tc) send(ops ...base.Op) []*base.Result {
+// perform sends ops to table "t" as one batch of TC 1 at epoch, and
+// requires every result to answer its op with code.
+func perform(t *testing.T, h Harness, epoch base.Epoch, code base.Code, ops ...base.Op) {
+	t.Helper()
 	batch := make([]*base.Op, len(ops))
 	for i := range ops {
 		o := ops[i]
-		o.TC, o.Epoch, o.DCInc = c.id, c.epoch, c.dcInc
+		o.TC, o.Epoch, o.Table = 1, epoch, "t"
 		batch[i] = &o
 	}
-	return c.s.h.Svc.PerformBatch(ctx, batch)
-}
-
-func (c *tc) one(o base.Op) *base.Result { return c.send(o)[0] }
-
-// all sends ops and requires every result to answer its op with code.
-func (c *tc) all(code base.Code, ops ...base.Op) {
-	c.s.t.Helper()
-	c.s.answered(code, ops, c.send(ops...))
-}
-
-// ok is all with CodeOK. Whether an op ran now or was found applied is not
-// asked: a transport that loses a reply resends, and the resend finds the op
-// applied. What ran shows in what a read sees.
-func (c *tc) ok(ops ...base.Op) {
-	c.s.t.Helper()
-	c.all(base.CodeOK, ops...)
-}
-
-// answered requires rs to answer ops, one result each, with code.
-func (s *suite) answered(code base.Code, ops []base.Op, rs []*base.Result) {
-	s.t.Helper()
-	if len(rs) != len(ops) {
-		s.t.Fatalf("%d results for %d operations", len(rs), len(ops))
-	}
-	for i, r := range rs {
+	for i, r := range h.Svc.PerformBatch(ctx, batch) {
 		if r.Code != code || r.LSN != ops[i].LSN {
-			s.t.Fatalf("%v: %+v, want %v", &ops[i], r, code)
+			t.Fatalf("epoch %d, %v: %+v, want %v", epoch, batch[i], r, code)
 		}
 	}
 }
 
-func (c *tc) upsert(key, val string) base.Op { return c.op(base.OpUpsert, key, val) }
-
-// versioned is a versioned upsert its commit stamps with ts.
-func (c *tc) versioned(key, val string, ts base.TS) base.Op {
-	o := c.upsert(key, val)
-	o.Versioned, o.TS = true, ts
-	return o
+func upsert(lsn base.LSN, key string) base.Op {
+	return base.Op{Kind: base.OpUpsert, LSN: lsn, Key: key, Value: []byte(key)}
 }
 
-func (c *tc) read(key string) *base.Result { return c.one(c.op(base.OpRead, key, "")) }
-
-func (c *tc) marks(eosl, lwm base.LSN) {
-	c.s.h.Svc.EndOfStableLog(c.id, c.epoch, eosl)
-	c.s.h.Svc.LowWaterMark(c.id, c.epoch, lwm)
-}
-
-// tick broadcasts the safe timestamp and horizon, and the marks held for c.
-func (c *tc) tick(safe, horizon base.TS) { c.s.h.Svc.SafeTS(c.id, c.epoch, safe, horizon) }
-
-func (c *tc) checkpoint(rssp base.LSN) error {
-	return c.s.h.Svc.Checkpoint(ctx, c.id, c.epoch, rssp)
-}
-
-func (c *tc) begin(stable base.LSN) error {
-	return c.s.h.Svc.BeginRestart(ctx, c.id, c.epoch, stable)
-}
-
-func (c *tc) end() error { return c.s.h.Svc.EndRestart(ctx, c.id, c.epoch) }
-
-// restart makes c the next incarnation of its TC, whose log is stable
-// through stable: it opens its bracket, and reuses the LSNs above stable.
-func (c *tc) restart(stable base.LSN) {
-	c.s.t.Helper()
-	c.epoch++
-	c.next = stable + 1
-	c.must(c.begin(stable))
-}
-
-// redo sends ops inside c's bracket, stamped with the DC incarnation that
-// refused names.
-func (c *tc) redo(refused *base.Result, ops ...base.Op) {
-	c.s.t.Helper()
-	if refused.Code != base.CodeStaleDC || refused.DCInc == 0 {
-		c.s.t.Fatalf("tc %d: the DC took its operation before its resend: %+v", c.id, refused)
-	}
-	if len(ops) > 0 {
-		c.dcInc = refused.DCInc
-		c.ok(ops...)
-		c.dcInc = 0
+func must(t *testing.T, what string, err, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("%s: %v, want %v", what, err, want)
 	}
 }
 
-// resend is c's resend to the DC incarnation refused names: the redo of ops
-// in a bracket.
-func (c *tc) resend(refused *base.Result, ops ...base.Op) {
-	c.s.t.Helper()
-	c.must(c.begin(0))
-	c.redo(refused, ops...)
-	c.must(c.end())
-}
+// controlCalls drives the three control calls through a DC restart and a TC
+// restart. Checkpoint(rssp) ends the contract below rssp, so the DC keeps
+// both writes though the TC resends nothing. BeginRestart's epoch fences the
+// TC's dead incarnation: its ops, its marks and its control calls are
+// refused, and its fenced op leaves the LSN free. EndRestart closes the
+// bracket, after which the new epoch's writes execute.
+func controlCalls(t *testing.T, h Harness) {
+	must(t, "CreateTable", h.DC.CreateTable("t"), nil)
+	perform(t, h, 1, base.CodeOK, upsert(1, "a"), upsert(2, "b"))
+	h.Svc.EndOfStableLog(1, 1, 2)
+	h.Svc.LowWaterMark(1, 1, 2)
+	must(t, "Checkpoint", h.Svc.Checkpoint(ctx, 1, 1, 3), nil)
 
-// owe sends an operation the DC must refuse, because c owes it a resend,
-// and returns the refusal, which names the incarnation.
-func (c *tc) owe() *base.Result {
-	c.s.t.Helper()
-	r := c.read("owed")
-	if r.Code != base.CodeStaleDC || r.DCInc == 0 {
-		c.s.t.Fatalf("tc %d owes the DC a resend, yet: %+v", c.id, r)
-	}
-	return r
-}
+	h.Restart(t)
+	must(t, "BeginRestart", h.Svc.BeginRestart(ctx, 1, 2, 2), nil)
+	perform(t, h, 2, base.CodeStaleDC, upsert(3, "c"))
+	must(t, "a dead epoch's Checkpoint", h.Svc.Checkpoint(ctx, 1, 1, 4), base.ErrStaleEpoch)
+	must(t, "a dead epoch's EndRestart", h.Svc.EndRestart(ctx, 1, 1), base.ErrStaleEpoch)
+	must(t, "EndRestart", h.Svc.EndRestart(ctx, 1, 2), nil)
+	// The dead epoch's marks ride its late write. Taken, they would make the
+	// new epoch's LSN 4 look applied once LSN 3 executes.
+	h.Svc.EndOfStableLog(1, 1, 9)
+	h.Svc.LowWaterMark(1, 1, 9)
+	perform(t, h, 1, base.CodeStaleEpoch, upsert(3, "zombie"))
+	perform(t, h, 2, base.CodeOK, upsert(3, "c"), upsert(4, "d"))
 
-func (c *tc) must(err error) {
-	c.s.t.Helper()
-	if err != nil {
-		c.s.t.Fatalf("tc %d epoch %d: %v", c.id, c.epoch, err)
-	}
-}
-
-// peek reads key as a TC the DC has never heard of, so owes nothing.
-func (s *suite) peek(key string) *base.Result {
-	s.peers++
-	return s.tc(100 + s.peers).read(key)
-}
-
-// want requires key to read as val, or as absent for "".
-func (s *suite) want(key, val string) {
-	s.t.Helper()
-	r := s.peek(key)
-	if val == "" && r.Code != base.CodeNotFound || val != "" && (!r.Found || string(r.Value) != val) {
-		s.t.Fatalf("%s reads %+v, want %q", key, r, val)
-	}
-}
-
-// eventually calls try, broadcasting with tick between tries, until it
-// reports true. The broadcasts of a transport are fire-and-forget and may be
-// lost; a TC sends them again on every tick.
-func (s *suite) eventually(what string, tick func(), try func() bool) {
-	s.t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !try(); {
-		if time.Now().After(deadline) {
-			s.t.Fatalf("never: %s", what)
-		}
-		tick()
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// async runs f on a goroutine, and the returned wait blocks for its result
-// up to d, reporting false on a timeout.
-func async[T any](f func() T) (wait func(d time.Duration) (T, bool)) {
-	ch := make(chan T, 1)
-	go func() { ch <- f() }()
-	return func(d time.Duration) (T, bool) {
-		select {
-		case v := <-ch:
-			return v, true
-		default:
-		}
-		select {
-		case v := <-ch:
-			return v, true
-		case <-time.After(d):
-			var zero T
-			return zero, false
+	// TC 2 has never written, so owes the DC nothing and reads at once.
+	for key, found := range map[string]bool{"a": true, "b": true, "c": true, "d": true, "zombie": false} {
+		r := h.Svc.PerformBatch(ctx, []*base.Op{{TC: 2, Epoch: 1, Kind: base.OpRead, Table: "t", Key: key}})[0]
+		if r.Found != found || found && string(r.Value) != key {
+			t.Fatalf("%s reads %+v, want found %v", key, r, found)
 		}
 	}
 }
 
-// stillBlocked is how long a call must stay unanswered to count as waiting.
-const stillBlocked = 30 * time.Millisecond
-
-func performCodes(s *suite) {
-	c := s.tc(1)
-	codes := []struct {
-		op   base.Op
-		want base.Code
-	}{
-		{c.op(base.OpInsert, "a", "1"), base.CodeOK},
-		{c.op(base.OpInsert, "a", "2"), base.CodeDuplicate},
-		{c.op(base.OpUpdate, "a", "2"), base.CodeOK},
-		{c.op(base.OpUpdate, "missing", "x"), base.CodeNotFound},
-		{c.op(base.OpRead, "a", ""), base.CodeOK},
-		{c.op(base.OpDelete, "a", ""), base.CodeOK},
-		{c.op(base.OpRead, "a", ""), base.CodeNotFound},
-		{c.op(base.OpDelete, "a", ""), base.CodeNotFound},
-	}
-	for _, tt := range codes {
-		if r := c.one(tt.op); r.Code != tt.want || r.LSN != tt.op.LSN {
-			s.t.Fatalf("%v: %+v, want %v", &tt.op, r, tt.want)
-		}
-	}
-	// A batch executes in order and answers positionally.
-	keys := []string{"a", "b", "c", "d"}
-	var ops []base.Op
-	for _, k := range keys {
-		ops = append(ops, c.upsert(k, "v0"), c.op(base.OpUpdate, k, "value-of-"+k))
-	}
-	c.ok(ops...)
-	// Each call's results are its own: no value shares memory with another
-	// call's, and scribbling over one call's changes no other's.
-	batch := func() []*base.Result {
-		var reads []base.Op
-		for _, k := range keys {
-			reads = append(reads, c.op(base.OpRead, k, ""))
-		}
-		rr := c.op(base.OpRangeRead, "a", "")
-		rr.EndKey = "z"
-		return c.send(append(reads, rr)...)
-	}
-	check := func(when string, rs []*base.Result) {
-		s.t.Helper()
-		for i, k := range keys {
-			if r := rs[i]; r.Code != base.CodeOK || string(r.Value) != "value-of-"+k {
-				s.t.Fatalf("%s: read %s = %+v", when, k, r)
-			}
-		}
-		if r := rs[len(keys)]; !slices.Equal(r.Keys, keys) || string(r.Values[1]) != "value-of-b" {
-			s.t.Fatalf("%s: range read = %+v", when, r)
-		}
-	}
-	first, second := batch(), batch()
-	owner := map[*byte]string{}
-	for call, rs := range map[string][]*base.Result{"first": first, "second": second} {
-		for _, r := range rs {
-			for _, v := range append([][]byte{r.Value}, r.Values...) {
-				if len(v) == 0 {
-					continue
-				}
-				if other, ok := owner[&v[0]]; ok {
-					s.t.Fatalf("a value of the %s call shares memory with one of the %s call", call, other)
-				}
-				owner[&v[0]] = call
-			}
-		}
-	}
-	for _, r := range first {
-		for _, v := range append([][]byte{r.Value}, r.Values...) {
-			copy(v, "XXXXXXXXXXXX")
-		}
-		*r = base.Result{Code: base.CodeBadRequest}
-	}
-	check("second call, after the first was scribbled over", second)
-	check("a third call", batch())
-}
-
-func idempotentResend(s *suite) {
-	c := s.tc(1)
-	ins := c.op(base.OpInsert, "k", "v")
-	c.ok(ins)
-	up := c.op(base.OpUpdate, "k", "v2")
-	c.ok(up)
-	// An insert run again would be a duplicate, an update run again would
-	// undo the one after it: both are recognized, skipped and acknowledged.
-	for _, o := range []base.Op{ins, up, ins} {
-		if r := c.one(o); r.Code != base.CodeOK || !r.Applied {
-			s.t.Fatalf("resent %v: %+v, want it acknowledged as applied", &o, r)
-		}
-	}
-	s.want("k", "v2")
-	// A later operation reaching the page first makes no earlier one look
-	// applied (§5.1: the abstract LSN).
-	early, late := c.op(base.OpInsert, "e", "early"), c.op(base.OpInsert, "l", "late")
-	c.ok(late)
-	c.ok(early)
-	s.want("e", "early")
-	for _, o := range []base.Op{early, late} {
-		if r := c.one(o); !r.Applied {
-			s.t.Fatalf("resent %v: %+v", &o, r)
-		}
-	}
-	// Batches in flight together, each sent twice: one effect apiece.
-	batches := make([][]base.Op, 8)
-	for b := range batches {
-		for i := 0; i < 8; i++ {
-			batches[b] = append(batches[b], c.op(base.OpInsert, fmt.Sprintf("x%d-%d", b, i), fmt.Sprint(b*8+i)))
-		}
-	}
-	for pass := 0; pass < 2; pass++ {
-		results := make([][]*base.Result, len(batches))
-		var wg sync.WaitGroup
-		for b, ops := range batches {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[b] = c.send(ops...)
-			}()
-		}
-		wg.Wait()
-		for b, ops := range batches {
-			s.answered(base.CodeOK, ops, results[b])
-			if pass == 1 && slices.ContainsFunc(results[b], func(r *base.Result) bool { return !r.Applied }) {
-				s.t.Fatalf("batch %d sent again: %+v", b, results[b])
-			}
-		}
-	}
-	for b := 0; b < len(batches); b += 3 {
-		for i, o := range batches[b] {
-			s.want(o.Key, fmt.Sprint(b*8+i))
-		}
-	}
-}
-
-func readsRunAgain(s *suite) {
-	c := s.tc(1)
-	c.ok(c.upsert("a", "1"))
-	read := c.op(base.OpRead, "a", "")
-	probe := c.op(base.OpScanProbe, "a", "")
-	probe.EndKey = "z"
-	for _, want := range []string{"1", "2"} {
-		rs := c.send(read, read, probe)
-		for _, r := range rs {
-			if r.Code != base.CodeOK || r.LSN != 0 || r.Applied {
-				s.t.Fatalf("a read: %+v, want LSN 0, executed", r)
-			}
-		}
-		if string(rs[0].Value) != want || string(rs[1].Value) != want || !slices.Equal(rs[2].Keys, []string{"a"}) {
-			s.t.Fatalf("reads: %+v %+v %+v, want %q", rs[0], rs[1], rs[2], want)
-		}
-		c.ok(c.upsert("a", "2")) // the next pass's reads must see it
-	}
-}
-
-func checkpointEndsContract(s *suite) {
-	c := s.tc(1)
-	c.ok(c.upsert("a", "1"), c.upsert("b", "2"), c.upsert("c", "3"))
-	c.marks(2, 3)
-	wait := async(func() error { return c.checkpoint(4) })
-	if err, done := wait(stillBlocked); done {
-		s.t.Fatalf("checkpoint returned %v with LSN 3 above the EOSL", err)
-	}
-	c.marks(3, 3)
-	var err error
-	s.eventually("the checkpoint returns once the EOSL covers the page", func() { c.tick(0, 0) },
-		func() (done bool) { err, done = wait(0); return done })
-	c.must(err)
-	// Nothing is resent below rssp, and nothing is lost.
-	s.h.Restart(s.t)
-	c.resend(c.owe())
-	s.want("a", "1")
-	s.want("b", "2")
-	s.want("c", "3")
-}
-
-func causality(s *suite) {
-	c := s.tc(1)
-	a := c.upsert("a", "1")
-	c.ok(a, c.upsert("b", "2"))
-	c.marks(1, 2)
-	wait := async(func() error { return c.checkpoint(3) })
-	if err, done := wait(stillBlocked); done {
-		s.t.Fatalf("checkpoint returned %v with LSN 2 above the EOSL", err)
-	}
-	s.h.Restart(s.t)
-	if err, done := wait(10 * time.Second); !done || err == nil {
-		s.t.Fatalf("the checkpoint a crash interrupted: done %v, %v", done, err)
-	}
-	// The TC crashed too, its log stable through LSN 1: its resend is LSN 1
-	// alone, and LSN 2 must be nowhere.
-	refused := c.owe()
-	c.restart(1)
-	c.redo(refused, a)
-	c.must(c.end())
-	s.want("a", "1")
-	s.want("b", "")
-}
-
-func owedLWM(s *suite) {
-	c := s.tc(1)
-	a, b := c.upsert("a", "1"), c.upsert("b", "2")
-	c.ok(a, b)
-	s.h.Restart(s.t)
-	third := c.upsert("c", "3")
-	refused := c.one(third)
-	// Claims made before the resend's replies: taken, either would mark the
-	// resend of b applied once a's resend is. The first rides the checkpoint,
-	// while the TC owes the resend; the second the redo, inside its bracket.
-	c.marks(2, 2)
-	if err := c.checkpoint(4); !errors.Is(err, base.ErrStaleDC) {
-		s.t.Fatalf("checkpoint of a TC that owes a resend: %v, want ErrStaleDC", err)
-	}
-	c.must(c.begin(0))
-	c.marks(3, 3)
-	c.redo(refused, a, b, third)
-	c.must(c.end())
-	s.want("a", "1")
-	s.want("b", "2")
-	s.want("c", "3")
-	if r := c.one(third); !r.Applied {
-		s.t.Fatalf("sent again after the resend: %+v", r)
-	}
-	c.must(c.checkpoint(4))
-}
-
-func epochFence(s *suite) {
-	c := s.tc(1)
-	c.ok(c.upsert("a", "stable"))
-	c.marks(1, 1)
-	c.must(c.checkpoint(2))
-	c.ok(c.op(base.OpUpdate, "a", "lost"))
-	zombie := *c
-
-	c.restart(1)
-	mustErr := func(what string, err, want error) {
-		s.t.Helper()
-		if !errors.Is(err, want) {
-			s.t.Fatalf("%s: %v, want %v", what, err, want)
-		}
-	}
-	mustErr("a dead incarnation's checkpoint", zombie.checkpoint(5), base.ErrStaleEpoch)
-	mustErr("a checkpoint inside the bracket", c.checkpoint(5), base.ErrStaleDC)
-	mustErr("a dead incarnation's BeginRestart", zombie.begin(1), base.ErrStaleEpoch)
-	mustErr("a dead incarnation's EndRestart", zombie.end(), base.ErrStaleEpoch)
-	// The redo of the restarted TC's bracket, then the same BeginRestart
-	// again: it must not roll back what the redo did.
-	c.redo(c.owe(), c.upsert("r", "redo"))
-	c.must(c.begin(1))
-	c.must(c.end())
-	s.want("r", "redo")
-
-	// The dead incarnation's marks ride its late batch, which is refused
-	// whole, and its read: neither executes, nor moves a mark.
-	zombie.marks(9, 9)
-	zombie.all(base.CodeStaleEpoch, zombie.op(base.OpInsert, "ghost", "x"), zombie.op(base.OpUpdate, "a", "scribble"))
-	zombie.all(base.CodeStaleEpoch, zombie.op(base.OpRead, "a", ""))
-	s.want("a", "stable")
-	s.want("ghost", "")
-	// A fenced op left its LSN free, and the dead marks claimed nothing:
-	// the LSNs after the redo's execute.
-	c.ok(c.upsert("d", "4"), c.upsert("e", "5"))
-	s.want("e", "5")
-	// The fence is durable, and a checkpoint's DC-log truncation keeps it.
-	c.marks(c.next-1, c.next-1)
-	c.must(c.checkpoint(c.next))
-	s.h.Restart(s.t)
-	zombie.all(base.CodeStaleEpoch, zombie.upsert("ghost", "x"))
-	c.resend(c.owe())
-	s.want("e", "5")
-	s.want("ghost", "")
-}
-
-func resendBracket(s *suite) {
-	c := s.tc(1)
-	v1 := c.upsert("k", "v1")
-	c.ok(v1)
-	// A later write of the key reaches the restarted DC before the resend:
-	// executed, the resend of v1 would overwrite it.
-	s.h.Restart(s.t)
-	v2 := c.upsert("k", "v2")
-	first := c.one(v2)
-	c.resend(first, v1, v2)
-	if r := c.one(v2); r.Code != base.CodeOK || !r.Applied {
-		s.t.Fatalf("the later write sent again after the resend: %+v", r)
-	}
-	s.want("k", "v2")
-	if err := c.begin(0); !errors.Is(err, base.ErrNothingOwed) {
-		s.t.Fatalf("BeginRestart with nothing owed: %v, want ErrNothingOwed", err)
-	}
-
-	// A stamp names one DC incarnation, and an EndRestart needs the
-	// BeginRestart of its own.
-	s.h.Restart(s.t)
-	c.must(c.begin(0))
-	second := c.owe()
-	if second.DCInc <= first.DCInc {
-		s.t.Fatalf("incarnation %d followed %d", second.DCInc, first.DCInc)
-	}
-	s.h.Restart(s.t)
-	c.dcInc = second.DCInc
-	v3 := c.upsert("k", "v3")
-	third := c.one(v3)
-	c.dcInc = 0
-	if third.Code != base.CodeStaleDC || third.DCInc <= second.DCInc {
-		s.t.Fatalf("stamped for incarnation %d, sent to its successor: %+v", second.DCInc, third)
-	}
-	if err := c.end(); !errors.Is(err, base.ErrStaleDC) {
-		s.t.Fatalf("EndRestart at an incarnation that saw no BeginRestart: %v, want ErrStaleDC", err)
-	}
-	s.want("k", "")
-	c.resend(third, v1, v2, v3)
-	s.want("k", "v3")
-
-	// The number survives the checkpoint that truncates the DC-log.
-	c.marks(c.next-1, c.next-1)
-	c.must(c.checkpoint(c.next))
-	s.h.Restart(s.t)
-	if r := c.owe(); r.DCInc <= third.DCInc {
-		s.t.Fatalf("after a checkpoint, incarnation %d followed %d", r.DCInc, third.DCInc)
-	}
-}
-
-func redoOnlyRollback(s *suite) {
-	c := s.tc(1)
-	c.ok(c.upsert("a", "stable"))
-	c.marks(1, 1)
-	c.must(c.checkpoint(2))
-	// One commit batch, logged redo-only, shipped, answered and never forced.
-	c.ok(c.op(base.OpUpdate, "a", "lost"), c.op(base.OpInsert, "b", "lost"))
-	c.marks(1, 3)
-	if r := c.read("a"); string(r.Value) != "lost" { // the marks ride it
-		s.t.Fatalf("a before the TC crash: %+v", r)
-	}
-	c.restart(1)
-	c.must(c.end())
-	s.want("a", "stable")
-	s.want("b", "")
-	// The next incarnation logs LSNs 2 and 3 anew and forces them: the dead
-	// one's LWM of 3 must not make them look applied.
-	c.marks(3, 0)
-	c.ok(c.op(base.OpInsert, "c", "new"), c.op(base.OpInsert, "d", "new"))
-	s.want("c", "new")
-	s.want("d", "new")
-}
-
-func snapshotWait(s *suite) {
-	w, r := s.tc(1), s.tc(2)
-	write := w.versioned("k", "v", 10)
-	w.ok(write)
-	snapshot := func(ts base.TS) *base.Result {
-		o := r.op(base.OpRead, "k", "")
-		o.Flavor, o.TS = base.ReadSnapshot, ts
-		for {
-			// A DC bounds the wait; the TC reads again.
-			if res := r.one(o); res.Code != base.CodeUnavailable {
-				return res
-			}
-		}
-	}
-	// r reads at 15 before w promised anything: the read waits for w.
-	r.tick(20, 0)
-	wait := async(func() *base.Result { return snapshot(15) })
-	if res, done := wait(stillBlocked); done {
-		s.t.Fatalf("a snapshot read at 15 before the writer's safe TS covers it: %+v", res)
-	}
-	var res *base.Result
-	ticks := func() { w.tick(20, 0); r.tick(20, 0) }
-	s.eventually("the snapshot read returns once every safe TS covers it", ticks,
-		func() (done bool) { res, done = wait(0); return done })
-	if !res.Found || string(res.Value) != "v" {
-		s.t.Fatalf("snapshot at 15: %+v, want the version of 10", res)
-	}
-
-	// After a DC restart, w's ticks are dropped until its resend: they vouch
-	// for the commit of 10, which the crash may have lost.
-	s.h.Restart(s.t)
-	refused := w.owe()
-	r.resend(r.owe())
-	wait = async(func() *base.Result { return snapshot(15) })
-	for range 5 {
-		ticks()
-		time.Sleep(stillBlocked / 5)
-	}
-	if res, done := wait(0); done {
-		s.t.Fatalf("a snapshot read at 15 before the writer's resend: %+v", res)
-	}
-	w.resend(refused, write)
-	s.eventually("the snapshot read returns after the resend", ticks,
-		func() (done bool) { res, done = wait(0); return done })
-	if !res.Found || string(res.Value) != "v" {
-		s.t.Fatalf("snapshot at 15 after the resend: %+v", res)
-	}
-
-	// Once every TC's horizon passes 17, a read at 17 may miss versions.
-	s.eventually("a snapshot below the GC horizon is refused", func() { w.tick(60, 50); r.tick(60, 50) },
-		func() bool { return snapshot(17).Code == base.CodeSnapshotTooOld })
-}
-
-func stampedHead(s *suite) {
-	w, r := s.tc(1), s.tc(2)
-	w.ok(w.versioned("k", "v0", 5))
-	w.ok(w.versioned("k", "v1", 10))
-	read := func(f base.ReadFlavor) string {
-		o := r.op(base.OpRead, "k", "")
-		o.Flavor = f
-		return string(r.one(o).Value)
-	}
-	tick := func(safe base.TS) func() { return func() { w.tick(safe, 0) } }
-	s.eventually("the head of 5 reads as committed", tick(5),
-		func() bool { return read(base.ReadCommitted) == "v0" })
-	if got := read(base.ReadDirty); got != "v1" {
-		s.t.Fatalf("a dirty read: %q, want the head of 10", got)
-	}
-	for range 5 {
-		tick(5)()
-		if got := read(base.ReadCommitted); got != "v0" {
-			s.t.Fatalf("committed read before the writer's safe TS covers 10: %q", got)
-		}
-	}
-	s.eventually("the head of 10 reads as committed", tick(10),
-		func() bool { return read(base.ReadCommitted) == "v1" })
-	// A DC that restarted holds no safe TS of the writer's until its resend:
-	// the stable head of 10 reads as uncommitted again until then.
-	w.marks(2, 2)
-	w.must(w.checkpoint(3))
-	s.h.Restart(s.t)
-	refused := w.owe()
-	r.resend(r.owe())
-	tick(10)()
-	if got := read(base.ReadCommitted); got != "v0" {
-		s.t.Fatalf("committed read at a restarted DC before the writer's resend: %q", got)
-	}
-	w.resend(refused)
-	s.eventually("the head of 10 reads as committed after the resend", tick(10),
-		func() bool { return read(base.ReadCommitted) == "v1" })
-}
-
-// cataloger is the facet a transport's client asks the DC's tables through.
-type cataloger interface {
-	Catalog(ctx context.Context) ([]string, error)
-}
-
-func catalog(s *suite) {
+// catalog asks the DC's tables through the transport, before there are any
+// and after a restart. The DC lists them in no fixed order.
+func catalog(t *testing.T, h Harness) {
 	tables := func() []string {
-		if cl, ok := s.h.Svc.(cataloger); ok {
-			got, err := cl.Catalog(ctx)
-			if err != nil {
-				s.t.Fatal(err)
-			}
-			return got
+		cl, ok := h.Svc.(interface {
+			Catalog(context.Context) ([]string, error)
+		})
+		if !ok {
+			return h.DC.Tables()
 		}
-		return s.h.DC.Tables()
+		got, err := cl.Catalog(ctx)
+		must(t, "Catalog", err, nil)
+		return got
 	}
 	if got := tables(); len(got) != 0 {
-		s.t.Fatalf("catalog of a DC with no table: %v", got)
+		t.Fatalf("catalog of a DC with no table: %v", got)
 	}
 	for _, name := range []string{"users", "kv"} {
-		if err := s.h.DC.CreateTable(name); err != nil {
-			s.t.Fatal(err)
-		}
+		must(t, "CreateTable", h.DC.CreateTable(name), nil)
 	}
 	for _, when := range []string{"created", "restarted"} {
 		if when == "restarted" {
-			s.h.Restart(s.t)
+			h.Restart(t)
 		}
-		got := tables()
-		slices.Sort(got)
-		if !slices.Equal(got, []string{"kv", "users"}) {
-			s.t.Fatalf("catalog once %s: %v, want [kv users]", when, got)
+		if got := tables(); !slices.Equal(slices.Sorted(slices.Values(got)), []string{"kv", "users"}) {
+			t.Fatalf("catalog once %s: %v, want kv and users", when, got)
 		}
 	}
 }

@@ -10,19 +10,14 @@ import (
 
 func newDC(t *testing.T) *dc.DC {
 	d, err := dc.New(dc.Config{Name: "contract"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, "dc.New", err, nil)
 	t.Cleanup(d.Close)
 	return d
 }
 
 func restart(t *testing.T, d *dc.DC) {
-	t.Helper()
 	d.Crash()
-	if err := d.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, "Recover", d.Recover(), nil)
 }
 
 func TestDirect(t *testing.T) {
@@ -50,8 +45,7 @@ func simulated(n *wire.Network, cfg wire.Config) func(t *testing.T) Harness {
 }
 
 func TestSim(t *testing.T) {
-	cfg := wire.Config{}
-	Run(t, simulated(wire.NewNetwork(cfg), cfg))
+	Run(t, simulated(wire.NewNetwork(wire.Config{}), wire.Config{}))
 }
 
 // TestSimLossy runs the suite over a fabric that loses, duplicates and
@@ -68,26 +62,21 @@ func TestSimLossy(t *testing.T) {
 // TestTCP runs the suite over loopback TCP. A DC restart is a process's:
 // the DC crashes, its listener closes, and a new one listens on the same
 // address. The crash comes first because Close waits for the requests in
-// flight, and a checkpoint may be waiting for the EOSL.
+// flight.
 func TestTCP(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		d := newDC(t)
 		l, err := wire.Listen("127.0.0.1:0", d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, "Listen", err, nil)
 		addr := l.Addr()
 		cl := wire.Dial(addr, wire.DialConfig{ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond})
 		t.Cleanup(func() { cl.Close(); l.Close() })
 		return Harness{Svc: cl, DC: d, Restart: func(t *testing.T) {
 			d.Crash()
 			l.Close()
-			if err := d.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			if l, err = wire.Listen(addr, d); err != nil {
-				t.Fatal(err)
-			}
+			must(t, "Recover", d.Recover(), nil)
+			l, err = wire.Listen(addr, d)
+			must(t, "Listen", err, nil)
 		}}
 	})
 }
