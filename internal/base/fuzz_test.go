@@ -17,6 +17,31 @@ import (
 // reader does. Run with go test -fuzz=FuzzDecodeOpBatch ./internal/base; the
 // seed corpus doubles as a regression suite on every ordinary test run.
 
+// DecodeOpBatch is FuzzDecodeOpBatch's oracle for OpSlab.Decode: it parses a
+// batch previously produced by AppendOpBatch and returns the remaining bytes.
+// The operations alias buf as OpSlab.Decode's do.
+func DecodeOpBatch(buf []byte) ([]*Op, []byte, error) {
+	var s OpSlab
+	ops, n, err := s.decode(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ops, buf[n:], nil
+}
+
+// DecodeResultBatch is FuzzDecodeResultBatch's oracle for DecodeResultsInto:
+// it parses a batch reply previously produced by AppendResultBatch and
+// returns the remaining bytes. The results are made by NewResults and alias
+// buf, like DecodeResult's.
+func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
+	r := reader{buf: buf}
+	rs := NewResults(r.count())
+	if r.results(rs); r.err != nil {
+		return nil, nil, r.err
+	}
+	return rs, buf[r.off:], nil
+}
+
 func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, []*Op{
 		{TC: 1, Epoch: 2, LSN: 10, Kind: OpInsert, Table: "t", Key: "a", Value: []byte("1")},

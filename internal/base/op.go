@@ -434,18 +434,6 @@ func AppendOpBatch(buf []byte, ops []*Op) []byte {
 	return buf
 }
 
-// DecodeOpBatch parses a batch previously produced by AppendOpBatch and
-// returns the remaining bytes. The operations alias buf as OpSlab.Decode's
-// do.
-func DecodeOpBatch(buf []byte) ([]*Op, []byte, error) {
-	var s OpSlab
-	ops, n, err := s.decode(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ops, buf[n:], nil
-}
-
 // OpSlab is reusable storage for operations decoded in place: a reader that
 // decodes one request at a time (a DC's connection reader) keeps one and
 // decodes every request into it, so that decoding allocates nothing but the
@@ -508,18 +496,6 @@ func AppendResultBatch(buf []byte, rs []*Result) []byte {
 		buf = AppendResult(buf, r)
 	}
 	return buf
-}
-
-// DecodeResultBatch parses a batch reply previously produced by
-// AppendResultBatch and returns the remaining bytes. The results are made by
-// NewResults and alias buf, like DecodeResult's.
-func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
-	r := reader{buf: buf}
-	rs := NewResults(r.count())
-	if r.results(rs); r.err != nil {
-		return nil, nil, r.err
-	}
-	return rs, buf[r.off:], nil
 }
 
 // DecodeResultsInto decodes a batch reply body (AppendResultBatch) into rs,

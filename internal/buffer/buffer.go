@@ -62,6 +62,7 @@
 package buffer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -341,7 +342,7 @@ func (p *Pool) FlushPage(id base.PageID, wait bool) error {
 	}
 	f.pin++ // hold the frame across the flush
 	p.mu.Unlock()
-	err := p.flushFrame(f, wait)
+	err := p.flushFrame(context.Background(), f, wait)
 	p.Unpin(id)
 	return err
 }
@@ -446,7 +447,9 @@ func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	return len(image), abBytes, true
 }
 
-func (p *Pool) flushFrame(f *frame, wait bool) error {
+// flushFrame writes f's page back, if dirty, once its gates open. A wait for
+// them ends with ctx only if ctx's end Kicks the pool (FlushAllContext's does).
+func (p *Pool) flushFrame(ctx context.Context, f *frame, wait bool) error {
 	for {
 		if p.ended.Load() {
 			return ErrEnded
@@ -482,6 +485,9 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 			if !wait {
 				return ErrNotFlushable
 			}
+			if ctx.Err() != nil {
+				return base.CancelErr(ctx)
+			}
 			p.flushWaits.Add(1)
 			p.mu.Lock()
 			for gen == p.kickGen {
@@ -514,9 +520,22 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 	}
 }
 
-// FlushAll flushes every cached dirty page matching pred (nil = all).
-// With wait=true it blocks per page until flushable (checkpoint).
+// FlushAll is FlushAllContext under a context that never ends.
 func (p *Pool) FlushAll(wait bool, pred func(*page.Page) bool) error {
+	return p.FlushAllContext(context.Background(), wait, pred)
+}
+
+// FlushAllContext flushes every cached dirty page matching pred (nil = all).
+// With wait=true it blocks per page until flushable (checkpoint), or until
+// ctx ends: a page whose gates are closed then is left dirty, and the error
+// is base.CancelErr(ctx).
+func (p *Pool) FlushAllContext(ctx context.Context, wait bool, pred func(*page.Page) bool) error {
+	if wait && ctx.Done() != nil {
+		// Wakes a flush waiting when ctx ends. The Kick moves kickGen, so one
+		// that read its generation and then found ctx live does not wait.
+		stop := context.AfterFunc(ctx, p.Kick)
+		defer stop()
+	}
 	var firstErr error
 	for _, f := range p.snapshot() {
 		if pred != nil {
@@ -528,7 +547,7 @@ func (p *Pool) FlushAll(wait bool, pred func(*page.Page) bool) error {
 				continue
 			}
 		}
-		if err := p.flushFrame(f, wait); err != nil && firstErr == nil {
+		if err := p.flushFrame(ctx, f, wait); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		p.Unpin(f.pg.ID)
@@ -590,7 +609,7 @@ func (p *Pool) maybeEvict() {
 		if victim == nil {
 			return // everything pinned; let it ride
 		}
-		err := p.flushFrame(victim, false)
+		err := p.flushFrame(context.Background(), victim, false)
 		p.mu.Lock()
 		cached := p.frames[id] == victim
 		if cached && err == nil && victim.pin == 1 && !victim.pg.Dirty {

@@ -511,7 +511,9 @@ func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
 // a fenced incarnation is refused — releasing resend obligations based on
 // a dead incarnation's view would be unrecoverable — and so is one before
 // the TC's resend to this incarnation has ended (ErrStaleDC): the pages it
-// would make stable may still miss operations below newRSSP.
+// would make stable may still miss operations below newRSSP. A page waits
+// for the TC's end of stable log until ctx ends; the checkpoint then returns
+// base.CancelErr(ctx) and releases nothing.
 func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -535,7 +537,7 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	}
 	s.ctl.Unlock()
 	pool := inc.pool
-	err := pool.FlushAll(true, func(pg *page.Page) bool {
+	err := pool.FlushAllContext(ctx, true, func(pg *page.Page) bool {
 		first, ok := pg.FirstDirty[tc]
 		return ok && first < newRSSP
 	})
@@ -546,7 +548,7 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	// (branch pages, the catalog): flushing them lets the DC-log truncate.
 	// Pages gated by other TCs' log stability are skipped, bounding the
 	// truncation point accordingly.
-	_ = pool.FlushAll(false, func(pg *page.Page) bool {
+	_ = pool.FlushAllContext(ctx, false, func(pg *page.Page) bool {
 		return pg.Dirty && len(pg.FirstDirty) == 0
 	})
 	d.truncateDCLog(inc)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
@@ -29,6 +30,9 @@ type Harness struct {
 	DC *dc.DC
 	// Restart crashes and recovers DC and brings the transport back.
 	Restart func(t *testing.T)
+	// Close, nil for a DC called directly, shuts the transport down and
+	// returns once no request it delivered runs at the DC.
+	Close func()
 }
 
 // Run runs every case as a subtest named after the clause it enforces, each
@@ -41,6 +45,7 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 	}{
 		{"§4.2.1 control calls", controlCalls},
 		{"catalog", catalog},
+		{"§4.2.1 abandoned checkpoint", abandonedCheckpoint},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, open(t)) })
 	}
@@ -138,5 +143,32 @@ func catalog(t *testing.T, h Harness) {
 		if got := tables(); !slices.Equal(slices.Sorted(slices.Values(got)), []string{"kv", "users"}) {
 			t.Fatalf("catalog once %s: %v, want kv and users", when, got)
 		}
+	}
+}
+
+// abandonedCheckpoint: a checkpoint over a page that holds an operation the
+// TC's log is not yet stable through waits for that end of stable log, which
+// here never comes. Its caller's deadline ends it: the call returns
+// ErrCancelled, and nothing of it stays parked at the DC, so the transport
+// closes at once.
+func abandonedCheckpoint(t *testing.T, h Harness) {
+	must(t, "CreateTable", h.DC.CreateTable("t"), nil)
+	perform(t, h, 1, base.CodeOK, upsert(1, "a"))
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
+		err := h.Svc.Checkpoint(ctx, 1, 1, 2)
+		if h.Close != nil {
+			h.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		must(t, "a checkpoint past its deadline", err, base.ErrCancelled)
+	case <-time.After(5 * time.Second):
+		h.DC.Crash() // frees what waits at the DC, so that the harness can close
+		t.Fatal("a checkpoint past its deadline, and closing the transport after it, took over 5 s")
 	}
 }

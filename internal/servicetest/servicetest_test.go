@@ -40,7 +40,7 @@ func simulated(n *wire.Network, cfg wire.Config) func(t *testing.T) Harness {
 			time.Sleep(cfg.Delay + cfg.Jitter)
 			restart(t, d)
 			srv.SetDown(false)
-		}}
+		}, Close: srv.Close}
 	}
 }
 
@@ -60,9 +60,8 @@ func TestSimLossy(t *testing.T) {
 }
 
 // TestTCP runs the suite over loopback TCP. A DC restart is a process's:
-// the DC crashes, its listener closes, and a new one listens on the same
-// address. The crash comes first because Close waits for the requests in
-// flight.
+// its listener closes, the DC crashes, and a new one listens on the same
+// address.
 func TestTCP(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		d := newDC(t)
@@ -72,11 +71,10 @@ func TestTCP(t *testing.T) {
 		cl := wire.Dial(addr, wire.DialConfig{ResendAfter: 5 * time.Millisecond, RedialBackoff: 2 * time.Millisecond})
 		t.Cleanup(func() { cl.Close(); l.Close() })
 		return Harness{Svc: cl, DC: d, Restart: func(t *testing.T) {
-			d.Crash()
 			l.Close()
-			must(t, "Recover", d.Recover(), nil)
+			restart(t, d)
 			l, err = wire.Listen(addr, d)
 			must(t, "Listen", err, nil)
-		}}
+		}, Close: func() { l.Close() }}
 	})
 }

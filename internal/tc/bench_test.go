@@ -49,7 +49,7 @@ func newBenchPair(tb testing.TB) *benchPair {
 	// One checkpoint after the load, as the repo benchmark's preload ends
 	// with one: the timed transactions start over stable pages and an empty
 	// redo tail.
-	load(tb, tcx, p.keys, 0)
+	load(tb, tcx, p.keys, 0, false)
 	if _, err := tcx.Checkpoint(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkEvictingWriteTxn(b *testing.B) {
 	tcx, d := newDirectTC(b, dc.Config{Name: "dc0"})
 	b.Cleanup(tcx.Close)
 	p := &benchPair{tc: tcx, keys: loadKeys(200_000), val: make([]byte, 64), rng: rand.New(rand.NewSource(1))}
-	load(b, tcx, p.keys, 10)
+	load(b, tcx, p.keys, 10, false)
 	if _, err := tcx.Checkpoint(context.Background()); err != nil {
 		b.Fatal(err)
 	}
@@ -145,29 +145,35 @@ func BenchmarkVersionedWriteTxn(b *testing.B) {
 	b.ReportMetric(float64(st.Flushes-before.Flushes)/n, "flushes/txn")
 }
 
-// BenchmarkLoad is the repo benchmark's preload of direct_big, its setup_s,
-// in one process: 200 000 keys in ascending order, 100 Upserts of 64-byte
-// values per transaction and a checkpoint every 10 transactions, into a fresh
-// TC and in-process DC each time. One op is the whole load; ns/key divides it
-// by the keys. It is where a hunt for the load's cost starts, as
-// BenchmarkWriteTxn is for a transaction's:
+// BenchmarkLoad is the repo benchmark's preload, its setup_s, in one process:
+// 200 000 keys in ascending order, 100 Upserts of 64-byte values per
+// transaction and a checkpoint every 10 transactions, into a fresh TC and
+// in-process DC each time. versioned=false is direct_big's preload;
+// versioned=true is the shape of tcp_mixed's, whose writes keep before
+// versions. One op is the whole load; ns/key divides it by the keys. It is
+// where a hunt for the load's cost starts, as BenchmarkWriteTxn is for a
+// transaction's:
 //
 //	go test -run '^$' -bench Load -benchmem -cpuprofile cpu.out ./internal/tc
 func BenchmarkLoad(b *testing.B) {
 	const keys = 200_000
 	names := loadKeys(keys)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tcx, _ := newDirectTC(b, dc.Config{Name: "dc0"})
-		b.StartTimer()
-		load(b, tcx, names, 10)
-		b.StopTimer()
-		tcx.Close()
-		b.StartTimer()
+	for _, versioned := range []bool{false, true} {
+		b.Run(fmt.Sprintf("versioned=%v", versioned), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tcx, _ := newDirectTC(b, dc.Config{Name: "dc0"})
+				b.StartTimer()
+				load(b, tcx, names, 10, versioned)
+				b.StopTimer()
+				tcx.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
 }
 
 // loadKeys returns n keys in ascending order.
@@ -180,14 +186,14 @@ func loadKeys(n int) []string {
 }
 
 // load writes names into the table "kv" in the preload's shape: 100 Upserts
-// of 64-byte values per transaction and, unless ckptEvery is 0, a checkpoint
-// every ckptEvery transactions.
-func load(tb testing.TB, tcx *TC, names []string, ckptEvery int) {
+// of 64-byte values per transaction, versioned or not, and, unless ckptEvery
+// is 0, a checkpoint every ckptEvery transactions.
+func load(tb testing.TB, tcx *TC, names []string, ckptEvery int, versioned bool) {
 	const perTxn = 100
 	val := make([]byte, 64)
 	ctx := context.Background()
 	for lo, n := 0, 1; lo < len(names); lo, n = lo+perTxn, n+1 {
-		x := tcx.Begin(ctx, TxnOptions{})
+		x := tcx.Begin(ctx, TxnOptions{Versioned: versioned})
 		for _, k := range names[lo:min(lo+perTxn, len(names))] {
 			if err := x.Upsert("kv", k, val); err != nil {
 				tb.Fatal(err)
@@ -216,7 +222,7 @@ func TestLoadWithoutCheckpointsFillsItsLeaves(t *testing.T) {
 	tcx, d := newDirectTC(t, dc.Config{Name: "dc0", CacheCapacity: 1 << 15})
 	defer tcx.Close()
 	names := loadKeys(16_000)
-	load(t, tcx, names, 0)
+	load(t, tcx, names, 0, false)
 	var leaves, recs, maxIn int
 	err := d.Tree("kv").Scan("", func(leaf *page.Page) bool {
 		leaves++

@@ -554,10 +554,64 @@ func TestScanReadsUnsentWrites(t *testing.T) {
 	}
 }
 
+// TestScanAfterManyWritesPreReadsFirst: a scan is the barrier of an
+// unversioned transaction whose queue is longer than maxBatch. It pre-reads
+// every missing prior before it logs anything, in windows of maxBatch, then
+// logs every write with its undo image and ships them in windows. Abort then
+// inverts each write from its image: the keys that existed read their old
+// values again, and the new ones are gone.
+func TestScanAfterManyWritesPreReadsFirst(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	const n, old = maxBatch + 22, 10
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		for i := 0; i < old; i++ {
+			if err := x.Insert("t", fmt.Sprintf("k%04d", i), []byte("p")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stubs[0].take()
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	for i := 0; i < n; i++ {
+		if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys, _, err := x.Scan("t", "k", "l", 0); err != nil || len(keys) != n {
+		t.Fatalf("scan after %d writes: %d keys, %v", n, len(keys), err)
+	}
+	if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[64r 22r 64w 22w]" {
+		t.Fatalf("%d single sends, %d single reads and batches %v, want 0, 0 and [64r 22r 64w 22w]", single, reads, batches)
+	}
+	ops, _ := txnRecords(tcx, x.id)
+	if len(ops) != n {
+		t.Fatalf("%d op records, want %d", len(ops), n)
+	}
+	for i, rec := range ops {
+		if _, undo, err := decodeOpPayload(rec.Payload); err != nil || undo.redoOnly || undo.found != (i < old) {
+			t.Fatalf("op record %d logs %+v (%v), want an undo image that found a prior: %v", i, undo, err, i < old)
+		}
+	}
+	if err := x.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[64w 22w]" {
+		t.Fatalf("the abort shipped batches %v, want the %d inverses in [64w 22w]", batches, n)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); ok != (i < old) || ok && v != "p" {
+			t.Fatalf("k%04d = %q %v after the abort", i, v, ok)
+		}
+	}
+}
+
 // TestAbortWithUnsentWrites: writes that never crossed a barrier are dropped
-// by Abort — nothing shipped, nothing inverted, nothing logged, not even an
-// abort record — while writes that did cross one are rolled back through
-// the compensation chain.
+// by Abort, however many there are — nothing shipped, nothing inverted,
+// nothing logged, not even an abort record — while writes that did cross one
+// are rolled back through the compensation chain.
 func TestAbortWithUnsentWrites(t *testing.T) {
 	for _, barrier := range []bool{false, true} {
 		tcx, dcs, stubs := newCountedPair(t)
@@ -584,15 +638,19 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 			if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
 				t.Fatalf("scan past the barrier: %v %v", keys, err)
 			}
-			// Queued behind the barrier: dropped with the abort.
-			if err := x.Insert("t", "late", []byte("temp")); err != nil {
-				t.Fatal(err)
-			}
 			wantOps, wantCLRs = 3, 3
 		}
 		logEnd := tcx.log.NextLSN()
 		for _, s := range stubs {
 			s.take()
+		}
+		// Queued behind any barrier, more than maxBatch of them: dropped
+		// with the abort.
+		const late = 2*maxBatch + 22
+		for i := 0; i < late; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("late%03d", i), []byte("temp")); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := x.Abort(); err != nil {
 			t.Fatal(err)
@@ -614,9 +672,14 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 		for _, at := range []struct {
 			dc         int
 			table, key string
-		}{{0, "t", "tmp"}, {1, "u", "tmp"}, {0, "t", "late"}} {
+		}{{0, "t", "tmp"}, {1, "u", "tmp"}} {
 			if v, ok := dirty(dcs[at.dc], at.table, at.key); ok {
 				t.Fatalf("barrier=%v: aborted insert left %s/%s=%q at the DC", barrier, at.table, at.key, v)
+			}
+		}
+		for i := 0; i < late; i++ {
+			if v, ok := dirty(dcs[0], "t", fmt.Sprintf("late%03d", i)); ok {
+				t.Fatalf("barrier=%v: aborted upsert left late%03d=%q at the DC", barrier, i, v)
 			}
 		}
 		// One CLR per forward record, each pointing past the record it
@@ -1197,33 +1260,31 @@ func TestOnlyRecordsTakeLSNs(t *testing.T) {
 	}
 }
 
-func TestMoreThanMaxBatchWritesSplit(t *testing.T) {
+// TestManyWritesLeaveAtCommit: a queue longer than maxBatch waits for its
+// barrier like any other. At commit its writes are logged redo-only, in one
+// batch with the commit record, and shipped in windows of maxBatch, versioned
+// or not: no pre-read, and no write sent twice.
+func TestManyWritesLeaveAtCommit(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	const n = 2*maxBatch + 22
 	for _, versioned := range []bool{true, false} {
-		if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: versioned}, func(x *Txn) error {
-			for i := 0; i < n; i++ {
-				if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
-					return err
-				}
+		x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
+		for i := 0; i < n; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
+		}
+		stubs[0].quiet(t, fmt.Sprintf("versioned=%v, %d writes before any barrier", versioned, n))
+		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		single, reads, batches := stubs[0].take()
-		// Versioned: two full queues leave unstamped, then the commit
-		// barrier ships the last 22 writes and the 128 keys written again
-		// with the commit timestamp, in three lists. Unversioned: each
-		// full queue pre-reads what it is about to log; the commit barrier
-		// logs its writes redo-only and pre-reads nothing.
-		want := "[64w 64w 64w 64w 22w]"
-		if !versioned {
-			want = "[64r 64w 64r 64w 22w]"
-		}
-		if single != 0 || reads != 0 || fmt.Sprint(batches) != want {
+		const want = "[64w 64w 22w]"
+		if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
 			t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
 				versioned, single, reads, batches, want)
+		}
+		if ops, _ := txnRecords(tcx, x.id); len(ops) != n {
+			t.Fatalf("versioned=%v: %d op records, want %d", versioned, len(ops), n)
 		}
 		safeTick(tcx)
 		r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRangeRead, Table: "t",

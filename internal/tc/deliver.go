@@ -23,19 +23,19 @@ import (
 // Update and Delete check existence, so that every logged operation succeeds
 // at the DC), records the new value in the transaction cache and joins the
 // transaction's queue. Everything else happens at the transaction's next
-// barrier: its commit, a read that bypasses its cache (scans,
-// ReadCommitted/ReadDirty), or the queue reaching maxBatch. A barrier short
-// of commit (Txn.flush)
+// barrier: its commit, or a read that bypasses its cache (scans,
+// ReadCommitted/ReadDirty). However long the queue grows, it leaves at one of
+// these and at no other point. A barrier short of commit (Txn.flush)
 //
-//  1. fetches, in one PerformBatch of reads per DC, every prior value the
-//     cache could not supply when the write was accepted (the undo
+//  1. fetches, in one PerformBatch of reads per DC and window of maxBatch,
+//     every prior value the cache could not supply when the write was accepted (the undo
 //     information of §4.1.1; only unversioned Upserts of keys the
 //     transaction never read need it) — reads like any other: no LSN, no
 //     record, sent by Txn.sendUnlogged, nothing owed if they are abandoned;
 //  2. appends the op records in call order as one log batch — appended at
 //     the barrier, under the lock, so the TC-log order is still an OPSR
 //     order; and
-//  3. ships them, one batch per DC.
+//  3. ships them, one batch per DC and window of maxBatch.
 //
 // The commit barrier (Txn.commitLogged) skips step 1: it appends the queued
 // writes' records and the commit record as one batch, which the log makes
@@ -45,12 +45,12 @@ import (
 // transaction's commit record is not, and only writes that leave before
 // commit have such records.
 //
-// So a transaction of n upserts that crosses no earlier barrier costs one
-// request/reply call per DC however large n is (up to maxBatch), versioned or
-// not (a versioned one's commit barrier also stamps the writes with the
-// commit timestamp: Txn.stamp); an abort before the first barrier costs none
-// and logs nothing, and a write holds no LSN while its transaction idles or
-// waits for a lock.
+// So a transaction of n upserts that crosses no earlier barrier logs n
+// redo-only records and ships them in one call per DC for every maxBatch of
+// them, versioned or not (a versioned one's commit barrier also stamps the
+// writes with the commit timestamp: Txn.stamp); an abort before the first
+// barrier costs none and logs nothing, and a write holds no LSN while its
+// transaction idles or waits for a lock.
 //
 // What it allocates per transaction is only what outlives the transaction.
 // Everything it uses on its own goroutine is its scratch (txnScratch), taken
@@ -93,8 +93,8 @@ import (
 //     versions from its next barrier on, not from the call that wrote them.
 //
 // Step 3 has one rule (Txn.ship): the transaction's own goroutine runs deliver,
-// one call — one PerformBatch — per DC, and the barrier returns with the
-// operations acknowledged. Nothing sits between a transaction and its DCs.
+// one call per DC — one PerformBatch per window — and the barrier returns
+// with the operations acknowledged. Nothing sits between a transaction and its DCs.
 // Operations of different transactions never conflict while both are in
 // flight (strict 2PL), which is all the order §4.2 asks of the wire, so
 // concurrent committers each send their own frame.
@@ -127,8 +127,8 @@ import (
 //     any logged operation.
 
 // maxBatch caps the operations of one PerformBatch message: deliver ships
-// longer lists in windows of it, and a transaction's queue of writes that
-// reaches it leaves ahead of the next barrier.
+// longer lists in windows of it. It bounds a frame, not a transaction: a
+// queue of any length waits for its barrier.
 const maxBatch = 64
 
 // ErrTCStopped is the fate of a logged operation whose delivery was
@@ -319,15 +319,16 @@ func staleDC(results []*base.Result) base.DCInc {
 // acknowledged. It runs before every operation that must observe them at the
 // DC (scans and unlocked reads bypass the transaction cache, so
 // read-your-writes needs them applied; point reads never do, every write is
-// recorded in the cache) and when the queue reaches maxBatch. Commit runs the
-// same steps itself, without the pre-read (commitLogged); Abort drops the
-// queue instead. A versioned write that leaves here leaves before the lock
-// point, without the commit timestamp, and is marked for the commit barrier
-// to write again (Txn.stamp).
+// recorded in the cache), and never merely because the queue is long. Commit
+// runs the same steps itself, without the pre-read (commitLogged); Abort
+// drops the queue instead. A versioned write that leaves here leaves before
+// the lock point, without the commit timestamp, and is marked for the commit
+// barrier to write again (Txn.stamp).
 //
 // Its first two steps are cancellable: the orphan check and the batched read
 // of missing undo images, under the transaction's context. A failed or
-// cancelled pre-read has logged nothing and leaves the queue as it was.
+// cancelled pre-read has logged nothing and leaves every write queued, with
+// the priors read so far filed.
 func (x *Txn) flush() error {
 	if x.orphaned() {
 		return x.die()
@@ -351,15 +352,15 @@ func (x *Txn) flush() error {
 
 // fetchPriors is the pre-read of a barrier short of commit: every prior value
 // the cache could not supply when its write was accepted is read now, one
-// PerformBatch of reads per DC, and filed with the queued write that needs
-// it. The keys are X-locked, so what the DC returns is what the cache would
-// have held; a key the transaction wrote more than once is read once, for its
-// first write (the later ones found the earlier in the cache). Results go to
-// the queue only — the cache already holds the values written. Nothing is
-// logged yet, so the reads are unlogged operations like any other
-// (Txn.sendUnlogged): they honor the transaction's context, and a failure — a
-// crash of the incarnation under the round trip included — leaves a
-// transaction that can still abort without a trace.
+// PerformBatch of reads per DC for every maxBatch of them, and filed with the
+// queued write that needs it. The keys are X-locked, so what the DC returns is
+// what the cache would have held; a key the transaction wrote more than once
+// is read once, for its first write (the later ones found the earlier in the
+// cache). Results go to the queue only — the cache already holds the values
+// written. Nothing is logged yet, so the reads are unlogged operations like
+// any other (Txn.sendUnlogged): they honor the transaction's context, and a
+// failure — a crash of the incarnation under the round trip included — leaves
+// a transaction that can still abort without a trace.
 func (x *Txn) fetchPriors() error {
 	t := x.tc
 	for dcIdx := range t.dcs {
@@ -370,32 +371,29 @@ func (x *Txn) fetchPriors() error {
 					Table: q.op.Table, Key: q.op.Key, Flavor: base.ReadPlain})
 			}
 		}
-		if len(reads) == 0 {
-			continue
-		}
 		ops := x.slab.send[:0]
 		for i := range reads {
 			ops = append(ops, &reads[i])
 		}
-		results, err := x.sendUnlogged(dcIdx, ops)
-		if err != nil {
-			return err
-		}
-		n := 0
-		for i := range x.queue {
-			q := &x.queue[i]
-			if !q.needPrior || q.dc != dcIdx {
-				continue
+		i := 0 // results come in queue order: the next is filed at or after i
+		for lo := 0; lo < len(ops); lo += maxBatch {
+			results, err := x.sendUnlogged(dcIdx, ops[lo:min(lo+maxBatch, len(ops))])
+			if err != nil {
+				return err
 			}
-			res := results[n]
-			n++
-			switch res.Code {
-			case base.CodeOK:
-				q.undo, q.needPrior = undoImage{prior: res.Value, found: true}, false
-			case base.CodeNotFound:
-				q.needPrior = false
-			default:
-				return fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, res.Err())
+			for _, res := range results {
+				for !x.queue[i].needPrior || x.queue[i].dc != dcIdx {
+					i++
+				}
+				q := &x.queue[i]
+				switch res.Code {
+				case base.CodeOK:
+					q.undo, q.needPrior = undoImage{prior: res.Value, found: true}, false
+				case base.CodeNotFound:
+					q.needPrior = false
+				default:
+					return fmt.Errorf("tc: read %s/%s: %w", q.op.Table, q.op.Key, res.Err())
+				}
 			}
 		}
 	}
@@ -421,7 +419,7 @@ func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
 		size += opPayloadLen(&x.queue[i].op, x.queue[i].logged(commit))
 	}
 	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
-	recs := x.slab.recs[:0]
+	recs := slices.Grow(x.slab.recs[:0], len(x.queue)+1)
 	for i := range x.queue {
 		q := &x.queue[i]
 		start := len(x.enc)
@@ -458,8 +456,8 @@ func (x *Txn) appendQueued(commit bool) (base.LSN, error) {
 // ship delivers the queue — logged, every operation of it — to the DCs its
 // operations route to (resolved with dcIndex before each was accepted, so
 // only routable operations consume logged LSNs) and empties it: one deliver
-// call (one PerformBatch) per DC, in queue order, on the calling goroutine,
-// one DC after the other. It returns the first failure. Delivery does not
+// call per DC (one PerformBatch per window of maxBatch), in queue order, on
+// the calling goroutine, one DC after the other. It returns the first failure. Delivery does not
 // honor the transaction's cancellation, for the reason appendQueued gives.
 func (x *Txn) ship() error {
 	if len(x.queue) == 0 {
@@ -473,8 +471,9 @@ func (x *Txn) ship() error {
 		ctx = context.WithoutCancel(ctx)
 	}
 	var first error
+	ops := slices.Grow(x.slab.send[:0], len(x.queue)) // room for any one DC's list
 	for dcIdx := range x.tc.dcs {
-		ops := x.slab.send[:0]
+		ops = ops[:0]
 		for i := range x.queue {
 			if q := &x.queue[i]; q.dc == dcIdx {
 				ops = append(ops, &q.op)

@@ -97,6 +97,62 @@ func TestRedoOnlyCommitCrash(t *testing.T) {
 	}
 }
 
+// TestRedoOnlyCommitCrashBetweenWindows: a commit batch longer than maxBatch
+// ships in windows, and the TC crashes once its first window is applied and
+// before anything forces the batch. The lost batch spans windows, and the
+// DC's BeginRestart rolls back every window it applied: after Recover it
+// holds nothing of the transaction, and a key that existed reads its prior
+// value.
+func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		return x.Insert("t", "k0000", []byte("p0"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stubs[0].take()
+	windows := 0
+	stubs[0].setHook(func(call string) {
+		if call == "write" {
+			if windows++; windows == 2 {
+				tcx.Crash() // the first window is applied, and the second still lands
+			}
+		}
+	})
+	const n = 2*maxBatch + 22
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	for i := 0; i < n; i++ {
+		if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
+		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
+	}
+	stubs[0].setHook(nil)
+	if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[64w 64w]" {
+		t.Fatalf("the commit shipped batches %v before the crash stopped it, want [64w 64w]", batches)
+	}
+	if v, ok := dirty(dcs[0], "t", "k0000"); !ok || v != "v" {
+		t.Fatalf("k0000 = %q %v before the restart, want the shipped write", v, ok)
+	}
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 {
+		t.Fatalf("the restarted log holds %d op records and %d CLRs of a lost transaction", len(ops), len(clrs))
+	}
+	for i := 0; i < n; i++ {
+		want := ""
+		if i == 0 {
+			want = "p0"
+		}
+		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); v != want || ok != (want != "") {
+			t.Fatalf("k%04d = %q %v after the restart, want %q", i, v, ok, want)
+		}
+	}
+}
+
 // TestRedoOnlyRecordIsNeverUndone: a redo-only record whose commit record is
 // not in the log is one the batch rule did not write. undoChain inverts
 // nothing of it and logs nothing, and Recover, meeting it in a loser's chain,

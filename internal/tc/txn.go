@@ -137,7 +137,8 @@ func (q *queued) logged(commit bool) undoImage {
 }
 
 // slabOps is how many operations a transaction has room for between two
-// barriers in its writeSlab; more spill to the heap, by append's doubling.
+// barriers in its writeSlab; more spill to the heap: the queue by append's
+// doubling, a barrier's records and send list once, at their final length.
 const slabOps = 8
 
 // writeSlab is the storage a writing transaction needs at its barriers, in its
@@ -568,8 +569,7 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 // locking (§6.2.1). "Latest" is what has reached the DC: this transaction's
 // own writes are shipped first (flush), but another TC's transaction shows
 // its uncommitted versions only from its next barrier on — a scan, an
-// unlocked read, a full batch, its commit — not from the call that wrote
-// them.
+// unlocked read, its commit — not from the call that wrote them.
 func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readUnlocked(table, key, base.ReadDirty)
 }
@@ -702,9 +702,6 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	if x.opts.Versioned {
 		x.versioned[tk] = false
 	}
-	if len(x.queue) >= maxBatch {
-		return x.flush()
-	}
 	return nil
 }
 
@@ -729,7 +726,8 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // commit record is (deferred update; Bernstein, Hadzilacos & Goodman 1987,
 // ch. 6). A crash that loses the batch loses the transaction, and the DCs
 // roll its shipped writes back themselves (DC.BeginRestart). So a
-// transaction that crossed no earlier barrier costs one round trip per DC.
+// transaction that crossed no earlier barrier costs one round trip per DC
+// for every maxBatch of its writes there.
 //
 // Commit is the transaction's last write barrier, in two parts. The part
 // that can still be given up runs here, under the transaction's context: the

@@ -87,22 +87,6 @@ func TestTCPPerformAndBatch(t *testing.T) {
 	}
 }
 
-// staleService fails control calls with the typed stale-epoch sentinel so
-// the test can prove rehydration across a real socket.
-type staleService struct{ *echoService }
-
-func (s staleService) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
-	return fmt.Errorf("dc dcX: checkpoint for tc %d epoch %d behind fence 9: %w", tc, epoch, base.ErrStaleEpoch)
-}
-
-func TestTCPControlErrorRehydrates(t *testing.T) {
-	cl, _ := dialTest(t, staleService{newEchoService()}, DialConfig{})
-	err := cl.Checkpoint(context.Background(), 1, 1, 5)
-	if !errors.Is(err, base.ErrStaleEpoch) {
-		t.Fatalf("stale epoch not rehydrated over tcp: %v", err)
-	}
-}
-
 // TestTCPServerRestartResendsAndReconnects is the transport half of the
 // e2e kill -9 story: the listener dies mid-conversation, a blocked call
 // resends into the void, a new listener binds the same address, and the

@@ -133,7 +133,7 @@
 //
 // The queue is logged and shipped at the transaction's next barrier:
 // Commit, a scan or an unlocked read (for read-your-writes; point reads are
-// answered by the transaction cache), or 64 queued writes. At Commit the
+// answered by the transaction cache), however long it grows. At Commit the
 // queued writes are logged redo-only: their records and the commit record
 // are appended as one log batch, stable whole or not at all, so a write
 // record is never stable without its commit record and needs no undo image
