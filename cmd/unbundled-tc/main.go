@@ -9,8 +9,8 @@
 //
 // With -dir, the TC-log lives in that directory and survives kill -9:
 // restarting with the same flags reopens the log and runs the §5.3.2
-// restart protocol (analysis, epoch-fenced DC reset, redo, loser undo)
-// against the DCs before serving.
+// restart protocol (analysis, epoch-fenced DC reset, redo) against the DCs
+// before serving.
 //
 // Workload mode (default) runs -txns write transactions of -ops unique
 // keys each — keys prefixed "w<tc-id>-", so fleet members generate
@@ -139,8 +139,8 @@ func main() {
 	}
 
 	// A -dir holding a previous incarnation's log: the DCs are reachable
-	// now, so run the §5.3.2 restart (analysis, epoch-fenced reset, redo,
-	// loser undo) before serving anything.
+	// now, so run the §5.3.2 restart (analysis, epoch-fenced reset, redo)
+	// before serving anything.
 	if dep.TCs[0].NeedsRecovery() {
 		fmt.Printf("unbundled-tc: restarting tc %d from its log in %s\n", *tcID, *dir)
 		if err := dep.RecoverTC(0); err != nil {
@@ -148,8 +148,8 @@ func main() {
 			os.Exit(1)
 		}
 		st := dep.TCs[0].Stats()
-		fmt.Printf("unbundled-tc: tc %d restarted: epoch=%d redo-ops=%d undo-ops=%d\n",
-			*tcID, dep.TCs[0].Epoch(), st.RedoOps, st.UndoOps)
+		fmt.Printf("unbundled-tc: tc %d restarted: epoch=%d redo-ops=%d\n",
+			*tcID, dep.TCs[0].Epoch(), st.RedoOps)
 	}
 
 	if *repl {

@@ -283,7 +283,7 @@ func TestE2EMultiTCKillRestart(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 
 	// Restart TC 1 on the same flags and TC-log directory: it recovers
-	// from its own log (epoch-fenced DC reset, redo, loser undo) and runs
+	// from its own log (epoch-fenced DC reset, redo) and runs
 	// the whole workload again — unique keys and deterministic values
 	// make the re-run idempotent and the verify oracle exact.
 	tc1b := startTC(1, totalTxns)

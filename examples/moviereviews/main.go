@@ -90,13 +90,18 @@ func main() {
 		return nil
 	}))
 
-	// The dirty-read flavor CAN see the draft (§6.2.1) — sometimes useful.
+	// Not even the dirty-read flavor (§6.2.1) sees the draft: a
+	// transaction's writes reach no DC before its commit, so no DC holds
+	// anything of it to read.
 	must(client.RunTxn(ctx, reader, func(x *unbundled.Txn) error {
 		v, ok, err := x.ReadDirty(workload.TableReviews, workload.ReviewKey(1, 3))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("dirty read of the draft: found=%v %q\n", ok, v)
+		fmt.Printf("dirty read of the draft before TC2 commits: found=%v\n", ok)
+		if ok {
+			return fmt.Errorf("the draft reached a DC before its commit: %q", v)
+		}
 		return nil
 	}))
 

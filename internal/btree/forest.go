@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,14 +129,9 @@ func (f *Forest) Exclusive(fn func()) {
 // Tree returns the tree for table, or nil.
 func (f *Forest) Tree(table string) *Tree { return (*f.trees.Load())[table] }
 
-// Tables returns the table names (order not guaranteed).
+// Tables returns the table names, sorted.
 func (f *Forest) Tables() []string {
-	trees := *f.trees.Load()
-	out := make([]string, 0, len(trees))
-	for t := range trees {
-		out = append(out, t)
-	}
-	return out
+	return slices.Sorted(maps.Keys(*f.trees.Load()))
 }
 
 // CreateTable durably creates an empty table as one system transaction: a

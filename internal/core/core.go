@@ -293,8 +293,8 @@ func (d *Deployment) CrashTC(i int) {
 	d.TCs[i].Crash()
 }
 
-// RecoverTC restarts transactional component i: targeted DC cache resets,
-// redo resend, loser undo (§5.3.2 "TC Failure"). Other TCs sharing the
+// RecoverTC restarts transactional component i: targeted DC cache resets
+// and the redo resend (§5.3.2 "TC Failure"). Other TCs sharing the
 // same DCs are not disturbed (§6.1.2).
 func (d *Deployment) RecoverTC(i int) error {
 	return d.TCs[i].Recover()

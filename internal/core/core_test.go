@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -233,6 +234,14 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 func TestMultiTCSharedDC(t *testing.T) {
 	d, err := New(Options{TCs: 2, DCs: 1, Tables: []string{"users"},
 		DCConfig: func(int) dc.Config { return dc.Config{CheckConflicts: true} },
+		// TC1's forces are slow enough for the test to act between a
+		// commit's ship and its force.
+		TCConfig: func(i int) tc.Config {
+			if i == 0 {
+				return tc.Config{ForceDelay: 300 * time.Millisecond}
+			}
+			return tc.Config{}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,20 +279,31 @@ func TestMultiTCSharedDC(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// TC1 updates without committing the page flush anywhere; then crashes.
+	// TC1 updates and commits, and crashes after the commit has shipped the
+	// update and before its force: the DC holds the uncommitted version.
 	x := tc1.Begin(context.Background(), tc.TxnOptions{Versioned: true})
 	if err := x.Update("users", "p1/alice", []byte("alice-lost")); err != nil {
 		t.Fatal(err)
 	}
-	// A writer's uncommitted versions reach the DC at its next barrier, not
-	// at the call that wrote them; an unlocked read of its own is one.
-	if _, _, err := x.ReadDirty("users", "p1/alice"); err != nil {
-		t.Fatal(err)
+	commit := make(chan error, 1)
+	go func() { commit <- x.Commit() }()
+	// Cross-TC reads over TC1's partition while that update is
+	// uncommitted: the dirty reads see it (§6.2.1), the committed scan sees
+	// the before version (§6.2.2); none takes a lock, so none waits for
+	// TC1's X lock.
+	for {
+		var v []byte
+		if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) (err error) {
+			v, _, err = y.ReadDirty("users", "p1/alice")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if string(v) == "alice-lost" {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// Cross-TC range reads over TC1's partition while that update is
-	// uncommitted: the dirty scan sees it (§6.2.1), the committed scan sees
-	// the before version (§6.2.2); neither takes a lock, so neither waits
-	// for TC1's X lock.
 	if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) error {
 		for _, c := range []struct {
 			name string
@@ -309,6 +329,9 @@ func TestMultiTCSharedDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.CrashTC(0)
+	if err := <-commit; !errors.Is(err, tc.ErrCommitAmbiguous) {
+		t.Fatalf("TC1's commit under its crash = %v, want ErrCommitAmbiguous", err)
+	}
 	if err := d.RecoverTC(0); err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,14 @@ func chaosIters(tb testing.TB, def int) int {
 	return n
 }
 
-// TestEpochFenceCrashDuringBatchChaos crashes a TC while an
-// uncommitted transaction's batches are loose somewhere in a delayed,
-// jittery, lossy, duplicating fabric — in flight, parked in a resend loop,
-// or duplicated for later delivery — then restarts it and runs a strict
-// serial oracle over the reused LSN space. Any of the dead incarnation's
-// writes taking effect after the restart shows up as a resurrected ghost
-// key or as a lost post-restart update (a reused LSN wrongly treated as
-// already applied by the abstract-LSN tables).
+// TestEpochFenceCrashDuringBatchChaos crashes a TC while a committing
+// transaction's batches are loose somewhere in a delayed, jittery, lossy,
+// duplicating fabric — in flight, parked in a resend loop, or duplicated for
+// later delivery — before its commit record is forced, then restarts it and
+// runs a strict serial oracle over the reused LSN space. Any of the dead
+// incarnation's writes taking effect after the restart shows up as a
+// resurrected ghost key or as a lost post-restart update (a reused LSN
+// wrongly treated as already applied by the abstract-LSN tables).
 func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 	iters := chaosIters(t, 4)
 	for it := 0; it < iters; it++ {
@@ -46,8 +46,10 @@ func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 			dep, err := New(Options{
 				TCs: 1, DCs: 2, Tables: []string{"kv"},
 				Placement: placement.MustParse("kv: dc=mod(2)"),
+				// Slow forces: the crash meets the ghost's commit between
+				// its ship and its force.
 				TCConfig: func(int) tc.Config {
-					return tc.Config{LockTimeout: 5 * time.Second}
+					return tc.Config{LockTimeout: 5 * time.Second, ForceDelay: 10 * time.Millisecond}
 				},
 				Network: &wire.Config{
 					Delay:       100 * time.Microsecond,
@@ -77,27 +79,25 @@ func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Leave an uncommitted transaction's blind upserts in the
-			// fabric (versioned: no pre-read precedes the ship; the
-			// unlocked read is the barrier that ships them), then crash at
-			// a random point of their delivery window.
+			// Leave a committing transaction's blind upserts in the fabric
+			// (no read precedes the ship), then crash at a random point of
+			// their delivery window, before the commit's force.
 			ghost := tcx.Begin(context.Background(), tc.TxnOptions{Versioned: true})
 			for g := 0; g < keys; g++ {
 				if err := ghost.Upsert("kv", fmt.Sprintf("g%d", g), []byte("boo")); err != nil {
 					t.Fatal(err)
 				}
 			}
-			barrier := make(chan struct{})
-			go func() {
-				defer close(barrier)
-				_, _, _ = ghost.ReadDirty("kv", "g0") // dies with the incarnation
-			}()
+			commit := make(chan error, 1)
+			go func() { commit <- ghost.Commit() }() // dies with the incarnation
 			time.Sleep(time.Duration(rnd.Intn(600)) * time.Microsecond)
 			dep.CrashTC(0)
 			if err := dep.RecoverTC(0); err != nil {
 				t.Fatal(err)
 			}
-			defer func() { <-barrier }()
+			// A commit that outran the crash (its force done first) is a
+			// winner, whose writes must all be there.
+			won := <-commit == nil
 
 			// Strict oracle over the reused LSN space: every increment must
 			// apply exactly once, even while stale batches and duplicated
@@ -140,8 +140,8 @@ func TestEpochFenceCrashDuringBatchChaos(t *testing.T) {
 			for g := 0; g < keys; g++ {
 				if _, ok, err := x.ReadDirty("kv", fmt.Sprintf("g%d", g)); err != nil {
 					t.Fatal(err)
-				} else if ok {
-					t.Fatalf("iter %d: ghost g%d took effect after restart", it, g)
+				} else if ok != won {
+					t.Fatalf("iter %d: ghost g%d found %v after the restart, its commit won %v", it, g, ok, won)
 				}
 			}
 			_ = x.Abort()

@@ -64,7 +64,7 @@ func (t *TC) WaitQuiesced(ctx context.Context) error {
 }
 
 // AckBarrierDepth returns the number of assigned LSNs not yet
-// acknowledged — the operations in flight at barriers across all
+// acknowledged — the operations in flight at commits across all
 // transactions. Zero means every operation the serving incarnation ever
 // shipped (or logged locally) has settled.
 func (t *TC) AckBarrierDepth() uint64 {
@@ -122,7 +122,6 @@ func (t *TC) RegisterStats(g *stats.Group) {
 	g.Func("probes", t.probes.Load)
 	g.Func("checkpoints", t.checkpoints.Load)
 	g.Func("redo_ops", t.redoOps.Load)
-	g.Func("undo_ops", t.undoOps.Load)
 	g.Func("snapshots", t.snapshots.Load)
 	g.Func("active_txns", func() uint64 { return uint64(t.ActiveTxns()) })
 	g.Func("ack_barrier_depth", t.AckBarrierDepth)

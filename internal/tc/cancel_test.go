@@ -33,15 +33,10 @@ func TestCommitBarrierCancellation(t *testing.T) {
 	tcx, d := newPair(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 
-	// Versioned: upserts need no pre-read, so the commit after the crash
-	// reaches its append and ship instead of failing cleanly at the down DC.
+	// Upserts read nothing, so the commit after the crash reaches its append
+	// and parks its ship against the down DC.
 	x := tcx.Begin(ctx, TxnOptions{Versioned: true})
 	if err := x.Upsert("t", "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	// The first write is acknowledged at a barrier of its own; the crash
-	// then parks the commit's batch against a down DC.
-	if err := x.flush(); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()

@@ -18,9 +18,9 @@ import (
 )
 
 // frame is one PerformBatch call: its size, and whether it carried point
-// reads (a barrier's pre-read) or logged operations (writes, CLRs) — every
-// batch this TC builds is all one or all the other. It prints
-// as "4r" or "4w".
+// reads or logged operations — every batch this TC builds is all one or all
+// the other, and it builds no batch of reads, so a read frame is a defect
+// to show. It prints as "4r" or "4w".
 type frame struct {
 	n    int
 	read bool
@@ -107,8 +107,7 @@ func (s *countingService) takeMarks() []string {
 
 // PerformBatch counts a batch of one as the lone call it stands for: a logged
 // operation delivered by itself, or an operation a transaction sent by itself
-// (Txn.sendOne, whose batch has no room for a second). A barrier's pre-read of
-// one key, built in its slab, stays a frame.
+// (Txn.sendOne, whose batch has no room for a second).
 func (s *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	if len(ops) == 1 && (ops[0].Kind.IsWrite() || cap(ops) == 1) {
 		s.one(ops[0])
@@ -185,22 +184,16 @@ func (s *countingService) quiet(t *testing.T, when string) {
 	}
 }
 
-// txnRecords returns the op and compensation records transaction id has in
-// the log, forcing it first.
-func txnRecords(tcx *TC, id base.TxnID) (ops, clrs []*wal.Record) {
+// txnRecords returns the op records transaction id has in the log, forcing
+// it first.
+func txnRecords(tcx *TC, id base.TxnID) (ops []*wal.Record) {
 	tcx.log.Force()
 	for _, rec := range tcx.log.Scan(0) {
-		if rec.Txn != id {
-			continue
-		}
-		switch rec.Kind {
-		case recOp:
+		if rec.Txn == id && rec.Kind == recOp {
 			ops = append(ops, rec)
-		case recCLR:
-			clrs = append(clrs, rec)
 		}
 	}
-	return ops, clrs
+	return ops
 }
 
 // newCountedPair wires one TC to two DCs through counting stubs: table "t"
@@ -254,14 +247,14 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 				}
 			}
 		}
-		// Before the barrier the transaction is a queue and a cache: no DC
+		// Before its commit the transaction is a queue and a cache: no DC
 		// has heard of it, it holds no LSN — logged or reserved — and so
 		// the low-water mark is not waiting for it.
 		for _, s := range stubs {
-			s.quiet(t, fmt.Sprintf("versioned=%v, before any barrier", versioned))
+			s.quiet(t, fmt.Sprintf("versioned=%v, before the commit", versioned))
 		}
-		if next := tcx.log.NextLSN(); next != logEnd || x.lastLSN != 0 {
-			t.Fatalf("versioned=%v: LSNs %d..%d taken before any barrier (last logged %d)", versioned, logEnd, next-1, x.lastLSN)
+		if next := tcx.log.NextLSN(); next != logEnd {
+			t.Fatalf("versioned=%v: LSNs %d..%d taken before the commit", versioned, logEnd, next-1)
 		}
 		if lwm := tcx.inc.Load().acks.LWM(); lwm != logEnd-1 {
 			t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
@@ -269,12 +262,13 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if lwm := tcx.inc.Load().acks.LWM(); lwm < x.lastLSN {
-			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's last LSN %d", versioned, lwm, x.lastLSN)
+		cLSN := logEnd + 2*n
+		if lwm := tcx.inc.Load().acks.LWM(); lwm < cLSN {
+			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's commit record %d", versioned, lwm, cLSN)
 		}
-		// The writes alone: logged redo-only with the commit record, they
-		// need no priors; a versioned transaction's are stamped with its
-		// commit timestamp.
+		// The writes alone: logged with the commit record, they need no
+		// priors; a versioned transaction's are stamped with its commit
+		// timestamp.
 		const want = "[4w]"
 		for i, s := range stubs {
 			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != want {
@@ -289,22 +283,21 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 				}
 			}
 		}
-		// One batch in the log: the op records, redo-only, then the commit
-		// record, each chained to the one before.
-		ops, _ := txnRecords(tcx, x.id)
-		if len(ops) != 2*n || ops[0].LSN != logEnd || x.lastLSN != logEnd+2*n {
-			t.Fatalf("versioned=%v: %d op records from LSN %d, last LSN %d; want %d from %d, commit at %d",
-				versioned, len(ops), ops[0].LSN, x.lastLSN, 2*n, logEnd, logEnd+2*n)
+		// One batch in the log: the op records, then the commit record,
+		// each chained to the one before.
+		ops := txnRecords(tcx, x.id)
+		if len(ops) != 2*n || ops[0].LSN != logEnd {
+			t.Fatalf("versioned=%v: %d op records from LSN %d; want %d from %d", versioned, len(ops), ops[0].LSN, 2*n, logEnd)
 		}
 		for i, rec := range ops {
-			if _, undo, err := decodeOpPayload(rec.Payload); err != nil || !undo.redoOnly || rec.LSN != logEnd+base.LSN(i) {
-				t.Fatalf("versioned=%v: op record @%d logs %+v (%v), want redo-only at %d", versioned, rec.LSN, undo, err, logEnd+base.LSN(i))
+			if op, err := decodeOpPayload(rec.Payload); err != nil || (op.TS != 0) != versioned || rec.LSN != logEnd+base.LSN(i) {
+				t.Fatalf("versioned=%v: op record @%d logs %v (%v), want a write at %d, stamped if versioned", versioned, rec.LSN, op, err, logEnd+base.LSN(i))
 			}
 			if i > 0 && rec.Prev != rec.LSN-1 {
 				t.Fatalf("versioned=%v: op record @%d chains to %d", versioned, rec.LSN, rec.Prev)
 			}
 		}
-		if c := tcx.log.Get(x.lastLSN); c == nil || c.Kind != recCommit || c.Prev != x.lastLSN-1 {
+		if c := tcx.log.Get(cLSN); c == nil || c.Kind != recCommit || c.Txn != x.id || c.Prev != cLSN-1 {
 			t.Fatalf("versioned=%v: the batch ends in %+v, want the commit record", versioned, c)
 		}
 	}
@@ -351,55 +344,10 @@ func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 	}
 }
 
-// TestSameKeyPriors: a key written more than once between barriers is
-// pre-read once, for its first write; each op record carries the value its
-// own write replaced, so rollback walks back to the original.
-func TestSameKeyPriors(t *testing.T) {
-	for _, original := range []string{"", "orig"} {
-		tcx, dcs, stubs := newCountedPair(t)
-		if original != "" {
-			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-				return x.Insert("t", "k", []byte(original))
-			}); err != nil {
-				t.Fatal(err)
-			}
-			stubs[0].take()
-		}
-		x := tcx.Begin(context.Background(), TxnOptions{})
-		for _, v := range []string{"v1", "v2"} {
-			if err := x.Upsert("t", "k", []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := x.flush(); err != nil {
-			t.Fatal(err)
-		}
-		if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r 2w]" {
-			t.Fatalf("original=%q: %d single sends, %d single reads and batches %v, want one pre-read and one batch of 2", original, single, reads, batches)
-		}
-		ops, _ := txnRecords(tcx, x.id)
-		if len(ops) != 2 {
-			t.Fatalf("original=%q: %d op records, want 2", original, len(ops))
-		}
-		for i, want := range []string{original, "v1"} {
-			_, undo, err := decodeOpPayload(ops[i].Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(undo.prior) != want || undo.found != (want != "") || undo.redoOnly {
-				t.Fatalf("original=%q: op record %d logs %+v, want prior %q", original, i, undo, want)
-			}
-		}
-		if err := x.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := dirty(dcs[0], "t", "k"); v != original || ok != (original != "") {
-			t.Fatalf("original=%q: abort left %q %v at the DC", original, v, ok)
-		}
-	}
-}
-
-// TestCacheAnswersThePrior: a key the transaction has read needs no pre-read.
+// TestCacheAnswersThePrior: the value a key held before a write — what an
+// Update's existence check reads — comes from the cache once the
+// transaction has read the key, and the write then costs nothing before the
+// commit ships it.
 func TestCacheAnswersThePrior(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -412,20 +360,20 @@ func TestCacheAnswersThePrior(t *testing.T) {
 	if v, ok, err := x.Read("t", "k"); err != nil || !ok || string(v) != "orig" {
 		t.Fatalf("read: %q %v %v", v, ok, err)
 	}
-	if err := x.Upsert("t", "k", []byte("new")); err != nil {
+	if err := x.Update("t", "k", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.flush(); err != nil {
+	if single, reads, batches := stubs[0].take(); single != 0 || reads != 1 || len(batches) != 0 {
+		t.Fatalf("%d single sends, %d single reads and batches %v, want the read alone", single, reads, batches)
+	}
+	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if single, reads, batches := stubs[0].take(); single != 1 || reads != 1 || len(batches) != 0 {
-		t.Fatalf("%d single sends, %d single reads and batches %v, want the read, the write and no pre-read", single, reads, batches)
+	if single, reads, batches := stubs[0].take(); single != 1 || reads != 0 || len(batches) != 0 {
+		t.Fatalf("the commit sent %d single writes, %d single reads and batches %v, want the write alone", single, reads, batches)
 	}
-	if err := x.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "orig" {
-		t.Fatalf("abort left %q %v at the DC", v, ok)
+	if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "new" {
+		t.Fatalf("after the commit the DC holds %q %v", v, ok)
 	}
 }
 
@@ -466,8 +414,8 @@ func TestExistenceAnswersComeFromTheCall(t *testing.T) {
 	if err := x.Update("t", "there", []byte("v")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("update over a queued delete: %v", err)
 	}
-	if got := stubs[0].ops(); got != 0 || x.lastLSN != 0 {
-		t.Fatalf("%d logged ops delivered and LSN %d logged before any barrier", got, x.lastLSN)
+	if got := stubs[0].ops(); got != 0 || len(txnRecords(tcx, x.id)) != 0 {
+		t.Fatalf("%d logged ops delivered, or records logged, before the commit", got)
 	}
 	if err := x.Commit(); err != nil {
 		t.Fatal(err)
@@ -520,6 +468,9 @@ func TestSameKeyWritesLandInOrder(t *testing.T) {
 	}
 }
 
+// TestScanReadsUnsentWrites: a scan and an unlocked read answer over the
+// transaction's own writes, which stay queued: nothing reaches the DC before
+// the commit.
 func TestScanReadsUnsentWrites(t *testing.T) {
 	tcx, _, stubs := newCountedPair(t)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -538,90 +489,36 @@ func TestScanReadsUnsentWrites(t *testing.T) {
 		if len(keys) != 7 {
 			return fmt.Errorf("scan sees %d keys, want 7 own writes: %v", len(keys), keys)
 		}
-		if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[9w]" {
-			return fmt.Errorf("the scan's barrier shipped batches %v, want one of 9", batches)
-		}
-		// ...and so does an unlocked read, which bypasses the cache.
+		// ...and so does an unlocked read, which bypasses the cache for
+		// every key but the transaction's own.
 		if err := x.Upsert("t", "s003", []byte("back")); err != nil {
 			return err
 		}
 		if v, ok, err := x.ReadDirty("t", "s003"); err != nil || !ok || string(v) != "back" {
 			return fmt.Errorf("ReadDirty of an unsent write: %q %v %v", v, ok, err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScanAfterManyWritesPreReadsFirst: a scan is the barrier of an
-// unversioned transaction whose queue is longer than maxBatch. It pre-reads
-// every missing prior before it logs anything, in windows of maxBatch, then
-// logs every write with its undo image and ships them in windows. Abort then
-// inverts each write from its image: the keys that existed read their old
-// values again, and the new ones are gone.
-func TestScanAfterManyWritesPreReadsFirst(t *testing.T) {
-	tcx, dcs, stubs := newCountedPair(t)
-	const n, old = maxBatch + 22, 10
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		for i := 0; i < old; i++ {
-			if err := x.Insert("t", fmt.Sprintf("k%04d", i), []byte("p")); err != nil {
-				return err
-			}
+		if single, _, batches := stubs[0].take(); single != 0 || len(batches) != 0 {
+			return fmt.Errorf("before the commit %d single writes and batches %v left", single, batches)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stubs[0].take()
-	x := tcx.Begin(context.Background(), TxnOptions{})
-	for i := 0; i < n; i++ {
-		if err := x.Upsert("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if keys, _, err := x.Scan("t", "k", "l", 0); err != nil || len(keys) != n {
-		t.Fatalf("scan after %d writes: %d keys, %v", n, len(keys), err)
-	}
-	if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[64r 22r 64w 22w]" {
-		t.Fatalf("%d single sends, %d single reads and batches %v, want 0, 0 and [64r 22r 64w 22w]", single, reads, batches)
-	}
-	ops, _ := txnRecords(tcx, x.id)
-	if len(ops) != n {
-		t.Fatalf("%d op records, want %d", len(ops), n)
-	}
-	for i, rec := range ops {
-		if _, undo, err := decodeOpPayload(rec.Payload); err != nil || undo.redoOnly || undo.found != (i < old) {
-			t.Fatalf("op record %d logs %+v (%v), want an undo image that found a prior: %v", i, undo, err, i < old)
-		}
-	}
-	if err := x.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[64w 22w]" {
-		t.Fatalf("the abort shipped batches %v, want the %d inverses in [64w 22w]", batches, n)
-	}
-	for i := 0; i < n; i++ {
-		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); ok != (i < old) || ok && v != "p" {
-			t.Fatalf("k%04d = %q %v after the abort", i, v, ok)
-		}
+	if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[10w]" {
+		t.Fatalf("the commit shipped batches %v, want one of 10", batches)
 	}
 }
 
-// TestAbortWithUnsentWrites: writes that never crossed a barrier are dropped
-// by Abort, however many there are — nothing shipped, nothing inverted,
-// nothing logged, not even an abort record — while writes that did cross one
-// are rolled back through the compensation chain.
+// TestAbortWithUnsentWrites: Abort drops a transaction's writes, however
+// many there are, whether or not a scan read over them — nothing shipped,
+// nothing logged, not even an abort record — and releases its locks.
 func TestAbortWithUnsentWrites(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
+	for _, scanned := range []bool{false, true} {
 		tcx, dcs, stubs := newCountedPair(t)
 		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 			return x.Insert("t", "base", []byte("committed"))
 		}); err != nil {
 			t.Fatal(err)
-		}
-		for _, s := range stubs {
-			s.take()
 		}
 		x := tcx.Begin(context.Background(), TxnOptions{})
 		if err := x.Update("t", "base", []byte("scribble")); err != nil {
@@ -633,19 +530,16 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 		if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
 			t.Fatal(err)
 		}
-		wantOps, wantCLRs := 0, 0
-		if barrier {
+		if scanned {
 			if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
-				t.Fatalf("scan past the barrier: %v %v", keys, err)
+				t.Fatalf("scan over the writes: %v %v", keys, err)
 			}
-			wantOps, wantCLRs = 3, 3
 		}
 		logEnd := tcx.log.NextLSN()
 		for _, s := range stubs {
 			s.take()
 		}
-		// Queued behind any barrier, more than maxBatch of them: dropped
-		// with the abort.
+		// More than maxBatch more of them: dropped with the abort.
 		const late = 2*maxBatch + 22
 		for i := 0; i < late; i++ {
 			if err := x.Upsert("t", fmt.Sprintf("late%03d", i), []byte("temp")); err != nil {
@@ -655,89 +549,41 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 		if err := x.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		if !barrier {
-			for i, s := range stubs {
-				s.quiet(t, fmt.Sprintf("DC %d, abort before any barrier", i))
-			}
-			if next := tcx.log.NextLSN(); next != logEnd {
-				t.Fatalf("abort before any barrier took LSNs %d..%d", logEnd, next-1)
-			}
-			if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
-				t.Fatalf("abort left %d locks held", got)
-			}
+		for i, s := range stubs {
+			s.quiet(t, fmt.Sprintf("scanned=%v DC %d, abort", scanned, i))
+		}
+		if next := tcx.log.NextLSN(); next != logEnd {
+			t.Fatalf("scanned=%v: abort took LSNs %d..%d", scanned, logEnd, next-1)
+		}
+		if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
+			t.Fatalf("scanned=%v: abort left %d locks held", scanned, got)
 		}
 		if v, ok := dirty(dcs[0], "t", "base"); !ok || v != "committed" {
-			t.Fatalf("barrier=%v: aborted update left %q %v at the DC", barrier, v, ok)
+			t.Fatalf("scanned=%v: aborted update left %q %v at the DC", scanned, v, ok)
 		}
 		for _, at := range []struct {
 			dc         int
 			table, key string
 		}{{0, "t", "tmp"}, {1, "u", "tmp"}} {
 			if v, ok := dirty(dcs[at.dc], at.table, at.key); ok {
-				t.Fatalf("barrier=%v: aborted insert left %s/%s=%q at the DC", barrier, at.table, at.key, v)
+				t.Fatalf("scanned=%v: aborted insert left %s/%s=%q at the DC", scanned, at.table, at.key, v)
 			}
 		}
 		for i := 0; i < late; i++ {
 			if v, ok := dirty(dcs[0], "t", fmt.Sprintf("late%03d", i)); ok {
-				t.Fatalf("barrier=%v: aborted upsert left late%03d=%q at the DC", barrier, i, v)
+				t.Fatalf("scanned=%v: aborted upsert left late%03d=%q at the DC", scanned, i, v)
 			}
 		}
-		// One CLR per forward record, each pointing past the record it
-		// compensates, newest first.
-		ops, clrs := txnRecords(tcx, x.id)
-		if len(ops) != wantOps || len(clrs) != wantCLRs || tcx.Stats().UndoOps != uint64(wantCLRs) {
-			t.Fatalf("barrier=%v: %d op records, %d CLRs, %d undo ops; want %d, %d, %d",
-				barrier, len(ops), len(clrs), tcx.Stats().UndoOps, wantOps, wantCLRs, wantCLRs)
-		}
-		for i, clr := range clrs {
-			undone := ops[len(ops)-1-i]
-			if clr.NextUndo != undone.Prev {
-				t.Fatalf("CLR %d: NextUndo %d, want %d (the record before op @%d)", i, clr.NextUndo, undone.Prev, undone.LSN)
-			}
-		}
-	}
-}
-
-// TestAbortShipsItsInversesInOneBatch: Abort logs the compensation records
-// of every write that crossed a barrier and ships each DC's inverses as one
-// batch, newest first.
-func TestAbortShipsItsInversesInOneBatch(t *testing.T) {
-	tcx, dcs, stubs := newCountedPair(t)
-	x := tcx.Begin(context.Background(), TxnOptions{})
-	for i := 0; i < 5; i++ {
-		if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := x.flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range stubs {
-		s.take()
-	}
-	if err := x.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if single, reads, batches := stubs[0].take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[5w]" {
-		t.Fatalf("%d single sends, %d single reads and batches %v, want 0, 0 and [5w]", single, reads, batches)
-	}
-	stubs[1].quiet(t, "DC 1, abort")
-	if _, clrs := txnRecords(tcx, x.id); len(clrs) != 5 {
-		t.Fatalf("%d CLRs, want 5", len(clrs))
-	}
-	for i := 0; i < 5; i++ {
-		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("aborted upsert left k%d=%q at the DC", i, v)
+		if ops := txnRecords(tcx, x.id); len(ops) != 0 || tcx.Stats().Aborts != 1 {
+			t.Fatalf("scanned=%v: %d op records, %d aborts; want 0 and 1", scanned, len(ops), tcx.Stats().Aborts)
 		}
 	}
 }
 
 // TestTCCrashWithUnsentOps: a logged operation that never left the TC is
-// the state "crash between append and ship" inside a barrier. Restart
-// delivers it when its record is stable — and then inverts it unless a
-// commit record is stable too — and never hears of it when it is not. A
-// crash earlier in the barrier, between the pre-read and the append, leaves
-// restart nothing of the transaction at all.
+// the state "crash between append and ship" inside a commit. Restart
+// delivers it when its batch is stable and never hears of it when it is not;
+// a transaction whose writes were only queued leaves restart nothing at all.
 func TestTCCrashWithUnsentOps(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -748,8 +594,8 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 	for _, s := range stubs {
 		s.take()
 	}
-	// write runs a transaction's barrier up to and including the append:
-	// the records are in the log and queued for their DCs, not shipped.
+	// write runs a transaction's commit up to and including the append: the
+	// records are in the log and queued for their DCs, not shipped.
 	write := func(tag string) *Txn {
 		x := tcx.Begin(context.Background(), TxnOptions{})
 		if err := x.Upsert("t", tag, []byte(tag)); err != nil {
@@ -758,23 +604,17 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		if err := x.Upsert("u", tag, []byte(tag)); err != nil {
 			t.Fatal(err)
 		}
-		if err := x.fetchPriors(); err != nil {
-			t.Fatal(err)
-		}
 		if tag != "never-logged" {
-			_, _ = x.appendQueued(false)
+			if _, err := x.appendQueued(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return x
 	}
-	// The winner's commit record is appended by hand: Commit itself would
-	// ship the writes.
-	winner := write("winner")
-	tcx.log.AppendAssign(&wal.Record{Kind: recCommit, Txn: winner.id, Prev: winner.lastLSN,
-		Payload: appendCommit(nil, 0)})
-	stableLoser := write("stable-loser")
+	write("winner")
 	neverLogged := write("never-logged")
 	tcx.log.Force()
-	write("lost-loser") // records in the unforced tail
+	lost := write("lost") // records in the unforced tail
 	for i, s := range stubs {
 		if got := s.ops(); got != 0 {
 			t.Fatalf("%d logged ops reached DC %d before the crash", got, i)
@@ -788,21 +628,23 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 		if v, ok := dirty(dcs[i], table, "winner"); !ok || v != "winner" {
 			t.Fatalf("%s/winner after restart: %q %v", table, v, ok)
 		}
-		for _, tag := range []string{"stable-loser", "never-logged", "lost-loser"} {
+		for _, tag := range []string{"never-logged", "lost"} {
 			if v, ok := dirty(dcs[i], table, tag); ok {
 				t.Fatalf("%s/%s survived restart as %q", table, tag, v)
 			}
 		}
 	}
-	if ops, clrs := txnRecords(tcx, neverLogged.id); len(ops) != 0 || len(clrs) != 0 {
-		t.Fatalf("a transaction that crashed between pre-read and append has %d op records and %d CLRs", len(ops), len(clrs))
+	for _, x := range []*Txn{neverLogged, lost} {
+		if ops := txnRecords(tcx, x.id); len(ops) != 0 {
+			t.Fatalf("txn %d left %d op records in the restarted log", x.id, len(ops))
+		}
 	}
-	// An orphan that reaches a barrier after the restart dies there: nothing
+	// An orphan that reaches its commit after the restart dies there: nothing
 	// of its queue, logged or not, leaves.
 	for _, s := range stubs {
 		s.take()
 	}
-	for _, orphan := range []*Txn{stableLoser, neverLogged} {
+	for _, orphan := range []*Txn{neverLogged, lost} {
 		if err := orphan.Commit(); !errors.Is(err, ErrTCStopped) {
 			t.Fatalf("orphan's commit = %v, want ErrTCStopped", err)
 		}
@@ -823,12 +665,12 @@ func TestTCCrashWithUnsentOps(t *testing.T) {
 // TestOrphanDiesAtEveryBarrier: a transaction begun before a TC crash that
 // reaches Commit, Abort or a scan after the restart holds locks that died
 // with the old lock table and an id the new incarnation may hand out again.
-// It must not read, log or ship anything more — whatever it logged is
-// restart's to undo — and reports ErrTCStopped. The same holds when the crash
-// and the restart land inside the commit barrier itself: the straddler takes
-// no LSN of its successor's log, and a successor transaction — handed the
-// straddler's id again wherever the stable log allows it — keeps its lock and
-// its table entry when the straddler finishes.
+// It must not read, log or ship anything more — it logged nothing, however
+// much it read before the crash — and reports ErrTCStopped. The same holds
+// when the crash and the restart land inside a read or the commit itself: the
+// straddler takes no LSN of its successor's log, and a successor transaction
+// — handed the straddler's id again wherever the stable log allows it —
+// keeps its lock and its table entry when the straddler finishes.
 func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	ends := []struct {
 		name string
@@ -853,10 +695,14 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 					t.Fatal(err)
 				}
 				if acked {
-					// Logged, shipped, acknowledged and stable: restart
-					// finds a loser and rolls it back itself.
-					if err := x.flush(); err != nil {
-						t.Fatal(err)
+					// Reads over the writes, answered by the DCs, and a
+					// forced log: still nothing of the transaction is at a
+					// DC or in the log for restart to find.
+					if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 1 {
+						t.Fatalf("scan: %v %v", keys, err)
+					}
+					if _, ok, err := x.ReadDirty("u", "k"); err != nil || !ok {
+						t.Fatalf("read dirty: %v %v", ok, err)
 					}
 					tcx.log.Force()
 				}
@@ -882,7 +728,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				}
 				for i, table := range []string{"t", "u"} {
 					if v, ok := dirty(dcs[i], table, "k"); ok {
-						t.Fatalf("%s/k = %q after the restart rolled the orphan back", table, v)
+						t.Fatalf("%s/k = %q: a write of the orphan reached the DC", table, v)
 					}
 				}
 			})
@@ -947,11 +793,12 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 		})
 	}
 
-	// The pre-read of a barrier short of commit — here a scan's — is an
-	// unlogged operation like those, one batch per DC: DC 0 has answered its
-	// batch and DC 1's is at the DC when the TC crashes and restarts. Nothing
-	// was logged, so the scan fails plainly, and nothing of the orphan —
-	// record, logged operation, lock — is left.
+	// The read a write makes before it is queued — an Insert's existence
+	// check — is an unlogged operation like those: the transaction has
+	// writes queued for both DCs, and the crash and restart land in the
+	// existence check at DC 1. Nothing was logged, so the insert fails
+	// plainly, and nothing of the orphan — record, logged operation, lock —
+	// is left.
 	t.Run("straddle/pre-read", func(t *testing.T) {
 		tcx, dcs, stubs := newCountedPair(t)
 		x := tcx.Begin(context.Background(), TxnOptions{})
@@ -963,7 +810,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 		var logEnd base.LSN
 		restarts := 0
 		stubs[1].setHook(func(call string) {
-			if call == "read" && restarts == 0 {
+			if call == "point-read" && restarts == 0 {
 				restarts++
 				tcx.Crash()
 				if err := tcx.Recover(); err != nil {
@@ -972,23 +819,23 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				logEnd = tcx.log.NextLSN()
 			}
 		})
-		_, _, err := x.Scan("t", "a", "z", 0)
+		err := x.Insert("u", "cold", []byte("v"))
 		if restarts != 1 {
-			t.Fatal("the TC was never restarted under the pre-read")
+			t.Fatal("the TC was never restarted under the existence check")
 		}
 		if !errors.Is(err, ErrTCStopped) || errors.Is(err, base.ErrStaleEpoch) {
-			t.Fatalf("scan straddling its barrier's pre-read = %v, want a plain ErrTCStopped", err)
+			t.Fatalf("insert straddling its existence check = %v, want a plain ErrTCStopped", err)
 		}
 		if next := tcx.log.NextLSN(); next != logEnd {
 			t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
 		}
-		if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 {
-			t.Fatalf("the successor's log holds %d op records and %d CLRs of the orphan", len(ops), len(clrs))
+		if ops := txnRecords(tcx, x.id); len(ops) != 0 {
+			t.Fatalf("the successor's log holds %d op records of the orphan", len(ops))
 		}
 		for i, s := range stubs {
-			// Each DC heard its pre-read, DC 0 to the end, and nothing else.
-			if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[1r]" {
-				t.Fatalf("DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and [1r]", i, single, reads, batches)
+			// DC 1 heard the existence check, and nothing else did.
+			if single, reads, batches := s.take(); single != 0 || reads != i || len(batches) != 0 {
+				t.Fatalf("DC %d: %d single sends, %d single reads and batches %v, want 0, %d and none", i, single, reads, batches, i)
 			}
 		}
 		if held := tcx.inc.Load().locks.Held(x.id); len(held) != 0 {
@@ -1072,7 +919,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 					}
 					restart()
 				case deliveries == 1 && s.nth == 0:
-					shipped <- x.lastLSN // the commit record's, appended
+					shipped <- tcx.log.LastLSN() // the commit record's, appended
 				}
 			})
 			done := make(chan error, 1)
@@ -1131,17 +978,18 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	}
 }
 
-// TestCancelledPreReadIsACleanAbort: the pre-read of a barrier short of
-// commit — here a scan's — is the last cancellation point of the writes it
-// logs. Cancelled there, nothing has been logged: the scan fails plainly, and
+// TestCancelledPreReadIsACleanAbort: the read a write makes before it is
+// queued — here an Insert's existence check at DC 1, with writes already
+// queued for both DCs — is a cancellation point like any read, and nothing is
+// logged before the commit. Cancelled there, the insert fails plainly, and
 // the commit that follows under the cancelled context is refused before its
 // append — a clean abort that sends and logs nothing and releases the locks.
-// The barrier took no LSN, so checkpoints have nothing of it to wait for.
+// Nothing took an LSN, so checkpoints have nothing of it to wait for.
 func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	stubs[1].setHook(func(call string) { // DC 0 answers its pre-read, DC 1's is abandoned
-		if call == "read" {
+	stubs[1].setHook(func(call string) {
+		if call == "point-read" {
 			cancel()
 		}
 	})
@@ -1154,16 +1002,16 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 		}
 	}
 	logEnd := tcx.log.NextLSN()
-	_, _, err := x.Scan("t", "a", "z", 0)
+	err := x.Insert("u", "cold", []byte("v"))
 	if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("scan error %v does not carry ErrCancelled + context.Canceled", err)
+		t.Fatalf("insert error %v does not carry ErrCancelled + context.Canceled", err)
 	}
 	stubs[1].setHook(nil)
 	if err := x.Commit(); !errors.Is(err, base.ErrCancelled) || errors.Is(err, ErrCommitAmbiguous) {
 		t.Fatalf("commit under the cancelled context = %v, want a plain ErrCancelled", err)
 	}
-	if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 || x.lastLSN != 0 {
-		t.Fatalf("cancelled before the append, yet %d op records, %d CLRs, last LSN %d", len(ops), len(clrs), x.lastLSN)
+	if ops := txnRecords(tcx, x.id); len(ops) != 0 {
+		t.Fatalf("cancelled before the append, yet %d op records", len(ops))
 	}
 	for i, s := range stubs {
 		if got := s.ops(); got != 0 {
@@ -1173,13 +1021,12 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 		t.Fatalf("clean abort left %d locks held", got)
 	}
-	// The cancelled barrier took no LSN, answered or abandoned.
 	if next := tcx.log.NextLSN(); next != logEnd {
-		t.Fatalf("the cancelled barrier took LSNs %d..%d", logEnd, next-1)
+		t.Fatalf("the cancelled transaction took LSNs %d..%d", logEnd, next-1)
 	}
 	before := tcx.RSSP()
 	if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
-		t.Fatalf("checkpoint after the cancelled barrier: rssp %d -> %d, %v", before, rssp, err)
+		t.Fatalf("checkpoint after the cancelled transaction: rssp %d -> %d, %v", before, rssp, err)
 	}
 	if _, ok := dirty(dcs[0], "t", "k0"); ok {
 		t.Fatal("a write of the cancelled transaction reached the DC")
@@ -1188,10 +1035,10 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 
 // TestOnlyRecordsTakeLSNs: an LSN is the request ID of a logged operation and
 // nothing else. Whatever a transaction reads on the way — under a lock, in a
-// scan's probe and range read, unlocked, for an existence check, for the undo
-// images of a barrier, answered, cancelled or refused — the TC-log's LSN space
-// stays dense in its records, and the low-water mark, which no read ever holds
-// back, ends at the last of them.
+// scan's probe and range read, unlocked, for an existence check, answered,
+// cancelled or refused — the TC-log's LSN space stays dense in its records,
+// and the low-water mark, which no read ever holds back, ends at the last of
+// them.
 func TestOnlyRecordsTakeLSNs(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	bg := context.Background()
@@ -1210,13 +1057,13 @@ func TestOnlyRecordsTakeLSNs(t *testing.T) {
 	if err := x.Insert("t", "cold", []byte("v")); err != nil { // existence read
 		t.Fatal(err)
 	}
-	if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 3 { // barrier, probe, range read
+	if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 3 { // probe, range read
 		t.Fatalf("scan: %v %v", keys, err)
 	}
 	if _, ok, err := x.ReadCommitted("t", "b"); err != nil || !ok {
 		t.Fatalf("read committed: %v %v", ok, err)
 	}
-	for _, table := range []string{"t", "u"} { // pre-read at the commit barrier, one per DC
+	for _, table := range []string{"t", "u"} { // blind: no read at all
 		if err := x.Upsert(table, "upserted", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -1261,9 +1108,9 @@ func TestOnlyRecordsTakeLSNs(t *testing.T) {
 }
 
 // TestManyWritesLeaveAtCommit: a queue longer than maxBatch waits for its
-// barrier like any other. At commit its writes are logged redo-only, in one
-// batch with the commit record, and shipped in windows of maxBatch, versioned
-// or not: no pre-read, and no write sent twice.
+// commit like any other. There its writes are logged in one batch with the
+// commit record and shipped in windows of maxBatch, versioned or not: no
+// pre-read, and no write sent twice.
 func TestManyWritesLeaveAtCommit(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	const n = 2*maxBatch + 22
@@ -1274,7 +1121,7 @@ func TestManyWritesLeaveAtCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		stubs[0].quiet(t, fmt.Sprintf("versioned=%v, %d writes before any barrier", versioned, n))
+		stubs[0].quiet(t, fmt.Sprintf("versioned=%v, %d writes before the commit", versioned, n))
 		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -1283,7 +1130,7 @@ func TestManyWritesLeaveAtCommit(t *testing.T) {
 			t.Fatalf("versioned=%v: %d single sends, %d single reads and batches %v, want 0, 0 and %v",
 				versioned, single, reads, batches, want)
 		}
-		if ops, _ := txnRecords(tcx, x.id); len(ops) != n {
+		if ops := txnRecords(tcx, x.id); len(ops) != n {
 			t.Fatalf("versioned=%v: %d op records, want %d", versioned, len(ops), n)
 		}
 		safeTick(tcx)
@@ -1295,9 +1142,10 @@ func TestManyWritesLeaveAtCommit(t *testing.T) {
 	}
 }
 
-// TestCheckpointBesideWriters: Checkpoint reads every active transaction's
-// first LSN to bound truncation while the transactions' own goroutines set
-// it. Run with -race.
+// TestCheckpointBesideWriters: checkpoints run beside committing writers
+// (run with -race), and truncate the log only where restart still finds every
+// op record beside its commit record: a cut that splits a commit batch keeps
+// the batch's end, its commit record.
 func TestCheckpointBesideWriters(t *testing.T) {
 	tcx, _ := newPair(t, Config{})
 	var stop atomic.Bool
@@ -1328,4 +1176,8 @@ func TestCheckpointBesideWriters(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+	tcx.Crash()
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -205,7 +205,7 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	// A batch parked in the unavailable-retry loop (DC down) when the TC
 	// crashes belongs to a dead incarnation: its records vanished with the
 	// unforced log tail, so after recovery it must be retired, never
-	// delivered — delivering would apply a write no undo covers and record
+	// delivered — delivering would apply a write no log covers and record
 	// a reused LSN in the DC's idempotence tables.
 	tcx, d := newPair(t, Config{})
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -219,8 +219,8 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := tcx.Stats().OpsSent
-	barrier := make(chan error, 1)
-	go func() { barrier <- x.flush() }() // logs the write and parks shipping it
+	commit := make(chan error, 1)
+	go func() { commit <- x.Commit() }() // logs the write and parks shipping it
 	for tcx.Stats().OpsSent == sent {
 		time.Sleep(time.Millisecond)
 	}
@@ -231,13 +231,13 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	// The parked barrier returns within one backoff of the restart: retired
+	// The parked commit returns within one backoff of the restart: retired
 	// with ErrTCStopped, or — had a resend slipped in between the DC's
 	// recovery and the TC's — acknowledged, its effect swept by BeginRestart.
 	select {
-	case <-barrier:
+	case <-commit:
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked barrier never returned after the restart")
+		t.Fatal("parked commit never returned after the restart")
 	}
 	r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 		Flavor: base.ReadDirty})

@@ -88,16 +88,16 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A versioned blind upsert needs no pre-read: its barrier logs it and
-		// ships it straight away; the wrapper freezes the shipped batch
-		// mid-flight, and the barrier with it.
+		// A blind upsert reads nothing: its commit logs it and ships it
+		// straight away; the wrapper freezes the shipped batch mid-flight,
+		// and the commit with it, before its force.
 		gated.armed.Store(true)
 		ghost := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 		if err := ghost.Upsert("t", "ghost", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		barrier := make(chan error, 1)
-		go func() { barrier <- ghost.flush() }()
+		commit := make(chan error, 1)
+		go func() { commit <- ghost.Commit() }()
 		<-gated.parked
 
 		// Crash with the batch frozen on the wire; restart mints the next
@@ -121,8 +121,8 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 		if d.Stats().StaleEpochs == 0 {
 			t.Fatalf("iter %d: fence never fired", it)
 		}
-		if err := <-barrier; !errors.Is(err, ErrTCStopped) {
-			t.Fatalf("iter %d: the dead incarnation's barrier = %v, want ErrTCStopped", it, err)
+		if err := <-commit; !errors.Is(err, ErrTCStopped) || !errors.Is(err, ErrCommitAmbiguous) {
+			t.Fatalf("iter %d: the dead incarnation's commit = %v, want an ambiguous ErrTCStopped", it, err)
 		}
 		if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 			Flavor: base.ReadDirty}); r.Found {

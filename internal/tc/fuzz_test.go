@@ -10,8 +10,8 @@ import (
 // FuzzDecodePayloads feeds every TC-log payload decoder the same bytes. None
 // may panic, and what one accepts is exactly one payload: it re-encodes to
 // the bytes it was decoded from. The seeds are the encoders' own output —
-// an op payload of every kind, flag and undo image — and every strict prefix
-// of it (a torn payload).
+// an op payload of every kind and flag, with keys and values of several
+// lengths — and every strict prefix of it (a torn payload).
 func FuzzDecodePayloads(f *testing.F) {
 	type reencoder func([]byte) ([]byte, bool)
 	type seed struct {
@@ -19,18 +19,18 @@ func FuzzDecodePayloads(f *testing.F) {
 		reencode reencoder
 	}
 	var seeds []seed
-	for _, kind := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert, base.OpAbortVersions} {
+	for _, kind := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert} {
 		for _, versioned := range []bool{false, true} {
 			for _, ts := range []base.TS{0, 1 << 50} {
-				for _, undo := range []undoImage{{}, {prior: []byte("old"), found: true}, {found: true}, {redoOnly: true}} {
-					op := &base.Op{TC: 1, Kind: kind, Table: "t", Key: "k", Value: []byte("new"), Versioned: versioned, TS: ts}
-					seeds = append(seeds, seed{appendOpPayload(nil, op, undo), reencodeOp})
+				for _, kv := range [][2]string{{"k", ""}, {"k", "new"}, {"c0/k0000001", "a value of forty bytes, give or take one"}} {
+					op := &base.Op{TC: 1, Kind: kind, Table: "t", Key: kv[0], Value: []byte(kv[1]), Versioned: versioned, TS: ts}
+					seeds = append(seeds, seed{appendOpPayload(nil, op), reencodeOp})
 				}
 			}
 		}
 	}
 	seeds = append(seeds,
-		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}, undoImage{}), reencodeOp},
+		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}), reencodeOp},
 		seed{appendCommit(nil, 909), reencodeCommit},
 		seed{appendCommit(nil, 1<<50), reencodeCommit},
 		seed{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
@@ -47,7 +47,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a count no buffer can back
 	f.Add([]byte{byte(base.OpDelete), 1, 't', 0x81, 0x00})                    // a non-minimal length
-	f.Add([]byte{byte(base.OpDelete) | 3<<opUndoShift, 1, 't', 1, 'k'})       // an unknown undo image
+	f.Add([]byte{byte(base.OpDelete) | 1<<6, 1, 't', 1, 'k'})                 // a head bit no encoder sets
 	f.Add([]byte{byte(base.OpDelete) | opHasTS, 1, 't', 1, 'k', 0})           // a TS present as 0
 	f.Add([]byte{byte(base.OpDelete), 1, 't', 1, 'k', 0})                     // a byte past the end
 	all := map[string]reencoder{
@@ -63,11 +63,11 @@ func FuzzDecodePayloads(f *testing.F) {
 }
 
 func reencodeOp(data []byte) ([]byte, bool) {
-	op, undo, err := decodeOpPayload(data)
+	op, err := decodeOpPayload(data)
 	if err != nil {
 		return nil, false
 	}
-	return appendOpPayload(nil, op, undo), true
+	return appendOpPayload(nil, op), true
 }
 
 func reencodeCommit(data []byte) ([]byte, bool) {

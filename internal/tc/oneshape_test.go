@@ -104,11 +104,15 @@ func TestEveryCallIsAPerformBatch(t *testing.T) {
 	if _, _, err := x.ReadDirty("t", "cold"); err != nil {
 		t.Fatal(err)
 	}
-	stub.expect("one-write barrier, ReadDirty: pre-read, write, read", 1, 1, 1)
+	stub.expect("a write, ReadDirty of it: the cache answers")
+	if _, _, err := x.Scan("t", "a", "z", 0); err != nil {
+		t.Fatal(err)
+	}
+	stub.expect("scan over the write: probe, range read", 1, 1)
 	if err := x.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	stub.expect("abort: the write's inverse", 1)
+	stub.expect("abort: nothing")
 
 	// A restart resends the one operation past the checkpoint in one window:
 	// unstamped first, answered CodeStaleDC, then stamped.

@@ -9,18 +9,17 @@ import (
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// Op-record payload: the logical operation and the undo information captured
-// before the send (§4.1.1(3): "Undo logging in the TC will enable rollback …
-// by providing information TC can use to submit inverse logical
-// operations"), and nothing restart does not read:
+// Op-record payload: the logical operation, and nothing restart does not
+// read. It carries no undo information (§4.1.1(3)): an op record is appended
+// in one batch with its transaction's commit record (Txn.appendQueued), so
+// it is stable only beside it, never a loser's, and nothing inverts it.
 //
 //	head   1 byte: bits 0-3 the op kind, bit 4 Versioned, bit 5 TS present,
-//	       bits 6-7 the undo image (priorAbsent, priorPresent, priorNone)
+//	       bits 6-7 zero
 //	table  uvarint length, bytes
 //	key    uvarint length, bytes
 //	value  uvarint length, bytes; only for a kind that writes one
 //	TS     uvarint; only when present, and then never 0
-//	prior  uvarint length, bytes; only when the image is priorPresent
 //
 // The operation's LSN is the record's, its TC the log's owner, and its epoch
 // the restarted incarnation's (a logged, dead one would be refused by the
@@ -32,9 +31,9 @@ import (
 // encoding of the record (wal.AppendBatch), so a caller that logs many keeps
 // one buffer and passes buf[:0], or sizes it once for a whole batch with
 // opPayloadLen and encodes the payloads back to back.
-func appendOpPayload(buf []byte, op *base.Op, u undoImage) []byte {
-	buf = slices.Grow(buf, opPayloadLen(op, u))
-	head := byte(op.Kind) | u.flag()<<opUndoShift
+func appendOpPayload(buf []byte, op *base.Op) []byte {
+	buf = slices.Grow(buf, opPayloadLen(op))
+	head := byte(op.Kind)
 	if op.Versioned {
 		head |= opVersioned
 	}
@@ -50,23 +49,17 @@ func appendOpPayload(buf []byte, op *base.Op, u undoImage) []byte {
 	if op.TS != 0 {
 		buf = binary.AppendUvarint(buf, uint64(op.TS))
 	}
-	if u.flag() == priorPresent {
-		buf = appendField(buf, u.prior)
-	}
 	return buf
 }
 
-// opPayloadLen is the length of appendOpPayload's encoding of op and u.
-func opPayloadLen(op *base.Op, u undoImage) int {
+// opPayloadLen is the length of appendOpPayload's encoding of op.
+func opPayloadLen(op *base.Op) int {
 	n := 1 + fieldLen(len(op.Table)) + fieldLen(len(op.Key))
 	if hasValue(op.Kind) {
 		n += fieldLen(len(op.Value))
 	}
 	if op.TS != 0 {
 		n += base.UvarintLen(uint64(op.TS))
-	}
-	if u.flag() == priorPresent {
-		n += fieldLen(len(u.prior))
 	}
 	return n
 }
@@ -76,7 +69,6 @@ const (
 	opKindMask  = 0x0f
 	opVersioned = 1 << 4
 	opHasTS     = 1 << 5
-	opUndoShift = 6
 )
 
 // hasValue reports whether kind writes a value, which its record carries.
@@ -90,49 +82,19 @@ func appendField[T string | []byte](buf []byte, f T) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(f))), f...)
 }
 
-// undoImage is an op record's undo information: the value the key held before
-// the operation, and whether it existed. A record appended in one batch with
-// its transaction's commit record carries none (redoOnly): the batch is
-// stable whole or not at all, so the record is never a loser's, and a crash
-// that loses it is rolled back at the DC, whose cache still holds every
-// operation above the stable log (DC.BeginRestart). Nothing inverts it.
-type undoImage struct {
-	prior    []byte
-	found    bool
-	redoOnly bool
-}
-
-// The undo image's two bits in an op payload's head.
-const (
-	priorAbsent  byte = iota // the key did not exist
-	priorPresent             // it held prior
-	priorNone                // redo-only: no undo image
-)
-
-func (u undoImage) flag() byte {
-	switch {
-	case u.redoOnly:
-		return priorNone
-	case u.found:
-		return priorPresent
-	}
-	return priorAbsent
-}
-
 var errCorruptOp = errors.New("tc: corrupt op payload")
 
-// decodeOpPayload parses exactly one payload of appendOpPayload: an unknown
-// kind or undo image, a TS present as 0, a non-minimal varint and a byte
-// past the end are corruption, so whatever decodes re-encodes to itself. The
-// operation's Value and the prior alias payload; Table and Key are copied,
-// each in an allocation of its own.
-func decodeOpPayload(payload []byte) (*base.Op, undoImage, error) {
+// decodeOpPayload parses exactly one payload of appendOpPayload: a kind that
+// is not a write, a head bit the encoder never sets, a TS present as 0, a
+// non-minimal varint and a byte past the end are corruption, so whatever
+// decodes re-encodes to itself. The operation's Value aliases payload; Table
+// and Key are copied, each in an allocation of its own.
+func decodeOpPayload(payload []byte) (*base.Op, error) {
 	d := wal.NewDecoder(payload)
 	head := d.Byte()
 	op := &base.Op{Kind: base.OpKind(head & opKindMask), Versioned: head&opVersioned != 0}
-	flag := head >> opUndoShift
-	if !loggable(op.Kind) || flag > priorNone {
-		return nil, undoImage{}, errCorruptOp
+	if !loggable(op.Kind) || head&^(opKindMask|opVersioned|opHasTS) != 0 {
+		return nil, errCorruptOp
 	}
 	table, key := d.Field(), d.Field()
 	if hasValue(op.Kind) {
@@ -143,21 +105,16 @@ func decodeOpPayload(payload []byte) (*base.Op, undoImage, error) {
 			d.Fail()
 		}
 	}
-	u := undoImage{found: flag == priorPresent, redoOnly: flag == priorNone}
-	if u.found {
-		u.prior = d.Field()
-	}
 	if !d.End() {
-		return nil, undoImage{}, errCorruptOp
+		return nil, errCorruptOp
 	}
 	op.Table, op.Key = string(table), string(key)
-	return op, u, nil
+	return op, nil
 }
 
-// loggable reports whether an op record may hold kind: the writes, and
-// the inverse of a versioned one.
+// loggable reports whether an op record may hold kind: the writes.
 func loggable(kind base.OpKind) bool {
-	return hasValue(kind) || kind == base.OpDelete || kind == base.OpAbortVersions
+	return hasValue(kind) || kind == base.OpDelete
 }
 
 // Commit-record payload: the commit timestamp (zero for an unversioned

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/wal"
 )
 
 // Crash simulates a TC process failure: everything volatile — the log buffer
@@ -46,25 +47,28 @@ func (t *TC) end(inc *incarnation) {
 // Recover implements the TC side of the restart function (§4.2.1 restart,
 // §5.3.2 "TC Failure"):
 //
-//  1. Analysis over the stable log: find the redo scan start point, the
-//     loser transactions, and the newest commit timestamp.
-//  2. Undo, logged only: each loser's inverse operations, in reverse
-//     chronological order, as compensation records, then its abort
-//     record.
-//  3. One resend per DC, the one RecoverDC runs: open its bracket, which
+//  1. Analysis over the stable log: find the redo scan start point and the
+//     newest commit timestamp. There are no losers to find: a write's record
+//     is appended in one batch with its commit record, which the log keeps
+//     whole or not at all, so a stable op record without its commit record
+//     is in a log this TC did not write, and Recover refuses it, as it
+//     refuses a record of a kind it does not write (the compensation and
+//     abort records of a TC that logged undo).
+//  2. One resend per DC, the one RecoverDC runs: open its bracket, which
 //     discards effects of operations beyond the stable log (targeted page
 //     reset — only this TC's records are touched), resend every logged
 //     operation of that DC from the RSSP onward in LSN order — repeating
-//     history at the logical level (DC idempotence filters what survived),
-//     step 2's records last — and close the bracket; a DC that restarted
-//     meanwhile is resent to again.
-//  4. Broadcast the watermarks, and allow normal processing.
+//     history at the logical level (DC idempotence filters what survived) —
+//     and close the bracket; a DC that restarted meanwhile is resent to
+//     again.
+//  3. Broadcast the watermarks, and allow normal processing.
 //
 // All of it runs on the next incarnation before anyone else can see it: the
 // incarnation is published last, whole, and only if no Crash ended its log
 // generation meanwhile — a Crash during Recover wins, Recover then fails
 // wrapping ErrTCStopped with the TC still down, and the next Recover mints a
-// larger epoch. Recover is not safe to run twice at once.
+// larger epoch. A refused log leaves the TC down too, with nothing minted.
+// Recover is not safe to run twice at once.
 func (t *TC) Recover() error {
 	if t.inc.Load() != nil {
 		return errors.New("tc: recover called while running")
@@ -75,8 +79,7 @@ func (t *TC) Recover() error {
 
 	// --- analysis ---
 	rssp := base.LSN(1)
-	type loser struct{ lastLSN base.LSN }
-	losers := make(map[base.TxnID]*loser)
+	uncommitted := make(map[base.TxnID]base.LSN) // a first op record no commit record has followed
 	maxTxn := uint64(0)
 	maxEpoch := base.Epoch(0)
 	maxCommitTS := base.TS(0)
@@ -98,23 +101,22 @@ func (t *TC) Recover() error {
 			if e, err := decodeEpoch(rec.Payload); err == nil && e > maxEpoch {
 				maxEpoch = e
 			}
-		case recOp, recCLR:
-			if rec.Txn != 0 {
-				l := losers[rec.Txn]
-				if l == nil {
-					l = &loser{}
-					losers[rec.Txn] = l
-				}
-				l.lastLSN = rec.LSN
+		case recOp:
+			if _, ok := uncommitted[rec.Txn]; !ok {
+				uncommitted[rec.Txn] = rec.LSN
 			}
 		case recCommit:
-			delete(losers, rec.Txn)
+			delete(uncommitted, rec.Txn)
 			if cts, err := decodeCommit(rec.Payload); err == nil && cts > maxCommitTS {
 				maxCommitTS = cts
 			}
-		case recAbort:
-			delete(losers, rec.Txn)
+		default:
+			return fmt.Errorf("tc %d: restart: record @%d is of kind %d, which this TC does not write", t.cfg.ID, rec.LSN, rec.Kind)
 		}
+	}
+	if len(uncommitted) > 0 {
+		first := slices.Min(slices.Collect(maps.Values(uncommitted)))
+		return fmt.Errorf("tc %d: restart: op record @%d has no commit record", t.cfg.ID, first)
 	}
 
 	t.rssp.Store(uint64(rssp))
@@ -154,20 +156,6 @@ func (t *TC) Recover() error {
 	inc, err := t.incarnate(gen, maxEpoch+1, stableEnd, maxTxn)
 	if err != nil {
 		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
-	}
-
-	// --- undo losers with inverse operations (multi-level undo) — logged,
-	// not sent: each DC's resend below delivers them after the history they
-	// follow, a loser's stamped writes included, before the DC takes this
-	// incarnation's safe timestamp (EndRestart), which may already pass their
-	// timestamps. From here to the publish check a refused append or force is
-	// not looked at: only the end of the generation refuses, and that check
-	// reports it. ---
-	for txnID, l := range losers {
-		if _, err := inc.undoChain(txnID, l.lastLSN); err != nil {
-			return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
-		}
-		inc.logLocal(&wal.Record{Kind: recAbort, Txn: txnID, Prev: l.lastLSN})
 	}
 
 	// --- DC reset and redo (§5.3.2), one resend per DC: the DC drops cached
@@ -294,10 +282,9 @@ func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err er
 			return false, err
 		}
 		// Scan only sees the stable log, but operations whose replies already
-		// arrived may still sit in the unforced tail (a write is acknowledged
-		// at its barrier, before its transaction's commit record is forced).
-		// Force first so the resend covers every operation the DC might have
-		// lost from its cache, and Recover's undo records.
+		// arrived may still sit in the unforced tail (a commit ships its
+		// writes before it forces their batch). Force first so the resend
+		// covers every operation the DC might have lost from its cache.
 		inc.log.Force()
 		if err := inc.redo(idx); !errors.Is(err, errDCRestarted) {
 			return true, err
@@ -311,10 +298,10 @@ func (inc *incarnation) redo(idx int) error {
 	t := inc.tc
 	var ops []*base.Op
 	for _, rec := range t.log.Scan(t.RSSP()) {
-		if rec.Kind != recOp && rec.Kind != recCLR {
+		if rec.Kind != recOp {
 			continue
 		}
-		op, _, err := decodeOpPayload(rec.Payload)
+		op, err := decodeOpPayload(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("redo decode @%d: %w", rec.LSN, err)
 		}

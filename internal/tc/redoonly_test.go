@@ -13,10 +13,10 @@ import (
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// The commit barrier logs its writes redo-only, in one batch with the commit
-// record: no undo image, so no pre-read. These tests pin the two ways a crash
-// can decide such a commit, and what restart does with a redo-only record
-// that has no commit record beside it.
+// Commit logs its writes redo-only, in one batch with the commit record: no
+// undo image, so no pre-read. These tests pin the two ways a crash can decide
+// such a commit, and what restart does with an op record that has no commit
+// record beside it.
 
 // TestRedoOnlyCommitCrash: the TC crashes after its commit batch is appended
 // and the writes shipped — DC 0 has applied them, DC 1 is applying them —
@@ -78,9 +78,8 @@ func TestRedoOnlyCommitCrash(t *testing.T) {
 			if err := tcx.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			ops, clrs := txnRecords(tcx, x.id)
-			if peerForced != (len(ops) == 4) || len(clrs) != 0 {
-				t.Fatalf("the restarted log holds %d op records and %d CLRs of the transaction", len(ops), len(clrs))
+			if ops := txnRecords(tcx, x.id); peerForced != (len(ops) == 4) {
+				t.Fatalf("the restarted log holds %d op records of the transaction", len(ops))
 			}
 			want := map[string]string{"old": "p0", "new": ""}
 			if peerForced {
@@ -139,8 +138,8 @@ func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if ops, clrs := txnRecords(tcx, x.id); len(ops) != 0 || len(clrs) != 0 {
-		t.Fatalf("the restarted log holds %d op records and %d CLRs of a lost transaction", len(ops), len(clrs))
+	if ops := txnRecords(tcx, x.id); len(ops) != 0 {
+		t.Fatalf("the restarted log holds %d op records of a lost transaction", len(ops))
 	}
 	for i := 0; i < n; i++ {
 		want := ""
@@ -153,34 +152,35 @@ func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
 	}
 }
 
-// TestRedoOnlyRecordIsNeverUndone: a redo-only record whose commit record is
-// not in the log is one the batch rule did not write. undoChain inverts
-// nothing of it and logs nothing, and Recover, meeting it in a loser's chain,
-// fails with an error — the TC stays down — instead of inverting a write it
-// has no undo image for.
+// TestRedoOnlyRecordIsNeverUndone: an op record is stable only beside its
+// commit record, so one without it — or a compensation or abort record of a
+// TC that logged undo — is in a log this TC did not write. Recover inverts
+// nothing of it: it fails with an error, mints no epoch, and the TC stays
+// down, however often it is asked.
 func TestRedoOnlyRecordIsNeverUndone(t *testing.T) {
-	tcx, _, _ := newCountedPair(t)
-	const txn base.TxnID = 77
-	op := &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
-	lsn := tcx.log.AppendAssign(&wal.Record{Kind: recOp, Txn: txn,
-		Payload: appendOpPayload(nil, op, undoImage{redoOnly: true})})
-	next := tcx.log.NextLSN()
-	byDC, err := tcx.inc.Load().undoChain(txn, lsn)
-	if err == nil {
-		t.Fatal("undoChain accepted a redo-only record")
-	}
-	for idx, invs := range byDC {
-		if len(invs) != 0 {
-			t.Fatalf("undoChain built %d inverses for DC %d from a redo-only record", len(invs), idx)
-		}
-	}
-	if got := tcx.log.NextLSN(); got != next {
-		t.Fatalf("undoChain logged LSNs %d..%d", next, got-1)
-	}
-	tcx.log.Force()
-	tcx.Crash()
-	if err := tcx.Recover(); err == nil || !tcx.NeedsRecovery() {
-		t.Fatalf("recover over a redo-only loser = %v, down %v; want an error and the TC down", err, tcx.NeedsRecovery())
+	for _, c := range []struct {
+		name string
+		kind uint8
+	}{{"op-without-commit", recOp}, {"compensation", 2}, {"abort", 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			tcx, dcs, _ := newCountedPair(t)
+			op := &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
+			tcx.log.AppendAssign(&wal.Record{Kind: c.kind, Txn: 77, Payload: appendOpPayload(nil, op)})
+			tcx.log.Force()
+			tcx.Crash()
+			logEnd := tcx.log.NextLSN()
+			for i := 0; i < 2; i++ {
+				if err := tcx.Recover(); err == nil || !tcx.NeedsRecovery() {
+					t.Fatalf("recover over a record of kind %d = %v, down %v; want an error and the TC down", c.kind, err, tcx.NeedsRecovery())
+				}
+			}
+			if next := tcx.log.NextLSN(); next != logEnd {
+				t.Fatalf("the refused recoveries appended LSNs %d..%d", logEnd, next-1)
+			}
+			if v, ok := dirty(dcs[0], "t", "k"); ok {
+				t.Fatalf("the refused record's write reached the DC: %q", v)
+			}
+		})
 	}
 }
 

@@ -88,11 +88,11 @@ func newShipLogPair(t *testing.T) (*TC, *shipLog) {
 	return tcx, stub
 }
 
-// TestRecycledScratchStartsEmpty: a transaction's scratch — cache, versioned
-// keys, queue, slab, payload buffer — goes back to the pool when it finishes,
-// and the next transaction on the TC (usually handed the same one) sees none
-// of it: not a value its predecessor cached, not an operation it queued or
-// logged, not a key it wrote versioned.
+// TestRecycledScratchStartsEmpty: a transaction's scratch — cache, queue,
+// slab, payload buffer — goes back to the pool when it finishes, and the next
+// transaction on the TC (usually handed the same one) sees none of it: not a
+// value its predecessor cached or wrote, not an operation it queued or
+// logged, not a commit timestamp it stamped.
 func TestRecycledScratchStartsEmpty(t *testing.T) {
 	ctx := context.Background()
 	t.Run("cache", func(t *testing.T) {
@@ -126,8 +126,8 @@ func TestRecycledScratchStartsEmpty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := x.flush(); err != nil { // logged and shipped, then rolled back
-				t.Fatal(err)
+			if keys, _, err := x.Scan("t", "a", "d", 0); err != nil || len(keys) != 3 { // read over, then dropped
+				t.Fatalf("scan: %v %v", keys, err)
 			}
 			for _, k := range []string{"d", "e"} {
 				if err := x.Upsert("t", k, []byte("x")); err != nil {
@@ -148,11 +148,11 @@ func TestRecycledScratchStartsEmpty(t *testing.T) {
 			if got, want := fmt.Sprint(stub.take()), `[[own="y"@0/false]]`; got != want {
 				t.Fatalf("the next commit shipped %s, want %s", got, want)
 			}
-			ops, clrs := txnRecords(tcx, y.ID())
-			if len(ops) != 1 || len(clrs) != 0 {
-				t.Fatalf("the next commit logged %d op and %d compensation records, want 1 and 0", len(ops), len(clrs))
+			ops := txnRecords(tcx, y.ID())
+			if len(ops) != 1 {
+				t.Fatalf("the next commit logged %d op records, want 1", len(ops))
 			}
-			if op, _, err := decodeOpPayload(ops[0].Payload); err != nil || op.Key != "own" {
+			if op, err := decodeOpPayload(ops[0].Payload); err != nil || op.Key != "own" {
 				t.Fatalf("the next commit logged %v (%v), want its own upsert", op, err)
 			}
 		}
@@ -164,8 +164,8 @@ func TestRecycledScratchStartsEmpty(t *testing.T) {
 			if err := x.Upsert("t", "v", []byte("stamped")); err != nil {
 				t.Fatal(err)
 			}
-			if err := x.flush(); err != nil { // marked for its commit barrier to write again
-				t.Fatal(err)
+			if v, ok, err := x.ReadDirty("t", "v"); err != nil || !ok || string(v) != "stamped" { // its own write
+				t.Fatalf("read dirty: %q %v %v", v, ok, err)
 			}
 			if err := x.Commit(); err != nil {
 				t.Fatal(err)

@@ -260,12 +260,12 @@ func TestStampReadsBeforeUntilDCResend(t *testing.T) {
 	}
 }
 
-// TestEarlierBarrierWritesShipAgainStamped: versioned writes an earlier
-// barrier shipped leave without the commit timestamp, so the commit barrier
-// writes each again as its transaction cache holds it — an Upsert, or a
-// Delete over the transaction's own pending tombstone — stamped, in one
-// frame; a committed read sees the commit from the owner's next tick on.
-func TestEarlierBarrierWritesShipAgainStamped(t *testing.T) {
+// TestVersionedWritesLeaveOnceStamped: a versioned transaction's writes —
+// an Upsert, and a Delete that leaves a tombstone over a committed version —
+// leave once, at its commit, stamped with its commit timestamp and in one
+// frame, however it read before; a committed read sees the commit from the
+// owner's next tick on.
+func TestVersionedWritesLeaveOnceStamped(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	stopTick(tcx)
 	commitVersioned(t, tcx, "gone", "v0")
@@ -277,14 +277,22 @@ func TestEarlierBarrierWritesShipAgainStamped(t *testing.T) {
 	if err := x.Delete("t", "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := x.ReadDirty("t", "k"); err != nil { // a barrier: both leave unstamped
-		t.Fatal(err)
+	if v, ok, err := x.ReadDirty("t", "k"); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("read dirty of its own write: %q %v %v", v, ok, err)
+	}
+	if keys, _, err := x.ScanDirty("t", "a", "z", 0); err != nil || fmt.Sprint(keys) != "[k]" {
+		t.Fatalf("scan dirty over its own writes: %v %v", keys, err)
 	}
 	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, batches := stubs[0].take(); fmt.Sprint(only(batches, false)) != "[2w 2w]" {
-		t.Fatalf("write frames %v, want the barrier's two writes and the commit's two again", batches)
+	if _, _, batches := stubs[0].take(); fmt.Sprint(only(batches, false)) != "[2w]" {
+		t.Fatalf("write frames %v, want the commit's two writes", batches)
+	}
+	for _, rec := range txnRecords(tcx, x.id) {
+		if op, err := decodeOpPayload(rec.Payload); err != nil || op.TS != x.commitTS {
+			t.Fatalf("op record @%d logs %v (%v), want the commit timestamp %d", rec.LSN, op, err, x.commitTS)
+		}
 	}
 	committed := func(key string) (string, bool) {
 		r := dcs[0].Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: key,

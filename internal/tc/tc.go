@@ -1,8 +1,12 @@
 // Package tc implements the Transactional Component (§4.1.1): the purely
 // logical half of the unbundled kernel. It performs transactional locking
-// (never on pages — it has no idea pages exist), logical undo/redo logging
-// in OPSR order, log forcing for durability, operation resend bookkeeping,
+// (never on pages — it has no idea pages exist), logical redo logging in
+// OPSR order, log forcing for durability, operation resend bookkeeping,
 // checkpoint negotiation (redo-scan-start-point advancement), and restart.
+// It logs no undo information: a transaction's writes leave only at its
+// commit, in one log batch with the commit record (see deliver.go), so an
+// aborted transaction has nothing to undo and a crashed one nothing the DCs
+// do not roll back themselves.
 //
 // The TC acts as a client to one or more DCs through base.Service. The LSN of
 // an operation's log record doubles as its unique request ID (§4.2); a read
@@ -47,14 +51,13 @@ import (
 // System clock forces readings non-decreasing across callers).
 var defaultClock clock.Clock = &clock.System{}
 
-// TC-log record kinds.
+// TC-log record kinds. Kinds 2 and 4 were the compensation and abort
+// records of a TC that logged undo; Recover refuses a log that holds one.
 const (
-	recOp         uint8 = iota + 1 // forward logical operation (+ undo info)
-	recCLR                         // compensation: inverse logical operation
-	recCommit                      // transaction commit (+ commit timestamp)
-	recAbort                       // transaction abort complete
-	recCheckpoint                  // redo scan start point advanced (+ epoch)
-	recEpoch                       // incarnation epoch minted at (re)start
+	recOp         uint8 = 1 // logical write, in its commit's batch
+	recCommit     uint8 = 3 // transaction commit (+ commit timestamp)
+	recCheckpoint uint8 = 5 // redo scan start point advanced (+ epoch)
+	recEpoch      uint8 = 6 // incarnation epoch minted at (re)start
 )
 
 // Config shapes a TC. How logged operations are shipped and how ranges are
@@ -110,7 +113,6 @@ type Stats struct {
 	Probes         uint64
 	Checkpoints    uint64
 	RedoOps        uint64
-	UndoOps        uint64
 	// Snapshots counts snapshot transactions begun at this TC. Their
 	// reads bypass the lock manager, the TC-log, and OpsSent entirely —
 	// the TC's only involvement is handing out the read timestamp.
@@ -218,10 +220,10 @@ type TC struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	commits, aborts, deadlocks, opsSent   atomic.Uint64
-	probes, checkpoints, redoOps, undoOps atomic.Uint64
-	snapshots                             atomic.Uint64
-	begun, retries, drainRejects          atomic.Uint64
+	commits, aborts, deadlocks, opsSent atomic.Uint64
+	probes, checkpoints, redoOps        atomic.Uint64
+	snapshots                           atomic.Uint64
+	begun, retries, drainRejects        atomic.Uint64
 
 	// draining is the operations-plane admission gate (see Drain in
 	// admin.go): while set, RunTxnOnce refuses new transactions typed
@@ -290,7 +292,7 @@ func (t *TC) incarnate(gen wal.Generation, epoch base.Epoch, stableEnd base.LSN,
 	return inc, nil
 }
 
-// logLocal appends a record that needs no DC round trip (epoch, abort,
+// logLocal appends a record that needs no DC round trip (epoch,
 // checkpoint), so its LSN completes at once. A commit record needs none
 // either, but rides its writes' batch (Txn.appendQueued). Zero (which completes
 // nothing): the incarnation's log generation has ended.
@@ -298,15 +300,6 @@ func (inc *incarnation) logLocal(rec *wal.Record) base.LSN {
 	lsn := inc.log.AppendAssign(rec)
 	inc.acks.Complete(lsn)
 	return lsn
-}
-
-// logOp appends the record of a logged operation — a CLR; a transaction's
-// own writes are appended a barrier's batch at a time (Txn.appendQueued) —
-// and stamps the operation with its LSN and this incarnation's epoch; false,
-// and nothing logged, once the log generation has ended.
-func (inc *incarnation) logOp(op *base.Op, rec *wal.Record) bool {
-	op.Epoch, op.LSN = inc.epoch, inc.log.AppendAssign(rec)
-	return op.LSN != 0
 }
 
 // New builds a TC over the given DC connections. router resolves data
@@ -366,7 +359,7 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	// Otherwise the reopened media holds a previous incarnation's log: a
 	// process death is a TC crash whose stable log happens to be on disk.
 	// Restart must run the full §5.3.2 protocol — analysis, DC reset under a
-	// freshly minted epoch, redo, loser undo — which needs the DCs reachable,
+	// freshly minted epoch, redo — which needs the DCs reachable,
 	// so the TC starts down and the caller (or core's deployment assembly)
 	// runs Recover.
 	t.wg.Add(1)
@@ -506,13 +499,13 @@ func (inc *incarnation) broadcastWatermarks() {
 	}
 }
 
-// assignCommitTS draws a commit timestamp, at the commit barrier (the lock
+// assignCommitTS draws a commit timestamp, at Commit (the lock
 // point): the clock reading, pushed above both the previous commit and
 // everything already promised safe to the DCs. The timestamp stays
 // registered in commitOut — holding the safe timestamp below it, so that no
 // DC takes the versions stamped with it for committed — until the
-// transaction's commit record is forced, or its stamped writes are taken
-// back by an abort (Txn.finish).
+// transaction's commit record is forced, or its append is refused and no
+// stamped write left (Txn.finish).
 func (inc *incarnation) assignCommitTS() base.TS {
 	t := inc.tc
 	now, _ := t.clock.Now()
@@ -627,7 +620,6 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 			return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, err)
 		}
 	}
-	oldest := inc.oldestActiveFirstLSN()
 	// The checkpoint record carries the current epoch so that truncation
 	// (which may discard the recEpoch record) never erases the incarnation
 	// history: the newest checkpoint record always survives its own
@@ -639,37 +631,16 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 		return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, ErrTCStopped)
 	}
 	t.rssp.Store(uint64(newRSSP))
-	// Truncate below both the RSSP (redo needs nothing older) and the
-	// oldest active transaction's first record (undo might), through the
-	// generation too: a checkpoint that straddles Crash after forcing its
-	// record discards nothing of the successor's log.
-	trunc := newRSSP
-	if oldest != 0 && oldest < trunc {
-		trunc = oldest
-	}
-	if !inc.log.Truncate(trunc) {
+	// Truncate below the RSSP: redo needs nothing older, and no record is
+	// ever read to undo its operation. A commit batch the cut splits keeps
+	// its commit record, the batch's last. Through the generation too: a
+	// checkpoint that straddles Crash after forcing its record discards
+	// nothing of the successor's log.
+	if !inc.log.Truncate(newRSSP) {
 		return 0, fmt.Errorf("tc %d: checkpoint: %w", t.cfg.ID, ErrTCStopped)
 	}
 	t.checkpoints.Add(1)
 	return newRSSP, nil
-}
-
-// oldestActiveFirstLSN is the truncation bound undo imposes: the first
-// logged record of any transaction still in the table. A transaction leaves
-// the table in finish(), so one that has committed but not yet released its
-// locks holds the bound a moment longer than undo needs — harmless, and it
-// keeps this read to the one field a writer publishes atomically
-// (Txn.firstLSN) instead of racing Txn.state.
-func (inc *incarnation) oldestActiveFirstLSN() base.LSN {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	var oldest base.LSN
-	for _, txn := range inc.txns {
-		if first := base.LSN(txn.firstLSN.Load()); first != 0 && (oldest == 0 || first < oldest) {
-			oldest = first
-		}
-	}
-	return oldest
 }
 
 // Stats returns a snapshot of counters.
@@ -682,7 +653,6 @@ func (t *TC) Stats() Stats {
 		Probes:         t.probes.Load(),
 		Checkpoints:    t.checkpoints.Load(),
 		RedoOps:        t.redoOps.Load(),
-		UndoOps:        t.undoOps.Load(),
 		Snapshots:      t.snapshots.Load(),
 	}
 }
@@ -725,7 +695,7 @@ func (a *ackTracker) Complete(lsn base.LSN) {
 }
 
 // LWM returns the current low-water mark. An LSN is taken only when its
-// operation is about to leave — a write's record is appended at the barrier
+// operation is about to leave — a write's record is appended at the commit
 // that ships it (see deliver.go), and a read takes none — so the mark, and
 // with it the RSSP a checkpoint may propose and the prefix a DC may fold out
 // of its abstract LSNs, trails only logged operations actually in flight,

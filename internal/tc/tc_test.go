@@ -124,10 +124,9 @@ func TestAbortRollsBack(t *testing.T) {
 	if err := x.Insert("t", "tmp", []byte("temp")); err != nil {
 		t.Fatal(err)
 	}
-	// Past a barrier the writes are logged and at the DC: the abort has
-	// something to invert.
-	if err := x.flush(); err != nil {
-		t.Fatal(err)
+	// The transaction reads its own writes; the abort drops them.
+	if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
+		t.Fatalf("scan over the writes: %v %v", keys, err)
 	}
 	if err := x.Abort(); err != nil {
 		t.Fatal(err)
@@ -143,8 +142,8 @@ func TestAbortRollsBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if tcx.Stats().UndoOps != 2 {
-		t.Fatalf("stats: %+v", tcx.Stats())
+	if st := tcx.Stats(); st.Aborts != 1 || st.Commits != 2 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -296,14 +295,22 @@ func TestScanBlocksConflictingWriter(t *testing.T) {
 }
 
 func TestTCCrashRecovery(t *testing.T) {
-	tcx, d := newPair(t, Config{})
+	tcx, dcs, stubs := newCountedPair(t)
+	d := dcs[0]
 	// Committed work (forced).
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "committed", []byte("keep"))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A loser: applied at the DC but never committed; log tail unforced.
+	// A loser: a commit whose writes reach the DC, and whose batch the TC
+	// crashes before forcing — the crash lands as the batch arrives, which
+	// the DC then applies.
+	stubs[0].setHook(func(call string) {
+		if call == "write" {
+			tcx.Crash()
+		}
+	})
 	loser := tcx.Begin(context.Background(), TxnOptions{})
 	if err := loser.Insert("t", "loser", []byte("drop")); err != nil {
 		t.Fatal(err)
@@ -311,21 +318,18 @@ func TestTCCrashRecovery(t *testing.T) {
 	if err := loser.Update("t", "committed", []byte("scribble")); err != nil {
 		t.Fatal(err)
 	}
-	// An unlocked read is a barrier: it ships the loser's writes, and the DC
-	// now reflects them.
-	if _, _, err := loser.ReadDirty("t", "loser"); err != nil {
-		t.Fatal(err)
+	if err := loser.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
+		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
 	}
+	stubs[0].setHook(nil)
 	if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "loser", Flavor: base.ReadDirty}); !r.Found {
 		t.Fatalf("precondition: %+v", r)
 	}
-
-	tcx.Crash()
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	// Committed data intact, loser gone (either via DC reset of unforced
-	// ops or logical undo of forced-but-uncommitted ones).
+	// Committed data intact, the loser's batch lost with the unforced tail
+	// and its writes reset at the DC.
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		if v, ok, _ := x.Read("t", "committed"); !ok || string(v) != "keep" {
 			return fmt.Errorf("committed data wrong: %q %v", v, ok)
@@ -340,55 +344,6 @@ func TestTCCrashRecovery(t *testing.T) {
 	// The TC is fully usable after restart.
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "after", []byte("ok"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTCCrashMidUndoUsesCLRs(t *testing.T) {
-	tcx, _ := newPair(t, Config{})
-	// Forced loser: ops stable, commit record absent -> restart must undo
-	// via inverse operations (the §4.1.1(2b) path, not the cache reset).
-	x := tcx.Begin(context.Background(), TxnOptions{})
-	if err := x.Insert("t", "a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Insert("t", "b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.flush(); err != nil { // the barrier logs and ships them
-		t.Fatal(err)
-	}
-	tcx.Log().Force() // ops stable; no commit record
-	tcx.Crash()
-	if err := tcx.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
-		if _, ok, _ := y.Read("t", "a"); ok {
-			return fmt.Errorf("loser op a survived")
-		}
-		if _, ok, _ := y.Read("t", "b"); ok {
-			return fmt.Errorf("loser op b survived")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tcx.Stats().UndoOps == 0 {
-		t.Fatal("expected restart undo")
-	}
-	// Crash again right away: CLRs must prevent double-undo (second
-	// recovery sees CLRs and does nothing harmful).
-	tcx.Crash()
-	if err := tcx.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
-		if _, ok, _ := y.Read("t", "a"); ok {
-			return fmt.Errorf("a resurrected after double recovery")
-		}
-		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -470,10 +425,10 @@ func TestCheckpointAdvancesAndBoundsRedo(t *testing.T) {
 }
 
 func TestCheckpointAdvancesPastLocalRecords(t *testing.T) {
-	// Abort and checkpoint records consume LSNs with no DC round trip;
+	// Checkpoint and epoch records consume LSNs with no DC round trip;
 	// they must feed the ack tracker like commit records do, or the first
-	// abort (or checkpoint) freezes the low-water mark and the RSSP can
-	// never advance again.
+	// checkpoint freezes the low-water mark and the RSSP can never advance
+	// again. An abort consumes none.
 	tcx, _ := newPair(t, Config{})
 	x := tcx.Begin(context.Background(), TxnOptions{})
 	if err := x.Insert("t", "doomed", []byte("v")); err != nil {
@@ -569,27 +524,30 @@ func TestNoConflictInvariantHolds(t *testing.T) {
 
 func TestPayloadRoundTrips(t *testing.T) {
 	op := &base.Op{TC: 3, LSN: 77, Kind: base.OpUpdate, Table: "t", Key: "k",
-		Value: []byte("new"), Versioned: true}
-	buf := appendOpPayload(nil, op, undoImage{prior: []byte("old"), found: true})
+		Value: []byte("new"), Versioned: true, TS: 909}
+	buf := appendOpPayload(nil, op)
 	if op.LSN != 77 || op.TC != 3 {
 		t.Fatal("encode must not touch the op")
 	}
-	got, undo, err := decodeOpPayload(buf)
-	if err != nil || string(undo.prior) != "old" || !undo.found || undo.redoOnly {
-		t.Fatalf("decode: %v %+v", err, undo)
+	got, err := decodeOpPayload(buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	op.TC, op.LSN = 0, 0 // the log's owner and the record carry them
 	if !reflect.DeepEqual(op, got) {
 		t.Fatalf("op mismatch: %+v vs %+v", op, got)
 	}
-	// A commit batch's record carries no undo image, and says so.
-	if _, undo, err := decodeOpPayload(appendOpPayload(nil, op, undoImage{redoOnly: true})); err != nil || !undo.redoOnly || undo.found || undo.prior != nil {
-		t.Fatalf("redo-only payload decodes as %+v, %v", undo, err)
-	}
-	bad := appendOpPayload(nil, op, undoImage{prior: []byte("old"), found: true})
-	bad[0] = bad[0]&^(3<<opUndoShift) | priorNone<<opUndoShift
-	if _, _, err := decodeOpPayload(bad); err == nil {
-		t.Fatal("a redo-only payload with a prior decoded")
+	// The undo image earlier builds logged in the head's top bits, and the
+	// inverse of a versioned write, are refused: old TC-logs get no
+	// compatibility reader.
+	for _, bad := range [][]byte{
+		append([]byte{buf[0] | 1<<6}, buf[1:]...),
+		append([]byte{buf[0] | 2<<6}, buf[1:]...),
+		appendField([]byte{byte(base.OpAbortVersions)}, "t"),
+	} {
+		if op, err := decodeOpPayload(bad); err == nil {
+			t.Fatalf("%x decoded as %v", bad, op)
+		}
 	}
 
 	for _, ts := range []base.TS{909, 1 << 50, 0} {
@@ -644,41 +602,12 @@ func TestAckTracker(t *testing.T) {
 	}
 }
 
-func TestInverseOp(t *testing.T) {
-	mk := func(kind base.OpKind, versioned bool) *base.Op {
-		return &base.Op{TC: 1, Kind: kind, Table: "t", Key: "k", Value: []byte("new"), Versioned: versioned}
-	}
-	if inv := inverseOp(mk(base.OpInsert, false), undoImage{}); inv.Kind != base.OpDelete {
-		t.Fatalf("insert inverse: %v", inv)
-	}
-	if inv := inverseOp(mk(base.OpUpdate, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpUpdate || string(inv.Value) != "old" {
-		t.Fatalf("update inverse: %v", inv)
-	}
-	if inv := inverseOp(mk(base.OpDelete, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpInsert || string(inv.Value) != "old" {
-		t.Fatalf("delete inverse: %v", inv)
-	}
-	if inv := inverseOp(mk(base.OpUpsert, false), undoImage{}); inv.Kind != base.OpDelete {
-		t.Fatalf("upsert-new inverse: %v", inv)
-	}
-	if inv := inverseOp(mk(base.OpUpsert, false), undoImage{prior: []byte("old"), found: true}); inv.Kind != base.OpUpdate {
-		t.Fatalf("upsert-old inverse: %v", inv)
-	}
-	for _, k := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpDelete} {
-		if inv := inverseOp(mk(k, true), undoImage{}); inv.Kind != base.OpAbortVersions {
-			t.Fatalf("versioned %v inverse: %v", k, inv)
-		}
-	}
-	if inv := inverseOp(mk(base.OpAbortVersions, false), undoImage{}); inv != nil {
-		t.Fatalf("abort-versions inverse must be nil: %v", inv)
-	}
-}
-
 // TestCrashFailsBlockedLockWaiters: a transaction blocked in a lock wait
 // when the TC crashes must fail out promptly with a transient error (the
 // lock table it was queued in vanished with the incarnation) instead of
-// sleeping forever, and it must NOT run its own rollback — restart owns
-// the undo of everything the dead incarnation logged. Regression test
-// for the hang moviesim -crash used to hit.
+// sleeping forever, and it sends nothing: it logged nothing, and its
+// queued writes die with it. Regression test for the hang moviesim -crash
+// used to hit.
 func TestCrashFailsBlockedLockWaiters(t *testing.T) {
 	tcx, _ := newPair(t, Config{})
 	ctx := context.Background()
@@ -707,7 +636,7 @@ func TestCrashFailsBlockedLockWaiters(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	redoBefore := tcx.Stats().UndoOps
+	sentBefore := tcx.Stats().OpsSent
 	tcx.Crash()
 	select {
 	case err := <-waiterErr:
@@ -720,10 +649,9 @@ func TestCrashFailsBlockedLockWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("lock waiter still blocked after TC crash (the moviesim hang)")
 	}
-	// The orphan did not roll itself back: no inverse operations were sent
-	// by anyone between crash and recovery.
-	if undos := tcx.Stats().UndoOps; undos != redoBefore {
-		t.Fatalf("orphaned waiter ran undo (%d -> %d undo ops)", redoBefore, undos)
+	// Nobody sent anything between crash and recovery.
+	if sent := tcx.Stats().OpsSent; sent != sentBefore {
+		t.Fatalf("the orphans sent %d operations", sent-sentBefore)
 	}
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -58,9 +58,8 @@ const (
 // timeout.
 type TxnOptions struct {
 	// Versioned makes writes keep before versions (§6.2.2), enabling
-	// cross-TC read-committed readers and cheap undo. Versioned commits
-	// carry a commit timestamp, which is what makes the writes visible to
-	// snapshot readers.
+	// cross-TC read-committed readers. Versioned commits carry a commit
+	// timestamp, which is what makes the writes visible to snapshot readers.
 	Versioned bool
 	// ReadOnly refuses every mutation with base.ErrReadOnly and — unless
 	// Snapshot is SnapshotLocked — turns the transaction into a snapshot
@@ -109,81 +108,62 @@ var doneErr = [...]error{txnCommitted: ErrTxnDone, txnAborted: ErrTxnDone, txnSt
 
 type tableKey struct{ table, key string }
 
+// cachedVal is the transaction's own copy of a key it holds a lock on: what
+// it read, or — written — what it wrote, which no DC has seen before Commit.
 type cachedVal struct {
-	val   []byte
-	found bool
+	val     []byte
+	found   bool
+	written bool
 }
 
-// queued is one write of a transaction between being accepted and being
-// acknowledged: it waits for the next barrier, which logs and ships it. dc is
-// the DC it routes to. undo is the undo information its op record carries if
-// it leaves before the commit barrier; needPrior marks a prior the cache could
-// not supply at call time, which such a barrier's batched pre-read fetches
-// (see Txn.fetchPriors). At the commit barrier neither is looked at: the
-// record is redo-only.
+// queued is one write of a transaction between being accepted and its
+// commit, which logs and ships it. dc is the DC it routes to.
 type queued struct {
-	op        base.Op
-	dc        int
-	undo      undoImage
-	needPrior bool
+	op base.Op
+	dc int
 }
 
-// logged is the undo image q's record carries: none at the commit barrier.
-func (q *queued) logged(commit bool) undoImage {
-	if commit {
-		return undoImage{redoOnly: true}
-	}
-	return q.undo
-}
-
-// slabOps is how many operations a transaction has room for between two
-// barriers in its writeSlab; more spill to the heap: the queue by append's
-// doubling, a barrier's records and send list once, at their final length.
+// slabOps is how many writes a transaction has room for in its writeSlab;
+// more spill to the heap: the queue by append's doubling, the commit's records
+// and send list once, at their final length.
 const slabOps = 8
 
-// writeSlab is the storage a writing transaction needs at its barriers, in its
-// txnScratch: the queue, the read operations of a pre-read, the records of one
-// log batch (the queue's, and the commit record), and the list of operations
-// handed to one DC (Txn.ship sends to one DC at a time). An operation in here
-// is its barrier's: the base.Service it is sent to must be done with it when
-// the call returns.
+// writeSlab is the storage a writing transaction needs at its commit, in its
+// txnScratch: the queue, the records of the commit's log batch (the queue's,
+// and the commit record), and the list of operations handed to one DC
+// (Txn.ship sends to one DC at a time). An operation in here is its commit's:
+// the base.Service it is sent to must be done with it when the call returns.
 type writeSlab struct {
 	queue [slabOps]queued
-	reads [slabOps]base.Op
 	recs  [slabOps + 1]wal.Record
 	send  [slabOps]*base.Op
 }
 
 // txnScratch is everything a transaction uses on its own goroutine and nothing
-// outlives it: the cache, the versioned keys, the queue and what its barriers
-// build from it, the payload buffer of a log batch and the operation sent
-// alone. Begin takes one from scratchPool and finish gives it back,
-// cleared; nothing else does. So a transaction that dies as an orphan, or
-// whose commit ends ambiguous, leaves its scratch to the collector, and the
-// finisher of a cancelled Commit keeps it until its own finish. An operation
-// lent from here to a base.Service is the next transaction's once the call
-// has returned and the transaction finished.
+// outlives it: the cache, the queue and what its commit builds from it, the
+// payload buffer of the commit's log batch and the operation sent alone. Begin
+// takes one from scratchPool and finish gives it back, cleared; nothing else
+// does. So a transaction that dies as an orphan, or whose commit ends
+// ambiguous, leaves its scratch to the collector, and the finisher of a
+// cancelled Commit keeps it until its own finish. An operation lent from here
+// to a base.Service is the next transaction's once the call has returned and
+// the transaction finished.
 type txnScratch struct {
 	// cache holds values read or written under locks this transaction
 	// already holds; locked values cannot change underfoot (strict 2PL),
 	// so cached copies are authoritative and spare read-before-write
 	// round trips to the DC.
 	cache map[tableKey]cachedVal
-	// versioned holds the keys a versioned transaction wrote, true for one
-	// whose last write left at an earlier barrier, without the commit
-	// timestamp: the commit barrier writes it again (see stamp). Empty for
-	// an unversioned transaction.
-	versioned map[tableKey]bool
-	// queue holds the writes accepted since the last barrier, in call order:
-	// X lock held, cache updated, nothing logged and no LSN taken yet. flush
-	// logs and ships it; Abort drops it. It starts in slab.queue.
+	// queue holds the writes accepted so far, in call order: X lock held,
+	// cache updated, nothing logged and no LSN taken yet. Commit logs and
+	// ships it; Abort drops it. It starts in slab.queue.
 	queue []queued
-	// enc is where the record payloads of a log batch are encoded, back to
-	// back. The log copies them as it appends (wal.AppendBatch), so enc is
-	// free again when the append returns, for the next barrier or the next
-	// transaction.
+	// enc is where the record payloads of the commit's log batch are
+	// encoded, back to back. The log copies them as it appends
+	// (wal.AppendBatch), so enc is free again when the append returns, for
+	// the next transaction.
 	enc []byte
-	// slab backs the queue and what a barrier builds from it; wrote marks it
+	// slab backs the queue and what the commit builds from it; wrote marks it
 	// used, so that only a transaction that queued a write pays for clearing it.
 	slab  writeSlab
 	wrote bool
@@ -193,8 +173,8 @@ type txnScratch struct {
 }
 
 // A scratch that grew past one slab's worth — its queue spilled past slabOps,
-// a map past maxKeptKeys keys, or enc past maxKeptEnc bytes — is left to the
-// collector instead of kept, as a wire connection drops an outsized buffer:
+// its cache past maxKeptKeys keys, or enc past maxKeptEnc bytes — is left to
+// the collector instead of kept, as a wire connection drops an outsized buffer:
 // the pool holds only scratch of the size most transactions need.
 const (
 	maxKeptKeys = 4 * slabOps
@@ -202,7 +182,7 @@ const (
 )
 
 var scratchPool = sync.Pool{New: func() any {
-	s := &txnScratch{cache: make(map[tableKey]cachedVal, slabOps), versioned: make(map[tableKey]bool)}
+	s := &txnScratch{cache: make(map[tableKey]cachedVal, slabOps)}
 	s.queue, s.oneOps[0] = s.slab.queue[:0], &s.one
 	return s
 }}
@@ -211,11 +191,10 @@ var scratchPool = sync.Pool{New: func() any {
 // the pool — and gives it back, or leaves it to the collector when it grew
 // past one slab's worth. Only Txn.finish calls it.
 func (s *txnScratch) release() {
-	if cap(s.queue) > slabOps || len(s.cache) > maxKeptKeys || len(s.versioned) > maxKeptKeys || cap(s.enc) > maxKeptEnc {
+	if cap(s.queue) > slabOps || len(s.cache) > maxKeptKeys || cap(s.enc) > maxKeptEnc {
 		return
 	}
 	clear(s.cache)
-	clear(s.versioned)
 	if s.wrote {
 		s.slab, s.wrote = writeSlab{}, false
 	}
@@ -242,20 +221,15 @@ type Txn struct {
 	opts  TxnOptions
 	id    base.TxnID
 	state txnState
-	// firstLSN/lastLSN delimit the undo chain in the TC-log. firstLSN is
-	// atomic because a concurrent Checkpoint reads it to bound truncation;
-	// everything else here belongs to the transaction's own goroutine.
-	firstLSN atomic.Uint64
-	lastLSN  base.LSN
 	// txnScratch is the transaction's from Begin to finish; nil before (a
 	// transaction begun while the TC was down has none) and after.
 	*txnScratch
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
-	// commitTS is the commit timestamp a versioned transaction's commit
-	// barrier assigns and stamps on its writes; it holds the TC's safe
-	// timestamp down until the commit record is forced.
+	// commitTS is the commit timestamp a versioned transaction's Commit
+	// assigns and stamps on its writes; it holds the TC's safe timestamp
+	// down until the commit record is forced.
 	commitTS base.TS
 }
 
@@ -405,13 +379,11 @@ func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
 // atomic load, of the log generation Crash ends first.
 func (x *Txn) orphaned() bool { return !x.inc.log.Live() }
 
-// die is an orphan's exit, from a failed lock wait or from any barrier
-// (flush, Commit, Abort). Restart analysis owns the undo of whatever the dead
-// incarnation logged, so the orphan rolls nothing back; it could not if it
-// tried — it logs nothing, so gets no LSN, and ships nothing (see incarnation) —
-// and the locks and registrations it still holds are in tables that died with
-// it. It drops what it queued and reports a transient failure, as does every
-// later call on it.
+// die is an orphan's exit, from a failed lock wait, a read, Commit or Abort.
+// The transaction has logged nothing — only its commit logs, and it is past
+// that — so it has nothing to roll back, and the locks and registrations it
+// still holds are in tables that died with the incarnation. It drops what it
+// queued and reports a transient failure, as does every later call on it.
 func (x *Txn) die() error {
 	x.state = txnStopped
 	x.queue = nil
@@ -477,7 +449,7 @@ func (x *Txn) route(table, key string) (int, error) {
 }
 
 // sendUnlogged is the one way operations without a log record — a point
-// read, a scan probe, a range read, a barrier's pre-reads — leave the TC:
+// read, a scan probe, a range read — leave the TC:
 // ops, all one DC's, as one PerformBatch to DC idx. (Operations that do hold a
 // record go through deliver.) Such an operation carries no request ID: its
 // LSN stays zero, because the DC has nothing to recognise — a read is
@@ -490,7 +462,7 @@ func (x *Txn) route(table, key string) (int, error) {
 // incarnation sends nothing, and an answer that straddled the crash —
 // the DC's epoch fence refuses the operation once the successor has announced
 // itself (CodeStaleEpoch) — is the crash's, not a verdict on the request: the
-// transaction dies as at any barrier (transient ErrTCStopped) instead of
+// transaction dies (transient ErrTCStopped) instead of
 // passing on the fence's permanent ErrStaleEpoch. New operations wait at the
 // DC's recovery gate, and that wait, like the call, is the transaction's
 // context's to cut short. A CodeStaleDC — the DC restarted, and this TC owes
@@ -560,30 +532,40 @@ func (x *Txn) sendOne(idx int, op base.Op) (*base.Result, error) {
 
 // ReadCommitted reads the last committed version of a key that may belong
 // to another TC's update partition. It takes no locks and never blocks:
-// versioned data makes this safe (§6.2.2).
+// versioned data makes this safe (§6.2.2). The transaction's own writes are
+// answered as the DC would answer them once they were there (see seesOwn).
 func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 	return x.readUnlocked(table, key, base.ReadCommitted)
 }
 
-// ReadDirty reads the latest (possibly uncommitted) version without
-// locking (§6.2.1). "Latest" is what has reached the DC: this transaction's
-// own writes are shipped first (flush), but another TC's transaction shows
-// its uncommitted versions only from its next barrier on — a scan, an
-// unlocked read, its commit — not from the call that wrote them.
+// ReadDirty reads the latest (possibly uncommitted) version without locking
+// (§6.2.1): this transaction's own writes from its cache, everything else
+// from the DC. "Latest" is what has reached the DC, and no transaction's
+// writes reach a DC before its commit, so another TC's uncommitted versions
+// show only while its commit is under way: shipped, not yet forced.
 func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readUnlocked(table, key, base.ReadDirty)
 }
 
 // readUnlocked is a point read that bypasses locks and the transaction
-// cache, behind a barrier so that it observes the transaction's own writes.
+// cache, except for a key the transaction wrote, whose value no DC has yet.
 func (x *Txn) readUnlocked(table, key string, flavor base.ReadFlavor) ([]byte, bool, error) {
 	if err := doneErr[x.state]; err != nil {
 		return nil, false, err
 	}
-	if err := x.flush(); err != nil {
-		return nil, false, err
+	if c, ok := x.cache[tableKey{table, key}]; ok && c.written && x.seesOwn(flavor) {
+		return c.val, c.found, nil
 	}
 	return x.readOp(table, key, flavor, false)
+}
+
+// seesOwn reports whether a read of flavor sees the transaction's own writes,
+// as it would were they at the DC: a plain or dirty read sees the latest
+// version, and so does a committed read of an unversioned write, which keeps
+// no before version; a committed read of a versioned write sees the version
+// before it, which is the DC's.
+func (x *Txn) seesOwn(flavor base.ReadFlavor) bool {
+	return flavor != base.ReadCommitted || !x.opts.Versioned
 }
 
 // valueOf returns the current value under an already-held X lock, going to
@@ -617,21 +599,12 @@ func (x *Txn) Delete(table, key string) error {
 
 // write implements all mutations: ownership and routing checks, X lock, the
 // existence check of the kinds whose answer depends on it, and then the
-// write joins the transaction's queue — it is logged and shipped at the next
-// barrier (flush), not here. From this call on the transaction cache is the
-// authority for the key: every later point read and existence check of it is
-// answered there, never by a DC that has not seen the write yet.
-//
-// The undo information an op record carries is the key's value before the
-// write, and only a write that leaves before the commit barrier needs it: one
-// still queued at commit is logged redo-only, in one batch with the commit
-// record. Insert, Update and Delete learn it from the existence check their
-// return value needs anyway (a read through the cache, one DC call when the
-// cache is cold). Upsert's result does not depend on it, so an Upsert the
-// cache cannot answer reads nothing here: an earlier barrier fetches every
-// such prior in one batch per DC, and the commit barrier none. A versioned
-// Upsert needs none at all — the DC keeps the before version and the inverse
-// is abort-versions.
+// write joins the transaction's queue — it is logged and shipped at Commit,
+// not here. From this call on the transaction cache is the authority for the
+// key: every later read of it by this transaction is answered there, never
+// by a DC that has not seen the write. Insert, Update and Delete read the
+// key through the cache for their answer (one DC call when the cache is
+// cold); Upsert's answer does not depend on it, so it reads nothing.
 //
 // Cancellation points are the lock wait and the existence-check read.
 func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
@@ -665,13 +638,9 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	if err := x.lock(lockmgr.KeyRes(table, key), lockmgr.X); err != nil {
 		return err
 	}
-	tk := tableKey{table, key}
-	q := queued{dc: dcIdx}
-	switch kind {
-	case base.OpInsert, base.OpUpdate, base.OpDelete:
-		// Checked here so that every logged operation succeeds at the DC:
-		// restart undo can then blindly invert every chained record.
-		p, found, err := x.valueOf(table, key)
+	if kind != base.OpUpsert {
+		// Checked here so that every logged operation succeeds at the DC.
+		_, found, err := x.valueOf(table, key)
 		switch {
 		case err != nil:
 			return err
@@ -680,28 +649,11 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		case kind != base.OpInsert && !found:
 			return ErrNotFound
 		}
-		q.undo = undoImage{prior: p, found: found}
-	case base.OpUpsert:
-		if x.opts.Versioned {
-			break
-		}
-		if c, ok := x.cache[tk]; ok {
-			q.undo = undoImage{prior: c.val, found: c.found}
-		} else {
-			q.needPrior = true
-		}
 	}
-	q.op = base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table, Key: key,
-		Value: val, Versioned: x.opts.Versioned}
-	x.queue, x.wrote = append(x.queue, q), true
-	if kind == base.OpDelete {
-		x.cache[tk] = cachedVal{found: false}
-	} else {
-		x.cache[tk] = cachedVal{val: val, found: true}
-	}
-	if x.opts.Versioned {
-		x.versioned[tk] = false
-	}
+	x.queue = append(x.queue, queued{dc: dcIdx, op: base.Op{TC: x.tc.cfg.ID, Kind: kind,
+		Table: table, Key: key, Value: val, Versioned: x.opts.Versioned}})
+	x.wrote = true
+	x.cache[tableKey{table, key}] = cachedVal{val: val, found: kind != base.OpDelete, written: true}
 	return nil
 }
 
@@ -713,27 +665,25 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 // component, a cancelled wait) would otherwise classify as transient.
 var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not by this error")
 
-// Commit makes the transaction durable: log its last writes — a versioned
-// transaction's stamped with its commit timestamp (§6.2.2; see stamp) — and
-// its commit record as one batch, ship the writes, force the batch (group
-// commit), then release locks (strict two-phase locking). No two-phase
-// commit, and no second message to eliminate the before versions: a DC takes
-// a stamped version for committed once the TC's safe timestamp passes its
-// timestamp.
+// Commit makes the transaction durable: log its writes — a versioned
+// transaction's stamped with its commit timestamp (§6.2.2) — and its commit
+// record as one batch, ship the writes, force the batch (group commit), then
+// release locks (strict two-phase locking). No two-phase commit, and no second
+// message to eliminate the before versions: a DC takes a stamped version for
+// committed once the TC's safe timestamp passes its timestamp.
 //
-// The writes still queued here are logged redo-only: they take no pre-read
-// of their undo images, because their records are stable exactly when the
+// It is the one point at which a transaction's writes leave, and their
+// records carry no undo image, because they are stable exactly when the
 // commit record is (deferred update; Bernstein, Hadzilacos & Goodman 1987,
-// ch. 6). A crash that loses the batch loses the transaction, and the DCs
-// roll its shipped writes back themselves (DC.BeginRestart). So a
-// transaction that crossed no earlier barrier costs one round trip per DC
-// for every maxBatch of its writes there.
+// ch. 6). A crash that loses the batch loses the transaction, and the
+// DCs roll its shipped writes back themselves (DC.BeginRestart). So a
+// transaction costs one round trip per DC for every maxBatch of its writes
+// there.
 //
-// Commit is the transaction's last write barrier, in two parts. The part
-// that can still be given up runs here, under the transaction's context: the
-// orphan check and the context's own. A failure there has logged nothing and
-// is a clean abort. Everything from the log append on is commitLogged, which
-// never consults the context.
+// The part of Commit that can still be given up runs here, under the
+// transaction's context: the orphan check and the context's own. A failure
+// there has logged nothing and is a clean abort. Everything from the log
+// append on is commitLogged, which never consults the context.
 //
 // Who runs commitLogged follows from the context. One that can never be
 // cancelled (context.Background, the usual case) gets a plain call. Under one
@@ -760,7 +710,7 @@ func (x *Txn) Commit() error {
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, base.CancelErr(x.ctx))
 	}
 	x.state = txnCommitted
-	if x.lastLSN == 0 && len(x.queue) == 0 {
+	if len(x.queue) == 0 {
 		// Read-only (or no-op) commit: the transaction wrote nothing, so
 		// there is no outcome to make durable — no commit record, no log
 		// force. Restart treats an unlogged transaction as having no
@@ -786,45 +736,46 @@ func (x *Txn) Commit() error {
 		}
 	}
 	if err != nil && !errors.Is(err, ErrCommitAmbiguous) {
-		x.state = txnAborted // commitLogged rolled it back
+		x.state = txnAborted // commitLogged dropped it
 	}
 	return err
 }
 
 // commitLogged is Commit from the log append to the lock release, one
 // straight line that no cancellation interrupts: stamp a versioned
-// transaction's writes with its commit timestamp; append the queued writes'
-// redo-only records and the commit record as one batch; ship the writes, one
-// batch per DC; force the batch; publish the new stable boundary; release the
-// locks and the commit timestamp. Only a refused append — the incarnation
-// died first — is a plain failure: nothing of the batch is logged. Any
-// failure after it is reported wrapping ErrCommitAmbiguous, with the locks
-// held, because the commit record is in the log and the outcome is the log's:
-// restart treats a transaction whose commit record is stable as a winner and
-// re-delivers its logged operations, and one whose batch is lost as never
-// having written it. A peer's group force may make the batch stable before
-// the ship is acknowledged. A failed ship ends the incarnation if the crash of
-// the TC has not already (TC.end), so a live TC never holds a winner whose
-// writes it did not deliver.
+// transaction's writes with its commit timestamp; append the writes' records
+// and the commit record as one batch; ship the writes, one batch per DC;
+// force the batch; publish the new stable boundary; release the locks and
+// the commit timestamp. Only a refused append — the incarnation died first —
+// is a plain failure: nothing of the batch is logged. Any failure after it is
+// reported wrapping ErrCommitAmbiguous, with the locks held, because the
+// commit record is in the log and the outcome is the log's: restart treats a
+// transaction whose commit record is stable as a winner and re-delivers its
+// logged operations, and one whose batch is lost as never having written it.
+// A peer's group force may make the batch stable before the ship is
+// acknowledged. A failed ship ends the incarnation if the crash of the TC has
+// not already (TC.end), so a live TC never holds a winner whose writes it did
+// not deliver.
 //
 // It may run on the finisher goroutine of a cancelled Commit, so it leaves
 // x.state — all the caller's goroutine still reads — alone.
 func (x *Txn) commitLogged() error {
 	t, inc := x.tc, x.inc
-	if len(x.versioned) > 0 {
-		// The commit barrier is the lock point: the transaction holds every
-		// lock it will take, so its commit timestamp, the snapshot
-		// visibility point of its versioned writes, is drawn here and rides
-		// them. Logged in the commit record so restart re-seeds the
-		// allocator above it.
+	if x.opts.Versioned {
+		// Commit is the lock point: the transaction holds every lock it will
+		// take, so its commit timestamp, the snapshot visibility point of its
+		// versioned writes, is drawn here and rides them. Logged in their
+		// records, so redo re-delivers them stamped, and in the commit record,
+		// so restart re-seeds the allocator above it.
 		x.commitTS = inc.assignCommitTS()
-		x.stamp()
+		for i := range x.queue {
+			x.queue[i].op.TS = x.commitTS
+		}
 	}
-	cLSN, err := x.appendQueued(true)
+	cLSN, err := x.appendQueued()
 	if err != nil {
-		// The incarnation died before the batch: a loser whose earlier
-		// barriers, if any, are restart's to undo, with nothing to release
-		// but dead tables.
+		// The incarnation died before the batch: nothing to release but dead
+		// tables.
 		x.rollback()
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
@@ -852,46 +803,17 @@ func (x *Txn) commitLogged() error {
 	return nil
 }
 
-// stamp readies a versioned commit's barrier: each key whose last write left
-// at an earlier barrier, unstamped, is queued again as the ordinary versioned
-// Upsert or Delete that leaves it as the transaction cache holds it — the DC
-// overwrites its own pending head — and every write in the queue carries the
-// commit timestamp.
-func (x *Txn) stamp() {
-	for tk, shipped := range x.versioned {
-		if !shipped {
-			continue
-		}
-		// Routed when the key was first written, so under a stable
-		// placement this cannot fail.
-		idx, err := x.tc.dcIndex(tk.table, tk.key)
-		if err != nil {
-			continue
-		}
-		c := x.cache[tk]
-		q := queued{dc: idx, op: base.Op{TC: x.tc.cfg.ID, Kind: base.OpUpsert,
-			Table: tk.table, Key: tk.key, Value: c.val, Versioned: true}}
-		if !c.found {
-			q.op.Kind = base.OpDelete
-		}
-		x.queue = append(x.queue, q)
-	}
-	for i := range x.queue {
-		x.queue[i].op.TS = x.commitTS
-	}
-}
-
 // finish releases the transaction's locks and drops it from the table:
 // the 2PL release point. Runs exactly once per transaction, as the last step
 // of commitLogged or rollback. It also releases the transaction's timestamp
 // registrations: the snapshot pin on the GC horizon, and the outstanding
 // commit timestamp (every path reaching finish after a commit has the
-// stamped writes acknowledged and the commit record forced, or the writes
-// taken back by their inverses, so the safe timestamp may now pass it).
-// All of it in the transaction's own incarnation: an orphan's finish lands in
-// dead tables, never on a successor's transaction of the same id. Last, it
-// gives the transaction's scratch back: every call that was lent an operation
-// from it has returned.
+// stamped writes acknowledged and the commit record forced, so the safe
+// timestamp may now pass it; one whose append was refused stamped nothing
+// that left). All of it in the transaction's own incarnation: an orphan's
+// finish lands in dead tables, never on a successor's transaction of the
+// same id. Last, it gives the transaction's scratch back: every call that was
+// lent an operation from it has returned.
 func (x *Txn) finish() {
 	inc := x.inc
 	if x.snapTS != 0 || x.commitTS != 0 {
@@ -915,11 +837,10 @@ func (x *Txn) finish() {
 	s.release()
 }
 
-// Abort rolls the transaction back (§4.1.1(2b)) and releases its locks; see
-// rollback. A transaction that never logged anything appends nothing, like
-// the read-only commit. Abort does not honor cancellation: the rollback
-// protocol must complete before the locks can be released (a cancelled
-// transaction still aborts cleanly).
+// Abort rolls the transaction back (§4.1.1(2b)) and releases its locks. Its
+// writes were never logged or shipped — only Commit does either — so the
+// rollback is dropping them: nothing is sent, and nothing is appended, not
+// even an abort record. An orphan's Abort is its death (die).
 func (x *Txn) Abort() error {
 	if x.state != txnActive {
 		if x.state == txnCommitted {
@@ -935,114 +856,17 @@ func (x *Txn) Abort() error {
 	return nil
 }
 
-// rollback walks the undo chain in reverse chronological order, sending
-// inverse logical operations (logged as compensation records so restart
-// never undoes twice), one delivery per DC, then releases the locks. Writes
-// still queued were never logged or shipped: they are dropped, with nothing
-// to invert. Every logged write was acknowledged at the barrier that logged
-// it, so an inverse can never overtake the forward operation it undoes and
-// every CLR finds the effect it compensates.
+// rollback drops the queued writes with the scratch and releases the locks.
 func (x *Txn) rollback() {
-	x.queue = nil
-	if x.lastLSN != 0 && !x.orphaned() { // an orphan's undo is restart's; see die
-		// A live transaction's chain holds no redo-only record: its commit
-		// batch is the last thing it appends, and nothing rolls it back.
-		byDC, _ := x.inc.undoChain(x.id, x.lastLSN)
-		for idx, invs := range byDC {
-			_ = x.inc.deliver(context.Background(), idx, invs, false) // logged: restart redoes what is cut short
-		}
-		x.inc.logLocal(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
-	}
 	x.finish()
 	x.tc.aborts.Add(1)
-}
-
-// undoChain logs the inverse operations for the chain starting at lastLSN as
-// compensation records and returns them by DC, each DC's in log order.
-// Compensation records jump via NextUndo so an undo interrupted by a crash
-// never repeats completed work. Shared by Abort, which delivers them, and
-// restart undo, whose resends deliver them with the rest of the log.
-//
-// A redo-only record in the chain is an error, and nothing is inverted from
-// it: it was logged in one batch with the transaction's commit record, so a
-// chain that holds it without that record is a log the batch rule did not
-// write.
-func (inc *incarnation) undoChain(txn base.TxnID, lastLSN base.LSN) ([][]*base.Op, error) {
-	t := inc.tc
-	byDC := make([][]*base.Op, len(t.dcs))
-	var enc []byte // every CLR's payload: the log keeps its own copy
-	cur := lastLSN
-	for cur != 0 {
-		rec := t.log.Get(cur)
-		if rec == nil {
-			return byDC, nil // truncated below the chain: nothing older to undo
-		}
-		switch rec.Kind {
-		case recOp:
-			op, undo, err := decodeOpPayload(rec.Payload)
-			if err != nil {
-				return byDC, nil
-			}
-			op.TC = t.cfg.ID
-			if undo.redoOnly {
-				return byDC, fmt.Errorf("tc: undo of txn %d: op record @%d is redo-only, its commit record is not in the log", txn, cur)
-			}
-			if inv := inverseOp(op, undo); inv != nil {
-				// The forward op routed when it was logged; a failure here
-				// means the placement changed underneath a live log, which
-				// nothing can undo against — stop like a truncated chain.
-				idx, err := t.dcIndex(inv.Table, inv.Key)
-				if err != nil {
-					return byDC, nil
-				}
-				enc = appendOpPayload(enc[:0], inv, undoImage{})
-				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur, NextUndo: rec.Prev, Payload: enc}
-				if !inc.logOp(inv, clr) {
-					return byDC, nil // the incarnation died: the rest is its successor's
-				}
-				byDC[idx] = append(byDC[idx], inv)
-				t.undoOps.Add(1)
-			}
-			cur = rec.Prev
-		case recCLR:
-			cur = rec.NextUndo
-		default:
-			cur = rec.Prev
-		}
-	}
-	return byDC, nil
-}
-
-// inverseOp builds the logical inverse (§4.1.1(2b)). Versioned writes
-// invert via abort-versions — the DC discards the uncommitted version and
-// restores the before version (§6.2.2); abort-versions has no inverse.
-func inverseOp(op *base.Op, undo undoImage) *base.Op {
-	if op.Kind == base.OpAbortVersions {
-		return nil
-	}
-	if op.Versioned {
-		return &base.Op{TC: op.TC, Kind: base.OpAbortVersions, Table: op.Table, Key: op.Key}
-	}
-	switch op.Kind {
-	case base.OpInsert:
-		return &base.Op{TC: op.TC, Kind: base.OpDelete, Table: op.Table, Key: op.Key}
-	case base.OpUpdate:
-		return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: undo.prior}
-	case base.OpUpsert:
-		if undo.found {
-			return &base.Op{TC: op.TC, Kind: base.OpUpdate, Table: op.Table, Key: op.Key, Value: undo.prior}
-		}
-		return &base.Op{TC: op.TC, Kind: base.OpDelete, Table: op.Table, Key: op.Key}
-	case base.OpDelete:
-		return &base.Op{TC: op.TC, Kind: base.OpInsert, Table: op.Table, Key: op.Key, Value: undo.prior}
-	}
-	return nil
 }
 
 // Scan reads [lo, hi) in this TC's partition with full locking. Of the §3.1
 // range protocols fetch-ahead is the one implemented; static range locks are
 // not. hi == "" scans to the end of the table's partition; limit <= 0 means
-// unlimited.
+// unlimited. The transaction's own writes in the range are in the answer as
+// they would be were they at the DC (see rangeRead).
 func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byte, err error) {
 	if err := doneErr[x.state]; err != nil {
 		return nil, nil, err
@@ -1053,24 +877,30 @@ func (x *Txn) Scan(table, lo, hi string, limit int) (keys []string, vals [][]byt
 		// read is already stable.
 		return x.scanUnlocked(table, lo, hi, limit, base.ReadSnapshot)
 	}
-	if err := x.flush(); err != nil {
-		return nil, nil, err
-	}
 	return x.fetchAheadScan(table, lo, hi, limit)
 }
 
 // fetchAheadScan implements the §3.1 fetch-ahead protocol: speculatively
 // probe for the keys in the range, lock them, then read; if the read
-// returns keys that were not locked, the read doubles as the next probe.
+// returns keys that were not locked, the read doubles as the next probe. The
+// keys the transaction wrote are X-locked already.
 func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byte, error) {
-	locked := make(map[string]bool)
+	idx, err := x.route(table, lo)
+	if err != nil {
+		return nil, nil, err
+	}
+	own := x.ownIn(idx, table, lo, hi, base.ReadPlain)
+	locked := make(map[string]bool, len(own))
+	for _, k := range own {
+		locked[k] = true
+	}
 	probeLimit := limit
 	if limit <= 0 || limit > probeWidth {
 		probeLimit = probeWidth
 	}
 	// Initial speculative probe.
 	x.tc.probes.Add(1)
-	probe, err := x.rangeOp(base.OpScanProbe, table, lo, hi, probeLimit, base.ReadPlain)
+	probe, err := x.rangeOp(idx, base.OpScanProbe, table, lo, hi, probeLimit, base.ReadPlain)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1085,23 +915,23 @@ func (x *Txn) fetchAheadScan(table, lo, hi string, limit int) ([]string, [][]byt
 			}
 			locked[k] = true
 		}
-		res, err := x.rangeOp(base.OpRangeRead, table, lo, hi, limit, base.ReadPlain)
+		keys, vals, err := x.rangeRead(idx, own, table, lo, hi, limit, base.ReadPlain)
 		if err != nil {
 			return nil, nil, err
 		}
 		// Should the records read differ from the ones locked, this read
 		// becomes the next speculative probe (§3.1).
 		stable := true
-		for _, k := range res.Keys {
+		for _, k := range keys {
 			if !locked[k] {
 				stable = false
 				break
 			}
 		}
 		if stable {
-			return res.Keys, res.Values, nil
+			return keys, vals, nil
 		}
-		toLock = res.Keys
+		toLock = keys
 		x.tc.probes.Add(1)
 	}
 	_ = x.Abort()
@@ -1125,24 +955,75 @@ func (x *Txn) scanUnlocked(table, lo, hi string, limit int, flavor base.ReadFlav
 	if err := doneErr[x.state]; err != nil {
 		return nil, nil, err
 	}
-	if err := x.flush(); err != nil {
-		return nil, nil, err
-	}
-	res, err := x.rangeOp(base.OpRangeRead, table, lo, hi, limit, flavor)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Keys, res.Values, nil
-}
-
-// rangeOp issues one operation over [lo, hi) — a range read of the given
-// flavor, or a scan probe — routed by the low key: the range protocols scan
-// within one table partition. Any answer but CodeOK is its error.
-func (x *Txn) rangeOp(kind base.OpKind, table, lo, hi string, limit int, flavor base.ReadFlavor) (*base.Result, error) {
 	idx, err := x.route(table, lo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return x.rangeRead(idx, x.ownIn(idx, table, lo, hi, flavor), table, lo, hi, limit, flavor)
+}
+
+// ownIn returns, sorted and each once, the keys of table in [lo, hi) that the
+// transaction wrote and that route to DC idx, if a read of flavor sees them
+// (seesOwn); only those could be in that DC's answer, were they there.
+func (x *Txn) ownIn(idx int, table, lo, hi string, flavor base.ReadFlavor) []string {
+	if !x.seesOwn(flavor) {
+		return nil
+	}
+	var own []string
+	for i := range x.queue {
+		if q := &x.queue[i]; q.dc == idx && q.op.Table == table && q.op.Key >= lo && (hi == "" || q.op.Key < hi) {
+			own = append(own, q.op.Key)
+		}
+	}
+	slices.Sort(own)
+	return slices.Compact(own)
+}
+
+// rangeRead is one range read of [lo, hi) at DC idx with the transaction's
+// own writes there, own (see ownIn), merged over the DC's answer: a written
+// key takes its value from the cache, or leaves the answer if the
+// transaction deleted it, and a written key the DC lacks joins it. A limited
+// read asks the DC for len(own) keys more than limit, as many as the
+// transaction's deletes can take out, so the first limit keys of the merge
+// are the first limit keys of the range as it would be with the writes
+// applied.
+func (x *Txn) rangeRead(idx int, own []string, table, lo, hi string, limit int, flavor base.ReadFlavor) ([]string, [][]byte, error) {
+	ask := limit
+	if limit > 0 {
+		ask += len(own)
+	}
+	res, err := x.rangeOp(idx, base.OpRangeRead, table, lo, hi, ask, flavor)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(own) == 0 {
+		return res.Keys, res.Values, nil
+	}
+	var keys []string
+	var vals [][]byte
+	i, j := 0, 0
+	for (i < len(res.Keys) || j < len(own)) && (limit <= 0 || len(keys) < limit) {
+		if j == len(own) || i < len(res.Keys) && res.Keys[i] < own[j] {
+			keys, vals = append(keys, res.Keys[i]), append(vals, res.Values[i])
+			i++
+			continue
+		}
+		if i < len(res.Keys) && res.Keys[i] == own[j] {
+			i++
+		}
+		if c := x.cache[tableKey{table, own[j]}]; c.found {
+			keys, vals = append(keys, own[j]), append(vals, c.val)
+		}
+		j++
+	}
+	return keys, vals, nil
+}
+
+// rangeOp issues one operation over [lo, hi) to DC idx — a range read of the
+// given flavor, or a scan probe. The range protocols scan within one table
+// partition, the one the low key routes to. Any answer but CodeOK is its
+// error.
+func (x *Txn) rangeOp(idx int, kind base.OpKind, table, lo, hi string, limit int, flavor base.ReadFlavor) (*base.Result, error) {
 	res, err := x.sendOne(idx, base.Op{TC: x.tc.cfg.ID, Kind: kind, Table: table,
 		Key: lo, EndKey: hi, Limit: int32(limit), Flavor: flavor})
 	if err == nil {

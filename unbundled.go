@@ -1,8 +1,8 @@
 // Package unbundled is a faithful implementation of "Unbundling
 // Transaction Services in the Cloud" (Lomet, Fekete, Weikum, Zwilling,
 // CIDR 2009): a database kernel factored into transactional components
-// (TCs — logical locking, logical undo/redo logging, transaction
-// atomicity and durability) and data components (DCs — access methods,
+// (TCs — logical locking, logical redo logging, transaction atomicity
+// and durability) and data components (DCs — access methods,
 // cache, stable storage, atomic idempotent record operations), interacting
 // at arm's length through a contract-governed message interface.
 //
@@ -94,8 +94,8 @@
 // # Contexts and cancellation
 //
 // Every wait in the stack honors the transaction's context: lock-manager
-// queues, wire send/resend loops and unavailable-retry pauses, the pre-read
-// of a barrier short of commit, and Commit's wait for its own outcome. A
+// queues, wire send/resend loops and unavailable-retry pauses, the reads a
+// transaction makes, and Commit's wait for its own outcome. A
 // cancelled wait returns promptly with an error that errors.Is-matches both
 // ErrCancelled and the context's own error. One thing is deliberately not cancellable: the
 // delivery of an already-logged write. Its record is in the TC-log, so the
@@ -122,40 +122,37 @@
 // # Operation shipping
 //
 // The cost of unbundling is that every logical operation crosses a TC:DC
-// message boundary (§4.2). Every logged operation — forward write,
-// inverse, restart redo — crosses it under one delivery routine
-// with one contract: resend until acknowledged, riding out a DC that is
-// down, recovering or draining. A write never waits for its own round
-// trip, and never makes one: the call takes the X lock (which freezes the
-// key), answers what its kind must answer — Insert, Update and Delete check
-// existence, so that every logged operation succeeds at the DC — records
-// the value in the transaction cache, and joins its transaction's queue.
+// message boundary (§4.2). Every logged operation — a committed write,
+// restart redo — crosses it under one delivery routine with one contract:
+// resend until acknowledged, riding out a DC that is down, recovering or
+// draining. A write never waits for its own round trip, and never makes one:
+// the call takes the X lock (which freezes the key), answers what its kind
+// must answer — Insert, Update and Delete check existence, so that every
+// logged operation succeeds at the DC — records the value in the
+// transaction cache, and joins its transaction's queue.
 //
-// The queue is logged and shipped at the transaction's next barrier:
-// Commit, a scan or an unlocked read (for read-your-writes; point reads are
-// answered by the transaction cache), however long it grows. At Commit the
-// queued writes are logged redo-only: their records and the commit record
-// are appended as one log batch, stable whole or not at all, so a write
-// record is never stable without its commit record and needs no undo image
-// (deferred update); a crash that loses the batch loses the transaction, and
-// the DCs roll back what they applied of it. Only a barrier short of commit
-// logs undo information: it first fetches, in one batch of reads per DC,
-// every undo image the cache could not supply (an unversioned Upsert of a
-// key the transaction never read). Either way the records are appended at
-// the barrier, under the locks, so the TC-log is still an OPSR order and a
-// record is logged before its operation can reach the DC, and they ship as
-// one PerformBatch message per DC. A transaction of four upserts is one
-// round trip, not eight or five; Abort drops writes that never crossed a
-// barrier without logging or sending anything, and inverts the ones that
-// did. This is the fastest arrangement both when the DC is a direct call
-// away and over a network. Two things follow: an error a DC read can raise
-// (a cancelled context, a DC that is down) surfaces from the barrier rather
-// than from the Upsert call, and another TC's ReadDirty/ScanDirty sees a
-// writer's uncommitted versions from the writer's next barrier, not from the
-// call that wrote them.
+// The queue is logged and shipped at Commit, and at no other point, however
+// long it grows: its records and the commit record are appended as one log
+// batch, stable whole or not at all, so a write record is never stable
+// without its commit record and needs no undo image (deferred update); a
+// crash that loses the batch loses the transaction, and the DCs roll back
+// what they applied of it. The records are appended under the locks, so the
+// TC-log is still an OPSR order and a record is logged before its operation
+// can reach the DC, and they ship as one PerformBatch message per DC. A
+// transaction of four upserts is one round trip, not eight or five. A read
+// that bypasses the transaction cache — a scan, ReadDirty, ReadCommitted —
+// answers over the transaction's own writes as the DC would once they were
+// there: it merges them over the DC's answer, asking a limited range read
+// for as many more keys as the transaction wrote in the range. Abort drops
+// the queue without logging or sending anything. This is the fastest
+// arrangement both when the DC is a direct call away and over a network. Two
+// things follow: an error a DC read can raise (a cancelled context, a DC that
+// is down) surfaces from the read or Commit rather than from the Upsert
+// call, and another TC's ReadDirty/ScanDirty sees a writer's uncommitted
+// versions only while its commit is under way, shipped and not yet forced.
 //
-// There is one shipping path: the transaction's own goroutine ships at the
-// barrier, and the barrier returns with the operations acknowledged. Strict
+// There is one shipping path: the committing transaction's own goroutine
+// ships, and the commit goes on with the operations acknowledged. Strict
 // two-phase locking keeps operations of concurrent transactions from
 // conflicting, which is all the order §4.2 asks of the wire, so concurrent
 // committers each send their own frame; locks are released only after every
@@ -163,9 +160,9 @@
 //
 // A versioned transaction (§6.2.2) makes no second round trip. The paper has
 // the TC send, at commit, updates "to eliminate the before versions"; this
-// implementation deliberately does not. The commit barrier is the lock point,
-// so the TC draws the commit timestamp there and every versioned write that
-// barrier ships carries it (one an earlier barrier shipped is written again).
+// implementation deliberately does not. Commit is the lock point, so the TC
+// draws the commit timestamp there and every versioned write it ships
+// carries it.
 // A DC keeps the before version, the newest entry of the record's history,
 // below the stamped one and takes the stamped one for committed once the
 // owner TC's safe timestamp passes it; the TC holds its safe timestamp below
@@ -182,7 +179,7 @@
 // while there is traffic. A commit publishes the stable boundary its force
 // and its acknowledgements moved; the wire client holds the two marks and
 // they ride that TC's next request toward the DC (the next transaction's
-// pre-read or write batch), applied at the DC before the request they
+// read or write batch), applied at the DC before the request they
 // rode. The 1 ms tick sends the one standalone frame there is, carrying all
 // three marks — which is also what bounds the delay from an idle TC and
 // repairs a block lost with its frame.
@@ -269,10 +266,10 @@
 // # Restart safety: incarnation epochs
 //
 // A restarted TC reuses the LSN space above its stable log end (§5.3.2),
-// so a request the dead incarnation still had on the wire — a barrier's
+// so a request the dead incarnation still had on the wire — a commit's
 // batch, a resend, a watermark broadcast, even a checkpoint
 // call — must never take effect afterwards: its log record died with the
-// unforced tail, and executing it would both apply a write no undo covers
+// unforced tail, and executing it would both apply a write no log covers
 // and record a reused LSN in the DC's abstract-LSN idempotence tables.
 //
 // Every TC therefore carries a monotonic incarnation epoch. It is minted
