@@ -326,7 +326,8 @@ func (d *DC) Tree(table string) *btree.Tree {
 	return nil
 }
 
-// Tables returns the table names (order not guaranteed; none while down).
+// Tables returns the table names in ascending order, as btree.Forest.Tables
+// keeps them (the servicetest catalog case relies on it); none while down.
 func (d *DC) Tables() []string {
 	if inc := d.inc.Load(); inc != nil {
 		return inc.forest.Tables()

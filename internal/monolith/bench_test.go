@@ -143,3 +143,23 @@ func TestWriteTxnAllocs(t *testing.T) {
 		t.Logf("4 x Upsert + Commit = %d B allocated", got)
 	}
 }
+
+// TestCommitLogBytes reports what the integrated engine logs for writeTxn —
+// four op records with their undo images, chained by Prev, and the commit
+// record — beside internal/tc's TestCommitBatchLogBytes, and holds it at or
+// below the 649 B it logged when every record carried a transaction id and a
+// link, set or not.
+func TestCommitLogBytes(t *testing.T) {
+	p := newBenchEngine(t, 10_000, 0)
+	media := p.e.log.Media()
+	for i := 0; i < 200; i++ {
+		p.writeTxn(t)
+	}
+	before := media.AppendedBytes()
+	p.writeTxn(t)
+	got := media.AppendedBytes() - before
+	t.Logf("4 x Upsert + Commit logs %d B", got)
+	if got > 649 {
+		t.Fatalf("4 x Upsert + Commit logs %d B, want <= 649", got)
+	}
+}

@@ -185,15 +185,22 @@ func (s *countingService) quiet(t *testing.T, when string) {
 }
 
 // txnRecords returns the op records transaction id has in the log, forcing
-// it first.
+// it first: the run of op records that its commit record closes, since an op
+// record names no transaction.
 func txnRecords(tcx *TC, id base.TxnID) (ops []*wal.Record) {
 	tcx.log.Force()
+	var run []*wal.Record
 	for _, rec := range tcx.log.Scan(0) {
-		if rec.Txn == id && rec.Kind == recOp {
-			ops = append(ops, rec)
+		switch {
+		case rec.Kind == recOp:
+			run = append(run, rec)
+		case rec.Kind == recCommit && rec.Txn == id:
+			return run
+		default:
+			run = nil
 		}
 	}
-	return ops
+	return nil
 }
 
 // newCountedPair wires one TC to two DCs through counting stubs: table "t"
@@ -238,7 +245,7 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	const n = 4
 	for _, versioned := range []bool{false, true} {
-		logEnd := tcx.log.NextLSN()
+		first := tcx.log.LastLSN() + 1
 		x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
 		for i := 0; i < n; i++ {
 			for _, table := range []string{"t", "u"} {
@@ -253,16 +260,16 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 		for _, s := range stubs {
 			s.quiet(t, fmt.Sprintf("versioned=%v, before the commit", versioned))
 		}
-		if next := tcx.log.NextLSN(); next != logEnd {
-			t.Fatalf("versioned=%v: LSNs %d..%d taken before the commit", versioned, logEnd, next-1)
+		if last := tcx.log.LastLSN(); last != first-1 {
+			t.Fatalf("versioned=%v: LSNs %d..%d taken before the commit", versioned, first, last)
 		}
-		if lwm := tcx.inc.Load().acks.LWM(); lwm != logEnd-1 {
-			t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, logEnd-1)
+		if lwm := tcx.inc.Load().acks.LWM(); lwm != first-1 {
+			t.Fatalf("versioned=%v: low-water mark %d trails an idle writer (log ends at %d)", versioned, lwm, first-1)
 		}
 		if err := x.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		cLSN := logEnd + 2*n
+		cLSN := first + 2*n
 		if lwm := tcx.inc.Load().acks.LWM(); lwm < cLSN {
 			t.Fatalf("versioned=%v: low-water mark %d below the committed transaction's commit record %d", versioned, lwm, cLSN)
 		}
@@ -283,22 +290,25 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 				}
 			}
 		}
-		// One batch in the log: the op records, then the commit record,
-		// each chained to the one before.
+		// One batch in the log: the op records, each its operation alone —
+		// no transaction id, no chain, no timestamp — then the commit record,
+		// which holds the transaction id and the commit timestamp.
 		ops := txnRecords(tcx, x.id)
-		if len(ops) != 2*n || ops[0].LSN != logEnd {
-			t.Fatalf("versioned=%v: %d op records from LSN %d; want %d from %d", versioned, len(ops), ops[0].LSN, 2*n, logEnd)
+		if len(ops) != 2*n || ops[0].LSN != first {
+			t.Fatalf("versioned=%v: %d op records from LSN %d; want %d from %d", versioned, len(ops), ops[0].LSN, 2*n, first)
 		}
 		for i, rec := range ops {
-			if op, err := decodeOpPayload(rec.Payload); err != nil || (op.TS != 0) != versioned || rec.LSN != logEnd+base.LSN(i) {
-				t.Fatalf("versioned=%v: op record @%d logs %v (%v), want a write at %d, stamped if versioned", versioned, rec.LSN, op, err, logEnd+base.LSN(i))
-			}
-			if i > 0 && rec.Prev != rec.LSN-1 {
-				t.Fatalf("versioned=%v: op record @%d chains to %d", versioned, rec.LSN, rec.Prev)
+			op, err := decodeOpPayload(rec.Payload)
+			if err != nil || op.Versioned != versioned || op.TS != 0 || rec.LSN != first+base.LSN(i) || rec.Txn != 0 || rec.Prev != 0 {
+				t.Fatalf("versioned=%v: op record %+v logs %v (%v), want a write at %d and nothing else", versioned, rec, op, err, first+base.LSN(i))
 			}
 		}
-		if c := tcx.log.Get(cLSN); c == nil || c.Kind != recCommit || c.Txn != x.id || c.Prev != cLSN-1 {
+		c := tcx.log.Get(cLSN)
+		if c == nil || c.Kind != recCommit || c.Txn != x.id || c.Prev != 0 {
 			t.Fatalf("versioned=%v: the batch ends in %+v, want the commit record", versioned, c)
+		}
+		if ts, err := decodeCommit(c.Payload); err != nil || ts != x.commitTS || (ts != 0) != versioned {
+			t.Fatalf("versioned=%v: the commit record holds %d (%v), want the commit timestamp %d", versioned, ts, err, x.commitTS)
 		}
 	}
 }
@@ -326,7 +336,7 @@ func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	cLSN := tcx.log.NextLSN() - 1
+	cLSN := tcx.log.LastLSN()
 	want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN)
 	for i, s := range stubs {
 		if got := fmt.Sprint(s.takeMarks()); got != want {
@@ -535,7 +545,7 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 				t.Fatalf("scan over the writes: %v %v", keys, err)
 			}
 		}
-		logEnd := tcx.log.NextLSN()
+		logEnd := tcx.log.LastLSN()
 		for _, s := range stubs {
 			s.take()
 		}
@@ -552,8 +562,8 @@ func TestAbortWithUnsentWrites(t *testing.T) {
 		for i, s := range stubs {
 			s.quiet(t, fmt.Sprintf("scanned=%v DC %d, abort", scanned, i))
 		}
-		if next := tcx.log.NextLSN(); next != logEnd {
-			t.Fatalf("scanned=%v: abort took LSNs %d..%d", scanned, logEnd, next-1)
+		if next := tcx.log.LastLSN(); next != logEnd {
+			t.Fatalf("scanned=%v: abort took LSNs %d..%d", scanned, logEnd+1, next)
 		}
 		if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 			t.Fatalf("scanned=%v: abort left %d locks held", scanned, got)
@@ -710,15 +720,15 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				if err := tcx.Recover(); err != nil {
 					t.Fatal(err)
 				}
-				logEnd := tcx.log.NextLSN()
+				logEnd := tcx.log.LastLSN()
 				for _, s := range stubs {
 					s.take()
 				}
 				if err := end.call(x); !errors.Is(err, ErrTCStopped) {
 					t.Fatalf("orphan's %s = %v, want ErrTCStopped", end.name, err)
 				}
-				if next := tcx.log.NextLSN(); next != logEnd {
-					t.Fatalf("orphan's %s took LSNs %d..%d of the new incarnation's log", end.name, logEnd, next-1)
+				if next := tcx.log.LastLSN(); next != logEnd {
+					t.Fatalf("orphan's %s took LSNs %d..%d of the new incarnation's log", end.name, logEnd+1, next)
 				}
 				for i, s := range stubs {
 					s.quiet(t, fmt.Sprintf("DC %d, orphan's %s", i, end.name))
@@ -780,12 +790,12 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			if !errors.Is(err, ErrTCStopped) || errors.Is(err, base.ErrStaleEpoch) || !base.IsTransient(err) {
 				t.Fatalf("straddling %s = %v, want a transient ErrTCStopped", r.name, err)
 			}
-			logEnd := tcx.log.NextLSN()
+			logEnd := tcx.log.LastLSN()
 			if err := r.call(x); !errors.Is(err, ErrTCStopped) {
 				t.Fatalf("dead orphan's %s = %v, want ErrTCStopped", r.name, err)
 			}
-			if next := tcx.log.NextLSN(); next != logEnd {
-				t.Fatalf("the dead orphan took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+			if next := tcx.log.LastLSN(); next != logEnd {
+				t.Fatalf("the dead orphan took LSNs %d..%d of the new incarnation's log", logEnd+1, next)
 			}
 			if err := x.Abort(); err != nil {
 				t.Fatalf("abort of a dead orphan = %v, want nil", err)
@@ -816,7 +826,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				if err := tcx.Recover(); err != nil {
 					t.Error(err)
 				}
-				logEnd = tcx.log.NextLSN()
+				logEnd = tcx.log.LastLSN()
 			}
 		})
 		err := x.Insert("u", "cold", []byte("v"))
@@ -826,8 +836,8 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 		if !errors.Is(err, ErrTCStopped) || errors.Is(err, base.ErrStaleEpoch) {
 			t.Fatalf("insert straddling its existence check = %v, want a plain ErrTCStopped", err)
 		}
-		if next := tcx.log.NextLSN(); next != logEnd {
-			t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+		if next := tcx.log.LastLSN(); next != logEnd {
+			t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd+1, next)
 		}
 		if ops := txnRecords(tcx, x.id); len(ops) != 0 {
 			t.Fatalf("the successor's log holds %d op records of the orphan", len(ops))
@@ -904,7 +914,7 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				if err := y.Upsert("t", "successor", []byte("y")); err != nil {
 					t.Error(err)
 				}
-				logEnd = tcx.log.NextLSN()
+				logEnd = tcx.log.LastLSN()
 			}
 			deliveries := 0
 			shipped := make(chan base.LSN, 1)
@@ -949,8 +959,8 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			if y == nil {
 				t.Fatal("the TC was never restarted under the commit")
 			}
-			if next := tcx.log.NextLSN(); next != logEnd {
-				t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd, next-1)
+			if next := tcx.log.LastLSN(); next != logEnd {
+				t.Fatalf("the straddler took LSNs %d..%d of the new incarnation's log", logEnd+1, next)
 			}
 			// With nothing of x in the stable log, restart hands its id out again.
 			if !s.winner && y.id != x.id {
@@ -1001,7 +1011,7 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 			}
 		}
 	}
-	logEnd := tcx.log.NextLSN()
+	logEnd := tcx.log.LastLSN()
 	err := x.Insert("u", "cold", []byte("v"))
 	if !errors.Is(err, base.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("insert error %v does not carry ErrCancelled + context.Canceled", err)
@@ -1021,8 +1031,8 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	if got := len(tcx.inc.Load().locks.Held(x.id)); got != 0 {
 		t.Fatalf("clean abort left %d locks held", got)
 	}
-	if next := tcx.log.NextLSN(); next != logEnd {
-		t.Fatalf("the cancelled transaction took LSNs %d..%d", logEnd, next-1)
+	if next := tcx.log.LastLSN(); next != logEnd {
+		t.Fatalf("the cancelled transaction took LSNs %d..%d", logEnd+1, next)
 	}
 	before := tcx.RSSP()
 	if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
@@ -1097,9 +1107,9 @@ func TestOnlyRecordsTakeLSNs(t *testing.T) {
 	if err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	for lsn := base.LSN(1); lsn < tcx.log.NextLSN(); lsn++ {
+	for lsn := base.LSN(1); lsn <= tcx.log.LastLSN(); lsn++ {
 		if tcx.log.Get(lsn) == nil {
-			t.Fatalf("LSN %d of 1..%d has no record: something other than a record took it", lsn, tcx.log.NextLSN()-1)
+			t.Fatalf("LSN %d of 1..%d has no record: something other than a record took it", lsn, tcx.log.LastLSN())
 		}
 	}
 	if lwm, last := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != last {

@@ -34,13 +34,15 @@ import (
 //  2. ships the writes, one batch per DC and window of maxBatch; and
 //  3. forces the batch.
 //
-// A record carries no undo information (§4.1.1): it is stable exactly when
-// its transaction's commit record is, so it is never a loser's, and nothing
-// ever inverts it. So a transaction of n writes logs n records and ships them
-// in one call per DC for every maxBatch of them, versioned or not (a
-// versioned one's writes carry its commit timestamp); an abort costs nothing
-// and logs nothing, and a write holds no LSN while its transaction idles or
-// waits for a lock.
+// An op record carries its operation and nothing else (§4.1.1): no undo
+// information, since it is stable exactly when its transaction's commit
+// record is, so it is never a loser's and nothing ever inverts it; and no
+// transaction id or commit timestamp, which the commit record that ends its
+// batch holds once for all of them. So a transaction of n writes logs n
+// records and ships them in one call per DC for every maxBatch of them,
+// versioned or not (a versioned one's writes are shipped stamped with its
+// commit timestamp); an abort costs nothing and logs nothing, and a write
+// holds no LSN while its transaction idles or waits for a lock.
 //
 // What it allocates per transaction is only what outlives the transaction.
 // Everything it uses on its own goroutine is its scratch (txnScratch), taken
@@ -312,7 +314,7 @@ func (x *Txn) appendQueued() (base.LSN, error) {
 	for i := range x.queue {
 		start := len(x.enc)
 		x.enc = appendOpPayload(x.enc, &x.queue[i].op)
-		recs = append(recs, wal.Record{Kind: recOp, Txn: x.id, Payload: x.enc[start:]})
+		recs = append(recs, wal.Record{Kind: recOp, Payload: x.enc[start:]})
 	}
 	start := len(x.enc)
 	x.enc = appendCommit(x.enc, x.commitTS)

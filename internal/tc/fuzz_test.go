@@ -11,7 +11,8 @@ import (
 // may panic, and what one accepts is exactly one payload: it re-encodes to
 // the bytes it was decoded from. The seeds are the encoders' own output —
 // an op payload of every kind and flag, with keys and values of several
-// lengths — and every strict prefix of it (a torn payload).
+// lengths, a versioned one with no timestamp of its own — and every strict
+// prefix of it (a torn payload).
 func FuzzDecodePayloads(f *testing.F) {
 	type reencoder func([]byte) ([]byte, bool)
 	type seed struct {
@@ -21,16 +22,15 @@ func FuzzDecodePayloads(f *testing.F) {
 	var seeds []seed
 	for _, kind := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert} {
 		for _, versioned := range []bool{false, true} {
-			for _, ts := range []base.TS{0, 1 << 50} {
-				for _, kv := range [][2]string{{"k", ""}, {"k", "new"}, {"c0/k0000001", "a value of forty bytes, give or take one"}} {
-					op := &base.Op{TC: 1, Kind: kind, Table: "t", Key: kv[0], Value: []byte(kv[1]), Versioned: versioned, TS: ts}
-					seeds = append(seeds, seed{appendOpPayload(nil, op), reencodeOp})
-				}
+			for _, kv := range [][2]string{{"k", ""}, {"k", "new"}, {"c0/k0000001", "a value of forty bytes, give or take one"}} {
+				op := &base.Op{TC: 1, Kind: kind, Table: "t", Key: kv[0], Value: []byte(kv[1]), Versioned: versioned}
+				seeds = append(seeds, seed{appendOpPayload(nil, op), reencodeOp})
 			}
 		}
 	}
 	seeds = append(seeds,
 		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}), reencodeOp},
+		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 64), Versioned: true}), reencodeOp},
 		seed{appendCommit(nil, 909), reencodeCommit},
 		seed{appendCommit(nil, 1<<50), reencodeCommit},
 		seed{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
@@ -45,11 +45,11 @@ func FuzzDecodePayloads(f *testing.F) {
 			f.Add(seed.payload[:n])
 		}
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a count no buffer can back
-	f.Add([]byte{byte(base.OpDelete), 1, 't', 0x81, 0x00})                    // a non-minimal length
-	f.Add([]byte{byte(base.OpDelete) | 1<<6, 1, 't', 1, 'k'})                 // a head bit no encoder sets
-	f.Add([]byte{byte(base.OpDelete) | opHasTS, 1, 't', 1, 'k', 0})           // a TS present as 0
-	f.Add([]byte{byte(base.OpDelete), 1, 't', 1, 'k', 0})                     // a byte past the end
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})  // a count no buffer can back
+	f.Add([]byte{byte(base.OpDelete), 1, 't', 0x81, 0x00})                     // a non-minimal length
+	f.Add([]byte{byte(base.OpDelete) | 1<<6, 1, 't', 1, 'k'})                  // a head bit no encoder sets
+	f.Add([]byte{byte(base.OpDelete) | opVersioned | 1<<5, 1, 't', 1, 'k', 9}) // a timestamp behind the earlier format's flag
+	f.Add([]byte{byte(base.OpDelete), 1, 't', 1, 'k', 0})                      // a byte past the end
 	all := map[string]reencoder{
 		"op": reencodeOp, "commit": reencodeCommit, "checkpoint": reencodeCheckpoint, "epoch": reencodeEpoch,
 	}

@@ -28,7 +28,7 @@ func TestNoAdmissionWhileDown(t *testing.T) {
 	}
 	refused := func(when string) {
 		t.Helper()
-		next := tcx.log.NextLSN()
+		next := tcx.log.LastLSN()
 		for _, s := range stubs {
 			s.take()
 		}
@@ -56,8 +56,8 @@ func TestNoAdmissionWhileDown(t *testing.T) {
 				t.Fatalf("%s, %+v: took transaction id %d, snapshot timestamp %d", when, opts, x.ID(), x.SnapshotTS())
 			}
 		}
-		if got := tcx.log.NextLSN(); got != next {
-			t.Fatalf("%s: LSNs %d..%d were taken", when, next, got-1)
+		if got := tcx.log.LastLSN(); got != next {
+			t.Fatalf("%s: LSNs %d..%d were taken", when, next+1, got)
 		}
 		if n := tcx.ActiveTxns(); n != 0 {
 			t.Fatalf("%s: %d transactions in the table", when, n)
@@ -251,7 +251,7 @@ func TestChaosCrashTCUnderLoad(t *testing.T) {
 
 	// Quiet now. A checkpoint, a known number of logged operations, one last
 	// restart: it redoes those and nothing older.
-	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.NextLSN()-1; lwm != end {
+	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != end {
 		t.Fatalf("low-water mark %d below the log end %d with no writer left: a dead incarnation's LSN was never completed", lwm, end)
 	}
 	if _, err := tcx.Checkpoint(ctx); err != nil {
@@ -273,7 +273,7 @@ func TestChaosCrashTCUnderLoad(t *testing.T) {
 	if got := tcx.Stats().RedoOps - redone; got > tail {
 		t.Fatalf("the last restart redid %d operations, %d were logged since the checkpoint before it", got, tail)
 	}
-	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.NextLSN()-1; lwm != end {
+	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != end {
 		t.Fatalf("low-water mark %d below the log end %d after the last restart", lwm, end)
 	}
 	if err := tcx.RunTxnOnce(ctx, TxnOptions{}, func(x *Txn) error {

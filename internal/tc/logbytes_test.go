@@ -11,18 +11,19 @@ import (
 // makes durable: the TC-log bytes (storage.LogStore.AppendedBytes, framing
 // not counted) of a redo-only commit batch of four Upserts of 11-byte keys
 // and 64-byte values into table "kv", with 3-byte LSNs and transaction ids.
-// Each op record is an 8-byte header (LSN, kind, transaction id, one byte of
+// Each op record is a 4-byte header (LSN and kind: no transaction id, no
 // chain) and an 81-byte payload (head, table, key, value); the commit record
-// is the header and a zero timestamp: 4 x 89 + 9 = 365 B. The encoding that
-// carried the wire's whole operation, an undo marker, a full-width Prev, an
-// empty NextUndo and a payload length wrote 415. A versioned transaction's
-// records add the commit timestamp, on each write and on the commit: they
-// must shrink by at least as much as the unversioned ones, from the 459 B
-// the old encoding wrote with a 9-byte timestamp.
+// is a 7-byte header (LSN, kind, transaction id) and a zero timestamp:
+// 4 x 85 + 8 = 348 B. A versioned transaction's commit record holds its
+// 9-byte commit timestamp, which its op records no longer repeat:
+// 4 x 85 + 16 = 356 B. The encoding that gave every op record a transaction
+// id and a link, and a versioned one its timestamp, wrote 365 and 409 B; the
+// one before it, which carried the wire's whole operation, an undo marker, a
+// full-width Prev, an empty NextUndo and a payload length, 415 and 459 B.
 func TestCommitBatchLogBytes(t *testing.T) {
 	const (
-		want          = 365
-		wantVersioned = 459 - (415 - want)
+		want          = 348
+		wantVersioned = 356
 	)
 	p := newBenchPair(t)
 	for p.tc.log.LastLSN() < 1<<14 {
@@ -58,8 +59,8 @@ func TestCommitBatchLogBytes(t *testing.T) {
 		}
 		got := media.AppendedBytes() - before
 		t.Logf("versioned %v: %d B", c.versioned, got)
-		if got > c.want {
-			t.Errorf("versioned %v: a commit of four Upserts logs %d B, want <= %d", c.versioned, got, c.want)
+		if got != c.want {
+			t.Errorf("versioned %v: a commit of four Upserts logs %d B, want %d", c.versioned, got, c.want)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestNothingLeavesBeforeCommit(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			logEnd := tcx.log.NextLSN()
+			logEnd := tcx.log.LastLSN()
 			if keys, _, err := x.Scan("t", "a", "z", 0); err != nil || len(keys) != 2 {
 				t.Fatalf("scan: %v %v", keys, err)
 			}
@@ -172,8 +172,8 @@ func TestNothingLeavesBeforeCommit(t *testing.T) {
 						versioned, i, single, batches)
 				}
 			}
-			if next := tcx.log.NextLSN(); next != logEnd {
-				t.Fatalf("versioned=%v: the reads appended LSNs %d..%d", versioned, logEnd, next-1)
+			if next := tcx.log.LastLSN(); next != logEnd {
+				t.Fatalf("versioned=%v: the reads appended LSNs %d..%d", versioned, logEnd+1, next)
 			}
 			if !commit {
 				if err := x.Abort(); err != nil {
@@ -182,8 +182,8 @@ func TestNothingLeavesBeforeCommit(t *testing.T) {
 				for i, s := range stubs {
 					s.quiet(t, fmt.Sprintf("versioned=%v DC %d, abort", versioned, i))
 				}
-				if next := tcx.log.NextLSN(); next != logEnd {
-					t.Fatalf("versioned=%v: the abort appended LSNs %d..%d", versioned, logEnd, next-1)
+				if next := tcx.log.LastLSN(); next != logEnd {
+					t.Fatalf("versioned=%v: the abort appended LSNs %d..%d", versioned, logEnd+1, next)
 				}
 				if v, ok := dirty(dcs[0], "t", "a"); ok {
 					t.Fatalf("versioned=%v: an aborted write reached the DC: %q", versioned, v)

@@ -14,18 +14,18 @@ import (
 // in one batch with its transaction's commit record (Txn.appendQueued), so
 // it is stable only beside it, never a loser's, and nothing inverts it.
 //
-//	head   1 byte: bits 0-3 the op kind, bit 4 Versioned, bit 5 TS present,
-//	       bits 6-7 zero
+//	head   1 byte: bits 0-3 the op kind, bit 4 Versioned, bits 5-7 zero
 //	table  uvarint length, bytes
 //	key    uvarint length, bytes
 //	value  uvarint length, bytes; only for a kind that writes one
-//	TS     uvarint; only when present, and then never 0
 //
 // The operation's LSN is the record's, its TC the log's owner, and its epoch
 // the restarted incarnation's (a logged, dead one would be refused by the
-// DC fence), so none is written; nor is anything only a read carries. A
-// decoded operation has Kind, Table, Key, Value, Versioned and TS; its
-// caller stamps the rest.
+// DC fence), so none is written; nor is anything only a read carries. Nor is
+// its transaction's: the record has no transaction id, and a versioned
+// write's timestamp is its commit's, which the commit record that closes the
+// record's run in the log holds (redo). A decoded operation has Kind, Table,
+// Key, Value and Versioned; its caller stamps the rest.
 //
 // The payload encoders append to buf. The log copies a payload into its own
 // encoding of the record (wal.AppendBatch), so a caller that logs many keeps
@@ -37,17 +37,11 @@ func appendOpPayload(buf []byte, op *base.Op) []byte {
 	if op.Versioned {
 		head |= opVersioned
 	}
-	if op.TS != 0 {
-		head |= opHasTS
-	}
 	buf = append(buf, head)
 	buf = appendField(buf, op.Table)
 	buf = appendField(buf, op.Key)
 	if hasValue(op.Kind) {
 		buf = appendField(buf, op.Value)
-	}
-	if op.TS != 0 {
-		buf = binary.AppendUvarint(buf, uint64(op.TS))
 	}
 	return buf
 }
@@ -58,9 +52,6 @@ func opPayloadLen(op *base.Op) int {
 	if hasValue(op.Kind) {
 		n += fieldLen(len(op.Value))
 	}
-	if op.TS != 0 {
-		n += base.UvarintLen(uint64(op.TS))
-	}
 	return n
 }
 
@@ -68,7 +59,6 @@ func opPayloadLen(op *base.Op) int {
 const (
 	opKindMask  = 0x0f
 	opVersioned = 1 << 4
-	opHasTS     = 1 << 5
 )
 
 // hasValue reports whether kind writes a value, which its record carries.
@@ -85,25 +75,20 @@ func appendField[T string | []byte](buf []byte, f T) []byte {
 var errCorruptOp = errors.New("tc: corrupt op payload")
 
 // decodeOpPayload parses exactly one payload of appendOpPayload: a kind that
-// is not a write, a head bit the encoder never sets, a TS present as 0, a
-// non-minimal varint and a byte past the end are corruption, so whatever
-// decodes re-encodes to itself. The operation's Value aliases payload; Table
-// and Key are copied, each in an allocation of its own.
+// is not a write, a head bit the encoder never sets, a non-minimal varint and
+// a byte past the end are corruption, so whatever decodes re-encodes to
+// itself. The operation's Value aliases payload; Table and Key are copied,
+// each in an allocation of its own.
 func decodeOpPayload(payload []byte) (*base.Op, error) {
 	d := wal.NewDecoder(payload)
 	head := d.Byte()
 	op := &base.Op{Kind: base.OpKind(head & opKindMask), Versioned: head&opVersioned != 0}
-	if !loggable(op.Kind) || head&^(opKindMask|opVersioned|opHasTS) != 0 {
+	if !loggable(op.Kind) || head&^(opKindMask|opVersioned) != 0 {
 		return nil, errCorruptOp
 	}
 	table, key := d.Field(), d.Field()
 	if hasValue(op.Kind) {
 		op.Value = d.Field()
-	}
-	if head&opHasTS != 0 {
-		if op.TS = base.TS(d.Uvarint()); op.TS == 0 {
-			d.Fail()
-		}
 	}
 	if !d.End() {
 		return nil, errCorruptOp
@@ -119,8 +104,9 @@ func loggable(kind base.OpKind) bool {
 
 // Commit-record payload: the commit timestamp (zero for an unversioned
 // transaction), so analysis can re-seed the timestamp allocator above every
-// durable commit. Nothing else: a versioned write carries its timestamp in its
-// own record, so redo re-delivers it stamped.
+// durable commit, and redo can stamp the transaction's versioned writes, whose
+// records precede it in the same batch and carry no timestamp of their own.
+// Nothing else: the record's transaction id is the log's (wal.Record.Txn).
 func appendCommit(buf []byte, ts base.TS) []byte {
 	return binary.AppendUvarint(buf, uint64(ts))
 }

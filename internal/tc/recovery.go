@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
@@ -47,13 +45,14 @@ func (t *TC) end(inc *incarnation) {
 // Recover implements the TC side of the restart function (§4.2.1 restart,
 // §5.3.2 "TC Failure"):
 //
-//  1. Analysis over the stable log: find the redo scan start point and the
-//     newest commit timestamp. There are no losers to find: a write's record
-//     is appended in one batch with its commit record, which the log keeps
-//     whole or not at all, so a stable op record without its commit record
-//     is in a log this TC did not write, and Recover refuses it, as it
-//     refuses a record of a kind it does not write (the compensation and
-//     abort records of a TC that logged undo).
+//  1. Analysis over the stable log: find the redo scan start point, the
+//     newest commit timestamp and the largest transaction id. There are no
+//     losers to find: a write's record is appended in one batch with its
+//     commit record, right before it, and the log keeps the batch whole or
+//     not at all, so every run of op records ends in a commit record. One
+//     that does not is in a log this TC did not write, and Recover refuses
+//     it, as it refuses a record of a kind it does not write (the
+//     compensation and abort records of a TC that logged undo).
 //  2. One resend per DC, the one RecoverDC runs: open its bracket, which
 //     discards effects of operations beyond the stable log (targeted page
 //     reset — only this TC's records are touched), resend every logged
@@ -79,13 +78,13 @@ func (t *TC) Recover() error {
 
 	// --- analysis ---
 	rssp := base.LSN(1)
-	uncommitted := make(map[base.TxnID]base.LSN) // a first op record no commit record has followed
+	var open base.LSN // the first op record of a run no commit record has closed yet
 	maxTxn := uint64(0)
 	maxEpoch := base.Epoch(0)
 	maxCommitTS := base.TS(0)
 	for _, rec := range records {
-		if uint64(rec.Txn) > maxTxn {
-			maxTxn = uint64(rec.Txn)
+		if open != 0 && rec.Kind != recOp && rec.Kind != recCommit {
+			break // the run ended without its commit record
 		}
 		switch rec.Kind {
 		case recCheckpoint:
@@ -102,11 +101,12 @@ func (t *TC) Recover() error {
 				maxEpoch = e
 			}
 		case recOp:
-			if _, ok := uncommitted[rec.Txn]; !ok {
-				uncommitted[rec.Txn] = rec.LSN
+			if open == 0 {
+				open = rec.LSN
 			}
 		case recCommit:
-			delete(uncommitted, rec.Txn)
+			open = 0
+			maxTxn = max(maxTxn, uint64(rec.Txn))
 			if cts, err := decodeCommit(rec.Payload); err == nil && cts > maxCommitTS {
 				maxCommitTS = cts
 			}
@@ -114,9 +114,8 @@ func (t *TC) Recover() error {
 			return fmt.Errorf("tc %d: restart: record @%d is of kind %d, which this TC does not write", t.cfg.ID, rec.LSN, rec.Kind)
 		}
 	}
-	if len(uncommitted) > 0 {
-		first := slices.Min(slices.Collect(maps.Values(uncommitted)))
-		return fmt.Errorf("tc %d: restart: op record @%d has no commit record", t.cfg.ID, first)
+	if open != 0 {
+		return fmt.Errorf("tc %d: restart: op record @%d has no commit record", t.cfg.ID, open)
 	}
 
 	t.rssp.Store(uint64(rssp))
@@ -293,11 +292,28 @@ func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err er
 }
 
 // redo resends DC idx's records from the redo scan start point, in one
-// delivery (see openBracket).
+// delivery (see openBracket). A versioned write is resent stamped with the
+// timestamp of the commit record that closes its run of op records — its
+// batch's — so the DC receives exactly what the commit shipped. Every run is
+// closed: Recover refuses a log where one is not, and the stable log a live
+// incarnation scans holds whole batches only.
 func (inc *incarnation) redo(idx int) error {
 	t := inc.tc
 	var ops []*base.Op
+	run := 0 // the ops of the run of op records not yet closed: ops' tail
 	for _, rec := range t.log.Scan(t.RSSP()) {
+		if rec.Kind == recCommit {
+			ts, err := decodeCommit(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("redo decode @%d: %w", rec.LSN, err)
+			}
+			for _, op := range ops[len(ops)-run:] {
+				if op.Versioned {
+					op.TS = ts
+				}
+			}
+			run = 0
+		}
 		if rec.Kind != recOp {
 			continue
 		}
@@ -317,6 +333,7 @@ func (inc *incarnation) redo(idx int) error {
 		}
 		op.TC, op.LSN, op.Epoch = t.cfg.ID, rec.LSN, inc.epoch
 		ops = append(ops, op)
+		run++
 	}
 	if err := inc.deliver(context.Background(), idx, ops, true); err != nil {
 		return fmt.Errorf("redo: %w", err)

@@ -135,14 +135,14 @@ func TestRestartAbortsNoWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	logEnd := tcx.log.NextLSN()
+	logEnd := tcx.log.LastLSN()
 	tcx.Crash()
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	tcx.log.Force()
 	var appended []uint8
-	for _, rec := range tcx.log.Scan(logEnd) {
+	for _, rec := range tcx.log.Scan(logEnd + 1) {
 		appended = append(appended, rec.Kind)
 	}
 	if want := fmt.Sprint([]uint8{recEpoch}); fmt.Sprint(appended) != want {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -152,35 +154,141 @@ func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
 	}
 }
 
-// TestRedoOnlyRecordIsNeverUndone: an op record is stable only beside its
-// commit record, so one without it — or a compensation or abort record of a
-// TC that logged undo — is in a log this TC did not write. Recover inverts
-// nothing of it: it fails with an error, mints no epoch, and the TC stays
-// down, however often it is asked.
+// TestRedoOnlyRecordIsNeverUndone: an op record is stable only in a run of op
+// records that its transaction's commit record closes, so one without it — a
+// run at the log's end, or one that a record of another kind cuts short even
+// if a committed batch follows — or a compensation or abort record of a TC
+// that logged undo is in a log this TC did not write. Recover inverts nothing
+// of it and redoes nothing: it fails with an error, mints no epoch, and the
+// TC stays down, however often it is asked.
 func TestRedoOnlyRecordIsNeverUndone(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		kind uint8
-	}{{"op-without-commit", recOp}, {"compensation", 2}, {"abort", 4}} {
+		name  string
+		kinds []uint8
+	}{
+		{"op-without-commit", []uint8{recOp}},
+		{"run-without-commit", []uint8{recOp, recCommit, recOp, recOp}},
+		{"run-cut-by-epoch", []uint8{recOp, recOp, recEpoch, recOp, recCommit}},
+		{"compensation", []uint8{2}},
+		{"abort", []uint8{4}},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			tcx, dcs, _ := newCountedPair(t)
 			op := &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
-			tcx.log.AppendAssign(&wal.Record{Kind: c.kind, Txn: 77, Payload: appendOpPayload(nil, op)})
+			for _, kind := range c.kinds {
+				rec := &wal.Record{Kind: kind, Payload: appendOpPayload(nil, op)}
+				switch kind {
+				case recCommit:
+					rec.Txn, rec.Payload = 77, appendCommit(nil, 0)
+				case recEpoch:
+					rec.Payload = encodeEpoch(9)
+				}
+				tcx.log.AppendAssign(rec)
+			}
 			tcx.log.Force()
 			tcx.Crash()
-			logEnd := tcx.log.NextLSN()
+			logEnd := tcx.log.LastLSN()
 			for i := 0; i < 2; i++ {
 				if err := tcx.Recover(); err == nil || !tcx.NeedsRecovery() {
-					t.Fatalf("recover over a record of kind %d = %v, down %v; want an error and the TC down", c.kind, err, tcx.NeedsRecovery())
+					t.Fatalf("recover over records of kinds %v = %v, down %v; want an error and the TC down", c.kinds, err, tcx.NeedsRecovery())
 				}
 			}
-			if next := tcx.log.NextLSN(); next != logEnd {
-				t.Fatalf("the refused recoveries appended LSNs %d..%d", logEnd, next-1)
+			if next := tcx.log.LastLSN(); next != logEnd {
+				t.Fatalf("the refused recoveries appended LSNs %d..%d", logEnd+1, next)
 			}
 			if v, ok := dirty(dcs[0], "t", "k"); ok {
 				t.Fatalf("the refused record's write reached the DC: %q", v)
 			}
 		})
+	}
+}
+
+// stampRecorder passes every call on to its DC and records the timestamp of
+// every logged operation it delivers, by LSN.
+type stampRecorder struct {
+	base.Service
+	mu     sync.Mutex
+	stamps map[base.LSN][]base.TS
+	before func() // when set, runs once before a delivery is passed on
+}
+
+func (s *stampRecorder) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
+	s.mu.Lock()
+	for _, op := range ops {
+		if op.LSN != 0 {
+			s.stamps[op.LSN] = append(s.stamps[op.LSN], op.TS)
+		}
+	}
+	before := s.before
+	s.before = nil
+	s.mu.Unlock()
+	if before != nil {
+		before()
+	}
+	return s.Service.PerformBatch(ctx, ops)
+}
+
+// TestRedoStampsVersionedWritesFromTheirCommit: a versioned op record holds no
+// timestamp, so redo stamps each write with its batch's commit record's. Three
+// transactions — versioned, unversioned, versioned — commit, the last one
+// crashing between its ship and its force, which a peer's group force made
+// stable first; Recover resends all three, and every write reaches the DC
+// with exactly the timestamp its commit shipped it with: each versioned
+// transaction's own, and none on the unversioned one's.
+func TestRedoStampsVersionedWritesFromTheirCommit(t *testing.T) {
+	d, err := dc.New(dc.Config{Name: "dc0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	rec := &stampRecorder{Service: d, stamps: map[base.LSN][]base.TS{}}
+	tcx, err := New(Config{ID: 1}, []base.Service{rec}, placement.MustParse("t: dc=0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tcx.Close)
+	var xs []*Txn
+	var firsts []base.LSN // each transaction's first op record
+	for i, versioned := range []bool{true, false, true} {
+		if i == 2 {
+			rec.mu.Lock()
+			rec.before = func() {
+				tcx.log.Force() // a peer's group force
+				tcx.Crash()
+			}
+			rec.mu.Unlock()
+		}
+		firsts = append(firsts, tcx.log.LastLSN()+1)
+		x := tcx.Begin(context.Background(), TxnOptions{Versioned: versioned})
+		for _, key := range []string{"a", "b"} {
+			if err := x.Upsert("t", key, []byte(fmt.Sprint("v", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Commit(); (i == 2) != errors.Is(err, ErrCommitAmbiguous) {
+			t.Fatalf("commit %d = %v", i, err)
+		}
+		xs = append(xs, x)
+	}
+	if xs[0].commitTS == 0 || xs[2].commitTS <= xs[0].commitTS || xs[1].commitTS != 0 {
+		t.Fatalf("commit timestamps %d, %d, %d", xs[0].commitTS, xs[1].commitTS, xs[2].commitTS)
+	}
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for i, x := range xs {
+		for j := range 2 {
+			lsn := firsts[i] + base.LSN(j)
+			got := rec.stamps[lsn]
+			if len(got) < 2 || slices.ContainsFunc(got, func(ts base.TS) bool { return ts != x.commitTS }) {
+				t.Fatalf("transaction %d's write @%d was delivered stamped %v, want its commit's %d at the ship and the redo",
+					i, lsn, got, x.commitTS)
+			}
+		}
 	}
 }
 

@@ -396,7 +396,7 @@ func TestCheckpointAdvancesAndBoundsRedo(t *testing.T) {
 	if rssp <= 1 {
 		t.Fatalf("rssp = %d", rssp)
 	}
-	if tcx.Log().StartLSN() == 1 {
+	if start, _, _ := tcx.Log().Media().Bounds(); start == 1 {
 		t.Fatal("log not truncated by checkpoint")
 	}
 	// After a checkpoint, a DC crash needs only the redo suffix.
@@ -533,16 +533,17 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	op.TC, op.LSN = 0, 0 // the log's owner and the record carry them
+	op.TC, op.LSN, op.TS = 0, 0, 0 // the log's owner, the record and its commit record carry them
 	if !reflect.DeepEqual(op, got) {
 		t.Fatalf("op mismatch: %+v vs %+v", op, got)
 	}
-	// The undo image earlier builds logged in the head's top bits, and the
-	// inverse of a versioned write, are refused: old TC-logs get no
-	// compatibility reader.
+	// The undo image earlier builds logged in the head's top bits, the
+	// timestamp they logged behind bit 5, and the inverse of a versioned
+	// write, are refused: old TC-logs get no compatibility reader.
 	for _, bad := range [][]byte{
 		append([]byte{buf[0] | 1<<6}, buf[1:]...),
 		append([]byte{buf[0] | 2<<6}, buf[1:]...),
+		append(append([]byte{buf[0] | 1<<5}, buf[1:]...), 0x8d, 0x07),
 		appendField([]byte{byte(base.OpAbortVersions)}, "t"),
 	} {
 		if op, err := decodeOpPayload(bad); err == nil {

@@ -764,9 +764,10 @@ func (x *Txn) commitLogged() error {
 	if x.opts.Versioned {
 		// Commit is the lock point: the transaction holds every lock it will
 		// take, so its commit timestamp, the snapshot visibility point of its
-		// versioned writes, is drawn here and rides them. Logged in their
-		// records, so redo re-delivers them stamped, and in the commit record,
-		// so restart re-seeds the allocator above it.
+		// versioned writes, is drawn here and rides them. It is logged once,
+		// in the commit record, which closes the writes' records in the log:
+		// redo stamps them from it, and restart re-seeds the allocator above
+		// it.
 		x.commitTS = inc.assignCommitTS()
 		for i := range x.queue {
 			x.queue[i].op.TS = x.commitTS

@@ -195,10 +195,7 @@ func walk(t *testing.T, md medium, seed int64, steps int) {
 			if got != m.next || got <= m.truncated {
 				t.Fatalf("seed %d step %d: %s = %d, want %d (above truncated %d)", seed, step, op, got, m.next, m.truncated)
 			}
-			for i, r := range batch {
-				if i > 0 {
-					r.Prev = m.next - 1 // chained to its predecessor
-				}
+			for _, r := range batch {
 				r.LSN = m.next
 				m.recs, m.next = append(m.recs, r), m.next+1
 			}

@@ -28,16 +28,23 @@
 // length of its own:
 //
 //	LSN       uvarint
-//	Kind      1 byte
-//	Txn       uvarint
-//	link      uvarint: (LSN-Prev)<<1 | hasNextUndo, LSN-Prev read as 0 when Prev is 0
+//	kind      1 byte: bits 0-4 the owner's Kind, bit 5 set (the format mark),
+//	          bit 6 a Txn follows, bit 7 a link follows
+//	Txn       uvarint, only when set (bit 6)
+//	link      uvarint (LSN-Prev)<<1 | hasNextUndo, only when Prev or NextUndo
+//	          is set (bit 7); LSN-Prev reads as 0 when Prev is 0
 //	NextUndo  uvarint LSN-NextUndo, only when hasNextUndo (a CLR's)
 //	Payload   the rest of the frame
 //
-// Prev and NextUndo name earlier records, so both deltas are below the LSN
-// and a record of a transaction's chain spends a byte or two on each, not
-// the width of an LSN. The LSN and the kind come first: ScanKinds reads
-// them without decoding the rest.
+// A field that is zero costs nothing: a DC-log record, and a TC's redo-only
+// op record, is its LSN, its kind and its payload; only the monolith, which
+// walks undo chains, writes links. Prev and NextUndo name earlier records, so
+// both deltas are below the LSN and a record of a chain spends a byte or two
+// on each, not the width of an LSN. The format mark is set in every record,
+// and the earlier format, which wrote a transaction id and a link in every
+// record and had owner kinds below 32, never set it: New refuses a log that
+// format wrote instead of misreading its records. The LSN and the kind come
+// first: ScanKinds reads them without decoding the rest.
 package wal
 
 import (
@@ -54,27 +61,51 @@ import (
 )
 
 // Record is one log record. Kind values are interpreted by the owner (TC
-// or DC); wal treats them opaquely.
+// or DC); wal treats them opaquely, and they stay below 32.
 type Record struct {
 	LSN      base.LSN
 	Kind     uint8
 	Txn      base.TxnID
-	Prev     base.LSN // previous record of the same transaction (undo chain)
-	NextUndo base.LSN // for compensation records: next record to undo
+	Prev     base.LSN // previous record of the same transaction: the monolith's undo chain
+	NextUndo base.LSN // for the monolith's compensation records: next record to undo
 	Payload  []byte
 }
 
-// Append encodes r into buf. Prev and NextUndo must each be zero or below
-// r.LSN: a chain only points back.
+// The kind byte: the owner's kind in the low bits, then the format mark and
+// the flags of the fields that are encoded only when set.
+const (
+	kindMask = 0x1f
+	kindMark = 1 << 5
+	kindTxn  = 1 << 6
+	kindLink = 1 << 7
+)
+
+// Append encodes r into buf. Kind must be below 32, the kind byte's higher
+// bits being the encoding's, and Prev and NextUndo each zero or below r.LSN:
+// a chain only points back.
 func (r *Record) Append(buf []byte) []byte {
+	if r.Kind > kindMask {
+		panic(fmt.Sprintf("wal: record %d has kind %d, above %d", r.LSN, r.Kind, kindMask))
+	}
 	link := r.delta(r.Prev) << 1
 	if r.NextUndo != 0 {
 		link |= 1
 	}
+	kind := r.Kind | kindMark
+	if r.Txn != 0 {
+		kind |= kindTxn
+	}
+	if link != 0 {
+		kind |= kindLink
+	}
 	buf = binary.AppendUvarint(buf, uint64(r.LSN))
-	buf = append(buf, r.Kind)
-	buf = binary.AppendUvarint(buf, uint64(r.Txn))
-	buf = binary.AppendUvarint(buf, link)
+	buf = append(buf, kind)
+	if r.Txn != 0 {
+		buf = binary.AppendUvarint(buf, uint64(r.Txn))
+	}
+	if link != 0 {
+		buf = binary.AppendUvarint(buf, link)
+	}
 	if r.NextUndo != 0 {
 		buf = binary.AppendUvarint(buf, r.delta(r.NextUndo))
 	}
@@ -93,17 +124,33 @@ func (r *Record) delta(lsn base.LSN) uint64 {
 }
 
 // DecodeRecord parses exactly one record previously produced by
-// (*Record).Append, the whole of buf: a delta that reaches to or past LSN
-// 0, a NextUndo flag without a NextUndo and non-minimal varints are
-// corruption, so whatever decodes re-encodes to the same bytes.
+// (*Record).Append, the whole of buf: a kind byte without the format mark,
+// a flagged field that is zero, a delta that reaches to or past LSN 0, a
+// NextUndo flag without a NextUndo and non-minimal varints are corruption,
+// so whatever decodes re-encodes to the same bytes.
 func DecodeRecord(buf []byte) (*Record, error) {
 	d := NewDecoder(buf)
-	r := &Record{LSN: base.LSN(d.Uvarint()), Kind: d.Byte(), Txn: base.TxnID(d.Uvarint())}
-	link := d.Uvarint()
-	r.Prev = d.back(r.LSN, link>>1)
-	if link&1 != 0 {
-		if r.NextUndo = d.back(r.LSN, d.Uvarint()); r.NextUndo == 0 {
+	r := &Record{LSN: base.LSN(d.Uvarint())}
+	kind := d.Byte()
+	if !d.bad && kind&kindMark == 0 {
+		return nil, errUnmarked
+	}
+	r.Kind = kind & kindMask
+	if kind&kindTxn != 0 {
+		if r.Txn = base.TxnID(d.Uvarint()); r.Txn == 0 {
 			d.Fail()
+		}
+	}
+	if kind&kindLink != 0 {
+		link := d.Uvarint()
+		if link == 0 {
+			d.Fail()
+		}
+		r.Prev = d.back(r.LSN, link>>1)
+		if link&1 != 0 {
+			if r.NextUndo = d.back(r.LSN, d.Uvarint()); r.NextUndo == 0 {
+				d.Fail()
+			}
 		}
 	}
 	if d.bad {
@@ -186,7 +233,11 @@ func (d *Decoder) back(lsn base.LSN, delta uint64) base.LSN {
 	return lsn - base.LSN(delta)
 }
 
-var errCorrupt = errors.New("wal: corrupt record")
+var (
+	errCorrupt  = errors.New("wal: corrupt record")
+	errUnmarked = fmt.Errorf("%w: no format mark in its kind byte, as in a log of the earlier record format, "+
+		"which wrote every record's transaction id and undo link", errCorrupt)
+)
 
 // mustDecode decodes a record the store handed back. New validated what a
 // previous incarnation left and AppendAssign encoded the rest, so a failure
@@ -249,7 +300,8 @@ func New(media *storage.LogStore) (*Log, error) {
 	l.cond = sync.NewCond(&l.mu)
 	for _, raw := range media.Scan(0) {
 		if _, err := DecodeRecord(raw); err != nil {
-			return nil, err
+			lsn, _ := binary.Uvarint(raw)
+			return nil, fmt.Errorf("record @%d: %w", lsn, err)
 		}
 	}
 	_, _, last := media.Bounds()
@@ -272,8 +324,7 @@ func (g Generation) AppendAssign(r *Record) base.LSN { return g.l.appendOne(g.n,
 
 // AppendBatch appends recs as one batch and returns the LSN of the first;
 // zero, and nothing appended, once the generation has ended. The records take
-// dense LSNs in order, each record's Prev is set to its predecessor's LSN (the
-// first keeps the Prev it has), and the media holds the batch whole or not at
+// dense LSNs in order, and the media holds the batch whole or not at
 // all — a force makes all of it stable or none, on disk as in memory, so no
 // crash keeps a part of it (storage.LogStore.AppendBatch). The log keeps the
 // encodings, not recs.
@@ -348,9 +399,6 @@ func (l *Log) alloc(gen uint64, recs []Record) base.LSN {
 		r := &recs[i]
 		r.LSN = l.next
 		l.next++
-		if i > 0 {
-			r.Prev = recs[i-1].LSN
-		}
 		l.enc = r.Append(l.enc)
 		l.ends = append(l.ends, len(l.enc))
 	}
@@ -417,19 +465,6 @@ func (l *Log) LastLSN() base.LSN {
 	return base.LSN(last)
 }
 
-// StartLSN returns the LSN of the first retained record, or 0 if empty.
-func (l *Log) StartLSN() base.LSN {
-	start, _, _ := l.media.Bounds()
-	return base.LSN(start)
-}
-
-// NextLSN returns the LSN the next record appended will take (diagnostics).
-func (l *Log) NextLSN() base.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // Crash simulates losing the volatile records and ends the generation that
 // wrote them; LSN allocation restarts just above the stable end.
 func (l *Log) Crash() {
@@ -467,7 +502,7 @@ func (l *Log) ScanKinds(before base.LSN, kinds ...uint8) []*Record {
 		if base.LSN(lsn) >= before {
 			break
 		}
-		if slices.Contains(kinds, raw[n]) {
+		if slices.Contains(kinds, raw[n]&kindMask) {
 			out = append(out, mustDecode(raw))
 		}
 	}
@@ -475,8 +510,8 @@ func (l *Log) ScanKinds(before base.LSN, kinds ...uint8) []*Record {
 }
 
 // Get returns a decoded copy of the record with exactly the given LSN
-// (stable or volatile), or nil. Used for undo chain walks during normal
-// rollback.
+// (stable or volatile), or nil. The monolith walks its undo chains with it
+// in a rollback; the TC, which logs no undo, walks none.
 func (l *Log) Get(lsn base.LSN) *Record {
 	raw, ok := l.media.Get(uint64(lsn))
 	if !ok {

@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,14 +27,20 @@ func newLog(t *testing.T) *Log {
 	return l
 }
 
-// roundTripRecords covers the header's every shape: no chain, a Prev alone,
-// a CLR's NextUndo with and without a Prev, one- and many-byte deltas,
-// wide LSNs and transaction ids, and an empty and a non-empty payload.
+// roundTripRecords covers the header's every shape: a record of nothing but
+// its LSN and kind (a DC-log record, a TC's op record), a Txn alone (a TC's
+// commit record), a Prev with and without a Txn, a CLR's NextUndo with and
+// without a Prev, one- and many-byte deltas, wide LSNs and transaction ids,
+// the largest kind, and an empty and a non-empty payload.
 var roundTripRecords = []*Record{
 	{LSN: 1, Kind: 2, Txn: 3, Payload: []byte("hello")},
 	{LSN: 7},
+	{LSN: 1 << 20, Kind: 1, Payload: []byte("\x03\x02kv\x0bk0000000001")},
+	{LSN: 1 << 20, Kind: 3, Txn: 1 << 20, Payload: []byte{0}},
+	{LSN: 9, Kind: 1, Prev: 8},
 	{LSN: 2, Kind: 1, Txn: 1, Prev: 1, Payload: []byte{0}},
-	{LSN: 1 << 40, Kind: 255, Txn: 1 << 50, Prev: 99, NextUndo: 98},
+	{LSN: 1 << 40, Kind: kindMask, Txn: 1 << 50, Prev: 99, NextUndo: 98},
+	{LSN: 1 << 20, Kind: 11, Txn: 1 << 20, Prev: 1<<20 - 3, NextUndo: 1<<20 - 5, Payload: []byte("inverse")}, // the monolith's CLR
 	{LSN: 300, Kind: 4, Txn: 17, Prev: 299, NextUndo: 12, Payload: []byte("inverse")},
 	{LSN: 300, Kind: 4, Txn: 17, NextUndo: 1},
 	{LSN: 1<<63 - 1, Kind: 3, Txn: 1<<64 - 1, Prev: 1<<63 - 2},
@@ -54,7 +64,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(lsn uint64, kind uint8, txn, prev, nu uint64, payload []byte) bool {
 		// A chain points back: Prev and NextUndo lie below the LSN.
 		lsn = lsn>>1 + 1
-		r := &Record{LSN: base.LSN(lsn), Kind: kind, Txn: base.TxnID(txn),
+		r := &Record{LSN: base.LSN(lsn), Kind: kind % (kindMask + 1), Txn: base.TxnID(txn),
 			Prev: base.LSN(prev % lsn), NextUndo: base.LSN(nu % lsn), Payload: payload}
 		if len(r.Payload) == 0 {
 			r.Payload = nil
@@ -88,20 +98,22 @@ func TestRecordDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestRecordHeaderBytes pins what the header spends: an LSN, a kind, a
-// transaction id and one byte of chain when Prev is near, a second delta
-// only on a CLR, and no length.
+// TestRecordHeaderBytes pins what the header spends: an LSN and a kind, a
+// transaction id only when there is one, one byte of chain when Prev is near
+// and none without a chain, a second delta only on a CLR, and no length.
 func TestRecordHeaderBytes(t *testing.T) {
 	for _, c := range []struct {
 		r    Record
 		want int
 	}{
-		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20}, 3 + 1 + 3 + 1},
+		{Record{LSN: 1 << 20, Kind: 1}, 3 + 1},                   // a TC's op record, a DC-log record
+		{Record{LSN: 1 << 20, Kind: 3, Txn: 1 << 20}, 3 + 1 + 3}, // a TC's commit record
+		{Record{LSN: 1 << 20, Kind: 1, Prev: 1<<20 - 1}, 3 + 1 + 1},
 		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 1}, 3 + 1 + 3 + 1},
 		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 63}, 3 + 1 + 3 + 1},
 		{Record{LSN: 1 << 20, Kind: 1, Txn: 1 << 20, Prev: 1<<20 - 64}, 3 + 1 + 3 + 2},
 		{Record{LSN: 1 << 20, Kind: 4, Txn: 1 << 20, Prev: 1<<20 - 1, NextUndo: 1<<20 - 9}, 3 + 1 + 3 + 1 + 1},
-		{Record{LSN: 1 << 20, Kind: 7}, 3 + 1 + 1 + 1}, // a DC-log record
+		{Record{LSN: 1 << 20, Kind: 4, Txn: 1 << 20, NextUndo: 1<<20 - 9}, 3 + 1 + 3 + 1 + 1},
 	} {
 		c.r.Payload = []byte("payload")
 		if got := len(c.r.Append(nil)) - len(c.r.Payload); got != c.want {
@@ -110,24 +122,34 @@ func TestRecordHeaderBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesWhatAppendCannotWrite: deltas that reach LSN 0 or past
-// it, a NextUndo flag over a zero delta and a non-minimal varint are
-// corrupt; Append refuses a link that does not point back.
+// TestDecodeRefusesWhatAppendCannotWrite: a kind byte without the format
+// mark, a flagged transaction id or link that is zero or missing, deltas that
+// reach LSN 0 or past it, a NextUndo flag over a zero delta and a
+// non-minimal varint are corrupt; Append refuses a link that does not point
+// back, and a kind that reaches the kind byte's flag bits.
 func TestDecodeRefusesWhatAppendCannotWrite(t *testing.T) {
+	const op, txn, link = 1 | kindMark, 1 | kindMark | kindTxn, 1 | kindMark | kindLink
 	for name, buf := range map[string][]byte{
-		"prev at 0":        {5, 1, 1, 5 << 1},
-		"prev below 0":     {5, 1, 1, 9 << 1},
-		"next undo at 0":   {5, 1, 1, 1, 5},
-		"next undo absent": {5, 1, 1, 1, 0},
-		"flag, no delta":   {5, 1, 1, 1},
-		"non-minimal":      {5, 1, 0x81, 0x00, 0},
+		"unmarked":         {5, 1},
+		"txn of 0":         {5, txn, 0},
+		"txn absent":       {5, txn},
+		"link of 0":        {5, link, 0},
+		"link absent":      {5, link},
+		"prev at 0":        {5, link, 5 << 1},
+		"prev below 0":     {5, link, 9 << 1},
+		"next undo at 0":   {5, link, 1, 5},
+		"next undo absent": {5, link, 1, 0},
+		"flag, no delta":   {5, link, 1},
+		"non-minimal":      {5, txn, 0x81, 0x00},
+		"non-minimal LSN":  {0x85, 0x00, op},
 		"no kind":          {5},
 	} {
 		if _, err := DecodeRecord(buf); !errors.Is(err, errCorrupt) {
 			t.Errorf("%s: %x decoded (err %v)", name, buf, err)
 		}
 	}
-	for _, r := range []Record{{LSN: 5, Prev: 5}, {LSN: 5, Prev: 6}, {LSN: 5, NextUndo: 5}, {LSN: 1<<63 + 5, Prev: 1}} {
+	for _, r := range []Record{{LSN: 5, Prev: 5}, {LSN: 5, Prev: 6}, {LSN: 5, NextUndo: 5}, {LSN: 1<<63 + 5, Prev: 1},
+		{LSN: 5, Kind: kindMask + 1}, {LSN: 5, Kind: kindTxn}, {LSN: 5, Kind: 255}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -139,14 +161,88 @@ func TestDecodeRefusesWhatAppendCannotWrite(t *testing.T) {
 	}
 }
 
+// earlierFormatRecord encodes r as the record format before the kind byte's
+// flags: the transaction id and the link always, a zero for each one that is
+// not set, and no format mark.
+func earlierFormatRecord(r *Record) []byte {
+	link := r.delta(r.Prev) << 1
+	if r.NextUndo != 0 {
+		link |= 1
+	}
+	buf := binary.AppendUvarint(nil, uint64(r.LSN))
+	buf = append(buf, r.Kind)
+	buf = binary.AppendUvarint(buf, uint64(r.Txn))
+	buf = binary.AppendUvarint(buf, link)
+	if r.NextUndo != 0 {
+		buf = binary.AppendUvarint(buf, r.delta(r.NextUndo))
+	}
+	return append(buf, r.Payload...)
+}
+
+// TestEarlierFormatLogIsRefused: a TC-log file whose records the earlier
+// format wrote — an op record and its commit record, chained, each with its
+// transaction id — opens at the storage layer, whose frames did not change,
+// and New refuses it with an error that names the format, leaving the file
+// byte for byte as it was. The same records in today's format open.
+func TestEarlierFormatLogIsRefused(t *testing.T) {
+	recs := []*Record{
+		{LSN: 1, Kind: 1, Txn: 7, Payload: []byte("\x03\x02kv\x01k\x01v")},
+		{LSN: 2, Kind: 3, Txn: 7, Prev: 1, Payload: []byte{0}},
+	}
+	for _, earlier := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "log")
+		s, err := storage.OpenLogStoreFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		for _, r := range recs {
+			if earlier {
+				frames = append(frames, earlierFormatRecord(r))
+			} else {
+				frames = append(frames, r.Append(nil))
+			}
+		}
+		s.AppendBatch(1, frames...)
+		s.Force()
+		image, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = storage.OpenLogStoreFile(path); err != nil {
+			t.Fatalf("earlier %v: the storage layer refused the file: %v", earlier, err)
+		}
+		l, err := New(s)
+		if !earlier {
+			if err != nil || len(l.Scan(0)) != 2 || !reflect.DeepEqual(l.Scan(0)[1], recs[1]) {
+				t.Fatalf("today's format: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("opened a log of the earlier format: records %+v", l.Scan(0))
+		}
+		if !strings.Contains(err.Error(), "earlier record format") || !strings.Contains(err.Error(), "@1") {
+			t.Fatalf("the refusal does not name the format and the record: %v", err)
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, image) {
+			t.Fatalf("the refused file changed: %x, was %x (%v)", data, image, err)
+		}
+	}
+}
+
 // FuzzDecodeRecord: DecodeRecord never panics, and whatever it accepts is
-// exactly one record — it re-encodes to the bytes it was decoded from.
+// exactly one record — it re-encodes to the bytes it was decoded from. The
+// seeds are every record shape (roundTripRecords: with and without a
+// transaction id, a Prev and a NextUndo, the monolith's CLR among them), each
+// torn at every byte, and the same records in the earlier format.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range roundTripRecords {
 		buf := r.Append(nil)
 		for i := 0; i <= len(buf); i++ {
 			f.Add(buf[:i])
 		}
+		f.Add(earlierFormatRecord(r))
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r, err := DecodeRecord(buf)
@@ -211,8 +307,8 @@ func TestGroupForce(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAppendBatchRacesForce: a generation's batch takes dense LSNs chained by
-// Prev, and a force racing the appends reports — and the log keeps through a
+// TestAppendBatchRacesForce: a generation's batch takes dense LSNs, each
+// record keeping the Prev it was given, and a force racing the appends reports — and the log keeps through a
 // crash — an end of the stable log that ends a batch, never one inside it.
 // Run with -race.
 func TestAppendBatchRacesForce(t *testing.T) {
@@ -234,12 +330,8 @@ func TestAppendBatchRacesForce(t *testing.T) {
 			mu.Unlock()
 			first := g.AppendBatch(recs)
 			for j, r := range recs {
-				want := base.LSN(i)
-				if j > 0 {
-					want = first + base.LSN(j) - 1
-				}
-				if r.LSN != first+base.LSN(j) || r.Prev != want {
-					t.Errorf("batch %d record %d: LSN %d Prev %d, want %d and %d", i, j, r.LSN, r.Prev, first+base.LSN(j), want)
+				if r.LSN != first+base.LSN(j) || r.Prev != base.LSN(i) {
+					t.Errorf("batch %d record %d: LSN %d Prev %d, want %d and %d", i, j, r.LSN, r.Prev, first+base.LSN(j), i)
 					return
 				}
 			}
