@@ -2,6 +2,7 @@ package tc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -11,8 +12,9 @@ import (
 // may panic, and what one accepts is exactly one payload: it re-encodes to
 // the bytes it was decoded from. The seeds are the encoders' own output —
 // an op payload of every kind and flag, with keys and values of several
-// lengths, a versioned one with no timestamp of its own — and every strict
-// prefix of it (a torn payload).
+// lengths, a versioned one with no timestamp of its own, lengths either side
+// of a length prefix's second byte — and every strict prefix of it (a torn
+// payload).
 func FuzzDecodePayloads(f *testing.F) {
 	type reencoder func([]byte) ([]byte, bool)
 	type seed struct {
@@ -31,6 +33,10 @@ func FuzzDecodePayloads(f *testing.F) {
 	seeds = append(seeds,
 		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}), reencodeOp},
 		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 64), Versioned: true}), reencodeOp},
+		// 127 fits a one-byte length prefix, 128 needs two, 300 two with a
+		// high byte past one.
+		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: strings.Repeat("k", 128), Value: make([]byte, 128)}), reencodeOp},
+		seed{appendOpPayload(nil, &base.Op{Kind: base.OpInsert, Table: "kv", Key: strings.Repeat("k", 127), Value: make([]byte, 300), Versioned: true}), reencodeOp},
 		seed{appendCommit(nil, 909), reencodeCommit},
 		seed{appendCommit(nil, 1<<50), reencodeCommit},
 		seed{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
