@@ -109,9 +109,6 @@ func (a *A) prune(low base.LSN) {
 // not necessarily on this page.
 func (a *A) MaxApplied() base.LSN { return a.Max }
 
-// InCount returns |{LSNin}|, the number of explicitly tracked LSNs.
-func (a *A) InCount() int { return len(a.in) }
-
 // Clone returns a deep copy.
 func (a *A) Clone() *A {
 	c := &A{Low: a.Low, Max: a.Max}

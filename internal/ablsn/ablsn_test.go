@@ -62,8 +62,8 @@ func TestAdvancePrunes(t *testing.T) {
 	if a.Low != 6 {
 		t.Fatalf("Low = %d want 6", a.Low)
 	}
-	if got := a.InCount(); got != 2 {
-		t.Fatalf("InCount = %d want 2 (8,10)", got)
+	if got := len(a.in); got != 2 {
+		t.Fatalf("|{LSNin}| = %d want 2 (8,10)", got)
 	}
 	for l := base.LSN(1); l <= 6; l++ {
 		if !a.Contains(l) {
@@ -80,14 +80,14 @@ func TestAdvancePrunes(t *testing.T) {
 	}
 	// Nor may Low pass the TC's stable log, whatever its LWM says.
 	a.Advance(100, 7)
-	if a.Low != 7 || a.InCount() != 2 {
+	if a.Low != 7 || len(a.in) != 2 {
 		t.Fatalf("after Advance(100, 7): %v", a)
 	}
 	// Max survives pruning and is not dragged up by Advance: it reflects
 	// only operations actually applied to this page.
 	a.Advance(100, 100)
-	if a.InCount() != 0 || a.MaxApplied() != 10 {
-		t.Fatalf("after full prune: in=%d max=%d", a.InCount(), a.MaxApplied())
+	if len(a.in) != 0 || a.MaxApplied() != 10 {
+		t.Fatalf("after full prune: in=%d max=%d", len(a.in), a.MaxApplied())
 	}
 	// The emptied set keeps its array: a write prunes and then adds, and the
 	// add after a full prune takes no allocation.
@@ -106,8 +106,8 @@ func TestAddIdempotent(t *testing.T) {
 	a.Add(5)
 	a.Add(5)
 	a.Add(5)
-	if a.InCount() != 1 {
-		t.Fatalf("duplicate Add grew the set: %d", a.InCount())
+	if len(a.in) != 1 {
+		t.Fatalf("duplicate Add grew the set: %d", len(a.in))
 	}
 }
 
@@ -132,8 +132,8 @@ func mk(low, max base.LSN, in ...base.LSN) *A {
 func TestMergeMaxPrunesUnderTheMergedLow(t *testing.T) {
 	l := mk(2, 3, 3)
 	l.MergeMax(mk(4, 4))
-	if l.Low != 4 || l.InCount() != 0 || l.Max != 4 || !l.Contains(3) {
-		t.Fatalf("<2,{3}> merged with <4,{}>: %v, InCount %d", l, l.InCount())
+	if l.Low != 4 || len(l.in) != 0 || l.Max != 4 || !l.Contains(3) {
+		t.Fatalf("<2,{3}> merged with <4,{}>: %v, |{LSNin}| %d", l, len(l.in))
 	}
 }
 
@@ -308,7 +308,7 @@ func TestTableBasics(t *testing.T) {
 		t.Fatalf("TCs = %v", got)
 	}
 	tab.Get(1).Advance(5, 5)
-	if tab.Get(1).InCount() != 0 {
+	if len(tab.Get(1).in) != 0 {
 		t.Fatal("advance did not prune")
 	}
 	if tab.MaxApplied(1) != 5 || tab.MaxApplied(3) != 0 {
@@ -330,7 +330,7 @@ func TestForget(t *testing.T) {
 		t.Fatalf("after Forget(9): %v", a)
 	}
 	a.Forget(2)
-	if !a.Contains(2) || a.Contains(3) || a.Contains(6) || a.InCount() != 0 || a.Max != 2 {
+	if !a.Contains(2) || a.Contains(3) || a.Contains(6) || len(a.in) != 0 || a.Max != 2 {
 		t.Fatalf("after Forget(2): %v", a)
 	}
 }

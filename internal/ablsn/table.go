@@ -120,22 +120,12 @@ func (t *Table) EncodedLen() int {
 	return n
 }
 
-// DecodeTable parses a table previously produced by Append and returns the
-// remaining bytes. Append writes the TCs in strictly ascending order and
-// four bytes or more per entry; anything else is corrupt.
-func DecodeTable(buf []byte) (*Table, []byte, error) {
-	t := &Table{}
-	rest, err := DecodeTableInto(t, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, rest, nil
-}
-
-// DecodeTableInto is DecodeTable into t, whatever t held: it reuses t's entry
-// array and each reused entry's {LSNin} array where they are large enough, so
-// a table decoded into one that held as many entries and LSNs allocates
-// nothing. On an error t holds a partial table.
+// DecodeTableInto parses a table previously produced by Append into t,
+// whatever t held, and returns the remaining bytes. Append writes the TCs in
+// strictly ascending order and four bytes or more per entry; anything else is
+// corrupt. It reuses t's entry array and each reused entry's {LSNin} array
+// where they are large enough, so a table decoded into one that held as many
+// entries and LSNs allocates nothing. On an error t holds a partial table.
 func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
 	n, w := binary.Uvarint(buf)
 	if w <= 0 {

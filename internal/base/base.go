@@ -9,10 +9,7 @@
 // are never compared with each other.
 package base
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // LSN is a log sequence number in a TC's log space. It doubles as the
 // unique request identifier of the logged operation whose record it names.
@@ -88,25 +85,23 @@ const (
 	OpScanProbe
 	// OpRangeRead returns records with Key <= k < EndKey, at most Limit.
 	OpRangeRead
-	// opRetired is the number the §6.2.2 finalize (commit-versions) held: a
-	// versioned write now carries its commit timestamp (Op.TS), and DecodeOp
-	// refuses the kind.
+	// opRetired is the first number no kind holds: 8 was the §6.2.2
+	// finalize (commit-versions) and 9 the rollback of a versioned write
+	// (abort-versions). A versioned write now leaves once, at its commit,
+	// carrying its commit timestamp (Op.TS), and an aborted one never
+	// leaves the TC, so DecodeOp refuses both numbers and every one above.
 	opRetired
-	// OpAbortVersions rolls back a versioned write: the latest version of
-	// Key is discarded and the before version restored (§6.2.2).
-	OpAbortVersions
 )
 
 var opKindNames = [...]string{
-	OpNone:          "none",
-	OpRead:          "read",
-	OpInsert:        "insert",
-	OpUpdate:        "update",
-	OpDelete:        "delete",
-	OpUpsert:        "upsert",
-	OpScanProbe:     "scan-probe",
-	OpRangeRead:     "range-read",
-	OpAbortVersions: "abort-versions",
+	OpNone:      "none",
+	OpRead:      "read",
+	OpInsert:    "insert",
+	OpUpdate:    "update",
+	OpDelete:    "delete",
+	OpUpsert:    "upsert",
+	OpScanProbe: "scan-probe",
+	OpRangeRead: "range-read",
 }
 
 func (k OpKind) String() string {
@@ -120,7 +115,7 @@ func (k OpKind) String() string {
 // participates in abstract-LSN idempotence tracking.
 func (k OpKind) IsWrite() bool {
 	switch k {
-	case OpInsert, OpUpdate, OpDelete, OpUpsert, OpAbortVersions:
+	case OpInsert, OpUpdate, OpDelete, OpUpsert:
 		return true
 	}
 	return false
@@ -264,20 +259,11 @@ func (e codeError) Is(target error) bool {
 	return false
 }
 
-// IsNotFound reports whether err is the CodeNotFound error.
-func IsNotFound(err error) bool { return err == codeError(CodeNotFound) }
-
-// IsDuplicate reports whether err is the CodeDuplicate error.
-func IsDuplicate(err error) bool { return err == codeError(CodeDuplicate) }
-
 // ErrStaleEpoch is the typed error for CodeStaleEpoch: the operation (or
 // control call) came from a TC incarnation that has since been fenced by a
 // restart. Senders must treat it as permanent and never retry; errors.Is
 // works through wrapping.
 var ErrStaleEpoch error = codeError(CodeStaleEpoch)
-
-// IsStaleEpoch reports whether err is (or wraps) the stale-epoch error.
-func IsStaleEpoch(err error) bool { return errors.Is(err, ErrStaleEpoch) }
 
 // ErrStaleDC is the typed error for CodeStaleDC, and what a DC incarnation
 // answers a control call that belongs to a resend it never saw begin: an

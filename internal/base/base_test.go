@@ -3,6 +3,7 @@ package base
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestOpKindStrings(t *testing.T) {
-	for k := OpNone; k <= OpAbortVersions; k++ {
+	for k := OpNone; k < opRetired; k++ {
 		if k.String() == "" {
 			t.Fatalf("kind %d has empty name", k)
 		}
@@ -22,8 +23,8 @@ func TestOpKindStrings(t *testing.T) {
 }
 
 func TestIsWrite(t *testing.T) {
-	writes := []OpKind{OpInsert, OpUpdate, OpDelete, OpUpsert, OpAbortVersions}
-	reads := []OpKind{OpRead, OpScanProbe, OpRangeRead, OpNone, opRetired}
+	writes := []OpKind{OpInsert, OpUpdate, OpDelete, OpUpsert}
+	reads := []OpKind{OpRead, OpScanProbe, OpRangeRead, OpNone, opRetired, opRetired + 1}
 	for _, k := range writes {
 		if !k.IsWrite() {
 			t.Errorf("%v should be a write", k)
@@ -40,14 +41,11 @@ func TestCodeErr(t *testing.T) {
 	if CodeOK.Err() != nil {
 		t.Fatal("CodeOK must map to nil error")
 	}
-	if !IsNotFound(CodeNotFound.Err()) {
-		t.Fatal("IsNotFound failed")
+	if err := fmt.Errorf("op: %w", CodeNotFound.Err()); !errors.Is(err, CodeNotFound.Err()) {
+		t.Fatal("a wrapped not-found error is not CodeNotFound's")
 	}
-	if !IsDuplicate(CodeDuplicate.Err()) {
-		t.Fatal("IsDuplicate failed")
-	}
-	if IsNotFound(CodeDuplicate.Err()) {
-		t.Fatal("IsNotFound must not match duplicate")
+	if errors.Is(CodeDuplicate.Err(), CodeNotFound.Err()) {
+		t.Fatal("duplicate matched not-found")
 	}
 }
 
@@ -62,7 +60,7 @@ func TestOpRoundTrip(t *testing.T) {
 		{TC: 2, Epoch: 1 << 33, LSN: 5, Kind: OpDelete, Table: "t", Key: "k", Versioned: true},
 		{TC: 2, Epoch: 3, LSN: 6, Kind: OpUpsert, Table: "t", Key: "k", Value: []byte("v"), DCInc: 1},
 		{TC: 2, Epoch: 3, LSN: 7, Kind: OpUpsert, Table: "t", Key: "k", Versioned: true, TS: 1 << 50, DCInc: 1 << 40},
-		{TC: 2, Epoch: 3, LSN: 8, Kind: OpAbortVersions, Table: "t", Key: "k"},
+		{TC: 2, Epoch: 3, LSN: 8, Kind: OpDelete, Table: "t", Key: "k", Versioned: true, TS: 1 << 50},
 	}
 	for _, o := range ops {
 		buf := AppendOp(nil, o)
@@ -79,13 +77,15 @@ func TestOpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeOpRefusesRetiredKind: the number the commit-versions finalize
-// held decodes to nothing, whatever else the frame carries, alone or inside
-// a batch.
+// TestDecodeOpRefusesRetiredKind: the numbers the commit-versions finalize
+// and the abort-versions rollback held decode to nothing, whatever else the
+// frame carries, alone or inside a batch.
 func TestDecodeOpRefusesRetiredKind(t *testing.T) {
 	for _, o := range []*Op{
 		{TC: 1, LSN: 7, Kind: opRetired, Table: "t", Key: "k"},
 		{TC: 1, Epoch: 3, LSN: 7, Kind: opRetired, Table: "t", Key: "k", TS: 1 << 50, DCInc: 2},
+		{TC: 1, LSN: 7, Kind: opRetired + 1, Table: "t", Key: "k"},
+		{TC: 1, Epoch: 3, LSN: 7, Kind: opRetired + 1, Table: "t", Key: "k", Versioned: true},
 	} {
 		if got, _, err := DecodeOp(AppendOp(nil, o)); err == nil {
 			t.Fatalf("DecodeOp accepted the retired kind: %v", got)
@@ -95,8 +95,8 @@ func TestDecodeOpRefusesRetiredKind(t *testing.T) {
 			t.Fatalf("DecodeOpBatch accepted the retired kind: %v", got)
 		}
 	}
-	if got := opRetired.String(); got != "OpKind(8)" {
-		t.Fatalf("the retired kind prints %q", got)
+	if got := opRetired.String() + (opRetired + 1).String(); got != "OpKind(8)OpKind(9)" {
+		t.Fatalf("the retired kinds print %q", got)
 	}
 }
 
@@ -192,13 +192,13 @@ func TestStaleEpochError(t *testing.T) {
 		t.Fatalf("code name = %q", CodeStaleEpoch.String())
 	}
 	err := CodeStaleEpoch.Err()
-	if !IsStaleEpoch(err) {
-		t.Fatal("IsStaleEpoch failed on the direct error")
+	if !errors.Is(err, ErrStaleEpoch) {
+		t.Fatal("the direct error is not ErrStaleEpoch")
 	}
-	if !IsStaleEpoch(fmt.Errorf("dc x: fenced: %w", ErrStaleEpoch)) {
-		t.Fatal("IsStaleEpoch failed through wrapping")
+	if !errors.Is(fmt.Errorf("dc x: fenced: %w", ErrStaleEpoch), ErrStaleEpoch) {
+		t.Fatal("a wrapped ErrStaleEpoch is not ErrStaleEpoch")
 	}
-	if IsStaleEpoch(CodeUnavailable.Err()) || IsNotFound(err) {
+	if errors.Is(CodeUnavailable.Err(), ErrStaleEpoch) || errors.Is(err, CodeNotFound.Err()) {
 		t.Fatal("stale-epoch error conflated with other codes")
 	}
 }
@@ -252,7 +252,7 @@ func TestOpRoundTripQuick(t *testing.T) {
 		}
 		buf := AppendOp(nil, o)
 		got, rest, err := DecodeOp(buf)
-		if o.Kind == opRetired {
+		if o.Kind >= opRetired {
 			return err != nil
 		}
 		if err != nil || len(rest) != 0 {

@@ -54,6 +54,7 @@ func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // a count no buffer can back
 	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 15, Kind: opRetired, Table: "t", Key: "c", TS: 9}}))
 	f.Add(append(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 16, Kind: OpUpsert, Table: "t", Key: "d", Value: []byte("4")}}), 0))
+	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 17, Kind: opRetired + 1, Table: "t", Key: "e", Versioned: true}})) // abort-versions
 	var slab OpSlab
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, rest, err := DecodeOpBatch(data)
@@ -69,6 +70,11 @@ func FuzzDecodeOpBatch(f *testing.F) {
 		}
 		if len(rest) > len(data) {
 			t.Fatalf("rest grew: %d > %d", len(rest), len(data))
+		}
+		for _, o := range ops {
+			if o.Kind >= opRetired {
+				t.Fatalf("decoded the retired kind %d: %v", o.Kind, o)
+			}
 		}
 		enc := AppendOpBatch(nil, ops)
 		again, rest2, err := DecodeOpBatch(enc)

@@ -37,9 +37,9 @@ type Op struct {
 	Versioned bool
 	// TS is the operation's timestamp: the snapshot timestamp of a
 	// ReadSnapshot read (or range read), or the commit timestamp of a
-	// versioned write its transaction's commit barrier ships. Zero means
-	// "no timestamp": a read that is not a snapshot's, an unversioned write,
-	// or a versioned one an earlier barrier shipped.
+	// versioned write, which leaves at its transaction's commit. Zero means
+	// "no timestamp": a read that is not a snapshot's or an unversioned
+	// write. A DC refuses a versioned write without one (CodeBadRequest).
 	TS TS
 	// DCInc is the DC incarnation a resend is bound to: the TC stamps the
 	// operations of a resend with the number the DC's first CodeStaleDC
@@ -164,7 +164,7 @@ type Service interface {
 	// order, returning one result per operation, positionally: a logged one
 	// (LSN nonzero) exactly once (resend + idempotence), a read at least
 	// once, which for a read is as good. It is the one execute call: a TC
-	// sends what a barrier has for one DC as one batch, and a lone read as a
+	// sends what a commit has for one DC as one batch, and a lone read as a
 	// batch of one. Each logged operation keeps its own LSN request ID, so
 	// resending a whole batch stays idempotent per operation. It blocks until
 	// all replies are available or ctx is done.
@@ -334,8 +334,8 @@ func (r *reader) op(o *Op) [3]span {
 	o.LSN = LSN(r.uvarint())
 	kind, flavor, versioned := r.group()
 	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(flavor), versioned != 0
-	if o.Kind == opRetired && r.err == nil {
-		r.fail(errRetired)
+	if o.Kind >= opRetired && r.err == nil {
+		r.fail(fmt.Errorf("base: operation kind %d is retired or unknown", o.Kind))
 	}
 	if kind&opEpochFlag != 0 {
 		o.Epoch = Epoch(r.uvarint())
@@ -550,9 +550,6 @@ var errShort = fmt.Errorf("base: truncated encoding")
 
 // errTrailing refuses a body with bytes past what it encodes.
 var errTrailing = fmt.Errorf("base: trailing bytes after the encoding")
-
-// errRetired refuses an operation of a kind this build no longer has.
-var errRetired = fmt.Errorf("base: retired operation kind %d", opRetired)
 
 func boolByte(b bool) byte {
 	if b {

@@ -83,6 +83,7 @@ func New(table string, root base.PageID, cfg Config, pool *buffer.Pool,
 }
 
 // Root returns the current root page ID.
+// Test hook: btree's TestRootPointerPersistedViaCallback, dc's TestMultiTCResetIsolation.
 func (t *Tree) Root() base.PageID {
 	t.lock.RLock()
 	defer t.lock.RUnlock()
@@ -399,7 +400,8 @@ func (t *Tree) Keys() ([]string, error) {
 // routing, a connected leaf chain — following Next from the leftmost leaf
 // visits exactly the leaves in key order and ends at 0 — and every page's
 // running size equal to the size walked from its fields
-// (page.Page.CheckSize). Test helper.
+// (page.Page.CheckSize).
+// Test hook: btree's tests, dc's TestDCCrashRecoveryWithSplits and kin.
 func (t *Tree) CheckInvariants() error {
 	t.lock.RLock()
 	defer t.lock.RUnlock()

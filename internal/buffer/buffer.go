@@ -333,6 +333,7 @@ func (p *Pool) Forced(pg *page.Page) *page.Page { return pg.Forced(p.gates.EOSL)
 // returns ErrNotFlushable when a gate is closed; with wait=true it blocks
 // until the gates open (watermark kicks re-evaluate). Unknown/clean pages
 // succeed trivially.
+// Test hook: buffer's tests, btree's TestRedoIsIdempotentOverAnyStableState, dc's atrest_test.go.
 func (p *Pool) FlushPage(id base.PageID, wait bool) error {
 	p.mu.Lock()
 	f, ok := p.frames[id]

@@ -155,7 +155,7 @@ func TestCausalityGateBlocksFlush(t *testing.T) {
 	if err := p.FlushPage(pg.ID, false); err != ErrNotFlushable {
 		t.Fatalf("err = %v, want ErrNotFlushable", err)
 	}
-	if store.Exists(pg.ID) {
+	if _, ok := store.Read(pg.ID); ok {
 		t.Fatal("causality violated: unstable op reached disk")
 	}
 	// Log catches up: flush proceeds.
@@ -163,7 +163,7 @@ func TestCausalityGateBlocksFlush(t *testing.T) {
 	if err := p.FlushPage(pg.ID, false); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Exists(pg.ID) || pg.Dirty {
+	if _, ok := store.Read(pg.ID); !ok || pg.Dirty {
 		t.Fatal("flush did not complete")
 	}
 }
@@ -204,7 +204,7 @@ func TestFlushEmbedsInSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := stable.Ab.Get(1)
-	if a == nil || a.InCount() != 3 {
+	if a == nil || stable.Ab.InCountTotal() != 3 {
 		t.Fatalf("the flush must embed the set: %v", a)
 	}
 	if !stable.Ab.Contains(1, 7) || stable.Ab.Contains(1, 6) {
@@ -263,7 +263,7 @@ func TestEvictionRespectsGates(t *testing.T) {
 	c := dirtyLeaf(p, store, 1, 2)
 	p.Unpin(c.ID)
 	// B must never be evicted to disk while gated.
-	if store.Exists(b.ID) {
+	if _, ok := store.Read(b.ID); ok {
 		t.Fatal("gated page leaked to disk via eviction")
 	}
 }
@@ -277,7 +277,8 @@ func TestFlushAllWithPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !store.Exists(a.ID) || store.Exists(b.ID) {
+	_, aOK := store.Read(a.ID)
+	if _, bOK := store.Read(b.ID); !aOK || bOK {
 		t.Fatal("predicate not honored")
 	}
 }
@@ -289,7 +290,7 @@ func TestDropAndFree(t *testing.T) {
 	p.FlushPage(pg.ID, false)
 	p.Unpin(pg.ID)
 	p.Drop(pg.ID)
-	if p.Cached() != 0 || !store.Exists(pg.ID) {
+	if _, ok := store.Read(pg.ID); p.Cached() != 0 || !ok {
 		t.Fatal("drop must forget the frame and keep the stable page")
 	}
 	store.Free(pg.ID)

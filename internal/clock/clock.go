@@ -78,6 +78,7 @@ type Fake struct {
 }
 
 // NewFake returns a Fake reading ts with uncertainty unc.
+// Test hook: tc's snapshot tests (TestSnapshotUncertaintyWait and kin).
 func NewFake(ts base.TS, unc time.Duration) *Fake {
 	return &Fake{ts: ts, unc: unc, bump: make(chan struct{})}
 }

@@ -202,14 +202,6 @@ func (d *Deployment) assembleTCs(opts Options, connect func(t, di int) (base.Ser
 	return nil
 }
 
-// Net exposes the network (stats), or nil for direct deployments.
-func (d *Deployment) Net() *wire.Network { return d.net }
-
-// Route returns the DC index serving (table, key). With a Placement, a
-// table no clause covers fails typed (base.ErrUnknownTable) instead of
-// silently falling through to DC 0.
-func (d *Deployment) Route(table, key string) (int, error) { return d.router.DC(table, key) }
-
 // Owner returns the ID of the TC owning update rights for (table, key)
 // per the deployment's §6.1 ownership axes; zero means unowned (any TC
 // may update — the posture of ownerless placements).

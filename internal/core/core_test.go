@@ -102,7 +102,7 @@ func TestEndToEndLossyNetwork(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Net().Stats().Resends == 0 {
+	if d.net.Stats().Resends == 0 {
 		t.Fatal("lossy network should have caused resends")
 	}
 	for _, dci := range d.DCs {

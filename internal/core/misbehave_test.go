@@ -138,7 +138,7 @@ func TestIncrementOracleOnMisbehavingNetwork(t *testing.T) {
 
 	// The run must have exercised what it claims to: a network that
 	// actually misbehaved, and resends that rode it out.
-	stats := dep.Net().Stats()
+	stats := dep.net.Stats()
 	if stats.Dropped == 0 && stats.Duplicated == 0 {
 		t.Fatalf("network never misbehaved: %+v", stats)
 	}

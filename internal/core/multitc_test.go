@@ -177,8 +177,8 @@ func TestUnknownTableTyped(t *testing.T) {
 	client := dep.Client()
 	ctx := context.Background()
 
-	if _, err := dep.Route("ghost", "k"); !errors.Is(err, base.ErrUnknownTable) {
-		t.Fatalf("Deployment.Route(ghost) = %v, want ErrUnknownTable", err)
+	if _, err := dep.router.DC("ghost", "k"); !errors.Is(err, base.ErrUnknownTable) {
+		t.Fatalf("router.DC(ghost) = %v, want ErrUnknownTable", err)
 	}
 	if _, err := dep.Owner("ghost", "k"); !errors.Is(err, base.ErrUnknownTable) {
 		t.Fatalf("Deployment.Owner(ghost) = %v, want ErrUnknownTable", err)

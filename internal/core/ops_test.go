@@ -65,7 +65,7 @@ func TestDrainUnderConcurrentLoad(t *testing.T) {
 
 	// (a) the drained TC finishes its in-flight work and quiesces.
 	qctx, qcancel := context.WithTimeout(ctx, 10*time.Second)
-	err = d.TCs[0].WaitQuiesced(qctx)
+	err = waitQuiesced(qctx, d.TCs[0])
 	qcancel()
 	if err != nil {
 		t.Fatalf("drained TC did not quiesce under load: %v", err)
@@ -145,8 +145,8 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	}
 	qctx, qcancel := context.WithTimeout(ctx, 10*time.Second)
 	defer qcancel()
-	if err := d.TCs[0].WaitQuiesced(qctx); err != nil {
-		t.Fatalf("WaitQuiesced after in-flight commit: %v", err)
+	if err := waitQuiesced(qctx, d.TCs[0]); err != nil {
+		t.Fatalf("no quiesce after the in-flight commit: %v", err)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCrashMidDrainRecoversServing(t *testing.T) {
 	}
 	d.TCs[0].Drain()
 	qctx, qcancel := context.WithTimeout(ctx, 10*time.Second)
-	err = d.TCs[0].WaitQuiesced(qctx)
+	err = waitQuiesced(qctx, d.TCs[0])
 	qcancel()
 	if err != nil {
 		t.Fatal(err)
@@ -196,31 +196,17 @@ func TestCrashMidDrainRecoversServing(t *testing.T) {
 	}
 }
 
-// TestWaitQuiescedDetectsUndrain: an operator flipping the drain off
-// mid-wait fails the waiter instead of blocking it forever.
-func TestWaitQuiescedDetectsUndrain(t *testing.T) {
-	d, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"}})
-	if err != nil {
-		t.Fatal(err)
+// waitQuiesced polls the TC until it has quiesced (tc.TC.Quiesced) or ctx
+// is done.
+func waitQuiesced(ctx context.Context, t *tc.TC) error {
+	for !t.Quiesced() {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
 	}
-	defer d.Close()
-	x := d.TCs[0].Begin(context.Background(), tc.TxnOptions{})
-	if err := x.Upsert("kv", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	d.TCs[0].Drain()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		d.TCs[0].Undrain()
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := d.TCs[0].WaitQuiesced(ctx); err == nil {
-		t.Fatal("WaitQuiesced returned success though the drain was lifted")
-	}
-	if err := x.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
 // TestValidatePlacementInProcess cross-checks the spec against in-process

@@ -62,11 +62,6 @@ func (d *Deployment) WaitConnected(ctx context.Context) error {
 	return nil
 }
 
-// Remote reports whether the deployment's DCs live in other processes
-// (Options.DCAddrs). Crash/Recover of remote DCs is done by killing and
-// restarting those processes, not through this Deployment.
-func (d *Deployment) Remote() bool { return len(d.TCs) > 0 && len(d.DCs) == 0 }
-
 // WireStats aggregates the dialed connections' counters: total request
 // attempts, §4.2 resends, re-established TCP sessions, and admission
 // refusals (base.ErrOverloaded replies) absorbed by the retry loop.

@@ -54,8 +54,8 @@ func TestRemoteDeploymentKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	if !dep.Remote() {
-		t.Fatal("DCAddrs deployment does not report Remote")
+	if len(dep.TCs) == 0 || len(dep.DCs) != 0 {
+		t.Fatalf("DCAddrs deployment: %d TCs, %d in-process DCs", len(dep.TCs), len(dep.DCs))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -228,6 +228,11 @@ func TestConnectionFlapReplaysNothing(t *testing.T) {
 	for c := 0; c < cuts; c++ {
 		time.Sleep(50 * time.Millisecond)
 		proxy.cut()
+		// The next cut must land on a live link: one that comes before this
+		// cut's redial is up cuts nothing, and two cuts count once.
+		for deadline := time.Now().Add(5 * time.Second); dep.RemoteWireStats().Reconnects < uint64(c+1) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	time.Sleep(50 * time.Millisecond)
 	stop.Store(true)

@@ -43,9 +43,9 @@ func summedSize(p *page.Page) int {
 	return n
 }
 
-// aliasSeedLeaf is a leaf holding every shape of record: plain, uncommitted
-// over a value, over null and over a committed tombstone, with history, and
-// two TCs' abstract LSNs.
+// aliasSeedLeaf is a leaf holding every shape of record: plain, a stamped
+// versioned head over a value, over null and over a committed tombstone, with
+// history, and two TCs' abstract LSNs.
 func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 	p := page.NewLeaf(7)
 	p.DLSN, p.Next = 3, 8
@@ -54,9 +54,9 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 			Value: bytes.Repeat([]byte{byte('a' + i)}, 1+rnd.Intn(12))}
 		switch i % 6 {
 		case 1:
-			r.Flags, r.Hist = page.FlagHasBefore, []page.Version{{Val: []byte("before")}}
+			r.Flags, r.TS, r.Hist = page.FlagHasBefore, 41, []page.Version{{Val: []byte("before")}}
 		case 2:
-			r.Flags, r.Hist = page.FlagHasBefore, []page.Version{{Del: true}}
+			r.Flags, r.TS, r.Hist = page.FlagHasBefore, 42, []page.Version{{Del: true}}
 		case 3:
 			r.TS = 40
 			r.Hist = []page.Version{{TS: 10, Val: []byte("ten")}, {TS: 20, Del: true}, {TS: 30, Val: []byte("thirty")}}
@@ -64,7 +64,7 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 			r.Flags, r.Value, r.TS = page.FlagTombstone, nil, 35
 			r.Hist = []page.Version{{TS: 15, Val: []byte("fifteen")}}
 		case 5:
-			r.Flags = page.FlagHasBefore
+			r.Flags, r.TS = page.FlagHasBefore, 45
 			r.Hist = []page.Version{{TS: 5, Val: []byte("five")}, {TS: 25, Val: []byte("committed")}}
 		}
 		p.Put(r)
@@ -77,12 +77,12 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 // TestDecodedPageNeverWritesItsImage runs one seeded schedule of everything
 // that changes a leaf on a page decoded over its image and on a deep clone of
 // it that aliases nothing: Put, Remove, every write kind through applyWrite
-// versioned and not, versioned writes stamped with a commit timestamp (which
-// prune the history), aborts, a split (UpperHalf, CutAt) undone by a
-// consolidation (Merged, SetContents), and a trip through the store's format
-// and back. No image may change (a decoded
-// page's fields are replaced, never edited: package page), the two pages must
-// encode alike at the end, and after every step Size must be the old sum.
+// versioned and not, a versioned one stamped with a commit timestamp (over a
+// committed head it prunes the history), a split (UpperHalf, CutAt) undone by
+// a consolidation (Merged, SetContents), and a trip through the store's
+// format and back. No image may change (a decoded page's fields are
+// replaced, never edited: package page), the two pages must encode alike at
+// the end, and after every step Size must be the old sum.
 func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -117,6 +117,9 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 			for _, pp := range pages {
 				p := *pp
 				op := &base.Op{TC: base.TCID(1 + step%2), LSN: lsn, Key: key, Value: val, Versioned: versioned}
+				if versioned {
+					op.TS = ts
+				}
 				switch kind {
 				case 0:
 					p.Put(page.Record{Key: key, Owner: op.TC, Value: bytes.Clone(val)})
@@ -125,14 +128,11 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 				case 2, 3, 4, 5:
 					op.Kind = [...]base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete}[kind-2]
 					applyWrite(p, p.Get(op.Key), op, horizon)
-				case 6, 7, 9:
-					// A commit barrier's write, stamped: over a committed head
-					// it prunes the history under the horizon and appends the
-					// head to it as the before version.
-					op.Kind, op.TS, op.Versioned = map[int]base.OpKind{6: base.OpUpsert, 7: base.OpDelete, 9: base.OpUpdate}[kind], ts, true
-					applyWrite(p, p.Get(op.Key), op, horizon)
-				case 8:
-					op.Kind = base.OpAbortVersions
+				case 6, 7, 8, 9:
+					// A versioned write: over a committed head it prunes the
+					// history under the horizon and appends the head to it as
+					// the before version.
+					op.Kind, op.TS, op.Versioned = [...]base.OpKind{base.OpUpsert, base.OpDelete, base.OpInsert, base.OpUpdate}[kind-6], ts, true
 					applyWrite(p, p.Get(op.Key), op, horizon)
 				case 10:
 					if len(p.Recs) < 2 {
@@ -150,7 +150,7 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 					}
 				}
 				p = *pp
-				if kind <= 8 {
+				if kind <= 9 {
 					a := p.Ab.Ensure(op.TC)
 					if lsn%7 == 0 {
 						a.Advance(lsn-5, lsn)

@@ -295,6 +295,7 @@ func (d *DC) Name() string { return d.cfg.Name }
 
 // EpochOf returns the incarnation-epoch fence currently installed for tc
 // (zero until the first begin_restart is seen, and while the DC is down).
+// Test hook: dc's and tc's epoch tests, tc's TestCrashDuringRecoverWins.
 func (d *DC) EpochOf(tc base.TCID) base.Epoch {
 	if inc := d.inc.Load(); inc != nil {
 		if s := (*inc.tcs.Load())[tc]; s != nil {

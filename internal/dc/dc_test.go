@@ -180,16 +180,14 @@ func TestVersionedSharing(t *testing.T) {
 	if !dirty.Found || string(dirty.Value) != "profile-v2" {
 		t.Fatalf("dirty read: %+v", dirty)
 	}
-	// Abort: v2 vanishes.
-	h.stamp = 0
-	h.do(base.OpAbortVersions, "user1", nil, false)
-	if r := rc(); string(r.Value) != "profile-v1" {
-		t.Fatalf("after abort: %+v", r)
+	commit(20)
+	if r := rc(); string(r.Value) != "profile-v2" {
+		t.Fatalf("after commit: %+v", r)
 	}
-	// New update committed: readers switch to v3 once the stamp is safe.
+	// The next update: readers switch to v3 once its stamp is safe.
 	h.stamp = 30
 	h.do(base.OpUpdate, "user1", []byte("profile-v3"), true)
-	if r := rc(); string(r.Value) != "profile-v1" {
+	if r := rc(); string(r.Value) != "profile-v2" {
 		t.Fatalf("stamped, not yet safe: %+v", r)
 	}
 	commit(30)
@@ -209,13 +207,29 @@ func TestVersionedSharing(t *testing.T) {
 	}
 }
 
-func TestVersionedInsertAbortRemoves(t *testing.T) {
+// TestUnstampedVersionedWriteIsRefused: a versioned write leaves its TC at
+// commit, stamped with the commit timestamp, so one without a timestamp is
+// malformed. Every write kind is answered CodeBadRequest, over a pending
+// versioned head and over no record, and the leaf keeps its records, its
+// abstract LSNs and its undo tail as they were.
+func TestUnstampedVersionedWriteIsRefused(t *testing.T) {
 	d := newDC(t, Config{})
 	h := newOpHelper(d, 1)
-	h.do(base.OpInsert, "x", []byte("v"), true)
-	h.do(base.OpAbortVersions, "x", nil, false)
-	if r := h.read("x"); r.Found {
-		t.Fatalf("aborted insert persisted: %+v", r)
+	h.stamp = 10
+	h.do(base.OpInsert, "k", []byte("v1"), true)
+	h.stamp = 0
+	h.insert("plain", "p")
+	leaf := leafOf(t, d, "k")
+	was, undo := leaf.Clone(), len(leaf.Undo)
+	for _, kind := range []base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete} {
+		for _, key := range []string{"k", "plain", "absent"} {
+			if r := h.do(kind, key, []byte("v2"), true); r.Code != base.CodeBadRequest {
+				t.Fatalf("unstamped versioned %v of %q: %+v, want CodeBadRequest", kind, key, r)
+			}
+		}
+	}
+	if leaf := leafOf(t, d, "k"); !leaf.Equal(was) || len(leaf.Undo) != undo {
+		t.Fatalf("a refused write changed the leaf: %d undo entries (was %d)", len(leaf.Undo), undo)
 	}
 }
 

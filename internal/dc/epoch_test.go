@@ -2,6 +2,7 @@ package dc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -156,18 +157,18 @@ func TestRestartControlEpochValidation(t *testing.T) {
 
 	// Mid-restart: checkpoints are refused — stale ones permanently, the
 	// new incarnation's until end_restart activates it.
-	if err := d.Checkpoint(context.Background(), 1, 1, 5); !base.IsStaleEpoch(err) {
+	if err := d.Checkpoint(context.Background(), 1, 1, 5); !errors.Is(err, base.ErrStaleEpoch) {
 		t.Fatalf("stale checkpoint: %v", err)
 	}
-	if err := d.Checkpoint(context.Background(), 1, 3, 5); err == nil || base.IsStaleEpoch(err) {
+	if err := d.Checkpoint(context.Background(), 1, 3, 5); err == nil || errors.Is(err, base.ErrStaleEpoch) {
 		t.Fatalf("mid-restart checkpoint: %v", err)
 	}
 
 	// Late control calls of the dead incarnation are refused.
-	if err := d.BeginRestart(context.Background(), 1, 2, 1); !base.IsStaleEpoch(err) {
+	if err := d.BeginRestart(context.Background(), 1, 2, 1); !errors.Is(err, base.ErrStaleEpoch) {
 		t.Fatalf("stale begin-restart: %v", err)
 	}
-	if err := d.EndRestart(context.Background(), 1, 2); !base.IsStaleEpoch(err) {
+	if err := d.EndRestart(context.Background(), 1, 2); !errors.Is(err, base.ErrStaleEpoch) {
 		t.Fatalf("stale end-restart: %v", err)
 	}
 

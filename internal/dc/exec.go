@@ -95,7 +95,13 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		err = scanProbe(tree, op, res)
 	case base.OpRangeRead:
 		err = inc.rangeRead(tree, op, res)
-	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert, base.OpAbortVersions:
+	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert:
+		if op.Versioned && op.TS == 0 {
+			// A versioned write carries its commit timestamp: every
+			// versioned head a page holds is stamped.
+			res.Code = base.CodeBadRequest
+			break
+		}
 		err = d.write(inc, tree, ts, op, res)
 	default:
 		res.Code = base.CodeBadRequest
@@ -321,10 +327,10 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 //
 // A versioned write makes its value the record's pending head, stamped with
 // op.TS, and the committed head it replaces the newest entry of the record's
-// history, the before version (page.Record.Stage); its abort takes the head
-// back. A versioned delete leaves a tombstone head. An unversioned write
-// clears the timestamp and the history — it does not maintain snapshot
-// history — and an unversioned delete removes the record.
+// history, the before version (page.Record.Stage). A versioned delete leaves
+// a tombstone head. An unversioned write clears the timestamp and the history
+// — it does not maintain snapshot history — and an unversioned delete
+// removes the record.
 func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS) base.Code {
 	var visible bool
 	if rec != nil {
@@ -340,9 +346,7 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 			return base.CodeNotFound
 		}
 	case base.OpDelete:
-		// A commit barrier writes a key again that an earlier barrier of
-		// its transaction deleted: the own pending tombstone is stamped.
-		if !visible && !(op.Versioned && rec != nil && rec.OwnHead(op.TS)) {
+		if !visible {
 			return base.CodeNotFound
 		}
 		if !op.Versioned {
@@ -350,17 +354,6 @@ func applyWrite(leaf *page.Page, rec *page.Record, op *base.Op, horizon base.TS)
 			return base.CodeOK
 		}
 	case base.OpUpsert:
-	case base.OpAbortVersions:
-		// Remove the latest version updated by the transaction (§6.2.2).
-		if rec == nil {
-			return base.CodeOK
-		}
-		if r := *rec; r.AbortVersion() {
-			leaf.Remove(op.Key)
-		} else {
-			leaf.Replace(rec, r)
-		}
-		return base.CodeOK
 	default:
 		return base.CodeBadRequest
 	}

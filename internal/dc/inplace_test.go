@@ -13,7 +13,7 @@ import (
 // operation's Value is the buffer's bytes until the next frame overwrites
 // them. The DC must copy whatever it keeps. Every mutating kind runs from
 // decoded operations — an insert of a new key and an upsert of an existing
-// one, a versioned insert and upsert, a delete, and an OpAbortVersions — all
+// one, a versioned insert and upsert, a delete and a versioned delete — all
 // of them unforced, so each leaves an undo entry, the insert one of an
 // absent prior. Then the buffer is overwritten: reads, the leaf's undo tail
 // and a BeginRestart rollback must still see the original keys and values.
@@ -24,7 +24,7 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	h.insert("k-upsert", "old")
 	h.insert("k-del", "gone")
 	h.insert("k-vups", "v0")
-	h.insert("k-abort", "kept")
+	h.insert("k-vdel", "kept")
 	h.ack() // the pre-state is forced: the rollback must stop at it
 	stable := h.next - 1
 
@@ -46,8 +46,7 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 		op(base.OpInsert, "n-vins", "vins-val", true),
 		op(base.OpUpsert, "k-vups", "vups-val", true),
 		op(base.OpDelete, "k-del", "", false),
-		op(base.OpUpsert, "k-abort", "aborted", true),
-		op(base.OpAbortVersions, "k-abort", "", false),
+		op(base.OpDelete, "k-vdel", "", true),
 	}
 	buf := base.AppendOpBatch(nil, ops)
 	var slab base.OpSlab
@@ -86,13 +85,13 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	}
 	expect("after the overwrite", 0, map[string]string{
 		"n-ins": "ins-val", "k-upsert": "ups-val", "n-vins": "vins-val", "k-vups": "vups-val",
-		"k-del": "", "k-abort": "kept",
+		"k-del": "", "k-vdel": "",
 	})
 
 	// Every batch operation left an entry: its key, and the prior it undoes to.
 	priors := map[string]string{}
 	absent := map[string]bool{}
-	for _, key := range []string{"n-ins", "k-upsert", "n-vins", "k-vups", "k-del", "k-abort"} {
+	for _, key := range []string{"n-ins", "k-upsert", "n-vins", "k-vups", "k-del", "k-vdel"} {
 		for _, u := range leafOf(t, d, key).Undo {
 			if u.TC != 1 || u.LSN <= stable {
 				continue
@@ -104,7 +103,7 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 			}
 		}
 	}
-	for key, want := range map[string]string{"k-upsert": "old", "k-vups": "v0", "k-del": "gone"} {
+	for key, want := range map[string]string{"k-upsert": "old", "k-vups": "v0", "k-del": "gone", "k-vdel": "kept"} {
 		if priors[key] != want {
 			t.Fatalf("undo entry of %q holds %q, want %q (entries %v)", key, priors[key], want, priors)
 		}
@@ -123,6 +122,6 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("after the rollback", 2, map[string]string{
-		"n-ins": "", "k-upsert": "old", "n-vins": "", "k-vups": "v0", "k-del": "gone", "k-abort": "kept",
+		"n-ins": "", "k-upsert": "old", "n-vins": "", "k-vups": "v0", "k-del": "gone", "k-vdel": "kept",
 	})
 }

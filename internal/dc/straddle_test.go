@@ -165,7 +165,7 @@ func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 		n--
 		h.del(key(n))
 	}
-	if leafOf(t, d, key(n-1)).ID == right || !d.Store().Exists(right) {
+	if _, ok := d.Store().Read(right); leafOf(t, d, key(n-1)).ID == right || !ok {
 		t.Fatalf("page %d, consolidated away, must stay in the store until its record is truncated", right)
 	}
 	h.ack()
@@ -177,7 +177,7 @@ func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 			t.Fatalf("the checkpoint kept the Consolidate record at dLSN %d", rec.LSN)
 		}
 	}
-	if d.Store().Exists(right) {
+	if _, ok := d.Store().Read(right); ok {
 		t.Fatalf("page %d outlived the truncation of the record that deleted it", right)
 	}
 }

@@ -22,8 +22,8 @@ type modelVersion struct {
 // modelKey is what the reference model knows of one key.
 //
 // committed is every version ever committed, oldest first, and pending the
-// head of a transaction that has not committed (its ts zero until the commit
-// barrier stamps it). The reads are answered from these two alone.
+// head of a transaction that has not committed, stamped with its commit
+// timestamp. The reads are answered from these two alone.
 //
 // The record's shape is modelled beside them, for Page.Size: exists, the head
 // (head, hasBefore) and the versions the record still holds below it (kept),
@@ -52,7 +52,7 @@ func (m *modelKey) dirty() ([]byte, bool) {
 // at is what a snapshot at t reads: the newest committed version at or below
 // t, or the pending head when it is stamped at or below t.
 func (m *modelKey) at(t base.TS) ([]byte, bool) {
-	if p := m.pending; p != nil && p.ts != 0 && p.ts <= t {
+	if p := m.pending; p != nil && p.ts <= t {
 		return p.val, !p.absent
 	}
 	for i := len(m.committed) - 1; i >= 0; i-- {
@@ -65,12 +65,12 @@ func (m *modelKey) at(t base.TS) ([]byte, bool) {
 
 // readCommitted is what a committed read sees under the owner's safe
 // timestamp: the head, unless a versioned write left it and its timestamp is
-// not covered (zero or above safe); then the version it replaced.
+// above safe; then the version it replaced.
 func (m *modelKey) readCommitted(safe base.TS) ([]byte, bool) {
 	if !m.exists {
 		return nil, false
 	}
-	if !m.hasBefore || (m.head.ts != 0 && m.head.ts <= safe) {
+	if !m.hasBefore || m.head.ts <= safe {
 		return m.dirty()
 	}
 	// The version the head replaced: the newest committed one under a
@@ -130,7 +130,7 @@ func (m *modelKey) stage(ts, horizon base.TS, val []byte, del bool) {
 	switch {
 	case !m.exists:
 		m.exists, m.hasBefore, m.kept = true, true, []modelVersion{{absent: true}}
-	case m.hasBefore && (m.head.ts == 0 || m.head.ts == ts):
+	case m.hasBefore && m.head.ts == ts:
 		// The transaction's own head, written again.
 	default:
 		kept := m.kept
@@ -165,8 +165,8 @@ func (m *modelKey) stage(ts, horizon base.TS, val []byte, del bool) {
 }
 
 // TestVersionsFollowAModel drives one leaf through seeded schedules of
-// applyWrite — versioned Insert, Update, Upsert and Delete written early
-// (unstamped) and again stamped at commit, OpAbortVersions, unversioned
+// applyWrite — versioned Insert, Update, Upsert and Delete stamped with their
+// commit timestamps, a pending transaction's written again, unversioned
 // writes, and a GC horizon trailing the commit timestamps — and checks every
 // read against a reference model of each key's committed versions and pending
 // head: VersionAt at every timestamp from the horizon on, a committed read
@@ -200,42 +200,29 @@ func TestVersionsFollowAModel(t *testing.T) {
 			kinds := [...]base.OpKind{base.OpInsert, base.OpUpdate, base.OpUpsert, base.OpDelete}
 			op.Kind = kinds[rnd.Intn(len(kinds))]
 			// refused is whether applyWrite must refuse op: an insert of a
-			// key it sees, an update or delete of one it does not, unless the
-			// delete is a versioned write's own pending tombstone.
+			// key it sees, an update or delete of one it does not.
 			refused := func() bool {
 				_, visible := m.dirty()
-				own := op.Versioned && m.exists && m.hasBefore && (m.head.ts == 0 || m.head.ts == op.TS)
 				switch op.Kind {
 				case base.OpInsert:
 					return visible
-				case base.OpUpdate:
+				case base.OpUpdate, base.OpDelete:
 					return !visible
-				case base.OpDelete:
-					return !visible && !own
 				}
 				return false
 			}
 			what := ""
-			switch action := rnd.Intn(10); {
+			switch action := rnd.Intn(8); {
 			case action < 4:
-				// A versioned write: early (unstamped), or stamped with its
-				// transaction's commit timestamp. Once a commit barrier has
-				// stamped the head, only that barrier writes the key again.
+				// A versioned write, stamped with its transaction's commit
+				// timestamp: a new transaction's, or, while the key's head is
+				// pending, its own transaction's, which alone writes the key.
 				op.Versioned = true
-				switch {
-				case m.pending != nil && (m.pending.ts != 0 || rnd.Intn(2) == 0):
-					// The commit barrier writes the key again, stamped.
-					if m.pending.ts == 0 {
-						clock++
-						m.pending.ts = clock
-					}
-					op.TS, op.Kind = m.pending.ts, base.OpUpsert
-					if m.pending.absent && rnd.Intn(2) == 0 {
-						op.Kind = base.OpDelete
-					}
-				case m.pending == nil && rnd.Intn(3) == 0:
+				if m.pending != nil {
+					op.TS = m.pending.ts
+				} else {
 					clock++
-					op.TS = clock // a write that its commit barrier ships
+					op.TS = clock
 				}
 				if op.Kind == base.OpDelete {
 					op.Value = nil // a delete carries no value
@@ -254,29 +241,12 @@ func TestVersionsFollowAModel(t *testing.T) {
 				}
 				touched[key] = true
 				m.stage(op.TS, horizon, op.Value, op.Kind == base.OpDelete)
-				if op.TS != 0 && rnd.Intn(3) > 0 {
+				if rnd.Intn(3) > 0 {
 					// Committed: its safe timestamp passes op.TS later.
 					m.committed = append(m.committed, *m.pending)
 					m.pending = nil
 				}
 			case action < 6:
-				if m.pending == nil {
-					continue
-				}
-				what = "abort"
-				op.Kind = base.OpAbortVersions
-				if code := applyWrite(p, p.Get(key), op, horizon); code != base.CodeOK {
-					t.Fatalf("seed %d step %d: abort %q: %v", seed, step, key, code)
-				}
-				touched[key] = true
-				m.pending = nil
-				if len(m.kept) == 1 && m.kept[0].ts == 0 && m.kept[0].absent {
-					m.exists = false
-				} else {
-					m.head, m.kept = m.kept[len(m.kept)-1], m.kept[:len(m.kept)-1]
-				}
-				m.hasBefore = false
-			case action < 8:
 				if m.pending != nil {
 					continue // the writer holds the key's X lock
 				}
@@ -303,7 +273,7 @@ func TestVersionsFollowAModel(t *testing.T) {
 				// stamped head still pending.
 				limit := clock
 				for _, mk := range model {
-					if mk.pending != nil && mk.pending.ts != 0 && mk.pending.ts <= limit {
+					if mk.pending != nil && mk.pending.ts <= limit {
 						limit = mk.pending.ts - 1
 					}
 				}
@@ -401,7 +371,7 @@ func checkModelReads(t *testing.T, where string, r *page.Record, m *modelKey, ho
 	// A snapshot is served once every safe timestamp covers it, which a
 	// pending stamped head's never does.
 	limit := clock + 1
-	if m.pending != nil && m.pending.ts != 0 {
+	if m.pending != nil {
 		limit = m.pending.ts - 1
 	}
 	for at := horizon; at <= limit; at++ {

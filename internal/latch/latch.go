@@ -49,4 +49,5 @@ func (l *Latch) RUnlock() { l.mu.RUnlock() }
 func (l *Latch) TryLock() bool { return l.mu.TryLock() }
 
 // Contended returns the number of acquisitions that had to wait.
+// Test hook: dc's straddle tests wait on it (parked in straddle_test.go).
 func (l *Latch) Contended() uint64 { return l.contended.Load() }

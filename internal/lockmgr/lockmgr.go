@@ -415,7 +415,8 @@ func (m *Manager) ReleaseAll(txn base.TxnID) {
 	m.freeHeld = append(m.freeHeld, h)
 }
 
-// Held returns the modes txn currently holds (copy; diagnostics/tests).
+// Held returns the modes txn currently holds (a copy).
+// Test hook: tc's cancel, deferred and scratch tests (TestBlockedLockWaitCancellation and kin).
 func (m *Manager) Held(txn base.TxnID) map[Resource]Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()

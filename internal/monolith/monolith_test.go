@@ -281,13 +281,13 @@ func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.store.Exists(right) {
+	if _, ok := e.store.Read(right); !ok {
 		t.Fatalf("page %d, consolidated away, must stay in the store until its record is truncated", right)
 	}
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if e.store.Exists(right) {
+	if _, ok := e.store.Read(right); ok {
 		t.Fatalf("page %d outlived the truncation of the record that deleted it", right)
 	}
 }

@@ -86,7 +86,7 @@
 // Replace and Remove for a record, InsertSep and RemoveSep for a separator,
 // and the whole-page ones (CutAt, SetContents, RollBack, DecodeInto). A
 // record that Get returns is read, never written: a writer changes a copy
-// (Stage and AbortVersion work on one) and hands it to Replace, which is what
+// (Stage works on one) and hands it to Replace, which is what
 // dc.applyWrite does. A write through the pointer leaves the count behind;
 // CheckSize, which btree.Tree.CheckInvariants runs on every page, finds it.
 package page
@@ -150,10 +150,9 @@ func (v *Version) read() ([]byte, bool) {
 // snapshot). Hist holds the older committed versions for snapshot reads. A
 // versioned write (FlagHasBefore) keeps the version it replaced as the last
 // entry of Hist, the before version, and stamps the head with its
-// transaction's commit timestamp — zero if it left before the transaction's
-// commit barrier, which writes it again, stamped. Owner is the TC that wrote
-// the head, whose safe timestamp decides when the head is committed
-// (Pending).
+// transaction's commit timestamp, which it always carries (the DC refuses
+// one without). Owner is the TC that wrote the head, whose safe timestamp
+// decides when the head is committed (Pending).
 type Record struct {
 	Key   string
 	Owner base.TCID
@@ -172,20 +171,21 @@ func (r *Record) Tombstone() bool { return r.Flags&FlagTombstone != 0 }
 
 // Pending reports whether the head is an uncommitted version, given safe,
 // the owner TC's safe timestamp: a versioned write's head whose commit
-// timestamp is not stamped yet or lies above safe. The owner holds its safe
-// timestamp below a commit timestamp until the commit record is forced, and a
-// transaction that aborts takes its head back (AbortVersion) before it lets
-// go, so a stamped head at or below safe is committed.
+// timestamp lies above safe. The owner holds its safe timestamp below a
+// commit timestamp until the commit record is forced, and the writes of a
+// commit that never forced are undone by the DC's reset at the TC's restart
+// before the restarted TC promises anything, so a head at or below safe is
+// committed.
 func (r *Record) Pending(safe base.TS) bool {
-	return r.HasBefore() && (r.TS == 0 || r.TS > safe)
+	return r.HasBefore() && r.TS > safe
 }
 
 // OwnHead reports whether a versioned write stamped ts lands on its own
-// transaction's pending head: one stamped ts, or not stamped yet. Any other
-// head under a versioned write is committed, since the writer holds the
-// key's X lock.
+// transaction's pending head, one stamped ts: a transaction that writes a
+// key twice ships both writes. Any other head under a versioned write is
+// committed, since the writer holds the key's X lock.
 func (r *Record) OwnHead(ts base.TS) bool {
-	return r.HasBefore() && (r.TS == 0 || r.TS == ts)
+	return r.HasBefore() && r.TS == ts
 }
 
 // ReadVersion returns the value visible under flavor and whether a value
@@ -205,11 +205,11 @@ func (r *Record) ReadVersion(flavor base.ReadFlavor, safe base.TS) (val []byte, 
 // VersionAt returns the value committed at snapshot timestamp t: the
 // newest committed version with commit TS <= t; a tombstone or null version
 // at t reads as "not found". A DC serves a snapshot at t only once every
-// TC's safe timestamp covers t, so t stands in for the owner's: a head is
-// visible when it is not Pending(t) and its TS is at most t. TS zero
-// versions (unversioned/ancient data) are visible to every snapshot.
+// TC's safe timestamp covers t, so t stands in for the owner's: a head
+// stamped at most t is not Pending(t), and is visible. TS zero versions
+// (unversioned/ancient data) are visible to every snapshot.
 func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
-	if !r.Pending(t) && r.TS <= t {
+	if r.TS <= t {
 		return r.ReadVersion(base.ReadPlain, 0)
 	}
 	for i := len(r.Hist) - 1; i >= 0; i-- {
@@ -229,7 +229,8 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 //
 // The history is cut by reslicing and never written in place: a record copied
 // out (an undo tail's Prior, a split half) shares its array, and the append
-// writes only past every such copy's end (AbortVersion clips what it pops).
+// writes only past every such copy's end (a dropped null version goes with
+// its capacity).
 // A write stamped at or below the horizon, whose head reads as committed at
 // once, keeps its before version all the same. It cannot happen: a commit
 // timestamp is drawn above every safe timestamp promised, and the horizon is
@@ -238,7 +239,6 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 // and Stage keeps it as the before version like any other.
 func (r *Record) Stage(ts, horizon base.TS) {
 	if r.OwnHead(ts) {
-		r.TS = ts
 		return
 	}
 	h := r.Hist
@@ -269,40 +269,17 @@ func (r *Record) Stage(ts, horizon base.TS) {
 	r.TS = ts
 }
 
-// AbortVersion rolls back the uncommitted version: the before version (value
-// or tombstone) becomes the head again with its commit timestamp, leaving the
-// history. It reports whether the record should be removed: a versioned
-// insert of a never-existing key, whose before version is a lone null
-// version, rolled back.
-func (r *Record) AbortVersion() (remove bool) {
-	if !r.HasBefore() {
-		return false
-	}
-	n := len(r.Hist)
-	v := r.Hist[n-1]
-	if n == 1 && v.TS == 0 && v.Del {
-		return true
-	}
-	r.Value, r.TS, r.Hist = v.Val, v.TS, r.Hist[:n-1:n-1]
-	r.Flags &^= FlagHasBefore | FlagTombstone
-	if v.Del {
-		r.Value = nil
-		r.Flags |= FlagTombstone
-	}
-	return false
-}
-
 // shed is the collection rule: it drops what no snapshot at or above horizon
 // reads of r, and returns how much that shrank r's share of Page.Size: its
 // whole history and the before version, once the head is stamped at or below
 // the horizon. Such a head is committed — the horizon trails every TC's safe
 // timestamp, and a TC promises a safe timestamp only once the commits at or
-// below it are forced — and every read the DC still serves sees it. A pending head is never collected: an unstamped one,
-// one stamped above the horizon, and a TC-crash loser's, whose timestamp no
-// horizon passes before the restarted TC's resend has undone it (dc.SafeTS
-// drops the TC's broadcasts meanwhile). A record of a page's is collected
-// through the page (AppendDelta, CollectImage), which takes what shed
-// returns off its size.
+// below it are forced — and every read the DC still serves sees it. A
+// pending head, stamped above the horizon, is never collected, nor is a
+// TC-crash loser's, whose timestamp no horizon passes before the DC's reset
+// at the TC's restart has undone it (dc.SafeTS drops the TC's broadcasts
+// meanwhile). A record of a page's is collected through the page
+// (AppendDelta, CollectImage), which takes what shed returns off its size.
 func (r *Record) shed(horizon base.TS) (shrunk int) {
 	if r.TS == 0 || r.TS > horizon || len(r.Hist) == 0 {
 		return 0

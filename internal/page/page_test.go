@@ -71,8 +71,7 @@ func TestAscend(t *testing.T) {
 
 func TestVersionLifecycle(t *testing.T) {
 	// Versioned update: before retained, committed read sees before until
-	// the owner's safe timestamp passes the head's, plain/dirty sees latest;
-	// abort restores the before version.
+	// the owner's safe timestamp passes the head's, plain/dirty sees latest.
 	r := Record{Key: "k", Owner: 1, Value: []byte("old"), TS: 5}
 	r.Stage(10, 0)
 	r.Value = []byte("new")
@@ -82,13 +81,6 @@ func TestVersionLifecycle(t *testing.T) {
 	}
 	if v, ok := r.ReadVersion(base.ReadDirty, 0); !ok || string(v) != "new" {
 		t.Fatalf("dirty read = %q %v", v, ok)
-	}
-	abort := r // copy
-	if remove := abort.AbortVersion(); remove {
-		t.Fatal("abort of update must keep the record")
-	}
-	if v, _ := abort.ReadVersion(base.ReadPlain, 0); string(v) != "old" || abort.TS != 5 {
-		t.Fatalf("after abort value = %q at %d", v, abort.TS)
 	}
 	if v, _ := r.ReadVersion(base.ReadCommitted, 10); string(v) != "new" {
 		t.Fatalf("after commit committed read = %q", v)
@@ -107,19 +99,15 @@ func TestVersionLifecycle(t *testing.T) {
 }
 
 func TestVersionedInsertAndDelete(t *testing.T) {
-	// Versioned insert: null before version, then the intended insert.
-	ins := Record{Key: "k", Owner: 2, Value: []byte("v"), Flags: FlagHasBefore, Hist: []Version{{Del: true}}}
-	if _, ok := ins.ReadVersion(base.ReadCommitted, 100); ok {
+	// Versioned insert: null before version, then the intended insert,
+	// stamped with its commit timestamp.
+	ins := Record{Key: "k", Owner: 2, Value: []byte("v"), TS: 7, Flags: FlagHasBefore, Hist: []Version{{Del: true}}}
+	if _, ok := ins.ReadVersion(base.ReadCommitted, 6); ok {
 		t.Fatal("committed read must not see uncommitted insert")
 	}
 	if v, ok := ins.ReadVersion(base.ReadDirty, 0); !ok || string(v) != "v" {
 		t.Fatalf("dirty read = %q %v", v, ok)
 	}
-	abortIns := ins
-	if !abortIns.AbortVersion() {
-		t.Fatal("aborted insert must remove the record")
-	}
-	ins.Stage(7, 0) // the commit barrier's stamp
 	if v, ok := ins.ReadVersion(base.ReadCommitted, 7); !ok || string(v) != "v" {
 		t.Fatalf("after commit = %q %v", v, ok)
 	}
@@ -132,35 +120,26 @@ func TestVersionedInsertAndDelete(t *testing.T) {
 	}
 
 	// Versioned delete: tombstone latest, before retained.
-	del := Record{Key: "d", Owner: 2, Value: nil, Hist: []Version{{Val: []byte("was")}},
+	del := Record{Key: "d", Owner: 2, Value: nil, TS: 9, Hist: []Version{{Val: []byte("was")}},
 		Flags: FlagHasBefore | FlagTombstone}
-	if v, ok := del.ReadVersion(base.ReadCommitted, 0); !ok || string(v) != "was" {
+	if v, ok := del.ReadVersion(base.ReadCommitted, 8); !ok || string(v) != "was" {
 		t.Fatalf("committed read of tombstoned = %q %v", v, ok)
 	}
 	if _, ok := del.ReadVersion(base.ReadPlain, 0); ok {
 		t.Fatal("plain read must see the tombstone")
 	}
-	commitDel := del
-	commitDel.Stage(9, 0)
-	if _, ok := commitDel.VersionAt(9); ok {
+	if _, ok := del.VersionAt(9); ok {
 		t.Fatal("a snapshot at the delete must not see the key")
 	}
-	if v, ok := commitDel.VersionAt(8); !ok || string(v) != "was" {
+	if v, ok := del.VersionAt(8); !ok || string(v) != "was" {
 		t.Fatalf("a snapshot below the delete = %q %v", v, ok)
-	}
-	abortDel := del
-	if abortDel.AbortVersion() {
-		t.Fatal("aborted delete must keep the record")
-	}
-	if v, _ := abortDel.ReadVersion(base.ReadPlain, 0); string(v) != "was" {
-		t.Fatalf("after aborted delete = %q", v)
 	}
 }
 
 // TestStagePrunes: a versioned write over a committed head prunes the history
 // under the horizon and appends the head to it as the before version; a
-// pending head keeps its before version whatever the horizon, and an abort
-// restores it.
+// pending head keeps its before version whatever the horizon, and a
+// committed head at the horizon sheds its history.
 func TestStagePrunes(t *testing.T) {
 	// v1 committed at 10 over v0 at 5, its before version, over v- at 2.
 	stamped := func() Record {
@@ -183,29 +162,16 @@ func TestStagePrunes(t *testing.T) {
 			run: func(r *Record) { r.TS = 20; r.Stage(20, 15) }, keepsBefore: true,
 			before: "v0", hist: "[2]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v1"},
 		{name: "pending head keeps its before version under the next write of its transaction",
-			run: func(r *Record) { r.TS = 0; r.Stage(20, 15); r.Value = []byte("v2") }, keepsBefore: true,
+			run: func(r *Record) { r.TS = 20; r.Stage(20, 15); r.Value = []byte("v2") }, keepsBefore: true,
 			before: "v0", hist: "[2]", at6: "v0", at12: "v0", committedTS: 20, committedVal: "v2"},
 		{name: "committed head at the horizon drops the history",
-			run: func(r *Record) {
-				r.Stage(20, 10) // a write that then aborts
-				r.Value = []byte("v2")
-				r.AbortVersion()
-			},
-			hist: "[]", at6: "", at12: "v1", committedTS: 10, committedVal: "v1"},
+			run: func(r *Record) { r.shed(10) }, hist: "[]", at6: "", at12: "v1", committedTS: 10, committedVal: "v1"},
 		{name: "write over a committed head at the horizon drops the history",
 			run: func(r *Record) { r.Stage(20, 10); r.Value = []byte("v2") }, keepsBefore: true,
 			before: "v1", hist: "[]", at6: "", at12: "v1", committedTS: 20, committedVal: "v2"},
 		{name: "write over a committed head above the horizon keeps what the horizon reads",
 			run: func(r *Record) { r.Stage(20, 7); r.Value = []byte("v2") }, keepsBefore: true,
 			before: "v1", hist: "[5]", at6: "v0", at12: "v1", committedTS: 20, committedVal: "v2"},
-		{name: "abort of a re-stamped head restores the before version",
-			run: func(r *Record) {
-				r.TS = 0
-				r.Stage(30, 0) // the commit barrier writes the key again
-				r.Value = []byte("v2")
-				r.AbortVersion()
-			},
-			hist: "[2]", at6: "v0", at12: "v0", committedTS: 5, committedVal: "v0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := stamped()
@@ -474,8 +440,8 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 func walkedSize(p *Page) int { return 32 + p.walkBody() }
 
 // TestSizeFollowsTheWalk drives every mutator of a page in seeded random
-// sequences — Put, Remove, versioned writes and their aborts through Replace
-// (Stage, AbortVersion), RollBack of a TC's tail, Forced, a split (UpperHalf,
+// sequences — Put, Remove, versioned writes through Replace (Stage),
+// RollBack of a TC's tail, Forced, a split (UpperHalf,
 // CutAt) undone by a consolidation (Merged, SetContents), Clone, a decode
 // into a page that held another (leaf or branch), and a branch's InsertSep,
 // RemoveSep and split — with the abstract LSNs growing, advancing and
@@ -515,12 +481,11 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 			case 2:
 				what = "Remove"
 				p.Remove(key)
-			case 3, 4:
+			case 3, 4, 5:
 				what = "versioned write"
-				stamp := [...]base.TS{0, ts}[rnd.Intn(2)]
 				if r := p.Get(key); r != nil {
 					edit(p, key, func(r *Record) {
-						r.Stage(stamp, base.TS(rnd.Intn(int(ts))))
+						r.Stage(ts, base.TS(rnd.Intn(int(ts))))
 						r.Value, r.Owner = val, tc
 						r.Flags &^= FlagTombstone
 						if rnd.Intn(4) == 0 {
@@ -528,16 +493,7 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 						}
 					})
 				} else {
-					p.Put(Record{Key: key, Owner: tc, Value: val, TS: stamp, Flags: FlagHasBefore, Hist: []Version{{Del: true}}})
-				}
-			case 5:
-				what = "AbortVersion"
-				if r := p.Get(key); r != nil {
-					if c := *r; c.AbortVersion() {
-						p.Remove(key)
-					} else {
-						p.Replace(r, c)
-					}
+					p.Put(Record{Key: key, Owner: tc, Value: val, TS: ts, Flags: FlagHasBefore, Hist: []Version{{Del: true}}})
 				}
 			default:
 				wrote = false

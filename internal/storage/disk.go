@@ -284,8 +284,9 @@ func (s *PageStore) compactLocked() {
 }
 
 // PowerCut cuts the journal back to its length at the last Sync — what a
-// power loss leaves of it at worst — and closes it. A test hook: nothing may
-// write to the store after it; open the file again instead.
+// power loss leaves of it at worst — and closes it. Nothing may write to the
+// store after it; open the file again instead.
+// Test hook: storage's TestPowerCutKeepsWhatSyncCovered, dc's powerloss_test.go.
 func (s *PageStore) PowerCut() {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()

@@ -168,15 +168,6 @@ func same(a, b []byte) bool {
 // append into.
 func clip(b []byte) []byte { return b[:len(b):len(b)] }
 
-// Exists reports whether the page has stable contents without counting a
-// read.
-func (s *PageStore) Exists(id base.PageID) bool {
-	s.mu.RLock()
-	_, ok := s.pages[id]
-	s.mu.RUnlock()
-	return ok
-}
-
 // Free durably removes the page (page delete, §5.2.2). The ID is not
 // recycled.
 func (s *PageStore) Free(id base.PageID) {
@@ -195,6 +186,7 @@ func (s *PageStore) Len() int {
 }
 
 // IDs returns all stable page IDs (order unspecified).
+// Test hook: btree's twin_test.go, dc's straddle_test.go, storage's disk_test.go.
 func (s *PageStore) IDs() []base.PageID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

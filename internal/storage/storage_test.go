@@ -49,7 +49,7 @@ func TestPageStoreBasics(t *testing.T) {
 				t.Fatal("Read does not return the latest image")
 			}
 			s.Free(id)
-			if s.Exists(id) {
+			if _, ok := s.Read(id); ok {
 				t.Fatal("freed page still exists")
 			}
 			if !bytes.Equal(v2, []byte("abc")) || !bytes.Equal(got, []byte("hello")) {

@@ -1,10 +1,6 @@
 package tc
 
 import (
-	"context"
-	"fmt"
-	"time"
-
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/stats"
 )
@@ -19,8 +15,8 @@ import (
 // or retry after Undrain. In-flight transactions run to completion,
 // the finisher of a cancelled Commit included; Quiesced reports when
 // the last of them (and the last unacknowledged log record) has
-// settled. Drain returns immediately — quiescing is observed, not
-// awaited (WaitQuiesced does the waiting).
+// settled. Drain returns immediately — quiescing is observed (Quiesced),
+// not awaited.
 //
 // Drain is an admission gate, not a shutdown: watermark broadcasts,
 // checkpoints, snapshot-timestamp service for still-open snapshots, and
@@ -40,27 +36,6 @@ func (t *TC) Draining() bool { return t.draining.Load() }
 // flight toward a DC).
 func (t *TC) Quiesced() bool {
 	return t.draining.Load() && t.ActiveTxns() == 0 && t.AckBarrierDepth() == 0
-}
-
-// WaitQuiesced blocks until Quiesced or ctx is done. Undraining while a
-// waiter is parked makes it fail with ErrDraining=false semantics — the
-// caller asked to observe a quiesce that was called off.
-func (t *TC) WaitQuiesced(ctx context.Context) error {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		if !t.Draining() {
-			return fmt.Errorf("tc %d: drain called off while waiting for quiesce", t.cfg.ID)
-		}
-		if t.Quiesced() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return base.CancelErr(ctx)
-		case <-tick.C:
-		}
-	}
 }
 
 // AckBarrierDepth returns the number of assigned LSNs not yet

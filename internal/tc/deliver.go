@@ -54,10 +54,11 @@ import (
 // answers a batch from one slab of results. The price is a rule of
 // ownership, stated at base.Service: an operation is lent to the service for
 // the call — once the transaction has finished it is another transaction's —
-// and a result is the caller's. TestWriteTxnAllocs holds the count (8 for
-// four upserts and a commit, TC and in-process DC together) and the bytes,
-// TestRecycledScratchStartsEmpty and TestCancelledCommitKeepsItsScratch the
-// reuse, and BenchmarkWriteTxn is where to profile.
+// and a result is the caller's. TestWriteTxnAllocs bounds the count (at most
+// 10 for four upserts and a commit, TC and in-process DC together) and the
+// bytes (at most 2 560), TestRecycledScratchStartsEmpty and
+// TestCancelledCommitKeepsItsScratch the reuse, and BenchmarkWriteTxn is
+// where to profile.
 //
 // The rules that keep the commit correct:
 //

@@ -59,7 +59,7 @@ func TestVersionedBlindUpsert(t *testing.T) {
 	if r := rc(); string(r.Value) != "v2" {
 		t.Fatalf("after second commit: %+v", r)
 	}
-	// Aborted blind upsert rolls back via abort-versions.
+	// An aborted blind upsert never leaves the TC.
 	y := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 	if err := y.Upsert("t", "v", []byte("v3")); err != nil {
 		t.Fatal(err)

@@ -539,12 +539,13 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 	// The undo image earlier builds logged in the head's top bits, the
 	// timestamp they logged behind bit 5, and the inverse of a versioned
-	// write, are refused: old TC-logs get no compatibility reader.
+	// write (kind 9, abort-versions), are refused: old TC-logs get no
+	// compatibility reader.
 	for _, bad := range [][]byte{
 		append([]byte{buf[0] | 1<<6}, buf[1:]...),
 		append([]byte{buf[0] | 2<<6}, buf[1:]...),
 		append(append([]byte{buf[0] | 1<<5}, buf[1:]...), 0x8d, 0x07),
-		appendField([]byte{byte(base.OpAbortVersions)}, "t"),
+		appendField([]byte{9}, "t"),
 	} {
 		if op, err := decodeOpPayload(bad); err == nil {
 			t.Fatalf("%x decoded as %v", bad, op)

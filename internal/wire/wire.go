@@ -24,10 +24,10 @@
 //
 // Operations and results cross the wire in their binary encodings, so the
 // serialization cost the paper's unbundling implies is actually paid.
-// A TC ships a barrier's whole batch of operations in one message
-// (msgPerformBatch) with per-operation results in the reply, amortizing a
-// round trip over many operations while preserving arrival order at the DC;
-// a lone operation is a batch of one.
+// A TC ships what a commit writes at a DC as one batch message
+// (msgPerformBatch; a long commit as a few) with per-operation results in
+// the reply, amortizing a round trip over many operations while preserving
+// arrival order at the DC; a lone operation is a batch of one.
 //
 // Watermarks do not pay for frames of their own while there is traffic:
 // EndOfStableLog and LowWaterMark are held in the client and leave as a

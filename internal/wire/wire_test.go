@@ -410,7 +410,7 @@ func TestStaleEpochIsPermanentNack(t *testing.T) {
 
 	// Typed control errors survive the string crossing: errors.Is works
 	// through the stub.
-	if err := cl.Checkpoint(context.Background(), 1, 1, 10); !base.IsStaleEpoch(err) {
+	if err := cl.Checkpoint(context.Background(), 1, 1, 10); !errors.Is(err, base.ErrStaleEpoch) {
 		t.Fatalf("checkpoint error not rehydrated as stale-epoch: %v", err)
 	}
 }
