@@ -30,10 +30,11 @@ type source struct {
 type position struct{ file, at int }
 
 // minTokens is the shortest run reported. It sits above the longest
-// look-alike the tree accepts (88 tokens: the byte readers of dclog and
-// page) and below the copy this check was written to keep out (133: the
-// key cut of a split's left page, now page.CutAt, once in both
-// dc/recovery.go and monolith/recovery.go as pruneForSplit).
+// look-alike the tree accepts (51 tokens: the oracle check that cmd/soak and
+// cmd/unbundled-tc each run, found by a run at a threshold of 50) and below
+// the copy this check was written to keep out (133: the key cut of a split's
+// left page, now page.CutAt, once in both dc/recovery.go and
+// monolith/recovery.go as pruneForSplit).
 const minTokens = 100
 
 func main() {

@@ -174,53 +174,21 @@ func (a *A) Append(buf []byte) []byte {
 	return buf
 }
 
-// Decode parses an abstract LSN previously produced by Append and returns
-// the remaining bytes.
-func Decode(buf []byte) (*A, []byte, error) {
-	var a A
-	rest, err := a.decode(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &a, rest, nil
-}
-
-// decode is Decode into a, whatever a held; it reuses a.in's array when the
-// set fits in it.
-func (a *A) decode(buf []byte) ([]byte, error) {
-	u, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errCorrupt
-	}
-	a.Low, buf = base.LSN(u), buf[n:]
-	u, n = binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errCorrupt
-	}
-	a.Max, buf = base.LSN(u), buf[n:]
-	u, n = binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errCorrupt
-	}
-	buf = buf[n:]
-	if u > uint64(len(buf)) {
-		return nil, errCorrupt
-	}
-	if u <= uint64(cap(a.in)) {
-		a.in = a.in[:u]
+// decode reads an abstract LSN (Append) into a, whatever a held; it reuses
+// a.in's array when the set fits in it.
+func (a *A) decode(d *base.Decoder) {
+	a.Low, a.Max = base.LSN(d.Uvarint()), base.LSN(d.Uvarint())
+	n := d.Count()
+	if n <= cap(a.in) {
+		a.in = a.in[:n]
 	} else {
-		a.in = make([]base.LSN, u)
+		a.in = make([]base.LSN, n)
 	}
 	prev := base.LSN(0)
 	for i := range a.in {
-		d, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, errCorrupt
-		}
-		prev += base.LSN(d)
-		a.in[i], buf = prev, buf[n:]
+		prev += base.LSN(d.Uvarint()) // delta-encoded
+		a.in[i] = prev
 	}
-	return buf, nil
 }
 
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")

@@ -122,41 +122,33 @@ func (t *Table) EncodedLen() int {
 
 // DecodeTableInto parses a table previously produced by Append into t,
 // whatever t held, and returns the remaining bytes. Append writes the TCs in
-// strictly ascending order and four bytes or more per entry; anything else is
-// corrupt. It reuses t's entry array and each reused entry's {LSNin} array
-// where they are large enough, so a table decoded into one that held as many
-// entries and LSNs allocates nothing. On an error t holds a partial table.
+// strictly ascending order, four bytes or more per entry and minimal varints;
+// anything else is corrupt. It reuses t's entry array and each reused entry's
+// {LSNin} array where they are large enough, so a table decoded into one that
+// held as many entries and LSNs allocates nothing. On an error t holds a
+// partial table.
 func DecodeTableInto(t *Table, buf []byte) ([]byte, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 {
+	d := base.NewDecoder(buf)
+	n := d.Count()
+	if d.Err() != nil || n > len(d.Rest())/4 {
 		return nil, errCorrupt
 	}
-	buf = buf[w:]
-	if n > uint64(len(buf))/4 {
-		return nil, errCorrupt
-	}
-	if n <= uint64(cap(t.e)) {
+	if n <= cap(t.e) {
 		t.e = t.e[:n]
 	} else {
 		t.e = make([]entry, n)
 	}
 	for i := range t.e {
-		u, w := binary.Uvarint(buf)
-		if w <= 0 || u > uint64(^base.TCID(0)) {
+		u := d.Uvarint()
+		if u > uint64(^base.TCID(0)) || i > 0 && base.TCID(u) <= t.e[i-1].tc {
 			return nil, errCorrupt
 		}
-		tc := base.TCID(u)
-		if i > 0 && tc <= t.e[i-1].tc {
+		t.e[i].tc = base.TCID(u)
+		if t.e[i].a.decode(&d); d.Err() != nil {
 			return nil, errCorrupt
 		}
-		t.e[i].tc = tc
-		rest, err := t.e[i].a.decode(buf[w:])
-		if err != nil {
-			return nil, err
-		}
-		buf = rest
 	}
-	return buf, nil
+	return d.Rest(), nil
 }
 
 // InCountTotal sums |{LSNin}| across TCs (page-sync strategy 3 uses this

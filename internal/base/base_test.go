@@ -106,10 +106,10 @@ func legacyAppendOp(buf []byte, o *Op) []byte {
 	buf = binary.AppendUvarint(buf, uint64(o.TC))
 	buf = binary.AppendUvarint(buf, uint64(o.LSN))
 	buf = append(buf, byte(o.Kind), byte(o.Flavor), boolByte(o.Versioned))
-	buf = appendString(buf, o.Table)
-	buf = appendString(buf, o.Key)
-	buf = appendString(buf, o.EndKey)
-	buf = appendBytes(buf, o.Value)
+	buf = AppendField(buf, o.Table)
+	buf = AppendField(buf, o.Key)
+	buf = AppendField(buf, o.EndKey)
+	buf = AppendField(buf, o.Value)
 	buf = binary.AppendVarint(buf, int64(o.Limit))
 	return buf
 }

@@ -34,12 +34,12 @@ func DecodeOpBatch(buf []byte) ([]*Op, []byte, error) {
 // returns the remaining bytes. The results are made by NewResults and alias
 // buf, like DecodeResult's.
 func DecodeResultBatch(buf []byte) ([]*Result, []byte, error) {
-	r := reader{buf: buf}
-	rs := NewResults(r.count())
-	if r.results(rs); r.err != nil {
-		return nil, nil, r.err
+	d := NewDecoder(buf)
+	rs := NewResults(d.Count())
+	if d.results(rs); d.err != nil {
+		return nil, nil, d.err
 	}
-	return rs, buf[r.off:], nil
+	return rs, d.Rest(), nil
 }
 
 func FuzzDecodeOpBatch(f *testing.F) {
@@ -55,6 +55,7 @@ func FuzzDecodeOpBatch(f *testing.F) {
 	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 15, Kind: opRetired, Table: "t", Key: "c", TS: 9}}))
 	f.Add(append(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 16, Kind: OpUpsert, Table: "t", Key: "d", Value: []byte("4")}}), 0))
 	f.Add(AppendOpBatch(nil, []*Op{{TC: 1, LSN: 17, Kind: opRetired + 1, Table: "t", Key: "e", Versioned: true}})) // abort-versions
+	f.Add([]byte{1, 1, 0xac, 0x82, 0x00, byte(OpUpsert), 0, 0, 1, 't', 1, 'k', 0, 1, 'v', 0})                      // LSN 300 in three bytes, not two
 	var slab OpSlab
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, rest, err := DecodeOpBatch(data)
@@ -126,4 +127,58 @@ func FuzzDecodeResultBatch(f *testing.F) {
 			t.Fatalf("unstable round trip:\n%x\n%x", enc, enc2)
 		}
 	})
+}
+
+// TestDecodeOpBatchIsStrict: a batch decodes only from the bytes
+// AppendOpBatch writes. A non-minimal varint anywhere — a count, an id, a
+// field's length, the zig-zag limit — is refused, and so is a field or a
+// count past the end; a reply's results are read alike.
+func TestDecodeOpBatchIsStrict(t *testing.T) {
+	part := map[string][]byte{
+		"count": {1}, "tc": {1}, "lsn": {0xac, 0x02}, "group": {byte(OpUpsert), 0, 0},
+		"table": {1, 't'}, "key": {1, 'k'}, "end": {0}, "value": {1, 'v'}, "limit": {0},
+	}
+	batch := func(name string, b []byte) []byte {
+		var out []byte
+		for _, p := range []string{"count", "tc", "lsn", "group", "table", "key", "end", "value", "limit"} {
+			if p == name {
+				out = append(out, b...)
+			} else {
+				out = append(out, part[p]...)
+			}
+		}
+		return out
+	}
+	var slab OpSlab
+	if ops, err := slab.Decode(batch("", nil)); err != nil || ops[0].LSN != 300 || string(ops[0].Value) != "v" {
+		t.Fatalf("the well-formed batch: %v, %v", ops, err)
+	}
+	for name, body := range map[string][]byte{
+		"count non-minimal":        batch("count", []byte{0x81, 0x00}),
+		"tc non-minimal":           batch("tc", []byte{0x81, 0x00}),
+		"lsn non-minimal":          batch("lsn", []byte{0xac, 0x82, 0x00}),
+		"table length non-minimal": batch("table", []byte{0x81, 0x00, 't'}),
+		"limit non-minimal":        batch("limit", []byte{0x80, 0x00}),
+		"value past the end":       batch("value", []byte{3, 'v'}),
+		"count past the end":       batch("count", []byte{2}),
+	} {
+		if ops, err := slab.Decode(body); err == nil {
+			t.Errorf("%s: %x decoded to %v", name, body, ops)
+		}
+	}
+	reply := AppendResultBatch(nil, []*Result{{LSN: 300, Code: CodeOK, Keys: []string{"k"}}})
+	if err := DecodeResultsInto(reply, NewResults(1)); err != nil {
+		t.Fatalf("the well-formed reply: %v", err)
+	}
+	for name, body := range map[string][]byte{
+		"result lsn non-minimal":    append([]byte{1, 0xac, 0x82, 0x00}, reply[3:]...),
+		"key length non-minimal":    append(reply[:len(reply)-3:len(reply)-3], 0x81, 0x00, 'k', 0),
+		"key past the end":          append(reply[:len(reply)-3:len(reply)-3], 5, 'k', 0),
+		"values count non-minimal":  append(reply[:len(reply)-1:len(reply)-1], 0x80, 0x00),
+		"values count past the end": append(reply[:len(reply)-1:len(reply)-1], 1),
+	} {
+		if err := DecodeResultsInto(body, NewResults(1)); err == nil {
+			t.Errorf("%s: %x decoded", name, body)
+		}
+	}
 }

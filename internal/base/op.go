@@ -283,10 +283,10 @@ func appendOp(buf []byte, o *Op) []byte {
 	if o.DCInc != 0 {
 		buf = binary.AppendUvarint(buf, uint64(o.DCInc))
 	}
-	buf = appendString(buf, o.Table)
-	buf = appendString(buf, o.Key)
-	buf = appendString(buf, o.EndKey)
-	buf = appendBytes(buf, o.Value)
+	buf = AppendField(buf, o.Table)
+	buf = AppendField(buf, o.Key)
+	buf = AppendField(buf, o.EndKey)
+	buf = AppendField(buf, o.Value)
 	buf = binary.AppendVarint(buf, int64(o.Limit))
 	return buf
 }
@@ -310,45 +310,49 @@ func opLen(o *Op) int {
 // encodings) decode with Epoch zero. The operation's Value aliases buf;
 // Table, Key and EndKey are copied, in one allocation.
 func DecodeOp(buf []byte) (*Op, []byte, error) {
-	r := reader{buf: buf}
-	o := new(Op)
-	f := r.op(o)
-	if r.err != nil {
-		return nil, nil, r.err
+	d := NewDecoder(buf)
+	o := d.Op()
+	if d.err != nil {
+		return nil, nil, d.err
 	}
-	s := string(buf[f[0].lo:f[2].hi])
-	o.Table, o.Key, o.EndKey = f[0].cut(s, f[0].lo), f[1].cut(s, f[0].lo), f[2].cut(s, f[0].lo)
-	return o, buf[r.off:], nil
+	return o, d.Rest(), nil
 }
 
-// span is where a length-prefixed field's bytes lie in the encoding.
-type span struct{ lo, hi int }
+// Op reads an operation (AppendOp), as DecodeOp does; nil once the decoding
+// has failed.
+func (d *Decoder) Op() *Op {
+	o := new(Op)
+	f := d.op(o)
+	if d.err != nil {
+		return nil
+	}
+	s := string(d.buf[f[0].lo:f[2].hi])
+	o.Table, o.Key, o.EndKey = f[0].cut(s, f[0].lo), f[1].cut(s, f[0].lo), f[2].cut(s, f[0].lo)
+	return o
+}
 
-// cut returns the field from s, which holds the encoding's bytes from at on.
-func (f span) cut(s string, at int) string { return s[f.lo-at : f.hi-at] }
-
-// op decodes the operation at r's position into o, all but its string
-// fields, and returns where Table, Key and EndKey lie in r.buf.
-func (r *reader) op(o *Op) [3]span {
-	o.TC = TCID(r.uvarint())
-	o.LSN = LSN(r.uvarint())
-	kind, flavor, versioned := r.group()
+// op decodes the operation at d's position into o, all but its string
+// fields, and returns where Table, Key and EndKey lie in d.buf.
+func (d *Decoder) op(o *Op) [3]span {
+	o.TC = TCID(d.Uvarint())
+	o.LSN = LSN(d.Uvarint())
+	kind, flavor, versioned := d.group()
 	o.Kind, o.Flavor, o.Versioned = OpKind(kind&^(opEpochFlag|opTSFlag|opDCIncFlag)), ReadFlavor(flavor), versioned != 0
-	if o.Kind >= opRetired && r.err == nil {
-		r.fail(fmt.Errorf("base: operation kind %d is retired or unknown", o.Kind))
+	if o.Kind >= opRetired {
+		d.Fail(fmt.Errorf("base: operation kind %d is retired or unknown", o.Kind))
 	}
 	if kind&opEpochFlag != 0 {
-		o.Epoch = Epoch(r.uvarint())
+		o.Epoch = Epoch(d.Uvarint())
 	}
 	if kind&opTSFlag != 0 {
-		o.TS = TS(r.uvarint())
+		o.TS = TS(d.Uvarint())
 	}
 	if kind&opDCIncFlag != 0 {
-		o.DCInc = DCInc(r.uvarint())
+		o.DCInc = DCInc(d.Uvarint())
 	}
-	f := [3]span{r.field(), r.field(), r.field()}
-	o.Value = r.bytes()
-	o.Limit = int32(r.varint())
+	f := [3]span{d.span(), d.span(), d.span()}
+	o.Value = d.Field()
+	o.Limit = int32(d.varint())
 	return f
 }
 
@@ -361,14 +365,14 @@ func AppendResult(buf []byte, r *Result) []byte {
 	if r.Code == CodeStaleDC {
 		buf = binary.AppendUvarint(buf, uint64(r.DCInc))
 	}
-	buf = appendBytes(buf, r.Value)
+	buf = AppendField(buf, r.Value)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Keys)))
 	for _, k := range r.Keys {
-		buf = appendString(buf, k)
+		buf = AppendField(buf, k)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(r.Values)))
 	for _, v := range r.Values {
-		buf = appendBytes(buf, v)
+		buf = AppendField(buf, v)
 	}
 	return buf
 }
@@ -377,43 +381,43 @@ func AppendResult(buf []byte, r *Result) []byte {
 // returns the remaining bytes. The result's Value and Values alias buf; its
 // Keys are copied, in one allocation.
 func DecodeResult(buf []byte) (*Result, []byte, error) {
-	r := reader{buf: buf}
+	d := NewDecoder(buf)
 	res := new(Result)
-	r.result(res)
-	if r.err != nil {
-		return nil, nil, r.err
+	d.result(res)
+	if d.err != nil {
+		return nil, nil, d.err
 	}
-	return res, buf[r.off:], nil
+	return res, d.Rest(), nil
 }
 
-// result decodes the result at r's position into res.
-func (r *reader) result(res *Result) {
-	res.LSN = LSN(r.uvarint())
-	code, found, applied := r.group()
+// result decodes the result at d's position into res.
+func (d *Decoder) result(res *Result) {
+	res.LSN = LSN(d.Uvarint())
+	code, found, applied := d.group()
 	res.Code, res.Found, res.Applied = Code(code), found != 0, applied != 0
 	if res.Code == CodeStaleDC {
-		res.DCInc = DCInc(r.uvarint())
+		res.DCInc = DCInc(d.Uvarint())
 	}
-	res.Value = r.bytes()
-	if n := r.count(); n > 0 {
-		at := r.off
+	res.Value = d.Field()
+	if n := d.Count(); n > 0 {
+		at := d.off
 		for range n {
-			r.field()
+			d.span()
 		}
-		if r.err != nil {
+		if d.err != nil {
 			return
 		}
-		s := string(r.buf[at:r.off])
-		keys := reader{buf: r.buf[:r.off], off: at}
+		s := string(d.buf[at:d.off])
+		keys := Decoder{buf: d.buf[:d.off], off: at}
 		res.Keys = make([]string, n)
 		for i := range res.Keys {
-			res.Keys[i] = keys.field().cut(s, at)
+			res.Keys[i] = keys.span().cut(s, at)
 		}
 	}
-	if n := r.count(); n > 0 {
+	if n := d.Count(); n > 0 {
 		res.Values = make([][]byte, n)
 		for i := range res.Values {
-			res.Values[i] = r.bytes()
+			res.Values[i] = d.Field()
 		}
 	}
 }
@@ -461,22 +465,22 @@ func (s *OpSlab) Decode(body []byte) ([]*Op, error) {
 // decode is Decode that returns how many bytes it decoded instead of
 // refusing the rest.
 func (s *OpSlab) decode(buf []byte) ([]*Op, int, error) {
-	r := reader{buf: buf}
-	n := r.count()
-	if r.err != nil {
-		return nil, 0, r.err
+	d := NewDecoder(buf)
+	n := d.Count()
+	if d.err != nil {
+		return nil, 0, d.err
 	}
 	s.ops, s.ptrs = slices.Grow(s.ops[:0], n)[:n], slices.Grow(s.ptrs[:0], n)[:n]
 	s.strs, s.ends = s.strs[:0], s.ends[:0]
 	for i := range s.ops {
 		o := &s.ops[i]
 		*o = Op{}
-		for _, f := range r.op(o) {
+		for _, f := range d.op(o) {
 			s.strs = append(s.strs, buf[f.lo:f.hi]...)
 			s.ends = append(s.ends, len(s.strs))
 		}
-		if r.err != nil {
-			return nil, 0, r.err
+		if d.err != nil {
+			return nil, 0, d.err
 		}
 		s.ptrs[i] = o
 	}
@@ -486,7 +490,7 @@ func (s *OpSlab) decode(buf []byte) ([]*Op, int, error) {
 		o.Table, o.Key, o.EndKey = str[at:e[0]], str[e[0]:e[1]], str[e[1]:e[2]]
 		at = e[2]
 	}
-	return s.ptrs, r.off, nil
+	return s.ptrs, d.off, nil
 }
 
 // AppendResultBatch serializes the per-operation results of a batch.
@@ -503,24 +507,24 @@ func AppendResultBatch(buf []byte, rs []*Result) []byte {
 // each. The results alias body, like DecodeResult's. A body that holds
 // another number of results, or bytes past them, is refused.
 func DecodeResultsInto(body []byte, rs []*Result) error {
-	r := reader{buf: body}
-	if r.count() != len(rs) && r.err == nil {
-		r.fail(fmt.Errorf("base: batch reply holds another number of results than the %d asked", len(rs)))
+	d := NewDecoder(body)
+	if d.Count() != len(rs) && d.err == nil {
+		d.Fail(fmt.Errorf("base: batch reply holds another number of results than the %d asked", len(rs)))
 	}
-	if r.results(rs); r.err == nil && r.off != len(body) {
-		r.fail(errTrailing)
+	if d.results(rs); d.err == nil && d.off != len(body) {
+		d.Fail(errTrailing)
 	}
-	return r.err
+	return d.err
 }
 
-// results decodes len(rs) results at r's position into rs.
-func (r *reader) results(rs []*Result) {
+// results decodes len(rs) results at d's position into rs.
+func (d *Decoder) results(rs []*Result) {
 	for _, res := range rs {
-		if r.err != nil {
+		if d.err != nil {
 			return
 		}
 		*res = Result{}
-		r.result(res)
+		d.result(res)
 	}
 }
 
@@ -546,26 +550,11 @@ func NewResults(n int) []*Result {
 
 // small codec helpers -------------------------------------------------------
 
-var errShort = fmt.Errorf("base: truncated encoding")
-
-// errTrailing refuses a body with bytes past what it encodes.
-var errTrailing = fmt.Errorf("base: trailing bytes after the encoding")
-
 func boolByte(b bool) byte {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 // grow makes room for n more bytes in buf with at most one allocation of
@@ -582,93 +571,3 @@ func UvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // varintLen is the length binary.AppendVarint gives v: zig-zag, then uvarint.
 func varintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-
-// reader decodes an encoding in place from the front: off is the next byte,
-// and err latches the first failure, after which every read is a no-op that
-// returns zeros.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(err error) {
-	r.err, r.off = err, len(r.buf)
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	u, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off += n
-	return u
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// group reads the three fixed bytes behind an operation's or a result's
-// leading varints.
-func (r *reader) group() (a, b, c byte) {
-	if r.err == nil && len(r.buf)-r.off < 3 {
-		r.fail(errShort)
-	}
-	if r.err != nil {
-		return 0, 0, 0
-	}
-	g := r.buf[r.off : r.off+3]
-	r.off += 3
-	return g[0], g[1], g[2]
-}
-
-// count reads the number of elements that follow, refusing one the bytes
-// left cannot hold (each element takes at least one byte).
-func (r *reader) count() int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.buf)-r.off) {
-		r.fail(errShort)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// field reads one length-prefixed field and returns where its bytes lie.
-func (r *reader) field() span {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.buf)-r.off) {
-		r.fail(errShort)
-	}
-	if r.err != nil {
-		return span{r.off, r.off}
-	}
-	lo := r.off
-	r.off += int(n)
-	return span{lo, r.off}
-}
-
-// bytes reads one length-prefixed field as a slice of buf, its capacity
-// clipped; an empty field is nil.
-func (r *reader) bytes() []byte {
-	f := r.field()
-	if f.lo == f.hi {
-		return nil
-	}
-	return r.buf[f.lo:f.hi:f.hi]
-}

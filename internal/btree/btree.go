@@ -30,19 +30,14 @@ import (
 
 // Config shapes a tree.
 type Config struct {
-	// MaxPageBytes triggers a split when a page grows beyond it.
+	// MaxPageBytes triggers a split when a page grows beyond it, and a
+	// consolidation attempt when a leaf shrinks below a quarter of it.
 	MaxPageBytes int
-	// MinPageBytes triggers a consolidation attempt when a leaf shrinks
-	// below it (default MaxPageBytes/4).
-	MinPageBytes int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxPageBytes <= 0 {
 		c.MaxPageBytes = 4096
-	}
-	if c.MinPageBytes <= 0 {
-		c.MinPageBytes = c.MaxPageBytes / 4
 	}
 	return c
 }
@@ -162,7 +157,7 @@ func (t *Tree) Apply(key string, mutate func(*page.Page) (blocked bool)) (leafID
 	}
 	if size > t.cfg.MaxPageBytes {
 		err = t.split(key)
-	} else if size < t.cfg.MinPageBytes || nrecs == 0 {
+	} else if size < t.cfg.MaxPageBytes/4 || nrecs == 0 {
 		err = t.maybeConsolidate(key)
 	}
 	return leafID, false, err
@@ -363,7 +358,7 @@ func (t *Tree) maybeConsolidate(key string) error {
 	var merged *page.Page
 	left.L.RLock()
 	right.L.RLock()
-	if (leaf.Size() < t.cfg.MinPageBytes || len(leaf.Recs) == 0) &&
+	if (leaf.Size() < t.cfg.MaxPageBytes/4 || len(leaf.Recs) == 0) &&
 		left.Size()+right.Size() <= t.cfg.MaxPageBytes*9/10 {
 		merged = left.Merged(right)
 	}

@@ -43,11 +43,11 @@ func catalogRecord(table string, root base.PageID) page.Record {
 
 // catalogRoot decodes the root a catalog record names.
 func catalogRoot(rec *page.Record) (base.PageID, error) {
-	root, n := binary.Uvarint(rec.Value)
-	if n <= 0 {
-		return 0, fmt.Errorf("btree: corrupt catalog entry %q", rec.Key)
+	d := base.NewDecoder(rec.Value)
+	if root := base.PageID(d.Uvarint()); d.End() {
+		return root, nil
 	}
-	return base.PageID(root), nil
+	return 0, fmt.Errorf("btree: corrupt catalog entry %q", rec.Key)
 }
 
 // fetchCatalog pins the catalog page; callers Unpin(CatalogPageID).

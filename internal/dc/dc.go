@@ -412,8 +412,9 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 // Broadcasts from a fenced incarnation are dropped, and so are those of a TC
 // that owes this incarnation its resend: the stamped writes the promise
 // vouches for may be among what the DC's crash lost, and a TC that crashed
-// still owes the undo of its losers' stamped writes, whose timestamps the
-// new incarnation's safe timestamp may already pass.
+// may have left stamped writes of commit batches it never forced, which only
+// its BeginRestart's sweep rolls back and whose timestamps the new
+// incarnation's safe timestamp may already pass.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
 	inc := d.advance(tc, epoch, true, func(s *tcState) {
 		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {

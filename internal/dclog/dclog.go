@@ -17,6 +17,7 @@
 package dclog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -101,26 +102,16 @@ type RootCollapse struct {
 
 // --- encoding ---------------------------------------------------------
 
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
 // Encode serializes the record payload.
 func (r *CreateTree) Encode() []byte {
-	buf := appendStr(nil, r.Table)
+	buf := base.AppendField(nil, r.Table)
 	buf = binary.AppendUvarint(buf, uint64(r.RootID))
-	return appendBytes(buf, r.RootImage)
+	return base.AppendField(buf, r.RootImage)
 }
 
 // Encode serializes the record payload.
 func (r *Split) Encode() []byte {
-	buf := appendStr(nil, r.Table)
+	buf := base.AppendField(nil, r.Table)
 	if r.Leaf {
 		buf = append(buf, 1)
 	} else {
@@ -128,8 +119,8 @@ func (r *Split) Encode() []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(r.LeftID))
 	buf = binary.AppendUvarint(buf, uint64(r.RightID))
-	buf = appendStr(buf, r.SplitKey)
-	buf = appendBytes(buf, r.RightImage)
+	buf = base.AppendField(buf, r.SplitKey)
+	buf = base.AppendField(buf, r.RightImage)
 	buf = binary.AppendUvarint(buf, uint64(r.ParentID))
 	buf = binary.AppendUvarint(buf, uint64(r.NewRootID))
 	return buf
@@ -137,16 +128,16 @@ func (r *Split) Encode() []byte {
 
 // Encode serializes the record payload.
 func (r *Consolidate) Encode() []byte {
-	buf := appendStr(nil, r.Table)
+	buf := base.AppendField(nil, r.Table)
 	buf = binary.AppendUvarint(buf, uint64(r.LeftID))
 	buf = binary.AppendUvarint(buf, uint64(r.RightID))
 	buf = binary.AppendUvarint(buf, uint64(r.ParentID))
-	return appendBytes(buf, r.LeftImage)
+	return base.AppendField(buf, r.LeftImage)
 }
 
 // Encode serializes the record payload.
 func (r *RootCollapse) Encode() []byte {
-	buf := appendStr(nil, r.Table)
+	buf := base.AppendField(nil, r.Table)
 	buf = binary.AppendUvarint(buf, uint64(r.OldRootID))
 	buf = binary.AppendUvarint(buf, uint64(r.NewRootID))
 	return buf
@@ -163,126 +154,63 @@ func (r *Epochs) Encode() []byte {
 	return buf
 }
 
-type reader struct {
-	buf []byte
-	err error
-}
+// The decoders parse exactly one payload of their kind: a short field, a
+// non-minimal varint and a byte past the end are corruption. A decoded
+// record's strings and images are copies, so that a page built from an
+// image owns its bytes.
 
 var errCorrupt = fmt.Errorf("dclog: corrupt record")
 
-func (d *reader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// decoded returns r once d has read the whole payload.
+func decoded[T any](r *T, d *base.Decoder) (*T, error) {
+	if !d.End() {
+		return nil, errCorrupt
 	}
-	u, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = errCorrupt
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return u
-}
-
-func (d *reader) str() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)) {
-		d.err = errCorrupt
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *reader) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)) {
-		d.err = errCorrupt
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *reader) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = errCorrupt
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
+	return r, nil
 }
 
 // DecodeCreateTree parses a KindCreateTree payload.
 func DecodeCreateTree(buf []byte) (*CreateTree, error) {
-	d := reader{buf: buf}
-	r := &CreateTree{Table: d.str()}
-	r.RootID = base.PageID(d.uvarint())
-	r.RootImage = d.bytes()
-	return r, d.err
+	d := base.NewDecoder(buf)
+	r := &CreateTree{Table: string(d.Field()), RootID: base.PageID(d.Uvarint()),
+		RootImage: bytes.Clone(d.Field())}
+	return decoded(r, &d)
 }
 
 // DecodeSplit parses a KindSplit payload.
 func DecodeSplit(buf []byte) (*Split, error) {
-	d := reader{buf: buf}
-	r := &Split{Table: d.str()}
-	r.Leaf = d.byte() != 0
-	r.LeftID = base.PageID(d.uvarint())
-	r.RightID = base.PageID(d.uvarint())
-	r.SplitKey = d.str()
-	r.RightImage = d.bytes()
-	r.ParentID = base.PageID(d.uvarint())
-	r.NewRootID = base.PageID(d.uvarint())
-	return r, d.err
+	d := base.NewDecoder(buf)
+	r := &Split{Table: string(d.Field()), Leaf: d.Byte() != 0, LeftID: base.PageID(d.Uvarint()),
+		RightID: base.PageID(d.Uvarint()), SplitKey: string(d.Field()), RightImage: bytes.Clone(d.Field()),
+		ParentID: base.PageID(d.Uvarint()), NewRootID: base.PageID(d.Uvarint())}
+	return decoded(r, &d)
 }
 
 // DecodeConsolidate parses a KindConsolidate payload.
 func DecodeConsolidate(buf []byte) (*Consolidate, error) {
-	d := reader{buf: buf}
-	r := &Consolidate{Table: d.str()}
-	r.LeftID = base.PageID(d.uvarint())
-	r.RightID = base.PageID(d.uvarint())
-	r.ParentID = base.PageID(d.uvarint())
-	r.LeftImage = d.bytes()
-	return r, d.err
+	d := base.NewDecoder(buf)
+	r := &Consolidate{Table: string(d.Field()), LeftID: base.PageID(d.Uvarint()),
+		RightID: base.PageID(d.Uvarint()), ParentID: base.PageID(d.Uvarint()), LeftImage: bytes.Clone(d.Field())}
+	return decoded(r, &d)
 }
 
 // DecodeRootCollapse parses a KindRootCollapse payload.
 func DecodeRootCollapse(buf []byte) (*RootCollapse, error) {
-	d := reader{buf: buf}
-	r := &RootCollapse{Table: d.str()}
-	r.OldRootID = base.PageID(d.uvarint())
-	r.NewRootID = base.PageID(d.uvarint())
-	return r, d.err
+	d := base.NewDecoder(buf)
+	r := &RootCollapse{Table: string(d.Field()), OldRootID: base.PageID(d.Uvarint()),
+		NewRootID: base.PageID(d.Uvarint())}
+	return decoded(r, &d)
 }
 
 // DecodeEpochs parses a KindEpochs payload.
 func DecodeEpochs(buf []byte) (*Epochs, error) {
-	d := reader{buf: buf}
-	inc := base.DCInc(d.uvarint())
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)) { // each entry is >= 2 bytes
-		return nil, errCorrupt
+	d := base.NewDecoder(buf)
+	r := &Epochs{Inc: base.DCInc(d.Uvarint())}
+	r.Epochs = make([]TCEpoch, d.Count())
+	for i := range r.Epochs {
+		r.Epochs[i] = TCEpoch{TC: base.TCID(d.Uvarint()), Epoch: base.Epoch(d.Uvarint())}
 	}
-	r := &Epochs{Inc: inc, Epochs: make([]TCEpoch, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		tc := base.TCID(d.uvarint())
-		ep := base.Epoch(d.uvarint())
-		if d.err != nil {
-			return nil, d.err
-		}
-		r.Epochs = append(r.Epochs, TCEpoch{TC: tc, Epoch: ep})
-	}
-	return r, nil
+	return decoded(r, &d)
 }
 
 // Logger is what the B-tree needs from the DC's log manager to make

@@ -1,6 +1,8 @@
 package dclog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -48,6 +50,39 @@ func TestRoundTripAndTruncation(t *testing.T) {
 	}
 }
 
+// TestDecodeIsStrict: a payload decodes only from the bytes its encoder
+// writes. Its first varint (a table name's length, or an epoch snapshot's
+// incarnation) spelled one byte longer, a table name or a snapshot's count
+// reaching past the end, and a byte after the payload are each refused.
+func TestDecodeIsStrict(t *testing.T) {
+	for _, k := range kinds {
+		enc := k.rec.Encode()
+		past, at := bytes.Clone(enc), 0 // the table name's length
+		if k.kind == KindEpochs {
+			at = 2 // the count, behind the two-byte incarnation
+		}
+		past[at] = byte(len(enc))
+		for name, bad := range map[string][]byte{
+			"non-minimal":  nonMinimal(enc),
+			"past the end": past,
+			"trailing":     append(enc[:len(enc):len(enc)], 0),
+		} {
+			if got, err := k.decode(bad); err == nil {
+				t.Errorf("kind %d, %s: %x decoded to %+v", k.kind, name, bad, got)
+			}
+		}
+	}
+}
+
+// nonMinimal spells enc's first varint one byte longer: a continuation bit
+// on its last byte, then a zero.
+func nonMinimal(enc []byte) []byte {
+	_, n := binary.Uvarint(enc)
+	out := append(bytes.Clone(enc[:n]), 0)
+	out[n-1] |= 0x80
+	return append(out, enc[n:]...)
+}
+
 // TestEpochsCarryTheIncarnation pins the snapshot a fence-less DC writes at
 // every recovery: the incarnation number alone survives a round trip.
 func TestEpochsCarryTheIncarnation(t *testing.T) {
@@ -70,6 +105,7 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Add(KindEpochs, (&Epochs{Inc: 2}).Encode()) // the snapshot of a DC no TC has registered with
+	f.Add(KindSplit, nonMinimal(kinds[1].rec.Encode()))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		k := kinds[int(kind-1)%len(kinds)] // a record kind picks its own decoder; Kind* start at 1
 		rec, err := k.decode(data)

@@ -206,8 +206,7 @@ func encodeOpPayload(pageID base.PageID, op *base.Op, prior []byte, priorFound b
 	op.LSN = 0
 	buf = base.AppendOp(buf, op)
 	op.LSN = saved
-	buf = binary.AppendUvarint(buf, uint64(len(prior)))
-	buf = append(buf, prior...)
+	buf = base.AppendField(buf, prior)
 	if priorFound {
 		buf = append(buf, 1)
 	} else {
@@ -219,21 +218,14 @@ func encodeOpPayload(pageID base.PageID, op *base.Op, prior []byte, priorFound b
 var errCorruptOp = errors.New("monolith: corrupt op payload")
 
 // decodeOpPayload parses exactly one payload of encodeOpPayload: a short
-// prior, a found flag other than 0 or 1 and a byte past the flag are
-// corruption. The prior aliases payload.
+// prior, a found flag other than 0 or 1, a non-minimal varint and a byte
+// past the flag are corruption. The prior aliases payload.
 func decodeOpPayload(payload []byte) (pageID base.PageID, op *base.Op, prior []byte, priorFound bool, err error) {
-	u, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return 0, nil, nil, false, errCorruptOp
-	}
-	op, rest, err := base.DecodeOp(payload[w:])
-	if err != nil {
-		return 0, nil, nil, false, err
-	}
-	d := wal.NewDecoder(rest)
+	d := base.NewDecoder(payload)
+	pageID, op = base.PageID(d.Uvarint()), d.Op()
 	prior, found := d.Field(), d.Byte()
 	if !d.End() || found > 1 {
 		return 0, nil, nil, false, errCorruptOp
 	}
-	return base.PageID(u), op, prior, found == 1, nil
+	return pageID, op, prior, found == 1, nil
 }

@@ -1,7 +1,6 @@
 package monolith
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -44,8 +43,9 @@ func (e *Engine) Recover() error {
 		}
 		switch rec.Kind {
 		case recCheckpoint:
-			if u, n := binary.Uvarint(rec.Payload); n > 0 && base.LSN(u) > rssp {
-				rssp = base.LSN(u)
+			d := base.NewDecoder(rec.Payload)
+			if rssp = max(rssp, base.LSN(d.Uvarint())); !d.End() {
+				return fmt.Errorf("monolith: corrupt checkpoint record @%d", rec.LSN)
 			}
 		case recOp, recCLR:
 			if rec.Txn != 0 {

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/wal"
 )
 
 // Op-record payload: the logical operation, and nothing restart does not
@@ -38,10 +37,10 @@ func appendOpPayload(buf []byte, op *base.Op) []byte {
 		head |= opVersioned
 	}
 	buf = append(buf, head)
-	buf = appendField(buf, op.Table)
-	buf = appendField(buf, op.Key)
+	buf = base.AppendField(buf, op.Table)
+	buf = base.AppendField(buf, op.Key)
 	if hasValue(op.Kind) {
-		buf = appendField(buf, op.Value)
+		buf = base.AppendField(buf, op.Value)
 	}
 	return buf
 }
@@ -68,10 +67,6 @@ func hasValue(kind base.OpKind) bool {
 
 func fieldLen(n int) int { return base.UvarintLen(uint64(n)) + n }
 
-func appendField[T string | []byte](buf []byte, f T) []byte {
-	return append(binary.AppendUvarint(buf, uint64(len(f))), f...)
-}
-
 var errCorruptOp = errors.New("tc: corrupt op payload")
 
 // decodeOpPayload parses exactly one payload of appendOpPayload: a kind that
@@ -80,7 +75,7 @@ var errCorruptOp = errors.New("tc: corrupt op payload")
 // itself. The operation's Value aliases payload; Table and Key are copied,
 // each in an allocation of its own.
 func decodeOpPayload(payload []byte) (*base.Op, error) {
-	d := wal.NewDecoder(payload)
+	d := base.NewDecoder(payload)
 	head := d.Byte()
 	op := &base.Op{Kind: base.OpKind(head & opKindMask), Versioned: head&opVersioned != 0}
 	if !loggable(op.Kind) || head&^(opKindMask|opVersioned) != 0 {
@@ -112,7 +107,7 @@ func appendCommit(buf []byte, ts base.TS) []byte {
 }
 
 func decodeCommit(payload []byte) (base.TS, error) {
-	d := wal.NewDecoder(payload)
+	d := base.NewDecoder(payload)
 	ts := base.TS(d.Uvarint())
 	if !d.End() {
 		return 0, errors.New("tc: corrupt commit payload")
@@ -130,7 +125,7 @@ func encodeCheckpoint(rssp base.LSN, epoch base.Epoch) []byte {
 }
 
 func decodeCheckpoint(payload []byte) (base.LSN, base.Epoch, error) {
-	d := wal.NewDecoder(payload)
+	d := base.NewDecoder(payload)
 	rssp, epoch := base.LSN(d.Uvarint()), base.Epoch(d.Uvarint())
 	if !d.End() {
 		return 0, 0, errors.New("tc: corrupt checkpoint payload")
@@ -144,7 +139,7 @@ func encodeEpoch(epoch base.Epoch) []byte {
 }
 
 func decodeEpoch(payload []byte) (base.Epoch, error) {
-	d := wal.NewDecoder(payload)
+	d := base.NewDecoder(payload)
 	epoch := base.Epoch(d.Uvarint())
 	if !d.End() {
 		return 0, errors.New("tc: corrupt epoch payload")

@@ -545,7 +545,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 		append([]byte{buf[0] | 1<<6}, buf[1:]...),
 		append([]byte{buf[0] | 2<<6}, buf[1:]...),
 		append(append([]byte{buf[0] | 1<<5}, buf[1:]...), 0x8d, 0x07),
-		appendField([]byte{9}, "t"),
+		base.AppendField([]byte{9}, "t"),
 	} {
 		if op, err := decodeOpPayload(bad); err == nil {
 			t.Fatalf("%x decoded as %v", bad, op)

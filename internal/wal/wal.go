@@ -129,105 +129,48 @@ func (r *Record) delta(lsn base.LSN) uint64 {
 // NextUndo flag without a NextUndo and non-minimal varints are corruption,
 // so whatever decodes re-encodes to the same bytes.
 func DecodeRecord(buf []byte) (*Record, error) {
-	d := NewDecoder(buf)
+	d := base.NewDecoder(buf)
 	r := &Record{LSN: base.LSN(d.Uvarint())}
 	kind := d.Byte()
-	if !d.bad && kind&kindMark == 0 {
+	if d.Err() == nil && kind&kindMark == 0 {
 		return nil, errUnmarked
 	}
 	r.Kind = kind & kindMask
 	if kind&kindTxn != 0 {
 		if r.Txn = base.TxnID(d.Uvarint()); r.Txn == 0 {
-			d.Fail()
+			d.Fail(errCorrupt)
 		}
 	}
 	if kind&kindLink != 0 {
 		link := d.Uvarint()
 		if link == 0 {
-			d.Fail()
+			d.Fail(errCorrupt)
 		}
-		r.Prev = d.back(r.LSN, link>>1)
+		r.Prev = back(&d, r.LSN, link>>1)
 		if link&1 != 0 {
-			if r.NextUndo = d.back(r.LSN, d.Uvarint()); r.NextUndo == 0 {
-				d.Fail()
+			if r.NextUndo = back(&d, r.LSN, d.Uvarint()); r.NextUndo == 0 {
+				d.Fail(errCorrupt)
 			}
 		}
 	}
-	if d.bad {
+	if d.Err() != nil {
 		return nil, errCorrupt
 	}
-	if len(d.buf) > 0 {
-		r.Payload = bytes.Clone(d.buf)
+	if rest := d.Rest(); len(rest) > 0 {
+		r.Payload = bytes.Clone(rest)
 	}
 	return r, nil
-}
-
-// Decoder reads an encoding from the front, strictly: a short, overlong or
-// non-minimal varint, a missing byte or a field longer than what is left
-// fails it, and after the first failure every read returns zero. Records
-// decode with it, and so do the payloads the log's owners put in them, so
-// that whatever the log holds decodes only from its one encoding.
-type Decoder struct {
-	buf []byte
-	bad bool
-}
-
-// NewDecoder returns a Decoder at the start of buf.
-func NewDecoder(buf []byte) Decoder { return Decoder{buf: buf} }
-
-// Fail fails the decoding: for a value the encoding can hold but its
-// encoder never writes.
-func (d *Decoder) Fail() { d.bad, d.buf = true, nil }
-
-// End reports whether everything decoded and nothing is left.
-func (d *Decoder) End() bool { return !d.bad && len(d.buf) == 0 }
-
-// Byte reads one byte.
-func (d *Decoder) Byte() byte {
-	if len(d.buf) == 0 {
-		d.Fail()
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-// Uvarint reads one minimal uvarint.
-func (d *Decoder) Uvarint() uint64 {
-	u, n := binary.Uvarint(d.buf)
-	if n <= 0 || (n > 1 && d.buf[n-1] == 0) { // short, overlong or non-minimal
-		d.Fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return u
-}
-
-// Field reads a uvarint length and that many bytes, which alias the buffer
-// (capacity clipped); an empty field is nil.
-func (d *Decoder) Field() []byte {
-	n := d.Uvarint()
-	if n > uint64(len(d.buf)) {
-		d.Fail()
-	}
-	if d.bad || n == 0 {
-		return nil
-	}
-	f := d.buf[:n:n]
-	d.buf = d.buf[n:]
-	return f
 }
 
 // back is the LSN delta records before lsn, 0 for a delta of 0; a delta
 // that does not land on an LSN above 0, or that Append would refuse, is
 // corruption.
-func (d *Decoder) back(lsn base.LSN, delta uint64) base.LSN {
+func back(d *base.Decoder, lsn base.LSN, delta uint64) base.LSN {
 	if delta == 0 {
 		return 0
 	}
 	if delta >= uint64(lsn) || delta >= 1<<63 {
-		d.Fail()
+		d.Fail(errCorrupt)
 		return 0
 	}
 	return lsn - base.LSN(delta)
@@ -300,8 +243,8 @@ func New(media *storage.LogStore) (*Log, error) {
 	l.cond = sync.NewCond(&l.mu)
 	for _, raw := range media.Scan(0) {
 		if _, err := DecodeRecord(raw); err != nil {
-			lsn, _ := binary.Uvarint(raw)
-			return nil, fmt.Errorf("record @%d: %w", lsn, err)
+			d := base.NewDecoder(raw)
+			return nil, fmt.Errorf("record @%d: %w", d.Uvarint(), err)
 		}
 	}
 	_, _, last := media.Bounds()
@@ -498,11 +441,11 @@ func (l *Log) Scan(from base.LSN) []*Record {
 func (l *Log) ScanKinds(before base.LSN, kinds ...uint8) []*Record {
 	var out []*Record
 	for _, raw := range l.media.Scan(0) {
-		lsn, n := binary.Uvarint(raw) // the encoding starts with the LSN and the kind
-		if base.LSN(lsn) >= before {
+		d := base.NewDecoder(raw) // the encoding starts with the LSN and the kind
+		if base.LSN(d.Uvarint()) >= before {
 			break
 		}
-		if slices.Contains(kinds, raw[n]&kindMask) {
+		if slices.Contains(kinds, d.Byte()&kindMask) {
 			out = append(out, mustDecode(raw))
 		}
 	}

@@ -87,10 +87,8 @@ func appendFrame(buf []byte, m *message) []byte {
 	buf = binary.AppendUvarint(buf, uint64(m.tc))
 	buf = binary.AppendUvarint(buf, uint64(m.epoch))
 	buf = binary.AppendUvarint(buf, uint64(m.lsn))
-	buf = binary.AppendUvarint(buf, uint64(len(m.body)))
-	buf = append(buf, m.body...)
-	buf = binary.AppendUvarint(buf, uint64(len(m.err)))
-	buf = append(buf, m.err...)
+	buf = base.AppendField(buf, m.body)
+	buf = base.AppendField(buf, m.err)
 	if w := &m.wm; w.has != 0 {
 		buf = append(buf, w.has)
 		if w.has&wmEOSL != 0 {
@@ -108,108 +106,41 @@ func appendFrame(buf []byte, m *message) []byte {
 }
 
 // decodeFrame parses one frame from buf into m, replacing all it held, and
-// returns the remaining bytes. The message's body aliases buf; its error
-// text is copied.
+// returns the remaining bytes. The message's body aliases buf (its capacity
+// clipped); its error text is copied.
 func decodeFrame(m *message, buf []byte) ([]byte, error) {
-	if len(buf) < 1 {
-		return nil, errBadFrame
-	}
-	*m = message{kind: msgKind(buf[0] &^ frameWMFlag)}
-	hasBlock := buf[0]&frameWMFlag != 0
+	d := base.NewDecoder(buf)
+	kind := d.Byte()
+	*m = message{kind: msgKind(kind &^ frameWMFlag)}
 	switch m.kind {
 	case msgPerformBatch, msgCheckpoint, msgBeginRestart, msgEndRestart, msgReply, msgCatalog, msgWatermarks:
 	default: // zero, a retired kind or one past the last
-		return nil, fmt.Errorf("%w: kind %d", errBadFrame, buf[0])
+		return nil, fmt.Errorf("%w: kind %d", errBadFrame, kind)
 	}
-	buf = buf[1:]
-	var err error
-	var u uint64
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, err
+	m.id, m.tc, m.epoch, m.lsn = d.Uvarint(), base.TCID(d.Uvarint()), base.Epoch(d.Uvarint()), base.LSN(d.Uvarint())
+	m.body, m.err = d.Field(), string(d.Field())
+	if kind&frameWMFlag != 0 {
+		decodeWatermarks(&m.wm, &d)
 	}
-	m.id = u
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, err
-	}
-	m.tc = base.TCID(u)
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, err
-	}
-	m.epoch = base.Epoch(u)
-	if u, buf, err = readUvarint(buf); err != nil {
-		return nil, err
-	}
-	m.lsn = base.LSN(u)
-	if m.body, buf, err = readLenBytes(buf); err != nil {
-		return nil, err
-	}
-	var errText []byte
-	if errText, buf, err = readLenBytes(buf); err != nil {
-		return nil, err
-	}
-	m.err = string(errText)
-	if hasBlock {
-		if buf, err = decodeWatermarks(&m.wm, buf); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func decodeWatermarks(w *watermarks, buf []byte) ([]byte, error) {
-	if len(buf) < 1 || buf[0]&^wmAll != 0 {
+	if d.Err() != nil {
 		return nil, errBadFrame
 	}
-	w.has = buf[0]
-	buf = buf[1:]
-	var err error
-	var u uint64
+	return d.Rest(), nil
+}
+
+func decodeWatermarks(w *watermarks, d *base.Decoder) {
+	if w.has = d.Byte(); w.has&^wmAll != 0 {
+		d.Fail(errBadFrame)
+	}
 	if w.has&wmEOSL != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		w.eosl = base.LSN(u)
+		w.eosl = base.LSN(d.Uvarint())
 	}
 	if w.has&wmLWM != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		w.lwm = base.LSN(u)
+		w.lwm = base.LSN(d.Uvarint())
 	}
 	if w.has&wmSafe != 0 {
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		w.safe = base.TS(u)
-		if u, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		w.horizon = base.TS(u)
+		w.safe, w.horizon = base.TS(d.Uvarint()), base.TS(d.Uvarint())
 	}
-	return buf, nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	u, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, errBadFrame
-	}
-	return u, buf[n:], nil
-}
-
-// readLenBytes reads one length-prefixed field. The field aliases buf (its
-// capacity clipped, so appending to it cannot reach the bytes behind); a
-// caller that outlives buf copies — the catalog and error texts into
-// strings.
-func readLenBytes(buf []byte) ([]byte, []byte, error) {
-	n, buf, err := readUvarint(buf)
-	if err != nil || n > uint64(len(buf)) {
-		return nil, nil, errBadFrame
-	}
-	if n == 0 {
-		return nil, buf, nil
-	}
-	return buf[:n:n], buf[n:], nil
 }
 
 // writeFrame writes m to w as one length-prefixed stream frame. scratch, if

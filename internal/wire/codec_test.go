@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -135,6 +136,53 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameIsStrict: a frame decodes only from the bytes appendFrame
+// writes. A non-minimal varint in its head, a field's length or its
+// watermark block is refused, and so is a body or an error text reaching
+// past the end.
+func TestDecodeFrameIsStrict(t *testing.T) {
+	order := []string{"kind", "id", "tc", "epoch", "lsn", "body", "err", "has", "eosl", "lwm", "safe", "horizon"}
+	part := map[string][]byte{
+		"kind": {byte(msgPerformBatch) | frameWMFlag}, "id": {3}, "tc": {1}, "epoch": {2}, "lsn": {9},
+		"body": {3, 'x', 'y', 'z'}, "err": {1, 'e'}, "has": {wmAll}, "eosl": {8}, "lwm": {7},
+		"safe": {0xac, 0x02}, "horizon": {0xc8, 0x01},
+	}
+	frame := func(name string, b []byte) []byte {
+		var out []byte
+		for _, p := range order {
+			if p == name {
+				out = append(out, b...)
+			} else {
+				out = append(out, part[p]...)
+			}
+		}
+		return out
+	}
+	want := &message{kind: msgPerformBatch, id: 3, tc: 1, epoch: 2, lsn: 9, body: []byte("xyz"), err: "e",
+		wm: watermarks{has: wmAll, eosl: 8, lwm: 7, safe: 300, horizon: 200}}
+	if enc := frame("", nil); !bytes.Equal(enc, appendFrame(nil, want)) {
+		t.Fatalf("the parts spell %x, appendFrame %x", enc, appendFrame(nil, want))
+	}
+	for name, buf := range map[string][]byte{
+		"id non-minimal":           frame("id", []byte{0x83, 0x00}),
+		"tc non-minimal":           frame("tc", []byte{0x81, 0x80, 0x00}),
+		"epoch non-minimal":        frame("epoch", []byte{0x82, 0x00}),
+		"lsn non-minimal":          frame("lsn", []byte{0x89, 0x00}),
+		"body length non-minimal":  frame("body", []byte{0x83, 0x00, 'x', 'y', 'z'}),
+		"error length non-minimal": frame("err", []byte{0x81, 0x00, 'e'}),
+		"eosl non-minimal":         frame("eosl", []byte{0x88, 0x00}),
+		"safe non-minimal":         frame("safe", []byte{0xac, 0x82, 0x00}),
+		"horizon non-minimal":      frame("horizon", []byte{0xc8, 0x81, 0x00}),
+		"body past the end":        frame("body", []byte{30, 'x', 'y', 'z'}),
+		"error text past the end":  frame("err", []byte{20, 'e'}),
+	} {
+		var m message
+		if _, err := decodeFrame(&m, buf); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: %x decoded to %+v (err %v)", name, buf, m, err)
+		}
+	}
+}
+
 // FuzzFrame pins the frame codec: any input either fails to decode or
 // decodes to a message that re-encodes and re-decodes to itself, and the
 // stream reader takes it exactly when it decodes with nothing left over.
@@ -151,6 +199,7 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add([]byte{byte(msgCheckpoint), 7, 1, 0x81, 0x00, 0xe8, 0x07, 0, 0}) // epoch 1 in two bytes
 	var (
 		in     []byte
 		m      message

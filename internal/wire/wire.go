@@ -154,24 +154,21 @@ type Cataloger interface {
 func appendCatalog(buf []byte, tables []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(tables)))
 	for _, t := range tables {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		buf = append(buf, t...)
+		buf = base.AppendField(buf, t)
 	}
 	return buf
 }
 
+// decodeCatalog parses exactly one appendCatalog body; a count the body
+// cannot hold is refused before anything is allocated for it.
 func decodeCatalog(body []byte) ([]string, error) {
-	n, body, err := readUvarint(body)
-	if err != nil {
-		return nil, err
+	d := base.NewDecoder(body)
+	tables := make([]string, d.Count())
+	for i := range tables {
+		tables[i] = string(d.Field())
 	}
-	tables := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var raw []byte
-		if raw, body, err = readLenBytes(body); err != nil {
-			return nil, err
-		}
-		tables = append(tables, string(raw))
+	if !d.End() {
+		return nil, errBadFrame
 	}
 	return tables, nil
 }
