@@ -122,8 +122,8 @@ func main() {
 	fmt.Printf("  W4 obtain reviews by user   : %7d\n", w4.Load())
 	for i, dci := range dep.DCs {
 		st := dci.Stats()
-		fmt.Printf("  DC%d: %d operations, %d snapshot reads, %d idempotent skips, %d reset pages\n",
-			i, st.Performs, st.SnapshotReads, st.DupSkips, st.ResetPages)
+		fmt.Printf("  DC%d: %d operations, %d snapshot reads, %d idempotent skips, %d fenced\n",
+			i, st.Performs, st.SnapshotReads, st.DupSkips, st.StaleEpochs)
 	}
 	rtc := dep.TCs[p.ReaderTC()-1]
 	fmt.Printf("  reader TC: %d snapshots, %d locks acquired, %d ops sent\n",

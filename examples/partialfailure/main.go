@@ -5,11 +5,11 @@
 //   - DC failure: the DC loses its cache; after DC-log recovery rebuilds
 //     well-formed structures, the TC resends from its redo scan start
 //     point and nothing is lost.
-//   - TC failure: the TC loses its unforced log tail — here a commit whose
-//     writes the DC has applied but whose log batch was never forced; the
-//     DC resets exactly the cached pages whose abstract LSNs include lost
-//     operations (not the whole cache), and the restarted TC redoes what
-//     its stable log holds.
+//   - TC failure: the TC loses its unforced log tail and everything
+//     volatile — here between a commit's force and its ship, so the DC has
+//     not seen the commit's writes. A TC ships only what it has forced, so
+//     the DC has nothing to undo, and the restarted TC's redo delivers the
+//     commit from its stable log.
 package main
 
 import (
@@ -27,11 +27,6 @@ func main() {
 		TCs: 1, DCs: 1, Tables: []string{"kv"},
 		DCConfig: func(int) unbundled.DCConfig {
 			return unbundled.DCConfig{PageBytes: 1024}
-		},
-		// A slow log force (an fsync): the TC failure below lands between
-		// a commit's ship and its force.
-		TCConfig: func(int) unbundled.TCConfig {
-			return unbundled.TCConfig{ForceDelay: 100 * time.Millisecond}
 		},
 	})
 	if err != nil {
@@ -78,46 +73,47 @@ func main() {
 	}))
 
 	// --- TC failure -----------------------------------------------------
-	// A transaction's writes reach the DC only at its commit, shipped before
-	// its log batch is forced. The TC crashes in between: the DC cache holds
-	// operations whose log records were never forced.
-	ghost, err := client.Begin(ctx, unbundled.TxnOptions{})
+	// A transaction's writes reach the DC only at its commit, once its log
+	// batch is forced. The DC drains, so the commit forces and then parks in
+	// its ship, and the TC crashes there: the commit is stable in the TC's
+	// log, and the DC has not seen it.
+	winner, err := client.Begin(ctx, unbundled.TxnOptions{})
 	must(err)
-	must(ghost.Update("kv", "key0001", []byte("lost-tail")))
-	must(ghost.Insert("kv", "ghost-key", []byte("boo")))
+	must(winner.Update("kv", "key0001", []byte("forced-tail")))
+	must(winner.Insert("kv", "late-key", []byte("boo")))
+	dc, tc := dep.DCs[0], dep.TCs[0]
+	dc.Drain()
+	sent := tc.Stats().OpsSent
 	commit := make(chan error, 1)
-	go func() { commit <- ghost.Commit() }()
-	for shipped := false; !shipped; time.Sleep(time.Millisecond) {
-		// A dirty reader takes no lock, so it sees the shipped write.
-		must(client.RunTxn(ctx, unbundled.TxnOptions{}, func(x *unbundled.Txn) (err error) {
-			_, shipped, err = x.ReadDirty("kv", "ghost-key")
-			return err
-		}))
+	go func() { commit <- winner.Commit() }()
+	for tc.Stats().OpsSent == sent {
+		time.Sleep(time.Millisecond) // the ship's first attempt follows the force
 	}
-	cachedBefore := dep.DCs[0].Pool().Cached()
 	dep.CrashTC(0)
 	if err := <-commit; !errors.Is(err, unbundled.ErrCommitAmbiguous) {
 		log.Fatalf("commit under the TC crash: %v, want an ambiguous outcome", err)
 	}
-	fmt.Printf("TC crashed between a commit's ship and its force; DC cache has %d pages\n", cachedBefore)
+	dc.Undrain()
+	fmt.Println("TC crashed between a commit's force and its ship; the DC never saw the commit")
+	redo, dups := tc.Stats().RedoOps, dc.Stats().DupSkips
 	must(dep.RecoverTC(0))
-	ds := dep.DCs[0].Stats()
-	fmt.Printf("TC recovered: DC reset %d page(s) (targeted — not the whole cache), undoing %d lost operation(s)\n",
-		ds.ResetPages, ds.RolledBack)
-	if ds.ResetPages == 0 || ds.RolledBack == 0 {
-		log.Fatal("the restart reset nothing: the crash missed the window between ship and force")
+	redo, dups = tc.Stats().RedoOps-redo, dc.Stats().DupSkips-dups
+	fmt.Printf("TC recovered: its redo sent %d logical operations from its RSSP; the DC applied %d and skipped %d it held\n",
+		redo, redo-dups, dups)
+	if redo-dups != 2 {
+		log.Fatalf("the redo applied %d operations, want the commit's 2", redo-dups)
 	}
 	must(client.RunTxn(ctx, unbundled.TxnOptions{}, func(x *unbundled.Txn) error {
 		v, _, _ := x.Read("kv", "key0001")
-		if string(v) != "post-ckpt" {
-			return fmt.Errorf("lost-tail update survived: %q", v)
+		if string(v) != "forced-tail" {
+			return fmt.Errorf("the forced commit's update is missing: %q", v)
 		}
-		if _, ok, _ := x.Read("kv", "ghost-key"); ok {
-			return fmt.Errorf("ghost insert survived")
+		if _, ok, _ := x.Read("kv", "late-key"); !ok {
+			return fmt.Errorf("the forced commit's insert is missing")
 		}
 		return nil
 	}))
-	fmt.Println("ok: lost operations rolled away; committed state intact")
+	fmt.Println("ok: the forced commit survived its TC, delivered by restart's redo")
 }
 
 func must(err error) {

@@ -46,7 +46,8 @@ func main() {
 	fmt.Println("in flight: alice=0 (uncommitted)")
 
 	// Both components fail, then recover: DC-log recovery first, then the
-	// TC resends its logged operations and rolls back the loser.
+	// TC resends its logged operations. The loser never reached the DC: it
+	// never committed, so nothing of it left the TC.
 	dep.CrashAll()
 	if err := dep.RecoverAll(); err != nil {
 		log.Fatal(err)

@@ -42,16 +42,8 @@ type A struct {
 	in []base.LSN
 	// Max is the highest LSN ever actually applied to the page through this
 	// abstract LSN. Unlike Low it is never advanced by low-water marks, so
-	// it stays exact. Two protocols need it: the causality flush gate (a
-	// page may be made stable only when the TC log is stable through Max)
-	// and the partial-failure reset test (a cached page must be reset iff
-	// Max exceeds the failed TC's stable log, §5.3.2).
-	//
-	// Advance never raises Low past the owning TC's end of stable log. That
-	// keeps Low itself free of claims about operations that could still be
-	// lost in a TC crash, so stable pages never assert idempotence for LSNs
-	// beyond the TC's stable log — essential because a restarted TC reuses
-	// the LSN space above its stable log end.
+	// it stays exact. Nothing decides on it: it is kept because the page
+	// image encodes it.
 	Max base.LSN
 }
 
@@ -84,18 +76,14 @@ func (a *A) Add(lsn base.LSN) {
 	a.in[i] = lsn
 }
 
-// Advance raises Low to min(lwm, eosl), the owning TC's low-water mark and
-// end of stable log, and discards every element of {LSNin} at or below the
-// new Low (§5.1.2 "Establishing LSNlw"). The DC cannot determine by itself
-// which lower-LSN operations are still unapplied, so only the TC's mark may
-// raise Low, and never past its stable log (see Max). The set keeps its
-// array, so the Add that follows a prune does not allocate.
-func (a *A) Advance(lwm, eosl base.LSN) {
-	a.prune(min(lwm, eosl))
-}
-
-// prune raises Low to low (if higher) and drops the LSNs it swallows.
-func (a *A) prune(low base.LSN) {
+// Advance raises Low to lwm, the owning TC's low-water mark, if that is
+// higher, and discards every element of {LSNin} at or below the new Low
+// (§5.1.2 "Establishing LSNlw"). The DC cannot determine by itself which
+// lower-LSN operations are still unapplied, so only the TC's mark may raise
+// Low. The TC never sends a mark above its stable log, so a page never claims
+// an LSN a restarted TC hands out again. The set keeps its array, so the Add
+// that follows a prune does not allocate.
+func (a *A) Advance(low base.LSN) {
 	if low <= a.Low {
 		return
 	}
@@ -103,11 +91,6 @@ func (a *A) prune(low base.LSN) {
 	i := sort.Search(len(a.in), func(i int) bool { return a.in[i] > low })
 	a.in = append(a.in[:0], a.in[i:]...)
 }
-
-// MaxApplied returns the highest LSN actually applied to the page. It can
-// be smaller than Low: a low-water mark covers operations applied anywhere,
-// not necessarily on this page.
-func (a *A) MaxApplied() base.LSN { return a.Max }
 
 // Clone returns a deep copy.
 func (a *A) Clone() *A {
@@ -132,20 +115,11 @@ func (a *A) MergeMax(b *A) {
 	if b == nil {
 		return
 	}
-	a.prune(b.Low)
+	a.Advance(b.Low)
 	for _, l := range b.in {
 		a.Add(l)
 	}
 	a.Max = max(a.Max, b.Max)
-}
-
-// Forget takes back every claim above lsn: a TC that lost its log tail
-// beyond lsn reuses those LSNs for new operations (§5.3.2), so the page must
-// not answer them as applied. Max drops to lsn at most, which keeps it an
-// upper bound of what the page still holds.
-func (a *A) Forget(lsn base.LSN) {
-	a.Low, a.Max = min(a.Low, lsn), min(a.Max, lsn)
-	a.in = a.in[:sort.Search(len(a.in), func(i int) bool { return a.in[i] > lsn })]
 }
 
 func (a *A) String() string {

@@ -33,8 +33,8 @@ func TestContainsBasic(t *testing.T) {
 			t.Fatalf("wrongly contains %d", l)
 		}
 	}
-	if a.MaxApplied() != 9 {
-		t.Fatalf("max = %d want 9", a.MaxApplied())
+	if a.Max != 9 {
+		t.Fatalf("max = %d want 9", a.Max)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestAdvancePrunes(t *testing.T) {
 	for _, l := range []base.LSN{2, 4, 6, 8, 10} {
 		a.Add(l)
 	}
-	a.Advance(6, 9) // Low goes to the lower of LWM and EOSL
+	a.Advance(6)
 	if a.Low != 6 {
 		t.Fatalf("Low = %d want 6", a.Low)
 	}
@@ -74,27 +74,22 @@ func TestAdvancePrunes(t *testing.T) {
 		t.Fatal("In-set membership wrong after advance")
 	}
 	// Advance must be monotone: a lower lwm is ignored.
-	a.Advance(3, 100)
+	a.Advance(3)
 	if a.Low != 6 {
 		t.Fatal("Advance went backwards")
 	}
-	// Nor may Low pass the TC's stable log, whatever its LWM says.
-	a.Advance(100, 7)
-	if a.Low != 7 || len(a.in) != 2 {
-		t.Fatalf("after Advance(100, 7): %v", a)
-	}
 	// Max survives pruning and is not dragged up by Advance: it reflects
 	// only operations actually applied to this page.
-	a.Advance(100, 100)
-	if len(a.in) != 0 || a.MaxApplied() != 10 {
-		t.Fatalf("after full prune: in=%d max=%d", len(a.in), a.MaxApplied())
+	a.Advance(100)
+	if len(a.in) != 0 || a.Max != 10 {
+		t.Fatalf("after full prune: in=%d max=%d", len(a.in), a.Max)
 	}
 	// The emptied set keeps its array: a write prunes and then adds, and the
 	// add after a full prune takes no allocation.
 	next := base.LSN(100)
 	if got := testing.AllocsPerRun(100, func() {
 		next++
-		a.Advance(next-1, next-1)
+		a.Advance(next - 1)
 		a.Add(next)
 	}); got != 0 {
 		t.Fatalf("prune then Add allocates %.0f times", got)
@@ -154,8 +149,8 @@ func TestMergeMax(t *testing.T) {
 	if l.Contains(5) || l.Contains(7) {
 		t.Fatalf("merged contains phantom: %v", l)
 	}
-	if l.MaxApplied() != 9 {
-		t.Fatalf("max = %d want 9", l.MaxApplied())
+	if l.Max != 9 {
+		t.Fatalf("max = %d want 9", l.Max)
 	}
 }
 
@@ -224,7 +219,7 @@ func TestQuickContainsMatchesModel(t *testing.T) {
 				for applied[lwm+1] {
 					lwm++
 				}
-				a.Advance(lwm, lwm)
+				a.Advance(lwm)
 			case 2: // check a random LSN
 				l := base.LSN(rnd.Intn(int(nextLSN) + 2))
 				if l == 0 {
@@ -307,31 +302,12 @@ func TestTableBasics(t *testing.T) {
 	if got := tcsOf(&tab); !reflect.DeepEqual(got, []base.TCID{1, 2}) {
 		t.Fatalf("TCs = %v", got)
 	}
-	tab.Get(1).Advance(5, 5)
+	tab.Get(1).Advance(5)
 	if len(tab.Get(1).in) != 0 {
 		t.Fatal("advance did not prune")
 	}
-	if tab.MaxApplied(1) != 5 || tab.MaxApplied(3) != 0 {
-		t.Fatal("MaxApplied wrong")
-	}
-	tab.Get(2).Forget(0)
-	if tab.Contains(2, 8) || tab.MaxApplied(2) != 0 || !tab.Contains(1, 5) {
-		t.Fatal("forget failed, or reached another TC")
-	}
-}
-
-// TestForget: a TC that lost its log beyond L reuses the LSNs above L, so
-// every claim above L goes — in the In set, under Low, and in Max — and every
-// claim at or below it stays.
-func TestForget(t *testing.T) {
-	a := mk(4, 12, 6, 9, 12)
-	a.Forget(9)
-	if !a.Contains(4) || !a.Contains(6) || !a.Contains(9) || a.Contains(12) || a.Max != 9 {
-		t.Fatalf("after Forget(9): %v", a)
-	}
-	a.Forget(2)
-	if !a.Contains(2) || a.Contains(3) || a.Contains(6) || len(a.in) != 0 || a.Max != 2 {
-		t.Fatalf("after Forget(2): %v", a)
+	if !tab.Contains(2, 8) || tab.Contains(2, 5) {
+		t.Fatal("advance reached another TC")
 	}
 }
 
@@ -339,7 +315,7 @@ func TestTableEncodeRoundTrip(t *testing.T) {
 	var tab Table
 	tab.Ensure(3).Add(7)
 	tab.Ensure(1).Add(2)
-	tab.Ensure(1).Advance(2, 2)
+	tab.Ensure(1).Advance(2)
 	buf := tab.Append(nil)
 	got, rest, err := DecodeTable(buf)
 	if err != nil || len(rest) != 0 {
@@ -394,14 +370,14 @@ func BenchmarkAddAdvance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Add(base.LSN(i + 1))
 		if i%32 == 31 {
-			a.Advance(base.LSN(i-16), base.LSN(i-16))
+			a.Advance(base.LSN(i - 16))
 		}
 	}
 }
 
 // TestTableWalkRoundTrips: after any sequence of the methods that change a
 // table — Add (at the tail, in the middle and ahead of the first LSN),
-// Advance, Forget, MergeMax, Clone, and a decode into a table that held
+// Advance, MergeMax, Clone, and a decode into a table that held
 // another — the entries stay in TCID order, every {LSNin} stays sorted and
 // above its Low, and the table decodes from its encoding into a used table as
 // the same table, and EncodedLen is its encoding's length.
@@ -412,13 +388,9 @@ func TestTableWalkRoundTrips(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		tc := base.TCID(rnd.Intn(5))
 		switch rnd.Intn(12) {
-		case 0:
+		case 0, 1:
 			if a := tab.Get(tc); a != nil {
-				a.Forget(lsn())
-			}
-		case 1:
-			if a := tab.Get(tc); a != nil {
-				a.Advance(lsn(), lsn())
+				a.Advance(lsn())
 			}
 		case 2:
 			other.Ensure(tc).Add(lsn())

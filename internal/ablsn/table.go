@@ -85,14 +85,6 @@ func (t *Table) MergeMax(o *Table) {
 	}
 }
 
-// MaxApplied returns the highest applied LSN for tc, or 0.
-func (t *Table) MaxApplied(tc base.TCID) base.LSN {
-	if a := t.Get(tc); a != nil {
-		return a.MaxApplied()
-	}
-	return 0
-}
-
 // Append serializes the table deterministically (sorted by TCID).
 func (t *Table) Append(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t.e)))

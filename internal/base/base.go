@@ -176,7 +176,7 @@ const (
 	CodeUnavailable
 	// CodeStaleEpoch means the operation was stamped with an incarnation
 	// epoch older than the one the DC holds for that TC: it was issued by a
-	// dead incarnation whose unforced log tail is gone. Unlike
+	// dead incarnation, whose restart's redo delivers it again. Unlike
 	// CodeUnavailable this is a permanent nack — resending can never
 	// succeed, because epochs only move forward.
 	CodeStaleEpoch

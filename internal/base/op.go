@@ -135,6 +135,13 @@ func (r *Result) Err() error { return r.Code.Err() }
 // the TC. Implementations: the DC itself (direct, in-process) and the wire
 // client stub (asynchronous messages with resend).
 //
+// The contract is §4.2's, narrowed: a logged operation reaches a DC only once
+// it is stable in its TC's log. The paper lets a TC send earlier, and makes
+// the DC keep causality for it — write no page back before the TC's end of
+// stable log covers it, and undo a failed TC's lost operations at its
+// restart. Under the narrowed contract a TC crash takes back nothing a DC
+// holds, so the DC keeps no undo information and gates no flush on a TC.
+//
 // Blocking calls take a context and honor its cancellation and deadline: an
 // abandoned PerformBatch answers CodeCancelled, an abandoned control call an
 // ErrCancelled-wrapped ctx error. Cancellation abandons only the *wait* —
@@ -170,16 +177,14 @@ type Service interface {
 	// all replies are available or ctx is done.
 	PerformBatch(ctx context.Context, ops []*Op) []*Result
 	// EndOfStableLog tells the DC that all operations with LSN <= eosl are
-	// stable in the TC log and will not be lost in a TC crash; causality
-	// then allows the DC to make such operations stable (write-ahead
-	// logging across the kernel split). Watermarks stamped with a fenced
-	// epoch are ignored: a dead incarnation's broadcasts still in flight
-	// must not re-poison watermarks the restart reset re-based.
+	// stable in the TC log and will not be lost in a TC crash. Under the
+	// narrowed contract every operation a DC holds is, so no DC acts on it.
 	EndOfStableLog(tc TCID, epoch Epoch, eosl LSN)
 	// LowWaterMark tells the DC the TC has received replies for every
 	// operation with LSN <= lwm, so there are no gaps below lwm among the
-	// operations reflected in cached pages (§5.1.2). Epoch-fenced like
-	// EndOfStableLog.
+	// operations reflected in cached pages (§5.1.2). A TC sends no mark
+	// above its end of stable log: a restarted TC hands out the LSNs above
+	// it again. Marks stamped with a fenced epoch are ignored.
 	LowWaterMark(tc TCID, epoch Epoch, lwm LSN)
 	// Checkpoint asks the DC to make stable every page containing effects
 	// of operations with LSN < newRSSP. When it returns nil, the contract
@@ -191,18 +196,15 @@ type Service interface {
 	// DC incarnation; the TC then resends its redo stream (stamped with the
 	// DCInc the first CodeStaleDC names) and closes the bracket with
 	// EndRestart. One bracket serves both failures of §5.3. After a TC
-	// restart the epoch is new: the DC installs it as the TC's fence —
-	// durably, and before any state is touched — then undoes in its cache
-	// every operation of that TC with LSN beyond stableLSN (they are lost
-	// forever; causality guarantees none are stable); other TCs' data is
-	// untouched (§6.1.2), and from this point every operation, watermark or
-	// control call stamped with an older epoch is refused. After a DC
-	// restart the epoch is the fence the DC recovered, the cache lost
-	// everything, and nothing is undone. A BeginRestart whose epoch is older
-	// than the fence fails with ErrStaleEpoch; one for the installed epoch
-	// whose resend has already ended here fails with ErrNothingOwed (a TC
-	// that only asks replays nothing); a duplicate while the bracket is open
-	// is a no-op.
+	// restart the epoch is new: the DC installs it as the TC's fence,
+	// durably, and from this point every operation, watermark or control
+	// call stamped with an older epoch is refused. Nothing is undone: the
+	// TC lost nothing beyond stableLSN that a DC was sent. After a DC
+	// restart the epoch is the fence the DC recovered. A BeginRestart whose
+	// epoch is older than the fence fails with ErrStaleEpoch; one for the
+	// installed epoch whose resend has already ended here fails with
+	// ErrNothingOwed (a TC that only asks replays nothing); a duplicate
+	// while the bracket is open is a no-op.
 	BeginRestart(ctx context.Context, tc TCID, epoch Epoch, stableLSN LSN) error
 	// EndRestart closes the bracket: the TC's resend to this DC incarnation
 	// is complete, so the DC adopts its low-water marks and safe

@@ -78,7 +78,7 @@ func New(table string, root base.PageID, cfg Config, pool *buffer.Pool,
 }
 
 // Root returns the current root page ID.
-// Test hook: btree's TestRootPointerPersistedViaCallback, dc's TestMultiTCResetIsolation.
+// Test hook: btree's TestRootPointerPersistedViaCallback and TestConcurrentApplies.
 func (t *Tree) Root() base.PageID {
 	t.lock.RLock()
 	defer t.lock.RUnlock()
@@ -246,9 +246,7 @@ func (t *Tree) unpinPath(path []*page.Page) {
 
 // split divides the (possibly cascading) overfull pages on the path to
 // key. Each level's split is its own system transaction: one DC-log record
-// capturing the new page image and the split key (§5.2.2). A logged image,
-// here and in a consolidation, is of the page as far as its TCs have forced
-// it (buffer.Pool.Forced); the page put in place is the live one.
+// capturing the new page image and the split key (§5.2.2).
 func (t *Tree) split(key string) error {
 	t.lock.Lock()
 	defer t.lock.Unlock()
@@ -296,7 +294,7 @@ func (t *Tree) splitOneLocked(path []*page.Page, idx int) error {
 	rec := &dclog.Split{Table: t.table, Leaf: left.Leaf, LeftID: left.ID, RightID: t.alloc()}
 	left.L.RLock()
 	splitKey, right := left.UpperHalf(rec.RightID)
-	rec.SplitKey, rec.RightImage = splitKey, t.pool.Forced(right).Encode()
+	rec.SplitKey, rec.RightImage = splitKey, right.Encode()
 	left.L.RUnlock()
 	if idx > 0 {
 		rec.ParentID = path[idx-1].ID
@@ -368,7 +366,7 @@ func (t *Tree) maybeConsolidate(key string) error {
 		return nil
 	}
 	rec := &dclog.Consolidate{Table: t.table, LeftID: left.ID, RightID: right.ID,
-		ParentID: parent.ID, LeftImage: t.pool.Forced(merged).Encode()}
+		ParentID: parent.ID, LeftImage: merged.Encode()}
 	if err := t.commit(dclog.KindConsolidate, rec, merged); err != nil {
 		return err
 	}

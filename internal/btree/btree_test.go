@@ -42,9 +42,9 @@ func newEnv(t *testing.T, maxBytes int) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(base.TCID) base.LSN { return 1 << 60 } // gates open for tree tests
+	open := func(base.TCID) base.LSN { return 1 << 60 } // every LSN below the low-water mark
 	e.pool = buffer.New(buffer.Config{Capacity: 64},
-		e.store, buffer.Gates{EOSL: open, LWM: open,
+		e.store, buffer.Gates{LWM: open,
 			ForceDCLog: func(d base.DLSN) { e.ForceSMO(d) }})
 	root := page.NewLeaf(e.store.AllocPageID())
 	e.pool.Install(root)

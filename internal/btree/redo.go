@@ -77,9 +77,8 @@ func decode(kind uint8, payload []byte) (record, error) {
 
 // commit is a forward system transaction once its decisions are made: rec
 // goes to the DC-log and is applied as Redo would apply it, except that img,
-// the live page rec's image was encoded from, is put in place: the image holds
-// only what the page's TCs have forced (Pool.Forced), img all of it, undo tail
-// included. A log that refuses the record (zero dLSN) refuses the transaction:
+// the page rec's image was encoded from, is put in place instead of a decode
+// of it. A log that refuses the record (zero dLSN) refuses the transaction:
 // nothing is applied.
 func (a applier) commit(log dclog.Logger, kind uint8, rec record, img *page.Page) (base.DLSN, error) {
 	dlsn := log.AppendSMO(kind, rec.Encode())
@@ -202,7 +201,6 @@ func (a applier) install(id base.PageID, img *page.Page, image []byte, dlsn base
 			}
 			if err == nil {
 				pg.SetContents(img)
-				a.unlogged(pg)
 			}
 			return err
 		})
@@ -214,20 +212,9 @@ func (a applier) install(id base.PageID, img *page.Page, image []byte, dlsn base
 	}
 	img.DLSN = dlsn
 	a.pool.MarkDirty(img, 0, 0, dlsn)
-	a.unlogged(img)
 	a.pool.Install(img)
 	a.pool.Unpin(id)
 	return nil
-}
-
-// unlogged marks pg, just put in place, dirty from the first operation of
-// each TC its undo tail holds (a forward page's; a decoded one has none): the
-// logged image may lack those operations (Pool.Forced), so only pg holds them,
-// and a checkpoint must make pg stable before its TC forgets them.
-func (a applier) unlogged(pg *page.Page) {
-	for i := range pg.Undo {
-		a.pool.MarkDirty(pg, pg.Undo[i].TC, pg.Undo[i].LSN, 0)
-	}
 }
 
 func (a applier) split(sp *dclog.Split, right *page.Page, dlsn base.DLSN) error {

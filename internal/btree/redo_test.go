@@ -46,7 +46,7 @@ func newRedoEnv(t *testing.T) *redoEnv {
 func (e *redoEnv) newPool() {
 	open := func(base.TCID) base.LSN { return 1 << 60 }
 	e.pool = buffer.New(buffer.Config{Capacity: 1 << 20}, e.store,
-		buffer.Gates{EOSL: open, LWM: open, ForceDCLog: e.ForceSMO})
+		buffer.Gates{LWM: open, ForceDCLog: e.ForceSMO})
 }
 
 func (e *redoEnv) open(t *testing.T) {
@@ -145,7 +145,7 @@ func TestRedoIsIdempotentOverAnyStableState(t *testing.T) {
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			for _, id := range ids {
 				if rnd.Intn(2) == 0 {
-					_ = e.pool.FlushPage(id, true)
+					_ = e.pool.FlushPage(id)
 				}
 			}
 		}},

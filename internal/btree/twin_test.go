@@ -77,7 +77,7 @@ func twinMutate(leaf *page.Page, b0, b1 byte, lsns *[2]base.LSN) (tc base.TCID, 
 		leaf.Put(page.Record{Key: key, Owner: tc, Value: []byte{b1}})
 	}
 	a := leaf.Ab.Ensure(tc)
-	a.Advance(lsn-min(lsn, 4), lsn)
+	a.Advance(lsn - min(lsn, 4))
 	a.Add(lsn)
 	return tc, lsn
 }

@@ -22,7 +22,7 @@ func evictFetchCycle(tb testing.TB) (pool *Pool, pages int, cycle func(i int)) {
 	pages = 1024
 	store := storage.NewPageStore()
 	open := func(base.TCID) base.LSN { return 1 << 62 }
-	gates := Gates{EOSL: open, LWM: open}
+	gates := Gates{LWM: open}
 	// The pages are written through a pool of their own, as a DC writes what
 	// it loads, and the cycles run on a cold one.
 	loader := New(Config{Capacity: 64}, store, gates)

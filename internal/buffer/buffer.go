@@ -1,15 +1,10 @@
 // Package buffer implements the DC's cache manager (§4.1.2(3)). Flushing a
-// page to stable storage is gated by three rules:
+// page to stable storage follows two rules:
 //
-//  1. Causality / distributed WAL (§4.2): a page may be made stable only
-//     when, for every TC with operations reflected in the page, the TC log
-//     is stable at least through the page's highest applied LSN
-//     (end_of_stable_log). Otherwise a TC crash could lose operations that
-//     the stable database state already reflects.
-//  2. DC-log WAL (§5.2.2): the DC-log must be forced through the page's
-//     RecDLSN before the page is written, so structure modifications are
+//  1. DC-log WAL (§5.2.2): the DC-log must be forced through the page's
+//     DLSN before the page is written, so structure modifications are
 //     never reflected on disk without their log records.
-//  3. Page sync (§5.1.2): the abstract LSN must be made stable atomically
+//  2. Page sync (§5.1.2): the abstract LSN must be made stable atomically
 //     with the page. The paper offers three strategies: (1) delay the
 //     flush, refusing new higher-LSN operations on the page, until the
 //     TC-supplied low-water mark swallows the whole {LSNin} set and a lone
@@ -20,6 +15,11 @@
 //     flush; the cost is the abstract-LSN bytes each write-back carries
 //     (Stats.AbLSNBytes), whole, in a delta frame as in a full image, since
 //     the newest frame's table is the page's.
+//
+// The paper has a third, causality (§4.2): a page may be made stable only
+// once every TC's log is stable through what the page holds of it. A TC here
+// sends an operation only once it is stable in its log, so every page meets
+// it, and no flush waits for anything a TC sends.
 //
 // A leaf's stable page is a chain (storage.PageStore): a base image and the
 // delta frames written onto it since. A write-back writes what changed — a
@@ -62,8 +62,6 @@
 package buffer
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -74,9 +72,10 @@ import (
 	"github.com/cidr09/unbundled/internal/storage"
 )
 
-// Gates supplies the watermarks that gate flushing.
+// Gates supplies what a flush asks of the rest of the DC.
 type Gates struct {
-	// EOSL returns the end of stable log for a TC (causality gate).
+	// EOSL is never read: no page holds an operation its TC has not forced.
+	// It stays while the repo benchmark, which sets it, is frozen.
 	EOSL func(base.TCID) base.LSN
 	// LWM returns the low-water mark for a TC (abLSN pruning).
 	LWM func(base.TCID) base.LSN
@@ -103,19 +102,17 @@ func (c Config) withDefaults() Config {
 
 // Stats counts pool activity.
 type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Flushes    uint64
-	Evictions  uint64
+	Hits      uint64
+	Misses    uint64
+	Flushes   uint64
+	Evictions uint64
+	// FlushWaits is always zero: no flush waits. It stays while the repo
+	// benchmark, which reads it, is frozen.
 	FlushWaits uint64
 	Images     uint64 // flushes that wrote a full image; the others wrote a delta frame
 	PageBytes  uint64 // bytes written to stable pages
 	AbLSNBytes uint64 // of which abstract-LSN bytes (benchmark: buffer.ablsn_bytes_frac)
 }
-
-// ErrNotFlushable is returned by non-waiting flushes whose gates are not
-// yet satisfied.
-var ErrNotFlushable = errors.New("buffer: flush gates not satisfied")
 
 // ErrEnded is returned by every flush of a pool that End has ended: the
 // component that owned it is down.
@@ -134,10 +131,8 @@ type Pool struct {
 	store *storage.PageStore
 	gates Gates
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	kickGen uint64
-	frames  map[base.PageID]*frame
+	mu     sync.Mutex
+	frames map[base.PageID]*frame
 	// lru is the sentinel of the ring of cached frames: lru.next is the most
 	// recently used, lru.prev the coldest.
 	lru frame
@@ -156,8 +151,8 @@ type Pool struct {
 	// nothing while no more than eight write-backs overlap.
 	frameBufs chan []byte
 
-	hits, misses, flushes, evictions, flushWaits atomic.Uint64
-	images, pageBytes, abBytes                   atomic.Uint64
+	hits, misses, flushes, evictions atomic.Uint64
+	images, pageBytes, abBytes       atomic.Uint64
 }
 
 // New returns a pool over store with the given gates.
@@ -165,7 +160,6 @@ func New(cfg Config, store *storage.PageStore, gates Gates) *Pool {
 	p := &Pool{cfg: cfg.withDefaults(), store: store, gates: gates,
 		frames: make(map[base.PageID]*frame), frameBufs: make(chan []byte, 8)}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
-	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
@@ -185,15 +179,6 @@ func (p *Pool) unlink(f *frame) {
 func (p *Pool) touch(f *frame) {
 	p.unlink(f)
 	p.pushFront(f)
-}
-
-// Kick wakes flushers waiting on watermark progress; the DC calls it after
-// every end_of_stable_log / low_water_mark message.
-func (p *Pool) Kick() {
-	p.mu.Lock()
-	p.kickGen++
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
 
 // Fetch returns the page, reading and decoding it from stable storage on a
@@ -325,16 +310,9 @@ func (p *Pool) MarkDirty(pg *page.Page, tc base.TCID, lsn base.LSN, dlsn base.DL
 // Store returns the page store the pool reads and writes.
 func (p *Pool) Store() *storage.PageStore { return p.store }
 
-// Forced is pg as far as the causality gate's end of stable log reaches
-// (page.Page.Forced): what a system transaction may log of it.
-func (p *Pool) Forced(pg *page.Page) *page.Page { return pg.Forced(p.gates.EOSL) }
-
-// FlushPage makes id stable, honoring the gates. With wait=false it
-// returns ErrNotFlushable when a gate is closed; with wait=true it blocks
-// until the gates open (watermark kicks re-evaluate). Unknown/clean pages
-// succeed trivially.
+// FlushPage makes id stable. Unknown/clean pages succeed trivially.
 // Test hook: buffer's tests, btree's TestRedoIsIdempotentOverAnyStableState, dc's atrest_test.go.
-func (p *Pool) FlushPage(id base.PageID, wait bool) error {
+func (p *Pool) FlushPage(id base.PageID) error {
 	p.mu.Lock()
 	f, ok := p.frames[id]
 	if !ok {
@@ -343,21 +321,19 @@ func (p *Pool) FlushPage(id base.PageID, wait bool) error {
 	}
 	f.pin++ // hold the frame across the flush
 	p.mu.Unlock()
-	err := p.flushFrame(context.Background(), f, wait)
+	err := p.flushFrame(f)
 	p.Unpin(id)
 	return err
 }
 
 // End ends the pool, for good: once it returns no page of the pool reaches
 // the store — a write-back in progress has finished, and every later one
-// leaves its page dirty and fails ErrEnded — and flushes waiting on the gates
-// give up. A component calls it when it crashes: the pages die with it, and
-// the store is its successor's.
+// leaves its page dirty and fails ErrEnded. A component calls it when it
+// crashes: the pages die with it, and the store is its successor's.
 func (p *Pool) End() {
 	p.wmu.Lock()
 	p.ended.Store(true)
 	p.wmu.Unlock()
-	p.Kick()
 }
 
 // watchWriteBack, when set, is called with every page a write-back is about
@@ -448,95 +424,47 @@ func (p *Pool) writeBack(pg *page.Page) (written, abBytes int, ok bool) {
 	return len(image), abBytes, true
 }
 
-// flushFrame writes f's page back, if dirty, once its gates open. A wait for
-// them ends with ctx only if ctx's end Kicks the pool (FlushAllContext's does).
-func (p *Pool) flushFrame(ctx context.Context, f *frame, wait bool) error {
-	for {
-		if p.ended.Load() {
-			return ErrEnded
-		}
-		p.mu.Lock()
-		gen := p.kickGen
-		p.mu.Unlock()
-
-		f.pg.L.Lock()
-		pg := f.pg
-		if !pg.Dirty {
-			f.pg.L.Unlock()
-			return nil
-		}
-		// One pass over the page's TCs, each gate asked once. Each TC's
-		// abstract LSN is pruned to its LWM, never beyond its EOSL, so
-		// stable pages cannot claim idempotence for operations a TC crash
-		// could lose (ablsn.A.Advance); a write prunes the same way. Gate 1,
-		// causality: every TC's log is stable through what the page holds of
-		// it. A closed gate does not end the pass: the other TCs' entries
-		// are pruned all the same.
-		open := true
-		for i := 0; i < pg.Ab.Len(); i++ {
-			tc, a := pg.Ab.At(i)
-			eosl := p.gates.EOSL(tc)
-			a.Advance(p.gates.LWM(tc), eosl)
-			if eosl < a.MaxApplied() {
-				open = false
-			}
-		}
-		if !open {
-			f.pg.L.Unlock()
-			if !wait {
-				return ErrNotFlushable
-			}
-			if ctx.Err() != nil {
-				return base.CancelErr(ctx)
-			}
-			p.flushWaits.Add(1)
-			p.mu.Lock()
-			for gen == p.kickGen {
-				p.cond.Wait()
-			}
-			p.mu.Unlock()
-			continue
-		}
-		// Gate 2: DC-log WAL. Force through the page's DLSN — the *latest*
-		// system transaction reflected in the page — so no structure
-		// modification reaches disk before its log record. (RecDLSN, the
-		// earliest unflushed SMO, only drives log truncation.)
-		if pg.DLSN != 0 && p.gates.ForceDCLog != nil {
-			p.gates.ForceDCLog(pg.DLSN)
-		}
-		written, abBytes, ok := p.writeBack(pg)
-		if !ok {
-			f.pg.L.Unlock()
-			return ErrEnded
-		}
-		p.pageBytes.Add(uint64(written))
-		p.abBytes.Add(uint64(abBytes))
-		pg.Dirty = false
-		clear(pg.FirstDirty) // emptied, not dropped: the next MarkDirty refills it
-		pg.RecDLSN = 0
-		pg.Undo = nil // gate 1 passed: no TC can lose an operation the page holds
-		f.pg.L.Unlock()
-		p.flushes.Add(1)
+// flushFrame writes f's page back, if dirty. Each TC's abstract LSN is
+// pruned to its low-water mark first, as a write prunes it.
+func (p *Pool) flushFrame(f *frame) error {
+	if p.ended.Load() {
+		return ErrEnded
+	}
+	pg := f.pg
+	pg.L.Lock()
+	defer pg.L.Unlock()
+	if !pg.Dirty {
 		return nil
 	}
-}
-
-// FlushAll is FlushAllContext under a context that never ends.
-func (p *Pool) FlushAll(wait bool, pred func(*page.Page) bool) error {
-	return p.FlushAllContext(context.Background(), wait, pred)
-}
-
-// FlushAllContext flushes every cached dirty page matching pred (nil = all).
-// With wait=true it blocks per page until flushable (checkpoint), or until
-// ctx ends: a page whose gates are closed then is left dirty, and the error
-// is base.CancelErr(ctx).
-func (p *Pool) FlushAllContext(ctx context.Context, wait bool, pred func(*page.Page) bool) error {
-	if wait && ctx.Done() != nil {
-		// Wakes a flush waiting when ctx ends. The Kick moves kickGen, so one
-		// that read its generation and then found ctx live does not wait.
-		stop := context.AfterFunc(ctx, p.Kick)
-		defer stop()
+	for i := 0; i < pg.Ab.Len(); i++ {
+		tc, a := pg.Ab.At(i)
+		a.Advance(p.gates.LWM(tc))
 	}
+	// DC-log WAL. Force through the page's DLSN — the *latest* system
+	// transaction reflected in the page — so no structure modification
+	// reaches disk before its log record. (RecDLSN, the earliest unflushed
+	// SMO, only drives log truncation.)
+	if pg.DLSN != 0 && p.gates.ForceDCLog != nil {
+		p.gates.ForceDCLog(pg.DLSN)
+	}
+	written, abBytes, ok := p.writeBack(pg)
+	if !ok {
+		return ErrEnded
+	}
+	p.pageBytes.Add(uint64(written))
+	p.abBytes.Add(uint64(abBytes))
+	pg.Dirty = false
+	clear(pg.FirstDirty) // emptied, not dropped: the next MarkDirty refills it
+	pg.RecDLSN = 0
+	p.flushes.Add(1)
+	return nil
+}
+
+// FlushAll flushes every cached dirty page matching pred (nil = all). No
+// flush waits for anything, so the first argument, which once chose whether
+// to, is not read; it stays while the repo benchmark, which passes it, is
+// frozen.
+func (p *Pool) FlushAll(_ bool, pred func(*page.Page) bool) error {
 	var firstErr error
 	for _, f := range p.snapshot() {
 		if pred != nil {
@@ -548,7 +476,7 @@ func (p *Pool) FlushAllContext(ctx context.Context, wait bool, pred func(*page.P
 				continue
 			}
 		}
-		if err := p.flushFrame(ctx, f, wait); err != nil && firstErr == nil {
+		if err := p.flushFrame(f); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		p.Unpin(f.pg.ID)
@@ -569,7 +497,7 @@ func (p *Pool) snapshot() []*frame {
 }
 
 // Pages calls fn for every cached page with the frame pinned; fn is
-// responsible for latching. Used by partial-failure reset (§5.3.2).
+// responsible for latching.
 func (p *Pool) Pages(fn func(*page.Page)) {
 	for _, f := range p.snapshot() {
 		fn(f.pg)
@@ -588,7 +516,7 @@ func (p *Pool) Drop(id base.PageID) {
 	p.mu.Unlock()
 }
 
-// maybeEvict evicts cold clean-or-flushable pages above capacity.
+// maybeEvict evicts cold pages above capacity, flushing a dirty one first.
 func (p *Pool) maybeEvict() {
 	for {
 		p.mu.Lock()
@@ -610,7 +538,7 @@ func (p *Pool) maybeEvict() {
 		if victim == nil {
 			return // everything pinned; let it ride
 		}
-		err := p.flushFrame(context.Background(), victim, false)
+		err := p.flushFrame(victim)
 		p.mu.Lock()
 		cached := p.frames[id] == victim
 		if cached && err == nil && victim.pin == 1 && !victim.pg.Dirty {
@@ -622,7 +550,7 @@ func (p *Pool) maybeEvict() {
 			p.mu.Unlock()
 			continue
 		}
-		// Gates closed, or re-dirtied or re-pinned during the flush: keep it.
+		// Ended, or re-dirtied or re-pinned during the flush: keep it.
 		if cached {
 			victim.pin--
 			if err != nil {
@@ -649,7 +577,6 @@ func (p *Pool) Stats() Stats {
 		Flushes:    p.flushes.Load(),
 		Images:     p.images.Load(),
 		Evictions:  p.evictions.Load(),
-		FlushWaits: p.flushWaits.Load(),
 		PageBytes:  p.pageBytes.Load(),
 		AbLSNBytes: p.abBytes.Load(),
 	}

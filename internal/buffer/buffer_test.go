@@ -20,22 +20,16 @@ import (
 // gateState is an adjustable Gates implementation for tests.
 type gateState struct {
 	mu     sync.Mutex
-	eosl   map[base.TCID]base.LSN
 	lwm    map[base.TCID]base.LSN
 	forced base.DLSN
 }
 
 func newGateState() *gateState {
-	return &gateState{eosl: map[base.TCID]base.LSN{}, lwm: map[base.TCID]base.LSN{}}
+	return &gateState{lwm: map[base.TCID]base.LSN{}}
 }
 
 func (g *gateState) gates() Gates {
 	return Gates{
-		EOSL: func(tc base.TCID) base.LSN {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return g.eosl[tc]
-		},
 		LWM: func(tc base.TCID) base.LSN {
 			g.mu.Lock()
 			defer g.mu.Unlock()
@@ -51,9 +45,8 @@ func (g *gateState) gates() Gates {
 	}
 }
 
-func (g *gateState) set(tc base.TCID, eosl, lwm base.LSN) {
+func (g *gateState) set(tc base.TCID, lwm base.LSN) {
 	g.mu.Lock()
-	g.eosl[tc] = eosl
 	g.lwm[tc] = lwm
 	g.mu.Unlock()
 }
@@ -147,20 +140,13 @@ func TestFetchNeverInstallsAStaleImage(t *testing.T) {
 	p.Unpin(old.ID)
 }
 
-func TestCausalityGateBlocksFlush(t *testing.T) {
-	p, store, g := newTestPool(t, Config{})
+// TestFlushWaitsForNoMark: a TC sends an operation only once it is stable in
+// its log, so a page is flushable whatever its TCs have said: one holding an
+// operation no mark covers is written at once.
+func TestFlushWaitsForNoMark(t *testing.T) {
+	p, store, _ := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 10)
-	// EOSL(1)=5 < maxApplied=10: flush must not happen.
-	g.set(1, 5, 10)
-	if err := p.FlushPage(pg.ID, false); err != ErrNotFlushable {
-		t.Fatalf("err = %v, want ErrNotFlushable", err)
-	}
-	if _, ok := store.Read(pg.ID); ok {
-		t.Fatal("causality violated: unstable op reached disk")
-	}
-	// Log catches up: flush proceeds.
-	g.set(1, 10, 10)
-	if err := p.FlushPage(pg.ID, false); err != nil {
+	if err := p.FlushPage(pg.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Read(pg.ID); !ok || pg.Dirty {
@@ -168,34 +154,11 @@ func TestCausalityGateBlocksFlush(t *testing.T) {
 	}
 }
 
-func TestFlushWaitsForEOSLKick(t *testing.T) {
-	p, store, g := newTestPool(t, Config{})
-	pg := dirtyLeaf(p, store, 1, 10)
-	g.set(1, 5, 10)
-	done := make(chan error, 1)
-	go func() { done <- p.FlushPage(pg.ID, true) }()
-	select {
-	case err := <-done:
-		t.Fatalf("flush returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.set(1, 10, 10)
-	p.Kick()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("flush never woke up")
-	}
-}
-
 func TestFlushEmbedsInSet(t *testing.T) {
 	p, store, g := newTestPool(t, Config{})
 	pg := dirtyLeaf(p, store, 1, 5, 7, 9)
-	g.set(1, 9, 0) // log stable, but LWM has not advanced
-	if err := p.FlushPage(pg.ID, false); err != nil {
+	g.set(1, 0) // LWM has not advanced
+	if err := p.FlushPage(pg.ID); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := store.Read(pg.ID)
@@ -212,34 +175,13 @@ func TestFlushEmbedsInSet(t *testing.T) {
 	}
 }
 
-func TestAdvanceNeverExceedsEOSL(t *testing.T) {
-	p, store, g := newTestPool(t, Config{})
-	pg := dirtyLeaf(p, store, 1, 3)
-	// LWM raced ahead of the stable log (replies received for unforced
-	// ops): pruning must clamp at EOSL so the stable page never claims
-	// idempotence for losable operations.
-	g.set(1, 3, 100)
-	if err := p.FlushPage(pg.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := store.Read(pg.ID)
-	stable, _ := page.Decode(data)
-	a := stable.Ab.Get(1)
-	if a.Low > 3 {
-		t.Fatalf("stable Low %d exceeds EOSL 3", a.Low)
-	}
-	if a.Contains(50) {
-		t.Fatal("stable page claims an operation beyond the stable log")
-	}
-}
-
 func TestDCLogWALGate(t *testing.T) {
 	p, store, g := newTestPool(t, Config{})
 	pg := page.NewLeaf(store.AllocPageID())
 	pg.DLSN = 42 // latest SMO reflected in the page
 	p.MarkDirty(pg, 0, 0, 42)
 	p.Install(pg)
-	if err := p.FlushPage(pg.ID, false); err != nil {
+	if err := p.FlushPage(pg.ID); err != nil {
 		t.Fatal(err)
 	}
 	g.mu.Lock()
@@ -250,29 +192,11 @@ func TestDCLogWALGate(t *testing.T) {
 	}
 }
 
-func TestEvictionRespectsGates(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Capacity: 2})
-	// Page A flushable, page B gated.
-	a := dirtyLeaf(p, store, 1, 1)
-	b := dirtyLeaf(p, store, 2, 50)
-	g.set(1, 10, 10)
-	g.set(2, 0, 0) // B's TC log not stable
-	p.Unpin(a.ID)
-	p.Unpin(b.ID)
-	// Insert a third page to force eviction.
-	c := dirtyLeaf(p, store, 1, 2)
-	p.Unpin(c.ID)
-	// B must never be evicted to disk while gated.
-	if _, ok := store.Read(b.ID); ok {
-		t.Fatal("gated page leaked to disk via eviction")
-	}
-}
-
 func TestFlushAllWithPredicate(t *testing.T) {
 	p, store, g := newTestPool(t, Config{})
 	a := dirtyLeaf(p, store, 1, 1)
 	b := dirtyLeaf(p, store, 1, 2)
-	g.set(1, 10, 10)
+	g.set(1, 10)
 	err := p.FlushAll(false, func(pg *page.Page) bool { return pg.ID == a.ID })
 	if err != nil {
 		t.Fatal(err)
@@ -285,9 +209,9 @@ func TestFlushAllWithPredicate(t *testing.T) {
 
 func TestDropAndFree(t *testing.T) {
 	p, store, g := newTestPool(t, Config{})
-	g.set(1, 10, 10)
+	g.set(1, 10)
 	pg := dirtyLeaf(p, store, 1, 1)
-	p.FlushPage(pg.ID, false)
+	p.FlushPage(pg.ID)
 	p.Unpin(pg.ID)
 	p.Drop(pg.ID)
 	if _, ok := store.Read(pg.ID); p.Cached() != 0 || !ok {
@@ -350,13 +274,13 @@ func TestConcurrentFetchSingleFrame(t *testing.T) {
 // names that page and that its size is its own (page.Page.CheckSize), and
 // bump the page's counter; at the end every page counts every write made to
 // it, none lost to a frame served twice or a stale image installed. One
-// writer writes as a TC whose log is stable only up to a few LSNs back, so
-// some evictions find the causality gate closed and keep their victim.
+// writer writes as a TC whose low-water mark trails a few LSNs back, so its
+// pages carry {LSNin} sets through their write-backs.
 func TestRecycledFrameServesOnePage(t *testing.T) {
 	const pages, recs, workers, ops = 256, 4, 4, 2000
 	var lsn, lag atomic.Uint64
 	lag.Store(8)
-	eosl := func(tc base.TCID) base.LSN {
+	lwm := func(tc base.TCID) base.LSN {
 		if tc == 2 {
 			n := lsn.Load()
 			return base.LSN(n - min(n, lag.Load()))
@@ -364,7 +288,7 @@ func TestRecycledFrameServesOnePage(t *testing.T) {
 		return 1 << 62
 	}
 	store := storage.NewPageStore()
-	p := New(Config{Capacity: 8}, store, Gates{EOSL: eosl, LWM: eosl})
+	p := New(Config{Capacity: 8}, store, Gates{LWM: lwm})
 	ids := make([]base.PageID, pages)
 	for i := range ids {
 		pg := page.NewLeaf(store.AllocPageID())

@@ -19,7 +19,7 @@ import (
 // over history, versioned deletes, keys and values long enough to take
 // two-byte lengths, the abstract-LSN table, the dLSN and sibling link,
 // InsertSep and RemoveSep on a branch — and every whole-page operation — a
-// split (UpperHalf, CutAt, Install), SetContents, Merged and a RollBack —
+// split (UpperHalf, CutAt, Install), SetContents and Merged —
 // through a pool of four frames over a dozen pages, so that most write-backs
 // are evictions and most of those write delta frames, under a GC horizon that
 // trails the walk's timestamps. After every step, each page whose stable chain
@@ -95,7 +95,7 @@ func followsTheRule(t *testing.T, store *storage.PageStore) {
 // walkOps are the walk's steps, the record mutators weighted as a DC's
 // writes outnumber its structure changes.
 var walkOps = []string{"put", "put", "put", "replace", "replace", "replace", "versioned", "versioned", "remove",
-	"table", "header", "split", "setcontents", "merged", "rollback", "branch", "flush", "flushall"}
+	"table", "header", "split", "setcontents", "merged", "branch", "flush", "flushall"}
 
 // chainWalk runs one seeded walk of steps steps and returns how many delta
 // frames and full images its write-backs wrote and how many records they
@@ -104,13 +104,12 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 	rnd := rand.New(rand.NewPCG(seed, 0))
 	store := storage.NewPageStore()
 	var lsn base.LSN
-	open := func(base.TCID) base.LSN { return 1 << 62 }
 	// The low-water mark trails the LSNs handed out, so the tables keep
 	// {LSNin} sets for the write-backs to carry; the GC horizon trails the
 	// timestamps of the versioned writes (step+1) as their own horizon does.
 	lwm := func(base.TCID) base.LSN { return lsn / 2 }
 	horizon := func() base.TS { return base.TS(lsn / 2) }
-	pool := New(Config{Capacity: 4}, store, Gates{EOSL: open, LWM: lwm, Horizon: horizon})
+	pool := New(Config{Capacity: 4}, store, Gates{LWM: lwm, Horizon: horizon})
 	followsTheRule(t, store)
 
 	want := map[base.PageID][]byte{} // each page as last changed, encoded
@@ -159,7 +158,7 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 			}
 			for i := 0; i < flushed.Ab.Len(); i++ {
 				tc, a := flushed.Ab.At(i)
-				a.Advance(lwm(tc), open(tc))
+				a.Advance(lwm(tc))
 			}
 			// And it may have collected what lies at or below the horizon.
 			for _, r := range slices.Clone(flushed.Recs) {
@@ -205,12 +204,6 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 		val := []byte(fmt.Sprintf("%-40d", step))
 		switch op {
 		case "put":
-			prior := pg.Get(key)
-			u := page.Undo{TC: tc, LSN: lsn, Absent: prior == nil, Prior: page.Record{Key: key}}
-			if prior != nil {
-				u.Prior = *prior
-			}
-			pg.Undo = append(pg.Undo, u)
 			pg.Put(page.Record{Key: key, Owner: tc, Value: val})
 			pg.Ab.Ensure(tc).Add(lsn)
 		case "replace":
@@ -240,7 +233,7 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 			}
 		case "table":
 			pg.Ab.Ensure(tc).Add(lsn)
-			pg.Ab.Ensure(tc).Advance(lsn/2, lsn)
+			pg.Ab.Ensure(tc).Advance(lsn / 2)
 		case "header":
 			pg.DLSN, pg.Next = base.DLSN(step), base.PageID(rnd.IntN(20))
 		case "split":
@@ -265,8 +258,6 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 			}
 			right.Ab.Ensure(tc).Add(lsn)
 			pg.SetContents(pg.Merged(right))
-		case "rollback":
-			pg.RollBack(tc, lsn-base.LSN(rnd.IntN(20)))
 		case "branch":
 			if len(pg.Keys) > 1 && rnd.IntN(2) == 0 {
 				pg.RemoveSep(rnd.IntN(len(pg.Keys)))
@@ -279,7 +270,7 @@ func chainWalk(t *testing.T, seed uint64, steps int) (deltas, images, collected 
 		pg.L.Unlock()
 		switch op {
 		case "flush":
-			if err := pool.FlushPage(id, false); err != nil {
+			if err := pool.FlushPage(id); err != nil {
 				t.Fatal(err)
 			}
 		case "flushall":

@@ -226,8 +226,8 @@ func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
 			return err
 		}
 		go func() {
-			// Commit ships the write, appends its commit record and sleeps
-			// in the force, where the crash meets it.
+			// Commit appends its batch and sleeps in the force, where the
+			// crash meets it.
 			time.Sleep(50 * time.Millisecond)
 			dep.CrashTC(0)
 		}()

@@ -229,13 +229,12 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 }
 
 // TestMultiTCSharedDC exercises §6: two updating TCs with disjoint key
-// partitions over one DC, a TC crash resetting only its own records, and
-// cross-TC read-committed reads.
+// partitions over one DC, a TC crash that touches no other TC's records, and
+// cross-TC reads without locks.
 func TestMultiTCSharedDC(t *testing.T) {
 	d, err := New(Options{TCs: 2, DCs: 1, Tables: []string{"users"},
 		DCConfig: func(int) dc.Config { return dc.Config{CheckConflicts: true} },
-		// TC1's forces are slow enough for the test to act between a
-		// commit's ship and its force.
+		// TC1's forces are slow enough for the test to act inside one.
 		TCConfig: func(i int) tc.Config {
 			if i == 0 {
 				return tc.Config{ForceDelay: 300 * time.Millisecond}
@@ -279,43 +278,35 @@ func TestMultiTCSharedDC(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// TC1 updates and commits, and crashes after the commit has shipped the
-	// update and before its force: the DC holds the uncommitted version.
+	// TC1 updates and commits, and crashes inside the commit's force: the
+	// commit is lost, and no DC saw its update.
 	x := tc1.Begin(context.Background(), tc.TxnOptions{Versioned: true})
 	if err := x.Update("users", "p1/alice", []byte("alice-lost")); err != nil {
 		t.Fatal(err)
 	}
+	appended := tc1.Log().LastLSN()
 	commit := make(chan error, 1)
 	go func() { commit <- x.Commit() }()
-	// Cross-TC reads over TC1's partition while that update is
-	// uncommitted: the dirty reads see it (§6.2.1), the committed scan sees
-	// the before version (§6.2.2); none takes a lock, so none waits for
-	// TC1's X lock.
-	for {
-		var v []byte
-		if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) (err error) {
-			v, _, err = y.ReadDirty("users", "p1/alice")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if string(v) == "alice-lost" {
-			break
-		}
+	for tc1.Log().LastLSN() == appended {
 		time.Sleep(time.Millisecond)
 	}
+	// Cross-TC reads over TC1's partition while TC1 forces: none takes a
+	// lock, so none waits for TC1's X lock, and every one sees alice-v1, the
+	// dirty ones (§6.2.1) too: the update has not left TC1.
 	if err := tc2.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) error {
+		if v, _, err := y.ReadDirty("users", "p1/alice"); err != nil || string(v) != "alice-v1" {
+			return fmt.Errorf("cross-TC ReadDirty: %q %v, want alice-v1", v, err)
+		}
 		for _, c := range []struct {
 			name string
 			scan func(table, lo, hi string, limit int) ([]string, [][]byte, error)
-			want string
 		}{
-			{"ScanDirty", y.ScanDirty, "alice-lost"},
-			{"ScanCommitted", y.ScanCommitted, "alice-v1"},
+			{"ScanDirty", y.ScanDirty},
+			{"ScanCommitted", y.ScanCommitted},
 		} {
 			keys, vals, err := c.scan("users", "p1/", "p1/~", 0)
-			if err != nil || len(keys) != 1 || keys[0] != "p1/alice" || string(vals[0]) != c.want {
-				return fmt.Errorf("cross-TC %s: %q %q %v, want p1/alice=%s", c.name, keys, vals, err, c.want)
+			if err != nil || len(keys) != 1 || keys[0] != "p1/alice" || string(vals[0]) != "alice-v1" {
+				return fmt.Errorf("cross-TC %s: %q %q %v, want p1/alice=alice-v1", c.name, keys, vals, err)
 			}
 		}
 		return nil
@@ -328,6 +319,9 @@ func TestMultiTCSharedDC(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if eosl, last := tc1.Log().EOSL(), tc1.Log().LastLSN(); eosl >= last {
+		t.Fatalf("TC1's commit batch was stable (EOSL %d, appended to %d) before the crash; test vacuous", eosl, last)
+	}
 	d.CrashTC(0)
 	if err := <-commit; !errors.Is(err, tc.ErrCommitAmbiguous) {
 		t.Fatalf("TC1's commit under its crash = %v, want ErrCommitAmbiguous", err)
@@ -335,7 +329,7 @@ func TestMultiTCSharedDC(t *testing.T) {
 	if err := d.RecoverTC(0); err != nil {
 		t.Fatal(err)
 	}
-	// TC1's uncommitted update is gone; TC2's committed update survives.
+	// TC1's lost update is nowhere; TC2's committed update survives.
 	if err := tc1.RunTxn(context.Background(), tc.TxnOptions{}, func(y *tc.Txn) error {
 		v, ok, err := y.Read("users", "p1/alice")
 		if err != nil || !ok || string(v) != "alice-v1" {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
@@ -81,6 +82,51 @@ func TestMultiTCSharedDCDirect(t *testing.T) {
 				t.Fatalf("read via TC %d: %v", pin, err)
 			}
 		}
+	}
+}
+
+// TestCheckpointDuringAPeersForce: TC 2, whose log forces are slow, commits
+// a write to the leaf TC 1 also writes, and TC 1's checkpoint, issued while
+// TC 2 forces, completes under a 100 ms deadline. No page flush waits for a
+// TC's end of stable log: TC 2's write reaches the DC only once its force is
+// done.
+func TestCheckpointDuringAPeersForce(t *testing.T) {
+	dep, err := New(Options{TCs: 2, DCs: 1, Placement: placement.MustParse(multiTCSpec),
+		TCConfig: func(i int) tc.Config {
+			if i == 1 {
+				return tc.Config{ForceDelay: 200 * time.Millisecond}
+			}
+			return tc.Config{}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	ctx := context.Background()
+	tc1, tc2 := dep.TCs[0], dep.TCs[1]
+	if err := tc1.RunTxn(ctx, tc.TxnOptions{}, func(x *tc.Txn) error {
+		return x.Upsert("kv", "a", []byte("1"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	x := tc2.Begin(ctx, tc.TxnOptions{})
+	if err := x.Upsert("kv", "z", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	appended := tc2.Log().LastLSN()
+	commit := make(chan error, 1)
+	go func() { commit <- x.Commit() }()
+	for tc2.Log().LastLSN() == appended {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // well inside TC 2's force
+	cctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	if _, err := tc1.Checkpoint(cctx); err != nil {
+		t.Fatalf("TC 1's checkpoint during TC 2's force: %v", err)
+	}
+	if err := <-commit; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -251,7 +297,7 @@ func TestMultiTCSharedDCOverTCP(t *testing.T) {
 
 	// TC 2 commits throughout; TC 1 crashes and restarts mid-run. TC 2
 	// must never observe an error — the §6.1.2 promise that one TC's
-	// restart (targeted resets, its own epoch fence) leaves other TCs'
+	// restart (its redo, its own epoch fence) leaves other TCs'
 	// traffic alone.
 	const txns = 150
 	errCh := make(chan error, 1)

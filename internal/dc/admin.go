@@ -40,8 +40,6 @@ func (d *DC) RegisterStats(g *stats.Group) {
 	g.Func("unavailable", d.unavailable.Load)
 	g.Func("drain_rejects", d.drainRejects.Load)
 	g.Func("stale_epochs", d.staleEpochs.Load)
-	g.Func("reset_pages", d.resetPages.Load)
-	g.Func("rolled_back_ops", d.rolledBack.Load)
 	g.Func("conflict_violations", d.conVios.Load)
 	g.Func("snapshot_reads", d.snapReads.Load)
 	g.Func("snapshot_waits", d.snapWaits.Load)

@@ -70,7 +70,7 @@ func aliasSeedLeaf(rnd *rand.Rand) *page.Page {
 		p.Put(r)
 		p.Ab.Ensure(r.Owner).Add(base.LSN(i + 1))
 	}
-	p.Ab.Get(1).Advance(9, 9)
+	p.Ab.Get(1).Advance(9)
 	return p
 }
 
@@ -153,7 +153,7 @@ func TestDecodedPageNeverWritesItsImage(t *testing.T) {
 				if kind <= 9 {
 					a := p.Ab.Ensure(op.TC)
 					if lsn%7 == 0 {
-						a.Advance(lsn-5, lsn)
+						a.Advance(lsn - 5)
 					}
 					a.Add(lsn)
 				}

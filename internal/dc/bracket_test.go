@@ -244,8 +244,7 @@ func TestIncarnationNumberSurvivesTruncation(t *testing.T) {
 
 // TestOwedClaimsWaitForTheResend: while TC 1 owes the recovered DC its
 // resend, its low-water mark and safe timestamp are dropped and its
-// checkpoint refused; its end of stable log, a fact about its own log, is
-// taken. After the resend everything is.
+// checkpoint refused. After the resend everything is taken.
 func TestOwedClaimsWaitForTheResend(t *testing.T) {
 	d := newDC(t, Config{})
 	tc := newBracketTC(t, d)
@@ -256,21 +255,21 @@ func TestOwedClaimsWaitForTheResend(t *testing.T) {
 		d.LowWaterMark(1, 1, 5)
 		d.SafeTS(1, 1, 20, 10)
 	}
-	marks := func() [3]uint64 {
+	marks := func() [2]uint64 {
 		s := d.inc.Load().tc(1)
-		return [3]uint64{s.eosl.Load(), s.lwm.Load(), s.safe.Load()}
+		return [2]uint64{s.lwm.Load(), s.safe.Load()}
 	}
 	claim()
-	if got, want := marks(), [3]uint64{5, 0, 0}; got != want {
-		t.Fatalf("owed TC's eosl, lwm, safe: %v, want %v", got, want)
+	if got, want := marks(), [2]uint64{0, 0}; got != want {
+		t.Fatalf("owed TC's lwm, safe: %v, want %v", got, want)
 	}
 	if err := d.Checkpoint(context.Background(), 1, 1, 2); !errors.Is(err, base.ErrStaleDC) {
 		t.Fatalf("owed TC's checkpoint: %v, want ErrStaleDC", err)
 	}
 	tc.resend(tc.send(upsert(1, "a", "1"), 0), upsert(1, "a", "1"))
 	claim()
-	if got, want := marks(), [3]uint64{5, 5, 20}; got != want {
-		t.Fatalf("eosl, lwm, safe after the resend: %v, want %v", got, want)
+	if got, want := marks(), [2]uint64{5, 20}; got != want {
+		t.Fatalf("lwm, safe after the resend: %v, want %v", got, want)
 	}
 	if err := d.Checkpoint(context.Background(), 1, 1, 2); err != nil {
 		t.Fatal(err)

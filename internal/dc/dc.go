@@ -7,12 +7,12 @@
 // All knowledge of pages lives here. Structure modifications are system
 // transactions on the DC-log (package dclog); the abstract-LSN machinery
 // (package ablsn) provides idempotence despite out-of-order operation
-// arrival (§5.1); the buffer pool (package buffer) enforces the causality
-// and WAL gates; a TC's failure is handled by the targeted cache reset of
-// §5.3.2/§6.1.2, which undoes the operations the TC lost from the undo tails
-// of the cached pages that hold them (package page); and the DC's own by the
-// TCs' resends, each of which a recovered incarnation waits out before it
-// takes that TC's word about its contents again (see bracket). What is done to
+// arrival (§5.1); the buffer pool (package buffer) enforces the WAL gate. A
+// TC sends an operation only once it is stable in its log, so a TC's failure
+// takes back nothing the DC holds: its restart fences its dead incarnation
+// and resends (§5.3.2). The DC's own failure is handled by the TCs' resends,
+// each of which a recovered incarnation waits out before it takes that TC's
+// word about its contents again (see bracket). What is done to
 // the physical structure as a whole — catalog, table creation, redo of
 // system transactions — is btree's and shared with the monolith baseline;
 // this package adds the operations, the per-TC protocol state and the DC's
@@ -66,8 +66,6 @@ type Stats struct {
 	DupSkips      uint64 // operations recognized as already applied
 	Unavailable   uint64
 	StaleEpochs   uint64 // operations refused as pre-restart (epoch fence)
-	ResetPages    uint64 // pages reset by partial-failure restarts
-	RolledBack    uint64 // operations those resets undid
 	ConflictViols uint64 // debug conflict-checker violations (must be 0)
 	SnapshotReads uint64 // snapshot-flavor reads served
 	SnapshotWaits uint64 // snapshot reads that had to wait out a safe TS
@@ -94,20 +92,19 @@ const (
 	open
 )
 
-// tcState is the DC's per-TC bookkeeping: the watermarks that drive
-// flushing and pruning, the incarnation-epoch fence and the resend bracket.
+// tcState is the DC's per-TC bookkeeping: the low-water mark that drives
+// pruning, the incarnation-epoch fence and the resend bracket.
 type tcState struct {
-	// ctl serializes the control plane — epoch installs and the restart
-	// sweep (BeginRestart), activation (EndRestart), checkpoint admission,
-	// and watermark advances. The wire server dispatches control calls in
-	// their own goroutines and the fabric duplicates deliveries, so every
+	// ctl serializes the control plane — epoch installs (BeginRestart),
+	// activation (EndRestart), checkpoint admission, and watermark
+	// advances. The wire server dispatches control calls in their own
+	// goroutines and the fabric duplicates deliveries, so every
 	// check-then-act on this state must hold ctl or a duplicated/reordered
-	// delivery can double-run the sweep, regress the fence, or slip a
-	// stale watermark past a concurrent fence raise. Reads on the PerformBatch
-	// hot path stay lock-free via the atomics.
-	ctl  sync.Mutex
-	eosl atomic.Uint64
-	lwm  atomic.Uint64
+	// delivery can regress the fence or slip a stale watermark past a
+	// concurrent fence raise. Reads on the PerformBatch hot path stay
+	// lock-free via the atomics.
+	ctl sync.Mutex
+	lwm atomic.Uint64
 	// epoch is the fence: the newest incarnation of the TC this DC has heard
 	// of, from a BeginRestart or the first operation of that incarnation it
 	// admitted, and durable either way (KindEpochs). Operations, watermarks
@@ -188,10 +185,6 @@ type incarnation struct {
 	inflight  *conflictTable // nil unless Config.CheckConflicts
 }
 
-// eosl is the end of tc's stable log as tc last said it: every operation of
-// tc at or below it is forced, and so out of reach of a TC crash.
-func (inc *incarnation) eosl(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).eosl.Load()) }
-
 // resent reports whether every TC is done resending to the incarnation (see
 // bracket). Until then a cached page may be a stable image older than
 // operations its TC is still to resend, so the forest consolidates nothing
@@ -242,8 +235,7 @@ type DC struct {
 	closed bool
 
 	performs, dupSkips, unavailable atomic.Uint64
-	staleEpochs                     atomic.Uint64
-	resetPages, rolledBack, conVios atomic.Uint64
+	staleEpochs, conVios            atomic.Uint64
 	snapReads, snapWaits            atomic.Uint64
 	batches, batchOps               atomic.Uint64
 	drainRejects                    atomic.Uint64
@@ -356,13 +348,12 @@ func (d *DC) CreateTable(table string) error {
 }
 
 // advance applies one watermark broadcast to tc's state unless the DC is
-// down, the sender's incarnation is fenced, or — for a claim about this
-// DC's contents (claim) — the TC's resend to this incarnation has not ended,
-// and returns the incarnation it advanced (nil if none). The checks and the
-// advance are one critical section — ctl, shared with BeginRestart's fence
-// raise and re-base — so a stale claim either lands entirely before the
-// raise (and is zeroed by the re-base) or is dropped, never in between.
-func (d *DC) advance(tc base.TCID, epoch base.Epoch, claim bool, step func(*tcState)) *incarnation {
+// down, the sender's incarnation is fenced, or the TC's resend to this
+// incarnation has not ended, and returns the incarnation it advanced (nil if
+// none). The checks and the advance are one critical section — ctl, shared
+// with BeginRestart's fence raise — so a stale claim either lands entirely
+// before the raise or is dropped, never in between.
+func (d *DC) advance(tc base.TCID, epoch base.Epoch, step func(*tcState)) *incarnation {
 	inc := d.inc.Load()
 	if inc == nil {
 		return nil
@@ -370,7 +361,7 @@ func (d *DC) advance(tc base.TCID, epoch base.Epoch, claim bool, step func(*tcSt
 	s := inc.tc(tc)
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	if s.fenced(epoch) || claim && !s.resent() {
+	if s.fenced(epoch) || !s.resent() {
 		return nil
 	}
 	step(s)
@@ -390,17 +381,11 @@ func raise(mark *atomic.Uint64, v uint64) bool {
 	}
 }
 
-// EndOfStableLog implements base.Service (§4.2.1): all operations with
-// LSN <= eosl are stable in the TC log; causality then allows the DC to
-// make them stable too. Broadcasts from a fenced incarnation are dropped.
-// Nothing else is asked of it: the mark is a fact about the TC-log, which
-// does not depend on what this DC incarnation holds, so it is taken while the
-// TC still owes the incarnation its resend.
-func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
-	if inc := d.advance(tc, epoch, false, func(s *tcState) { raise(&s.eosl, uint64(eosl)) }); inc != nil {
-		inc.pool.Kick() // the flusher re-tests the gates the watermark opened
-	}
-}
+// EndOfStableLog implements base.Service (§4.2.1) and does nothing: a TC
+// sends an operation only once it is stable in its log, so every operation
+// the DC holds is within its TC's end of stable log, and nothing waits for
+// the mark.
+func (d *DC) EndOfStableLog(base.TCID, base.Epoch, base.LSN) {}
 
 // SafeTS implements base.Service: the TC's closed-timestamp broadcast.
 // After this call, every commit of that TC with TS <= safe is committed at
@@ -411,12 +396,9 @@ func (d *DC) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
 // T <= safe reads a stable prefix. horizon is the TC's GC watermark.
 // Broadcasts from a fenced incarnation are dropped, and so are those of a TC
 // that owes this incarnation its resend: the stamped writes the promise
-// vouches for may be among what the DC's crash lost, and a TC that crashed
-// may have left stamped writes of commit batches it never forced, which only
-// its BeginRestart's sweep rolls back and whose timestamps the new
-// incarnation's safe timestamp may already pass.
+// vouches for may be among what the DC's crash lost.
 func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.TS) {
-	inc := d.advance(tc, epoch, true, func(s *tcState) {
+	inc := d.advance(tc, epoch, func(s *tcState) {
 		if raise(&s.safe, uint64(safe)) && s.safeCh != nil {
 			close(s.safeCh)
 			s.safeCh = nil
@@ -494,29 +476,24 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, inc *incarnation, t base.TS) 
 
 // LowWaterMark implements base.Service (§4.2.1): the TC has received
 // replies for every operation with LSN <= lwm, so LSNlw on cached pages
-// may advance (bounded by EOSL; see buffer and ablsn for why). Claims from
-// a fenced incarnation are dropped: BeginRestart re-based the mark to zero
-// precisely because the restarted TC reuses the dead incarnation's LSN
-// space, and a stale in-flight claim would prune abstract LSNs into it. So
-// are those of a TC that owes this incarnation its resend: they count
-// replies of the incarnation before, and a page flushed under them would
-// claim operations it never held.
+// may advance. The TC sends no mark above its stable log, so a restarted TC,
+// which reuses the LSNs above it, finds none of them claimed. Claims from a
+// fenced incarnation are dropped, and so are those of a TC that owes this
+// incarnation its resend: they count replies of the incarnation before, and a
+// page flushed under them would claim operations it never held.
 func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
-	if inc := d.advance(tc, epoch, true, func(s *tcState) { raise(&s.lwm, uint64(lwm)) }); inc != nil {
-		inc.pool.Kick()
-	}
+	d.advance(tc, epoch, func(s *tcState) { raise(&s.lwm, uint64(lwm)) })
 }
 
 // Checkpoint implements base.Service (§4.2.1): make stable all pages that
 // contain effects of operations with LSN < newRSSP for tc, releasing the
-// TC's resend obligation below newRSSP. The TC has forced its log through
-// newRSSP before calling, so the causality gate is open. A checkpoint from
-// a fenced incarnation is refused — releasing resend obligations based on
-// a dead incarnation's view would be unrecoverable — and so is one before
-// the TC's resend to this incarnation has ended (ErrStaleDC): the pages it
-// would make stable may still miss operations below newRSSP. A page waits
-// for the TC's end of stable log until ctx ends; the checkpoint then returns
-// base.CancelErr(ctx) and releases nothing.
+// TC's resend obligation below newRSSP. A checkpoint from a fenced
+// incarnation is refused — releasing resend obligations based on a dead
+// incarnation's view would be unrecoverable — and so is one before the TC's
+// resend to this incarnation has ended (ErrStaleDC): the pages it would make
+// stable may still miss operations below newRSSP. ctx is asked once, on
+// entry: a checkpoint waits for nothing the TC sends, only for the page
+// store and the DC-log.
 func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, newRSSP base.LSN) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -540,18 +517,23 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	}
 	s.ctl.Unlock()
 	pool := inc.pool
-	err := pool.FlushAllContext(ctx, true, func(pg *page.Page) bool {
+	err := pool.FlushAll(false, func(pg *page.Page) bool {
 		first, ok := pg.FirstDirty[tc]
 		return ok && first < newRSSP
 	})
 	if err != nil {
 		return err
 	}
-	// Best-effort pass over pages dirtied only by system transactions
-	// (branch pages, the catalog): flushing them lets the DC-log truncate.
-	// Pages gated by other TCs' log stability are skipped, bounding the
-	// truncation point accordingly.
-	_ = pool.FlushAllContext(ctx, false, func(pg *page.Page) bool {
+	// A consolidation's page keeps its own FirstDirty, not its right
+	// sibling's, so an operation below newRSSP may be held only by the
+	// image the DC-log record of the consolidation carries: make every
+	// system transaction so far stable before the TC forgets the operation.
+	if !inc.log.Force() {
+		return d.errUnavailable()
+	}
+	// Pages dirtied only by system transactions (branch pages, the catalog):
+	// flushing them lets the DC-log truncate.
+	_ = pool.FlushAll(false, func(pg *page.Page) bool {
 		return pg.Dirty && len(pg.FirstDirty) == 0
 	})
 	d.truncateDCLog(inc)
@@ -655,8 +637,6 @@ func (d *DC) Stats() Stats {
 		DupSkips:      d.dupSkips.Load(),
 		Unavailable:   d.unavailable.Load(),
 		StaleEpochs:   d.staleEpochs.Load(),
-		ResetPages:    d.resetPages.Load(),
-		RolledBack:    d.rolledBack.Load(),
 		ConflictViols: d.conVios.Load(),
 		SnapshotReads: d.snapReads.Load(),
 		SnapshotWaits: d.snapWaits.Load(),

@@ -68,7 +68,7 @@ func TestEpochFenceRejectsPreRestartOps(t *testing.T) {
 }
 
 // TestEpochFenceDurableAcrossDCCrash: the fence is recorded in the DC-log
-// and forced before the restart reset touches anything, so a DC crash and
+// and forced before BeginRestart returns, so a DC crash and
 // recovery cannot resurrect acceptance of a dead incarnation's requests.
 func TestEpochFenceDurableAcrossDCCrash(t *testing.T) {
 	d := newDC(t, Config{})
@@ -133,9 +133,9 @@ func TestEpochFenceSurvivesDCLogTruncation(t *testing.T) {
 }
 
 // TestRestartControlEpochValidation covers the control-plane half of the
-// fence: stale begin/end restarts and checkpoints are refused, duplicate
-// begin_restarts do not repeat the reset, and end_restart re-admits
-// checkpoints for the new incarnation only.
+// fence: stale begin/end restarts and checkpoints are refused, a duplicate
+// begin_restart is taken again, and end_restart re-admits checkpoints for
+// the new incarnation only.
 func TestRestartControlEpochValidation(t *testing.T) {
 	d := newDC(t, Config{})
 	h := newOpHelper(d, 1)
@@ -145,14 +145,9 @@ func TestRestartControlEpochValidation(t *testing.T) {
 	if err := d.Checkpoint(context.Background(), 1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	h.update("a", "lost") // unstable tail op
 
 	if err := d.BeginRestart(context.Background(), 1, 3, 1); err != nil {
 		t.Fatal(err)
-	}
-	resets := d.Stats().ResetPages
-	if resets == 0 {
-		t.Fatal("restart reset did not run")
 	}
 
 	// Mid-restart: checkpoints are refused — stale ones permanently, the
@@ -172,13 +167,10 @@ func TestRestartControlEpochValidation(t *testing.T) {
 		t.Fatalf("stale end-restart: %v", err)
 	}
 
-	// A duplicate delivery of the current begin_restart must not repeat
-	// the reset (redo may already have begun).
+	// A duplicate delivery of the current begin_restart is taken: the
+	// bracket stays open.
 	if err := d.BeginRestart(context.Background(), 1, 3, 1); err != nil {
 		t.Fatalf("duplicate begin-restart: %v", err)
-	}
-	if got := d.Stats().ResetPages; got != resets {
-		t.Fatalf("duplicate begin-restart repeated the reset: %d -> %d", resets, got)
 	}
 
 	// Activation: checkpoints for the new incarnation work again.
@@ -193,37 +185,35 @@ func TestRestartControlEpochValidation(t *testing.T) {
 }
 
 // TestStaleWatermarksIgnoredAfterRestart: a dead incarnation's fire-and-
-// forget watermark broadcasts still in flight must not re-poison the
-// low-water mark that begin_restart re-based (the restarted TC reuses the
-// LSN space the stale claim covers).
+// forget watermark broadcasts still in flight are dropped once begin_restart
+// has raised the fence, and the new incarnation's once its resend has ended.
+// A claim the dead incarnation made before stays: it was never above the
+// stable log the new incarnation starts from.
 func TestStaleWatermarksIgnoredAfterRestart(t *testing.T) {
 	d := newDC(t, Config{})
 	h := newOpHelper(d, 1)
 	h.epoch = 1
 	h.insert("a", "v")
-	d.EndOfStableLog(1, 1, 1)
 	d.LowWaterMark(1, 1, 1)
 	if err := d.BeginRestart(context.Background(), 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
-		t.Fatalf("restart did not re-base the LWM: %d", got)
-	}
+	lwm := func() uint64 { return d.inc.Load().tc(1).lwm.Load() }
 	// Stale claim from the dead incarnation: dropped.
 	d.LowWaterMark(1, 1, 9)
-	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
-		t.Fatalf("stale LWM claim accepted: %d", got)
+	if got := lwm(); got != 1 {
+		t.Fatalf("stale LWM claim: mark %d, want 1", got)
 	}
 	// The new incarnation's claim lands once its resend has ended.
-	d.LowWaterMark(1, 2, 1)
-	if got := d.inc.Load().tc(1).lwm.Load(); got != 0 {
+	d.LowWaterMark(1, 2, 3)
+	if got := lwm(); got != 1 {
 		t.Fatalf("LWM claim taken inside the resend bracket: %d", got)
 	}
 	if err := d.EndRestart(context.Background(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	d.LowWaterMark(1, 2, 1)
-	if got := d.inc.Load().tc(1).lwm.Load(); got != 1 {
+	d.LowWaterMark(1, 2, 3)
+	if got := lwm(); got != 3 {
 		t.Fatalf("new incarnation LWM dropped: %d", got)
 	}
 }
@@ -258,9 +248,9 @@ func TestDeadIncarnationWatermarksDroppedOverTheWire(t *testing.T) {
 			read := func(cl *wire.Client, epoch base.Epoch) base.Code {
 				return cl.Perform(ctx, &base.Op{TC: 1, Epoch: epoch, Kind: base.OpRead, Table: "t", Key: "a"}).Code
 			}
-			marks := func() [4]uint64 {
+			marks := func() [3]uint64 {
 				s := d.inc.Load().tc(1)
-				return [4]uint64{s.eosl.Load(), s.lwm.Load(), s.safe.Load(), s.horizon.Load()}
+				return [3]uint64{s.lwm.Load(), s.safe.Load(), s.horizon.Load()}
 			}
 
 			// Incarnation 1 dies with stable log end 1; incarnation 2 takes
@@ -280,7 +270,7 @@ func TestDeadIncarnationWatermarksDroppedOverTheWire(t *testing.T) {
 			if code := read(live, 2); code != base.CodeOK {
 				t.Fatalf("live read: %v", code)
 			}
-			want := [4]uint64{3, 2, 10, 5}
+			want := [3]uint64{2, 10, 5}
 			if got := marks(); got != want {
 				t.Fatalf("incarnation 2's marks: %v, want %v", got, want)
 			}

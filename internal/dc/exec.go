@@ -2,7 +2,6 @@ package dc
 
 import (
 	"context"
-	"slices"
 	"strings"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -19,8 +18,7 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 // perform executes op exactly once, on inc, the incarnation its caller loaded
 // (nil: the DC is down), and on nothing else of the DC's volatile state, and
 // answers in res: a zero Result of its caller's. The DC does not know which
-// user transaction op belongs to, nor whether it is forward activity or an
-// inverse applied during rollback (§4.2.1). A context already done is refused
+// user transaction op belongs to (§4.2.1). A context already done is refused
 // up front (CodeCancelled); an operation that starts executing completes.
 // Nothing of op outlives the call except by copy.
 func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *base.Result) {
@@ -35,9 +33,9 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		return
 	}
 	// Incarnation fence: an operation stamped by an epoch older than the
-	// TC's last begin_restart was issued by a dead incarnation. It must
-	// never execute — its log record died with the unforced tail, and its
-	// LSN is being reused — so the nack is permanent (no resend).
+	// TC's last begin_restart was issued by a dead incarnation. It was
+	// stable before it was sent, so the restart's redo delivers it again:
+	// the nack is permanent (no resend).
 	ts := inc.tc(op.TC)
 	if ts.fenced(op.Epoch) {
 		d.staleEpochs.Add(1)
@@ -256,20 +254,15 @@ func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 
 // write executes a mutating operation with the abstract-LSN idempotence
 // test of §5.1.2: if the page already contains the operation's effects the
-// DC skips re-execution and acknowledges. An operation its TC has not
-// forced yet leaves an entry in the leaf's undo tail, from which a reset
-// undoes it if the TC fails first (BeginRestart); the entries at the front
-// that their TCs have forced since are dropped on the way. The TC's abstract
-// LSN is pruned to its LWM and EOSL before the operation's LSN joins it, as a
-// flush prunes it, so its {LSNin} holds only what is still in flight.
+// DC skips re-execution and acknowledges. The TC's abstract LSN is pruned to
+// its LWM before the operation's LSN joins it, as a flush prunes it, so its
+// {LSNin} holds only what is still in flight. Nothing is kept to undo the
+// operation: its TC sent it once it was stable in its log.
 func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op, res *base.Result) error {
 	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
-		// Re-test the incarnation fence under the leaf latch: the
-		// restart sweep latches every page, so a write serializes with
-		// it — applied before the sweep it is undone by the reset,
-		// latched after it is fenced here. The entry check alone would
-		// leave a window where an old-epoch write lands on an
-		// already-swept page.
+		// Re-test the incarnation fence under the leaf latch, so that no
+		// operation of a dead incarnation runs once BeginRestart has raised
+		// the fence, though it passed the check on entry.
 		if ts.fenced(op.Epoch) {
 			d.staleEpochs.Add(1)
 			res.Code = base.CodeStaleEpoch
@@ -280,36 +273,11 @@ func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op,
 			res.Applied = true
 			return false
 		}
-		eosl := base.LSN(ts.eosl.Load())
-		forced := func(u *page.Undo) bool {
-			if u.TC == op.TC {
-				return u.LSN <= eosl // at hand: no lookup
-			}
-			return u.LSN <= inc.eosl(u.TC)
-		}
-		stable := 0
-		for stable < len(leaf.Undo) && forced(&leaf.Undo[stable]) {
-			stable++
-		}
-		leaf.Undo = slices.Delete(leaf.Undo, 0, stable) // in place: the tail keeps its capacity
-		unforced := op.LSN > eosl
-		rec := leaf.Get(op.Key)
-		u := page.Undo{TC: op.TC, LSN: op.LSN}
-		if unforced {
-			if rec != nil {
-				u.Prior = *rec
-			} else {
-				u.Absent, u.Prior.Key = true, op.Key
-			}
-		}
-		res.Code = applyWrite(leaf, rec, op, base.TS(inc.gcHorizon.Load()))
+		res.Code = applyWrite(leaf, leaf.Get(op.Key), op, base.TS(inc.gcHorizon.Load()))
 		if res.Code == base.CodeOK {
 			a := leaf.Ab.Ensure(op.TC)
-			a.Advance(base.LSN(ts.lwm.Load()), eosl)
+			a.Advance(base.LSN(ts.lwm.Load()))
 			a.Add(op.LSN)
-			if unforced {
-				leaf.Undo = append(leaf.Undo, u)
-			}
 			inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
 		}
 		return false

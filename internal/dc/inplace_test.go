@@ -13,10 +13,10 @@ import (
 // operation's Value is the buffer's bytes until the next frame overwrites
 // them. The DC must copy whatever it keeps. Every mutating kind runs from
 // decoded operations — an insert of a new key and an upsert of an existing
-// one, a versioned insert and upsert, a delete and a versioned delete — all
-// of them unforced, so each leaves an undo entry, the insert one of an
-// absent prior. Then the buffer is overwritten: reads, the leaf's undo tail
-// and a BeginRestart rollback must still see the original keys and values.
+// one, a versioned insert and upsert, a delete and a versioned delete — the
+// versioned ones keeping their before versions. Then the buffer is
+// overwritten: dirty reads of the heads and committed reads of the before
+// versions must still see the original keys and values.
 func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	ctx := context.Background()
 	d := newDC(t, Config{})
@@ -25,8 +25,6 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 	h.insert("k-del", "gone")
 	h.insert("k-vups", "v0")
 	h.insert("k-vdel", "kept")
-	h.ack() // the pre-state is forced: the rollback must stop at it
-	stable := h.next - 1
 
 	const ts = 10
 	op := func(kind base.OpKind, key, val string, versioned bool) *base.Op {
@@ -88,40 +86,12 @@ func TestDecodedOpsOutliveTheirBuffer(t *testing.T) {
 		"k-del": "", "k-vdel": "",
 	})
 
-	// Every batch operation left an entry: its key, and the prior it undoes to.
-	priors := map[string]string{}
-	absent := map[string]bool{}
-	for _, key := range []string{"n-ins", "k-upsert", "n-vins", "k-vups", "k-del", "k-vdel"} {
-		for _, u := range leafOf(t, d, key).Undo {
-			if u.TC != 1 || u.LSN <= stable {
-				continue
-			}
-			absent[u.Prior.Key] = u.Absent
-			if !u.Absent {
-				v, _ := u.Prior.ReadVersion(base.ReadDirty, 0)
-				priors[u.Prior.Key] = string(v)
-			}
+	// The versioned writes' commit timestamp is above TC 1's safe timestamp,
+	// so a committed read sees the before versions they kept.
+	for key, want := range map[string]string{"n-vins": "", "k-vups": "v0", "k-vdel": "kept"} {
+		r := d.Perform(ctx, &base.Op{TC: 2, Kind: base.OpRead, Table: "t", Key: key, Flavor: base.ReadCommitted})
+		if r.Found != (want != "") || string(r.Value) != want {
+			t.Fatalf("committed read of %q: %q (found %v), want %q", key, r.Value, r.Found, want)
 		}
 	}
-	for key, want := range map[string]string{"k-upsert": "old", "k-vups": "v0", "k-del": "gone", "k-vdel": "kept"} {
-		if priors[key] != want {
-			t.Fatalf("undo entry of %q holds %q, want %q (entries %v)", key, priors[key], want, priors)
-		}
-	}
-	for _, key := range []string{"n-ins", "n-vins"} {
-		if a, ok := absent[key]; !ok || !a {
-			t.Fatalf("no absent-prior undo entry for %q (entries %v, absent %v)", key, priors, absent)
-		}
-	}
-
-	// The TC fails with the batch unforced: the DC rolls it back.
-	if err := d.BeginRestart(ctx, 1, 2, stable); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EndRestart(ctx, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	expect("after the rollback", 2, map[string]string{
-		"n-ins": "", "k-upsert": "old", "n-vins": "", "k-vups": "v0", "k-del": "gone", "k-vdel": "kept",
-	})
 }

@@ -35,10 +35,9 @@ func put(t testing.TB, d *DC, lsn int, key, value string) {
 }
 
 // checkpointAll makes everything TC 1 wrote up to lsn stable, the way its
-// checkpoint does: watermarks first (the causality gates), then the call.
+// checkpoint does: the low-water mark first, then the call.
 func checkpointAll(t testing.TB, d *DC, lsn int) {
 	t.Helper()
-	d.EndOfStableLog(1, 1, base.LSN(lsn+1))
 	d.LowWaterMark(1, 1, base.LSN(lsn))
 	if err := d.Checkpoint(context.Background(), 1, 1, base.LSN(lsn+1)); err != nil {
 		t.Fatal(err)

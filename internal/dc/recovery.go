@@ -8,7 +8,6 @@ import (
 	"github.com/cidr09/unbundled/internal/btree"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/dclog"
-	"github.com/cidr09/unbundled/internal/page"
 )
 
 // Crash simulates a DC process failure: the serving incarnation — cache,
@@ -62,10 +61,9 @@ func (d *DC) build() (*incarnation, error) {
 		inc.inflight = newConflictTable()
 	}
 	// The gates read the incarnation the pool belongs to, never the DC: a
-	// superseded pool keeps gating on the watermarks it was told. A write-back
+	// superseded pool keeps pruning to the marks it was told. A write-back
 	// collects the versions below the GC horizon (refreshHorizon).
 	inc.pool = buffer.New(buffer.Config{Capacity: d.cfg.CacheCapacity}, d.store, buffer.Gates{
-		EOSL:       inc.eosl,
 		LWM:        func(tc base.TCID) base.LSN { return base.LSN(inc.tc(tc).lwm.Load()) },
 		ForceDCLog: inc.ForceSMO,
 		Horizon:    func() base.TS { return base.TS(inc.gcHorizon.Load()) },
@@ -113,29 +111,17 @@ func (inc *incarnation) redoEpochs(payload []byte, dlsn base.DLSN) error {
 
 // BeginRestart implements base.Service: it opens tc's resend bracket in this
 // incarnation (see bracket). Of the epoch the fence already holds, it only
-// opens it: the TC resends to a DC that restarted (an owed bracket; the
-// crash took everything, so nothing is undone) or repeats itself (an open
-// one). If that resend has already ended, nothing is owed and the TC is told
-// so (ErrNothingOwed).
+// opens it: the TC resends to a DC that restarted (an owed bracket) or
+// repeats itself (an open one). If that resend has already ended, nothing is
+// owed and the TC is told so (ErrNothingOwed).
 //
-// A newer epoch is a TC failure (§5.3.2, §6.1.2): the failed TC lost its log
-// tail beyond stableLSN, so the DC must discard from its cache every effect
-// of that TC's operations with higher LSNs (causality guarantees none
-// reached stable storage). It undoes exactly those operations, page by page,
-// from each cached leaf's undo tail, and takes back the page's claims to
-// them: no stable page is read and nothing is routed, so splits and
-// consolidations since the last flush — which carried the entries with their
-// keys — do not matter. Other TCs' records and entries survive untouched.
-//
-// Before anything else the restarting incarnation's epoch is installed as
-// the TC's fence and forced into the DC-log: from that moment every
-// request stamped by the dead incarnation is refused, and the in-latch
-// re-check in write serializes the fence with this sweep — an old-epoch
-// operation either lands before the sweep (and is undone by it) or is
-// fenced. Together they close the window the TC-side generation check
-// cannot: a batch already on the wire when the TC died. The sweep holds
-// every tree's structure lock, so no split or consolidation that decided on
-// a page before the sweep applies after it.
+// A newer epoch is a TC failure (§5.3.2, §6.1.2). The failed TC lost its log
+// tail beyond stableLSN, but nothing of it reached the DC: a TC sends an
+// operation only once it is stable in its log. So nothing is undone, and
+// stableLSN is not read. The restarting incarnation's epoch is installed as
+// the TC's fence and forced into the DC-log: from then on every request
+// stamped by the dead incarnation is refused, and the in-latch re-check in
+// write refuses one that passed the entry check first.
 func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, stableLSN base.LSN) error {
 	if ctx.Err() != nil {
 		return base.CancelErr(ctx)
@@ -145,11 +131,10 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 		return d.errUnavailable()
 	}
 	s := inc.tc(tc)
-	// The whole restart — fence install, durable record, re-base, sweep —
-	// is one ctl critical section: a duplicated delivery must not reply
-	// (unblocking the TC's redo) while the winning delivery is still
-	// sweeping, and a reordered older-epoch delivery must not regress a
-	// fence a newer incarnation already installed.
+	// The fence install and its durable record are one ctl critical section:
+	// a duplicated delivery must not reply (unblocking the TC's redo) before
+	// the fence is durable, and a reordered older-epoch delivery must not
+	// regress a fence a newer incarnation already installed.
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
 	cur := base.Epoch(s.epoch.Load())
@@ -157,42 +142,18 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 		return fmt.Errorf("dc %s: begin-restart for tc %d epoch %d behind fence %d: %w",
 			d.cfg.Name, tc, epoch, cur, base.ErrStaleEpoch)
 	}
-	if epoch == cur && epoch != 0 {
-		// Never a reset: it ran once for this epoch, if at all, and running
-		// it again after redo or undo started would undo their effects.
-		if bracket(s.bracket.Load()) == done {
-			return fmt.Errorf("dc %s: tc %d epoch %d resent to incarnation %d: %w",
-				d.cfg.Name, tc, epoch, inc.n, base.ErrNothingOwed)
-		}
-		s.bracket.Store(uint32(open))
+	if epoch == cur && epoch != 0 && bracket(s.bracket.Load()) == done {
+		return fmt.Errorf("dc %s: tc %d epoch %d resent to incarnation %d: %w",
+			d.cfg.Name, tc, epoch, inc.n, base.ErrNothingOwed)
+	}
+	s.bracket.Store(uint32(open))
+	if epoch == cur {
 		return nil
 	}
 	s.epoch.Store(uint64(epoch))
-	s.bracket.Store(uint32(open))
-	// Persist the fence before touching any state: once effects are swept,
-	// no crash may resurrect the DC without it.
 	if !inc.logEpochs() {
 		return d.errUnavailable() // crashed meanwhile: the TC begins again at the successor
 	}
-	// The restarted TC reuses the LSN space above stableLSN: stale
-	// low-water-mark claims must not prune abstract LSNs into it. (Claims
-	// still in flight from the dead incarnation are epoch-fenced, and the
-	// fence raise and this re-base are atomic under ctl.)
-	s.lwm.Store(0)
-
-	// A page that claims nothing of tc above stableLSN holds no such
-	// operation and no entry for one. One that does was never flushed since
-	// (causality), so it stays dirty however much is undone.
-	inc.forest.Exclusive(func() {
-		inc.pool.Pages(func(pg *page.Page) {
-			pg.L.Lock()
-			defer pg.L.Unlock()
-			if pg.Leaf && pg.Ab.MaxApplied(tc) > stableLSN {
-				d.resetPages.Add(1)
-				d.rolledBack.Add(uint64(pg.RollBack(tc, stableLSN)))
-			}
-		})
-	})
 	return nil
 }
 

@@ -35,9 +35,8 @@ func TestReopenFromDir(t *testing.T) {
 			t.Fatalf("write %d: %+v", i, res)
 		}
 	}
-	// Make everything stable the way a checkpoint would: watermarks first
-	// (the causality gates), then the flush.
-	d.EndOfStableLog(1, 1, base.LSN(n+1))
+	// Make everything stable the way a checkpoint would: the low-water mark
+	// first, then the flush.
 	d.LowWaterMark(1, 1, base.LSN(n))
 	if err := d.Checkpoint(ctx, 1, 1, base.LSN(n+1)); err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func (e *Engine) newPool() *buffer.Pool {
 		buffer.Config{},
 		e.store,
 		buffer.Gates{
-			EOSL: open, LWM: open, // no abstract LSNs in the monolith
+			LWM: open, // no abstract LSNs in the monolith
 			// Classic write-ahead logging: force the integrated log
 			// through the page LSN before the page is written.
 			ForceDCLog: e.ForceSMO,

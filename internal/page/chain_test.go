@@ -162,10 +162,6 @@ func TestWholePageOperationsDropTheChain(t *testing.T) {
 	for name, op := range map[string]func(*Page){
 		"CutAt":       func(p *Page) { p.CutAt("b", 9) },
 		"SetContents": func(p *Page) { p.SetContents(leafWith("z")) },
-		"RollBack": func(p *Page) {
-			p.Undo = []Undo{{TC: 1, LSN: 4, Prior: Record{Key: "a", Owner: 1, Value: []byte("old")}}}
-			p.RollBack(1, 0)
-		},
 	} {
 		p := fresh()
 		op(p)
@@ -203,7 +199,7 @@ func BenchmarkDecodeChain(b *testing.B) {
 						q.Replace(q.Get(r.Key), r)
 						lsn++
 						q.Ab.Ensure(1).Add(lsn)
-						q.Ab.Ensure(1).Advance(lsn-2, lsn)
+						q.Ab.Ensure(1).Advance(lsn - 2)
 					}
 				}
 				chains[i], _ = chainOf(b, p, edits...)

@@ -10,17 +10,18 @@ import (
 
 // FuzzDecode: no image makes Decode panic or write to it, and whatever it
 // accepts encodes to an image that decodes to the same page, with the size it
-// summed while decoding equal to the walk (walkedSize). DecodeInto, into
-// a page recycled from another image — a leaf with history and two TCs'
-// abstract LSNs, or a branch — and still carrying an undo tail, Dirty,
-// FirstDirty and RecDLSN, must agree with Decode: the same page, none of the
-// old one's state, and the same verdict on a corrupt image. The checked-in
+// summed while decoding equal to the walk (walkedSize); a lone base image of a
+// leaf encodes to its very bytes. DecodeInto, into a page recycled from
+// another image — a leaf with history and two TCs' abstract LSNs, or a
+// branch — and still carrying Dirty, FirstDirty and RecDLSN, must agree with
+// Decode: the same page, none of the old one's state, and the same verdict on
+// a corrupt image. The checked-in
 // corpus (testdata/fuzz/FuzzDecode) is the catalog, three branches and five
 // two-TC leaves of btree.TestForwardMatchesRedo's seed-1 forest, 500
 // operations in; the seeds added here carry what that forest's records do
 // not: before versions, history and tombstones, delta frames after a base,
 // frames whose records take two-byte lengths and history, and a base whose
-// keys do not ascend.
+// keys do not ascend, and one whose record count is a non-minimal varint.
 func FuzzDecode(f *testing.F) {
 	versioned := benchLeaf(3, true)
 	// A before version over older history, a null before version, a
@@ -68,6 +69,14 @@ func FuzzDecode(f *testing.F) {
 	unordered := leafWith("a", "b")
 	unordered.Recs = []Record{unordered.Recs[1], unordered.Recs[0], unordered.Recs[0]}
 	f.Add(unordered.Encode())
+	// A one-record leaf whose record count 01 is written 81 00.
+	one := leafWith("a")
+	image := one.Encode()
+	at := len(one.appendHeader(nil)) + len(one.Ab.Append(nil))
+	if image[at] != 1 {
+		f.Fatalf("the record count of %x is not at %d", image, at)
+	}
+	f.Add(append(append(image[:at:at], 0x81, 0x00), image[at+1:]...))
 	olds := [][]byte{versioned.Encode(), branch.Encode()}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		pristine := bytes.Clone(image)
@@ -83,9 +92,9 @@ func FuzzDecode(f *testing.F) {
 				if got, want := recycled.Size(), walkedSize(recycled); got != want {
 					t.Fatalf("DecodeInto a used page: Size %d, the walk %d\nimage %x", got, want, image)
 				}
-				if recycled.Undo != nil || recycled.Dirty || len(recycled.FirstDirty) != 0 || recycled.RecDLSN != 0 {
-					t.Fatalf("DecodeInto kept the used page's bookkeeping: undo %v dirty %v first dirty %v rec dLSN %d",
-						recycled.Undo, recycled.Dirty, recycled.FirstDirty, recycled.RecDLSN)
+				if recycled.Dirty || len(recycled.FirstDirty) != 0 || recycled.RecDLSN != 0 {
+					t.Fatalf("DecodeInto kept the used page's bookkeeping: dirty %v first dirty %v rec dLSN %d",
+						recycled.Dirty, recycled.FirstDirty, recycled.RecDLSN)
 				}
 				if recycled.Leaf && (recycled.Keys != nil || recycled.Children != nil) || !recycled.Leaf && recycled.Recs != nil {
 					t.Fatalf("DecodeInto kept the used page's other payload: leaf %v, %d records, %d keys, %d children",
@@ -103,6 +112,9 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Size %d, the walk %d\nimage %x", got, want, image)
 		}
 		again := p.Encode()
+		if _, base := p.Chain(); base == len(image) && !bytes.Equal(again, image) {
+			t.Fatalf("a base image decodes from bytes its encoder never writes\nimage %x\nagain %x", image, again)
+		}
 		q, err := Decode(again)
 		if err != nil {
 			t.Fatalf("the encoding of a decoded page does not decode: %v\nimage %x\nagain %x", err, image, again)
@@ -116,14 +128,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// usedPage is the page image decodes to after a cache has used it: an undo
-// tail, dirty, a FirstDirty entry per TC of its table and a RecDLSN.
+// usedPage is the page image decodes to after a cache has used it: dirty, a
+// FirstDirty entry per TC of its table and a RecDLSN.
 func usedPage(t *testing.T, image []byte) *Page {
 	p, err := Decode(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Undo = []Undo{{TC: 1, LSN: 7, Absent: true, Prior: Record{Key: "gone"}}}
 	p.Dirty, p.RecDLSN = true, 5
 	p.FirstDirty = map[base.TCID]base.LSN{}
 	for i := 0; i < p.Ab.Len(); i++ {

@@ -39,7 +39,7 @@ func TestDeltaFramesAreGolden(t *testing.T) {
 		p.SetChain(chain, baseLen)
 		writeBack := func(step int, horizon base.TS) {
 			p.Ab.Ensure(2).Add(base.LSN(step))
-			p.Ab.Ensure(2).Advance(base.LSN(step/2), base.LSN(step))
+			p.Ab.Ensure(2).Advance(base.LSN(step / 2))
 			if next, _, ok := p.AppendDelta(chain, horizon, baseLen/2-(len(chain)-baseLen)); ok {
 				sum.Write(next[len(chain):])
 				frames++

@@ -7,11 +7,10 @@
 //     reuses this field as the classic page LSN;
 //   - records tagged with their owning TC, each with one history of
 //     committed versions whose newest entry, after a versioned write, is the
-//     before version for read-committed sharing (§6.2.2);
-//   - a volatile undo tail of the operations applied since the last flush
-//     whose TCs had not forced them, from which a partial-failure reset
-//     undoes a failed TC's lost operations without disturbing other TCs
-//     (§5.3.2, §6.1.2).
+//     before version for read-committed sharing (§6.2.2).
+//
+// A page holds no undo information: a TC sends an operation only once it is
+// stable in its log, so no TC failure takes back what a page holds.
 //
 // How records map to pages is known only to the DC and never revealed to
 // the TC (§4.1.2).
@@ -58,10 +57,9 @@
 // Replace wrote, and the keys Remove dropped. A delta frame holds those keys
 // in ascending order, from one walk over the slots that merges in the removed
 // keys the page does not hold again. So whatever else changes a leaf's records
-// — CutAt, SetContents and a RollBack that undoes something — drops the
-// chain, and a page made new (NewLeaf, UpperHalf, Merged, a logged image the
-// buffer pool installs) has none: the next write-back of either is a full
-// image.
+// — CutAt and SetContents — drops the chain, and a page made new (NewLeaf,
+// UpperHalf, Merged, a logged image the buffer pool installs) has none: the
+// next write-back of either is a full image.
 //
 // # A write-back sheds dead versions
 //
@@ -84,7 +82,7 @@
 // bookkeeping. A page keeps the size as a running count, so the records, the
 // separators and the children change only through the page's methods: Put,
 // Replace and Remove for a record, InsertSep and RemoveSep for a separator,
-// and the whole-page ones (CutAt, SetContents, RollBack, DecodeInto). A
+// and the whole-page ones (CutAt, SetContents, DecodeInto). A
 // record that Get returns is read, never written: a writer changes a copy
 // (Stage works on one) and hands it to Replace, which is what
 // dc.applyWrite does. A write through the pointer leaves the count behind;
@@ -172,9 +170,8 @@ func (r *Record) Tombstone() bool { return r.Flags&FlagTombstone != 0 }
 // Pending reports whether the head is an uncommitted version, given safe,
 // the owner TC's safe timestamp: a versioned write's head whose commit
 // timestamp lies above safe. The owner holds its safe timestamp below a
-// commit timestamp until the commit record is forced, and the writes of a
-// commit that never forced are undone by the DC's reset at the TC's restart
-// before the restarted TC promises anything, so a head at or below safe is
+// commit timestamp until the commit's writes are at every DC, and those reach
+// a DC only once the commit record is forced, so a head at or below safe is
 // committed.
 func (r *Record) Pending(safe base.TS) bool {
 	return r.HasBefore() && r.TS > safe
@@ -228,9 +225,8 @@ func (r *Record) VersionAt(t base.TS) (val []byte, visible bool) {
 // head as the before version.
 //
 // The history is cut by reslicing and never written in place: a record copied
-// out (an undo tail's Prior, a split half) shares its array, and the append
-// writes only past every such copy's end (a dropped null version goes with
-// its capacity).
+// out (a split half) shares its array, and the append writes only past every
+// such copy's end (a dropped null version goes with its capacity).
 // A write stamped at or below the horizon, whose head reads as committed at
 // once, keeps its before version all the same. It cannot happen: a commit
 // timestamp is drawn above every safe timestamp promised, and the horizon is
@@ -275,11 +271,9 @@ func (r *Record) Stage(ts, horizon base.TS) {
 // the horizon. Such a head is committed — the horizon trails every TC's safe
 // timestamp, and a TC promises a safe timestamp only once the commits at or
 // below it are forced — and every read the DC still serves sees it. A
-// pending head, stamped above the horizon, is never collected, nor is a
-// TC-crash loser's, whose timestamp no horizon passes before the DC's reset
-// at the TC's restart has undone it (dc.SafeTS drops the TC's broadcasts
-// meanwhile). A record of a page's is collected through the page
-// (AppendDelta, CollectImage), which takes what shed returns off its size.
+// pending head, stamped above the horizon, is never collected. A record of a
+// page's is collected through the page (AppendDelta, CollectImage), which
+// takes what shed returns off its size.
 func (r *Record) shed(horizon base.TS) (shrunk int) {
 	if r.TS == 0 || r.TS > horizon || len(r.Hist) == 0 {
 		return 0
@@ -321,23 +315,12 @@ func (r *Record) versionedSize() int {
 	return n
 }
 
-// Undo takes back one operation of the undo tail: Prior is the record the
-// operation replaced, kept by value, or, when Absent, the key had no record
-// and Prior holds only the Key. Record fields are replaced and never written
-// into (package comment), so Prior stays what it was.
-type Undo struct {
-	TC     base.TCID
-	LSN    base.LSN
-	Absent bool
-	Prior  Record
-}
-
 // Page is one DC page: either a leaf holding records or a branch holding
 // separator keys and children. The latch makes individual logical
 // operations atomic under DC multi-threading (§4.1.2(1)).
 //
-// Volatile bookkeeping fields (Undo, Dirty, FirstDirty, RecDLSN) are never
-// serialized; the DC keeps Undo, the buffer pool the rest.
+// Volatile bookkeeping fields (Dirty, FirstDirty, RecDLSN) are never
+// serialized; the buffer pool keeps them.
 type Page struct {
 	L latch.Latch
 
@@ -363,13 +346,6 @@ type Page struct {
 	// separators' and children's. Every mutator below keeps it, which is why
 	// Recs, Keys and Children change only through them.
 	body int
-
-	// Undo is the leaf's undo tail, oldest first: an entry for every
-	// operation applied since the last flush whose LSN its TC had not yet
-	// forced. A flush empties it (the causality gate makes every operation
-	// on a flushed page stable); splits and consolidations hand each entry to
-	// the page its key goes to; RollBack consumes a failed TC's entries.
-	Undo []Undo
 
 	// Dirty is set while the cached page differs from its stable version.
 	Dirty bool
@@ -596,9 +572,8 @@ func (p *Page) CheckSize() error {
 // logged. A leaf half inherits p's sibling link and a copy of its whole
 // abstract-LSN table: an abLSN claim is only ever tested for keys that route
 // to the page, so over-claiming for keys that stayed left is harmless and
-// preserves idempotence for the moved records (§5.2.2). It takes the undo
-// entries of the keys it takes. The split key is a copy: it goes to the
-// parent, and must not keep p's image alive from there.
+// preserves idempotence for the moved records (§5.2.2). The split key is a
+// copy: it goes to the parent, and must not keep p's image alive from there.
 func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 	if p.Leaf {
 		mid := len(p.Recs) / 2
@@ -606,9 +581,6 @@ func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 		half = &Page{ID: id, Leaf: true, Next: p.Next, Ab: *p.Ab.Clone(),
 			Recs: append([]Record(nil), p.Recs[mid:]...)}
 		half.body = half.walkBody()
-		// One allocation (none for no tail), whose spare room the half's next
-		// entries fill.
-		half.Undo = slices.DeleteFunc(slices.Clone(p.Undo), func(u Undo) bool { return u.Prior.Key < splitKey })
 		return splitKey, half
 	}
 	mid := len(p.Keys) / 2
@@ -616,8 +588,8 @@ func (p *Page) UpperHalf(id base.PageID) (splitKey string, half *Page) {
 		append([]base.PageID(nil), p.Children[mid+1:]...))
 }
 
-// CutAt removes from p what a split at splitKey moved to page right, undo
-// entries included; a leaf now links to it. The cut is by key, not by count:
+// CutAt removes from p what a split at splitKey moved to page right; a leaf
+// now links to it. The cut is by key, not by count:
 // redo cuts whatever version of the page the store held. Clipped capacities
 // release the dropped half.
 func (p *Page) CutAt(splitKey string, right base.PageID) {
@@ -628,7 +600,6 @@ func (p *Page) CutAt(splitKey string, right base.PageID) {
 			p.body -= p.Recs[j].size()
 		}
 		p.Recs = p.Recs[:i:i]
-		p.Undo = slices.DeleteFunc(p.Undo, func(u Undo) bool { return u.Prior.Key >= splitKey })
 		p.Next = right
 		return
 	}
@@ -639,78 +610,23 @@ func (p *Page) CutAt(splitKey string, right base.PageID) {
 }
 
 // Merged returns what consolidating leaf right into p leaves in p's place
-// (§5.2.2): both pages' records and undo entries, right's sibling link and
+// (§5.2.2): both pages' records, right's sibling link and
 // the per-TC maximum of the two abstract-LSN tables. Neither input is changed.
 func (p *Page) Merged(right *Page) *Page {
 	m := &Page{ID: p.ID, Leaf: true, Next: right.Next, Ab: *p.Ab.Clone()}
 	m.Recs = append(p.Recs[:len(p.Recs):len(p.Recs)], right.Recs...)
-	m.Undo = append(p.Undo[:len(p.Undo):len(p.Undo)], right.Undo...)
 	m.body = p.body + right.body
 	m.Ab.MergeMax(&right.Ab)
 	return m
 }
 
-// SetContents makes p hold what img, a logged physical image, holds, and
-// img's undo tail. p keeps its ID, latch, dLSN (the caller's to stamp) and
-// pool bookkeeping.
+// SetContents makes p hold what img, a logged physical image, holds. p keeps
+// its ID, latch, dLSN (the caller's to stamp) and pool bookkeeping.
 func (p *Page) SetContents(img *Page) {
 	p.DropChain()
 	p.Leaf, p.Next, p.Ab = img.Leaf, img.Next, img.Ab
-	p.Recs, p.Keys, p.Children, p.Undo = img.Recs, img.Keys, img.Children, img.Undo
+	p.Recs, p.Keys, p.Children = img.Recs, img.Keys, img.Children
 	p.body = img.body
-}
-
-// RollBack undoes, newest first, every operation of tc above stable that
-// the undo tail holds — the prior record goes back, or the key goes when it
-// had none — drops those entries, and takes back tc's abstract-LSN claims
-// above stable: what a partial-failure reset does to one page (§5.3.2).
-// Other TCs' records and entries are not touched. It returns how many
-// operations it undid.
-func (p *Page) RollBack(tc base.TCID, stable base.LSN) (undone int) {
-	lost := func(u Undo) bool { return u.TC == tc && u.LSN > stable }
-	for i := len(p.Undo) - 1; i >= 0; i-- {
-		if u := &p.Undo[i]; lost(*u) {
-			if u.Absent {
-				p.Remove(u.Prior.Key)
-			} else {
-				p.Put(u.Prior)
-			}
-			undone++
-		}
-	}
-	p.Undo = slices.DeleteFunc(p.Undo, lost)
-	if undone > 0 {
-		p.DropChain()
-	}
-	if a := p.Ab.Get(tc); a != nil {
-		a.Forget(stable)
-	}
-	return undone
-}
-
-// Forced returns p as far as its TCs have forced it, eosl giving each TC's end
-// of stable log: p itself when no entry of its undo tail is above it, else a
-// copy, undo tail included, with every such operation rolled back (RollBack).
-// p is not changed; the copy shares its records' bytes, which nothing writes
-// into (package comment). A system transaction logs the image of this page,
-// not of p: a logged image becomes stable with its record, and a page redo
-// installs from it has no undo tail a reset could roll back (§4.2, §5.2.2).
-func (p *Page) Forced(eosl func(base.TCID) base.LSN) *Page {
-	var lost []base.TCID
-	for i := range p.Undo {
-		if u := &p.Undo[i]; u.LSN > eosl(u.TC) && !slices.Contains(lost, u.TC) {
-			lost = append(lost, u.TC)
-		}
-	}
-	if lost == nil {
-		return p
-	}
-	c := &Page{ID: p.ID, Leaf: p.Leaf, DLSN: p.DLSN, Next: p.Next, Ab: *p.Ab.Clone(),
-		Recs: slices.Clone(p.Recs), Undo: slices.Clone(p.Undo), body: p.body}
-	for _, tc := range lost {
-		c.RollBack(tc, eosl(tc))
-	}
-	return c
 }
 
 // Clone returns a deep copy of the page (no volatile bookkeeping, no latch
@@ -954,20 +870,20 @@ func Decode(image []byte) (*Page, error) {
 }
 
 // DecodeInto is Decode into p, a page nothing else refers to any more (the
-// buffer pool's evicted frame): p becomes the page the image holds, clean and
-// with an empty undo tail, and keeps only its latch and the arrays it can
+// buffer pool's evicted frame): p becomes the page the image holds, clean,
+// and keeps only its latch and the arrays it can
 // reuse — the record or separator and child arrays, the abstract-LSN entries
 // and their {LSNin} sets, the FirstDirty map and the change marks and removed
 // keys, emptied. So a page that held as many records and LSNs and no history
 // allocates nothing. A history array is always new: records copied out of a
-// page (Undo.Prior, a split's upper half) share it. The base's records are
+// page (a split's upper half) share it. The base's records are
 // decoded into the record array in order, and a frame's each into the slot
 // that still holds its key (applyFrame), so a record a frame overrides is
 // never copied. A leaf's chain (Chain) is the image. On an error p holds a
 // partial page.
 func DecodeInto(p *Page, image []byte) error {
 	prefetch(image)
-	p.Undo, p.Dirty, p.RecDLSN, p.body = nil, false, 0, 0
+	p.Dirty, p.RecDLSN, p.body = false, 0, 0
 	p.DropChain()
 	clear(p.FirstDirty)
 	leaf, pos := p.header(image)
@@ -1115,8 +1031,12 @@ func prefetch(b []byte) (sum byte) {
 
 // uvarint returns the uvarint at pos and the position after it. It is
 // inlined, loop and all, so the one-byte case — nearly every length, owner,
-// slot and count of a page — costs no call. A uvarint longer than ten bytes
-// is corrupt.
+// slot and count of a page — costs no call; a single byte below 0x80 is
+// always minimal. Only what binary.AppendUvarint writes decodes: a last byte
+// of zero after the first (non-minimal), a tenth byte above one (past 64
+// bits) and an eleventh byte are corrupt. One test takes both of the first
+// two: the last byte c read at shift must come back whole from u >> shift,
+// and not be zero.
 func uvarint(b []byte, pos int) (u uint64, next int) {
 	if uint(pos) < uint(len(b)) && b[pos] < 0x80 {
 		return uint64(b[pos]), pos + 1
@@ -1125,7 +1045,10 @@ func uvarint(b []byte, pos int) (u uint64, next int) {
 		c := b[pos]
 		pos++
 		if u |= uint64(c&0x7f) << shift; c < 0x80 {
-			return u, pos
+			if uint64(c)-1 < u>>shift {
+				return u, pos
+			}
+			break
 		}
 	}
 	return 0, -1

@@ -440,12 +440,11 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 func walkedSize(p *Page) int { return 32 + p.walkBody() }
 
 // TestSizeFollowsTheWalk drives every mutator of a page in seeded random
-// sequences — Put, Remove, versioned writes through Replace (Stage),
-// RollBack of a TC's tail, Forced, a split (UpperHalf,
-// CutAt) undone by a consolidation (Merged, SetContents), Clone, a decode
-// into a page that held another (leaf or branch), and a branch's InsertSep,
-// RemoveSep and split — with the abstract LSNs growing, advancing and
-// forgetting beside them, and after each step Size must be the walk.
+// sequences — Put, Remove, versioned writes through Replace (Stage), a split
+// (UpperHalf, CutAt) undone by a consolidation (Merged, SetContents), Clone,
+// a decode into a page that held another (leaf or branch), and a branch's
+// InsertSep, RemoveSep and split — with the abstract LSNs growing and
+// advancing beside them, and after each step Size must be the walk.
 func TestSizeFollowsTheWalk(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -467,12 +466,6 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 			val := bytes.Repeat([]byte{byte('a' + step%26)}, rnd.Intn(20))
 			lsn++
 			ts++
-			u := Undo{TC: tc, LSN: lsn}
-			if r := p.Get(key); r != nil {
-				u.Prior = *r
-			} else {
-				u.Absent, u.Prior.Key = true, key
-			}
 			wrote := true
 			switch rnd.Intn(13) {
 			case 0, 1:
@@ -499,19 +492,12 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 				wrote = false
 			}
 			if wrote {
-				p.Undo = append(p.Undo, u)
 				p.Ab.Ensure(tc).Add(lsn)
 				check(p)
 				continue
 			}
-			switch rnd.Intn(8) {
+			switch rnd.Intn(6) {
 			case 0:
-				what = "RollBack"
-				p.RollBack(tc, lsn-base.LSN(rnd.Intn(20)))
-			case 1:
-				what = "Forced"
-				check(p.Forced(func(tc base.TCID) base.LSN { return lsn - base.LSN(rnd.Intn(20)) }))
-			case 2:
 				what = "UpperHalf, CutAt, Merged, SetContents"
 				if len(p.Recs) < 2 {
 					continue
@@ -522,26 +508,22 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 				check(p)
 				half.Ab.Ensure(tc).Add(lsn) // a write to the new page before they merge
 				p.SetContents(p.Merged(half))
-			case 3:
+			case 1:
 				what = "Clone"
 				p = p.Clone()
-			case 4:
+			case 2:
 				what = "DecodeInto"
 				if err := DecodeInto(recycled, p.Encode()); err != nil {
 					t.Fatal(err)
 				}
 				check(recycled)
 				p, recycled = recycled, p // go on writing the decoded page
-			case 5:
-				what = "Advance, Forget, flush"
+			case 3:
+				what = "Advance"
 				if a := p.Ab.Get(tc); a != nil {
-					a.Advance(lsn-base.LSN(rnd.Intn(30)), lsn)
+					a.Advance(lsn - base.LSN(rnd.Intn(30)))
 				}
-				if rnd.Intn(3) == 0 {
-					p.Ab.Ensure(tc).Forget(lsn - base.LSN(rnd.Intn(30)))
-				}
-				p.Undo = nil
-			case 6:
+			case 4:
 				what = "InsertSep, RemoveSep"
 				if i := rnd.Intn(len(branch.Keys) + 1); rnd.Intn(3) > 0 || len(branch.Keys) < 2 {
 					lo, hi := "", "~"
@@ -558,7 +540,7 @@ func TestSizeFollowsTheWalk(t *testing.T) {
 					branch.RemoveSep(rnd.Intn(len(branch.Keys)))
 				}
 				check(branch)
-			case 7:
+			case 5:
 				what = "a branch's split and decode"
 				if len(branch.Keys) < 2 {
 					continue
@@ -606,4 +588,18 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// edit changes p's record of key the way the DC does: fn changes a copy, which
+// replaces the record.
+func edit(p *Page, key string, fn func(*Record)) {
+	old := p.Get(key)
+	r := *old
+	fn(&r)
+	p.Replace(old, r)
+}
+
+// setValue gives p's record of key the value val.
+func setValue(p *Page, key, val string) {
+	edit(p, key, func(r *Record) { r.Value = []byte(val) })
 }

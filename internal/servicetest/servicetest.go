@@ -30,9 +30,6 @@ type Harness struct {
 	DC *dc.DC
 	// Restart crashes and recovers DC and brings the transport back.
 	Restart func(t *testing.T)
-	// Close, nil for a DC called directly, shuts the transport down and
-	// returns once no request it delivered runs at the DC.
-	Close func()
 }
 
 // Run runs every case as a subtest named after the clause it enforces, each
@@ -46,6 +43,7 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 		{"§4.2.1 control calls", controlCalls},
 		{"catalog", catalog},
 		{"§4.2.1 abandoned checkpoint", abandonedCheckpoint},
+		{"§4.2.1 checkpoint without an end of stable log", checkpointWithoutEOSL},
 	} {
 		t.Run(c.name, func(t *testing.T) { c.run(t, open(t)) })
 	}
@@ -146,29 +144,34 @@ func catalog(t *testing.T, h Harness) {
 	}
 }
 
-// abandonedCheckpoint: a checkpoint over a page that holds an operation the
-// TC's log is not yet stable through waits for that end of stable log, which
-// here never comes. Its caller's deadline ends it: the call returns
-// ErrCancelled, and nothing of it stays parked at the DC, so the transport
-// closes at once.
+// abandonedCheckpoint: a checkpoint whose caller's deadline has passed
+// returns ErrCancelled, and nothing of it stays behind at the DC: the next
+// checkpoint, under a live context, completes.
 func abandonedCheckpoint(t *testing.T, h Harness) {
 	must(t, "CreateTable", h.DC.CreateTable("t"), nil)
 	perform(t, h, 1, base.CodeOK, upsert(1, "a"))
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		defer cancel()
-		err := h.Svc.Checkpoint(ctx, 1, 1, 2)
-		if h.Close != nil {
-			h.Close()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		must(t, "a checkpoint past its deadline", err, base.ErrCancelled)
-	case <-time.After(5 * time.Second):
-		h.DC.Crash() // frees what waits at the DC, so that the harness can close
-		t.Fatal("a checkpoint past its deadline, and closing the transport after it, took over 5 s")
+	past, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	must(t, "a checkpoint past its deadline", h.Svc.Checkpoint(past, 1, 1, 2), base.ErrCancelled)
+	live, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	must(t, "a checkpoint after the abandoned one", h.Svc.Checkpoint(live, 1, 1, 2), nil)
+}
+
+// checkpointWithoutEOSL: a TC sends an operation only once it is stable in
+// its log, so a checkpoint waits for no end of stable log: over a page that
+// holds an operation no EndOfStableLog ever covered, it returns at once, and
+// the page is stable — the write outlives a restart though the TC resends
+// nothing.
+func checkpointWithoutEOSL(t *testing.T, h Harness) {
+	must(t, "CreateTable", h.DC.CreateTable("t"), nil)
+	perform(t, h, 1, base.CodeOK, upsert(1, "a"))
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	must(t, "Checkpoint", h.Svc.Checkpoint(ctx, 1, 1, 2), nil)
+	h.Restart(t)
+	r := h.Svc.PerformBatch(ctx, []*base.Op{{TC: 2, Epoch: 1, Kind: base.OpRead, Table: "t", Key: "a"}})[0]
+	if !r.Found || string(r.Value) != "a" {
+		t.Fatalf("a checkpointed write after a restart: %+v", r)
 	}
 }

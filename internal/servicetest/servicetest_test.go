@@ -40,7 +40,7 @@ func simulated(n *wire.Network, cfg wire.Config) func(t *testing.T) Harness {
 			time.Sleep(cfg.Delay + cfg.Jitter)
 			restart(t, d)
 			srv.SetDown(false)
-		}, Close: srv.Close}
+		}}
 	}
 }
 
@@ -75,6 +75,6 @@ func TestTCP(t *testing.T) {
 			restart(t, d)
 			l, err = wire.Listen(addr, d)
 			must(t, "Listen", err, nil)
-		}, Close: func() { l.Close() }}
+		}}
 	})
 }

@@ -45,8 +45,9 @@ type countingService struct {
 	marks   []string // watermark calls in arrival order: "eosl 7", "lwm 7", "safe"
 	// hook, when set, runs before a batch of reads ("read"), a delivery of
 	// logged operations ("write", of one operation or more), a single
-	// unlogged operation ("point-read", "probe", "range-read") or a restart
-	// control call ("begin-restart", "end-restart") is passed on.
+	// unlogged operation ("point-read", "probe", "range-read"), a restart
+	// control call ("begin-restart", "end-restart") or an end of stable log
+	// ("eosl") is passed on.
 	hook func(call string)
 }
 
@@ -82,6 +83,7 @@ func (s *countingService) mark(m string) {
 }
 
 func (s *countingService) EndOfStableLog(tc base.TCID, epoch base.Epoch, eosl base.LSN) {
+	s.runHook("eosl")
 	s.mark(fmt.Sprint("eosl ", eosl))
 	s.Service.EndOfStableLog(tc, epoch, eosl)
 }
@@ -313,11 +315,13 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 	}
 }
 
-// TestCommitPublishesTwoMarksPerDC: a commit tells every DC what its force
-// and its acks moved — the end of the stable log and the low-water mark, both
-// at its commit record — and nothing else; the safe timestamp is the tick's.
-// A checkpoint, whose control call needs the marks at the DC, still makes all
-// three calls, the safe timestamp (the one a transport sends on) last.
+// TestCommitPublishesTwoMarksPerDC: a commit tells every DC, between its
+// force and its ship, the end of the stable log, at its commit record, and
+// the low-water mark, which its writes, not yet acknowledged, hold below
+// them — and nothing else; the safe timestamp is the tick's. A checkpoint,
+// whose control call needs the marks at the DC, still makes all three calls,
+// the safe timestamp (the one a transport sends on) last, with the mark now
+// at the commit record.
 func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 	tcx, _, stubs := newCountedPair(t)
 	// Stop the tick (and only it), so that every call counted is the
@@ -337,7 +341,7 @@ func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cLSN := tcx.log.LastLSN()
-	want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN)
+	want := fmt.Sprintf("[eosl %d lwm %d]", cLSN, cLSN-5) // four writes and the commit record
 	for i, s := range stubs {
 		if got := fmt.Sprint(s.takeMarks()); got != want {
 			t.Fatalf("DC %d heard %v from the commit, want %v", i, got, want)
@@ -862,34 +866,28 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 	})
 
 	// The commit barrier appends its writes and its commit record as one
-	// batch before it ships, so a crash anywhere after the append leaves an
-	// ambiguous commit: restart decides it by whether the batch is stable.
+	// batch, forces it and only then ships, so a crash anywhere after the
+	// append leaves an ambiguous commit, which restart decides by whether the
+	// batch is stable: before the force nothing of it is at a DC, and after
+	// it restart's redo delivers the writes.
 	straddles := []struct {
 		name      string
 		cfg       Config
 		versioned bool
-		// The TC crashes and restarts from inside the nth delivery of logged
-		// operations to DC dc; nth 0: from the test's goroutine, once the
-		// ship is acknowledged and the commit is inside its force.
-		dc, nth int
-		// peerForce: a peer's group force makes the batch stable first.
-		peerForce bool
+		// The TC crashes and restarts from inside the first delivery of
+		// logged operations to DC 1, or, with inForce, from the test's
+		// goroutine, once the batch is appended and its force asleep.
+		inForce bool
 		// winner: the batch was stable, so restart finishes the commit.
 		winner bool
 	}{
-		// DC 0 has acknowledged the write batch, DC 1's is on its way, and
-		// the commit batch dies with the unforced tail: DC 0 rolls back.
-		{name: "write-batch", cfg: Config{ID: 1}, dc: 1, nth: 1},
-		// The same with the writes stamped with the commit timestamp: DC 0
-		// holds a stamped version of a transaction whose commit record is
-		// lost.
-		{name: "stamped-write-batch", cfg: Config{ID: 1}, versioned: true, dc: 1, nth: 1},
-		// The writes are acknowledged and the force is asleep: once the
-		// "ForceTo beyond fully-stable log end" panic.
-		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, dc: 1},
-		// A concurrent commit's force takes the batch along before DC 1 has
-		// the writes: a winner, whose writes redo delivers.
-		{name: "peer-forced", cfg: Config{ID: 1}, dc: 1, nth: 1, peerForce: true, winner: true},
+		// The batch is forced, DC 0 has acknowledged its write and DC 1's is
+		// on its way: a winner, whose writes redo delivers, to DC 0 again.
+		{name: "write-batch", cfg: Config{ID: 1}, winner: true},
+		// The same with the writes stamped with the commit timestamp.
+		{name: "stamped-write-batch", cfg: Config{ID: 1}, versioned: true, winner: true},
+		// The batch dies with the unforced tail, and no DC saw any of it.
+		{name: "force", cfg: Config{ID: 1, ForceDelay: 50 * time.Millisecond}, inForce: true},
 	}
 	for _, s := range straddles {
 		t.Run("straddle/"+s.name, func(t *testing.T) {
@@ -916,30 +914,18 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				}
 				logEnd = tcx.log.LastLSN()
 			}
-			deliveries := 0
-			shipped := make(chan base.LSN, 1)
-			stubs[s.dc].setHook(func(call string) {
-				if call != "write" {
-					return
-				}
-				switch deliveries++; {
-				case deliveries == s.nth:
-					if s.peerForce {
-						tcx.log.Force()
-					}
+			restarts := 0
+			stubs[1].setHook(func(call string) {
+				if call == "write" && !s.inForce && restarts == 0 {
+					restarts++
 					restart()
-				case deliveries == 1 && s.nth == 0:
-					shipped <- tcx.log.LastLSN() // the commit record's, appended
 				}
 			})
+			commitLSN := tcx.log.LastLSN() + 3 // two writes and the commit record
 			done := make(chan error, 1)
 			go func() { done <- x.Commit() }()
-			if s.nth == 0 {
-				// The commit record's LSN completed at the append, the
-				// writes' complete as their DCs answer: the mark reaching it
-				// is the ship acknowledged, and the commit in its force.
-				commitLSN := <-shipped
-				for acks := tcx.inc.Load().acks; acks.LWM() < commitLSN; {
+			if s.inForce {
+				for tcx.log.LastLSN() < commitLSN {
 					select {
 					case err := <-done:
 						t.Fatalf("commit returned %v before the crash", err)
@@ -949,6 +935,11 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 				}
 				if eosl := tcx.log.EOSL(); eosl >= commitLSN {
 					t.Fatalf("the commit batch was stable (EOSL %d, commit @%d) before the crash; test vacuous", eosl, commitLSN)
+				}
+				for i, table := range []string{"t", "u"} {
+					if v, ok := dirty(dcs[i], table, "k"); ok {
+						t.Fatalf("%s/k = %q before the force: a write was shipped first", table, v)
+					}
 				}
 				restart()
 			}

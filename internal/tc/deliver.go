@@ -31,8 +31,15 @@ import (
 //     as one log batch — under the locks, so the TC-log order is still an
 //     OPSR order — which the log makes stable whole or not at all
 //     (wal.Generation.AppendBatch);
-//  2. ships the writes, one batch per DC and window of maxBatch; and
-//  3. forces the batch.
+//  2. forces the batch; and
+//  3. ships the writes, one batch per DC and window of maxBatch.
+//
+// This is the TC's side of the §4.2 contract, narrowed: a logged operation
+// reaches a DC only once it is stable in its TC's log. The paper lets a TC
+// send earlier and makes the DC keep causality — hold back a page until the
+// TC's end of stable log covers it, and undo a failed TC's lost operations at
+// its restart. Shipping after the force leaves the DC nothing to hold back
+// and nothing to undo.
 //
 // An op record carries its operation and nothing else (§4.1.1): no undo
 // information, since it is stable exactly when its transaction's commit
@@ -68,21 +75,19 @@ import (
 //     2PL: finish() releases locks only after the last batch is acknowledged
 //     and the commit record is stable. Reads of a key the transaction wrote
 //     never reach the DC — x.cache answers them.
-//   - The record is in the TC-log before the operation can reach the DC, let
-//     alone become stable there (§4.1.1, §5.1): step 1 precedes step 2. A
-//     crash after step 1 is the state "logged, never sent" that restart
-//     handles: if the batch is stable the transaction is a winner and redo
-//     delivers it, and if not, the DCs roll back whatever of it they applied
-//     (DC.BeginRestart resets every operation above the stable log, which
-//     causality keeps in their caches).
+//   - The record is stable in the TC-log before the operation can reach the
+//     DC (§4.1.1, §5.1): step 2 precedes step 3. A crash before step 3 is the
+//     state "logged, never sent" that restart handles: if the batch is
+//     stable the transaction is a winner and redo delivers it, and if not,
+//     no DC has seen any of it.
 //   - An orphan of a crashed incarnation dies at Commit (Txn.die) before step
 //     1. The check is a courtesy: one that slips past it while the crash
 //     happens gets no LSN in step 1, and deliver sends nothing for a dead
-//     incarnation in step 2.
-//   - Another TC's ReadDirty/ScanDirty sees this transaction's uncommitted
-//     versions only between steps 2 and 3.
+//     incarnation in step 3.
+//   - Another TC's ReadDirty/ScanDirty sees this transaction's writes from
+//     step 3 on: committed in the log, their locks still held.
 //
-// Step 2 has one rule (Txn.ship): the transaction's own goroutine runs deliver,
+// Step 3 has one rule (Txn.ship): the transaction's own goroutine runs deliver,
 // one call per DC — one PerformBatch per window — and the commit goes on
 // with the operations acknowledged. Nothing sits between a transaction and
 // its DCs. Operations of different transactions never conflict while both
@@ -103,8 +108,8 @@ import (
 // leaves when the DC answers, the TC stops or the stub closes.
 //
 // One cost of having one path, accepted: a commit whose ship fails is
-// ambiguous, not rolled back. Its commit record is already in the log, so the
-// outcome is restart's, and the locks stay held, as after a failed force. A
+// ambiguous to its caller. Its commit record is stable, so restart's redo
+// delivers it, and the locks stay held, as after a failed force. A
 // ship fails when the incarnation dies under it, the TC or the DC stub is
 // closed, or the DC refuses a write (complete: a fence, or a code the
 // pre-checks exclude); in all but the first the incarnation still lives, and
@@ -142,15 +147,11 @@ func (inc *incarnation) deliver(ctx context.Context, idx int, ops []*base.Op, br
 
 // deliverWindow is deliver for one window, sent as one message.
 //
-// Every attempt is the live incarnation's: a delivery parked in the resend
-// loop across a TC crash must not reach the DC — its records vanished with
-// the unforced log tail, so executing it would apply writes no log covers
-// and record reused LSNs in the abstract-LSN tables (poisoning the restarted
-// TC's idempotence checks). A call already on the wire when the crash hit is
-// beyond this check's reach; the DC-side epoch fence installed by
-// BeginRestart refuses it there (CodeStaleEpoch), closing the window end to
-// end: the operations carry the dead incarnation's epoch, and whatever lands
-// before the fence is up, BeginRestart sweeps.
+// Every attempt is the live incarnation's: once it has died, the delivery
+// ends, and its restart's redo delivers the operations, which are stable. A
+// call already on the wire when the crash hit is beyond this check's reach:
+// it lands before the DC's epoch fence goes up (BeginRestart), and the redo
+// finds it applied, or the fence refuses it (CodeStaleEpoch).
 //
 // New operations wait at the DC's recovery gate, and a CodeStaleDC — the DC
 // restarted, and this TC owes it its resend — starts the resend (or asks the

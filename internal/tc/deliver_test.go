@@ -10,6 +10,7 @@ import (
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
+	"github.com/cidr09/unbundled/internal/wal"
 )
 
 // stopTick stops tcx's watermark tick, and only it: from then on the DCs
@@ -203,10 +204,9 @@ func TestLoggedWriteUnblocksWhenStubClosed(t *testing.T) {
 
 func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	// A batch parked in the unavailable-retry loop (DC down) when the TC
-	// crashes belongs to a dead incarnation: its records vanished with the
-	// unforced log tail, so after recovery it must be retired, never
-	// delivered — delivering would apply a write no log covers and record
-	// a reused LSN in the DC's idempotence tables.
+	// crashes belongs to a dead incarnation: after recovery it is retired,
+	// not delivered. Its records were forced before it left, so its
+	// transaction is a winner, and the restart's redo delivers its write.
 	tcx, d := newPair(t, Config{})
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "committed", []byte("keep"))
@@ -220,7 +220,7 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	}
 	sent := tcx.Stats().OpsSent
 	commit := make(chan error, 1)
-	go func() { commit <- x.Commit() }() // logs the write and parks shipping it
+	go func() { commit <- x.Commit() }() // logs and forces the write and parks shipping it
 	for tcx.Stats().OpsSent == sent {
 		time.Sleep(time.Millisecond)
 	}
@@ -231,18 +231,20 @@ func TestStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	// The parked commit returns within one backoff of the restart: retired
-	// with ErrTCStopped, or — had a resend slipped in between the DC's
-	// recovery and the TC's — acknowledged, its effect swept by BeginRestart.
+	// The parked commit returns within one backoff of the restart, retired
+	// with ErrTCStopped: an ambiguous outcome, which the stable log decides.
 	select {
-	case <-commit:
+	case err := <-commit:
+		if !errors.Is(err, ErrTCStopped) || !errors.Is(err, ErrCommitAmbiguous) {
+			t.Fatalf("parked commit = %v, want an ambiguous ErrTCStopped", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked commit never returned after the restart")
 	}
 	r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 		Flavor: base.ReadDirty})
-	if r.Found {
-		t.Fatal("stale batch delivered after crash+recovery")
+	if !r.Found || string(r.Value) != "x" {
+		t.Fatalf("the forced commit's write after crash+recovery: %+v", r)
 	}
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
 		if v, ok, _ := y.Read("t", "committed"); !ok || string(v) != "keep" {
@@ -277,5 +279,51 @@ func TestPacerHoldsOneTimer(t *testing.T) {
 	case <-parked:
 		t.Fatal("a stopped pause fired")
 	default:
+	}
+}
+
+// TestPublishedLWMNeverPassesTheStableLog: a record that needs no DC round
+// trip completes its LSN at its append, so the ack tracker's low-water mark
+// runs ahead of the stable log while such records wait for a force; the mark
+// a TC publishes must not. Here two such records are appended and not forced,
+// the marks published, and the DC's pages pruned to them by a write-back.
+// The TC crashes, and its successor hands the two LSNs out again: the first
+// to its epoch record, the second to a write, which must execute, not be
+// skipped as one the page already holds.
+func TestPublishedLWMNeverPassesTheStableLog(t *testing.T) {
+	tcx, dcs, stubs := newCountedPair(t)
+	stopTick(tcx)
+	put := func(val string) {
+		t.Helper()
+		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+			return x.Upsert("t", "k", []byte(val))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("v1")
+	inc := tcx.inc.Load()
+	stable := tcx.log.EOSL()
+	for i := 0; i < 2; i++ {
+		inc.logLocal(&wal.Record{Kind: recCheckpoint, Payload: encodeCheckpoint(tcx.RSSP(), inc.epoch)})
+	}
+	if lwm := inc.acks.LWM(); lwm != stable+2 {
+		t.Fatalf("ack tracker at %d with the stable log at %d: the test shows nothing", lwm, stable)
+	}
+	stubs[0].takeMarks()
+	inc.publishStable()
+	if got, want := fmt.Sprint(stubs[0].takeMarks()), fmt.Sprintf("[eosl %d lwm %d]", stable, stable); got != want {
+		t.Fatalf("published %s, want %s", got, want)
+	}
+	if err := dcs[0].Pool().FlushAll(false, nil); err != nil {
+		t.Fatal(err)
+	}
+	tcx.Crash()
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	put("v2")
+	if v, ok := dirty(dcs[0], "t", "k"); !ok || v != "v2" {
+		t.Fatalf("t/k = %q %v after the successor's write, want v2", v, ok)
 	}
 }

@@ -12,17 +12,18 @@ import (
 // (unforced tail), lock table, transaction table (and with it every
 // transaction's queued writes), ack bookkeeping and timestamp registrations —
 // vanishes, as one value: the incarnation. The stable log survives. LSNs above
-// the stable end will be reused by the restarted incarnation — the DC-side
-// reset protocol (§5.3.2) makes that safe.
+// the stable end will be reused by the restarted incarnation, which is safe
+// because no DC was sent one: a commit ships only what it has forced, and a
+// low-water mark never passes the stable end (publishStable).
 //
 // Ending the log generation is what kills the incarnation, the serving one or
 // one Recover is still building: from that instant its transactions are
 // orphans (Txn.orphaned), it appends and forces nothing, and sends and
 // delivers nothing more. Its lock table is poisoned, not just dropped: waiters
 // still queued in it are blocked behind locks that no longer exist and would
-// otherwise sleep forever; they fail out as the orphans they are. Whatever a
-// call already on the wire delivers to a DC is swept by the next BeginRestart
-// or refused by its epoch fence.
+// otherwise sleep forever; they fail out as the orphans they are. A call
+// already on the wire carries only forced operations, which the restart's
+// redo repeats: the DC applies each once, or its epoch fence refuses it.
 func (t *TC) Crash() {
 	t.log.Crash()
 	if inc := t.inc.Swap(nil); inc != nil {
@@ -54,12 +55,11 @@ func (t *TC) end(inc *incarnation) {
 //     it, as it refuses a record of a kind it does not write (the
 //     compensation and abort records of a TC that logged undo).
 //  2. One resend per DC, the one RecoverDC runs: open its bracket, which
-//     discards effects of operations beyond the stable log (targeted page
-//     reset — only this TC's records are touched), resend every logged
-//     operation of that DC from the RSSP onward in LSN order — repeating
-//     history at the logical level (DC idempotence filters what survived) —
-//     and close the bracket; a DC that restarted meanwhile is resent to
-//     again.
+//     fences the dead incarnation's requests, resend every logged operation
+//     of that DC from the RSSP onward in LSN order — repeating history at the
+//     logical level (DC idempotence filters what survived) — and close the
+//     bracket; a DC that restarted meanwhile is resent to again. There is
+//     nothing to undo: a DC holds no operation beyond the stable log.
 //  3. Broadcast the watermarks, and allow normal processing.
 //
 // All of it runs on the next incarnation before anyone else can see it: the
@@ -157,14 +157,13 @@ func (t *TC) Recover() error {
 		return fmt.Errorf("tc %d: restart: %w", t.cfg.ID, err)
 	}
 
-	// --- DC reset and redo (§5.3.2), one resend per DC: the DC drops cached
-	// effects beyond the stable log, fences the dead incarnation's requests
-	// still on the wire with the new epoch and resets its LWM state; its
+	// --- DC redo (§5.3.2), one resend per DC: the DC fences the dead
+	// incarnation's requests still on the wire with the new epoch; its
 	// records are resent in LSN order; the bracket closes, discarding the
 	// dead incarnation's leftovers. The watermarks wait for the last DC: one
 	// whose bracket is not yet open would take the new incarnation's claims. ---
 	for idx := range t.dcs {
-		if _, err := inc.resend(idx, stableEnd); err != nil {
+		if _, err := inc.resend(idx); err != nil {
 			return err
 		}
 	}
@@ -224,7 +223,7 @@ func (inc *incarnation) startResend(idx int) {
 // again after each that was owed, and then opens the gate.
 func (inc *incarnation) runResend(idx int) error {
 	for {
-		owed, err := inc.resend(idx, inc.tc.log.EOSL())
+		owed, err := inc.resend(idx)
 		if owed {
 			inc.broadcastWatermarks()
 		}
@@ -236,15 +235,13 @@ func (inc *incarnation) runResend(idx int) error {
 
 // resend is the one resend of this TC to one DC (§5.3.1: a TC resumes normal
 // work with a DC only once it has resent its redo stream to it), run by
-// Recover and RecoverDC: open the bracket (stable is the end of the stable
-// log a newer epoch's reset keeps: RecoverDC's DC never heard of an older
-// one), resending the DC's records, and close it.
-// A DC that owes nothing says so when the bracket opens, and nothing is
-// resent.
-func (inc *incarnation) resend(idx int, stable base.LSN) (owed bool, err error) {
-	owed, err = inc.openBracket(idx, stable)
+// Recover and RecoverDC: open the bracket, resending the DC's records, and
+// close it. A DC that owes nothing says so when the bracket opens, and
+// nothing is resent.
+func (inc *incarnation) resend(idx int) (owed bool, err error) {
+	owed, err = inc.openBracket(idx)
 	if err == nil && owed {
-		err = inc.closeBracket(idx, stable)
+		err = inc.closeBracket(idx)
 	}
 	if err != nil {
 		return false, fmt.Errorf("tc %d: resend to DC %d: %w", inc.tc.cfg.ID, idx, err)
@@ -258,7 +255,7 @@ func (inc *incarnation) resend(idx int, stable base.LSN) (owed bool, err error) 
 var errDCRestarted = errors.New("tc: DC restarted under the resend")
 
 // openBracket begins the resend bracket of this incarnation at DC idx
-// (BeginRestart; see resend for stable) and resends that DC's records from
+// (BeginRestart, told the end of the stable log) and resends that DC's records from
 // the redo scan start point in LSN order, in windows of maxBatch — the
 // stream is ordered, and a failure stops it at its window — stamped with
 // this incarnation's epoch (a logged, dead epoch would be refused by the DC
@@ -266,25 +263,20 @@ var errDCRestarted = errors.New("tc: DC restarted under the resend")
 // idempotence filters what survived. It starts over, with a fresh scan,
 // whenever the DC restarts under it, and reports false, having resent
 // nothing, when the DC owes nothing (ErrNothingOwed).
-func (inc *incarnation) openBracket(idx int, stable base.LSN) (owed bool, err error) {
+func (inc *incarnation) openBracket(idx int) (owed bool, err error) {
 	t := inc.tc
 	for {
 		if !inc.log.Live() {
 			return false, ErrTCStopped // a dead incarnation has nothing to resend
 		}
 		inc.bound[idx].Store(0)
-		err := t.dcs[idx].svc.BeginRestart(context.Background(), t.cfg.ID, inc.epoch, stable)
+		err := t.dcs[idx].svc.BeginRestart(context.Background(), t.cfg.ID, inc.epoch, t.log.EOSL())
 		if errors.Is(err, base.ErrNothingOwed) {
 			return false, nil
 		}
 		if err != nil {
 			return false, err
 		}
-		// Scan only sees the stable log, but operations whose replies already
-		// arrived may still sit in the unforced tail (a commit ships its
-		// writes before it forces their batch). Force first so the resend
-		// covers every operation the DC might have lost from its cache.
-		inc.log.Force()
 		if err := inc.redo(idx); !errors.Is(err, errDCRestarted) {
 			return true, err
 		}
@@ -345,14 +337,14 @@ func (inc *incarnation) redo(idx int) error {
 // closeBracket ends the resend bracket at DC idx (EndRestart). A DC that did
 // not see it begin restarted under it: the bracket is opened, and the DC's
 // records resent, again.
-func (inc *incarnation) closeBracket(idx int, stable base.LSN) error {
+func (inc *incarnation) closeBracket(idx int) error {
 	t := inc.tc
 	for {
 		err := t.dcs[idx].svc.EndRestart(context.Background(), t.cfg.ID, inc.epoch)
 		if !errors.Is(err, base.ErrStaleDC) {
 			return err
 		}
-		if owed, err := inc.openBracket(idx, stable); err != nil || !owed {
+		if owed, err := inc.openBracket(idx); err != nil || !owed {
 			return err
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
@@ -15,23 +17,25 @@ import (
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
-// Commit logs its writes redo-only, in one batch with the commit record: no
-// undo image, so no pre-read. These tests pin the two ways a crash can decide
-// such a commit, and what restart does with an op record that has no commit
-// record beside it.
+// Commit logs its writes redo-only, in one batch with the commit record, and
+// forces it before it ships them: no undo image, so no pre-read. These tests
+// pin the two ways a crash can decide such a commit, and what restart does
+// with an op record that has no commit record beside it.
 
-// TestRedoOnlyCommitCrash: the TC crashes after its commit batch is appended
-// and the writes shipped — DC 0 has applied them, DC 1 is applying them —
-// but before its own force. Lost: nothing forced the batch, so restart finds
-// no record of the transaction, and the DCs' resets roll the writes back from
-// their caches — a key that existed reads its prior value, one that did not
-// is absent. Peer-forced: a concurrent commit's group force took the batch
-// along first, so the transaction is a winner and redo delivers its writes
-// to the DC whose delivery the crash fenced.
+// TestRedoOnlyCommitCrash: the TC crashes after its commit batch is
+// appended. Lost: the crash lands in the batch's force, so restart finds no
+// record of the transaction, and no DC saw any of it — a key that existed
+// reads its prior value, one that did not is absent. Forced: the crash lands
+// in the ship — DC 0 has applied the writes, DC 1 is applying them — so the
+// transaction is a winner, and redo delivers its writes to both DCs again.
 func TestRedoOnlyCommitCrash(t *testing.T) {
-	for _, peerForced := range []bool{false, true} {
-		t.Run(map[bool]string{false: "lost", true: "peer-forced"}[peerForced], func(t *testing.T) {
-			tcx, dcs, stubs := newCountedPair(t)
+	for _, forced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "lost", true: "forced"}[forced], func(t *testing.T) {
+			cfg := Config{ID: 1}
+			if !forced {
+				cfg.ForceDelay = 50 * time.Millisecond // the crash lands in it
+			}
+			tcx, dcs, stubs := newCountedPairCfg(t, cfg)
 			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 				if err := x.Insert("t", "old", []byte("p0")); err != nil {
 					return err
@@ -45,13 +49,10 @@ func TestRedoOnlyCommitCrash(t *testing.T) {
 			}
 			crashed := false
 			stubs[1].setHook(func(call string) {
-				if call != "write" || crashed {
+				if call != "write" || crashed || !forced {
 					return
 				}
 				crashed = true
-				if peerForced {
-					tcx.log.Force()
-				}
 				tcx.Crash() // DC 1 still applies the batch: no fence is up yet
 			})
 			x := tcx.Begin(context.Background(), TxnOptions{})
@@ -62,30 +63,44 @@ func TestRedoOnlyCommitCrash(t *testing.T) {
 					}
 				}
 			}
-			if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
-				t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
+			commitLSN := tcx.log.LastLSN() + 5 // four writes and the commit record
+			done := make(chan error, 1)
+			go func() { done <- x.Commit() }()
+			if !forced {
+				for tcx.log.LastLSN() < commitLSN {
+					runtime.Gosched()
+				}
+				if eosl := tcx.log.EOSL(); eosl >= commitLSN {
+					t.Fatalf("the batch was stable (EOSL %d, commit @%d) before the crash; test vacuous", eosl, commitLSN)
+				}
+				crashed = true
+				tcx.Crash()
+			}
+			if err := <-done; !crashed || !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
+				t.Fatalf("commit under the crash (crashed %v) = %v, want an ambiguous ErrTCStopped", crashed, err)
 			}
 			stubs[1].setHook(nil)
+			want := map[string]string{"old": "p0", "new": ""}
+			if forced {
+				want = map[string]string{"old": "v", "new": "v"}
+			}
 			for i, s := range stubs {
-				// The writes alone: no pre-read precedes a commit batch.
-				if single, reads, batches := s.take(); single != 0 || reads != 0 || fmt.Sprint(batches) != "[2w]" {
-					t.Fatalf("DC %d: %d single sends, %d single reads and batches %v, want 0, 0 and [2w]", i, single, reads, batches)
+				// The writes alone, once forced: no pre-read precedes a
+				// commit batch.
+				if single, reads, batches := s.take(); single != 0 || reads != 0 || (len(batches) != 0) != forced {
+					t.Fatalf("DC %d: %d single sends, %d single reads and batches %v before the restart", i, single, reads, batches)
 				}
-				for _, key := range []string{"old", "new"} {
-					if v, ok := dirty(dcs[i], []string{"t", "u"}[i], key); !ok || v != "v" {
-						t.Fatalf("DC %d holds %s = %q %v before the restart, want the shipped write", i, key, v, ok)
+				for key, w := range want {
+					if v, ok := dirty(dcs[i], []string{"t", "u"}[i], key); v != w || ok != (w != "") {
+						t.Fatalf("DC %d holds %s = %q %v before the restart, want %q", i, key, v, ok, w)
 					}
 				}
 			}
 			if err := tcx.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			if ops := txnRecords(tcx, x.id); peerForced != (len(ops) == 4) {
+			if ops := txnRecords(tcx, x.id); forced != (len(ops) == 4) {
 				t.Fatalf("the restarted log holds %d op records of the transaction", len(ops))
-			}
-			want := map[string]string{"old": "p0", "new": ""}
-			if peerForced {
-				want = map[string]string{"old": "v", "new": "v"}
 			}
 			for i, table := range []string{"t", "u"} {
 				for key, w := range want {
@@ -99,11 +114,10 @@ func TestRedoOnlyCommitCrash(t *testing.T) {
 }
 
 // TestRedoOnlyCommitCrashBetweenWindows: a commit batch longer than maxBatch
-// ships in windows, and the TC crashes once its first window is applied and
-// before anything forces the batch. The lost batch spans windows, and the
-// DC's BeginRestart rolls back every window it applied: after Recover it
-// holds nothing of the transaction, and a key that existed reads its prior
-// value.
+// is forced and ships in windows, and the TC crashes once its first window is
+// applied, as its second is sent. The third never leaves, and the DC holds
+// two windows of a winner: redo delivers the whole batch, the DC finding the
+// two windows applied and applying the third.
 func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
 	tcx, dcs, stubs := newCountedPair(t)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -134,22 +148,25 @@ func TestRedoOnlyCommitCrashBetweenWindows(t *testing.T) {
 	if _, _, batches := stubs[0].take(); fmt.Sprint(batches) != "[64w 64w]" {
 		t.Fatalf("the commit shipped batches %v before the crash stopped it, want [64w 64w]", batches)
 	}
-	if v, ok := dirty(dcs[0], "t", "k0000"); !ok || v != "v" {
-		t.Fatalf("k0000 = %q %v before the restart, want the shipped write", v, ok)
+	for i := 0; i < n; i++ {
+		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); ok != (i < 2*maxBatch) || ok && v != "v" {
+			t.Fatalf("k%04d = %q %v before the restart, want the shipped windows only", i, v, ok)
+		}
 	}
+	skips := dcs[0].Stats().DupSkips
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if ops := txnRecords(tcx, x.id); len(ops) != 0 {
-		t.Fatalf("the restarted log holds %d op records of a lost transaction", len(ops))
+	if ops := txnRecords(tcx, x.id); len(ops) != n {
+		t.Fatalf("the restarted log holds %d op records of the transaction, want %d", len(ops), n)
+	}
+	// The first commit's insert and the two windows were there already.
+	if got := dcs[0].Stats().DupSkips - skips; got != 1+2*maxBatch {
+		t.Fatalf("the redo found %d operations applied, want %d", got, 1+2*maxBatch)
 	}
 	for i := 0; i < n; i++ {
-		want := ""
-		if i == 0 {
-			want = "p0"
-		}
-		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); v != want || ok != (want != "") {
-			t.Fatalf("k%04d = %q %v after the restart, want %q", i, v, ok, want)
+		if v, ok := dirty(dcs[0], "t", fmt.Sprintf("k%04d", i)); !ok || v != "v" {
+			t.Fatalf("k%04d = %q %v after the restart, want v", i, v, ok)
 		}
 	}
 }
@@ -231,8 +248,8 @@ func (s *stampRecorder) PerformBatch(ctx context.Context, ops []*base.Op) []*bas
 // TestRedoStampsVersionedWritesFromTheirCommit: a versioned op record holds no
 // timestamp, so redo stamps each write with its batch's commit record's. Three
 // transactions — versioned, unversioned, versioned — commit, the last one
-// crashing between its ship and its force, which a peer's group force made
-// stable first; Recover resends all three, and every write reaches the DC
+// crashing as its writes ship, after its force; Recover resends all three,
+// and every write reaches the DC
 // with exactly the timestamp its commit shipped it with: each versioned
 // transaction's own, and none on the unversioned one's.
 func TestRedoStampsVersionedWritesFromTheirCommit(t *testing.T) {
@@ -255,7 +272,6 @@ func TestRedoStampsVersionedWritesFromTheirCommit(t *testing.T) {
 		if i == 2 {
 			rec.mu.Lock()
 			rec.before = func() {
-				tcx.log.Force() // a peer's group force
 				tcx.Crash()
 			}
 			rec.mu.Unlock()
@@ -294,18 +310,16 @@ func TestRedoStampsVersionedWritesFromTheirCommit(t *testing.T) {
 
 // refuseOnce answers the first batch of logged operations it is sent with
 // CodeStaleEpoch — the fence of an incarnation its TC never met — without
-// passing it on, after running before.
+// passing it on.
 type refuseOnce struct {
 	base.Service
-	armed  atomic.Bool
-	before func()
+	armed atomic.Bool
 }
 
 func (s *refuseOnce) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	if !ops[0].Kind.IsWrite() || !s.armed.CompareAndSwap(true, false) {
 		return s.Service.PerformBatch(ctx, ops)
 	}
-	s.before()
 	results := make([]*base.Result, len(ops))
 	for i := range results {
 		results[i] = &base.Result{Code: base.CodeStaleEpoch}
@@ -315,63 +329,54 @@ func (s *refuseOnce) PerformBatch(ctx context.Context, ops []*base.Op) []*base.R
 
 // TestFailedShipEndsTheIncarnation: a commit whose ship fails while its
 // incarnation lives — DC 1 refuses the writes, DC 0 applied them — is
-// ambiguous, and it ends the incarnation: the TC is down until Recover, which
-// decides the outcome from the log. Lost: DC 0's writes are rolled back.
-// Peer-forced: a group force made the batch stable first, and redo delivers
-// the writes DC 1 refused, which the live TC never could.
+// ambiguous to its caller, and it ends the incarnation: the TC is down until
+// Recover, which decides the outcome from the log. The batch was forced
+// before the ship, so the transaction is a winner, and redo delivers the
+// writes DC 1 refused, which the live TC never could.
 func TestFailedShipEndsTheIncarnation(t *testing.T) {
-	for _, peerForced := range []bool{false, true} {
-		t.Run(map[bool]string{false: "lost", true: "peer-forced"}[peerForced], func(t *testing.T) {
-			var dcs []*dc.DC
-			for i, table := range []string{"t", "u"} {
-				d, err := dc.New(dc.Config{Name: fmt.Sprintf("dc%d", i)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := d.CreateTable(table); err != nil {
-					t.Fatal(err)
-				}
-				dcs = append(dcs, d)
-			}
-			refuser := &refuseOnce{Service: dcs[1]}
-			tcx, err := New(Config{ID: 1}, []base.Service{dcs[0], refuser}, placement.MustParse("t: dc=0; u: dc=1"))
-			if err != nil {
+	var dcs []*dc.DC
+	for i, table := range []string{"t", "u"} {
+		d, err := dc.New(dc.Config{Name: fmt.Sprintf("dc%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CreateTable(table); err != nil {
+			t.Fatal(err)
+		}
+		dcs = append(dcs, d)
+	}
+	refuser := &refuseOnce{Service: dcs[1]}
+	tcx, err := New(Config{ID: 1}, []base.Service{dcs[0], refuser}, placement.MustParse("t: dc=0; u: dc=1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tcx.Close)
+	refuser.armed.Store(true)
+	x := tcx.Begin(context.Background(), TxnOptions{})
+	for _, table := range []string{"t", "u"} {
+		for _, key := range []string{"a", "b"} {
+			if err := x.Upsert(table, key, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(tcx.Close)
-			refuser.before = func() {
-				if peerForced {
-					tcx.log.Force()
-				}
+		}
+	}
+	if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, base.ErrStaleEpoch) {
+		t.Fatalf("commit refused at DC 1 = %v, want an ambiguous ErrStaleEpoch", err)
+	}
+	if !tcx.NeedsRecovery() || x.inc.log.Live() {
+		t.Fatal("the incarnation outlived its failed commit")
+	}
+	if err := tcx.RunTxnOnce(context.Background(), TxnOptions{}, func(*Txn) error { return nil }); !errors.Is(err, base.ErrUnavailable) {
+		t.Fatalf("a transaction on the ended TC = %v, want ErrUnavailable", err)
+	}
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for i, table := range []string{"t", "u"} {
+		for _, key := range []string{"a", "b"} {
+			if v, ok := dirty(dcs[i], table, key); !ok || v != "v" {
+				t.Fatalf("%s/%s = %q %v after the restart, want v", table, key, v, ok)
 			}
-			refuser.armed.Store(true)
-			x := tcx.Begin(context.Background(), TxnOptions{})
-			for _, table := range []string{"t", "u"} {
-				for _, key := range []string{"a", "b"} {
-					if err := x.Upsert(table, key, []byte("v")); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := x.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, base.ErrStaleEpoch) {
-				t.Fatalf("commit refused at DC 1 = %v, want an ambiguous ErrStaleEpoch", err)
-			}
-			if !tcx.NeedsRecovery() || x.inc.log.Live() {
-				t.Fatal("the incarnation outlived its failed commit")
-			}
-			if err := tcx.RunTxnOnce(context.Background(), TxnOptions{}, func(*Txn) error { return nil }); !errors.Is(err, base.ErrUnavailable) {
-				t.Fatalf("a transaction on the ended TC = %v, want ErrUnavailable", err)
-			}
-			if err := tcx.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			for i, table := range []string{"t", "u"} {
-				for _, key := range []string{"a", "b"} {
-					if v, ok := dirty(dcs[i], table, key); ok != peerForced || (ok && v != "v") {
-						t.Fatalf("%s/%s = %q %v after the restart, want found=%v", table, key, v, ok, peerForced)
-					}
-				}
-			}
-		})
+		}
 	}
 }

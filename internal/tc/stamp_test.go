@@ -9,15 +9,14 @@ import (
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
-	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/placement"
 )
 
 // A versioned write carries its transaction's commit timestamp, and a DC
 // takes the version for committed once the owner TC's safe timestamp passes
 // it. These tests pin the two places where that rule meets a crash: a TC
-// that dies between shipping its stamped writes and logging its commit
-// record, and a DC that restarts holding a committed, stamped version.
+// that dies while shipping the stamped writes of a forced commit, and a DC
+// that restarts holding a committed, stamped version.
 
 // Every read below is a peer TC's: a DC serves a snapshot at T only once
 // every TC it has heard from has a safe timestamp at T, so a reader that
@@ -57,25 +56,23 @@ func peerSnapshot(t *testing.T, peer *TC, table, key string) (val string, found,
 	return string(v), ok, true
 }
 
-// TestStampLoserInvisibleThroughTCRestart: the TC crashes after DC 0 has
-// acknowledged a transaction's writes, stamped with its commit timestamp,
-// and before its commit batch — the writes' redo-only records and the commit
-// record — is stable; the commit is ambiguous, and the crash decides it: a
-// loser, of which the stable log holds nothing, so the DC's reset at the
-// start of the resend takes the stamped version back. The loser's version
-// must stay invisible to a peer TC's committed reads and to snapshot reads
-// above its timestamp from the crash to the end of the restart — a tick of
-// the dead incarnation landing after the crash passes no safe timestamp —
-// and the successor's safe timestamp passes the loser's (it floors at the
-// allocator): a broadcast of the successor's, sent with its epoch at two
-// points of the resend bracket, the redo and its end, is dropped, and so is
-// the GC horizon it carries, past everything. At every point DC 0 first tries
-// to write back every page it holds, as its evictions do: a write-back
-// collects the history of a head stamped at or below the DC's horizon, and the
-// loser's update must keep its before version and its versioned insert of a
-// new key the null version, so that both read as before the loser, its prior
-// value and absent, whatever the write-backs did.
-func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
+// TestStampWinnerHiddenUntilItsResend: the TC crashes after its commit batch
+// is forced and DC 0 has acknowledged the transaction's writes, stamped with
+// its commit timestamp, while DC 1's are on their way: a winner, which DC 0
+// holds and DC 1 does not. The version must read as not yet committed — a
+// peer TC's committed read sees the before version, and a snapshot above its
+// timestamp is not served — from the crash until the restart's resend has
+// delivered it to DC 1 too: the dead incarnation, whose tick lands after the
+// crash, broadcasts no safe timestamp, and a broadcast of the successor's,
+// sent with its epoch at two points of DC 0's resend bracket, the redo and
+// its end, is dropped, and so is the GC horizon it carries, past everything.
+// At every point DC 0 first writes back every page it holds, as its evictions
+// do: a write-back collects the history of a head stamped at or below the
+// DC's horizon, and the winner's update must keep its before version and its
+// versioned insert of a new key the null version, so that both read as before
+// the commit, its prior value and absent, whatever the write-backs did. Once
+// the successor ticks, the commit reads as committed at both DCs.
+func TestStampWinnerHiddenUntilItsResend(t *testing.T) {
 	writer, dcs, stubs := newCountedPair(t)
 	router := placement.MustParse("t: dc=0; u: dc=1")
 	peer, err := New(Config{ID: 2}, []base.Service{dcs[0], dcs[1]}, router)
@@ -107,8 +104,8 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		if call != "write" || dead != nil {
 			return
 		}
-		// DC 0 has the stamped write, DC 1's is on its way, and the TC
-		// dies before the commit batch is forced.
+		// The batch is forced, DC 0 has the stamped write, DC 1's is on its
+		// way, and the TC dies.
 		dead = writer.inc.Load()
 		writer.Crash()
 	})
@@ -123,36 +120,34 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
 	}
 	stubs[1].setHook(nil)
-	c := x.commitTS
-	if c == 0 || dead == nil {
-		t.Fatalf("commit timestamp %d, crashed %v: the test shows nothing", c, dead != nil)
+	if x.commitTS == 0 || dead == nil {
+		t.Fatalf("commit timestamp %d, crashed %v: the test shows nothing", x.commitTS, dead != nil)
 	}
 	// A tick of the dead incarnation that was under way at the crash lands
-	// now: the orphan's commit timestamp is in tables nobody reads.
+	// now: the commit timestamp is in tables nobody reads.
 	dead.broadcastWatermarks()
 
-	// invisible checks what the crash window promises at DC 0, once DC 0 has
-	// tried to write back every page: the stamped versions are there (or the
-	// check shows nothing), and neither a committed read nor a snapshot,
-	// whose timestamp is above the loser's, sees them.
-	invisible := func(when string, stampedThere bool) {
+	// hidden checks, once DC 0 has written back every page, that DC 0 holds
+	// the stamped versions and that neither a committed read nor a snapshot
+	// above the commit timestamp sees them.
+	hidden := func(when string) {
 		t.Helper()
-		if err := dcs[0].Pool().FlushAll(false, nil); err != nil && !errors.Is(err, buffer.ErrNotFlushable) {
+		if err := dcs[0].Pool().FlushAll(false, nil); err != nil {
 			t.Fatalf("%s: write-back: %v", when, err)
 		}
 		for key, prior := range map[string]string{"k": "v0", "new": ""} {
-			if v, ok := peerRead(t, peer, "t", key, base.ReadDirty); stampedThere != (ok && v == "v1") {
-				t.Fatalf("%s: DC 0 holds %s = %q %v, stamped loser there: want %v", when, key, v, ok, stampedThere)
+			if v, ok := peerRead(t, peer, "t", key, base.ReadDirty); !ok || v != "v1" {
+				t.Fatalf("%s: DC 0 holds %s = %q %v, want the stamped v1", when, key, v, ok)
 			}
 			if v, ok := peerRead(t, peer, "t", key, base.ReadCommitted); ok != (prior != "") || v != prior {
 				t.Fatalf("%s: peer's committed read of %s %q %v, want %q", when, key, v, ok, prior)
 			}
-			if v, ok, served := peerSnapshot(t, peer, "t", key); served && (ok != (prior != "") || v != prior) {
-				t.Fatalf("%s: snapshot above the loser's timestamp read %s = %q %v", when, key, v, ok)
+			if v, _, served := peerSnapshot(t, peer, "t", key); served {
+				t.Fatalf("%s: a snapshot above the commit timestamp was served %s = %q", when, key, v)
 			}
 		}
 	}
-	invisible("TC down", true)
+	hidden("TC down")
 
 	// tick is a broadcast of the successor, whose own tick starts only once
 	// Recover has published it: a safe timestamp past everything.
@@ -166,12 +161,12 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 	var points []string
 	stubs[0].setHook(func(call string) {
 		switch call {
-		case "write": // the resend's redo of the first commit, after BeginRestart
+		case "write": // the resend's redo, after BeginRestart
 			tick()
-			invisible("bracket open, the redo", false)
+			hidden("bracket open, the redo")
 		case "end-restart": // redo delivered, bracket not yet closed
 			tick()
-			invisible("bracket open, after the redo", false)
+			hidden("bracket open, after the redo")
 		default:
 			return
 		}
@@ -185,14 +180,17 @@ func TestStampLoserInvisibleThroughTCRestart(t *testing.T) {
 		t.Fatalf("resend passed %v, want the redo and then the bracket's end", points)
 	}
 	safeTick(writer)
-	invisible("after the restart", false)
-	if v, ok, served := peerSnapshot(t, peer, "t", "k"); !served || !ok || v != "v0" {
-		t.Fatalf("snapshot above the loser's timestamp after the restart: %q %v served %v, want v0", v, ok, served)
+	for _, table := range []string{"t", "u"} {
+		if v, ok := peerRead(t, peer, table, "k", base.ReadCommitted); !ok || v != "v1" {
+			t.Fatalf("committed read of %s/k after the restart: %q %v, want v1", table, v, ok)
+		}
+		if v, ok, served := peerSnapshot(t, peer, table, "k"); !served || !ok || v != "v1" {
+			t.Fatalf("snapshot of %s/k after the restart: %q %v served %v, want v1", table, v, ok, served)
+		}
 	}
-	if _, err := writer.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
+	if v, ok := peerRead(t, peer, "t", "new", base.ReadCommitted); !ok || v != "v1" {
+		t.Fatalf("committed read of t/new after the restart: %q %v, want v1", v, ok)
 	}
-	invisible("after a checkpoint", false)
 }
 
 // TestStampReadsBeforeUntilDCResend: a DC that restarts holds no TC's safe

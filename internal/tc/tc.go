@@ -4,9 +4,9 @@
 // OPSR order, log forcing for durability, operation resend bookkeeping,
 // checkpoint negotiation (redo-scan-start-point advancement), and restart.
 // It logs no undo information: a transaction's writes leave only at its
-// commit, in one log batch with the commit record (see deliver.go), so an
-// aborted transaction has nothing to undo and a crashed one nothing the DCs
-// do not roll back themselves.
+// commit, in one log batch with the commit record, and reach a DC only once
+// that batch is forced (see deliver.go), so neither an aborted transaction
+// nor a crashed one leaves anything to undo, here or at a DC.
 //
 // The TC acts as a client to one or more DCs through base.Service. The LSN of
 // an operation's log record doubles as its unique request ID (§4.2); a read
@@ -358,8 +358,8 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	}
 	// Otherwise the reopened media holds a previous incarnation's log: a
 	// process death is a TC crash whose stable log happens to be on disk.
-	// Restart must run the full §5.3.2 protocol — analysis, DC reset under a
-	// freshly minted epoch, redo — which needs the DCs reachable,
+	// Restart must run the full §5.3.2 protocol — analysis, a freshly minted
+	// epoch fenced at every DC, redo — which needs the DCs reachable,
 	// so the TC starts down and the caller (or core's deployment assembly)
 	// runs Recover.
 	t.wg.Add(1)
@@ -472,10 +472,17 @@ func (t *TC) watermarkLoop() {
 // calls it with nothing else: over a wire the two are held and ride the next
 // request toward that DC, in process they are two direct calls. It returns
 // nothing at all once the incarnation is dead.
+//
+// The low-water mark sent is never above the end of the stable log. A record
+// that needs no DC round trip completes its LSN at its append (logLocal, a
+// commit record), so the ack tracker's mark can pass the stable end, and a
+// DC raises a page's LSNlw to the mark it is sent: a mark above what a crash
+// keeps would make the page claim LSNs the restarted TC hands out again, and
+// skip their operations as duplicates.
 func (inc *incarnation) publishStable() {
 	t := inc.tc
 	eosl := t.log.EOSL()
-	lwm := inc.acks.LWM()
+	lwm := min(inc.acks.LWM(), eosl)
 	for _, h := range t.dcs {
 		h.svc.EndOfStableLog(t.cfg.ID, inc.epoch, eosl)
 		h.svc.LowWaterMark(t.cfg.ID, inc.epoch, lwm)
@@ -611,8 +618,8 @@ func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 	if cur := t.RSSP(); newRSSP <= cur {
 		return cur, nil
 	}
-	// The DC flush gates require log stability through the checkpointed
-	// operations (causality).
+	// Forced, so that the low-water mark the broadcast sends, which never
+	// passes the stable end (publishStable), covers every candidate.
 	inc.log.Force()
 	inc.broadcastWatermarks()
 	for _, h := range t.dcs {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -294,58 +296,101 @@ func TestScanBlocksConflictingWriter(t *testing.T) {
 	}
 }
 
+// TestTCCrashRecovery: a commit appends its batch, forces it, publishes its
+// marks and ships its writes, in that order. A TC crash before the force
+// leaves a loser of which no DC saw anything. One after it — here as the
+// commit publishes its end of stable log — and before the ship leaves a
+// winner that no DC has seen either, whose writes restart's redo delivers,
+// each once: the redo finds none of them already applied.
 func TestTCCrashRecovery(t *testing.T) {
-	tcx, dcs, stubs := newCountedPair(t)
-	d := dcs[0]
-	// Committed work (forced).
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		return x.Insert("t", "committed", []byte("keep"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A loser: a commit whose writes reach the DC, and whose batch the TC
-	// crashes before forcing — the crash lands as the batch arrives, which
-	// the DC then applies.
-	stubs[0].setHook(func(call string) {
-		if call == "write" {
-			tcx.Crash()
-		}
-	})
-	loser := tcx.Begin(context.Background(), TxnOptions{})
-	if err := loser.Insert("t", "loser", []byte("drop")); err != nil {
-		t.Fatal(err)
-	}
-	if err := loser.Update("t", "committed", []byte("scribble")); err != nil {
-		t.Fatal(err)
-	}
-	if err := loser.Commit(); !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
-		t.Fatalf("commit under the crash = %v, want an ambiguous ErrTCStopped", err)
-	}
-	stubs[0].setHook(nil)
-	if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "loser", Flavor: base.ReadDirty}); !r.Found {
-		t.Fatalf("precondition: %+v", r)
-	}
-	if err := tcx.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	// Committed data intact, the loser's batch lost with the unforced tail
-	// and its writes reset at the DC.
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		if v, ok, _ := x.Read("t", "committed"); !ok || string(v) != "keep" {
-			return fmt.Errorf("committed data wrong: %q %v", v, ok)
-		}
-		if _, ok, _ := x.Read("t", "loser"); ok {
-			return fmt.Errorf("loser survived")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The TC is fully usable after restart.
-	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
-		return x.Insert("t", "after", []byte("ok"))
-	}); err != nil {
-		t.Fatal(err)
+	for _, winner := range []bool{false, true} {
+		t.Run(fmt.Sprintf("winner=%v", winner), func(t *testing.T) {
+			cfg := Config{ID: 1}
+			if !winner {
+				cfg.ForceDelay = 50 * time.Millisecond // the crash lands in it
+			}
+			tcx, dcs, stubs := newCountedPairCfg(t, cfg)
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Insert("t", "committed", []byte("keep"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// Stop the tick, so that every end of stable log a DC hears is
+			// the commit's own.
+			stopTick(tcx)
+			x := tcx.Begin(context.Background(), TxnOptions{})
+			if err := x.Insert("t", "new", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Update("t", "committed", []byte("changed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Upsert("u", "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			commitLSN := tcx.log.LastLSN() + 4 // three writes and the commit record
+			crashed := false
+			stubs[0].setHook(func(call string) {
+				if call == "eosl" && winner && !crashed {
+					if eosl := tcx.log.EOSL(); eosl < commitLSN {
+						t.Errorf("the commit published its marks at EOSL %d, before its force to %d", eosl, commitLSN)
+					}
+					crashed = true
+					tcx.Crash()
+				}
+			})
+			done := make(chan error, 1)
+			go func() { done <- x.Commit() }()
+			if !winner {
+				for tcx.log.LastLSN() < commitLSN {
+					runtime.Gosched()
+				}
+				if eosl := tcx.log.EOSL(); eosl >= commitLSN {
+					t.Fatalf("the batch was stable (EOSL %d, commit @%d) before the crash; test vacuous", eosl, commitLSN)
+				}
+				crashed = true
+				tcx.Crash()
+			}
+			if err := <-done; !crashed || !errors.Is(err, ErrCommitAmbiguous) || !errors.Is(err, ErrTCStopped) {
+				t.Fatalf("commit under the crash (crashed %v) = %v, want an ambiguous ErrTCStopped", crashed, err)
+			}
+			stubs[0].setHook(nil)
+			want := map[string]string{"t/new": "", "t/committed": "keep", "u/k": ""}
+			check := func(when string) {
+				t.Helper()
+				for tk, val := range want {
+					table, key, _ := strings.Cut(tk, "/")
+					d := dcs[0]
+					if table == "u" {
+						d = dcs[1]
+					}
+					if v, ok := dirty(d, table, key); ok != (val != "") || v != val {
+						t.Fatalf("%s: %s = %q %v, want %q", when, tk, v, ok, val)
+					}
+				}
+			}
+			check("the TC down")
+			skips := []uint64{dcs[0].Stats().DupSkips, dcs[1].Stats().DupSkips}
+			if err := tcx.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if winner {
+				want = map[string]string{"t/new": "v", "t/committed": "changed", "u/k": "v"}
+			}
+			check("after the restart")
+			// The redo repeats the first commit's insert, at DC 0, and finds
+			// it applied; nothing else.
+			for i, was := range skips {
+				if got := dcs[i].Stats().DupSkips - was; got != uint64(1-i) {
+					t.Fatalf("DC %d: the redo found %d operations applied, want %d", i, got, 1-i)
+				}
+			}
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Insert("t", "after", []byte("ok"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

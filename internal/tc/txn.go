@@ -538,11 +538,14 @@ func (x *Txn) ReadCommitted(table, key string) ([]byte, bool, error) {
 	return x.readUnlocked(table, key, base.ReadCommitted)
 }
 
-// ReadDirty reads the latest (possibly uncommitted) version without locking
-// (§6.2.1): this transaction's own writes from its cache, everything else
-// from the DC. "Latest" is what has reached the DC, and no transaction's
-// writes reach a DC before its commit, so another TC's uncommitted versions
-// show only while its commit is under way: shipped, not yet forced.
+// ReadDirty reads the latest version without locking (§6.2.1): this
+// transaction's own writes from its cache, everything else from the DC.
+// "Latest" is what has reached the DC, and a transaction's writes reach a DC
+// only once its commit record is stable, so another transaction's writes
+// show only once they are committed in its TC's log: still locked, maybe
+// not yet at every DC, and for a versioned write maybe not yet covered by
+// its TC's safe timestamp, under which ReadCommitted still reads the before
+// version.
 func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readUnlocked(table, key, base.ReadDirty)
 }
@@ -667,7 +670,7 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 
 // Commit makes the transaction durable: log its writes — a versioned
 // transaction's stamped with its commit timestamp (§6.2.2) — and its commit
-// record as one batch, ship the writes, force the batch (group commit), then
+// record as one batch, force the batch (group commit), ship the writes, then
 // release locks (strict two-phase locking). No two-phase commit, and no second
 // message to eliminate the before versions: a DC takes a stamped version for
 // committed once the TC's safe timestamp passes its timestamp.
@@ -675,8 +678,8 @@ var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not 
 // It is the one point at which a transaction's writes leave, and their
 // records carry no undo image, because they are stable exactly when the
 // commit record is (deferred update; Bernstein, Hadzilacos & Goodman 1987,
-// ch. 6). A crash that loses the batch loses the transaction, and the
-// DCs roll its shipped writes back themselves (DC.BeginRestart). So a
+// ch. 6). A crash that loses the batch loses the transaction, of which no DC
+// has seen anything: the ship follows the force. So a
 // transaction costs one round trip per DC for every maxBatch of its writes
 // there.
 //
@@ -744,18 +747,18 @@ func (x *Txn) Commit() error {
 // commitLogged is Commit from the log append to the lock release, one
 // straight line that no cancellation interrupts: stamp a versioned
 // transaction's writes with its commit timestamp; append the writes' records
-// and the commit record as one batch; ship the writes, one batch per DC;
-// force the batch; publish the new stable boundary; release the locks and
-// the commit timestamp. Only a refused append — the incarnation died first —
-// is a plain failure: nothing of the batch is logged. Any failure after it is
-// reported wrapping ErrCommitAmbiguous, with the locks held, because the
-// commit record is in the log and the outcome is the log's: restart treats a
-// transaction whose commit record is stable as a winner and re-delivers its
-// logged operations, and one whose batch is lost as never having written it.
-// A peer's group force may make the batch stable before the ship is
-// acknowledged. A failed ship ends the incarnation if the crash of the TC has
-// not already (TC.end), so a live TC never holds a winner whose writes it did
-// not deliver.
+// and the commit record as one batch; force the batch; publish the new stable
+// boundary; ship the writes, one batch per DC; release the locks and the
+// commit timestamp. So a write reaches a DC only once its record is stable,
+// and a TC crash never leaves a DC holding a write its restart does not redo.
+// Only a refused append — the incarnation died first — is a plain failure:
+// nothing of the batch is logged. Any failure after it is reported wrapping
+// ErrCommitAmbiguous, with the locks held, because the commit record is in
+// the log and the outcome is the log's: restart treats a transaction whose
+// commit record is stable as a winner and re-delivers its logged operations,
+// and one whose batch is lost as never having written it. A failed ship ends
+// the incarnation if the crash of the TC has not already (TC.end), so a live
+// TC never holds a winner whose writes it did not deliver.
 //
 // It may run on the finisher goroutine of a cancelled Commit, so it leaves
 // x.state — all the caller's goroutine still reads — alone.
@@ -780,25 +783,24 @@ func (x *Txn) commitLogged() error {
 		x.rollback()
 		return fmt.Errorf("tc: commit txn %d: %w", x.id, err)
 	}
+	if !inc.log.ForceTo(cLSN) {
+		// It died under the force: whether the batch reached the stable log
+		// first is the log's to say, and restart reads it there. No DC holds
+		// any of it.
+		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, ErrTCStopped)
+	}
+	// Publish the new stable boundary. No frame is sent for it — it rides
+	// the ship below toward each DC it writes to, and this TC's next request
+	// or tick toward the others.
+	inc.publishStable()
 	if err := x.ship(); err != nil {
-		// The commit record is in the log, so this incarnation can no longer
-		// take the writes back, nor can it deliver them. If it still lives
-		// — a closed TC or stub, a refusal at the DC — it ends here, before a
-		// peer's force can make the transaction a winner whose writes only a
-		// restart's redo delivers: restart decides the outcome.
+		// The transaction is a winner in the stable log, which this
+		// incarnation can no longer deliver. If it still lives — a closed TC
+		// or stub, a refusal at the DC — it ends here: restart's redo
+		// delivers the writes.
 		t.end(inc)
 		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
 	}
-	if !inc.log.ForceTo(cLSN) {
-		// It died under the force: whether the batch reached the stable log
-		// first is the log's to say, and restart reads it there.
-		return fmt.Errorf("tc: commit txn %d: %w: %w", x.id, ErrCommitAmbiguous, ErrTCStopped)
-	}
-	// Publish the new stable boundary: cached pages with this transaction's
-	// operations become flushable (causality). No frame is sent for it — it
-	// rides this TC's next request toward each DC (the next transaction's
-	// write batch) or, from an idle TC, the next tick.
-	inc.publishStable()
 	t.commits.Add(1)
 	x.finish()
 	return nil

@@ -35,10 +35,6 @@ type ListenConfig struct {
 // serveCore executes inbound requests against one base.Service.
 type serveCore struct {
 	svc base.Service
-	// open ends when the transport closes (close). A checkpoint runs under
-	// it: it waits at the DC for an end of stable log that may never come.
-	open  context.Context
-	close context.CancelFunc
 
 	maxInFlight       int64
 	inFlight          atomic.Int64
@@ -49,9 +45,7 @@ func newServeCore(svc base.Service, cfg ListenConfig) *serveCore {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0) * 256
 	}
-	c := &serveCore{svc: svc, maxInFlight: int64(cfg.MaxInFlight)}
-	c.open, c.close = context.WithCancel(context.Background())
-	return c
+	return &serveCore{svc: svc, maxInFlight: int64(cfg.MaxInFlight)}
 }
 
 // overloadedErrText names the taxonomy sentinel so the client rehydrates
@@ -124,10 +118,9 @@ const badRequestText = "wire: undecodable request"
 // reply, carrying a control failure as text for the client to rehydrate.
 // The server side has no caller context: a request that reached the DC
 // executes to completion (cancellation only ever abandons the client's
-// wait), except a checkpoint still waiting when the transport closes. A
-// PerformBatch's operations are decoded in place into s.ops, their values
-// aliasing the request's bytes for the call, and its results are encoded
-// into s.body.
+// wait). A PerformBatch's operations are decoded in place into s.ops, their
+// values aliasing the request's bytes for the call, and its results are
+// encoded into s.body.
 func (c *serveCore) answer(m *message, s *scratch) message {
 	ctx := context.Background()
 	reply := message{kind: msgReply, id: m.id}
@@ -143,7 +136,7 @@ func (c *serveCore) answer(m *message, s *scratch) message {
 		}
 		c.inFlight.Add(-1)
 	case msgCheckpoint:
-		err = c.svc.Checkpoint(c.open, m.tc, m.epoch, m.lsn)
+		err = c.svc.Checkpoint(ctx, m.tc, m.epoch, m.lsn)
 	case msgBeginRestart:
 		err = c.svc.BeginRestart(ctx, m.tc, m.epoch, m.lsn)
 	case msgEndRestart:

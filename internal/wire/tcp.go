@@ -73,10 +73,10 @@ func (l *Listener) Addr() string { return l.ln.Addr().String() }
 // connection readers — and so for the requests they are running — to
 // finish: after Close returns, the wrapped service receives no further
 // invocations from this listener. In-flight operations complete at the
-// service, and a checkpoint still waiting there gives up; only their replies
-// are lost — exactly what the client's resend contract is for. The full
-// quiesce is what lets a test or example re-open a disk-backed DC's
-// directory after Close without racing the old incarnation's writes.
+// service; only their replies are lost — exactly what the client's resend
+// contract is for. The full quiesce is what lets a test or example re-open a
+// disk-backed DC's directory after Close without racing the old
+// incarnation's writes.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -93,7 +93,6 @@ func (l *Listener) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	l.core.close()
 	l.wg.Wait()
 	return err
 }

@@ -361,12 +361,10 @@ func (s *Server) take(m *message, reply func(*message)) bool {
 func (s *Server) SetDown(down bool) { s.down.Store(down) }
 
 // Close drops every later arrival and, like Listener.Close, returns only
-// after every request it took has executed at the service, a checkpoint
-// still waiting there given up.
+// after every request it took has executed at the service.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.core.close()
 	s.running.Wait()
 }

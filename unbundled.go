@@ -135,10 +135,11 @@
 // long it grows: its records and the commit record are appended as one log
 // batch, stable whole or not at all, so a write record is never stable
 // without its commit record and needs no undo image (deferred update); a
-// crash that loses the batch loses the transaction, and the DCs roll back
-// what they applied of it. The records are appended under the locks, so the
-// TC-log is still an OPSR order and a record is logged before its operation
-// can reach the DC, and they ship as one PerformBatch message per DC. A
+// crash that loses the batch loses the transaction, of which no DC has seen
+// anything: the batch is forced before it ships. The records are appended
+// under the locks, so the TC-log is still an OPSR order and a record is
+// stable before its operation can reach the DC, and they ship as one
+// PerformBatch message per DC. A
 // transaction of four upserts is one round trip, not eight or five. A read
 // that bypasses the transaction cache — a scan, ReadDirty, ReadCommitted —
 // answers over the transaction's own writes as the DC would once they were
@@ -148,8 +149,8 @@
 // arrangement both when the DC is a direct call away and over a network. Two
 // things follow: an error a DC read can raise (a cancelled context, a DC that
 // is down) surfaces from the read or Commit rather than from the Upsert
-// call, and another TC's ReadDirty/ScanDirty sees a writer's uncommitted
-// versions only while its commit is under way, shipped and not yet forced.
+// call, and another TC's ReadDirty/ScanDirty sees a writer's versions only
+// once its commit record is stable: committed, their locks maybe still held.
 //
 // There is one shipping path: the committing transaction's own goroutine
 // ships, and the commit goes on with the operations acknowledged. Strict
@@ -265,12 +266,13 @@
 //
 // # Restart safety: incarnation epochs
 //
-// A restarted TC reuses the LSN space above its stable log end (§5.3.2),
-// so a request the dead incarnation still had on the wire — a commit's
-// batch, a resend, a watermark broadcast, even a checkpoint
-// call — must never take effect afterwards: its log record died with the
-// unforced tail, and executing it would both apply a write no log covers
-// and record a reused LSN in the DC's abstract-LSN idempotence tables.
+// A restarted TC reuses the LSN space above its stable log end (§5.3.2).
+// No DC was sent an LSN there: a commit ships only what it has forced, and
+// a low-water mark never passes the stable end. Still, a request the dead
+// incarnation had on the wire — a commit's batch, a resend, a watermark
+// broadcast, even a checkpoint call — must not take effect once the restart
+// has begun at a DC: from then on the restart's redo is the one stream of
+// that TC the DC takes.
 //
 // Every TC therefore carries a monotonic incarnation epoch. It is minted
 // at startup and again by every recovery (strictly larger each time), and
@@ -278,8 +280,8 @@
 // checkpoint records carry it too, so log truncation never loses the
 // incarnation history. Every operation and control call is stamped with
 // the sender's epoch. BeginRestart installs the new epoch at each DC as a
-// per-TC fence — durably, in the DC-log, before the cache reset runs — and
-// from that moment the DC refuses anything stamped with an older epoch:
+// per-TC fence — durably, in the DC-log — and from that moment the DC
+// refuses anything stamped with an older epoch:
 // operations nack permanently with ErrStaleEpoch (never retried), stale
 // watermark broadcasts are dropped, and stale control calls fail typed.
 // EndRestart atomically activates the staged epoch and discards whatever
