@@ -15,7 +15,13 @@
 // per-page latches make individual operations atomic under DC
 // multi-threading. Record operations on distinct leaves proceed in
 // parallel. Latch order is parent before child and left before right, so
-// latch deadlocks cannot occur (§4.1.2(1)).
+// latch deadlocks cannot occur (§4.1.2(1)). A run of record operations
+// (ApplyRun) holds one leaf latch across the operations whose keys that
+// leaf covers — at most one frame's 64 of them, the DC's cap — and never
+// holds the structure lock while it applies: it lets that go once the leaf
+// is latched. The leaf's key range, read off the separators the descent
+// passed, cannot change under the latch, since a split or a consolidation of
+// the leaf takes that latch before it changes the leaf.
 package btree
 
 import (
@@ -103,15 +109,34 @@ func (t *Tree) fetch(id base.PageID) (*page.Page, error) {
 
 // descendLocked walks from the root to the leaf covering key; the caller
 // holds the tree lock (shared suffices: branch pages only change under the
-// exclusive lock). The returned leaf is pinned.
-func (t *Tree) descendLocked(key string) (*page.Page, error) {
+// exclusive lock). The returned leaf is pinned. lo and hi are the bounds the
+// separators passed on the way give the leaf — it covers exactly the keys k
+// with lo <= k < hi, hi "" for no upper bound (no separator is empty) — and
+// root reports that the leaf is the root.
+func (t *Tree) descendLocked(key string) (leaf *page.Page, lo, hi string, root bool, err error) {
 	id := t.root
-	for {
+	for root = true; ; root = false {
 		pg, err := t.fetch(id)
 		if err != nil || pg.Leaf {
-			return pg, err
+			return pg, lo, hi, root, err
 		}
-		next := pg.ChildFor(key)
+		// pg.ChildFor, keeping the slot for its separators: i is the first
+		// separator above key.
+		i, j := 0, len(pg.Keys)
+		for i < j {
+			if m := int(uint(i+j) >> 1); key < pg.Keys[m] {
+				j = m
+			} else {
+				i = m + 1
+			}
+		}
+		if i > 0 {
+			lo = pg.Keys[i-1]
+		}
+		if i < len(pg.Keys) {
+			hi = pg.Keys[i]
+		}
+		next := pg.Children[i]
 		t.pool.Unpin(id)
 		id = next
 	}
@@ -120,7 +145,7 @@ func (t *Tree) descendLocked(key string) (*page.Page, error) {
 // View runs fn on the leaf covering key under a shared latch.
 func (t *Tree) View(key string, fn func(*page.Page)) error {
 	t.lock.RLock()
-	leaf, err := t.descendLocked(key)
+	leaf, _, _, _, err := t.descendLocked(key)
 	if err != nil {
 		t.lock.RUnlock()
 		return err
@@ -133,34 +158,73 @@ func (t *Tree) View(key string, fn func(*page.Page)) error {
 	return nil
 }
 
-// Apply runs mutate on the exclusively latched leaf covering key. A mutate
-// that returns blocked=true declares it applied nothing: Apply hands the
-// flag back with the leaf's ID and skips structure maintenance. Otherwise a
-// split or consolidation is triggered afterwards as needed.
-func (t *Tree) Apply(key string, mutate func(*page.Page) (blocked bool)) (leafID base.PageID, blocked bool, err error) {
-	t.lock.RLock()
-	leaf, err := t.descendLocked(key)
-	if err != nil {
+// ApplyRun applies a run of n record operations in order, the i-th by
+// apply(i, leaf) on the exclusively latched leaf covering key(i). It descends
+// once per leaf, not once per operation: after each operation, while the next
+// key lies inside the latched leaf's bounds, that operation is applied under
+// the same latch. The latch goes when the next key falls outside them, when
+// the run ends, or when the leaf needs a split or a consolidation, which then
+// runs — a system transaction under the exclusive lock, as the next descent
+// must find the structure it leaves. The structure lock is held only to
+// descend, so a run never holds it while it applies.
+//
+// It stops at the first error and returns it. The error is the operation's
+// whose key it asked for last: that operation's leaf would not load, or the
+// split or consolidation its apply called for failed. A caller that goes on
+// starts a new run after that operation.
+func (t *Tree) ApplyRun(n int, key func(i int) string, apply func(i int, leaf *page.Page)) error {
+	for i := 0; i < n; {
+		k := key(i)
+		t.lock.RLock()
+		leaf, lo, hi, root, err := t.descendLocked(k)
+		if err != nil {
+			t.lock.RUnlock()
+			return err
+		}
+		leaf.L.Lock()
 		t.lock.RUnlock()
-		return 0, false, err
+		split, consolidate := false, false
+		for {
+			apply(i, leaf)
+			i++
+			size := leaf.Size()
+			split = size > t.cfg.MaxPageBytes
+			// A root leaf has nothing to merge with (maybeConsolidate).
+			consolidate = !split && !root && (size < t.cfg.MaxPageBytes/4 || len(leaf.Recs) == 0)
+			if split || consolidate || i == n {
+				break
+			}
+			next := key(i)
+			if next < lo || (hi != "" && next >= hi) {
+				break
+			}
+			k = next
+		}
+		id := leaf.ID
+		leaf.L.Unlock()
+		t.pool.Unpin(id)
+		if split {
+			err = t.split(k)
+		} else if consolidate {
+			err = t.maybeConsolidate(k)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	leaf.L.Lock()
-	t.lock.RUnlock()
-	blocked = mutate(leaf)
-	size := leaf.Size()
-	nrecs := len(leaf.Recs)
-	leafID = leaf.ID
-	leaf.L.Unlock()
-	t.pool.Unpin(leafID)
-	if blocked {
-		return leafID, true, nil
-	}
-	if size > t.cfg.MaxPageBytes {
-		err = t.split(key)
-	} else if size < t.cfg.MaxPageBytes/4 || nrecs == 0 {
-		err = t.maybeConsolidate(key)
-	}
-	return leafID, false, err
+	return nil
+}
+
+// Apply runs mutate on the exclusively latched leaf covering key: ApplyRun of
+// key alone, handing back the leaf's ID and what mutate returned, which
+// changes nothing. Only the repo benchmark's btree probe
+// (benchmark/probes.go) calls it, naming all three results; it goes once the
+// probe calls ApplyRun.
+func (t *Tree) Apply(key string, mutate func(*page.Page) bool) (leafID base.PageID, blocked bool, err error) {
+	err = t.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
+		leafID, blocked = leaf.ID, mutate(leaf)
+	})
+	return leafID, blocked, err
 }
 
 // Scan calls fn for each latched leaf from the one covering lo onward
@@ -169,7 +233,7 @@ func (t *Tree) Apply(key string, mutate func(*page.Page) (blocked bool)) (leafID
 func (t *Tree) Scan(lo string, fn func(*page.Page) bool) error {
 	t.lock.RLock()
 	defer t.lock.RUnlock()
-	leaf, err := t.descendLocked(lo)
+	leaf, _, _, _, err := t.descendLocked(lo)
 	if err != nil {
 		return err
 	}

@@ -61,22 +61,20 @@ func newEnv(t *testing.T, maxBytes int) *testEnv {
 
 func (e *testEnv) put(t *testing.T, key, val string) {
 	t.Helper()
-	_, blocked, err := e.tree.Apply(key, func(leaf *page.Page) bool {
+	err := e.tree.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 		leaf.Put(page.Record{Key: key, Owner: 1, Value: []byte(val)})
 		e.pool.MarkDirty(leaf, 1, 0, 0)
-		return false
 	})
-	if err != nil || blocked {
-		t.Fatalf("put %q: err=%v blocked=%v", key, err, blocked)
+	if err != nil {
+		t.Fatalf("put %q: %v", key, err)
 	}
 }
 
 func (e *testEnv) del(t *testing.T, key string) {
 	t.Helper()
-	_, _, err := e.tree.Apply(key, func(leaf *page.Page) bool {
+	err := e.tree.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 		leaf.Remove(key)
 		e.pool.MarkDirty(leaf, 1, 0, 0)
-		return false
 	})
 	if err != nil {
 		t.Fatalf("del %q: %v", key, err)
@@ -325,14 +323,13 @@ func TestConcurrentApplies(t *testing.T) {
 			var live atomic.Int32
 			grown := make(chan struct{}) // closed once 100 keys are in: several leaves' worth
 			apply := func(k int, del bool) bool {
-				_, _, err := e.tree.Apply(key(k), func(leaf *page.Page) bool {
+				err := e.tree.ApplyRun(1, func(int) string { return key(k) }, func(_ int, leaf *page.Page) {
 					if del {
 						leaf.Remove(key(k))
 					} else {
 						leaf.Put(page.Record{Key: key(k), Owner: 1, Value: []byte("v")})
 					}
 					e.pool.MarkDirty(leaf, 1, 0, 0)
-					return false
 				})
 				if err != nil {
 					t.Errorf("apply %s: %v", key(k), err)
@@ -477,10 +474,9 @@ func BenchmarkTreeInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("key%09d", i)
-		e.tree.Apply(key, func(leaf *page.Page) bool {
+		e.tree.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 			leaf.Put(page.Record{Key: key, Owner: 1, Value: []byte("v")})
 			e.pool.MarkDirty(leaf, 1, 0, 0)
-			return false
 		})
 	}
 }
@@ -489,10 +485,9 @@ func BenchmarkTreeRead(b *testing.B) {
 	e := newEnv(&testing.T{}, 4096)
 	for i := 0; i < 10000; i++ {
 		key := fmt.Sprintf("key%09d", i)
-		e.tree.Apply(key, func(leaf *page.Page) bool {
+		e.tree.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 			leaf.Put(page.Record{Key: key, Owner: 1, Value: []byte("v")})
 			e.pool.MarkDirty(leaf, 1, 0, 0)
-			return false
 		})
 	}
 	b.ReportAllocs()

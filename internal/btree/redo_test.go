@@ -74,14 +74,13 @@ type redoOp struct {
 func (e *redoEnv) apply(t *testing.T, ops []redoOp) {
 	t.Helper()
 	for _, op := range ops {
-		_, _, err := e.f.Tree(op.table).Apply(op.key, func(leaf *page.Page) bool {
+		err := e.f.Tree(op.table).ApplyRun(1, func(int) string { return op.key }, func(_ int, leaf *page.Page) {
 			if op.del {
 				leaf.Remove(op.key)
 			} else {
 				leaf.Put(page.Record{Key: op.key, Value: []byte("v")})
 			}
 			e.pool.MarkDirty(leaf, 0, 0, 0)
-			return false
 		})
 		if err != nil {
 			t.Fatalf("apply %+v: %v", op, err)

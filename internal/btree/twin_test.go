@@ -225,10 +225,9 @@ func runTwin(t *testing.T, schedule []byte, checkpoints int) twinStats {
 		twin.pool.MarkDirty(leaf, tc, lsn, 0)
 		leaf.L.Unlock()
 
-		_, _, err := live.f.Tree(table).Apply(key, func(leaf *page.Page) bool {
+		err := live.f.Tree(table).ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 			tc, lsn := twinMutate(leaf, b0, b1, &liveLSNs)
 			live.pool.MarkDirty(leaf, tc, lsn, 0)
-			return false
 		})
 		if err != nil {
 			t.Fatalf("op %d (%s %s): %v", i, table, key, err)

@@ -654,31 +654,39 @@ func newConflictTable() *conflictTable {
 	return &conflictTable{ops: make(map[*base.Op]struct{})}
 }
 
-// enter registers op, reporting how many conflicting operations are
-// currently in flight (excluding duplicates of op itself). A duplicate is
-// told by the request ID, (TC, LSN). Every unlogged operation of a TC shares
-// LSN zero, so two of them look like one request here — which loses nothing:
-// only reads are unlogged, and two reads never conflict (Op.ConflictsWith). A
-// write always has an LSN of its own, so a read beside it is counted.
-func (c *conflictTable) enter(op *base.Op) int {
+// enter registers ops, a run of one batch, reporting how many conflicting
+// operations were in flight before them (excluding duplicates of each
+// itself): a run's operations execute one after the other, so they do not
+// conflict among themselves. A duplicate is told by the request ID, (TC,
+// LSN). Every unlogged operation of a TC shares LSN zero, so two of them
+// look like one request here — which loses nothing: only reads are
+// unlogged, and two reads never conflict (Op.ConflictsWith). A write always
+// has an LSN of its own, so a read beside it is counted.
+func (c *conflictTable) enter(ops ...*base.Op) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	conflicts := 0
-	for other := range c.ops {
-		if other.TC == op.TC && other.LSN == op.LSN {
-			continue // resend duplicate of the same request
-		}
-		if op.ConflictsWith(other) {
-			conflicts++
+	for _, op := range ops {
+		for other := range c.ops {
+			if other.TC == op.TC && other.LSN == op.LSN {
+				continue // resend duplicate of the same request
+			}
+			if op.ConflictsWith(other) {
+				conflicts++
+			}
 		}
 	}
-	c.ops[op] = struct{}{}
+	for _, op := range ops {
+		c.ops[op] = struct{}{}
+	}
 	return conflicts
 }
 
-func (c *conflictTable) exit(op *base.Op) {
+func (c *conflictTable) exit(ops ...*base.Op) {
 	c.mu.Lock()
-	delete(c.ops, op)
+	for _, op := range ops {
+		delete(c.ops, op)
+	}
 	c.mu.Unlock()
 }
 

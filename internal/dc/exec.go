@@ -15,22 +15,24 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 	return d.PerformBatch(ctx, []*base.Op{op})[0]
 }
 
-// perform executes op exactly once, on inc, the incarnation its caller loaded
-// (nil: the DC is down), and on nothing else of the DC's volatile state, and
-// answers in res: a zero Result of its caller's. The DC does not know which
-// user transaction op belongs to (§4.2.1). A context already done is refused
-// up front (CodeCancelled); an operation that starts executing completes.
-// Nothing of op outlives the call except by copy.
-func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *base.Result) {
+// check runs, once, the checks op must pass before it executes on inc, the
+// incarnation its caller loaded (nil: the DC is down), and returns its TC's
+// state and its table; a nil table means op was refused and res, a zero
+// Result of its caller's, answered. The DC does not know which user
+// transaction op belongs to (§4.2.1). A context already done is refused up
+// front (CodeCancelled); an operation that passed its checks is counted in
+// flight and completes. Nothing here holds a leaf latch: admit may append to
+// the DC-log.
+func (d *DC) check(ctx context.Context, inc *incarnation, op *base.Op, res *base.Result) (*tcState, *btree.Tree) {
 	res.LSN = op.LSN
 	if ctx.Err() != nil {
 		res.Code = base.CodeCancelled
-		return
+		return nil, nil
 	}
 	if inc == nil {
 		d.unavailable.Add(1)
 		res.Code = base.CodeUnavailable
-		return
+		return nil, nil
 	}
 	// Incarnation fence: an operation stamped by an epoch older than the
 	// TC's last begin_restart was issued by a dead incarnation. It was
@@ -40,34 +42,44 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 	if ts.fenced(op.Epoch) {
 		d.staleEpochs.Add(1)
 		res.Code = base.CodeStaleEpoch
-		return
+		return nil, nil
 	}
 	if !d.admit(inc, ts, op) {
 		// Not executed, so the TC loses nothing by it: it resends its redo
 		// stream to the incarnation named, then sends again.
 		res.Code, res.DCInc = base.CodeStaleDC, inc.n
-		return
+		return nil, nil
 	}
 	if d.draining.Load() {
 		// Operations-plane admission gate (see Drain in admin.go): nack
 		// transient, the TC's resend discipline waits the drain out.
 		d.drainRejects.Add(1)
 		res.Code = base.CodeUnavailable
-		return
+		return nil, nil
 	}
 	d.performs.Add(1)
-	d.inflightOps.Add(1)
-	defer d.inflightOps.Add(-1)
-	if inc.inflight != nil {
-		if n := inc.inflight.enter(op); n > 0 {
-			d.conVios.Add(uint64(n))
-		}
-		defer inc.inflight.exit(op)
-	}
 	tree := inc.forest.Tree(op.Table)
 	if tree == nil {
 		res.Code = d.refusal(inc)
-		return
+		return nil, nil
+	}
+	if op.Kind.IsWrite() && op.Versioned && op.TS == 0 {
+		// A versioned write carries its commit timestamp: every versioned
+		// head a page holds is stamped.
+		res.Code = base.CodeBadRequest
+		return nil, nil
+	}
+	d.inflightOps.Add(1)
+	return ts, tree
+}
+
+// perform executes op, an operation that writes nothing and passed its
+// checks, on inc, and answers in res.
+func (d *DC) perform(ctx context.Context, inc *incarnation, tree *btree.Tree, op *base.Op, res *base.Result) {
+	defer d.inflightOps.Add(-1)
+	if inc.inflight != nil {
+		d.conVios.Add(uint64(inc.inflight.enter(op)))
+		defer inc.inflight.exit(op)
 	}
 	snapshot := op.Flavor == base.ReadSnapshot && op.TS != 0 &&
 		(op.Kind == base.OpRead || op.Kind == base.OpRangeRead)
@@ -93,14 +105,6 @@ func (d *DC) perform(ctx context.Context, inc *incarnation, op *base.Op, res *ba
 		err = scanProbe(tree, op, res)
 	case base.OpRangeRead:
 		err = inc.rangeRead(tree, op, res)
-	case base.OpInsert, base.OpUpdate, base.OpDelete, base.OpUpsert:
-		if op.Versioned && op.TS == 0 {
-			// A versioned write carries its commit timestamp: every
-			// versioned head a page holds is stamped.
-			res.Code = base.CodeBadRequest
-			break
-		}
-		err = d.write(inc, tree, ts, op, res)
 	default:
 		res.Code = base.CodeBadRequest
 	}
@@ -152,6 +156,10 @@ func (d *DC) refusal(inc *incarnation) base.Code {
 	return base.CodeBadRequest
 }
 
+// maxRun caps the writes one run applies, so a leaf latch is held for at most
+// one of the TC's frames (its maxBatch) of operations.
+const maxRun = 64
+
 // PerformBatch implements base.Service: execute a batch of operations
 // sequentially in arrival order. Sequential execution is what makes
 // shipping a transaction's writes as one batch sound: two operations of one
@@ -159,6 +167,17 @@ func (d *DC) refusal(inc *incarnation) base.Code {
 // reorders them (the cross-transaction case is excluded by the TC's
 // locks). Idempotence stays per-operation — a resent batch re-runs each
 // operation through the abstract-LSN test individually.
+//
+// Consecutive writes of one TC on one table form a run, of at most maxRun,
+// which descends the tree once per leaf it touches rather than once per
+// operation (btree.Tree.ApplyRun). Before a run's first latch each of its
+// operations passes, once, the checks check makes — the context, the
+// incarnation, the epoch fence, admission (which may append to the DC-log),
+// the drain, the table and a versioned write's timestamp — and the run enters
+// the conflict checker whole. An operation refused there ends the run before
+// it. Under the latch each operation is re-tested against the epoch fence and
+// the abstract LSN, then applied (write). An operation whose leaf would not
+// load is refused alone; the run goes on after it.
 //
 // The results of one call are made by that call (base.NewResults: one
 // allocation for a batch of one, two for a longer one) and handed to its
@@ -168,10 +187,57 @@ func (d *DC) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
 	d.batchOps.Add(uint64(len(ops)))
 	inc := d.inc.Load()
 	out := base.NewResults(len(ops))
-	for i, op := range ops {
-		d.perform(ctx, inc, op, out[i])
+	for i := 0; i < len(ops); {
+		op, start := ops[i], i
+		ts, tree := d.check(ctx, inc, op, out[i])
+		i++
+		if tree == nil {
+			continue
+		}
+		if !op.Kind.IsWrite() {
+			d.perform(ctx, inc, tree, op, out[start])
+			continue
+		}
+		end := i // the run is ops[start:end]
+		for ; i < len(ops) && i-start < maxRun && joinsRun(op, ops[i]); i++ {
+			if _, t := d.check(ctx, inc, ops[i], out[i]); t == nil {
+				i++ // answered: the run ends before it
+				break
+			}
+			end = i + 1
+		}
+		d.writeRun(inc, tree, ts, ops[start:end], out[start:end])
 	}
 	return out
+}
+
+// joinsRun reports whether next may join the run that op opened: a write of
+// op's TC on op's table.
+func joinsRun(op, next *base.Op) bool {
+	return next.Kind.IsWrite() && next.TC == op.TC && next.Table == op.Table
+}
+
+// writeRun executes ops, writes of the TC whose state is s on tree that
+// passed their checks, in order, and answers each in its result.
+func (d *DC) writeRun(inc *incarnation, tree *btree.Tree, s *tcState, ops []*base.Op, out []*base.Result) {
+	defer d.inflightOps.Add(-int64(len(ops)))
+	if inc.inflight != nil {
+		d.conVios.Add(uint64(inc.inflight.enter(ops...)))
+		defer inc.inflight.exit(ops...)
+	}
+	for len(ops) > 0 {
+		last := 0
+		err := tree.ApplyRun(len(ops), func(i int) string { last = i; return ops[i].Key }, func(i int, leaf *page.Page) {
+			d.write(inc, leaf, s, ops[i], out[i])
+		})
+		if err == nil {
+			return
+		}
+		// ops[last]'s leaf would not load, or the split or consolidation its
+		// write called for failed.
+		*out[last] = base.Result{LSN: ops[last].LSN, Code: d.refusal(inc)}
+		ops, out = ops[last+1:], out[last+1:]
+	}
 }
 
 // read executes a point read. Reads do not mutate state and are not
@@ -252,37 +318,34 @@ func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 	return rec.ReadVersion(op.Flavor, safe)
 }
 
-// write executes a mutating operation with the abstract-LSN idempotence
-// test of §5.1.2: if the page already contains the operation's effects the
-// DC skips re-execution and acknowledges. The TC's abstract LSN is pruned to
-// its LWM before the operation's LSN joins it, as a flush prunes it, so its
-// {LSNin} holds only what is still in flight. Nothing is kept to undo the
-// operation: its TC sent it once it was stable in its log.
-func (d *DC) write(inc *incarnation, tree *btree.Tree, ts *tcState, op *base.Op, res *base.Result) error {
-	_, _, err := tree.Apply(op.Key, func(leaf *page.Page) bool {
-		// Re-test the incarnation fence under the leaf latch, so that no
-		// operation of a dead incarnation runs once BeginRestart has raised
-		// the fence, though it passed the check on entry.
-		if ts.fenced(op.Epoch) {
-			d.staleEpochs.Add(1)
-			res.Code = base.CodeStaleEpoch
-			return false
-		}
-		if leaf.Ab.Contains(op.TC, op.LSN) {
-			d.dupSkips.Add(1)
-			res.Applied = true
-			return false
-		}
-		res.Code = applyWrite(leaf, leaf.Get(op.Key), op, base.TS(inc.gcHorizon.Load()))
-		if res.Code == base.CodeOK {
-			a := leaf.Ab.Ensure(op.TC)
-			a.Advance(base.LSN(ts.lwm.Load()))
-			a.Add(op.LSN)
-			inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
-		}
-		return false
-	})
-	return err
+// write executes op, a mutating operation of the TC whose state is s, on
+// leaf, the exclusively latched leaf covering op.Key, with the abstract-LSN
+// idempotence test of §5.1.2: if the page already contains the operation's
+// effects the DC skips re-execution and acknowledges. The TC's abstract LSN
+// is pruned to its LWM before the operation's LSN joins it, as a flush
+// prunes it, so its {LSNin} holds only what is still in flight. Nothing is
+// kept to undo the operation: its TC sent it once it was stable in its log.
+func (d *DC) write(inc *incarnation, leaf *page.Page, s *tcState, op *base.Op, res *base.Result) {
+	// Re-test the incarnation fence under the leaf latch, so that no
+	// operation of a dead incarnation runs once BeginRestart has raised the
+	// fence, though it passed the check on entry.
+	if s.fenced(op.Epoch) {
+		d.staleEpochs.Add(1)
+		res.Code = base.CodeStaleEpoch
+		return
+	}
+	if leaf.Ab.Contains(op.TC, op.LSN) {
+		d.dupSkips.Add(1)
+		res.Applied = true
+		return
+	}
+	res.Code = applyWrite(leaf, leaf.Get(op.Key), op, base.TS(inc.gcHorizon.Load()))
+	if res.Code == base.CodeOK {
+		a := leaf.Ab.Ensure(op.TC)
+		a.Advance(base.LSN(s.lwm.Load()))
+		a.Add(op.LSN)
+		inc.pool.MarkDirty(leaf, op.TC, op.LSN, 0)
+	}
 }
 
 // applyWrite mutates the latched leaf according to op; rec is the leaf's

@@ -132,7 +132,7 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		return fmt.Errorf("monolith: no table %s", table)
 	}
 	var opErr error
-	_, _, err := t.Apply(key, func(leaf *page.Page) bool {
+	err := t.ApplyRun(1, func(int) string { return key }, func(_ int, leaf *page.Page) {
 		rec := leaf.Get(key)
 		var prior []byte
 		priorFound := rec != nil
@@ -143,12 +143,12 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		case base.OpInsert:
 			if rec != nil {
 				opErr = ErrDuplicate
-				return false
+				return
 			}
 		case base.OpUpdate, base.OpDelete:
 			if rec == nil {
 				opErr = ErrNotFound
-				return false
+				return
 			}
 		}
 		op := &base.Op{Kind: kind, Table: table, Key: key, Value: val}
@@ -162,7 +162,6 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 			x.firstLSN = lsn
 		}
 		x.lastLSN = lsn
-		return false
 	})
 	if err != nil {
 		return err
@@ -294,7 +293,7 @@ func (e *Engine) applyUndo(txn base.TxnID, undone, nextUndo base.LSN, inv *base.
 	if t == nil {
 		return
 	}
-	_, _, _ = t.Apply(inv.Key, func(leaf *page.Page) bool {
+	_ = t.ApplyRun(1, func(int) string { return inv.Key }, func(_ int, leaf *page.Page) {
 		clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: undone, NextUndo: nextUndo,
 			Payload: encodeOpPayload(leaf.ID, inv, nil, false)}
 		lsn := e.log.AppendAssign(clr)
@@ -302,7 +301,6 @@ func (e *Engine) applyUndo(txn base.TxnID, undone, nextUndo base.LSN, inv *base.
 		leaf.DLSN = base.DLSN(lsn)
 		e.pool.MarkDirty(leaf, 0, 0, base.DLSN(lsn))
 		e.undoOps.Add(1)
-		return false
 	})
 }
 

@@ -54,16 +54,18 @@ import (
 // What it allocates per transaction is only what outlives the transaction.
 // Everything it uses on its own goroutine is its scratch (txnScratch), taken
 // from a pool at Begin and given back, cleared, by finish: the cache map, the
-// queue — operations held by value, in a slab with room for slabOps writes,
-// their log records and one DC's batch — and the one buffer every payload of
-// the log batch is encoded into, grown once to the computed size, because the
-// log copies what it appends. The lock manager recycles its entries, and a DC
-// answers a batch from one slab of results. The price is a rule of
-// ownership, stated at base.Service: an operation is lent to the service for
-// the call — once the transaction has finished it is another transaction's —
-// and a result is the caller's. TestWriteTxnAllocs bounds the count (at most
-// 10 for four upserts and a commit, TC and in-process DC together) and the
-// bytes (at most 2 560), TestRecycledScratchStartsEmpty and
+// queue — operations held by value, starting in a slab with room for slabOps
+// writes, their log records and one DC's batch — and the one buffer every
+// payload of the log batch is encoded into, grown once to the computed size,
+// because the log copies what it appends. A scratch keeps what a bulk commit
+// grew it to (maxKeptWrites), so the next bulk commit grows nothing. The lock
+// manager recycles its entries, and a DC answers a batch from one slab of
+// results. The price is a rule of ownership, stated at base.Service: an
+// operation is lent to the service for the call — once the transaction has
+// finished it is another transaction's — and a result is the caller's.
+// TestWriteTxnAllocs bounds the count (at most 10 for four upserts and a
+// commit, TC and in-process DC together) and the bytes (at most 2 560),
+// TestBulkCommitAllocs a bulk commit's, TestRecycledScratchStartsEmpty and
 // TestCancelledCommitKeepsItsScratch the reuse, and BenchmarkWriteTxn is
 // where to profile.
 //
@@ -312,7 +314,7 @@ func (x *Txn) appendQueued() (base.LSN, error) {
 		size += opPayloadLen(&x.queue[i].op)
 	}
 	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
-	recs := slices.Grow(x.slab.recs[:0], len(x.queue)+1)
+	recs := slices.Grow(x.recs[:0], len(x.queue)+1)
 	for i := range x.queue {
 		start := len(x.enc)
 		x.enc = appendOpPayload(x.enc, &x.queue[i].op)
@@ -321,6 +323,7 @@ func (x *Txn) appendQueued() (base.LSN, error) {
 	start := len(x.enc)
 	x.enc = appendCommit(x.enc, x.commitTS)
 	recs = append(recs, wal.Record{Kind: recCommit, Txn: x.id, Payload: x.enc[start:]})
+	x.recs = recs // kept grown, cleared by release
 	first := x.inc.log.AppendBatch(recs)
 	if first == 0 {
 		return 0, ErrTCStopped
@@ -348,7 +351,8 @@ func (x *Txn) ship() error {
 		ctx = context.WithoutCancel(ctx)
 	}
 	var first error
-	ops := slices.Grow(x.slab.send[:0], len(x.queue)) // room for any one DC's list
+	ops := slices.Grow(x.send[:0], len(x.queue)) // room for any one DC's list
+	x.send = ops                                 // kept grown, cleared by release
 	for dcIdx := range x.tc.dcs {
 		ops = ops[:0]
 		for i := range x.queue {

@@ -157,6 +157,71 @@ func TestRecycledScratchStartsEmpty(t *testing.T) {
 			}
 		}
 	})
+	t.Run("grown", func(t *testing.T) {
+		// A scratch a bulk commit grew is kept grown: the first bulk commit
+		// grows its cache map, the second moves into that map once it
+		// outgrows the small one. The small transactions after them keep to
+		// the small map. The key they read changes at the DC behind the TC's
+		// back (a write of another TC), so a stale cache entry shows.
+		tcx, stub := newShipLogPair(t)
+		for range 2 {
+			if err := tcx.RunTxn(ctx, TxnOptions{}, func(x *Txn) error {
+				for i := 0; i < 100; i++ {
+					if err := x.Upsert("t", fmt.Sprintf("b%03d", i), []byte("bulk")); err != nil {
+						return err
+					}
+				}
+				return x.Upsert("t", "k", []byte("dc"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			x := tcx.Begin(ctx, TxnOptions{})
+			if err := x.Upsert("t", "k", []byte("aborted")); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := x.Read("t", "b005"); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			fresh := fmt.Sprintf("new%d", i)
+			other := &base.Op{TC: 2, Epoch: 1, LSN: base.LSN(i + 1), Kind: base.OpUpsert, Table: "t", Key: "b005", Value: []byte(fresh)}
+			if res := stub.Service.PerformBatch(ctx, []*base.Op{other}); res[0].Code != base.CodeOK {
+				t.Fatalf("another TC's write: %v", res[0].Code)
+			}
+			y := tcx.Begin(ctx, TxnOptions{})
+			if v, ok, err := y.Read("t", "k"); err != nil || !ok || string(v) != "dc" {
+				t.Fatalf("read after an aborted upsert = %q %v %v, want the DC's %q", v, ok, err, "dc")
+			}
+			if v, ok, err := y.Read("t", "b005"); err != nil || !ok || string(v) != fresh {
+				t.Fatalf("read of a key a predecessor read = %q %v %v, want %q", v, ok, err, fresh)
+			}
+			if err := y.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A later bulk transaction moves into the grown map again, which
+		// holds nothing of the transactions before it.
+		other := &base.Op{TC: 2, Epoch: 1, LSN: 9, Kind: base.OpUpsert, Table: "t", Key: "b005", Value: []byte("last")}
+		if res := stub.Service.PerformBatch(ctx, []*base.Op{other}); res[0].Code != base.CodeOK {
+			t.Fatalf("another TC's write: %v", res[0].Code)
+		}
+		x := tcx.Begin(ctx, TxnOptions{})
+		for i := 0; i < 2*slabOps; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("c%03d", i), []byte("c")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok, err := x.Read("t", "b005"); err != nil || !ok || string(v) != "last" {
+			t.Fatalf("a bulk transaction reads %q %v %v, want %q", v, ok, err, "last")
+		}
+		if err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("versioned", func(t *testing.T) {
 		tcx, stub := newShipLogPair(t)
 		for i := 0; i < 8; i++ {

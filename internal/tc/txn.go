@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -123,16 +124,15 @@ type queued struct {
 	dc int
 }
 
-// slabOps is how many writes a transaction has room for in its writeSlab;
-// more spill to the heap: the queue by append's doubling, the commit's records
-// and send list once, at their final length.
+// slabOps is how many writes a new scratch has room for in its writeSlab.
+// Beyond that the queue grows by append's doubling, and the commit's records
+// and send list once, to their final length; a scratch keeps what it grew to.
 const slabOps = 8
 
-// writeSlab is the storage a writing transaction needs at its commit, in its
-// txnScratch: the queue, the records of the commit's log batch (the queue's,
-// and the commit record), and the list of operations handed to one DC
-// (Txn.ship sends to one DC at a time). An operation in here is its commit's:
-// the base.Service it is sent to must be done with it when the call returns.
+// writeSlab is the storage a new scratch starts its write slices in: the
+// queue, the records of the commit's log batch (the queue's, and the commit
+// record), and the list of operations handed to one DC (Txn.ship sends to one
+// DC at a time).
 type writeSlab struct {
 	queue [slabOps]queued
 	recs  [slabOps + 1]wal.Record
@@ -156,51 +156,89 @@ type txnScratch struct {
 	cache map[tableKey]cachedVal
 	// queue holds the writes accepted so far, in call order: X lock held,
 	// cache updated, nothing logged and no LSN taken yet. Commit logs and
-	// ships it; Abort drops it. It starts in slab.queue.
+	// ships it; Abort drops it.
 	queue []queued
+	// recs and send are what the commit builds from the queue: the records of
+	// its log batch, and the operations of the queue handed to one DC. An
+	// operation in send is its commit's: the base.Service it is sent to must
+	// be done with it when the call returns.
+	recs []wal.Record
+	send []*base.Op
 	// enc is where the record payloads of the commit's log batch are
 	// encoded, back to back. The log copies them as it appends
 	// (wal.AppendBatch), so enc is free again when the append returns, for
 	// the next transaction.
 	enc []byte
-	// slab backs the queue and what the commit builds from it; wrote marks it
-	// used, so that only a transaction that queued a write pays for clearing it.
-	slab  writeSlab
-	wrote bool
+	// wrote is how many writes the transaction queued: as much of queue, recs
+	// and send as release clears.
+	wrote int
+	// bulk is a cache map a transaction grew past slabOps keys, kept aside
+	// and empty: a map never shrinks, so a small transaction keeps to the
+	// small map cache starts as, and one that outgrows it moves into bulk
+	// (remember) instead of growing a map again. nil until a transaction of
+	// this scratch first grew its cache.
+	bulk map[tableKey]cachedVal
+	// slab is where queue, recs and send start.
+	slab writeSlab
 	// one is the operation Txn.sendOne sends, as the batch oneOps.
 	one    base.Op
 	oneOps [1]*base.Op
 }
 
-// A scratch that grew past one slab's worth — its queue spilled past slabOps,
-// its cache past maxKeptKeys keys, or enc past maxKeptEnc bytes — is left to
-// the collector instead of kept, as a wire connection drops an outsized buffer:
-// the pool holds only scratch of the size most transactions need.
+// A scratch is kept whatever it grew to for a bulk commit, up to maxKeptWrites
+// writes — its queue's capacity or its cache's keys — and maxKeptEnc bytes of
+// payload (a quarter of a KiB a write), so the next bulk commit finds its
+// queue, records, send list, payload buffer and cache map grown already. A
+// scratch past either is left to the collector instead, as a wire connection
+// drops an outsized buffer. A kept scratch costs a small transaction nothing:
+// it keeps to the small cache map and to the first entries of the grown
+// slices, and release clears only those.
 const (
-	maxKeptKeys = 4 * slabOps
-	maxKeptEnc  = 4 << 10
+	maxKeptWrites = 4 * maxBatch
+	maxKeptEnc    = maxKeptWrites << 8
 )
 
 var scratchPool = sync.Pool{New: func() any {
 	s := &txnScratch{cache: make(map[tableKey]cachedVal, slabOps)}
-	s.queue, s.oneOps[0] = s.slab.queue[:0], &s.one
+	s.queue, s.recs, s.send = s.slab.queue[:0], s.slab.recs[:0], s.slab.send[:0]
+	s.oneOps[0] = &s.one
 	return s
 }}
 
 // release clears s — so no user value, DC result or key stays reachable from
 // the pool — and gives it back, or leaves it to the collector when it grew
-// past one slab's worth. Only Txn.finish calls it.
+// past maxKeptWrites or maxKeptEnc. Only Txn.finish calls it.
 func (s *txnScratch) release() {
-	if cap(s.queue) > slabOps || len(s.cache) > maxKeptKeys || cap(s.enc) > maxKeptEnc {
+	if cap(s.queue) > maxKeptWrites || len(s.cache) > maxKeptWrites || cap(s.enc) > maxKeptEnc {
 		return
 	}
+	grown := len(s.cache) > slabOps // the transaction moved into bulk, or grew cache into one
 	clear(s.cache)
-	if s.wrote {
-		s.slab, s.wrote = writeSlab{}, false
+	if grown {
+		if s.bulk == nil {
+			s.bulk = make(map[tableKey]cachedVal, slabOps)
+		}
+		s.cache, s.bulk = s.bulk, s.cache
 	}
-	s.queue = s.slab.queue[:0]
+	clear(s.queue[:s.wrote])
+	clear(s.recs[:min(s.wrote+1, cap(s.recs))])
+	clear(s.send[:min(s.wrote, cap(s.send))])
+	s.queue, s.wrote = s.queue[:0], 0
 	s.one = base.Op{}
 	scratchPool.Put(s)
+}
+
+// remember caches v as the value of k. A cache that k would grow past
+// slabOps keys moves into the scratch's bulk map first, when it has one.
+func (s *txnScratch) remember(k tableKey, v cachedVal) {
+	if len(s.cache) == slabOps && s.bulk != nil {
+		if _, ok := s.cache[k]; !ok {
+			maps.Copy(s.bulk, s.cache)
+			clear(s.cache)
+			s.cache, s.bulk = s.bulk, s.cache
+		}
+	}
+	s.cache[k] = v
 }
 
 // Txn is one user transaction executing at this TC. A transaction is used
@@ -430,7 +468,7 @@ func (x *Txn) readOp(table, key string, flavor base.ReadFlavor, cache bool) ([]b
 	}
 	found := res.Code == base.CodeOK
 	if cache {
-		x.cache[tableKey{table, key}] = cachedVal{val: res.Value, found: found}
+		x.remember(tableKey{table, key}, cachedVal{val: res.Value, found: found})
 	}
 	return res.Value, found, nil
 }
@@ -655,8 +693,8 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	}
 	x.queue = append(x.queue, queued{dc: dcIdx, op: base.Op{TC: x.tc.cfg.ID, Kind: kind,
 		Table: table, Key: key, Value: val, Versioned: x.opts.Versioned}})
-	x.wrote = true
-	x.cache[tableKey{table, key}] = cachedVal{val: val, found: kind != base.OpDelete, written: true}
+	x.wrote = len(x.queue)
+	x.remember(tableKey{table, key}, cachedVal{val: val, found: kind != base.OpDelete, written: true})
 	return nil
 }
 
