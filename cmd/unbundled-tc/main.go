@@ -35,6 +35,11 @@
 //	del <table> <key>
 //	scan <table> <lo> <hi>
 //	checkpoint | stats | exit
+//
+// checkpoint prints the redo scan start point (rssp) after it: a checkpoint
+// proposes the point the previous one took, so the first after a start
+// leaves it where it was, and two in a row make everything before the first
+// stable.
 package main
 
 import (
@@ -68,7 +73,7 @@ func main() {
 	ops := flag.Int("ops", 4, "writes per transaction")
 	valueBytes := flag.Int("value-bytes", 32, "payload size per write")
 	verify := flag.Bool("verify", true, "read back every committed key and verify its value")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint the TC every N transactions (0: never)")
+	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint the TC every N transactions (0: never); each proposes the redo scan start point the previous one took, so restart redoes up to 2N transactions")
 	progressEvery := flag.Int("progress-every", 50, "print progress every N transactions")
 	repl := flag.Bool("repl", false, "interactive mode: read commands from stdin")
 	connectWait := flag.Duration("connect-wait", 10*time.Second, "how long to wait for the initial DC connections")

@@ -36,7 +36,9 @@ func main() {
 	ctx := context.Background()
 	client := dep.Client()
 
-	// Committed base data, checkpointed so it is stable at the DC.
+	// Committed base data, checkpointed so it is stable at the DC. A
+	// checkpoint proposes the mark its predecessor took, so it takes two:
+	// the first takes its mark, the second proposes it.
 	upsert := func(from, to int, val string) {
 		must(client.RunTxn(ctx, unbundled.TxnOptions{}, func(x *unbundled.Txn) error {
 			for i := from; i < to; i++ {
@@ -50,10 +52,14 @@ func main() {
 	for i := 0; i < 200; i += 50 {
 		upsert(i, i+50, "stable")
 	}
-	if _, err := dep.TCs[0].Checkpoint(ctx); err != nil {
+	if _, err := dep.TCs[0].Checkpoint(ctx); err != nil { // takes its mark
 		log.Fatal(err)
 	}
-	fmt.Println("seeded 200 keys, checkpointed (contract below RSSP released)")
+	rssp, err := dep.TCs[0].Checkpoint(ctx) // proposes it
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("seeded 200 keys, checkpointed twice (contract below RSSP %d released)\n", rssp)
 
 	// --- DC failure -----------------------------------------------------
 	for i := 0; i < 50; i += 10 {

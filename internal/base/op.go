@@ -189,7 +189,10 @@ type Service interface {
 	// Checkpoint asks the DC to make stable every page containing effects
 	// of operations with LSN < newRSSP. When it returns nil, the contract
 	// requiring the TC to be able to resend those operations is released
-	// and the TC may advance its redo scan start point (§4.2.1). A
+	// and the TC may advance its redo scan start point (§4.2.1). The TC
+	// may propose any point at or below its low-water mark + 1 (tc's
+	// proposes the one its previous checkpoint took), and the DC may make
+	// more pages stable than asked (dc's does while its pool evicts). A
 	// checkpoint from a fenced epoch fails with ErrStaleEpoch.
 	Checkpoint(ctx context.Context, tc TCID, epoch Epoch, newRSSP LSN) error
 	// BeginRestart opens the resend bracket of one TC incarnation at this

@@ -128,6 +128,9 @@ type tcState struct {
 	// safeCh, when non-nil, is closed under ctl the next time safe
 	// advances; snapshot waiters subscribe through safeChanged.
 	safeCh chan struct{}
+	// evictions is the pool's eviction count at the TC's previous
+	// checkpoint here (see Checkpoint).
+	evictions atomic.Uint64
 }
 
 // safeChanged returns a channel closed on the next advance of safe.
@@ -487,7 +490,10 @@ func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
 
 // Checkpoint implements base.Service (§4.2.1): make stable all pages that
 // contain effects of operations with LSN < newRSSP for tc, releasing the
-// TC's resend obligation below newRSSP. A checkpoint from a fenced
+// TC's resend obligation below newRSSP. While the pool evicts — it has
+// evicted since the TC's previous checkpoint here — it writes back every
+// dirty page of the TC instead, a superset the contract allows: a page left
+// dirty would be written back on a miss's path. A checkpoint from a fenced
 // incarnation is refused — releasing resend obligations based on a dead
 // incarnation's view would be unrecoverable — and so is one before the TC's
 // resend to this incarnation has ended (ErrStaleDC): the pages it would make
@@ -517,9 +523,11 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 	}
 	s.ctl.Unlock()
 	pool := inc.pool
+	ev := pool.Stats().Evictions
+	evicting := s.evictions.Swap(ev) != ev
 	err := pool.FlushAll(false, func(pg *page.Page) bool {
 		first, ok := pg.FirstDirty[tc]
-		return ok && first < newRSSP
+		return ok && (evicting || first < newRSSP)
 	})
 	if err != nil {
 		return err

@@ -116,19 +116,20 @@ func BenchmarkEvictingWriteTxn(b *testing.B) {
 }
 
 // TestWriteTxnAllocs pins what writeTxn allocates on the integrated engine:
-// at most 21 objects and 3 328 bytes (it measures 21 and about 3 070). Per
-// Upsert that is the log record, its payload, grown as the page ID, the
-// operation and the prior value are appended to it, the copy of the prior
-// value, and the page's copy of the value written; and the Txn. internal/tc's TestWriteTxnAllocs pins the same transaction at 10
-// objects and 2 560 bytes: the TC logs one batch per commit from pooled
-// scratch, where this engine logs a record per write.
+// at most 13 objects and 2 560 bytes (it measures 13 and about 2 450). Per
+// Upsert that is its log record's payload, sized once for the page ID, the
+// operation and the prior value, the copy of the prior value, and the
+// page's copy of the value written; and the Txn. internal/tc's
+// TestWriteTxnAllocs pins the same transaction at 10 objects and 2 560
+// bytes: the TC logs one batch per commit from pooled scratch, where this
+// engine logs a record per write.
 func TestWriteTxnAllocs(t *testing.T) {
 	p := newBenchEngine(t, 10_000, 0)
 	for i := 0; i < 200; i++ {
 		p.writeTxn(t) // pages past their first splits
 	}
-	if got := testing.AllocsPerRun(2000, func() { p.writeTxn(t) }); got > 21 {
-		t.Fatalf("4 x Upsert + Commit = %.1f allocs, want <= 21", got)
+	if got := testing.AllocsPerRun(2000, func() { p.writeTxn(t) }); got > 13 {
+		t.Fatalf("4 x Upsert + Commit = %.1f allocs, want <= 13", got)
 	} else {
 		t.Logf("4 x Upsert + Commit = %.1f allocs", got)
 	}
@@ -137,8 +138,8 @@ func TestWriteTxnAllocs(t *testing.T) {
 			p.writeTxn(b)
 		}
 	})
-	if got := r.AllocedBytesPerOp(); got > 3328 {
-		t.Fatalf("4 x Upsert + Commit = %d B allocated, want <= 3328", got)
+	if got := r.AllocedBytesPerOp(); got > 2560 {
+		t.Fatalf("4 x Upsert + Commit = %d B allocated, want <= 2560", got)
 	} else {
 		t.Logf("4 x Upsert + Commit = %d B allocated", got)
 	}
@@ -147,8 +148,9 @@ func TestWriteTxnAllocs(t *testing.T) {
 // TestCommitLogBytes reports what the integrated engine logs for writeTxn —
 // four op records with their undo images, chained by Prev, and the commit
 // record — beside internal/tc's TestCommitBatchLogBytes, and holds it at or
-// below the 649 B it logged when every record carried a transaction id and a
-// link, set or not.
+// below the 624 B it logs since an op record holds the TC's op payload
+// (base.AppendOpPayload) rather than the wire's whole operation, which cost
+// 6 B more per record (648 B).
 func TestCommitLogBytes(t *testing.T) {
 	p := newBenchEngine(t, 10_000, 0)
 	media := p.e.log.Media()
@@ -159,7 +161,7 @@ func TestCommitLogBytes(t *testing.T) {
 	p.writeTxn(t)
 	got := media.AppendedBytes() - before
 	t.Logf("4 x Upsert + Commit logs %d B", got)
-	if got > 649 {
-		t.Fatalf("4 x Upsert + Commit logs %d B, want <= 649", got)
+	if got > 624 {
+		t.Fatalf("4 x Upsert + Commit logs %d B, want <= 624", got)
 	}
 }

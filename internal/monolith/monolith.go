@@ -33,6 +33,7 @@ import (
 	"github.com/cidr09/unbundled/internal/btree"
 	"github.com/cidr09/unbundled/internal/buffer"
 	"github.com/cidr09/unbundled/internal/lockmgr"
+	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/storage"
 	"github.com/cidr09/unbundled/internal/wal"
 )
@@ -76,6 +77,11 @@ type Engine struct {
 	txns    map[base.TxnID]*Txn
 	nextTxn uint64
 	rssp    base.LSN
+	// candidate is what the previous Checkpoint took to propose next
+	// (zero before the first since the engine started), evictions the
+	// pool's eviction count then.
+	candidate base.LSN
+	evictions uint64
 
 	commits, aborts, redoOps, undoOps atomic.Uint64
 }
@@ -158,15 +164,31 @@ func (e *Engine) tree(table string) *btree.Tree {
 	return nil
 }
 
-// Checkpoint flushes all dirty pages, truncates the log below both the redo
-// scan start point and the oldest active transaction, and frees the pages the
-// discarded records deleted.
+// Checkpoint runs the policy of tc.TC.Checkpoint on the integrated log, so
+// that the two engines are compared under one: it takes the end of the log
+// as its candidate and proposes the candidate its previous call took as the
+// redo scan start point, writing back the pages first dirtied below it — every
+// dirty page while the pool evicts (it has evicted since that call) — and
+// then truncates the log below both that point and the oldest active
+// transaction, and frees the pages the discarded records deleted. The first
+// call after New or Recover only takes its candidate. Returns the RSSP.
 func (e *Engine) Checkpoint() (base.LSN, error) {
 	e.log.Force()
-	if err := e.pool.FlushAll(true, nil); err != nil {
+	ev := e.pool.Stats().Evictions
+	e.mu.Lock()
+	newRSSP, cur := e.candidate, e.rssp
+	e.candidate = e.log.LastLSN() + 1
+	evicting := ev != e.evictions
+	e.evictions = ev
+	e.mu.Unlock()
+	if newRSSP <= cur {
+		return cur, nil
+	}
+	if err := e.pool.FlushAll(false, func(pg *page.Page) bool {
+		return evicting || base.LSN(pg.RecDLSN) < newRSSP
+	}); err != nil {
 		return 0, err
 	}
-	newRSSP := e.log.LastLSN() + 1
 	e.mu.Lock()
 	e.rssp = newRSSP
 	oldest := base.LSN(0)
@@ -198,14 +220,13 @@ func (e *Engine) Stats() Stats {
 
 // --- record payloads ----------------------------------------------------
 
-// opPayload is the physiological user-op record: the page it modified plus
-// the logical operation and undo value.
+// opPayload is the physiological user-op record: the page it modified, the
+// logical operation as the TC logs it (base.AppendOpPayload), and the undo
+// image, the prior value and whether there was one, in one allocation.
 func encodeOpPayload(pageID base.PageID, op *base.Op, prior []byte, priorFound bool) []byte {
-	buf := binary.AppendUvarint(nil, uint64(pageID))
-	saved := op.LSN
-	op.LSN = 0
-	buf = base.AppendOp(buf, op)
-	op.LSN = saved
+	n := base.UvarintLen(uint64(pageID)) + base.OpPayloadLen(op) + base.UvarintLen(uint64(len(prior))) + len(prior) + 1
+	buf := binary.AppendUvarint(make([]byte, 0, n), uint64(pageID))
+	buf = base.AppendOpPayload(buf, op)
 	buf = base.AppendField(buf, prior)
 	if priorFound {
 		buf = append(buf, 1)
@@ -218,11 +239,12 @@ func encodeOpPayload(pageID base.PageID, op *base.Op, prior []byte, priorFound b
 var errCorruptOp = errors.New("monolith: corrupt op payload")
 
 // decodeOpPayload parses exactly one payload of encodeOpPayload: a short
-// prior, a found flag other than 0 or 1, a non-minimal varint and a byte
-// past the flag are corruption. The prior aliases payload.
+// prior, a found flag other than 0 or 1, a non-minimal varint, an op payload
+// base refuses and a byte past the flag are corruption. The prior aliases
+// payload.
 func decodeOpPayload(payload []byte) (pageID base.PageID, op *base.Op, prior []byte, priorFound bool, err error) {
 	d := base.NewDecoder(payload)
-	pageID, op = base.PageID(d.Uvarint()), d.Op()
+	pageID, op = base.PageID(d.Uvarint()), d.OpPayload()
 	prior, found := d.Field(), d.Byte()
 	if !d.End() || found > 1 {
 		return 0, nil, nil, false, errCorruptOp

@@ -23,6 +23,18 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// checkpointTwice runs the two checkpoints that leave every page stable
+// and the log truncated below everything logged before the first: that one
+// takes its candidate, the second proposes it.
+func checkpointTwice(t *testing.T, e *Engine) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBasicTxn(t *testing.T) {
 	e := newEngine(t, Config{})
 	if err := e.RunTxn(func(x *Txn) error {
@@ -129,9 +141,7 @@ func TestCheckpointBoundsRedo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	checkpointTwice(t, e)
 	e.Crash()
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
@@ -204,9 +214,7 @@ func TestRandomizedCrashConvergence(t *testing.T) {
 			}
 		}
 		if rnd.Intn(2) == 0 {
-			if _, err := e.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			checkpointTwice(t, e)
 		}
 		e.Crash()
 		if err := e.Recover(); err != nil {
@@ -261,7 +269,8 @@ func leafIDs(t *testing.T, e *Engine) []base.PageID {
 
 // TestConsolidatedPageFreedByTruncation: a leaf consolidated away stays in the
 // store while the log holds the Consolidate record that deleted it, and is
-// freed by the checkpoint whose truncation discards that record.
+// freed by the checkpoint whose truncation discards that record: the second
+// after it, which proposes what the first took.
 func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 	e := newEngine(t, Config{PageBytes: 256})
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
@@ -271,9 +280,7 @@ func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	checkpointTwice(t, e)
 	right := leafIDs(t, e)[1]
 	for len(leafIDs(t, e)) > 1 {
 		n--
@@ -284,10 +291,50 @@ func TestConsolidatedPageFreedByTruncation(t *testing.T) {
 	if _, ok := e.store.Read(right); !ok {
 		t.Fatalf("page %d, consolidated away, must stay in the store until its record is truncated", right)
 	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	// The first of the pair proposes the candidate taken before the deletes,
+	// the second the one taken after the consolidation's record.
+	checkpointTwice(t, e)
 	if _, ok := e.store.Read(right); ok {
 		t.Fatalf("page %d outlived the truncation of the record that deleted it", right)
+	}
+}
+
+// TestCheckpointProposesThePreviousCandidate: the engine checkpoints as a TC
+// does. With the pool holding every page, a leaf re-dirtied right after
+// checkpoint k is left dirty by k+1, which proposes the log end k took, and
+// written back by k+2; each proposal is the RSSP the call returns.
+func TestCheckpointProposesThePreviousCandidate(t *testing.T) {
+	e := newEngine(t, Config{})
+	write := func(v string) {
+		t.Helper()
+		if err := e.RunTxn(func(x *Txn) error { return x.Upsert("t", "hot", []byte(v)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("v0")
+	checkpointTwice(t, e)
+	var flushes []uint64
+	var rssps []base.LSN
+	var ends []base.LSN
+	for k := 1; k <= 4; k++ {
+		ends = append(ends, e.log.LastLSN()+1)
+		before := e.pool.Stats().Flushes
+		rssp, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushes, rssps = append(flushes, e.pool.Stats().Flushes-before), append(rssps, rssp)
+		write(fmt.Sprintf("v%d", k))
+	}
+	if want := "[0 0 1 0]"; fmt.Sprint(flushes) != want {
+		t.Fatalf("write-backs per checkpoint %v, want %s", flushes, want)
+	}
+	for k := 1; k < len(rssps); k++ {
+		if rssps[k] != ends[k-1] {
+			t.Fatalf("checkpoint %d moved the RSSP to %d, want the log end %d its predecessor took", k+1, rssps[k], ends[k-1])
+		}
+	}
+	if ev := e.pool.Stats().Evictions; ev != 0 {
+		t.Fatalf("the pool evicted %d pages; test vacuous", ev)
 	}
 }

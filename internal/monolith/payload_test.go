@@ -8,8 +8,8 @@ import (
 )
 
 // TestDecodeOpPayloadIsStrict: an op payload decodes only from the bytes
-// encodeOpPayload writes: a byte past the found flag, or a flag other than
-// 0 or 1, is refused.
+// encodeOpPayload writes: a byte past the found flag, a flag other than 0 or
+// 1, or an operation head base's op payload refuses, is refused.
 func TestDecodeOpPayloadIsStrict(t *testing.T) {
 	op := &base.Op{Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
 	payload := encodeOpPayload(7, op, []byte("prior"), true)
@@ -24,6 +24,11 @@ func TestDecodeOpPayloadIsStrict(t *testing.T) {
 	flag[len(flag)-1] = 2
 	if _, _, _, _, err := decodeOpPayload(flag); err == nil {
 		t.Fatal("a payload whose found flag is 2 decoded")
+	}
+	head := bytes.Clone(payload)
+	head[1] = byte(base.OpRead)
+	if _, _, _, _, err := decodeOpPayload(head); err == nil {
+		t.Fatal("a payload logging a read decoded")
 	}
 }
 
@@ -49,6 +54,12 @@ func FuzzDecodeOpPayload(f *testing.F) {
 		flag[len(flag)-1] = 0xff
 		f.Add(flag)
 	}
+	// The op payload's head (the byte behind the one-byte page ID): a bit
+	// its encoder never sets, and a kind that is not a write.
+	head := encodeOpPayload(3, &ops[0].op, nil, false)
+	head[1] |= 1 << 6
+	f.Add(head)
+	f.Add(append([]byte{3, byte(base.OpRead), 1, 't', 1, 'k'}, 0, 0))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		pid, op, prior, found, err := decodeOpPayload(payload)
 		if err != nil {

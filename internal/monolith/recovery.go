@@ -76,6 +76,7 @@ func (e *Engine) Recover() error {
 	e.forest = forest
 	e.nextTxn = maxTxn
 	e.rssp = rssp
+	e.candidate, e.evictions = 0, 0
 	e.mu.Unlock()
 
 	// Undo losers (logical inverses, CLR-protected).

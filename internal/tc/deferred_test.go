@@ -300,7 +300,7 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 			t.Fatalf("versioned=%v: %d op records from LSN %d; want %d from %d", versioned, len(ops), ops[0].LSN, 2*n, first)
 		}
 		for i, rec := range ops {
-			op, err := decodeOpPayload(rec.Payload)
+			op, err := base.DecodeOpPayload(rec.Payload)
 			if err != nil || op.Versioned != versioned || op.TS != 0 || rec.LSN != first+base.LSN(i) || rec.Txn != 0 || rec.Prev != 0 {
 				t.Fatalf("versioned=%v: op record %+v logs %v (%v), want a write at %d and nothing else", versioned, rec, op, err, first+base.LSN(i))
 			}
@@ -318,10 +318,11 @@ func TestCommitShipsOneBatchPerDC(t *testing.T) {
 // TestCommitPublishesTwoMarksPerDC: a commit tells every DC, between its
 // force and its ship, the end of the stable log, at its commit record, and
 // the low-water mark, which its writes, not yet acknowledged, hold below
-// them — and nothing else; the safe timestamp is the tick's. A checkpoint,
-// whose control call needs the marks at the DC, still makes all three calls,
-// the safe timestamp (the one a transport sends on) last, with the mark now
-// at the commit record.
+// them — and nothing else; the safe timestamp is the tick's. A checkpoint
+// that proposes an RSSP — the second one: the first only takes its
+// candidate, and sends nothing — and whose control call needs the marks at
+// the DC, still makes all three calls, the safe timestamp (the one a
+// transport sends on) last, with the mark now at the commit record.
 func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 	tcx, _, stubs := newCountedPair(t)
 	// Stop the tick (and only it), so that every call counted is the
@@ -345,6 +346,14 @@ func TestCommitPublishesTwoMarksPerDC(t *testing.T) {
 	for i, s := range stubs {
 		if got := fmt.Sprint(s.takeMarks()); got != want {
 			t.Fatalf("DC %d heard %v from the commit, want %v", i, got, want)
+		}
+	}
+	if _, err := tcx.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range stubs {
+		if got := s.takeMarks(); len(got) != 0 {
+			t.Fatalf("DC %d heard %v from a checkpoint that proposes nothing", i, got)
 		}
 	}
 	if _, err := tcx.Checkpoint(context.Background()); err != nil {
@@ -1025,9 +1034,13 @@ func TestCancelledPreReadIsACleanAbort(t *testing.T) {
 	if next := tcx.log.LastLSN(); next != logEnd {
 		t.Fatalf("the cancelled transaction took LSNs %d..%d", logEnd+1, next)
 	}
+	// The first checkpoint takes its candidate, the second proposes it.
 	before := tcx.RSSP()
+	if _, err := tcx.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if rssp, err := tcx.Checkpoint(context.Background()); err != nil || rssp <= before {
-		t.Fatalf("checkpoint after the cancelled transaction: rssp %d -> %d, %v", before, rssp, err)
+		t.Fatalf("checkpoints after the cancelled transaction: rssp %d -> %d, %v", before, rssp, err)
 	}
 	if _, ok := dirty(dcs[0], "t", "k0"); ok {
 		t.Fatal("a write of the cancelled transaction reached the DC")

@@ -311,13 +311,13 @@ func staleDC(results []*base.Result) base.DCInc {
 func (x *Txn) appendQueued() (base.LSN, error) {
 	size := binary.MaxVarintLen64 // the commit payload
 	for i := range x.queue {
-		size += opPayloadLen(&x.queue[i].op)
+		size += base.OpPayloadLen(&x.queue[i].op)
 	}
 	x.enc = slices.Grow(x.enc[:0], size) // so every payload below is a slice of one buffer
 	recs := slices.Grow(x.recs[:0], len(x.queue)+1)
 	for i := range x.queue {
 		start := len(x.enc)
-		x.enc = appendOpPayload(x.enc, &x.queue[i].op)
+		x.enc = base.AppendOpPayload(x.enc, &x.queue[i].op)
 		recs = append(recs, wal.Record{Kind: recOp, Payload: x.enc[start:]})
 	}
 	start := len(x.enc)

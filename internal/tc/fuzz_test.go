@@ -26,17 +26,17 @@ func FuzzDecodePayloads(f *testing.F) {
 		for _, versioned := range []bool{false, true} {
 			for _, kv := range [][2]string{{"k", ""}, {"k", "new"}, {"c0/k0000001", "a value of forty bytes, give or take one"}} {
 				op := &base.Op{TC: 1, Kind: kind, Table: "t", Key: kv[0], Value: []byte(kv[1]), Versioned: versioned}
-				seeds = append(seeds, seed{appendOpPayload(nil, op), reencodeOp})
+				seeds = append(seeds, seed{base.AppendOpPayload(nil, op), reencodeOp})
 			}
 		}
 	}
 	seeds = append(seeds,
-		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}), reencodeOp},
-		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 64), Versioned: true}), reencodeOp},
+		seed{base.AppendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 200)}), reencodeOp},
+		seed{base.AppendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: "c0/k0000001", Value: make([]byte, 64), Versioned: true}), reencodeOp},
 		// 127 fits a one-byte length prefix, 128 needs two, 300 two with a
 		// high byte past one.
-		seed{appendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: strings.Repeat("k", 128), Value: make([]byte, 128)}), reencodeOp},
-		seed{appendOpPayload(nil, &base.Op{Kind: base.OpInsert, Table: "kv", Key: strings.Repeat("k", 127), Value: make([]byte, 300), Versioned: true}), reencodeOp},
+		seed{base.AppendOpPayload(nil, &base.Op{Kind: base.OpUpsert, Table: "kv", Key: strings.Repeat("k", 128), Value: make([]byte, 128)}), reencodeOp},
+		seed{base.AppendOpPayload(nil, &base.Op{Kind: base.OpInsert, Table: "kv", Key: strings.Repeat("k", 127), Value: make([]byte, 300), Versioned: true}), reencodeOp},
 		seed{appendCommit(nil, 909), reencodeCommit},
 		seed{appendCommit(nil, 1<<50), reencodeCommit},
 		seed{appendCommit(nil, 0), reencodeCommit}, // an unversioned commit
@@ -51,11 +51,11 @@ func FuzzDecodePayloads(f *testing.F) {
 			f.Add(seed.payload[:n])
 		}
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})  // a count no buffer can back
-	f.Add([]byte{byte(base.OpDelete), 1, 't', 0x81, 0x00})                     // a non-minimal length
-	f.Add([]byte{byte(base.OpDelete) | 1<<6, 1, 't', 1, 'k'})                  // a head bit no encoder sets
-	f.Add([]byte{byte(base.OpDelete) | opVersioned | 1<<5, 1, 't', 1, 'k', 9}) // a timestamp behind the earlier format's flag
-	f.Add([]byte{byte(base.OpDelete), 1, 't', 1, 'k', 0})                      // a byte past the end
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a count no buffer can back
+	f.Add([]byte{byte(base.OpDelete), 1, 't', 0x81, 0x00})                    // a non-minimal length
+	f.Add([]byte{byte(base.OpDelete) | 1<<6, 1, 't', 1, 'k'})                 // a head bit no encoder sets
+	f.Add([]byte{byte(base.OpDelete) | 1<<4 | 1<<5, 1, 't', 1, 'k', 9})       // a timestamp behind the earlier format's flag, beside the Versioned bit
+	f.Add([]byte{byte(base.OpDelete), 1, 't', 1, 'k', 0})                     // a byte past the end
 	all := map[string]reencoder{
 		"op": reencodeOp, "commit": reencodeCommit, "checkpoint": reencodeCheckpoint, "epoch": reencodeEpoch,
 	}
@@ -69,11 +69,11 @@ func FuzzDecodePayloads(f *testing.F) {
 }
 
 func reencodeOp(data []byte) ([]byte, bool) {
-	op, err := decodeOpPayload(data)
+	op, err := base.DecodeOpPayload(data)
 	if err != nil {
 		return nil, false
 	}
-	return appendOpPayload(nil, op), true
+	return base.AppendOpPayload(nil, op), true
 }
 
 func reencodeCommit(data []byte) ([]byte, bool) {

@@ -165,7 +165,8 @@ func TestCrashDuringRecoverWins(t *testing.T) {
 // ambiguous since. It asserts no race and no panic (by running), only
 // transient or ambiguous failures, exact values after a final restart, no LSN
 // left uncompleted by a dead incarnation, and a redo set bounded by what was
-// logged since the last checkpoint.
+// logged since the checkpoint before the last one (a checkpoint proposes the
+// candidate its predecessor took).
 func TestChaosCrashTCUnderLoad(t *testing.T) {
 	tcx, _ := newPair(t, Config{})
 	ctx := context.Background()
@@ -236,7 +237,8 @@ func TestChaosCrashTCUnderLoad(t *testing.T) {
 		if err := tcx.Recover(); err != nil {
 			t.Fatalf("cycle %d: recover: %v", cycle, err)
 		}
-		if cycle%2 == 0 {
+		// Two, so that the second proposes what the first took, under load.
+		for i := 0; cycle%2 == 0 && i < 2; i++ {
 			if _, err := tcx.Checkpoint(ctx); err != nil {
 				t.Fatalf("cycle %d: checkpoint: %v", cycle, err)
 			}
@@ -249,20 +251,23 @@ func TestChaosCrashTCUnderLoad(t *testing.T) {
 		t.Fatal("no transaction committed between the crashes; test vacuous")
 	}
 
-	// Quiet now. A checkpoint, a known number of logged operations, one last
-	// restart: it redoes those and nothing older.
+	// Quiet now. Two checkpoints, each followed by a known number of logged
+	// operations, one last restart: it redoes those and nothing older — the
+	// last checkpoint proposed what the one before it took.
 	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != end {
 		t.Fatalf("low-water mark %d below the log end %d with no writer left: a dead incarnation's LSN was never completed", lwm, end)
 	}
-	if _, err := tcx.Checkpoint(ctx); err != nil {
-		t.Fatal(err)
-	}
 	const tail = 10
-	for i := 0; i < tail; i++ {
-		if err := tcx.RunTxnOnce(ctx, TxnOptions{}, func(x *Txn) error {
-			return x.Upsert("u", fmt.Sprintf("tail%d", i), []byte("v"))
-		}); err != nil {
+	for round := 0; round < 2; round++ {
+		if _, err := tcx.Checkpoint(ctx); err != nil {
 			t.Fatal(err)
+		}
+		for i := 0; i < tail; i++ {
+			if err := tcx.RunTxnOnce(ctx, TxnOptions{}, func(x *Txn) error {
+				return x.Upsert("u", fmt.Sprintf("tail%d-%d", round, i), []byte("v"))
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	redone := tcx.Stats().RedoOps
@@ -270,8 +275,8 @@ func TestChaosCrashTCUnderLoad(t *testing.T) {
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tcx.Stats().RedoOps - redone; got > tail {
-		t.Fatalf("the last restart redid %d operations, %d were logged since the checkpoint before it", got, tail)
+	if got := tcx.Stats().RedoOps - redone; got > 2*tail {
+		t.Fatalf("the last restart redid %d operations, %d were logged since the checkpoint before the last one", got, 2*tail)
 	}
 	if lwm, end := tcx.inc.Load().acks.LWM(), tcx.log.LastLSN(); lwm != end {
 		t.Fatalf("low-water mark %d below the log end %d after the last restart", lwm, end)

@@ -114,11 +114,9 @@ func TestEveryCallIsAPerformBatch(t *testing.T) {
 	}
 	stub.expect("abort: nothing")
 
-	// A restart resends the one operation past the checkpoint in one window:
-	// unstamped first, answered CodeStaleDC, then stamped.
-	if _, err := tcx.Checkpoint(bg); err != nil {
-		t.Fatal(err)
-	}
+	// A restart resends the one operation past the checkpoints in one
+	// window: unstamped first, answered CodeStaleDC, then stamped.
+	checkpointTwice(t, tcx)
 	run("one-write commit", TxnOptions{}, func(x *Txn) error {
 		return x.Upsert("t", "last", []byte("v"))
 	})

@@ -3,99 +3,15 @@ package tc
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-// Op-record payload: the logical operation, and nothing restart does not
-// read. It carries no undo information (§4.1.1(3)): an op record is appended
-// in one batch with its transaction's commit record (Txn.appendQueued), so
-// it is stable only beside it, never a loser's, and nothing inverts it.
-//
-//	head   1 byte: bits 0-3 the op kind, bit 4 Versioned, bits 5-7 zero
-//	table  uvarint length, bytes
-//	key    uvarint length, bytes
-//	value  uvarint length, bytes; only for a kind that writes one
-//
-// The operation's LSN is the record's, its TC the log's owner, and its epoch
-// the restarted incarnation's (a logged, dead one would be refused by the
-// DC fence), so none is written; nor is anything only a read carries. Nor is
-// its transaction's: the record has no transaction id, and a versioned
-// write's timestamp is its commit's, which the commit record that closes the
-// record's run in the log holds (redo). A decoded operation has Kind, Table,
-// Key, Value and Versioned; its caller stamps the rest.
-//
-// The payload encoders append to buf. The log copies a payload into its own
-// encoding of the record (wal.AppendBatch), so a caller that logs many keeps
-// one buffer and passes buf[:0], or sizes it once for a whole batch with
-// opPayloadLen and encodes the payloads back to back.
-func appendOpPayload(buf []byte, op *base.Op) []byte {
-	buf = slices.Grow(buf, opPayloadLen(op))
-	head := byte(op.Kind)
-	if op.Versioned {
-		head |= opVersioned
-	}
-	buf = append(buf, head)
-	buf = base.AppendField(buf, op.Table)
-	buf = base.AppendField(buf, op.Key)
-	if hasValue(op.Kind) {
-		buf = base.AppendField(buf, op.Value)
-	}
-	return buf
-}
-
-// opPayloadLen is the length of appendOpPayload's encoding of op.
-func opPayloadLen(op *base.Op) int {
-	n := 1 + fieldLen(len(op.Table)) + fieldLen(len(op.Key))
-	if hasValue(op.Kind) {
-		n += fieldLen(len(op.Value))
-	}
-	return n
-}
-
-// The op payload's head byte, beside the kind in its low four bits.
-const (
-	opKindMask  = 0x0f
-	opVersioned = 1 << 4
-)
-
-// hasValue reports whether kind writes a value, which its record carries.
-func hasValue(kind base.OpKind) bool {
-	return kind == base.OpInsert || kind == base.OpUpdate || kind == base.OpUpsert
-}
-
-func fieldLen(n int) int { return base.UvarintLen(uint64(n)) + n }
-
-var errCorruptOp = errors.New("tc: corrupt op payload")
-
-// decodeOpPayload parses exactly one payload of appendOpPayload: a kind that
-// is not a write, a head bit the encoder never sets, a non-minimal varint and
-// a byte past the end are corruption, so whatever decodes re-encodes to
-// itself. The operation's Value aliases payload; Table and Key are copied,
-// each in an allocation of its own.
-func decodeOpPayload(payload []byte) (*base.Op, error) {
-	d := base.NewDecoder(payload)
-	head := d.Byte()
-	op := &base.Op{Kind: base.OpKind(head & opKindMask), Versioned: head&opVersioned != 0}
-	if !loggable(op.Kind) || head&^(opKindMask|opVersioned) != 0 {
-		return nil, errCorruptOp
-	}
-	table, key := d.Field(), d.Field()
-	if hasValue(op.Kind) {
-		op.Value = d.Field()
-	}
-	if !d.End() {
-		return nil, errCorruptOp
-	}
-	op.Table, op.Key = string(table), string(key)
-	return op, nil
-}
-
-// loggable reports whether an op record may hold kind: the writes.
-func loggable(kind base.OpKind) bool {
-	return hasValue(kind) || kind == base.OpDelete
-}
+// An op record's payload is base's op payload (base.AppendOpPayload): the
+// logical operation and nothing restart does not read. It carries no undo
+// information (§4.1.1(3)): an op record is appended in one batch with its
+// transaction's commit record (Txn.appendQueued), so it is stable only beside
+// it, never a loser's, and nothing inverts it.
 
 // Commit-record payload: the commit timestamp (zero for an unversioned
 // transaction), so analysis can re-seed the timestamp allocator above every

@@ -309,7 +309,7 @@ func (inc *incarnation) redo(idx int) error {
 		if rec.Kind != recOp {
 			continue
 		}
-		op, err := decodeOpPayload(rec.Payload)
+		op, err := base.DecodeOpPayload(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("redo decode @%d: %w", rec.LSN, err)
 		}

@@ -193,7 +193,7 @@ func TestRedoOnlyRecordIsNeverUndone(t *testing.T) {
 			tcx, dcs, _ := newCountedPair(t)
 			op := &base.Op{TC: 1, Kind: base.OpUpsert, Table: "t", Key: "k", Value: []byte("v")}
 			for _, kind := range c.kinds {
-				rec := &wal.Record{Kind: kind, Payload: appendOpPayload(nil, op)}
+				rec := &wal.Record{Kind: kind, Payload: base.AppendOpPayload(nil, op)}
 				switch kind {
 				case recCommit:
 					rec.Txn, rec.Payload = 77, appendCommit(nil, 0)

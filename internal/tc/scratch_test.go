@@ -152,7 +152,7 @@ func TestRecycledScratchStartsEmpty(t *testing.T) {
 			if len(ops) != 1 {
 				t.Fatalf("the next commit logged %d op records, want 1", len(ops))
 			}
-			if op, err := decodeOpPayload(ops[0].Payload); err != nil || op.Key != "own" {
+			if op, err := base.DecodeOpPayload(ops[0].Payload); err != nil || op.Key != "own" {
 				t.Fatalf("the next commit logged %v (%v), want its own upsert", op, err)
 			}
 		}

@@ -208,7 +208,7 @@ func TestStampReadsBeforeUntilDCResend(t *testing.T) {
 	}
 	t.Cleanup(peer.Close)
 	// A snapshot of the writer's that reads v0 holds its GC horizon below
-	// v1's timestamp across the checkpoint, so that the write-back keeps v0
+	// v1's timestamp across the checkpoints, so that the write-back keeps v0
 	// behind the stamped head. Without a reader of v0 nothing keeps it: once
 	// the horizon passes v1's timestamp — a millisecond of ticks between the
 	// commit and the checkpoint's write-back does it — the write-back collects
@@ -222,9 +222,7 @@ func TestStampReadsBeforeUntilDCResend(t *testing.T) {
 	if v, ok := committed(); !ok || v != "v1" {
 		t.Fatalf("committed read before the restart: %q %v, want v1", v, ok)
 	}
-	if _, err := writer.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	checkpointTwice(t, writer)
 	dcs[0].Crash()
 	if err := dcs[0].Recover(); err != nil {
 		t.Fatal(err)

@@ -197,6 +197,9 @@ type TC struct {
 	// rssp is the redo scan start point: a fact about the stable log, set by
 	// restart analysis and advanced by Checkpoint.
 	rssp atomic.Uint64
+	// ckptMu runs Checkpoint calls one at a time, so that neither an
+	// incarnation's candidate nor the RSSP ever moves backward.
+	ckptMu sync.Mutex
 
 	// tsMu guards the commit-timestamp / safe-timestamp state of the
 	// closed-timestamp protocol: a commit timestamp is assigned strictly
@@ -269,6 +272,11 @@ type incarnation struct {
 	commitOut   map[base.TS]struct{} // assigned, commit record not yet forced
 	activeSnaps map[base.TS]int      // registered snapshot read timestamps
 	staleness   base.TS              // largest bounded Staleness asked lately; each broadcast halves it
+
+	// candidate is the low-water mark + 1 the incarnation's previous
+	// Checkpoint took, which its next one proposes; zero before the first.
+	// Guarded by tc.ckptMu.
+	candidate base.LSN
 }
 
 // incarnate builds the incarnation of epoch over one generation of the log:
@@ -607,14 +615,28 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS, live bool) {
 // Checkpoint advances the redo scan start point (§4.2.1 checkpoint,
 // "contract termination"): force the log, ask every DC to make stable all
 // pages containing operations below the proposed point, then advance and
-// truncate. Returns the new RSSP. ctx bounds the per-DC control calls.
+// truncate. Returns the RSSP, which it leaves where it is when it proposes
+// nothing.
+//
+// The point proposed is not the low-water mark but the candidate (LWM+1) the
+// incarnation's previous call took, and this call's own candidate waits for
+// the next one: fuzzy checkpointing with restart from the penultimate
+// checkpoint. A page rewritten within every interval is then written back
+// every other checkpoint, not at each, for one more interval of log kept
+// and redone at restart. An incarnation's first call only takes its
+// candidate, and two calls with no write between them leave every page of
+// this TC stable. Calls run one at a time. ctx bounds the per-DC control
+// calls.
 func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
+	t.ckptMu.Lock()
+	defer t.ckptMu.Unlock()
 	inc := t.inc.Load()
 	if inc == nil {
 		return 0, fmt.Errorf("tc: down: %w", base.ErrUnavailable)
 	}
-	// Everything acknowledged so far is a candidate.
-	newRSSP := inc.acks.LWM() + 1
+	// Everything acknowledged so far is the next call's candidate.
+	newRSSP := inc.candidate
+	inc.candidate = inc.acks.LWM() + 1
 	if cur := t.RSSP(); newRSSP <= cur {
 		return cur, nil
 	}
