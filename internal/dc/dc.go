@@ -23,10 +23,11 @@
 package dc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,8 @@ const (
 // tcState is the DC's per-TC bookkeeping: the low-water mark that drives
 // pruning, the incarnation-epoch fence and the resend bracket.
 type tcState struct {
+	// id is the TC's identity, the key the incarnation's tcs is sorted by.
+	id base.TCID
 	// ctl serializes the control plane — epoch installs (BeginRestart),
 	// activation (EndRestart), checkpoint admission, and watermark
 	// advances. The wire server dispatches control calls in their own
@@ -169,11 +172,13 @@ type incarnation struct {
 	log    wal.Generation
 	pool   *buffer.Pool
 	forest *btree.Forest
-	// tcs is copy-on-write under tcMu: a TC is added the first time it is
-	// heard of, a handful of times in an incarnation's life, and looked up
-	// on every call.
+	// tcs is the per-TC states sorted by TC ID, copy-on-write under tcMu: a
+	// TC is added the first time it is heard of, a handful of times in an
+	// incarnation's life, and looked up on every call, while a snapshot
+	// read's wait, the GC horizon and the resend check range over them all —
+	// a slice, so none of that walks a map.
 	tcMu sync.Mutex
-	tcs  atomic.Pointer[map[base.TCID]*tcState]
+	tcs  atomic.Pointer[[]*tcState]
 	// epochRec is the dLSN of the latest KindEpochs snapshot in the DC-log;
 	// build writes one, so there always is one. Truncation re-appends a
 	// fresh snapshot whenever it would discard this record, so the number
@@ -194,7 +199,7 @@ type incarnation struct {
 // (btree.Open): a TC the fences name that never comes back leaves the trees
 // unconsolidated for the incarnation's life, which costs space, never data.
 func (inc *incarnation) resent() bool {
-	for _, s := range *inc.tcs.Load() {
+	for _, s := range inc.states() {
 		if !s.resent() {
 			return false
 		}
@@ -202,23 +207,35 @@ func (inc *incarnation) resent() bool {
 	return true
 }
 
+// states returns the per-TC states the incarnation knows, sorted by TC ID.
+// The slice is never written again: a TC heard of later is in a new one.
+func (inc *incarnation) states() []*tcState { return *inc.tcs.Load() }
+
+// known returns the state kept for id, nil if the TC was never heard of.
+func (inc *incarnation) known(id base.TCID) *tcState {
+	tcs := inc.states()
+	if i, ok := slices.BinarySearchFunc(tcs, id, byID); ok {
+		return tcs[i]
+	}
+	return nil
+}
+
+func byID(s *tcState, id base.TCID) int { return cmp.Compare(s.id, id) }
+
 // tc returns the state kept for id, registering the TC on first sight.
 func (inc *incarnation) tc(id base.TCID) *tcState {
-	if s := (*inc.tcs.Load())[id]; s != nil {
+	if s := inc.known(id); s != nil {
 		return s
 	}
 	inc.tcMu.Lock()
 	defer inc.tcMu.Unlock()
-	old := *inc.tcs.Load()
-	if s := old[id]; s != nil {
-		return s
+	old := inc.states()
+	i, ok := slices.BinarySearchFunc(old, id, byID)
+	if ok {
+		return old[i]
 	}
-	tcs := make(map[base.TCID]*tcState, len(old)+1)
-	for k, v := range old {
-		tcs[k] = v
-	}
-	s := &tcState{}
-	tcs[id] = s
+	s := &tcState{id: id}
+	tcs := slices.Insert(slices.Clip(old), i, s)
 	inc.tcs.Store(&tcs)
 	return s
 }
@@ -293,7 +310,7 @@ func (d *DC) Name() string { return d.cfg.Name }
 // Test hook: dc's and tc's epoch tests, tc's TestCrashDuringRecoverWins.
 func (d *DC) EpochOf(tc base.TCID) base.Epoch {
 	if inc := d.inc.Load(); inc != nil {
-		if s := (*inc.tcs.Load())[tc]; s != nil {
+		if s := inc.known(tc); s != nil {
 			return base.Epoch(s.epoch.Load())
 		}
 	}
@@ -422,7 +439,7 @@ func (d *DC) SafeTS(tc base.TCID, epoch base.Epoch, safe base.TS, horizon base.T
 // space, never data.
 func (inc *incarnation) refreshHorizon() {
 	var min uint64
-	for _, s := range *inc.tcs.Load() {
+	for _, s := range inc.states() {
 		h := s.horizon.Load()
 		if h == 0 {
 			return
@@ -446,7 +463,7 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, inc *incarnation, t base.TS) 
 	var deadline *time.Timer
 	for {
 		var lag *tcState
-		for _, s := range *inc.tcs.Load() {
+		for _, s := range inc.states() {
 			if s.safe.Load() < uint64(t) {
 				lag = s
 				break
@@ -602,14 +619,13 @@ func (inc *incarnation) ForceSMO(dl base.DLSN) { inc.log.ForceTo(base.LSN(dl)) }
 func (inc *incarnation) logEpochs() bool {
 	inc.epochMu.Lock()
 	defer inc.epochMu.Unlock()
-	tcs := *inc.tcs.Load()
+	tcs := inc.states()
 	snap := make([]dclog.TCEpoch, 0, len(tcs))
-	for id, s := range tcs {
+	for _, s := range tcs { // in TC ID order, so equal fences encode alike
 		if e := s.epoch.Load(); e != 0 {
-			snap = append(snap, dclog.TCEpoch{TC: id, Epoch: base.Epoch(e)})
+			snap = append(snap, dclog.TCEpoch{TC: s.id, Epoch: base.Epoch(e)})
 		}
 	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i].TC < snap[j].TC })
 	rec := &dclog.Epochs{Inc: inc.n, Epochs: snap}
 	dlsn := inc.AppendSMO(dclog.KindEpochs, rec.Encode())
 	if dlsn == 0 {

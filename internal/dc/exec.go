@@ -311,7 +311,7 @@ func (inc *incarnation) version(rec *page.Record, op *base.Op) ([]byte, bool) {
 	}
 	var safe base.TS
 	if op.Flavor == base.ReadCommitted {
-		if s := (*inc.tcs.Load())[rec.Owner]; s != nil {
+		if s := inc.known(rec.Owner); s != nil {
 			safe = base.TS(s.safe.Load())
 		}
 	}

@@ -56,7 +56,7 @@ func (d *DC) Recover() error {
 // build makes an incarnation out of the stable media.
 func (d *DC) build() (*incarnation, error) {
 	inc := &incarnation{log: d.dlog.Generation()}
-	inc.tcs.Store(&map[base.TCID]*tcState{})
+	inc.tcs.Store(&[]*tcState{})
 	if d.cfg.CheckConflicts {
 		inc.inflight = newConflictTable()
 	}
@@ -85,7 +85,7 @@ func (d *DC) build() (*incarnation, error) {
 		return nil, err
 	}
 	inc.n++ // one above the last number any snapshot recorded
-	for _, s := range *inc.tcs.Load() {
+	for _, s := range inc.states() {
 		s.bracket.Store(uint32(owed))
 	}
 	inc.logEpochs() // d.mu keeps Crash out: the generation is live

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/dc"
@@ -292,6 +293,39 @@ func BenchmarkLockedReadTxn(b *testing.B) {
 	}
 }
 
+// snapshotTxn is the repo benchmark's read transaction: a bounded snapshot
+// that may read 10 ms behind now, four point reads of loaded keys at its
+// timestamp — no lock, no log record, one PerformBatch of one operation
+// each, answered once every TC's safe timestamp at the DC covers it — and a
+// Commit that logs nothing.
+func (p *benchPair) snapshotTxn(tb testing.TB) {
+	x := p.tc.Begin(context.Background(), TxnOptions{ReadOnly: true, Snapshot: SnapshotBounded, Staleness: 10 * time.Millisecond})
+	at := p.rng.Intn(len(p.keys))
+	for i := 0; i < 4; i++ {
+		k := p.keys[(at+i*2503)%len(p.keys)]
+		if _, ok, err := x.Read("kv", k); err != nil || !ok {
+			tb.Fatalf("read %s: %v %v", k, ok, err)
+		}
+	}
+	if err := x.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkSnapshotReadTxn is the read transaction of the repo benchmark's
+// workloads (snapshotTxn), beside BenchmarkLockedReadTxn:
+//
+//	go test -run '^$' -bench 'SnapshotReadTxn|LockedReadTxn' -benchmem ./internal/tc
+func BenchmarkSnapshotReadTxn(b *testing.B) {
+	p := newBenchPair(b)
+	time.Sleep(20 * time.Millisecond) // so that snapshots 10 ms behind now see the load
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.snapshotTxn(b)
+	}
+}
+
 // TestWriteTxnAllocs pins what that transaction allocates, TC and in-process
 // DC together: at most 10 objects (it measures 7, and 8 or more under -race,
 // whose sync.Pool drops a quarter of what it is given) and 2 560 bytes (it
@@ -376,5 +410,40 @@ func TestLockedReadTxnAllocs(t *testing.T) {
 		t.Fatalf("4 x Read + Commit = %.1f allocs, want <= %.0f", got, want)
 	} else {
 		t.Logf("4 x Read + Commit = %.1f allocs", got)
+	}
+}
+
+// TestSnapshotReadTxnAllocs pins what snapshotTxn allocates, TC and
+// in-process DC together: at most 9 objects (10 under -race) and 800 B, what
+// readTxn allocates. As there, the point reads' operations come from the
+// transaction's scratch; what is left is the Txn and, per read, the DC's
+// results and its copy of the value.
+func TestSnapshotReadTxnAllocs(t *testing.T) {
+	p := newBenchPair(t)
+	time.Sleep(20 * time.Millisecond) // as in BenchmarkSnapshotReadTxn
+	for i := 0; i < 200; i++ {
+		p.snapshotTxn(t)
+	}
+	want := 9.0
+	if raceEnabled {
+		want = 10
+	}
+	if got := testing.AllocsPerRun(2000, func() { p.snapshotTxn(t) }); got > want {
+		t.Fatalf("bounded snapshot, 4 x Read + Commit = %.1f allocs, want <= %.0f", got, want)
+	} else {
+		t.Logf("bounded snapshot, 4 x Read + Commit = %.1f allocs", got)
+	}
+	if raceEnabled {
+		return // the race detector's pool keeps three scratches of four
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.snapshotTxn(b)
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got > 800 {
+		t.Fatalf("bounded snapshot, 4 x Read + Commit = %d B allocated, want <= 800", got)
+	} else {
+		t.Logf("bounded snapshot, 4 x Read + Commit = %d B allocated", got)
 	}
 }

@@ -213,3 +213,49 @@ func TestConcurrentCheckpointsNeverLowerRSSP(t *testing.T) {
 		t.Fatalf("the RSSP ends at %d, the highest a checkpoint returned %d", got, top)
 	}
 }
+
+// TestRestartAfterEveryCheckpointMovesTheRSSP: a TC that crashes and recovers
+// right after every checkpoint never makes a second checkpoint in one
+// incarnation. Recover takes as the new incarnation's candidate everything
+// its resends delivered, so each checkpoint after a restart still moves the
+// RSSP past the writes before that restart, each restart redoes only the
+// writes of its own cycle, and every acknowledged write reads back.
+func TestRestartAfterEveryCheckpointMovesTheRSSP(t *testing.T) {
+	tcx, _ := newPair(t, Config{})
+	const perCycle = 10
+	var acked []string
+	last := tcx.RSSP()
+	for cycle := 0; cycle < 6; cycle++ {
+		for i := 0; i < perCycle; i++ {
+			k := fmt.Sprintf("c%d-%02d", cycle, i)
+			upsertOne(t, tcx, "t", k, k)
+			acked = append(acked, k)
+		}
+		rssp, err := tcx.Checkpoint(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycle > 0 && rssp <= last {
+			t.Fatalf("cycle %d: the first checkpoint of a restarted incarnation left the RSSP at %d", cycle, rssp)
+		}
+		last = rssp
+		redone := tcx.Stats().RedoOps
+		tcx.Crash()
+		if err := tcx.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tcx.Stats().RedoOps - redone; got > perCycle {
+			t.Fatalf("cycle %d: the restart redid %d operations, want at most the %d of its cycle", cycle, got, perCycle)
+		}
+	}
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		for _, k := range acked {
+			if v, ok, err := x.Read("t", k); err != nil || !ok || string(v) != k {
+				return fmt.Errorf("%s = %q %v (%v)", k, v, ok, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -970,11 +970,8 @@ func TestOrphanDiesAtEveryBarrier(t *testing.T) {
 			if got := inc.locks.Held(y.id)[lockmgr.KeyRes("t", "successor")]; got != lockmgr.X {
 				t.Fatalf("the straddler's finish left successor %d holding %v on its key, want X", y.id, got)
 			}
-			inc.mu.Lock()
-			entry := inc.txns[y.id]
-			inc.mu.Unlock()
-			if entry != y {
-				t.Fatalf("the straddler's finish dropped successor %d from the transaction table", y.id)
+			if n := tcx.ActiveTxns(); n != 1 {
+				t.Fatalf("the serving incarnation counts %d active transactions after the straddler's finish, want 1: successor %d", n, y.id)
 			}
 			if err := y.Commit(); err != nil {
 				t.Fatal(err)

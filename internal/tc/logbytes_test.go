@@ -30,9 +30,7 @@ func TestCommitBatchLogBytes(t *testing.T) {
 		p.writeTxn(t, false)
 	}
 	inc := p.tc.inc.Load()
-	inc.mu.Lock()
-	inc.nextTxn = 1 << 14 // so the next transaction's id takes three bytes
-	inc.mu.Unlock()
+	inc.nextTxn.Store(1 << 14) // so the next transaction's id takes three bytes
 	media := p.tc.log.Media()
 	for _, c := range []struct {
 		versioned bool

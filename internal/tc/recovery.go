@@ -9,8 +9,8 @@ import (
 )
 
 // Crash simulates a TC process failure: everything volatile — the log buffer
-// (unforced tail), lock table, transaction table (and with it every
-// transaction's queued writes), ack bookkeeping and timestamp registrations —
+// (unforced tail), lock table, transaction count (and with every transaction
+// its queued writes), ack bookkeeping and timestamp registrations —
 // vanishes, as one value: the incarnation. The stable log survives. LSNs above
 // the stable end will be reused by the restarted incarnation, which is safe
 // because no DC was sent one: a commit ships only what it has forced, and a
@@ -167,6 +167,11 @@ func (t *TC) Recover() error {
 			return err
 		}
 	}
+	// Every DC has acknowledged everything the log holds, so that is the
+	// candidate the incarnation's first Checkpoint proposes: a TC that
+	// restarts between every two checkpoints still moves its RSSP. Nobody
+	// else can reach the incarnation before it is published.
+	inc.candidate = inc.acks.LWM() + 1
 	inc.broadcastWatermarks()
 	// A drain does not survive the incarnation: the flag is in-memory
 	// state, so a kill -9'd draining process restarts serving — recovery

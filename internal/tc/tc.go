@@ -22,11 +22,11 @@
 //
 // Everything volatile is one incarnation (see the type), published
 // atomically: what a TC crash destroys (§5.3.2 "TC Failure" — log buffer, lock
-// table, transaction table, resend bookkeeping) vanishes together in Crash and
-// is rebuilt together by Recover. A transaction loads the incarnation once, at
-// Begin, and works in it alone; whether it has been orphaned is one atomic
-// load, and what it may still do to the log is the log generation's to refuse
-// (package wal), not a rule its callers remember.
+// table, transaction table — here a count — and resend bookkeeping) vanishes
+// together in Crash and is rebuilt together by Recover. A transaction loads
+// the incarnation once, at Begin, and works in it alone; whether it has been
+// orphaned is one atomic load, and what it may still do to the log is the log
+// generation's to refuse (package wal), not a rule its callers remember.
 package tc
 
 import (
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,29 +123,29 @@ type Stats struct {
 // dcHandle wraps one DC connection with the recovery gate: while the TC's
 // resend to the DC runs (see incarnation.resend), new operations hold off —
 // the DC would refuse them anyway. The gate is a channel so waiters can also
-// honor context cancellation.
+// honor context cancellation; while no resend runs there is none, and a sender
+// passes the gate with one atomic load.
 type dcHandle struct {
 	svc base.Service
-	mu  sync.Mutex
-	// running: a resend holds the gate; again: it was asked for meanwhile,
-	// so it runs once more before it opens the gate.
-	running, again bool
-	ready          chan struct{} // closed whenever no resend runs
+	// gate is nil while no resend runs; otherwise it points at the channel the
+	// resend's release closes. Stored under mu, loaded without it.
+	gate atomic.Pointer[chan struct{}]
+	mu   sync.Mutex
+	// again: a resend was asked for while one ran, so that one runs once more
+	// before it opens the gate.
+	again bool
 }
 
-func newDCHandle(svc base.Service) *dcHandle {
-	ready := make(chan struct{})
-	close(ready)
-	return &dcHandle{svc: svc, ready: ready}
-}
+func newDCHandle(svc base.Service) *dcHandle { return &dcHandle{svc: svc} }
 
 // waitReady blocks until no resend runs or ctx is done.
 func (h *dcHandle) waitReady(ctx context.Context) error {
-	h.mu.Lock()
-	ch := h.ready
-	h.mu.Unlock()
+	ch := h.gate.Load()
+	if ch == nil {
+		return nil
+	}
 	select {
-	case <-ch:
+	case <-*ch:
 		return nil
 	case <-ctx.Done():
 		return base.CancelErr(ctx)
@@ -157,11 +158,12 @@ func (h *dcHandle) waitReady(ctx context.Context) error {
 func (h *dcHandle) claim() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.running {
+	if h.gate.Load() != nil {
 		h.again = true
 		return false
 	}
-	h.running, h.ready = true, make(chan struct{})
+	ch := make(chan struct{})
+	h.gate.Store(&ch)
 	return true
 }
 
@@ -175,8 +177,8 @@ func (h *dcHandle) release(ok bool) (again bool) {
 		h.again = false
 		return true
 	}
-	h.running, h.again = false, false
-	close(h.ready)
+	h.again = false
+	close(*h.gate.Swap(nil))
 	return false
 }
 
@@ -236,15 +238,15 @@ type TC struct {
 }
 
 // incarnation is everything volatile a TC crash destroys (§5.3.2), as one
-// value: the lock table, the transaction table and its id counter, the resend
-// bookkeeping (ack tracker), the timestamp registrations, and the right to use
-// the log. New and Recover build one whole and publish it; Crash drops it. A
-// transaction captures the incarnation that began it and uses nothing else of
-// the TC that can die, so one that straddles a crash finishes in tables nobody
-// reads any more — which is what losing volatile state means — and cannot
-// touch its successor's: not its locks, not its transaction ids, and not its
-// log, because every record is appended and forced through the log generation
-// the crash ended.
+// value: the lock table, the count of its transactions and their id counter,
+// the resend bookkeeping (ack tracker), the timestamp registrations, and the
+// right to use the log. New and Recover build one whole and publish it; Crash
+// drops it. A transaction captures the incarnation that began it and uses
+// nothing else of the TC that can die, so one that straddles a crash finishes
+// in tables nobody reads any more — which is what losing volatile state means
+// — and cannot touch its successor's: not its locks, not its count, not its
+// transaction ids, and not its log, because every record is appended and
+// forced through the log generation the crash ended.
 type incarnation struct {
 	tc *TC
 	// epoch is the durable incarnation number: minted strictly larger on
@@ -264,9 +266,12 @@ type incarnation struct {
 	// first CodeStaleDC names it (see resend).
 	bound []atomic.Uint64
 
-	mu      sync.Mutex // guards txns and nextTxn
-	txns    map[base.TxnID]*Txn
-	nextTxn uint64
+	// active counts the transactions begun and not yet finished (ActiveTxns);
+	// nextTxn is the last transaction id handed out. Nothing else of a
+	// transaction is kept here: it holds its own state, and the lock table
+	// what it locked.
+	active  atomic.Int64
+	nextTxn atomic.Uint64
 
 	// Guarded by tc.tsMu, beside the promises they bound.
 	commitOut   map[base.TS]struct{} // assigned, commit record not yet forced
@@ -274,8 +279,9 @@ type incarnation struct {
 	staleness   base.TS              // largest bounded Staleness asked lately; each broadcast halves it
 
 	// candidate is the low-water mark + 1 the incarnation's previous
-	// Checkpoint took, which its next one proposes; zero before the first.
-	// Guarded by tc.ckptMu.
+	// Checkpoint took, which its next one proposes: zero before the first
+	// in New's incarnation, and in a restarted one the mark Recover took once
+	// its resends had ended. Guarded by tc.ckptMu.
 	candidate base.LSN
 }
 
@@ -290,8 +296,8 @@ type incarnation struct {
 func (t *TC) incarnate(gen wal.Generation, epoch base.Epoch, stableEnd base.LSN, nextTxn uint64) (*incarnation, error) {
 	inc := &incarnation{tc: t, epoch: epoch, log: gen, locks: lockmgr.New(),
 		acks: newAckTracker(stableEnd), bound: make([]atomic.Uint64, len(t.dcs)),
-		txns: make(map[base.TxnID]*Txn), nextTxn: nextTxn,
 		commitOut: make(map[base.TS]struct{}), activeSnaps: make(map[base.TS]int)}
+	inc.nextTxn.Store(nextTxn)
 	inc.locks.Timeout = t.cfg.LockTimeout
 	lsn := inc.logLocal(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(epoch)})
 	if lsn == 0 || !gen.ForceTo(lsn) {
@@ -431,16 +437,15 @@ func (t *TC) dcIndex(table, key string) (int, error) {
 }
 
 // ActiveTxns returns the number of transactions currently executing at
-// this TC; the deployment client uses it as the least-inflight routing
-// signal.
+// this TC — begun by its serving incarnation and not yet finished; an orphan
+// counts in the incarnation it died with — as one atomic load. The
+// deployment client uses it as the least-inflight routing signal.
 func (t *TC) ActiveTxns() int {
 	inc := t.inc.Load()
 	if inc == nil {
 		return 0
 	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return len(inc.txns)
+	return int(inc.active.Load())
 }
 
 // Close stops background work (the TC stays usable for reads of state).
@@ -623,9 +628,10 @@ func (inc *incarnation) safeTS() (safe, horizon base.TS, live bool) {
 // the next one: fuzzy checkpointing with restart from the penultimate
 // checkpoint. A page rewritten within every interval is then written back
 // every other checkpoint, not at each, for one more interval of log kept
-// and redone at restart. An incarnation's first call only takes its
-// candidate, and two calls with no write between them leave every page of
-// this TC stable. Calls run one at a time. ctx bounds the per-DC control
+// and redone at restart. A new TC's first call only takes its candidate; a
+// restarted incarnation's proposes the one Recover took, everything its
+// resends delivered. Two calls with no write between them leave every page
+// of this TC stable. Calls run one at a time. ctx bounds the per-DC control
 // calls.
 func (t *TC) Checkpoint(ctx context.Context) (base.LSN, error) {
 	t.ckptMu.Lock()
@@ -690,37 +696,49 @@ func (t *TC) Stats() Stats {
 // record at or below it has completed (its operation acknowledged by the DC,
 // or a local record needing no DC round trip). Every LSN is a record's, so
 // Complete has two callers: logLocal, and deliver's complete.
+//
+// A completion of the LSN just above the mark moves the mark, and nothing is
+// stored: a commit batch completes its records in order, so that is nearly
+// every completion. Only an LSN completed ahead of a gap — a concurrent
+// commit's, acknowledged first — is kept, in ahead, until the gap closes.
 type ackTracker struct {
-	mu   sync.Mutex
-	lwm  base.LSN
-	done map[base.LSN]struct{}
+	mu  sync.Mutex
+	lwm base.LSN
+	// ahead holds the LSNs completed above lwm+1, ascending and each once.
+	ahead []base.LSN
 }
 
 // newAckTracker returns a tracker based at baseLSN: every LSN at or below it
 // counts as complete (after a restart they are either stably logged and
 // redone, or gone forever).
 func newAckTracker(baseLSN base.LSN) *ackTracker {
-	return &ackTracker{lwm: baseLSN, done: make(map[base.LSN]struct{})}
+	return &ackTracker{lwm: baseLSN}
 }
 
 // Complete marks lsn done and advances the contiguous prefix. Completions
-// at or below the mark (restart's redo replies, a refused LSN of zero) are
-// ignored.
+// at or below the mark (restart's redo replies, a refused LSN of zero) and
+// repeated ones are ignored.
 func (a *ackTracker) Complete(lsn base.LSN) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if lsn <= a.lwm {
-		a.mu.Unlock()
 		return
 	}
-	a.done[lsn] = struct{}{}
-	for {
-		if _, ok := a.done[a.lwm+1]; !ok {
-			break
+	if lsn > a.lwm+1 {
+		if i, found := slices.BinarySearch(a.ahead, lsn); !found {
+			a.ahead = slices.Insert(a.ahead, i, lsn)
 		}
-		delete(a.done, a.lwm+1)
-		a.lwm++
+		return
 	}
-	a.mu.Unlock()
+	a.lwm = lsn
+	n := 0
+	for n < len(a.ahead) && a.ahead[n] == a.lwm+1 {
+		a.lwm++
+		n++
+	}
+	if n > 0 {
+		a.ahead = a.ahead[:copy(a.ahead, a.ahead[n:])]
+	}
 }
 
 // LWM returns the current low-water mark. An LSN is taken only when its

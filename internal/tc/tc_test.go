@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -656,6 +657,236 @@ func TestAckTracker(t *testing.T) {
 	a.Complete(11)
 	if a.LWM() != 11 {
 		t.Fatal("post-reset completion failed")
+	}
+}
+
+// ackModel is the ack tracker as it was once written, a set of the LSNs
+// completed above the mark, for TestAckTrackerFollowsAModel to compare with.
+type ackModel struct {
+	lwm  base.LSN
+	done map[base.LSN]bool
+}
+
+func (m *ackModel) complete(lsn base.LSN) {
+	if lsn <= m.lwm {
+		return
+	}
+	m.done[lsn] = true
+	for m.done[m.lwm+1] {
+		delete(m.done, m.lwm+1)
+		m.lwm++
+	}
+}
+
+// TestAckTrackerFollowsAModel feeds the ack tracker, seeded, the orders its
+// completions arrive in — in order, reversed, two commits whose commit
+// records (completed at their append) come before their writes' acks, which
+// interleave, a restart's redo replies at or below the mark followed by an
+// in-order run, repeats at, below and above the mark, and arbitrary
+// shuffles of a window — and checks LWM against a map-based model after
+// every call.
+func TestAckTrackerFollowsAModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		start := base.LSN(rng.Intn(100))
+		a, m := newAckTracker(start), &ackModel{lwm: start, done: map[base.LSN]bool{}}
+		step := func(order string, lsn base.LSN) {
+			t.Helper()
+			a.Complete(lsn)
+			m.complete(lsn)
+			if got := a.LWM(); got != m.lwm {
+				t.Fatalf("seed %d, %s: after Complete(%d) LWM = %d, the model says %d", seed, order, lsn, got, m.lwm)
+			}
+		}
+		next := start + 1 // the lowest LSN not yet handed to a scenario
+		take := func(n int) []base.LSN {
+			lsns := make([]base.LSN, n)
+			for i := range lsns {
+				lsns[i] = next + base.LSN(i)
+			}
+			next += base.LSN(n)
+			return lsns
+		}
+		for round := 0; round < 50; round++ {
+			switch rng.Intn(6) {
+			case 0:
+				for _, lsn := range take(1 + rng.Intn(10)) {
+					step("in order", lsn)
+				}
+			case 1:
+				lsns := take(1 + rng.Intn(10))
+				for i := len(lsns) - 1; i >= 0; i-- {
+					step("reversed", lsns[i])
+				}
+			case 2:
+				// Two commits of 1 to 5 writes each: each batch's records,
+				// its writes' and then its commit record's, take adjacent LSNs.
+				a1, a2 := take(2+rng.Intn(5)), take(2+rng.Intn(5))
+				first, second := a1[len(a1)-1], a2[len(a2)-1]
+				if rng.Intn(2) == 0 {
+					first, second = second, first
+				}
+				step("commit records first", first)
+				step("commit records first", second)
+				w1, w2 := a1[:len(a1)-1], a2[:len(a2)-1]
+				for len(w1) > 0 || len(w2) > 0 {
+					if len(w2) == 0 || len(w1) > 0 && rng.Intn(2) == 0 {
+						step("interleaved acks", w1[0])
+						w1 = w1[1:]
+					} else {
+						step("interleaved acks", w2[0])
+						w2 = w2[1:]
+					}
+				}
+			case 3:
+				// A restart's redo replies carry LSNs at or below the base, and
+				// the new incarnation's records follow in order.
+				for lsn := max(m.lwm, 5) - 5; lsn <= m.lwm; lsn++ {
+					step("redo reply", lsn)
+				}
+				for _, lsn := range take(1 + rng.Intn(5)) {
+					step("after a resend", lsn)
+				}
+			case 4:
+				lsns := take(2 + rng.Intn(6))
+				step("repeat above the mark", lsns[len(lsns)-1])
+				step("repeat above the mark", lsns[len(lsns)-1])
+				for _, lsn := range lsns {
+					step("repeat at the mark", lsn)
+					step("repeat at the mark", lsn)
+					step("below the mark", base.LSN(rng.Int63n(int64(lsn)+1)))
+				}
+			case 5:
+				lsns := take(1 + rng.Intn(20))
+				rng.Shuffle(len(lsns), func(i, j int) { lsns[i], lsns[j] = lsns[j], lsns[i] })
+				for _, lsn := range lsns {
+					step("shuffled", lsn)
+				}
+			}
+			if a.LWM() != next-1 || len(a.ahead) != 0 {
+				t.Fatalf("seed %d: a scenario left LWM %d and %v ahead, want %d and nothing", seed, a.LWM(), a.ahead, next-1)
+			}
+		}
+	}
+}
+
+// TestAckTrackerAllocs: completing the LSN at the mark allocates nothing, and
+// neither does a gap that closes once the out-of-order list has grown.
+func TestAckTrackerAllocs(t *testing.T) {
+	a := newAckTracker(0)
+	next := base.LSN(1)
+	if got := testing.AllocsPerRun(1000, func() {
+		a.Complete(next)
+		next++
+	}); got != 0 {
+		t.Fatalf("an in-order completion allocates %.1f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		a.Complete(next + 1)
+		a.Complete(next)
+		next += 2
+	}); got != 0 {
+		t.Fatalf("a gap of one that closes allocates %.1f objects, want 0", got)
+	}
+	if a.LWM() != next-1 {
+		t.Fatalf("LWM = %d, want %d", a.LWM(), next-1)
+	}
+}
+
+// TestActiveTxnsCountsTheUnfinished: ActiveTxns counts the transactions of
+// the serving incarnation that have begun and not finished — a writer, an
+// aborter, a snapshot reader and one whose lock wait timed out leave it as
+// they finish — and an orphan counts in the incarnation it died with, not in
+// its successor's.
+func TestActiveTxnsCountsTheUnfinished(t *testing.T) {
+	tcx, _ := newPair(t, Config{})
+	ctx := context.Background()
+	want := func(n int, when string) {
+		t.Helper()
+		if got := tcx.ActiveTxns(); got != n {
+			t.Fatalf("%s: ActiveTxns = %d, want %d", when, got, n)
+		}
+	}
+	w := tcx.Begin(ctx, TxnOptions{})
+	if err := w.Upsert("t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	a := tcx.Begin(ctx, TxnOptions{})
+	s := tcx.Begin(ctx, TxnOptions{ReadOnly: true, Snapshot: SnapshotBounded})
+	orphan := tcx.Begin(ctx, TxnOptions{})
+	want(4, "four begun")
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want(1, "one left")
+	blocked := tcx.Begin(ctx, TxnOptions{LockTimeout: time.Millisecond})
+	if err := orphan.Upsert("t", "k", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if err := blocked.Upsert("t", "k", []byte("x")); !errors.Is(err, base.ErrLockTimeout) {
+		t.Fatalf("blocked Upsert = %v, want ErrLockTimeout", err)
+	}
+	want(1, "after a lock timeout")
+	tcx.Crash()
+	if err := tcx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	want(0, "after a restart")
+	next := tcx.Begin(ctx, TxnOptions{})
+	if err := orphan.Commit(); !errors.Is(err, ErrTCStopped) {
+		t.Fatalf("orphan Commit = %v, want ErrTCStopped", err)
+	}
+	want(1, "after the orphan's end")
+	if err := next.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	want(0, "all finished")
+}
+
+// TestDCGateHoldsSendersWhileAResendRuns: a sender passes a DC's gate at once
+// while no resend runs, and waits while one does — through a second run that
+// was asked for meanwhile — until it ends, or until the sender's context is
+// done.
+func TestDCGateHoldsSendersWhileAResendRuns(t *testing.T) {
+	h := newDCHandle(nil)
+	if err := h.waitReady(context.Background()); err != nil {
+		t.Fatalf("open gate: %v", err)
+	}
+	if !h.claim() {
+		t.Fatal("the first claim did not hand out the resend")
+	}
+	if h.claim() {
+		t.Fatal("a second claim handed out a resend while one runs")
+	}
+	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := h.waitReady(short); !errors.Is(err, base.ErrCancelled) {
+		t.Fatalf("waitReady under a resend = %v, want the context's end", err)
+	}
+	passed := make(chan error, 1)
+	go func() { passed <- h.waitReady(context.Background()) }()
+	if !h.release(true) {
+		t.Fatal("release did not run the resend asked for meanwhile")
+	}
+	select {
+	case err := <-passed:
+		t.Fatalf("a sender passed (%v) before the second run ended", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	if h.release(true) {
+		t.Fatal("release ran the resend a third time")
+	}
+	if err := <-passed; err != nil {
+		t.Fatalf("waitReady after the resend = %v", err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = h.waitReady(context.Background()) }); got != 0 {
+		t.Fatalf("passing the open gate allocates %.1f objects", got)
 	}
 }
 

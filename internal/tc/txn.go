@@ -252,13 +252,16 @@ func (s *txnScratch) remember(k tableKey, v cachedVal) {
 type Txn struct {
 	tc *TC
 	// inc is the incarnation that began the transaction. Everything of the TC
-	// a crash destroys — locks, transaction table, acks, timestamps, the right
-	// to log — is reached through it and nowhere else.
+	// a crash destroys — locks, the count of transactions, acks, timestamps,
+	// the right to log — is reached through it and nowhere else.
 	inc   *incarnation
 	ctx   context.Context
 	opts  TxnOptions
 	id    base.TxnID
 	state txnState
+	// locked: the transaction asked the lock table for a lock (Txn.lock), so
+	// finish has locks to release there. A snapshot reader never does.
+	locked bool
 	// txnScratch is the transaction's from Begin to finish; nil before (a
 	// transaction begun while the TC was down has none) and after.
 	*txnScratch
@@ -285,11 +288,8 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 	}
 	t.begun.Add(1)
 	x := &Txn{tc: t, inc: inc, ctx: ctx, opts: opts, txnScratch: scratchPool.Get().(*txnScratch)}
-	inc.mu.Lock()
-	inc.nextTxn++
-	x.id = base.TxnID(inc.nextTxn)
-	inc.txns[x.id] = x
-	inc.mu.Unlock()
+	x.id = base.TxnID(inc.nextTxn.Add(1))
+	inc.active.Add(1)
 	if opts.ReadOnly && opts.Snapshot != SnapshotLocked {
 		x.beginSnapshot()
 	}
@@ -403,6 +403,7 @@ func (x *Txn) Context() context.Context { return x.ctx }
 // incarnation failed (its poisoned lock table answers ErrTCStopped) is an
 // orphan's, and Abort retires it as one.
 func (x *Txn) lock(res lockmgr.Resource, mode lockmgr.Mode) error {
+	x.locked = true
 	err := x.inc.locks.LockWait(x.ctx, x.id, res, mode, x.opts.lockWait(x.tc.cfg.LockTimeout))
 	if err != nil {
 		if errors.Is(err, base.ErrDeadlock) {
@@ -844,17 +845,17 @@ func (x *Txn) commitLogged() error {
 	return nil
 }
 
-// finish releases the transaction's locks and drops it from the table:
-// the 2PL release point. Runs exactly once per transaction, as the last step
-// of commitLogged or rollback. It also releases the transaction's timestamp
-// registrations: the snapshot pin on the GC horizon, and the outstanding
-// commit timestamp (every path reaching finish after a commit has the
-// stamped writes acknowledged and the commit record forced, so the safe
-// timestamp may now pass it; one whose append was refused stamped nothing
-// that left). All of it in the transaction's own incarnation: an orphan's
-// finish lands in dead tables, never on a successor's transaction of the
-// same id. Last, it gives the transaction's scratch back: every call that was
-// lent an operation from it has returned.
+// finish releases the transaction's locks, if it took any, and drops it from
+// the count of active transactions: the 2PL release point. Runs exactly once
+// per transaction, as the last step of commitLogged or rollback. It also
+// releases the transaction's timestamp registrations: the snapshot pin on the
+// GC horizon, and the outstanding commit timestamp (every path reaching
+// finish after a commit has the stamped writes acknowledged and the commit
+// record forced, so the safe timestamp may now pass it; one whose append was
+// refused stamped nothing that left). All of it in the transaction's own
+// incarnation: an orphan's finish lands in dead tables, never on a
+// successor's transaction of the same id. Last, it gives the transaction's
+// scratch back: every call that was lent an operation from it has returned.
 func (x *Txn) finish() {
 	inc := x.inc
 	if x.snapTS != 0 || x.commitTS != 0 {
@@ -869,10 +870,10 @@ func (x *Txn) finish() {
 		}
 		x.tc.tsMu.Unlock()
 	}
-	inc.locks.ReleaseAll(x.id)
-	inc.mu.Lock()
-	delete(inc.txns, x.id)
-	inc.mu.Unlock()
+	if x.locked {
+		inc.locks.ReleaseAll(x.id)
+	}
+	inc.active.Add(-1)
 	s := x.txnScratch
 	x.txnScratch = nil
 	s.release()

@@ -291,7 +291,7 @@
 // independent of timing on a lossy, reordering, duplicating network.
 //
 // That is the DC's side. On the TC's own side the same boundary is one
-// value: everything a TC crash destroys — lock table, transaction table, ack
+// value: everything a TC crash destroys — lock table, transaction count, ack
 // bookkeeping, timestamp registrations, the epoch, and the right to use the
 // log — is one incarnation, which a transaction captures when it begins.
 // CrashTC drops it and ends the TC-log's generation; RecoverTC builds the
